@@ -17,6 +17,9 @@
 #                              scenario goldens re-run under REPRO_TELEMETRY=1
 #   make docs-check          - doc-vs-code consistency tests (CLI + performance docs)
 #   make bench               - the full benchmark suite at default (reduced) scale
+#   make bench-quick         - the repository benchmark (BENCHMARK.json) at smoke size:
+#                              all five workloads, output checks, ~15 s; writes
+#                              benchmarks/perf/results/
 #   make perf                - hot-path throughput cells (events/sec), full profile;
 #                              updates the `latest` slot of BENCH_PERF.json
 #   make perf-smoke          - reduced perf profile (< 2 min) checked against the
@@ -35,7 +38,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 
 BENCH_OPTS := -o python_files='bench_*.py' -o python_functions='bench_*'
 
-.PHONY: test lint coverage bench bench-smoke bench-smoke-parallel scale-smoke chaos-smoke telemetry-smoke docs-check perf perf-smoke profile build-fast
+.PHONY: test lint coverage bench bench-quick bench-smoke bench-smoke-parallel scale-smoke chaos-smoke telemetry-smoke docs-check perf perf-smoke profile build-fast
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -156,3 +159,10 @@ telemetry-smoke:
 
 bench:
 	$(PYTHON) -m pytest -q $(BENCH_OPTS) benchmarks
+
+# The repository benchmark at a tenth of its sizes, one repeat: every
+# workload's argv through a fresh child process, with the exit,
+# accounting and fingerprint checks.  A smoke signal that the benchmark
+# still runs on this tree, not a measurement (benchmarks/perf/README.md).
+bench-quick:
+	$(PYTHON) benchmarks/perf/run.py --quick

@@ -187,7 +187,7 @@ class ECMPRouterNode(NetworkNode):
             label = self._forward_labels[name] = f"ecmp->{name}"
         # Hand the packet to the chosen instance after one switching hop.
         latency = self.fabric.latency if self.fabric is not None else 0.0
-        self.channel.deliver(instance, packet, latency, label)
+        self.channel.send(instance.receive, packet, latency, label)
 
     def instance_share(self) -> Dict[str, float]:
         """Fraction of forwarded packets handled by each instance."""

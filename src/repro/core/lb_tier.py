@@ -95,11 +95,13 @@ class TierLoadBalancer(LoadBalancerNode):
     # cross-instance SYN-ACK learning
     # ------------------------------------------------------------------
     def _handle_steering_signal(self, packet: Packet) -> None:
+        srh = packet.srh
+        dst = packet._dst
         if (
-            packet.srh is not None
+            srh is not None
             and self.tier is not None
-            and packet.dst in self._steering_aliases
-            and not self.owns(packet.dst)
+            and dst in self._steering_aliases
+            and dst not in self._addresses
         ):
             # The packet reached us through the shared steering address:
             # the ECMP edge hashed the *reverse* tuple, so we may not be
@@ -113,13 +115,11 @@ class TierLoadBalancer(LoadBalancerNode):
                 # invariant); the rest of the SR header still carries
                 # everything the owner needs to learn the binding.
                 self.tier_stats.signals_relayed_out += 1
-                packet.srh.segments[packet.srh.segments_left] = (
-                    owner.primary_address
-                )
+                srh.segments[srh.segments_left] = owner.primary_address
                 packet.dst = owner.primary_address
                 self.send(packet)
                 return
-        if packet.srh is not None:
+        if srh is not None:
             self.tier_stats.signals_handled_locally += 1
         super()._handle_steering_signal(packet)
 

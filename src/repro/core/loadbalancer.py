@@ -28,7 +28,7 @@ from repro.core.candidate_selection import CandidateSelector
 from repro.core.flow_table import FlowTable
 from repro.errors import LoadBalancerError
 from repro.net.addressing import IPv6Address
-from repro.net.packet import Packet, TCPFlag, make_reset
+from repro.net.packet import SYN_ACK_BITS, SYN_BIT, Packet, make_reset
 from repro.net.router import NetworkNode
 from repro.net.srh import SegmentRoutingHeader
 from repro.sim.engine import PeriodicTask, Simulator
@@ -238,48 +238,46 @@ class LoadBalancerNode(NetworkNode):
     # packet processing
     # ------------------------------------------------------------------
     def handle_packet(self, packet: Packet) -> None:
-        if packet.dst in self._backends:
-            self._handle_client_packet(packet, vip=packet.dst)
-        elif self.owns(packet.dst) or packet.dst in self._steering_aliases:
+        dst = packet._dst
+        if dst in self._backends:
+            # Client -> VIP direction: a plain SYN opens a new flow,
+            # everything else is steered to the flow's recorded server.
+            if packet.tcp.bits & SYN_ACK_BITS == SYN_BIT:
+                self._dispatch_new_flow(packet, dst)
+            else:
+                self._steer_existing_flow(packet, dst)
+        elif dst in self._addresses or dst in self._steering_aliases:
             self._handle_steering_signal(packet)
         else:
             # A VIP in the advertised prefix that no application registered.
             self.stats.unknown_vip_drops += 1
 
     # -- client -> VIP direction ----------------------------------------
-    def _handle_client_packet(self, packet: Packet, vip: IPv6Address) -> None:
-        is_syn = packet.tcp.has(TCPFlag.SYN) and not packet.tcp.has(TCPFlag.ACK)
-        if is_syn:
-            self._dispatch_new_flow(packet, vip)
-        else:
-            self._steer_existing_flow(packet, vip)
 
     def _dispatch_new_flow(self, packet: Packet, vip: IPv6Address) -> None:
         """Offer a new connection to the selected candidate servers."""
-        self.stats.syn_received += 1
-        flow_key = packet.flow_key()
-        candidates = self.selector.select(flow_key, self._backends[vip])
+        stats = self.stats
+        stats.syn_received += 1
+        candidates = self.selector.select(packet.flow_key(), self._backends[vip])
         if not candidates:
             raise LoadBalancerError("candidate selector returned an empty list")
         first = candidates[0]
-        self.stats.first_candidate_offers[first] = (
-            self.stats.first_candidate_offers.get(first, 0) + 1
+        offers = stats.first_candidate_offers
+        offers[first] = offers.get(first, 0) + 1
+        packet.attach_srh(
+            SegmentRoutingHeader.from_traversal(list(candidates) + [vip])
         )
-        srh = SegmentRoutingHeader.from_traversal(list(candidates) + [vip])
-        packet.attach_srh(srh)
-        self.stats.syn_dispatched += 1
+        stats.syn_dispatched += 1
         self.send(packet)
 
     def _steer_existing_flow(self, packet: Packet, vip: IPv6Address) -> None:
         """Pin a mid-flow packet to the server that accepted the flow."""
-        flow_key = packet.flow_key()
-        server = self.flow_table.steer(flow_key, self.simulator.now)
+        server = self.flow_table.steer(packet.flow_key(), self.simulator.clock._now)
         if server is None:
             self.stats.steering_misses += 1
             self._handle_steering_miss(packet, vip)
             return
-        srh = SegmentRoutingHeader.from_traversal([server, vip])
-        packet.attach_srh(srh)
+        packet.attach_srh(SegmentRoutingHeader.from_traversal([server, vip]))
         self.stats.steering_packets += 1
         self.send(packet)
 
@@ -334,15 +332,15 @@ class LoadBalancerNode(NetworkNode):
         # traversal tuple on every acceptance.
         accepting_server = srh.segments[-1]
         # The SYN-ACK travels in the server->client direction; the flow
-        # table is keyed by the client->VIP direction.  Both the packet's
-        # key and its reverse are cached, so tier deployments that
-        # already derived this key for the ownership check reuse it here.
+        # table is keyed by the client->VIP direction.
         forward_key = packet.flow_key().reversed()
-        self.flow_table.learn(forward_key, accepting_server, self.simulator.now)
-        self.stats.acceptances_learned += 1
-        self.stats.acceptances_per_server[accepting_server] = (
-            self.stats.acceptances_per_server.get(accepting_server, 0) + 1
+        self.flow_table.learn(
+            forward_key, accepting_server, self.simulator.clock._now
         )
+        stats = self.stats
+        stats.acceptances_learned += 1
+        per_server = stats.acceptances_per_server
+        per_server[accepting_server] = per_server.get(accepting_server, 0) + 1
         return accepting_server
 
     # ------------------------------------------------------------------

@@ -101,7 +101,7 @@ class ServiceHuntingProcessor:
         packet's destination is the next candidate.
         """
         srh = packet.srh
-        if srh is None or srh.exhausted:
+        if srh is None or srh.segments_left == 0:
             return HuntingDecision.NOT_APPLICABLE
 
         self.stats.offers_received += 1

@@ -51,7 +51,7 @@ from repro.experiments.scenario import (
 )
 from repro.metrics.collector import ResponseTimeCollector
 from repro.net.channel import FrameSender
-from repro.net.ecmp import select_next_hop_name
+from repro.net.ecmp import HopScorer, five_tuple_key, select_next_hop_name
 from repro.net.packet import FlowKey
 from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT
 from repro.sim.partition import (
@@ -97,35 +97,46 @@ def pod_of_port(config: ScaleConfig, port: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _pod_table_cached(pod_names: Tuple[str, ...], ecmp_hash: str) -> np.ndarray:
-    table = np.empty(EPHEMERAL_PORT_RANGE, dtype=np.int64)
-    for offset in range(EPHEMERAL_PORT_RANGE):
-        name = select_next_hop_name(
-            pod_names,
+def _pod_table_cached(
+    pod_names: Tuple[str, ...], ecmp_hash: str, size: int
+) -> np.ndarray:
+    scorer = HopScorer(pod_names, ecmp_hash)
+    # The scorer ranks hops in name order; translate to pod positions.
+    pod_of_rank = [pod_names.index(name) for name in scorer.names]
+    table = np.empty(size, dtype=np.int64)
+    for offset in range(size):
+        key = five_tuple_key(
             FlowKey(
                 _FRONTEND_CLIENT,
                 EPHEMERAL_PORT_BASE + offset,
                 _FRONTEND_VIP,
                 HTTP_PORT,
-            ),
-            ecmp_hash,
+            )
         )
-        table[offset] = pod_names.index(name)
+        table[offset] = pod_of_rank[scorer.index_for(key)]
+    table.flags.writeable = False
     return table
 
 
 def _pod_by_port_table(config: ScaleConfig) -> np.ndarray:
-    """Pod assignment for every possible modeled port (vectorization aid).
+    """Pod assignment for every modeled port the stream uses.
 
     Only ``EPHEMERAL_PORT_RANGE`` distinct flow keys exist, so the
     per-query hash reduces to one table lookup — the difference between
-    hashing 50k keys and hashing every query of a million-query run.
-    The table depends only on the pod names and hash scheme, so it is
-    memoized per process (every pod worker of a run shares it).
+    hashing 50k keys and hashing every query of a million-query run —
+    and a stream shorter than the port range only hashes the ports it
+    reaches.  The table depends only on the pod names, the hash scheme
+    and that length, so it is memoized per process (every pod worker of
+    a run shares it).
     """
-    return _pod_table_cached(config.pod_names(), config.ecmp_hash)
+    return _pod_table_cached(
+        config.pod_names(),
+        config.ecmp_hash,
+        min(config.num_queries, EPHEMERAL_PORT_RANGE),
+    )
 
 
+@lru_cache(maxsize=2)
 def make_scale_stream(
     config: ScaleConfig,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -133,7 +144,9 @@ def make_scale_stream(
 
     A pure function of the config (the RNG is seeded from the workload
     seed and the query count only), shared by every partition: each
-    worker regenerates the same arrays and keeps only its pod's slice.
+    worker keeps only its pod's slice.  Memoized per process, so a
+    worker running several pods generates the stream once; the arrays
+    are read-only because every caller gets the same ones.
     """
     rate = config.load_factor * config.pods * pod_saturation_rate(config)
     rng = np.random.default_rng([config.workload_seed, config.num_queries])
@@ -141,6 +154,8 @@ def make_scale_stream(
     demands = rng.exponential(config.service_mean, size=config.num_queries)
     offsets = np.arange(config.num_queries, dtype=np.int64) % EPHEMERAL_PORT_RANGE
     pods = _pod_by_port_table(config)[offsets]
+    for array in (arrivals, demands, pods):
+        array.flags.writeable = False
     return arrivals, demands, pods
 
 

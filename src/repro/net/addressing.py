@@ -7,16 +7,15 @@ module provides a small, dependency-free IPv6 address type plus prefix
 matching and an allocator used by the topology builder to hand out
 addresses from data-center prefixes.
 
-The implementation stores addresses as 128-bit integers, which keeps
-comparisons, hashing and longest-prefix matching cheap — the simulator
+An address *is* a 128-bit integer (an ``int`` subclass), which keeps
+comparisons, hashing and longest-prefix matching in C — the simulator
 forwards hundreds of thousands of packets per run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.errors import AddressError
 
@@ -53,16 +52,8 @@ def _parse_ipv6(text: str) -> int:
     return value
 
 
-@lru_cache(maxsize=None)
 def _format_ipv6(value: int) -> str:
-    """Format a 128-bit integer as a compressed IPv6 address string.
-
-    Memoized: the simulator formats the same few hundred topology
-    addresses over and over (ECMP 5-tuple keys, consistent-hash flow
-    keys), so the cache is small and permanently hot.  The key is the
-    128-bit integer value, and the universe of values is bounded by the
-    testbed's address plan, not by traffic volume.
-    """
+    """Format a 128-bit integer as a compressed IPv6 address string."""
     groups = [(value >> (16 * (7 - i))) & 0xFFFF for i in range(8)]
     # Find the longest run of zero groups to compress with '::'.
     best_start, best_len = -1, 0
@@ -84,30 +75,37 @@ def _format_ipv6(value: int) -> str:
     return f"{head}::{tail}"
 
 
-class IPv6Address:
-    """Immutable IPv6 address backed by a 128-bit integer.
+#: Memo of :meth:`IPv6Address.__str__`: the simulator formats the same
+#: few hundred topology addresses over and over (ECMP 5-tuple keys,
+#: consistent-hash flow keys), so the memo is small and permanently hot.
+#: The universe of keys is bounded by the testbed's address plan, not by
+#: traffic volume.
+_TEXT_FORMS: Dict[int, str] = {}
 
-    Slotted and hand-written: addresses key the fabric's address map,
-    the load balancer's backend pools and every flow key, so they are
-    hashed on essentially every packet hop.  The hash is computed once
-    at construction, with the same ``hash((value,))`` formula the
-    earlier frozen dataclass generated, keeping hash values identical.
+
+class IPv6Address(int):
+    """Immutable IPv6 address: an ``int`` carrying the 128-bit value.
+
+    Addresses key the fabric's address map, the load balancer's backend
+    pools and every flow key, so they are hashed and compared on every
+    packet hop.  As an ``int`` subclass with empty ``__slots__`` the
+    hash, equality and ordering all run in C, and there is no instance
+    dictionary to assign into — the value cannot change under a dict
+    that holds it.  Like any ``int``, the all-zero address ``::`` is
+    falsy: test optional addresses with ``is None``.
     """
 
-    __slots__ = ("value", "_hash")
+    __slots__ = ()
 
-    def __init__(self, value: int) -> None:
+    def __new__(cls, value: int) -> "IPv6Address":
         if not isinstance(value, int) or not 0 <= value <= _MAX_IPV6:
             raise AddressError(f"IPv6 address value out of range: {value!r}")
-        _set = object.__setattr__
-        _set(self, "value", value)
-        _set(self, "_hash", hash((value,)))
+        return int.__new__(cls, value)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        # The cached hash makes mutation unsafe (hash/equality would
-        # disagree for dict keys), so enforce the immutability the
-        # frozen dataclass this replaced provided.
-        raise AttributeError(f"IPv6Address is immutable (cannot set {name!r})")
+    @property
+    def value(self) -> int:
+        """The address as a plain 128-bit integer."""
+        return int(self)
 
     @classmethod
     def parse(cls, text: str) -> "IPv6Address":
@@ -120,44 +118,19 @@ class IPv6Address:
         return cls(value)
 
     def __str__(self) -> str:
-        return _format_ipv6(self.value)
+        text = _TEXT_FORMS.get(self)
+        if text is None:
+            text = _TEXT_FORMS[self] = _format_ipv6(self)
+        return text
 
     def __repr__(self) -> str:
         return f"IPv6Address('{self}')"
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is IPv6Address:
-            return self.value == other.value
-        return NotImplemented
-
-    def __lt__(self, other: "IPv6Address"):
-        if other.__class__ is IPv6Address:
-            return self.value < other.value
-        return NotImplemented
-
-    def __le__(self, other: "IPv6Address"):
-        if other.__class__ is IPv6Address:
-            return self.value <= other.value
-        return NotImplemented
-
-    def __gt__(self, other: "IPv6Address"):
-        if other.__class__ is IPv6Address:
-            return self.value > other.value
-        return NotImplemented
-
-    def __ge__(self, other: "IPv6Address"):
-        if other.__class__ is IPv6Address:
-            return self.value >= other.value
-        return NotImplemented
-
     def __reduce__(self):
-        return (IPv6Address, (self.value,))
+        return (IPv6Address, (int(self),))
 
     def __add__(self, offset: int) -> "IPv6Address":
-        result = self.value + offset
+        result = int(self) + offset
         if not 0 <= result <= _MAX_IPV6:
             raise AddressError(f"address arithmetic overflow: {self} + {offset}")
         return IPv6Address(result)
@@ -177,7 +150,7 @@ class IPv6Prefix:
     def __post_init__(self) -> None:
         if not 0 <= self.length <= 128:
             raise AddressError(f"prefix length out of range: {self.length!r}")
-        if self.network.value & ~self.mask_value():
+        if self.network & ~self.mask_value():
             raise AddressError(
                 f"prefix {self.network}/{self.length} has host bits set"
             )
@@ -202,7 +175,7 @@ class IPv6Prefix:
 
     def contains(self, address: IPv6Address) -> bool:
         """Whether ``address`` falls inside this prefix."""
-        return (address.value & self.mask_value()) == self.network.value
+        return (address & self.mask_value()) == self.network
 
     def address_at(self, offset: int) -> IPv6Address:
         """The ``offset``-th address inside the prefix (0 is the network address)."""
@@ -211,7 +184,7 @@ class IPv6Prefix:
             raise AddressError(
                 f"offset {offset} out of range for prefix {self} (size {size})"
             )
-        return IPv6Address(self.network.value + offset)
+        return self.network + offset
 
     def __str__(self) -> str:
         return f"{self.network}/{self.length}"

@@ -6,14 +6,23 @@ closing over the destination object and calling ``destination.receive``
 directly.  That works only while sender and receiver share one
 :class:`~repro.sim.engine.Simulator` in one process.
 
-This module makes the hop explicit.  A *delivery channel* accepts
-``(sink, packet, delay, label)`` and promises the packet will reach the
-sink after the delay:
+This module makes the hop explicit.  A *delivery channel* has one
+primitive, :meth:`DeliveryChannel.send`: **call** ``arrive(packet)``
+**after** ``delay``.  ``arrive`` is the receiving end of the hop — a
+callable the forwarding component builds once per destination (the
+fabric's per-address arrival with the detached-sink check folded in, a
+link direction's arrival, an ECMP next hop's ``receive``) — so a
+delivery is one engine event carrying the packet as its argument: no
+closure is allocated per packet, and the event fires straight into the
+arrival.
 
-* :class:`InProcessChannel` is the default and reproduces the historical
-  behaviour exactly — one ``schedule_in`` call per packet with the same
-  delay and the same (interned) label, so event ordering is bit-identical
-  to the pre-channel code.
+* :class:`InProcessChannel` is the default — one scheduling call per
+  packet with the given delay and (interned) label, so event ordering is
+  bit-identical to direct ``receive()`` scheduling.
+* :class:`PooledInProcessChannel` additionally recycles packets whose
+  life ended at the arrival.
+* :class:`~repro.net.faults.FaultInjectionChannel` runs the hop through
+  a fault pipeline before handing it to an inner channel.
 * :class:`PipeChannelSender` / :class:`PipeChannelReceiver` carry
   timestamped items between *partitions* (separate simulator processes)
   as pickled :class:`BatchFrame` messages over ``multiprocessing`` pipes.
@@ -23,12 +32,12 @@ sink after the delay:
   timestamp at or below it again.  An empty frame is a null message (pure
   watermark advance); ``window_end = inf`` is the closing sentinel.
 
-The channel also hosts the delivery-time *guard* hook: an optional
-zero-argument callable run when the delay elapses, returning ``False`` to
-drop the packet instead of delivering it.  The fabric and link use it to
-drop packets whose sink was detached while they were in flight, with the
-drop counted in one place (see ``packets_dropped_sink_detached`` in
-:class:`~repro.net.fabric.FabricStats` / :class:`~repro.net.link.LinkStats`).
+``deliver(sink, packet, delay, label, guard=None)`` is the convenience
+form of the primitive for callers holding a sink object rather than an
+arrival (tests, microbenchmarks, one-off senders): it wraps
+``sink.receive`` — behind the optional zero-argument *guard*, which
+returns ``False`` to drop the packet at arrival time — and calls
+:meth:`~DeliveryChannel.send`.
 """
 
 from __future__ import annotations
@@ -48,12 +57,18 @@ class PacketSink(Protocol):
         """Handle an incoming packet."""
 
 
+#: The receiving end of one hop: called with the packet when it arrives.
+Arrival = Callable[[Any], None]
+
 #: Delivery-time hook: return ``False`` to drop instead of delivering.
 DeliveryGuard = Callable[[], bool]
 
 
 class DeliveryChannel(Protocol):
-    """One network hop: deliver ``packet`` to ``sink`` after ``delay``."""
+    """One network hop: call ``arrive(packet)`` after ``delay``."""
+
+    def send(self, arrive: Arrival, packet: Any, delay: float, label: str) -> None:
+        """Schedule the arrival."""
 
     def deliver(
         self,
@@ -63,24 +78,13 @@ class DeliveryChannel(Protocol):
         label: str,
         guard: Optional[DeliveryGuard] = None,
     ) -> None:
-        """Schedule the delivery."""
+        """:meth:`send` to ``sink.receive`` (behind ``guard``, if given)."""
 
 
-class InProcessChannel:
-    """Channel between components sharing one simulator.
+class SinkDelivery:
+    """The ``deliver(sink, ...)`` form, shared by every channel class."""
 
-    ``deliver`` performs exactly one ``schedule_in`` call with the given
-    delay and label, so runs through this channel are bit-identical to
-    the historical direct-``receive`` scheduling (same event times, same
-    FIFO sequence numbers, same labels).
-    """
-
-    __slots__ = ("_simulator", "_schedule")
-
-    def __init__(self, simulator: Simulator) -> None:
-        self._simulator = simulator
-        # Bound method cached once: deliver() runs per packet hop.
-        self._schedule = simulator._schedule_delivery
+    __slots__ = ()
 
     def deliver(
         self,
@@ -90,35 +94,53 @@ class InProcessChannel:
         label: str,
         guard: Optional[DeliveryGuard] = None,
     ) -> None:
-        # Deliveries are fire-and-forget (never cancelled), so they use
-        # the simulator's handle-free scheduling fast path; validation
-        # and event ordering are identical to schedule_in.
         if guard is None:
-            self._schedule(delay, lambda: sink.receive(packet), label)
+            arrive = sink.receive
         else:
 
-            def _deliver() -> None:
+            def arrive(packet: Any) -> None:
                 if guard():
                     sink.receive(packet)
 
-            self._schedule(delay, _deliver, label)
+        self.send(arrive, packet, delay, label)
 
 
-class PooledInProcessChannel:
+class InProcessChannel(SinkDelivery):
+    """Channel between components sharing one simulator.
+
+    ``send`` performs exactly one scheduling call with the given delay
+    and label, so runs through this channel are bit-identical to direct
+    ``receive`` scheduling (same event times, same FIFO sequence
+    numbers, same labels).
+    """
+
+    __slots__ = ("_simulator", "send")
+
+    def __init__(self, simulator: Simulator) -> None:
+        self._simulator = simulator
+        #: ``send(arrive, packet, delay, label)`` *is* the simulator's
+        #: handle-free delivery scheduling (deliveries are fire-and-
+        #: forget, never cancelled; validation and event ordering are
+        #: identical to ``schedule_in``).  Binding the method here
+        #: instead of wrapping it saves a frame on every packet hop.
+        self.send = simulator._schedule_delivery
+
+
+class PooledInProcessChannel(SinkDelivery):
     """:class:`InProcessChannel` that recycles delivered packets.
 
     Scheduling behaviour (delay, label, event sequence) is identical to
     the unpooled channel, so pooled runs stay bit-identical; the only
     addition is lifecycle tracking via :attr:`Packet.in_flight`:
 
-    * ``deliver`` marks the packet in flight;
-    * when the delivery fires, the mark is cleared *before* the guard
-      and ``sink.receive`` run;
+    * ``send`` marks the packet in flight;
+    * when the delivery fires, the mark is cleared *before* the arrival
+      runs;
     * if the mark is still clear afterwards, nothing re-sent the packet
-      during ``receive`` — its life ended at this sink (consumed, or
-      dropped by the guard) — and it is released to the pool.
+      during the arrival — its life ended there (consumed, or dropped
+      because the sink was gone) — and it is released to the pool.
 
-    A re-send during ``receive`` (an LB steering the packet onward, the
+    A re-send during the arrival (an LB steering the packet onward, the
     ECMP router spreading it) goes through the same channel instance,
     re-marks the packet, and defers the release decision to the final
     hop.  For that to hold, *every* channel of a pooled testbed must be
@@ -133,34 +155,16 @@ class PooledInProcessChannel:
         self.pool = pool
         self._schedule = simulator._schedule_delivery
 
-    def deliver(
-        self,
-        sink: PacketSink,
-        packet: Any,
-        delay: float,
-        label: str,
-        guard: Optional[DeliveryGuard] = None,
-    ) -> None:
-        pool = self.pool
+    def send(self, arrive: Arrival, packet: Any, delay: float, label: str) -> None:
         packet.in_flight = True
-        if guard is None:
+        self._schedule(self._arrive, (arrive, packet), delay, label)
 
-            def _deliver() -> None:
-                packet.in_flight = False
-                sink.receive(packet)
-                if not packet.in_flight:
-                    pool.release(packet)
-
-        else:
-
-            def _deliver() -> None:
-                packet.in_flight = False
-                if guard():
-                    sink.receive(packet)
-                if not packet.in_flight:
-                    pool.release(packet)
-
-        self._schedule(delay, _deliver, label)
+    def _arrive(self, hop: Tuple[Arrival, Any]) -> None:
+        arrive, packet = hop
+        packet.in_flight = False
+        arrive(packet)
+        if not packet.in_flight:
+            self.pool.release(packet)
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RoutingError
@@ -51,10 +52,60 @@ def five_tuple_key(flow_key: FlowKey, protocol: str = "tcp") -> str:
     )
 
 
-def _hash64(data: str, salt: str) -> int:
-    """Stable 64-bit hash (process-independent, like the Maglev table's)."""
-    digest = hashlib.sha256(f"{salt}:{data}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+class HopScorer:
+    """The flow-to-next-hop hash over one fixed, name-sorted ECMP group.
+
+    The single implementation of both hash schemes, shared by the live
+    router, :func:`select_next_hop_name` and the ``scale`` family's
+    offline pod table.  A hop's score for a key is the first 64 bits of
+    ``sha256(f"{salt}:{key}")`` (stable and process-independent, like
+    the Maglev table's hash); the salted prefix is hashed once per hop
+    here, so scoring a key costs one ``copy().update(key)`` per hop
+    instead of formatting and hashing the whole string again.
+    """
+
+    __slots__ = ("names", "_modulo", "_seeds")
+
+    def __init__(self, hop_names: Sequence[str], hash_scheme: str) -> None:
+        if hash_scheme not in HASH_SCHEMES:
+            raise RoutingError(
+                f"unknown ECMP hash scheme {hash_scheme!r}: expected one of "
+                f"{HASH_SCHEMES}"
+            )
+        #: The group's hop names, sorted: ``index_for`` indexes this.
+        self.names = tuple(sorted(hop_names))
+        self._modulo = hash_scheme == "modulo"
+        salts = (
+            ["ecmp-modulo"]
+            if self._modulo
+            else [f"ecmp-hrw:{name}" for name in self.names]
+        )
+        self._seeds = [hashlib.sha256(f"{salt}:".encode("utf-8")) for salt in salts]
+
+    def index_for(self, key: str) -> int:
+        """Position in :attr:`names` of the hop ``key`` hashes to."""
+        if not self.names:
+            raise RoutingError("the ECMP group has no next hops")
+        data = key.encode("utf-8")
+        best = 0
+        best_score = -1
+        for index, seed in enumerate(self._seeds):
+            digest = seed.copy()
+            digest.update(data)
+            score = int.from_bytes(digest.digest()[:8], "big")
+            # Rendezvous (HRW): every hop scores the key; the highest
+            # wins, the first in name order on a tie.
+            if score > best_score:
+                best, best_score = index, score
+        if self._modulo:
+            # One unsalted-by-hop score, reduced over the group size.
+            return best_score % len(self.names)
+        return best
+
+
+@lru_cache(maxsize=32)
+def _scorer_for(hop_names: Tuple[str, ...], hash_scheme: str) -> HopScorer:
+    return HopScorer(hop_names, hash_scheme)
 
 
 def select_next_hop_name(
@@ -66,24 +117,14 @@ def select_next_hop_name(
     """Pure form of the router's hashing decision, over hop *names*.
 
     This is the exact computation :meth:`EcmpEdgeRouter.next_hop_for`
-    applies to its (name-sorted) ECMP group.  It is exposed as a free
-    function so offline tooling — notably the hash-collision search in
+    applies to its (name-sorted) ECMP group — both go through
+    :class:`HopScorer`.  It is exposed as a free function so offline
+    tooling — notably the hash-collision search in
     :mod:`repro.workload.hostile` — targets the very hash the data plane
     runs rather than a reimplementation that could silently drift.
     """
-    if not hop_names:
-        raise RoutingError("the ECMP group has no next hops")
-    if hash_scheme not in HASH_SCHEMES:
-        raise RoutingError(
-            f"unknown ECMP hash scheme {hash_scheme!r}: expected one of "
-            f"{HASH_SCHEMES}"
-        )
-    key = five_tuple_key(flow_key, protocol)
-    names = sorted(hop_names)
-    if hash_scheme == "modulo":
-        return names[_hash64(key, "ecmp-modulo") % len(names)]
-    # Rendezvous (HRW): every hop scores the key; the highest wins.
-    return max(names, key=lambda name: _hash64(key, f"ecmp-hrw:{name}"))
+    scorer = _scorer_for(tuple(hop_names), hash_scheme)
+    return scorer.names[scorer.index_for(five_tuple_key(flow_key, protocol))]
 
 
 @dataclass
@@ -139,11 +180,11 @@ class EcmpEdgeRouter(NetworkNode):
         hash_scheme: str = "rendezvous",
     ) -> None:
         super().__init__(simulator, name)
-        if hash_scheme not in HASH_SCHEMES:
-            raise RoutingError(
-                f"unknown ECMP hash scheme {hash_scheme!r}: expected one of "
-                f"{HASH_SCHEMES}"
-            )
+        #: Hash of the current group (rebuilt on membership change, and
+        #: the one place the scheme name is validated); ``_next_hops``
+        #: is kept name-sorted, so its positions line up with the
+        #: scorer's.
+        self._scorer = HopScorer((), hash_scheme)
         self.add_address(steering_address)
         self.steering_address = steering_address
         self.hash_scheme = hash_scheme
@@ -173,18 +214,23 @@ class EcmpEdgeRouter(NetworkNode):
             raise RoutingError(f"next hop {node.name!r} is already in the ECMP group")
         self._next_hops.append(node)
         self._next_hops.sort(key=lambda hop: hop.name)
-        self._hop_cache.clear()
-        self.stats.membership_changes += 1
+        self._group_changed()
 
     def remove_next_hop(self, name: str) -> bool:
         """Remove a next hop (failure or drain); flows remap by the hash."""
         before = len(self._next_hops)
         self._next_hops = [hop for hop in self._next_hops if hop.name != name]
         if len(self._next_hops) != before:
-            self._hop_cache.clear()
-            self.stats.membership_changes += 1
+            self._group_changed()
             return True
         return False
+
+    def _group_changed(self) -> None:
+        self._scorer = HopScorer(
+            [hop.name for hop in self._next_hops], self.hash_scheme
+        )
+        self._hop_cache.clear()
+        self.stats.membership_changes += 1
 
     @property
     def next_hops(self) -> Tuple[NetworkNode, ...]:
@@ -234,18 +280,10 @@ class EcmpEdgeRouter(NetworkNode):
         hop = self._hop_cache.get(flow_key)
         if hop is not None:
             return hop
-        # Delegate to the pure selector so the data plane and offline
-        # tooling (the hostile-workload collision search) share one
-        # implementation.  _next_hops is kept name-sorted, so positions
-        # line up with the selector's sorted name list.
-        name = select_next_hop_name(
-            [candidate.name for candidate in self._next_hops],
-            flow_key,
-            self.hash_scheme,
-        )
-        hop = next(
-            candidate for candidate in self._next_hops if candidate.name == name
-        )
+        # The same scorer class the pure selector uses, so the data
+        # plane and offline tooling (the hostile-workload collision
+        # search, the scale pod table) share one implementation.
+        hop = self._next_hops[self._scorer.index_for(five_tuple_key(flow_key))]
         self._hop_cache[flow_key] = hop
         return hop
 
@@ -296,7 +334,7 @@ class EcmpEdgeRouter(NetworkNode):
         if label is None:
             label = self._spread_labels[name] = f"ecmp->{name}"
         latency = self.fabric.latency if self.fabric is not None else 0.0
-        self.channel.deliver(hop, packet, latency, label)
+        self.channel.send(hop.receive, packet, latency, label)
 
     def next_hop_share(self) -> Dict[str, float]:
         """Fraction of spread packets handled by each next hop."""

@@ -23,6 +23,7 @@ from repro.net.addressing import IPv6Address, IPv6Prefix
 from repro.net.channel import DeliveryChannel, InProcessChannel
 from repro.net.packet import IPV6_HEADER_SIZE, TCP_HEADER_SIZE, Packet
 from repro.net.router import RoutingTable
+from repro.net.srh import SRH_FIXED_SIZE, SRH_SEGMENT_SIZE
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -120,15 +121,16 @@ class LANFabric:
         self._detached: set = set()
         self._taps: List[PacketTap] = []
         #: Memoized send routes: destination address ->
-        #: ``(node, node name, event label, delivery guard)``.  This
-        #: folds the address resolution and the interned per-destination
-        #: label/guard into one dict hit on the per-packet path.  Every
-        #: topology mutation (address bind, prefix advertise/withdraw,
-        #: node registration or detach) clears the memo wholesale, so a
-        #: cached entry is always exactly what resolve() would return.
-        #: The guard itself closes only over per-destination constants
-        #: (the detached set — mutated in place, so shared guards see
-        #: updates — the node name and the stats object).
+        #: ``(node name, event label, arrival)``.  This folds the
+        #: address resolution and the interned per-destination label and
+        #: arrival callable into one dict hit on the per-packet path.
+        #: Every topology mutation (address bind, prefix
+        #: advertise/withdraw, node registration or detach) clears the
+        #: memo wholesale, so a cached entry is always exactly what
+        #: resolve() would return.  The arrival closes only over
+        #: per-destination constants (the node, its name, the stats
+        #: object and the detached set — mutated in place, so shared
+        #: arrivals see updates).
         self._send_routes: Dict[IPv6Address, tuple] = {}
         self.stats = FabricStats()
 
@@ -227,14 +229,15 @@ class LANFabric:
         ``False`` if it was dropped (no route or hop limit exhausted) and
         the fabric is not strict.
         """
-        # The resolution, event label and delivery guard for a
+        # The resolution, event label and arrival callable for a
         # destination address are all memoized in one dict hit (see
         # ``_send_routes``); the miss path below performs the same
         # resolve() an uncached send would — exact binding first, prefix
         # fallback second — and the memo is cleared on every topology
         # mutation, so hits and misses are indistinguishable.  The
-        # hop-limit exception machinery and the Packet.size_bytes() call
-        # are inlined for the same once-per-packet-hop reason.
+        # hop-limit exception machinery and the Packet.size_bytes() /
+        # SRH size arithmetic are inlined for the same
+        # once-per-packet-hop reason.
         dst = packet._dst
         route = self._send_routes.get(dst)
         if route is None:
@@ -254,20 +257,18 @@ class LANFabric:
             detached = self._detached
             stats = self.stats
 
-            def arrives() -> bool:
-                # Checked when the latency elapses, not at send time:
-                # the sink may detach while the packet is in flight.
+            def arrive(packet: Packet) -> None:
+                # What the channel calls when the latency elapses.  The
+                # detach check runs now, not at send time: the sink may
+                # detach while the packet is in flight.
                 if detached and name in detached:
                     stats.packets_dropped_sink_detached += 1
-                    return False
-                return True
+                    return
+                # NetworkNode.receive(), inlined.
+                destination.packets_received += 1
+                destination.handle_packet(packet)
 
-            route = self._send_routes[dst] = (
-                destination,
-                name,
-                f"deliver->{name}",
-                arrives,
-            )
+            route = self._send_routes[dst] = (name, f"deliver->{name}", arrive)
 
         hop_limit = packet.hop_limit
         if hop_limit <= 1:
@@ -279,7 +280,7 @@ class LANFabric:
             return False
         packet.hop_limit = hop_limit - 1
 
-        destination, name, label, guard = route
+        name, label, arrive = route
 
         if self._taps:
             origin_name = origin.name if origin is not None else "<external>"
@@ -291,10 +292,10 @@ class LANFabric:
         srh = packet.srh
         size = IPV6_HEADER_SIZE + TCP_HEADER_SIZE + packet.tcp.payload_size
         if srh is not None:
-            size += srh.size_bytes()
+            size += SRH_FIXED_SIZE + SRH_SEGMENT_SIZE * len(srh.segments)
         stats.bytes_delivered += size
         per_node = stats.deliveries_per_node
         per_node[name] = per_node.get(name, 0) + 1
 
-        self.channel.deliver(destination, packet, self.latency, label, guard)
+        self.channel.send(arrive, packet, self.latency, label)
         return True

@@ -30,7 +30,7 @@ candidate selector and the workload generators already rely on.
 
 A *disabled* injector (zero rate / zero mean / empty schedule) returns
 immediately without drawing a single random value, and the pipeline
-forwards ``deliver`` with the delay object untouched.  An all-disabled
+forwards ``send`` with the delay object untouched.  An all-disabled
 pipeline is therefore **bit-identical** to the bare inner channel: same
 event times, same FIFO sequence numbers, same labels, same RNG states —
 pinned by the hypothesis property test in
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
-from repro.net.channel import DeliveryChannel, DeliveryGuard, PacketSink
+from repro.net.channel import Arrival, DeliveryChannel, SinkDelivery
 from repro.net.link import LinkStats
 from repro.sim.engine import Simulator
 
@@ -371,7 +371,7 @@ def build_injectors(
     )
 
 
-class FaultInjectionChannel:
+class FaultInjectionChannel(SinkDelivery):
     """:class:`DeliveryChannel` wrapper running packets through injectors.
 
     Wraps any inner channel (plain, pooled, or another fault channel).
@@ -400,14 +400,7 @@ class FaultInjectionChannel:
         """Packets handed to the inner channel (sent minus dropped)."""
         return self.stats.packets_sent - self.stats.packets_dropped
 
-    def deliver(
-        self,
-        sink: PacketSink,
-        packet: Any,
-        delay: float,
-        label: str,
-        guard: Optional[DeliveryGuard] = None,
-    ) -> None:
+    def send(self, arrive: Arrival, packet: Any, delay: float, label: str) -> None:
         stats = self.stats
         stats.packets_sent += 1
         now = self.simulator.now
@@ -420,7 +413,7 @@ class FaultInjectionChannel:
             extra += verdict
         if extra > 0.0:
             delay = delay + extra
-        self.inner.deliver(sink, packet, delay, label, guard)
+        self.inner.send(arrive, packet, delay, label)
 
 
 def install_fault_channel(

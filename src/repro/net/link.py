@@ -145,19 +145,20 @@ class Link:
         self._in_flight: Dict[int, int] = {0: 0, 1: 0}
         self._detached: Dict[int, bool] = {0: False, 1: False}
         self.stats: Dict[int, LinkStats] = {0: LinkStats(), 1: LinkStats()}
-        # One arrival guard per direction, interned at construction
-        # instead of one closure per transmitted packet.  The guards
-        # read mutable link state (in-flight counts, detach flags)
-        # through `self`, so sharing them across packets is safe.
-        self._arrival_guards = {
-            0: self._make_arrival_guard(0),
-            1: self._make_arrival_guard(1),
+        # One arrival per direction, built at construction instead of
+        # one closure per transmitted packet.  The arrivals read mutable
+        # link state (in-flight counts, detach flags) through `self`,
+        # so sharing them across packets is safe.
+        self._arrivals = {
+            0: self._make_arrival(0),
+            1: self._make_arrival(1),
         }
 
-    def _make_arrival_guard(self, direction: int):
+    def _make_arrival(self, direction: int):
         stats = self.stats[direction]
+        receiver = self._endpoints[direction]
 
-        def arrives() -> bool:
+        def arrive(packet: Packet) -> None:
             if self.bandwidth_bps is not None:
                 self._in_flight[direction] -= 1
             if self._detached[direction]:
@@ -165,10 +166,10 @@ class Link:
                 # as the send-time case in transmit().
                 stats.packets_dropped += 1
                 stats.packets_dropped_sink_detached += 1
-                return False
-            return True
+                return
+            receiver.receive(packet)
 
-        return arrives
+        return arrive
 
     def detach(self, endpoint: PacketSink) -> None:
         """Detach ``endpoint``: packets toward it are dropped from now on.
@@ -205,7 +206,6 @@ class Link:
             direction = 0
         else:
             raise NetworkError("sender is not attached to this link")
-        receiver = self._endpoints[direction]
         stats = self.stats[direction]
 
         if self._detached[direction]:
@@ -230,11 +230,7 @@ class Link:
         stats.packets_sent += 1
         stats.bytes_sent += packet.size_bytes()
 
-        self.channel.deliver(
-            receiver,
-            packet,
-            delivery_delay,
-            "link-delivery",
-            self._arrival_guards[direction],
+        self.channel.send(
+            self._arrivals[direction], packet, delivery_delay, "link-delivery"
         )
         return True

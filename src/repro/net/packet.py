@@ -7,11 +7,11 @@ header carried by individual packets.  The classes here are deliberately
 small value objects; behaviour lives in the nodes that send and receive
 them.
 
-Every class is slotted and hand-written: the simulator creates a handful
-of packets per query and reads their flow identity at every hop, so the
-dataclass machinery this replaced (generated ``__init__``/``__eq__``
-plus per-call flow-key construction) was measurable across a full
-replay.  :meth:`Packet.flow_key` is cached on the packet and invalidated
+The packet and segment classes are slotted and hand-written: the
+simulator creates a handful of packets per query and reads their flow
+identity at every hop, so the dataclass machinery this replaced
+(generated ``__init__``/``__eq__`` plus per-call flow-key construction)
+was measurable across a full replay.  :meth:`Packet.flow_key` is cached on the packet and invalidated
 by exactly the mutations that can change the flow identity — attaching
 or detaching an SRH, or assigning :attr:`Packet.dst` — while SRH
 *advancement* (``advance_srh``/``set_segments_left``) keeps the cache,
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.net.addressing import IPv6Address
@@ -55,90 +55,42 @@ class TCPFlag(enum.Flag):
         return "|".join(flag.name for flag in TCPFlag if flag and flag in self)
 
 
-class FlowKey:
+#: Flag bits as plain integers, for the ``segment.bits & MASK`` tests the
+#: per-packet handlers make (``enum.Flag`` arithmetic builds a member per
+#: operation), and the two flag combinations the data path sends.
+SYN_BIT = TCPFlag.SYN.value
+ACK_BIT = TCPFlag.ACK.value
+RST_BIT = TCPFlag.RST.value
+PSH_BIT = TCPFlag.PSH.value
+SYN_ACK_BITS = SYN_BIT | ACK_BIT
+SYN_ACK = TCPFlag.SYN | TCPFlag.ACK
+PSH_ACK = TCPFlag.PSH | TCPFlag.ACK
+
+
+class FlowKey(NamedTuple):
     """The 4-tuple identifying a TCP flow towards a VIP.
 
     The protocol is implicitly TCP, so only source/destination address
-    and port are carried.  The load balancer's flow table and the
-    consistent-hashing selection scheme are keyed by this value, so the
-    hash is computed once at construction (with the same tuple formula
-    the earlier frozen dataclass used, keeping hash values identical).
+    and port are carried.  The load balancer's flow table, the servers'
+    connection index and the consistent-hashing selection scheme are
+    keyed by this value; as a tuple of ``int``s its hash and equality
+    run in C on every lookup.
     """
 
-    __slots__ = ("src_address", "src_port", "dst_address", "dst_port", "_hash", "_rev")
-
-    def __init__(
-        self,
-        src_address: IPv6Address,
-        src_port: int,
-        dst_address: IPv6Address,
-        dst_port: int,
-    ) -> None:
-        _set = object.__setattr__
-        _set(self, "src_address", src_address)
-        _set(self, "src_port", src_port)
-        _set(self, "dst_address", dst_address)
-        _set(self, "dst_port", dst_port)
-        _set(self, "_hash", hash((src_address, src_port, dst_address, dst_port)))
-        _set(self, "_rev", None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        # The cached hash (and reverse-key link) make mutation unsafe
-        # for a dict key, so enforce the immutability the frozen
-        # dataclass this replaced provided.
-        raise AttributeError(f"FlowKey is immutable (cannot set {name!r})")
+    src_address: IPv6Address
+    src_port: int
+    dst_address: IPv6Address
+    dst_port: int
 
     def reversed(self) -> "FlowKey":
-        """The key of the reverse direction of the flow (cached).
-
-        Steering-signal handling derives the forward key from a
-        SYN-ACK's reverse direction at least twice per acceptance
-        (ownership check, then learning); keys are immutable, so the
-        two directions can simply point at each other.
-        """
-        rev = self._rev
-        if rev is None:
-            rev = FlowKey(
-                src_address=self.dst_address,
-                src_port=self.dst_port,
-                dst_address=self.src_address,
-                dst_port=self.src_port,
-            )
-            object.__setattr__(rev, "_rev", self)
-            object.__setattr__(self, "_rev", rev)
-        return rev
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is FlowKey:
-            return (
-                self.src_address == other.src_address
-                and self.src_port == other.src_port
-                and self.dst_address == other.dst_address
-                and self.dst_port == other.dst_port
-            )
-        return NotImplemented
+        """The key of the reverse direction of the flow."""
+        return FlowKey(self[2], self[3], self[0], self[1])
 
     def __reduce__(self):
-        return (
-            FlowKey,
-            (self.src_address, self.src_port, self.dst_address, self.dst_port),
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"FlowKey(src_address={self.src_address!r}, "
-            f"src_port={self.src_port!r}, dst_address={self.dst_address!r}, "
-            f"dst_port={self.dst_port!r})"
-        )
+        return (FlowKey, tuple(self))
 
     def __str__(self) -> str:
-        return (
-            f"{self.src_address}:{self.src_port} -> "
-            f"{self.dst_address}:{self.dst_port}"
-        )
+        return f"{self[0]}:{self[1]} -> {self[2]}:{self[3]}"
 
 
 class TCPSegment:
@@ -150,7 +102,7 @@ class TCPSegment:
     the flow 5-tuple, which is also available via :class:`FlowKey`.
     """
 
-    __slots__ = ("src_port", "dst_port", "flags", "payload_size", "request_id")
+    __slots__ = ("src_port", "dst_port", "flags", "bits", "payload_size", "request_id")
 
     def __init__(
         self,
@@ -168,16 +120,14 @@ class TCPSegment:
         self.src_port = src_port
         self.dst_port = dst_port
         self.flags = flags
+        #: ``flags`` as an integer bit mask (see ``SYN_BIT`` and friends).
+        self.bits = flags._value_
         self.payload_size = payload_size
         self.request_id = request_id
 
     def has(self, flag: TCPFlag) -> bool:
         """Whether the given flag is set."""
-        # Integer masking on the members' stored value sidesteps both
-        # enum.Flag.__and__ (which constructs a Flag member per call)
-        # and the .value descriptor; this runs several times per packet
-        # at every hop.
-        return bool(self.flags._value_ & flag._value_)
+        return bool(self.bits & flag._value_)
 
     def size_bytes(self) -> int:
         """Wire size of the segment."""
@@ -297,7 +247,7 @@ class Packet:
     def attach_srh(self, srh: SegmentRoutingHeader) -> None:
         """Attach an SRH and point the destination at its active segment."""
         self.srh = srh
-        self._dst = srh.active_segment
+        self._dst = srh.segments[srh.segments_left]
         self._flow_key = None
 
     def detach_srh(self) -> None:

@@ -207,10 +207,14 @@ class NetworkNode:
         if self._fabric is None:
             raise RoutingError(f"node {self.name!r} is not attached to a fabric")
         self.packets_sent += 1
-        self._fabric.send(packet, origin=self)
+        self._fabric.send(packet, self)
 
     def receive(self, packet: Packet) -> None:
-        """Entry point called by the fabric when a packet arrives."""
+        """Entry point for a packet arriving over a link or an ECMP hop.
+
+        The fabric's per-destination arrival (``LANFabric.send``) inlines
+        these two lines to save a frame per hop; keep them in step.
+        """
         self.packets_received += 1
         self.handle_packet(packet)
 

@@ -146,10 +146,10 @@ class SegmentRoutingHeader:
     # ------------------------------------------------------------------
     def advance(self) -> IPv6Address:
         """Consume the active segment and return the new active segment."""
-        if self.exhausted:
+        if self.segments_left == 0:
             raise SegmentRoutingError("cannot advance an exhausted SRH")
         self.segments_left -= 1
-        return self.active_segment
+        return self.segments[self.segments_left]
 
     def set_segments_left(self, value: int) -> IPv6Address:
         """Set ``SegmentsLeft`` directly (as Algorithms 1 and 2 do).
@@ -162,7 +162,7 @@ class SegmentRoutingHeader:
                 f"invalid SegmentsLeft transition {self.segments_left} -> {value}"
             )
         self.segments_left = value
-        return self.active_segment
+        return self.segments[value]
 
     # ------------------------------------------------------------------
     # sizing

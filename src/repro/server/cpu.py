@@ -35,6 +35,8 @@ JobCompletionCallback = Callable[[int], None]
 #: Numerical tolerance when deciding that a job's remaining demand is zero.
 _REMAINING_EPSILON = 1e-12
 
+_INFINITY = float("inf")
+
 
 @dataclass(slots=True)
 class _Job:
@@ -145,19 +147,28 @@ class ProcessorSharingCPU(CPUModel):
     def active_jobs(self) -> int:
         return len(self._jobs)
 
-    def _per_job_rate(self) -> float:
-        if not self._jobs:
-            return 0.0
-        return self.speed * min(1.0, self.num_cores / len(self._jobs))
-
     def _advance_progress(self) -> None:
-        """Charge elapsed CPU progress to every active job."""
-        now = self.simulator.now
-        self._account_busy_time(len(self._jobs))
+        """Charge elapsed CPU progress to every active job.
+
+        Runs twice per request (job arrival and completion), so the
+        busy-time accounting (:meth:`_account_busy_time`'s arithmetic)
+        and the per-job rate ``speed * min(1, cores / active)`` are
+        computed in line.
+        """
+        now = self.simulator.clock._now
+        jobs = self._jobs
+        active = len(jobs)
+        cores = self.num_cores
+        elapsed = now - self._last_accounting
+        if elapsed > 0:
+            self.busy_core_seconds += elapsed * (cores if cores < active else active)
+        self._last_accounting = now
         elapsed = now - self._last_progress
-        if elapsed > 0 and self._jobs:
-            progress = elapsed * self._per_job_rate()
-            for job in self._jobs.values():
+        if elapsed > 0 and active:
+            progress = elapsed * (
+                self.speed * (1.0 if cores >= active else cores / active)
+            )
+            for job in jobs.values():
                 job.remaining -= progress
         self._last_progress = now
 
@@ -165,13 +176,21 @@ class ProcessorSharingCPU(CPUModel):
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
-        if not self._jobs:
+        jobs = self._jobs
+        if not jobs:
             return
-        min_remaining = min(job.remaining for job in self._jobs.values())
-        rate = self._per_job_rate()
-        delay = max(0.0, min_remaining) / rate
+        min_remaining = _INFINITY
+        for job in jobs.values():
+            remaining = job.remaining
+            if remaining < min_remaining:
+                min_remaining = remaining
+        if not min_remaining > 0.0:
+            min_remaining = 0.0
+        active = len(jobs)
+        cores = self.num_cores
+        rate = self.speed * (1.0 if cores >= active else cores / active)
         self._completion_event = self.simulator.schedule_in(
-            delay, self._fire_completions, label=self._completion_label
+            min_remaining / rate, self._fire_completions, self._completion_label
         )
 
     def _fire_completions(self) -> None:

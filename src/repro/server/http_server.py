@@ -171,6 +171,9 @@ class HTTPServerInstance:
                 f"shed_watermark must be positive, got {shed_watermark!r}"
             )
         self.simulator = simulator
+        #: Read as ``_clock._now`` on the per-query paths (the ``now``
+        #: properties cost a call each).
+        self._clock = simulator.clock
         self.name = name
         self.cpu = cpu
         self.scoreboard = Scoreboard(simulator.clock, num_workers)
@@ -213,31 +216,30 @@ class HTTPServerInstance:
         Returns the (possibly reset) connection record so the caller and
         the tests can observe the outcome.
         """
-        transport = self._require_transport()
-        self.stats.connections_received += 1
+        transport = self.transport or self._require_transport()
+        stats = self.stats
+        stats.connections_received += 1
+        connection_id = next(_connection_ids)
         connection = ServerConnection(
-            connection_id=next(_connection_ids),
-            flow_key=flow_key,
-            request_id=request_id,
-            arrived_at=self.simulator.now,
+            connection_id, flow_key, request_id, self._clock._now
         )
         shed = self.shed_watermark
         if shed is not None and self.backlog.depth >= shed:
             # Load shedding: refuse while capacity remains so the reset
             # reaches the client before the backlog actually overflows.
-            self.stats.connections_shed += 1
+            stats.connections_shed += 1
             transport.send_reset(connection)
             return connection
-        if not self.backlog.try_admit(connection.connection_id):
-            self.stats.connections_reset += 1
+        if not self.backlog.try_admit(connection_id):
+            stats.connections_reset += 1
             transport.send_reset(connection)
             return connection
 
-        self._connections[connection.connection_id] = connection
-        self._by_flow[flow_key] = connection.connection_id
-        self.stats.peak_concurrent_connections = max(
-            self.stats.peak_concurrent_connections, len(self._connections)
-        )
+        connections = self._connections
+        connections[connection_id] = connection
+        self._by_flow[flow_key] = connection_id
+        if len(connections) > stats.peak_concurrent_connections:
+            stats.peak_concurrent_connections = len(connections)
         transport.send_syn_ack(connection)
         self._accept_ready_connections()
         return connection
@@ -257,7 +259,7 @@ class HTTPServerInstance:
         connection.request_received = True
         if request_id is not None:
             connection.request_id = request_id
-        if connection.has_worker:
+        if connection.worker_slot is not None:
             self._start_service(connection)
         return True
 
@@ -266,21 +268,21 @@ class HTTPServerInstance:
     # ------------------------------------------------------------------
     def _accept_ready_connections(self) -> None:
         """Have idle workers accept connections from the backlog (FIFO)."""
-        while self.workers.has_idle_worker:
-            connection_id = self.backlog.pop_next()
-            if connection_id is None:
-                break
+        workers = self.workers
+        backlog = self.backlog
+        while backlog.depth and workers.has_idle_worker:
+            connection_id = backlog.pop_next()
             connection = self._connections[connection_id]
-            slot = self.workers.acquire()
-            connection.worker_slot = slot
-            connection.accepted_at = self.simulator.now
+            connection.worker_slot = workers.acquire()
+            connection.accepted_at = self._clock._now
             if connection.request_received:
                 self._start_service(connection)
             elif self.request_timeout is not None:
                 self.simulator.schedule_in(
                     self.request_timeout,
-                    lambda cid=connection_id: self._check_request_timeout(cid),
-                    label=self._timeout_label,
+                    self._check_request_timeout,
+                    self._timeout_label,
+                    connection_id,
                 )
 
     def _check_request_timeout(self, connection_id: int) -> None:
@@ -299,7 +301,7 @@ class HTTPServerInstance:
     def _start_service(self, connection: ServerConnection) -> None:
         if connection.service_started_at is not None:
             return
-        connection.service_started_at = self.simulator.now
+        connection.service_started_at = self._clock._now
         connection.demand = self._demand_for(connection.request_id)
         self.cpu.add_job(
             connection.connection_id,
@@ -327,11 +329,12 @@ class HTTPServerInstance:
                 f"CPU completed unknown connection {connection_id!r} on {self.name!r}"
             )
         self._by_flow.pop(connection.flow_key, None)
-        connection.completed_at = self.simulator.now
-        self.stats.requests_served += 1
-        self.stats.total_service_demand += connection.demand or 0.0
-        self.stats.total_sojourn_time += connection.completed_at - connection.arrived_at
-        transport = self._require_transport()
+        now = connection.completed_at = self._clock._now
+        stats = self.stats
+        stats.requests_served += 1
+        stats.total_service_demand += connection.demand or 0.0
+        stats.total_sojourn_time += now - connection.arrived_at
+        transport = self.transport or self._require_transport()
         transport.send_response(connection, self.response_payload_size)
         if connection.worker_slot is not None:
             self.workers.release(connection.worker_slot)

@@ -92,7 +92,7 @@ class Scoreboard:
             self._busy_count -= 1
 
     def _accumulate(self) -> None:
-        now = self._clock.now
+        now = self._clock._now
         elapsed = now - self._last_change
         if elapsed > 0:
             self._busy_time_integral += elapsed * self._busy_count

@@ -30,7 +30,17 @@ from repro.core.service_hunting import (
 )
 from repro.errors import ServerError
 from repro.net.addressing import IPv6Address
-from repro.net.packet import Packet, TCPFlag, TCPSegment, make_reset
+from repro.net.packet import (
+    PSH_ACK,
+    PSH_BIT,
+    RST_BIT,
+    SYN_ACK,
+    SYN_ACK_BITS,
+    SYN_BIT,
+    Packet,
+    TCPSegment,
+    make_reset,
+)
 from repro.net.router import NetworkNode
 from repro.net.srh import SegmentRoutingHeader
 from repro.server.http_server import HTTPServerInstance, ServerConnection
@@ -131,10 +141,12 @@ class ServerNode(NetworkNode):
     # packet processing
     # ------------------------------------------------------------------
     def handle_packet(self, packet: Packet) -> None:
-        if packet.srh is not None and not packet.srh.exhausted and self.owns(packet.dst):
-            if self._is_connection_request(packet):
+        srh = packet.srh
+        dst = packet._dst
+        if srh is not None and srh.segments_left and dst in self._addresses:
+            if packet.tcp.bits & SYN_ACK_BITS == SYN_BIT:
                 # Service Hunting proper: the accept-or-forward choice only
-                # applies to the first packet of a flow (the SYN).
+                # applies to the first packet of a flow (a plain SYN).
                 decision = self.hunting.process(packet)
                 if decision is HuntingDecision.ACCEPT:
                     self._deliver_to_application(packet)
@@ -148,7 +160,7 @@ class ServerNode(NetworkNode):
                 self._handle_mid_flow_segment(packet)
             return
 
-        if packet.dst in self._bound_vips or self.owns(packet.dst):
+        if dst in self._bound_vips or dst in self._addresses:
             self._deliver_to_application(packet)
             return
 
@@ -157,11 +169,6 @@ class ServerNode(NetworkNode):
             f"server {self.name!r} received a packet it does not own: "
             f"{packet.describe()}"
         )
-
-    @staticmethod
-    def _is_connection_request(packet: Packet) -> bool:
-        """Whether ``packet`` is the first packet of a flow (a plain SYN)."""
-        return packet.tcp.has(TCPFlag.SYN) and not packet.tcp.has(TCPFlag.ACK)
 
     def _handle_mid_flow_segment(self, packet: Packet) -> None:
         """Process a mid-flow packet whose active segment is this server.
@@ -189,13 +196,14 @@ class ServerNode(NetworkNode):
         """Translate a delivered packet into application-instance calls."""
         flow_key = packet.flow_key()
         tcp = packet.tcp
-        if tcp.has(TCPFlag.RST):
+        bits = tcp.bits
+        if bits & RST_BIT:
             # Client aborted; nothing to do in the simplified model.
             return
-        if tcp.has(TCPFlag.SYN) and not tcp.has(TCPFlag.ACK):
+        if bits & SYN_ACK_BITS == SYN_BIT:
             self.app.handle_connection_request(flow_key, tcp.request_id)
             return
-        if tcp.payload_size > 0 or tcp.has(TCPFlag.PSH):
+        if tcp.payload_size > 0 or bits & PSH_BIT:
             if not self.app.handle_request_data(flow_key, tcp.request_id):
                 # No such connection here: answer with a RST, as a real
                 # kernel would.  Clients that already saw a RST for this
@@ -236,7 +244,7 @@ class ServerNode(NetworkNode):
                 tcp=TCPSegment(
                     src_port=flow_key.dst_port,
                     dst_port=flow_key.src_port,
-                    flags=TCPFlag.SYN | TCPFlag.ACK,
+                    flags=SYN_ACK,
                     request_id=connection.request_id,
                 ),
                 srh=srh,
@@ -249,7 +257,7 @@ class ServerNode(NetworkNode):
                 tcp=pool.acquire_segment(
                     src_port=flow_key.dst_port,
                     dst_port=flow_key.src_port,
-                    flags=TCPFlag.SYN | TCPFlag.ACK,
+                    flags=SYN_ACK,
                     request_id=connection.request_id,
                 ),
                 srh=srh,
@@ -279,7 +287,7 @@ class ServerNode(NetworkNode):
                 tcp=TCPSegment(
                     src_port=flow_key.dst_port,
                     dst_port=flow_key.src_port,
-                    flags=TCPFlag.PSH | TCPFlag.ACK,
+                    flags=PSH_ACK,
                     payload_size=payload_size,
                     request_id=connection.request_id,
                 ),
@@ -292,7 +300,7 @@ class ServerNode(NetworkNode):
                 tcp=pool.acquire_segment(
                     src_port=flow_key.dst_port,
                     dst_port=flow_key.src_port,
-                    flags=TCPFlag.PSH | TCPFlag.ACK,
+                    flags=PSH_ACK,
                     payload_size=payload_size,
                     request_id=connection.request_id,
                 ),

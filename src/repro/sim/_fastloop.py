@@ -35,8 +35,8 @@ Equivalence argument (why goldens stay bit-identical):
   exactly when the serial loop would reach them.
 * A member cancelled by an earlier member of its own batch is skipped
   (the serial loop would have discarded it when popped); its callback
-  reference is dropped here because :meth:`EventHandle.cancel` leaves
-  callbacks of off-heap events alone.
+  and argument references are dropped here because
+  :meth:`EventHandle.cancel` leaves off-heap events' references alone.
 * ``stop()`` mid-batch pushes the unexecuted live members back onto the
   heap (same ``(time, sequence)`` entries, ``done`` flag restored), so
   a later ``run()`` resumes in the identical order.
@@ -50,6 +50,10 @@ from typing import Any, Optional
 #: Flipped to True in the compiled copy by ``tools/build_fastloop.py``.
 COMPILED = False
 
+#: ``event.arg`` of an event scheduled without an argument: its callback
+#: runs as ``callback()``, every other event's as ``callback(arg)``.
+NO_ARG: Any = object()
+
 
 def run_loop(sim: Any, until: Optional[float], max_events: Optional[int]) -> int:
     """Drain the simulator's heap; returns the number of events executed.
@@ -62,6 +66,7 @@ def run_loop(sim: Any, until: Optional[float], max_events: Optional[int]) -> int
     clock = sim.clock
     batch = sim._batch
     size_counts = sim._batch_size_counts
+    no_arg = NO_ARG
     executed = 0
     singletons = 0
     try:
@@ -88,7 +93,12 @@ def run_loop(sim: Any, until: Optional[float], max_events: Optional[int]) -> int
                 event.callback = None
                 clock._now = time
                 singletons += 1
-                callback()
+                arg = event.arg
+                if arg is no_arg:
+                    callback()
+                else:
+                    event.arg = no_arg
+                    callback(arg)
                 sim._events_executed += 1
                 executed += 1
                 continue
@@ -117,12 +127,18 @@ def run_loop(sim: Any, until: Optional[float], max_events: Optional[int]) -> int
                     index += 1
                     callback = member.callback
                     member.callback = None
+                    arg = member.arg
+                    member.arg = no_arg
                     if member.cancelled:
                         # Cancelled by an earlier member of this batch,
                         # after it had already left the heap: cancel()
-                        # saw done=True and left the callback to us.
+                        # saw it off the heap with its callback still
+                        # set and left the release to us.
                         continue
-                    callback()
+                    if arg is no_arg:
+                        callback()
+                    else:
+                        callback(arg)
                     sim._events_executed += 1
                     executed += 1
                     if sim._stopped:
@@ -139,6 +155,7 @@ def run_loop(sim: Any, until: Optional[float], max_events: Optional[int]) -> int
                         index += 1
                         if member.cancelled:
                             member.callback = None
+                            member.arg = no_arg
                             continue
                         member.done = False
                         heappush(heap, (time, member.sequence, member))

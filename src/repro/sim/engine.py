@@ -25,9 +25,13 @@ Design points
   kill/add recovery retries) — the heap is compacted in one O(n) pass,
   so cancelled events cannot pin memory until their timestamp is
   finally popped.
+* **Events carry one optional argument.**  ``schedule_at(t, f, label,
+  arg)`` fires as ``f(arg)``, so per-item scheduling (a packet's
+  delivery, a trace's arrivals) passes one shared callable instead of
+  allocating a closure per item.
 * **Callbacks are released eagerly.**  An event that leaves the heap
-  (executed or discarded) drops its callback reference, so an
-  :class:`EventHandle` kept around by a component cannot pin the
+  (executed or discarded) drops its callback and argument references,
+  so an :class:`EventHandle` kept around by a component cannot pin the
   callback's closure — and everything it captured, packets included —
   for the rest of a replay.
 * **Batched dispatch.**  The run loop (factored into
@@ -69,15 +73,22 @@ else:
     from repro.sim import _fastloop
 
 _run_loop = _fastloop.run_loop
+#: Marker stored in :attr:`_ScheduledEvent.arg` when an event was
+#: scheduled without an argument (owned by the active loop module).
+NO_ARG = _fastloop.NO_ARG
 #: True when the mypyc-compiled run loop is active (``REPRO_COMPILED=1``
 #: and ``make build-fast`` has produced ``repro.sim._fastloop_c``).
 COMPILED_LOOP: bool = bool(getattr(_fastloop, "COMPILED", False))
 
-EventCallback = Callable[[], None]
+#: Runs as ``callback()``, or as ``callback(arg)`` when the event was
+#: scheduled with an argument.
+EventCallback = Callable[..., None]
 
 #: Heaps smaller than this are never compacted — a linear sweep of a
 #: few dozen entries costs more bookkeeping than the dead entries do.
 _COMPACTION_MIN_HEAP = 64
+
+_INFINITY = float("inf")
 
 
 class _ScheduledEvent:
@@ -88,7 +99,9 @@ class _ScheduledEvent:
     handles can observe and cancel the event after it was pushed.
     """
 
-    __slots__ = ("time", "sequence", "callback", "label", "cancelled", "done")
+    __slots__ = (
+        "time", "sequence", "callback", "label", "arg", "cancelled", "done"
+    )
 
     def __init__(
         self,
@@ -96,11 +109,13 @@ class _ScheduledEvent:
         sequence: int,
         callback: Optional[EventCallback],
         label: str = "",
+        arg: Any = NO_ARG,
     ) -> None:
         self.time = time
         self.sequence = sequence
         self.callback = callback
         self.label = label
+        self.arg = arg
         self.cancelled = False
         #: Set once the event has left the heap (executed or discarded),
         #: so a late ``cancel()`` does not count toward the compaction
@@ -139,22 +154,40 @@ class EventHandle:
         return self._event.cancelled
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Cancelling twice is a no-op."""
+        """Prevent the event from firing.
+
+        Cancelling twice is a no-op, and so is cancelling an event whose
+        callback already ran: a fired timer stays "fired", it does not
+        turn "cancelled" after the fact.
+        """
         event = self._event
         if event.cancelled:
             return
-        event.cancelled = True
         if event.done:
+            # Off the heap.  With its callback still set it is a member
+            # of the batch being executed that has not run yet: mark it
+            # so the run loop skips it (and drops the references).
+            # Otherwise it already ran or was drained: nothing to cancel.
+            if event.callback is not None:
+                event.cancelled = True
             return
         # Still on the heap: the callback can be dropped right away (the
         # run loop will skip the entry), and the owning simulator keeps
         # count so it can decide when compaction pays off.
+        event.cancelled = True
         event.callback = None
+        event.arg = NO_ARG
         if self._simulator is not None:
             self._simulator._note_cancelled()
 
     def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
+        event = self._event
+        if event.cancelled:
+            state = "cancelled"
+        elif event.done and event.callback is None:
+            state = "done"  # ran, or was drained
+        else:
+            state = "pending"
         return f"EventHandle(time={self.time!r}, label={self.label!r}, {state})"
 
 
@@ -247,9 +280,18 @@ class Simulator:
         )
 
     def schedule_at(
-        self, time: float, callback: EventCallback, label: str = ""
+        self,
+        time: float,
+        callback: EventCallback,
+        label: str = "",
+        arg: Any = NO_ARG,
     ) -> EventHandle:
-        """Schedule ``callback`` at absolute simulated time ``time``."""
+        """Schedule ``callback`` at absolute simulated time ``time``.
+
+        With ``arg`` the event fires as ``callback(arg)``, so a caller
+        scheduling one bound method over many items (a trace's arrivals,
+        a packet's delivery) allocates no closure per item.
+        """
         time = float(time)
         if not isfinite(time):
             # NaN in particular would slip past the ordering guard below
@@ -263,12 +305,16 @@ class Simulator:
                 f"cannot schedule event {label!r} at {time!r}, "
                 f"which is before current time {self.clock._now!r}"
             )
-        event = _ScheduledEvent(time, next(self._sequence), callback, label)
+        event = _ScheduledEvent(time, next(self._sequence), callback, label, arg)
         heapq.heappush(self._heap, (time, event.sequence, event))
         return EventHandle(event, self)
 
     def schedule_in(
-        self, delay: float, callback: EventCallback, label: str = ""
+        self,
+        delay: float,
+        callback: EventCallback,
+        label: str = "",
+        arg: Any = NO_ARG,
     ) -> EventHandle:
         """Schedule ``callback`` after a relative ``delay`` (seconds)."""
         if delay < 0:
@@ -277,27 +323,31 @@ class Simulator:
             )
         # A NaN delay passes the check above (NaN < 0 is false) but turns
         # the absolute time non-finite, which schedule_at rejects.
-        return self.schedule_at(self.clock._now + delay, callback, label)
+        return self.schedule_at(self.clock._now + delay, callback, label, arg)
 
     def _schedule_delivery(
-        self, delay: float, callback: EventCallback, label: str = ""
+        self, callback: EventCallback, arg: Any, delay: float, label: str
     ) -> None:
-        """Fire-and-forget ``schedule_in`` for the packet-delivery path.
+        """Fire-and-forget ``schedule_in(delay, callback, label, arg)``.
 
-        Per-packet deliveries are never cancelled, so the
-        :class:`EventHandle` that :meth:`schedule_in` allocates for every
-        call is pure overhead on the hottest scheduling site of a replay.
-        This keeps the same validation outcome (negative, NaN and
-        infinite delays all raise :class:`SchedulingError`, since the
-        clock is always finite) and draws from the same sequence counter,
-        so event ordering is identical to the handle-returning path.
+        The packet-delivery path: the signature is the delivery
+        channel's ``send(arrive, packet, delay, label)``, and
+        :class:`~repro.net.channel.InProcessChannel` binds this method
+        as its ``send``.  Per-packet deliveries are never cancelled, so
+        the :class:`EventHandle` that :meth:`schedule_in` allocates for
+        every call is pure overhead on the hottest scheduling site of a
+        replay.  This keeps the same validation outcome (negative, NaN
+        and infinite delays all raise :class:`SchedulingError`: each
+        fails one of the two comparisons) and draws from the same
+        sequence counter, so event ordering is identical to the
+        handle-returning path.
         """
         time = self.clock._now + delay
-        if not (delay >= 0.0 and isfinite(time)):
+        if not (delay >= 0.0 and time < _INFINITY):
             raise SchedulingError(
                 f"cannot schedule delivery {label!r} with delay {delay!r}"
             )
-        event = _ScheduledEvent(time, next(self._sequence), callback, label)
+        event = _ScheduledEvent(time, next(self._sequence), callback, label, arg)
         heapq.heappush(self._heap, (time, event.sequence, event))
 
     # ------------------------------------------------------------------
@@ -307,6 +357,7 @@ class Simulator:
         """Bookkeeping for an event that just left the heap unexecuted."""
         event.done = True
         event.callback = None
+        event.arg = NO_ARG
         if event.cancelled:
             self._cancelled_on_heap -= 1
 
@@ -427,8 +478,13 @@ class Simulator:
             event.done = True
             callback = event.callback
             event.callback = None
+            arg = event.arg
+            event.arg = NO_ARG
             self.clock._now = entry[0]
-            callback()
+            if arg is NO_ARG:
+                callback()
+            else:
+                callback(arg)
             self._events_executed += 1
             return True
         return False
@@ -453,6 +509,7 @@ class Simulator:
             event = entry[2]
             event.done = True
             event.callback = None
+            event.arg = NO_ARG
             if not event.cancelled:
                 count += 1
         self._heap.clear()

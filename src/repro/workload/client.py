@@ -21,11 +21,19 @@ reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol
 
 from repro.errors import WorkloadError
 from repro.net.addressing import IPv6Address
-from repro.net.packet import Packet, TCPFlag, TCPSegment
+from repro.net.packet import (
+    PSH_ACK,
+    PSH_BIT,
+    RST_BIT,
+    SYN_ACK_BITS,
+    Packet,
+    TCPFlag,
+    TCPSegment,
+)
 from repro.net.router import NetworkNode
 from repro.net.tcp import EphemeralPortAllocator, HTTP_PORT
 from repro.sim.engine import EventHandle, Simulator
@@ -224,20 +232,14 @@ class TrafficGeneratorNode(NetworkNode):
 
         Arrival events share one constant label: formatting a
         per-request label here would cost one f-string per query of the
-        whole replay, and the scheduled callback already identifies the
+        whole replay, and the event's argument already identifies the
         request when diagnostics need it.
         """
         now = self.simulator.now
         schedule_at = self.simulator.schedule_at
+        start_query = self.start_query
         for request in trace:
-            schedule_at(
-                now + request.arrival_time,
-                self._make_starter(request),
-                label="arrival",
-            )
-
-    def _make_starter(self, request: Request) -> Callable[[], None]:
-        return lambda: self.start_query(request)
+            schedule_at(now + request.arrival_time, start_query, "arrival", request)
 
     def _allocate_port(self, request: Request) -> int:
         """Source port for a new query.
@@ -395,12 +397,12 @@ class TrafficGeneratorNode(NetworkNode):
     # packet handling
     # ------------------------------------------------------------------
     def handle_packet(self, packet: Packet) -> None:
-        request_id = packet.tcp.request_id
-        if request_id is None or request_id not in self._pending:
+        tcp = packet.tcp
+        pending = self._pending.get(tcp.request_id)
+        if pending is None:
             # Stray packet (e.g. late RST for an already-failed query).
             return
-        pending = self._pending[request_id]
-        tcp = packet.tcp
+        bits = tcp.bits
 
         # Replies carry the client's source port as their destination
         # port, so after a retry any packet from a previous attempt's
@@ -409,11 +411,11 @@ class TrafficGeneratorNode(NetworkNode):
         if pending.attempt and tcp.dst_port != pending.src_port:
             return
 
-        if tcp.has(TCPFlag.RST):
+        if bits & RST_BIT:
             self._finish(pending, failed=True, reason="connection reset")
             return
 
-        if tcp.has(TCPFlag.SYN) and tcp.has(TCPFlag.ACK):
+        if bits & SYN_ACK_BITS == SYN_ACK_BITS:
             if pending.syn_timer is not None:
                 pending.syn_timer.cancel()
                 pending.syn_timer = None
@@ -427,7 +429,7 @@ class TrafficGeneratorNode(NetworkNode):
                 self._send_request_data(pending)
             return
 
-        if tcp.payload_size > 0 or tcp.has(TCPFlag.PSH):
+        if tcp.payload_size > 0 or bits & PSH_BIT:
             pending.outcome.completed_at = self.simulator.now
             self._finish(pending, failed=False)
             return
@@ -498,7 +500,7 @@ class TrafficGeneratorNode(NetworkNode):
                 tcp=TCPSegment(
                     src_port=pending.src_port,
                     dst_port=HTTP_PORT,
-                    flags=TCPFlag.PSH | TCPFlag.ACK,
+                    flags=PSH_ACK,
                     payload_size=REQUEST_PAYLOAD_SIZE,
                     request_id=pending.request.request_id,
                 ),
@@ -511,7 +513,7 @@ class TrafficGeneratorNode(NetworkNode):
                 tcp=pool.acquire_segment(
                     src_port=pending.src_port,
                     dst_port=HTTP_PORT,
-                    flags=TCPFlag.PSH | TCPFlag.ACK,
+                    flags=PSH_ACK,
                     payload_size=REQUEST_PAYLOAD_SIZE,
                     request_id=pending.request.request_id,
                 ),

@@ -424,14 +424,9 @@ class SynFloodAttacker(NetworkNode):
         for index in range(num_syns):
             flow = self.flows[index % len(self.flows)]
             self.simulator.schedule_at(
-                start_at + float(offsets[index]),
-                self._make_firer(flow),
-                label="syn-flood",
+                start_at + float(offsets[index]), self._fire, "syn-flood", flow
             )
         return start_at + float(offsets[-1])
-
-    def _make_firer(self, flow: FlowKey):
-        return lambda: self._fire(flow)
 
     def _fire(self, flow: FlowKey) -> None:
         syn = Packet(

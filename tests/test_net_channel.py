@@ -36,20 +36,34 @@ class TestInProcessChannel:
         assert simulator.now == pytest.approx(0.25)
 
     def test_is_one_schedule_call_with_the_given_label(self, simulator):
-        # The bit-identity guarantee: one scheduling call per delivery,
-        # with the caller's label, so event ordering matches the
-        # historical direct-receive scheduling exactly.  Deliveries go
-        # through the simulator's handle-free fast path.
-        calls = []
-        original = simulator._schedule_delivery
+        # The bit-identity guarantee, stated on what a run can observe:
+        # a delivery is exactly one engine event, it fires at
+        # now + delay, it delivers the packet once, and it is FIFO
+        # against ordinary timers scheduled for the same instant.
+        order = []
+        sink = FakeSink()
+        sink.receive = lambda packet: order.append(packet)
+        simulator.schedule_in(0.25, lambda: None)
+        simulator.run()  # deliveries are relative to a non-zero "now"
+        simulator.schedule_in(0.5, lambda: order.append("timer-before"))
+        before = simulator.pending_events
+        InProcessChannel(simulator).deliver(sink, "pkt", 0.5, "my-label")
+        assert simulator.pending_events == before + 1
+        simulator.schedule_in(0.5, lambda: order.append("timer-after"))
+        assert simulator.peek_next_time() == pytest.approx(0.75)
+        simulator.run()
+        assert simulator.now == pytest.approx(0.75)
+        assert order == ["timer-before", "pkt", "timer-after"]
 
-        def spying(delay, action, label=""):
-            calls.append((delay, label))
-            return original(delay, action, label)
-
-        simulator._schedule_delivery = spying
-        InProcessChannel(simulator).deliver(FakeSink(), "pkt", 0.5, "my-label")
-        assert calls == [(0.5, "my-label")]
+    def test_send_calls_the_arrival_with_the_packet(self, simulator):
+        # The primitive every channel implements: arrive(packet) after
+        # the delay, the packet riding on the event as its argument.
+        arrived = []
+        InProcessChannel(simulator).send(arrived.append, "pkt", 0.1, "hop")
+        assert arrived == []
+        simulator.run()
+        assert arrived == ["pkt"]
+        assert simulator.now == pytest.approx(0.1)
 
     def test_guard_true_delivers(self, simulator):
         sink = FakeSink()

@@ -200,6 +200,50 @@ class TestCancellation:
         handle.cancel()
         assert handle.cancelled
 
+    @pytest.mark.parametrize("how", ["run", "step", "batch"])
+    def test_cancel_after_the_callback_ran_is_a_noop(self, simulator, how):
+        # Regression: a late cancel() used to flip `cancelled` on an
+        # event that had already fired (the client cancels its fired
+        # SYN-RTO handle, the CPU its fired completion handle, on every
+        # query), so handles and their repr reported a fired timer as
+        # cancelled.
+        fired = []
+        handle = simulator.schedule_at(1.0, lambda: fired.append("timer"))
+        if how == "batch":
+            simulator.schedule_at(1.0, lambda: fired.append("sibling"))
+        if how == "step":
+            assert simulator.step() is True
+        else:
+            simulator.run()
+        handle.cancel()
+        assert fired[0] == "timer"
+        assert not handle.cancelled
+        assert "cancelled" not in repr(handle)
+        assert simulator._cancelled_on_heap == 0
+
+    def test_cancel_by_an_earlier_member_of_the_same_batch_still_skips(
+        self, simulator
+    ):
+        # The victim is already off the heap (drained into the batch)
+        # but has not run: cancel() must still take effect, and report
+        # it, while the canceller's own late self-cancel stays a no-op.
+        fired = []
+        handles = {}
+
+        def canceller():
+            fired.append("canceller")
+            handles["victim"].cancel()
+            handles["canceller"].cancel()
+
+        handles["canceller"] = simulator.schedule_at(1.0, canceller)
+        handles["victim"] = simulator.schedule_at(1.0, lambda: fired.append("victim"))
+        simulator.run()
+        assert fired == ["canceller"]
+        assert handles["victim"].cancelled
+        assert "cancelled" in repr(handles["victim"])
+        assert handles["victim"]._event.callback is None
+        assert not handles["canceller"].cancelled
+
     def test_peek_next_time_skips_cancelled(self, simulator):
         first = simulator.schedule_at(1.0, lambda: None)
         simulator.schedule_at(2.0, lambda: None)
@@ -424,6 +468,37 @@ class TestHeapCompaction:
         simulator.schedule_at(501.0, lambda: fired.append("after"))
         simulator.run()
         assert fired[-1] == "after"
+
+
+class TestEventArgument:
+    """``schedule_*(…, arg)`` fires ``callback(arg)``; without it, ``callback()``."""
+
+    def test_argument_is_passed_on_every_dispatch_path(self, simulator):
+        got = []
+        simulator.schedule_at(1.0, got.append, "one", "singleton")
+        simulator.schedule_at(2.0, got.append, "two", "batch-a")
+        simulator.schedule_in(2.0, got.append, arg="batch-b")
+        simulator.schedule_at(3.0, got.append, arg="stepped")
+        simulator.run(until=2.5)
+        assert simulator.step() is True
+        assert got == ["singleton", "batch-a", "batch-b", "stepped"]
+
+    def test_none_is_an_ordinary_argument(self, simulator):
+        got = []
+        simulator.schedule_at(1.0, got.append, arg=None)
+        simulator.run()
+        assert got == [None]
+
+    def test_argument_is_released_with_the_callback(self, simulator):
+        payload = object()
+        ran = simulator.schedule_at(1.0, lambda item: None, arg=payload)
+        cancelled = simulator.schedule_at(2.0, lambda item: None, arg=payload)
+        drained = simulator.schedule_at(3.0, lambda item: None, arg=payload)
+        cancelled.cancel()
+        simulator.run(until=1.5)
+        simulator.drain()
+        for handle in (ran, cancelled, drained):
+            assert handle._event.arg is not payload
 
 
 class TestCallbackRelease:
