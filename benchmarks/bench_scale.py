@@ -5,8 +5,14 @@ pods, each pod its own simulator partition (:mod:`repro.sim.partition`).
 This benchmark runs the family at a reduced scale and pins the property
 the whole design rests on: the merged result — down to its SHA-256
 fingerprint — is identical whether the partitions execute in one process
-or several.  The same check, at the same scale, is the CI ``scale-smoke``
-job (``make scale-smoke``).
+or several.  The same check is the CI ``scale-smoke`` job
+(``make scale-smoke``, at 20 000 queries).
+
+It also keeps the coordinator lean: pods send columns home, so the
+process that only merges them may grow by bytes per outcome, not by
+objects.  The partitioned run goes first and ``ru_maxrss`` of this
+process is read before and after it — the serial run that follows
+simulates in-process and would drown the reading.
 
 Scale knobs: ``REPRO_BENCH_SCALE_QUERIES`` sets the aggregate query count
 (default 2000; the north-star runs use 1e6+ via ``make perf``);
@@ -17,6 +23,7 @@ side (default 2).
 from __future__ import annotations
 
 import os
+import resource
 
 from benchmarks.conftest import run_once, write_output
 from repro.experiments.config import ScaleConfig, TestbedConfig
@@ -39,17 +46,33 @@ def _config() -> ScaleConfig:
         ),
         pods=4,
         num_queries=_queries(),
-        max_windows=8,
     )
+
+
+#: Coordinator heap the partitioned run may cost: the merged columns and
+#: their sort temporaries are ~100 B per outcome (a tuple-and-dataclass
+#: per outcome was ~490 B), plus the multiprocessing imports.
+COORDINATOR_BYTES_PER_OUTCOME = 160
+COORDINATOR_FIXED_BYTES = 4 * 1024 * 1024
+
+
+def _maxrss_bytes(who: int) -> int:
+    return resource.getrusage(who).ru_maxrss * 1024  # Linux reports KiB
 
 
 def bench_scale_partition_equivalence(benchmark):
     config = _config()
-    serial = run_scale(config, partitions=1)
 
+    coordinator_before = _maxrss_bytes(resource.RUSAGE_SELF)
     partitioned = run_once(
         benchmark, lambda: run_scale(config, partitions=_partitions())
     )
+    coordinator_growth = _maxrss_bytes(resource.RUSAGE_SELF) - coordinator_before
+    children = _maxrss_bytes(resource.RUSAGE_CHILDREN)
+    benchmark.extra_info["coordinator_growth_mb"] = coordinator_growth / 2**20
+    benchmark.extra_info["children_maxrss_mb"] = children / 2**20
+
+    serial = run_scale(config, partitions=1)
 
     write_output(
         "scale_partitioned",
@@ -67,3 +90,13 @@ def bench_scale_partition_equivalence(benchmark):
     for pod, summary in partitioned.pod_summaries.items():
         assert summary["queries"] > 0, f"pod {pod} received no queries"
         assert summary["events_executed"] > 0
+
+    budget = (
+        COORDINATOR_BYTES_PER_OUTCOME * config.num_queries + COORDINATOR_FIXED_BYTES
+    )
+    assert coordinator_growth <= budget, (
+        f"coordinator grew {coordinator_growth / 2**20:.1f} MB over the "
+        f"partitioned run, budget {budget / 2**20:.1f} MB "
+        f"(children peaked at {children / 2**20:.1f} MB): per-outcome "
+        "objects are back in the merging process"
+    )

@@ -628,7 +628,6 @@ def _command_scale(args: argparse.Namespace) -> int:
         service_mean=args.service_mean,
         acceptance_policy=args.policy,
         ecmp_hash=args.ecmp_hash,
-        max_windows=args.windows,
     )
     result = run_scale_scenario(config, partitions=args.partitions, jobs=args.jobs)
     print(figures.render_scenario_figure("scale", result))
@@ -1145,12 +1144,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["rendezvous", "modulo"],
         default="rendezvous",
         help="flow-to-pod mapping of the modeled front-end ECMP stage",
-    )
-    scale.add_argument(
-        "--windows",
-        type=int,
-        default=64,
-        help="max synchronization windows per run (lookahead coalescing)",
     )
     _add_jobs_argument(scale)
     _add_telemetry_arguments(scale)

@@ -1110,12 +1110,6 @@ class ScaleConfig:
     num_candidates: int = 2
     #: Front-end ECMP hash over pods: ``rendezvous`` or ``modulo``.
     ecmp_hash: str = "rendezvous"
-    #: One-way latency of the link between the front-end stage and the
-    #: pods — the conservative lookahead of the partitioned run.
-    boundary_latency: float = 200e-6
-    #: Cap on synchronization windows per run (see
-    #: :func:`repro.sim.partition.window_ends`).
-    max_windows: int = 64
     #: Per-pod saturation rate override; analytic when ``None``.
     saturation_rate: Optional[float] = None
     workload_seed: int = 86_420
@@ -1140,15 +1134,6 @@ class ScaleConfig:
             raise ExperimentError(
                 f"unknown ecmp_hash {self.ecmp_hash!r}: expected "
                 "'rendezvous' or 'modulo'"
-            )
-        if self.boundary_latency < 0:
-            raise ExperimentError(
-                "boundary_latency must be non-negative, got "
-                f"{self.boundary_latency!r}"
-            )
-        if self.max_windows < 1:
-            raise ExperimentError(
-                f"max_windows must be positive, got {self.max_windows!r}"
             )
         if self.saturation_rate is not None and self.saturation_rate <= 0:
             raise ExperimentError(

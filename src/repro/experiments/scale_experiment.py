@@ -16,24 +16,24 @@ pods, exactly as a real per-flow ECMP stage would, and the assignment is
 a pure function of the config — independent of how many processes
 execute the run.  Inside a pod the replay uses the pod's own traffic
 generator (with pod-local ephemeral ports), so no packet ever crosses a
-partition mid-run; partitions only stream their timestamped request
-outcomes back to the coordinator as
-:class:`~repro.net.channel.BatchFrame` windows.
+partition: a pod is an independent run, and its whole output goes home
+as one :class:`PodResult` — three outcome columns and a summary.
 
 **Determinism.**  ``partitions`` (worker processes) never changes
 results: pods, traces, and seeds depend only on the config, and the
-coordinator merges outcome frames with the deterministic
-``(time, pod, emission order)`` rule of
-:func:`repro.net.channel.merge_frames`.  The scale golden test pins the
-fingerprint across ``partitions=1`` and ``partitions=2``.
+coordinator merges the pods' columns into the one total order
+``(time, pod, emission order)`` (:func:`merge_pods`).  The scale golden
+test pins the fingerprint across ``partitions=1`` and ``partitions=2``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from math import nan
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,14 +50,14 @@ from repro.experiments.scenario import (
     run_scenario,
 )
 from repro.metrics.collector import ResponseTimeCollector
-from repro.net.channel import FrameSender
 from repro.net.ecmp import HopScorer, five_tuple_key, select_next_hop_name
 from repro.net.packet import FlowKey
 from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT
 from repro.sim.partition import (
     PartitionTask,
+    Tick,
     run_partitioned,
-    window_ends,
+    run_to_horizon,
 )
 from repro.workload.requests import Request, RequestCatalog
 from repro.workload.trace import Trace
@@ -164,8 +164,8 @@ def make_pod_trace(config: ScaleConfig, pod_index: int) -> Tuple[Trace, float]:
 
     Request ids and arrival times are the aggregate stream's, so the
     merged result reads as one deployment-wide run.  The horizon is the
-    last aggregate arrival (not the pod's), so every partition runs the
-    same synchronization windows.
+    last aggregate arrival (not the pod's), so every pod replays the
+    same span of simulated time.
     """
     if not 0 <= pod_index < config.pods:
         raise ExperimentError(
@@ -193,46 +193,55 @@ def _pod_seed(config: ScaleConfig, pod_index: int) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-class _StagingCollector(ResponseTimeCollector):
-    """Collector that also streams every outcome onto the frame channel.
+@dataclass
+class PodResult:
+    """Everything one pod sends home: outcome columns plus its summary.
+
+    One row per finished query, in the pod's emission order.  Columns,
+    not objects: a pod's result pickles as three contiguous buffers
+    (24 B per outcome) whatever the run length.
+    """
+
+    #: Simulator clock at which each outcome was recorded (``float64``).
+    times: np.ndarray
+    request_ids: np.ndarray
+    #: Response time per outcome (``float64``); NaN marks a failed query.
+    response_times: np.ndarray
+    summary: Dict[str, Any]
+
+
+class _ColumnCollector(ResponseTimeCollector):
+    """Collector that also appends every outcome to the pod's columns.
 
     Outcomes are recorded at their completion (or failure) event, so the
-    staging times are exactly the simulator clock and non-decreasing —
-    the ordering the conservative-lookahead frames promise.
+    clock column is non-decreasing: row order is emission order.
     """
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
-        self._simulator = None
-        self._sender: Optional[FrameSender] = None
-
-    def bind(self, simulator, sender: FrameSender) -> None:
-        self._simulator = simulator
-        self._sender = sender
+        self.simulator = None
+        self.times = array("d")
+        self.request_ids = array("q")
+        self.response_times = array("d")
 
     def record(self, outcome) -> None:
         super().record(outcome)
-        if self._sender is not None:
-            self._sender.stage(
-                self._simulator.now,
-                (
-                    outcome.request_id,
-                    outcome.sent_at,
-                    outcome.response_time if outcome.succeeded else None,
-                    outcome.failure_reason,
-                ),
-            )
+        self.times.append(self.simulator.now)
+        self.request_ids.append(outcome.request_id)
+        self.response_times.append(
+            outcome.response_time if outcome.succeeded else nan
+        )
 
 
-def scale_partition_worker(task: PartitionTask, sender: FrameSender) -> None:
-    """Run one pod end to end, streaming outcomes in lookahead windows.
+def simulate_pod(task: PartitionTask, tick: Tick) -> PodResult:
+    """Run one pod end to end and return its columns.
 
     Module-level so :func:`repro.sim.partition.run_partitioned` can ship
     it to worker processes; the payload is ``(config, pod_index)``.
     """
     config, pod_index = task.payload
     trace, horizon = make_pod_trace(config, pod_index)
-    collector = _StagingCollector(name=f"pod-{pod_index}")
+    collector = _ColumnCollector(name=f"pod-{pod_index}")
     testbed = build_testbed(
         config.testbed.with_seed(_pod_seed(config, pod_index)),
         config.policy,
@@ -240,26 +249,20 @@ def scale_partition_worker(task: PartitionTask, sender: FrameSender) -> None:
         collector=collector,
         run_name=f"pod-{pod_index}",
     )
-    collector.bind(testbed.simulator, sender)
+    collector.simulator = testbed.simulator
 
     for request in trace:
         testbed.catalog.add(request)
     testbed.client.schedule_trace(trace)
 
     start = time.perf_counter()
-    for window_end in window_ends(
-        horizon, config.boundary_latency, config.max_windows
-    ):
-        testbed.simulator.run_window(window_end)
-        # One frame per window; an empty frame is a pure watermark
-        # advance (the null message of conservative synchronization).
-        sender.flush(window_end)
+    run_to_horizon(testbed.simulator, horizon, tick)
     # The telemetry probe's periodic sampler would keep the heap alive
-    # forever — stop it (taking a final sample) before the drain below.
+    # forever — stop it (taking a final sample, at the horizon) before
+    # the drain below.
     if testbed.telemetry is not None:
         testbed.telemetry.stop()
-    # Stragglers past the horizon (idle-flow expiries, late timeouts)
-    # drain here and ride in the sentinel frame.
+    # Stragglers past the horizon (idle-flow expiries, late timeouts).
     testbed.simulator.run()
     wall_seconds = time.perf_counter() - start
 
@@ -276,11 +279,40 @@ def scale_partition_worker(task: PartitionTask, sender: FrameSender) -> None:
         "wall_seconds": wall_seconds,
     }
     if testbed.telemetry is not None:
-        # Ship the pod's payload home inside the summary frame; the
-        # coordinator merges pods in index order and publishes one
-        # deployment-wide payload.
+        # The pod's payload rides home in the summary; the coordinator
+        # merges pods in index order and publishes one deployment-wide
+        # payload.
         summary["telemetry"] = testbed.telemetry.export_payload()
-    sender.close(summary=summary)
+    return PodResult(
+        times=np.array(collector.times, dtype=np.float64),
+        request_ids=np.array(collector.request_ids, dtype=np.int64),
+        response_times=np.array(collector.response_times, dtype=np.float64),
+        summary=summary,
+    )
+
+
+def merge_pods(
+    pods: Sequence[PodResult],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Merge per-pod columns into one deterministic outcome stream.
+
+    ``pods[i]`` is pod ``i``'s result.  Returns ``(times, request ids,
+    response times, pod indices)`` ordered by ``(time, pod, emission
+    order within the pod)``: ``lexsort`` is stable and each pod's rows
+    are concatenated in emission order, so position breaks the ties the
+    two keys leave.  A pure function of what the pods emitted — never
+    of which process ran them or when their results arrived.
+    """
+    sizes = [pod.times.size for pod in pods]
+    times = np.concatenate([pod.times for pod in pods])
+    pod_indices = np.repeat(np.arange(len(pods), dtype=np.int64), sizes)
+    order = np.lexsort((pod_indices, times))
+    return (
+        times[order],
+        np.concatenate([pod.request_ids for pod in pods])[order],
+        np.concatenate([pod.response_times for pod in pods])[order],
+        pod_indices[order],
+    )
 
 
 @dataclass
@@ -382,30 +414,16 @@ def run_scale(config: ScaleConfig, partitions: int = 1) -> ScaleRunResult:
         for pod in range(config.pods)
     ]
     start = time.perf_counter()
-    outcome = run_partitioned(
-        scale_partition_worker, tasks, processes=partitions
-    )
+    pods = run_partitioned(simulate_pod, tasks, processes=partitions)
     wall_seconds = time.perf_counter() - start
 
-    count = len(outcome.items)
-    times = np.empty(count, dtype=np.float64)
-    request_ids = np.empty(count, dtype=np.int64)
-    response_times = np.empty(count, dtype=np.float64)
-    pod_indices = np.empty(count, dtype=np.int64)
-    for row, item in enumerate(outcome.items):
-        request_id, _sent_at, response_time, _reason = item.payload
-        times[row] = item.time
-        request_ids[row] = request_id
-        response_times[row] = (
-            float("nan") if response_time is None else response_time
-        )
-        pod_indices[row] = item.partition
-
-    pod_summaries = dict(sorted(outcome.summaries.items()))
-    # Pods ship their telemetry payloads inside the summary frames; pop
-    # them out (the summaries stay plain numbers), merge in pod-index
-    # order — deterministic for any ``partitions`` value — and publish
-    # one deployment-wide payload for the scenario plumbing to collect.
+    times, request_ids, response_times, pod_indices = merge_pods(pods)
+    pod_summaries = {pod: result.summary for pod, result in enumerate(pods)}
+    del pods  # merged: the per-pod columns need not outlive this line
+    # Pods ship their telemetry payloads inside the summaries; pop them
+    # out (the summaries stay plain numbers), merge in pod-index order —
+    # deterministic for any ``partitions`` value — and publish one
+    # deployment-wide payload for the scenario plumbing to collect.
     pod_payloads = [
         summary.pop("telemetry")
         for summary in pod_summaries.values()
@@ -432,32 +450,6 @@ def run_scale(config: ScaleConfig, partitions: int = 1) -> ScaleRunResult:
 
 
 @dataclass
-class ScaleRunPayload:
-    """Picklable form of :class:`ScaleRunResult` (scenario-cell payload)."""
-
-    config: ScaleConfig
-    partitions: int
-    times: np.ndarray
-    request_ids: np.ndarray
-    response_times: np.ndarray
-    pod_indices: np.ndarray
-    pod_summaries: Dict[int, Dict[str, Any]]
-    wall_seconds: float
-
-    def to_result(self) -> ScaleRunResult:
-        return ScaleRunResult(
-            config=self.config,
-            partitions=self.partitions,
-            times=self.times,
-            request_ids=self.request_ids,
-            response_times=self.response_times,
-            pod_indices=self.pod_indices,
-            pod_summaries=self.pod_summaries,
-            wall_seconds=self.wall_seconds,
-        )
-
-
-@dataclass
 class ScaleResult:
     """Aggregate of a ``scale`` scenario run (a single cell today)."""
 
@@ -481,7 +473,6 @@ class ScaleScenario(ScenarioSpec):
             ),
             pods=4,
             num_queries=2_000,
-            max_windows=8,
         )
 
     def cells(self, config: ScaleConfig, partitions: int = 1) -> List[ScenarioCell]:
@@ -501,28 +492,19 @@ class ScaleScenario(ScenarioSpec):
 
     def run_once(
         self, config: ScaleConfig, cell: ScenarioCell, trace: Trace
-    ) -> ScaleRunPayload:
-        result = run_scale(config, partitions=cell.param("partitions"))
-        return ScaleRunPayload(
-            config=result.config,
-            partitions=result.partitions,
-            times=result.times,
-            request_ids=result.request_ids,
-            response_times=result.response_times,
-            pod_indices=result.pod_indices,
-            pod_summaries=result.pod_summaries,
-            wall_seconds=result.wall_seconds,
-        )
+    ) -> ScaleRunResult:
+        # The result is arrays and dicts: it is its own picklable payload.
+        return run_scale(config, partitions=cell.param("partitions"))
 
     def aggregate(
         self,
         config: ScaleConfig,
         cells: Sequence[ScenarioCell],
-        payloads: Sequence[ScaleRunPayload],
+        payloads: Sequence[ScaleRunResult],
         trace_for: TraceProvider,
     ) -> ScaleResult:
-        (payload,) = payloads
-        return ScaleResult(config=config, run=payload.to_result())
+        (run,) = payloads
+        return ScaleResult(config=config, run=run)
 
     def render(self, result: ScaleResult) -> str:
         run = result.run

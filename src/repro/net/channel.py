@@ -23,14 +23,11 @@ arrival.
   life ended at the arrival.
 * :class:`~repro.net.faults.FaultInjectionChannel` runs the hop through
   a fault pipeline before handing it to an inner channel.
-* :class:`PipeChannelSender` / :class:`PipeChannelReceiver` carry
-  timestamped items between *partitions* (separate simulator processes)
-  as pickled :class:`BatchFrame` messages over ``multiprocessing`` pipes.
-  They implement the conservative-lookahead frame protocol used by
-  :mod:`repro.sim.partition`: a frame's ``window_end`` is a watermark —
-  the sending partition guarantees it will never emit an item with a
-  timestamp at or below it again.  An empty frame is a null message (pure
-  watermark advance); ``window_end = inf`` is the closing sentinel.
+
+Nothing here crosses a process: the partitions of a ``scale`` run never
+exchange a packet (each pod is an independent run whose result goes home
+as columns, see :mod:`repro.sim.partition`), so every channel lives
+inside one simulator.
 
 ``deliver(sink, packet, delay, label, guard=None)`` is the convenience
 form of the primitive for callers holding a sink object rather than an
@@ -42,11 +39,9 @@ returns ``False`` to drop the packet at arrival time — and calls
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Protocol, Tuple
 
-from repro.errors import NetworkError
 from repro.sim.engine import Simulator
 
 
@@ -168,258 +163,21 @@ class PooledInProcessChannel(SinkDelivery):
 
 
 # ----------------------------------------------------------------------
-# Cross-partition batch frames
+# Leftover of the cross-partition frame protocol
 # ----------------------------------------------------------------------
-
-#: A timestamped item inside a frame: ``(time, payload)``.  The payload
-#: is an arbitrary picklable object — a packet, a request outcome, a
-#: metric record — interpreted by the receiving end.
-FrameItem = Tuple[float, Any]
 
 
 @dataclass(frozen=True)
 class BatchFrame:
-    """One pickled message on a cross-partition channel.
+    """A window of timestamped ``(time, payload)`` items from one partition.
 
-    Attributes
-    ----------
-    partition:
-        Index of the sending partition.
-    window_end:
-        Watermark: the sender guarantees every future item from this
-        partition has ``time > window_end``.  ``math.inf`` marks the
-        partition's closing frame (no further frames will follow).
-    items:
-        Timestamped items, in the partition's emission order.  Within a
-        partition this order is authoritative: the merge preserves it
-        for equal timestamps.
-    summary:
-        Optional partition summary, carried on the closing frame only
-        (e.g. events executed and wall-clock time of the worker).
+    Nothing in ``src/`` builds or ships one any more — pods return
+    column arrays.  It stays importable, constructible and picklable
+    because the repository benchmark's ``net.frame_roundtrip_ns_per_item``
+    microbenchmark (``benchmarks/perf/micro.py``, frozen) still pickles
+    it; the benchmark change that retires that metric deletes this class.
     """
 
     partition: int
     window_end: float
-    items: Tuple[FrameItem, ...] = ()
-    summary: Optional[Dict[str, Any]] = None
-
-    @property
-    def final(self) -> bool:
-        """Whether this is the partition's closing sentinel frame."""
-        return math.isinf(self.window_end)
-
-
-class FrameSender(Protocol):
-    """Sending half of a cross-partition channel."""
-
-    def stage(self, time: float, payload: Any) -> None:
-        """Buffer a timestamped item for the current window."""
-
-    def flush(self, window_end: float) -> None:
-        """Emit the buffered items as a frame with watermark ``window_end``."""
-
-    def close(self, summary: Optional[Dict[str, Any]] = None) -> None:
-        """Emit the closing sentinel frame."""
-
-
-class PipeChannelSender:
-    """Sending half speaking pickled :class:`BatchFrame` over a pipe.
-
-    The connection is a ``multiprocessing.Pipe`` end (or anything with a
-    compatible ``send``).  Frames are sent as they are flushed, so the
-    coordinator can drain pipes concurrently and no partition's buffer
-    grows with the run length.
-    """
-
-    __slots__ = ("_connection", "partition", "_buffer", "_watermark", "_closed")
-
-    def __init__(self, connection: Any, partition: int) -> None:
-        self._connection = connection
-        self.partition = partition
-        self._buffer: List[FrameItem] = []
-        self._watermark = -math.inf
-        self._closed = False
-
-    def stage(self, time: float, payload: Any) -> None:
-        if self._closed:
-            raise NetworkError("channel sender is closed")
-        if time <= self._watermark:
-            raise NetworkError(
-                f"item at t={time!r} is behind the emitted watermark "
-                f"{self._watermark!r} (partition {self.partition})"
-            )
-        self._buffer.append((time, payload))
-
-    def flush(self, window_end: float) -> None:
-        if self._closed:
-            raise NetworkError("channel sender is closed")
-        if window_end < self._watermark:
-            raise NetworkError(
-                f"watermark may not move backwards: {window_end!r} < "
-                f"{self._watermark!r} (partition {self.partition})"
-            )
-        self._connection.send(
-            BatchFrame(self.partition, window_end, tuple(self._buffer))
-        )
-        self._buffer.clear()
-        self._watermark = window_end
-
-    def close(self, summary: Optional[Dict[str, Any]] = None) -> None:
-        if self._closed:
-            return
-        self._connection.send(
-            BatchFrame(self.partition, math.inf, tuple(self._buffer), summary)
-        )
-        self._buffer.clear()
-        self._closed = True
-
-
-class CollectingSender:
-    """In-process :class:`FrameSender` that accumulates frames in a list.
-
-    Used by the ``partitions=1`` execution path (and by tests) so the
-    serial and multi-process paths run the *same* worker code and the
-    same frame merge — which is what makes partitioned runs bit-identical
-    to serial ones by construction.
-    """
-
-    __slots__ = ("partition", "frames", "_buffer", "_watermark", "_closed")
-
-    def __init__(self, partition: int) -> None:
-        self.partition = partition
-        self.frames: List[BatchFrame] = []
-        self._buffer: List[FrameItem] = []
-        self._watermark = -math.inf
-        self._closed = False
-
-    def stage(self, time: float, payload: Any) -> None:
-        if self._closed:
-            raise NetworkError("channel sender is closed")
-        if time <= self._watermark:
-            raise NetworkError(
-                f"item at t={time!r} is behind the emitted watermark "
-                f"{self._watermark!r} (partition {self.partition})"
-            )
-        self._buffer.append((time, payload))
-
-    def flush(self, window_end: float) -> None:
-        if self._closed:
-            raise NetworkError("channel sender is closed")
-        if window_end < self._watermark:
-            raise NetworkError(
-                f"watermark may not move backwards: {window_end!r} < "
-                f"{self._watermark!r} (partition {self.partition})"
-            )
-        self.frames.append(BatchFrame(self.partition, window_end, tuple(self._buffer)))
-        self._buffer.clear()
-        self._watermark = window_end
-
-    def close(self, summary: Optional[Dict[str, Any]] = None) -> None:
-        if self._closed:
-            return
-        self.frames.append(
-            BatchFrame(self.partition, math.inf, tuple(self._buffer), summary)
-        )
-        self._buffer.clear()
-        self._closed = True
-
-
-class PipeChannelReceiver:
-    """Receiving half: decodes :class:`BatchFrame` messages from a pipe."""
-
-    __slots__ = ("_connection",)
-
-    def __init__(self, connection: Any) -> None:
-        self._connection = connection
-
-    @property
-    def connection(self) -> Any:
-        """The underlying pipe end (for ``multiprocessing.connection.wait``)."""
-        return self._connection
-
-    def recv(self) -> BatchFrame:
-        frame = self._connection.recv()
-        if not isinstance(frame, BatchFrame):
-            raise NetworkError(
-                f"expected a BatchFrame on the channel, got {type(frame).__name__}"
-            )
-        return frame
-
-
-# ----------------------------------------------------------------------
-# Deterministic frame merge
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class MergedItem:
-    """One item after the merge, with its provenance."""
-
-    time: float
-    partition: int
-    seq: int  # emission index within the partition
-    payload: Any = field(compare=False)
-
-
-def merge_frames(frames: Iterable[BatchFrame]) -> List[MergedItem]:
-    """Merge cross-partition frames into one deterministic event order.
-
-    The result is sorted by ``(time, partition, seq)`` where ``seq`` is
-    the item's emission index *within its partition* (counted across
-    frames, in the per-partition frame order).  Because pipes are FIFO,
-    per-partition frame order is preserved no matter how the coordinator
-    interleaves reads across partitions — so the merged order depends
-    only on the partitions' emissions, never on OS scheduling.  This is
-    the property the hypothesis test in
-    ``tests/test_partition_property.py`` pins.
-
-    Frames may be passed in any cross-partition interleaving, but the
-    frames *of one partition* must appear in their emission order (their
-    watermarks must be non-decreasing; violations raise
-    :class:`~repro.errors.NetworkError`).
-    """
-    merged: List[MergedItem] = []
-    watermarks: Dict[int, float] = {}
-    counters: Dict[int, int] = {}
-    for frame in frames:
-        previous = watermarks.get(frame.partition, -math.inf)
-        if frame.window_end < previous:
-            raise NetworkError(
-                f"partition {frame.partition} frames out of order: watermark "
-                f"{frame.window_end!r} after {previous!r}"
-            )
-        watermarks[frame.partition] = frame.window_end
-        seq = counters.get(frame.partition, 0)
-        for time, payload in frame.items:
-            merged.append(MergedItem(time, frame.partition, seq, payload))
-            seq += 1
-        counters[frame.partition] = seq
-    merged.sort(key=lambda item: (item.time, item.partition, item.seq))
-    return merged
-
-
-def drain_receivers(receivers: Sequence[PipeChannelReceiver]) -> List[BatchFrame]:
-    """Collect every frame from ``receivers`` until each has closed.
-
-    Uses ``multiprocessing.connection.wait`` so no pipe backs up while
-    another is being read (a partition blocked on a full pipe buffer
-    would deadlock the whole run).  Returns all frames, including the
-    closing sentinels, in arrival order.
-    """
-    from multiprocessing.connection import wait
-
-    by_connection = {receiver.connection: receiver for receiver in receivers}
-    open_connections = list(by_connection)
-    frames: List[BatchFrame] = []
-    while open_connections:
-        for connection in wait(open_connections):
-            try:
-                frame = by_connection[connection].recv()
-            except EOFError as exc:
-                raise NetworkError(
-                    "a partition closed its channel without a sentinel frame"
-                ) from exc
-            frames.append(frame)
-            if frame.final:
-                open_connections.remove(connection)
-    return frames
+    items: Tuple[Tuple[float, Any], ...] = ()

@@ -445,22 +445,6 @@ class Simulator:
             self._running = False
         return clock._now
 
-    def run_window(self, window_end: float) -> int:
-        """Run one conservative-lookahead window and report its size.
-
-        Executes every live event with ``time <= window_end``, advances
-        the clock to exactly ``window_end`` (even when the window is
-        empty), and returns the number of events executed in the window.
-        Partitioned drivers (:mod:`repro.sim.partition`) call this once
-        per synchronization window: after it returns, this simulator can
-        guarantee a watermark of ``window_end`` to its peers, because no
-        event at or before that time remains and any message it sends
-        later carries at least the boundary latency of delay.
-        """
-        before = self._events_executed
-        self.run(until=window_end)
-        return self._events_executed - before
-
     def step(self) -> bool:
         """Execute exactly one pending event.
 

@@ -3,66 +3,63 @@
 :mod:`repro.experiments.runner` parallelises *across* independent runs;
 this module parallelises *within* one run.  The testbed is sliced at its
 natural boundary — the front-end ECMP stage that spreads flows over
-load-balancer/server pods — into partitions.  Each partition owns its
-own :class:`~repro.sim.engine.Simulator` and executes its share of the
-run; partitions exchange timestamped items as pickled
-:class:`~repro.net.channel.BatchFrame` messages over ``multiprocessing``
-pipes.
+load-balancer/server pods — into partitions that never exchange a
+packet, so a partition is an independent run: the worker builds its
+world, replays it to the horizon and returns **one** picklable result.
 
-Synchronization is conservative lookahead: with a boundary latency of
-``L``, a partition that has executed every event up to time ``T``
-(:meth:`~repro.sim.engine.Simulator.run_window`) may promise the
-watermark ``T`` — anything it emits later is at least ``L`` in the
-future, so no peer waiting on the watermark can receive a straggler in
-its past.  The driver runs each partition in windows and flushes one
-frame per window (empty frames are null messages that only advance the
-watermark).
+This module only fans out and supervises: it starts at most one process
+per partition, hands each process its partitions round-robin, receives
+one result per partition over the process's pipe, and returns the
+results in task order.  What a result holds and how results combine is
+the caller's business (the ``scale`` family ships outcome columns and
+merges them by ``(time, pod, emission order)``).
 
-Determinism does not depend on scheduling: the coordinator merges all
-frames by ``(time, partition index, per-partition emission order)``
-(:func:`~repro.net.channel.merge_frames`), which is a pure function of
-what the partitions emitted.  Running every partition serially in one
-process (``processes=1``) goes through the *same* worker code and the
-same merge, so partitioned and serial runs are bit-identical by
+Determinism does not depend on scheduling: every partition's result is a
+pure function of its task, and ``processes=1`` runs the *same* worker in
+this process, so partitioned and serial runs are bit-identical by
 construction — pinned by the golden tests of the ``scale`` scenario
-family and the hypothesis property test in
-``tests/test_partition_property.py``.
+family.
+
+Supervision rides on a heartbeat: the worker is handed a ``tick``
+callable and calls it as it makes progress (:func:`run_to_horizon` ticks
+:data:`HEARTBEAT_SLICES` times per replay).  A process that neither
+ticks nor reports for ``heartbeat_timeout`` wall-clock seconds is
+declared hung.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from collections import deque
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.net.channel import (
-    BatchFrame,
-    CollectingSender,
-    FrameSender,
-    MergedItem,
-    PipeChannelReceiver,
-    PipeChannelSender,
-    merge_frames,
-)
+from repro.sim.engine import Simulator
+
+#: Heartbeat: called by a worker whenever it has made progress.
+Tick = Callable[[], None]
 
 #: A partition worker: builds the partition's world from the task
-#: payload, runs its simulator in lookahead windows, stages timestamped
-#: items on the sender, and closes it (optionally with a summary dict).
-#: Must be a module-level callable so it pickles to worker processes.
-PartitionWorker = Callable[["PartitionTask", FrameSender], None]
+#: payload, replays it (ticking as it goes) and returns one picklable
+#: result.  Must be a module-level callable so it pickles to worker
+#: processes.
+PartitionWorker = Callable[["PartitionTask", Tick], Any]
 
-#: Summary key carrying a worker failure back to the coordinator.
-ERROR_KEY = "error"
+#: Slices :func:`run_to_horizon` cuts a replay into, i.e. heartbeats per
+#: partition.  Results never depend on it (slicing a run executes the
+#: same events in the same order); it only sets how soon a hung worker
+#: is noticed relative to a partition's run time.
+HEARTBEAT_SLICES = 16
 
 
 class PartitionSupervisionError(SimulationError):
-    """A partition stalled past the heartbeat deadline (or crashed).
+    """A partition process stalled past the heartbeat deadline.
 
-    Carries the indices of the offending partitions and whatever
-    closing-frame summaries the healthy partitions had already
-    delivered, so callers can report partial progress instead of
+    Carries the indices of the partitions that were running in the
+    stalled processes and whatever results the healthy partitions had
+    already delivered, so callers can report partial progress instead of
     blocking forever on a hung child.
     """
 
@@ -70,11 +67,11 @@ class PartitionSupervisionError(SimulationError):
         self,
         message: str,
         partitions: Sequence[int],
-        summaries: Optional[Dict[int, Dict[str, Any]]] = None,
+        results: Optional[Dict[int, Any]] = None,
     ) -> None:
         super().__init__(message)
         self.partitions = tuple(partitions)
-        self.summaries: Dict[int, Dict[str, Any]] = dict(summaries or {})
+        self.results: Dict[int, Any] = dict(results or {})
 
 
 @dataclass(frozen=True)
@@ -89,76 +86,64 @@ class PartitionTask:
     payload: Any = None
 
 
-@dataclass
-class PartitionResult:
-    """The merged outcome of a partitioned run."""
+def run_to_horizon(simulator: Simulator, horizon: float, tick: Tick) -> None:
+    """Replay ``simulator`` up to ``horizon``, ticking between slices.
 
-    #: Every emitted item in the deterministic merged order.
-    items: List[MergedItem]
-    #: Closing-frame summaries keyed by partition index.
-    summaries: Dict[int, Dict[str, Any]] = field(default_factory=dict)
-
-    def summary_total(self, key: str) -> float:
-        """Sum a numeric summary field across partitions (missing = 0)."""
-        return sum(summary.get(key, 0) for summary in self.summaries.values())
-
-
-def window_ends(horizon: float, lookahead: float, max_windows: int = 64) -> List[float]:
-    """Window boundaries for a run of length ``horizon``.
-
-    The conservative rule only requires windows of at least the boundary
-    lookahead; anything larger is also safe (it just batches more per
-    frame).  Since a datacenter-scale lookahead (~µs) against a
-    seconds-long run would mean millions of synchronization points, the
-    driver coalesces windows to at most ``max_windows`` per run — the
-    watermark still moves monotonically and every item still lands in a
-    frame whose watermark covers it.
+    The last slice ends at exactly ``horizon``, so the clock reads the
+    horizon when this returns — whatever a caller samples next is taken
+    there.
     """
-    if horizon <= 0:
-        return []
-    if lookahead < 0:
-        raise SimulationError(f"lookahead must be non-negative, got {lookahead!r}")
-    if max_windows < 1:
-        raise SimulationError(f"max_windows must be positive, got {max_windows!r}")
-    window = max(lookahead, horizon / max_windows)
-    ends: List[float] = []
-    count = 1
-    while True:
-        end = window * count
-        if end >= horizon:
-            ends.append(horizon)
-            return ends
-        ends.append(end)
-        count += 1
+    for step in range(1, HEARTBEAT_SLICES):
+        simulator.run(until=horizon * step / HEARTBEAT_SLICES)
+        tick()
+    simulator.run(until=horizon)
+    tick()
 
 
-def run_partition_serially(
-    worker: PartitionWorker, task: PartitionTask
-) -> List[BatchFrame]:
-    """Run one partition in-process and return its emitted frames."""
-    sender = CollectingSender(task.index)
-    worker(task, sender)
-    sender.close()
-    return sender.frames
+def _no_tick() -> None:
+    """The in-process heartbeat: nobody is listening."""
+
+
+def run_partition_serially(worker: PartitionWorker, task: PartitionTask) -> List[Any]:
+    """Run one partition in this process; returns its result as ``[result]``.
+
+    The one-element list is what a partition "ships".  The serial path
+    calls this through the module global, and the repository benchmark's
+    tracer (``benchmarks/perf/tracing.py``) rebinds that global to
+    pickle each element, which is how ``experiments.transport_*`` is
+    measured in a one-process run — keep the name and the shape.
+    """
+    return [worker(task, _no_tick)]
+
+
+def _failure(index: int, exc: BaseException) -> str:
+    """The one message a failed partition is reported with."""
+    return f"partition {index} failed: {type(exc).__name__}: {exc}"
 
 
 def _partition_process_main(
-    worker: PartitionWorker, assignments: Sequence
+    worker: PartitionWorker, tasks: Sequence[PartitionTask], connection: Any
 ) -> None:
-    """Child-process entry: run assigned partitions, one pipe each."""
-    for task, connection in assignments:
-        sender = PipeChannelSender(connection, task.index)
-        try:
-            worker(task, sender)
-            sender.close()
-        except BaseException as exc:  # noqa: BLE001 - relayed to the parent
-            # A worker that dies silently would deadlock the coordinator
-            # waiting for this partition's sentinel; relay the failure
-            # through the sentinel's summary instead.
-            sender.close(summary={ERROR_KEY: f"{type(exc).__name__}: {exc}"})
-            raise
-        finally:
-            connection.close()
+    """Child-process entry: run the assigned partitions, report each.
+
+    Messages on the pipe: ``None`` is a tick; ``(True, result)`` the
+    partition being run has finished (partitions run in plan order, so
+    the coordinator knows which); ``(False, message)`` it failed, after
+    which the process stops (the run is lost anyway).
+    """
+
+    def tick() -> None:
+        connection.send(None)
+
+    try:
+        for task in tasks:
+            try:
+                connection.send((True, worker(task, tick)))
+            except BaseException as exc:  # noqa: BLE001 - relayed, then re-raised
+                connection.send((False, _failure(task.index, exc)))
+                raise
+    finally:
+        connection.close()
 
 
 def run_partitioned(
@@ -167,27 +152,28 @@ def run_partitioned(
     processes: int = 1,
     mp_context: Optional[multiprocessing.context.BaseContext] = None,
     heartbeat_timeout: Optional[float] = None,
-) -> PartitionResult:
-    """Execute every partition task and merge the emitted frames.
+) -> List[Any]:
+    """Execute every partition task; returns the results in task order.
 
     ``processes=1`` runs all partitions serially in this process (no
     pipes, no pickling); ``processes=N`` distributes partitions
-    round-robin over N worker processes speaking pickled frames — at
-    most ``len(tasks)`` of them, so extra processes never spawn idle
-    workers.  Both paths run the same worker code and the same
-    deterministic merge, so the result is identical for any
+    round-robin over N worker processes — at most ``len(tasks)`` of
+    them, so extra processes never spawn idle workers.  Both paths run
+    the same worker code, so the results are identical for any
     ``processes`` value.
 
-    ``heartbeat_timeout`` supervises the multi-process path: a partition
-    that sends nothing (not even a window's null frame) for that many
-    wall-clock seconds is declared hung, its siblings are terminated,
-    and :class:`PartitionSupervisionError` is raised naming the stalled
-    partitions with the summaries collected so far attached — instead of
-    the coordinator blocking in its drain loop forever.  ``None`` (the
-    default) disables supervision.
+    A worker that raises ends the run with one :class:`SimulationError`
+    naming the partition and the cause, whatever ``processes`` is; the
+    remaining children are terminated and joined.
+
+    ``heartbeat_timeout`` supervises the multi-process path: a process
+    that sends nothing (neither a tick nor a result) for that many
+    wall-clock seconds is declared hung, every child is terminated, and
+    :class:`PartitionSupervisionError` is raised naming the partitions
+    that were running, with the results collected so far attached —
+    instead of the coordinator blocking in its receive loop forever.
+    ``None`` (the default) disables supervision.
     """
-    if not tasks:
-        return PartitionResult(items=[])
     indices = [task.index for task in tasks]
     if len(set(indices)) != len(indices):
         raise SimulationError(f"partition indices must be unique, got {indices!r}")
@@ -198,120 +184,108 @@ def run_partitioned(
             f"heartbeat_timeout must be positive, got {heartbeat_timeout!r}"
         )
 
-    frames: List[BatchFrame] = []
-    if processes == 1 or len(tasks) == 1:
+    if processes == 1 or len(tasks) <= 1:
+        shipped: List[Any] = []
         for task in tasks:
-            frames.extend(run_partition_serially(worker, task))
-    else:
-        context = mp_context if mp_context is not None else multiprocessing.get_context()
-        num_processes = min(processes, len(tasks))
-        plans: List[List] = [[] for _ in range(num_processes)]
-        receivers: List[PipeChannelReceiver] = []
-        for position, task in enumerate(tasks):
+            try:
+                shipped.extend(run_partition_serially(worker, task))
+            except Exception as exc:
+                raise SimulationError(_failure(task.index, exc)) from exc
+        return shipped
+
+    context = mp_context if mp_context is not None else multiprocessing.get_context()
+    num_processes = min(processes, len(tasks))
+    children: List[Any] = []
+    connections: List[Any] = []
+    #: receive end -> indices the process has yet to report, running one first.
+    pending: Dict[Any, Deque[int]] = {}
+    results: Dict[int, Any] = {}
+    try:
+        for position in range(num_processes):
+            plan = tasks[position::num_processes]
             receive_end, send_end = context.Pipe(duplex=False)
-            receivers.append(PipeChannelReceiver(receive_end))
-            plans[position % num_processes].append((task, send_end))
-        children = [
-            context.Process(
-                target=_partition_process_main, args=(worker, plan), daemon=True
+            connections.append(receive_end)
+            child = context.Process(
+                target=_partition_process_main,
+                args=(worker, plan, send_end),
+                daemon=True,
             )
-            for plan in plans
-        ]
-        for child in children:
             child.start()
-        # The parent's copies of the send ends must be closed, or EOF on
-        # a crashed child would never be observable.
-        for plan in plans:
-            for _, send_end in plan:
-                send_end.close()
-        try:
-            frames = _drain(receivers, indices, heartbeat_timeout)
-        except BaseException:
-            # A supervision (or any other) failure must not leave the
-            # finally-block joining a hung child forever.
-            for child in children:
-                if child.is_alive():
-                    child.terminate()
-            raise
-        finally:
-            for child in children:
-                child.join()
-            for receiver in receivers:
-                receiver.connection.close()
-
-    result = PartitionResult(items=merge_frames(frames))
-    for frame in frames:
-        if frame.final and frame.summary is not None:
-            result.summaries[frame.partition] = frame.summary
-    failures = {
-        partition: summary[ERROR_KEY]
-        for partition, summary in result.summaries.items()
-        if ERROR_KEY in summary
-    }
-    if failures:
-        raise SimulationError(f"partition worker(s) failed: {failures!r}")
-    return result
+            children.append(child)
+            # The parent's copy of the send end must be closed, or EOF
+            # on a crashed child would never be observable.
+            send_end.close()
+            pending[receive_end] = deque(task.index for task in plan)
+        _receive(pending, results, heartbeat_timeout)
+    except BaseException:
+        # A failure must not leave the finally-block joining a hung (or
+        # merely still busy) child: the run is lost, stop them all.
+        for child in children:
+            if child.is_alive():
+                child.terminate()
+        raise
+    finally:
+        for child in children:
+            child.join()
+        for connection in connections:
+            connection.close()
+    return [results[index] for index in indices]
 
 
-def _drain(
-    receivers: Sequence[PipeChannelReceiver],
-    partitions: Sequence[int],
-    heartbeat_timeout: Optional[float] = None,
-) -> List[BatchFrame]:
-    """Collect frames until every receiver has delivered its sentinel.
+def _receive(
+    pending: Dict[Any, Deque[int]],
+    results: Dict[int, Any],
+    heartbeat_timeout: Optional[float],
+) -> None:
+    """Fill ``results`` until every process has reported all its partitions.
 
-    Like :func:`repro.net.channel.drain_receivers`, but a crashed child
-    (EOF before the sentinel) raises :class:`SimulationError` naming the
-    partitions still open instead of a bare channel error; and when
-    ``heartbeat_timeout`` is set, a partition heard from less recently
-    than that many wall-clock seconds raises
-    :class:`PartitionSupervisionError` (every frame — even a window's
-    empty null message — counts as a heartbeat).
+    A relayed worker failure raises :class:`SimulationError` with the
+    partition's own message; a process that exits without reporting
+    (killed, ``os._exit``) raises one naming the partitions it still
+    owed; with ``heartbeat_timeout`` set, a process silent for longer
+    raises :class:`PartitionSupervisionError`.
     """
     from multiprocessing.connection import wait
 
-    by_connection = {receiver.connection: receiver for receiver in receivers}
-    partition_of = {
-        receiver.connection: partition
-        for receiver, partition in zip(receivers, partitions)
-    }
-    open_connections = list(by_connection)
-    frames: List[BatchFrame] = []
-    last_heard = {connection: time.monotonic() for connection in open_connections}
-    while open_connections:
-        ready = wait(open_connections, timeout=heartbeat_timeout)
+    last_heard = {connection: time.monotonic() for connection in pending}
+    while pending:
+        ready = wait(list(pending), timeout=heartbeat_timeout)
         now = time.monotonic()
+        lost: List[int] = []
         for connection in ready:
             last_heard[connection] = now
             try:
-                frame = by_connection[connection].recv()
+                message = connection.recv()
             except EOFError:
-                raise SimulationError(
-                    "a partition process exited before sending its sentinel "
-                    f"frame ({len(open_connections)} partition(s) still open)"
-                ) from None
-            frames.append(frame)
-            if frame.final:
-                open_connections.remove(connection)
+                lost.extend(pending.pop(connection))
+                continue
+            if message is None:
+                continue
+            succeeded, value = message
+            if not succeeded:
+                raise SimulationError(value)
+            owed = pending[connection]
+            results[owed.popleft()] = value
+            if not owed:
+                del pending[connection]
+        if lost:
+            names = ", ".join(str(index) for index in sorted(lost))
+            raise SimulationError(
+                f"a partition process exited without reporting partition(s) {names}"
+            )
         if heartbeat_timeout is None:
             continue
         stalled = sorted(
-            partition_of[connection]
-            for connection in open_connections
+            owed[0]
+            for connection, owed in pending.items()
             if now - last_heard[connection] > heartbeat_timeout
         )
         if stalled:
-            summaries = {
-                frame.partition: frame.summary
-                for frame in frames
-                if frame.final and frame.summary is not None
-            }
-            names = ", ".join(str(partition) for partition in stalled)
+            names = ", ".join(str(index) for index in stalled)
             raise PartitionSupervisionError(
-                f"partition(s) {names} sent no frame for more than "
-                f"{heartbeat_timeout:g}s (hung or crashed worker); "
-                f"{len(summaries)} partition(s) had already completed",
+                f"partition(s) {names} sent no heartbeat for more than "
+                f"{heartbeat_timeout:g}s (hung worker); "
+                f"{len(results)} partition(s) had already completed",
                 partitions=stalled,
-                summaries=summaries,
+                results=results,
             )
-    return frames

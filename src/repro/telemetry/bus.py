@@ -5,8 +5,8 @@ collector, the load sampler and the per-node stats records are all read
 once the event heap has drained.  The bus is the in-sim counterpart: a
 registry of named per-tier series (counters and gauges) that a periodic
 sampling task appends to while the simulation runs, each backed by a
-fixed-size numeric ring buffer so a million-event run costs the same
-memory as a smoke test.
+bounded numeric ring buffer so a million-event run costs no more
+memory than its capacity (and a smoke test only what it sampled).
 
 Determinism contract
 --------------------
@@ -41,14 +41,16 @@ DEFAULT_CAPACITY = 2048
 
 
 class RingBuffer:
-    """Fixed-size (time, value) ring — the storage behind one series.
+    """Bounded (time, value) ring — the storage behind one series.
 
-    Backed by two preallocated ``array('d')`` blocks; appending is two
-    slot writes and an index bump, so the sampling task stays cheap even
-    at small intervals.  Once full, the oldest sample is overwritten.
+    Backed by two ``array('d')`` blocks that start empty and grow by
+    appending until they hold ``capacity`` samples; from then on the
+    oldest sample is overwritten in place.  A series costs what was
+    sampled, never more than ``16 * capacity`` bytes, and appending
+    stays a couple of slot writes.
     """
 
-    __slots__ = ("capacity", "_times", "_values", "_head", "_count")
+    __slots__ = ("capacity", "_times", "_values", "_head")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -56,40 +58,43 @@ class RingBuffer:
                 f"ring capacity must be positive, got {capacity!r}"
             )
         self.capacity = capacity
-        self._times = array("d", bytes(8 * capacity))
-        self._values = array("d", bytes(8 * capacity))
+        self._times = array("d")
+        self._values = array("d")
+        #: Slot of the oldest sample once the ring is full (0 before).
         self._head = 0
-        self._count = 0
 
     def append(self, time: float, value: float) -> None:
         """Record one sample (overwrites the oldest once full)."""
+        times = self._times
+        if len(times) < self.capacity:
+            times.append(time)
+            self._values.append(value)
+            return
         head = self._head
-        self._times[head] = time
+        times[head] = time
         self._values[head] = value
         self._head = (head + 1) % self.capacity
-        if self._count < self.capacity:
-            self._count += 1
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._times)
 
     @property
     def latest(self) -> float:
         """The most recently appended value (loud when empty)."""
-        if self._count == 0:
+        if not self._values:
             raise TelemetryError("ring buffer is empty")
         return self._values[self._head - 1]
 
     def export(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(times, values)`` in chronological order, as float64 arrays."""
-        times = np.frombuffer(self._times, dtype=np.float64).copy()
-        values = np.frombuffer(self._values, dtype=np.float64).copy()
-        if self._count < self.capacity:
-            return times[: self._count], values[: self._count]
-        order = np.concatenate(
-            [np.arange(self._head, self.capacity), np.arange(self._head)]
-        )
-        return times[order], values[order]
+        """``(times, values)`` in chronological order, as float64 arrays.
+
+        The arrays own their memory and hold only the filled part.
+        """
+        times = np.array(self._times, dtype=np.float64)
+        values = np.array(self._values, dtype=np.float64)
+        if self._head:
+            return np.roll(times, -self._head), np.roll(values, -self._head)
+        return times, values
 
 
 class TelemetrySeries:

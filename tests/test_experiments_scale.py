@@ -1,5 +1,8 @@
 """Tests for the partitioned ``scale`` scenario family."""
 
+import multiprocessing
+from multiprocessing.reduction import ForkingPickler
+
 import numpy as np
 import pytest
 
@@ -8,14 +11,19 @@ from repro.experiments import registry
 from repro.experiments.config import ScaleConfig, TestbedConfig
 from repro.experiments.scale_experiment import (
     SCALE_SCENARIO,
+    PodResult,
+    ScaleRunResult,
     frontend_port_of,
     make_pod_trace,
     make_scale_stream,
+    merge_pods,
     pod_of_port,
     run_scale,
     run_scale_scenario,
+    simulate_pod,
 )
 from repro.net.tcp import EPHEMERAL_PORT_BASE
+from repro.sim.partition import PartitionTask, run_partitioned
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +35,6 @@ def small_config():
         ),
         pods=4,
         num_queries=600,
-        max_windows=8,
     )
 
 
@@ -53,9 +60,9 @@ class TestScaleConfig:
             {"load_factor": 0.0},
             {"service_mean": -1.0},
             {"ecmp_hash": "crc32"},
-            {"boundary_latency": -1e-6},
-            {"max_windows": 0},
             {"saturation_rate": 0.0},
+            {"load_factor": -0.5},
+            {"service_mean": 0.0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -91,7 +98,7 @@ class TestFrontendSharding:
                 assert request.request_id not in seen
                 seen[request.request_id] = pod
         assert len(seen) == small_config.num_queries
-        # Every partition must run the same synchronization windows.
+        # Every pod must replay the same span of simulated time.
         assert len(horizons) == 1
 
     def test_out_of_range_pod_rejected(self, small_config):
@@ -118,6 +125,35 @@ class TestRunScale:
             reference_run.pod_summaries.keys()
         )
 
+    def test_more_partitions_than_pods_do_not_change_the_fingerprint(
+        self, small_config, reference_run
+    ):
+        partitioned = run_scale(small_config, partitions=8)
+        assert partitioned.fingerprint() == reference_run.fingerprint()
+
+    def test_spawn_start_method_does_not_change_the_outcome_stream(
+        self, small_config, reference_run
+    ):
+        tasks = [
+            PartitionTask(index=pod, payload=(small_config, pod))
+            for pod in range(small_config.pods)
+        ]
+        pods = run_partitioned(
+            simulate_pod,
+            tasks,
+            processes=2,
+            mp_context=multiprocessing.get_context("spawn"),
+        )
+        merged = merge_pods(pods)
+        reference = (
+            reference_run.times,
+            reference_run.request_ids,
+            reference_run.response_times,
+            reference_run.pod_indices,
+        )
+        for column, expected in zip(merged, reference):
+            np.testing.assert_array_equal(column, expected)
+
     def test_summaries_cover_every_pod(self, small_config, reference_run):
         assert sorted(reference_run.pod_summaries) == list(
             range(small_config.pods)
@@ -128,6 +164,76 @@ class TestRunScale:
     def test_nonpositive_partitions_rejected(self, small_config):
         with pytest.raises(ExperimentError):
             run_scale(small_config, partitions=0)
+
+
+def _pod(times, ids, responses):
+    return PodResult(
+        times=np.array(times, dtype=np.float64),
+        request_ids=np.array(ids, dtype=np.int64),
+        response_times=np.array(responses, dtype=np.float64),
+        summary={},
+    )
+
+
+class TestMergePods:
+    def test_orders_by_time_then_partition_then_seq(self):
+        times, ids, _responses, pods = merge_pods(
+            [
+                _pod([1.0, 2.0, 2.0], [10, 11, 12], [0.1, 0.1, 0.1]),
+                _pod([0.5, 2.0], [20, 21], [0.1, 0.1]),
+            ]
+        )
+        assert times.tolist() == [0.5, 1.0, 2.0, 2.0, 2.0]
+        assert pods.tolist() == [1, 0, 0, 0, 1]
+        assert ids.tolist() == [20, 10, 11, 12, 21]
+
+    def test_equal_times_within_a_partition_keep_emission_order(self):
+        _times, ids, _responses, _pods = merge_pods(
+            [_pod([3.0, 3.0, 3.0], [7, 5, 6], [0.1, 0.2, 0.3])]
+        )
+        assert ids.tolist() == [7, 5, 6]
+
+    def test_empty_pods_and_failures_pass_through(self):
+        _times, ids, responses, pods = merge_pods(
+            [_pod([], [], []), _pod([1.0, 2.0], [1, 2], [float("nan"), 0.4])]
+        )
+        assert ids.tolist() == [1, 2] and pods.tolist() == [1, 1]
+        assert np.isnan(responses[0]) and responses[1] == 0.4
+        assert ids.dtype == np.int64 and pods.dtype == np.int64
+
+
+class TestTransportBudget:
+    """Pods ship columns: the cost per outcome is bytes, not objects."""
+
+    @pytest.fixture(scope="class")
+    def pod_result(self):
+        config = SCALE_SCENARIO.smoke_config()
+        return simulate_pod(PartitionTask(0, (config, 0)), lambda: None)
+
+    def test_a_pod_pickles_within_32_bytes_per_outcome(self, pod_result):
+        blob = ForkingPickler.dumps(pod_result)
+        outcomes = pod_result.times.size
+        assert outcomes == pod_result.summary["queries"] > 0
+        assert len(blob) <= 32 * outcomes + 4096
+
+    def test_no_field_is_a_per_outcome_python_container(self, pod_result):
+        for column in (
+            pod_result.times, pod_result.request_ids, pod_result.response_times
+        ):
+            assert isinstance(column, np.ndarray)
+            assert column.dtype in (np.float64, np.int64)
+            assert column.shape == (pod_result.summary["queries"],)
+        # The summary is a handful of numbers, whatever the run length.
+        assert len(pod_result.summary) < 16
+        assert all(
+            isinstance(value, (int, float)) for value in pod_result.summary.values()
+        )
+
+    def test_the_run_result_is_its_own_picklable_payload(self, reference_run):
+        clone = ForkingPickler.loads(ForkingPickler.dumps(reference_run))
+        assert isinstance(clone, ScaleRunResult)
+        assert clone.fingerprint() == reference_run.fingerprint()
+        assert clone.pod_summaries == reference_run.pod_summaries
 
 
 class TestScenarioIntegration:

@@ -1,112 +1,93 @@
-"""Property tests for the partition frame protocol (ISSUE satellite).
+"""Property tests for the columnar pod merge (``scale`` family).
 
-The claim under test: the merged event order produced by
-:func:`repro.net.channel.merge_frames` is a pure function of what each
-partition *emitted* — any interleaving of frames across partitions (the
-part OS scheduling controls) yields exactly the single-process order, as
-long as each partition's own frames arrive in emission order (which the
-FIFO pipes guarantee).
+The claim under test: :func:`repro.experiments.scale_experiment.merge_pods`
+orders the pods' outcome columns exactly as ``sorted()`` orders
+``(time, pod, seq)`` tuples — ``seq`` being a row's position in its pod's
+emission order — for arbitrary per-pod outputs: equal timestamps across
+and within pods, empty pods, NaN response times.  The tuple sort is the
+reference the array code is held to.
 """
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.channel import BatchFrame, merge_frames
+from repro.experiments.scale_experiment import PodResult, merge_pods
+
+#: A coarse grid, so equal timestamps within and across pods are common.
+_times = st.integers(min_value=0, max_value=12).map(lambda tick: tick * 0.25)
+_response_times = st.one_of(
+    st.just(math.nan), st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+)
 
 
 @st.composite
-def partition_emissions(draw):
-    """Per-partition sorted item times, split into watermarked frames.
+def pod_outputs(draw):
+    """``[(times, request ids, response times), ...]``, one triple per pod.
 
-    Returns ``{partition: [BatchFrame, ...]}`` with non-decreasing
-    watermarks and every item time above the preceding watermark —
-    i.e. exactly what a conforming sender may emit.
+    Times are sorted within a pod (outcomes are recorded at the
+    simulator clock); request ids are unique across the deployment.
     """
-    num_partitions = draw(st.integers(min_value=1, max_value=4))
-    frames_by_partition = {}
-    for partition in range(num_partitions):
-        times = sorted(
-            draw(
-                st.lists(
-                    st.floats(
-                        min_value=0.0,
-                        max_value=100.0,
-                        allow_nan=False,
-                        allow_infinity=False,
-                    ),
-                    min_size=0,
-                    max_size=12,
-                )
-            )
+    num_pods = draw(st.integers(min_value=1, max_value=5))
+    pods = []
+    next_id = 1
+    for _ in range(num_pods):
+        times = sorted(draw(st.lists(_times, min_size=0, max_size=12)))
+        ids = list(range(next_id, next_id + len(times)))
+        next_id += len(times)
+        responses = [draw(_response_times) for _ in times]
+        pods.append((times, ids, responses))
+    return pods
+
+
+def _as_results(pods):
+    return [
+        PodResult(
+            times=np.array(times, dtype=np.float64),
+            request_ids=np.array(ids, dtype=np.int64),
+            response_times=np.array(responses, dtype=np.float64),
+            summary={},
         )
-        num_frames = draw(st.integers(min_value=1, max_value=4))
-        # Random split points partition the sorted times into frames.
-        splits = sorted(
-            draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=len(times)),
-                    min_size=num_frames - 1,
-                    max_size=num_frames - 1,
-                )
-            )
-        )
-        bounds = [0, *splits, len(times)]
-        frames = []
-        watermark = -math.inf
-        for start, end in zip(bounds, bounds[1:]):
-            chunk = times[start:end]
-            # A conforming watermark: at or above every item in the
-            # frame, and never below the previous watermark.
-            watermark = max(watermark, *(chunk or [watermark]))
-            frames.append(
-                BatchFrame(
-                    partition,
-                    watermark,
-                    tuple((t, (partition, start + i)) for i, t in enumerate(chunk)),
-                )
-            )
-        frames.append(BatchFrame(partition, math.inf, ()))
-        frames_by_partition[partition] = frames
-    return frames_by_partition
-
-
-@st.composite
-def interleavings(draw):
-    """An emission set plus one arbitrary cross-partition interleaving."""
-    by_partition = draw(partition_emissions())
-    queues = {p: list(frames) for p, frames in by_partition.items()}
-    order = []
-    while any(queues.values()):
-        candidates = sorted(p for p, q in queues.items() if q)
-        pick = draw(st.sampled_from(candidates))
-        order.append(queues[pick].pop(0))
-    return by_partition, order
-
-
-@given(data=interleavings())
-@settings(max_examples=200, deadline=None)
-def test_any_frame_interleaving_merges_to_the_single_process_order(data):
-    by_partition, shuffled = data
-    # The single-process reference: every partition's frames in
-    # emission order, partitions concatenated.
-    reference_frames = [
-        frame for p in sorted(by_partition) for frame in by_partition[p]
+        for times, ids, responses in pods
     ]
-    reference = merge_frames(reference_frames)
-    merged = merge_frames(shuffled)
-    assert merged == reference
 
 
-@given(data=interleavings())
+def _merged_rows(pods):
+    times, ids, responses, pod_indices = merge_pods(_as_results(pods))
+    return list(
+        zip(times.tolist(), pod_indices.tolist(), ids.tolist(), responses.tolist())
+    )
+
+
+@given(pods=pod_outputs())
+@settings(max_examples=200, deadline=None)
+def test_columnar_merge_equals_sorted_tuples(pods):
+    reference = sorted(
+        (time, pod, seq, request_id, response)
+        for pod, (times, ids, responses) in enumerate(pods)
+        for seq, (time, request_id, response) in enumerate(zip(times, ids, responses))
+    )
+    expected = [
+        (time, pod, request_id, response)
+        for time, pod, _seq, request_id, response in reference
+    ]
+    merged = _merged_rows(pods)
+    # NaN != NaN, so compare the response column through its repr.
+    assert [(*row[:3], repr(row[3])) for row in merged] == [
+        (*row[:3], repr(row[3])) for row in expected
+    ]
+
+
+@given(pods=pod_outputs())
 @settings(max_examples=100, deadline=None)
-def test_merged_order_is_sorted_and_stable_within_partitions(data):
-    _, shuffled = data
-    merged = merge_frames(shuffled)
-    keys = [(item.time, item.partition, item.seq) for item in merged]
+def test_merged_order_is_sorted_and_stable_within_partitions(pods):
+    merged = _merged_rows(pods)
+    keys = [(time, pod) for time, pod, _id, _response in merged]
     assert keys == sorted(keys)
-    # Within one partition the emission order (seq) is preserved.
-    for partition in {item.partition for item in merged}:
-        seqs = [item.seq for item in merged if item.partition == partition]
-        assert seqs == sorted(seqs)
+    # Within one pod the emission order is preserved: ids were dealt in
+    # emission order, so they must come out ascending.
+    for pod in range(len(pods)):
+        ids = [request_id for _time, p, request_id, _response in merged if p == pod]
+        assert ids == pods[pod][1]

@@ -1,141 +1,187 @@
 """Unit tests for the partitioned-run driver (:mod:`repro.sim.partition`)."""
 
-import math
 import multiprocessing
+import os
 import time
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.engine import Simulator
 from repro.sim.partition import (
-    ERROR_KEY,
+    HEARTBEAT_SLICES,
     PartitionSupervisionError,
     PartitionTask,
     run_partition_serially,
     run_partitioned,
-    window_ends,
+    run_to_horizon,
 )
 
 
-class TestWindowEnds:
-    def test_coalesces_tiny_lookahead_to_max_windows(self):
-        ends = window_ends(100.0, 1e-6, max_windows=4)
-        assert ends == [25.0, 50.0, 75.0, 100.0]
+class TestRunToHorizon:
+    def test_clock_reads_exactly_the_horizon_afterwards(self):
+        simulator = Simulator()
+        run_to_horizon(simulator, 7.3, lambda: None)
+        assert simulator.now == 7.3
 
-    def test_large_lookahead_yields_fewer_windows(self):
-        ends = window_ends(10.0, 4.0, max_windows=64)
-        assert ends == [4.0, 8.0, 10.0]
+    def test_ticks_once_per_slice(self):
+        ticks = []
+        run_to_horizon(Simulator(), 100.0, lambda: ticks.append(None))
+        assert len(ticks) == HEARTBEAT_SLICES
 
-    def test_last_window_is_exactly_the_horizon(self):
-        assert window_ends(7.3, 1.0, max_windows=8)[-1] == 7.3
+    def test_slicing_executes_the_same_events_as_one_run(self):
+        def replay(run):
+            simulator = Simulator()
+            fired = []
+            for step in range(50):
+                at = step * 0.37
+                simulator.schedule_at(at, lambda at=at: fired.append((simulator.now, at)))
+            run(simulator)
+            return fired, simulator.events_executed
 
-    def test_watermarks_strictly_increase(self):
-        ends = window_ends(123.4, 0.002, max_windows=64)
-        assert all(a < b for a, b in zip(ends, ends[1:]))
+        sliced = replay(lambda sim: run_to_horizon(sim, 10.0, lambda: None))
+        whole = replay(lambda sim: sim.run(until=10.0))
+        assert sliced == whole
 
-    def test_empty_horizon_means_no_windows(self):
-        assert window_ends(0.0, 1.0) == []
-
-    def test_negative_lookahead_rejected(self):
-        with pytest.raises(SimulationError):
-            window_ends(10.0, -1.0)
-
-    def test_nonpositive_max_windows_rejected(self):
-        with pytest.raises(SimulationError):
-            window_ends(10.0, 1.0, max_windows=0)
-
-
-def emitting_worker(task, sender):
-    """Stage a deterministic pattern derived from the task payload."""
-    base = float(task.payload)
-    for window in range(1, 4):
-        for step in range(2):
-            sender.stage(base + window + step / 10.0, (task.index, window, step))
-        sender.flush(base + window + 0.9)
+    def test_events_past_the_horizon_stay_pending(self):
+        simulator = Simulator()
+        simulator.schedule_at(12.0, lambda: None)
+        run_to_horizon(simulator, 10.0, lambda: None)
+        assert simulator.pending_events == 1
 
 
-def failing_worker(task, sender):
+def reporting_worker(task, tick):
+    """Tick a few times, then return a result derived from the payload."""
+    for _ in range(3):
+        tick()
+    return {"pod": task.index, "rows": [task.payload + step for step in range(3)]}
+
+
+def failing_worker(task, tick):
+    if task.index == 0:
+        raise ValueError("pod 0 exploded")
+    return reporting_worker(task, tick)
+
+
+def crashing_worker(task, tick):
+    """Partition 1's process dies without a word; the others finish."""
     if task.index == 1:
-        raise RuntimeError("boom")
-    emitting_worker(task, sender)
+        os._exit(3)
+    return reporting_worker(task, tick)
 
 
-TASKS = [PartitionTask(index=i, payload=i * 10.0) for i in range(3)]
+def hanging_worker(task, tick):
+    """Partition 1 never ticks; the others finish cleanly."""
+    if task.index == 1:
+        time.sleep(60.0)
+    return {"pod": task.index}
+
+
+def slow_but_ticking_worker(task, tick):
+    """Runs longer than the heartbeat deadline, ticking well inside it."""
+    for _ in range(6):
+        time.sleep(0.1)
+        tick()
+    return {"pod": task.index}
+
+
+TASKS = [PartitionTask(index=i, payload=i * 10.0) for i in range(4)]
 
 
 class TestRunPartitioned:
-    def test_serial_run_emits_frames_and_sentinel(self):
-        frames = run_partition_serially(emitting_worker, TASKS[0])
-        assert [frame.final for frame in frames] == [False, False, False, True]
-        assert all(frame.partition == 0 for frame in frames)
+    def test_serial_run_returns_the_result_as_a_one_element_list(self):
+        assert run_partition_serially(reporting_worker, TASKS[1]) == [
+            {"pod": 1, "rows": [10.0, 11.0, 12.0]}
+        ]
 
-    def test_processes_equals_one_merges_deterministically(self):
-        result = run_partitioned(emitting_worker, TASKS, processes=1)
-        times = [item.time for item in result.items]
-        assert times == sorted(times)
-        assert len(result.items) == 3 * 3 * 2
+    def test_processes_equals_one_returns_results_in_task_order(self):
+        results = run_partitioned(reporting_worker, TASKS, processes=1)
+        assert [result["pod"] for result in results] == [0, 1, 2, 3]
 
     def test_multiprocess_run_is_identical_to_serial(self):
-        serial = run_partitioned(emitting_worker, TASKS, processes=1)
-        parallel = run_partitioned(emitting_worker, TASKS, processes=2)
-        assert parallel.items == serial.items
-        assert parallel.summaries == serial.summaries
+        serial = run_partitioned(reporting_worker, TASKS, processes=1)
+        parallel = run_partitioned(reporting_worker, TASKS, processes=2)
+        assert parallel == serial
+
+    def test_results_follow_task_order_not_index_order(self):
+        shuffled = [TASKS[2], TASKS[0], TASKS[3]]
+        for processes in (1, 2):
+            results = run_partitioned(reporting_worker, shuffled, processes=processes)
+            assert [result["pod"] for result in results] == [2, 0, 3]
 
     def test_worker_summaries_are_collected(self):
-        def summarizing(task, sender):
-            sender.close(summary={"pod": task.index})
+        def summarizing(task, tick):
+            return {"pod": task.index}
 
-        result = run_partitioned(summarizing, TASKS, processes=1)
-        assert result.summaries == {0: {"pod": 0}, 1: {"pod": 1}, 2: {"pod": 2}}
-        assert result.summary_total("pod") == 3
+        results = run_partitioned(summarizing, TASKS[:3], processes=1)
+        assert results == [{"pod": 0}, {"pod": 1}, {"pod": 2}]
 
     def test_no_tasks_is_an_empty_result(self):
-        result = run_partitioned(emitting_worker, [], processes=4)
-        assert result.items == [] and result.summaries == {}
+        assert run_partitioned(reporting_worker, [], processes=4) == []
 
     def test_duplicate_indices_rejected(self):
         with pytest.raises(SimulationError):
             run_partitioned(
-                emitting_worker,
+                reporting_worker,
                 [PartitionTask(0, 0.0), PartitionTask(0, 1.0)],
             )
 
     def test_nonpositive_processes_rejected(self):
         with pytest.raises(SimulationError):
-            run_partitioned(emitting_worker, TASKS, processes=0)
-
-    def test_serial_worker_failure_propagates(self):
-        with pytest.raises(RuntimeError):
-            run_partitioned(failing_worker, TASKS, processes=1)
-
-    def test_multiprocess_worker_failure_is_relayed(self):
-        with pytest.raises(SimulationError) as excinfo:
-            run_partitioned(failing_worker, TASKS, processes=2)
-        message = str(excinfo.value)
-        assert "RuntimeError" in message or "sentinel" in message
-
-    def test_error_key_in_summary_raises_even_serially(self):
-        def poisoned(task, sender):
-            sender.close(summary={ERROR_KEY: "synthetic"})
-
-        with pytest.raises(SimulationError):
-            run_partitioned(poisoned, TASKS[:1], processes=1)
+            run_partitioned(reporting_worker, TASKS, processes=0)
 
     def test_more_processes_than_tasks_is_fine(self):
-        result = run_partitioned(emitting_worker, TASKS[:2], processes=8)
-        reference = run_partitioned(emitting_worker, TASKS[:2], processes=1)
-        assert result.items == reference.items
+        result = run_partitioned(reporting_worker, TASKS[:2], processes=8)
+        reference = run_partitioned(reporting_worker, TASKS[:2], processes=1)
+        assert result == reference
 
-    def test_sentinel_watermark_is_infinite(self):
-        frames = run_partition_serially(emitting_worker, TASKS[0])
-        assert math.isinf(frames[-1].window_end)
+    def test_serial_worker_failure_propagates(self):
+        with pytest.raises(SimulationError) as excinfo:
+            run_partitioned(failing_worker, TASKS, processes=1)
+        # The original exception rides along for the traceback.
+        assert isinstance(excinfo.value.__cause__, ValueError)
+
+    def test_multiprocess_worker_failure_is_relayed(self):
+        with pytest.raises(SimulationError, match="ValueError: pod 0 exploded"):
+            run_partitioned(failing_worker, TASKS[:3], processes=3)
+
+    def test_spawn_start_method_gives_the_same_results(self):
+        spawned = run_partitioned(
+            reporting_worker,
+            TASKS,
+            processes=2,
+            mp_context=multiprocessing.get_context("spawn"),
+        )
+        assert spawned == run_partitioned(reporting_worker, TASKS, processes=1)
 
 
-def hanging_worker(task, sender):
-    """Partition 1 never emits a frame; the others finish cleanly."""
-    if task.index == 1:
-        time.sleep(60.0)
-    sender.close(summary={"pod": task.index})
+class TestWorkerFailure:
+    """One failure -> one SimulationError naming the pod and the cause."""
+
+    @pytest.mark.parametrize(
+        "tasks, processes",
+        [
+            # More pods than processes: the failing pod's sibling on the
+            # same process never runs; its silence must not mask the cause.
+            pytest.param(TASKS, 2, id="4-over-2"),
+            pytest.param(TASKS[:2], 2, id="2-over-2"),
+            pytest.param(TASKS, 1, id="in-process"),
+        ],
+    )
+    def test_failure_is_reported_as_itself(self, tasks, processes):
+        with pytest.raises(SimulationError) as excinfo:
+            run_partitioned(failing_worker, tasks, processes=processes)
+        assert str(excinfo.value) == (
+            "partition 0 failed: ValueError: pod 0 exploded"
+        )
+        assert not multiprocessing.active_children()
+
+    def test_crashed_process_names_the_partitions_it_owed(self):
+        with pytest.raises(SimulationError) as excinfo:
+            run_partitioned(crashing_worker, TASKS, processes=2)
+        # Process 1 ran partitions 1 and 3 and reported neither.
+        assert "partition(s) 1, 3" in str(excinfo.value)
+        assert not multiprocessing.active_children()
 
 
 class SpyContext:
@@ -158,43 +204,50 @@ class TestProcessClamp:
         # Regression: processes > len(tasks) must not spawn idle workers.
         spy = SpyContext()
         result = run_partitioned(
-            emitting_worker, TASKS[:2], processes=8, mp_context=spy
+            reporting_worker, TASKS[:2], processes=8, mp_context=spy
         )
         assert spy.process_count == 2
-        reference = run_partitioned(emitting_worker, TASKS[:2], processes=1)
-        assert result.items == reference.items
+        assert result == run_partitioned(reporting_worker, TASKS[:2], processes=1)
 
 
 class TestSupervision:
     def test_hung_partition_raises_supervision_error(self):
         with pytest.raises(PartitionSupervisionError) as excinfo:
             run_partitioned(
-                hanging_worker, TASKS, processes=3, heartbeat_timeout=0.5
+                hanging_worker, TASKS[:3], processes=3, heartbeat_timeout=0.5
             )
         error = excinfo.value
         assert error.partitions == (1,)
         assert "partition(s) 1" in str(error)
-        # The healthy partitions' closing summaries rode along.
-        assert error.summaries == {0: {"pod": 0}, 2: {"pod": 2}}
+        # The healthy partitions' results rode along.
+        assert error.results == {0: {"pod": 0}, 2: {"pod": 2}}
+        assert not multiprocessing.active_children()
+
+    def test_ticks_keep_a_slow_partition_alive(self):
+        # 0.6 s of work against a 0.4 s deadline: only the ticks save it,
+        # and a partition queued behind another on the same process is
+        # not mistaken for a hung one.
+        results = run_partitioned(
+            slow_but_ticking_worker, TASKS, processes=2, heartbeat_timeout=0.4
+        )
+        assert [result["pod"] for result in results] == [0, 1, 2, 3]
 
     def test_healthy_run_is_unchanged_under_supervision(self):
         supervised = run_partitioned(
-            emitting_worker, TASKS, processes=2, heartbeat_timeout=30.0
+            reporting_worker, TASKS, processes=2, heartbeat_timeout=30.0
         )
-        reference = run_partitioned(emitting_worker, TASKS, processes=1)
-        assert supervised.items == reference.items
-        assert supervised.summaries == reference.summaries
+        assert supervised == run_partitioned(reporting_worker, TASKS, processes=1)
 
     def test_supervision_ignores_the_serial_path(self):
         # processes=1 never blocks on pipes, so the heartbeat is moot —
         # but passing one must not break the serial path.
-        result = run_partitioned(
-            emitting_worker, TASKS, processes=1, heartbeat_timeout=0.001
+        results = run_partitioned(
+            reporting_worker, TASKS, processes=1, heartbeat_timeout=0.001
         )
-        assert len(result.items) == 3 * 3 * 2
+        assert len(results) == len(TASKS)
 
     def test_invalid_heartbeat_rejected(self):
         with pytest.raises(SimulationError):
             run_partitioned(
-                emitting_worker, TASKS, processes=2, heartbeat_timeout=0.0
+                reporting_worker, TASKS, processes=2, heartbeat_timeout=0.0
             )

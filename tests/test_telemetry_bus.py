@@ -43,6 +43,38 @@ class TestRingBuffer:
         ring.append(1.0, 2.5)
         assert ring.latest == 2.5
 
+    @pytest.mark.parametrize("capacity", [1, 3])
+    def test_every_append_count_keeps_the_newest_capacity_samples(self, capacity):
+        # Covers under-full, exactly-full (no wrap yet), and several laps.
+        ring = RingBuffer(capacity)
+        for count in range(1, 3 * capacity + 2):
+            ring.append(float(count), float(-count))
+            newest = list(range(max(1, count - capacity + 1), count + 1))
+            times, values = ring.export()
+            assert times.tolist() == [float(step) for step in newest]
+            assert values.tolist() == [float(-step) for step in newest]
+            assert len(ring) == len(newest)
+            assert ring.latest == float(-count)
+
+    def test_an_unwritten_ring_owns_no_capacity_sized_buffer(self):
+        # 2**40 slots would be 16 TiB preallocated; an empty ring is free.
+        ring = RingBuffer(1 << 40)
+        assert len(ring) == 0
+        times, values = ring.export()
+        assert times.size == 0 and values.size == 0
+
+    def test_export_owns_only_the_filled_part(self):
+        ring = RingBuffer(2048)
+        for step in range(5):
+            ring.append(float(step), 1.0)
+        for column in ring.export():
+            assert column.base is None  # no view pinning a bigger buffer
+            assert column.nbytes == 5 * 8
+        # Exports are snapshots: later appends do not reach into them.
+        times, _ = ring.export()
+        ring.append(5.0, 1.0)
+        assert times.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+
     def test_empty_latest_is_loud(self):
         with pytest.raises(TelemetryError):
             RingBuffer(3).latest
