@@ -21,15 +21,6 @@
 #   make bench-quick         - the repository benchmark (BENCHMARK.json) at smoke size:
 #                              all five workloads, output checks, ~15 s; writes
 #                              benchmarks/perf/results/
-#   make perf                - hot-path throughput cells (events/sec), full profile;
-#                              updates the `latest` slot of BENCH_PERF.json
-#   make perf-smoke          - reduced perf profile (< 2 min) checked against the
-#                              committed BENCH_PERF.json baseline (±30% tolerance)
-#   make profile             - cProfile the poisson-high-load perf cell; writes the
-#                              top-25 cumulative listing under benchmarks/profiles/
-#   make build-fast          - compile the simulator run loop with mypyc (optional;
-#                              prints a notice and succeeds when mypyc is missing).
-#                              Enable the result with REPRO_COMPILED=1.
 #   make coverage            - tier-1 suite under pytest-cov with the pinned
 #                              floor (skipped with a notice when pytest-cov is
 #                              not installed; CI installs it)
@@ -39,7 +30,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 
 BENCH_OPTS := -o python_files='bench_*.py' -o python_functions='bench_*'
 
-.PHONY: test lint coverage bench bench-quick bench-smoke bench-smoke-parallel scale-smoke chaos-smoke telemetry-smoke docs-check perf perf-smoke profile build-fast
+.PHONY: test lint coverage bench bench-quick bench-smoke bench-smoke-parallel scale-smoke chaos-smoke telemetry-smoke docs-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -74,30 +65,6 @@ lint:
 
 docs-check:
 	$(PYTHON) -m pytest -q tests/test_docs_cli.py tests/test_docs_performance.py
-
-# Simulator-throughput measurement (see docs/performance.md).  The full
-# profile reports events/sec per cell and records the run in the
-# `latest` slot of BENCH_PERF.json; the smoke profile is the CI
-# regression gate against the committed baseline.
-perf:
-	$(PYTHON) benchmarks/bench_perf_hotpath.py --profile full
-
-perf-smoke:
-	$(PYTHON) benchmarks/bench_perf_hotpath.py --profile smoke --check --tolerance 0.30 --no-save
-
-# Where the per-event time actually goes: cProfile over the
-# poisson-high-load cell (smoke size, so it finishes quickly), top 25
-# functions by cumulative time, written under benchmarks/profiles/ for
-# before/after comparison in perf-focused PRs.
-profile:
-	$(PYTHON) benchmarks/bench_perf_hotpath.py --profile smoke --cell poisson-high-load \
-		--cprofile benchmarks/profiles --no-save
-
-# Optional compiled run loop (repro.sim._fastloop_c, used only under
-# REPRO_COMPILED=1).  Skips with a notice when mypyc is not installed;
-# the pure-Python loop stays canonical either way.
-build-fast:
-	$(PYTHON) tools/build_fastloop.py
 
 # One representative benchmark per scenario family (figures, ablations,
 # resilience) at a deliberately small scale: a smoke signal, not a

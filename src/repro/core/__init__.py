@@ -19,7 +19,6 @@ from repro.core.candidate_selection import (
     make_selector,
 )
 from repro.core.consistent_hash import MaglevTable, flow_hash_key
-from repro.core.fleet import ECMPRouterNode, ECMPStats, LoadBalancerFleet
 from repro.core.flow_table import FlowEntry, FlowTable, FlowTableStats
 from repro.core.lb_tier import (
     LoadBalancerTier,
@@ -72,9 +71,6 @@ __all__ = [
     "FlowTableStats",
     "LoadBalancerNode",
     "LoadBalancerStats",
-    "ECMPRouterNode",
-    "ECMPStats",
-    "LoadBalancerFleet",
     "LoadBalancerTier",
     "TierLoadBalancer",
     "TierStats",

@@ -7,12 +7,11 @@ accepting server *in-band*, in its SR header.  Several instances can
 therefore serve the same VIPs behind an ECMP edge, and the tier survives
 instance churn without any state-synchronisation protocol.
 
-:mod:`repro.core.fleet` models the *idealised* version of that tier: an
-ECMP router that understands load-balancer semantics and always hands
-both directions of a flow to the same instance.  This module models the
-*realistic* one, built on :class:`repro.net.ecmp.EcmpEdgeRouter` — a
-plain edge router that hashes every packet independently — and shows the
-two mechanisms that make SRLB work anyway:
+This module models that tier, built on
+:class:`repro.net.ecmp.EcmpEdgeRouter` — a plain edge router that hashes
+every packet independently, so the two directions of a flow generally
+reach different instances — and shows the two mechanisms that make SRLB
+work anyway:
 
 * **Cross-instance SYN-ACK learning.**  The SYN-ACK hashes on the
   reverse 5-tuple, so it generally reaches a *different* instance than

@@ -298,7 +298,6 @@ class LoadBalancerNode(NetworkNode):
                 packet.flow_key(),
                 request_id=packet.tcp.request_id,
                 created_at=self.simulator.now,
-                pool=self.packet_pool,
             )
         )
 

@@ -11,7 +11,6 @@ explicitly and visibly.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -68,15 +67,6 @@ class TestbedConfig:
     #: speed 1.0, the paper's platform.  When non-empty the tuple must
     #: name every server.
     server_speed_factors: Tuple[float, ...] = ()
-    #: Recycle delivered packets through a free list instead of
-    #: allocating a fresh :class:`~repro.net.packet.Packet` per send.
-    #: Event order, packet ids and every statistic are identical either
-    #: way; plain construction stays the reference path.  The default
-    #: follows ``REPRO_PACKET_POOLING=1`` so a whole test or benchmark
-    #: run can be flipped without touching configs.
-    packet_pooling: bool = field(
-        default_factory=lambda: os.environ.get("REPRO_PACKET_POOLING", "") == "1"
-    )
     #: Client SYN retransmission: initial RTO in seconds (doubles per
     #: retransmit up to the cap, at most ``syn_retransmit_limit`` times).
     #: 0 (the default) disables retransmission — the pre-fault-plane

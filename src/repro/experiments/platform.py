@@ -20,9 +20,7 @@ from repro.errors import WorkloadError
 from repro.experiments.config import PolicySpec, TestbedConfig
 from repro.metrics.collector import ResponseTimeCollector, ServerLoadSampler
 from repro.net.addressing import IPv6Address, default_allocators
-from repro.net.channel import PooledInProcessChannel
 from repro.net.fabric import LANFabric
-from repro.net.packet import PacketPool
 from repro.server.cpu import make_cpu
 from repro.server.http_server import HTTPServerInstance
 from repro.server.virtual_router import ServerNode
@@ -48,7 +46,6 @@ def _build_server(
     speed: float,
     steering_address: IPv6Address,
     vip: IPv6Address,
-    packet_pool: Optional[PacketPool] = None,
 ) -> ServerNode:
     """One fully wired application server (CPU, app, policy, VIP, fabric).
 
@@ -86,8 +83,6 @@ def _build_server(
     )
     server.bind_vip(vip)
     server.attach(fabric)
-    if packet_pool is not None:
-        server.packet_pool = packet_pool
     return server
 
 
@@ -128,10 +123,6 @@ class Testbed:
     #: The address servers route steering SYN-ACKs through (the single
     #: LB's own address, or the tier's shared steering address).
     steering_address: Optional[IPv6Address] = field(default=None, repr=False)
-    #: The shared packet free list when ``config.packet_pooling`` is on
-    #: (``None`` on the reference path).  Elastic additions draw from it
-    #: too, so a grown fleet recycles like the initial one.
-    packet_pool: Optional[PacketPool] = field(default=None, repr=False)
     #: Callbacks invoked when the arrival phase (plus settle margin) is
     #: over — how the autoscaler and other periodic control loops are
     #: stopped so the event heap can drain.  See :meth:`at_horizon`.
@@ -225,7 +216,6 @@ class Testbed:
             speed=speed,
             steering_address=self.steering_address,
             vip=self.vip,
-            packet_pool=self.packet_pool,
         )
         self.servers.append(server)
         self._register_backend(server.primary_address)
@@ -390,19 +380,7 @@ def build_testbed(
         get per-user flow affinity.
     """
     simulator = Simulator(seed=config.seed)
-    # Packet pooling swaps the fabric's delivery channel for one that
-    # recycles delivered packets.  Every channel of the testbed must be
-    # the *same* pooled instance: the ECMP edge's spread hop re-sends
-    # the packets the fabric delivered to it, so a second, unpooled
-    # channel would leak recycled packets past the in-flight marking.
-    packet_pool: Optional[PacketPool] = None
-    pooled_channel: Optional[PooledInProcessChannel] = None
-    if config.packet_pooling:
-        packet_pool = PacketPool()
-        pooled_channel = PooledInProcessChannel(simulator, packet_pool)
-    fabric = LANFabric(
-        simulator, latency=config.fabric_latency, channel=pooled_channel
-    )
+    fabric = LANFabric(simulator, latency=config.fabric_latency)
     allocators = default_allocators()
     catalog = catalog if catalog is not None else RequestCatalog()
     collector = collector if collector is not None else ResponseTimeCollector(
@@ -446,10 +424,6 @@ def build_testbed(
         )
         lb_tier.register_vip(vip, server_addresses)
         lb_tier.attach(fabric)
-        if pooled_channel is not None:
-            lb_tier.router.channel = pooled_channel
-            for instance in lb_tier.instances:
-                instance.packet_pool = packet_pool
         load_balancer: LoadBalancerNode = lb_tier.instances[0]
     else:
         load_balancer = LoadBalancerNode(
@@ -461,8 +435,6 @@ def build_testbed(
         )
         load_balancer.register_vip(vip, server_addresses)
         load_balancer.attach(fabric)
-        if packet_pool is not None:
-            load_balancer.packet_pool = packet_pool
 
     servers: List[ServerNode] = [
         _build_server(
@@ -476,7 +448,6 @@ def build_testbed(
             speed=config.speed_of(index),
             steering_address=lb_address,
             vip=vip,
-            packet_pool=packet_pool,
         )
         for index, address in enumerate(server_addresses)
     ]
@@ -497,8 +468,6 @@ def build_testbed(
         max_retries=config.max_retries,
     )
     client.attach(fabric)
-    if packet_pool is not None:
-        client.packet_pool = packet_pool
 
     testbed = Testbed(
         config=config,
@@ -514,7 +483,6 @@ def build_testbed(
         lb_tier=lb_tier,
         server_allocator=allocators["server"],
         steering_address=lb_address,
-        packet_pool=packet_pool,
         _next_server_index=config.num_servers,
     )
     # Streaming telemetry is strictly opt-in: with the flag off, the

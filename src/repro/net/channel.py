@@ -19,8 +19,6 @@ arrival.
 * :class:`InProcessChannel` is the default — one scheduling call per
   packet with the given delay and (interned) label, so event ordering is
   bit-identical to direct ``receive()`` scheduling.
-* :class:`PooledInProcessChannel` additionally recycles packets whose
-  life ended at the arrival.
 * :class:`~repro.net.faults.FaultInjectionChannel` runs the hop through
   a fault pipeline before handing it to an inner channel.
 
@@ -119,47 +117,6 @@ class InProcessChannel(SinkDelivery):
         #: identical to ``schedule_in``).  Binding the method here
         #: instead of wrapping it saves a frame on every packet hop.
         self.send = simulator._schedule_delivery
-
-
-class PooledInProcessChannel(SinkDelivery):
-    """:class:`InProcessChannel` that recycles delivered packets.
-
-    Scheduling behaviour (delay, label, event sequence) is identical to
-    the unpooled channel, so pooled runs stay bit-identical; the only
-    addition is lifecycle tracking via :attr:`Packet.in_flight`:
-
-    * ``send`` marks the packet in flight;
-    * when the delivery fires, the mark is cleared *before* the arrival
-      runs;
-    * if the mark is still clear afterwards, nothing re-sent the packet
-      during the arrival — its life ended there (consumed, or dropped
-      because the sink was gone) — and it is released to the pool.
-
-    A re-send during the arrival (an LB steering the packet onward, the
-    ECMP router spreading it) goes through the same channel instance,
-    re-marks the packet, and defers the release decision to the final
-    hop.  For that to hold, *every* channel of a pooled testbed must be
-    this one instance — ``build_testbed`` wires the fabric and the ECMP
-    edge router accordingly.
-    """
-
-    __slots__ = ("_simulator", "pool", "_schedule")
-
-    def __init__(self, simulator: Simulator, pool: Any) -> None:
-        self._simulator = simulator
-        self.pool = pool
-        self._schedule = simulator._schedule_delivery
-
-    def send(self, arrive: Arrival, packet: Any, delay: float, label: str) -> None:
-        packet.in_flight = True
-        self._schedule(self._arrive, (arrive, packet), delay, label)
-
-    def _arrive(self, hop: Tuple[Arrival, Any]) -> None:
-        arrive, packet = hop
-        packet.in_flight = False
-        arrive(packet)
-        if not packet.in_flight:
-            self.pool.release(packet)
 
 
 # ----------------------------------------------------------------------

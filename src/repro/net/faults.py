@@ -46,11 +46,6 @@ its drops (or delays) under its own reason counter — the same
 one-drop/one-reason scheme as the fabric and the link (see
 docs/architecture.md).  ``packets_sent - packets_dropped`` always equals
 the number of packets handed to the inner channel.
-
-Pooled packets: a fault drop happens *before* the pooled channel marks
-the packet in flight, so a dropped packet is simply left to the garbage
-collector instead of returning to the free list — correctness is
-unaffected, the pool just recycles one packet fewer.
 """
 
 from __future__ import annotations
@@ -374,7 +369,7 @@ def build_injectors(
 class FaultInjectionChannel(SinkDelivery):
     """:class:`DeliveryChannel` wrapper running packets through injectors.
 
-    Wraps any inner channel (plain, pooled, or another fault channel).
+    Wraps any inner channel (plain, or another fault channel).
     Offered packets traverse the pipeline at send time: the first
     injector returning ``None`` drops the packet (counted once in
     ``stats.packets_dropped`` plus the injector's reason counter);

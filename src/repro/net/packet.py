@@ -170,7 +170,6 @@ class Packet:
         "packet_id",
         "created_at",
         "_flow_key",
-        "in_flight",
     )
 
     def __init__(
@@ -198,9 +197,6 @@ class Packet:
         self.packet_id = next(_packet_ids) if packet_id is None else packet_id
         self.created_at = created_at
         self._flow_key: Optional[FlowKey] = None
-        #: Maintained by pooled delivery channels: True while a delivery
-        #: of this packet is scheduled.  See :class:`PacketPool`.
-        self.in_flight = False
 
     # ------------------------------------------------------------------
     # destination (flow-key cache invalidation point)
@@ -311,7 +307,6 @@ class Packet:
         clone.packet_id = next(_packet_ids)
         clone.created_at = self.created_at
         clone._flow_key = self._flow_key
-        clone.in_flight = False
         return clone
 
     def __eq__(self, other: object) -> bool:
@@ -347,9 +342,12 @@ class Packet:
 class PacketPool:
     """Free lists of :class:`Packet` and :class:`TCPSegment` objects.
 
-    A packet-grain replay allocates a handful of packets per query and
-    drops every one of them within microseconds of simulated time; the
-    pool recycles those carcasses so the steady state allocates nothing.
+    Nothing in ``src/`` draws from one any more — every node constructs
+    its packets plainly.  The class and :func:`make_syn`'s ``pool``
+    argument stay because the repository benchmark's
+    ``net.packet_build_pooled_ns`` microbenchmark
+    (``benchmarks/perf/micro.py``, frozen) still times them; the
+    benchmark change that retires that metric deletes both.
 
     Reuse can never leak state because :meth:`acquire` *re-runs the
     ordinary constructor* on the recycled object: every slot — the
@@ -357,18 +355,7 @@ class PacketPool:
     through ``__init__`` with full validation, and a fresh ``packet_id``
     is drawn from the same global counter a new object would use.  A
     pooled packet is therefore field-for-field identical to a freshly
-    constructed one (pinned by a hypothesis property test), and pooled
-    runs are bit-identical to unpooled ones.
-
-    Ownership protocol (enforced by the pooled delivery channel, see
-    :class:`~repro.net.channel.PooledInProcessChannel`): the channel
-    sets :attr:`Packet.in_flight` when a delivery is scheduled and
-    clears it when it fires; after ``sink.receive(packet)`` returns, a
-    packet whose flag is still clear was not re-sent, so no component
-    holds it (nodes never retain packets beyond ``receive``) and it goes
-    back on the free list.  Pool use is opt-in per testbed
-    (``TestbedConfig.packet_pooling``); the unpooled path stays the
-    reference.
+    constructed one (pinned by a hypothesis property test).
     """
 
     __slots__ = ("max_size", "_packets", "_segments", "reused", "released")
@@ -453,7 +440,7 @@ def make_syn(
     pool: Optional[PacketPool] = None,
 ) -> Packet:
     """Convenience constructor for a connection-request (SYN) packet."""
-    if pool is not None:
+    if pool is not None:  # read only by benchmarks/perf/micro.py (frozen)
         return pool.acquire(
             src=src,
             dst=dst,
@@ -482,7 +469,6 @@ def make_reset(
     flow_key: FlowKey,
     request_id: Optional[int] = None,
     created_at: float = 0.0,
-    pool: Optional[PacketPool] = None,
 ) -> Packet:
     """RST addressed to the initiator of ``flow_key``.
 
@@ -492,18 +478,6 @@ def make_reset(
     server application (backlog overflow, request timeout) and the
     virtual router (data for a non-existent connection).
     """
-    if pool is not None:
-        return pool.acquire(
-            src=flow_key.dst_address,
-            dst=flow_key.src_address,
-            tcp=pool.acquire_segment(
-                src_port=flow_key.dst_port,
-                dst_port=flow_key.src_port,
-                flags=TCPFlag.RST,
-                request_id=request_id,
-            ),
-            created_at=created_at,
-        )
     return Packet(
         src=flow_key.dst_address,
         dst=flow_key.src_address,

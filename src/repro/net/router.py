@@ -147,12 +147,6 @@ class NetworkNode:
     attached fabric.
     """
 
-    #: Optional :class:`~repro.net.packet.PacketPool` the node draws new
-    #: packets from.  ``None`` (the default) means plain construction —
-    #: the reference path.  ``build_testbed`` sets this on every
-    #: packet-constructing node of a pooled testbed.
-    packet_pool = None
-
     def __init__(self, simulator: Simulator, name: str) -> None:
         self.simulator = simulator
         self.name = name

@@ -215,7 +215,6 @@ class ServerNode(NetworkNode):
                         flow_key,
                         request_id=tcp.request_id,
                         created_at=self.simulator.now,
-                        pool=self.packet_pool,
                     )
                 )
             return
@@ -236,33 +235,18 @@ class ServerNode(NetworkNode):
         # The server's own segment is already "traversed" when the packet
         # leaves: advance once so the load balancer is the active segment.
         srh.advance()
-        pool = self.packet_pool
-        if pool is None:
-            packet = Packet(
-                src=flow_key.dst_address,  # the VIP: clients talk to the service
-                dst=srh.active_segment,
-                tcp=TCPSegment(
-                    src_port=flow_key.dst_port,
-                    dst_port=flow_key.src_port,
-                    flags=SYN_ACK,
-                    request_id=connection.request_id,
-                ),
-                srh=srh,
-                created_at=self.simulator.now,
-            )
-        else:
-            packet = pool.acquire(
-                src=flow_key.dst_address,
-                dst=srh.active_segment,
-                tcp=pool.acquire_segment(
-                    src_port=flow_key.dst_port,
-                    dst_port=flow_key.src_port,
-                    flags=SYN_ACK,
-                    request_id=connection.request_id,
-                ),
-                srh=srh,
-                created_at=self.simulator.now,
-            )
+        packet = Packet(
+            src=flow_key.dst_address,  # the VIP: clients talk to the service
+            dst=srh.active_segment,
+            tcp=TCPSegment(
+                src_port=flow_key.dst_port,
+                dst_port=flow_key.src_port,
+                flags=SYN_ACK,
+                request_id=connection.request_id,
+            ),
+            srh=srh,
+            created_at=self.simulator.now,
+        )
         self.send(packet)
 
     def send_reset(self, connection: ServerConnection) -> None:
@@ -272,40 +256,24 @@ class ServerNode(NetworkNode):
                 connection.flow_key,
                 request_id=connection.request_id,
                 created_at=self.simulator.now,
-                pool=self.packet_pool,
             )
         )
 
     def send_response(self, connection: ServerConnection, payload_size: int) -> None:
         """Send the HTTP response directly to the client (direct return)."""
         flow_key = connection.flow_key
-        pool = self.packet_pool
-        if pool is None:
-            packet = Packet(
-                src=flow_key.dst_address,
-                dst=flow_key.src_address,
-                tcp=TCPSegment(
-                    src_port=flow_key.dst_port,
-                    dst_port=flow_key.src_port,
-                    flags=PSH_ACK,
-                    payload_size=payload_size,
-                    request_id=connection.request_id,
-                ),
-                created_at=self.simulator.now,
-            )
-        else:
-            packet = pool.acquire(
-                src=flow_key.dst_address,
-                dst=flow_key.src_address,
-                tcp=pool.acquire_segment(
-                    src_port=flow_key.dst_port,
-                    dst_port=flow_key.src_port,
-                    flags=PSH_ACK,
-                    payload_size=payload_size,
-                    request_id=connection.request_id,
-                ),
-                created_at=self.simulator.now,
-            )
+        packet = Packet(
+            src=flow_key.dst_address,
+            dst=flow_key.src_address,
+            tcp=TCPSegment(
+                src_port=flow_key.dst_port,
+                dst_port=flow_key.src_port,
+                flags=PSH_ACK,
+                payload_size=payload_size,
+                request_id=connection.request_id,
+            ),
+            created_at=self.simulator.now,
+        )
         self.send(packet)
 
     # ------------------------------------------------------------------

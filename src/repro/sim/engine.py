@@ -34,51 +34,34 @@ Design points
   so an :class:`EventHandle` kept around by a component cannot pin the
   callback's closure — and everything it captured, packets included —
   for the rest of a replay.
-* **Batched dispatch.**  The run loop (factored into
-  :mod:`repro.sim._fastloop` so it can optionally be compiled) drains
-  all ready entries sharing the current timestamp in one pass — one
-  clock advance and one cancelled-entry sweep per batch — with a
-  singleton fast path for the common case of a unique timestamp.
-  :attr:`Simulator.batch_stats` reports the observed batch-size
-  distribution.
+* **One run loop.**  :meth:`Simulator.run` pops and dispatches one
+  event at a time; events sharing a timestamp run in ``(time,
+  sequence)`` order because that is what the heap yields.
+  :meth:`Simulator.step` executes the same sequence one call at a time
+  and is the reference the loop is held to by a property test.
 * **No wall-clock coupling.**  The engine never sleeps; a 24-hour
   Wikipedia replay runs as fast as Python can drain the event heap.
-
-Setting ``REPRO_COMPILED=1`` in the environment makes this module
-prefer a compiled build of the run loop (``repro.sim._fastloop_c``,
-produced by ``make build-fast``) and fall back to the pure-Python loop
-when no build is present.  :data:`COMPILED_LOOP` reports which one is
-active.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.clock import SimulationClock
 from repro.sim.random_streams import RandomStreams
 
-if os.environ.get("REPRO_COMPILED") == "1":
-    try:
-        from repro.sim import _fastloop_c as _fastloop  # type: ignore[no-redef]
-    except ImportError:  # no compiled build present: pure Python is canonical
-        from repro.sim import _fastloop
-else:
-    from repro.sim import _fastloop
-
-_run_loop = _fastloop.run_loop
-#: Marker stored in :attr:`_ScheduledEvent.arg` when an event was
-#: scheduled without an argument (owned by the active loop module).
-NO_ARG = _fastloop.NO_ARG
-#: True when the mypyc-compiled run loop is active (``REPRO_COMPILED=1``
-#: and ``make build-fast`` has produced ``repro.sim._fastloop_c``).
-COMPILED_LOOP: bool = bool(getattr(_fastloop, "COMPILED", False))
+#: ``event.arg`` of an event scheduled without an argument: its callback
+#: runs as ``callback()``, every other event's as ``callback(arg)``.
+NO_ARG: Any = object()
+#: Read only by benchmarks/perf/child.py (frozen), which refuses to run
+#: when it is truthy; there is no compiled loop.
+COMPILED_LOOP = False
 
 #: Runs as ``callback()``, or as ``callback(arg)`` when the event was
 #: scheduled with an argument.
@@ -163,13 +146,7 @@ class EventHandle:
         event = self._event
         if event.cancelled:
             return
-        if event.done:
-            # Off the heap.  With its callback still set it is a member
-            # of the batch being executed that has not run yet: mark it
-            # so the run loop skips it (and drops the references).
-            # Otherwise it already ran or was drained: nothing to cancel.
-            if event.callback is not None:
-                event.cancelled = True
+        if event.done:  # already ran, or was drained: nothing to cancel
             return
         # Still on the heap: the callback can be dropped right away (the
         # run loop will skip the entry), and the owning simulator keeps
@@ -184,35 +161,11 @@ class EventHandle:
         event = self._event
         if event.cancelled:
             state = "cancelled"
-        elif event.done and event.callback is None:
+        elif event.done:
             state = "done"  # ran, or was drained
         else:
             state = "pending"
         return f"EventHandle(time={self.time!r}, label={self.label!r}, {state})"
-
-
-@dataclass(frozen=True)
-class BatchStats:
-    """Batch-size distribution observed by the run loop so far.
-
-    A *batch* is one clock advance: either a singleton (an event whose
-    timestamp no other ready event shared — the overwhelmingly common
-    case in packet-grain replays) or a same-timestamp group executed in
-    one pass.  ``size_counts`` maps batch size to occurrence count,
-    singletons included under size 1.
-    """
-
-    batches: int
-    events: int
-    max_size: int
-    size_counts: Dict[int, int]
-
-    @property
-    def mean_size(self) -> float:
-        """Average events per clock advance (0.0 before any event ran)."""
-        if self.batches == 0:
-            return 0.0
-        return self.events / self.batches
 
 
 class Simulator:
@@ -236,14 +189,6 @@ class Simulator:
         self._stopped = False
         self._events_executed = 0
         self._cancelled_on_heap = 0
-        # Batched-dispatch state: one scratch list reused across batches
-        # (the run loop clears it after each batch) and the batch-size
-        # tallies behind :attr:`batch_stats`.  Singletons are a bare
-        # counter because they are the common case and a dict update per
-        # event would be measurable.
-        self._batch: List[_ScheduledEvent] = []
-        self._batch_singletons = 0
-        self._batch_size_counts: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # scheduling
@@ -264,20 +209,9 @@ class Simulator:
         return len(self._heap)
 
     @property
-    def batch_stats(self) -> BatchStats:
-        """Batch-size distribution of every event executed so far."""
-        size_counts = dict(self._batch_size_counts)
-        if self._batch_singletons:
-            size_counts[1] = size_counts.get(1, 0) + self._batch_singletons
-        batches = sum(size_counts.values())
-        events = sum(size * count for size, count in size_counts.items())
-        max_size = max(size_counts) if size_counts else 0
-        return BatchStats(
-            batches=batches,
-            events=events,
-            max_size=max_size,
-            size_counts=size_counts,
-        )
+    def batch_stats(self) -> SimpleNamespace:
+        """Read only by benchmarks/perf/tracing.py (frozen): ``batches``, one per event."""
+        return SimpleNamespace(batches=self._events_executed)
 
     def schedule_at(
         self,
@@ -428,11 +362,38 @@ class Simulator:
         self._running = True
         self._stopped = False
         clock = self.clock
+        heap = self._heap
+        heappop = heapq.heappop
+        no_arg = NO_ARG
+        executed = 0
         try:
-            # The event-execution loop lives in repro.sim._fastloop (the
-            # module-level `_run_loop` binding, possibly the compiled
-            # build) so one source of truth serves both paths.
-            _run_loop(self, until, max_events)
+            while heap:
+                if self._stopped:
+                    break
+                if max_events is not None and executed >= max_events:
+                    break
+                entry = heap[0]
+                event = entry[2]
+                if event.cancelled:
+                    heappop(heap)
+                    self._discard(event)
+                    continue
+                time = entry[0]
+                if until is not None and time > until:
+                    break
+                heappop(heap)
+                event.done = True
+                callback = event.callback
+                event.callback = None
+                clock._now = time
+                arg = event.arg
+                if arg is no_arg:
+                    callback()
+                else:
+                    event.arg = no_arg
+                    callback(arg)
+                self._events_executed += 1
+                executed += 1
             # Honour `run(until=T) == T` whenever no live event remains
             # at or before the horizon, regardless of why the loop ended
             # (heap drained, next event past the horizon, `max_events`

@@ -18,8 +18,10 @@ buffer and ships the payloads home inside the cell result; the parent's
 from __future__ import annotations
 
 import os
+from math import isfinite
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import TelemetryError
 from repro.telemetry.bus import TelemetryPayload
 
 #: Enablement flag; any non-empty value other than ``0`` enables.
@@ -52,23 +54,37 @@ def telemetry_enabled() -> bool:
 
 
 def sampling_interval() -> float:
-    """The probe's sampling period, in simulated seconds."""
+    """The probe's sampling period, in simulated seconds.
+
+    Unset or empty means :data:`DEFAULT_INTERVAL`; anything else must be
+    a finite positive number.
+    """
     raw = os.environ.get(ENV_INTERVAL, "")
+    if not raw:
+        return DEFAULT_INTERVAL
     try:
-        interval = float(raw) if raw else DEFAULT_INTERVAL
+        interval = float(raw)
     except ValueError:
-        interval = DEFAULT_INTERVAL
-    return interval if interval > 0 else DEFAULT_INTERVAL
+        interval = 0.0
+    if not (interval > 0 and isfinite(interval)):
+        raise TelemetryError(
+            f"{ENV_INTERVAL}={raw}: expected a finite positive number of seconds"
+        )
+    return interval
 
 
 def ring_capacity() -> Optional[int]:
-    """Ring-capacity override, or ``None`` for the bus default."""
+    """Ring-capacity override, or ``None`` (unset or empty) for the bus default."""
     raw = os.environ.get(ENV_CAPACITY, "")
+    if not raw:
+        return None
     try:
-        capacity = int(raw) if raw else 0
+        capacity = int(raw)
     except ValueError:
         capacity = 0
-    return capacity if capacity > 0 else None
+    if capacity <= 0:
+        raise TelemetryError(f"{ENV_CAPACITY}={raw}: expected a positive integer")
+    return capacity
 
 
 # ----------------------------------------------------------------------

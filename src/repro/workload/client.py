@@ -273,31 +273,17 @@ class TrafficGeneratorNode(NetworkNode):
 
     def _send_syn(self, pending: _PendingQuery) -> None:
         """(Re)send the SYN of ``pending``'s current connection attempt."""
-        pool = self.packet_pool
-        if pool is None:
-            syn = Packet(
-                src=self.primary_address,
-                dst=self.vip,
-                tcp=TCPSegment(
-                    src_port=pending.src_port,
-                    dst_port=HTTP_PORT,
-                    flags=TCPFlag.SYN,
-                    request_id=pending.request.request_id,
-                ),
-                created_at=self.simulator.now,
-            )
-        else:
-            syn = pool.acquire(
-                src=self.primary_address,
-                dst=self.vip,
-                tcp=pool.acquire_segment(
-                    src_port=pending.src_port,
-                    dst_port=HTTP_PORT,
-                    flags=TCPFlag.SYN,
-                    request_id=pending.request.request_id,
-                ),
-                created_at=self.simulator.now,
-            )
+        syn = Packet(
+            src=self.primary_address,
+            dst=self.vip,
+            tcp=TCPSegment(
+                src_port=pending.src_port,
+                dst_port=HTTP_PORT,
+                flags=TCPFlag.SYN,
+                request_id=pending.request.request_id,
+            ),
+            created_at=self.simulator.now,
+        )
         self.send(syn)
 
     # ------------------------------------------------------------------
@@ -458,31 +444,17 @@ class TrafficGeneratorNode(NetworkNode):
             # The query already finished (e.g. reset) or was retried on a
             # new connection; stop uploading on the stale one.
             return
-        pool = self.packet_pool
-        if pool is None:
-            probe = Packet(
-                src=self.primary_address,
-                dst=self.vip,
-                tcp=TCPSegment(
-                    src_port=pending.src_port,
-                    dst_port=HTTP_PORT,
-                    flags=TCPFlag.ACK,
-                    request_id=request_id,
-                ),
-                created_at=self.simulator.now,
-            )
-        else:
-            probe = pool.acquire(
-                src=self.primary_address,
-                dst=self.vip,
-                tcp=pool.acquire_segment(
-                    src_port=pending.src_port,
-                    dst_port=HTTP_PORT,
-                    flags=TCPFlag.ACK,
-                    request_id=request_id,
-                ),
-                created_at=self.simulator.now,
-            )
+        probe = Packet(
+            src=self.primary_address,
+            dst=self.vip,
+            tcp=TCPSegment(
+                src_port=pending.src_port,
+                dst_port=HTTP_PORT,
+                flags=TCPFlag.ACK,
+                request_id=request_id,
+            ),
+            created_at=self.simulator.now,
+        )
         self.send(probe)
 
     def _finish_upload(self, request_id: int, attempt: int = 0) -> None:
@@ -492,33 +464,18 @@ class TrafficGeneratorNode(NetworkNode):
         self._send_request_data(pending)
 
     def _send_request_data(self, pending: _PendingQuery) -> None:
-        pool = self.packet_pool
-        if pool is None:
-            data = Packet(
-                src=self.primary_address,
-                dst=self.vip,
-                tcp=TCPSegment(
-                    src_port=pending.src_port,
-                    dst_port=HTTP_PORT,
-                    flags=PSH_ACK,
-                    payload_size=REQUEST_PAYLOAD_SIZE,
-                    request_id=pending.request.request_id,
-                ),
-                created_at=self.simulator.now,
-            )
-        else:
-            data = pool.acquire(
-                src=self.primary_address,
-                dst=self.vip,
-                tcp=pool.acquire_segment(
-                    src_port=pending.src_port,
-                    dst_port=HTTP_PORT,
-                    flags=PSH_ACK,
-                    payload_size=REQUEST_PAYLOAD_SIZE,
-                    request_id=pending.request.request_id,
-                ),
-                created_at=self.simulator.now,
-            )
+        data = Packet(
+            src=self.primary_address,
+            dst=self.vip,
+            tcp=TCPSegment(
+                src_port=pending.src_port,
+                dst_port=HTTP_PORT,
+                flags=PSH_ACK,
+                payload_size=REQUEST_PAYLOAD_SIZE,
+                request_id=pending.request.request_id,
+            ),
+            created_at=self.simulator.now,
+        )
         self.send(data)
 
     def _finish(

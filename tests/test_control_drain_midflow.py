@@ -5,9 +5,8 @@ established connection: a flow accepted by a server that starts draining
 must complete without RSTs, because (a) the load balancers keep steering
 its packets through their flow tables even after the server leaves the
 candidate pools, and (b) the Service Hunting layer only refuses *new*
-optional offers.  These tests pin that promise at both load-balancing
-layers — the realistic per-packet-ECMP :class:`LoadBalancerTier` and the
-idealised :class:`ECMPRouterNode`/:class:`LoadBalancerFleet` — plus the
+optional offers.  These tests pin that promise at the load-balancing
+layer — the per-packet-ECMP :class:`LoadBalancerTier` — plus the
 hunting-level drain semantics in isolation.
 
 Clients trickle their uploads over ~1 s (``request_spread``), so every
@@ -19,7 +18,6 @@ import pytest
 
 from repro.core.agent import ApplicationAgent
 from repro.core.candidate_selection import ConsistentHashCandidateSelector
-from repro.core.fleet import LoadBalancerFleet
 from repro.core.lb_tier import LoadBalancerTier
 from repro.core.policies import make_policy
 from repro.core.service_hunting import HuntingDecision, ServiceHuntingProcessor
@@ -117,7 +115,7 @@ def _assert_graceful(collector, servers, drained):
 
 
 class TestDrainAtTheTierLayer:
-    """Graceful drain behind the realistic per-packet ECMP tier."""
+    """Graceful drain behind the per-packet ECMP tier."""
 
     def test_in_flight_flows_complete_without_resets(self, simulator):
         fabric = LANFabric(simulator, latency=1e-5)
@@ -173,6 +171,8 @@ class TestDrainAtTheTierLayer:
         assert tier.router.invalidate_next_hop_cache() == 0
         tier.add_backend(VIP, backends[-1])
         assert tier.router.invalidate_next_hop_cache() == 0
+        for instance in tier.instances:
+            assert backends[-1] in instance.backends_for(VIP)
 
     def test_removing_the_last_backend_is_refused_without_side_effects(
         self, simulator
@@ -222,59 +222,6 @@ class TestDrainAtTheTierLayer:
         # Nothing was mutated by the refused removal.
         assert set(tier.instances[1].backends_for(VIP)) == {first, second}
         assert tier.instances[0].backends_for(VIP) == [second]
-
-
-class TestDrainAtTheFleetLayer:
-    """Graceful drain behind the idealised flow-aware ECMP router."""
-
-    def test_in_flight_flows_complete_without_resets(self, simulator):
-        fabric = LANFabric(simulator, latency=1e-5)
-        catalog = RequestCatalog()
-        collector = ResponseTimeCollector(name="drain-fleet")
-        server_addresses = [_addr(f"fd00:100::{i + 1:x}") for i in range(4)]
-        fleet = LoadBalancerFleet(
-            simulator,
-            anycast_address=STEERING,
-            instance_addresses=[_addr("fd00:400::1"), _addr("fd00:400::2")],
-            selector_factory=lambda: ConsistentHashCandidateSelector(
-                num_candidates=2, table_size=251
-            ),
-        )
-        fleet.register_vip(VIP, server_addresses)
-        fleet.attach(fabric)
-        servers = _make_servers(
-            simulator, fabric, catalog, server_addresses, STEERING
-        )
-        client = TrafficGeneratorNode(
-            simulator, "client", CLIENT, VIP, collector,
-            request_spread=1.0, request_chunks=4,
-        )
-        client.attach(fabric)
-
-        drained = _run_drain_scenario(
-            simulator, fleet, servers, client, catalog, drain_at=0.6
-        )
-        _assert_graceful(collector, servers, drained)
-        for instance in fleet.instances:
-            assert drained.primary_address not in instance.backends_for(VIP)
-
-    def test_add_backend_reaches_every_instance(self, simulator):
-        fleet = LoadBalancerFleet(
-            simulator,
-            anycast_address=STEERING,
-            instance_addresses=[_addr("fd00:400::1"), _addr("fd00:400::2")],
-            selector_factory=lambda: ConsistentHashCandidateSelector(
-                num_candidates=2, table_size=251
-            ),
-        )
-        backends = [_addr("fd00:100::1"), _addr("fd00:100::2")]
-        fleet.register_vip(VIP, backends)
-        newcomer = _addr("fd00:100::3")
-        fleet.add_backend(VIP, newcomer)
-        for instance in fleet.instances:
-            assert newcomer in instance.backends_for(VIP)
-        assert fleet.remove_backend(VIP, newcomer)
-        assert not fleet.remove_backend(VIP, newcomer)
 
 
 class TestHuntingDrainSemantics:

@@ -1,9 +1,10 @@
-"""Doc-vs-harness consistency: ``docs/performance.md`` must match reality.
+"""Doc-vs-tree consistency for the performance pages and the env surface.
 
-Same spirit as ``test_docs_cli.py``: the performance page documents the
-perf harness (`make perf`, `BENCH_PERF.json`, the benchmark cells), so
-these tests introspect the Makefile, the benchmark driver and the
-committed trajectory file and fail when the documentation drifts.
+Same spirit as ``test_docs_cli.py``: the docs name make targets,
+``REPRO_*`` environment variables, benchmark workloads and metrics, and
+ledger and benchmark files.  These tests read the Makefile, ``src/``,
+``BENCHMARK.json`` and the tree, and fail when a name in the docs no
+longer exists — or when a variable the code reads is undocumented.
 """
 
 from __future__ import annotations
@@ -15,103 +16,87 @@ from pathlib import Path
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-DOC_PATH = REPO_ROOT / "docs" / "performance.md"
-BENCH_PATH = REPO_ROOT / "benchmarks" / "bench_perf_hotpath.py"
-REPORT_PATH = REPO_ROOT / "BENCH_PERF.json"
+DOC_PAGES = ["README.md", *sorted(f"docs/{p.name}" for p in (REPO_ROOT / "docs").glob("*.md"))]
+#: Pages whose ``REPRO_*`` names must be live (performance.md also
+#: names deleted flags, as history).
+ENV_PAGES = ("README.md", "docs/cli.md", "docs/architecture.md")
 
-#: The perf cells the harness defines; the doc must describe every one.
-PERF_CELLS = (
-    "poisson-high-load",
-    "wikipedia-slice",
-    "resilience-churn",
-    "scale-partitioned",
-    "telemetry-overhead",
-)
+_ENV_NAME = re.compile(r"\bREPRO_[A-Z][A-Z_]*[A-Z]\b")
 
-#: Record slots kept per (profile, cell) in BENCH_PERF.json.
-PERF_SLOTS = ("pre_pr", "baseline", "latest")
+
+def _read(relative: str) -> str:
+    return (REPO_ROOT / relative).read_text(encoding="utf-8")
+
+
+def _env_names_read_under(directory: str, pattern: str) -> set:
+    names = set()
+    for path in (REPO_ROOT / directory).glob(pattern):
+        names.update(_ENV_NAME.findall(path.read_text(encoding="utf-8")))
+    return names
 
 
 @pytest.fixture(scope="module")
 def doc_text() -> str:
-    assert DOC_PATH.exists(), f"missing performance documentation: {DOC_PATH}"
-    return DOC_PATH.read_text(encoding="utf-8")
+    return _read("docs/performance.md")
 
 
-@pytest.fixture(scope="module")
-def makefile_text() -> str:
-    return (REPO_ROOT / "Makefile").read_text(encoding="utf-8")
-
-
-def test_documented_make_targets_exist(doc_text, makefile_text):
-    for target in re.findall(r"`make ([a-z-]+)`", doc_text):
-        assert re.search(rf"^{re.escape(target)}:", makefile_text, re.M), (
-            f"docs/performance.md mentions `make {target}`, which is not "
-            "a Makefile target"
-        )
-
-
-def test_perf_targets_are_documented(doc_text):
-    for target in ("make perf", "make perf-smoke"):
-        assert f"`{target}`" in doc_text
-
-
-def test_every_perf_cell_is_documented(doc_text):
-    bench_text = BENCH_PATH.read_text(encoding="utf-8")
-    for cell in PERF_CELLS:
-        assert f'"{cell}"' in bench_text, (
-            f"cell {cell!r} is not defined by benchmarks/bench_perf_hotpath.py"
-        )
-        assert f"`{cell}`" in doc_text, (
-            f"perf cell {cell!r} is not documented in docs/performance.md"
-        )
-
-
-def test_doc_mentions_no_stale_cell(doc_text):
-    """Cells named in the doc's table must exist in the harness."""
-    bench_text = BENCH_PATH.read_text(encoding="utf-8")
-    for line in doc_text.splitlines():
-        match = re.match(r"\| `([a-z0-9-]+)` \|", line)
-        if match:
-            cell = match.group(1)
-            assert f'"{cell}"' in bench_text, (
-                f"docs/performance.md documents cell {cell!r}, which the "
-                "perf harness does not define"
+def test_documented_make_targets_exist():
+    makefile_text = _read("Makefile")
+    for page in DOC_PAGES:
+        for target in re.findall(r"`make ([a-z][a-z-]*)`", _read(page)):
+            assert re.search(rf"^{re.escape(target)}:", makefile_text, re.M), (
+                f"{page} mentions `make {target}`, which is not a Makefile target"
             )
 
 
-def test_bench_perf_json_is_committed_with_baseline_and_methodology():
-    assert REPORT_PATH.exists(), (
-        "BENCH_PERF.json must be committed (run `make perf` and "
-        "`benchmarks/bench_perf_hotpath.py --write baseline`)"
-    )
-    data = json.loads(REPORT_PATH.read_text(encoding="utf-8"))
-    assert data.get("metric") == "events_per_sec"
-    assert data.get("methodology"), "BENCH_PERF.json must describe its methodology"
-    profiles = data.get("profiles", {})
-    for profile in ("full", "smoke"):
-        assert profile in profiles, f"BENCH_PERF.json lacks the {profile!r} profile"
-        for cell in PERF_CELLS:
-            records = profiles[profile].get(cell, {})
-            assert "baseline" in records, (
-                f"BENCH_PERF.json lacks a committed baseline for "
-                f"({profile}, {cell})"
-            )
-            for slot, record in records.items():
-                assert slot in PERF_SLOTS
-                assert record["events_per_sec"] > 0
+def test_documented_environment_variables_are_read_by_the_code():
+    # REPRO_BENCH_* are the functional benchmarks' scale knobs
+    # (benchmarks/conftest.py); everything else must be read under src/.
+    live = _env_names_read_under("src", "**/*.py") | {
+        name
+        for name in _env_names_read_under("benchmarks", "*.py")
+        if name.startswith("REPRO_BENCH_")
+    }
+    for page in ENV_PAGES:
+        for name in sorted(set(_ENV_NAME.findall(_read(page)))):
+            assert name in live, f"{page} names {name}, which no code reads"
 
 
-def test_doc_documents_every_slot(doc_text):
-    for slot in PERF_SLOTS:
-        assert f"`{slot}`" in doc_text, (
-            f"BENCH_PERF.json slot {slot!r} is not documented in "
-            "docs/performance.md"
+def test_every_environment_variable_the_code_reads_is_in_the_cli_page():
+    cli_page = _read("docs/cli.md")
+    read = _env_names_read_under("src", "**/*.py")
+    assert read, "expected src/ to read at least REPRO_TELEMETRY"
+    for name in sorted(read):
+        assert f"`{name}`" in cli_page, f"src/ reads {name}; docs/cli.md does not document it"
+
+
+def test_doc_names_every_workload_and_end_to_end_metric(doc_text):
+    declared = json.loads(_read("BENCHMARK.json"))
+    for entry in declared["workloads"] + declared["end_to_end"]:
+        assert f"`{entry['name']}`" in doc_text, (
+            f"BENCHMARK.json declares {entry['name']!r}; docs/performance.md "
+            "does not name it"
         )
+
+
+def test_doc_names_no_missing_ledger_or_bench_file(doc_text):
+    named = set(re.findall(r"`([\w./-]+\.json)`", doc_text))
+    named.update(re.findall(r"`([\w./-]*bench_\w+\.py)`", doc_text))
+    assert "BENCHMARK.json" in named
+    for name in sorted(named):
+        # A path is taken from the root; a bare name may sit anywhere.
+        present = (REPO_ROOT / name).exists() or (
+            "/" not in name
+            and any(
+                next((REPO_ROOT / directory).rglob(name), None) is not None
+                for directory in ("benchmarks", "tests", "docs")
+            )
+        )
+        assert present, f"docs/performance.md names `{name}`, which is not in the tree"
 
 
 def test_readme_has_a_performance_section():
-    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    readme = _read("README.md")
     assert "## Performance" in readme
-    assert "BENCH_PERF.json" in readme
+    assert "`BENCHMARK.json`" in readme
     assert "docs/performance.md" in readme

@@ -16,21 +16,18 @@ and their count does not depend on how a CPython version attributes
 builtin calls.
 """
 
-import ast
 import cProfile
 import io
 import pstats
-from pathlib import Path
 
 from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import TestbedConfig, sr_policy
 from repro.experiments.platform import build_testbed
 from repro.experiments.poisson_experiment import make_poisson_trace
-from repro.sim import _fastloop
 
 QUERIES = 300
 
-#: Measured on this cell in a fresh process: 52 942 calls, 2 194 sends
+#: Measured on this cell in a fresh process: 52 941 calls, 2 194 sends
 #: — 176.5 per query, 24.1 per fabric send (the parent of the change
 #: that introduced this test: 97 860 calls, 326.2 and 44.6).  Budgets
 #: are the measured values plus 10 %.
@@ -39,16 +36,14 @@ CALLS_PER_SEND_BUDGET = 26.5
 
 
 def _profile_small_poisson_cell(monkeypatch):
-    # The shipped default path: no probe, no packet pool.
-    for flag in ("REPRO_TELEMETRY", "REPRO_PACKET_POOLING"):
-        monkeypatch.delenv(flag, raising=False)
+    # The shipped default path: no probe.
+    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
     config = TestbedConfig(
         num_servers=4,
         workers_per_server=8,
         cores_per_server=2,
         backlog_capacity=16,
         seed=7,
-        packet_pooling=False,
     )
     trace = make_poisson_trace(
         load_factor=0.88,
@@ -95,31 +90,3 @@ def test_replay_stays_inside_its_python_call_budget(monkeypatch):
         + _top_rows(stats)
     )
 
-
-def test_run_loop_stays_in_the_plain_python_subset():
-    # tools/build_fastloop.py compiles a byte-identical copy of this
-    # module with mypyc; keep it to what mypyc compiles well: one
-    # module-level function, no decorators, closures, lambdas,
-    # generators or comprehensions, no classes.
-    tree = ast.parse(Path(_fastloop.__file__).read_text())
-    functions = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    assert [function.name for function in functions] == ["run_loop"]
-    assert functions[0].decorator_list == []
-    dynamic = (
-        ast.Lambda,
-        ast.ClassDef,
-        ast.GeneratorExp,
-        ast.ListComp,
-        ast.SetComp,
-        ast.DictComp,
-        ast.Yield,
-        ast.YieldFrom,
-        ast.Global,
-        ast.Nonlocal,
-    )
-    offenders = [type(node).__name__ for node in ast.walk(tree) if isinstance(node, dynamic)]
-    assert offenders == []

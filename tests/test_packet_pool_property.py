@@ -69,7 +69,6 @@ def _assert_field_for_field(pooled, fresh):
     assert pooled.srh == fresh.srh
     assert pooled.hop_limit == fresh.hop_limit
     assert pooled.created_at == fresh.created_at
-    assert pooled.in_flight == fresh.in_flight is False
     assert pooled.tcp == fresh.tcp
     assert pooled.flow_key() == fresh.flow_key()
     # The cached key must describe the *current* life, not the previous

@@ -68,6 +68,61 @@ def test_run_until_never_executes_later_events(times, horizon):
     assert sorted(executed) == sorted(times)
 
 
+#: One scheduled event: a timestamp drawn from a *small* set, so that
+#: collisions are the rule, and what its callback does besides logging —
+#: nothing, cancel another handle, schedule at the current time, or stop.
+colliding_schedules = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 1.0, 1.5, 2.0]),
+        st.one_of(
+            st.sampled_from(["noop", "spawn", "stop"]),
+            st.integers(min_value=0, max_value=59),  # cancel that handle
+        ),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _build_colliding_simulator(schedule):
+    simulator = Simulator(seed=0)
+    log = []
+    handles = []
+
+    def fire(index):
+        action = schedule[index][1]
+        log.append((index, simulator.now))
+        if action == "spawn":
+            simulator.schedule_at(simulator.now, log.append, arg=("spawned", index))
+        elif action == "stop":
+            simulator.stop()
+        elif action != "noop":
+            handles[action % len(handles)].cancel()
+
+    for index, (time, _action) in enumerate(schedule):
+        handles.append(simulator.schedule_at(time, fire, arg=index))
+    return simulator, log
+
+
+@given(
+    schedule=colliding_schedules,
+    max_events=st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
+)
+@settings(max_examples=200, deadline=None)
+def test_run_executes_exactly_the_sequence_step_executes(schedule, max_events):
+    # step() is the reference the run loop is held to: same events, same
+    # order, same clock at each, however often run() is interrupted.
+    stepped, reference = _build_colliding_simulator(schedule)
+    while stepped.step():
+        pass
+    resumed, log = _build_colliding_simulator(schedule)
+    while resumed.pending_events:
+        resumed.run(max_events=max_events)
+    assert log == reference
+    assert resumed.events_executed == stepped.events_executed == len(reference)
+    assert resumed.now == stepped.now
+
+
 # ----------------------------------------------------------------------
 # IPv6 addresses
 # ----------------------------------------------------------------------

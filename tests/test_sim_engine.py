@@ -224,9 +224,9 @@ class TestCancellation:
     def test_cancel_by_an_earlier_member_of_the_same_batch_still_skips(
         self, simulator
     ):
-        # The victim is already off the heap (drained into the batch)
-        # but has not run: cancel() must still take effect, and report
-        # it, while the canceller's own late self-cancel stays a no-op.
+        # The victim shares the canceller's timestamp and has not run:
+        # cancel() must take effect, and report it, while the
+        # canceller's own late self-cancel stays a no-op.
         fired = []
         handles = {}
 
@@ -527,9 +527,10 @@ class TestCallbackRelease:
 
 
 class TestBatchedDispatch:
-    """The run loop drains same-timestamp events as one batch; the
-    observable contract (order, cancellation, max_events, step) must be
-    indistinguishable from one-at-a-time dispatch."""
+    """Events sharing a timestamp: the observable contract (scheduling
+    order, cancellation, max_events, stop, step, exceptions) of the one
+    pop-and-dispatch loop.  The class and method names predate the fold
+    of the batched loop and are kept so the test ids stay stable."""
 
     def test_same_timestamp_events_run_in_scheduling_order(self, simulator):
         order = []
@@ -538,15 +539,16 @@ class TestBatchedDispatch:
         simulator.schedule_at(1.0, lambda: order.append("early"))
         simulator.run()
         assert order == ["early"] + list(range(8))
+        assert simulator.batch_stats.batches == simulator.events_executed == 9
 
     def test_events_scheduled_during_a_batch_run_after_it(self, simulator):
         order = []
 
         def spawn():
             order.append("spawn")
-            # Same timestamp as the batch being executed: the new event
-            # has a higher sequence number, so it lands in the *next*
-            # batch at this time, after every member of the current one.
+            # Same timestamp as the running event: the new event has a
+            # higher sequence number, so it runs after every sibling
+            # that was already scheduled at this time.
             simulator.schedule_at(1.0, lambda: order.append("spawned"))
 
         simulator.schedule_at(1.0, spawn)
@@ -578,7 +580,7 @@ class TestBatchedDispatch:
         simulator.run(max_events=4)
         assert fired == [0, 1, 2, 3]
         assert simulator.pending_events == 2
-        # The remainder of the split batch runs on resume, still in order.
+        # The rest of the timestamp runs on resume, still in order.
         simulator.run()
         assert fired == list(range(6))
 
@@ -605,31 +607,19 @@ class TestBatchedDispatch:
         assert simulator.step() is False
         assert fired == [0, 1, 2]
 
-    def test_batch_stats_distinguish_singletons_from_batches(self, simulator):
-        for index in range(5):
-            simulator.schedule_at(1.0, lambda: None)
-        simulator.schedule_at(2.0, lambda: None)
-        simulator.schedule_at(3.0, lambda: None)
-        simulator.run()
-        stats = simulator.batch_stats
-        assert stats.events == 7
-        assert stats.batches == 3
-        assert stats.max_size == 5
-        assert stats.size_counts == {1: 2, 5: 1}
-        assert stats.mean_size == pytest.approx(7 / 3)
-
     def test_exception_mid_batch_keeps_unexecuted_events(self, simulator):
         fired = []
         simulator.schedule_at(1.0, lambda: fired.append("ok"))
 
         def boom():
-            raise RuntimeError("mid-batch failure")
+            raise RuntimeError("mid-timestamp failure")
 
         simulator.schedule_at(1.0, boom)
         simulator.schedule_at(1.0, lambda: fired.append("later"))
         with pytest.raises(RuntimeError):
             simulator.run()
         assert fired == ["ok"]
-        # The unexecuted member survived the abort and runs on resume.
+        assert simulator.events_executed == 1  # the raiser is not counted
+        # The unexecuted event survived the abort and runs on resume.
         simulator.run()
         assert fired == ["ok", "later"]

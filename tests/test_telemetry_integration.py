@@ -22,6 +22,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.errors import TelemetryError
 from repro.experiments.adversarial_experiment import (
     ADVERSARIAL_SCENARIO,
     _attach_gray_failure,
@@ -101,6 +103,56 @@ class TestProbeLifecycle:
         assert "fabric.packets_delivered" in names
         times, values = payload.series("server.busy_fraction")
         assert times.size == values.size > 0
+
+
+class TestEnvironmentKnobs:
+    """``REPRO_TELEMETRY_INTERVAL`` / ``_CAPACITY``: unset and empty mean
+    the default, a usable value is used, anything else fails loudly."""
+
+    @pytest.mark.parametrize("raw", [None, ""])
+    def test_unset_or_empty_means_the_default(self, monkeypatch, raw):
+        for name in (runtime.ENV_INTERVAL, runtime.ENV_CAPACITY):
+            if raw is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, raw)
+        assert runtime.sampling_interval() == runtime.DEFAULT_INTERVAL
+        assert runtime.ring_capacity() is None
+
+    def test_usable_values_are_used(self, monkeypatch):
+        monkeypatch.setenv(runtime.ENV_INTERVAL, "0.5")
+        monkeypatch.setenv(runtime.ENV_CAPACITY, "128")
+        assert runtime.sampling_interval() == 0.5
+        assert runtime.ring_capacity() == 128
+
+    @pytest.mark.parametrize("raw", ["abc", "-1", "0", "nan", "inf", " "])
+    def test_bad_interval_names_the_variable_and_the_value(self, monkeypatch, raw):
+        monkeypatch.setenv(runtime.ENV_INTERVAL, raw)
+        with pytest.raises(TelemetryError, match=f"^REPRO_TELEMETRY_INTERVAL={raw}:"):
+            runtime.sampling_interval()
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5", " "])
+    def test_bad_capacity_names_the_variable_and_the_value(self, monkeypatch, raw):
+        monkeypatch.setenv(runtime.ENV_CAPACITY, raw)
+        with pytest.raises(TelemetryError, match=f"^REPRO_TELEMETRY_CAPACITY={raw}:"):
+            runtime.ring_capacity()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "name,raw",
+        [(runtime.ENV_INTERVAL, "inf"), (runtime.ENV_CAPACITY, "abc")],
+    )
+    def test_cli_prints_one_error_line_and_exits_2(
+        self, monkeypatch, capsys, telemetry_on, jobs, name, raw
+    ):
+        monkeypatch.setenv(name, raw)
+        argv = ["poisson", "--servers", "4", "--workers", "8", "--queries", "50"]
+        status = main(argv + ["--rho", "0.5", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {name}={raw}:")
 
 
 class TestDeterminism:
