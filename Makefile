@@ -4,8 +4,9 @@
 #   make lint                - ruff check (configured in pyproject.toml; skipped
 #                              with a notice when ruff is not installed)
 #   make bench-smoke         - one fast benchmark per scenario family, reduced scale
-#   make bench-smoke-parallel - one tiny Figure-2 sweep through the multiprocessing
-#                              runner (jobs=2), so CI exercises the pool path
+#   make bench-smoke-parallel - a tiny Figure-2 sweep, autoscale and adversarial run
+#                              through the multiprocessing runner (jobs=2), so CI
+#                              ships every shape of run result through the pool
 #   make scale-smoke         - the scale scenario at partitions=1 and 2; asserts the
 #                              merged results are bit-identical (fingerprint check)
 #                              and the coordinator's memory growth stays per-column
@@ -86,10 +87,16 @@ bench-smoke:
 # The same Figure-2 smoke sweep, fanned out over 2 worker processes:
 # a cheap end-to-end signal that the parallel sweep runner still works
 # (and still matches the serial results, which the assertions pin).
+# Autoscale and adversarial ride along so all three shapes of result
+# cross the pool: a family container, a default ScenarioResult with
+# meta and a natively pickled CapacityTracker, and a collapsed comparison.
 bench-smoke-parallel:
 	REPRO_BENCH_QUERIES=800 REPRO_BENCH_RHO_POINTS=2 REPRO_BENCH_JOBS=2 \
+	REPRO_BENCH_TIME_FACTOR=0.2 REPRO_BENCH_ADV_QUERIES=1000 \
 		$(PYTHON) -m pytest -q $(BENCH_OPTS) \
-		benchmarks/bench_figure2_mean_response.py
+		benchmarks/bench_figure2_mean_response.py \
+		benchmarks/bench_autoscale.py \
+		benchmarks/bench_adversarial.py
 
 # One reduced scale run executed over 2 partition processes and again
 # serially; the benchmark asserts the merged results are bit-identical

@@ -86,7 +86,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,6 +148,12 @@ def _policy_spec_from_name(name: str) -> PolicySpec:
     raise ReproError(
         f"unknown policy {name!r}: expected RR, SRdyn or SR<threshold> (e.g. SR4)"
     )
+
+
+def _policies_from_args(args: argparse.Namespace) -> Tuple[PolicySpec, ...]:
+    """The ``--policy`` selections (default RR, SR4, SRdyn), each once."""
+    names = args.policy or ["RR", "SR4", "SRdyn"]
+    return tuple(dict.fromkeys(_policy_spec_from_name(name) for name in names))
 
 
 def _testbed_from_args(args: argparse.Namespace) -> TestbedConfig:
@@ -310,21 +316,17 @@ def _command_calibrate(args: argparse.Namespace) -> int:
 
 def _command_poisson(args: argparse.Namespace) -> int:
     testbed = _testbed_from_args(args)
-    policy_names = args.policy or ["RR", "SR4", "SRdyn"]
-    specs = [_policy_spec_from_name(name) for name in policy_names]
-    load_factors = args.rho or [HIGH_LOAD_FACTOR]
-
     config = PoissonSweepConfig(
         testbed=testbed,
-        load_factors=tuple(dict.fromkeys(load_factors)),
+        load_factors=tuple(dict.fromkeys(args.rho or [HIGH_LOAD_FACTOR])),
         num_queries=args.queries,
         service_mean=args.service_mean,
-        policies=tuple(specs),
+        policies=_policies_from_args(args),
     )
     sweep = PoissonSweep(config).run(jobs=args.jobs)
     rows: List[List[object]] = []
-    for load_factor in load_factors:
-        for spec in specs:
+    for load_factor in config.load_factors:
+        for spec in config.policies:
             result = sweep.run(spec.name, load_factor)
             summary = result.summary
             rows.append(
@@ -461,12 +463,14 @@ def _command_resilience(args: argparse.Namespace) -> int:
         load_factor=args.rho,
         num_queries=args.queries,
         acceptance_policy=args.policy,
-        selection_schemes=tuple(args.scheme or ["random", "consistent-hash"]),
+        selection_schemes=tuple(
+            dict.fromkeys(args.scheme or ["random", "consistent-hash"])
+        ),
         churn=tuple(churn),
     )
     comparison = run_resilience_comparison(config, jobs=args.jobs)
     print(render_resilience_table(comparison))
-    for scheme in comparison.schemes():
+    for scheme in comparison.keys():
         run = comparison.run(scheme)
         for observation in run.observations:
             print(
@@ -484,7 +488,6 @@ def _command_resilience(args: argparse.Namespace) -> int:
 
 def _command_flash_crowd(args: argparse.Namespace) -> int:
     testbed = _testbed_from_args(args)
-    policy_names = args.policy or ["RR", "SR4", "SRdyn"]
     config = FlashCrowdConfig(
         testbed=testbed,
         baseline_load=args.baseline_rho,
@@ -493,7 +496,7 @@ def _command_flash_crowd(args: argparse.Namespace) -> int:
         spike_duration=args.spike_duration,
         recovery_duration=args.recovery_duration,
         bin_width=args.bin_width,
-        policies=tuple(_policy_spec_from_name(name) for name in policy_names),
+        policies=_policies_from_args(args),
     )
     result = run_flash_crowd(config, jobs=args.jobs)
     print(figures.render_scenario_figure("flash-crowd", result))
@@ -501,7 +504,6 @@ def _command_flash_crowd(args: argparse.Namespace) -> int:
 
 
 def _command_heterogeneous_fleet(args: argparse.Namespace) -> int:
-    policy_names = args.policy or ["RR", "SR4", "SRdyn"]
     config = HeterogeneousFleetConfig(
         num_fast=args.fast,
         num_slow=args.slow,
@@ -512,7 +514,7 @@ def _command_heterogeneous_fleet(args: argparse.Namespace) -> int:
         seed=args.seed,
         load_factors=tuple(dict.fromkeys(args.rho or [0.85])),
         num_queries=args.queries,
-        policies=tuple(_policy_spec_from_name(name) for name in policy_names),
+        policies=_policies_from_args(args),
     )
     result = run_heterogeneous_fleet(config, jobs=args.jobs)
     print(figures.render_scenario_figure("heterogeneous-fleet", result))
@@ -541,7 +543,6 @@ def _command_autoscale(args: argparse.Namespace) -> int:
 
 
 def _command_heavy_tail(args: argparse.Namespace) -> int:
-    policy_names = args.policy or ["RR", "SR4", "SRdyn"]
     config = HeavyTailConfig(
         testbed=_testbed_from_args(args),
         load_factor=args.rho,
@@ -550,7 +551,7 @@ def _command_heavy_tail(args: argparse.Namespace) -> int:
         mean_session_length=args.session_length,
         num_users=args.users,
         user_zipf=args.user_zipf,
-        policies=tuple(_policy_spec_from_name(name) for name in policy_names),
+        policies=_policies_from_args(args),
     )
     result = run_heavy_tail(config, jobs=args.jobs)
     print(figures.render_scenario_figure("heavy-tail", result))

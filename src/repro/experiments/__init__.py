@@ -48,7 +48,6 @@ from repro.experiments.scenario import (
 )
 from repro.experiments.platform import Testbed, build_testbed
 from repro.experiments.poisson_experiment import (
-    PoissonRunPayload,
     PoissonRunResult,
     PoissonSweep,
     PoissonSweepResult,
@@ -57,7 +56,6 @@ from repro.experiments.poisson_experiment import (
 )
 from repro.experiments.runner import SweepRunner, resolve_jobs
 from repro.experiments.resilience_experiment import (
-    ResilienceComparison,
     ResilienceRunResult,
     make_resilience_trace,
     render_resilience_table,
@@ -106,7 +104,6 @@ __all__ = [
     "PoissonSweep",
     "PoissonSweepResult",
     "PoissonRunResult",
-    "PoissonRunPayload",
     "SweepRunner",
     "resolve_jobs",
     "run_poisson_once",
@@ -117,7 +114,6 @@ __all__ = [
     "make_wikipedia_trace",
     "ChurnEvent",
     "ResilienceConfig",
-    "ResilienceComparison",
     "ResilienceRunResult",
     "make_resilience_trace",
     "render_resilience_table",

@@ -29,8 +29,8 @@ bucket concentration, flow-table growth, timeouts, quarantine delay).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -43,11 +43,11 @@ from repro.experiments.config import AdversarialConfig, TestbedConfig
 from repro.experiments.platform import Testbed, build_testbed
 from repro.experiments.scenario import (
     ScenarioCell,
+    ScenarioResult,
     ScenarioSpec,
-    TraceProvider,
     run_scenario,
 )
-from repro.metrics.collector import CollectorPayload, ResponseTimeCollector
+from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
 from repro.net.addressing import CLIENT_PREFIX
@@ -122,76 +122,6 @@ class AdversarialRunResult:
     def summary(self) -> SummaryStatistics:
         """Response-time summary of the legitimate queries that completed."""
         return self.collector.summary()
-
-    def export_payload(self) -> "AdversarialRunPayload":
-        """Compact, picklable export of this run (for the scenario runner)."""
-        return AdversarialRunPayload(
-            mode=self.mode,
-            config=self.config,
-            collector=self.collector.export_payload(),
-            requests_served=self.requests_served,
-            connections_reset=self.connections_reset,
-            connections_timed_out=self.connections_timed_out,
-            queries_hung=self.queries_hung,
-            steering_misses=self.steering_misses,
-            recovery_hunts=self.recovery_hunts,
-            peak_concurrent_connections=self.peak_concurrent_connections,
-            attack_syns_sent=self.attack_syns_sent,
-            attack_bucket_share=self.attack_bucket_share,
-            flow_entries_created=self.flow_entries_created,
-            flow_entries_expired=self.flow_entries_expired,
-            flow_entries_live=self.flow_entries_live,
-            quarantine_delay=self.quarantine_delay,
-            quarantined=self.quarantined,
-            simulated_duration=self.simulated_duration,
-        )
-
-
-@dataclass
-class AdversarialRunPayload:
-    """Picklable compact form of an :class:`AdversarialRunResult`."""
-
-    mode: str
-    config: AdversarialConfig
-    collector: CollectorPayload
-    requests_served: int
-    connections_reset: int
-    connections_timed_out: int
-    queries_hung: int
-    steering_misses: int
-    recovery_hunts: int
-    peak_concurrent_connections: int
-    attack_syns_sent: int
-    attack_bucket_share: Optional[float]
-    flow_entries_created: int
-    flow_entries_expired: int
-    flow_entries_live: int
-    quarantine_delay: Optional[float]
-    quarantined: Tuple[str, ...]
-    simulated_duration: float
-
-    def to_result(self) -> AdversarialRunResult:
-        """Rebuild the full result object in the parent process."""
-        return AdversarialRunResult(
-            mode=self.mode,
-            config=self.config,
-            collector=ResponseTimeCollector.from_payload(self.collector),
-            requests_served=self.requests_served,
-            connections_reset=self.connections_reset,
-            connections_timed_out=self.connections_timed_out,
-            queries_hung=self.queries_hung,
-            steering_misses=self.steering_misses,
-            recovery_hunts=self.recovery_hunts,
-            peak_concurrent_connections=self.peak_concurrent_connections,
-            attack_syns_sent=self.attack_syns_sent,
-            attack_bucket_share=self.attack_bucket_share,
-            flow_entries_created=self.flow_entries_created,
-            flow_entries_expired=self.flow_entries_expired,
-            flow_entries_live=self.flow_entries_live,
-            quarantine_delay=self.quarantine_delay,
-            quarantined=self.quarantined,
-            simulated_duration=self.simulated_duration,
-        )
 
 
 def _build_adversarial_platform(config: AdversarialConfig, mode: str) -> Testbed:
@@ -411,25 +341,6 @@ def run_adversarial_once(
     )
 
 
-@dataclass
-class AdversarialComparison:
-    """All attack modes of one comparison, over the same legit workload."""
-
-    config: AdversarialConfig
-    runs: Dict[str, AdversarialRunResult] = field(default_factory=dict)
-
-    def modes(self) -> List[str]:
-        """Mode names, in configuration order."""
-        return list(self.config.modes)
-
-    def run(self, mode: str) -> AdversarialRunResult:
-        """The run for one attack mode."""
-        try:
-            return self.runs[mode]
-        except KeyError as exc:
-            raise ExperimentError(f"no run for mode {mode!r}") from exc
-
-
 class AdversarialScenario(ScenarioSpec):
     """The adversarial-traffic comparison as a declarative scenario."""
 
@@ -477,24 +388,10 @@ class AdversarialScenario(ScenarioSpec):
 
     def run_once(
         self, config: AdversarialConfig, cell: ScenarioCell, trace: Trace
-    ) -> AdversarialRunPayload:
-        return run_adversarial_once(
-            config, cell.param("mode"), trace=trace
-        ).export_payload()
+    ) -> AdversarialRunResult:
+        return run_adversarial_once(config, cell.param("mode"), trace=trace)
 
-    def aggregate(
-        self,
-        config: AdversarialConfig,
-        cells: Sequence[ScenarioCell],
-        payloads: Sequence[AdversarialRunPayload],
-        trace_for: TraceProvider,
-    ) -> AdversarialComparison:
-        comparison = AdversarialComparison(config=config)
-        for payload in payloads:
-            comparison.runs[payload.mode] = payload.to_result()
-        return comparison
-
-    def render(self, result: AdversarialComparison) -> str:
+    def render(self, result: ScenarioResult) -> str:
         return render_adversarial_table(result)
 
 
@@ -504,7 +401,7 @@ ADVERSARIAL_SCENARIO = registry.register(AdversarialScenario())
 
 def run_adversarial(
     config: AdversarialConfig, jobs: Optional[int] = 1
-) -> AdversarialComparison:
+) -> ScenarioResult:
     """Replay the workload under every configured attack mode.
 
     ``jobs`` fans the per-mode runs out over a process pool
@@ -514,11 +411,11 @@ def run_adversarial(
     return run_scenario(ADVERSARIAL_SCENARIO, config, jobs=jobs)
 
 
-def render_adversarial_table(comparison: AdversarialComparison) -> str:
+def render_adversarial_table(comparison: ScenarioResult) -> str:
     """Text table of the per-mode adversarial comparison."""
     config = comparison.config
     rows: List[List[object]] = []
-    for mode in comparison.modes():
+    for mode in comparison.keys():
         run = comparison.run(mode)
         bucket = (
             f"{100 * run.attack_bucket_share:.1f}%"

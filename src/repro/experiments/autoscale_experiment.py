@@ -26,7 +26,7 @@ provisioning modes, and every mode replays the same trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,10 +42,9 @@ from repro.experiments.scenario import (
     ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
-    TraceProvider,
 )
-from repro.metrics.capacity import CapacityPayload, CapacityTracker
-from repro.metrics.collector import CollectorPayload, ResponseTimeCollector
+from repro.metrics.capacity import CapacityTracker
+from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
 from repro.workload.diurnal import DiurnalWorkload
@@ -130,46 +129,6 @@ class AutoscaleRunResult:
         if not drains:
             return None
         return sum(drains) / len(drains)
-
-    def export_payload(self) -> "AutoscaleRunPayload":
-        """Compact, picklable export of this run (for the scenario runner)."""
-        return AutoscaleRunPayload(
-            mode=self.mode,
-            config=self.config,
-            collector=self.collector.export_payload(),
-            capacity=self.capacity.export_payload(),
-            monitor_series=list(self.monitor_series),
-            requests_served=self.requests_served,
-            connections_reset=self.connections_reset,
-            simulated_duration=self.simulated_duration,
-        )
-
-
-@dataclass
-class AutoscaleRunPayload:
-    """Picklable compact form of an :class:`AutoscaleRunResult`."""
-
-    mode: str
-    config: AutoscaleConfig
-    collector: CollectorPayload
-    capacity: CapacityPayload
-    monitor_series: List[Tuple[float, float, float, int]]
-    requests_served: int
-    connections_reset: int
-    simulated_duration: float
-
-    def to_result(self) -> AutoscaleRunResult:
-        """Rebuild the full result object in the parent process."""
-        return AutoscaleRunResult(
-            mode=self.mode,
-            config=self.config,
-            collector=ResponseTimeCollector.from_payload(self.collector),
-            capacity=CapacityTracker.from_payload(self.capacity),
-            monitor_series=list(self.monitor_series),
-            requests_served=self.requests_served,
-            connections_reset=self.connections_reset,
-            simulated_duration=self.simulated_duration,
-        )
 
 
 def attach_control_plane(testbed: Testbed, config: AutoscaleConfig, mode: str):
@@ -274,7 +233,7 @@ class AutoscaleScenario(ScenarioSpec):
 
     def run_once(
         self, config: AutoscaleConfig, cell: ScenarioCell, trace: Trace
-    ) -> AutoscaleRunPayload:
+    ) -> AutoscaleRunResult:
         mode = cell.param("mode")
         testbed = self.build_platform(config, cell)
         autoscaler = None
@@ -302,7 +261,7 @@ class AutoscaleScenario(ScenarioSpec):
                 for sample in autoscaler.monitor.samples()
             ]
         )
-        result = AutoscaleRunResult(
+        return AutoscaleRunResult(
             mode=mode,
             config=config,
             collector=testbed.collector,
@@ -312,27 +271,13 @@ class AutoscaleScenario(ScenarioSpec):
             connections_reset=testbed.total_resets(),
             simulated_duration=duration,
         )
-        return result.export_payload()
 
-    def aggregate(
-        self,
-        config: AutoscaleConfig,
-        cells: Sequence[ScenarioCell],
-        payloads: Sequence[AutoscaleRunPayload],
-        trace_for: TraceProvider,
-    ) -> ScenarioResult:
-        result = ScenarioResult(
-            scenario=self.name,
-            config=config,
-            meta={
-                "saturation_rate": autoscale_saturation_rate(config),
-                "slo_p99": config.slo_p99,
-                "duration": config.duration,
-            },
-        )
-        for payload in payloads:
-            result.runs[payload.mode] = payload.to_result()
-        return result
+    def meta(self, config: AutoscaleConfig) -> Dict[str, object]:
+        return {
+            "saturation_rate": autoscale_saturation_rate(config),
+            "slo_p99": config.slo_p99,
+            "duration": config.duration,
+        }
 
     def render(self, result: ScenarioResult) -> str:
         return render_autoscale(result)

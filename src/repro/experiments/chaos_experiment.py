@@ -22,15 +22,14 @@ cell:
 The testbed arms client retransmission/retries and server load-shedding
 (see :class:`~repro.experiments.config.ChaosConfig`), so the cells
 measure *recovery*, not just damage.  Per-cell fingerprints are SHA-256
-over the sorted per-query outcome matrix — computed in the worker so the
-jobs=1 and jobs=2 paths hash exactly the same data.
+over the sorted per-query outcome matrix, computed where the cell ran.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,11 +40,11 @@ from repro.experiments.config import ChaosConfig, TestbedConfig
 from repro.experiments.platform import Testbed, build_testbed
 from repro.experiments.scenario import (
     ScenarioCell,
+    ScenarioResult,
     ScenarioSpec,
-    TraceProvider,
     run_scenario,
 )
-from repro.metrics.collector import CollectorPayload, ResponseTimeCollector
+from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
 from repro.net.faults import FaultConfig, install_fault_channel
@@ -120,8 +119,7 @@ def outcome_fingerprint(collector: ResponseTimeCollector) -> str:
     response_time | -1, retries, gave_up, failed)`` sorted by request
     id — so the fingerprint is invariant to completion order (and hence
     to the jobs fan-out) but pins every outcome bit the chaos cells care
-    about, including the retry accounting that the compact collector
-    payload does not round-trip.
+    about, including the retry accounting.
     """
     outcomes = collector.outcomes() + collector.failures()
     rows = sorted(
@@ -164,7 +162,7 @@ class ChaosRunResult:
     fault_delayed_jitter: int
     fault_reordered: int
     simulated_duration: float
-    #: SHA-256 of the per-query outcome matrix, computed in the worker.
+    #: SHA-256 of the per-query outcome matrix (:func:`outcome_fingerprint`).
     fingerprint: str
     #: Full pipeline ``LinkStats.snapshot()`` — every reason counter by
     #: name, so new drop reasons surface without a new named field.
@@ -179,93 +177,6 @@ class ChaosRunResult:
     def summary(self) -> SummaryStatistics:
         """Response-time summary of the queries that completed."""
         return self.collector.summary()
-
-    def export_payload(self) -> "ChaosRunPayload":
-        """Compact, picklable export of this run (for the scenario runner)."""
-        return ChaosRunPayload(
-            mode=self.mode,
-            config=self.config,
-            collector=self.collector.export_payload(),
-            requests_served=self.requests_served,
-            connections_reset=self.connections_reset,
-            connections_shed=self.connections_shed,
-            connections_timed_out=self.connections_timed_out,
-            queries_retried=self.queries_retried,
-            queries_gave_up=self.queries_gave_up,
-            queries_swept=self.queries_swept,
-            syn_retransmits=self.syn_retransmits,
-            fault_packets_seen=self.fault_packets_seen,
-            fault_packets_dropped=self.fault_packets_dropped,
-            fault_dropped_loss=self.fault_dropped_loss,
-            fault_dropped_burst=self.fault_dropped_burst,
-            fault_dropped_corrupted=self.fault_dropped_corrupted,
-            fault_dropped_link_down=self.fault_dropped_link_down,
-            fault_delayed_jitter=self.fault_delayed_jitter,
-            fault_reordered=self.fault_reordered,
-            simulated_duration=self.simulated_duration,
-            fingerprint=self.fingerprint,
-            fault_stats=dict(self.fault_stats),
-        )
-
-
-@dataclass
-class ChaosRunPayload:
-    """Picklable compact form of a :class:`ChaosRunResult`.
-
-    The fingerprint travels as a string because the compact collector
-    payload does not round-trip ``retries``/``gave_up`` — it must be
-    computed worker-side, before the pickle boundary.
-    """
-
-    mode: str
-    config: ChaosConfig
-    collector: CollectorPayload
-    requests_served: int
-    connections_reset: int
-    connections_shed: int
-    connections_timed_out: int
-    queries_retried: int
-    queries_gave_up: int
-    queries_swept: int
-    syn_retransmits: int
-    fault_packets_seen: int
-    fault_packets_dropped: int
-    fault_dropped_loss: int
-    fault_dropped_burst: int
-    fault_dropped_corrupted: int
-    fault_dropped_link_down: int
-    fault_delayed_jitter: int
-    fault_reordered: int
-    simulated_duration: float
-    fingerprint: str
-    fault_stats: Dict[str, int] = field(default_factory=dict)
-
-    def to_result(self) -> ChaosRunResult:
-        """Rebuild the full result object in the parent process."""
-        return ChaosRunResult(
-            mode=self.mode,
-            config=self.config,
-            collector=ResponseTimeCollector.from_payload(self.collector),
-            requests_served=self.requests_served,
-            connections_reset=self.connections_reset,
-            connections_shed=self.connections_shed,
-            connections_timed_out=self.connections_timed_out,
-            queries_retried=self.queries_retried,
-            queries_gave_up=self.queries_gave_up,
-            queries_swept=self.queries_swept,
-            syn_retransmits=self.syn_retransmits,
-            fault_packets_seen=self.fault_packets_seen,
-            fault_packets_dropped=self.fault_packets_dropped,
-            fault_dropped_loss=self.fault_dropped_loss,
-            fault_dropped_burst=self.fault_dropped_burst,
-            fault_dropped_corrupted=self.fault_dropped_corrupted,
-            fault_dropped_link_down=self.fault_dropped_link_down,
-            fault_delayed_jitter=self.fault_delayed_jitter,
-            fault_reordered=self.fault_reordered,
-            simulated_duration=self.simulated_duration,
-            fingerprint=self.fingerprint,
-            fault_stats=dict(self.fault_stats),
-        )
 
 
 def _build_chaos_platform(config: ChaosConfig, mode: str) -> Testbed:
@@ -337,25 +248,6 @@ def run_chaos_once(
     )
 
 
-@dataclass
-class ChaosComparison:
-    """All impairment modes of one comparison, over the same workload."""
-
-    config: ChaosConfig
-    runs: Dict[str, ChaosRunResult] = field(default_factory=dict)
-
-    def modes(self) -> List[str]:
-        """Mode names, in configuration order."""
-        return list(self.config.modes)
-
-    def run(self, mode: str) -> ChaosRunResult:
-        """The run for one impairment mode."""
-        try:
-            return self.runs[mode]
-        except KeyError as exc:
-            raise ExperimentError(f"no run for mode {mode!r}") from exc
-
-
 class ChaosScenario(ScenarioSpec):
     """The fault-injection comparison as a declarative scenario."""
 
@@ -401,22 +293,10 @@ class ChaosScenario(ScenarioSpec):
 
     def run_once(
         self, config: ChaosConfig, cell: ScenarioCell, trace: Trace
-    ) -> ChaosRunPayload:
-        return run_chaos_once(config, cell.param("mode"), trace=trace).export_payload()
+    ) -> ChaosRunResult:
+        return run_chaos_once(config, cell.param("mode"), trace=trace)
 
-    def aggregate(
-        self,
-        config: ChaosConfig,
-        cells: Sequence[ScenarioCell],
-        payloads: Sequence[ChaosRunPayload],
-        trace_for: TraceProvider,
-    ) -> ChaosComparison:
-        comparison = ChaosComparison(config=config)
-        for payload in payloads:
-            comparison.runs[payload.mode] = payload.to_result()
-        return comparison
-
-    def render(self, result: ChaosComparison) -> str:
+    def render(self, result: ScenarioResult) -> str:
         return render_chaos_table(result)
 
 
@@ -424,7 +304,7 @@ class ChaosScenario(ScenarioSpec):
 CHAOS_SCENARIO = registry.register(ChaosScenario())
 
 
-def run_chaos(config: ChaosConfig, jobs: Optional[int] = 1) -> ChaosComparison:
+def run_chaos(config: ChaosConfig, jobs: Optional[int] = 1) -> ScenarioResult:
     """Replay the workload under every configured impairment mode.
 
     ``jobs`` fans the per-mode runs out over a process pool
@@ -434,11 +314,11 @@ def run_chaos(config: ChaosConfig, jobs: Optional[int] = 1) -> ChaosComparison:
     return run_scenario(CHAOS_SCENARIO, config, jobs=jobs)
 
 
-def render_chaos_table(comparison: ChaosComparison) -> str:
+def render_chaos_table(comparison: ScenarioResult) -> str:
     """Text table of the per-mode chaos comparison."""
     config = comparison.config
     rows: List[List[object]] = []
-    for mode in comparison.modes():
+    for mode in comparison.keys():
         run = comparison.run(mode)
         rows.append(
             [

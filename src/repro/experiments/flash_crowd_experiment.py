@@ -25,7 +25,7 @@ by policy name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,10 +37,9 @@ from repro.experiments.scenario import (
     ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
-    TraceProvider,
 )
 from repro.metrics.binning import TimeBinner
-from repro.metrics.collector import CollectorPayload, ResponseTimeCollector
+from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
 from repro.workload.flash_crowd import RatePhase, SteppedPoissonWorkload
@@ -141,46 +140,6 @@ class FlashCrowdRunResult:
             return None
         return summarize(times)
 
-    def export_payload(self) -> "FlashCrowdRunPayload":
-        """Compact, picklable export of this run (for the scenario runner)."""
-        return FlashCrowdRunPayload(
-            policy=self.policy,
-            collector=self.collector.export_payload(),
-            bin_width=self.bin_width,
-            total_duration=self.total_duration,
-            spike_window=self.spike_window,
-            requests_served=self.requests_served,
-            connections_reset=self.connections_reset,
-            simulated_duration=self.simulated_duration,
-        )
-
-
-@dataclass
-class FlashCrowdRunPayload:
-    """Picklable compact form of a :class:`FlashCrowdRunResult`."""
-
-    policy: PolicySpec
-    collector: CollectorPayload
-    bin_width: float
-    total_duration: float
-    spike_window: Tuple[float, float]
-    requests_served: int
-    connections_reset: int
-    simulated_duration: float
-
-    def to_result(self) -> FlashCrowdRunResult:
-        """Rebuild the full result object in the parent process."""
-        return FlashCrowdRunResult(
-            policy=self.policy,
-            collector=ResponseTimeCollector.from_payload(self.collector),
-            bin_width=self.bin_width,
-            total_duration=self.total_duration,
-            spike_window=self.spike_window,
-            requests_served=self.requests_served,
-            connections_reset=self.connections_reset,
-            simulated_duration=self.simulated_duration,
-        )
-
 
 class FlashCrowdScenario(ScenarioSpec):
     """The flash-crowd comparison as a declarative scenario."""
@@ -225,10 +184,10 @@ class FlashCrowdScenario(ScenarioSpec):
 
     def run_once(
         self, config: FlashCrowdConfig, cell: ScenarioCell, trace: Trace
-    ) -> FlashCrowdRunPayload:
+    ) -> FlashCrowdRunResult:
         testbed = self.build_platform(config, cell)
         duration = testbed.run_trace(trace)
-        result = FlashCrowdRunResult(
+        return FlashCrowdRunResult(
             policy=cell.param("policy"),
             collector=testbed.collector,
             bin_width=config.bin_width,
@@ -238,27 +197,13 @@ class FlashCrowdScenario(ScenarioSpec):
             connections_reset=testbed.total_resets(),
             simulated_duration=duration,
         )
-        return result.export_payload()
 
-    def aggregate(
-        self,
-        config: FlashCrowdConfig,
-        cells: Sequence[ScenarioCell],
-        payloads: Sequence[FlashCrowdRunPayload],
-        trace_for: TraceProvider,
-    ) -> ScenarioResult:
-        result = ScenarioResult(
-            scenario=self.name,
-            config=config,
-            meta={
-                "saturation_rate": flash_crowd_saturation_rate(config),
-                "spike_window": config.spike_window,
-                "total_duration": config.total_duration,
-            },
-        )
-        for payload in payloads:
-            result.runs[payload.policy.name] = payload.to_result()
-        return result
+    def meta(self, config: FlashCrowdConfig) -> Dict[str, object]:
+        return {
+            "saturation_rate": flash_crowd_saturation_rate(config),
+            "spike_window": config.spike_window,
+            "total_duration": config.total_duration,
+        }
 
     def render(self, result: ScenarioResult) -> str:
         return render_flash_crowd(result)

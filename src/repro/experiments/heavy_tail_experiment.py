@@ -40,7 +40,7 @@ from repro.experiments.scenario import (
     TraceProvider,
     run_scenario,
 )
-from repro.metrics.collector import CollectorPayload, ResponseTimeCollector
+from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
 from repro.workload.hostile import (
@@ -116,49 +116,6 @@ class HeavyTailRunResult:
     def kind_summary(self, kind: str) -> SummaryStatistics:
         """Response-time summary of one request kind."""
         return self.collector.summary(kind)
-
-    def export_payload(self) -> "HeavyTailRunPayload":
-        """Compact, picklable export of this run (for the scenario runner)."""
-        return HeavyTailRunPayload(
-            policy=self.policy,
-            config=self.config,
-            collector=self.collector.export_payload(),
-            requests_served=self.requests_served,
-            connections_reset=self.connections_reset,
-            queries_hung=self.queries_hung,
-            affinity_hits=self.affinity_hits,
-            affinity_fallbacks=self.affinity_fallbacks,
-            simulated_duration=self.simulated_duration,
-        )
-
-
-@dataclass
-class HeavyTailRunPayload:
-    """Picklable compact form of a :class:`HeavyTailRunResult`."""
-
-    policy: str
-    config: HeavyTailConfig
-    collector: CollectorPayload
-    requests_served: int
-    connections_reset: int
-    queries_hung: int
-    affinity_hits: int
-    affinity_fallbacks: int
-    simulated_duration: float
-
-    def to_result(self) -> HeavyTailRunResult:
-        """Rebuild the full result object in the parent process."""
-        return HeavyTailRunResult(
-            policy=self.policy,
-            config=self.config,
-            collector=ResponseTimeCollector.from_payload(self.collector),
-            requests_served=self.requests_served,
-            connections_reset=self.connections_reset,
-            queries_hung=self.queries_hung,
-            affinity_hits=self.affinity_hits,
-            affinity_fallbacks=self.affinity_fallbacks,
-            simulated_duration=self.simulated_duration,
-        )
 
 
 def _policy_named(config: HeavyTailConfig, name: str) -> PolicySpec:
@@ -268,24 +225,22 @@ class HeavyTailScenario(ScenarioSpec):
 
     def run_once(
         self, config: HeavyTailConfig, cell: ScenarioCell, trace: Trace
-    ) -> HeavyTailRunPayload:
+    ) -> HeavyTailRunResult:
         policy = _policy_named(config, cell.param("policy"))
-        return run_heavy_tail_once(config, policy, trace=trace).export_payload()
+        return run_heavy_tail_once(config, policy, trace=trace)
 
     def aggregate(
         self,
         config: HeavyTailConfig,
         cells: Sequence[ScenarioCell],
-        payloads: Sequence[HeavyTailRunPayload],
+        runs: Sequence[HeavyTailRunResult],
         trace_for: TraceProvider,
     ) -> HeavyTailComparison:
-        comparison = HeavyTailComparison(
+        return HeavyTailComparison(
             config=config,
             users=user_concentration(trace_for(cells[0])),
+            runs={cell.key: run for cell, run in zip(cells, runs)},
         )
-        for payload in payloads:
-            comparison.runs[payload.policy] = payload.to_result()
-        return comparison
 
     def render(self, result: HeavyTailComparison) -> str:
         return render_heavy_tail_table(result)

@@ -17,13 +17,13 @@ capacity-proportional, i.e. perfectly fair), plus Jain's fairness index
 over per-capacity acceptance rates.
 
 The family is registered as the ``heterogeneous-fleet`` scenario; cells
-are (policy, load factor) pairs and the per-cell payload reuses the
-Poisson family's compact payload (the measured quantities coincide).
+are (policy, load factor) pairs and the per-cell run result is the
+Poisson family's (the measured quantities coincide).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from repro.experiments.scenario import (
     ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
-    TraceProvider,
 )
 from repro.metrics.fairness import jain_fairness_index
 from repro.metrics.reporting import format_table
@@ -162,12 +161,12 @@ class HeterogeneousFleetScenario(ScenarioSpec):
         self, config: HeterogeneousFleetConfig, cell: ScenarioCell, trace: Trace
     ):
         # The measured quantities coincide with the Poisson family's, so
-        # the compact payload is shared rather than re-invented.
+        # the run result is shared rather than re-invented.
         from repro.experiments.poisson_experiment import PoissonRunResult
 
         testbed = self.build_platform(config, cell)
         duration = testbed.run_trace(trace)
-        result = PoissonRunResult(
+        return PoissonRunResult(
             policy=cell.param("policy"),
             load_factor=cell.param("load_factor"),
             arrival_rate=cell.param("load_factor")
@@ -179,28 +178,12 @@ class HeterogeneousFleetScenario(ScenarioSpec):
             acceptance_counts=testbed.acceptance_counts(),
             simulated_duration=duration,
         )
-        return result.export_payload()
 
-    def aggregate(
-        self,
-        config: HeterogeneousFleetConfig,
-        cells: Sequence[ScenarioCell],
-        payloads: Sequence,
-        trace_for: TraceProvider,
-    ) -> ScenarioResult:
-        result = ScenarioResult(
-            scenario=self.name,
-            config=config,
-            meta={
-                "saturation_rate": heterogeneous_saturation_rate(config),
-                "fast_servers": list(config.fast_server_names()),
-            },
-        )
-        for payload in payloads:
-            result.runs[(payload.policy.name, payload.load_factor)] = (
-                payload.to_result()
-            )
-        return result
+    def meta(self, config: HeterogeneousFleetConfig) -> Dict[str, object]:
+        return {
+            "saturation_rate": heterogeneous_saturation_rate(config),
+            "fast_servers": list(config.fast_server_names()),
+        }
 
     def render(self, result: ScenarioResult) -> str:
         return render_heterogeneous_fleet(result)

@@ -31,12 +31,7 @@ from repro.experiments.scenario import (
     TraceProvider,
     run_scenario,
 )
-from repro.metrics.collector import (
-    CollectorPayload,
-    LoadSamplerPayload,
-    ResponseTimeCollector,
-    ServerLoadSampler,
-)
+from repro.metrics.collector import ResponseTimeCollector, ServerLoadSampler
 from repro.metrics.stats import SummaryStatistics
 from repro.workload.poisson import PoissonWorkload
 from repro.workload.requests import RequestCatalog
@@ -71,62 +66,6 @@ class PoissonRunResult:
     def response_times(self) -> List[float]:
         """Raw response times (Figures 3 and 5 plot their CDF)."""
         return self.collector.response_times()
-
-    def export_payload(self) -> "PoissonRunPayload":
-        """Compact, picklable export of this run (for the scenario runner)."""
-        return PoissonRunPayload(
-            policy=self.policy,
-            load_factor=self.load_factor,
-            arrival_rate=self.arrival_rate,
-            collector=self.collector.export_payload(),
-            load_sampler=(
-                None
-                if self.load_sampler is None
-                else self.load_sampler.export_payload()
-            ),
-            requests_served=self.requests_served,
-            connections_reset=self.connections_reset,
-            acceptance_counts=dict(self.acceptance_counts),
-            simulated_duration=self.simulated_duration,
-        )
-
-
-@dataclass
-class PoissonRunPayload:
-    """Picklable compact form of a :class:`PoissonRunResult`.
-
-    This is what crosses the process boundary when a sweep runs with
-    ``jobs > 1``: configs and scalars plus the array-backed collector
-    and sampler payloads, instead of live simulator-attached objects.
-    """
-
-    policy: PolicySpec
-    load_factor: float
-    arrival_rate: float
-    collector: CollectorPayload
-    load_sampler: Optional[LoadSamplerPayload]
-    requests_served: int
-    connections_reset: int
-    acceptance_counts: Dict[str, int]
-    simulated_duration: float
-
-    def to_result(self) -> PoissonRunResult:
-        """Rebuild the full result object in the parent process."""
-        return PoissonRunResult(
-            policy=self.policy,
-            load_factor=self.load_factor,
-            arrival_rate=self.arrival_rate,
-            collector=ResponseTimeCollector.from_payload(self.collector),
-            load_sampler=(
-                None
-                if self.load_sampler is None
-                else ServerLoadSampler.from_payload(self.load_sampler)
-            ),
-            requests_served=self.requests_served,
-            connections_reset=self.connections_reset,
-            acceptance_counts=dict(self.acceptance_counts),
-            simulated_duration=self.simulated_duration,
-        )
 
 
 def make_poisson_trace(
@@ -255,12 +194,12 @@ class PoissonScenario(ScenarioSpec):
 
     def run_once(
         self, config: PoissonSweepConfig, cell: ScenarioCell, trace: Trace
-    ) -> PoissonRunPayload:
+    ) -> PoissonRunResult:
         testbed = self.build_platform(config, cell)
         if cell.param("sample_load"):
             testbed.attach_load_sampler(interval=config.load_sample_interval)
         duration = testbed.run_trace(trace)
-        result = PoissonRunResult(
+        return PoissonRunResult(
             policy=cell.param("policy"),
             load_factor=cell.param("load_factor"),
             arrival_rate=cell.param("load_factor") * cell.param("saturation_rate"),
@@ -271,22 +210,19 @@ class PoissonScenario(ScenarioSpec):
             acceptance_counts=testbed.acceptance_counts(),
             simulated_duration=duration,
         )
-        return result.export_payload()
 
     def aggregate(
         self,
         config: PoissonSweepConfig,
         cells: Sequence[ScenarioCell],
-        payloads: Sequence[PoissonRunPayload],
+        runs: Sequence[PoissonRunResult],
         trace_for: TraceProvider,
     ) -> PoissonSweepResult:
         result = PoissonSweepResult(
             config=config, saturation_rate=cells[0].param("saturation_rate")
         )
-        for payload in payloads:
-            result.runs.setdefault(payload.policy.name, {})[
-                payload.load_factor
-            ] = payload.to_result()
+        for run in runs:
+            result.runs.setdefault(run.policy.name, {})[run.load_factor] = run
         return result
 
     def render(self, result: PoissonSweepResult) -> str:
@@ -335,7 +271,7 @@ def run_poisson_once(
     (cell,) = POISSON_SCENARIO.cells(config, sample_load=sample_load)
     if trace is None:
         trace = POISSON_SCENARIO.make_trace(config, cell)
-    return POISSON_SCENARIO.run_once(config, cell, trace).to_result()
+    return POISSON_SCENARIO.run_once(config, cell, trace)
 
 
 class PoissonSweep:

@@ -30,7 +30,7 @@ is a thin entry point over that spec.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Set
 
 import numpy as np
 
@@ -41,11 +41,11 @@ from repro.experiments.config import ChurnEvent, ResilienceConfig, TestbedConfig
 from repro.experiments.platform import Testbed, build_testbed
 from repro.experiments.scenario import (
     ScenarioCell,
+    ScenarioResult,
     ScenarioSpec,
-    TraceProvider,
     run_scenario,
 )
-from repro.metrics.collector import CollectorPayload, ResponseTimeCollector
+from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
 from repro.workload.poisson import PoissonWorkload
@@ -125,63 +125,6 @@ class ResilienceRunResult:
     def summary(self) -> SummaryStatistics:
         """Response-time summary of the queries that did complete."""
         return self.collector.summary()
-
-    def export_payload(self) -> "ResilienceRunPayload":
-        """Compact, picklable export of this run (for the scenario runner)."""
-        return ResilienceRunPayload(
-            scheme=self.scheme,
-            config=self.config,
-            collector=self.collector.export_payload(),
-            observations=list(self.observations),
-            broken_flows=self.broken_flows,
-            in_flight_at_churn=self.in_flight_at_churn,
-            queries_hung=self.queries_hung,
-            recovery_hunts=self.recovery_hunts,
-            steering_misses=self.steering_misses,
-            signals_relayed=self.signals_relayed,
-            acceptances_learned=self.acceptances_learned,
-            simulated_duration=self.simulated_duration,
-        )
-
-
-@dataclass
-class ResilienceRunPayload:
-    """Picklable compact form of a :class:`ResilienceRunResult`.
-
-    The churn observations are plain dataclasses over scalars and id
-    sets, so they cross the process boundary as-is; only the collector
-    needs the array-backed compact form.
-    """
-
-    scheme: str
-    config: ResilienceConfig
-    collector: CollectorPayload
-    observations: List[ChurnObservation]
-    broken_flows: int
-    in_flight_at_churn: int
-    queries_hung: int
-    recovery_hunts: int
-    steering_misses: int
-    signals_relayed: int
-    acceptances_learned: int
-    simulated_duration: float
-
-    def to_result(self) -> ResilienceRunResult:
-        """Rebuild the full result object in the parent process."""
-        return ResilienceRunResult(
-            scheme=self.scheme,
-            config=self.config,
-            collector=ResponseTimeCollector.from_payload(self.collector),
-            observations=list(self.observations),
-            broken_flows=self.broken_flows,
-            in_flight_at_churn=self.in_flight_at_churn,
-            queries_hung=self.queries_hung,
-            recovery_hunts=self.recovery_hunts,
-            steering_misses=self.steering_misses,
-            signals_relayed=self.signals_relayed,
-            acceptances_learned=self.acceptances_learned,
-            simulated_duration=self.simulated_duration,
-        )
 
 
 def _resolve_victim(tier, event: ChurnEvent):
@@ -281,25 +224,6 @@ def run_resilience_once(
     )
 
 
-@dataclass
-class ResilienceComparison:
-    """All schemes of one resilience comparison, over the same workload."""
-
-    config: ResilienceConfig
-    runs: Dict[str, ResilienceRunResult] = field(default_factory=dict)
-
-    def schemes(self) -> List[str]:
-        """Scheme names, in configuration order."""
-        return [scheme for scheme in self.config.selection_schemes]
-
-    def run(self, scheme: str) -> ResilienceRunResult:
-        """The run for one scheme."""
-        try:
-            return self.runs[scheme]
-        except KeyError as exc:
-            raise ExperimentError(f"no run for scheme {scheme!r}") from exc
-
-
 class ResilienceScenario(ScenarioSpec):
     """The LB-churn comparison as a declarative scenario."""
 
@@ -341,24 +265,10 @@ class ResilienceScenario(ScenarioSpec):
 
     def run_once(
         self, config: ResilienceConfig, cell: ScenarioCell, trace: Trace
-    ) -> ResilienceRunPayload:
-        return run_resilience_once(
-            config, cell.param("scheme"), trace=trace
-        ).export_payload()
+    ) -> ResilienceRunResult:
+        return run_resilience_once(config, cell.param("scheme"), trace=trace)
 
-    def aggregate(
-        self,
-        config: ResilienceConfig,
-        cells: Sequence[ScenarioCell],
-        payloads: Sequence[ResilienceRunPayload],
-        trace_for: TraceProvider,
-    ) -> ResilienceComparison:
-        comparison = ResilienceComparison(config=config)
-        for payload in payloads:
-            comparison.runs[payload.scheme] = payload.to_result()
-        return comparison
-
-    def render(self, result: ResilienceComparison) -> str:
+    def render(self, result: ScenarioResult) -> str:
         return render_resilience_table(result)
 
 
@@ -368,7 +278,7 @@ RESILIENCE_SCENARIO = registry.register(ResilienceScenario())
 
 def run_resilience_comparison(
     config: ResilienceConfig, jobs: Optional[int] = 1
-) -> ResilienceComparison:
+) -> ScenarioResult:
     """Replay the same workload + churn under every configured scheme.
 
     ``jobs`` fans the per-scheme runs out over a process pool
@@ -379,11 +289,11 @@ def run_resilience_comparison(
     return run_scenario(RESILIENCE_SCENARIO, config, jobs=jobs)
 
 
-def render_resilience_table(comparison: ResilienceComparison) -> str:
+def render_resilience_table(comparison: ScenarioResult) -> str:
     """Text table of the per-scheme broken-flow fractions."""
     config = comparison.config
     rows: List[List[object]] = []
-    for scheme in comparison.schemes():
+    for scheme in comparison.keys():
         run = comparison.run(scheme)
         totals = run.collector.totals
         rows.append(

@@ -7,7 +7,7 @@ resilience family.  Each cell builds its own simulator from a seed, so
 nothing is shared between cells and the whole grid parallelises
 trivially across processes.  :class:`SweepRunner` is that fan-out: a
 thin wrapper around a :mod:`multiprocessing` pool that maps a picklable
-*task* description to a picklable *payload* result.
+*task* description to a picklable result.
 
 Determinism contract
 --------------------
@@ -17,13 +17,14 @@ Determinism contract
   are frozen dataclasses); workers rebuild the simulator, regenerate the
   workload trace from the seed, and run exactly the same code path as an
   in-process run;
-* workers return compact payloads (:mod:`numpy` arrays plus scalars —
-  see :class:`~repro.metrics.collector.CollectorPayload`), and the
-  parent rebuilds result objects from them; the floats cross the process
-  boundary verbatim, so every derived series is bit-for-bit identical;
+* workers return the same run results a serial run builds; the
+  collector inside pickles itself as :mod:`numpy` arrays plus scalars
+  (see :class:`~repro.metrics.collector.CollectorPayload`), so the
+  floats cross the process boundary verbatim and every derived series
+  is bit-for-bit identical;
 * ``jobs=1`` does not create a pool at all — it falls back to the exact
-  serial in-process path, which is what the determinism tests pin the
-  parallel path against.
+  serial in-process path (nothing is pickled), which is what the
+  determinism tests pin the parallel path against.
 
 The experiment entry points (:meth:`PoissonSweep.run
 <repro.experiments.poisson_experiment.PoissonSweep.run>`,

@@ -500,10 +500,10 @@ class ScaleScenario(ScenarioSpec):
         self,
         config: ScaleConfig,
         cells: Sequence[ScenarioCell],
-        payloads: Sequence[ScaleRunResult],
+        runs: Sequence[ScaleRunResult],
         trace_for: TraceProvider,
     ) -> ScaleResult:
-        (run,) = payloads
+        (run,) = runs
         return ScaleResult(config=config, run=run)
 
     def render(self, result: ScaleResult) -> str:

@@ -15,9 +15,14 @@ A family subclasses :class:`ScenarioSpec` and provides:
   cell (cells may share a trace, see :meth:`ScenarioSpec.trace_key`);
 * ``build_platform(config, cell)`` — a fresh simulated testbed;
 * ``run_once(config, cell, trace)`` — replay the trace on the platform
-  and return a compact, picklable payload;
-* ``aggregate(config, cells, payloads, trace_for)`` — fold the payloads
-  into the family's result object (often a :class:`ScenarioResult`).
+  and return the family's run result.  The result is what crosses the
+  process boundary, so it must pickle — and pickle compactly, which it
+  does by holding its outcomes in a
+  :class:`~repro.metrics.collector.ResponseTimeCollector`;
+
+and may override ``meta(config)`` (scenario-wide values for the result)
+or ``aggregate(config, cells, runs, trace_for)``, whose default keys
+each run by its cell into a :class:`ScenarioResult`.
 
 :func:`run_scenario` is the single driver: it resolves the spec (by name
 through :mod:`repro.experiments.registry`), enumerates the cells, and
@@ -35,7 +40,9 @@ the same :meth:`~ScenarioSpec.trace_key`; a parallel run regenerates the
 trace inside the worker from ``(config, cell)`` — which must be (and for
 every built-in family is) bit-for-bit the same trace.  An explicit
 ``trace=`` handed to :func:`run_scenario` is shipped to the workers
-verbatim instead.
+verbatim instead.  A pooled run's results come home pickled (a collector
+pickles as arrays and scalars); a serial run's are not pickled at all.
+Both carry the same outcome fields, ``url`` excepted.
 """
 
 from __future__ import annotations
@@ -93,10 +100,10 @@ TraceProvider = Callable[[ScenarioCell], Trace]
 class ScenarioResult:
     """Generic aggregate of a scenario run: one entry per cell key.
 
-    Families with bespoke result classes (the three paper families keep
-    theirs for API stability) aggregate into those instead; new families
-    can use this container directly and hang scenario-wide figures off
-    ``meta``.
+    What :meth:`ScenarioSpec.aggregate` builds by default.  Families
+    whose result carries data of its own (the Poisson sweep's saturation
+    rate, the Wikipedia replay's trace summary, the heavy-tail user
+    profile) aggregate into their own class instead.
     """
 
     scenario: str
@@ -179,17 +186,29 @@ class ScenarioSpec(ABC):
 
     @abstractmethod
     def run_once(self, config: Any, cell: ScenarioCell, trace: Trace) -> Any:
-        """Replay ``trace`` for one cell and return a picklable payload."""
+        """Replay ``trace`` for one cell and return its (picklable) run result."""
 
-    @abstractmethod
+    def meta(self, config: Any) -> Dict[str, Any]:
+        """Scenario-wide values the default :meth:`aggregate` records."""
+        return {}
+
     def aggregate(
         self,
         config: Any,
         cells: Sequence[ScenarioCell],
-        payloads: Sequence[Any],
+        runs: Sequence[Any],
         trace_for: TraceProvider,
     ) -> Any:
-        """Fold per-cell payloads (in cell order) into the family result."""
+        """Fold per-cell runs (in cell order) into the family result.
+
+        The default keys each run by its cell's key.
+        """
+        return ScenarioResult(
+            scenario=self.name,
+            config=config,
+            runs={cell.key: run for cell, run in zip(cells, runs)},
+            meta=self.meta(config),
+        )
 
     # ------------------------------------------------------------------
     # presentation
@@ -227,7 +246,7 @@ class _CellOutcome:
     tuple of ``(run_name, TelemetryPayload)`` pairs.
     """
 
-    payload: Any
+    run: Any
     telemetry: Sequence[Any] = ()
 
 
@@ -242,10 +261,10 @@ def _run_scenario_cell(task: ScenarioTask) -> Any:
         if task.trace is not None
         else spec.make_trace(task.config, task.cell)
     )
-    payload = spec.run_once(task.config, task.cell, trace)
+    run = spec.run_once(task.config, task.cell, trace)
     if telemetry_runtime.telemetry_enabled():
-        return _CellOutcome(payload, tuple(telemetry_runtime.drain()))
-    return payload
+        return _CellOutcome(run, tuple(telemetry_runtime.drain()))
+    return run
 
 
 def run_scenario(
@@ -283,6 +302,15 @@ def run_scenario(
     cells = list(spec.cells(config, **options))
     if not cells:
         raise ExperimentError(f"scenario {spec.name!r} produced no cells to run")
+    # Results are keyed by cell: a repeated key would run the cell twice
+    # and keep one of the two.
+    keys = set()
+    for cell in cells:
+        if cell.key in keys:
+            raise ExperimentError(
+                f"scenario {spec.name!r} lists cell {cell.key!r} more than once"
+            )
+        keys.add(cell.key)
 
     trace_cache: Dict[Hashable, Trace] = {}
 
@@ -301,9 +329,9 @@ def run_scenario(
 
     runner = SweepRunner(jobs=jobs)
     if runner.serial:
-        payloads = []
+        runs = []
         for cell in cells:
-            payloads.append(spec.run_once(config, cell, trace_for(cell)))
+            runs.append(spec.run_once(config, cell, trace_for(cell)))
             if report is not None:
                 report.add(cell.key, telemetry_runtime.drain())
     else:
@@ -313,16 +341,16 @@ def run_scenario(
         ]
         outcomes = runner.map(_run_scenario_cell, tasks)
         if telemetry_on:
-            payloads = []
+            runs = []
             for cell, outcome in zip(cells, outcomes):
                 if isinstance(outcome, _CellOutcome):
-                    payloads.append(outcome.payload)
+                    runs.append(outcome.run)
                     if report is not None:
                         report.add(cell.key, list(outcome.telemetry))
                 else:  # pragma: no cover - worker raced the env flag off
-                    payloads.append(outcome)
+                    runs.append(outcome)
         else:
-            payloads = outcomes
+            runs = outcomes
     if report is not None:
         telemetry_runtime.set_last_report(report)
-    return spec.aggregate(config, cells, payloads, trace_for)
+    return spec.aggregate(config, cells, runs, trace_for)

@@ -36,7 +36,7 @@ from repro.experiments.scenario import (
     run_scenario,
 )
 from repro.metrics.binning import TimeBinner
-from repro.metrics.collector import CollectorPayload, ResponseTimeCollector
+from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.stats import quartiles
 from repro.workload.requests import KIND_STATIC, KIND_WIKI, RequestCatalog
 from repro.workload.trace import Trace
@@ -98,40 +98,6 @@ class WikipediaRunResult:
     def wiki_quartiles(self) -> Tuple[float, float, float]:
         """Whole-day quartiles of the wiki-page load time (Figure 8 text)."""
         return quartiles(self.wiki_response_times())
-
-    def export_payload(self) -> "WikipediaRunPayload":
-        """Compact, picklable export of this run (for the scenario runner)."""
-        return WikipediaRunPayload(
-            policy=self.policy,
-            collector=self.collector.export_payload(),
-            bin_width=self.bin_width,
-            trace_duration=self.trace_duration,
-            requests_served=self.requests_served,
-            connections_reset=self.connections_reset,
-        )
-
-
-@dataclass
-class WikipediaRunPayload:
-    """Picklable compact form of a :class:`WikipediaRunResult`."""
-
-    policy: PolicySpec
-    collector: CollectorPayload
-    bin_width: float
-    trace_duration: float
-    requests_served: int
-    connections_reset: int
-
-    def to_result(self) -> WikipediaRunResult:
-        """Rebuild the full result object in the parent process."""
-        return WikipediaRunResult(
-            policy=self.policy,
-            collector=ResponseTimeCollector.from_payload(self.collector),
-            bin_width=self.bin_width,
-            trace_duration=self.trace_duration,
-            requests_served=self.requests_served,
-            connections_reset=self.connections_reset,
-        )
 
 
 @dataclass
@@ -199,10 +165,10 @@ class WikipediaScenario(ScenarioSpec):
 
     def run_once(
         self, config: WikipediaReplayConfig, cell: ScenarioCell, trace: Trace
-    ) -> WikipediaRunPayload:
+    ) -> WikipediaRunResult:
         testbed = self.build_platform(config, cell)
         testbed.run_trace(trace)
-        result = WikipediaRunResult(
+        return WikipediaRunResult(
             policy=cell.param("policy"),
             collector=testbed.collector,
             bin_width=config.bin_width,
@@ -210,17 +176,16 @@ class WikipediaScenario(ScenarioSpec):
             requests_served=testbed.total_requests_served(),
             connections_reset=testbed.total_resets(),
         )
-        return result.export_payload()
 
     def aggregate(
         self,
         config: WikipediaReplayConfig,
         cells: Sequence[ScenarioCell],
-        payloads: Sequence[WikipediaRunPayload],
+        runs: Sequence[WikipediaRunResult],
         trace_for: TraceProvider,
     ) -> WikipediaReplayResult:
         summary = trace_for(cells[0]).summary()
-        result = WikipediaReplayResult(
+        return WikipediaReplayResult(
             config=config,
             trace_summary={
                 "requests": float(summary.num_requests),
@@ -228,10 +193,8 @@ class WikipediaScenario(ScenarioSpec):
                 "mean_rate": summary.mean_rate,
                 "mean_demand": summary.mean_demand,
             },
+            runs={cell.key: run for cell, run in zip(cells, runs)},
         )
-        for payload in payloads:
-            result.runs[payload.policy.name] = payload.to_result()
-        return result
 
     def render(self, result: WikipediaReplayResult) -> str:
         from repro.experiments import figures

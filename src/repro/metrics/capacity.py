@@ -11,9 +11,9 @@ what it *paid* to do so.  This module provides the cost side:
 * drain-duration bookkeeping — how long graceful drains took from the
   moment a server stopped taking new flows to its final detach.
 
-Everything here is plain scalars and lists, so a tracker's
-:class:`CapacityPayload` crosses the ``multiprocessing`` boundary of the
-scenario runner as-is.
+Everything here is plain scalars and lists, so a tracker pickles as it
+is and crosses the ``multiprocessing`` boundary of the scenario runner
+inside the run result that holds it.
 """
 
 from __future__ import annotations
@@ -36,15 +36,6 @@ class ScalingEvent:
     #: Provisioned server count before and after the action.
     servers_before: int
     servers_after: int
-
-
-@dataclass
-class CapacityPayload:
-    """Picklable compact form of a :class:`CapacityTracker`."""
-
-    steps: List[Tuple[float, float]]
-    events: List[ScalingEvent]
-    drain_durations: List[float]
 
 
 class CapacityTracker:
@@ -148,28 +139,6 @@ class CapacityTracker:
     def scale_downs(self) -> int:
         """Number of applied scale-down actions."""
         return sum(1 for event in self.events if event.action == "scale-down")
-
-    # ------------------------------------------------------------------
-    # compact export / rebuild (the parallel sweep runner's wire format)
-    # ------------------------------------------------------------------
-    def export_payload(self) -> CapacityPayload:
-        """Export the recorded steps/events as a :class:`CapacityPayload`."""
-        return CapacityPayload(
-            steps=list(self._steps),
-            events=list(self.events),
-            drain_durations=list(self.drain_durations),
-        )
-
-    @classmethod
-    def from_payload(cls, payload: CapacityPayload) -> "CapacityTracker":
-        """Rebuild a tracker from :meth:`export_payload`'s output."""
-        first_time, first_capacity = payload.steps[0]
-        tracker = cls(start_time=first_time, capacity=first_capacity)
-        for time, capacity in payload.steps[1:]:
-            tracker.record(time, capacity)
-        tracker.events = list(payload.events)
-        tracker.drain_durations = list(payload.drain_durations)
-        return tracker
 
     def __repr__(self) -> str:
         return (

@@ -5,6 +5,13 @@ The traffic generator hands every finished query to a
 collector for exactly the series the paper's figures plot: response-time
 arrays (optionally filtered by request kind), success/failure counts,
 per-bin series for the Wikipedia replay, and summary statistics.
+
+A collector is also its own wire format: it pickles as a
+:class:`CollectorPayload` (parallel arrays and scalars instead of one
+object per query), so a run result that holds one crosses a
+``multiprocessing`` pipe compactly with no help from its owner.  The
+round trip keeps every :class:`~repro.workload.client.RequestOutcome`
+field except ``url``.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ class CollectorPayload:
     buffers instead of tens of thousands of Python objects.  Request
     URLs are not round-tripped (nothing downstream of the collector
     reads them); a rebuilt collector reports every URL as ``""``.
+    Every other outcome field is.
     """
 
     name: str
@@ -69,6 +77,12 @@ class CollectorPayload:
     fail_sent_at: np.ndarray
     fail_established_at: np.ndarray
     fail_reason_codes: np.ndarray
+    #: Sparse retry accounting, empty unless the client's retries are
+    #: armed: the rows with ``retries > 0`` and their counts, and the
+    #: rows that ``gave_up``.  Rows number the successes, then the failures.
+    retried_rows: np.ndarray
+    retry_counts: np.ndarray
+    gave_up_rows: np.ndarray
 
 
 def _encode_outcomes(
@@ -191,8 +205,16 @@ class ResponseTimeCollector:
         return self.summary(kind).mean
 
     # ------------------------------------------------------------------
-    # compact export / rebuild (the parallel sweep runner's wire format)
+    # compact export / rebuild (the wire format of every run result)
     # ------------------------------------------------------------------
+    def __reduce__(self):
+        """Pickle as a :class:`CollectorPayload`, rebuilt by :meth:`from_payload`.
+
+        The payload describes this class, so a subclass comes back as a
+        plain collector of its outcomes; state it adds is its own to carry.
+        """
+        return (ResponseTimeCollector.from_payload, (self.export_payload(),))
+
     def export_payload(self) -> CollectorPayload:
         """Export the recorded outcomes as a :class:`CollectorPayload`."""
         kinds: List[str] = []
@@ -218,6 +240,9 @@ class ResponseTimeCollector:
                 code = reason_codes[outcome.failure_reason] = len(reasons)
                 reasons.append(outcome.failure_reason)
             fail_reasons[row] = code
+        rows = self._outcomes + self._failed
+        retried = [row for row, outcome in enumerate(rows) if outcome.retries]
+        gave_up = [row for row, outcome in enumerate(rows) if outcome.gave_up]
         return CollectorPayload(
             name=self.name,
             kinds=tuple(kinds),
@@ -232,15 +257,19 @@ class ResponseTimeCollector:
             fail_sent_at=fail_sent,
             fail_established_at=fail_established,
             fail_reason_codes=fail_reasons,
+            retried_rows=np.array(retried, dtype=np.int64),
+            retry_counts=np.array(
+                [rows[row].retries for row in retried], dtype=np.int32
+            ),
+            gave_up_rows=np.array(gave_up, dtype=np.int64),
         )
 
     @classmethod
     def from_payload(cls, payload: CollectorPayload) -> "ResponseTimeCollector":
         """Rebuild a collector from :meth:`export_payload`'s output.
 
-        The rebuilt collector is interchangeable with the original for
-        every series the figures consume (response times, CDFs, binned
-        series, totals); only request URLs are lost in the round trip.
+        The rebuilt collector is interchangeable with the original:
+        only request URLs are lost in the round trip.
         """
         collector = cls(name=payload.name)
         for row in range(len(payload.ok_request_ids)):
@@ -271,6 +300,13 @@ class ResponseTimeCollector:
                     ),
                 )
             )
+        rows = collector._outcomes + collector._failed
+        for row, count in zip(
+            payload.retried_rows.tolist(), payload.retry_counts.tolist()
+        ):
+            rows[row].retries = count
+        for row in payload.gave_up_rows.tolist():
+            rows[row].gave_up = True
         return collector
 
     def __len__(self) -> int:
@@ -282,16 +318,6 @@ class ResponseTimeCollector:
             f"ResponseTimeCollector(name={self.name!r}, "
             f"completed={totals.completed}, failed={totals.failed})"
         )
-
-
-@dataclass
-class LoadSamplerPayload:
-    """Compact, picklable export of a :class:`ServerLoadSampler`."""
-
-    interval: float
-    times: np.ndarray
-    #: ``(num_samples, num_servers)`` busy-count matrix.
-    samples: np.ndarray
 
 
 class ServerLoadSampler:
@@ -344,30 +370,6 @@ class ServerLoadSampler:
             (time, jain_fairness_index(row))
             for time, row in zip(self._times, self._samples)
         ]
-
-    # ------------------------------------------------------------------
-    # compact export / rebuild (the parallel sweep runner's wire format)
-    # ------------------------------------------------------------------
-    def export_payload(self) -> LoadSamplerPayload:
-        """Export the recorded samples as a :class:`LoadSamplerPayload`."""
-        num_servers = len(self._samples[0]) if self._samples else 0
-        return LoadSamplerPayload(
-            interval=self.interval,
-            times=np.array(self._times, dtype=np.float64),
-            samples=np.array(self._samples, dtype=np.int64).reshape(
-                len(self._samples), num_servers
-            ),
-        )
-
-    @classmethod
-    def from_payload(cls, payload: LoadSamplerPayload) -> "ServerLoadSampler":
-        """Rebuild a sampler from :meth:`export_payload`'s output."""
-        sampler = cls(interval=payload.interval)
-        sampler._times = [float(time) for time in payload.times]
-        sampler._samples = [
-            [int(count) for count in row] for row in payload.samples
-        ]
-        return sampler
 
     def __len__(self) -> int:
         return len(self._samples)

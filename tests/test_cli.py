@@ -121,6 +121,68 @@ class TestCommands:
         assert "kill lb-" in captured.out
 
 
+class TestRepeatedSelectors:
+    """A selector given twice names one cell: it runs and prints once."""
+
+    @staticmethod
+    def _rows(out: str, first_column: str):
+        return [line for line in out.splitlines() if line.split()[:1] == [first_column]]
+
+    def test_repeated_policy_runs_once(self, capsys):
+        exit_code = main(
+            [
+                "poisson",
+                "--servers", "4",
+                "--workers", "8",
+                "--queries", "100",
+                "--rho", "0.5",
+                "--policy", "RR",
+                "--policy", "SR4",
+                "--policy", "RR",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert exit_code == 0
+        policies = [line.split()[1] for line in self._rows(out, "0.500")]
+        assert policies == ["RR", "SR4"]
+
+    def test_repeated_rho_runs_once(self, capsys):
+        exit_code = main(
+            [
+                "poisson",
+                "--servers", "4",
+                "--workers", "8",
+                "--queries", "100",
+                "--policy", "RR",
+                "--rho", "0.5",
+                "--rho", "0.6",
+                "--rho", "0.5",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert exit_code == 0
+        assert len(self._rows(out, "0.500")) == 1
+        assert len(self._rows(out, "0.600")) == 1
+
+    def test_repeated_scheme_runs_once(self, capsys):
+        exit_code = main(
+            [
+                "resilience",
+                "--servers", "6",
+                "--workers", "8",
+                "--queries", "300",
+                "--spread", "1.0",
+                "--chunks", "3",
+                "--scheme", "random",
+                "--scheme", "random",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert exit_code == 0
+        assert len(self._rows(out, "random")) == 1
+        assert out.count("random: kill lb-") == 1
+
+
 class TestJobsValidation:
     def test_negative_jobs_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -6,6 +6,7 @@ graceful drain, capacity accounting), the autoscaler's bounds and
 cooldowns, and the mid-run CPU speed change the warm-up relies on.
 """
 
+import pickle
 from types import SimpleNamespace
 
 import pytest
@@ -510,7 +511,7 @@ class TestCapacityTracker:
         tracker = CapacityTracker(start_time=0.0, capacity=4.0)
         tracker.record(10.0, 6.0)
         tracker.record_drain(1.5)
-        rebuilt = CapacityTracker.from_payload(tracker.export_payload())
+        rebuilt = pickle.loads(pickle.dumps(tracker))
         assert rebuilt.series() == tracker.series()
         assert rebuilt.drain_durations == [1.5]
         assert rebuilt.capacity_seconds(through=20.0) == pytest.approx(

@@ -3,7 +3,8 @@
 The test introspects :func:`repro.cli.build_parser` and fails when a
 sub-command or a long option exists in the code but is not mentioned in
 the documentation page, so the docs cannot silently rot as the CLI
-grows.
+grows.  The same goes for the scenario registry and the "Registered
+families" table of ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser
+from repro.experiments import registry
 
 DOC_PATH = Path(__file__).resolve().parents[1] / "docs" / "cli.md"
+ARCHITECTURE_PATH = DOC_PATH.with_name("architecture.md")
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +70,16 @@ def test_doc_mentions_no_stale_subcommand(doc_text):
                 f"docs/cli.md documents {documented!r}, which is not a "
                 "sub-command of the CLI"
             )
+
+
+def test_registered_families_table_matches_the_registry():
+    """One row per registered family, naming the module that registers it."""
+    text = ARCHITECTURE_PATH.read_text(encoding="utf-8")
+    table = text.split("Registered families", 1)[1].split("\n\n", 2)[1]
+    documented = {}
+    for line in table.splitlines()[2:]:  # skip the header and its rule
+        scenario, _cells, module = (cell.strip(" `") for cell in line.strip("|").split("|"))
+        documented[scenario] = module
+    assert documented == {
+        name: type(registry.get(name)).__module__ for name in registry.names()
+    }

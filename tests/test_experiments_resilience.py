@@ -111,7 +111,7 @@ class TestResilienceRuns:
         assert run.queries_hung == 0
 
     def test_kill_observation_is_recorded(self, comparison):
-        for scheme in comparison.schemes():
+        for scheme in comparison.keys():
             observations = comparison.run(scheme).observations
             assert len(observations) == 1
             assert observations[0].event.action == "kill"
@@ -128,7 +128,7 @@ class TestResilienceRuns:
         totals = [
             comparison.run(scheme).collector.totals.total
             + comparison.run(scheme).queries_hung
-            for scheme in comparison.schemes()
+            for scheme in comparison.keys()
         ]
         assert all(total == totals[0] for total in totals)
 

@@ -9,12 +9,16 @@ payload round trip) must produce bit-for-bit identical series.
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
+from repro.experiments.chaos_experiment import CHAOS_SCENARIO, run_chaos
 from repro.experiments.config import (
     ChurnEvent,
     PoissonSweepConfig,
@@ -164,12 +168,71 @@ class TestCollectorPayload:
         )
 
 
+    def test_subclass_pickles_as_a_plain_collector_of_its_outcomes(self):
+        from repro.experiments.scale_experiment import _ColumnCollector
+        from repro.sim.engine import Simulator
+
+        collector = _ColumnCollector(name="pod-0")
+        collector.simulator = Simulator()  # live state that must not ship
+        collector.record(
+            RequestOutcome(request_id=7, kind="wiki", url="", sent_at=0.5, completed_at=0.75)
+        )
+        rebuilt = pickle.loads(pickle.dumps(collector))
+        assert type(rebuilt) is ResponseTimeCollector
+        assert rebuilt.outcomes() == collector.outcomes()
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.booleans(),  # succeeded
+                st.floats(min_value=0.0, max_value=1e6),  # sent_at
+                st.none() | st.floats(min_value=0.0, max_value=5.0),  # handshake
+                st.sampled_from(["wiki", "static", "heavy"]),
+                st.none() | st.sampled_from(["connection reset", "client timeout"]),
+                st.integers(min_value=0, max_value=4),  # retries
+                st.booleans(),  # gave_up (failures only)
+            ),
+            max_size=25,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_pickle_keeps_every_field_but_url(self, rows):
+        collector = ResponseTimeCollector(name="property")
+        for request_id, row in enumerate(rows):
+            succeeded, sent_at, handshake, kind, reason, retries, gave_up = row
+            outcome = RequestOutcome(
+                request_id=request_id,
+                kind=kind,
+                url=f"/{kind}/{request_id}",
+                sent_at=sent_at,
+                established_at=None if handshake is None else sent_at + handshake,
+                retries=retries,
+            )
+            if succeeded:
+                outcome.completed_at = sent_at + 6.0
+            else:
+                outcome.failed = True
+                outcome.failure_reason = reason
+                outcome.gave_up = gave_up
+            collector.record(outcome)
+
+        rebuilt = pickle.loads(pickle.dumps(collector))
+
+        assert rebuilt.name == collector.name
+        assert rebuilt.outcomes() == [
+            dataclasses.replace(outcome, url="") for outcome in collector.outcomes()
+        ]
+        assert rebuilt.failures() == [
+            dataclasses.replace(outcome, url="") for outcome in collector.failures()
+        ]
+
+
 class TestLoadSamplerPayload:
     def test_round_trip_preserves_series(self):
         sampler = ServerLoadSampler(interval=0.25)
         sampler.sample(0.0, [1, 2, 3])
         sampler.sample(0.25, [4, 5, 6])
-        rebuilt = ServerLoadSampler.from_payload(sampler.export_payload())
+        rebuilt = pickle.loads(pickle.dumps(sampler))
         assert rebuilt.interval == 0.25
         assert rebuilt.times == sampler.times
         assert rebuilt.samples == sampler.samples
@@ -177,9 +240,7 @@ class TestLoadSamplerPayload:
         assert rebuilt.fairness_series() == sampler.fairness_series()
 
     def test_empty_sampler_round_trips(self):
-        rebuilt = ServerLoadSampler.from_payload(
-            ServerLoadSampler(interval=0.5).export_payload()
-        )
+        rebuilt = pickle.loads(pickle.dumps(ServerLoadSampler(interval=0.5)))
         assert len(rebuilt) == 0
 
 
@@ -274,6 +335,24 @@ class TestWikipediaReplayDeterminism:
             )
 
 
+class TestChaosDeterminism:
+    def test_retry_accounting_survives_any_jobs_value(self):
+        """What a pooled run brings home is what a serial run holds:
+        per-outcome retries and give-ups add up to the client's counters."""
+        config = dataclasses.replace(
+            CHAOS_SCENARIO.smoke_config(), modes=("loss", "jitter")
+        )
+        by_jobs = {}
+        for jobs in (1, 2):
+            run = run_chaos(config, jobs=jobs).run("loss")
+            outcomes = run.collector.outcomes() + run.collector.failures()
+            assert run.queries_retried > 0
+            assert sum(outcome.retries for outcome in outcomes) == run.queries_retried
+            assert sum(outcome.gave_up for outcome in outcomes) == run.queries_gave_up
+            by_jobs[jobs] = [dataclasses.replace(outcome, url="") for outcome in outcomes]
+        assert by_jobs[1] == by_jobs[2]
+
+
 class TestResilienceDeterminism:
     def test_jobs_do_not_change_results(self):
         config = ResilienceConfig(
@@ -291,7 +370,7 @@ class TestResilienceDeterminism:
         )
         serial = run_resilience_comparison(config, jobs=1)
         parallel = run_resilience_comparison(config, jobs=2)
-        for scheme in serial.schemes():
+        for scheme in serial.keys():
             serial_run = serial.run(scheme)
             parallel_run = parallel.run(scheme)
             assert parallel_run.broken_flows == serial_run.broken_flows

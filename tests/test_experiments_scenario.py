@@ -3,7 +3,9 @@ new workload families (flash-crowd and heterogeneous-fleet)."""
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
+from multiprocessing.reduction import ForkingPickler
 
 import pytest
 
@@ -13,6 +15,8 @@ from repro.experiments.config import (
     FlashCrowdConfig,
     HeterogeneousFleetConfig,
     TestbedConfig,
+    rr_policy,
+    sr_policy,
 )
 from repro.experiments.flash_crowd_experiment import (
     FLASH_CROWD_SCENARIO,
@@ -153,6 +157,53 @@ class TestRunScenario:
         # One load factor, two policies -> both cells share one trace.
         assert len(seen) == 2
         assert seen[0] is seen[1]
+
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_repeated_cell_key_is_refused_before_anything_runs(self, jobs, monkeypatch):
+        spec = registry.get("poisson")
+        config = dataclasses.replace(
+            spec.smoke_config(), policies=(rr_policy(), sr_policy(4), rr_policy())
+        )
+        monkeypatch.setattr(
+            type(spec), "run_once", lambda *args: pytest.fail("a cell ran")
+        )
+        with pytest.raises(ExperimentError, match=r"\('RR', 0\.5\).*more than once"):
+            run_scenario(spec, config, jobs=jobs)
+
+
+class TestRunResultWireFormat:
+    """A run result crosses a process boundary as itself, for every family.
+
+    ``scale`` is left out: its result is columns already (PR 16) and its
+    table prints wall-clock.
+    """
+
+    @pytest.mark.parametrize(
+        "name", [name for name in registry.names() if name != "scale"]
+    )
+    def test_every_run_survives_the_pool_pickle_compactly(self, name):
+        spec = registry.get(name)
+        config = spec.smoke_config()
+        cells = spec.cells(config)
+        traces = {}
+
+        def trace_for(cell):
+            key = spec.trace_key(config, cell)
+            if key not in traces:
+                traces[key] = spec.make_trace(config, cell)
+            return traces[key]
+
+        runs = [spec.run_once(config, cell, trace_for(cell)) for cell in cells]
+        blobs = [bytes(ForkingPickler.dumps(run)) for run in runs]
+        shipped = [ForkingPickler.loads(blob) for blob in blobs]
+
+        assert spec.render(
+            spec.aggregate(config, cells, shipped, trace_for)
+        ) == spec.render(spec.aggregate(config, cells, runs, trace_for))
+        for run, blob in zip(runs, blobs):
+            # Arrays, not an object graph (~490 B per outcome).
+            assert len(blob) <= 40 * len(run.collector) + 8 * 1024
 
 
 # ----------------------------------------------------------------------

@@ -322,7 +322,7 @@ class TestChaosGolden:
     def test_fault_drop_counters_reconcile(self, comparison):
         # Every drop is counted once in the unified total and once in
         # exactly one reason counter, for every cell.
-        for mode in comparison.modes():
+        for mode in comparison.keys():
             run = comparison.run(mode)
             assert run.fault_packets_dropped == (
                 run.fault_dropped_loss
