@@ -5,8 +5,8 @@
 #                              with a notice when ruff is not installed)
 #   make bench-smoke         - one fast benchmark per scenario family, reduced scale
 #   make bench-smoke-parallel - a tiny Figure-2 sweep, autoscale and adversarial run
-#                              through the multiprocessing runner (jobs=2), so CI
-#                              ships every shape of run result through the pool
+#                              over two worker processes (jobs=2), so CI ships
+#                              every shape of run result across a process boundary
 #   make scale-smoke         - the scale scenario at partitions=1 and 2; asserts the
 #                              merged results are bit-identical (fingerprint check)
 #                              and the coordinator's memory growth stays per-column
@@ -85,11 +85,12 @@ bench-smoke:
 		benchmarks/bench_scale.py
 
 # The same Figure-2 smoke sweep, fanned out over 2 worker processes:
-# a cheap end-to-end signal that the parallel sweep runner still works
+# a cheap end-to-end signal that the jobs fan-out still works
 # (and still matches the serial results, which the assertions pin).
 # Autoscale and adversarial ride along so all three shapes of result
-# cross the pool: a family container, a default ScenarioResult with
-# meta and a natively pickled CapacityTracker, and a collapsed comparison.
+# cross the process boundary: a family container, a default
+# ScenarioResult with meta and a natively pickled CapacityTracker, and a
+# collapsed comparison.
 bench-smoke-parallel:
 	REPRO_BENCH_QUERIES=800 REPRO_BENCH_RHO_POINTS=2 REPRO_BENCH_JOBS=2 \
 	REPRO_BENCH_TIME_FACTOR=0.2 REPRO_BENCH_ADV_QUERIES=1000 \
@@ -110,7 +111,7 @@ scale-smoke:
 		benchmarks/bench_scale.py
 
 # The chaos scenario at smoke scale under two seeds, each run serially
-# and again over a 2-process pool; the benchmark asserts per-seed
+# and again over 2 worker processes; the benchmark asserts per-seed
 # jobs=1/jobs=2 fingerprints are bit-identical, the two seeds disagree
 # (the injectors really draw from the seed), drop counters reconcile,
 # and client retransmission recovers >= 99% of the loss cell's queries.

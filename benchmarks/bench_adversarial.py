@@ -9,7 +9,7 @@ experienced in each mode next to the attack-side counters.
 
 Scale knobs: ``REPRO_BENCH_ADV_QUERIES`` sets the legitimate query count
 (default 1500); ``REPRO_BENCH_JOBS`` fans the per-mode replays out over
-a pool.
+worker processes.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ pay for materially less capacity while staying inside the SLO.
 
 Scale knobs: ``REPRO_BENCH_TIME_FACTOR`` compresses the day and every
 control-plane clock (default 0.5); ``REPRO_BENCH_JOBS`` fans the
-per-mode replays out over a pool.
+per-mode replays out over worker processes.
 """
 
 from __future__ import annotations

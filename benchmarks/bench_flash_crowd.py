@@ -9,7 +9,8 @@ drain back faster than the RR baseline.
 
 Scale knobs: ``REPRO_BENCH_TIME_FACTOR`` multiplies every phase
 duration (default 0.5 — half the scenario's default schedule);
-``REPRO_BENCH_JOBS`` fans the per-policy replays out over a pool.
+``REPRO_BENCH_JOBS`` fans the per-policy replays out over worker
+processes.
 """
 
 from __future__ import annotations

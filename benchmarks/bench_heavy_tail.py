@@ -9,7 +9,8 @@ blind round-robin even when demands are heavy-tailed, so the SR policies'
 mean response stays at or below the RR baseline.
 
 Scale knobs: ``REPRO_BENCH_ARRIVALS`` sets the arrival count (default
-1500); ``REPRO_BENCH_JOBS`` fans the per-policy replays out over a pool.
+1500); ``REPRO_BENCH_JOBS`` fans the per-policy replays out over worker
+processes.
 """
 
 from __future__ import annotations

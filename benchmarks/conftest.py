@@ -15,7 +15,7 @@ Scale knobs (environment variables):
   synthetic Wikipedia day (default 480; the paper replays 86400).
 * ``REPRO_BENCH_JOBS`` — worker processes for independent runs within a
   sweep (default 1 = in-process; 0 = all cores).  Results are identical
-  for any value (see ``repro.experiments.runner``), so this is purely a
+  for any value (see ``repro.experiments.scenario``), so this is purely a
   wall-clock knob.
 
 Setting these to the paper-scale values reproduces the full evaluation;

@@ -176,7 +176,7 @@ def _jobs_count(text: str) -> int:
     """Parse and validate a ``--jobs`` value at the argparse layer.
 
     Rejecting negatives here yields a clear usage error (exit status 2)
-    instead of a traceback out of the multiprocessing pool.
+    instead of an error from deep inside the run.
     """
     try:
         value = int(text)
@@ -267,26 +267,6 @@ def _partitions_count(text: str) -> int:
             f"must be >= 1 (1 = run every partition in-process), got {value}"
         )
     return value
-
-
-def _check_parallelism_budget(jobs: int, partitions: int) -> None:
-    """Reject multiplicative over-subscription of the machine.
-
-    ``--jobs`` fans out across independent runs and ``--partitions``
-    splits one run; using both multiplies the process count.  Asking for
-    more simultaneous workers than the machine has CPUs is never what
-    the user wants (it only adds scheduling churn), so it is a usage
-    error rather than a silent slowdown.
-    """
-    available = os.cpu_count() or 1
-    effective_jobs = available if jobs == 0 else jobs
-    if effective_jobs > 1 and partitions > 1 and effective_jobs * partitions > available:
-        raise ReproError(
-            f"--jobs {effective_jobs} x --partitions {partitions} = "
-            f"{effective_jobs * partitions} worker processes, but this machine "
-            f"has {available} CPU(s); lower one of them (use --jobs for "
-            "fanning out independent runs, --partitions for splitting one run)"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -620,7 +600,6 @@ def _command_chaos(args: argparse.Namespace) -> int:
 
 
 def _command_scale(args: argparse.Namespace) -> int:
-    _check_parallelism_budget(args.jobs, args.partitions)
     config = ScaleConfig(
         testbed=_testbed_from_args(args),
         pods=args.pods,
@@ -630,7 +609,7 @@ def _command_scale(args: argparse.Namespace) -> int:
         acceptance_policy=args.policy,
         ecmp_hash=args.ecmp_hash,
     )
-    result = run_scale_scenario(config, partitions=args.partitions, jobs=args.jobs)
+    result = run_scale_scenario(config, partitions=args.partitions)
     print(figures.render_scenario_figure("scale", result))
     return 0
 
@@ -1146,7 +1125,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="rendezvous",
         help="flow-to-pod mapping of the modeled front-end ECMP stage",
     )
-    _add_jobs_argument(scale)
     _add_telemetry_arguments(scale)
     scale.set_defaults(handler=_command_scale)
 
@@ -1201,6 +1179,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # The fan-out has already terminated and joined its children.
+        print("interrupted", file=sys.stderr)
+        return 130
     finally:
         if telemetry_on and not was_enabled:
             from repro.telemetry import runtime as telemetry_runtime

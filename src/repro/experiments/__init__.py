@@ -10,9 +10,10 @@ exact series each figure plots.
 Every experiment family is a declarative
 :class:`~repro.experiments.scenario.ScenarioSpec` registered in
 :mod:`repro.experiments.registry`; :func:`~repro.experiments.scenario.run_scenario`
-is the single driver (and the single home of ``jobs=`` dispatch).  On
-top of the paper's three families, the harness ships the ``flash-crowd``
-and ``heterogeneous-fleet`` scenarios.
+is the single driver and the single home of ``jobs=`` dispatch (cells go
+to the worker processes of :mod:`repro.sim.partition`).  On top of the
+paper's three families, the harness ships the ``flash-crowd`` and
+``heterogeneous-fleet`` scenarios.
 """
 
 from repro.experiments.calibration import (
@@ -44,6 +45,7 @@ from repro.experiments.scenario import (
     ScenarioResult,
     ScenarioSpec,
     ScenarioTask,
+    resolve_jobs,
     run_scenario,
 )
 from repro.experiments.platform import Testbed, build_testbed
@@ -54,7 +56,6 @@ from repro.experiments.poisson_experiment import (
     make_poisson_trace,
     run_poisson_once,
 )
-from repro.experiments.runner import SweepRunner, resolve_jobs
 from repro.experiments.resilience_experiment import (
     ResilienceRunResult,
     make_resilience_trace,
@@ -104,7 +105,6 @@ __all__ = [
     "PoissonSweep",
     "PoissonSweepResult",
     "PoissonRunResult",
-    "SweepRunner",
     "resolve_jobs",
     "run_poisson_once",
     "make_poisson_trace",

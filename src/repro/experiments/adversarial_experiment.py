@@ -404,9 +404,9 @@ def run_adversarial(
 ) -> ScenarioResult:
     """Replay the workload under every configured attack mode.
 
-    ``jobs`` fans the per-mode runs out over a process pool
+    ``jobs`` fans the per-mode runs out over worker processes
     (``None``/``0`` = all cores); results are identical for any value —
-    see :mod:`repro.experiments.runner` for the determinism contract.
+    see :mod:`repro.experiments.scenario` for the determinism contract.
     """
     return run_scenario(ADVERSARIAL_SCENARIO, config, jobs=jobs)
 

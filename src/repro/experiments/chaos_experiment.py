@@ -307,9 +307,9 @@ CHAOS_SCENARIO = registry.register(ChaosScenario())
 def run_chaos(config: ChaosConfig, jobs: Optional[int] = 1) -> ScenarioResult:
     """Replay the workload under every configured impairment mode.
 
-    ``jobs`` fans the per-mode runs out over a process pool
+    ``jobs`` fans the per-mode runs out over worker processes
     (``None``/``0`` = all cores); results are identical for any value —
-    see :mod:`repro.experiments.runner` for the determinism contract.
+    see :mod:`repro.experiments.scenario` for the determinism contract.
     """
     return run_scenario(CHAOS_SCENARIO, config, jobs=jobs)
 

@@ -255,9 +255,9 @@ def run_heavy_tail(
 ) -> HeavyTailComparison:
     """Replay the heavy-tail trace under every configured policy.
 
-    ``jobs`` fans the per-policy runs out over a process pool
+    ``jobs`` fans the per-policy runs out over worker processes
     (``None``/``0`` = all cores); results are identical for any value —
-    see :mod:`repro.experiments.runner` for the determinism contract.
+    see :mod:`repro.experiments.scenario` for the determinism contract.
     """
     return run_scenario(HEAVY_TAIL_SCENARIO, config, jobs=jobs)
 

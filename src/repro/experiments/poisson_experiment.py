@@ -285,10 +285,10 @@ class PoissonSweep:
     ) -> PoissonSweepResult:
         """Execute every (policy, load factor) combination.
 
-        ``jobs`` fans the independent cells out over a process pool
+        ``jobs`` fans the independent cells out over worker processes
         (``None``/``0`` = all cores); ``jobs=1`` keeps the historical
         in-process path.  Results are identical for any value — see
-        :mod:`repro.experiments.runner` for the determinism contract.
+        :mod:`repro.experiments.scenario` for the determinism contract.
         """
         return run_scenario(
             POISSON_SCENARIO, self.config, jobs=jobs, sample_load=sample_load

@@ -9,7 +9,7 @@ import it yourself) — the sub-command table, ``srlb-repro scenarios``
 listing, and figure smoke tests pick it up automatically.
 
 Built-in family modules are imported lazily on first lookup, so
-``registry.get`` works inside pool workers regardless of the
+``registry.get`` works inside worker processes regardless of the
 multiprocessing start method (a spawned worker has not imported the
 family modules yet when it unpickles its first task).
 """

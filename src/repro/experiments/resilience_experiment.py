@@ -281,10 +281,10 @@ def run_resilience_comparison(
 ) -> ScenarioResult:
     """Replay the same workload + churn under every configured scheme.
 
-    ``jobs`` fans the per-scheme runs out over a process pool
+    ``jobs`` fans the per-scheme runs out over worker processes
     (``None``/``0`` = all cores); ``jobs=1`` keeps the historical
     in-process path.  Results are identical for any value — see
-    :mod:`repro.experiments.runner` for the determinism contract.
+    :mod:`repro.experiments.scenario` for the determinism contract.
     """
     return run_scenario(RESILIENCE_SCENARIO, config, jobs=jobs)
 

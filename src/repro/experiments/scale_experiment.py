@@ -545,14 +545,11 @@ SCALE_SCENARIO = registry.register(ScaleScenario())
 def run_scale_scenario(
     config: Optional[ScaleConfig] = None,
     partitions: int = 1,
-    jobs: Optional[int] = 1,
 ) -> ScaleResult:
     """Scenario-framework front for the ``scale`` family.
 
-    ``jobs`` fans the (single) cell through the sweep runner for API
-    symmetry with the other families; ``partitions`` is the intra-run
-    parallelism and is forwarded to the partition driver.
+    The family has a single cell, so there is nothing for ``jobs`` to
+    fan out; ``partitions`` is the intra-run parallelism and is
+    forwarded to the partition driver.
     """
-    return run_scenario(
-        SCALE_SCENARIO, config, jobs=jobs, partitions=partitions
-    )
+    return run_scenario(SCALE_SCENARIO, config, partitions=partitions)

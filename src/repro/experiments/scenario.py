@@ -26,7 +26,8 @@ each run by its cell into a :class:`ScenarioResult`.
 
 :func:`run_scenario` is the single driver: it resolves the spec (by name
 through :mod:`repro.experiments.registry`), enumerates the cells, and
-fans them out through :class:`~repro.experiments.runner.SweepRunner`.
+runs them — in this process, or one task per cell on the supervised
+worker processes of :func:`repro.sim.partition.run_partitioned`.
 ``jobs=`` dispatch lives *here and only here* — the per-family entry
 points (``PoissonSweep.run``, ``WikipediaReplay.run``,
 ``run_resilience_comparison``, and every new family's CLI sub-command)
@@ -34,19 +35,28 @@ are thin shims over this function.
 
 Determinism contract
 --------------------
-The framework inherits the runner's contract: ``jobs`` never changes
-results.  A serial run shares each trace across the cells that declare
+``jobs`` never changes results, only wall-clock time.  Every cell
+carries the full, seeded description of its run (configs are frozen
+dataclasses) and builds its own simulator, so nothing is shared between
+cells.  A serial run (``jobs=1``, or a single cell) starts no process
+and pickles nothing, and shares each trace across the cells that declare
 the same :meth:`~ScenarioSpec.trace_key`; a parallel run regenerates the
 trace inside the worker from ``(config, cell)`` — which must be (and for
 every built-in family is) bit-for-bit the same trace.  An explicit
 ``trace=`` handed to :func:`run_scenario` is shipped to the workers
-verbatim instead.  A pooled run's results come home pickled (a collector
-pickles as arrays and scalars); a serial run's are not pickled at all.
-Both carry the same outcome fields, ``url`` excepted.
+verbatim instead.  A parallel run's results come home pickled (a
+collector pickles as arrays and scalars, so the floats cross verbatim);
+a serial run's are not pickled at all.  Both carry the same outcome
+fields, ``url`` excepted.
+
+A cell that raises in a worker, or a worker that dies, ends the run in
+one :class:`~repro.errors.SimulationError` naming the cell(s) and no
+surviving process (see :mod:`repro.sim.partition`).
 """
 
 from __future__ import annotations
 
+import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import (
@@ -58,11 +68,12 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
 from repro.errors import ExperimentError
-from repro.experiments.runner import SweepRunner
+from repro.sim.partition import PartitionTask, Tick, run_partitioned
 from repro.workload.trace import Trace
 
 
@@ -167,7 +178,7 @@ class ScenarioSpec(ABC):
         """The cell's workload trace.
 
         Must be a pure, deterministic function of ``(config, cell)`` —
-        pool workers regenerate the trace from exactly these arguments,
+        worker processes regenerate the trace from exactly these arguments,
         and the determinism contract requires both paths to agree.
         """
 
@@ -223,7 +234,7 @@ class ScenarioSpec(ABC):
 
 @dataclass(frozen=True)
 class ScenarioTask:
-    """Picklable description of one cell's run, shipped to pool workers.
+    """Picklable description of one cell's run, shipped to worker processes.
 
     Only the scenario *name* crosses the boundary; the worker re-resolves
     the spec through the registry (built-in families are imported on
@@ -236,35 +247,36 @@ class ScenarioTask:
     trace: Optional[Trace] = None
 
 
-@dataclass(frozen=True)
-class _CellOutcome:
-    """Worker return wrapper carrying the telemetry published by a cell.
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Normalise a ``jobs`` request to a concrete worker count.
 
-    Only used when telemetry is enabled (the wrapper itself must not
-    perturb the telemetry-off pickle traffic).  ``telemetry`` is the
-    worker-side publish buffer drained right after ``run_once`` — a
-    tuple of ``(run_name, TelemetryPayload)`` pairs.
+    ``None`` and ``0`` both mean "all cores" (``os.cpu_count()``);
+    anything below zero is rejected.
     """
+    if jobs is None or jobs == 0:
+        return os.cpu_count() or 1
+    if jobs < 0:
+        raise ExperimentError(f"jobs must be >= 0, got {jobs!r}")
+    return jobs
 
-    run: Any
-    telemetry: Sequence[Any] = ()
 
+def _run_scenario_cell(task: PartitionTask, tick: Tick) -> Tuple[Any, List[Any]]:
+    """Worker: resolve the spec, rebuild the trace, run one cell.
 
-def _run_scenario_cell(task: ScenarioTask) -> Any:
-    """Pool worker: resolve the spec, rebuild the trace, run one cell."""
+    Returns the run and the ``(run_name, TelemetryPayload)`` pairs the
+    cell published (none when telemetry is off).
+    """
     from repro.experiments import registry
     from repro.telemetry import runtime as telemetry_runtime
 
-    spec = registry.get(task.scenario)
+    work: ScenarioTask = task.payload
+    spec = registry.get(work.scenario)
     trace = (
-        task.trace
-        if task.trace is not None
-        else spec.make_trace(task.config, task.cell)
+        work.trace
+        if work.trace is not None
+        else spec.make_trace(work.config, work.cell)
     )
-    run = spec.run_once(task.config, task.cell, trace)
-    if telemetry_runtime.telemetry_enabled():
-        return _CellOutcome(run, tuple(telemetry_runtime.drain()))
-    return run
+    return spec.run_once(work.config, work.cell, trace), telemetry_runtime.drain()
 
 
 def run_scenario(
@@ -285,7 +297,7 @@ def run_scenario(
     jobs:
         Worker processes for the independent cells (``1`` = in-process,
         ``None``/``0`` = all cores).  Results are identical for any
-        value — see :mod:`repro.experiments.runner`.
+        value — see the module docstring.
     trace:
         Optional explicit workload trace replayed by *every* cell
         (shipped to workers verbatim); ``None`` lets the spec generate
@@ -324,33 +336,31 @@ def run_scenario(
 
     from repro.telemetry import runtime as telemetry_runtime
 
-    telemetry_on = telemetry_runtime.telemetry_enabled()
-    report = telemetry_runtime.TelemetryReport() if telemetry_on else None
+    report = None
+    if telemetry_runtime.telemetry_enabled():
+        # A bad REPRO_TELEMETRY_* value is a usage error of the whole
+        # run: raise it here, not from inside every worker process.
+        telemetry_runtime.sampling_interval()
+        telemetry_runtime.ring_capacity()
+        report = telemetry_runtime.TelemetryReport()
 
-    runner = SweepRunner(jobs=jobs)
-    if runner.serial:
-        runs = []
+    processes = resolve_jobs(jobs)
+    runs = []
+    if processes == 1 or len(cells) == 1:
         for cell in cells:
             runs.append(spec.run_once(config, cell, trace_for(cell)))
             if report is not None:
                 report.add(cell.key, telemetry_runtime.drain())
     else:
         tasks = [
-            ScenarioTask(scenario=spec.name, config=config, cell=cell, trace=trace)
+            PartitionTask(cell.key, ScenarioTask(spec.name, config, cell, trace))
             for cell in cells
         ]
-        outcomes = runner.map(_run_scenario_cell, tasks)
-        if telemetry_on:
-            runs = []
-            for cell, outcome in zip(cells, outcomes):
-                if isinstance(outcome, _CellOutcome):
-                    runs.append(outcome.run)
-                    if report is not None:
-                        report.add(cell.key, list(outcome.telemetry))
-                else:  # pragma: no cover - worker raced the env flag off
-                    runs.append(outcome)
-        else:
-            runs = outcomes
+        outcomes = run_partitioned(_run_scenario_cell, tasks, processes=processes)
+        for cell, (run, published) in zip(cells, outcomes):
+            runs.append(run)
+            if report is not None:
+                report.add(cell.key, published)
     if report is not None:
         telemetry_runtime.set_last_report(report)
     return spec.aggregate(config, cells, runs, trace_for)

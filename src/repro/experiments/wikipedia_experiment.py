@@ -217,12 +217,12 @@ class WikipediaReplay:
     ) -> WikipediaReplayResult:
         """Generate (or reuse) the trace and replay it under every policy.
 
-        ``jobs`` fans the per-policy replays out over a process pool
+        ``jobs`` fans the per-policy replays out over worker processes
         (``None``/``0`` = all cores); ``jobs=1`` keeps the historical
         in-process path.  Results are identical for any value — see
-        :mod:`repro.experiments.runner` for the determinism contract.
+        :mod:`repro.experiments.scenario` for the determinism contract.
         An explicit ``trace`` is shipped to the workers verbatim; a
         config-generated trace is cheaper to regenerate from the seed
-        than to pickle across the pool.
+        than to pickle to the workers.
         """
         return run_scenario(WIKIPEDIA_SCENARIO, self.config, jobs=jobs, trace=trace)

@@ -1,24 +1,27 @@
-"""Partitioned intra-run simulation: one run, several simulator processes.
+"""The process fan-out: independent tasks over supervised worker processes.
 
-:mod:`repro.experiments.runner` parallelises *across* independent runs;
-this module parallelises *within* one run.  The testbed is sliced at its
-natural boundary — the front-end ECMP stage that spreads flows over
-load-balancer/server pods — into partitions that never exchange a
-packet, so a partition is an independent run: the worker builds its
-world, replays it to the horizon and returns **one** picklable result.
+The only module of the package that starts a process, with two callers.
+:func:`repro.experiments.scenario.run_scenario` parallelises *across*
+independent runs (``--jobs``): one task per scenario cell, labelled with
+the cell's key.  The ``scale`` family parallelises *within* one run
+(``--partitions``): the testbed is sliced at the front-end ECMP stage
+into pods that never exchange a packet, one task per pod, labelled with
+the pod index.  Either way a task is an independent run: the worker
+builds its world, replays it and returns **one** picklable result.
 
 This module only fans out and supervises: it starts at most one process
-per partition, hands each process its partitions round-robin, receives
-one result per partition over the process's pipe, and returns the
-results in task order.  What a result holds and how results combine is
-the caller's business (the ``scale`` family ships outcome columns and
-merges them by ``(time, pod, emission order)``).
+per task, deals each process its tasks round-robin, receives one result
+per task over the process's pipe, and returns the results in task
+order.  What a result holds and how results combine is the caller's
+business (the ``scale`` family ships outcome columns and merges them by
+``(time, pod, emission order)``).  A failed task, a dead process or an
+interrupted coordinator each end in one :class:`SimulationError` (or the
+interrupt itself) and no surviving child — see :func:`run_partitioned`.
 
-Determinism does not depend on scheduling: every partition's result is a
-pure function of its task, and ``processes=1`` runs the *same* worker in
-this process, so partitioned and serial runs are bit-identical by
-construction — pinned by the golden tests of the ``scale`` scenario
-family.
+Determinism does not depend on scheduling: every task's result is a pure
+function of the task, and ``processes=1`` runs the *same* worker in this
+process, so multi-process and serial runs are bit-identical by
+construction — pinned by the golden tests of the scenario families.
 
 Supervision rides on a heartbeat: the worker is handed a ``tick``
 callable and calls it as it makes progress (:func:`run_to_horizon` ticks
@@ -41,48 +44,50 @@ from repro.sim.engine import Simulator
 #: Heartbeat: called by a worker whenever it has made progress.
 Tick = Callable[[], None]
 
-#: A partition worker: builds the partition's world from the task
-#: payload, replays it (ticking as it goes) and returns one picklable
+#: A worker: builds the task's world from the payload, replays it
+#: (ticking as it goes, if it ticks at all) and returns one picklable
 #: result.  Must be a module-level callable so it pickles to worker
 #: processes.
 PartitionWorker = Callable[["PartitionTask", Tick], Any]
 
 #: Slices :func:`run_to_horizon` cuts a replay into, i.e. heartbeats per
-#: partition.  Results never depend on it (slicing a run executes the
-#: same events in the same order); it only sets how soon a hung worker
-#: is noticed relative to a partition's run time.
+#: task that uses it.  Results never depend on it (slicing a run
+#: executes the same events in the same order); it only sets how soon a
+#: hung worker is noticed relative to a task's run time.
 HEARTBEAT_SLICES = 16
 
 
 class PartitionSupervisionError(SimulationError):
-    """A partition process stalled past the heartbeat deadline.
+    """A worker process stalled past the heartbeat deadline.
 
-    Carries the indices of the partitions that were running in the
-    stalled processes and whatever results the healthy partitions had
-    already delivered, so callers can report partial progress instead of
+    Carries the labels of the tasks that were running in the stalled
+    processes and whatever results the healthy tasks had already
+    delivered, so callers can report partial progress instead of
     blocking forever on a hung child.
     """
 
     def __init__(
         self,
         message: str,
-        partitions: Sequence[int],
-        results: Optional[Dict[int, Any]] = None,
+        partitions: Sequence[Any],
+        results: Optional[Dict[Any, Any]] = None,
     ) -> None:
         super().__init__(message)
         self.partitions = tuple(partitions)
-        self.results: Dict[int, Any] = dict(results or {})
+        self.results: Dict[Any, Any] = dict(results or {})
 
 
 @dataclass(frozen=True)
 class PartitionTask:
-    """One partition's slice of the run.
+    """One independent unit of work.
 
-    ``payload`` is an opaque picklable description of the slice (for the
-    ``scale`` family: the scenario config plus the pod index).
+    ``index`` labels the task in failure messages: any hashable value
+    unique within the call (the pod index for ``scale``, the cell key
+    for the scenario families).  ``payload`` is an opaque picklable
+    description of the work.
     """
 
-    index: int
+    index: Any
     payload: Any = None
 
 
@@ -105,9 +110,9 @@ def _no_tick() -> None:
 
 
 def run_partition_serially(worker: PartitionWorker, task: PartitionTask) -> List[Any]:
-    """Run one partition in this process; returns its result as ``[result]``.
+    """Run one task in this process; returns its result as ``[result]``.
 
-    The one-element list is what a partition "ships".  The serial path
+    The one-element list is what a task "ships".  The serial path
     calls this through the module global, and the repository benchmark's
     tracer (``benchmarks/perf/tracing.py``) rebinds that global to
     pickle each element, which is how ``experiments.transport_*`` is
@@ -116,20 +121,26 @@ def run_partition_serially(worker: PartitionWorker, task: PartitionTask) -> List
     return [worker(task, _no_tick)]
 
 
-def _failure(index: int, exc: BaseException) -> str:
-    """The one message a failed partition is reported with."""
-    return f"partition {index} failed: {type(exc).__name__}: {exc}"
+def _failure(index: Any, exc: BaseException) -> str:
+    """The one message a failed task is reported with."""
+    return f"task {index!r} failed: {type(exc).__name__}: {exc}"
+
+
+def _labels(indices: Sequence[Any]) -> str:
+    return ", ".join(repr(index) for index in indices)
 
 
 def _partition_process_main(
     worker: PartitionWorker, tasks: Sequence[PartitionTask], connection: Any
 ) -> None:
-    """Child-process entry: run the assigned partitions, report each.
+    """Child-process entry: run the assigned tasks, report each.
 
     Messages on the pipe: ``None`` is a tick; ``(True, result)`` the
-    partition being run has finished (partitions run in plan order, so
-    the coordinator knows which); ``(False, message)`` it failed, after
-    which the process stops (the run is lost anyway).
+    task being run has finished (tasks run in plan order, so the
+    coordinator knows which); ``(False, message)`` it failed, after
+    which the process stops (the run is lost anyway) — quietly, since a
+    traceback of its own would only race the coordinator's
+    ``terminate()``.
     """
 
     def tick() -> None:
@@ -139,9 +150,9 @@ def _partition_process_main(
         for task in tasks:
             try:
                 connection.send((True, worker(task, tick)))
-            except BaseException as exc:  # noqa: BLE001 - relayed, then re-raised
+            except BaseException as exc:  # noqa: BLE001 - relayed
                 connection.send((False, _failure(task.index, exc)))
-                raise
+                return
     finally:
         connection.close()
 
@@ -153,30 +164,29 @@ def run_partitioned(
     mp_context: Optional[multiprocessing.context.BaseContext] = None,
     heartbeat_timeout: Optional[float] = None,
 ) -> List[Any]:
-    """Execute every partition task; returns the results in task order.
+    """Execute every task; returns the results in task order.
 
-    ``processes=1`` runs all partitions serially in this process (no
-    pipes, no pickling); ``processes=N`` distributes partitions
-    round-robin over N worker processes — at most ``len(tasks)`` of
-    them, so extra processes never spawn idle workers.  Both paths run
-    the same worker code, so the results are identical for any
-    ``processes`` value.
+    ``processes=1`` runs all tasks serially in this process (no pipes,
+    no pickling); ``processes=N`` deals tasks round-robin over N worker
+    processes — at most ``len(tasks)`` of them, so extra processes never
+    spawn idle workers.  Both paths run the same worker code, so the
+    results are identical for any ``processes`` value.
 
     A worker that raises ends the run with one :class:`SimulationError`
-    naming the partition and the cause, whatever ``processes`` is; the
+    naming the task and the cause, whatever ``processes`` is; the
     remaining children are terminated and joined.
 
     ``heartbeat_timeout`` supervises the multi-process path: a process
     that sends nothing (neither a tick nor a result) for that many
     wall-clock seconds is declared hung, every child is terminated, and
-    :class:`PartitionSupervisionError` is raised naming the partitions
-    that were running, with the results collected so far attached —
-    instead of the coordinator blocking in its receive loop forever.
-    ``None`` (the default) disables supervision.
+    :class:`PartitionSupervisionError` is raised naming the tasks that
+    were running, with the results collected so far attached — instead
+    of the coordinator blocking in its receive loop forever.  ``None``
+    (the default) disables supervision.
     """
     indices = [task.index for task in tasks]
     if len(set(indices)) != len(indices):
-        raise SimulationError(f"partition indices must be unique, got {indices!r}")
+        raise SimulationError(f"task labels must be unique, got {indices!r}")
     if processes < 1:
         raise SimulationError(f"processes must be positive, got {processes!r}")
     if heartbeat_timeout is not None and heartbeat_timeout <= 0:
@@ -197,9 +207,9 @@ def run_partitioned(
     num_processes = min(processes, len(tasks))
     children: List[Any] = []
     connections: List[Any] = []
-    #: receive end -> indices the process has yet to report, running one first.
-    pending: Dict[Any, Deque[int]] = {}
-    results: Dict[int, Any] = {}
+    #: receive end -> labels the process has yet to report, running one first.
+    pending: Dict[Any, Deque[Any]] = {}
+    results: Dict[Any, Any] = {}
     try:
         for position in range(num_processes):
             plan = tasks[position::num_processes]
@@ -233,17 +243,18 @@ def run_partitioned(
 
 
 def _receive(
-    pending: Dict[Any, Deque[int]],
-    results: Dict[int, Any],
+    pending: Dict[Any, Deque[Any]],
+    results: Dict[Any, Any],
     heartbeat_timeout: Optional[float],
 ) -> None:
-    """Fill ``results`` until every process has reported all its partitions.
+    """Fill ``results`` until every process has reported all its tasks.
 
     A relayed worker failure raises :class:`SimulationError` with the
-    partition's own message; a process that exits without reporting
-    (killed, ``os._exit``) raises one naming the partitions it still
-    owed; with ``heartbeat_timeout`` set, a process silent for longer
-    raises :class:`PartitionSupervisionError`.
+    task's own message; a process that exits without reporting (killed,
+    ``os._exit``) raises one naming the tasks it still owed, in plan
+    order (labels need not be orderable); with ``heartbeat_timeout``
+    set, a process silent for longer raises
+    :class:`PartitionSupervisionError`.
     """
     from multiprocessing.connection import wait
 
@@ -251,7 +262,7 @@ def _receive(
     while pending:
         ready = wait(list(pending), timeout=heartbeat_timeout)
         now = time.monotonic()
-        lost: List[int] = []
+        lost: List[Any] = []
         for connection in ready:
             last_heard[connection] = now
             try:
@@ -269,23 +280,21 @@ def _receive(
             if not owed:
                 del pending[connection]
         if lost:
-            names = ", ".join(str(index) for index in sorted(lost))
             raise SimulationError(
-                f"a partition process exited without reporting partition(s) {names}"
+                f"a worker process exited without reporting task(s) {_labels(lost)}"
             )
         if heartbeat_timeout is None:
             continue
-        stalled = sorted(
+        stalled = [
             owed[0]
             for connection, owed in pending.items()
             if now - last_heard[connection] > heartbeat_timeout
-        )
+        ]
         if stalled:
-            names = ", ".join(str(index) for index in stalled)
             raise PartitionSupervisionError(
-                f"partition(s) {names} sent no heartbeat for more than "
+                f"task(s) {_labels(stalled)} sent no heartbeat for more than "
                 f"{heartbeat_timeout:g}s (hung worker); "
-                f"{len(results)} partition(s) had already completed",
+                f"{len(results)} task(s) had already completed",
                 partitions=stalled,
                 results=results,
             )

@@ -235,7 +235,7 @@ def attach_telemetry(
     Also points the traffic generator's ``flight_recorder`` at the
     probe's recorder so client retransmission/give-up events feed the
     black box.  Interval/capacity default to the runtime's environment
-    knobs so pool and partition workers sample identically.
+    knobs so ``jobs`` and partition workers sample identically.
     """
     probe = TelemetryProbe(
         testbed,

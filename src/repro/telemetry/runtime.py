@@ -3,7 +3,7 @@
 Telemetry is strictly opt-in: the probe only attaches to testbeds while
 :func:`telemetry_enabled` is true.  Enablement rides in an environment
 variable (``REPRO_TELEMETRY``) rather than module state so it survives
-every process boundary the experiment harness crosses — ``jobs`` pool
+every process boundary the experiment harness crosses — ``jobs``
 workers and partition workers inherit the parent's environment under
 both fork and spawn start methods.
 

@@ -16,7 +16,7 @@ whose memoryless per-phase generation is exact for piecewise-constant
 Poisson processes.
 
 Like every generator in this package, :meth:`DiurnalWorkload.generate`
-is a pure function of its parameters and the RNG, so pool workers can
+is a pure function of its parameters and the RNG, so worker processes can
 regenerate identical traces.
 """
 

@@ -12,7 +12,7 @@ rate λ are the truncated cumulative sums of exponential(1/λ) draws.
 :class:`~repro.workload.poisson.PoissonWorkload` to any such schedule of
 :class:`RatePhase` steps.  Like every generator in this package it is a
 pure function of its parameters and the RNG seed, and numbers requests
-``1..N`` trace-locally, so pool workers can regenerate identical traces.
+``1..N`` trace-locally, so worker processes can regenerate identical traces.
 """
 
 from __future__ import annotations

@@ -83,8 +83,8 @@ class PoissonWorkload:
 
         Request ids are local to the trace (``1..num_queries``), so the
         trace — ids included — is fully determined by the generator's
-        parameters and ``rng`` seed.  The parallel sweep runner relies
-        on this to regenerate identical traces inside pool workers.
+        parameters and ``rng`` seed.  The ``jobs`` fan-out relies
+        on this to regenerate identical traces inside worker processes.
         """
         inter_arrivals = rng.exponential(1.0 / self.rate, size=self.num_queries)
         arrival_times = self.start_time + np.cumsum(inter_arrivals)

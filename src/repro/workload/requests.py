@@ -39,7 +39,7 @@ def next_request_id() -> int:
 
     The built-in workload generators do **not** use this: they number
     their requests locally (``1..N``) so a trace is fully determined by
-    its seed, which the parallel sweep runner relies on.  The helper
+    its seed, which the ``jobs`` fan-out relies on.  The helper
     remains for hand-built requests that must not collide with each
     other — but ids it mints live in a different space from generated
     traces, so never mix the two in one catalog.

@@ -181,8 +181,8 @@ class SyntheticWikipediaWorkload:
         Request ids are local to the trace (wiki pages first, then
         static assets), so the trace — ids included — is fully
         determined by the generator's parameters and ``rng`` seed.  The
-        parallel sweep runner relies on this to regenerate identical
-        traces inside pool workers.
+        ``jobs`` fan-out relies on this to regenerate identical
+        traces inside worker processes.
         """
         request_ids = itertools.count(1)
         requests: List[Request] = []

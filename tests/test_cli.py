@@ -1,7 +1,15 @@
 """Tests for the ``srlb-repro`` command-line interface."""
 
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
+import repro
 from repro.cli import _policy_spec_from_name, build_parser, main
 from repro.errors import ReproError
 
@@ -204,10 +212,11 @@ class TestJobsValidation:
 
     def test_jobs_help_distinguishes_partitions(self, capsys):
         with pytest.raises(SystemExit):
+            build_parser().parse_args(["chaos", "--help"])
+        assert "inter-run fan-out" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
             build_parser().parse_args(["scale", "--help"])
-        text = capsys.readouterr().out
-        assert "inter-run fan-out" in text
-        assert "intra-run" in text
+        assert "intra-run" in capsys.readouterr().out
 
     def test_nonpositive_partitions_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -215,39 +224,63 @@ class TestJobsValidation:
         assert excinfo.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
-    def test_jobs_times_partitions_over_cpu_budget_is_an_error(
-        self, capsys, monkeypatch
-    ):
-        import repro.cli as cli
 
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        exit_code = main(
-            ["scale", "--queries", "100", "--jobs", "3", "--partitions", "2"]
+def _process_group(pgid):
+    """Pids of the live members of a process group."""
+    listing = subprocess.run(
+        ["pgrep", "-g", str(pgid)], capture_output=True, text=True, check=False
+    )
+    return listing.stdout.split()
+
+
+class TestInterrupt:
+    """Ctrl-C on a fanned-out run: one line, no traceback, no orphan."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(
+                ["chaos", "--lbs", "2", "--queries", "60000", "--jobs", "2"], id="jobs"
+            ),
+            pytest.param(
+                ["scale", "--queries", "400000", "--pods", "4", "--partitions", "2"],
+                id="partitions",
+            ),
+        ],
+    )
+    def test_sigint_ends_in_one_line_and_no_surviving_process(self, argv):
+        source = str(pathlib.Path(repro.__file__).parents[1])
+        cli = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=source),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,  # its own group: the signal reaches only it
         )
-        captured = capsys.readouterr()
-        assert exit_code == 2
-        assert "6 worker processes" in captured.err
-        assert "4 CPU(s)" in captured.err
-
-    def test_jobs_zero_resolves_to_all_cores_for_the_budget(
-        self, capsys, monkeypatch
-    ):
-        import repro.cli as cli
-
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        exit_code = main(
-            ["scale", "--queries", "100", "--jobs", "0", "--partitions", "2"]
-        )
-        assert exit_code == 2
-        assert "worker processes" in capsys.readouterr().err
-
-    def test_budget_within_cpus_is_accepted(self, monkeypatch, capsys):
-        import repro.cli as cli
-
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-        cli._check_parallelism_budget(jobs=2, partitions=4)  # no raise
-        cli._check_parallelism_budget(jobs=1, partitions=64)  # partitions alone OK
-        cli._check_parallelism_budget(jobs=64, partitions=1)  # jobs alone OK
+        try:
+            deadline = time.monotonic() + 30
+            while len(_process_group(cli.pid)) < 3:  # the CLI and its two workers
+                assert cli.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            time.sleep(0.3)  # let the workers get into their tasks
+            os.killpg(cli.pid, signal.SIGINT)  # what a terminal's Ctrl-C does
+            _, stderr = cli.communicate(timeout=30)
+            survivors = _process_group(cli.pid)
+        finally:
+            try:
+                os.killpg(cli.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            cli.wait()
+        assert "Traceback" not in stderr
+        # 130 is the rule; 2 with the task's error line if a worker relayed
+        # its own KeyboardInterrupt before the coordinator saw the signal.
+        assert (cli.returncode, stderr) == (130, "interrupted\n") or (
+            cli.returncode == 2 and stderr.startswith("error: task ")
+        ), (cli.returncode, stderr)
+        assert len(stderr.splitlines()) == 1
+        assert survivors == []
 
 
 class TestScenarioCommands:

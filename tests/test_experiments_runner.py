@@ -1,10 +1,10 @@
-"""Tests for the parallel sweep runner and its compact result payloads.
+"""Tests for the ``jobs`` fan-out and its compact result payloads.
 
 The load-bearing property is the determinism contract documented in
-:mod:`repro.experiments.runner`: ``jobs`` is purely a wall-clock knob,
+:mod:`repro.experiments.scenario`: ``jobs`` is purely a wall-clock knob,
 so a sweep run with ``jobs=1`` (the historical in-process path) and the
-same sweep run with ``jobs>1`` (the multiprocessing pool plus the
-payload round trip) must produce bit-for-bit identical series.
+same sweep run with ``jobs>1`` (worker processes plus the payload round
+trip) must produce bit-for-bit identical series.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.poisson_experiment import PoissonSweep
 from repro.experiments.resilience_experiment import run_resilience_comparison
-from repro.experiments.runner import SweepRunner, resolve_jobs
+from repro.experiments.scenario import resolve_jobs
 from repro.experiments.wikipedia_experiment import WikipediaReplay, make_wikipedia_trace
 from repro.metrics.collector import ResponseTimeCollector, ServerLoadSampler
 from repro.workload.client import RequestOutcome
@@ -52,9 +52,9 @@ def _small_sweep_config(**overrides) -> PoissonSweepConfig:
 
 
 # ----------------------------------------------------------------------
-# SweepRunner mechanics
+# the jobs knob
 # ----------------------------------------------------------------------
-class TestSweepRunner:
+class TestResolveJobs:
     def test_resolve_jobs_defaults_to_cpu_count(self):
         import os
 
@@ -64,34 +64,7 @@ class TestSweepRunner:
 
     def test_negative_jobs_rejected(self):
         with pytest.raises(ExperimentError):
-            SweepRunner(jobs=-1)
-
-    def test_serial_runner_runs_in_process(self):
-        runner = SweepRunner(jobs=1)
-        assert runner.serial
-        seen = []
-
-        def worker(task):
-            seen.append(task)
-            return task * 10
-
-        # Closures are not picklable, so this only works in-process —
-        # which is exactly what jobs=1 must guarantee.
-        assert runner.map(worker, [1, 2, 3]) == [10, 20, 30]
-        assert seen == [1, 2, 3]
-
-    def test_parallel_map_preserves_task_order(self):
-        runner = SweepRunner(jobs=2)
-        assert not runner.serial
-        assert runner.map(_square, list(range(8))) == [n * n for n in range(8)]
-
-    def test_single_task_skips_the_pool(self):
-        # A lone task runs in-process even with jobs > 1 (no pickling).
-        assert SweepRunner(jobs=4).map(lambda task: task + 1, [41]) == [42]
-
-
-def _square(value: int) -> int:
-    return value * value
+            resolve_jobs(-1)
 
 
 # ----------------------------------------------------------------------

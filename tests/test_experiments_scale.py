@@ -242,7 +242,7 @@ class TestScenarioIntegration:
         assert "scale" in registry.names()
 
     def test_scenario_front_renders_with_fingerprint(self, small_config):
-        result = run_scale_scenario(small_config, partitions=1, jobs=1)
+        result = run_scale_scenario(small_config, partitions=1)
         text = SCALE_SCENARIO.render(result)
         assert "fingerprint" in text
         assert "aggregate events/sec" in text

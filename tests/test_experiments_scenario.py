@@ -3,13 +3,17 @@ new workload families (flash-crowd and heterogeneous-fleet)."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import multiprocessing
+import os
 import pickle
+import signal
 from multiprocessing.reduction import ForkingPickler
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, SimulationError
 from repro.experiments import registry
 from repro.experiments.config import (
     FlashCrowdConfig,
@@ -204,6 +208,88 @@ class TestRunResultWireFormat:
         for run, blob in zip(runs, blobs):
             # Arrays, not an object graph (~490 B per outcome).
             assert len(blob) <= 40 * len(run.collector) + 8 * 1024
+
+
+MULTI_CELL_FAMILIES = [
+    spec.name for spec in registry.specs() if len(spec.cells(spec.smoke_config())) > 1
+]
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Turn a hang into a failure: a fan-out must never wait on a dead worker."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("name", MULTI_CELL_FAMILIES)
+class TestFanOutRobustness:
+    """What goes wrong in a worker process ends in one error naming the
+    cell and no surviving process — for every family, through the registry."""
+
+    @staticmethod
+    def _sabotage_second_cell(monkeypatch, spec, action):
+        """``run_once`` of the second smoke cell calls ``action`` (forked
+        workers inherit the patch); returns ``(config, cells)``."""
+        config = spec.smoke_config()
+        cells = spec.cells(config)
+        original = type(spec).run_once
+
+        def run_once(self, config, cell, trace):
+            if cell.key == cells[1].key:
+                action()
+            return original(self, config, cell, trace)
+
+        monkeypatch.setattr(type(spec), "run_once", run_once)
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(multiprocessing, "get_context", lambda: fork)
+        return config, cells
+
+    def test_raising_cell_is_named_with_its_cause(self, name, monkeypatch):
+        def boom():
+            raise ValueError("boom")
+
+        spec = registry.get(name)
+        config, cells = self._sabotage_second_cell(monkeypatch, spec, boom)
+        with _deadline(5), pytest.raises(SimulationError) as excinfo:
+            run_scenario(spec, config, jobs=2)
+        assert str(excinfo.value) == (
+            f"task {cells[1].key!r} failed: ValueError: boom"
+        )
+        assert not multiprocessing.active_children()
+
+    def test_dead_worker_names_every_cell_it_owed(self, name, monkeypatch):
+        spec = registry.get(name)
+        config, cells = self._sabotage_second_cell(
+            monkeypatch, spec, lambda: os._exit(1)
+        )
+        with _deadline(5), pytest.raises(SimulationError) as excinfo:
+            run_scenario(spec, config, jobs=2)
+        # Two processes, cells dealt round-robin: the dead one held every
+        # second cell.
+        owed = ", ".join(repr(cell.key) for cell in cells[1::2])
+        assert str(excinfo.value) == (
+            f"a worker process exited without reporting task(s) {owed}"
+        )
+        assert not multiprocessing.active_children()
+
+    def test_spawned_workers_render_the_same_bytes(self, name, monkeypatch):
+        spec = registry.get(name)
+        config = spec.smoke_config()
+        serial = spec.render(run_scenario(spec, config, jobs=1))
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(multiprocessing, "get_context", lambda: spawn)
+        assert spec.render(run_scenario(spec, config, jobs=2)) == serial
+        assert not multiprocessing.active_children()
 
 
 # ----------------------------------------------------------------------

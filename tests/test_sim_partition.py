@@ -1,10 +1,14 @@
 """Unit tests for the partitioned-run driver (:mod:`repro.sim.partition`)."""
 
+import ast
 import multiprocessing
 import os
+import pathlib
 import time
 
 import pytest
+
+import repro
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
@@ -12,6 +16,7 @@ from repro.sim.partition import (
     HEARTBEAT_SLICES,
     PartitionSupervisionError,
     PartitionTask,
+    _partition_process_main,
     run_partition_serially,
     run_partitioned,
     run_to_horizon,
@@ -172,7 +177,7 @@ class TestWorkerFailure:
         with pytest.raises(SimulationError) as excinfo:
             run_partitioned(failing_worker, tasks, processes=processes)
         assert str(excinfo.value) == (
-            "partition 0 failed: ValueError: pod 0 exploded"
+            "task 0 failed: ValueError: pod 0 exploded"
         )
         assert not multiprocessing.active_children()
 
@@ -180,8 +185,62 @@ class TestWorkerFailure:
         with pytest.raises(SimulationError) as excinfo:
             run_partitioned(crashing_worker, TASKS, processes=2)
         # Process 1 ran partitions 1 and 3 and reported neither.
-        assert "partition(s) 1, 3" in str(excinfo.value)
+        assert "task(s) 1, 3" in str(excinfo.value)
         assert not multiprocessing.active_children()
+
+    def test_labels_are_listed_in_plan_order_and_need_not_be_orderable(self):
+        labels = ["a", 1, ("b", 0.5), ("c", 0.5)]
+        tasks = [PartitionTask(label, 0.0) for label in labels]
+        with pytest.raises(SimulationError, match=r"task\(s\) 1, \('c', 0\.5\)$"):
+            run_partitioned(crashing_worker, tasks, processes=2)
+
+
+class RecordingConnection:
+    """Stands in for the child's end of the pipe."""
+
+    def __init__(self):
+        self.sent = []
+        self.closed = False
+
+    def send(self, message):
+        self.sent.append(message)
+
+    def close(self):
+        self.closed = True
+
+
+class TestChildProcessMain:
+    def test_failed_child_reports_once_and_exits_silently(self):
+        # The coordinator has the message; an exception escaping here too
+        # would have multiprocessing print the child's traceback whenever
+        # the child outruns the coordinator's terminate().
+        connection = RecordingConnection()
+        _partition_process_main(failing_worker, TASKS[:2], connection)
+        assert connection.sent == [
+            (False, "task 0 failed: ValueError: pod 0 exploded")
+        ]
+        assert connection.closed
+
+
+class TestOneFanOut:
+    """``repro.sim.partition`` is the only module that starts a process."""
+
+    def test_only_the_executor_touches_process_machinery(self):
+        root = pathlib.Path(repro.__file__).parent
+        uses = set()
+        for path in sorted(root.rglob("*.py")):
+            module = path.relative_to(root).as_posix()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    uses.update((module, alias.name.split(".")[0]) for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    uses.add((module, (node.module or "").split(".")[0]))
+                elif isinstance(node, ast.Attribute) and node.attr == "fork":
+                    uses.add((module, "fork"))
+        process_machinery = {"multiprocessing", "concurrent", "subprocess", "fork"}
+        assert {use for use in uses if use[1] in process_machinery} == {
+            ("sim/partition.py", "multiprocessing")
+        }
 
 
 class SpyContext:
@@ -218,7 +277,7 @@ class TestSupervision:
             )
         error = excinfo.value
         assert error.partitions == (1,)
-        assert "partition(s) 1" in str(error)
+        assert "task(s) 1" in str(error)
         # The healthy partitions' results rode along.
         assert error.results == {0: {"pod": 0}, 2: {"pod": 2}}
         assert not multiprocessing.active_children()

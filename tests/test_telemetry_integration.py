@@ -5,7 +5,7 @@ Pins the subsystem's three load-bearing promises on real testbeds:
 * **Determinism** — a run with a probe attached is bit-identical to the
   same run without one (the probe only reads), including when the
   gray-failure watchdog consumes its busy counts *through* the bus and
-  when per-cell payloads merge across a ``jobs`` process pool;
+  when per-cell payloads merge across ``jobs`` worker processes;
 * **The black box** — an SLO breach freezes a flight dump that
   round-trips through JSON;
 * **Uniform counters** — every tier exposes the flat
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -146,6 +147,8 @@ class TestEnvironmentKnobs:
         self, monkeypatch, capsys, telemetry_on, jobs, name, raw
     ):
         monkeypatch.setenv(name, raw)
+        fan_outs = []
+        monkeypatch.setattr(multiprocessing, "get_context", fan_outs.append)
         argv = ["poisson", "--servers", "4", "--workers", "8", "--queries", "50"]
         status = main(argv + ["--rho", "0.5", "--jobs", jobs])
         captured = capsys.readouterr()
@@ -153,6 +156,8 @@ class TestEnvironmentKnobs:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {name}={raw}:")
+        # A usage error of the whole run: no worker process was started for it.
+        assert fan_outs == []
 
 
 class TestDeterminism:
