@@ -201,6 +201,16 @@ class ConsistentHashCandidateSelector(CandidateSelector):
         return table.lookup_chain(flow_hash_key(flow_key), self.num_candidates)
 
 
+#: The configuration strings :func:`make_selector` recognises.
+SELECTOR_NAMES = ("random", "single-random", "rr", "round-robin", "consistent-hash")
+
+
+def check_selector_name(name: str) -> None:
+    """Raise :class:`SelectionError` unless :func:`make_selector` knows ``name``."""
+    if name not in SELECTOR_NAMES:
+        raise SelectionError(f"unknown candidate selector {name!r}")
+
+
 def make_selector(
     name: str,
     rng: np.random.Generator,
@@ -211,12 +221,11 @@ def make_selector(
     Recognised names: ``random``, ``single-random`` (the RR baseline),
     ``round-robin`` and ``consistent-hash``.
     """
+    check_selector_name(name)
     if name == "random":
         return RandomCandidateSelector(rng, num_candidates)
     if name in ("single-random", "rr"):
         return SingleRandomSelector(rng)
     if name == "round-robin":
         return RoundRobinCandidateSelector(num_candidates)
-    if name == "consistent-hash":
-        return ConsistentHashCandidateSelector(num_candidates)
-    raise SelectionError(f"unknown candidate selector {name!r}")
+    return ConsistentHashCandidateSelector(num_candidates)

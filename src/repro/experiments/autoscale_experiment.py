@@ -211,6 +211,11 @@ class AutoscaleScenario(ScenarioSpec):
             slo_p99=3.0,
         )
 
+    def config_from_flags(self, config: AutoscaleConfig, flags) -> AutoscaleConfig:
+        if flags.time_factor != 1.0:
+            return config.scaled(flags.time_factor)
+        return config
+
     def cells(self, config: AutoscaleConfig) -> List[ScenarioCell]:
         return [
             ScenarioCell(key=mode, params={"mode": mode})

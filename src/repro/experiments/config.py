@@ -6,15 +6,30 @@ workers each, a TCP backlog of 128 with abort-on-overflow, and the two
 workloads of §V and §VI.  Every parameter is a field so that ablation
 benchmarks and downstream users can deviate from the paper's setup
 explicitly and visibly.
+
+A field declared through :func:`~repro.experiments.params.param` is the
+parameter table of its family: the ``--flag``, help text, default and
+legal values written here are what the sub-command, the
+``__post_init__`` range check and the ``docs/cli.md`` check all read.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
-from repro.errors import ExperimentError
+from repro.core.candidate_selection import check_selector_name
+from repro.core.policies import make_policy
+from repro.errors import ExperimentError, ReproError
+from repro.experiments.params import (
+    NON_NEGATIVE,
+    POSITIVE,
+    UNIT_INTERVAL,
+    Bound,
+    Param,
+    check_bounds,
+    param,
+)
 
 #: The 24 load factors swept by the paper's Figure 2 (evenly spaced in (0, 1)).
 PAPER_LOAD_FACTORS: Tuple[float, ...] = tuple(
@@ -25,6 +40,28 @@ PAPER_LOAD_FACTORS: Tuple[float, ...] = tuple(
 HIGH_LOAD_FACTOR = 0.88
 LIGHT_LOAD_FACTOR = 0.61
 
+_OPEN_UNIT_INTERVAL = Bound("in (0, 1)", lambda value: 0 < value < 1)
+_FRACTION = Bound("in (0, 1]", lambda value: 0 < value <= 1)
+
+_ECMP_HASHES = ("rendezvous", "modulo")
+
+
+# The bound of a name field is the registry's own lookup, and the
+# lookup's error is the message.  Platform build looks the name up again,
+# inside every worker process; checking it where it enters a config
+# makes a typo fail before one starts.
+def _policy_name(field: str, name: str) -> None:
+    make_policy(name)
+
+
+def _selector_name(field: str, name: str) -> None:
+    check_selector_name(name)
+
+
+#: The flags every family sizes its platform with (``expose=`` of a
+#: ``testbed`` field; families add the tier and client flags they use).
+TESTBED_SHAPE = ("num_servers", "workers_per_server", "cores_per_server", "seed")
+
 
 @dataclass(frozen=True)
 class TestbedConfig:
@@ -33,118 +70,89 @@ class TestbedConfig:
     # Not a test class, despite the name (keeps pytest collection quiet).
     __test__ = False
 
-    num_servers: int = 12
-    workers_per_server: int = 32
-    cores_per_server: int = 2
-    backlog_capacity: int = 128
+    num_servers: int = param(12, "--servers", "number of servers (paper: 12)", POSITIVE)
+    workers_per_server: int = param(32, "--workers", "workers per server (paper: 32)", POSITIVE)
+    cores_per_server: int = param(2, "--cores", "cores per server (paper: 2)", POSITIVE)
+    backlog_capacity: int = param(128, bound=POSITIVE)
     abort_on_overflow: bool = True
     cpu_model: str = "processor-sharing"
     fabric_latency: float = 50e-6
-    flow_idle_timeout: float = 60.0
+    flow_idle_timeout: float = param(
+        60.0,
+        "--flow-idle-timeout",
+        "LB flow-table idle timeout (housekeeping reclaims after this)",
+        POSITIVE,
+    )
     #: Size of the SRLB tier.  1 (the paper's platform) deploys a single
     #: load balancer advertising the VIP itself; 2+ deploys a
     #: :class:`~repro.core.lb_tier.LoadBalancerTier` behind an ECMP edge
     #: router, which is what the resilience experiments exercise.
-    num_load_balancers: int = 1
-    #: Flow-to-instance mapping of the ECMP edge (tier deployments only):
-    #: ``"rendezvous"`` (consistent) or ``"modulo"`` (naive).
-    ecmp_hash: str = "rendezvous"
+    num_load_balancers: int = param(
+        1, "--lbs", "load-balancer instances in the tier (>= 2)", POSITIVE
+    )
+    #: Tier deployments only: ``"rendezvous"`` is consistent, ``"modulo"`` naive.
+    ecmp_hash: str = param(
+        "rendezvous",
+        "--ecmp-hash",
+        "flow-to-instance mapping of the ECMP edge",
+        choices=_ECMP_HASHES,
+    )
     #: When positive, clients trickle each request upload over this many
     #: seconds (in ``request_chunks`` paced segments), stretching the
     #: window during which a flow depends on load-balancer steering
     #: state.  The resilience experiments use this to model long-lived
     #: flows; 0 keeps the paper's send-at-once behaviour.
-    request_spread: float = 0.0
-    request_chunks: int = 1
+    request_spread: float = param(0.0, "--spread", "request upload spread in seconds", NON_NEGATIVE)
+    request_chunks: int = param(1, "--chunks", "segments per spread upload", POSITIVE)
     #: Server-side ``RequestReadTimeout`` in seconds (0 disables it):
     #: a worker whose connection never delivers its request payload is
     #: reset after this long.  Long-lived-flow scenarios (request_spread
     #: > 0) need it so abandoned flows do not pin workers forever.
-    request_timeout: float = 0.0
+    request_timeout: float = param(
+        0.0,
+        "--request-timeout",
+        "server-side request timeout freeing workers pinned by the flood",
+        NON_NEGATIVE,
+    )
     #: Per-server CPU speed multipliers for heterogeneous fleets: server
     #: ``i`` executes CPU demand at ``server_speed_factors[i]`` times the
     #: nominal rate.  Empty (the default) means a homogeneous fleet at
     #: speed 1.0, the paper's platform.  When non-empty the tuple must
     #: name every server.
     server_speed_factors: Tuple[float, ...] = ()
-    #: Client SYN retransmission: initial RTO in seconds (doubles per
-    #: retransmit up to the cap, at most ``syn_retransmit_limit`` times).
-    #: 0 (the default) disables retransmission — the pre-fault-plane
-    #: behaviour, under which every existing golden was pinned.
-    syn_retransmit_timeout: float = 0.0
-    syn_retransmit_cap: float = 60.0
-    syn_retransmit_limit: int = 6
-    #: Per-attempt client deadline (0 disables): when it fires, the query
-    #: is retried from scratch on a fresh source port, at most
-    #: ``max_retries`` times before the client gives up.
-    retry_timeout: float = 0.0
-    max_retries: int = 0
-    #: Server load-shedding high-water mark on the listen backlog (0
-    #: disables): SYNs arriving at or above this depth are fast-RST'd
+    #: Client SYN retransmission: the RTO doubles per retransmit up to
+    #: the cap, at most ``syn_retransmit_limit`` times.  0 (the default)
+    #: disables retransmission — the pre-fault-plane behaviour, under
+    #: which every existing golden was pinned.
+    syn_retransmit_timeout: float = param(
+        0.0, "--syn-rto", "initial SYN retransmission timeout in seconds (0 disables)", NON_NEGATIVE
+    )
+    syn_retransmit_cap: float = param(
+        60.0, "--syn-rto-cap", "upper bound on the exponentially backed-off SYN RTO", POSITIVE
+    )
+    syn_retransmit_limit: int = param(
+        6, "--syn-rto-limit", "maximum SYN retransmissions per connection attempt", NON_NEGATIVE
+    )
+    #: 0 disables: when it fires, the query is retried from scratch, at
+    #: most ``max_retries`` times before the client gives up.
+    retry_timeout: float = param(
+        0.0,
+        "--retry-timeout",
+        "per-attempt client deadline before retrying on a fresh port",
+        NON_NEGATIVE,
+    )
+    max_retries: int = param(
+        0, "--max-retries", "full-connection retries before the client gives up", NON_NEGATIVE
+    )
+    #: SYNs arriving at or above this listen-backlog depth are fast-RST'd
     #: before admission and counted as ``connections_shed``.
-    backlog_shed_watermark: int = 0
-    seed: int = 0
+    backlog_shed_watermark: int = param(
+        0, "--shed-watermark", "backlog depth above which servers fast-RST new SYNs (0 disables)"
+    )
+    seed: int = param(0, "--seed", "testbed RNG seed")
 
     def __post_init__(self) -> None:
-        if self.num_servers <= 0:
-            raise ExperimentError(
-                f"num_servers must be positive, got {self.num_servers!r}"
-            )
-        if self.num_load_balancers <= 0:
-            raise ExperimentError(
-                f"num_load_balancers must be positive, got {self.num_load_balancers!r}"
-            )
-        if self.ecmp_hash not in ("rendezvous", "modulo"):
-            raise ExperimentError(
-                f"ecmp_hash must be 'rendezvous' or 'modulo', got {self.ecmp_hash!r}"
-            )
-        if self.request_spread < 0:
-            raise ExperimentError(
-                f"request_spread must be non-negative, got {self.request_spread!r}"
-            )
-        if self.request_chunks <= 0:
-            raise ExperimentError(
-                f"request_chunks must be positive, got {self.request_chunks!r}"
-            )
-        if self.request_timeout < 0:
-            raise ExperimentError(
-                f"request_timeout must be non-negative, got {self.request_timeout!r}"
-            )
-        if self.workers_per_server <= 0:
-            raise ExperimentError(
-                f"workers_per_server must be positive, got {self.workers_per_server!r}"
-            )
-        if self.cores_per_server <= 0:
-            raise ExperimentError(
-                f"cores_per_server must be positive, got {self.cores_per_server!r}"
-            )
-        if self.backlog_capacity <= 0:
-            raise ExperimentError(
-                f"backlog_capacity must be positive, got {self.backlog_capacity!r}"
-            )
-        if self.syn_retransmit_timeout < 0:
-            raise ExperimentError(
-                "syn_retransmit_timeout must be non-negative, got "
-                f"{self.syn_retransmit_timeout!r}"
-            )
-        if self.syn_retransmit_cap <= 0:
-            raise ExperimentError(
-                "syn_retransmit_cap must be positive, got "
-                f"{self.syn_retransmit_cap!r}"
-            )
-        if self.syn_retransmit_limit < 0:
-            raise ExperimentError(
-                "syn_retransmit_limit must be non-negative, got "
-                f"{self.syn_retransmit_limit!r}"
-            )
-        if self.retry_timeout < 0:
-            raise ExperimentError(
-                f"retry_timeout must be non-negative, got {self.retry_timeout!r}"
-            )
-        if self.max_retries < 0:
-            raise ExperimentError(
-                f"max_retries must be non-negative, got {self.max_retries!r}"
-            )
+        check_bounds(self)
         if not 0 <= self.backlog_shed_watermark <= self.backlog_capacity:
             raise ExperimentError(
                 "backlog_shed_watermark must be in [0, backlog_capacity], got "
@@ -158,10 +166,7 @@ class TestbedConfig:
                     f"servers but the fleet has {self.num_servers}"
                 )
             for speed in self.server_speed_factors:
-                if speed <= 0:
-                    raise ExperimentError(
-                        f"server speed factors must be positive, got {speed!r}"
-                    )
+                POSITIVE("server speed factors", speed)
 
     @property
     def total_cores(self) -> int:
@@ -212,17 +217,14 @@ class PolicySpec:
     """
 
     name: str
-    acceptance_policy: str
-    num_candidates: int = 2
-    selector: str = "random"
+    acceptance_policy: str = param(bound=_policy_name)
+    num_candidates: int = param(2, bound=POSITIVE)
+    selector: str = param("random", bound=_selector_name)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ExperimentError("policy spec needs a name")
-        if self.num_candidates <= 0:
-            raise ExperimentError(
-                f"num_candidates must be positive, got {self.num_candidates!r}"
-            )
+        check_bounds(self)
 
 
 def rr_policy() -> PolicySpec:
@@ -232,8 +234,7 @@ def rr_policy() -> PolicySpec:
 
 def sr_policy(threshold: int, num_candidates: int = 2) -> PolicySpec:
     """A static ``SRc`` configuration with the given threshold."""
-    if threshold < 0:
-        raise ExperimentError(f"threshold must be >= 0, got {threshold!r}")
+    NON_NEGATIVE("threshold", threshold)
     return PolicySpec(
         name=f"SR{threshold}",
         acceptance_policy=f"SR{threshold}",
@@ -253,39 +254,52 @@ def paper_policy_suite() -> List[PolicySpec]:
     return [rr_policy(), sr_policy(4), sr_policy(8), sr_policy(16), srdyn_policy()]
 
 
+def policy_spec_from_name(name: str) -> PolicySpec:
+    """Translate a CLI policy name into a :class:`PolicySpec`."""
+    if name == "RR":
+        return rr_policy()
+    if name == "SRdyn":
+        return srdyn_policy()
+    if name.startswith("SR") and name[2:].isdigit():
+        return sr_policy(int(name[2:]))
+    raise ReproError(
+        f"unknown policy {name!r}: expected RR, SRdyn or SR<threshold> (e.g. SR4)"
+    )
+
+
+#: The comparison a shell-size sweep runs: the baseline, the paper's
+#: best static threshold and the dynamic one.
+_SHELL_POLICIES = (rr_policy(), sr_policy(4), srdyn_policy())
+
+#: ``--policy`` of the families whose cells are policies.
+_POLICY_FLAG = dict(
+    flag="--policy",
+    help="policy to run (RR, SR<k>, SRdyn)",
+    convert=policy_spec_from_name,
+)
+
+
 @dataclass(frozen=True)
 class PoissonSweepConfig:
     """Configuration of the Poisson-workload experiments (Figures 2–5)."""
 
-    testbed: TestbedConfig = field(default_factory=TestbedConfig)
-    load_factors: Tuple[float, ...] = PAPER_LOAD_FACTORS
-    num_queries: int = 20_000
-    service_mean: float = 0.1
-    policies: Tuple[PolicySpec, ...] = field(
-        default_factory=lambda: tuple(paper_policy_suite())
+    testbed: TestbedConfig = param(default_factory=TestbedConfig, expose=TESTBED_SHAPE)
+    load_factors: Tuple[float, ...] = param(
+        PAPER_LOAD_FACTORS, "--rho", "load factor", POSITIVE, cli_default=(HIGH_LOAD_FACTOR,)
+    )
+    num_queries: int = param(20_000, "--queries", "queries per run", POSITIVE, cli_default=3_000)
+    service_mean: float = param(
+        0.1, "--service-mean", "mean CPU demand per query, seconds", POSITIVE
+    )
+    policies: Tuple[PolicySpec, ...] = param(
+        tuple(paper_policy_suite()), cli_default=_SHELL_POLICIES, **_POLICY_FLAG
     )
     saturation_rate: Optional[float] = None
     load_sample_interval: float = 0.5
     workload_seed: int = 12_345
 
     def __post_init__(self) -> None:
-        if not self.load_factors:
-            raise ExperimentError("at least one load factor is required")
-        for load_factor in self.load_factors:
-            if not 0 < load_factor:
-                raise ExperimentError(
-                    f"load factors must be positive, got {load_factor!r}"
-                )
-        if self.num_queries <= 0:
-            raise ExperimentError(
-                f"num_queries must be positive, got {self.num_queries!r}"
-            )
-        if self.service_mean <= 0:
-            raise ExperimentError(
-                f"service_mean must be positive, got {self.service_mean!r}"
-            )
-        if not self.policies:
-            raise ExperimentError("at least one policy is required")
+        check_bounds(self)
 
     def scaled(self, num_queries: int, load_factors: Optional[Sequence[float]] = None) -> "PoissonSweepConfig":
         """A cheaper copy of the configuration (for benchmarks and CI)."""
@@ -300,32 +314,25 @@ class PoissonSweepConfig:
 class WikipediaReplayConfig:
     """Configuration of the Wikipedia-replay experiments (Figures 6–8)."""
 
-    testbed: TestbedConfig = field(default_factory=TestbedConfig)
-    duration: float = 86_400.0
-    replay_fraction: float = 0.5
-    static_per_wiki: float = 1.0
-    bin_width: float = 600.0
-    policies: Tuple[PolicySpec, ...] = field(
-        default_factory=lambda: (rr_policy(), sr_policy(4))
+    testbed: TestbedConfig = param(default_factory=TestbedConfig, expose=TESTBED_SHAPE)
+    duration: float = param(
+        86_400.0, "--duration", "compressed day length in seconds", POSITIVE, cli_default=480.0
     )
+    replay_fraction: float = param(
+        0.5, "--replay-fraction", "fraction of the full trace replayed", _FRACTION
+    )
+    static_per_wiki: float = param(
+        1.0, "--static-per-wiki", "static requests per wiki query", NON_NEGATIVE, cli_default=0.5
+    )
+    bin_width: float = param(600.0, bound=POSITIVE)
+    policies: Tuple[PolicySpec, ...] = param((rr_policy(), sr_policy(4)))
     mean_wiki_rate: float = 85.0
     wiki_rate_amplitude: float = 30.0
     trough_hour: float = 8.0
     workload_seed: int = 54_321
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ExperimentError(f"duration must be positive, got {self.duration!r}")
-        if not 0 < self.replay_fraction <= 1:
-            raise ExperimentError(
-                f"replay_fraction must be in (0, 1], got {self.replay_fraction!r}"
-            )
-        if self.bin_width <= 0:
-            raise ExperimentError(
-                f"bin_width must be positive, got {self.bin_width!r}"
-            )
-        if not self.policies:
-            raise ExperimentError("at least one policy is required")
+        check_bounds(self)
 
     def compressed(self, duration: float, bin_width: Optional[float] = None) -> "WikipediaReplayConfig":
         """Time-lapse copy: same diurnal shape, shorter wall-clock duration.
@@ -350,19 +357,12 @@ class ChurnEvent:
     expired during a run, so this is cumulative, not live, state).
     """
 
-    at_fraction: float
-    action: str = "kill"
+    at_fraction: float = param(bound=_OPEN_UNIT_INTERVAL)
+    action: str = param("kill", choices=("kill", "add"))
     instance: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.at_fraction < 1:
-            raise ExperimentError(
-                f"at_fraction must be in (0, 1), got {self.at_fraction!r}"
-            )
-        if self.action not in ("kill", "add"):
-            raise ExperimentError(
-                f"churn action must be 'kill' or 'add', got {self.action!r}"
-            )
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -375,7 +375,7 @@ class ResilienceConfig:
     break — the paper's §II-B resiliency claim, quantified.
     """
 
-    testbed: TestbedConfig = field(
+    testbed: TestbedConfig = param(
         default_factory=lambda: TestbedConfig(
             num_load_balancers=4,
             # Spread uploads keep flows steering-dependent for ~2 s, so
@@ -384,33 +384,47 @@ class ResilienceConfig:
             request_spread=2.0,
             request_chunks=5,
             request_timeout=5.0,
-        )
+        ),
+        expose=TESTBED_SHAPE
+        + ("num_load_balancers", "ecmp_hash", "request_spread", "request_chunks"),
     )
-    load_factor: float = 0.6
-    num_queries: int = 6_000
-    service_mean: float = 0.1
-    acceptance_policy: str = "SR8"
+    load_factor: float = param(0.6, "--rho", "load factor", POSITIVE)
+    num_queries: int = param(6_000, "--queries", "queries in the run", POSITIVE, cli_default=4_000)
+    service_mean: float = param(0.1, bound=POSITIVE)
+    acceptance_policy: str = param(
+        "SR8", "--policy", "acceptance policy on the servers", _policy_name
+    )
     num_candidates: int = 2
-    selection_schemes: Tuple[str, ...] = ("random", "consistent-hash")
+    selection_schemes: Tuple[str, ...] = param(
+        ("random", "consistent-hash"), "--scheme", "selection scheme", _selector_name
+    )
     churn: Tuple[ChurnEvent, ...] = (ChurnEvent(at_fraction=0.5),)
     workload_seed: int = 2_024
 
+    #: Flags that are not fields: ``ResilienceScenario.config_from_flags``
+    #: folds them into ``churn``.
+    cli_flags: ClassVar[Tuple[Param, ...]] = (
+        Param(
+            "--kill-at",
+            "kill one instance at this fraction of the run; repeatable; default 0.5",
+            kind=float,
+            repeat=True,
+        ),
+        Param(
+            "--add-at",
+            "add one instance at this fraction of the run; repeatable",
+            kind=float,
+            repeat=True,
+        ),
+    )
+
     def __post_init__(self) -> None:
+        check_bounds(self)
         if self.testbed.num_load_balancers < 2:
             raise ExperimentError(
                 "resilience experiments need a tier of at least 2 load "
                 f"balancers, got {self.testbed.num_load_balancers!r}"
             )
-        if not 0 < self.load_factor:
-            raise ExperimentError(
-                f"load_factor must be positive, got {self.load_factor!r}"
-            )
-        if self.num_queries <= 0:
-            raise ExperimentError(
-                f"num_queries must be positive, got {self.num_queries!r}"
-            )
-        if not self.selection_schemes:
-            raise ExperimentError("at least one selection scheme is required")
         # Reject schedules that would kill the whole tier before the
         # simulation wastes minutes discovering it mid-run.
         alive = self.testbed.num_load_balancers
@@ -449,56 +463,32 @@ class FlashCrowdConfig:
     (and how quickly response times drain back down afterwards).
     """
 
-    testbed: TestbedConfig = field(default_factory=TestbedConfig)
-    #: Load factors (relative to the analytic saturation rate) of the
-    #: three phases.  The spike deliberately exceeds 1.0: the paper's
-    #: Service Hunting claim is most interesting when the fleet is
-    #: transiently oversubscribed.
-    baseline_load: float = 0.5
-    spike_load: float = 1.5
-    #: Durations of the three phases, in seconds.
-    baseline_duration: float = 40.0
-    spike_duration: float = 15.0
-    recovery_duration: float = 45.0
-    service_mean: float = 0.1
-    policies: Tuple[PolicySpec, ...] = field(
-        default_factory=lambda: (rr_policy(), sr_policy(4), srdyn_policy())
+    testbed: TestbedConfig = param(default_factory=TestbedConfig, expose=TESTBED_SHAPE)
+    #: Load factors are relative to the analytic saturation rate.  The
+    #: spike deliberately exceeds 1.0: the paper's Service Hunting claim
+    #: is most interesting when the fleet is transiently oversubscribed.
+    baseline_load: float = param(0.5, "--baseline-rho", "baseline load factor", POSITIVE)
+    spike_load: float = param(1.5, "--spike-rho", "load factor during the spike", POSITIVE)
+    baseline_duration: float = param(
+        40.0, "--baseline-duration", "baseline phase, seconds", POSITIVE
     )
-    #: Width of the time bins used by the per-bin figure series.
-    bin_width: float = 5.0
+    spike_duration: float = param(15.0, "--spike-duration", "spike phase, seconds", POSITIVE)
+    recovery_duration: float = param(
+        45.0, "--recovery-duration", "recovery phase, seconds", POSITIVE
+    )
+    service_mean: float = param(0.1, bound=POSITIVE)
+    policies: Tuple[PolicySpec, ...] = param(_SHELL_POLICIES, **_POLICY_FLAG)
+    bin_width: float = param(5.0, "--bin-width", "figure time-bin width, seconds", POSITIVE)
     saturation_rate: Optional[float] = None
     workload_seed: int = 77_777
 
     def __post_init__(self) -> None:
-        if self.baseline_load <= 0 or self.spike_load <= 0:
-            raise ExperimentError(
-                "flash-crowd load factors must be positive, got "
-                f"baseline={self.baseline_load!r}, spike={self.spike_load!r}"
-            )
+        check_bounds(self)
         if self.spike_load <= self.baseline_load:
             raise ExperimentError(
                 "the spike must exceed the baseline load, got "
                 f"baseline={self.baseline_load!r} >= spike={self.spike_load!r}"
             )
-        for name, duration in (
-            ("baseline_duration", self.baseline_duration),
-            ("spike_duration", self.spike_duration),
-            ("recovery_duration", self.recovery_duration),
-        ):
-            if duration <= 0:
-                raise ExperimentError(
-                    f"{name} must be positive, got {duration!r}"
-                )
-        if self.service_mean <= 0:
-            raise ExperimentError(
-                f"service_mean must be positive, got {self.service_mean!r}"
-            )
-        if self.bin_width <= 0:
-            raise ExperimentError(
-                f"bin_width must be positive, got {self.bin_width!r}"
-            )
-        if not self.policies:
-            raise ExperimentError("at least one policy is required")
 
     @property
     def total_duration(self) -> float:
@@ -515,10 +505,7 @@ class FlashCrowdConfig:
 
     def scaled(self, time_factor: float) -> "FlashCrowdConfig":
         """A copy with every phase duration multiplied by ``time_factor``."""
-        if time_factor <= 0:
-            raise ExperimentError(
-                f"time_factor must be positive, got {time_factor!r}"
-            )
+        POSITIVE("time_factor", time_factor)
         return replace(
             self,
             baseline_duration=self.baseline_duration * time_factor,
@@ -549,37 +536,41 @@ class AutoscaleConfig:
     """
 
     # --- testbed recipe (per-server shape; the fleet size is elastic) ---
-    workers_per_server: int = 32
-    cores_per_server: int = 2
+    workers_per_server: int = param(32, "--workers", "Apache workers per server")
+    cores_per_server: int = param(2, "--cores", "CPU cores per server")
     backlog_capacity: int = 128
     num_load_balancers: int = 1
-    min_servers: int = 4
-    max_servers: int = 12
-    acceptance_policy: str = "SR8"
+    min_servers: int = param(4, "--min-servers", "elastic fleet floor", POSITIVE)
+    max_servers: int = param(
+        12, "--max-servers", "elastic fleet ceiling (and the static fleet's size)"
+    )
+    acceptance_policy: str = param("SR8", bound=_policy_name)
     num_candidates: int = 2
-    selector: str = "random"
-    seed: int = 0
+    selector: str = param("random", bound=_selector_name)
+    seed: int = param(0, "--seed", "testbed RNG seed")
 
     # --- diurnal workload -------------------------------------------------
-    #: Day-average load, as a fraction of the max fleet's saturation rate.
-    mean_load: float = 0.5
-    #: Peak-to-mean load swing (the trough is ``mean_load - load_amplitude``).
-    load_amplitude: float = 0.3
-    #: Length of one compressed day, in seconds.
-    period: float = 240.0
-    #: Total schedule length (may cover several periods).
-    duration: float = 480.0
+    mean_load: float = param(
+        0.5, "--mean-load", "day-average load as a fraction of the max fleet's capacity", POSITIVE
+    )
+    #: The trough is ``mean_load - load_amplitude``.
+    load_amplitude: float = param(
+        0.3, "--load-amplitude", "peak-to-mean swing of the diurnal sinusoid", NON_NEGATIVE
+    )
+    period: float = param(240.0, "--period", "compressed day length, seconds", POSITIVE)
+    #: May cover several periods.
+    duration: float = param(480.0, "--duration", "total schedule length, seconds", POSITIVE)
     #: Piecewise-constant steps the sinusoid is discretised into.
-    num_steps: int = 96
+    num_steps: int = param(96, bound=POSITIVE)
     #: Relative std-dev of the per-step multiplicative rate noise.
-    rate_noise: float = 0.05
-    service_mean: float = 0.1
+    rate_noise: float = param(0.05, bound=NON_NEGATIVE)
+    service_mean: float = param(0.1, bound=POSITIVE)
     saturation_rate: Optional[float] = None
     workload_seed: int = 424_242
 
     # --- control plane ----------------------------------------------------
-    monitor_interval: float = 1.0
-    ewma_time_constant: float = 5.0
+    monitor_interval: float = param(1.0, bound=POSITIVE)
+    ewma_time_constant: float = param(5.0, bound=POSITIVE)
     #: Smoothed busy-fraction watermarks of the scaling policies.  Note
     #: the scale: with 32 workers over 2 cores a server saturates its
     #: CPU long before its worker pool, so useful watermarks sit well
@@ -589,29 +580,42 @@ class AutoscaleConfig:
     #: Asymmetric action cooldowns: short for scale-ups (a climbing ramp
     #: needs servers ordered back-to-back), long for scale-downs (wait
     #: out the signal dilution the previous action caused).
-    scale_up_cooldown: float = 4.0
-    scale_down_cooldown: float = 15.0
-    provisioning_delay: float = 8.0
-    warmup_duration: float = 8.0
-    warmup_speed: float = 0.5
-    drain_check_interval: float = 0.5
+    scale_up_cooldown: float = param(4.0, bound=NON_NEGATIVE)
+    scale_down_cooldown: float = param(15.0, bound=NON_NEGATIVE)
+    provisioning_delay: float = param(8.0, bound=NON_NEGATIVE)
+    warmup_duration: float = param(8.0, bound=NON_NEGATIVE)
+    warmup_speed: float = param(0.5, bound=_FRACTION)
+    drain_check_interval: float = param(0.5, bound=POSITIVE)
     #: Forecast horizon of the predictive policy (≈ provisioning delay
     #: plus warm-up, so capacity lands when the forecast said so).
-    prediction_horizon: float = 20.0
+    prediction_horizon: float = param(20.0, bound=POSITIVE)
     #: τ of the predictive policy's slope EWMA — a control-plane clock
     #: like the others, so :meth:`scaled` compresses it too.
-    slope_time_constant: float = 10.0
+    slope_time_constant: float = param(10.0, bound=POSITIVE)
 
     # --- evaluation -------------------------------------------------------
-    #: The p99 response-time SLO the comparison is judged against.
-    slo_p99: float = 1.5
-    modes: Tuple[str, ...] = ("static", "reactive", "predictive")
+    #: The comparison is judged against this SLO.
+    slo_p99: float = param(1.5, "--slo-p99", "p99 response-time target, seconds", POSITIVE)
+    modes: Tuple[str, ...] = param(
+        ("static", "reactive", "predictive"),
+        "--mode",
+        "provisioning mode",
+        choices=("static", "reactive", "predictive"),
+    )
+
+    #: A flag that is not a field: ``AutoscaleScenario.config_from_flags``
+    #: applies it through :meth:`scaled`.
+    cli_flags: ClassVar[Tuple[Param, ...]] = (
+        Param(
+            "--time-factor",
+            "compress the day and every control-plane clock by this factor",
+            kind=float,
+            default=1.0,
+        ),
+    )
 
     def __post_init__(self) -> None:
-        if self.min_servers < 1:
-            raise ExperimentError(
-                f"min_servers must be at least 1, got {self.min_servers!r}"
-            )
+        check_bounds(self)
         if self.max_servers < self.min_servers:
             raise ExperimentError(
                 f"max_servers ({self.max_servers!r}) must be >= min_servers "
@@ -626,11 +630,7 @@ class AutoscaleConfig:
                 f"({self.num_candidates!r}): the scaled-down fleet must still "
                 "support candidate selection"
             )
-        if self.mean_load <= 0:
-            raise ExperimentError(
-                f"mean_load must be positive, got {self.mean_load!r}"
-            )
-        if not 0 <= self.load_amplitude <= self.mean_load:
+        if self.load_amplitude > self.mean_load:
             raise ExperimentError(
                 f"load_amplitude must be in [0, mean_load], got "
                 f"{self.load_amplitude!r} (mean_load {self.mean_load!r})"
@@ -641,59 +641,11 @@ class AutoscaleConfig:
                 f"mean_load + load_amplitude = "
                 f"{self.mean_load + self.load_amplitude!r} > 1.0"
             )
-        for name, value in (
-            ("period", self.period),
-            ("duration", self.duration),
-            ("service_mean", self.service_mean),
-            ("monitor_interval", self.monitor_interval),
-            ("ewma_time_constant", self.ewma_time_constant),
-            ("drain_check_interval", self.drain_check_interval),
-            ("prediction_horizon", self.prediction_horizon),
-            ("slope_time_constant", self.slope_time_constant),
-            ("slo_p99", self.slo_p99),
-        ):
-            # Finiteness matters as much as the sign: an overflowed
-            # time factor (duration=inf) would make the diurnal trace
-            # generator draw arrivals forever.
-            if not math.isfinite(value) or value <= 0:
-                raise ExperimentError(
-                    f"{name} must be positive and finite, got {value!r}"
-                )
-        if self.num_steps <= 0:
-            raise ExperimentError(
-                f"num_steps must be positive, got {self.num_steps!r}"
-            )
-        if self.rate_noise < 0:
-            raise ExperimentError(
-                f"rate_noise must be non-negative, got {self.rate_noise!r}"
-            )
         if not 0 <= self.scale_down_fraction < self.scale_up_fraction <= 1:
             raise ExperimentError(
                 "scaling watermarks must satisfy 0 <= down < up <= 1, got "
                 f"down={self.scale_down_fraction!r} up={self.scale_up_fraction!r}"
             )
-        for name, value in (
-            ("scale_up_cooldown", self.scale_up_cooldown),
-            ("scale_down_cooldown", self.scale_down_cooldown),
-            ("provisioning_delay", self.provisioning_delay),
-            ("warmup_duration", self.warmup_duration),
-        ):
-            if not math.isfinite(value) or value < 0:
-                raise ExperimentError(
-                    f"{name} must be non-negative and finite, got {value!r}"
-                )
-        if not 0 < self.warmup_speed <= 1:
-            raise ExperimentError(
-                f"warmup_speed must be in (0, 1], got {self.warmup_speed!r}"
-            )
-        if not self.modes:
-            raise ExperimentError("at least one provisioning mode is required")
-        for mode in self.modes:
-            if mode not in ("static", "reactive", "predictive"):
-                raise ExperimentError(
-                    f"unknown provisioning mode {mode!r}: expected static, "
-                    "reactive or predictive"
-                )
 
     def initial_servers(self, mode: str) -> int:
         """Fleet size a mode starts with (static runs peak-sized)."""
@@ -727,10 +679,7 @@ class AutoscaleConfig:
 
     def scaled(self, time_factor: float) -> "AutoscaleConfig":
         """A copy with the whole day (and control-plane clocks) compressed."""
-        if time_factor <= 0:
-            raise ExperimentError(
-                f"time_factor must be positive, got {time_factor!r}"
-            )
+        POSITIVE("time_factor", time_factor)
         return replace(
             self,
             period=self.period * time_factor,
@@ -763,56 +712,29 @@ class HeterogeneousFleetConfig:
     they should and a bad policy overloads them.
     """
 
-    num_fast: int = 4
-    num_slow: int = 8
-    fast_speed: float = 2.0
-    slow_speed: float = 0.75
-    workers_per_server: int = 32
-    cores_per_server: int = 2
+    num_fast: int = param(4, "--fast", "servers in the fast tier", POSITIVE)
+    num_slow: int = param(8, "--slow", "servers in the slow tier", POSITIVE)
+    fast_speed: float = param(2.0, "--fast-speed", "fast-tier CPU speed multiplier", POSITIVE)
+    slow_speed: float = param(0.75, "--slow-speed", "slow-tier CPU speed multiplier", POSITIVE)
+    workers_per_server: int = param(32, "--workers", "Apache workers per server")
+    cores_per_server: int = param(2, "--cores", "CPU cores per server")
     backlog_capacity: int = 128
-    seed: int = 0
-    load_factors: Tuple[float, ...] = (0.85,)
-    num_queries: int = 6_000
-    service_mean: float = 0.1
-    policies: Tuple[PolicySpec, ...] = field(
-        default_factory=lambda: (rr_policy(), sr_policy(4), srdyn_policy())
-    )
+    seed: int = param(0, "--seed", "testbed RNG seed")
+    load_factors: Tuple[float, ...] = param((0.85,), "--rho", "load factor", POSITIVE)
+    num_queries: int = param(6_000, "--queries", "queries per run", POSITIVE, cli_default=4_000)
+    service_mean: float = param(0.1, bound=POSITIVE)
+    policies: Tuple[PolicySpec, ...] = param(_SHELL_POLICIES, **_POLICY_FLAG)
     saturation_rate: Optional[float] = None
     load_sample_interval: float = 0.5
     workload_seed: int = 24_242
 
     def __post_init__(self) -> None:
-        if self.num_fast <= 0 or self.num_slow <= 0:
-            raise ExperimentError(
-                "a heterogeneous fleet needs both tiers populated, got "
-                f"num_fast={self.num_fast!r}, num_slow={self.num_slow!r}"
-            )
+        check_bounds(self)
         if self.fast_speed <= self.slow_speed:
             raise ExperimentError(
                 "the fast tier must be faster than the slow tier, got "
                 f"fast_speed={self.fast_speed!r} <= slow_speed={self.slow_speed!r}"
             )
-        if self.slow_speed <= 0:
-            raise ExperimentError(
-                f"slow_speed must be positive, got {self.slow_speed!r}"
-            )
-        if not self.load_factors:
-            raise ExperimentError("at least one load factor is required")
-        for load_factor in self.load_factors:
-            if load_factor <= 0:
-                raise ExperimentError(
-                    f"load factors must be positive, got {load_factor!r}"
-                )
-        if self.num_queries <= 0:
-            raise ExperimentError(
-                f"num_queries must be positive, got {self.num_queries!r}"
-            )
-        if self.service_mean <= 0:
-            raise ExperimentError(
-                f"service_mean must be positive, got {self.service_mean!r}"
-            )
-        if not self.policies:
-            raise ExperimentError("at least one policy is required")
 
     @property
     def num_servers(self) -> int:
@@ -856,69 +778,46 @@ class HeavyTailConfig:
     under each policy.
     """
 
-    testbed: TestbedConfig = field(default_factory=TestbedConfig)
-    load_factor: float = 0.7
-    num_arrivals: int = 4_000
-    heavy_fraction: float = 0.25
-    pareto_alpha: float = 1.5
-    pareto_lower: float = 0.02
+    testbed: TestbedConfig = param(default_factory=TestbedConfig, expose=TESTBED_SHAPE)
+    load_factor: float = param(0.7, "--rho", "offered load over fleet capacity", POSITIVE)
+    num_arrivals: int = param(4_000, "--arrivals", "arrivals (sessions + one-shots)", POSITIVE)
+    heavy_fraction: float = param(
+        0.25,
+        "--heavy-fraction",
+        "probability an arrival is a one-shot bounded-Pareto request",
+        UNIT_INTERVAL,
+    )
+    pareto_alpha: float = param(1.5, bound=POSITIVE)
+    pareto_lower: float = param(0.02, bound=POSITIVE)
     pareto_upper: float = 2.5
-    request_median: float = 0.04
-    request_sigma: float = 0.6
-    mean_session_length: float = 4.0
-    num_users: int = 200_000
-    user_zipf: float = 1.3
+    request_median: float = param(0.04, bound=POSITIVE)
+    request_sigma: float = param(0.6, bound=NON_NEGATIVE)
+    mean_session_length: float = param(
+        4.0,
+        flag="--session-length",
+        help="mean keep-alive requests per session (geometric)",
+        bound=Bound(">= 1", lambda value: value >= 1),
+    )
+    num_users: int = param(200_000, "--users", "simulated user population size", POSITIVE)
+    user_zipf: float = param(
+        1.3,
+        flag="--user-zipf",
+        help="Zipf exponent of user popularity (> 1)",
+        bound=Bound("> 1", lambda value: value > 1),
+    )
     size_median: int = 16_000
     size_sigma: float = 1.0
     size_cap: int = 262_144
-    policies: Tuple[PolicySpec, ...] = field(
-        default_factory=lambda: (rr_policy(), sr_policy(4), srdyn_policy())
-    )
+    policies: Tuple[PolicySpec, ...] = param(_SHELL_POLICIES, **_POLICY_FLAG)
     workload_seed: int = 86_420
 
     def __post_init__(self) -> None:
-        if self.load_factor <= 0:
-            raise ExperimentError(
-                f"load_factor must be positive, got {self.load_factor!r}"
-            )
-        if self.num_arrivals <= 0:
-            raise ExperimentError(
-                f"num_arrivals must be positive, got {self.num_arrivals!r}"
-            )
-        if not 0 <= self.heavy_fraction <= 1:
-            raise ExperimentError(
-                f"heavy_fraction must be in [0, 1], got {self.heavy_fraction!r}"
-            )
-        if self.pareto_alpha <= 0 or self.pareto_lower <= 0:
-            raise ExperimentError(
-                "Pareto parameters must be positive, got "
-                f"alpha={self.pareto_alpha!r}, lower={self.pareto_lower!r}"
-            )
+        check_bounds(self)
         if self.pareto_upper <= self.pareto_lower:
             raise ExperimentError(
                 "Pareto upper bound must exceed the lower bound, got "
                 f"[{self.pareto_lower!r}, {self.pareto_upper!r}]"
             )
-        if self.request_median <= 0 or self.request_sigma < 0:
-            raise ExperimentError(
-                "invalid lognormal request model: "
-                f"median={self.request_median!r}, sigma={self.request_sigma!r}"
-            )
-        if self.mean_session_length < 1:
-            raise ExperimentError(
-                "mean_session_length must be >= 1, got "
-                f"{self.mean_session_length!r}"
-            )
-        if self.num_users <= 0:
-            raise ExperimentError(
-                f"num_users must be positive, got {self.num_users!r}"
-            )
-        if self.user_zipf <= 1:
-            raise ExperimentError(
-                f"user_zipf must be > 1, got {self.user_zipf!r}"
-            )
-        if not self.policies:
-            raise ExperimentError("at least one policy is required")
 
     def scaled(self, num_arrivals: int) -> "HeavyTailConfig":
         """A cheaper copy of the configuration (for tests and CI)."""
@@ -937,7 +836,7 @@ class AdversarialConfig:
     the same workload unmolested for comparison.
     """
 
-    testbed: TestbedConfig = field(
+    testbed: TestbedConfig = param(
         default_factory=lambda: TestbedConfig(
             num_servers=12,
             num_load_balancers=4,
@@ -946,32 +845,43 @@ class AdversarialConfig:
             # pinned by half-open attack connections.
             flow_idle_timeout=5.0,
             request_timeout=2.0,
-        )
+        ),
+        expose=TESTBED_SHAPE
+        + ("num_load_balancers", "flow_idle_timeout", "request_timeout"),
     )
-    load_factor: float = 0.55
-    num_queries: int = 4_000
-    service_mean: float = 0.05
-    acceptance_policy: str = "SR8"
+    load_factor: float = param(0.55, "--rho", "legitimate load factor", POSITIVE)
+    num_queries: int = param(4_000, "--queries", "legitimate queries", POSITIVE)
+    service_mean: float = param(0.05, "--service-mean", "mean service demand, seconds", POSITIVE)
+    acceptance_policy: str = param("SR8", bound=_policy_name)
     num_candidates: int = 2
-    modes: Tuple[str, ...] = (
-        "baseline",
-        "syn-flood",
-        "hash-collision",
-        "gray-failure",
+    modes: Tuple[str, ...] = param(
+        ("baseline", "syn-flood", "hash-collision", "gray-failure"),
+        "--mode",
+        "attack mode to run",
+        choices=("baseline", "syn-flood", "hash-collision", "gray-failure"),
     )
     #: Attack window, as fractions of the legitimate trace's duration.
     attack_start_fraction: float = 0.25
     attack_end_fraction: float = 0.65
-    #: Flood intensity as a multiple of the legitimate arrival rate.
-    flood_rate_factor: float = 3.0
-    #: Spoofed source pool size (source churn) for the plain SYN flood.
-    flood_sources: int = 32
-    #: Number of distinct colliding 5-tuples the offline search finds.
-    collision_flows: int = 256
-    #: Index of the LB instance the collision flood concentrates on.
-    collision_target: int = 0
+    flood_rate_factor: float = param(
+        3.0, "--flood-rate-factor", "flood intensity as a multiple of the legitimate rate", POSITIVE
+    )
+    flood_sources: int = param(
+        32, "--flood-sources", "spoofed source pool size (source churn)", POSITIVE
+    )
+    collision_flows: int = param(
+        256, "--collision-flows", "distinct colliding 5-tuples the offline search finds", POSITIVE
+    )
+    collision_target: int = param(
+        0, "--collision-target", "index of the LB instance the collision flood concentrates on"
+    )
     #: Gray failure: victim CPU speed multiplier and square-wave jitter.
-    degraded_speed: float = 0.2
+    degraded_speed: float = param(
+        0.2,
+        "--degraded-speed",
+        "gray-failure victim CPU speed multiplier (0, 1)",
+        _OPEN_UNIT_INTERVAL,
+    )
     jitter_amplitude: float = 0.3
     jitter_interval: float = 0.5
     #: Watchdog (quarantine signal) parameters.
@@ -985,12 +895,11 @@ class AdversarialConfig:
     #: Whether quarantine drains the victim and provisions a replacement.
     quarantine: bool = True
     #: Flow-table housekeeping period on every LB instance.
-    housekeeping_interval: float = 1.0
+    housekeeping_interval: float = param(1.0, bound=POSITIVE)
     workload_seed: int = 13_579
 
-    _KNOWN_MODES = ("baseline", "syn-flood", "hash-collision", "gray-failure")
-
     def __post_init__(self) -> None:
+        check_bounds(self)
         if self.testbed.num_load_balancers < 2:
             raise ExperimentError(
                 "adversarial experiments need a tier of at least 2 load "
@@ -1003,61 +912,17 @@ class AdversarialConfig:
                 "forever), got "
                 f"{self.testbed.request_timeout!r}"
             )
-        if self.load_factor <= 0:
-            raise ExperimentError(
-                f"load_factor must be positive, got {self.load_factor!r}"
-            )
-        if self.num_queries <= 0:
-            raise ExperimentError(
-                f"num_queries must be positive, got {self.num_queries!r}"
-            )
-        if self.service_mean <= 0:
-            raise ExperimentError(
-                f"service_mean must be positive, got {self.service_mean!r}"
-            )
-        if not self.modes:
-            raise ExperimentError("at least one attack mode is required")
-        for mode in self.modes:
-            if mode not in self._KNOWN_MODES:
-                raise ExperimentError(
-                    f"unknown attack mode {mode!r}: expected one of "
-                    f"{self._KNOWN_MODES}"
-                )
         if not 0 < self.attack_start_fraction < self.attack_end_fraction <= 1:
             raise ExperimentError(
                 "attack window must satisfy 0 < start < end <= 1, got "
                 f"[{self.attack_start_fraction!r}, "
                 f"{self.attack_end_fraction!r}]"
             )
-        if self.flood_rate_factor <= 0:
-            raise ExperimentError(
-                f"flood_rate_factor must be positive, got "
-                f"{self.flood_rate_factor!r}"
-            )
-        if self.flood_sources <= 0:
-            raise ExperimentError(
-                f"flood_sources must be positive, got {self.flood_sources!r}"
-            )
-        if self.collision_flows <= 0:
-            raise ExperimentError(
-                f"collision_flows must be positive, got "
-                f"{self.collision_flows!r}"
-            )
         if not 0 <= self.collision_target < self.testbed.num_load_balancers:
             raise ExperimentError(
                 f"collision_target {self.collision_target!r} is out of "
                 f"range for a tier of {self.testbed.num_load_balancers} "
                 "instances"
-            )
-        if not 0 < self.degraded_speed < 1:
-            raise ExperimentError(
-                f"degraded_speed must be in (0, 1), got "
-                f"{self.degraded_speed!r}"
-            )
-        if self.housekeeping_interval <= 0:
-            raise ExperimentError(
-                "housekeeping_interval must be positive, got "
-                f"{self.housekeeping_interval!r}"
             )
 
     @property
@@ -1089,46 +954,37 @@ class ScaleConfig:
     deployment is ``pods`` copies of it behind the front-end stage.
     """
 
-    testbed: TestbedConfig = field(default_factory=TestbedConfig)
-    pods: int = 4
-    #: Aggregate query count across every pod (the north-star scale runs
-    #: use 1e6+); each pod receives the share the front-end hash deals it.
-    num_queries: int = 1_000_000
-    load_factor: float = 0.8
-    service_mean: float = 0.02
-    acceptance_policy: str = "SR8"
+    testbed: TestbedConfig = param(default_factory=TestbedConfig, expose=TESTBED_SHAPE)
+    pods: int = param(
+        4, "--pods", "identical LB/server pods the front-end ECMP stage shards over", POSITIVE
+    )
+    #: The north-star scale runs use 1e6+; each pod receives the share
+    #: the front-end hash deals it.
+    num_queries: int = param(
+        1_000_000, "--queries", "aggregate queries across the whole deployment"
+    )
+    load_factor: float = param(0.8, "--rho", "load factor per pod", POSITIVE)
+    service_mean: float = param(0.02, "--service-mean", "mean service demand, seconds", POSITIVE)
+    acceptance_policy: str = param(
+        "SR8", "--policy", "acceptance policy on the servers", _policy_name
+    )
     num_candidates: int = 2
-    #: Front-end ECMP hash over pods: ``rendezvous`` or ``modulo``.
-    ecmp_hash: str = "rendezvous"
+    ecmp_hash: str = param(
+        "rendezvous",
+        "--ecmp-hash",
+        "flow-to-pod mapping of the modeled front-end ECMP stage",
+        choices=_ECMP_HASHES,
+    )
     #: Per-pod saturation rate override; analytic when ``None``.
-    saturation_rate: Optional[float] = None
+    saturation_rate: Optional[float] = param(None, bound=POSITIVE)
     workload_seed: int = 86_420
 
     def __post_init__(self) -> None:
-        if self.pods < 1:
-            raise ExperimentError(f"pods must be positive, got {self.pods!r}")
+        check_bounds(self)
         if self.num_queries < self.pods:
             raise ExperimentError(
                 f"num_queries ({self.num_queries!r}) must be at least the "
                 f"pod count ({self.pods!r})"
-            )
-        if self.load_factor <= 0:
-            raise ExperimentError(
-                f"load_factor must be positive, got {self.load_factor!r}"
-            )
-        if self.service_mean <= 0:
-            raise ExperimentError(
-                f"service_mean must be positive, got {self.service_mean!r}"
-            )
-        if self.ecmp_hash not in ("rendezvous", "modulo"):
-            raise ExperimentError(
-                f"unknown ecmp_hash {self.ecmp_hash!r}: expected "
-                "'rendezvous' or 'modulo'"
-            )
-        if self.saturation_rate is not None and self.saturation_rate <= 0:
-            raise ExperimentError(
-                "saturation_rate must be positive, got "
-                f"{self.saturation_rate!r}"
             )
 
     @property
@@ -1152,6 +1008,7 @@ class ScaleConfig:
             pods=pods if pods is not None else self.pods,
         )
 
+
 @dataclass(frozen=True)
 class ChaosConfig:
     """Configuration of the fault-injection ``chaos`` scenario family.
@@ -1168,7 +1025,7 @@ class ChaosConfig:
     just damage.
     """
 
-    testbed: TestbedConfig = field(
+    testbed: TestbedConfig = param(
         default_factory=lambda: TestbedConfig(
             num_servers=12,
             num_load_balancers=2,
@@ -1187,89 +1044,66 @@ class ChaosConfig:
             max_retries=3,
             # Shed just below the backlog capacity of 128.
             backlog_shed_watermark=112,
-        )
+        ),
+        expose=TESTBED_SHAPE
+        + (
+            "num_load_balancers",
+            "syn_retransmit_timeout",
+            "syn_retransmit_cap",
+            "syn_retransmit_limit",
+            "retry_timeout",
+            "max_retries",
+            "backlog_shed_watermark",
+        ),
     )
-    load_factor: float = 0.6
-    num_queries: int = 4_000
-    service_mean: float = 0.05
-    acceptance_policy: str = "SR8"
+    load_factor: float = param(0.6, "--rho", "legitimate load factor", POSITIVE)
+    num_queries: int = param(4_000, "--queries", "legitimate queries", POSITIVE)
+    service_mean: float = param(0.05, "--service-mean", "mean service demand, seconds", POSITIVE)
+    acceptance_policy: str = param("SR8", bound=_policy_name)
     num_candidates: int = 2
-    modes: Tuple[str, ...] = ("baseline", "loss", "flap", "jitter")
+    modes: Tuple[str, ...] = param(
+        ("baseline", "loss", "flap", "jitter"),
+        "--mode",
+        "impairment cell to run",
+        choices=("baseline", "loss", "flap", "jitter"),
+    )
     #: ``loss`` cell: i.i.d. loss and corruption rates, plus the
     #: Gilbert–Elliott burst process (enter/exit per packet, loss
     #: probability while in the bad state).
-    loss_rate: float = 0.01
-    corruption_rate: float = 0.001
-    burst_enter: float = 0.0005
-    burst_exit: float = 0.2
-    burst_loss: float = 0.9
-    #: ``flap`` cell: number of link-down windows and each one's length
-    #: in seconds, spread evenly over the trace.
-    flap_count: int = 2
-    flap_down: float = 0.25
+    loss_rate: float = param(
+        0.01, "--loss-rate", "i.i.d. packet loss probability of the loss cell", UNIT_INTERVAL
+    )
+    corruption_rate: float = param(0.001, bound=UNIT_INTERVAL)
+    burst_enter: float = param(0.0005, bound=UNIT_INTERVAL)
+    burst_exit: float = param(0.2, bound=UNIT_INTERVAL)
+    burst_loss: float = param(0.9, bound=UNIT_INTERVAL)
+    #: The windows are spread evenly over the trace.
+    flap_count: int = param(
+        2, "--flap-count", "scheduled link-down windows of the flap cell", NON_NEGATIVE
+    )
+    flap_down: float = param(
+        0.25, "--flap-down", "length of each link-down window in seconds", POSITIVE
+    )
     #: ``jitter`` cell: exponential extra latency (mean/cap seconds) and
     #: bounded reordering (rate, hold-back window seconds).
-    jitter_mean: float = 0.002
-    jitter_cap: float = 0.02
-    reorder_rate: float = 0.02
-    reorder_window: float = 0.001
+    jitter_mean: float = param(
+        0.002,
+        "--jitter-mean",
+        "mean exponential extra latency (s) of the jitter cell",
+        NON_NEGATIVE,
+    )
+    jitter_cap: float = param(0.02, bound=NON_NEGATIVE)
+    reorder_rate: float = param(0.02, bound=UNIT_INTERVAL)
+    reorder_window: float = param(0.001, bound=NON_NEGATIVE)
     workload_seed: int = 97_531
 
-    _KNOWN_MODES = ("baseline", "loss", "flap", "jitter")
-
     def __post_init__(self) -> None:
+        check_bounds(self)
         if self.testbed.num_load_balancers < 2:
             raise ExperimentError(
                 "chaos experiments need a tier of at least 2 load "
                 f"balancers, got {self.testbed.num_load_balancers!r}"
             )
-        if self.load_factor <= 0:
-            raise ExperimentError(
-                f"load_factor must be positive, got {self.load_factor!r}"
-            )
-        if self.num_queries <= 0:
-            raise ExperimentError(
-                f"num_queries must be positive, got {self.num_queries!r}"
-            )
-        if self.service_mean <= 0:
-            raise ExperimentError(
-                f"service_mean must be positive, got {self.service_mean!r}"
-            )
-        if not self.modes:
-            raise ExperimentError("at least one chaos mode is required")
-        for mode in self.modes:
-            if mode not in self._KNOWN_MODES:
-                raise ExperimentError(
-                    f"unknown chaos mode {mode!r}: expected one of "
-                    f"{self._KNOWN_MODES}"
-                )
-        for name in (
-            "loss_rate",
-            "corruption_rate",
-            "burst_enter",
-            "burst_exit",
-            "burst_loss",
-            "reorder_rate",
-        ):
-            value = getattr(self, name)
-            if not 0 <= value <= 1:
-                raise ExperimentError(
-                    f"{name} must be in [0, 1], got {value!r}"
-                )
-        if self.flap_count < 0:
-            raise ExperimentError(
-                f"flap_count must be non-negative, got {self.flap_count!r}"
-            )
-        if self.flap_down <= 0:
-            raise ExperimentError(
-                f"flap_down must be positive, got {self.flap_down!r}"
-            )
-        for name in ("jitter_mean", "jitter_cap", "reorder_window"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ExperimentError(
-                    f"{name} must be non-negative, got {value!r}"
-                )
 
     @property
     def policy(self) -> PolicySpec:

@@ -32,6 +32,7 @@ from repro.experiments.scenario import (
     run_scenario,
 )
 from repro.metrics.collector import ResponseTimeCollector, ServerLoadSampler
+from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
 from repro.workload.poisson import PoissonWorkload
 from repro.workload.requests import RequestCatalog
@@ -229,6 +230,33 @@ class PoissonScenario(ScenarioSpec):
         from repro.experiments import figures
 
         return figures.render_figure2(result)
+
+    def report(self, result: PoissonSweepResult) -> str:
+        """One row per run: a shell-size sweep is a few cells, not a curve."""
+        config = result.config
+        rows: List[List[object]] = []
+        for load_factor in config.load_factors:
+            for policy in config.policies:
+                run = result.run(policy.name, load_factor)
+                summary = run.summary
+                rows.append(
+                    [
+                        load_factor,
+                        policy.name,
+                        summary.mean,
+                        summary.median,
+                        summary.p90,
+                        run.connections_reset,
+                    ]
+                )
+        return format_table(
+            ["rho", "policy", "mean (s)", "median (s)", "p90 (s)", "resets"],
+            rows,
+            title=(
+                f"Poisson workload, {config.num_queries} queries per run, "
+                f"{config.testbed.num_servers} servers"
+            ),
+        )
 
 
 #: The registered spec instance (also reachable via ``registry.get``).

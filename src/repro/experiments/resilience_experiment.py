@@ -29,7 +29,7 @@ is a thin entry point over that spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Set
 
 import numpy as np
@@ -247,6 +247,21 @@ class ResilienceScenario(ScenarioSpec):
             service_mean=0.05,
         )
 
+    def config_from_flags(self, config: ResilienceConfig, flags) -> ResilienceConfig:
+        # Free workers pinned by abandoned flows well after a legitimate
+        # upload would have finished.
+        testbed = replace(
+            config.testbed, request_timeout=2 * config.testbed.request_spread + 1.0
+        )
+        # No churn flag at all keeps the config's one mid-run kill; an
+        # explicit --add-at alone means an add-only schedule.
+        if flags.kill_at is None and not flags.add_at:
+            return replace(config, testbed=testbed)
+        churn = [ChurnEvent(fraction, "kill") for fraction in flags.kill_at or ()]
+        churn += [ChurnEvent(fraction, "add") for fraction in flags.add_at or ()]
+        churn.sort(key=lambda event: event.at_fraction)
+        return replace(config, testbed=testbed, churn=tuple(churn))
+
     def cells(self, config: ResilienceConfig) -> List[ScenarioCell]:
         return [
             ScenarioCell(key=scheme, params={"scheme": scheme})
@@ -270,6 +285,23 @@ class ResilienceScenario(ScenarioSpec):
 
     def render(self, result: ScenarioResult) -> str:
         return render_resilience_table(result)
+
+    def report(self, result: ScenarioResult) -> str:
+        """The table, then what each churn event looked like when it fired."""
+        lines = [self.render(result)]
+        for scheme in result.keys():
+            for observation in result.run(scheme).observations:
+                lines.append(
+                    f"{scheme}: {observation.event.action} {observation.instance} "
+                    f"at t={observation.at_time:.1f}s with "
+                    f"{len(observation.in_flight_ids)} queries in flight"
+                    + (
+                        f", {observation.flow_entries_lost} flow entries lost"
+                        if observation.event.action == "kill"
+                        else ""
+                    )
+                )
+        return "\n".join(lines)
 
 
 #: The registered spec instance (also reachable via ``registry.get``).

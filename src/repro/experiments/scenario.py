@@ -22,7 +22,10 @@ A family subclasses :class:`ScenarioSpec` and provides:
 
 and may override ``meta(config)`` (scenario-wide values for the result)
 or ``aggregate(config, cells, runs, trace_for)``, whose default keys
-each run by its cell into a :class:`ScenarioResult`.
+each run by its cell into a :class:`ScenarioResult`.  The family's
+sub-command is generated from its config's fields (see
+:mod:`repro.experiments.params`); ``config_from_flags`` and ``report``
+are the two places a family may bend it.
 
 :func:`run_scenario` is the single driver: it resolves the spec (by name
 through :mod:`repro.experiments.registry`), enumerates the cells, and
@@ -227,6 +230,26 @@ class ScenarioSpec(ABC):
     def render(self, result: Any) -> str:
         """The family's headline figure, as a text table."""
         raise ExperimentError(f"scenario {self.name!r} defines no figure")
+
+    # ------------------------------------------------------------------
+    # the sub-command (generated by repro.cli from the config's fields)
+    # ------------------------------------------------------------------
+    def config_from_flags(self, config: Any, flags: Any) -> Any:
+        """Finish ``config`` from parsed flags that are not fields.
+
+        ``config`` already holds every flag a field declares; ``flags``
+        is the parsed namespace.  Override where a flag derives fields
+        instead of being one (a churn schedule, a time factor).
+        """
+        return config
+
+    def report(self, result: Any) -> str:
+        """Everything the sub-command prints for a finished run.
+
+        The headline figure by default; override where the shell shows
+        more (or something other) than :meth:`render`.
+        """
+        return self.render(result)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

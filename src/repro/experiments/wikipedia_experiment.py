@@ -139,6 +139,14 @@ class WikipediaScenario(ScenarioSpec):
             static_per_wiki=0.2,
         ).compressed(duration=40.0)
 
+    def config_from_flags(
+        self, config: WikipediaReplayConfig, flags
+    ) -> WikipediaReplayConfig:
+        # ``--duration`` compresses the day: the bins shrink with it, so
+        # the figures keep the paper's 144.
+        day = self.default_config().duration
+        return replace(config, duration=day).compressed(config.duration)
+
     def cells(self, config: WikipediaReplayConfig) -> List[ScenarioCell]:
         return [
             ScenarioCell(key=policy.name, params={"policy": policy})
@@ -200,6 +208,24 @@ class WikipediaScenario(ScenarioSpec):
         from repro.experiments import figures
 
         return figures.render_figure6(result)
+
+    def report(self, result: WikipediaReplayResult) -> str:
+        """Figure 6 between the trace banner and the whole-day quartiles."""
+        lines = [
+            "generated synthetic trace: "
+            f"{int(result.trace_summary['requests'])} requests over "
+            f"{result.trace_summary['duration']:.0f} s "
+            f"(replay fraction {result.config.replay_fraction:g})",
+            "",
+            self.render(result),
+            "",
+        ]
+        for name in result.policies():
+            _q1, median, q3 = result.run(name).wiki_quartiles()
+            lines.append(
+                f"{name}: whole-day median={median:.3f} s, third quartile={q3:.3f} s"
+            )
+        return "\n".join(lines)
 
 
 #: The registered spec instance (also reachable via ``registry.get``).

@@ -2,9 +2,11 @@
 
 The test introspects :func:`repro.cli.build_parser` and fails when a
 sub-command or a long option exists in the code but is not mentioned in
-the documentation page, so the docs cannot silently rot as the CLI
-grows.  The same goes for the scenario registry and the "Registered
-families" table of ``docs/architecture.md``.
+the documentation page, when a flag a family's config declares has no
+row in that family's table, or when a row's default column is not what
+the parser uses — so the docs cannot silently rot as the CLI grows.  The
+same goes for the scenario registry and the "Registered families" table
+of ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import _shown, build_parser
 from repro.experiments import registry
+from repro.experiments.params import cli_params
 
 DOC_PATH = Path(__file__).resolve().parents[1] / "docs" / "cli.md"
 ARCHITECTURE_PATH = DOC_PATH.with_name("architecture.md")
@@ -70,6 +73,86 @@ def test_doc_mentions_no_stale_subcommand(doc_text):
                 f"docs/cli.md documents {documented!r}, which is not a "
                 "sub-command of the CLI"
             )
+
+
+def _flag_tables(doc_text):
+    """``{section: {flag: default column}}`` over the page's option tables.
+
+    A section is keyed by the first back-quoted word of its ``##``
+    heading (the sub-command), or by the whole heading when it has none.
+    """
+    tables, section = {}, None
+    for line in doc_text.splitlines():
+        if line.startswith("## "):
+            heading = line[3:]
+            section = heading.split("`")[1] if "`" in heading else heading
+        elif line.startswith("| `--"):
+            option, default, _meaning = (cell.strip() for cell in line.strip("|").split("|", 2))
+            tables.setdefault(section, {})[option.strip("`").split()[0]] = default
+    return tables
+
+
+def _default_as_documented(value) -> str:
+    if value is None:
+        return "—"
+    if value is False:
+        return "off"
+    if isinstance(value, tuple):
+        return ", ".join(map(_shown, value))
+    return str(value)
+
+
+def _same_default(documented: str, value) -> bool:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(documented) == value
+        except ValueError:
+            return False
+    return documented == _default_as_documented(value)
+
+
+def test_every_documented_default_is_the_parsers(doc_text):
+    tables = _flag_tables(doc_text)
+    subcommands = _subcommands(build_parser())
+    # Sections that are not a sub-command's ("Shared testbed options",
+    # the telemetry pair) document flags many sub-commands have.
+    shared = {
+        flag: default
+        for section, rows in tables.items()
+        if section not in subcommands
+        for flag, default in rows.items()
+    }
+    declared = {
+        spec.name: {d.flag: d for d in cli_params(spec.default_config())}
+        for spec in registry.specs()
+    }
+    checked = 0
+    for name, subparser in subcommands.items():
+        rows = tables.get(name, {})
+        for flag, action in subparser._option_string_actions.items():
+            if not flag.startswith("--") or flag == "--help":
+                continue
+            table = declared.get(name, {}).get(flag)
+            if table is not None:
+                assert flag in rows or flag in shared, (
+                    f"{name} {flag} has no row in the `{name}` table of docs/cli.md"
+                )
+            documented = rows.get(flag, shared.get(flag))
+            if documented is None:
+                continue  # documented in prose only
+            # A repeatable flag parses as None when absent; what the run
+            # then uses is the default its field declares.
+            value = table.default if table is not None and table.repeat else action.default
+            assert _same_default(documented, value), (
+                f"docs/cli.md says {name} {flag} defaults to {documented!r}; "
+                f"the parser uses {_default_as_documented(value)!r}"
+            )
+            checked += 1
+    assert checked >= sum(len(rows) for rows in tables.values())
+    # A row documents a flag its sub-command really has.
+    for section, rows in tables.items():
+        if section in subcommands:
+            assert set(rows) <= set(subcommands[section]._option_string_actions)
 
 
 def test_registered_families_table_matches_the_registry():

@@ -410,7 +410,7 @@ class TestHeterogeneousFleetScenario:
     def test_config_validation(self):
         with pytest.raises(ExperimentError, match="faster than"):
             HeterogeneousFleetConfig(fast_speed=1.0, slow_speed=1.0)
-        with pytest.raises(ExperimentError, match="both tiers"):
+        with pytest.raises(ExperimentError, match="num_fast must be positive"):
             HeterogeneousFleetConfig(num_fast=0)
 
     def test_testbed_speed_factors(self):
