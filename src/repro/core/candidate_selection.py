@@ -12,7 +12,8 @@ diminishing returns.
 This module provides:
 
 * :class:`RandomCandidateSelector` — d distinct servers uniformly at
-  random (the paper's choice, with d = 2);
+  random (the paper's choice, with d = 2), drawn as numpy's
+  ``Generator.choice(n, d, replace=False)`` would draw them;
 * :class:`RoundRobinCandidateSelector` — deterministic rotation, useful
   as a low-variance baseline in ablations;
 * :class:`ConsistentHashCandidateSelector` — per-flow-stable candidates
@@ -26,7 +27,7 @@ This module provides:
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +35,11 @@ from repro.core.consistent_hash import MaglevTable, flow_hash_key
 from repro.errors import SelectionError
 from repro.net.addressing import IPv6Address
 from repro.net.packet import FlowKey
+from repro.sim.random_streams import BoundedDraws
+
+#: A stream's shared source (``RandomStreams.draws``), or a generator that
+#: gets a private one (and must then feed nothing else).
+DrawSource = Union[BoundedDraws, "np.random.Generator"]
 
 
 class CandidateSelector(abc.ABC):
@@ -89,25 +95,24 @@ class CandidateSelector(abc.ABC):
 class RandomCandidateSelector(CandidateSelector):
     """``d`` distinct servers chosen uniformly at random (paper default, d=2)."""
 
-    def __init__(self, rng: np.random.Generator, num_candidates: int = 2) -> None:
+    def __init__(self, rng: DrawSource, num_candidates: int = 2) -> None:
         if num_candidates <= 0:
             raise SelectionError(
                 f"number of candidates must be positive, got {num_candidates!r}"
             )
-        self._rng = rng
+        if not isinstance(rng, BoundedDraws):
+            rng = BoundedDraws(rng.bit_generator)
+        self._choice = rng.choice
         self.num_candidates = num_candidates
         self.name = f"random-{num_candidates}"
 
     def select(
         self, flow_key: FlowKey, servers: Sequence[IPv6Address]
     ) -> List[IPv6Address]:
-        self._validate_pool(servers)
-        indices = self._rng.choice(
-            len(servers), size=self.num_candidates, replace=False
-        )
-        # tolist() yields plain ints in one C call — cheaper than
-        # iterating numpy scalars and casting each one.
-        return [servers[index] for index in indices.tolist()]
+        count = len(servers)
+        if self.num_candidates > count:
+            self._validate_pool(servers)
+        return list(map(servers.__getitem__, self._choice(count, self.num_candidates)))
 
 
 class SingleRandomSelector(RandomCandidateSelector):
@@ -118,7 +123,7 @@ class SingleRandomSelector(RandomCandidateSelector):
     one server".
     """
 
-    def __init__(self, rng: np.random.Generator) -> None:
+    def __init__(self, rng: DrawSource) -> None:
         super().__init__(rng, num_candidates=1)
         self.name = "RR"
 
@@ -213,7 +218,7 @@ def check_selector_name(name: str) -> None:
 
 def make_selector(
     name: str,
-    rng: np.random.Generator,
+    rng: DrawSource,
     num_candidates: int = 2,
 ) -> CandidateSelector:
     """Factory for selectors, keyed by a configuration string.

@@ -105,9 +105,7 @@ class FlowTable:
         if entry is None:
             if self.capacity is not None and len(self._entries) >= self.capacity:
                 self._evict_lru()
-            entry = FlowEntry(
-                flow_key=flow_key, server=server, created_at=now, last_seen=now
-            )
+            entry = FlowEntry(flow_key, server, now, now)  # positional: no kwargs dict
             self._entries[flow_key] = entry
             self._file_key(flow_key, now)
             self.stats.entries_created += 1

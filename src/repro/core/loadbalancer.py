@@ -264,9 +264,9 @@ class LoadBalancerNode(NetworkNode):
         first = candidates[0]
         offers = stats.first_candidate_offers
         offers[first] = offers.get(first, 0) + 1
-        packet.attach_srh(
-            SegmentRoutingHeader.from_traversal(list(candidates) + [vip])
-        )
+        # RFC order: the VIP is the final segment, the first candidate active.
+        segments = [vip, *reversed(candidates)]
+        packet.attach_srh(SegmentRoutingHeader(segments, len(segments) - 1))
         stats.syn_dispatched += 1
         self.send(packet)
 
@@ -277,7 +277,7 @@ class LoadBalancerNode(NetworkNode):
             self.stats.steering_misses += 1
             self._handle_steering_miss(packet, vip)
             return
-        packet.attach_srh(SegmentRoutingHeader.from_traversal([server, vip]))
+        packet.attach_srh(SegmentRoutingHeader([vip, server], 1))
         self.stats.steering_packets += 1
         self.send(packet)
 
@@ -297,7 +297,7 @@ class LoadBalancerNode(NetworkNode):
             make_reset(
                 packet.flow_key(),
                 request_id=packet.tcp.request_id,
-                created_at=self.simulator.now,
+                created_at=self.simulator.clock._now,
             )
         )
 
@@ -312,7 +312,7 @@ class LoadBalancerNode(NetworkNode):
         self._learn_from_signal(packet)
         # Hand the packet on to the client, stripping the SR header: the
         # client sees a plain SYN-ACK from the VIP (paper, figure 1).
-        client = srh.final_segment
+        client = srh.segments[0]  # the final segment
         packet.detach_srh()
         packet.dst = client
         self.send(packet)

@@ -398,14 +398,13 @@ def build_testbed(
     # so runs are reproducible given the testbed seed).  Tier deployments
     # build one selector per instance from the same recipe.
     def make_one_selector() -> CandidateSelector:
+        draws = simulator.streams.draws("candidate-selection")
         if policy_spec.num_candidates == 1 and policy_spec.selector == "random":
             # Single random candidate: label it as the RR baseline.
-            return make_selector(
-                "single-random", rng=simulator.streams.stream("candidate-selection")
-            )
+            return make_selector("single-random", rng=draws)
         return make_selector(
             policy_spec.selector,
-            rng=simulator.streams.stream("candidate-selection"),
+            rng=draws,
             num_candidates=policy_spec.num_candidates,
         )
 

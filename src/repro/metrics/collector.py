@@ -126,7 +126,8 @@ class ResponseTimeCollector:
     # ------------------------------------------------------------------
     def record(self, outcome: RequestOutcome) -> None:
         """Store one finished query (called by the traffic generator)."""
-        if outcome.succeeded:
+        # RequestOutcome.succeeded, inlined: one record per query.
+        if outcome.completed_at is not None and not outcome.failed:
             self._outcomes.append(outcome)
         else:
             self._failed.append(outcome)

@@ -116,7 +116,7 @@ class InProcessChannel(SinkDelivery):
         #: forget, never cancelled; validation and event ordering are
         #: identical to ``schedule_in``).  Binding the method here
         #: instead of wrapping it saves a frame on every packet hop.
-        self.send = simulator._schedule_delivery
+        self.send = simulator._schedule_raw
 
 
 # ----------------------------------------------------------------------

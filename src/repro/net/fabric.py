@@ -16,6 +16,7 @@ debugging examples) all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import NetworkError, RoutingError
@@ -49,12 +50,23 @@ class FabricStats:
       (the fabric carried them; the sink was gone on arrival).
     """
 
-    packets_delivered: int = 0
     packets_dropped_no_route: int = 0
     packets_dropped_hop_limit: int = 0
     packets_dropped_sink_detached: int = 0
     bytes_delivered: int = 0
-    deliveries_per_node: Dict[str, int] = field(default_factory=dict)
+    #: A ``[count]`` cell per destination node name, held by the fabric's
+    #: send route: the per-hop update is a list-item increment.
+    delivery_cells: Dict[str, List[int]] = field(default_factory=dict)
+
+    @property
+    def deliveries_per_node(self) -> Dict[str, int]:
+        """Packets delivered to each node, by node name."""
+        return {name: cell[0] for name, cell in self.delivery_cells.items()}
+
+    @property
+    def packets_delivered(self) -> int:
+        """Packets delivered, to any node."""
+        return sum(cell[0] for cell in self.delivery_cells.values())
 
     @property
     def packets_dropped(self) -> int:
@@ -120,10 +132,10 @@ class LANFabric:
         #: ``packets_dropped_sink_detached`` instead of being delivered.
         self._detached: set = set()
         self._taps: List[PacketTap] = []
-        #: Memoized send routes: destination address ->
-        #: ``(node name, event label, arrival)``.  This folds the
-        #: address resolution and the interned per-destination label and
-        #: arrival callable into one dict hit on the per-packet path.
+        #: Memoized send routes: destination address -> ``(node name,
+        #: event label, arrival, delivery cell)``.  This folds the
+        #: address resolution, the interned per-destination label and
+        #: arrival callable and the counter into one dict hit per packet.
         #: Every topology mutation (address bind, prefix
         #: advertise/withdraw, node registration or detach) clears the
         #: memo wholesale, so a cached entry is always exactly what
@@ -132,6 +144,7 @@ class LANFabric:
         #: object and the detached set — mutated in place, so shared
         #: arrivals see updates).
         self._send_routes: Dict[IPv6Address, tuple] = {}
+        self._external = SimpleNamespace(name="<external>", packets_sent=0)
         self.stats = FabricStats()
 
     # ------------------------------------------------------------------
@@ -229,6 +242,11 @@ class LANFabric:
         ``False`` if it was dropped (no route or hop limit exhausted) and
         the fabric is not strict.
         """
+        return self.send_from(self._external if origin is None else origin, packet)
+
+    def send_from(self, origin: "NetworkNode", packet: Packet) -> bool:
+        """:meth:`send` counted in ``origin.packets_sent``: each attached node's ``send``."""
+        origin.packets_sent += 1
         # The resolution, event label and arrival callable for a
         # destination address are all memoized in one dict hit (see
         # ``_send_routes``); the miss path below performs the same
@@ -268,7 +286,8 @@ class LANFabric:
                 destination.packets_received += 1
                 destination.handle_packet(packet)
 
-            route = self._send_routes[dst] = (name, f"deliver->{name}", arrive)
+            cell = stats.delivery_cells.setdefault(name, [0])
+            route = self._send_routes[dst] = (name, f"deliver->{name}", arrive, cell)
 
         hop_limit = packet.hop_limit
         if hop_limit <= 1:
@@ -280,22 +299,18 @@ class LANFabric:
             return False
         packet.hop_limit = hop_limit - 1
 
-        name, label, arrive = route
+        name, label, arrive, cell = route
 
         if self._taps:
-            origin_name = origin.name if origin is not None else "<external>"
             for tap in self._taps:
-                tap(packet, origin_name, name)
+                tap(packet, origin.name, name)
 
-        stats = self.stats
-        stats.packets_delivered += 1
+        cell[0] += 1
         srh = packet.srh
         size = IPV6_HEADER_SIZE + TCP_HEADER_SIZE + packet.tcp.payload_size
         if srh is not None:
             size += SRH_FIXED_SIZE + SRH_SEGMENT_SIZE * len(srh.segments)
-        stats.bytes_delivered += size
-        per_node = stats.deliveries_per_node
-        per_node[name] = per_node.get(name, 0) + 1
+        self.stats.bytes_delivered += size
 
         self.channel.send(arrive, packet, self.latency, label)
         return True

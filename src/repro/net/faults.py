@@ -398,7 +398,7 @@ class FaultInjectionChannel(SinkDelivery):
     def send(self, arrive: Arrival, packet: Any, delay: float, label: str) -> None:
         stats = self.stats
         stats.packets_sent += 1
-        now = self.simulator.now
+        now = self.simulator.clock._now
         extra = 0.0
         for injector in self.injectors:
             verdict = injector.assess(now, stats)

@@ -84,13 +84,17 @@ class FlowKey(NamedTuple):
 
     def reversed(self) -> "FlowKey":
         """The key of the reverse direction of the flow."""
-        return FlowKey(self[2], self[3], self[0], self[1])
+        return _new_flow_key(FlowKey, (self[2], self[3], self[0], self[1]))
 
     def __reduce__(self):
         return (FlowKey, tuple(self))
 
     def __str__(self) -> str:
         return f"{self[0]}:{self[1]} -> {self[2]}:{self[3]}"
+
+
+#: ``_new_flow_key(FlowKey, fields)``: a key without ``__new__``'s frame.
+_new_flow_key = tuple.__new__
 
 
 class TCPSegment:
@@ -112,9 +116,9 @@ class TCPSegment:
         payload_size: int = 0,
         request_id: Optional[int] = None,
     ) -> None:
-        for port in (src_port, dst_port):
-            if not 0 < port <= 0xFFFF:
-                raise NetworkError(f"invalid TCP port {port!r}")
+        if not (0 < src_port <= 0xFFFF and 0 < dst_port <= 0xFFFF):
+            bad = dst_port if 0 < src_port <= 0xFFFF else src_port
+            raise NetworkError(f"invalid TCP port {bad!r}")
         if payload_size < 0:
             raise NetworkError(f"negative TCP payload size {payload_size!r}")
         self.src_port = src_port
@@ -184,7 +188,7 @@ class Packet:
     ) -> None:
         if hop_limit <= 0:
             raise NetworkError(f"invalid hop limit {hop_limit!r}")
-        if srh is not None and srh.active_segment != dst:
+        if srh is not None and srh.segments[srh.segments_left] != dst:
             raise NetworkError(
                 "packet destination must equal the SRH active segment "
                 f"(dst={dst}, active={srh.active_segment})"
@@ -222,12 +226,12 @@ class Packet:
         if key is None:
             tcp = self.tcp
             srh = self.srh
-            key = self._flow_key = FlowKey(
+            key = self._flow_key = _new_flow_key(FlowKey, (
                 self.src,
                 tcp.src_port,
                 self._dst if srh is None else srh.segments[0],
                 tcp.dst_port,
-            )
+            ))  # fmt: skip
         return key
 
     @property
@@ -269,9 +273,13 @@ class Packet:
         Keeps the cached flow key, for the same reason as
         :meth:`advance_srh`.
         """
-        if self.srh is None:
+        srh = self.srh
+        if srh is None:
             raise NetworkError("packet has no SRH")
-        self._dst = self.srh.set_segments_left(value)
+        if not 0 <= value <= srh.segments_left:
+            srh.set_segments_left(value)  # raises; otherwise inlined below
+        srh.segments_left = value
+        self._dst = srh.segments[value]
         return self._dst
 
     # ------------------------------------------------------------------
@@ -476,18 +484,16 @@ def make_reset(
     the other way, from the flow's destination (the VIP or server) back
     to its source.  Used by the load balancer (steering miss), the
     server application (backlog overflow, request timeout) and the
-    virtual router (data for a non-existent connection).
+    virtual router (data for a non-existent connection).  Built
+    positionally, like every per-packet construction: a class call with
+    keyword arguments allocates a dict.
     """
     return Packet(
-        src=flow_key.dst_address,
-        dst=flow_key.src_address,
-        tcp=TCPSegment(
-            src_port=flow_key.dst_port,
-            dst_port=flow_key.src_port,
-            flags=TCPFlag.RST,
-            request_id=request_id,
-        ),
-        created_at=created_at,
+        flow_key.dst_address,
+        flow_key.src_address,
+        TCPSegment(flow_key.dst_port, flow_key.src_port, TCPFlag.RST, 0, request_id),
+        None, DEFAULT_HOP_LIMIT, None,  # no SRH, default hop limit, fresh id
+        created_at,
     )
 
 

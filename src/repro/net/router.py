@@ -15,6 +15,7 @@ Two pieces live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -182,11 +183,12 @@ class NetworkNode:
         return address in self._addresses
 
     def attach(self, fabric: "LANFabric") -> None:
-        """Attach the node to a fabric, binding all its addresses."""
+        """Attach the node to a fabric, binding all its addresses and ``send``."""
         self._fabric = fabric
         fabric.register_node(self)
         for address in self._addresses:
             fabric.bind_address(address, self)
+        self.send = partial(fabric.send_from, self)
 
     @property
     def fabric(self):
@@ -197,11 +199,8 @@ class NetworkNode:
     # packet I/O
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> None:
-        """Send a packet into the attached fabric."""
-        if self._fabric is None:
-            raise RoutingError(f"node {self.name!r} is not attached to a fabric")
-        self.packets_sent += 1
-        self._fabric.send(packet, self)
+        """Send a packet into the attached fabric (bound by :meth:`attach`)."""
+        raise RoutingError(f"node {self.name!r} is not attached to a fabric")
 
     def receive(self, packet: Packet) -> None:
         """Entry point for a packet arriving over a link or an ECMP hop.

@@ -64,7 +64,7 @@ class ListenBacklog:
             raise ServerError(
                 f"connection {connection_id!r} is already in the backlog"
             )
-        if self.is_full:
+        if len(self._queue) >= self.capacity:
             self.total_rejected += 1
             if self.abort_on_overflow:
                 return False

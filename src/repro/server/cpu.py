@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional
 
 from repro.errors import ServerError
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import NO_ARG, EventHandle, HeapEntry, Simulator
 
 #: Completion callback: receives the job id.
 JobCompletionCallback = Callable[[int], None]
@@ -128,7 +128,7 @@ class ProcessorSharingCPU(CPUModel):
     All active jobs progress simultaneously at rate
     ``min(1, num_cores / active_jobs)``.  The implementation advances the
     remaining demand of every job lazily whenever the job set changes and
-    keeps a single scheduled event for the earliest completion.
+    keeps a single scheduled event (a raw heap entry) for the earliest completion.
     """
 
     def __init__(
@@ -141,7 +141,7 @@ class ProcessorSharingCPU(CPUModel):
         super().__init__(simulator, num_cores, name, speed)
         self._jobs: Dict[int, _Job] = {}
         self._last_progress = simulator.now
-        self._completion_event: Optional[EventHandle] = None
+        self._completion: Optional[HeapEntry] = None
 
     @property
     def active_jobs(self) -> int:
@@ -173,9 +173,10 @@ class ProcessorSharingCPU(CPUModel):
         self._last_progress = now
 
     def _reschedule_completion(self) -> None:
-        if self._completion_event is not None:
-            self._completion_event.cancel()
-            self._completion_event = None
+        simulator = self.simulator
+        if self._completion is not None:
+            simulator._cancel(self._completion)
+            self._completion = None
         jobs = self._jobs
         if not jobs:
             return
@@ -189,19 +190,21 @@ class ProcessorSharingCPU(CPUModel):
         active = len(jobs)
         cores = self.num_cores
         rate = self.speed * (1.0 if cores >= active else cores / active)
-        self._completion_event = self.simulator.schedule_in(
-            min_remaining / rate, self._fire_completions, self._completion_label
+        self._completion = simulator._schedule_raw(
+            self._fire_completions, NO_ARG, min_remaining / rate, self._completion_label
         )
 
     def _fire_completions(self) -> None:
-        self._completion_event = None
+        self._completion = None
         self._advance_progress()
-        finished = [
-            job_id
-            for job_id, job in self._jobs.items()
+        jobs = self._jobs
+        completed_jobs = [
+            (job_id, job)
+            for job_id, job in jobs.items()
             if job.remaining <= _REMAINING_EPSILON
         ]
-        completed_jobs = [(job_id, self._jobs.pop(job_id)) for job_id in finished]
+        for job_id, _ in completed_jobs:
+            del jobs[job_id]
         self._reschedule_completion()
         for job_id, job in completed_jobs:
             self.jobs_completed += 1
@@ -215,12 +218,8 @@ class ProcessorSharingCPU(CPUModel):
         if job_id in self._jobs:
             raise ServerError(f"job {job_id!r} is already running on {self.name!r}")
         self._advance_progress()
-        self._jobs[job_id] = _Job(
-            demand=demand,
-            remaining=demand,
-            on_complete=on_complete,
-            submitted_at=self.simulator.now,
-        )
+        # Positional: a class call with keywords allocates a dict per job.
+        self._jobs[job_id] = _Job(demand, demand, on_complete, self.simulator.clock._now)
         self._reschedule_completion()
 
     def cancel_job(self, job_id: int) -> bool:
@@ -279,7 +278,7 @@ class FIFOCPU(CPUModel):
             demand=demand,
             remaining=demand,
             on_complete=on_complete,
-            submitted_at=self.simulator.now,
+            submitted_at=self.simulator.clock._now,
         )
         if len(self._running) < self.num_cores:
             self._start(job_id, job)

@@ -270,7 +270,10 @@ class HTTPServerInstance:
         """Have idle workers accept connections from the backlog (FIFO)."""
         workers = self.workers
         backlog = self.backlog
-        while backlog.depth and workers.has_idle_worker:
+        # Read directly: ``depth`` and ``has_idle_worker`` cost a call each.
+        waiting = backlog._queue
+        idle = workers._free_slots
+        while waiting and idle:
             connection_id = backlog.pop_next()
             connection = self._connections[connection_id]
             connection.worker_slot = workers.acquire()

@@ -23,14 +23,11 @@ from typing import Set
 
 from repro.core.agent import ApplicationAgent
 from repro.core.policies import ConnectionAcceptancePolicy
-from repro.core.service_hunting import (
-    HuntingDecision,
-    ServiceHuntingProcessor,
-    build_steering_reply_path,
-)
-from repro.errors import ServerError
+from repro.core.service_hunting import HuntingDecision, ServiceHuntingProcessor
+from repro.errors import SegmentRoutingError, ServerError
 from repro.net.addressing import IPv6Address
 from repro.net.packet import (
+    DEFAULT_HOP_LIMIT,
     PSH_ACK,
     PSH_BIT,
     RST_BIT,
@@ -214,7 +211,7 @@ class ServerNode(NetworkNode):
                     make_reset(
                         flow_key,
                         request_id=tcp.request_id,
-                        created_at=self.simulator.now,
+                        created_at=self.simulator.clock._now,
                     )
                 )
             return
@@ -226,26 +223,22 @@ class ServerNode(NetworkNode):
     def send_syn_ack(self, connection: ServerConnection) -> None:
         """Send the connection-acceptance packet through the load balancer."""
         flow_key = connection.flow_key
-        path = build_steering_reply_path(
-            server_address=self.primary_address,
-            load_balancer_address=self.load_balancer_address,
-            client_address=flow_key.src_address,
-        )
-        srh = SegmentRoutingHeader.from_traversal(path)
-        # The server's own segment is already "traversed" when the packet
-        # leaves: advance once so the load balancer is the active segment.
-        srh.advance()
+        client = flow_key.src_address
+        load_balancer = self.load_balancer_address
+        if load_balancer == client:
+            raise SegmentRoutingError(
+                "load balancer and client addresses must differ in the reply path"
+            )
+        # build_steering_reply_path in RFC order; the server's own segment
+        # is already "traversed", so the load balancer is the active one.
+        srh = SegmentRoutingHeader([client, load_balancer, self._addresses[0]], 1)
+        # Built positionally: a class call with keywords allocates a dict.
         packet = Packet(
-            src=flow_key.dst_address,  # the VIP: clients talk to the service
-            dst=srh.active_segment,
-            tcp=TCPSegment(
-                src_port=flow_key.dst_port,
-                dst_port=flow_key.src_port,
-                flags=SYN_ACK,
-                request_id=connection.request_id,
-            ),
-            srh=srh,
-            created_at=self.simulator.now,
+            flow_key.dst_address,  # the VIP: clients talk to the service
+            load_balancer,
+            TCPSegment(flow_key.dst_port, flow_key.src_port, SYN_ACK, 0, connection.request_id),
+            srh, DEFAULT_HOP_LIMIT, None,  # default hop limit, fresh id
+            self.simulator.clock._now,
         )
         self.send(packet)
 
@@ -255,7 +248,7 @@ class ServerNode(NetworkNode):
             make_reset(
                 connection.flow_key,
                 request_id=connection.request_id,
-                created_at=self.simulator.now,
+                created_at=self.simulator.clock._now,
             )
         )
 
@@ -263,16 +256,13 @@ class ServerNode(NetworkNode):
         """Send the HTTP response directly to the client (direct return)."""
         flow_key = connection.flow_key
         packet = Packet(
-            src=flow_key.dst_address,
-            dst=flow_key.src_address,
-            tcp=TCPSegment(
-                src_port=flow_key.dst_port,
-                dst_port=flow_key.src_port,
-                flags=PSH_ACK,
-                payload_size=payload_size,
-                request_id=connection.request_id,
+            flow_key.dst_address,
+            flow_key.src_address,
+            TCPSegment(
+                flow_key.dst_port, flow_key.src_port, PSH_ACK, payload_size, connection.request_id
             ),
-            created_at=self.simulator.now,
+            None, DEFAULT_HOP_LIMIT, None,  # no SRH, default hop limit, fresh id
+            self.simulator.clock._now,
         )
         self.send(packet)
 

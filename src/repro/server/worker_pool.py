@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import WorkerPoolError
-from repro.server.scoreboard import Scoreboard
+from repro.server.scoreboard import _BUSY, _IDLE, Scoreboard
 
 
 class WorkerPool:
@@ -62,7 +62,7 @@ class WorkerPool:
             return None
         slot = self._free_slots.pop()
         self._busy_slots.add(slot)
-        self._scoreboard.mark_busy(slot)
+        self._scoreboard._set_state(slot, _BUSY)  # mark_busy without its frame
         self.total_acquisitions += 1
         return slot
 
@@ -74,7 +74,7 @@ class WorkerPool:
             )
         self._busy_slots.remove(slot)
         self._free_slots.append(slot)
-        self._scoreboard.mark_idle(slot)
+        self._scoreboard._set_state(slot, _IDLE)
 
     def is_busy(self, slot: int) -> bool:
         """Whether a given slot is currently serving a connection."""

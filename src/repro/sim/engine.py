@@ -12,13 +12,11 @@ Design points
   order (FIFO), via a monotonically increasing sequence number.  This
   makes simulations deterministic, which the experiment harness and the
   property-based tests rely on.
-* **Tuple heap entries.**  The heap stores ``(time, sequence, event)``
-  tuples, so heap sifts compare in C (time first, unique sequence as the
-  tie-break; the event object is never compared).  A full replay pushes
-  and pops one entry per event, and the comparison-heavy dataclass heap
-  this replaced was the single hottest function of a run.
-* **Cancellation without heap surgery.**  :meth:`EventHandle.cancel`
-  marks the event dead; the main loop skips dead events when they are
+* **List heap entries.**  The heap stores ``[time, sequence, callback,
+  arg, label]`` lists, compared in C (the unique sequence settles every
+  tie); an event is one list, and an :class:`EventHandle` wraps it.
+* **Cancellation without heap surgery.**  Cancelling sets the entry's
+  callback to ``None``; the main loop skips dead events when they are
   popped.  This is O(1) and keeps the heap simple.  When dead entries
   come to dominate — more than half of a non-trivial heap, which
   happens in long replays that churn timers (re-attached samplers, LB
@@ -29,6 +27,12 @@ Design points
   arg)`` fires as ``f(arg)``, so per-item scheduling (a packet's
   delivery, a trace's arrivals) passes one shared callable instead of
   allocating a closure per item.
+* **One pending entry per series.**  :meth:`Simulator.schedule_series`
+  (a trace's arrivals) pushes item *i + 1* just before item *i* runs,
+  with the sequence number it would have drawn had every item been
+  scheduled at once.  It sorts after item *i*, so it is never the heap
+  minimum while item *i* is pending: the pop order, ties included, is
+  per-item scheduling's, on a heap as deep as what is in flight.
 * **Callbacks are released eagerly.**  An event that leaves the heap
   (executed or discarded) drops its callback and argument references,
   so an :class:`EventHandle` kept around by a component cannot pin the
@@ -47,18 +51,21 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 from dataclasses import dataclass, field
-from math import isfinite
+from math import isfinite, isnan
 from types import SimpleNamespace
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.clock import SimulationClock
 from repro.sim.random_streams import RandomStreams
 
-#: ``event.arg`` of an event scheduled without an argument: its callback
-#: runs as ``callback()``, every other event's as ``callback(arg)``.
+#: The argument slot of an event scheduled without an argument (and of a
+#: spent entry): its callback runs as ``callback()``, others' as ``callback(arg)``.
 NO_ARG: Any = object()
+#: The argument slot of a cancelled entry (its callback slot is ``None``).
+_CANCELLED: Any = object()
 #: Read only by benchmarks/perf/child.py (frozen), which refuses to run
 #: when it is truthy; there is no compiled loop.
 COMPILED_LOOP = False
@@ -67,74 +74,42 @@ COMPILED_LOOP = False
 #: scheduled with an argument.
 EventCallback = Callable[..., None]
 
+#: A heap entry: ``[time, sequence, callback, arg, label]``.  ``callback``
+#: is ``None`` once the entry was cancelled, executed or drained.
+HeapEntry = List[Any]
+
 #: Heaps smaller than this are never compacted — a linear sweep of a
 #: few dozen entries costs more bookkeeping than the dead entries do.
 _COMPACTION_MIN_HEAP = 64
 
 _INFINITY = float("inf")
 
-
-class _ScheduledEvent:
-    """Internal event record carried inside a ``(time, seq, event)`` entry.
-
-    The record itself is never compared (the unique sequence number
-    settles every tie before tuple comparison reaches it); it exists so
-    handles can observe and cancel the event after it was pushed.
-    """
-
-    __slots__ = (
-        "time", "sequence", "callback", "label", "arg", "cancelled", "done"
-    )
-
-    def __init__(
-        self,
-        time: float,
-        sequence: int,
-        callback: Optional[EventCallback],
-        label: str = "",
-        arg: Any = NO_ARG,
-    ) -> None:
-        self.time = time
-        self.sequence = sequence
-        self.callback = callback
-        self.label = label
-        self.arg = arg
-        self.cancelled = False
-        #: Set once the event has left the heap (executed or discarded),
-        #: so a late ``cancel()`` does not count toward the compaction
-        #: trigger.
-        self.done = False
-
-
-#: The heap entry type: time, scheduling sequence number, event record.
-_HeapEntry = Tuple[float, int, _ScheduledEvent]
+_heappush = heapq.heappush
 
 
 class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`, usable to cancel."""
+    """Handle returned by :meth:`Simulator.schedule_at`, usable to cancel."""
 
-    __slots__ = ("_event", "_simulator")
+    __slots__ = ("_entry", "_simulator")
 
-    def __init__(
-        self, event: _ScheduledEvent, simulator: Optional["Simulator"] = None
-    ) -> None:
-        self._event = event
+    def __init__(self, entry: HeapEntry, simulator: "Simulator") -> None:
+        self._entry = entry
         self._simulator = simulator
 
     @property
     def time(self) -> float:
         """Simulated time at which the event will fire."""
-        return self._event.time
+        return self._entry[0]
 
     @property
     def label(self) -> str:
         """Human-readable label given at scheduling time."""
-        return self._event.label
+        return self._entry[4]
 
     @property
     def cancelled(self) -> bool:
         """Whether the event has been cancelled."""
-        return self._event.cancelled
+        return self._entry[3] is _CANCELLED
 
     def cancel(self) -> None:
         """Prevent the event from firing.
@@ -143,28 +118,16 @@ class EventHandle:
         callback already ran: a fired timer stays "fired", it does not
         turn "cancelled" after the fact.
         """
-        event = self._event
-        if event.cancelled:
-            return
-        if event.done:  # already ran, or was drained: nothing to cancel
-            return
-        # Still on the heap: the callback can be dropped right away (the
-        # run loop will skip the entry), and the owning simulator keeps
-        # count so it can decide when compaction pays off.
-        event.cancelled = True
-        event.callback = None
-        event.arg = NO_ARG
-        if self._simulator is not None:
-            self._simulator._note_cancelled()
+        self._simulator._cancel(self._entry)
 
     def __repr__(self) -> str:
-        event = self._event
-        if event.cancelled:
-            state = "cancelled"
-        elif event.done:
-            state = "done"  # ran, or was drained
-        else:
+        entry = self._entry
+        if entry[2] is not None:
             state = "pending"
+        elif entry[3] is _CANCELLED:
+            state = "cancelled"
+        else:
+            state = "done"  # ran, or was drained
         return f"EventHandle(time={self.time!r}, label={self.label!r}, {state})"
 
 
@@ -183,7 +146,7 @@ class Simulator:
     def __init__(self, seed: Optional[int] = 0, start_time: float = 0.0) -> None:
         self.clock = SimulationClock(start_time)
         self.streams = RandomStreams(seed)
-        self._heap: List[_HeapEntry] = []
+        self._heap: List[HeapEntry] = []
         self._sequence = itertools.count()
         self._running = False
         self._stopped = False
@@ -205,7 +168,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still on the heap (including cancelled ones)."""
+        """Entries on the heap (cancelled ones included; a series is one)."""
         return len(self._heap)
 
     @property
@@ -213,20 +176,8 @@ class Simulator:
         """Read only by benchmarks/perf/tracing.py (frozen): ``batches``, one per event."""
         return SimpleNamespace(batches=self._events_executed)
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: EventCallback,
-        label: str = "",
-        arg: Any = NO_ARG,
-    ) -> EventHandle:
-        """Schedule ``callback`` at absolute simulated time ``time``.
-
-        With ``arg`` the event fires as ``callback(arg)``, so a caller
-        scheduling one bound method over many items (a trace's arrivals,
-        a packet's delivery) allocates no closure per item.
-        """
-        time = float(time)
+    def _check_time(self, time: float, label: str) -> None:
+        """Raise :class:`SchedulingError` if ``time`` cannot be scheduled."""
         if not isfinite(time):
             # NaN in particular would slip past the ordering guard below
             # (every comparison with NaN is false) and silently corrupt
@@ -239,9 +190,26 @@ class Simulator:
                 f"cannot schedule event {label!r} at {time!r}, "
                 f"which is before current time {self.clock._now!r}"
             )
-        event = _ScheduledEvent(time, next(self._sequence), callback, label, arg)
-        heapq.heappush(self._heap, (time, event.sequence, event))
-        return EventHandle(event, self)
+
+    def schedule_at(
+        self,
+        time: float,
+        callback: EventCallback,
+        label: str = "",
+        arg: Any = NO_ARG,
+    ) -> EventHandle:
+        """Schedule ``callback`` at absolute simulated time ``time``.
+
+        With ``arg`` the event fires as ``callback(arg)``, so a caller
+        scheduling one bound method over many items (a packet's
+        delivery, say) allocates no closure per item.
+        """
+        time = float(time)
+        if not self.clock._now <= time < _INFINITY:  # NaN fails this too
+            self._check_time(time, label)  # raises the precise error
+        entry = [time, next(self._sequence), callback, arg, label]
+        _heappush(self._heap, entry)
+        return EventHandle(entry, self)
 
     def schedule_in(
         self,
@@ -259,46 +227,86 @@ class Simulator:
         # the absolute time non-finite, which schedule_at rejects.
         return self.schedule_at(self.clock._now + delay, callback, label, arg)
 
-    def _schedule_delivery(
-        self, callback: EventCallback, arg: Any, delay: float, label: str
+    def schedule_series(
+        self,
+        items: Iterable[Any],
+        time_of: Callable[[Any], float],
+        callback: EventCallback,
+        label: str = "",
+        start: float = 0.0,
     ) -> None:
-        """Fire-and-forget ``schedule_in(delay, callback, label, arg)``.
+        """Fire ``callback(item)`` at ``start + time_of(item)`` for every item.
 
-        The packet-delivery path: the signature is the delivery
-        channel's ``send(arrive, packet, delay, label)``, and
-        :class:`~repro.net.channel.InProcessChannel` binds this method
-        as its ``send``.  Per-packet deliveries are never cancelled, so
-        the :class:`EventHandle` that :meth:`schedule_in` allocates for
-        every call is pure overhead on the hottest scheduling site of a
-        replay.  This keeps the same validation outcome (negative, NaN
-        and infinite delays all raise :class:`SchedulingError`: each
-        fails one of the two comparisons) and draws from the same
-        sequence counter, so event ordering is identical to the
-        handle-returning path.
+        ``items`` is iterated twice (a collection, not an iterator): now,
+        to check every time as :meth:`schedule_at` does and that they
+        never decrease, and lazily, one item per firing.  The series
+        reserves one sequence number per item now but keeps one entry on
+        the heap; the pop order is ``schedule_at``'s per item (see the
+        module docstring).  A series cannot be cancelled.
+        """
+        if iter(items) is items:
+            raise SchedulingError(f"series {label!r} needs a collection, not an iterator")
+        previous = self.clock._now
+        count = 0
+        for item in items:
+            time = float(start + time_of(item))
+            if not previous <= time < _INFINITY:  # NaN fails this too
+                self._check_time(time, label)  # raises what schedule_at raises
+                raise SchedulingError(
+                    f"series {label!r} goes back in time: {time!r} after {previous!r}"
+                )
+            previous = time
+            count += 1
+        if not count:
+            return
+        first = next(self._sequence)
+        self._sequence = itertools.count(first + count)
+        sequence = itertools.count(first).__next__
+        pending = iter(items)
+        heap = self._heap
+
+        def fire(item: Any) -> None:
+            # Item i + 1 goes on the heap just before item i runs.
+            following = next(pending, NO_ARG)
+            if following is not NO_ARG:
+                time = float(start + time_of(following))
+                _heappush(heap, [time, sequence(), fire, following, label])
+            if item is not NO_ARG:
+                callback(item)
+
+        fire(NO_ARG)  # queues the first item
+
+    def _schedule_raw(
+        self, callback: EventCallback, arg: Any, delay: float, label: str
+    ) -> HeapEntry:
+        """``schedule_in(delay, callback, label, arg)`` returning the raw entry.
+
+        For the packet hop (:class:`~repro.net.channel.InProcessChannel`
+        binds it as ``send``) and the CPU's completion re-arm (cancelled
+        with :meth:`_cancel`), which keep no :class:`EventHandle`.  The
+        same delays raise and the same sequence numbers are drawn.
         """
         time = self.clock._now + delay
         if not (delay >= 0.0 and time < _INFINITY):
             raise SchedulingError(
-                f"cannot schedule delivery {label!r} with delay {delay!r}"
+                f"cannot schedule event {label!r} with delay {delay!r}"
             )
-        event = _ScheduledEvent(time, next(self._sequence), callback, label, arg)
-        heapq.heappush(self._heap, (time, event.sequence, event))
+        entry = [time, next(self._sequence), callback, arg, label]
+        _heappush(self._heap, entry)
+        return entry
 
     # ------------------------------------------------------------------
     # heap hygiene
     # ------------------------------------------------------------------
-    def _discard(self, event: _ScheduledEvent) -> None:
-        """Bookkeeping for an event that just left the heap unexecuted."""
-        event.done = True
-        event.callback = None
-        event.arg = NO_ARG
-        if event.cancelled:
-            self._cancelled_on_heap -= 1
-
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`EventHandle.cancel` for an on-heap event."""
+    def _cancel(self, entry: HeapEntry) -> None:
+        """Cancel a pending entry; a no-op once it ran, was drained or cancelled."""
+        if entry[2] is None:
+            return
+        entry[2] = None
+        entry[3] = _CANCELLED
         self._cancelled_on_heap += 1
-        self._maybe_compact_heap()
+        if self._cancelled_on_heap * 2 > len(self._heap) >= _COMPACTION_MIN_HEAP:
+            self._maybe_compact_heap()
 
     def _maybe_compact_heap(self) -> None:
         """Rebuild the heap once cancelled entries exceed half of it.
@@ -313,18 +321,11 @@ class Simulator:
             return
         if self._cancelled_on_heap * 2 <= len(self._heap):
             return
-        survivors: List[_HeapEntry] = []
-        for entry in self._heap:
-            event = entry[2]
-            if event.cancelled:
-                event.done = True
-            else:
-                survivors.append(entry)
         # In-place replacement, NOT rebinding: run() holds a local alias
         # to this list while callbacks execute, and a callback that
         # cancels enough events lands here mid-run.  Rebinding would
         # leave the loop draining the stale pre-compaction list.
-        self._heap[:] = survivors
+        self._heap[:] = [entry for entry in self._heap if entry[2] is not None]
         heapq.heapify(self._heap)
         self._cancelled_on_heap = 0
 
@@ -342,9 +343,11 @@ class Simulator:
         ----------
         until:
             Stop once the next event would fire strictly after this time.
-            ``None`` runs until the event heap is empty.
+            ``None`` (or ``+inf``) runs until the event heap is empty;
+            NaN is rejected.
         max_events:
-            Safety valve: stop after executing this many events.
+            Safety valve: stop after executing this many events (a
+            non-negative count).
 
         Returns
         -------
@@ -357,6 +360,12 @@ class Simulator:
             the time of the last executed event instead, so the
             unprocessed events remain in the clock's future.
         """
+        if until is not None and isnan(until):
+            # Every `time > nan` is false: the run would ignore its
+            # horizon and never return with a periodic task on the heap.
+            raise SchedulingError(f"cannot run until non-finite time {until!r}")
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"max_events must be non-negative, got {max_events!r}")
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
@@ -365,32 +374,27 @@ class Simulator:
         heap = self._heap
         heappop = heapq.heappop
         no_arg = NO_ARG
+        horizon = _INFINITY if until is None else until
+        budget = sys.maxsize if max_events is None else max_events
         executed = 0
         try:
-            while heap:
-                if self._stopped:
-                    break
-                if max_events is not None and executed >= max_events:
-                    break
-                entry = heap[0]
-                event = entry[2]
-                if event.cancelled:
-                    heappop(heap)
-                    self._discard(event)
+            while heap and executed < budget and not self._stopped:
+                entry = heappop(heap)
+                callback = entry[2]
+                if callback is None:  # cancelled
+                    self._cancelled_on_heap -= 1
                     continue
                 time = entry[0]
-                if until is not None and time > until:
+                if time > horizon:
+                    _heappush(heap, entry)  # it stays pending; same pop order
                     break
-                heappop(heap)
-                event.done = True
-                callback = event.callback
-                event.callback = None
                 clock._now = time
-                arg = event.arg
+                arg = entry[3]
+                entry[2] = None
                 if arg is no_arg:
                     callback()
                 else:
-                    event.arg = no_arg
+                    entry[3] = no_arg
                     callback(arg)
                 self._events_executed += 1
                 executed += 1
@@ -398,7 +402,7 @@ class Simulator:
             # at or before the horizon, regardless of why the loop ended
             # (heap drained, next event past the horizon, `max_events`
             # exhausted, or `stop()` after the last pre-horizon event).
-            if until is not None and until > clock._now:
+            if until is not None and clock._now < until < _INFINITY:
                 next_time = self.peek_next_time()
                 if next_time is None or next_time > until:
                     clock.advance(until)
@@ -410,26 +414,32 @@ class Simulator:
         """Execute exactly one pending event.
 
         Returns ``True`` if an event was executed, ``False`` if the heap
-        is empty.  Cancelled events are discarded silently, through the
-        same :meth:`_discard` bookkeeping as the main loop, so stepping
-        over them keeps the compaction counter exact.
+        is empty.  Cancelled events are discarded silently, with the
+        same bookkeeping as the main loop, so stepping over them keeps
+        the compaction counter exact.  Like :meth:`run`, a step cannot
+        be taken from inside a running callback.
         """
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            event = entry[2]
-            if event.cancelled:
-                self._discard(event)
+        if self._running:
+            raise SimulationError("simulator is already running (re-entrant step())")
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
+            callback = entry[2]
+            if callback is None:
+                self._cancelled_on_heap -= 1
                 continue
-            event.done = True
-            callback = event.callback
-            event.callback = None
-            arg = event.arg
-            event.arg = NO_ARG
+            arg = entry[3]
+            entry[2] = None
+            entry[3] = NO_ARG
             self.clock._now = entry[0]
-            if arg is NO_ARG:
-                callback()
-            else:
-                callback(arg)
+            self._running = True
+            try:
+                if arg is NO_ARG:
+                    callback()
+                else:
+                    callback(arg)
+            finally:
+                self._running = False
             self._events_executed += 1
             return True
         return False
@@ -441,21 +451,20 @@ class Simulator:
     def peek_next_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if none are pending."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            self._discard(heapq.heappop(heap)[2])
+        while heap and heap[0][2] is None:
+            heapq.heappop(heap)
+            self._cancelled_on_heap -= 1
         if not heap:
             return None
         return heap[0][0]
 
     def drain(self) -> int:
-        """Discard all pending events; returns how many were discarded."""
+        """Discard all pending entries; returns how many live ones were discarded."""
         count = 0
         for entry in self._heap:
-            event = entry[2]
-            event.done = True
-            event.callback = None
-            event.arg = NO_ARG
-            if not event.cancelled:
+            if entry[2] is not None:
+                entry[2] = None
+                entry[3] = NO_ARG
                 count += 1
         self._heap.clear()
         self._cancelled_on_heap = 0

@@ -21,11 +21,13 @@ reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Protocol
 
 from repro.errors import WorkloadError
 from repro.net.addressing import IPv6Address
 from repro.net.packet import (
+    DEFAULT_HOP_LIMIT,
     PSH_ACK,
     PSH_BIT,
     RST_BIT,
@@ -42,6 +44,8 @@ from repro.workload.trace import Trace
 
 #: Size in bytes of the HTTP request payload (a GET with headers).
 REQUEST_PAYLOAD_SIZE = 400
+
+_arrival_time = attrgetter("arrival_time")
 
 
 @dataclass(slots=True)
@@ -230,16 +234,12 @@ class TrafficGeneratorNode(NetworkNode):
     def schedule_trace(self, trace: Trace) -> None:
         """Schedule every request of ``trace`` at its arrival time.
 
-        Arrival events share one constant label: formatting a
-        per-request label here would cost one f-string per query of the
-        whole replay, and the event's argument already identifies the
-        request when diagnostics need it.
+        The trace is one series: only its next arrival is on the heap,
+        read from the trace as it comes due.  Arrival events share one
+        constant label; the event's argument identifies the request.
         """
-        now = self.simulator.now
-        schedule_at = self.simulator.schedule_at
-        start_query = self.start_query
-        for request in trace:
-            schedule_at(now + request.arrival_time, start_query, "arrival", request)
+        now = self.simulator.clock._now
+        self.simulator.schedule_series(trace, _arrival_time, self.start_query, "arrival", now)
 
     def _allocate_port(self, request: Request) -> int:
         """Source port for a new query.
@@ -257,32 +257,26 @@ class TrafficGeneratorNode(NetworkNode):
                 f"request {request.request_id} is already in flight"
             )
         src_port = self._allocate_port(request)
+        # Per-query records and packets are built positionally: a class
+        # call with keyword arguments allocates a dict per call.
         outcome = RequestOutcome(
-            request_id=request.request_id,
-            kind=request.kind,
-            url=request.url,
-            sent_at=self.simulator.now,
+            request.request_id, request.kind, request.url, self.simulator.clock._now
         )
-        pending = _PendingQuery(
-            request=request, outcome=outcome, src_port=src_port
-        )
+        pending = _PendingQuery(request, outcome, src_port)
         self._pending[request.request_id] = pending
         self.queries_started += 1
         self._send_syn(pending)
-        self._arm_timers(pending)
+        if self.syn_retransmit_timeout > 0.0 or self.retry_timeout > 0.0:
+            self._arm_timers(pending)
 
     def _send_syn(self, pending: _PendingQuery) -> None:
         """(Re)send the SYN of ``pending``'s current connection attempt."""
         syn = Packet(
-            src=self.primary_address,
-            dst=self.vip,
-            tcp=TCPSegment(
-                src_port=pending.src_port,
-                dst_port=HTTP_PORT,
-                flags=TCPFlag.SYN,
-                request_id=pending.request.request_id,
-            ),
-            created_at=self.simulator.now,
+            self._addresses[0],
+            self.vip,
+            TCPSegment(pending.src_port, HTTP_PORT, TCPFlag.SYN, 0, pending.request.request_id),
+            None, DEFAULT_HOP_LIMIT, None,  # no SRH, default hop limit, fresh id
+            self.simulator.clock._now,
         )
         self.send(syn)
 
@@ -328,7 +322,7 @@ class TrafficGeneratorNode(NetworkNode):
         self.syn_retransmits += 1
         if self.flight_recorder is not None:
             self.flight_recorder.record(
-                self.simulator.now, "client", "syn-retransmit", request_id
+                self.simulator.clock._now, "client", "syn-retransmit", request_id
             )
         self._send_syn(pending)
         pending.rto = min(pending.rto * 2.0, self.syn_retransmit_cap)
@@ -358,7 +352,7 @@ class TrafficGeneratorNode(NetworkNode):
         self.queries_retried += 1
         if self.flight_recorder is not None:
             self.flight_recorder.record(
-                self.simulator.now, "client", "retry", request_id
+                self.simulator.clock._now, "client", "retry", request_id
             )
         self._send_syn(pending)
         self._arm_timers(pending)
@@ -405,7 +399,7 @@ class TrafficGeneratorNode(NetworkNode):
             if pending.syn_timer is not None:
                 pending.syn_timer.cancel()
                 pending.syn_timer = None
-            pending.outcome.established_at = self.simulator.now
+            pending.outcome.established_at = self.simulator.clock._now
             if self.request_spread > 0:
                 # Paced upload; with request_chunks == 1 this degenerates
                 # to sending the whole payload request_spread seconds
@@ -416,7 +410,7 @@ class TrafficGeneratorNode(NetworkNode):
             return
 
         if tcp.payload_size > 0 or bits & PSH_BIT:
-            pending.outcome.completed_at = self.simulator.now
+            pending.outcome.completed_at = self.simulator.clock._now
             self._finish(pending, failed=False)
             return
 
@@ -445,15 +439,11 @@ class TrafficGeneratorNode(NetworkNode):
             # new connection; stop uploading on the stale one.
             return
         probe = Packet(
-            src=self.primary_address,
-            dst=self.vip,
-            tcp=TCPSegment(
-                src_port=pending.src_port,
-                dst_port=HTTP_PORT,
-                flags=TCPFlag.ACK,
-                request_id=request_id,
-            ),
-            created_at=self.simulator.now,
+            self._addresses[0],
+            self.vip,
+            TCPSegment(pending.src_port, HTTP_PORT, TCPFlag.ACK, 0, request_id),
+            None, DEFAULT_HOP_LIMIT, None,  # no SRH, default hop limit, fresh id
+            self.simulator.clock._now,
         )
         self.send(probe)
 
@@ -464,24 +454,21 @@ class TrafficGeneratorNode(NetworkNode):
         self._send_request_data(pending)
 
     def _send_request_data(self, pending: _PendingQuery) -> None:
+        request_id = pending.request.request_id
         data = Packet(
-            src=self.primary_address,
-            dst=self.vip,
-            tcp=TCPSegment(
-                src_port=pending.src_port,
-                dst_port=HTTP_PORT,
-                flags=PSH_ACK,
-                payload_size=REQUEST_PAYLOAD_SIZE,
-                request_id=pending.request.request_id,
-            ),
-            created_at=self.simulator.now,
+            self._addresses[0],
+            self.vip,
+            TCPSegment(pending.src_port, HTTP_PORT, PSH_ACK, REQUEST_PAYLOAD_SIZE, request_id),
+            None, DEFAULT_HOP_LIMIT, None,  # no SRH, default hop limit, fresh id
+            self.simulator.clock._now,
         )
         self.send(data)
 
     def _finish(
         self, pending: _PendingQuery, failed: bool, reason: Optional[str] = None
     ) -> None:
-        self._cancel_timers(pending)
+        if pending.syn_timer is not None or pending.retry_timer is not None:
+            self._cancel_timers(pending)
         pending.outcome.failed = failed
         pending.outcome.failure_reason = reason
         del self._pending[pending.request.request_id]
@@ -491,7 +478,7 @@ class TrafficGeneratorNode(NetworkNode):
                 self.queries_gave_up += 1
             if self.flight_recorder is not None:
                 self.flight_recorder.record(
-                    self.simulator.now,
+                    self.simulator.clock._now,
                     "client",
                     "gave-up" if pending.outcome.gave_up else "failed",
                     pending.request.request_id,

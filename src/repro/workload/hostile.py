@@ -48,7 +48,7 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.net.addressing import IPv6Address
 from repro.net.ecmp import HASH_SCHEMES, select_next_hop_name
-from repro.net.packet import FlowKey, Packet, TCPFlag, TCPSegment
+from repro.net.packet import DEFAULT_HOP_LIMIT, FlowKey, Packet, TCPFlag, TCPSegment
 from repro.net.router import NetworkNode
 from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT
 from repro.sim.engine import Simulator
@@ -420,24 +420,22 @@ class SynFloodAttacker(NetworkNode):
             raise WorkloadError(
                 f"number of SYNs must be positive, got {num_syns!r}"
             )
-        offsets = np.cumsum(rng.exponential(1.0 / rate, size=num_syns))
-        for index in range(num_syns):
-            flow = self.flows[index % len(self.flows)]
-            self.simulator.schedule_at(
-                start_at + float(offsets[index]), self._fire, "syn-flood", flow
-            )
-        return start_at + float(offsets[-1])
+        # IEEE addition, element by element: the same times as adding
+        # each offset to ``start_at`` in Python.
+        times = (start_at + np.cumsum(rng.exponential(1.0 / rate, size=num_syns))).tolist()
+        self.simulator.schedule_series(
+            range(num_syns), times.__getitem__, self._fire, "syn-flood"
+        )
+        return times[-1]
 
-    def _fire(self, flow: FlowKey) -> None:
+    def _fire(self, index: int) -> None:
+        flow = self.flows[index % len(self.flows)]
         syn = Packet(
-            src=flow.src_address,
-            dst=flow.dst_address,
-            tcp=TCPSegment(
-                src_port=flow.src_port,
-                dst_port=flow.dst_port,
-                flags=TCPFlag.SYN,
-            ),
-            created_at=self.simulator.now,
+            flow.src_address,
+            flow.dst_address,
+            TCPSegment(flow.src_port, flow.dst_port, TCPFlag.SYN),
+            None, DEFAULT_HOP_LIMIT, None,  # no SRH, default hop limit, fresh id
+            self.simulator.clock._now,
         )
         self.send(syn)
         self.syns_sent += 1

@@ -1,11 +1,20 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.engine import PeriodicTask, exponential_delay
+
+
+class _Payload:
+    """A weakly referenceable callable standing in for a callback or argument."""
+
+    def __call__(self, *args):
+        pass
 
 
 class TestScheduling:
@@ -178,11 +187,107 @@ class TestRunControl:
         with pytest.raises(SimulationError):
             simulator.run()
 
+    def test_reentrant_step_raises(self, simulator):
+        # Regression: a callback calling step() used to run a later event
+        # inside itself and resume with the clock already moved past it.
+        order = []
+
+        def reenter():
+            order.append(("a", simulator.now))
+            with pytest.raises(SimulationError, match="re-entrant step"):
+                simulator.step()
+            order.append(("a-after", simulator.now))
+
+        simulator.schedule_at(1.0, reenter)
+        simulator.schedule_at(5.0, lambda: order.append(("b", simulator.now)))
+        simulator.run()
+        assert order == [("a", 1.0), ("a-after", 1.0), ("b", 5.0)]
+        # step() inside a stepped callback is refused the same way.
+        simulator.schedule_at(6.0, simulator.step)
+        with pytest.raises(SimulationError, match="re-entrant step"):
+            simulator.step()
+
+    def test_nan_horizon_is_rejected(self, simulator):
+        # Every `time > nan` is false: the run used to ignore its horizon
+        # and never return with a periodic task on the heap.
+        task = PeriodicTask(simulator, interval=1.0, callback=lambda: None)
+        task.start()
+        with pytest.raises(SchedulingError, match="nan"):
+            simulator.run(until=math.nan)
+        assert simulator.now == 0.0
+        assert simulator.events_executed == 0
+
+    def test_negative_max_events_is_rejected(self, simulator):
+        simulator.schedule_at(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="-1"):
+            simulator.run(max_events=-1)
+        assert simulator.events_executed == 0
+
+    def test_infinite_horizon_runs_like_no_horizon(self, simulator):
+        fired = []
+        simulator.schedule_at(2.0, lambda: fired.append(simulator.now))
+        assert simulator.run(until=math.inf) == 2.0
+        # The clock stays finite, so the simulator can keep scheduling.
+        simulator.schedule_in(1.0, lambda: fired.append(simulator.now))
+        assert simulator.run(until=None) == 3.0
+        assert fired == [2.0, 3.0]
+
     def test_events_executed_counter(self, simulator):
         for index in range(5):
             simulator.schedule_at(float(index), lambda: None)
         simulator.run()
         assert simulator.events_executed == 5
+
+
+class TestSeries:
+    """``schedule_series``: a whole non-decreasing series, one heap entry."""
+
+    def test_items_fire_in_order_at_their_times(self, simulator):
+        got = []
+        simulator.schedule_series(
+            [0.5, 1.0, 1.0, 3.0], float, lambda item: got.append((item, simulator.now)),
+            "series", start=1.0,
+        )  # fmt: skip
+        assert simulator.pending_events == 1
+        simulator.run()
+        assert got == [(0.5, 1.5), (1.0, 2.0), (1.0, 2.0), (3.0, 4.0)]
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([1.0, math.nan], "non-finite"),
+            ([1.0, math.inf], "non-finite"),
+            ([-1.0], "before current time"),
+            ([1.0, 2.0, 1.5], "goes back in time"),
+        ],
+    )
+    def test_every_time_is_validated_up_front(self, simulator, times, message):
+        fired = []
+        with pytest.raises(SchedulingError, match=message):
+            simulator.schedule_series(times, float, fired.append, "arrival")
+        assert simulator.pending_events == 0
+        simulator.run()
+        assert fired == []
+
+    def test_an_iterator_is_refused(self, simulator):
+        # It would be exhausted by the up-front check and fire nothing.
+        with pytest.raises(SchedulingError, match="not an iterator"):
+            simulator.schedule_series(iter([1.0, 2.0]), float, lambda item: None)
+        assert simulator.pending_events == 0
+
+    def test_an_empty_series_schedules_nothing(self, simulator):
+        simulator.schedule_series([], float, lambda item: None)
+        assert simulator.pending_events == 0
+
+    def test_the_series_reserves_one_sequence_number_per_item(self, simulator):
+        # Events scheduled after the series at an item's exact time run
+        # after that item, as if every item had been scheduled up front.
+        order = []
+        simulator.schedule_series([1.0, 2.0], float, order.append, "series")
+        simulator.schedule_at(1.0, order.append, arg="after-1")
+        simulator.schedule_at(2.0, order.append, arg="after-2")
+        simulator.run()
+        assert order == [1.0, "after-1", 2.0, "after-2"]
 
 
 class TestCancellation:
@@ -235,13 +340,19 @@ class TestCancellation:
             handles["victim"].cancel()
             handles["canceller"].cancel()
 
+        def victim():
+            fired.append("victim")
+
+        released = weakref.ref(victim)
         handles["canceller"] = simulator.schedule_at(1.0, canceller)
-        handles["victim"] = simulator.schedule_at(1.0, lambda: fired.append("victim"))
+        handles["victim"] = simulator.schedule_at(1.0, victim)
+        del victim
         simulator.run()
+        gc.collect()
         assert fired == ["canceller"]
         assert handles["victim"].cancelled
         assert "cancelled" in repr(handles["victim"])
-        assert handles["victim"]._event.callback is None
+        assert released() is None  # the handle no longer pins the callback
         assert not handles["canceller"].cancelled
 
     def test_peek_next_time_skips_cancelled(self, simulator):
@@ -318,8 +429,9 @@ class TestHeapCompaction:
     """Cancelled entries must not pin the heap once they dominate it."""
 
     def test_mass_cancellation_compacts_the_heap(self, simulator):
+        fired = []
         handles = [
-            simulator.schedule_at(float(index + 1), lambda: None)
+            simulator.schedule_at(float(index + 1), fired.append, arg=index)
             for index in range(1_000)
         ]
         assert simulator.pending_events == 1_000
@@ -329,9 +441,6 @@ class TestHeapCompaction:
             handle.cancel()
         assert simulator.pending_events < 1_000
         # Only live events remain countable, and they still all fire.
-        fired = []
-        for index in range(100):
-            handles[index]._event.callback = lambda index=index: fired.append(index)
         simulator.run()
         assert fired == list(range(100))
 
@@ -409,29 +518,28 @@ class TestHeapCompaction:
 
     def test_step_then_mass_cancel_still_triggers_compaction(self, simulator):
         """cancel()/step()/_maybe_compact_heap() interplay at scale."""
+        fired = []
         handles = [
-            simulator.schedule_at(float(index + 1), lambda: None)
+            simulator.schedule_at(float(index + 1), fired.append, arg=index)
             for index in range(200)
         ]
         # Step over a cancelled head entry first.
         handles[0].cancel()
         handles_alive = handles[1:]
         assert simulator.step() is True  # discards #0, executes #1
+        assert fired == [1]
         # Cancel enough of the rest to cross the compaction threshold.
         for handle in handles_alive[1:180]:
             handle.cancel()
         # Compaction kicked in: the heap holds fewer entries than were
         # scheduled, and the counter exactly matches the cancelled
-        # entries still on the heap (the invariant compaction relies on).
+        # entries still on the heap (the invariant compaction relies on):
+        # everything else on the heap is a live, not yet executed event.
         assert simulator.pending_events < 199
-        assert simulator._cancelled_on_heap == sum(
-            1 for entry in simulator._heap if entry[2].cancelled
-        )
-        fired = []
-        for index, handle in enumerate(handles_alive[180:]):
-            handle._event.callback = lambda i=index: fired.append(i)
+        live = sum(1 for handle in handles_alive[1:] if not handle.cancelled)
+        assert simulator._cancelled_on_heap == simulator.pending_events - live
         simulator.run()
-        assert fired == list(range(len(handles_alive[180:])))
+        assert fired == [1] + list(range(181, 200))
 
 
     def test_compaction_from_inside_a_running_callback(self, simulator):
@@ -490,40 +598,61 @@ class TestEventArgument:
         assert got == [None]
 
     def test_argument_is_released_with_the_callback(self, simulator):
-        payload = object()
-        ran = simulator.schedule_at(1.0, lambda item: None, arg=payload)
-        cancelled = simulator.schedule_at(2.0, lambda item: None, arg=payload)
-        drained = simulator.schedule_at(3.0, lambda item: None, arg=payload)
-        cancelled.cancel()
+        payload = _Payload()
+        released = weakref.ref(payload)
+        handles = [
+            simulator.schedule_at(time, lambda item: None, arg=payload)
+            for time in (1.0, 2.0, 3.0)
+        ]
+        del payload
+        handles[1].cancel()
         simulator.run(until=1.5)
         simulator.drain()
-        for handle in (ran, cancelled, drained):
-            assert handle._event.arg is not payload
+        gc.collect()
+        # Ran, cancelled and drained: none of the kept handles pins it.
+        assert released() is None
+        assert [repr(handle).split()[-1] for handle in handles] == [
+            "done)", "cancelled)", "done)"
+        ]
 
 
 class TestCallbackRelease:
     """Events must drop their callbacks once off the heap, so handles
     kept by components cannot pin closures for a whole replay."""
 
+    @staticmethod
+    def _scheduled(simulator):
+        """A kept handle, and a weak reference to its (otherwise unowned) callback."""
+        callback = _Payload()
+        return simulator.schedule_at(1.0, callback), weakref.ref(callback)
+
+    @staticmethod
+    def _released(reference) -> bool:
+        gc.collect()
+        return reference() is None
+
     def test_executed_event_releases_callback(self, simulator):
-        handle = simulator.schedule_at(1.0, lambda: None)
+        handle, callback = self._scheduled(simulator)
         simulator.run()
-        assert handle._event.callback is None
+        assert self._released(callback)
+        assert "done" in repr(handle)
 
     def test_cancelled_event_releases_callback_immediately(self, simulator):
-        handle = simulator.schedule_at(1.0, lambda: None)
+        handle, callback = self._scheduled(simulator)
         handle.cancel()
-        assert handle._event.callback is None
+        assert self._released(callback)
+        assert simulator.pending_events == 1  # still on the heap, dead
 
     def test_stepped_event_releases_callback(self, simulator):
-        handle = simulator.schedule_at(1.0, lambda: None)
+        handle, callback = self._scheduled(simulator)
         assert simulator.step() is True
-        assert handle._event.callback is None
+        assert self._released(callback)
 
     def test_drained_event_releases_callback(self, simulator):
-        handle = simulator.schedule_at(1.0, lambda: None)
+        handle, callback = self._scheduled(simulator)
         assert simulator.drain() == 1
-        assert handle._event.callback is None
+        assert self._released(callback)
+        assert "done" in repr(handle)
 
 
 class TestBatchedDispatch:

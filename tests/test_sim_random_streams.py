@@ -55,6 +55,37 @@ class TestRandomStreams:
         assert RandomStreams(seed=9).seed == 9
 
 
+class TestStreamOwnership:
+    """A stream is handed out as a generator or as a block source, never both."""
+
+    def test_draws_is_shared_per_name(self):
+        streams = RandomStreams(seed=1)
+        assert streams.draws("selection") is streams.draws("selection")
+        assert streams.draws("selection") is not streams.draws("other")
+
+    def test_generator_first_then_block_source_raises(self):
+        streams = RandomStreams(seed=1)
+        streams.stream("selection")
+        with pytest.raises(SimulationError, match="handed out as a generator"):
+            streams.draws("selection")
+
+    def test_block_source_first_then_generator_raises(self):
+        streams = RandomStreams(seed=1)
+        streams.draws("selection")
+        with pytest.raises(SimulationError, match="block draw source"):
+            streams.stream("selection")
+
+    def test_block_source_draws_the_streams_own_sequence(self):
+        draws = RandomStreams(seed=3).draws("selection")
+        generator = RandomStreams(seed=3).stream("selection")
+        for _ in range(50):
+            assert draws.choice(12, 2) == generator.choice(12, 2, replace=False).tolist()
+
+    def test_empty_name_rejected_for_block_sources_too(self):
+        with pytest.raises(SimulationError):
+            RandomStreams(seed=1).draws("")
+
+
 class TestStableNameKey:
     def test_deterministic(self):
         assert _stable_name_key("arrivals") == _stable_name_key("arrivals")
