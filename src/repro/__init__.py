@@ -22,19 +22,13 @@ See ``examples/`` for complete, commented scenarios and ``benchmarks/``
 for the per-figure reproduction harnesses.
 """
 
-from repro._version import __version__
-from repro import analysis, core, experiments, metrics, net, server, sim, workload
-from repro.errors import ReproError
+from repro._lazy import exports
 
-__all__ = [
-    "__version__",
-    "ReproError",
-    "sim",
-    "net",
-    "server",
-    "core",
-    "workload",
-    "metrics",
-    "experiments",
-    "analysis",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "_version": ("__version__",),
+        "errors": ("ReproError",),
+    },
+    ("analysis", "core", "experiments", "metrics", "net", "server", "sim", "workload"),
+)

@@ -6,34 +6,26 @@ queueing formulas used to estimate the testbed's saturation rate and to
 cross-check the simulator.
 """
 
-from repro.analysis.power_of_choices import (
-    ChoicesComparison,
-    compare_choices,
-    improvement_over_random,
-    marginal_benefit,
-    mean_queue_length,
-    mean_time_in_system,
-    tail_probabilities,
-)
-from repro.analysis.queueing import (
-    MMcMetrics,
-    erlang_c,
-    mmc_metrics,
-    mmck_blocking_probability,
-    saturation_rate,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "tail_probabilities",
-    "mean_queue_length",
-    "mean_time_in_system",
-    "improvement_over_random",
-    "compare_choices",
-    "marginal_benefit",
-    "ChoicesComparison",
-    "erlang_c",
-    "mmc_metrics",
-    "MMcMetrics",
-    "mmck_blocking_probability",
-    "saturation_rate",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "power_of_choices": (
+            "ChoicesComparison",
+            "compare_choices",
+            "improvement_over_random",
+            "marginal_benefit",
+            "mean_queue_length",
+            "mean_time_in_system",
+            "tail_probabilities",
+        ),
+        "queueing": (
+            "MMcMetrics",
+            "erlang_c",
+            "mmc_metrics",
+            "mmck_blocking_probability",
+            "saturation_rate",
+        ),
+    },
+)

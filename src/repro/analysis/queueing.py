@@ -19,13 +19,20 @@ from dataclasses import dataclass
 from repro.errors import ReproError
 
 
+def _require_positive(name: str, value: float) -> None:
+    """Finite and above zero, or one error naming the value.
+
+    A NaN passes any ``x <= 0`` test and would come back as NaN metrics;
+    an infinity turns a rate into 0 or NaN.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise ReproError(f"{name} must be positive, got {value!r}")
+
+
 def _validate_inputs(arrival_rate: float, service_rate: float, servers: int) -> None:
-    if arrival_rate <= 0:
-        raise ReproError(f"arrival rate must be positive, got {arrival_rate!r}")
-    if service_rate <= 0:
-        raise ReproError(f"service rate must be positive, got {service_rate!r}")
-    if servers <= 0:
-        raise ReproError(f"server count must be positive, got {servers!r}")
+    _require_positive("arrival rate", arrival_rate)
+    _require_positive("service rate", service_rate)
+    _require_positive("server count", servers)
 
 
 def erlang_c(arrival_rate: float, service_rate: float, servers: int) -> float:
@@ -128,12 +135,7 @@ def saturation_rate(
     CPU-bound requests per second; ``safety_margin`` scales the estimate
     (values below 1 make it conservative).
     """
-    if total_cores <= 0:
-        raise ReproError(f"total_cores must be positive, got {total_cores!r}")
-    if mean_service_demand <= 0:
-        raise ReproError(
-            f"mean service demand must be positive, got {mean_service_demand!r}"
-        )
-    if safety_margin <= 0:
-        raise ReproError(f"safety margin must be positive, got {safety_margin!r}")
+    _require_positive("total_cores", total_cores)
+    _require_positive("mean service demand", mean_service_demand)
+    _require_positive("safety margin", safety_margin)
     return safety_margin * total_cores / mean_service_demand

@@ -5,32 +5,35 @@ Installed as the ``srlb-repro`` console script (also runnable as
 and flag — ``tests/test_docs_cli.py`` holds it against this parser — and
 ``srlb-repro scenarios`` lists the scenario families.
 
-Every family registered in :mod:`repro.experiments.registry` gets its
-sub-command from the parameter table its config declares
-(:mod:`repro.experiments.params`): :func:`add_config_arguments` turns
-the table into flags, :func:`config_from_args` turns parsed flags back
-into a config, and one handler runs it.  Only ``calibrate``, ``figure``,
-``scenarios`` and ``dashboard`` are written by hand.
+Every row of the family catalogue (:mod:`repro.experiments.registry`)
+gets its sub-command from the parameter table its config declares
+(:mod:`repro.experiments.params`): :func:`build_parser` turns the table
+into flags without importing the family, :func:`config_from_args` turns
+parsed flags back into a config, and one handler loads the family and
+runs it.  Only ``calibrate``, ``figure``, ``scenarios`` and
+``dashboard`` are written by hand.
 """
 
 from __future__ import annotations
 
+# Every scenario sub-command builds a testbed, so the modules that build
+# it (and numpy with them) load with the CLI: set-up time is what every
+# run pays, and a run's wall time is what that run computes.  numpy loads
+# first because its BLAS threads spin for about 0.1 s of CPU once it has
+# loaded; started first, that spin overlaps the rest of the import
+# instead of the run.  Family modules and what only some runs use load
+# on first use (docs/architecture.md, "What loads when").
+import numpy as np
+
 import argparse
 import dataclasses
-import inspect
 import os
 import sys
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
-import numpy as np
-
 from repro._version import __version__
 from repro.errors import ReproError
-from repro.experiments import figures, registry
-from repro.experiments.calibration import (
-    analytic_saturation_rate,
-    find_empirical_saturation_rate,
-)
+from repro.experiments import registry
 from repro.experiments.config import (
     HIGH_LOAD_FACTOR,
     LIGHT_LOAD_FACTOR,
@@ -48,6 +51,8 @@ from repro.experiments.config import (  # noqa: F401 - tests/test_cli.py imports
 from repro.experiments.params import Param, cli_params
 from repro.experiments.scenario import ScenarioSpec, run_scenario
 from repro.metrics.reporting import format_table
+
+import repro.experiments.platform  # noqa: F401 - the run stack, see above
 
 
 # ----------------------------------------------------------------------
@@ -116,11 +121,6 @@ def _apply_params(config: Any, params: Iterable[Param], args: argparse.Namespace
             node = node.setdefault(name, {})
         node[declared.path[-1]] = value
     return _replace_fields(config, tree)
-
-
-def add_config_arguments(parser: argparse.ArgumentParser, spec: ScenarioSpec) -> None:
-    """The flags of ``spec``'s family, defaults read from its default config."""
-    _add_params(parser, cli_params(spec.default_config()))
 
 
 def config_from_args(spec: ScenarioSpec, args: argparse.Namespace) -> Any:
@@ -231,6 +231,11 @@ def _emit_telemetry(args: argparse.Namespace) -> None:
 # sub-commands
 # ----------------------------------------------------------------------
 def _command_calibrate(args: argparse.Namespace) -> int:
+    from repro.experiments.calibration import (
+        analytic_saturation_rate,
+        find_empirical_saturation_rate,
+    )
+
     testbed = _testbed_from_args(args)
     analytic = analytic_saturation_rate(testbed, args.service_mean)
     print(
@@ -254,7 +259,7 @@ def _command_calibrate(args: argparse.Namespace) -> int:
 
 def _command_scenario(args: argparse.Namespace) -> int:
     """Any registered family: flags → config → run → report."""
-    spec: ScenarioSpec = args.spec
+    spec = registry.get(args.command)
     config = config_from_args(spec, args)
     # Whichever of the two its sub-command has (see _add_run_arguments).
     fan_out = {name: getattr(args, name) for name in ("jobs", "partitions") if hasattr(args, name)}
@@ -263,6 +268,8 @@ def _command_scenario(args: argparse.Namespace) -> int:
 
 
 def _command_figure(args: argparse.Namespace) -> int:
+    from repro.experiments import figures
+
     testbed = _testbed_from_args(args)
     number = args.number
     if number == 2:
@@ -352,7 +359,7 @@ def _command_scenarios(args: argparse.Namespace) -> int:
         ]
         print(json.dumps(catalogue, indent=2))
         return 0
-    rows = [[spec.name, spec.title] for spec in registry.specs()]
+    rows = [[row.name, row.title] for row in registry.families()]
     print(
         format_table(
             ["scenario", "description"],
@@ -389,15 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument("--iterations", type=int, default=4)
     calibrate.set_defaults(handler=_command_calibrate)
 
-    # One sub-command per registered family, from its config's fields.
-    for spec in registry.specs():
-        family = subparsers.add_parser(spec.name, help=spec.title)
-        add_config_arguments(family, spec)
-        # A family whose cells take ``partitions`` splits one run over
-        # processes; every other family fans independent cells out.
-        partitioned = "partitions" in inspect.signature(spec.cells).parameters
-        _add_run_arguments(family, partitioned=partitioned)
-        family.set_defaults(handler=_command_scenario, spec=spec)
+    # One sub-command per catalogue row, from its config's fields; no
+    # family module is imported to build it.
+    for row in registry.families():
+        family = subparsers.add_parser(row.name, help=row.title)
+        _add_params(family, cli_params(row.config()))
+        _add_run_arguments(family, partitioned=row.partitioned)
+        family.set_defaults(handler=_command_scenario)
 
     figure = subparsers.add_parser("figure", help="regenerate one figure of the paper (2-8)")
     _add_params(figure, testbed_shape)

@@ -26,33 +26,24 @@ The ``autoscale`` scenario family
 against a diurnal workload and compares it to static over-provisioning.
 """
 
-from repro.control.autoscaler import Autoscaler
-from repro.control.gray_failure import (
-    GrayFailureInjector,
-    GrayFailureWatchdog,
-    QuarantineEvent,
-)
-from repro.control.lifecycle import ManagedServer, ServerLifecycle, ServerState
-from repro.control.monitor import FleetMonitor, FleetSample
-from repro.control.policy import (
-    PredictiveEwmaPolicy,
-    ReactiveThresholdPolicy,
-    ScalingPolicy,
-    make_scaling_policy,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "Autoscaler",
-    "FleetMonitor",
-    "FleetSample",
-    "GrayFailureInjector",
-    "GrayFailureWatchdog",
-    "ManagedServer",
-    "QuarantineEvent",
-    "PredictiveEwmaPolicy",
-    "ReactiveThresholdPolicy",
-    "ScalingPolicy",
-    "ServerLifecycle",
-    "ServerState",
-    "make_scaling_policy",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "autoscaler": ("Autoscaler",),
+        "gray_failure": (
+            "GrayFailureInjector",
+            "GrayFailureWatchdog",
+            "QuarantineEvent",
+        ),
+        "lifecycle": ("ManagedServer", "ServerLifecycle", "ServerState"),
+        "monitor": ("FleetMonitor", "FleetSample"),
+        "policy": (
+            "PredictiveEwmaPolicy",
+            "ReactiveThresholdPolicy",
+            "ScalingPolicy",
+            "make_scaling_policy",
+        ),
+    },
+)

@@ -9,74 +9,45 @@ hashing) and the supporting flow table, application agent and Maglev
 consistent-hashing table.
 """
 
-from repro.core.agent import ApplicationAgent, StaticLoadView, make_agent
-from repro.core.candidate_selection import (
-    CandidateSelector,
-    ConsistentHashCandidateSelector,
-    RandomCandidateSelector,
-    RoundRobinCandidateSelector,
-    SingleRandomSelector,
-    make_selector,
-)
-from repro.core.consistent_hash import MaglevTable, flow_hash_key
-from repro.core.flow_table import FlowEntry, FlowTable, FlowTableStats
-from repro.core.lb_tier import (
-    LoadBalancerTier,
-    TierInstanceStats,
-    TierLoadBalancer,
-    TierStats,
-)
-from repro.core.loadbalancer import LoadBalancerNode, LoadBalancerStats
-from repro.core.policies import (
-    AlwaysAcceptPolicy,
-    ConnectionAcceptancePolicy,
-    CPULoadPolicy,
-    DynamicThresholdPolicy,
-    NeverAcceptPolicy,
-    StaticThresholdPolicy,
-    make_policy,
-    register_policy,
-    registered_policies,
-)
-from repro.core.service_hunting import (
-    HuntingDecision,
-    ServiceHuntingProcessor,
-    ServiceHuntingStats,
-    build_steering_reply_path,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "ApplicationAgent",
-    "StaticLoadView",
-    "make_agent",
-    "ConnectionAcceptancePolicy",
-    "AlwaysAcceptPolicy",
-    "NeverAcceptPolicy",
-    "StaticThresholdPolicy",
-    "DynamicThresholdPolicy",
-    "CPULoadPolicy",
-    "make_policy",
-    "register_policy",
-    "registered_policies",
-    "CandidateSelector",
-    "RandomCandidateSelector",
-    "SingleRandomSelector",
-    "RoundRobinCandidateSelector",
-    "ConsistentHashCandidateSelector",
-    "make_selector",
-    "MaglevTable",
-    "flow_hash_key",
-    "FlowTable",
-    "FlowEntry",
-    "FlowTableStats",
-    "LoadBalancerNode",
-    "LoadBalancerStats",
-    "LoadBalancerTier",
-    "TierLoadBalancer",
-    "TierStats",
-    "TierInstanceStats",
-    "ServiceHuntingProcessor",
-    "ServiceHuntingStats",
-    "HuntingDecision",
-    "build_steering_reply_path",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "agent": ("ApplicationAgent", "StaticLoadView", "make_agent"),
+        "candidate_selection": (
+            "CandidateSelector",
+            "ConsistentHashCandidateSelector",
+            "RandomCandidateSelector",
+            "RoundRobinCandidateSelector",
+            "SingleRandomSelector",
+            "make_selector",
+        ),
+        "consistent_hash": ("MaglevTable", "flow_hash_key"),
+        "flow_table": ("FlowEntry", "FlowTable", "FlowTableStats"),
+        "lb_tier": (
+            "LoadBalancerTier",
+            "TierInstanceStats",
+            "TierLoadBalancer",
+            "TierStats",
+        ),
+        "loadbalancer": ("LoadBalancerNode", "LoadBalancerStats"),
+        "policies": (
+            "AlwaysAcceptPolicy",
+            "ConnectionAcceptancePolicy",
+            "CPULoadPolicy",
+            "DynamicThresholdPolicy",
+            "NeverAcceptPolicy",
+            "StaticThresholdPolicy",
+            "make_policy",
+            "register_policy",
+            "registered_policies",
+        ),
+        "service_hunting": (
+            "HuntingDecision",
+            "ServiceHuntingProcessor",
+            "ServiceHuntingStats",
+            "build_steering_reply_path",
+        ),
+    },
+)

@@ -27,15 +27,17 @@ This module provides:
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.consistent_hash import MaglevTable, flow_hash_key
 from repro.errors import SelectionError
 from repro.net.addressing import IPv6Address
 from repro.net.packet import FlowKey
 from repro.sim.random_streams import BoundedDraws
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.consistent_hash import MaglevTable
 
 #: A stream's shared source (``RandomStreams.draws``), or a generator that
 #: gets a private one (and must then feed nothing else).
@@ -173,10 +175,16 @@ class ConsistentHashCandidateSelector(CandidateSelector):
         num_candidates: int = 2,
         table_size: int = 65_537,
     ) -> None:
+        # Only this selector uses the Maglev module: it loads with the
+        # first consistent-hash selector, not with the load balancer.
+        from repro.core.consistent_hash import MaglevTable, flow_hash_key
+
         if num_candidates <= 0:
             raise SelectionError(
                 f"number of candidates must be positive, got {num_candidates!r}"
             )
+        self._maglev = MaglevTable
+        self._hash_key = flow_hash_key
         self.num_candidates = num_candidates
         self.name = f"consistent-hash-{num_candidates}"
         self._table_size = table_size
@@ -187,7 +195,7 @@ class ConsistentHashCandidateSelector(CandidateSelector):
         """(Re)build the Maglev table when the server pool changes."""
         key = tuple(servers)
         if self._table is None or self._table_servers != key:
-            self._table = MaglevTable(list(servers), table_size=self._table_size)
+            self._table = self._maglev(list(servers), table_size=self._table_size)
             self._table_servers = key
         return self._table
 
@@ -203,7 +211,7 @@ class ConsistentHashCandidateSelector(CandidateSelector):
     ) -> List[IPv6Address]:
         self._validate_pool(servers)
         table = self._table_for(servers)
-        return table.lookup_chain(flow_hash_key(flow_key), self.num_candidates)
+        return table.lookup_chain(self._hash_key(flow_key), self.num_candidates)
 
 
 #: The configuration strings :func:`make_selector` recognises.

@@ -16,125 +16,76 @@ paper's three families, the harness ships the ``flash-crowd`` and
 ``heterogeneous-fleet`` scenarios.
 """
 
-from repro.experiments.calibration import (
-    CalibrationProbe,
-    CalibrationResult,
-    analytic_saturation_rate,
-    find_empirical_saturation_rate,
-)
-from repro.experiments.config import (
-    HIGH_LOAD_FACTOR,
-    LIGHT_LOAD_FACTOR,
-    PAPER_LOAD_FACTORS,
-    ChurnEvent,
-    FlashCrowdConfig,
-    HeterogeneousFleetConfig,
-    PoissonSweepConfig,
-    PolicySpec,
-    ResilienceConfig,
-    TestbedConfig,
-    WikipediaReplayConfig,
-    paper_policy_suite,
-    rr_policy,
-    sr_policy,
-    srdyn_policy,
-)
-from repro.experiments import registry
-from repro.experiments.scenario import (
-    ScenarioCell,
-    ScenarioResult,
-    ScenarioSpec,
-    ScenarioTask,
-    resolve_jobs,
-    run_scenario,
-)
-from repro.experiments.platform import Testbed, build_testbed
-from repro.experiments.poisson_experiment import (
-    PoissonRunResult,
-    PoissonSweep,
-    PoissonSweepResult,
-    make_poisson_trace,
-    run_poisson_once,
-)
-from repro.experiments.resilience_experiment import (
-    ResilienceRunResult,
-    make_resilience_trace,
-    render_resilience_table,
-    resilience_saturation_rate,
-    run_resilience_comparison,
-    run_resilience_once,
-)
-from repro.experiments.wikipedia_experiment import (
-    WikipediaReplay,
-    WikipediaReplayResult,
-    WikipediaRunResult,
-    make_wikipedia_trace,
-)
-from repro.experiments.flash_crowd_experiment import (
-    FlashCrowdRunResult,
-    make_flash_crowd_trace,
-    render_flash_crowd,
-    run_flash_crowd,
-)
-from repro.experiments.heterogeneous_experiment import (
-    make_heterogeneous_trace,
-    render_heterogeneous_fleet,
-    run_heterogeneous_fleet,
-    tier_acceptance_shares,
-)
-from repro.experiments import figures
+from repro._lazy import exports
 
-__all__ = [
-    "TestbedConfig",
-    "PolicySpec",
-    "PoissonSweepConfig",
-    "WikipediaReplayConfig",
-    "rr_policy",
-    "sr_policy",
-    "srdyn_policy",
-    "paper_policy_suite",
-    "PAPER_LOAD_FACTORS",
-    "HIGH_LOAD_FACTOR",
-    "LIGHT_LOAD_FACTOR",
-    "Testbed",
-    "build_testbed",
-    "analytic_saturation_rate",
-    "find_empirical_saturation_rate",
-    "CalibrationResult",
-    "CalibrationProbe",
-    "PoissonSweep",
-    "PoissonSweepResult",
-    "PoissonRunResult",
-    "resolve_jobs",
-    "run_poisson_once",
-    "make_poisson_trace",
-    "WikipediaReplay",
-    "WikipediaReplayResult",
-    "WikipediaRunResult",
-    "make_wikipedia_trace",
-    "ChurnEvent",
-    "ResilienceConfig",
-    "ResilienceRunResult",
-    "make_resilience_trace",
-    "render_resilience_table",
-    "resilience_saturation_rate",
-    "run_resilience_comparison",
-    "run_resilience_once",
-    "registry",
-    "run_scenario",
-    "ScenarioCell",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "ScenarioTask",
-    "FlashCrowdConfig",
-    "FlashCrowdRunResult",
-    "make_flash_crowd_trace",
-    "render_flash_crowd",
-    "run_flash_crowd",
-    "HeterogeneousFleetConfig",
-    "make_heterogeneous_trace",
-    "render_heterogeneous_fleet",
-    "run_heterogeneous_fleet",
-    "tier_acceptance_shares",
-    "figures",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "calibration": (
+            "CalibrationProbe",
+            "CalibrationResult",
+            "analytic_saturation_rate",
+            "find_empirical_saturation_rate",
+        ),
+        "config": (
+            "HIGH_LOAD_FACTOR",
+            "LIGHT_LOAD_FACTOR",
+            "PAPER_LOAD_FACTORS",
+            "ChurnEvent",
+            "FlashCrowdConfig",
+            "HeterogeneousFleetConfig",
+            "PoissonSweepConfig",
+            "PolicySpec",
+            "ResilienceConfig",
+            "TestbedConfig",
+            "WikipediaReplayConfig",
+            "paper_policy_suite",
+            "rr_policy",
+            "sr_policy",
+            "srdyn_policy",
+        ),
+        "scenario": (
+            "ScenarioCell",
+            "ScenarioResult",
+            "ScenarioSpec",
+            "ScenarioTask",
+            "resolve_jobs",
+            "run_scenario",
+        ),
+        "platform": ("Testbed", "build_testbed"),
+        "poisson_experiment": (
+            "PoissonRunResult",
+            "PoissonSweep",
+            "PoissonSweepResult",
+            "make_poisson_trace",
+            "run_poisson_once",
+        ),
+        "resilience_experiment": (
+            "ResilienceRunResult",
+            "make_resilience_trace",
+            "render_resilience_table",
+            "resilience_saturation_rate",
+            "run_resilience_comparison",
+            "run_resilience_once",
+        ),
+        "wikipedia_experiment": (
+            "WikipediaReplay",
+            "WikipediaReplayResult",
+            "WikipediaRunResult",
+            "make_wikipedia_trace",
+        ),
+        "flash_crowd_experiment": (
+            "FlashCrowdRunResult",
+            "make_flash_crowd_trace",
+            "render_flash_crowd",
+            "run_flash_crowd",
+        ),
+        "heterogeneous_experiment": (
+            "make_heterogeneous_trace",
+            "render_heterogeneous_fleet",
+            "run_heterogeneous_fleet",
+            "tier_acceptance_shares",
+        ),
+    },
+    ("registry", "figures"),
+)

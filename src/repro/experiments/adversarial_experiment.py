@@ -345,10 +345,6 @@ class AdversarialScenario(ScenarioSpec):
     """The adversarial-traffic comparison as a declarative scenario."""
 
     name = "adversarial"
-    title = "Legitimate-flow service under SYN flood, hash skew and gray failure"
-
-    def default_config(self) -> AdversarialConfig:
-        return AdversarialConfig()
 
     def smoke_config(self) -> AdversarialConfig:
         return AdversarialConfig(

@@ -178,10 +178,6 @@ class AutoscaleScenario(ScenarioSpec):
     """The elastic-vs-static comparison as a declarative scenario."""
 
     name = "autoscale"
-    title = "Elastic control plane vs static provisioning under diurnal load"
-
-    def default_config(self) -> AutoscaleConfig:
-        return AutoscaleConfig()
 
     def smoke_config(self) -> AutoscaleConfig:
         return AutoscaleConfig(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.analysis.queueing import saturation_rate as _analytic_rate
+from repro.errors import ExperimentError
 from repro.experiments.config import PolicySpec, TestbedConfig, rr_policy
 from repro.experiments.platform import build_testbed
 from repro.workload.poisson import PoissonWorkload
@@ -106,8 +107,14 @@ def find_empirical_saturation_rate(
 
     The search brackets the analytic capacity estimate (from 0.7× to
     1.6×); if no drops occur even at the upper bound the bound itself is
-    returned, which keeps the procedure total.
+    returned, which keeps the procedure total.  ``num_iterations`` is
+    the number of bisection steps after the bracket; 0 probes the
+    bracket only.
     """
+    if num_iterations < 0:
+        raise ExperimentError(
+            f"num_iterations must be non-negative, got {num_iterations!r}"
+        )
     config = config or TestbedConfig()
     policy = policy or rr_policy()
     analytic = analytic_saturation_rate(config, service_mean)

@@ -252,10 +252,6 @@ class ChaosScenario(ScenarioSpec):
     """The fault-injection comparison as a declarative scenario."""
 
     name = "chaos"
-    title = "Query recovery under packet loss, link flaps and jitter"
-
-    def default_config(self) -> ChaosConfig:
-        return ChaosConfig()
 
     def smoke_config(self) -> ChaosConfig:
         return ChaosConfig(

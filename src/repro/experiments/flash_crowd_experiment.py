@@ -145,10 +145,6 @@ class FlashCrowdScenario(ScenarioSpec):
     """The flash-crowd comparison as a declarative scenario."""
 
     name = "flash-crowd"
-    title = "Step/spike arrival schedule: overload absorption per policy"
-
-    def default_config(self) -> FlashCrowdConfig:
-        return FlashCrowdConfig()
 
     def smoke_config(self) -> FlashCrowdConfig:
         from repro.experiments.config import rr_policy, sr_policy

@@ -186,12 +186,6 @@ class HeavyTailScenario(ScenarioSpec):
     """The heavy-tailed session workload as a declarative scenario."""
 
     name = "heavy-tail"
-    title = (
-        "Heavy-tailed sessions: Pareto/lognormal mix with Zipf user affinity"
-    )
-
-    def default_config(self) -> HeavyTailConfig:
-        return HeavyTailConfig()
 
     def smoke_config(self) -> HeavyTailConfig:
         return HeavyTailConfig(

@@ -108,10 +108,6 @@ class HeterogeneousFleetScenario(ScenarioSpec):
     """The mixed-speed-fleet comparison as a declarative scenario."""
 
     name = "heterogeneous-fleet"
-    title = "Mixed fast/slow server tiers: SR fairness per unit capacity"
-
-    def default_config(self) -> HeterogeneousFleetConfig:
-        return HeterogeneousFleetConfig()
 
     def smoke_config(self) -> HeterogeneousFleetConfig:
         from repro.experiments.config import rr_policy, sr_policy

@@ -10,10 +10,9 @@ Hunting virtual router in front of its Apache instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.core.candidate_selection import CandidateSelector, make_selector
-from repro.core.lb_tier import LoadBalancerTier
 from repro.core.loadbalancer import LoadBalancerNode
 from repro.core.policies import ConnectionAcceptancePolicy, make_policy
 from repro.errors import WorkloadError
@@ -25,11 +24,13 @@ from repro.server.cpu import make_cpu
 from repro.server.http_server import HTTPServerInstance
 from repro.server.virtual_router import ServerNode
 from repro.sim.engine import PeriodicTask, Simulator
-from repro.telemetry.probe import attach_telemetry
 from repro.telemetry.runtime import telemetry_enabled
 from repro.workload.client import TrafficGeneratorNode
 from repro.workload.requests import RequestCatalog
 from repro.workload.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.lb_tier import LoadBalancerTier
 
 #: Builds one acceptance-policy instance per server.
 PolicyFactory = Callable[[], ConnectionAcceptancePolicy]
@@ -410,6 +411,8 @@ def build_testbed(
 
     lb_tier: Optional[LoadBalancerTier] = None
     if config.num_load_balancers > 1:
+        from repro.core.lb_tier import LoadBalancerTier
+
         instance_addresses = list(
             allocators["lb"].allocate_many(config.num_load_balancers)
         )
@@ -490,5 +493,7 @@ def build_testbed(
     # draws no randomness, so run outcomes are still bit-identical (the
     # goldens are re-checked under REPRO_TELEMETRY=1 in CI).
     if telemetry_enabled():
+        from repro.telemetry.probe import attach_telemetry
+
         attach_telemetry(testbed)
     return testbed

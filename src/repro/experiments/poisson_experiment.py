@@ -129,10 +129,6 @@ class PoissonScenario(ScenarioSpec):
     """The load-factor sweep as a declarative scenario (Figure 2)."""
 
     name = "poisson"
-    title = "Poisson load-factor sweep across policies (paper §V, Figures 2–5)"
-
-    def default_config(self) -> PoissonSweepConfig:
-        return PoissonSweepConfig()
 
     def smoke_config(self) -> PoissonSweepConfig:
         from repro.experiments.config import rr_policy, sr_policy

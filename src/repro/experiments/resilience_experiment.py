@@ -228,10 +228,6 @@ class ResilienceScenario(ScenarioSpec):
     """The LB-churn comparison as a declarative scenario."""
 
     name = "resilience"
-    title = "Broken flows under load-balancer churn, per selection scheme (§II-B)"
-
-    def default_config(self) -> ResilienceConfig:
-        return ResilienceConfig()
 
     def smoke_config(self) -> ResilienceConfig:
         return ResilienceConfig(

@@ -461,10 +461,6 @@ class ScaleScenario(ScenarioSpec):
     """The partitioned million-client replay as a scenario family."""
 
     name = "scale"
-    title = "Partitioned million-client replay across ECMP pods"
-
-    def default_config(self) -> ScaleConfig:
-        return ScaleConfig()
 
     def smoke_config(self) -> ScaleConfig:
         return ScaleConfig(

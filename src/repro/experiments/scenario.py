@@ -63,6 +63,7 @@ import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -76,8 +77,12 @@ from typing import (
 )
 
 from repro.errors import ExperimentError
-from repro.sim.partition import PartitionTask, Tick, run_partitioned
+from repro.experiments import registry
+from repro.telemetry import runtime as telemetry_runtime
 from repro.workload.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.partition import PartitionTask, Tick
 
 
 @dataclass(frozen=True)
@@ -143,22 +148,27 @@ class ScenarioSpec(ABC):
     """Declarative description of one experiment family.
 
     Subclasses set :attr:`name` (the registry key, also the CLI-facing
-    identifier) and :attr:`title`, implement the abstract pipeline
-    methods, and register themselves via
-    :func:`repro.experiments.registry.register`.
+    identifier), implement the abstract pipeline methods, and register
+    themselves via :func:`repro.experiments.registry.register`.  A
+    built-in family's title and default config are its catalogue row's
+    (:mod:`repro.experiments.registry`); a spec defined elsewhere sets
+    ``title`` and overrides :meth:`default_config` itself.
     """
 
     #: Registry key; stable, CLI-facing (e.g. ``"flash-crowd"``).
     name: str = ""
-    #: One-line human description shown by ``srlb-repro scenarios``.
-    title: str = ""
+
+    @property
+    def title(self) -> str:
+        """One-line human description shown by ``srlb-repro scenarios``."""
+        return registry.family(self.name).title
 
     # ------------------------------------------------------------------
     # configuration
     # ------------------------------------------------------------------
-    @abstractmethod
     def default_config(self) -> Any:
-        """The family's paper-faithful default configuration."""
+        """The family's paper-faithful default: its config class's defaults."""
+        return registry.family(self.name).config()
 
     @abstractmethod
     def smoke_config(self) -> Any:
@@ -289,9 +299,6 @@ def _run_scenario_cell(task: PartitionTask, tick: Tick) -> Tuple[Any, List[Any]]
     Returns the run and the ``(run_name, TelemetryPayload)`` pairs the
     cell published (none when telemetry is off).
     """
-    from repro.experiments import registry
-    from repro.telemetry import runtime as telemetry_runtime
-
     work: ScenarioTask = task.payload
     spec = registry.get(work.scenario)
     trace = (
@@ -329,8 +336,6 @@ def run_scenario(
         Family-specific switches forwarded to
         :meth:`ScenarioSpec.cells`.
     """
-    from repro.experiments import registry
-
     spec = scenario if isinstance(scenario, ScenarioSpec) else registry.get(scenario)
     if config is None:
         config = spec.default_config()
@@ -357,8 +362,6 @@ def run_scenario(
             )
         return trace_cache[key]
 
-    from repro.telemetry import runtime as telemetry_runtime
-
     report = None
     if telemetry_runtime.telemetry_enabled():
         # A bad REPRO_TELEMETRY_* value is a usage error of the whole
@@ -375,6 +378,9 @@ def run_scenario(
             if report is not None:
                 report.add(cell.key, telemetry_runtime.drain())
     else:
+        # Only a fan-out loads the executor (and with it multiprocessing).
+        from repro.sim.partition import PartitionTask, run_partitioned
+
         tasks = [
             PartitionTask(cell.key, ScenarioTask(spec.name, config, cell, trace))
             for cell in cells

@@ -124,10 +124,6 @@ class WikipediaScenario(ScenarioSpec):
     """The synthetic Wikipedia replay as a declarative scenario."""
 
     name = "wikipedia"
-    title = "Synthetic Wikipedia-day replay, RR vs SR4 (paper §VI, Figures 6–8)"
-
-    def default_config(self) -> WikipediaReplayConfig:
-        return WikipediaReplayConfig()
 
     def smoke_config(self) -> WikipediaReplayConfig:
         return replace(

@@ -8,59 +8,33 @@ replay, capacity-seconds accounting for the elastic control plane, and
 plain-text table rendering for the benchmark output.
 """
 
-from repro.metrics.binning import TimeBin, TimeBinner
-from repro.metrics.capacity import CapacityTracker, ScalingEvent
-from repro.metrics.collector import (
-    CollectorTotals,
-    ResponseTimeCollector,
-    ServerLoadSampler,
-)
-from repro.metrics.ewma import (
-    EWMAFilter,
-    alpha_from_interval,
-    smooth_series,
-    smooth_timeseries,
-)
-from repro.metrics.fairness import jain_fairness_index, min_max_ratio
-from repro.metrics.reporting import format_comparison, format_series, format_table
-from repro.metrics.stats import (
-    SummaryStatistics,
-    cdf_at,
-    deciles,
-    empirical_cdf,
-    improvement_factor,
-    mean_or_nan,
-    median_or_nan,
-    percentile,
-    quartiles,
-    summarize,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "ResponseTimeCollector",
-    "ServerLoadSampler",
-    "CollectorTotals",
-    "TimeBinner",
-    "TimeBin",
-    "CapacityTracker",
-    "ScalingEvent",
-    "EWMAFilter",
-    "alpha_from_interval",
-    "smooth_series",
-    "smooth_timeseries",
-    "jain_fairness_index",
-    "min_max_ratio",
-    "SummaryStatistics",
-    "summarize",
-    "empirical_cdf",
-    "cdf_at",
-    "percentile",
-    "deciles",
-    "quartiles",
-    "mean_or_nan",
-    "median_or_nan",
-    "improvement_factor",
-    "format_table",
-    "format_series",
-    "format_comparison",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "binning": ("TimeBin", "TimeBinner"),
+        "capacity": ("CapacityTracker", "ScalingEvent"),
+        "collector": ("CollectorTotals", "ResponseTimeCollector", "ServerLoadSampler"),
+        "ewma": (
+            "EWMAFilter",
+            "alpha_from_interval",
+            "smooth_series",
+            "smooth_timeseries",
+        ),
+        "fairness": ("jain_fairness_index", "min_max_ratio"),
+        "reporting": ("format_comparison", "format_series", "format_table"),
+        "stats": (
+            "SummaryStatistics",
+            "cdf_at",
+            "deciles",
+            "empirical_cdf",
+            "improvement_factor",
+            "mean_or_nan",
+            "median_or_nan",
+            "percentile",
+            "quartiles",
+            "summarize",
+        ),
+    },
+)

@@ -8,80 +8,44 @@ shared LAN fabric connecting the load balancer to the application
 servers.
 """
 
-from repro.net.addressing import (
-    AddressAllocator,
-    CLIENT_PREFIX,
-    IPv6Address,
-    IPv6Prefix,
-    LB_PREFIX,
-    SERVER_PREFIX,
-    VIP_PREFIX,
-    default_allocators,
-    describe,
-    is_virtual_ip,
-)
-from repro.net.fabric import FabricStats, LANFabric
-from repro.net.link import Link, LinkStats
-from repro.net.packet import (
-    DEFAULT_HOP_LIMIT,
-    FlowKey,
-    Packet,
-    TCPFlag,
-    TCPSegment,
-    make_reset,
-    make_syn,
-    reply_ports,
-)
-from repro.net.router import (
-    LocalSIDTable,
-    NetworkNode,
-    Route,
-    RoutingTable,
-)
-from repro.net.srh import SegmentRoutingHeader
-from repro.net.ecmp import EcmpEdgeRouter, EcmpEdgeStats, five_tuple_key
-from repro.net.tcp import (
-    ConnectionState,
-    EphemeralPortAllocator,
-    HTTP_PORT,
-    TCPConnection,
-    classify_segment,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "IPv6Address",
-    "IPv6Prefix",
-    "AddressAllocator",
-    "default_allocators",
-    "describe",
-    "is_virtual_ip",
-    "SERVER_PREFIX",
-    "CLIENT_PREFIX",
-    "VIP_PREFIX",
-    "LB_PREFIX",
-    "SegmentRoutingHeader",
-    "Packet",
-    "TCPSegment",
-    "TCPFlag",
-    "FlowKey",
-    "make_syn",
-    "make_reset",
-    "reply_ports",
-    "DEFAULT_HOP_LIMIT",
-    "Link",
-    "LinkStats",
-    "LANFabric",
-    "FabricStats",
-    "EcmpEdgeRouter",
-    "EcmpEdgeStats",
-    "five_tuple_key",
-    "NetworkNode",
-    "RoutingTable",
-    "Route",
-    "LocalSIDTable",
-    "TCPConnection",
-    "ConnectionState",
-    "EphemeralPortAllocator",
-    "classify_segment",
-    "HTTP_PORT",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "addressing": (
+            "AddressAllocator",
+            "CLIENT_PREFIX",
+            "IPv6Address",
+            "IPv6Prefix",
+            "LB_PREFIX",
+            "SERVER_PREFIX",
+            "VIP_PREFIX",
+            "default_allocators",
+            "describe",
+            "is_virtual_ip",
+        ),
+        "fabric": ("FabricStats", "LANFabric"),
+        "link": ("Link", "LinkStats"),
+        "packet": (
+            "DEFAULT_HOP_LIMIT",
+            "FlowKey",
+            "Packet",
+            "TCPFlag",
+            "TCPSegment",
+            "make_reset",
+            "make_syn",
+            "reply_ports",
+        ),
+        "router": ("LocalSIDTable", "NetworkNode", "Route", "RoutingTable"),
+        "srh": ("SegmentRoutingHeader",),
+        "ecmp": ("EcmpEdgeRouter", "EcmpEdgeStats", "five_tuple_key"),
+        "tcp": (
+            "ConnectionState",
+            "EphemeralPortAllocator",
+            "HTTP_PORT",
+            "TCPConnection",
+            "classify_segment",
+        ),
+    },
+)

@@ -8,30 +8,21 @@ router hosting the Service Hunting SR behaviour in front of the
 application instance.
 """
 
-from repro.server.backlog import ListenBacklog
-from repro.server.cpu import CPUModel, FIFOCPU, ProcessorSharingCPU, make_cpu
-from repro.server.http_server import (
-    HTTPServerInstance,
-    ServerAppStats,
-    ServerConnection,
-    ServerTransport,
-)
-from repro.server.scoreboard import Scoreboard, WorkerState
-from repro.server.virtual_router import ServerNode
-from repro.server.worker_pool import WorkerPool
+from repro._lazy import exports
 
-__all__ = [
-    "ListenBacklog",
-    "CPUModel",
-    "ProcessorSharingCPU",
-    "FIFOCPU",
-    "make_cpu",
-    "Scoreboard",
-    "WorkerState",
-    "WorkerPool",
-    "HTTPServerInstance",
-    "ServerConnection",
-    "ServerAppStats",
-    "ServerTransport",
-    "ServerNode",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "backlog": ("ListenBacklog",),
+        "cpu": ("CPUModel", "FIFOCPU", "ProcessorSharingCPU", "make_cpu"),
+        "http_server": (
+            "HTTPServerInstance",
+            "ServerAppStats",
+            "ServerConnection",
+            "ServerTransport",
+        ),
+        "scoreboard": ("Scoreboard", "WorkerState"),
+        "virtual_router": ("ServerNode",),
+        "worker_pool": ("WorkerPool",),
+    },
+)

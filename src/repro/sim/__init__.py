@@ -6,20 +6,13 @@ engine with cancellable events and periodic tasks, and named reproducible
 random streams.
 """
 
-from repro.sim.clock import SimulationClock
-from repro.sim.engine import (
-    EventHandle,
-    PeriodicTask,
-    Simulator,
-    exponential_delay,
-)
-from repro.sim.random_streams import RandomStreams
+from repro._lazy import exports
 
-__all__ = [
-    "SimulationClock",
-    "Simulator",
-    "EventHandle",
-    "PeriodicTask",
-    "RandomStreams",
-    "exponential_delay",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "clock": ("SimulationClock",),
+        "engine": ("EventHandle", "PeriodicTask", "Simulator", "exponential_delay"),
+        "random_streams": ("RandomStreams",),
+    },
+)

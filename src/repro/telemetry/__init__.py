@@ -22,22 +22,14 @@ sampling draws no randomness and the goldens still hold (re-checked in
 CI with ``REPRO_TELEMETRY=1``).
 """
 
-from repro.telemetry.anomaly import AnomalyEvent, AnomalyMonitor, EWMAResidualDetector
-from repro.telemetry.bus import RingBuffer, TelemetryBus, TelemetryPayload, TelemetrySeries
-from repro.telemetry.recorder import FlightDump, FlightEvent, FlightRecorder
-from repro.telemetry.sources import TelemetryFleetMonitor, WatchdogTelemetryFeed
+from repro._lazy import exports
 
-__all__ = [
-    "AnomalyEvent",
-    "AnomalyMonitor",
-    "EWMAResidualDetector",
-    "FlightDump",
-    "FlightEvent",
-    "FlightRecorder",
-    "RingBuffer",
-    "TelemetryBus",
-    "TelemetryFleetMonitor",
-    "TelemetryPayload",
-    "TelemetrySeries",
-    "WatchdogTelemetryFeed",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "anomaly": ("AnomalyEvent", "AnomalyMonitor", "EWMAResidualDetector"),
+        "bus": ("RingBuffer", "TelemetryBus", "TelemetryPayload", "TelemetrySeries"),
+        "recorder": ("FlightDump", "FlightEvent", "FlightRecorder"),
+        "sources": ("TelemetryFleetMonitor", "WatchdogTelemetryFeed"),
+    },
+)

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import os
 from math import isfinite
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import TelemetryError
-from repro.telemetry.bus import TelemetryPayload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry.bus import TelemetryPayload
 
 #: Enablement flag; any non-empty value other than ``0`` enables.
 ENV_FLAG = "REPRO_TELEMETRY"
@@ -111,6 +113,10 @@ class TelemetryReport:
         """Fold one cell's published payloads in (no-op when empty)."""
         if not payloads:
             return
+        # The bus (and its ring buffers) loads on the first merge, not
+        # with every run that only asks whether telemetry is on.
+        from repro.telemetry.bus import TelemetryPayload
+
         merged = TelemetryPayload.merge([payload for _name, payload in payloads])
         existing = self._cells.get(key)
         if existing is not None:

@@ -7,88 +7,51 @@ and the open-loop client node that replays traces against the load
 balancer.
 """
 
-from repro.workload.client import (
-    OutcomeSink,
-    RequestOutcome,
-    TrafficGeneratorNode,
-)
-from repro.workload.diurnal import DiurnalWorkload
-from repro.workload.flash_crowd import RatePhase, SteppedPoissonWorkload
-from repro.workload.hostile import (
-    HeavyTailWorkload,
-    SessionAffinityClient,
-    SynFloodAttacker,
-    UserConcentration,
-    find_colliding_flow_keys,
-    spoofed_source_flows,
-    stable_user_port,
-    user_concentration,
-)
-from repro.workload.poisson import PoissonWorkload
-from repro.workload.requests import (
-    KIND_HEAVY,
-    KIND_PHP,
-    KIND_SESSION,
-    KIND_STATIC,
-    KIND_WIKI,
-    Request,
-    RequestCatalog,
-    next_request_id,
-    sort_by_arrival,
-    total_offered_demand,
-)
-from repro.workload.service_models import (
-    BoundedParetoServiceTime,
-    DeterministicServiceTime,
-    ExponentialServiceTime,
-    LognormalServiceTime,
-    ServiceTimeModel,
-    StaticPageServiceTime,
-    WikiPageServiceTime,
-)
-from repro.workload.trace import Trace, TraceSummary
-from repro.workload.wikipedia import (
-    DiurnalRateCurve,
-    SECONDS_PER_DAY,
-    SyntheticWikipediaWorkload,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "Request",
-    "RequestCatalog",
-    "next_request_id",
-    "sort_by_arrival",
-    "total_offered_demand",
-    "KIND_PHP",
-    "KIND_WIKI",
-    "KIND_STATIC",
-    "KIND_HEAVY",
-    "KIND_SESSION",
-    "HeavyTailWorkload",
-    "SessionAffinityClient",
-    "SynFloodAttacker",
-    "UserConcentration",
-    "find_colliding_flow_keys",
-    "spoofed_source_flows",
-    "stable_user_port",
-    "user_concentration",
-    "ServiceTimeModel",
-    "ExponentialServiceTime",
-    "DeterministicServiceTime",
-    "LognormalServiceTime",
-    "BoundedParetoServiceTime",
-    "WikiPageServiceTime",
-    "StaticPageServiceTime",
-    "Trace",
-    "TraceSummary",
-    "PoissonWorkload",
-    "RatePhase",
-    "SteppedPoissonWorkload",
-    "DiurnalWorkload",
-    "DiurnalRateCurve",
-    "SyntheticWikipediaWorkload",
-    "SECONDS_PER_DAY",
-    "TrafficGeneratorNode",
-    "RequestOutcome",
-    "OutcomeSink",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "client": ("OutcomeSink", "RequestOutcome", "TrafficGeneratorNode"),
+        "diurnal": ("DiurnalWorkload",),
+        "flash_crowd": ("RatePhase", "SteppedPoissonWorkload"),
+        "hostile": (
+            "HeavyTailWorkload",
+            "SessionAffinityClient",
+            "SynFloodAttacker",
+            "UserConcentration",
+            "find_colliding_flow_keys",
+            "spoofed_source_flows",
+            "stable_user_port",
+            "user_concentration",
+        ),
+        "poisson": ("PoissonWorkload",),
+        "requests": (
+            "KIND_HEAVY",
+            "KIND_PHP",
+            "KIND_SESSION",
+            "KIND_STATIC",
+            "KIND_WIKI",
+            "Request",
+            "RequestCatalog",
+            "next_request_id",
+            "sort_by_arrival",
+            "total_offered_demand",
+        ),
+        "service_models": (
+            "BoundedParetoServiceTime",
+            "DeterministicServiceTime",
+            "ExponentialServiceTime",
+            "LognormalServiceTime",
+            "ServiceTimeModel",
+            "StaticPageServiceTime",
+            "WikiPageServiceTime",
+        ),
+        "trace": ("Trace", "TraceSummary"),
+        "wikipedia": (
+            "DiurnalRateCurve",
+            "SECONDS_PER_DAY",
+            "SyntheticWikipediaWorkload",
+        ),
+    },
+)

@@ -140,3 +140,25 @@ class TestSaturationRate:
             saturation_rate(24, 0.0)
         with pytest.raises(ReproError):
             saturation_rate(24, 0.1, safety_margin=0.0)
+
+
+class TestNonFiniteInputs:
+    """A NaN passes any ``<= 0`` guard and an infinity is no rate: both are
+    refused, in the words ``repro.experiments.params`` uses for its bounds."""
+
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")), ids=repr)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda x: erlang_c(x, 1.0, 2), id="erlang_c"),
+            pytest.param(lambda x: mmc_metrics(1.0, x, 2), id="mmc_metrics"),
+            pytest.param(
+                lambda x: mmck_blocking_probability(x, 1.0, 2, 4),
+                id="mmck_blocking_probability",
+            ),
+            pytest.param(lambda x: saturation_rate(24, x), id="saturation_rate"),
+        ],
+    )
+    def test_rejected_naming_the_value(self, call, value):
+        with pytest.raises(ReproError, match=rf"must be positive, got {value!r}$"):
+            call(value)

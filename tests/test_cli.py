@@ -60,6 +60,17 @@ class TestCommands:
         assert "analytic saturation rate" in captured.out
         assert "120.0" in captured.out  # 6 servers x 2 cores / 0.1 s
 
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+    def test_calibrate_refuses_a_non_finite_service_mean(self, value, capsys):
+        assert main(["calibrate", f"--service-mean={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: mean service demand must be positive, got {value}\n"
+
+    def test_calibrate_refuses_a_negative_iteration_count(self, capsys):
+        assert main(["calibrate", "--servers", "2", "--empirical", "--iterations", "-1"]) == 2
+        assert capsys.readouterr().err == "error: num_iterations must be non-negative, got -1\n"
+
     def test_poisson_small_run(self, capsys):
         exit_code = main(
             [

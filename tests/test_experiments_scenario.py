@@ -5,10 +5,14 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import json
 import multiprocessing
 import os
+import pathlib
 import pickle
 import signal
+import subprocess
+import sys
 from multiprocessing.reduction import ForkingPickler
 
 import pytest
@@ -290,6 +294,37 @@ class TestFanOutRobustness:
         monkeypatch.setattr(multiprocessing, "get_context", lambda: spawn)
         assert spec.render(run_scenario(spec, config, jobs=2)) == serial
         assert not multiprocessing.active_children()
+
+
+def test_a_forked_fan_out_loads_the_family_before_the_first_fork():
+    """Families load on first use; a ``--jobs 2`` run uses its family in the
+    parent first, so forked workers inherit it instead of each compiling it."""
+    family = "repro.experiments.poisson_experiment"
+    probe = f"""
+import contextlib, io, json, multiprocessing, sys
+import repro.cli
+before = {family!r} in sys.modules
+at_fork = []
+start = multiprocessing.process.BaseProcess.start
+def spy(self):
+    at_fork.append({family!r} in sys.modules)
+    return start(self)
+multiprocessing.process.BaseProcess.start = spy
+with contextlib.redirect_stdout(io.StringIO()):
+    status = repro.cli.main(["poisson", "--servers", "2", "--workers", "4", "--queries", "20",
+                             "--rho", "0.5", "--policy", "RR", "--policy", "SR4", "--jobs", "2"])
+print(json.dumps([before, status, at_fork, multiprocessing.get_start_method()]))
+"""
+    source = str(pathlib.Path(registry.__file__).parents[2])
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=source),
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout) == [False, 0, [True, True], "fork"]
 
 
 # ----------------------------------------------------------------------

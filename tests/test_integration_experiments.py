@@ -13,6 +13,7 @@ import dataclasses
 
 import pytest
 
+from repro.errors import ExperimentError
 from repro.experiments.calibration import (
     analytic_saturation_rate,
     find_empirical_saturation_rate,
@@ -174,6 +175,15 @@ class TestCalibrationProcedure:
         assert result.analytic_rate == pytest.approx(analytic)
         assert 0.7 * analytic <= result.saturation_rate <= 1.6 * analytic
         assert len(result.probes) >= 2
+
+    def test_a_negative_iteration_count_is_refused_before_any_probe(self):
+        with pytest.raises(ExperimentError, match=r"num_iterations must be non-negative, got -1"):
+            find_empirical_saturation_rate(num_iterations=-1)
+
+    def test_zero_iterations_probes_the_bracket_only(self):
+        config = TestbedConfig(num_servers=2, workers_per_server=4)
+        result = find_empirical_saturation_rate(config, num_queries=100, num_iterations=0)
+        assert 1 <= len(result.probes) <= 2
 
 
 class TestWikipediaReplay:
