@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import dataclasses
 
-from benchmarks.conftest import scale_queries, run_once, write_output
-from repro.experiments.config import HIGH_LOAD_FACTOR, TestbedConfig, rr_policy, sr_policy
-from repro.experiments.poisson_experiment import run_poisson_once
+from benchmarks.conftest import scale_jobs, scale_queries, run_once, write_output
+from repro.experiments.config import (
+    HIGH_LOAD_FACTOR,
+    PoissonSweepConfig,
+    TestbedConfig,
+    rr_policy,
+    sr_policy,
+)
+from repro.experiments.scenario import run_scenario
 from repro.metrics.reporting import format_table
 
 
@@ -23,11 +29,15 @@ def bench_ablation_cpu_model(benchmark):
     def run_all():
         results = {}
         for cpu_model in ("processor-sharing", "fifo"):
-            config = dataclasses.replace(TestbedConfig(), cpu_model=cpu_model)
-            for spec in (rr_policy(), sr_policy(4)):
-                results[(cpu_model, spec.name)] = run_poisson_once(
-                    config, spec, load_factor=HIGH_LOAD_FACTOR, num_queries=queries
-                )
+            config = PoissonSweepConfig(
+                testbed=dataclasses.replace(TestbedConfig(), cpu_model=cpu_model),
+                load_factors=(HIGH_LOAD_FACTOR,),
+                num_queries=queries,
+                policies=(rr_policy(), sr_policy(4)),
+            )
+            sweep = run_scenario("poisson", config, jobs=scale_jobs())
+            for name in sweep.policies():
+                results[(cpu_model, name)] = sweep.run(name, HIGH_LOAD_FACTOR)
         return results
 
     runs = run_once(benchmark, run_all)

@@ -10,10 +10,17 @@ policy.
 
 from __future__ import annotations
 
-from benchmarks.conftest import scale_queries, run_once, write_output
+import dataclasses
+
+from benchmarks.conftest import scale_jobs, scale_queries, run_once, write_output
 from repro.core.policies import DynamicThresholdPolicy, register_policy
-from repro.experiments.config import HIGH_LOAD_FACTOR, PolicySpec, TestbedConfig, sr_policy
-from repro.experiments.poisson_experiment import run_poisson_once
+from repro.experiments.config import (
+    HIGH_LOAD_FACTOR,
+    PoissonSweepConfig,
+    PolicySpec,
+    sr_policy,
+)
+from repro.experiments.scenario import run_scenario
 from repro.metrics.reporting import format_table
 
 WINDOW_SIZES = (10, 25, 50, 100, 200)
@@ -29,25 +36,24 @@ def _register_window_policies():
 
 def bench_ablation_dynamic_window(benchmark):
     _register_window_policies()
-    config = TestbedConfig()
-    queries = scale_queries()
+    static = dataclasses.replace(sr_policy(4), name="SR4 (static reference)")
+    windows = tuple(
+        PolicySpec(
+            name=f"SRdyn w={window}",
+            acceptance_policy=f"SRdyn-w{window}",
+            num_candidates=2,
+        )
+        for window in WINDOW_SIZES
+    )
+    config = PoissonSweepConfig(
+        load_factors=(HIGH_LOAD_FACTOR,),
+        num_queries=scale_queries(),
+        policies=(static,) + windows,
+    )
 
     def run_all():
-        results = {
-            "SR4 (static reference)": run_poisson_once(
-                config, sr_policy(4), load_factor=HIGH_LOAD_FACTOR, num_queries=queries
-            )
-        }
-        for window in WINDOW_SIZES:
-            spec = PolicySpec(
-                name=f"SRdyn w={window}",
-                acceptance_policy=f"SRdyn-w{window}",
-                num_candidates=2,
-            )
-            results[spec.name] = run_poisson_once(
-                config, spec, load_factor=HIGH_LOAD_FACTOR, num_queries=queries
-            )
-        return results
+        sweep = run_scenario("poisson", config, jobs=scale_jobs())
+        return {name: sweep.run(name, HIGH_LOAD_FACTOR) for name in sweep.policies()}
 
     runs = run_once(benchmark, run_all)
 

@@ -9,10 +9,10 @@ against the analytic supermarket-model prediction.
 
 from __future__ import annotations
 
-from benchmarks.conftest import scale_queries, run_once, write_output
+from benchmarks.conftest import scale_jobs, scale_queries, run_once, write_output
 from repro.analysis.power_of_choices import improvement_over_random
-from repro.experiments.config import HIGH_LOAD_FACTOR, PolicySpec, TestbedConfig
-from repro.experiments.poisson_experiment import run_poisson_once
+from repro.experiments.config import HIGH_LOAD_FACTOR, PoissonSweepConfig, PolicySpec
+from repro.experiments.scenario import run_scenario
 from repro.metrics.reporting import format_table
 
 
@@ -25,17 +25,16 @@ def _spec(num_candidates: int) -> PolicySpec:
 
 
 def bench_ablation_number_of_choices(benchmark):
-    config = TestbedConfig()
-    queries = scale_queries()
     choices = (1, 2, 3, 4)
+    config = PoissonSweepConfig(
+        load_factors=(HIGH_LOAD_FACTOR,),
+        num_queries=scale_queries(),
+        policies=tuple(_spec(d) for d in choices),
+    )
 
     def run_all():
-        return {
-            d: run_poisson_once(
-                config, _spec(d), load_factor=HIGH_LOAD_FACTOR, num_queries=queries
-            )
-            for d in choices
-        }
+        sweep = run_scenario("poisson", config, jobs=scale_jobs())
+        return {d: sweep.run(_spec(d).name, HIGH_LOAD_FACTOR) for d in choices}
 
     runs = run_once(benchmark, run_all)
 

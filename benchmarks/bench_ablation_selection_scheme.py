@@ -8,9 +8,9 @@ round-robin, all with the SR4 acceptance policy at heavy load.
 
 from __future__ import annotations
 
-from benchmarks.conftest import scale_queries, run_once, write_output
-from repro.experiments.config import HIGH_LOAD_FACTOR, PolicySpec, TestbedConfig
-from repro.experiments.poisson_experiment import run_poisson_once
+from benchmarks.conftest import scale_jobs, scale_queries, run_once, write_output
+from repro.experiments.config import HIGH_LOAD_FACTOR, PoissonSweepConfig, PolicySpec
+from repro.experiments.scenario import run_scenario
 from repro.metrics.reporting import format_table
 
 SCHEMES = (
@@ -21,29 +21,21 @@ SCHEMES = (
 
 
 def bench_ablation_selection_scheme(benchmark):
-    config = TestbedConfig()
-    queries = scale_queries()
+    schemes = tuple(
+        PolicySpec(name=label, acceptance_policy="SR4", num_candidates=2, selector=selector)
+        for selector, label in SCHEMES
+    )
+    # The RR baseline, for context.
+    baseline = PolicySpec(name="RR baseline", acceptance_policy="always", num_candidates=1)
+    config = PoissonSweepConfig(
+        load_factors=(HIGH_LOAD_FACTOR,),
+        num_queries=scale_queries(),
+        policies=schemes + (baseline,),
+    )
 
     def run_all():
-        results = {}
-        for selector, label in SCHEMES:
-            spec = PolicySpec(
-                name=label,
-                acceptance_policy="SR4",
-                num_candidates=2,
-                selector=selector,
-            )
-            results[label] = run_poisson_once(
-                config, spec, load_factor=HIGH_LOAD_FACTOR, num_queries=queries
-            )
-        # RR baseline for context.
-        results["RR baseline"] = run_poisson_once(
-            config,
-            PolicySpec(name="RR", acceptance_policy="always", num_candidates=1),
-            load_factor=HIGH_LOAD_FACTOR,
-            num_queries=queries,
-        )
-        return results
+        sweep = run_scenario("poisson", config, jobs=scale_jobs())
+        return {name: sweep.run(name, HIGH_LOAD_FACTOR) for name in sweep.policies()}
 
     runs = run_once(benchmark, run_all)
 

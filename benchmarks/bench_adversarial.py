@@ -17,9 +17,9 @@ from __future__ import annotations
 import os
 
 from benchmarks.conftest import run_once, scale_jobs, write_output
-from repro.experiments.adversarial_experiment import run_adversarial
+from repro.experiments import registry
 from repro.experiments.config import AdversarialConfig
-from repro.experiments.figures import render_scenario_figure
+from repro.experiments.scenario import run_scenario
 
 
 def _queries() -> int:
@@ -29,9 +29,11 @@ def _queries() -> int:
 def bench_adversarial_modes(benchmark):
     config = AdversarialConfig().scaled(_queries())
 
-    result = run_once(benchmark, lambda: run_adversarial(config, jobs=scale_jobs()))
+    result = run_once(
+        benchmark, lambda: run_scenario("adversarial", config, jobs=scale_jobs())
+    )
 
-    write_output("adversarial_modes", render_scenario_figure("adversarial", result))
+    write_output("adversarial_modes", registry.get("adversarial").render(result))
 
     # Reproduction checks (shape, not absolute values).
     baseline = result.run("baseline")

@@ -14,14 +14,14 @@ Two parts:
 
 from __future__ import annotations
 
-from benchmarks.conftest import scale_queries, run_once, write_output
+from benchmarks.conftest import scale_jobs, scale_queries, run_once, write_output
 from repro.analysis.power_of_choices import improvement_over_random
 from repro.core.agent import ApplicationAgent, StaticLoadView
 from repro.core.consistent_hash import MaglevTable
 from repro.core.policies import StaticThresholdPolicy
 from repro.core.service_hunting import ServiceHuntingProcessor
-from repro.experiments.config import TestbedConfig, rr_policy, sr_policy
-from repro.experiments.poisson_experiment import run_poisson_once
+from repro.experiments.config import PoissonSweepConfig, rr_policy, sr_policy
+from repro.experiments.scenario import run_scenario
 from repro.metrics.reporting import format_table
 from repro.net.addressing import IPv6Address
 from repro.net.packet import make_syn
@@ -30,17 +30,19 @@ from repro.sim.engine import Simulator
 
 
 def bench_analysis_supermarket_vs_simulation(benchmark):
-    config = TestbedConfig()
-    queries = max(1_000, scale_queries() // 2)
     loads = (0.5, 0.7, 0.88)
+    config = PoissonSweepConfig(
+        load_factors=loads,
+        num_queries=max(1_000, scale_queries() // 2),
+        policies=(rr_policy(), sr_policy(4)),
+    )
 
     def run_all():
-        results = {}
-        for load in loads:
-            rr = run_poisson_once(config, rr_policy(), load_factor=load, num_queries=queries)
-            sr = run_poisson_once(config, sr_policy(4), load_factor=load, num_queries=queries)
-            results[load] = (rr.mean_response_time, sr.mean_response_time)
-        return results
+        sweep = run_scenario("poisson", config, jobs=scale_jobs())
+        return {
+            load: tuple(sweep.run(name, load).mean_response_time for name in ("RR", "SR4"))
+            for load in loads
+        }
 
     results = run_once(benchmark, run_all)
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 import os
 
 from benchmarks.conftest import run_once, scale_jobs, write_output
-from repro.experiments.autoscale_experiment import run_autoscale
+from repro.experiments import registry
 from repro.experiments.config import AutoscaleConfig
-from repro.experiments.figures import render_scenario_figure
+from repro.experiments.scenario import run_scenario
 
 
 def _time_factor() -> float:
@@ -29,9 +29,11 @@ def _time_factor() -> float:
 def bench_autoscale_diurnal(benchmark):
     config = AutoscaleConfig().scaled(_time_factor())
 
-    result = run_once(benchmark, lambda: run_autoscale(config, jobs=scale_jobs()))
+    result = run_once(
+        benchmark, lambda: run_scenario("autoscale", config, jobs=scale_jobs())
+    )
 
-    write_output("autoscale_diurnal", render_scenario_figure("autoscale", result))
+    write_output("autoscale_diurnal", registry.get("autoscale").render(result))
 
     # Reproduction checks (shape, not absolute values): every mode keeps
     # serving, and the elastic fleets spend less than the static one.

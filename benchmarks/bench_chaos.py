@@ -28,9 +28,9 @@ import dataclasses
 import os
 
 from benchmarks.conftest import run_once, write_output
-from repro.experiments.chaos_experiment import CHAOS_SCENARIO, run_chaos
+from repro.experiments.chaos_experiment import CHAOS_SCENARIO
 from repro.experiments.config import ChaosConfig
-from repro.experiments.figures import render_scenario_figure
+from repro.experiments.scenario import run_scenario
 
 #: The two workload/simulation seeds compared by the benchmark.
 SEEDS = (42, 1337)
@@ -56,16 +56,20 @@ def _config(seed: int) -> ChaosConfig:
 
 def bench_chaos_seeded_determinism(benchmark):
     configs = {seed: _config(seed) for seed in SEEDS}
-    serial = {seed: run_chaos(config, jobs=1) for seed, config in configs.items()}
+    serial = {
+        seed: run_scenario("chaos", config, jobs=1) for seed, config in configs.items()
+    }
 
     first = SEEDS[0]
     parallel = {
-        first: run_once(benchmark, lambda: run_chaos(configs[first], jobs=_jobs()))
+        first: run_once(
+            benchmark, lambda: run_scenario("chaos", configs[first], jobs=_jobs())
+        )
     }
     for seed in SEEDS[1:]:
-        parallel[seed] = run_chaos(configs[seed], jobs=_jobs())
+        parallel[seed] = run_scenario("chaos", configs[seed], jobs=_jobs())
 
-    write_output("chaos_comparison", render_scenario_figure("chaos", serial[first]))
+    write_output("chaos_comparison", CHAOS_SCENARIO.render(serial[first]))
 
     for seed in SEEDS:
         for mode in configs[seed].modes:

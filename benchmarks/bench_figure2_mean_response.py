@@ -25,7 +25,7 @@ from benchmarks.conftest import (
 )
 from repro.experiments import figures
 from repro.experiments.config import PoissonSweepConfig, paper_policy_suite
-from repro.experiments.poisson_experiment import PoissonSweep
+from repro.experiments.scenario import run_scenario
 from repro.metrics.reporting import format_comparison
 
 
@@ -44,7 +44,7 @@ def bench_figure2_mean_response_time(benchmark):
     # REPRO_BENCH_JOBS > 1 exercises the multiprocessing runner; the
     # sweep's results are identical in both modes, only wall-clock moves.
     sweep_result = run_once(
-        benchmark, lambda: PoissonSweep(config).run(jobs=scale_jobs())
+        benchmark, lambda: run_scenario("poisson", config, jobs=scale_jobs())
     )
 
     table = figures.render_figure2(sweep_result)

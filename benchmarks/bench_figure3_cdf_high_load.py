@@ -8,24 +8,23 @@ times.
 
 from __future__ import annotations
 
-from benchmarks.conftest import scale_queries, run_once, write_output
+from benchmarks.conftest import scale_jobs, scale_queries, run_once, write_output
 from repro.experiments import figures
-from repro.experiments.config import HIGH_LOAD_FACTOR, TestbedConfig, paper_policy_suite
-from repro.experiments.poisson_experiment import run_poisson_once
+from repro.experiments.config import HIGH_LOAD_FACTOR, PoissonSweepConfig, paper_policy_suite
+from repro.experiments.scenario import run_scenario
 from repro.metrics.stats import percentile
 
 
 def bench_figure3_cdf_heavy_load(benchmark):
-    config = TestbedConfig()
-    queries = scale_queries()
+    config = PoissonSweepConfig(
+        load_factors=(HIGH_LOAD_FACTOR,),
+        num_queries=scale_queries(),
+        policies=tuple(paper_policy_suite()),
+    )
 
     def run_all():
-        return {
-            spec.name: run_poisson_once(
-                config, spec, load_factor=HIGH_LOAD_FACTOR, num_queries=queries
-            )
-            for spec in paper_policy_suite()
-        }
+        sweep = run_scenario("poisson", config, jobs=scale_jobs())
+        return {name: sweep.run(name, HIGH_LOAD_FACTOR) for name in sweep.policies()}
 
     runs = run_once(benchmark, run_all)
 

@@ -11,33 +11,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import scale_queries, run_once, write_output
+from benchmarks.conftest import scale_jobs, scale_queries, run_once, write_output
 from repro.experiments import figures
 from repro.experiments.config import (
     HIGH_LOAD_FACTOR,
-    TestbedConfig,
+    PoissonSweepConfig,
     rr_policy,
     sr_policy,
 )
-from repro.experiments.poisson_experiment import run_poisson_once
+from repro.experiments.scenario import run_scenario
 
 
 def bench_figure4_load_and_fairness(benchmark):
-    config = TestbedConfig()
-    queries = scale_queries()
+    config = PoissonSweepConfig(
+        load_factors=(HIGH_LOAD_FACTOR,),
+        num_queries=scale_queries(),
+        policies=(rr_policy(), sr_policy(4)),
+        load_sample_interval=0.5,
+    )
 
     def run_both():
-        return {
-            spec.name: run_poisson_once(
-                config,
-                spec,
-                load_factor=HIGH_LOAD_FACTOR,
-                num_queries=queries,
-                sample_load=True,
-                load_sample_interval=0.5,
-            )
-            for spec in (rr_policy(), sr_policy(4))
-        }
+        sweep = run_scenario("poisson", config, jobs=scale_jobs(), sample_load=True)
+        return {name: sweep.run(name, HIGH_LOAD_FACTOR) for name in sweep.policies()}
 
     runs = run_once(benchmark, run_both)
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 import os
 
 from benchmarks.conftest import run_once, scale_jobs, write_output
+from repro.experiments import registry
 from repro.experiments.config import FlashCrowdConfig
-from repro.experiments.figures import render_scenario_figure
-from repro.experiments.flash_crowd_experiment import run_flash_crowd
+from repro.experiments.scenario import run_scenario
 
 
 def _time_factor() -> float:
@@ -30,9 +30,11 @@ def _time_factor() -> float:
 def bench_flash_crowd_overload(benchmark):
     config = FlashCrowdConfig().scaled(_time_factor())
 
-    result = run_once(benchmark, lambda: run_flash_crowd(config, jobs=scale_jobs()))
+    result = run_once(
+        benchmark, lambda: run_scenario("flash-crowd", config, jobs=scale_jobs())
+    )
 
-    write_output("flash_crowd_overload", render_scenario_figure("flash-crowd", result))
+    write_output("flash_crowd_overload", registry.get("flash-crowd").render(result))
 
     # Reproduction checks (shape, not absolute values): the spike is a
     # real overload for every policy, and two choices beat one while the

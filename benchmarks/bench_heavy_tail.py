@@ -18,9 +18,9 @@ from __future__ import annotations
 import os
 
 from benchmarks.conftest import run_once, scale_jobs, write_output
+from repro.experiments import registry
 from repro.experiments.config import HeavyTailConfig
-from repro.experiments.figures import render_scenario_figure
-from repro.experiments.heavy_tail_experiment import run_heavy_tail
+from repro.experiments.scenario import run_scenario
 
 
 def _arrivals() -> int:
@@ -30,19 +30,21 @@ def _arrivals() -> int:
 def bench_heavy_tail_sessions(benchmark):
     config = HeavyTailConfig().scaled(_arrivals())
 
-    result = run_once(benchmark, lambda: run_heavy_tail(config, jobs=scale_jobs()))
+    result = run_once(
+        benchmark, lambda: run_scenario("heavy-tail", config, jobs=scale_jobs())
+    )
 
-    write_output("heavy_tail_sessions", render_scenario_figure("heavy-tail", result))
+    write_output("heavy_tail_sessions", registry.get("heavy-tail").render(result))
 
     # Reproduction checks (shape, not absolute values): the trace is
     # genuinely skewed, every policy served the whole trace, and two
     # choices do not lose to one under heavy tails.
-    users = result.users
+    users = result.meta["users"]
     assert users.num_requests == config.num_arrivals
     assert users.top_user_share > 1.0 / users.distinct_users
     rr = result.run("RR")
     sr4 = result.run("SR4")
-    for name in result.policies():
+    for name in result.keys():
         run = result.run(name)
         assert run.collector.totals.completed > 0.95 * config.num_arrivals
     assert sr4.summary.mean < rr.summary.mean * 1.05

@@ -16,24 +16,22 @@ Scale knobs: ``REPRO_BENCH_QUERIES`` (queries per run) and
 from __future__ import annotations
 
 from benchmarks.conftest import run_once, scale_jobs, scale_queries, write_output
+from repro.experiments import registry
 from repro.experiments.config import HeterogeneousFleetConfig
-from repro.experiments.figures import render_scenario_figure
-from repro.experiments.heterogeneous_experiment import (
-    capacity_fairness_index,
-    run_heterogeneous_fleet,
-)
+from repro.experiments.heterogeneous_experiment import capacity_fairness_index
+from repro.experiments.scenario import run_scenario
 
 
 def bench_heterogeneous_fleet_fairness(benchmark):
     config = HeterogeneousFleetConfig().scaled(scale_queries())
 
     result = run_once(
-        benchmark, lambda: run_heterogeneous_fleet(config, jobs=scale_jobs())
+        benchmark, lambda: run_scenario("heterogeneous-fleet", config, jobs=scale_jobs())
     )
 
     write_output(
         "heterogeneous_fleet_fairness",
-        render_scenario_figure("heterogeneous-fleet", result),
+        registry.get("heterogeneous-fleet").render(result),
     )
 
     # Reproduction checks (shape, not absolute values): Service Hunting

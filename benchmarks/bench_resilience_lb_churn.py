@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from benchmarks.conftest import run_once, scale_queries, write_output
 from repro.experiments.config import ChurnEvent, ResilienceConfig, TestbedConfig
-from repro.experiments.resilience_experiment import (
-    render_resilience_table,
-    run_resilience_comparison,
-)
+from repro.experiments.resilience_experiment import render_resilience_table
+from repro.experiments.scenario import run_scenario
 
 
 def bench_resilience_lb_churn(benchmark):
@@ -36,7 +34,7 @@ def bench_resilience_lb_churn(benchmark):
         ),
     )
 
-    comparison = run_once(benchmark, lambda: run_resilience_comparison(config))
+    comparison = run_once(benchmark, lambda: run_scenario("resilience", config))
 
     table = render_resilience_table(comparison)
     write_output("resilience_lb_churn", table)

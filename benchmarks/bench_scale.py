@@ -26,9 +26,9 @@ import os
 import resource
 
 from benchmarks.conftest import run_once, write_output
+from repro.experiments import registry
 from repro.experiments.config import ScaleConfig, TestbedConfig
-from repro.experiments.figures import render_scenario_figure
-from repro.experiments.scale_experiment import ScaleResult, run_scale
+from repro.experiments.scenario import run_scenario
 
 
 def _queries() -> int:
@@ -64,20 +64,18 @@ def bench_scale_partition_equivalence(benchmark):
     config = _config()
 
     coordinator_before = _maxrss_bytes(resource.RUSAGE_SELF)
-    partitioned = run_once(
-        benchmark, lambda: run_scale(config, partitions=_partitions())
+    result = run_once(
+        benchmark, lambda: run_scenario("scale", config, partitions=_partitions())
     )
+    partitioned = result.run
     coordinator_growth = _maxrss_bytes(resource.RUSAGE_SELF) - coordinator_before
     children = _maxrss_bytes(resource.RUSAGE_CHILDREN)
     benchmark.extra_info["coordinator_growth_mb"] = coordinator_growth / 2**20
     benchmark.extra_info["children_maxrss_mb"] = children / 2**20
 
-    serial = run_scale(config, partitions=1)
+    serial = run_scenario("scale", config, partitions=1).run
 
-    write_output(
-        "scale_partitioned",
-        render_scenario_figure("scale", ScaleResult(config=config, run=partitioned)),
-    )
+    write_output("scale_partitioned", registry.get("scale").render(result))
 
     # The acceptance property: partitioning is a wall-clock knob, never a
     # results knob.  Bit-identical fingerprints, same pod shares, same

@@ -15,11 +15,8 @@ from functools import lru_cache
 
 from benchmarks.conftest import scale_wiki_duration
 from repro.experiments.config import WikipediaReplayConfig
-from repro.experiments.wikipedia_experiment import (
-    WikipediaReplay,
-    WikipediaReplayResult,
-    make_wikipedia_trace,
-)
+from repro.experiments.scenario import ScenarioResult, run_scenario
+from repro.experiments.wikipedia_experiment import make_wikipedia_trace
 
 
 @lru_cache(maxsize=1)
@@ -30,8 +27,8 @@ def replay_config() -> WikipediaReplayConfig:
 
 
 @lru_cache(maxsize=1)
-def replay_result() -> WikipediaReplayResult:
+def replay_result() -> ScenarioResult:
     """Run the replay once (RR and SR4) and cache the result."""
     config = replay_config()
     trace = make_wikipedia_trace(config)
-    return WikipediaReplay(config).run(trace=trace)
+    return run_scenario("wikipedia", config, trace=trace)

@@ -24,10 +24,10 @@ import random
 
 from repro.core import ApplicationAgent, ConnectionAcceptancePolicy, register_policy
 from repro.experiments import (
+    PoissonSweepConfig,
     PolicySpec,
-    TestbedConfig,
     rr_policy,
-    run_poisson_once,
+    run_scenario,
     sr_policy,
 )
 from repro.metrics import format_table
@@ -76,7 +76,6 @@ def main() -> None:
     register_policy("prob-backpressure", lambda: ProbabilisticBackpressurePolicy(limit=8))
     register_policy("two-signal", lambda: TwoSignalPolicy(max_busy=6))
 
-    testbed = TestbedConfig()
     load_factor = 0.85
     num_queries = 3_000
 
@@ -87,12 +86,14 @@ def main() -> None:
         PolicySpec(name="two-signal", acceptance_policy="two-signal", num_candidates=2),
     ]
 
+    config = PoissonSweepConfig(
+        load_factors=(load_factor,), num_queries=num_queries, policies=tuple(specs)
+    )
+    sweep = run_scenario("poisson", config)
+
     rows = []
     for spec in specs:
-        result = run_poisson_once(
-            testbed, spec, load_factor=load_factor, num_queries=num_queries
-        )
-        summary = result.summary
+        summary = sweep.run(spec.name, load_factor).summary
         rows.append([spec.name, summary.mean, summary.median, summary.p90])
 
     print(

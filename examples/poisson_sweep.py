@@ -19,7 +19,7 @@ import argparse
 
 import numpy as np
 
-from repro.experiments import PoissonSweep, PoissonSweepConfig, paper_policy_suite
+from repro.experiments import PoissonSweepConfig, paper_policy_suite, run_scenario
 from repro.experiments.figures import render_figure2
 from repro.metrics import format_comparison
 
@@ -53,7 +53,7 @@ def main() -> None:
         f"sweeping {len(load_factors)} load factors x {len(config.policies)} policies, "
         f"{args.queries} queries each..."
     )
-    sweep = PoissonSweep(config).run()
+    sweep = run_scenario("poisson", config)
 
     print()
     print(render_figure2(sweep))

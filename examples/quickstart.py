@@ -5,7 +5,8 @@ This is the smallest end-to-end use of the library's public API:
 
 1. describe the testbed (here: 6 servers with 16 Apache workers each),
 2. pick the load-balancing configurations to compare,
-3. replay the same Poisson workload under each configuration,
+3. replay the same Poisson workload under each configuration — one
+   ``run_scenario("poisson", ...)`` call runs every (policy, load) cell,
 4. print response-time statistics.
 
 Run with::
@@ -16,10 +17,11 @@ Run with::
 from __future__ import annotations
 
 from repro.experiments import (
+    PoissonSweepConfig,
     TestbedConfig,
     analytic_saturation_rate,
     rr_policy,
-    run_poisson_once,
+    run_scenario,
     sr_policy,
     srdyn_policy,
 )
@@ -39,15 +41,18 @@ def main() -> None:
     num_queries = 4_000
     policies = [rr_policy(), sr_policy(4), srdyn_policy()]
 
+    config = PoissonSweepConfig(
+        testbed=testbed,
+        load_factors=(load_factor,),
+        num_queries=num_queries,
+        service_mean=0.1,
+        policies=tuple(policies),
+    )
+    sweep = run_scenario("poisson", config)
+
     rows = []
     for spec in policies:
-        result = run_poisson_once(
-            testbed,
-            spec,
-            load_factor=load_factor,
-            num_queries=num_queries,
-            service_mean=0.1,
-        )
+        result = sweep.run(spec.name, load_factor)
         summary = result.summary
         rows.append(
             [

@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 
-from repro.experiments import WikipediaReplay, WikipediaReplayConfig
+from repro.experiments import WikipediaReplayConfig, run_scenario
 from repro.experiments.figures import render_figure6
 from repro.experiments.wikipedia_experiment import make_wikipedia_trace
 
@@ -59,13 +59,13 @@ def main() -> None:
     )
 
     print("replaying under RR and SR4...")
-    result = WikipediaReplay(config).run(trace=trace)
+    result = run_scenario("wikipedia", config, trace=trace)
 
     print()
     print(render_figure6(result))
 
     print()
-    for name in result.policies():
+    for name in result.keys():
         run = result.run(name)
         q1, median, q3 = run.wiki_quartiles()
         print(

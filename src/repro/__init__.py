@@ -11,11 +11,11 @@ regenerates every figure of the evaluation.
 
 Quick start
 -----------
->>> from repro.experiments import (
-...     TestbedConfig, rr_policy, sr_policy, run_poisson_once)
->>> result = run_poisson_once(
-...     TestbedConfig(), sr_policy(4), load_factor=0.7, num_queries=500)
->>> result.mean_response_time > 0
+>>> from repro.experiments import PoissonSweepConfig, run_scenario, sr_policy
+>>> config = PoissonSweepConfig(
+...     load_factors=(0.7,), num_queries=500, policies=(sr_policy(4),))
+>>> run = run_scenario("poisson", config).run("SR4", 0.7)
+>>> run.mean_response_time > 0
 True
 
 See ``examples/`` for complete, commented scenarios and ``benchmarks/``

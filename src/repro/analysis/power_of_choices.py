@@ -93,15 +93,6 @@ class ChoicesComparison:
     choices: List[int]
     mean_times: List[float]
 
-    def as_rows(self) -> List[List[object]]:
-        """Rows (d, mean time, speed-up vs d=1) for reporting."""
-        baseline = self.mean_times[self.choices.index(1)] if 1 in self.choices else None
-        rows: List[List[object]] = []
-        for d, time in zip(self.choices, self.mean_times):
-            speedup = baseline / time if baseline else float("nan")
-            rows.append([d, time, speedup])
-        return rows
-
 
 def compare_choices(load: float, choices: List[int]) -> ChoicesComparison:
     """Analytic mean sojourn times for several values of ``d``."""

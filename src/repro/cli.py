@@ -318,7 +318,7 @@ def _command_figure(args: argparse.Namespace) -> int:
         if number == 6:
             print(figures.render_figure6(result))
         elif number == 7:
-            for name in result.policies():
+            for name in result.keys():
                 print(figures.render_figure7(result, name))
                 print()
         else:

@@ -10,7 +10,7 @@ scaling policies act on a stable signal instead of per-tick noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.errors import ReproError
 from repro.metrics.ewma import EWMAFilter
@@ -85,13 +85,6 @@ class FleetMonitor:
     def samples(self) -> List[FleetSample]:
         """Every sample taken so far (copy)."""
         return list(self._samples)
-
-    def busy_fraction_series(self) -> List[Tuple[float, float]]:
-        """``(time, smoothed busy fraction)`` series for figures."""
-        return [
-            (sample.time, sample.smoothed_busy_fraction)
-            for sample in self._samples
-        ]
 
     def __len__(self) -> int:
         return len(self._samples)

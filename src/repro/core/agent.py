@@ -56,11 +56,6 @@ class ApplicationAgent:
         self.reads += 1
         return self._scoreboard.busy_count
 
-    def idle_threads(self) -> int:
-        """Number of idle worker threads."""
-        self.reads += 1
-        return self._scoreboard.num_slots - self._scoreboard.busy_count
-
     def total_threads(self) -> int:
         """Size of the worker pool."""
         return self._scoreboard.num_slots
@@ -76,13 +71,6 @@ class ApplicationAgent:
         """
         self.reads += 1
         return self._scoreboard.busy_count / self._cpu_cores
-
-    def utilization_fraction(self) -> float:
-        """Busy fraction of the worker pool, in [0, 1]."""
-        self.reads += 1
-        if self._scoreboard.num_slots == 0:
-            return 0.0
-        return self._scoreboard.busy_count / self._scoreboard.num_slots
 
     def __repr__(self) -> str:
         return (
@@ -107,10 +95,6 @@ class StaticLoadView:
     def num_slots(self) -> int:
         """Configured pool size."""
         return self._slots
-
-    def set_busy(self, busy: int) -> None:
-        """Change the reported busy count."""
-        self._busy = busy
 
 
 def make_agent(scoreboard: ScoreboardView, cpu_cores: int = 2) -> ApplicationAgent:

@@ -23,7 +23,7 @@ and exercised directly by the ablation benchmark on selection schemes.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Generic, List, Sequence, Tuple, TypeVar
+from typing import Generic, List, Sequence, Tuple, TypeVar
 
 from repro.errors import SelectionError
 
@@ -145,32 +145,6 @@ class MaglevTable(Generic[BackendT]):
                 chain.append(self._backends[backend_index])
             position += 1
         return chain
-
-    def slot_shares(self) -> Dict[BackendT, float]:
-        """Fraction of slots owned by each backend (uniformity check)."""
-        counts: Dict[int, int] = {}
-        for backend_index in self._table:
-            counts[backend_index] = counts.get(backend_index, 0) + 1
-        return {
-            self._backends[index]: count / self._table_size
-            for index, count in counts.items()
-        }
-
-    def disruption_versus(self, other: "MaglevTable[BackendT]") -> float:
-        """Fraction of slots mapping to a different backend than in ``other``.
-
-        Requires equal table sizes.  Used to verify the minimal-disruption
-        property when the backend set changes.
-        """
-        if other.table_size != self._table_size:
-            raise SelectionError("cannot compare tables of different sizes")
-        changed = 0
-        for slot in range(self._table_size):
-            mine = str(self._backends[self._table[slot]])
-            theirs = str(other._backends[other._table[slot]])
-            if mine != theirs:
-                changed += 1
-        return changed / self._table_size
 
 
 def flow_hash_key(flow_key) -> str:

@@ -167,20 +167,9 @@ class FlowTable:
         self.stats.lookup_hits += 1
         return entry.server
 
-    def peek(self, flow_key: FlowKey) -> Optional[FlowEntry]:
-        """The entry for ``flow_key`` without refreshing the idle timer."""
-        return self._entries.get(flow_key)
-
     def entries(self) -> Tuple[FlowEntry, ...]:
         """All current entries (copy of references)."""
         return tuple(self._entries.values())
-
-    def server_distribution(self) -> Dict[IPv6Address, int]:
-        """Number of live flows pinned to each server (fairness checks)."""
-        distribution: Dict[IPv6Address, int] = {}
-        for entry in self._entries.values():
-            distribution[entry.server] = distribution.get(entry.server, 0) + 1
-        return distribution
 
     def __len__(self) -> int:
         return len(self._entries)

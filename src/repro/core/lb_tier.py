@@ -355,10 +355,6 @@ class LoadBalancerTier:
     # ------------------------------------------------------------------
     # tier-wide introspection
     # ------------------------------------------------------------------
-    def total_flows(self) -> int:
-        """Live flow-table entries across alive instances."""
-        return sum(len(instance.flow_table) for instance in self.alive_instances())
-
     def steering_misses(self) -> int:
         """Steering misses across all instances (including dead ones)."""
         return sum(instance.stats.steering_misses for instance in self.instances)

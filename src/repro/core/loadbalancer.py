@@ -345,16 +345,6 @@ class LoadBalancerNode(NetworkNode):
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def acceptance_share(self) -> Dict[IPv6Address, float]:
-        """Fraction of learned flows accepted by each server."""
-        total = sum(self.stats.acceptances_per_server.values())
-        if total == 0:
-            return {}
-        return {
-            server: count / total
-            for server, count in self.stats.acceptances_per_server.items()
-        }
-
     def __repr__(self) -> str:
         return (
             f"LoadBalancerNode(name={self.name!r}, vips={len(self._backends)}, "

@@ -59,14 +59,6 @@ class ServiceHuntingStats:
         """Connections this server ended up accepting."""
         return self.accepted_by_choice + self.accepted_forced
 
-    @property
-    def optional_acceptance_ratio(self) -> float:
-        """Acceptance ratio over optional offers only (what SRdyn targets)."""
-        optional = self.accepted_by_choice + self.refused
-        if optional == 0:
-            return 0.0
-        return self.accepted_by_choice / optional
-
 
 class ServiceHuntingProcessor:
     """Per-server accept-or-forward decision engine.

@@ -90,7 +90,3 @@ class WorkloadError(ReproError):
 
 class ExperimentError(ReproError):
     """Raised when an experiment is misconfigured or fails to converge."""
-
-
-class CalibrationError(ExperimentError):
-    """Raised when the λ₀ calibration procedure cannot find a stable rate."""

@@ -9,11 +9,12 @@ exact series each figure plots.
 
 Every experiment family is a declarative
 :class:`~repro.experiments.scenario.ScenarioSpec` registered in
-:mod:`repro.experiments.registry`; :func:`~repro.experiments.scenario.run_scenario`
-is the single driver and the single home of ``jobs=`` dispatch (cells go
-to the worker processes of :mod:`repro.sim.partition`).  On top of the
-paper's three families, the harness ships the ``flash-crowd`` and
-``heterogeneous-fleet`` scenarios.
+:mod:`repro.experiments.registry`, and
+:func:`~repro.experiments.scenario.run_scenario` is the only way to run
+one — and the single home of ``jobs=`` dispatch (cells go to the worker
+processes of :mod:`repro.sim.partition`).  A one-cell Poisson run is
+``run_scenario("poisson", PoissonSweepConfig(load_factors=(rho,),
+policies=(policy,), ...)).run(policy.name, rho)``.
 """
 
 from repro._lazy import exports
@@ -53,37 +54,20 @@ __getattr__, __dir__, __all__ = exports(
             "run_scenario",
         ),
         "platform": ("Testbed", "build_testbed"),
-        "poisson_experiment": (
-            "PoissonRunResult",
-            "PoissonSweep",
-            "PoissonSweepResult",
-            "make_poisson_trace",
-            "run_poisson_once",
-        ),
+        "poisson_experiment": ("PoissonRunResult", "PoissonSweepResult"),
         "resilience_experiment": (
             "ResilienceRunResult",
-            "make_resilience_trace",
             "render_resilience_table",
             "resilience_saturation_rate",
-            "run_resilience_comparison",
-            "run_resilience_once",
         ),
-        "wikipedia_experiment": (
-            "WikipediaReplay",
-            "WikipediaReplayResult",
-            "WikipediaRunResult",
-            "make_wikipedia_trace",
-        ),
+        "wikipedia_experiment": ("WikipediaRunResult", "make_wikipedia_trace"),
         "flash_crowd_experiment": (
             "FlashCrowdRunResult",
             "make_flash_crowd_trace",
             "render_flash_crowd",
-            "run_flash_crowd",
         ),
         "heterogeneous_experiment": (
-            "make_heterogeneous_trace",
             "render_heterogeneous_fleet",
-            "run_heterogeneous_fleet",
             "tier_acceptance_shares",
         ),
     },

@@ -36,17 +36,11 @@ import numpy as np
 
 from repro.control.gray_failure import GrayFailureInjector, GrayFailureWatchdog
 from repro.control.lifecycle import ServerLifecycle
-from repro.errors import ExperimentError
 from repro.experiments import registry
 from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import AdversarialConfig, TestbedConfig
 from repro.experiments.platform import Testbed, build_testbed
-from repro.experiments.scenario import (
-    ScenarioCell,
-    ScenarioResult,
-    ScenarioSpec,
-    run_scenario,
-)
+from repro.experiments.scenario import ScenarioCell, ScenarioResult, ScenarioSpec
 from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
@@ -56,9 +50,7 @@ from repro.workload.hostile import (
     find_colliding_flow_keys,
     spoofed_source_flows,
 )
-from repro.workload.poisson import PoissonWorkload
-from repro.workload.requests import RequestCatalog
-from repro.workload.service_models import ExponentialServiceTime
+from repro.workload.poisson import poisson_trace
 from repro.workload.trace import Trace
 
 #: Attacker node address and the base offset of the spoofed source pool,
@@ -71,19 +63,6 @@ def adversarial_rate(config: AdversarialConfig) -> float:
     """Legitimate arrival rate (queries/second) of the workload."""
     saturation = analytic_saturation_rate(config.testbed, config.service_mean)
     return config.load_factor * saturation
-
-
-def make_adversarial_trace(config: AdversarialConfig) -> Trace:
-    """The legitimate Poisson trace shared by every attack mode."""
-    saturation = analytic_saturation_rate(config.testbed, config.service_mean)
-    workload = PoissonWorkload.from_load_factor(
-        rho=config.load_factor,
-        saturation_rate=saturation,
-        num_queries=config.num_queries,
-        service_model=ExponentialServiceTime(config.service_mean),
-    )
-    rng = np.random.default_rng([config.workload_seed, config.num_queries])
-    return workload.generate(rng)
 
 
 @dataclass
@@ -122,16 +101,6 @@ class AdversarialRunResult:
     def summary(self) -> SummaryStatistics:
         """Response-time summary of the legitimate queries that completed."""
         return self.collector.summary()
-
-
-def _build_adversarial_platform(config: AdversarialConfig, mode: str) -> Testbed:
-    """A fresh tier-fronted testbed for one attack mode's run."""
-    return build_testbed(
-        config.testbed,
-        config.policy,
-        catalog=RequestCatalog(),
-        run_name=f"adversarial-{mode}",
-    )
 
 
 def spoofed_sources(config: AdversarialConfig):
@@ -249,98 +218,6 @@ def _attach_gray_failure(
     return watchdog
 
 
-def run_adversarial_once(
-    config: AdversarialConfig,
-    mode: str,
-    trace: Optional[Trace] = None,
-) -> AdversarialRunResult:
-    """Replay the legitimate workload under one attack mode."""
-    if mode not in config.modes:
-        raise ExperimentError(
-            f"mode {mode!r} is not in the configuration's modes {config.modes!r}"
-        )
-    if trace is None:
-        trace = make_adversarial_trace(config)
-    testbed = _build_adversarial_platform(config, mode)
-    tier = testbed.lb_tier
-    if tier is None:
-        raise ExperimentError(
-            "adversarial experiments require num_load_balancers >= 2"
-        )
-
-    # Idle-flow housekeeping on every instance, so the flood's flow-table
-    # entries are reclaimed in-run instead of accumulating to the end.
-    for instance in tier.instances:
-        instance.start_housekeeping(config.housekeeping_interval)
-
-    def stop_housekeeping() -> None:
-        for instance in tier.instances:
-            instance.stop_housekeeping()
-
-    testbed.at_horizon(stop_housekeeping)
-
-    attacker: Optional[SynFloodAttacker] = None
-    watchdog: Optional[GrayFailureWatchdog] = None
-    if mode in ("syn-flood", "hash-collision"):
-        attacker = _attach_flood(testbed, config, mode, trace)
-    elif mode == "gray-failure":
-        watchdog = _attach_gray_failure(testbed, config, trace)
-
-    duration = testbed.run_trace(trace)
-
-    attack_bucket_share: Optional[float] = None
-    if mode == "hash-collision" and attacker is not None:
-        # Measured against the *live* edge router, not the offline
-        # search: the selector the packets actually traversed.
-        target = tier.instances[config.collision_target].name
-        hits = sum(
-            1
-            for flow in attacker.flows
-            if tier.router.next_hop_for(flow).name == target
-        )
-        attack_bucket_share = hits / len(attacker.flows)
-
-    quarantine_delay: Optional[float] = None
-    quarantined: Tuple[str, ...] = ()
-    if watchdog is not None and watchdog.events:
-        start = trace.duration * config.attack_start_fraction
-        quarantine_delay = watchdog.events[0].time - start
-        quarantined = watchdog.quarantined
-
-    instances = tier.instances
-    return AdversarialRunResult(
-        mode=mode,
-        config=config,
-        collector=testbed.collector,
-        requests_served=testbed.total_requests_served(),
-        connections_reset=testbed.total_resets(),
-        connections_timed_out=sum(
-            server.app.stats.connections_timed_out for server in testbed.servers
-        ),
-        queries_hung=testbed.client.queries_swept,
-        steering_misses=testbed.total_steering_misses(),
-        recovery_hunts=tier.recovery_hunts(),
-        peak_concurrent_connections=max(
-            server.app.stats.peak_concurrent_connections
-            for server in testbed.servers
-        ),
-        attack_syns_sent=attacker.syns_sent if attacker is not None else 0,
-        attack_bucket_share=attack_bucket_share,
-        flow_entries_created=sum(
-            instance.flow_table.stats.entries_created for instance in instances
-        ),
-        flow_entries_expired=sum(
-            instance.flow_table.stats.entries_expired for instance in instances
-        ),
-        flow_entries_live=sum(
-            len(instance.flow_table) for instance in instances
-        ),
-        quarantine_delay=quarantine_delay,
-        quarantined=quarantined,
-        simulated_duration=duration,
-    )
-
-
 class AdversarialScenario(ScenarioSpec):
     """The adversarial-traffic comparison as a declarative scenario."""
 
@@ -375,17 +252,95 @@ class AdversarialScenario(ScenarioSpec):
     # trace_key: the default (one shared trace for every mode).
 
     def make_trace(self, config: AdversarialConfig, cell: ScenarioCell) -> Trace:
-        return make_adversarial_trace(config)
-
-    def build_platform(
-        self, config: AdversarialConfig, cell: ScenarioCell
-    ) -> Testbed:
-        return _build_adversarial_platform(config, cell.param("mode"))
+        return poisson_trace(
+            config.load_factor,
+            analytic_saturation_rate(config.testbed, config.service_mean),
+            config.num_queries,
+            config.service_mean,
+            [config.workload_seed, config.num_queries],
+        )
 
     def run_once(
         self, config: AdversarialConfig, cell: ScenarioCell, trace: Trace
     ) -> AdversarialRunResult:
-        return run_adversarial_once(config, cell.param("mode"), trace=trace)
+        """Replay the legitimate workload under one attack mode."""
+        mode = cell.param("mode")
+        testbed = build_testbed(
+            config.testbed, config.policy, run_name=f"adversarial-{mode}"
+        )
+        tier = testbed.lb_tier
+
+        # Idle-flow housekeeping on every instance, so the flood's flow-table
+        # entries are reclaimed in-run instead of accumulating to the end.
+        for instance in tier.instances:
+            instance.start_housekeeping(config.housekeeping_interval)
+
+        def stop_housekeeping() -> None:
+            for instance in tier.instances:
+                instance.stop_housekeeping()
+
+        testbed.at_horizon(stop_housekeeping)
+
+        attacker: Optional[SynFloodAttacker] = None
+        watchdog: Optional[GrayFailureWatchdog] = None
+        if mode in ("syn-flood", "hash-collision"):
+            attacker = _attach_flood(testbed, config, mode, trace)
+        elif mode == "gray-failure":
+            watchdog = _attach_gray_failure(testbed, config, trace)
+
+        duration = testbed.run_trace(trace)
+
+        attack_bucket_share: Optional[float] = None
+        if mode == "hash-collision" and attacker is not None:
+            # Measured against the *live* edge router, not the offline
+            # search: the selector the packets actually traversed.
+            target = tier.instances[config.collision_target].name
+            hits = sum(
+                1
+                for flow in attacker.flows
+                if tier.router.next_hop_for(flow).name == target
+            )
+            attack_bucket_share = hits / len(attacker.flows)
+
+        quarantine_delay: Optional[float] = None
+        quarantined: Tuple[str, ...] = ()
+        if watchdog is not None and watchdog.events:
+            start = trace.duration * config.attack_start_fraction
+            quarantine_delay = watchdog.events[0].time - start
+            quarantined = watchdog.quarantined
+
+        instances = tier.instances
+        return AdversarialRunResult(
+            mode=mode,
+            config=config,
+            collector=testbed.collector,
+            requests_served=testbed.total_requests_served(),
+            connections_reset=testbed.total_resets(),
+            connections_timed_out=sum(
+                server.app.stats.connections_timed_out for server in testbed.servers
+            ),
+            queries_hung=testbed.client.queries_swept,
+            steering_misses=testbed.total_steering_misses(),
+            recovery_hunts=tier.recovery_hunts(),
+            peak_concurrent_connections=max(
+                server.app.stats.peak_concurrent_connections
+                for server in testbed.servers
+            ),
+            attack_syns_sent=attacker.syns_sent if attacker is not None else 0,
+            attack_bucket_share=attack_bucket_share,
+            flow_entries_created=sum(
+                instance.flow_table.stats.entries_created for instance in instances
+            ),
+            flow_entries_expired=sum(
+                instance.flow_table.stats.entries_expired for instance in instances
+            ),
+            flow_entries_live=sum(
+                len(instance.flow_table) for instance in instances
+            ),
+            quarantine_delay=quarantine_delay,
+            quarantined=quarantined,
+            simulated_duration=duration,
+        )
 
     def render(self, result: ScenarioResult) -> str:
         return render_adversarial_table(result)
@@ -393,18 +348,6 @@ class AdversarialScenario(ScenarioSpec):
 
 #: The registered spec instance (also reachable via ``registry.get``).
 ADVERSARIAL_SCENARIO = registry.register(AdversarialScenario())
-
-
-def run_adversarial(
-    config: AdversarialConfig, jobs: Optional[int] = 1
-) -> ScenarioResult:
-    """Replay the workload under every configured attack mode.
-
-    ``jobs`` fans the per-mode runs out over worker processes
-    (``None``/``0`` = all cores); results are identical for any value —
-    see :mod:`repro.experiments.scenario` for the determinism contract.
-    """
-    return run_scenario(ADVERSARIAL_SCENARIO, config, jobs=jobs)
 
 
 def render_adversarial_table(comparison: ScenarioResult) -> str:

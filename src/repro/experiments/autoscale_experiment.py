@@ -35,34 +35,30 @@ from repro.control.lifecycle import ServerLifecycle
 from repro.control.monitor import FleetMonitor
 from repro.control.policy import make_scaling_policy
 from repro.experiments import registry
-from repro.experiments.calibration import analytic_saturation_rate
-from repro.experiments.config import AutoscaleConfig
+from repro.experiments.calibration import saturation_rate_for
+from repro.experiments.config import AutoscaleConfig, TestbedConfig
 from repro.experiments.platform import Testbed, build_testbed
 from repro.experiments.scenario import (
     ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
+    TraceProvider,
 )
 from repro.metrics.capacity import CapacityTracker
 from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
 from repro.workload.diurnal import DiurnalWorkload
-from repro.workload.requests import RequestCatalog
 from repro.workload.service_models import ExponentialServiceTime
 from repro.workload.trace import Trace
 
 
-def autoscale_saturation_rate(config: AutoscaleConfig) -> float:
-    """The λ₀ the diurnal load factors are normalised against (max fleet)."""
-    if config.saturation_rate is not None:
-        return config.saturation_rate
-    return analytic_saturation_rate(config.max_testbed, config.service_mean)
-
-
 def make_diurnal_workload(config: AutoscaleConfig) -> DiurnalWorkload:
     """The diurnal rate schedule described by ``config``."""
-    saturation = autoscale_saturation_rate(config)
+    # Load factors are fractions of the peak-sized (static) fleet.
+    saturation = saturation_rate_for(
+        config.saturation_rate, config.max_testbed, config.service_mean
+    )
     return DiurnalWorkload(
         mean_rate=config.mean_load * saturation,
         amplitude=config.load_amplitude * saturation,
@@ -106,7 +102,7 @@ class AutoscaleRunResult:
         """Time-averaged provisioned server count over the day."""
         return self.capacity.mean_capacity(
             through=self.config.duration
-        ) / self.config.cores_per_server
+        ) / self.config.testbed.cores_per_server
 
     @property
     def summary(self) -> SummaryStatistics:
@@ -181,9 +177,9 @@ class AutoscaleScenario(ScenarioSpec):
 
     def smoke_config(self) -> AutoscaleConfig:
         return AutoscaleConfig(
-            workers_per_server=8,
-            cores_per_server=1,
-            backlog_capacity=16,
+            testbed=TestbedConfig(
+                workers_per_server=8, cores_per_server=1, backlog_capacity=16
+            ),
             min_servers=2,
             max_servers=5,
             mean_load=0.5,
@@ -223,27 +219,20 @@ class AutoscaleScenario(ScenarioSpec):
     def make_trace(self, config: AutoscaleConfig, cell: ScenarioCell) -> Trace:
         return make_diurnal_trace(config)
 
-    def build_platform(self, config: AutoscaleConfig, cell: ScenarioCell) -> Testbed:
-        mode = cell.param("mode")
-        return build_testbed(
-            config.testbed_for(mode),
-            config.policy,
-            catalog=RequestCatalog(),
-            run_name=f"autoscale-{mode}",
-        )
-
     def run_once(
         self, config: AutoscaleConfig, cell: ScenarioCell, trace: Trace
     ) -> AutoscaleRunResult:
         mode = cell.param("mode")
-        testbed = self.build_platform(config, cell)
+        testbed = build_testbed(
+            config.testbed_for(mode), config.policy, run_name=f"autoscale-{mode}"
+        )
         autoscaler = None
         if mode == "static":
             # No control plane: a constant-capacity tracker records the
             # bill the peak-sized fleet runs up.
             capacity = CapacityTracker(
                 start_time=testbed.simulator.now,
-                capacity=float(config.max_servers * config.cores_per_server),
+                capacity=float(config.max_servers * config.testbed.cores_per_server),
             )
         else:
             autoscaler = attach_control_plane(testbed, config, mode)
@@ -273,9 +262,13 @@ class AutoscaleScenario(ScenarioSpec):
             simulated_duration=duration,
         )
 
-    def meta(self, config: AutoscaleConfig) -> Dict[str, object]:
+    def meta(
+        self, config: AutoscaleConfig, trace_for: TraceProvider
+    ) -> Dict[str, object]:
         return {
-            "saturation_rate": autoscale_saturation_rate(config),
+            "saturation_rate": saturation_rate_for(
+                config.saturation_rate, config.max_testbed, config.service_mean
+            ),
             "slo_p99": config.slo_p99,
             "duration": config.duration,
         }
@@ -286,15 +279,6 @@ class AutoscaleScenario(ScenarioSpec):
 
 #: The registered spec instance (also reachable via ``registry.get``).
 AUTOSCALE_SCENARIO = registry.register(AutoscaleScenario())
-
-
-def run_autoscale(
-    config: Optional[AutoscaleConfig] = None, jobs: Optional[int] = 1
-) -> ScenarioResult:
-    """Replay the diurnal trace under every configured provisioning mode."""
-    from repro.experiments.scenario import run_scenario
-
-    return run_scenario(AUTOSCALE_SCENARIO, config, jobs=jobs)
 
 
 def _capacity_at(series: List[Tuple[float, float]], time: float) -> float:
@@ -351,7 +335,7 @@ def render_autoscale(result: ScenarioResult) -> str:
     )
 
     workload = make_diurnal_workload(config)
-    cores = config.cores_per_server
+    cores = config.testbed.cores_per_server
     capacity_series = {
         mode: result.run(mode).capacity.series() for mode in result.keys()
     }

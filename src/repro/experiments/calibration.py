@@ -46,6 +46,15 @@ def analytic_saturation_rate(
     return _analytic_rate(config.total_capacity, service_mean)
 
 
+def saturation_rate_for(
+    configured: Optional[float], config: TestbedConfig, service_mean: float
+) -> float:
+    """The ``configured`` λ₀ when set, else the analytic one of ``config``."""
+    if configured is not None:
+        return configured
+    return analytic_saturation_rate(config, service_mean)
+
+
 @dataclass
 class CalibrationProbe:
     """Result of one probe run at a candidate rate."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -37,34 +37,14 @@ from repro.errors import ExperimentError
 from repro.experiments import registry
 from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import ChaosConfig, TestbedConfig
-from repro.experiments.platform import Testbed, build_testbed
-from repro.experiments.scenario import (
-    ScenarioCell,
-    ScenarioResult,
-    ScenarioSpec,
-    run_scenario,
-)
+from repro.experiments.platform import build_testbed
+from repro.experiments.scenario import ScenarioCell, ScenarioResult, ScenarioSpec
 from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
 from repro.net.faults import FaultConfig, install_fault_channel
-from repro.workload.poisson import PoissonWorkload
-from repro.workload.requests import RequestCatalog
-from repro.workload.service_models import ExponentialServiceTime
+from repro.workload.poisson import poisson_trace
 from repro.workload.trace import Trace
-
-
-def make_chaos_trace(config: ChaosConfig) -> Trace:
-    """The legitimate Poisson trace shared by every chaos cell."""
-    saturation = analytic_saturation_rate(config.testbed, config.service_mean)
-    workload = PoissonWorkload.from_load_factor(
-        rho=config.load_factor,
-        saturation_rate=saturation,
-        num_queries=config.num_queries,
-        service_model=ExponentialServiceTime(config.service_mean),
-    )
-    rng = np.random.default_rng([config.workload_seed, config.num_queries])
-    return workload.generate(rng)
 
 
 def _flap_windows(
@@ -179,75 +159,6 @@ class ChaosRunResult:
         return self.collector.summary()
 
 
-def _build_chaos_platform(config: ChaosConfig, mode: str) -> Testbed:
-    """A fresh tier-fronted testbed for one chaos cell's run."""
-    return build_testbed(
-        config.testbed,
-        config.policy,
-        catalog=RequestCatalog(),
-        run_name=f"chaos-{mode}",
-    )
-
-
-def run_chaos_once(
-    config: ChaosConfig,
-    mode: str,
-    trace: Optional[Trace] = None,
-) -> ChaosRunResult:
-    """Replay the legitimate workload under one impairment mode."""
-    if mode not in config.modes:
-        raise ExperimentError(
-            f"mode {mode!r} is not in the configuration's modes {config.modes!r}"
-        )
-    if trace is None:
-        trace = make_chaos_trace(config)
-    testbed = _build_chaos_platform(config, mode)
-    if testbed.lb_tier is None:
-        raise ExperimentError("chaos experiments require num_load_balancers >= 2")
-
-    pipeline = install_fault_channel(
-        testbed.simulator,
-        testbed.fabric,
-        fault_config_for(config, mode, trace.duration),
-    )
-    testbed.fault_pipeline = pipeline
-    if testbed.telemetry is not None:
-        testbed.telemetry.watch_faults(pipeline)
-
-    duration = testbed.run_trace(trace)
-
-    client = testbed.client
-    stats = pipeline.stats
-    return ChaosRunResult(
-        mode=mode,
-        config=config,
-        collector=testbed.collector,
-        requests_served=testbed.total_requests_served(),
-        connections_reset=testbed.total_resets(),
-        connections_shed=sum(
-            server.app.stats.connections_shed for server in testbed.servers
-        ),
-        connections_timed_out=sum(
-            server.app.stats.connections_timed_out for server in testbed.servers
-        ),
-        queries_retried=client.queries_retried,
-        queries_gave_up=client.queries_gave_up,
-        queries_swept=client.queries_swept,
-        syn_retransmits=client.syn_retransmits,
-        fault_packets_seen=stats.packets_sent,
-        fault_packets_dropped=stats.packets_dropped,
-        fault_dropped_loss=stats.packets_dropped_loss,
-        fault_dropped_burst=stats.packets_dropped_burst,
-        fault_dropped_corrupted=stats.packets_dropped_corrupted,
-        fault_dropped_link_down=stats.packets_dropped_link_down,
-        fault_delayed_jitter=stats.packets_delayed_jitter,
-        fault_reordered=stats.packets_reordered,
-        simulated_duration=duration,
-        fingerprint=outcome_fingerprint(testbed.collector),
-        fault_stats=stats.snapshot(),
-    )
-
-
 class ChaosScenario(ScenarioSpec):
     """The fault-injection comparison as a declarative scenario."""
 
@@ -282,15 +193,61 @@ class ChaosScenario(ScenarioSpec):
     # trace_key: the default (one shared trace for every mode).
 
     def make_trace(self, config: ChaosConfig, cell: ScenarioCell) -> Trace:
-        return make_chaos_trace(config)
-
-    def build_platform(self, config: ChaosConfig, cell: ScenarioCell) -> Testbed:
-        return _build_chaos_platform(config, cell.param("mode"))
+        return poisson_trace(
+            config.load_factor,
+            analytic_saturation_rate(config.testbed, config.service_mean),
+            config.num_queries,
+            config.service_mean,
+            [config.workload_seed, config.num_queries],
+        )
 
     def run_once(
         self, config: ChaosConfig, cell: ScenarioCell, trace: Trace
     ) -> ChaosRunResult:
-        return run_chaos_once(config, cell.param("mode"), trace=trace)
+        """Replay the legitimate workload under one impairment mode."""
+        mode = cell.param("mode")
+        testbed = build_testbed(config.testbed, config.policy, run_name=f"chaos-{mode}")
+        pipeline = install_fault_channel(
+            testbed.simulator,
+            testbed.fabric,
+            fault_config_for(config, mode, trace.duration),
+        )
+        testbed.fault_pipeline = pipeline
+        if testbed.telemetry is not None:
+            testbed.telemetry.watch_faults(pipeline)
+
+        duration = testbed.run_trace(trace)
+
+        client = testbed.client
+        stats = pipeline.stats
+        return ChaosRunResult(
+            mode=mode,
+            config=config,
+            collector=testbed.collector,
+            requests_served=testbed.total_requests_served(),
+            connections_reset=testbed.total_resets(),
+            connections_shed=sum(
+                server.app.stats.connections_shed for server in testbed.servers
+            ),
+            connections_timed_out=sum(
+                server.app.stats.connections_timed_out for server in testbed.servers
+            ),
+            queries_retried=client.queries_retried,
+            queries_gave_up=client.queries_gave_up,
+            queries_swept=client.queries_swept,
+            syn_retransmits=client.syn_retransmits,
+            fault_packets_seen=stats.packets_sent,
+            fault_packets_dropped=stats.packets_dropped,
+            fault_dropped_loss=stats.packets_dropped_loss,
+            fault_dropped_burst=stats.packets_dropped_burst,
+            fault_dropped_corrupted=stats.packets_dropped_corrupted,
+            fault_dropped_link_down=stats.packets_dropped_link_down,
+            fault_delayed_jitter=stats.packets_delayed_jitter,
+            fault_reordered=stats.packets_reordered,
+            simulated_duration=duration,
+            fingerprint=outcome_fingerprint(testbed.collector),
+            fault_stats=stats.snapshot(),
+        )
 
     def render(self, result: ScenarioResult) -> str:
         return render_chaos_table(result)
@@ -298,16 +255,6 @@ class ChaosScenario(ScenarioSpec):
 
 #: The registered spec instance (also reachable via ``registry.get``).
 CHAOS_SCENARIO = registry.register(ChaosScenario())
-
-
-def run_chaos(config: ChaosConfig, jobs: Optional[int] = 1) -> ScenarioResult:
-    """Replay the workload under every configured impairment mode.
-
-    ``jobs`` fans the per-mode runs out over worker processes
-    (``None``/``0`` = all cores); results are identical for any value —
-    see :mod:`repro.experiments.scenario` for the determinism contract.
-    """
-    return run_scenario(CHAOS_SCENARIO, config, jobs=jobs)
 
 
 def render_chaos_table(comparison: ScenarioResult) -> str:

@@ -58,9 +58,13 @@ def _selector_name(field: str, name: str) -> None:
     check_selector_name(name)
 
 
-#: The flags every family sizes its platform with (``expose=`` of a
-#: ``testbed`` field; families add the tier and client flags they use).
-TESTBED_SHAPE = ("num_servers", "workers_per_server", "cores_per_server", "seed")
+#: The per-server flags of a family whose fleet size is its own (``expose=``
+#: of a ``testbed`` field): heterogeneous-fleet and autoscale.
+SERVER_SHAPE = ("workers_per_server", "cores_per_server", "seed")
+
+#: The flags every other family sizes its platform with (families add the
+#: tier and client flags they use).
+TESTBED_SHAPE = ("num_servers",) + SERVER_SHAPE
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,7 @@ class TestbedConfig:
     backlog_shed_watermark: int = param(
         0, "--shed-watermark", "backlog depth above which servers fast-RST new SYNs (0 disables)"
     )
-    seed: int = param(0, "--seed", "testbed RNG seed")
+    seed: int = param(0, "--seed", "testbed RNG seed", NON_NEGATIVE)
 
     def __post_init__(self) -> None:
         check_bounds(self)
@@ -425,6 +429,8 @@ class ResilienceConfig:
                 "resilience experiments need a tier of at least 2 load "
                 f"balancers, got {self.testbed.num_load_balancers!r}"
             )
+        if "random" in self.selection_schemes and self.num_candidates < 2:
+            raise ExperimentError("resilience runs need at least 2 candidates")
         # Reject schedules that would kill the whole tier before the
         # simulation wastes minutes discovering it mid-run.
         alive = self.testbed.num_load_balancers
@@ -535,11 +541,8 @@ class AutoscaleConfig:
     reports cost (capacity-seconds) against SLO (p99 response time).
     """
 
-    # --- testbed recipe (per-server shape; the fleet size is elastic) ---
-    workers_per_server: int = param(32, "--workers", "Apache workers per server")
-    cores_per_server: int = param(2, "--cores", "CPU cores per server")
-    backlog_capacity: int = 128
-    num_load_balancers: int = 1
+    # --- testbed recipe (its server count is ignored: the fleet is elastic) ---
+    testbed: TestbedConfig = param(default_factory=TestbedConfig, expose=SERVER_SHAPE)
     min_servers: int = param(4, "--min-servers", "elastic fleet floor", POSITIVE)
     max_servers: int = param(
         12, "--max-servers", "elastic fleet ceiling (and the static fleet's size)"
@@ -547,7 +550,6 @@ class AutoscaleConfig:
     acceptance_policy: str = param("SR8", bound=_policy_name)
     num_candidates: int = 2
     selector: str = param("random", bound=_selector_name)
-    seed: int = param(0, "--seed", "testbed RNG seed")
 
     # --- diurnal workload -------------------------------------------------
     mean_load: float = param(
@@ -653,14 +655,7 @@ class AutoscaleConfig:
 
     def testbed_for(self, mode: str) -> TestbedConfig:
         """The testbed one provisioning mode starts from."""
-        return TestbedConfig(
-            num_servers=self.initial_servers(mode),
-            workers_per_server=self.workers_per_server,
-            cores_per_server=self.cores_per_server,
-            backlog_capacity=self.backlog_capacity,
-            num_load_balancers=self.num_load_balancers,
-            seed=self.seed,
-        )
+        return replace(self.testbed, num_servers=self.initial_servers(mode))
 
     @property
     def max_testbed(self) -> TestbedConfig:
@@ -716,10 +711,8 @@ class HeterogeneousFleetConfig:
     num_slow: int = param(8, "--slow", "servers in the slow tier", POSITIVE)
     fast_speed: float = param(2.0, "--fast-speed", "fast-tier CPU speed multiplier", POSITIVE)
     slow_speed: float = param(0.75, "--slow-speed", "slow-tier CPU speed multiplier", POSITIVE)
-    workers_per_server: int = param(32, "--workers", "Apache workers per server")
-    cores_per_server: int = param(2, "--cores", "CPU cores per server")
-    backlog_capacity: int = 128
-    seed: int = param(0, "--seed", "testbed RNG seed")
+    #: The per-server shape; :attr:`fleet` sizes it and sets the speeds.
+    testbed: TestbedConfig = param(default_factory=TestbedConfig, expose=SERVER_SHAPE)
     load_factors: Tuple[float, ...] = param((0.85,), "--rho", "load factor", POSITIVE)
     num_queries: int = param(6_000, "--queries", "queries per run", POSITIVE, cli_default=4_000)
     service_mean: float = param(0.1, bound=POSITIVE)
@@ -742,18 +735,15 @@ class HeterogeneousFleetConfig:
         return self.num_fast + self.num_slow
 
     @property
-    def testbed(self) -> TestbedConfig:
+    def fleet(self) -> TestbedConfig:
         """The mixed-speed testbed described by this configuration."""
-        return TestbedConfig(
+        return replace(
+            self.testbed,
             num_servers=self.num_servers,
-            workers_per_server=self.workers_per_server,
-            cores_per_server=self.cores_per_server,
-            backlog_capacity=self.backlog_capacity,
             server_speed_factors=(
                 (self.fast_speed,) * self.num_fast
                 + (self.slow_speed,) * self.num_slow
             ),
-            seed=self.seed,
         )
 
     def fast_server_names(self) -> Tuple[str, ...]:

@@ -23,29 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ExperimentError
 from repro.experiments.poisson_experiment import PoissonRunResult, PoissonSweepResult
-from repro.experiments.wikipedia_experiment import WikipediaReplayResult
+from repro.experiments.scenario import ScenarioResult
 from repro.metrics.ewma import smooth_timeseries
 from repro.metrics.reporting import format_table
-from repro.metrics.stats import cdf_at, empirical_cdf
-
-
-# ----------------------------------------------------------------------
-# Registry-driven dispatch — any scenario family's headline figure
-# ----------------------------------------------------------------------
-def render_scenario_figure(scenario_name: str, result) -> str:
-    """The headline figure of any registered scenario, as a text table.
-
-    Dispatches through :mod:`repro.experiments.registry`, so figure code
-    for a new workload family ships with its spec and is reachable here
-    without touching this module.
-    """
-    from repro.experiments import registry
-
-    return registry.get(scenario_name).render(result)
+from repro.metrics.stats import cdf_at
 
 
 # ----------------------------------------------------------------------
@@ -83,15 +66,6 @@ def render_figure2(sweep: PoissonSweepResult) -> str:
 CDF_THRESHOLDS: Tuple[float, ...] = (
     0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.75, 1.0, 1.5, 2.0,
 )
-
-
-def figure_cdf_series(
-    runs: Dict[str, PoissonRunResult]
-) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-    """Per-policy empirical CDF of response times."""
-    return {
-        name: empirical_cdf(run.response_times()) for name, run in runs.items()
-    }
 
 
 def render_figure_cdf(
@@ -134,7 +108,7 @@ def figure4_series(
         if run.load_sampler is None:
             raise ExperimentError(
                 f"run {name!r} was executed without load sampling; "
-                "pass sample_load=True to run_poisson_once"
+                "run the sweep with sample_load=True"
             )
         sampler = run.load_sampler
         series[name] = LoadFairnessSeries(
@@ -179,11 +153,11 @@ def render_figure4(
 # Figures 6, 7, 8 — Wikipedia replay
 # ----------------------------------------------------------------------
 def figure6_series(
-    replay: WikipediaReplayResult,
+    replay: ScenarioResult,
 ) -> Dict[str, Dict[str, List[Tuple[float, float]]]]:
     """Per-policy query-rate and median-load-time series (10-minute bins)."""
     series: Dict[str, Dict[str, List[Tuple[float, float]]]] = {}
-    for name in replay.policies():
+    for name in replay.keys():
         run = replay.run(name)
         series[name] = {
             "rate": run.rate_series(),
@@ -192,7 +166,7 @@ def figure6_series(
     return series
 
 
-def _equivalent_hour(bin_center: float, replay: WikipediaReplayResult) -> float:
+def _equivalent_hour(bin_center: float, replay: ScenarioResult) -> float:
     """Map a (possibly time-compressed) bin centre to its time of day in hours.
 
     The synthetic trace traverses one diurnal cycle over
@@ -202,7 +176,7 @@ def _equivalent_hour(bin_center: float, replay: WikipediaReplayResult) -> float:
     return (bin_center / replay.config.duration) * 24.0
 
 
-def render_figure6(replay: WikipediaReplayResult) -> str:
+def render_figure6(replay: ScenarioResult) -> str:
     """Figure 6 as a table: one row per bin, rate plus per-policy medians."""
     series = figure6_series(replay)
     policies = list(series)
@@ -225,13 +199,13 @@ def render_figure6(replay: WikipediaReplayResult) -> str:
 
 
 def figure7_series(
-    replay: WikipediaReplayResult,
+    replay: ScenarioResult,
 ) -> Dict[str, List[Tuple[float, List[float]]]]:
     """Per-policy, per-bin deciles 1–9 of the wiki-page load time."""
-    return {name: replay.run(name).decile_series() for name in replay.policies()}
+    return {name: replay.run(name).decile_series() for name in replay.keys()}
 
 
-def render_figure7(replay: WikipediaReplayResult, policy_name: str) -> str:
+def render_figure7(replay: ScenarioResult, policy_name: str) -> str:
     """Figure 7 (one policy panel) as a table of per-bin deciles."""
     deciles_by_bin = figure7_series(replay)[policy_name]
     headers = ["time of day (h)"] + [f"d{k}" for k in range(1, 10)]
@@ -245,36 +219,26 @@ def render_figure7(replay: WikipediaReplayResult, policy_name: str) -> str:
     )
 
 
-def figure8_series(
-    replay: WikipediaReplayResult,
-) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-    """Per-policy whole-day CDF of wiki-page load times."""
-    return {
-        name: empirical_cdf(replay.run(name).wiki_response_times())
-        for name in replay.policies()
-    }
-
-
 def render_figure8(
-    replay: WikipediaReplayResult,
+    replay: ScenarioResult,
     thresholds: Sequence[float] = CDF_THRESHOLDS,
 ) -> str:
     """Figure 8 as a table of P(T <= t), plus the median/quartile comparison."""
-    headers = ["t (s)"] + list(replay.policies())
+    headers = ["t (s)"] + list(replay.keys())
     per_policy = {
-        name: replay.run(name).wiki_response_times() for name in replay.policies()
+        name: replay.run(name).wiki_response_times() for name in replay.keys()
     }
     rows: List[List[object]] = []
     for threshold in thresholds:
         row: List[object] = [threshold]
-        for name in replay.policies():
+        for name in replay.keys():
             row.append(cdf_at(per_policy[name], [threshold])[0])
         rows.append(row)
     table = format_table(
         headers, rows, title="Figure 8: whole-day CDF of wiki page load time"
     )
     quartile_lines = []
-    for name in replay.policies():
+    for name in replay.keys():
         q1, median, q3 = replay.run(name).wiki_quartiles()
         quartile_lines.append(
             f"{name}: median={median:.3f}s, third quartile={q3:.3f}s (q1={q1:.3f}s)"

@@ -30,20 +30,20 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.experiments import registry
-from repro.experiments.calibration import analytic_saturation_rate
+from repro.experiments.calibration import saturation_rate_for
 from repro.experiments.config import FlashCrowdConfig, PolicySpec, TestbedConfig
-from repro.experiments.platform import Testbed, build_testbed
+from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import (
     ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
+    TraceProvider,
 )
 from repro.metrics.binning import TimeBinner
 from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
 from repro.workload.flash_crowd import RatePhase, SteppedPoissonWorkload
-from repro.workload.requests import RequestCatalog
 from repro.workload.service_models import ExponentialServiceTime
 from repro.workload.trace import Trace
 
@@ -51,16 +51,11 @@ from repro.workload.trace import Trace
 PHASES: Tuple[str, ...] = ("baseline", "spike", "recovery")
 
 
-def flash_crowd_saturation_rate(config: FlashCrowdConfig) -> float:
-    """The λ₀ the phase load factors are normalised against."""
-    if config.saturation_rate is not None:
-        return config.saturation_rate
-    return analytic_saturation_rate(config.testbed, config.service_mean)
-
-
 def make_flash_crowd_trace(config: FlashCrowdConfig) -> Trace:
     """The stepped trace shared by every policy of a comparison."""
-    saturation = flash_crowd_saturation_rate(config)
+    saturation = saturation_rate_for(
+        config.saturation_rate, config.testbed, config.service_mean
+    )
     workload = SteppedPoissonWorkload(
         phases=(
             RatePhase(config.baseline_duration, config.baseline_load * saturation),
@@ -167,24 +162,14 @@ class FlashCrowdScenario(ScenarioSpec):
     def make_trace(self, config: FlashCrowdConfig, cell: ScenarioCell) -> Trace:
         return make_flash_crowd_trace(config)
 
-    def build_platform(
-        self, config: FlashCrowdConfig, cell: ScenarioCell
-    ) -> Testbed:
-        policy = cell.param("policy")
-        return build_testbed(
-            config.testbed,
-            policy,
-            catalog=RequestCatalog(),
-            run_name=f"flash-crowd-{policy.name}",
-        )
-
     def run_once(
         self, config: FlashCrowdConfig, cell: ScenarioCell, trace: Trace
     ) -> FlashCrowdRunResult:
-        testbed = self.build_platform(config, cell)
+        policy = cell.param("policy")
+        testbed = build_testbed(config.testbed, policy, run_name=f"flash-crowd-{policy.name}")
         duration = testbed.run_trace(trace)
         return FlashCrowdRunResult(
-            policy=cell.param("policy"),
+            policy=policy,
             collector=testbed.collector,
             bin_width=config.bin_width,
             total_duration=config.total_duration,
@@ -194,9 +179,13 @@ class FlashCrowdScenario(ScenarioSpec):
             simulated_duration=duration,
         )
 
-    def meta(self, config: FlashCrowdConfig) -> Dict[str, object]:
+    def meta(
+        self, config: FlashCrowdConfig, trace_for: TraceProvider
+    ) -> Dict[str, object]:
         return {
-            "saturation_rate": flash_crowd_saturation_rate(config),
+            "saturation_rate": saturation_rate_for(
+                config.saturation_rate, config.testbed, config.service_mean
+            ),
             "spike_window": config.spike_window,
             "total_duration": config.total_duration,
         }
@@ -207,15 +196,6 @@ class FlashCrowdScenario(ScenarioSpec):
 
 #: The registered spec instance (also reachable via ``registry.get``).
 FLASH_CROWD_SCENARIO = registry.register(FlashCrowdScenario())
-
-
-def run_flash_crowd(
-    config: Optional[FlashCrowdConfig] = None, jobs: Optional[int] = 1
-) -> ScenarioResult:
-    """Replay the flash-crowd trace under every configured policy."""
-    from repro.experiments.scenario import run_scenario
-
-    return run_scenario(FLASH_CROWD_SCENARIO, config, jobs=jobs)
 
 
 def render_flash_crowd(result: ScenarioResult) -> str:

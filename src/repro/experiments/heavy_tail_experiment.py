@@ -15,30 +15,28 @@ bucket and flow-table entry — repeats across sessions.
 
 The same trace is replayed under each Service Hunting policy; the
 scenario reports per-kind response times next to the user-concentration
-profile of the trace, so policy differences can be read against how
-skewed the offered load actually was.
+profile of the trace (``meta["users"]`` of its
+:class:`~repro.experiments.scenario.ScenarioResult`), so policy
+differences can be read against how skewed the offered load actually
+was.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
 from repro.errors import ExperimentError
 from repro.experiments import registry
-from repro.experiments.config import (
-    HeavyTailConfig,
-    PolicySpec,
-    TestbedConfig,
-)
-from repro.experiments.platform import Testbed, build_testbed
+from repro.experiments.config import HeavyTailConfig, PolicySpec, TestbedConfig
+from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import (
     ScenarioCell,
+    ScenarioResult,
     ScenarioSpec,
     TraceProvider,
-    run_scenario,
 )
 from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
@@ -46,10 +44,9 @@ from repro.metrics.stats import SummaryStatistics
 from repro.workload.hostile import (
     HeavyTailWorkload,
     SessionAffinityClient,
-    UserConcentration,
     user_concentration,
 )
-from repro.workload.requests import KIND_HEAVY, KIND_SESSION, RequestCatalog
+from repro.workload.requests import KIND_HEAVY, KIND_SESSION
 from repro.workload.service_models import (
     BoundedParetoServiceTime,
     LognormalServiceTime,
@@ -125,63 +122,6 @@ def _policy_named(config: HeavyTailConfig, name: str) -> PolicySpec:
     raise ExperimentError(f"no policy named {name!r} in the configuration")
 
 
-def _build_heavy_tail_platform(
-    config: HeavyTailConfig, policy: PolicySpec
-) -> Testbed:
-    """A fresh testbed with the session-affinity client installed."""
-    return build_testbed(
-        config.testbed,
-        policy,
-        catalog=RequestCatalog(),
-        run_name=f"heavy-tail-{policy.name}",
-        client_factory=SessionAffinityClient,
-    )
-
-
-def run_heavy_tail_once(
-    config: HeavyTailConfig,
-    policy: PolicySpec,
-    trace: Optional[Trace] = None,
-) -> HeavyTailRunResult:
-    """Replay the heavy-tail trace under one policy."""
-    if trace is None:
-        trace = make_heavy_tail_trace(config)
-    testbed = _build_heavy_tail_platform(config, policy)
-    duration = testbed.run_trace(trace)
-    client = testbed.client
-    return HeavyTailRunResult(
-        policy=policy.name,
-        config=config,
-        collector=testbed.collector,
-        requests_served=testbed.total_requests_served(),
-        connections_reset=testbed.total_resets(),
-        queries_hung=client.queries_swept,
-        affinity_hits=getattr(client, "affinity_hits", 0),
-        affinity_fallbacks=getattr(client, "affinity_fallbacks", 0),
-        simulated_duration=duration,
-    )
-
-
-@dataclass
-class HeavyTailComparison:
-    """All policies of one heavy-tail comparison, over the same trace."""
-
-    config: HeavyTailConfig
-    users: UserConcentration
-    runs: Dict[str, HeavyTailRunResult] = field(default_factory=dict)
-
-    def policies(self) -> List[str]:
-        """Policy names, in configuration order."""
-        return [policy.name for policy in self.config.policies]
-
-    def run(self, policy: str) -> HeavyTailRunResult:
-        """The run for one policy."""
-        try:
-            return self.runs[policy]
-        except KeyError as exc:
-            raise ExperimentError(f"no run for policy {policy!r}") from exc
-
-
 class HeavyTailScenario(ScenarioSpec):
     """The heavy-tailed session workload as a declarative scenario."""
 
@@ -210,33 +150,37 @@ class HeavyTailScenario(ScenarioSpec):
     def make_trace(self, config: HeavyTailConfig, cell: ScenarioCell) -> Trace:
         return make_heavy_tail_trace(config)
 
-    def build_platform(
-        self, config: HeavyTailConfig, cell: ScenarioCell
-    ) -> Testbed:
-        return _build_heavy_tail_platform(
-            config, _policy_named(config, cell.param("policy"))
-        )
-
     def run_once(
         self, config: HeavyTailConfig, cell: ScenarioCell, trace: Trace
     ) -> HeavyTailRunResult:
+        """Replay the heavy-tail trace under one policy."""
         policy = _policy_named(config, cell.param("policy"))
-        return run_heavy_tail_once(config, policy, trace=trace)
-
-    def aggregate(
-        self,
-        config: HeavyTailConfig,
-        cells: Sequence[ScenarioCell],
-        runs: Sequence[HeavyTailRunResult],
-        trace_for: TraceProvider,
-    ) -> HeavyTailComparison:
-        return HeavyTailComparison(
+        testbed = build_testbed(
+            config.testbed,
+            policy,
+            run_name=f"heavy-tail-{policy.name}",
+            client_factory=SessionAffinityClient,
+        )
+        duration = testbed.run_trace(trace)
+        client = testbed.client
+        return HeavyTailRunResult(
+            policy=policy.name,
             config=config,
-            users=user_concentration(trace_for(cells[0])),
-            runs={cell.key: run for cell, run in zip(cells, runs)},
+            collector=testbed.collector,
+            requests_served=testbed.total_requests_served(),
+            connections_reset=testbed.total_resets(),
+            queries_hung=client.queries_swept,
+            affinity_hits=client.affinity_hits,
+            affinity_fallbacks=client.affinity_fallbacks,
+            simulated_duration=duration,
         )
 
-    def render(self, result: HeavyTailComparison) -> str:
+    def meta(
+        self, config: HeavyTailConfig, trace_for: TraceProvider
+    ) -> Dict[str, object]:
+        return {"users": user_concentration(trace_for(self.cells(config)[0]))}
+
+    def render(self, result: ScenarioResult) -> str:
         return render_heavy_tail_table(result)
 
 
@@ -244,24 +188,12 @@ class HeavyTailScenario(ScenarioSpec):
 HEAVY_TAIL_SCENARIO = registry.register(HeavyTailScenario())
 
 
-def run_heavy_tail(
-    config: HeavyTailConfig, jobs: Optional[int] = 1
-) -> HeavyTailComparison:
-    """Replay the heavy-tail trace under every configured policy.
-
-    ``jobs`` fans the per-policy runs out over worker processes
-    (``None``/``0`` = all cores); results are identical for any value —
-    see :mod:`repro.experiments.scenario` for the determinism contract.
-    """
-    return run_scenario(HEAVY_TAIL_SCENARIO, config, jobs=jobs)
-
-
-def render_heavy_tail_table(comparison: HeavyTailComparison) -> str:
+def render_heavy_tail_table(comparison: ScenarioResult) -> str:
     """Text table of the per-policy heavy-tail comparison."""
     config = comparison.config
-    users = comparison.users
+    users = comparison.meta["users"]
     rows: List[List[object]] = []
-    for policy in comparison.policies():
+    for policy in comparison.keys():
         run = comparison.run(policy)
         totals = run.collector.totals
         rows.append(

@@ -23,48 +23,25 @@ Poisson family's (the measured quantities coincide).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.experiments import registry
-from repro.experiments.calibration import analytic_saturation_rate
-from repro.experiments.config import HeterogeneousFleetConfig
-from repro.experiments.platform import Testbed, build_testbed
+from repro.experiments.calibration import saturation_rate_for
+from repro.experiments.config import HeterogeneousFleetConfig, TestbedConfig
+from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import (
     ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
+    TraceProvider,
 )
 from repro.metrics.fairness import jain_fairness_index
 from repro.metrics.reporting import format_table
-from repro.workload.poisson import PoissonWorkload
-from repro.workload.requests import RequestCatalog
-from repro.workload.service_models import ExponentialServiceTime
+from repro.workload.poisson import poisson_trace
 from repro.workload.trace import Trace
 
-
-def heterogeneous_saturation_rate(config: HeterogeneousFleetConfig) -> float:
-    """The λ₀ the load factors are normalised against (speed-weighted)."""
-    if config.saturation_rate is not None:
-        return config.saturation_rate
-    return analytic_saturation_rate(config.testbed, config.service_mean)
-
-
-def make_heterogeneous_trace(
-    config: HeterogeneousFleetConfig, load_factor: float
-) -> Trace:
-    """The trace replayed by every policy at one load factor."""
-    workload = PoissonWorkload.from_load_factor(
-        rho=load_factor,
-        saturation_rate=heterogeneous_saturation_rate(config),
-        num_queries=config.num_queries,
-        service_model=ExponentialServiceTime(config.service_mean),
-    )
-    rng = np.random.default_rng(
-        [config.workload_seed, int(round(load_factor * 1_000_000))]
-    )
-    return workload.generate(rng)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.poisson_experiment import PoissonRunResult
 
 
 def tier_acceptance_shares(
@@ -96,7 +73,7 @@ def capacity_fairness_index(
     config: HeterogeneousFleetConfig, acceptance_counts: Dict[str, int]
 ) -> float:
     """Jain's index over per-server accepted queries per unit capacity."""
-    speeds = config.testbed.server_speed_factors
+    speeds = config.fleet.server_speed_factors
     loads = [
         acceptance_counts.get(f"server-{index}", 0) / speeds[index]
         for index in range(config.num_servers)
@@ -115,18 +92,25 @@ class HeterogeneousFleetScenario(ScenarioSpec):
         return HeterogeneousFleetConfig(
             num_fast=2,
             num_slow=3,
-            workers_per_server=8,
-            backlog_capacity=16,
+            testbed=TestbedConfig(workers_per_server=8, backlog_capacity=16),
             load_factors=(0.7,),
             num_queries=200,
             policies=(rr_policy(), sr_policy(4)),
         )
 
     def cells(self, config: HeterogeneousFleetConfig) -> List[ScenarioCell]:
+        # Load factors are normalised against the speed-weighted fleet.
+        saturation = saturation_rate_for(
+            config.saturation_rate, config.fleet, config.service_mean
+        )
         return [
             ScenarioCell(
                 key=(policy.name, load_factor),
-                params={"policy": policy, "load_factor": load_factor},
+                params={
+                    "policy": policy,
+                    "load_factor": load_factor,
+                    "saturation_rate": saturation,
+                },
             )
             for load_factor in config.load_factors
             for policy in config.policies
@@ -140,33 +124,34 @@ class HeterogeneousFleetScenario(ScenarioSpec):
     def make_trace(
         self, config: HeterogeneousFleetConfig, cell: ScenarioCell
     ) -> Trace:
-        return make_heterogeneous_trace(config, cell.param("load_factor"))
-
-    def build_platform(
-        self, config: HeterogeneousFleetConfig, cell: ScenarioCell
-    ) -> Testbed:
-        policy = cell.param("policy")
-        return build_testbed(
-            config.testbed,
-            policy,
-            catalog=RequestCatalog(),
-            run_name=f"heterogeneous-{policy.name}-rho{cell.param('load_factor'):g}",
+        load_factor = cell.param("load_factor")
+        return poisson_trace(
+            load_factor,
+            cell.param("saturation_rate"),
+            config.num_queries,
+            config.service_mean,
+            [config.workload_seed, int(round(load_factor * 1_000_000))],
         )
 
     def run_once(
         self, config: HeterogeneousFleetConfig, cell: ScenarioCell, trace: Trace
-    ):
+    ) -> PoissonRunResult:
         # The measured quantities coincide with the Poisson family's, so
         # the run result is shared rather than re-invented.
         from repro.experiments.poisson_experiment import PoissonRunResult
 
-        testbed = self.build_platform(config, cell)
+        policy = cell.param("policy")
+        load_factor = cell.param("load_factor")
+        testbed = build_testbed(
+            config.fleet,
+            policy,
+            run_name=f"heterogeneous-{policy.name}-rho{load_factor:g}",
+        )
         duration = testbed.run_trace(trace)
         return PoissonRunResult(
-            policy=cell.param("policy"),
-            load_factor=cell.param("load_factor"),
-            arrival_rate=cell.param("load_factor")
-            * heterogeneous_saturation_rate(config),
+            policy=policy,
+            load_factor=load_factor,
+            arrival_rate=load_factor * cell.param("saturation_rate"),
             collector=testbed.collector,
             load_sampler=None,
             requests_served=testbed.total_requests_served(),
@@ -175,9 +160,13 @@ class HeterogeneousFleetScenario(ScenarioSpec):
             simulated_duration=duration,
         )
 
-    def meta(self, config: HeterogeneousFleetConfig) -> Dict[str, object]:
+    def meta(
+        self, config: HeterogeneousFleetConfig, trace_for: TraceProvider
+    ) -> Dict[str, object]:
         return {
-            "saturation_rate": heterogeneous_saturation_rate(config),
+            "saturation_rate": saturation_rate_for(
+                config.saturation_rate, config.fleet, config.service_mean
+            ),
             "fast_servers": list(config.fast_server_names()),
         }
 
@@ -187,15 +176,6 @@ class HeterogeneousFleetScenario(ScenarioSpec):
 
 #: The registered spec instance (also reachable via ``registry.get``).
 HETEROGENEOUS_SCENARIO = registry.register(HeterogeneousFleetScenario())
-
-
-def run_heterogeneous_fleet(
-    config: Optional[HeterogeneousFleetConfig] = None, jobs: Optional[int] = 1
-) -> ScenarioResult:
-    """Replay the capacity-normalised workload under every policy."""
-    from repro.experiments.scenario import run_scenario
-
-    return run_scenario(HETEROGENEOUS_SCENARIO, config, jobs=jobs)
 
 
 def render_heterogeneous_fleet(result: ScenarioResult) -> str:

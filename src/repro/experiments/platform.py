@@ -319,10 +319,6 @@ class Testbed:
     # ------------------------------------------------------------------
     # convenience accessors used by experiments and tests
     # ------------------------------------------------------------------
-    def server_busy_counts(self) -> List[int]:
-        """Current busy-thread count of every server."""
-        return [server.busy_threads for server in self.servers]
-
     def total_requests_served(self) -> int:
         """Requests served across the fleet."""
         return sum(server.app.stats.requests_served for server in self.servers)

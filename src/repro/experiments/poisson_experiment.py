@@ -8,9 +8,10 @@ per-request CPU demands — is replayed under every policy of a
 comparison, so differences between policies are differences in load
 balancing, not in workload randomness.
 
-The sweep is expressed as a :class:`~repro.experiments.scenario.ScenarioSpec`
-(one cell per (policy, load factor)); :class:`PoissonSweep` and
-:func:`run_poisson_once` are thin entry points over that spec.
+The sweep is the ``poisson`` :class:`~repro.experiments.scenario.ScenarioSpec`
+(one cell per (policy, load factor)), run through
+:func:`~repro.experiments.scenario.run_scenario`; one run is a one-cell
+sweep.
 """
 
 from __future__ import annotations
@@ -18,25 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ExperimentError
 from repro.experiments import registry
-from repro.experiments.calibration import analytic_saturation_rate
+from repro.experiments.calibration import saturation_rate_for
 from repro.experiments.config import PoissonSweepConfig, PolicySpec, TestbedConfig
-from repro.experiments.platform import Testbed, build_testbed
-from repro.experiments.scenario import (
-    ScenarioCell,
-    ScenarioSpec,
-    TraceProvider,
-    run_scenario,
-)
+from repro.experiments.platform import build_testbed
+from repro.experiments.scenario import ScenarioCell, ScenarioSpec, TraceProvider
 from repro.metrics.collector import ResponseTimeCollector, ServerLoadSampler
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
-from repro.workload.poisson import PoissonWorkload
-from repro.workload.requests import RequestCatalog
-from repro.workload.service_models import ExponentialServiceTime
+from repro.workload.poisson import poisson_trace
 from repro.workload.trace import Trace
 
 
@@ -67,30 +59,6 @@ class PoissonRunResult:
     def response_times(self) -> List[float]:
         """Raw response times (Figures 3 and 5 plot their CDF)."""
         return self.collector.response_times()
-
-
-def make_poisson_trace(
-    load_factor: float,
-    num_queries: int,
-    saturation_rate: float,
-    service_mean: float,
-    workload_seed: int,
-) -> Trace:
-    """Generate the workload trace for one load factor.
-
-    The RNG is seeded from ``(workload_seed, load factor)`` only, so the
-    trace is identical across policies and across testbed seeds.
-    """
-    if load_factor <= 0:
-        raise ExperimentError(f"load factor must be positive, got {load_factor!r}")
-    workload = PoissonWorkload.from_load_factor(
-        rho=load_factor,
-        saturation_rate=saturation_rate,
-        num_queries=num_queries,
-        service_model=ExponentialServiceTime(service_mean),
-    )
-    rng = np.random.default_rng([workload_seed, int(round(load_factor * 1_000_000))])
-    return workload.generate(rng)
 
 
 @dataclass
@@ -142,15 +110,12 @@ class PoissonScenario(ScenarioSpec):
             policies=(rr_policy(), sr_policy(4)),
         )
 
-    def _saturation(self, config: PoissonSweepConfig) -> float:
-        if config.saturation_rate is not None:
-            return config.saturation_rate
-        return analytic_saturation_rate(config.testbed, config.service_mean)
-
     def cells(
         self, config: PoissonSweepConfig, sample_load: bool = False
     ) -> List[ScenarioCell]:
-        saturation = self._saturation(config)
+        saturation = saturation_rate_for(
+            config.saturation_rate, config.testbed, config.service_mean
+        )
         return [
             ScenarioCell(
                 key=(policy.name, load_factor),
@@ -170,29 +135,26 @@ class PoissonScenario(ScenarioSpec):
         return cell.param("load_factor")
 
     def make_trace(self, config: PoissonSweepConfig, cell: ScenarioCell) -> Trace:
-        return make_poisson_trace(
-            cell.param("load_factor"),
-            config.num_queries,
+        # Seeded from the workload seed and the load factor only, so the
+        # trace is identical across policies and across testbed seeds.
+        load_factor = cell.param("load_factor")
+        return poisson_trace(
+            load_factor,
             cell.param("saturation_rate"),
+            config.num_queries,
             config.service_mean,
-            config.workload_seed,
-        )
-
-    def build_platform(
-        self, config: PoissonSweepConfig, cell: ScenarioCell
-    ) -> Testbed:
-        policy = cell.param("policy")
-        return build_testbed(
-            config.testbed,
-            policy,
-            catalog=RequestCatalog(),
-            run_name=f"{policy.name}-rho{cell.param('load_factor'):g}",
+            [config.workload_seed, int(round(load_factor * 1_000_000))],
         )
 
     def run_once(
         self, config: PoissonSweepConfig, cell: ScenarioCell, trace: Trace
     ) -> PoissonRunResult:
-        testbed = self.build_platform(config, cell)
+        policy = cell.param("policy")
+        testbed = build_testbed(
+            config.testbed,
+            policy,
+            run_name=f"{policy.name}-rho{cell.param('load_factor'):g}",
+        )
         if cell.param("sample_load"):
             testbed.attach_load_sampler(interval=config.load_sample_interval)
         duration = testbed.run_trace(trace)
@@ -257,63 +219,3 @@ class PoissonScenario(ScenarioSpec):
 
 #: The registered spec instance (also reachable via ``registry.get``).
 POISSON_SCENARIO = registry.register(PoissonScenario())
-
-
-def run_poisson_once(
-    testbed_config: TestbedConfig,
-    policy: PolicySpec,
-    load_factor: float,
-    num_queries: int = 20_000,
-    service_mean: float = 0.1,
-    saturation_rate: Optional[float] = None,
-    workload_seed: int = 12_345,
-    sample_load: bool = False,
-    load_sample_interval: float = 0.5,
-    trace: Optional[Trace] = None,
-) -> PoissonRunResult:
-    """Run one (policy, load factor) experiment and return its results.
-
-    A pre-generated ``trace`` may be passed to share the workload across
-    several runs (the sweep does this); otherwise one is generated from
-    ``workload_seed``.  This is a convenience front over a one-cell
-    :class:`PoissonScenario` run.
-    """
-    if load_factor <= 0:
-        raise ExperimentError(f"load factor must be positive, got {load_factor!r}")
-    if saturation_rate is None:
-        saturation_rate = analytic_saturation_rate(testbed_config, service_mean)
-    config = PoissonSweepConfig(
-        testbed=testbed_config,
-        load_factors=(load_factor,),
-        num_queries=num_queries,
-        service_mean=service_mean,
-        policies=(policy,),
-        saturation_rate=saturation_rate,
-        load_sample_interval=load_sample_interval,
-        workload_seed=workload_seed,
-    )
-    (cell,) = POISSON_SCENARIO.cells(config, sample_load=sample_load)
-    if trace is None:
-        trace = POISSON_SCENARIO.make_trace(config, cell)
-    return POISSON_SCENARIO.run_once(config, cell, trace)
-
-
-class PoissonSweep:
-    """Full load-factor sweep across the configured policies (Figure 2)."""
-
-    def __init__(self, config: Optional[PoissonSweepConfig] = None) -> None:
-        self.config = config or PoissonSweepConfig()
-
-    def run(
-        self, sample_load: bool = False, jobs: Optional[int] = 1
-    ) -> PoissonSweepResult:
-        """Execute every (policy, load factor) combination.
-
-        ``jobs`` fans the independent cells out over worker processes
-        (``None``/``0`` = all cores); ``jobs=1`` keeps the historical
-        in-process path.  Results are identical for any value — see
-        :mod:`repro.experiments.scenario` for the determinism contract.
-        """
-        return run_scenario(
-            POISSON_SCENARIO, self.config, jobs=jobs, sample_load=sample_load
-        )

@@ -21,36 +21,26 @@ victim's flows are reset) and ``consistent-hash`` (stateless recovery
 re-derives the chain and flows survive) is attributable to the scheme
 alone.
 
-The comparison is expressed as a
+The comparison is the ``resilience``
 :class:`~repro.experiments.scenario.ScenarioSpec` (one cell per
-selection scheme, one shared trace); :func:`run_resilience_comparison`
-is a thin entry point over that spec.
+selection scheme, one shared trace), run through
+:func:`~repro.experiments.scenario.run_scenario`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Set
+from typing import List, Set
 
-import numpy as np
-
-from repro.errors import ExperimentError
 from repro.experiments import registry
 from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import ChurnEvent, ResilienceConfig, TestbedConfig
-from repro.experiments.platform import Testbed, build_testbed
-from repro.experiments.scenario import (
-    ScenarioCell,
-    ScenarioResult,
-    ScenarioSpec,
-    run_scenario,
-)
+from repro.experiments.platform import build_testbed
+from repro.experiments.scenario import ScenarioCell, ScenarioResult, ScenarioSpec
 from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
-from repro.workload.poisson import PoissonWorkload
-from repro.workload.requests import RequestCatalog
-from repro.workload.service_models import ExponentialServiceTime
+from repro.workload.poisson import poisson_trace
 from repro.workload.trace import Trace
 
 
@@ -67,19 +57,6 @@ def resilience_saturation_rate(
     cpu_limit = analytic_saturation_rate(testbed, service_mean)
     worker_limit = testbed.total_workers / (testbed.request_spread + service_mean)
     return min(cpu_limit, worker_limit)
-
-
-def make_resilience_trace(config: ResilienceConfig) -> Trace:
-    """The Poisson workload trace shared by every scheme of a comparison."""
-    saturation = resilience_saturation_rate(config.testbed, config.service_mean)
-    workload = PoissonWorkload.from_load_factor(
-        rho=config.load_factor,
-        saturation_rate=saturation,
-        num_queries=config.num_queries,
-        service_model=ExponentialServiceTime(config.service_mean),
-    )
-    rng = np.random.default_rng([config.workload_seed, config.num_queries])
-    return workload.generate(rng)
 
 
 @dataclass
@@ -140,90 +117,6 @@ def _resolve_victim(tier, event: ChurnEvent):
     return max(tier.alive_instances(), key=lambda lb: len(lb.flow_table))
 
 
-def _build_resilience_platform(config: ResilienceConfig, scheme: str) -> Testbed:
-    """A fresh tier-fronted testbed for one scheme's churn run."""
-    policy = config.policy_for(scheme)
-    return build_testbed(
-        config.testbed,
-        policy,
-        catalog=RequestCatalog(),
-        run_name=f"resilience-{scheme}",
-    )
-
-
-def run_resilience_once(
-    config: ResilienceConfig,
-    scheme: str,
-    trace: Optional[Trace] = None,
-) -> ResilienceRunResult:
-    """Run the churn schedule under one candidate-selection scheme."""
-    if scheme == "random" and config.num_candidates < 2:
-        raise ExperimentError("resilience runs need at least 2 candidates")
-    if trace is None:
-        trace = make_resilience_trace(config)
-
-    testbed = _build_resilience_platform(config, scheme)
-    tier = testbed.lb_tier
-    if tier is None:
-        raise ExperimentError(
-            "resilience experiments require num_load_balancers >= 2"
-        )
-
-    observations: List[ChurnObservation] = []
-    added = [0]
-
-    def apply_churn(event: ChurnEvent) -> None:
-        observation = ChurnObservation(
-            event=event,
-            at_time=testbed.simulator.now,
-            instance="",
-            in_flight_ids=set(testbed.client.outstanding_request_ids()),
-        )
-        if event.action == "kill":
-            victim = _resolve_victim(tier, event)
-            observation.instance = victim.name
-            observation.flow_entries_lost = len(victim.flow_table)
-            tier.kill_instance(victim.name)
-        else:
-            added[0] += 1
-            # A fresh address well clear of the construction-time range.
-            instance = tier.add_instance(tier.steering_address + 1_000 + added[0])
-            observation.instance = instance.name
-        observations.append(observation)
-
-    for event in config.churn:
-        testbed.simulator.schedule_at(
-            trace.duration * event.at_fraction,
-            lambda event=event: apply_churn(event),
-            label=f"churn-{event.action}",
-        )
-
-    duration = testbed.run_trace(trace)
-
-    completed_ids = {
-        outcome.request_id for outcome in testbed.collector.outcomes()
-    }
-    exposed: Set[int] = set()
-    for observation in observations:
-        exposed |= observation.in_flight_ids
-    broken = sum(1 for request_id in exposed if request_id not in completed_ids)
-
-    return ResilienceRunResult(
-        scheme=scheme,
-        config=config,
-        collector=testbed.collector,
-        observations=observations,
-        broken_flows=broken,
-        in_flight_at_churn=len(exposed),
-        queries_hung=testbed.client.queries_swept,
-        recovery_hunts=tier.recovery_hunts(),
-        steering_misses=testbed.total_steering_misses(),
-        signals_relayed=tier.signals_relayed(),
-        acceptances_learned=tier.acceptances_learned(),
-        simulated_duration=duration,
-    )
-
-
 class ResilienceScenario(ScenarioSpec):
     """The LB-churn comparison as a declarative scenario."""
 
@@ -267,17 +160,77 @@ class ResilienceScenario(ScenarioSpec):
     # trace_key: the default (one shared trace for every scheme).
 
     def make_trace(self, config: ResilienceConfig, cell: ScenarioCell) -> Trace:
-        return make_resilience_trace(config)
-
-    def build_platform(
-        self, config: ResilienceConfig, cell: ScenarioCell
-    ) -> Testbed:
-        return _build_resilience_platform(config, cell.param("scheme"))
+        return poisson_trace(
+            config.load_factor,
+            resilience_saturation_rate(config.testbed, config.service_mean),
+            config.num_queries,
+            config.service_mean,
+            [config.workload_seed, config.num_queries],
+        )
 
     def run_once(
         self, config: ResilienceConfig, cell: ScenarioCell, trace: Trace
     ) -> ResilienceRunResult:
-        return run_resilience_once(config, cell.param("scheme"), trace=trace)
+        """Run the churn schedule under one candidate-selection scheme."""
+        scheme = cell.param("scheme")
+        testbed = build_testbed(
+            config.testbed, config.policy_for(scheme), run_name=f"resilience-{scheme}"
+        )
+        tier = testbed.lb_tier
+
+        observations: List[ChurnObservation] = []
+        added = [0]
+
+        def apply_churn(event: ChurnEvent) -> None:
+            observation = ChurnObservation(
+                event=event,
+                at_time=testbed.simulator.now,
+                instance="",
+                in_flight_ids=set(testbed.client.outstanding_request_ids()),
+            )
+            if event.action == "kill":
+                victim = _resolve_victim(tier, event)
+                observation.instance = victim.name
+                observation.flow_entries_lost = len(victim.flow_table)
+                tier.kill_instance(victim.name)
+            else:
+                added[0] += 1
+                # A fresh address well clear of the construction-time range.
+                instance = tier.add_instance(tier.steering_address + 1_000 + added[0])
+                observation.instance = instance.name
+            observations.append(observation)
+
+        for event in config.churn:
+            testbed.simulator.schedule_at(
+                trace.duration * event.at_fraction,
+                lambda event=event: apply_churn(event),
+                label=f"churn-{event.action}",
+            )
+
+        duration = testbed.run_trace(trace)
+
+        completed_ids = {
+            outcome.request_id for outcome in testbed.collector.outcomes()
+        }
+        exposed: Set[int] = set()
+        for observation in observations:
+            exposed |= observation.in_flight_ids
+        broken = sum(1 for request_id in exposed if request_id not in completed_ids)
+
+        return ResilienceRunResult(
+            scheme=scheme,
+            config=config,
+            collector=testbed.collector,
+            observations=observations,
+            broken_flows=broken,
+            in_flight_at_churn=len(exposed),
+            queries_hung=testbed.client.queries_swept,
+            recovery_hunts=tier.recovery_hunts(),
+            steering_misses=testbed.total_steering_misses(),
+            signals_relayed=tier.signals_relayed(),
+            acceptances_learned=tier.acceptances_learned(),
+            simulated_duration=duration,
+        )
 
     def render(self, result: ScenarioResult) -> str:
         return render_resilience_table(result)
@@ -302,19 +255,6 @@ class ResilienceScenario(ScenarioSpec):
 
 #: The registered spec instance (also reachable via ``registry.get``).
 RESILIENCE_SCENARIO = registry.register(ResilienceScenario())
-
-
-def run_resilience_comparison(
-    config: ResilienceConfig, jobs: Optional[int] = 1
-) -> ScenarioResult:
-    """Replay the same workload + churn under every configured scheme.
-
-    ``jobs`` fans the per-scheme runs out over worker processes
-    (``None``/``0`` = all cores); ``jobs=1`` keeps the historical
-    in-process path.  Results are identical for any value — see
-    :mod:`repro.experiments.scenario` for the determinism contract.
-    """
-    return run_scenario(RESILIENCE_SCENARIO, config, jobs=jobs)
 
 
 def render_resilience_table(comparison: ScenarioResult) -> str:

@@ -34,23 +34,18 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import nan
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ExperimentError
 from repro.experiments import registry
-from repro.experiments.calibration import analytic_saturation_rate
+from repro.experiments.calibration import saturation_rate_for
 from repro.experiments.config import ScaleConfig, TestbedConfig
-from repro.experiments.platform import Testbed, build_testbed
-from repro.experiments.scenario import (
-    ScenarioCell,
-    ScenarioSpec,
-    TraceProvider,
-    run_scenario,
-)
+from repro.experiments.platform import build_testbed
+from repro.experiments.scenario import ScenarioCell, ScenarioSpec, TraceProvider
 from repro.metrics.collector import ResponseTimeCollector
-from repro.net.ecmp import HopScorer, five_tuple_key, select_next_hop_name
+from repro.net.ecmp import HopScorer, five_tuple_key
 from repro.net.packet import FlowKey
 from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT
 from repro.sim.partition import (
@@ -59,7 +54,7 @@ from repro.sim.partition import (
     run_partitioned,
     run_to_horizon,
 )
-from repro.workload.requests import Request, RequestCatalog
+from repro.workload.requests import Request
 from repro.workload.trace import Trace
 
 #: Synthetic endpoint addresses of the modeled upstream flow keys.  They
@@ -71,29 +66,6 @@ _FRONTEND_VIP = "2001:db8:100::80"
 #: Extra simulated seconds each pod runs past the last arrival before
 #: the final drain (mirrors ``Testbed.run_trace``'s settle margin).
 SETTLE_MARGIN = 5.0
-
-
-def pod_saturation_rate(config: ScaleConfig) -> float:
-    """Queries/sec one pod sustains at ρ=1 (analytic unless overridden)."""
-    if config.saturation_rate is not None:
-        return config.saturation_rate
-    return analytic_saturation_rate(config.testbed, config.service_mean)
-
-
-def frontend_port_of(query_index: int) -> int:
-    """Modeled upstream source port of aggregate query ``query_index``."""
-    return EPHEMERAL_PORT_BASE + (query_index % EPHEMERAL_PORT_RANGE)
-
-
-def pod_of_port(config: ScaleConfig, port: int) -> int:
-    """The pod the front-end ECMP stage deals flows of ``port`` to."""
-    names = config.pod_names()
-    name = select_next_hop_name(
-        names,
-        FlowKey(_FRONTEND_CLIENT, port, _FRONTEND_VIP, HTTP_PORT),
-        config.ecmp_hash,
-    )
-    return names.index(name)
 
 
 @lru_cache(maxsize=8)
@@ -148,7 +120,10 @@ def make_scale_stream(
     worker running several pods generates the stream once; the arrays
     are read-only because every caller gets the same ones.
     """
-    rate = config.load_factor * config.pods * pod_saturation_rate(config)
+    pod_rate = saturation_rate_for(
+        config.saturation_rate, config.testbed, config.service_mean
+    )
+    rate = config.load_factor * config.pods * pod_rate
     rng = np.random.default_rng([config.workload_seed, config.num_queries])
     arrivals = np.cumsum(rng.exponential(1.0 / rate, size=config.num_queries))
     demands = rng.exponential(config.service_mean, size=config.num_queries)
@@ -245,7 +220,6 @@ def simulate_pod(task: PartitionTask, tick: Tick) -> PodResult:
     testbed = build_testbed(
         config.testbed.with_seed(_pod_seed(config, pod_index)),
         config.policy,
-        catalog=RequestCatalog(),
         collector=collector,
         run_name=f"pod-{pod_index}",
     )
@@ -480,12 +454,6 @@ class ScaleScenario(ScenarioSpec):
         # intentionally empty.
         return Trace((), name="scale-frontend")
 
-    def build_platform(self, config: ScaleConfig, cell: ScenarioCell) -> Testbed:
-        raise ExperimentError(
-            "the scale scenario builds one platform per partition inside "
-            "its workers; use run_scale()"
-        )
-
     def run_once(
         self, config: ScaleConfig, cell: ScenarioCell, trace: Trace
     ) -> ScaleRunResult:
@@ -536,16 +504,3 @@ class ScaleScenario(ScenarioSpec):
 
 #: The registered spec instance (also reachable via ``registry.get``).
 SCALE_SCENARIO = registry.register(ScaleScenario())
-
-
-def run_scale_scenario(
-    config: Optional[ScaleConfig] = None,
-    partitions: int = 1,
-) -> ScaleResult:
-    """Scenario-framework front for the ``scale`` family.
-
-    The family has a single cell, so there is nothing for ``jobs`` to
-    fan out; ``partitions`` is the intra-run parallelism and is
-    forwarded to the partition driver.
-    """
-    return run_scenario(SCALE_SCENARIO, config, partitions=partitions)

@@ -13,28 +13,26 @@ A family subclasses :class:`ScenarioSpec` and provides:
   picklable :class:`ScenarioCell` (e.g. one per (policy, load factor));
 * ``make_trace(config, cell)`` — the deterministic workload trace of a
   cell (cells may share a trace, see :meth:`ScenarioSpec.trace_key`);
-* ``build_platform(config, cell)`` — a fresh simulated testbed;
-* ``run_once(config, cell, trace)`` — replay the trace on the platform
-  and return the family's run result.  The result is what crosses the
-  process boundary, so it must pickle — and pickle compactly, which it
-  does by holding its outcomes in a
+* ``run_once(config, cell, trace)`` — build a fresh testbed, replay the
+  trace on it and return the family's run result.  The result is what
+  crosses the process boundary, so it must pickle — and pickle
+  compactly, which it does by holding its outcomes in a
   :class:`~repro.metrics.collector.ResponseTimeCollector`;
+* ``render(result)`` — the family's headline figure;
 
-and may override ``meta(config)`` (scenario-wide values for the result)
-or ``aggregate(config, cells, runs, trace_for)``, whose default keys
-each run by its cell into a :class:`ScenarioResult`.  The family's
-sub-command is generated from its config's fields (see
+and may override ``meta(config, trace_for)`` (scenario-wide values for
+the result) or ``aggregate(config, cells, runs, trace_for)``, whose
+default keys each run by its cell into a :class:`ScenarioResult`.  The
+family's sub-command is generated from its config's fields (see
 :mod:`repro.experiments.params`); ``config_from_flags`` and ``report``
 are the two places a family may bend it.
 
-:func:`run_scenario` is the single driver: it resolves the spec (by name
-through :mod:`repro.experiments.registry`), enumerates the cells, and
-runs them — in this process, or one task per cell on the supervised
-worker processes of :func:`repro.sim.partition.run_partitioned`.
-``jobs=`` dispatch lives *here and only here* — the per-family entry
-points (``PoissonSweep.run``, ``WikipediaReplay.run``,
-``run_resilience_comparison``, and every new family's CLI sub-command)
-are thin shims over this function.
+:func:`run_scenario` is the only entry point: it resolves the spec (by
+name through :mod:`repro.experiments.registry`), enumerates the cells,
+and runs them — in this process, or one task per cell on the supervised
+worker processes of :func:`repro.sim.partition.run_partitioned`.  The
+CLI, the benchmarks, the examples and the tests all run a family through
+it.
 
 Determinism contract
 --------------------
@@ -119,10 +117,11 @@ TraceProvider = Callable[[ScenarioCell], Trace]
 class ScenarioResult:
     """Generic aggregate of a scenario run: one entry per cell key.
 
-    What :meth:`ScenarioSpec.aggregate` builds by default.  Families
-    whose result carries data of its own (the Poisson sweep's saturation
-    rate, the Wikipedia replay's trace summary, the heavy-tail user
-    profile) aggregate into their own class instead.
+    What :meth:`ScenarioSpec.aggregate` builds by default; scenario-wide
+    data (the Wikipedia replay's trace summary, the heavy-tail user
+    profile, a saturation rate) goes in :attr:`meta`.  Only the Poisson
+    sweep, indexed by policy then load factor, and the one-run ``scale``
+    family aggregate into classes of their own.
     """
 
     scenario: str
@@ -205,15 +204,15 @@ class ScenarioSpec(ABC):
         return None
 
     @abstractmethod
-    def build_platform(self, config: Any, cell: ScenarioCell) -> Any:
-        """A fresh simulated testbed for one cell."""
-
-    @abstractmethod
     def run_once(self, config: Any, cell: ScenarioCell, trace: Trace) -> Any:
-        """Replay ``trace`` for one cell and return its (picklable) run result."""
+        """Replay ``trace`` on a fresh testbed; return the (picklable) run result."""
 
-    def meta(self, config: Any) -> Dict[str, Any]:
-        """Scenario-wide values the default :meth:`aggregate` records."""
+    def meta(self, config: Any, trace_for: TraceProvider) -> Dict[str, Any]:
+        """Scenario-wide values the default :meth:`aggregate` records.
+
+        ``trace_for`` gives the parent-side trace of a cell, for values
+        read off the workload rather than the runs.
+        """
         return {}
 
     def aggregate(
@@ -231,7 +230,7 @@ class ScenarioSpec(ABC):
             scenario=self.name,
             config=config,
             runs={cell.key: run for cell, run in zip(cells, runs)},
-            meta=self.meta(config),
+            meta=self.meta(config, trace_for),
         )
 
     # ------------------------------------------------------------------

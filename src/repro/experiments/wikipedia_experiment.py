@@ -12,33 +12,34 @@ Results are reported exactly as the paper does:
 * Figure 8 — whole-day CDF of wiki-page load times (plus the quartile
   comparison quoted in the text).
 
-The replay is expressed as a
+The replay is the ``wikipedia``
 :class:`~repro.experiments.scenario.ScenarioSpec` (one cell per policy,
-one shared trace); :class:`WikipediaReplay` is a thin entry point over
-that spec.
+one shared trace), run through
+:func:`~repro.experiments.scenario.run_scenario`; its result is a
+:class:`~repro.experiments.scenario.ScenarioResult` keyed by policy name,
+with the trace summary in ``meta["trace_summary"]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.errors import ExperimentError
 from repro.experiments import registry
 from repro.experiments.config import PolicySpec, TestbedConfig, WikipediaReplayConfig
-from repro.experiments.platform import Testbed, build_testbed
+from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import (
     ScenarioCell,
+    ScenarioResult,
     ScenarioSpec,
     TraceProvider,
-    run_scenario,
 )
 from repro.metrics.binning import TimeBinner
 from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.stats import quartiles
-from repro.workload.requests import KIND_STATIC, KIND_WIKI, RequestCatalog
+from repro.workload.requests import KIND_WIKI
 from repro.workload.trace import Trace
 from repro.workload.wikipedia import DiurnalRateCurve, SyntheticWikipediaWorkload
 
@@ -79,10 +80,6 @@ class WikipediaRunResult:
         """All wiki-page response times (Figure 8's CDF input)."""
         return self.collector.response_times(kind=KIND_WIKI)
 
-    def static_response_times(self) -> List[float]:
-        """Static-asset response times (the paper checks they are tiny)."""
-        return self.collector.response_times(kind=KIND_STATIC)
-
     def median_series(self) -> List[Tuple[float, float]]:
         """Per-bin median wiki-page load time (Figure 6, bottom panel)."""
         return self.wiki_binned().median_series(through=self.trace_duration)
@@ -98,26 +95,6 @@ class WikipediaRunResult:
     def wiki_quartiles(self) -> Tuple[float, float, float]:
         """Whole-day quartiles of the wiki-page load time (Figure 8 text)."""
         return quartiles(self.wiki_response_times())
-
-
-@dataclass
-class WikipediaReplayResult:
-    """Results of the replay under every configured policy."""
-
-    config: WikipediaReplayConfig
-    trace_summary: Dict[str, float]
-    runs: Dict[str, WikipediaRunResult] = field(default_factory=dict)
-
-    def run(self, policy_name: str) -> WikipediaRunResult:
-        """The run for one policy, by name."""
-        try:
-            return self.runs[policy_name]
-        except KeyError as exc:
-            raise ExperimentError(f"no run for policy {policy_name!r}") from exc
-
-    def policies(self) -> List[str]:
-        """Names of the replayed policies."""
-        return list(self.runs)
 
 
 class WikipediaScenario(ScenarioSpec):
@@ -156,24 +133,14 @@ class WikipediaScenario(ScenarioSpec):
     ) -> Trace:
         return make_wikipedia_trace(config)
 
-    def build_platform(
-        self, config: WikipediaReplayConfig, cell: ScenarioCell
-    ) -> Testbed:
-        policy = cell.param("policy")
-        return build_testbed(
-            config.testbed,
-            policy,
-            catalog=RequestCatalog(),
-            run_name=f"wikipedia-{policy.name}",
-        )
-
     def run_once(
         self, config: WikipediaReplayConfig, cell: ScenarioCell, trace: Trace
     ) -> WikipediaRunResult:
-        testbed = self.build_platform(config, cell)
+        policy = cell.param("policy")
+        testbed = build_testbed(config.testbed, policy, run_name=f"wikipedia-{policy.name}")
         testbed.run_trace(trace)
         return WikipediaRunResult(
-            policy=cell.param("policy"),
+            policy=policy,
             collector=testbed.collector,
             bin_width=config.bin_width,
             trace_duration=trace.duration,
@@ -181,42 +148,37 @@ class WikipediaScenario(ScenarioSpec):
             connections_reset=testbed.total_resets(),
         )
 
-    def aggregate(
-        self,
-        config: WikipediaReplayConfig,
-        cells: Sequence[ScenarioCell],
-        runs: Sequence[WikipediaRunResult],
-        trace_for: TraceProvider,
-    ) -> WikipediaReplayResult:
-        summary = trace_for(cells[0]).summary()
-        return WikipediaReplayResult(
-            config=config,
-            trace_summary={
+    def meta(
+        self, config: WikipediaReplayConfig, trace_for: TraceProvider
+    ) -> Dict[str, object]:
+        summary = trace_for(self.cells(config)[0]).summary()
+        return {
+            "trace_summary": {
                 "requests": float(summary.num_requests),
                 "duration": summary.duration,
                 "mean_rate": summary.mean_rate,
                 "mean_demand": summary.mean_demand,
-            },
-            runs={cell.key: run for cell, run in zip(cells, runs)},
-        )
+            }
+        }
 
-    def render(self, result: WikipediaReplayResult) -> str:
+    def render(self, result: ScenarioResult) -> str:
         from repro.experiments import figures
 
         return figures.render_figure6(result)
 
-    def report(self, result: WikipediaReplayResult) -> str:
+    def report(self, result: ScenarioResult) -> str:
         """Figure 6 between the trace banner and the whole-day quartiles."""
+        summary = result.meta["trace_summary"]
         lines = [
             "generated synthetic trace: "
-            f"{int(result.trace_summary['requests'])} requests over "
-            f"{result.trace_summary['duration']:.0f} s "
+            f"{int(summary['requests'])} requests over "
+            f"{summary['duration']:.0f} s "
             f"(replay fraction {result.config.replay_fraction:g})",
             "",
             self.render(result),
             "",
         ]
-        for name in result.policies():
+        for name in result.keys():
             _q1, median, q3 = result.run(name).wiki_quartiles()
             lines.append(
                 f"{name}: whole-day median={median:.3f} s, third quartile={q3:.3f} s"
@@ -226,25 +188,3 @@ class WikipediaScenario(ScenarioSpec):
 
 #: The registered spec instance (also reachable via ``registry.get``).
 WIKIPEDIA_SCENARIO = registry.register(WikipediaScenario())
-
-
-class WikipediaReplay:
-    """Replay the synthetic Wikipedia trace under each configured policy."""
-
-    def __init__(self, config: Optional[WikipediaReplayConfig] = None) -> None:
-        self.config = config or WikipediaReplayConfig()
-
-    def run(
-        self, trace: Optional[Trace] = None, jobs: Optional[int] = 1
-    ) -> WikipediaReplayResult:
-        """Generate (or reuse) the trace and replay it under every policy.
-
-        ``jobs`` fans the per-policy replays out over worker processes
-        (``None``/``0`` = all cores); ``jobs=1`` keeps the historical
-        in-process path.  Results are identical for any value — see
-        :mod:`repro.experiments.scenario` for the determinism contract.
-        An explicit ``trace`` is shipped to the workers verbatim; a
-        config-generated trace is cheaper to regenerate from the seed
-        than to pickle to the workers.
-        """
-        return run_scenario(WIKIPEDIA_SCENARIO, self.config, jobs=jobs, trace=trace)

@@ -9,7 +9,7 @@ samples into fixed-width bins and computes those per-bin series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 from repro.errors import ReproError
@@ -89,11 +89,6 @@ class TimeBinner:
         index = int((timestamp - self.start) // self.bin_width)
         self._bins.setdefault(index, []).append(value)
 
-    def add_many(self, samples: Sequence[Tuple[float, float]]) -> None:
-        """Add ``(timestamp, value)`` pairs in bulk."""
-        for timestamp, value in samples:
-            self.add(timestamp, value)
-
     def bins(self, through: Optional[float] = None) -> List[TimeBin]:
         """Materialise the bins, including empty ones, in time order.
 
@@ -138,13 +133,6 @@ class TimeBinner:
     ) -> List[Tuple[float, List[float]]]:
         """Per-bin deciles 1–9: ``(bin center, [d1..d9])``."""
         return [(bin_.center, bin_.deciles()) for bin_ in self.bins(through)]
-
-    def all_values(self) -> List[float]:
-        """Every sample across all bins (for whole-day CDFs)."""
-        values: List[float] = []
-        for bin_values in self._bins.values():
-            values.extend(bin_values)
-        return values
 
     def __len__(self) -> int:
         return len(self._bins)

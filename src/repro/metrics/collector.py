@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.metrics.binning import TimeBinner
-from repro.metrics.stats import SummaryStatistics, empirical_cdf, summarize
+from repro.metrics.stats import SummaryStatistics, summarize
 from repro.workload.client import RequestOutcome
 
 
@@ -38,13 +38,6 @@ class CollectorTotals:
     def total(self) -> int:
         """All finished queries, successful or not."""
         return self.completed + self.failed
-
-    @property
-    def failure_ratio(self) -> float:
-        """Fraction of queries that failed (reset)."""
-        if self.total == 0:
-            return 0.0
-        return self.failed / self.total
 
 
 @dataclass
@@ -176,10 +169,6 @@ class ResponseTimeCollector:
                 + (f" of kind {kind!r}" if kind else "")
             )
         return summarize(times)
-
-    def cdf(self, kind: Optional[str] = None):
-        """Empirical response-time CDF (Figures 3, 5 and 8)."""
-        return empirical_cdf(self.response_times(kind))
 
     def binned(
         self,

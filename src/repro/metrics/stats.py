@@ -10,7 +10,7 @@ interpolation, matching gnuplot's default used by the paper's plots).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,20 +30,6 @@ class SummaryStatistics:
     p90: float
     p99: float
     maximum: float
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict form, used by the reporting helpers."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.minimum,
-            "median": self.median,
-            "p75": self.p75,
-            "p90": self.p90,
-            "p99": self.p99,
-            "max": self.maximum,
-        }
 
 
 def summarize(values: Sequence[float]) -> SummaryStatistics:

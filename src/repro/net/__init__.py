@@ -37,7 +37,7 @@ __getattr__, __dir__, __all__ = exports(
             "make_syn",
             "reply_ports",
         ),
-        "router": ("LocalSIDTable", "NetworkNode", "Route", "RoutingTable"),
+        "router": ("LocalSIDTable", "NetworkNode"),
         "srh": ("SegmentRoutingHeader",),
         "ecmp": ("EcmpEdgeRouter", "EcmpEdgeStats", "five_tuple_key"),
         "tcp": (

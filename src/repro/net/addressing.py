@@ -112,11 +112,6 @@ class IPv6Address(int):
         """Parse from textual notation, e.g. ``"2001:db8::1"``."""
         return cls(_parse_ipv6(text))
 
-    @classmethod
-    def from_int(cls, value: int) -> "IPv6Address":
-        """Build from a 128-bit integer."""
-        return cls(value)
-
     def __str__(self) -> str:
         text = _TEXT_FORMS.get(self)
         if text is None:
@@ -134,10 +129,6 @@ class IPv6Address(int):
         if not 0 <= result <= _MAX_IPV6:
             raise AddressError(f"address arithmetic overflow: {self} + {offset}")
         return IPv6Address(result)
-
-    def is_within(self, prefix: "IPv6Prefix") -> bool:
-        """Whether this address belongs to ``prefix``."""
-        return prefix.contains(self)
 
 
 @dataclass(frozen=True)

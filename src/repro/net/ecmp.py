@@ -336,13 +336,6 @@ class EcmpEdgeRouter(NetworkNode):
         latency = self.fabric.latency if self.fabric is not None else 0.0
         self.channel.send(hop.receive, packet, latency, label)
 
-    def next_hop_share(self) -> Dict[str, float]:
-        """Fraction of spread packets handled by each next hop."""
-        total = sum(self.stats.per_next_hop.values())
-        if total == 0:
-            return {}
-        return {name: count / total for name, count in self.stats.per_next_hop.items()}
-
     def __repr__(self) -> str:
         return (
             f"EcmpEdgeRouter(name={self.name!r}, scheme={self.hash_scheme!r}, "

@@ -3,8 +3,8 @@
 The paper's experimental platform bridges the load balancer and the
 twelve application servers "on the same link, with routing tables
 statically configured".  The :class:`LANFabric` models exactly that: a
-switched Layer-2/3 segment where every node's addresses are directly
-reachable, VIP prefixes are advertised by the load balancer, and packet
+switched Layer-2/3 segment where every node's addresses (the VIP
+included, bound by the load balancer) are directly reachable, and packet
 delivery costs a small fixed latency.
 
 The fabric is the single place packets transit through, which makes it
@@ -20,10 +20,9 @@ from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import NetworkError, RoutingError
-from repro.net.addressing import IPv6Address, IPv6Prefix
+from repro.net.addressing import IPv6Address
 from repro.net.channel import DeliveryChannel, InProcessChannel
 from repro.net.packet import IPV6_HEADER_SIZE, TCP_HEADER_SIZE, Packet
-from repro.net.router import RoutingTable
 from repro.net.srh import SRH_FIXED_SIZE, SRH_SEGMENT_SIZE
 from repro.sim.engine import Simulator
 
@@ -57,11 +56,6 @@ class FabricStats:
     #: A ``[count]`` cell per destination node name, held by the fabric's
     #: send route: the per-hop update is a list-item increment.
     delivery_cells: Dict[str, List[int]] = field(default_factory=dict)
-
-    @property
-    def deliveries_per_node(self) -> Dict[str, int]:
-        """Packets delivered to each node, by node name."""
-        return {name: cell[0] for name, cell in self.delivery_cells.items()}
 
     @property
     def packets_delivered(self) -> int:
@@ -126,7 +120,6 @@ class LANFabric:
         )
         self._nodes: Dict[str, "NetworkNode"] = {}
         self._address_map: Dict[IPv6Address, "NetworkNode"] = {}
-        self._prefix_routes: RoutingTable["NetworkNode"] = RoutingTable()
         #: Names of nodes detached mid-run; checked at delivery time so
         #: in-flight packets to a detached sink are counted as
         #: ``packets_dropped_sink_detached`` instead of being delivered.
@@ -136,10 +129,9 @@ class LANFabric:
         #: event label, arrival, delivery cell)``.  This folds the
         #: address resolution, the interned per-destination label and
         #: arrival callable and the counter into one dict hit per packet.
-        #: Every topology mutation (address bind, prefix
-        #: advertise/withdraw, node registration or detach) clears the
-        #: memo wholesale, so a cached entry is always exactly what
-        #: resolve() would return.  The arrival closes only over
+        #: Every topology mutation (address bind, node registration or
+        #: detach) clears the memo wholesale, so a cached entry is always
+        #: exactly what resolve() would return.  The arrival closes only over
         #: per-destination constants (the node, its name, the stats
         #: object and the detached set — mutated in place, so shared
         #: arrivals see updates).
@@ -163,7 +155,7 @@ class LANFabric:
         self._send_routes.clear()
 
     def bind_address(self, address: IPv6Address, node: "NetworkNode") -> None:
-        """Bind an exact address to a node (wins over prefix routes)."""
+        """Bind an exact address to a node."""
         owner = self._address_map.get(address)
         if owner is not None and owner is not node:
             raise RoutingError(
@@ -172,25 +164,11 @@ class LANFabric:
         self._address_map[address] = node
         self._send_routes.clear()
 
-    def advertise_prefix(self, prefix: IPv6Prefix, node: "NetworkNode") -> None:
-        """Route a whole prefix (e.g. the VIP range) to a node.
-
-        This models the load balancer advertising VIP routes at the edge
-        of the data center.
-        """
-        self._prefix_routes.add_route(prefix, node)
-        self._send_routes.clear()
-
-    def withdraw_prefix(self, prefix: IPv6Prefix) -> bool:
-        """Withdraw a previously advertised prefix."""
-        self._send_routes.clear()
-        return self._prefix_routes.remove_route(prefix)
-
     def detach_node(self, node: "NetworkNode") -> None:
         """Remove ``node`` from the fabric entirely.
 
-        Its exact address bindings and advertised prefixes are withdrawn
-        (later sends drop as ``packets_dropped_no_route``), and packets
+        Its address bindings are withdrawn (later sends drop as
+        ``packets_dropped_no_route``), and packets
         already in flight toward it are dropped on arrival and counted
         as ``packets_dropped_sink_detached`` — the unified accounting
         documented on :class:`FabricStats`.
@@ -204,9 +182,6 @@ class LANFabric:
             for address, owner in self._address_map.items()
             if owner is not node
         }
-        for route in self._prefix_routes.routes():
-            if route.next_hop is node:
-                self._prefix_routes.remove_route(route.prefix)
         self._detached.add(node.name)
         self._send_routes.clear()
 
@@ -230,10 +205,7 @@ class LANFabric:
     # ------------------------------------------------------------------
     def resolve(self, address: IPv6Address) -> Optional["NetworkNode"]:
         """The node that should receive packets addressed to ``address``."""
-        node = self._address_map.get(address)
-        if node is not None:
-            return node
-        return self._prefix_routes.lookup_or_none(address)
+        return self._address_map.get(address)
 
     def send(self, packet: Packet, origin: Optional["NetworkNode"] = None) -> bool:
         """Deliver ``packet`` to the owner of its destination address.
@@ -250,9 +222,9 @@ class LANFabric:
         # The resolution, event label and arrival callable for a
         # destination address are all memoized in one dict hit (see
         # ``_send_routes``); the miss path below performs the same
-        # resolve() an uncached send would — exact binding first, prefix
-        # fallback second — and the memo is cleared on every topology
-        # mutation, so hits and misses are indistinguishable.  The
+        # resolve() an uncached send would, and the memo is cleared on
+        # every topology mutation, so hits and misses are
+        # indistinguishable.  The
         # hop-limit exception machinery and the Packet.size_bytes() /
         # SRH size arithmetic are inlined for the same
         # once-per-packet-hop reason.
@@ -260,8 +232,6 @@ class LANFabric:
         route = self._send_routes.get(dst)
         if route is None:
             destination = self._address_map.get(dst)
-            if destination is None:
-                destination = self._prefix_routes.lookup_or_none(dst)
             if destination is None:
                 # Unroutable sends are not cached: a later bind can make
                 # the same address routable.

@@ -186,14 +186,6 @@ class Link:
         else:
             raise NetworkError("node is not attached to this link")
 
-    def other_end(self, endpoint: PacketSink) -> PacketSink:
-        """The endpoint opposite to ``endpoint``."""
-        if endpoint is self._endpoints[0]:
-            return self._endpoints[1]
-        if endpoint is self._endpoints[1]:
-            return self._endpoints[0]
-        raise NetworkError("node is not attached to this link")
-
     def transmit(self, sender: PacketSink, packet: Packet) -> bool:
         """Send ``packet`` from ``sender`` to the opposite endpoint.
 

@@ -234,13 +234,6 @@ class Packet:
             ))  # fmt: skip
         return key
 
-    @property
-    def final_destination(self) -> IPv6Address:
-        """Where the packet is ultimately headed (last SRH segment if any)."""
-        if self.srh is not None:
-            return self.srh.final_segment
-        return self._dst
-
     # ------------------------------------------------------------------
     # segment routing helpers
     # ------------------------------------------------------------------
@@ -285,12 +278,6 @@ class Packet:
     # ------------------------------------------------------------------
     # forwarding helpers
     # ------------------------------------------------------------------
-    def decrement_hop_limit(self) -> None:
-        """Consume one hop; raises when the hop limit is exhausted."""
-        if self.hop_limit <= 1:
-            raise NetworkError(f"hop limit exhausted for packet {self.packet_id}")
-        self.hop_limit -= 1
-
     def size_bytes(self) -> int:
         """Total wire size (IPv6 + optional SRH + TCP segment)."""
         size = IPV6_HEADER_SIZE + self.tcp.size_bytes()

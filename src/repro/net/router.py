@@ -1,11 +1,9 @@
-"""Routing-table and network-node abstractions.
+"""Network-node abstractions.
 
 Two pieces live here:
 
-* :class:`RoutingTable` — a longest-prefix-match IPv6 routing table,
-  mirroring the "routing tables statically configured" of the paper's
-  testbed.  Both the LAN fabric and the per-server virtual routers use
-  it.
+* :class:`LocalSIDTable` — the SRv6 "My Local SID table" binding local
+  segment identifiers to behaviours;
 * :class:`NetworkNode` — the base class of every addressable entity in
   the simulated data center (clients, the load balancer, server virtual
   routers).  A node owns a set of addresses, is attached to a fabric,
@@ -14,90 +12,16 @@ Two pieces live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Generic,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-    TypeVar,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import RoutingError
-from repro.net.addressing import IPv6Address, IPv6Prefix
+from repro.net.addressing import IPv6Address
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.fabric import LANFabric
-
-NextHopT = TypeVar("NextHopT")
-
-
-@dataclass(frozen=True)
-class Route(Generic[NextHopT]):
-    """A single routing-table entry."""
-
-    prefix: IPv6Prefix
-    next_hop: NextHopT
-    metric: int = 0
-
-
-class RoutingTable(Generic[NextHopT]):
-    """Longest-prefix-match routing table.
-
-    The next-hop type is generic: the LAN fabric stores node objects,
-    while stand-alone router examples may store interface names.  With a
-    handful of prefixes per table (the testbed has four roles), a sorted
-    linear scan is both simple and fast enough; entries are kept sorted
-    by decreasing prefix length so the first match is the longest one.
-    """
-
-    def __init__(self) -> None:
-        self._routes: List[Route[NextHopT]] = []
-
-    def add_route(
-        self, prefix: IPv6Prefix, next_hop: NextHopT, metric: int = 0
-    ) -> None:
-        """Install a route; replaces an existing route for the same prefix."""
-        self._routes = [
-            route for route in self._routes if route.prefix != prefix
-        ]
-        self._routes.append(Route(prefix=prefix, next_hop=next_hop, metric=metric))
-        self._routes.sort(key=lambda route: (-route.prefix.length, route.metric))
-
-    def remove_route(self, prefix: IPv6Prefix) -> bool:
-        """Remove the route for ``prefix``; returns whether one existed."""
-        before = len(self._routes)
-        self._routes = [route for route in self._routes if route.prefix != prefix]
-        return len(self._routes) != before
-
-    def lookup(self, address: IPv6Address) -> NextHopT:
-        """Longest-prefix-match lookup; raises ``RoutingError`` on miss."""
-        match = self.lookup_or_none(address)
-        if match is None:
-            raise RoutingError(f"no route to {address}")
-        return match
-
-    def lookup_or_none(self, address: IPv6Address) -> Optional[NextHopT]:
-        """Like :meth:`lookup` but returns ``None`` on miss."""
-        for route in self._routes:
-            if route.prefix.contains(address):
-                return route.next_hop
-        return None
-
-    def routes(self) -> Tuple[Route[NextHopT], ...]:
-        """All installed routes, most-specific first."""
-        return tuple(self._routes)
-
-    def __len__(self) -> int:
-        return len(self._routes)
-
 
 #: A local SID behaviour: called with the packet; returns ``True`` if the
 #: packet was consumed locally, ``False`` if normal forwarding should
@@ -121,17 +45,9 @@ class LocalSIDTable:
         """Bind ``behavior`` to ``sid``; re-registration overwrites."""
         self._behaviors[sid] = behavior
 
-    def unregister(self, sid: IPv6Address) -> None:
-        """Remove a SID binding if present."""
-        self._behaviors.pop(sid, None)
-
     def lookup(self, address: IPv6Address) -> Optional[LocalSIDBehavior]:
         """The behaviour bound to ``address``, or ``None``."""
         return self._behaviors.get(address)
-
-    def sids(self) -> Iterable[IPv6Address]:
-        """All registered SIDs."""
-        return tuple(self._behaviors)
 
     def __contains__(self, address: IPv6Address) -> bool:
         return address in self._behaviors

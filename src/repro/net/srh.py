@@ -106,16 +106,6 @@ class SegmentRoutingHeader:
         return self.segments[self.segments_left]
 
     @property
-    def final_segment(self) -> IPv6Address:
-        """The last segment of the source route (``segments[0]``)."""
-        return self.segments[0]
-
-    @property
-    def num_segments(self) -> int:
-        """Total number of segments carried by the header."""
-        return len(self.segments)
-
-    @property
     def exhausted(self) -> bool:
         """True once the final segment is active (``SegmentsLeft == 0``)."""
         return self.segments_left == 0
@@ -123,23 +113,6 @@ class SegmentRoutingHeader:
     def traversal_order(self) -> Tuple[IPv6Address, ...]:
         """The full segment list, in the order segments are visited."""
         return tuple(reversed(self.segments))
-
-    def remaining_traversal(self) -> Tuple[IPv6Address, ...]:
-        """Segments still to be visited (active segment first)."""
-        return tuple(
-            self.segments[index]
-            for index in range(self.segments_left, -1, -1)
-        )
-
-    def next_segment(self) -> IPv6Address:
-        """The segment after the active one.
-
-        Service Hunting uses this to forward a refused connection to the
-        "second server in the SR list" (paper, Algorithm 1).
-        """
-        if self.exhausted:
-            raise SegmentRoutingError("no next segment: SegmentsLeft is already 0")
-        return self.segments[self.segments_left - 1]
 
     # ------------------------------------------------------------------
     # mutation

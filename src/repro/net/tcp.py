@@ -108,21 +108,6 @@ class TCPConnection:
         if new_state in (ConnectionState.CLOSED, ConnectionState.RESET) and at is not None:
             self.closed_at = at
 
-    @property
-    def is_open(self) -> bool:
-        """Whether the connection is still in a live state."""
-        return self.state in (
-            ConnectionState.SYN_SENT,
-            ConnectionState.SYN_RECEIVED,
-            ConnectionState.ESTABLISHED,
-            ConnectionState.FIN_WAIT,
-        )
-
-    @property
-    def was_reset(self) -> bool:
-        """Whether the connection ended with a RST."""
-        return self.state is ConnectionState.RESET
-
 
 class EphemeralPortAllocator:
     """Round-robin ephemeral source-port allocator for a client node."""

@@ -46,11 +46,6 @@ class ListenBacklog:
         """Number of connections currently waiting to be accepted."""
         return len(self._queue)
 
-    @property
-    def is_full(self) -> bool:
-        """Whether a new connection would overflow the queue."""
-        return len(self._queue) >= self.capacity
-
     def try_admit(self, connection_id: int) -> bool:
         """Admit a connection if there is room.
 
@@ -86,12 +81,6 @@ class ListenBacklog:
         connection_id = self._queue.popleft()
         self._members.discard(connection_id)
         return connection_id
-
-    def peek_next(self) -> Optional[int]:
-        """The oldest waiting connection without removing it."""
-        if not self._queue:
-            return None
-        return self._queue[0]
 
     def remove(self, connection_id: int) -> bool:
         """Remove a specific connection (e.g. reset by the client)."""

@@ -71,11 +71,6 @@ class ServerConnection:
     completed_at: Optional[float] = None
     demand: Optional[float] = None
 
-    @property
-    def has_worker(self) -> bool:
-        """Whether a worker process has accepted this connection."""
-        return self.worker_slot is not None
-
 
 @dataclass
 class ServerAppStats:

@@ -111,10 +111,6 @@ class ServerNode(NetworkNode):
         """
         self.hunting.draining = True
 
-    def stop_draining(self) -> None:
-        """Resume accepting new flows (a cancelled scale-down)."""
-        self.hunting.draining = False
-
     @property
     def draining(self) -> bool:
         """Whether the server is refusing new flows for a graceful drain."""
@@ -128,11 +124,6 @@ class ServerNode(NetworkNode):
         quiescent it can be detached without breaking any flow.
         """
         return self.app.open_connections == 0 and self.app.busy_threads == 0
-
-    @property
-    def bound_vips(self) -> Set[IPv6Address]:
-        """VIPs served by the local application instance (copy)."""
-        return set(self._bound_vips)
 
     # ------------------------------------------------------------------
     # packet processing

@@ -76,10 +76,6 @@ class WorkerPool:
         self._free_slots.append(slot)
         self._scoreboard._set_state(slot, _IDLE)
 
-    def is_busy(self, slot: int) -> bool:
-        """Whether a given slot is currently serving a connection."""
-        return slot in self._busy_slots
-
     def __repr__(self) -> str:
         return (
             f"WorkerPool(workers={self.num_workers}, busy={self.busy_workers}, "

@@ -6,7 +6,7 @@ See docs/architecture.md ("Telemetry plane") for the cast:
 * :mod:`repro.telemetry.bus` — named per-tier series in fixed-size ring
   buffers, with the picklable :class:`TelemetryPayload` export;
 * :mod:`repro.telemetry.recorder` — the bounded flight recorder that
-  dumps the last N simulated seconds on an SLO breach or quarantine;
+  dumps the last N simulated seconds on a watchdog quarantine;
 * :mod:`repro.telemetry.anomaly` — EWMA-residual detectors emitting
   typed :class:`AnomalyEvent` objects;
 * :mod:`repro.telemetry.probe` — the periodic sampling task wired onto

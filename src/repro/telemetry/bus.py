@@ -258,11 +258,6 @@ class TelemetryPayload:
             ) from exc
         return self.times[index], self.values[index]
 
-    def kind_of(self, name: str) -> str:
-        """The kind (``counter``/``gauge``) of one series."""
-        self.series(name)
-        return self.kinds[self.names.index(name)]
-
     @classmethod
     def merge(cls, payloads: Sequence["TelemetryPayload"]) -> "TelemetryPayload":
         """Fold several payloads into one, deterministically.

@@ -23,13 +23,13 @@ exactly this.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.sim.engine import PeriodicTask
 from repro.telemetry import runtime
 from repro.telemetry.anomaly import AnomalyMonitor
 from repro.telemetry.bus import TelemetryBus, TelemetryPayload
-from repro.telemetry.recorder import DEFAULT_WINDOW, FlightRecorder
+from repro.telemetry.recorder import FlightRecorder
 from repro.telemetry.sources import TelemetryFleetMonitor, WatchdogTelemetryFeed
 
 #: Series the anomaly monitor watches by default.
@@ -52,9 +52,6 @@ class TelemetryProbe:
         self.anomalies = AnomalyMonitor()
         for series in DEFAULT_WATCHED:
             self.anomalies.watch(series)
-        #: ``(series, threshold, window)`` SLO rules; one dump each.
-        self._slo_rules: List[Tuple[str, float, float]] = []
-        self._slo_tripped: set = set()
         self._fault_pipeline: Any = None
         self.samples_taken = 0
         self._task = PeriodicTask(
@@ -85,12 +82,6 @@ class TelemetryProbe:
     def watch_faults(self, pipeline: Any) -> None:
         """Start sampling a fault pipeline's per-reason counters."""
         self._fault_pipeline = pipeline
-
-    def add_slo(
-        self, series: str, threshold: float, window: float = DEFAULT_WINDOW
-    ) -> None:
-        """Trip a flight dump when ``series`` reaches ``threshold``."""
-        self._slo_rules.append((series, threshold, window))
 
     # ------------------------------------------------------------------
     # control-plane sources
@@ -177,7 +168,7 @@ class TelemetryProbe:
             kind="counter", tier="client",
         )
 
-        # Anomaly detection over the watched gauges, then SLO rules.
+        # Anomaly detection over the watched gauges.
         for series in self.anomalies.watched():
             if series in bus:
                 event = self.anomalies.observe(series, now, bus.series(series).latest)
@@ -185,12 +176,6 @@ class TelemetryProbe:
                     self.recorder.record(
                         now, "anomaly", f"{event.kind}:{event.series}", event.value
                     )
-        for series, threshold, window in self._slo_rules:
-            if series in self._slo_tripped or series not in bus:
-                continue
-            if bus.series(series).latest >= threshold:
-                self._slo_tripped.add(series)
-                self.recorder.trip(f"slo:{series}", now, window)
 
     # ------------------------------------------------------------------
     # export

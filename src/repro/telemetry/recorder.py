@@ -5,8 +5,7 @@ watchdog strikes, fault-plane drops, control-plane actions) and pay two
 array writes per event: labels are interned to small integer codes and
 events live in preallocated array-backed slots, so a recorder attached
 to a hot run costs no per-event allocation.  When something *trips* —
-an SLO breach detected by the telemetry probe, or a watchdog quarantine
-— the recorder freezes the last N simulated seconds into a
+a watchdog quarantine — the recorder freezes the last N simulated seconds into a
 JSON-serialisable :class:`FlightDump` (the black-box readout of what
 the data plane was doing just before the incident).
 """

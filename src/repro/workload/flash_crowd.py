@@ -79,13 +79,6 @@ class SteppedPoissonWorkload:
         """Expected number of arrivals over the schedule."""
         return sum(phase.duration * phase.rate for phase in self.phases)
 
-    def phase_boundaries(self) -> List[float]:
-        """Trace times at which each phase begins (plus the final end)."""
-        boundaries = [self.start_time]
-        for phase in self.phases:
-            boundaries.append(boundaries[-1] + phase.duration)
-        return boundaries
-
     def generate(self, rng: np.random.Generator) -> Trace:
         """Generate the trace of arrivals and CPU demands.
 

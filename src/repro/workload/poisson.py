@@ -10,12 +10,13 @@ experiments then sweep the normalized request rate ρ = λ/λ₀ across
 :class:`PoissonWorkload` generates such traces.  The rate can be given
 either directly (``rate``) or as a normalized load factor (``rho``
 together with ``saturation_rate``), matching how the experiments are
-parameterised.
+parameterised, and :func:`poisson_trace` is the one recipe every
+Poisson-driven scenario family draws its trace from.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -100,18 +101,30 @@ class PoissonWorkload:
         ]
         return Trace(requests, name=f"poisson-{self.rate:g}qps")
 
-    def expected_duration(self) -> float:
-        """Expected length of the generated trace, in seconds."""
-        return self.num_queries / self.rate
-
-    def offered_load(self, total_cores: int) -> float:
-        """Offered CPU load as a fraction of ``total_cores`` capacity."""
-        if total_cores <= 0:
-            raise WorkloadError(f"total_cores must be positive, got {total_cores!r}")
-        return self.rate * self.service_model.mean() / total_cores
-
     def __repr__(self) -> str:
         return (
             f"PoissonWorkload(rate={self.rate:g}, queries={self.num_queries}, "
             f"service={self.service_model.describe()})"
         )
+
+
+def poisson_trace(
+    load_factor: float,
+    saturation_rate: float,
+    num_queries: int,
+    service_mean: float,
+    seed: Sequence[int],
+) -> Trace:
+    """The §V trace: arrivals at ρ·λ₀, exponential demands of ``service_mean``.
+
+    The generator is seeded from the ``seed`` words alone, so a family
+    that keys them on the workload (not the testbed or the policy)
+    replays one trace under every cell of a comparison.
+    """
+    workload = PoissonWorkload.from_load_factor(
+        rho=load_factor,
+        saturation_rate=saturation_rate,
+        num_queries=num_queries,
+        service_model=ExponentialServiceTime(service_mean),
+    )
+    return workload.generate(np.random.default_rng(list(seed)))

@@ -112,10 +112,6 @@ class RequestCatalog:
         """CPU demand (seconds) of a request — the server-side lookup."""
         return self.get(request_id).service_demand
 
-    def response_size_of(self, request_id: int) -> int:
-        """Response payload size of a request."""
-        return self.get(request_id).response_size
-
     def __contains__(self, request_id: int) -> bool:
         return request_id in self._requests
 

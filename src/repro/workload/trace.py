@@ -90,85 +90,9 @@ class Trace:
             kinds=kinds,
         )
 
-    def arrival_rate_in(self, start: float, end: float) -> float:
-        """Mean arrival rate (requests/second) over a time window."""
-        if end <= start:
-            raise WorkloadError(f"invalid window [{start!r}, {end!r})")
-        count = sum(1 for request in self._requests if start <= request.arrival_time < end)
-        return count / (end - start)
-
     # ------------------------------------------------------------------
     # transformations (all return new traces)
     # ------------------------------------------------------------------
-    def slice_time(self, start: float, end: float) -> "Trace":
-        """Requests arriving in ``[start, end)``, re-based to start at 0."""
-        if end <= start:
-            raise WorkloadError(f"invalid window [{start!r}, {end!r})")
-        selected = [
-            Request(
-                request_id=request.request_id,
-                arrival_time=request.arrival_time - start,
-                service_demand=request.service_demand,
-                kind=request.kind,
-                url=request.url,
-                response_size=request.response_size,
-                user_id=request.user_id,
-            )
-            for request in self._requests
-            if start <= request.arrival_time < end
-        ]
-        return Trace(selected, name=f"{self.name}[{start:g}:{end:g}]")
-
-    def thin(self, keep_fraction: float, rng: np.random.Generator) -> "Trace":
-        """Keep each request independently with probability ``keep_fraction``.
-
-        This is how "replaying X % of the trace" is expressed: thinning a
-        Poisson-like arrival process scales its rate without distorting
-        its structure.
-        """
-        if not 0 < keep_fraction <= 1:
-            raise WorkloadError(
-                f"keep fraction must be in (0, 1], got {keep_fraction!r}"
-            )
-        kept = [
-            request
-            for request in self._requests
-            if float(rng.uniform()) < keep_fraction
-        ]
-        return Trace(kept, name=f"{self.name}@{keep_fraction:g}")
-
-    def compress_time(self, factor: float) -> "Trace":
-        """Divide all arrival times by ``factor`` (a 24 h day becomes 24/factor h).
-
-        Compression raises the instantaneous arrival rate by ``factor``;
-        it is the experiment harness's job to scale capacity or rates
-        accordingly.  The harness instead uses :meth:`resample_diurnal`
-        from the Wikipedia generator, which preserves instantaneous
-        rates; plain compression is kept for tests and custom studies.
-        """
-        if factor <= 0:
-            raise WorkloadError(f"compression factor must be positive, got {factor!r}")
-        compressed = [
-            Request(
-                request_id=request.request_id,
-                arrival_time=request.arrival_time / factor,
-                service_demand=request.service_demand,
-                kind=request.kind,
-                url=request.url,
-                response_size=request.response_size,
-                user_id=request.user_id,
-            )
-            for request in self._requests
-        ]
-        return Trace(compressed, name=f"{self.name}/x{factor:g}")
-
-    def filter_kind(self, kind: str) -> "Trace":
-        """Requests of a single kind (e.g. only wiki pages)."""
-        return Trace(
-            [request for request in self._requests if request.kind == kind],
-            name=f"{self.name}:{kind}",
-        )
-
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------

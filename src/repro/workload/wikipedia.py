@@ -83,10 +83,6 @@ class DiurnalRateCurve:
         """Upper bound of the curve (used by the thinning sampler)."""
         return self.mean_rate + self.amplitude + abs(self.second_harmonic)
 
-    def mean_over_day(self) -> float:
-        """Average rate over a full day (the harmonics integrate to zero)."""
-        return self.mean_rate
-
 
 class SyntheticWikipediaWorkload:
     """Generator of the synthetic 24-hour Wikipedia replay trace.
@@ -221,23 +217,6 @@ class SyntheticWikipediaWorkload:
                 )
 
         return Trace(requests, name=f"wikipedia-{self.replay_fraction:g}x")
-
-    def expected_request_count(self) -> float:
-        """Expected number of requests in the generated trace."""
-        wiki = self.curve.mean_over_day() * self.replay_fraction * self.duration
-        return wiki * (1.0 + self.static_per_wiki)
-
-    def offered_peak_load(self, total_cores: int) -> float:
-        """Peak offered CPU load as a fraction of total core capacity."""
-        if total_cores <= 0:
-            raise WorkloadError(f"total_cores must be positive, got {total_cores!r}")
-        wiki = self.peak_wiki_rate() * self.wiki_service_model.mean()
-        static = (
-            self.peak_wiki_rate()
-            * self.static_per_wiki
-            * self.static_service_model.mean()
-        )
-        return (wiki + static) / total_cores
 
     def __repr__(self) -> str:
         return (

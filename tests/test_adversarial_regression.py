@@ -14,12 +14,13 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.experiments.adversarial_experiment import (
+    ADVERSARIAL_SCENARIO,
     _attach_flood,
     _attach_gray_failure,
-    _build_adversarial_platform,
-    make_adversarial_trace,
 )
 from repro.experiments.config import AdversarialConfig, TestbedConfig
+from repro.experiments.platform import build_testbed
+from repro.experiments.scenario import ScenarioCell
 
 
 def _small_config(**overrides):
@@ -43,11 +44,19 @@ def _small_config(**overrides):
     return AdversarialConfig(**defaults)
 
 
+def _trace(config):
+    return ADVERSARIAL_SCENARIO.make_trace(config, ScenarioCell("baseline"))
+
+
+def _testbed(config, mode):
+    return build_testbed(config.testbed, config.policy, run_name=f"adversarial-{mode}")
+
+
 def _run_mode(config, mode):
-    """Run one attack mode like ``run_adversarial_once`` but keep the
+    """Run one attack mode like the spec's ``run_once`` but keep the
     testbed for post-mortem inspection."""
-    trace = make_adversarial_trace(config)
-    testbed = _build_adversarial_platform(config, mode)
+    trace = _trace(config)
+    testbed = _testbed(config, mode)
     tier = testbed.lb_tier
     for instance in tier.instances:
         instance.start_housekeeping(config.housekeeping_interval)
@@ -119,11 +128,9 @@ def test_gray_failure_quarantine_drains_mid_flow_without_resets():
     # The scenario's smoke config: its trace is long enough for the
     # watchdog's consecutive-strike detection to fit inside the
     # degradation window (the golden fingerprints pin the same run).
-    from repro.experiments.adversarial_experiment import ADVERSARIAL_SCENARIO
-
     config = ADVERSARIAL_SCENARIO.smoke_config()
-    trace = make_adversarial_trace(config)
-    testbed = _build_adversarial_platform(config, "gray-failure")
+    trace = _trace(config)
+    testbed = _testbed(config, "gray-failure")
     victim = testbed.servers[0]
     tier = testbed.lb_tier
     for instance in tier.instances:
@@ -163,7 +170,7 @@ def test_gray_failure_quarantine_drains_mid_flow_without_resets():
 
 def test_retire_server_refuses_a_second_drain():
     config = _small_config()
-    testbed = _build_adversarial_platform(config, "baseline")
+    testbed = _testbed(config, "baseline")
     victim = testbed.servers[0]
     pools_before = {
         instance.name: list(instance.backends_for(testbed.vip))

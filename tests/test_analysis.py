@@ -53,13 +53,6 @@ class TestSupermarketModel:
         benefits = marginal_benefit(0.9, max_choices=5)
         assert benefits[0] > benefits[1] > benefits[2]
 
-    def test_compare_choices_rows(self):
-        comparison = compare_choices(0.9, [1, 2, 4])
-        rows = comparison.as_rows()
-        assert len(rows) == 3
-        assert rows[0][2] == pytest.approx(1.0)   # d = 1 vs itself
-        assert rows[1][2] > 1.0                   # d = 2 speed-up
-
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ReproError):
             tail_probabilities(1.2, 2)

@@ -103,6 +103,70 @@ class TestNonFiniteValues:
         assert time.perf_counter() - started < 5.0
 
 
+#: Numeric flags that declare no bound of their own: a cross-field rule
+#: of their config holds each (or, for a flag that is not a field, the
+#: value it derives), and names it in its error.
+CROSS_FIELD_FLAGS = {
+    ("adversarial", "--collision-target"),  # an index into the tier
+    ("autoscale", "--max-servers"),  # >= --min-servers
+    ("scale", "--queries"),  # >= --pods
+    ("chaos", "--shed-watermark"),  # in [0, backlog capacity]
+    ("resilience", "--kill-at"),  # a churn event's at_fraction
+    ("resilience", "--add-at"),
+    ("autoscale", "--time-factor"),  # AutoscaleConfig.scaled
+}
+
+INT_FLAGS = [
+    pytest.param(spec, declared, id=f"{spec.name}{declared.flag}")
+    for spec in SPECS
+    for declared in _flags(spec)
+    if declared.kind is int
+]
+
+
+def _below_bound(declared):
+    """The largest of 0 and -1 that ``declared`` does not accept."""
+    for value in (0, -1):
+        try:
+            declared.bound(declared.dest, value)
+        except ReproError:
+            return value
+    raise AssertionError(f"{declared.flag} accepts both 0 and -1")
+
+
+class TestBounds:
+    """Every numeric flag has a legal range, enforced before any process."""
+
+    def test_every_numeric_flag_declares_a_bound_or_choices(self):
+        unbounded = {
+            (spec.name, declared.flag)
+            for spec in SPECS
+            for declared in _flags(spec)
+            if declared.kind in (int, float)
+            and declared.bound is None
+            and declared.choices is None
+        }
+        assert unbounded == CROSS_FIELD_FLAGS
+
+    @pytest.mark.parametrize("spec, declared", INT_FLAGS)
+    def test_an_int_below_its_bound_fails_by_name_before_any_process(
+        self, spec, declared, monkeypatch, capsys
+    ):
+        def refuse(process):
+            raise AssertionError(f"{process.name} was started for an invalid config")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        value = -1 if declared.bound is None else _below_bound(declared)
+        options = _subparser(spec.name)._option_string_actions
+        fan_out = "--jobs" if "--jobs" in options else "--partitions"
+        status = main([spec.name, declared.flag, str(value), fan_out, "2"])
+        captured = capsys.readouterr()
+        assert status == 2, captured
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and declared.path[-1] in line, line
+
+
 class TestUnknownNames:
     """A policy, selector or scheme typo fails before any process starts."""
 
@@ -256,9 +320,6 @@ class _EchoScenario(ScenarioSpec):
 
     def make_trace(self, config, cell):
         return Trace((), name="echo")
-
-    def build_platform(self, config, cell):
-        return None
 
     def run_once(self, config, cell, trace):
         return f"{cell.key} x{config.volume:g} on {config.testbed.num_servers}"

@@ -28,6 +28,11 @@ from repro.server.cpu import FIFOCPU, ProcessorSharingCPU
 from repro.sim.engine import Simulator
 
 
+def _busy_fraction_series(monitor):
+    """``(time, smoothed busy fraction)`` per sample, as a figure plots it."""
+    return [(sample.time, sample.smoothed_busy_fraction) for sample in monitor.samples()]
+
+
 def _sample(time=0.0, smoothed=0.5, servers=4, workers=32):
     return FleetSample(
         time=time,
@@ -91,7 +96,7 @@ class TestFleetMonitor:
         monitor.observe(1.0, [_stub_server()])
         assert len(monitor) == 2
         assert monitor.latest.time == 1.0
-        assert [time for time, _ in monitor.busy_fraction_series()] == [0.0, 1.0]
+        assert [time for time, _ in _busy_fraction_series(monitor)] == [0.0, 1.0]
 
 
 class TestReactivePolicy:

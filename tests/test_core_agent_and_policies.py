@@ -16,29 +16,37 @@ from repro.core.policies import (
 from repro.errors import PolicyError
 
 
+class _SettableLoadView(StaticLoadView):
+    """A fixed load view whose busy count a test moves."""
+
+    def set_busy(self, busy: int) -> None:
+        self._busy = busy
+
+
+def _idle_threads(agent: ApplicationAgent) -> int:
+    """Idle worker threads, read through the agent."""
+    return agent.total_threads() - agent.busy_threads()
+
+
 class TestApplicationAgent:
     def test_busy_and_idle_threads(self):
         agent = ApplicationAgent(StaticLoadView(busy=5, slots=32))
         assert agent.busy_threads() == 5
-        assert agent.idle_threads() == 27
+        assert _idle_threads(agent) == 27
         assert agent.total_threads() == 32
 
     def test_cpu_load_estimate(self):
         agent = ApplicationAgent(StaticLoadView(busy=6, slots=32), cpu_cores=2)
         assert agent.estimated_cpu_load() == pytest.approx(3.0)
 
-    def test_utilization_fraction(self):
-        agent = ApplicationAgent(StaticLoadView(busy=8, slots=32))
-        assert agent.utilization_fraction() == pytest.approx(0.25)
-
     def test_reads_counter(self):
         agent = ApplicationAgent(StaticLoadView(busy=1, slots=4))
         agent.busy_threads()
-        agent.idle_threads()
+        _idle_threads(agent)
         assert agent.reads == 2
 
     def test_agent_tracks_live_scoreboard(self):
-        view = StaticLoadView(busy=0, slots=4)
+        view = _SettableLoadView(busy=0, slots=4)
         agent = make_agent(view)
         assert agent.busy_threads() == 0
         view.set_busy(3)

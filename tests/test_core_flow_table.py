@@ -14,6 +14,11 @@ def _flow(port):
     )
 
 
+def _entry(table, flow):
+    """The table's entry for ``flow``, read without refreshing it."""
+    return next(entry for entry in table.entries() if entry.flow_key == flow)
+
+
 def _server(index):
     return IPv6Address.parse(f"fd00:100::{index:x}")
 
@@ -49,7 +54,7 @@ class TestLearningAndSteering:
         table.learn(_flow(1), _server(1), now=0.0)
         for step in range(3):
             table.steer(_flow(1), now=float(step))
-        assert table.peek(_flow(1)).packets_steered == 3
+        assert _entry(table, _flow(1)).packets_steered == 3
 
     def test_contains_and_len(self):
         table = FlowTable()
@@ -96,15 +101,6 @@ class TestCapacity:
 
 
 class TestDistribution:
-    def test_server_distribution(self):
-        table = FlowTable()
-        table.learn(_flow(1), _server(1), now=0.0)
-        table.learn(_flow(2), _server(1), now=0.0)
-        table.learn(_flow(3), _server(2), now=0.0)
-        distribution = table.server_distribution()
-        assert distribution[_server(1)] == 2
-        assert distribution[_server(2)] == 1
-
     def test_entries_snapshot(self):
         table = FlowTable()
         table.learn(_flow(1), _server(1), now=0.0)

@@ -161,14 +161,6 @@ class TestSteering:
         assert lb.stats.resets_sent == 1
         assert client.received[-1].tcp.has(TCPFlag.RST)
 
-    def test_acceptance_share(self, simulator, lb_setup):
-        fabric, lb, servers, client = lb_setup
-        self._learn_flow(simulator, lb, servers, client, port=20_000)
-        self._learn_flow(simulator, lb, servers, client, port=20_001)
-        share = lb.acceptance_share()
-        assert share[servers[1].primary_address] == pytest.approx(1.0)
-
-
 class TestBackendManagement:
     def test_register_requires_servers(self, simulator):
         lb = LoadBalancerNode(

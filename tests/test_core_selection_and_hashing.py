@@ -139,18 +139,6 @@ class TestSelectorFactory:
 
 
 class TestMaglevTable:
-    def test_every_slot_is_assigned(self):
-        table = MaglevTable(_servers(5), table_size=127)
-        shares = table.slot_shares()
-        assert sum(shares.values()) == pytest.approx(1.0)
-        assert len(shares) == 5
-
-    def test_shares_are_roughly_uniform(self):
-        table = MaglevTable(_servers(8), table_size=1021)
-        shares = table.slot_shares()
-        for share in shares.values():
-            assert share == pytest.approx(1 / 8, rel=0.25)
-
     def test_lookup_is_deterministic(self):
         table = MaglevTable(_servers(8), table_size=1021)
         assert table.lookup("flow-1") == table.lookup("flow-1")
@@ -164,15 +152,6 @@ class TestMaglevTable:
         table = MaglevTable(_servers(3), table_size=127)
         with pytest.raises(SelectionError):
             table.lookup_chain("flow-1", 4)
-
-    def test_minimal_disruption_on_backend_removal(self):
-        servers = _servers(10)
-        before = MaglevTable(servers, table_size=2039)
-        after = MaglevTable(servers[:-1], table_size=2039)
-        disruption = before.disruption_versus(after)
-        # Removing 1 backend out of 10 should remap roughly 10 % of slots,
-        # far from a full reshuffle.
-        assert disruption < 0.30
 
     def test_duplicate_backends_rejected(self):
         server = _servers(1)[0]

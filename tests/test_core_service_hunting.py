@@ -105,15 +105,6 @@ class TestOptionalDecision:
 
 
 class TestStatsAndReset:
-    def test_acceptance_ratio_counts_only_optional_offers(self):
-        processor = _processor(StaticThresholdPolicy(4), busy=0)
-        for _ in range(3):
-            processor.process(_hunting_packet([SERVER1, SERVER2]))
-        # One forced accept must not affect the optional ratio.
-        processor.process(_hunting_packet([SERVER1]))
-        assert processor.stats.optional_acceptance_ratio == pytest.approx(1.0)
-        assert processor.stats.accepted_total == 4
-
     def test_reset_clears_stats_and_policy(self):
         policy = DynamicThresholdPolicy(initial_threshold=1, window_size=5)
         processor = _processor(policy, busy=32)

@@ -15,15 +15,15 @@ from repro.experiments.autoscale_experiment import (
     AUTOSCALE_SCENARIO,
     make_diurnal_trace,
     make_diurnal_workload,
-    run_autoscale,
 )
 from repro.experiments.config import AutoscaleConfig
+from repro.experiments.scenario import run_scenario
 
 
 @pytest.fixture(scope="module")
 def smoke_result():
     """One serial smoke run shared by every test in the module."""
-    return run_autoscale(AUTOSCALE_SCENARIO.smoke_config(), jobs=1)
+    return run_scenario("autoscale", AUTOSCALE_SCENARIO.smoke_config(), jobs=1)
 
 
 class TestConfigValidation:
@@ -105,7 +105,7 @@ class TestSmokeRun:
         config = smoke_result.config
         static = smoke_result.run("static")
         assert static.capacity_seconds == pytest.approx(
-            config.max_servers * config.cores_per_server * config.duration
+            config.max_servers * config.testbed.cores_per_server * config.duration
         )
         assert static.capacity.events == []
         assert static.monitor_series == []
@@ -119,7 +119,7 @@ class TestSmokeRun:
             assert run.monitor_series  # the control loop sampled the fleet
             capacities = [value for _, value in run.capacity.series()]
             floor = smoke_result.config.min_servers
-            assert min(capacities) >= floor * smoke_result.config.cores_per_server
+            assert min(capacities) >= floor * smoke_result.config.testbed.cores_per_server
 
     def test_acceptance_reactive_beats_static_on_cost_at_slo(self, smoke_result):
         """The PR's headline criterion, pinned on the fixed-seed config."""

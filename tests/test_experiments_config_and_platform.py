@@ -20,8 +20,19 @@ from repro.experiments.config import (
     srdyn_policy,
 )
 from repro.experiments.platform import build_testbed
-from repro.experiments.poisson_experiment import make_poisson_trace
 from repro.net.addressing import VIP_PREFIX
+from repro.workload.poisson import poisson_trace
+
+
+def _poisson_trace(load_factor, num_queries, saturation_rate, service_mean, workload_seed):
+    """The ``poisson`` family's trace recipe for one load factor."""
+    return poisson_trace(
+        load_factor,
+        saturation_rate,
+        num_queries,
+        service_mean,
+        [workload_seed, int(round(load_factor * 1_000_000))],
+    )
 
 
 class TestTestbedConfig:
@@ -130,7 +141,7 @@ class TestBuildTestbed:
     def test_testbed_shape(self, small_testbed_config):
         testbed = build_testbed(small_testbed_config, sr_policy(4))
         assert len(testbed.servers) == small_testbed_config.num_servers
-        assert testbed.vip.is_within(VIP_PREFIX)
+        assert VIP_PREFIX.contains(testbed.vip)
         assert testbed.load_balancer.backends_for(testbed.vip) == [
             server.primary_address for server in testbed.servers
         ]
@@ -151,7 +162,7 @@ class TestBuildTestbed:
 
     def test_run_trace_serves_every_request(self, small_testbed_config):
         testbed = build_testbed(small_testbed_config, sr_policy(4))
-        trace = make_poisson_trace(
+        trace = _poisson_trace(
             load_factor=0.3,
             num_queries=100,
             saturation_rate=analytic_saturation_rate(small_testbed_config, 0.05),
@@ -166,7 +177,7 @@ class TestBuildTestbed:
     def test_load_sampler_records_samples(self, small_testbed_config):
         testbed = build_testbed(small_testbed_config, sr_policy(4))
         sampler = testbed.attach_load_sampler(interval=0.1)
-        trace = make_poisson_trace(
+        trace = _poisson_trace(
             load_factor=0.3,
             num_queries=50,
             saturation_rate=analytic_saturation_rate(small_testbed_config, 0.05),
@@ -186,7 +197,7 @@ class TestBuildTestbed:
         second = testbed.attach_load_sampler(interval=0.1)
         assert second is not first
         assert testbed.load_sampler is second
-        trace = make_poisson_trace(
+        trace = _poisson_trace(
             load_factor=0.3,
             num_queries=20,
             saturation_rate=analytic_saturation_rate(small_testbed_config, 0.05),
@@ -214,13 +225,9 @@ class TestBuildTestbed:
             service_mean=0.05,
         )
         testbed = build_testbed(small_testbed_config, sr_policy(4))
-        testbed.run_trace(make_poisson_trace(workload_seed=3, **trace_kwargs))
+        testbed.run_trace(_poisson_trace(workload_seed=3, **trace_kwargs))
         with pytest.raises(WorkloadError):
-            testbed.run_trace(make_poisson_trace(workload_seed=4, **trace_kwargs))
-
-    def test_server_busy_counts_shape(self, small_testbed_config):
-        testbed = build_testbed(small_testbed_config, sr_policy(4))
-        assert testbed.server_busy_counts() == [0] * small_testbed_config.num_servers
+            testbed.run_trace(_poisson_trace(workload_seed=4, **trace_kwargs))
 
     def test_deterministic_given_seed(self, small_testbed_config):
         trace_kwargs = dict(
@@ -233,6 +240,6 @@ class TestBuildTestbed:
         results = []
         for _ in range(2):
             testbed = build_testbed(small_testbed_config, sr_policy(4))
-            testbed.run_trace(make_poisson_trace(**trace_kwargs))
+            testbed.run_trace(_poisson_trace(**trace_kwargs))
             results.append(tuple(sorted(testbed.collector.response_times())))
         assert results[0] == results[1]

@@ -39,20 +39,6 @@ def test_every_registered_scenario_renders_its_figure(name, smoke_results):
     assert len(text.splitlines()) >= 3
 
 
-@pytest.mark.parametrize("name", registry.names())
-def test_render_scenario_figure_dispatches_through_the_registry(
-    name, smoke_results
-):
-    direct = registry.get(name).render(smoke_results[name])
-    dispatched = figures.render_scenario_figure(name, smoke_results[name])
-    assert dispatched == direct
-
-
-def test_render_scenario_figure_unknown_name_is_loud():
-    with pytest.raises(ExperimentError, match="unknown scenario"):
-        figures.render_scenario_figure("not-registered", None)
-
-
 def test_render_without_figure_is_loud():
     class Bare(ScenarioSpec):
         name = "bare"
@@ -67,9 +53,6 @@ def test_render_without_figure_is_loud():
             return []
 
         def make_trace(self, config, cell):
-            raise NotImplementedError
-
-        def build_platform(self, config, cell):
             raise NotImplementedError
 
         def run_once(self, config, cell, trace):
@@ -104,6 +87,6 @@ def test_figure_cdf_table_from_smoke_sweep(smoke_results):
 def test_figures_6_7_8_from_smoke_replay(smoke_results):
     replay = smoke_results["wikipedia"]
     assert "Figure 6" in figures.render_figure6(replay)
-    for name in replay.policies():
+    for name in replay.keys():
         assert "Figure 7" in figures.render_figure7(replay, name)
     assert "Figure 8" in figures.render_figure8(replay)

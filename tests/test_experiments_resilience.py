@@ -1,16 +1,19 @@
 """Tests for the LB-churn resilience experiment family."""
 
+import dataclasses
+import multiprocessing.process
+
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments import registry
 from repro.experiments.config import ChurnEvent, ResilienceConfig, TestbedConfig
 from repro.experiments.resilience_experiment import (
-    make_resilience_trace,
+    RESILIENCE_SCENARIO,
     render_resilience_table,
     resilience_saturation_rate,
-    run_resilience_comparison,
-    run_resilience_once,
 )
+from repro.experiments.scenario import run_scenario
 
 
 def _small_config(**overrides):
@@ -80,6 +83,19 @@ class TestConfigValidation:
         with pytest.raises(ExperimentError):
             TestbedConfig(request_chunks=0)
 
+    def test_one_candidate_under_random_is_rejected_before_any_process(
+        self, monkeypatch
+    ):
+        def no_process(process):
+            raise AssertionError(f"{process.name} was started")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+        smoke = registry.get("resilience").smoke_config()
+        with pytest.raises(ExperimentError, match="at least 2 candidates"):
+            run_scenario(
+                "resilience", dataclasses.replace(smoke, num_candidates=1), jobs=2
+            )
+
     def test_saturation_is_worker_bound_under_spread(self):
         testbed = TestbedConfig(request_spread=2.0, request_chunks=5)
         rate = resilience_saturation_rate(testbed, service_mean=0.1)
@@ -94,7 +110,7 @@ class TestConfigValidation:
 class TestResilienceRuns:
     @pytest.fixture(scope="class")
     def comparison(self):
-        return run_resilience_comparison(_small_config())
+        return run_scenario("resilience", _small_config())
 
     def test_consistent_hash_breaks_under_five_percent(self, comparison):
         run = comparison.run("consistent-hash")
@@ -143,7 +159,7 @@ class TestChurnVariants:
                 ChurnEvent(at_fraction=0.6, action="add"),
             ),
         )
-        run = run_resilience_once(config, "consistent-hash")
+        run = run_scenario("resilience", config).run("consistent-hash")
         assert len(run.observations) == 2
         assert run.observations[1].event.action == "add"
         assert run.broken_fraction < 0.05
@@ -155,11 +171,12 @@ class TestChurnVariants:
             selection_schemes=("consistent-hash",),
             churn=(ChurnEvent(at_fraction=0.5, instance="lb-1"),),
         )
-        run = run_resilience_once(config, "consistent-hash")
+        run = run_scenario("resilience", config).run("consistent-hash")
         assert run.observations[0].instance == "lb-1"
 
     def test_trace_is_deterministic(self):
         config = _small_config()
-        first = make_resilience_trace(config)
-        second = make_resilience_trace(config)
+        (cell, _) = RESILIENCE_SCENARIO.cells(config)
+        first = RESILIENCE_SCENARIO.make_trace(config, cell)
+        second = RESILIENCE_SCENARIO.make_trace(config, cell)
         assert [r.arrival_time for r in first] == [r.arrival_time for r in second]

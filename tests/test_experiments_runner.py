@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
-from repro.experiments.chaos_experiment import CHAOS_SCENARIO, run_chaos
+from repro.experiments.chaos_experiment import CHAOS_SCENARIO
 from repro.experiments.config import (
     ChurnEvent,
     PoissonSweepConfig,
@@ -28,16 +28,21 @@ from repro.experiments.config import (
     rr_policy,
     sr_policy,
 )
-from repro.experiments.poisson_experiment import PoissonSweep
-from repro.experiments.resilience_experiment import run_resilience_comparison
-from repro.experiments.scenario import resolve_jobs
-from repro.experiments.wikipedia_experiment import WikipediaReplay, make_wikipedia_trace
+from repro.experiments.scenario import resolve_jobs, run_scenario
+from repro.experiments.wikipedia_experiment import make_wikipedia_trace
 from repro.metrics.collector import ResponseTimeCollector, ServerLoadSampler
+from repro.metrics.stats import empirical_cdf
 from repro.workload.client import RequestOutcome
+from repro.workload.trace import Trace
 
 SMALL_TESTBED = TestbedConfig(
     num_servers=4, workers_per_server=8, cores_per_server=2, backlog_capacity=16
 )
+
+
+def _first_seconds(trace: Trace, end: float) -> Trace:
+    """The requests of ``trace`` arriving before ``end`` seconds."""
+    return Trace([request for request in trace if request.arrival_time < end])
 
 
 def _small_sweep_config(**overrides) -> PoissonSweepConfig:
@@ -239,8 +244,8 @@ def _sweep_fingerprint(result):
 class TestPoissonSweepDeterminism:
     def test_jobs_do_not_change_results(self):
         config = _small_sweep_config()
-        serial = PoissonSweep(config).run(jobs=1)
-        parallel = PoissonSweep(config).run(jobs=2)
+        serial = run_scenario("poisson", config, jobs=1)
+        parallel = run_scenario("poisson", config, jobs=2)
         assert _sweep_fingerprint(serial) == _sweep_fingerprint(parallel)
         for policy in ("RR", "SR4"):
             assert serial.mean_response_series(policy) == parallel.mean_response_series(
@@ -249,8 +254,8 @@ class TestPoissonSweepDeterminism:
 
     def test_load_sampler_survives_the_pool(self):
         config = _small_sweep_config(load_factors=(0.6,))
-        serial = PoissonSweep(config).run(sample_load=True, jobs=1)
-        parallel = PoissonSweep(config).run(sample_load=True, jobs=2)
+        serial = run_scenario("poisson", config, jobs=1, sample_load=True)
+        parallel = run_scenario("poisson", config, jobs=2, sample_load=True)
         for policy in ("RR", "SR4"):
             serial_sampler = serial.run(policy, 0.6).load_sampler
             parallel_sampler = parallel.run(policy, 0.6).load_sampler
@@ -271,24 +276,24 @@ class TestPoissonSweepDeterminism:
             num_queries=150,
             workload_seed=workload_seed,
         )
-        serial = PoissonSweep(config).run(jobs=1)
-        parallel = PoissonSweep(config).run(jobs=2)
+        serial = run_scenario("poisson", config, jobs=1)
+        parallel = run_scenario("poisson", config, jobs=2)
         for policy in ("RR", "SR4"):
             assert serial.mean_response_series(policy) == parallel.mean_response_series(
                 policy
             )
-            serial_cdf = serial.run(policy, load_factor).collector.cdf()
-            parallel_cdf = parallel.run(policy, load_factor).collector.cdf()
+            serial_cdf = empirical_cdf(serial.run(policy, load_factor).response_times())
+            parallel_cdf = empirical_cdf(parallel.run(policy, load_factor).response_times())
             assert np.array_equal(np.asarray(serial_cdf), np.asarray(parallel_cdf))
 
 
 class TestWikipediaReplayDeterminism:
     def test_jobs_do_not_change_results(self):
         config = WikipediaReplayConfig(testbed=SMALL_TESTBED).compressed(duration=60.0)
-        serial = WikipediaReplay(config).run(jobs=1)
-        parallel = WikipediaReplay(config).run(jobs=2)
-        assert serial.trace_summary == parallel.trace_summary
-        for name in serial.policies():
+        serial = run_scenario("wikipedia", config, jobs=1)
+        parallel = run_scenario("wikipedia", config, jobs=2)
+        assert serial.meta["trace_summary"] == parallel.meta["trace_summary"]
+        for name in serial.keys():
             serial_run = serial.run(name)
             parallel_run = parallel.run(name)
             assert parallel_run.wiki_response_times() == serial_run.wiki_response_times()
@@ -298,10 +303,10 @@ class TestWikipediaReplayDeterminism:
 
     def test_explicit_trace_is_shipped_to_workers(self):
         config = WikipediaReplayConfig(testbed=SMALL_TESTBED).compressed(duration=60.0)
-        trace = make_wikipedia_trace(config).slice_time(0.0, 30.0)
-        serial = WikipediaReplay(config).run(trace=trace, jobs=1)
-        parallel = WikipediaReplay(config).run(trace=trace, jobs=2)
-        for name in serial.policies():
+        trace = _first_seconds(make_wikipedia_trace(config), 30.0)
+        serial = run_scenario("wikipedia", config, jobs=1, trace=trace)
+        parallel = run_scenario("wikipedia", config, jobs=2, trace=trace)
+        for name in serial.keys():
             assert (
                 parallel.run(name).wiki_response_times()
                 == serial.run(name).wiki_response_times()
@@ -317,7 +322,7 @@ class TestChaosDeterminism:
         )
         by_jobs = {}
         for jobs in (1, 2):
-            run = run_chaos(config, jobs=jobs).run("loss")
+            run = run_scenario("chaos", config, jobs=jobs).run("loss")
             outcomes = run.collector.outcomes() + run.collector.failures()
             assert run.queries_retried > 0
             assert sum(outcome.retries for outcome in outcomes) == run.queries_retried
@@ -341,8 +346,8 @@ class TestResilienceDeterminism:
             service_mean=0.05,
             churn=(ChurnEvent(at_fraction=0.5),),
         )
-        serial = run_resilience_comparison(config, jobs=1)
-        parallel = run_resilience_comparison(config, jobs=2)
+        serial = run_scenario("resilience", config, jobs=1)
+        parallel = run_scenario("resilience", config, jobs=2)
         for scheme in serial.keys():
             serial_run = serial.run(scheme)
             parallel_run = parallel.run(scheme)

@@ -13,16 +13,18 @@ from repro.experiments.scale_experiment import (
     SCALE_SCENARIO,
     PodResult,
     ScaleRunResult,
-    frontend_port_of,
+    _FRONTEND_CLIENT,
+    _FRONTEND_VIP,
     make_pod_trace,
     make_scale_stream,
     merge_pods,
-    pod_of_port,
     run_scale,
-    run_scale_scenario,
     simulate_pod,
 )
-from repro.net.tcp import EPHEMERAL_PORT_BASE
+from repro.experiments.scenario import run_scenario
+from repro.net.ecmp import select_next_hop_name
+from repro.net.packet import FlowKey
+from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT
 from repro.sim.partition import PartitionTask, run_partitioned
 
 
@@ -70,11 +72,16 @@ class TestScaleConfig:
             ScaleConfig(**kwargs)
 
 
-class TestFrontendSharding:
-    def test_ports_cycle_over_the_ephemeral_range(self):
-        assert frontend_port_of(0) == EPHEMERAL_PORT_BASE
-        assert frontend_port_of(1) == EPHEMERAL_PORT_BASE + 1
+def _pod_of_query(config, query_index):
+    """The pod the live router's scalar hash deals aggregate query
+    ``query_index`` to: the reference the stream's port table must match."""
+    port = EPHEMERAL_PORT_BASE + (query_index % EPHEMERAL_PORT_RANGE)
+    names = config.pod_names()
+    flow = FlowKey(_FRONTEND_CLIENT, port, _FRONTEND_VIP, HTTP_PORT)
+    return names.index(select_next_hop_name(names, flow, config.ecmp_hash))
 
+
+class TestFrontendSharding:
     def test_stream_is_a_pure_function_of_the_config(self, small_config):
         first = make_scale_stream(small_config)
         second = make_scale_stream(small_config)
@@ -84,9 +91,7 @@ class TestFrontendSharding:
     def test_pod_assignment_matches_the_scalar_hash(self, small_config):
         _, _, pods = make_scale_stream(small_config)
         for index in range(0, 50, 7):
-            assert pods[index] == pod_of_port(
-                small_config, frontend_port_of(index)
-            )
+            assert pods[index] == _pod_of_query(small_config, index)
 
     def test_pod_traces_partition_the_aggregate_stream(self, small_config):
         seen = {}
@@ -242,7 +247,7 @@ class TestScenarioIntegration:
         assert "scale" in registry.names()
 
     def test_scenario_front_renders_with_fingerprint(self, small_config):
-        result = run_scale_scenario(small_config, partitions=1)
+        result = run_scenario("scale", small_config, partitions=1)
         text = SCALE_SCENARIO.render(result)
         assert "fingerprint" in text
         assert "aggregate events/sec" in text

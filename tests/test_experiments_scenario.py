@@ -29,13 +29,10 @@ from repro.experiments.config import (
 from repro.experiments.flash_crowd_experiment import (
     FLASH_CROWD_SCENARIO,
     make_flash_crowd_trace,
-    run_flash_crowd,
 )
 from repro.experiments.heterogeneous_experiment import (
     HETEROGENEOUS_SCENARIO,
     capacity_fairness_index,
-    make_heterogeneous_trace,
-    run_heterogeneous_fleet,
     tier_acceptance_shares,
 )
 from repro.experiments.scenario import (
@@ -87,9 +84,6 @@ class TestRegistry:
                 raise NotImplementedError
 
             def make_trace(self, config, cell):
-                raise NotImplementedError
-
-            def build_platform(self, config, cell):
                 raise NotImplementedError
 
             def run_once(self, config, cell, trace):
@@ -375,7 +369,6 @@ class TestSteppedPoissonWorkload:
         )
         assert workload.expected_queries() == pytest.approx(700.0)
         assert workload.total_duration == pytest.approx(12.0)
-        assert workload.phase_boundaries() == pytest.approx([0.0, 10.0, 12.0])
 
 
 # ----------------------------------------------------------------------
@@ -405,8 +398,8 @@ class TestFlashCrowdScenario:
 
     def test_end_to_end_jobs_deterministic(self):
         config = FLASH_CROWD_SCENARIO.smoke_config()
-        serial = run_flash_crowd(config, jobs=1)
-        parallel = run_flash_crowd(config, jobs=2)
+        serial = run_scenario("flash-crowd", config, jobs=1)
+        parallel = run_scenario("flash-crowd", config, jobs=2)
         assert serial.keys() == parallel.keys()
         for key in serial.keys():
             assert (
@@ -422,7 +415,7 @@ class TestFlashCrowdScenario:
 
     def test_phase_summaries_show_the_overload(self):
         config = FLASH_CROWD_SCENARIO.smoke_config()
-        result = run_flash_crowd(config, jobs=1)
+        result = run_scenario("flash-crowd", config, jobs=1)
         for key in result.keys():
             run = result.run(key)
             baseline = run.phase_summary("baseline")
@@ -432,7 +425,7 @@ class TestFlashCrowdScenario:
 
     def test_unknown_phase_is_loud(self):
         config = FLASH_CROWD_SCENARIO.smoke_config()
-        result = run_flash_crowd(config, jobs=1)
+        result = run_scenario("flash-crowd", config, jobs=1)
         run = result.run(result.keys()[0])
         with pytest.raises(ExperimentError, match="unknown phase"):
             run.phase_window("rush-hour")
@@ -450,7 +443,7 @@ class TestHeterogeneousFleetScenario:
 
     def test_testbed_speed_factors(self):
         config = HeterogeneousFleetConfig(num_fast=2, num_slow=3)
-        testbed = config.testbed
+        testbed = config.fleet
         assert testbed.server_speed_factors == (2.0, 2.0, 0.75, 0.75, 0.75)
         assert testbed.total_capacity == pytest.approx(2 * (2 * 2.0 + 3 * 0.75))
 
@@ -477,15 +470,15 @@ class TestHeterogeneousFleetScenario:
 
     def test_trace_is_shared_across_policies(self):
         config = HETEROGENEOUS_SCENARIO.smoke_config()
-        (load_factor,) = config.load_factors
-        first = make_heterogeneous_trace(config, load_factor)
-        second = make_heterogeneous_trace(config, load_factor)
+        rr_cell, sr4_cell = HETEROGENEOUS_SCENARIO.cells(config)
+        first = HETEROGENEOUS_SCENARIO.make_trace(config, rr_cell)
+        second = HETEROGENEOUS_SCENARIO.make_trace(config, sr4_cell)
         assert [r.arrival_time for r in first] == [r.arrival_time for r in second]
 
     def test_end_to_end_jobs_deterministic(self):
         config = HETEROGENEOUS_SCENARIO.smoke_config()
-        serial = run_heterogeneous_fleet(config, jobs=1)
-        parallel = run_heterogeneous_fleet(config, jobs=2)
+        serial = run_scenario("heterogeneous-fleet", config, jobs=1)
+        parallel = run_scenario("heterogeneous-fleet", config, jobs=2)
         assert serial.keys() == parallel.keys()
         for key in serial.keys():
             assert (
@@ -499,7 +492,7 @@ class TestHeterogeneousFleetScenario:
 
     def test_service_hunting_beats_rr_on_fairness(self):
         config = HETEROGENEOUS_SCENARIO.smoke_config()
-        result = run_heterogeneous_fleet(config, jobs=1)
+        result = run_scenario("heterogeneous-fleet", config, jobs=1)
         (rho,) = config.load_factors
         rr = result.run(("RR", rho))
         sr4 = result.run(("SR4", rho))

@@ -10,7 +10,7 @@ is a pure function of its arguments — no hidden RNG — so repeated runs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.addressing import CLIENT_PREFIX, VIP_PREFIX, IPv6Address
+from repro.net.addressing import CLIENT_PREFIX, VIP_PREFIX
 from repro.net.ecmp import HASH_SCHEMES, select_next_hop_name
 from repro.net.packet import FlowKey
 from repro.workload.hostile import (

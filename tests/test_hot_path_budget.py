@@ -29,7 +29,7 @@ from repro.sim import engine
 from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import TestbedConfig, sr_policy
 from repro.experiments.platform import build_testbed
-from repro.experiments.poisson_experiment import make_poisson_trace
+from repro.workload.poisson import poisson_trace
 
 QUERIES = 300
 
@@ -56,12 +56,12 @@ def _small_poisson_cell(monkeypatch):
         backlog_capacity=16,
         seed=7,
     )
-    trace = make_poisson_trace(
-        load_factor=0.88,
-        num_queries=QUERIES,
-        saturation_rate=analytic_saturation_rate(config, 0.1),
-        service_mean=0.1,
-        workload_seed=12_345,
+    trace = poisson_trace(
+        0.88,
+        analytic_saturation_rate(config, 0.1),
+        QUERIES,
+        0.1,
+        [12_345, 880_000],
     )
     return build_testbed(config, sr_policy(4)), trace
 

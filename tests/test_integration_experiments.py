@@ -26,29 +26,31 @@ from repro.experiments.config import (
     sr_policy,
     srdyn_policy,
 )
-from repro.experiments.poisson_experiment import PoissonSweep, run_poisson_once
-from repro.experiments.wikipedia_experiment import WikipediaReplay, make_wikipedia_trace
+from repro.experiments.scenario import run_scenario
+from repro.experiments.wikipedia_experiment import make_wikipedia_trace
 from repro.experiments import figures
 from repro.metrics.fairness import jain_fairness_index
+from repro.workload.requests import KIND_STATIC
 
 #: Queries per run: small enough for CI, large enough for stable means.
 NUM_QUERIES = 2_500
 
 
+def _poisson_runs(policies, load_factor, num_queries, sample_load=False):
+    """One run per policy at ``load_factor`` on the paper's testbed, by name."""
+    config = PoissonSweepConfig(
+        load_factors=(load_factor,), num_queries=num_queries, policies=tuple(policies)
+    )
+    sweep = run_scenario("poisson", config, sample_load=sample_load)
+    return {policy.name: sweep.run(policy.name, load_factor) for policy in policies}
+
+
 @pytest.fixture(scope="module")
 def heavy_load_runs():
     """RR, SR4 and SRdyn at the paper's heavy load factor (shared by tests)."""
-    config = TestbedConfig()
-    runs = {}
-    for spec in (rr_policy(), sr_policy(4), srdyn_policy()):
-        runs[spec.name] = run_poisson_once(
-            config,
-            spec,
-            load_factor=0.88,
-            num_queries=NUM_QUERIES,
-            sample_load=True,
-        )
-    return runs
+    return _poisson_runs(
+        (rr_policy(), sr_policy(4), srdyn_policy()), 0.88, NUM_QUERIES, sample_load=True
+    )
 
 
 class TestHeavyLoadComparison:
@@ -95,12 +97,8 @@ class TestHeavyLoadComparison:
 
 class TestLightLoadComparison:
     def test_high_thresholds_bring_no_benefit_under_light_load(self):
-        config = TestbedConfig()
-        results = {}
-        for spec in (rr_policy(), sr_policy(4), sr_policy(16)):
-            results[spec.name] = run_poisson_once(
-                config, spec, load_factor=0.3, num_queries=NUM_QUERIES
-            ).mean_response_time
+        runs = _poisson_runs((rr_policy(), sr_policy(4), sr_policy(16)), 0.3, NUM_QUERIES)
+        results = {name: run.mean_response_time for name, run in runs.items()}
         # SR16 is essentially RR at this load (within 15 %), while SR4
         # still helps.
         assert results["SR16"] == pytest.approx(results["RR"], rel=0.15)
@@ -109,13 +107,7 @@ class TestLightLoadComparison:
 
 class TestOverload:
     def test_overload_produces_resets_not_hangs(self):
-        config = TestbedConfig()
-        run = run_poisson_once(
-            config,
-            rr_policy(),
-            load_factor=1.6,
-            num_queries=4_000,
-        )
+        run = _poisson_runs((rr_policy(),), 1.6, 4_000)["RR"]
         totals = run.collector.totals
         # Every query terminated (served or reset): nothing hangs.
         assert totals.total == 4_000
@@ -123,10 +115,7 @@ class TestOverload:
         assert run.connections_reset == totals.failed
 
     def test_no_resets_below_saturation(self):
-        config = TestbedConfig()
-        run = run_poisson_once(
-            config, sr_policy(4), load_factor=0.7, num_queries=NUM_QUERIES
-        )
+        run = _poisson_runs((sr_policy(4),), 0.7, NUM_QUERIES)["SR4"]
         assert run.connections_reset == 0
 
 
@@ -137,7 +126,7 @@ class TestPoissonSweep:
             num_queries=1_200,
             policies=(rr_policy(), sr_policy(4)),
         )
-        sweep = PoissonSweep(config).run()
+        sweep = run_scenario("poisson", config)
         series = figures.figure2_series(sweep)
         assert set(series) == {"RR", "SR4"}
         assert [rho for rho, _ in series["RR"]] == [0.5, 0.88]
@@ -149,13 +138,7 @@ class TestPoissonSweep:
         assert "Figure 2" in text and "SR4" in text
 
     def test_cdf_and_figure4_renderers(self):
-        config = TestbedConfig()
-        runs = {
-            spec.name: run_poisson_once(
-                config, spec, load_factor=0.88, num_queries=800, sample_load=True
-            )
-            for spec in (rr_policy(), sr_policy(4))
-        }
+        runs = _poisson_runs((rr_policy(), sr_policy(4)), 0.88, 800, sample_load=True)
         cdf_text = figures.render_figure_cdf(runs, title="Figure 3")
         assert "Figure 3" in cdf_text
         fig4 = figures.figure4_series(runs)
@@ -193,7 +176,7 @@ class TestWikipediaReplay:
             WikipediaReplayConfig(), static_per_wiki=0.25
         ).compressed(duration=240.0)
         trace = make_wikipedia_trace(config)
-        return WikipediaReplay(config).run(trace=trace), trace
+        return run_scenario("wikipedia", config, trace=trace), trace
 
     def test_replay_completes_for_both_policies(self, replay_result):
         result, trace = replay_result
@@ -205,7 +188,7 @@ class TestWikipediaReplay:
     def test_static_pages_are_fast_for_both_policies(self, replay_result):
         result, _ = replay_result
         for name in ("RR", "SR4"):
-            static_times = result.run(name).static_response_times()
+            static_times = result.run(name).collector.response_times(kind=KIND_STATIC)
             assert static_times, "static requests must be present"
             assert sorted(static_times)[len(static_times) // 2] < 0.2
 
@@ -216,8 +199,6 @@ class TestWikipediaReplay:
         assert len(fig6["RR"]["rate"]) == len(fig6["SR4"]["median"])
         fig7 = figures.figure7_series(result)
         assert all(len(deciles) == 9 for _, deciles in fig7["RR"])
-        fig8 = figures.figure8_series(result)
-        assert set(fig8) == {"RR", "SR4"}
         assert "Figure 6" in figures.render_figure6(result)
         assert "Figure 7" in figures.render_figure7(result, "SR4")
         assert "Figure 8" in figures.render_figure8(result)

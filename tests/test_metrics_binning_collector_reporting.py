@@ -76,11 +76,6 @@ class TestTimeBinner:
         assert len(decile_values) == 9
         assert decile_values == sorted(decile_values)
 
-    def test_add_many_and_all_values(self):
-        binner = TimeBinner(bin_width=10.0)
-        binner.add_many([(1.0, 0.5), (12.0, 0.7)])
-        assert sorted(binner.all_values()) == [0.5, 0.7]
-
     def test_sample_before_origin_rejected(self):
         binner = TimeBinner(bin_width=10.0, start=100.0)
         with pytest.raises(ReproError):
@@ -98,7 +93,7 @@ class TestResponseTimeCollector:
         collector.record(_outcome(2, 1.0, 0.3, failed=True))
         assert collector.totals.completed == 1
         assert collector.totals.failed == 1
-        assert collector.totals.failure_ratio == pytest.approx(0.5)
+        assert collector.totals.failed / collector.totals.total == pytest.approx(0.5)
         assert len(collector) == 2
 
     def test_response_times_and_summary(self):
@@ -121,14 +116,6 @@ class TestResponseTimeCollector:
     def test_summary_of_empty_collector_rejected(self):
         with pytest.raises(ReproError):
             ResponseTimeCollector().summary()
-
-    def test_cdf(self):
-        collector = ResponseTimeCollector()
-        for index in range(4):
-            collector.record(_outcome(index, 0.0, 0.1 * (index + 1)))
-        x, p = collector.cdf()
-        assert len(x) == 4
-        assert p[-1] == pytest.approx(1.0)
 
     def test_binned_uses_arrival_time(self):
         collector = ResponseTimeCollector()

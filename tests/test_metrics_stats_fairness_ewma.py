@@ -34,10 +34,6 @@ class TestSummaryStatistics:
         with pytest.raises(ReproError):
             summarize([])
 
-    def test_as_dict(self):
-        assert summarize([1.0]).as_dict()["count"] == 1
-
-
 class TestCDF:
     def test_empirical_cdf_is_monotone_and_ends_at_one(self):
         x, p = empirical_cdf([3.0, 1.0, 2.0])

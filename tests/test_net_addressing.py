@@ -72,11 +72,6 @@ class TestIPv6Address:
         with pytest.raises(AddressError):
             IPv6Address((1 << 128) - 1) + 1
 
-    def test_is_within(self):
-        assert IPv6Address.parse("fd00:100::42").is_within(SERVER_PREFIX)
-        assert not IPv6Address.parse("fd00:200::42").is_within(SERVER_PREFIX)
-
-
 class TestIPv6Prefix:
     def test_parse(self):
         prefix = IPv6Prefix.parse("fd00:100::/32")
@@ -127,13 +122,13 @@ class TestAllocator:
         allocator = AddressAllocator(IPv6Prefix.parse("fd00:100::/32"))
         addresses = list(allocator.allocate_many(12))
         assert len(set(addresses)) == 12
-        assert all(address.is_within(SERVER_PREFIX) for address in addresses)
+        assert all(SERVER_PREFIX.contains(address) for address in addresses)
 
     def test_default_allocators_cover_all_roles(self):
         allocators = default_allocators()
         assert set(allocators) == {"server", "client", "vip", "lb"}
-        assert allocators["vip"].allocate().is_within(VIP_PREFIX)
-        assert allocators["client"].allocate().is_within(CLIENT_PREFIX)
+        assert VIP_PREFIX.contains(allocators["vip"].allocate())
+        assert CLIENT_PREFIX.contains(allocators["client"].allocate())
 
 
 class TestRoleHelpers:

@@ -135,13 +135,6 @@ class TestPacket:
         assert packet.srh is None
         assert packet.dst == _addr("fd00:100::1")
 
-    def test_hop_limit_decrements_and_expires(self):
-        packet = make_syn(_addr("fd00:200::1"), _addr("fd00:300::1"), 1234, 80)
-        packet.hop_limit = 2
-        packet.decrement_hop_limit()
-        with pytest.raises(NetworkError):
-            packet.decrement_hop_limit()
-
     def test_size_includes_srh(self):
         packet = make_syn(_addr("fd00:200::1"), _addr("fd00:300::1"), 1234, 80)
         base = packet.size_bytes()
@@ -186,7 +179,7 @@ def _fresh_flow_key(packet: Packet) -> FlowKey:
     return FlowKey(
         src_address=packet.src,
         src_port=packet.tcp.src_port,
-        dst_address=packet.final_destination,
+        dst_address=packet.srh.segments[0] if packet.srh is not None else packet.dst,
         dst_port=packet.tcp.dst_port,
     )
 

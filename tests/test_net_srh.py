@@ -15,7 +15,7 @@ class TestConstruction:
     def test_from_traversal_sets_active_to_first_hop(self):
         srh = SegmentRoutingHeader.from_traversal([_addr(1), _addr(2), _addr(3)])
         assert srh.active_segment == _addr(1)
-        assert srh.final_segment == _addr(3)
+        assert srh.segments[0] == _addr(3)
         assert srh.segments_left == 2
 
     def test_from_traversal_preserves_order(self):
@@ -53,22 +53,6 @@ class TestAdvance:
         with pytest.raises(SegmentRoutingError):
             srh.advance()
 
-    def test_next_segment_peeks_without_consuming(self):
-        srh = SegmentRoutingHeader.from_traversal([_addr(1), _addr(2), _addr(3)])
-        assert srh.next_segment() == _addr(2)
-        assert srh.active_segment == _addr(1)
-
-    def test_next_segment_on_exhausted_raises(self):
-        srh = SegmentRoutingHeader.from_traversal([_addr(1)])
-        with pytest.raises(SegmentRoutingError):
-            srh.next_segment()
-
-    def test_remaining_traversal(self):
-        srh = SegmentRoutingHeader.from_traversal([_addr(1), _addr(2), _addr(3)])
-        srh.advance()
-        assert list(srh.remaining_traversal()) == [_addr(2), _addr(3)]
-
-
 class TestSetSegmentsLeft:
     def test_service_hunting_accept_jumps_to_final_segment(self):
         srh = SegmentRoutingHeader.from_traversal([_addr(1), _addr(2), _addr(9)])
@@ -104,7 +88,3 @@ class TestMisc:
         srh = SegmentRoutingHeader.from_traversal([_addr(1), _addr(2)])
         text = str(srh)
         assert text.index("fd00:100::1") < text.index("fd00:100::2")
-
-    def test_num_segments(self):
-        srh = SegmentRoutingHeader.from_traversal([_addr(1), _addr(2), _addr(3)])
-        assert srh.num_segments == 3

@@ -41,8 +41,7 @@ class TestTCPConnection:
         connection = TCPConnection(flow_key=_flow_key())
         connection.transition(ConnectionState.SYN_SENT)
         connection.transition(ConnectionState.RESET, at=5.0)
-        assert connection.was_reset
-        assert not connection.is_open
+        assert connection.state is ConnectionState.RESET
         assert connection.closed_at == 5.0
 
     def test_illegal_transition_raises(self):
@@ -56,13 +55,6 @@ class TestTCPConnection:
         connection.transition(ConnectionState.RESET)
         with pytest.raises(TCPError):
             connection.transition(ConnectionState.CLOSED)
-
-    def test_is_open_during_handshake(self):
-        connection = TCPConnection(flow_key=_flow_key())
-        assert not connection.is_open
-        connection.transition(ConnectionState.SYN_SENT)
-        assert connection.is_open
-
 
 class TestEphemeralPortAllocator:
     def test_sequential_ports(self):

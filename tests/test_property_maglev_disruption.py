@@ -1,8 +1,9 @@
 """Property tests for Maglev table disruption (autoscaler churn guarantees).
 
 The elastic control plane adds and removes backends continuously, and
-its churn guarantees rest on :meth:`MaglevTable.disruption_versus`
-behaving like a metric over backend sets: symmetric, zero for identical
+its churn guarantees rest on the table disruption (the fraction of slots
+whose owner differs between two tables) behaving like a metric over
+backend sets: symmetric, zero for identical
 sets, and bounded by the fraction of the table the changed backends
 actually own (plus Maglev's small reshuffle slack among survivors —
 Maglev is near-minimal, not minimal; at table size 2003 the measured
@@ -13,10 +14,12 @@ The lower bound is exact: every slot owned by a removed backend *must*
 change owner, so the disruption can never undercut the removed share.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.consistent_hash import MaglevTable
+from repro.net.addressing import IPv6Address
 
 #: A prime comfortably above the backend counts exercised here; large
 #: enough that the survivor reshuffle stays small, small enough that
@@ -38,26 +41,65 @@ def _table(backends):
     return MaglevTable(sorted(backends), table_size=TABLE_SIZE)
 
 
+def _slot_owners(table):
+    """The backend owning each slot of ``table``, in slot order."""
+    return [table.backends[index] for index in table._table]
+
+
+def _slot_shares(table):
+    """Fraction of the slots each backend owns."""
+    owners = _slot_owners(table)
+    return {backend: owners.count(backend) / table.table_size for backend in set(owners)}
+
+
+def _disruption(first, second):
+    """Fraction of slots mapping to a different backend in ``second``."""
+    assert first.table_size == second.table_size
+    pairs = zip(_slot_owners(first), _slot_owners(second))
+    return sum(str(mine) != str(theirs) for mine, theirs in pairs) / first.table_size
+
+
 def _owned_share(table, backends):
     """Fraction of slots owned by ``backends`` in ``table``."""
     return sum(
-        share
-        for backend, share in table.slot_shares().items()
-        if backend in backends
+        share for backend, share in _slot_shares(table).items() if backend in backends
     )
+
+
+def _servers(count):
+    return [IPv6Address.parse(f"fd00:100::{index + 1:x}") for index in range(count)]
+
+
+def test_every_slot_is_assigned():
+    shares = _slot_shares(MaglevTable(_servers(5), table_size=127))
+    assert sum(shares.values()) == pytest.approx(1.0)
+    assert len(shares) == 5
+
+
+def test_shares_are_roughly_uniform():
+    for share in _slot_shares(MaglevTable(_servers(8), table_size=1021)).values():
+        assert share == pytest.approx(1 / 8, rel=0.25)
+
+
+def test_minimal_disruption_on_backend_removal():
+    servers = _servers(10)
+    before = MaglevTable(servers, table_size=2039)
+    after = MaglevTable(servers[:-1], table_size=2039)
+    # Roughly 10 % of the slots move, far from a full reshuffle.
+    assert _disruption(before, after) < 0.30
 
 
 @given(backends=backend_sets, other=backend_sets)
 @settings(max_examples=60, deadline=None)
 def test_disruption_is_symmetric(backends, other):
     first, second = _table(backends), _table(other)
-    assert first.disruption_versus(second) == second.disruption_versus(first)
+    assert _disruption(first, second) == _disruption(second, first)
 
 
 @given(backends=backend_sets)
 @settings(max_examples=30, deadline=None)
 def test_identical_backend_sets_have_zero_disruption(backends):
-    assert _table(backends).disruption_versus(_table(backends)) == 0.0
+    assert _disruption(_table(backends), _table(backends)) == 0.0
 
 
 @given(backends=backend_sets, other=backend_sets)
@@ -71,7 +113,7 @@ def test_disruption_is_bounded_by_the_backend_change_fraction(backends, other):
     """
     first, second = _table(backends), _table(other)
     changed = backends ^ other
-    disruption = first.disruption_versus(second)
+    disruption = _disruption(first, second)
     bound = _owned_share(first, changed) + _owned_share(second, changed)
     assert disruption <= min(1.0, bound + RESHUFFLE_SLACK)
 
@@ -95,7 +137,7 @@ def test_removal_disruption_brackets_the_removed_share(backends, data):
     )
     before = _table(backends)
     after = _table(backends - removed)
-    disruption = before.disruption_versus(after)
+    disruption = _disruption(before, after)
     removed_share = _owned_share(before, removed)
     # 1e-9: the shares are exact integer counts over TABLE_SIZE, but
     # summing their float form can land one ulp past the disruption.

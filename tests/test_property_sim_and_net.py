@@ -157,7 +157,7 @@ def test_srh_traversal_roundtrip(path):
     srh = SegmentRoutingHeader.from_traversal(path)
     assert list(srh.traversal_order()) == path
     assert srh.active_segment == path[0]
-    assert srh.final_segment == path[-1]
+    assert srh.segments[0] == path[-1]
 
 
 @given(path=segment_lists)
@@ -194,7 +194,7 @@ def _fresh_flow_key(packet: Packet) -> FlowKey:
     return FlowKey(
         src_address=packet.src,
         src_port=packet.tcp.src_port,
-        dst_address=packet.final_destination,
+        dst_address=packet.srh.segments[0] if packet.srh is not None else packet.dst,
         dst_port=packet.tcp.dst_port,
     )
 

@@ -31,9 +31,8 @@ from repro.experiments.config import (
     rr_policy,
     sr_policy,
 )
-from repro.experiments.poisson_experiment import PoissonSweep
-from repro.experiments.resilience_experiment import run_resilience_comparison
-from repro.experiments.wikipedia_experiment import WikipediaReplay
+from repro.experiments.scenario import run_scenario
+from repro.metrics.stats import empirical_cdf
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "scenario_golden.json"
 
@@ -66,7 +65,7 @@ class TestPoissonGolden:
             num_queries=250,
             policies=(rr_policy(), sr_policy(4)),
         )
-        return PoissonSweep(config).run(jobs=request.param)
+        return run_scenario("poisson", config, jobs=request.param)
 
     @pytest.mark.parametrize("policy", ["RR", "SR4"])
     def test_mean_response_series_bitwise(self, golden, sweep, policy):
@@ -80,7 +79,7 @@ class TestPoissonGolden:
         expected = golden["poisson"][policy]
         run = sweep.run(policy, rho)
         assert _series_hash(run.response_times()) == expected["response_times"][repr(rho)]
-        cdf = np.asarray(run.collector.cdf()).ravel()
+        cdf = np.asarray(empirical_cdf(run.response_times())).ravel()
         assert _series_hash(cdf) == expected["cdf"][repr(rho)]
 
 
@@ -90,11 +89,11 @@ class TestWikipediaGolden:
         config = WikipediaReplayConfig(testbed=SMALL_TESTBED).compressed(
             duration=60.0
         )
-        return WikipediaReplay(config).run(jobs=request.param)
+        return run_scenario("wikipedia", config, jobs=request.param)
 
     def test_trace_summary_bitwise(self, golden, replay):
         expected = golden["wikipedia"]["trace_summary"]
-        got = {key: repr(value) for key, value in replay.trace_summary.items()}
+        got = {key: repr(value) for key, value in replay.meta["trace_summary"].items()}
         assert got == expected
 
     @pytest.mark.parametrize("policy", ["RR", "SR4"])
@@ -117,13 +116,10 @@ class TestWikipediaGolden:
 class TestAutoscaleGolden:
     @pytest.fixture(scope="class", params=JOBS)
     def result(self, request):
-        from repro.experiments.autoscale_experiment import (
-            AUTOSCALE_SCENARIO,
-            run_autoscale,
-        )
+        from repro.experiments.autoscale_experiment import AUTOSCALE_SCENARIO
 
-        return run_autoscale(
-            AUTOSCALE_SCENARIO.smoke_config(), jobs=request.param
+        return run_scenario(
+            "autoscale", AUTOSCALE_SCENARIO.smoke_config(), jobs=request.param
         )
 
     @pytest.mark.parametrize("mode", ["static", "reactive", "predictive"])
@@ -151,18 +147,15 @@ class TestAutoscaleGolden:
 class TestHeavyTailGolden:
     @pytest.fixture(scope="class", params=JOBS)
     def comparison(self, request):
-        from repro.experiments.heavy_tail_experiment import (
-            HEAVY_TAIL_SCENARIO,
-            run_heavy_tail,
-        )
+        from repro.experiments.heavy_tail_experiment import HEAVY_TAIL_SCENARIO
 
-        return run_heavy_tail(
-            HEAVY_TAIL_SCENARIO.smoke_config(), jobs=request.param
+        return run_scenario(
+            "heavy-tail", HEAVY_TAIL_SCENARIO.smoke_config(), jobs=request.param
         )
 
     def test_user_concentration_bitwise(self, golden, comparison):
         expected = golden["heavy-tail"]["users"]
-        users = comparison.users
+        users = comparison.meta["users"]
         assert users.num_requests == expected["num_requests"]
         assert users.num_sessions == expected["num_sessions"]
         assert users.num_heavy == expected["num_heavy"]
@@ -194,13 +187,10 @@ class TestHeavyTailGolden:
 class TestAdversarialGolden:
     @pytest.fixture(scope="class", params=JOBS)
     def comparison(self, request):
-        from repro.experiments.adversarial_experiment import (
-            ADVERSARIAL_SCENARIO,
-            run_adversarial,
-        )
+        from repro.experiments.adversarial_experiment import ADVERSARIAL_SCENARIO
 
-        return run_adversarial(
-            ADVERSARIAL_SCENARIO.smoke_config(), jobs=request.param
+        return run_scenario(
+            "adversarial", ADVERSARIAL_SCENARIO.smoke_config(), jobs=request.param
         )
 
     @pytest.mark.parametrize(
@@ -257,12 +247,9 @@ class TestAdversarialGolden:
 class TestChaosGolden:
     @pytest.fixture(scope="class", params=JOBS)
     def comparison(self, request):
-        from repro.experiments.chaos_experiment import (
-            CHAOS_SCENARIO,
-            run_chaos,
-        )
+        from repro.experiments.chaos_experiment import CHAOS_SCENARIO
 
-        return run_chaos(CHAOS_SCENARIO.smoke_config(), jobs=request.param)
+        return run_scenario("chaos", CHAOS_SCENARIO.smoke_config(), jobs=request.param)
 
     @pytest.mark.parametrize("mode", ["baseline", "loss", "flap", "jitter"])
     def test_run_results_bitwise(self, golden, comparison, mode):
@@ -295,14 +282,14 @@ class TestChaosGolden:
         # pipeline installed at all.
         from repro.experiments.chaos_experiment import (
             CHAOS_SCENARIO,
-            _build_chaos_platform,
-            make_chaos_trace,
             outcome_fingerprint,
         )
+        from repro.experiments.platform import build_testbed
 
         config = CHAOS_SCENARIO.smoke_config()
-        testbed = _build_chaos_platform(config, "baseline")
-        testbed.run_trace(make_chaos_trace(config))
+        (cell, *_) = CHAOS_SCENARIO.cells(config)
+        testbed = build_testbed(config.testbed, config.policy, run_name="chaos-baseline")
+        testbed.run_trace(CHAOS_SCENARIO.make_trace(config, cell))
         bare = outcome_fingerprint(testbed.collector)
         assert comparison.run("baseline").fingerprint == bare
 
@@ -348,7 +335,7 @@ class TestResilienceGolden:
             service_mean=0.05,
             churn=(ChurnEvent(at_fraction=0.5),),
         )
-        return run_resilience_comparison(config, jobs=request.param)
+        return run_scenario("resilience", config, jobs=request.param)
 
     @pytest.mark.parametrize("scheme", ["random", "consistent-hash"])
     def test_churn_results_bitwise(self, golden, comparison, scheme):

@@ -106,19 +106,12 @@ class TestWorkerPool:
         pool.acquire()
         assert pool.total_acquisitions == 2
 
-    def test_is_busy(self, clock):
-        pool = WorkerPool(Scoreboard(clock, 2))
-        slot = pool.acquire()
-        assert pool.is_busy(slot)
-        assert not pool.is_busy(1 - slot)
-
-
 class TestListenBacklog:
     def test_admission_until_full(self):
         backlog = ListenBacklog(capacity=2)
         assert backlog.try_admit(1) is True
         assert backlog.try_admit(2) is True
-        assert backlog.is_full
+        assert len(backlog) == backlog.capacity
         assert backlog.try_admit(3) is False
         assert backlog.total_rejected == 1
 
@@ -134,12 +127,11 @@ class TestListenBacklog:
             backlog.try_admit(connection_id)
         assert backlog.pop_next() == 10
         assert backlog.pop_next() == 20
-        assert backlog.peek_next() == 30
+        assert backlog.pop_next() == 30
 
     def test_pop_empty_returns_none(self):
         backlog = ListenBacklog(capacity=2)
         assert backlog.pop_next() is None
-        assert backlog.peek_next() is None
 
     def test_remove_specific_connection(self):
         backlog = ListenBacklog(capacity=4)

@@ -177,8 +177,3 @@ class TestServiceHuntingDataPath:
         node.receive(data)
         simulator.run(until=0.5)
         assert node.busy_threads == 1
-
-    def test_bound_vips(self, simulator, router_setup):
-        fabric, lb_stub, client_stub = router_setup
-        node = _make_server_node(simulator, fabric, SERVER1, StaticThresholdPolicy(4))
-        assert node.bound_vips == {VIP}

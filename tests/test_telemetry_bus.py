@@ -206,9 +206,3 @@ class TestPayloadJson:
     def test_malformed_json_is_loud(self):
         with pytest.raises(TelemetryError):
             TelemetryPayload.from_json_dict({"not": "a payload"})
-
-    def test_kind_of(self):
-        payload = _payload(kind="counter")
-        assert payload.kind_of("s") == "counter"
-        with pytest.raises(TelemetryError):
-            payload.kind_of("missing")

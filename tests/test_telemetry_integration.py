@@ -28,17 +28,11 @@ from repro.errors import TelemetryError
 from repro.experiments.adversarial_experiment import (
     ADVERSARIAL_SCENARIO,
     _attach_gray_failure,
-    _build_adversarial_platform,
-    make_adversarial_trace,
 )
-from repro.experiments.chaos_experiment import (
-    CHAOS_SCENARIO,
-    outcome_fingerprint,
-    run_chaos,
-    run_chaos_once,
-)
+from repro.experiments.chaos_experiment import CHAOS_SCENARIO, outcome_fingerprint
 from repro.experiments.config import TestbedConfig, sr_policy
 from repro.experiments.platform import build_testbed
+from repro.experiments.scenario import ScenarioCell, run_scenario
 from repro.telemetry import runtime
 from repro.telemetry.probe import DEFAULT_WATCHED
 from repro.telemetry.recorder import FlightDump
@@ -188,7 +182,7 @@ class TestDeterminism:
         reports = {}
         comparisons = {}
         for jobs in (1, 2):
-            comparisons[jobs] = run_chaos(config, jobs=jobs)
+            comparisons[jobs] = run_scenario("chaos", config, jobs=jobs)
             reports[jobs] = runtime.last_report()
             runtime.drain()
         for mode in config.modes:
@@ -209,8 +203,8 @@ class TestDeterminism:
 
 def _run_gray_failure(config):
     """One gray-failure run, regression-test style (keeps the testbed)."""
-    trace = make_adversarial_trace(config)
-    testbed = _build_adversarial_platform(config, "gray-failure")
+    trace = ADVERSARIAL_SCENARIO.make_trace(config, ScenarioCell("gray-failure"))
+    testbed = build_testbed(config.testbed, config.policy, run_name="adversarial-gray-failure")
     tier = testbed.lb_tier
     for instance in tier.instances:
         instance.start_housekeeping(config.housekeeping_interval)
@@ -247,26 +241,19 @@ class TestWatchdogOverTelemetry:
         assert "quarantine:server-0" in reasons
 
 
-class TestFlightDumpOnSLOBreach:
-    def test_slo_breach_freezes_a_json_round_trippable_dump(
+class TestFlightDump:
+    def test_a_tripped_dump_rides_in_the_published_payload(
         self, small_testbed_config, telemetry_on
     ):
         testbed = build_testbed(small_testbed_config, sr_policy(4))
         probe = testbed.telemetry
-        probe.add_slo("server.busy_fraction", threshold=0.0, window=3.0)
-        probe.recorder.record(0.0, "marker", "before-breach", 1.0)
+        probe.recorder.record(0.0, "marker", "before-trip", 1.0)
         testbed.run_trace(_burst_trace())
+        dump = probe.recorder.trip("manual", testbed.simulator.now, window=30.0)
 
-        assert len(probe.recorder.dumps) == 1  # a rule trips exactly once
-        dump = probe.recorder.dumps[0]
-        assert dump.reason == "slo:server.busy_fraction"
-        assert dump.window == 3.0
-        assert any(event.label == "before-breach" for event in dump.events)
-
+        assert any(event.label == "before-trip" for event in dump.events)
         clone = FlightDump.from_json_dict(json.loads(json.dumps(dump.to_json_dict())))
         assert clone == dump
-
-        # The dump rides inside the published payload's metadata.
         payload = probe.export_payload()
         assert payload.meta["flight_dumps"] == [dump.to_json_dict()]
 
@@ -302,7 +289,7 @@ class TestUniformSnapshotAPI:
         config = dataclasses.replace(
             CHAOS_SCENARIO.smoke_config(), num_queries=300, modes=("loss",)
         )
-        result = run_chaos_once(config, "loss")
+        result = run_scenario("chaos", config).run("loss")
         stats = result.fault_stats
         assert stats["packets_sent"] > 0
         assert stats["packets_dropped"] > 0

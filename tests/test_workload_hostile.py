@@ -184,17 +184,6 @@ class TestTraceUserIdRoundTrip:
         assert loaded[0].user_id == 123
         assert loaded[1].user_id is None
 
-    def test_slice_and_compress_propagate_user_ids(self):
-        trace = Trace(
-            [Request(1, 1.0, 0.05, user_id=5), Request(2, 3.0, 0.05, user_id=6)],
-            name="t",
-        )
-        sliced = trace.slice_time(0.0, 2.0)
-        assert [request.user_id for request in sliced] == [5]
-        compressed = trace.compress_time(2.0)
-        assert [request.user_id for request in compressed] == [5, 6]
-
-
 class TestFloodGenerators:
     def test_spoofed_flows_need_sources_and_positive_count(self):
         with pytest.raises(WorkloadError):

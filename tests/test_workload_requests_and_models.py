@@ -53,7 +53,6 @@ class TestRequestCatalog:
         catalog.add(request)
         assert catalog.get(101) is request
         assert catalog.demand_of(101) == pytest.approx(0.2)
-        assert catalog.response_size_of(101) == request.response_size
         assert 101 in catalog
         assert len(catalog) == 1
 

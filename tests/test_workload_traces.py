@@ -15,6 +15,14 @@ from repro.workload.wikipedia import (
 )
 
 
+def _arrival_rate_in(trace, kind, start, end):
+    """Arrivals of ``kind`` per second over ``[start, end)``."""
+    count = sum(
+        1 for request in trace if request.kind == kind and start <= request.arrival_time < end
+    )
+    return count / (end - start)
+
+
 def _request(request_id, arrival, demand=0.1, kind=KIND_PHP):
     return Request(
         request_id=request_id, arrival_time=arrival, service_demand=demand, kind=kind
@@ -39,37 +47,6 @@ class TestTrace:
         summary = Trace([]).summary()
         assert summary.num_requests == 0
         assert summary.duration == 0.0
-
-    def test_arrival_rate_in_window(self):
-        trace = Trace([_request(index + 1, float(index)) for index in range(10)])
-        assert trace.arrival_rate_in(0.0, 10.0) == pytest.approx(1.0)
-        with pytest.raises(WorkloadError):
-            trace.arrival_rate_in(5.0, 5.0)
-
-    def test_slice_time_rebases(self):
-        trace = Trace([_request(index, float(index)) for index in range(10)])
-        sliced = trace.slice_time(3.0, 6.0)
-        assert len(sliced) == 3
-        assert sliced[0].arrival_time == pytest.approx(0.0)
-
-    def test_thin_keeps_a_fraction(self, rng):
-        trace = Trace([_request(index, float(index) * 0.001) for index in range(10_000)])
-        thinned = trace.thin(0.25, rng)
-        assert 0.2 * len(trace) < len(thinned) < 0.3 * len(trace)
-
-    def test_thin_rejects_bad_fraction(self, rng):
-        trace = Trace([_request(1, 0.0)])
-        with pytest.raises(WorkloadError):
-            trace.thin(0.0, rng)
-
-    def test_compress_time(self):
-        trace = Trace([_request(1, 10.0), _request(2, 20.0)])
-        compressed = trace.compress_time(10.0)
-        assert compressed.duration == pytest.approx(2.0)
-
-    def test_filter_kind(self):
-        trace = Trace([_request(1, 0.0), _request(2, 1.0, kind=KIND_WIKI)])
-        assert len(trace.filter_kind(KIND_WIKI)) == 1
 
     def test_save_and_load_roundtrip(self, tmp_path):
         trace = Trace([_request(1, 0.5), _request(2, 1.5, 0.3, KIND_WIKI)])
@@ -116,14 +93,6 @@ class TestPoissonWorkload:
             rho=0.5, saturation_rate=240.0, num_queries=100
         )
         assert workload.rate == pytest.approx(120.0)
-
-    def test_offered_load(self):
-        workload = PoissonWorkload(rate=120.0, num_queries=100)
-        assert workload.offered_load(total_cores=24) == pytest.approx(0.5)
-
-    def test_expected_duration(self):
-        workload = PoissonWorkload(rate=100.0, num_queries=1_000)
-        assert workload.expected_duration() == pytest.approx(10.0)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(WorkloadError):
@@ -182,7 +151,10 @@ class TestSyntheticWikipediaWorkload:
             duration=600.0, replay_fraction=0.5, static_per_wiki=1.0
         )
         trace = workload.generate(rng)
-        assert len(trace) == pytest.approx(workload.expected_request_count(), rel=0.15)
+        # The day's mean wiki rate (the harmonics integrate to zero),
+        # replayed in part, plus the static requests each page pulls.
+        wiki = workload.curve.mean_rate * workload.replay_fraction * workload.duration
+        assert len(trace) == pytest.approx(wiki * (1.0 + workload.static_per_wiki), rel=0.15)
 
     def test_diurnal_shape_visible_in_compressed_trace(self, rng):
         # Compress a day into 20 minutes and check the trough-vs-peak ratio
@@ -190,11 +162,11 @@ class TestSyntheticWikipediaWorkload:
         workload = SyntheticWikipediaWorkload(
             duration=1200.0, replay_fraction=1.0, static_per_wiki=0.0
         )
-        trace = workload.generate(rng).filter_kind(KIND_WIKI)
+        trace = workload.generate(rng)
         trough_window = (8 / 24 * 1200.0 - 60.0, 8 / 24 * 1200.0 + 60.0)
         peak_window = (20 / 24 * 1200.0 - 60.0, 20 / 24 * 1200.0 + 60.0)
-        trough_rate = trace.arrival_rate_in(*trough_window)
-        peak_rate = trace.arrival_rate_in(*peak_window)
+        trough_rate = _arrival_rate_in(trace, KIND_WIKI, *trough_window)
+        peak_rate = _arrival_rate_in(trace, KIND_WIKI, *peak_window)
         assert peak_rate > 1.5 * trough_rate
 
     def test_replay_fraction_scales_rate(self, rng):
@@ -205,10 +177,6 @@ class TestSyntheticWikipediaWorkload:
         full_count = len(full.generate(np.random.default_rng(1)))
         half_count = len(half.generate(np.random.default_rng(1)))
         assert half_count == pytest.approx(full_count / 2, rel=0.15)
-
-    def test_offered_peak_load_positive(self):
-        workload = SyntheticWikipediaWorkload(duration=600.0, replay_fraction=0.5)
-        assert 0 < workload.offered_peak_load(total_cores=24) < 2.0
 
     def test_rate_helpers(self):
         workload = SyntheticWikipediaWorkload(duration=SECONDS_PER_DAY, replay_fraction=0.5)
