@@ -9,7 +9,8 @@
 #                              every shape of run result across a process boundary
 #   make scale-smoke         - the scale scenario at partitions=1 and 2; asserts the
 #                              merged results are bit-identical (fingerprint check)
-#                              and the coordinator's memory growth stays per-column
+#                              and the coordinator's and workers' memory growth
+#                              stays per-column
 #   make chaos-smoke         - the chaos scenario at two seeds; asserts jobs=1 and
 #                              jobs=2 fingerprints match per seed, differ across
 #                              seeds, and the loss cell recovers >= 99% of queries
@@ -104,7 +105,9 @@ bench-smoke-parallel:
 # (SHA-256 fingerprint), which holds on any core count — this is the
 # determinism gate of the partitioned engine, not a perf measurement —
 # and that the coordinator's ru_maxrss grew by no more than
-# 160 B per outcome + 4 MB over the partitioned run (pods ship columns).
+# 160 B per outcome + 4 MB over the partitioned run (pods ship columns),
+# and the pod workers' by no more than 250 B per outcome + 2 MB over the
+# fork point (outcomes are table rows, finished pods free their testbed).
 scale-smoke:
 	REPRO_BENCH_SCALE_QUERIES=20000 REPRO_BENCH_SCALE_PARTITIONS=2 \
 		$(PYTHON) -m pytest -q $(BENCH_OPTS) \

@@ -8,11 +8,15 @@ fingerprint — is identical whether the partitions execute in one process
 or several.  The same check is the CI ``scale-smoke`` job
 (``make scale-smoke``, at 20 000 queries).
 
-It also keeps the coordinator lean: pods send columns home, so the
-process that only merges them may grow by bytes per outcome, not by
-objects.  The partitioned run goes first and ``ru_maxrss`` of this
-process is read before and after it — the serial run that follows
-simulates in-process and would drown the reading.
+It also keeps both sides lean.  Pods send columns home, so the process
+that only merges them may grow by bytes per outcome, not by objects.
+The pod workers keep each outcome as one row of the collector's table
+and free each pod's testbed when its run ends, so a worker's peak is one
+live pod plus its columns.  The partitioned run goes first and
+``ru_maxrss`` of this process is read before and after it — the serial
+run that follows simulates in-process and would drown the reading.  The
+workers are forked from this process, so their growth is read against
+the same starting point.
 
 Scale knobs: ``REPRO_BENCH_SCALE_QUERIES`` sets the aggregate query count
 (default 2000; the north-star runs use 1e6+ via ``make perf``);
@@ -55,6 +59,13 @@ def _config() -> ScaleConfig:
 COORDINATOR_BYTES_PER_OUTCOME = 160
 COORDINATOR_FIXED_BYTES = 4 * 1024 * 1024
 
+#: Pod-worker peak over the fork point, per outcome of the run.  At
+#: 20 000 queries on 2 workers the growth measured 5.0–5.3 MB; with
+#: outcome objects, and testbeds left to the cycle collector, it was
+#: 8.8–9.7 MB.
+WORKER_BYTES_PER_OUTCOME = 250
+WORKER_FIXED_BYTES = 2 * 1024 * 1024
+
 
 def _maxrss_bytes(who: int) -> int:
     return resource.getrusage(who).ru_maxrss * 1024  # Linux reports KiB
@@ -70,8 +81,10 @@ def bench_scale_partition_equivalence(benchmark):
     partitioned = result.run
     coordinator_growth = _maxrss_bytes(resource.RUSAGE_SELF) - coordinator_before
     children = _maxrss_bytes(resource.RUSAGE_CHILDREN)
+    worker_growth = children - coordinator_before
     benchmark.extra_info["coordinator_growth_mb"] = coordinator_growth / 2**20
     benchmark.extra_info["children_maxrss_mb"] = children / 2**20
+    benchmark.extra_info["worker_growth_mb"] = worker_growth / 2**20
 
     serial = run_scenario("scale", config, partitions=1).run
 
@@ -98,3 +111,12 @@ def bench_scale_partition_equivalence(benchmark):
         f"(children peaked at {children / 2**20:.1f} MB): per-outcome "
         "objects are back in the merging process"
     )
+    if _partitions() > 1:
+        worker_budget = (
+            WORKER_BYTES_PER_OUTCOME * config.num_queries + WORKER_FIXED_BYTES
+        )
+        assert worker_growth <= worker_budget, (
+            f"pod workers peaked {worker_growth / 2**20:.1f} MB over the fork "
+            f"point, budget {worker_budget / 2**20:.1f} MB: outcome objects or "
+            "finished pods' testbeds are staying resident in the workers"
+        )

@@ -251,21 +251,29 @@ class GrayFailureWatchdog:
         self.ticks = 0
         self._strikes: Dict[str, int] = {}
         self._quarantined: Set[str] = set()
-        self._task = PeriodicTask(
-            simulator, interval, self._tick, label="gray-watchdog"
-        )
+        self._task: Optional[PeriodicTask] = None
 
     def start(self, first_delay: Optional[float] = None) -> None:
         """Begin periodic detection."""
+        if self._task is None:
+            self._task = PeriodicTask(
+                self.simulator, self.interval, self._tick, label="gray-watchdog"
+            )
         self._task.start(first_delay)
 
     def stop(self) -> None:
-        """Stop detection (horizon hook)."""
-        self._task.stop()
+        """Stop detection (horizon hook).
+
+        The stopped task is dropped: its callback is this watchdog, and
+        the pair would otherwise hold the testbed until a GC pass.
+        """
+        if self._task is not None:
+            self._task.stop()
+            self._task = None
 
     @property
     def active(self) -> bool:
-        return self._task.active
+        return self._task is not None and self._task.active
 
     def _tick(self) -> None:
         self.ticks += 1

@@ -333,6 +333,11 @@ class LoadBalancerTier:
         self.router.remove_next_hop(name)
         return instance
 
+    def close(self) -> None:
+        """Cut each instance's link back to the tier (the run is over)."""
+        for instance in self.instances:
+            instance.tier = None
+
     def instance(self, name: str) -> TierLoadBalancer:
         """Look up an instance (alive or dead) by name."""
         for instance in self.instances:

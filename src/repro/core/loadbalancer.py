@@ -209,7 +209,7 @@ class LoadBalancerNode(NetworkNode):
 
     def start_housekeeping(self, interval: Optional[float] = None) -> None:
         """Start periodic flow-table expiry (idle-timeout enforcement)."""
-        if self._housekeeping is not None and self._housekeeping.active:
+        if self._housekeeping is not None:
             return
         period = interval if interval is not None else self.flow_table.idle_timeout
         self._housekeeping = PeriodicTask(
@@ -233,6 +233,9 @@ class LoadBalancerNode(NetworkNode):
         """Stop the periodic flow-table expiry task."""
         if self._housekeeping is not None:
             self._housekeeping.stop()
+            # The task's callback is this node's method: keeping the
+            # stopped task would be a cycle holding the flow table.
+            self._housekeeping = None
 
     # ------------------------------------------------------------------
     # packet processing

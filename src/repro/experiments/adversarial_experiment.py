@@ -265,30 +265,31 @@ class AdversarialScenario(ScenarioSpec):
     ) -> AdversarialRunResult:
         """Replay the legitimate workload under one attack mode."""
         mode = cell.param("mode")
-        testbed = build_testbed(
+        with build_testbed(
             config.testbed, config.policy, run_name=f"adversarial-{mode}"
-        )
-        tier = testbed.lb_tier
+        ) as testbed:
+            tier = testbed.lb_tier
 
-        # Idle-flow housekeeping on every instance, so the flood's flow-table
-        # entries are reclaimed in-run instead of accumulating to the end.
-        for instance in tier.instances:
-            instance.start_housekeeping(config.housekeeping_interval)
-
-        def stop_housekeeping() -> None:
+            # Idle-flow housekeeping on every instance, so the flood's
+            # flow-table entries are reclaimed in-run instead of
+            # accumulating to the end.
             for instance in tier.instances:
-                instance.stop_housekeeping()
+                instance.start_housekeeping(config.housekeeping_interval)
 
-        testbed.at_horizon(stop_housekeeping)
+            def stop_housekeeping() -> None:
+                for instance in tier.instances:
+                    instance.stop_housekeeping()
 
-        attacker: Optional[SynFloodAttacker] = None
-        watchdog: Optional[GrayFailureWatchdog] = None
-        if mode in ("syn-flood", "hash-collision"):
-            attacker = _attach_flood(testbed, config, mode, trace)
-        elif mode == "gray-failure":
-            watchdog = _attach_gray_failure(testbed, config, trace)
+            testbed.at_horizon(stop_housekeeping)
 
-        duration = testbed.run_trace(trace)
+            attacker: Optional[SynFloodAttacker] = None
+            watchdog: Optional[GrayFailureWatchdog] = None
+            if mode in ("syn-flood", "hash-collision"):
+                attacker = _attach_flood(testbed, config, mode, trace)
+            elif mode == "gray-failure":
+                watchdog = _attach_gray_failure(testbed, config, trace)
+
+            duration = testbed.run_trace(trace)
 
         attack_bucket_share: Optional[float] = None
         if mode == "hash-collision" and attacker is not None:

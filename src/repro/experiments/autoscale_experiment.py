@@ -223,21 +223,21 @@ class AutoscaleScenario(ScenarioSpec):
         self, config: AutoscaleConfig, cell: ScenarioCell, trace: Trace
     ) -> AutoscaleRunResult:
         mode = cell.param("mode")
-        testbed = build_testbed(
+        with build_testbed(
             config.testbed_for(mode), config.policy, run_name=f"autoscale-{mode}"
-        )
-        autoscaler = None
-        if mode == "static":
-            # No control plane: a constant-capacity tracker records the
-            # bill the peak-sized fleet runs up.
-            capacity = CapacityTracker(
-                start_time=testbed.simulator.now,
-                capacity=float(config.max_servers * config.testbed.cores_per_server),
-            )
-        else:
-            autoscaler = attach_control_plane(testbed, config, mode)
-            capacity = autoscaler.lifecycle.capacity
-        duration = testbed.run_trace(trace)
+        ) as testbed:
+            autoscaler = None
+            if mode == "static":
+                # No control plane: a constant-capacity tracker records the
+                # bill the peak-sized fleet runs up.
+                capacity = CapacityTracker(
+                    start_time=testbed.simulator.now,
+                    capacity=float(config.max_servers * config.testbed.cores_per_server),
+                )
+            else:
+                autoscaler = attach_control_plane(testbed, config, mode)
+                capacity = autoscaler.lifecycle.capacity
+            duration = testbed.run_trace(trace)
         monitor_series = (
             []
             if autoscaler is None

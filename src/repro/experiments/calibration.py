@@ -98,8 +98,8 @@ def _probe_drops(
         service_model=ExponentialServiceTime(service_mean),
     )
     trace = workload.generate(np.random.default_rng([seed, int(rate * 1000)]))
-    testbed = build_testbed(config, policy, catalog=RequestCatalog())
-    testbed.run_trace(trace)
+    with build_testbed(config, policy, catalog=RequestCatalog()) as testbed:
+        testbed.run_trace(trace)
     drops = testbed.collector.totals.failed
     return CalibrationProbe(rate=rate, queries=num_queries, drops=drops)
 

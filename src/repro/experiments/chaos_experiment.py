@@ -39,7 +39,7 @@ from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import ChaosConfig, TestbedConfig
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import ScenarioCell, ScenarioResult, ScenarioSpec
-from repro.metrics.collector import ResponseTimeCollector
+from repro.metrics.collector import STATUS_FAILED, ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
 from repro.net.faults import FaultConfig, install_fault_channel
@@ -99,22 +99,29 @@ def outcome_fingerprint(collector: ResponseTimeCollector) -> str:
     response_time | -1, retries, gave_up, failed)`` sorted by request
     id — so the fingerprint is invariant to completion order (and hence
     to the jobs fan-out) but pins every outcome bit the chaos cells care
-    about, including the retry accounting.
+    about, including the retry accounting.  Read straight from the
+    collector's columns; a stable sort by request id orders the rows
+    (ids are unique within a cell).
     """
-    outcomes = collector.outcomes() + collector.failures()
-    rows = sorted(
+    table = collector.export_payload()
+    retries = np.zeros(len(table.request_ids))
+    retries[table.retried_rows] = table.retry_counts
+    gave_up = np.zeros(len(table.request_ids))
+    gave_up[table.gave_up_rows] = 1.0
+    matrix = np.column_stack(
         (
-            float(outcome.request_id),
-            outcome.sent_at,
-            outcome.response_time if outcome.response_time is not None else -1.0,
-            float(outcome.retries),
-            float(outcome.gave_up),
-            float(outcome.failed),
+            table.request_ids.astype(np.float64),
+            table.sent_at,
+            np.where(
+                np.isnan(table.completed_at), -1.0, table.completed_at - table.sent_at
+            ),
+            retries,
+            gave_up,
+            (table.status == STATUS_FAILED).astype(np.float64),
         )
-        for outcome in outcomes
     )
-    matrix = np.asarray(rows, dtype=np.float64)
-    return hashlib.sha256(matrix.tobytes()).hexdigest()
+    order = np.argsort(table.request_ids, kind="stable")
+    return hashlib.sha256(matrix[order].tobytes()).hexdigest()
 
 
 @dataclass
@@ -206,17 +213,18 @@ class ChaosScenario(ScenarioSpec):
     ) -> ChaosRunResult:
         """Replay the legitimate workload under one impairment mode."""
         mode = cell.param("mode")
-        testbed = build_testbed(config.testbed, config.policy, run_name=f"chaos-{mode}")
-        pipeline = install_fault_channel(
-            testbed.simulator,
-            testbed.fabric,
-            fault_config_for(config, mode, trace.duration),
-        )
-        testbed.fault_pipeline = pipeline
-        if testbed.telemetry is not None:
-            testbed.telemetry.watch_faults(pipeline)
-
-        duration = testbed.run_trace(trace)
+        with build_testbed(
+            config.testbed, config.policy, run_name=f"chaos-{mode}"
+        ) as testbed:
+            pipeline = install_fault_channel(
+                testbed.simulator,
+                testbed.fabric,
+                fault_config_for(config, mode, trace.duration),
+            )
+            testbed.fault_pipeline = pipeline
+            if testbed.telemetry is not None:
+                testbed.telemetry.watch_faults(pipeline)
+            duration = testbed.run_trace(trace)
 
         client = testbed.client
         stats = pipeline.stats

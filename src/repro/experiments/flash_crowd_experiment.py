@@ -40,7 +40,7 @@ from repro.experiments.scenario import (
     TraceProvider,
 )
 from repro.metrics.binning import TimeBinner
-from repro.metrics.collector import ResponseTimeCollector
+from repro.metrics.collector import STATUS_SUCCEEDED, ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
 from repro.workload.flash_crowd import RatePhase, SteppedPoissonWorkload
@@ -113,14 +113,16 @@ class FlashCrowdRunResult:
             f"unknown phase {phase!r}: expected one of {', '.join(PHASES)}"
         )
 
-    def phase_response_times(self, phase: str) -> List[float]:
+    def phase_response_times(self, phase: str) -> np.ndarray:
         """Response times of the queries *sent* during one phase."""
         start, end = self.phase_window(phase)
-        return [
-            outcome.response_time
-            for outcome in self.collector.outcomes()
-            if start <= outcome.sent_at < end
-        ]
+        table = self.collector.export_payload()
+        rows = (
+            (table.status == STATUS_SUCCEEDED)
+            & (start <= table.sent_at)
+            & (table.sent_at < end)
+        )
+        return table.completed_at[rows] - table.sent_at[rows]
 
     def phase_summary(self, phase: str) -> Optional[SummaryStatistics]:
         """Response-time summary of one phase's queries.
@@ -131,7 +133,7 @@ class FlashCrowdRunResult:
         from repro.metrics.stats import summarize
 
         times = self.phase_response_times(phase)
-        if not times:
+        if not times.size:
             return None
         return summarize(times)
 
@@ -166,8 +168,10 @@ class FlashCrowdScenario(ScenarioSpec):
         self, config: FlashCrowdConfig, cell: ScenarioCell, trace: Trace
     ) -> FlashCrowdRunResult:
         policy = cell.param("policy")
-        testbed = build_testbed(config.testbed, policy, run_name=f"flash-crowd-{policy.name}")
-        duration = testbed.run_trace(trace)
+        with build_testbed(
+            config.testbed, policy, run_name=f"flash-crowd-{policy.name}"
+        ) as testbed:
+            duration = testbed.run_trace(trace)
         return FlashCrowdRunResult(
             policy=policy,
             collector=testbed.collector,

@@ -155,13 +155,13 @@ class HeavyTailScenario(ScenarioSpec):
     ) -> HeavyTailRunResult:
         """Replay the heavy-tail trace under one policy."""
         policy = _policy_named(config, cell.param("policy"))
-        testbed = build_testbed(
+        with build_testbed(
             config.testbed,
             policy,
             run_name=f"heavy-tail-{policy.name}",
             client_factory=SessionAffinityClient,
-        )
-        duration = testbed.run_trace(trace)
+        ) as testbed:
+            duration = testbed.run_trace(trace)
         client = testbed.client
         return HeavyTailRunResult(
             policy=policy.name,

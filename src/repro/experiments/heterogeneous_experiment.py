@@ -142,12 +142,12 @@ class HeterogeneousFleetScenario(ScenarioSpec):
 
         policy = cell.param("policy")
         load_factor = cell.param("load_factor")
-        testbed = build_testbed(
+        with build_testbed(
             config.fleet,
             policy,
             run_name=f"heterogeneous-{policy.name}-rho{load_factor:g}",
-        )
-        duration = testbed.run_trace(trace)
+        ) as testbed:
+            duration = testbed.run_trace(trace)
         return PoissonRunResult(
             policy=policy,
             load_factor=load_factor,

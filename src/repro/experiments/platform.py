@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 from repro.core.candidate_selection import CandidateSelector, make_selector
 from repro.core.loadbalancer import LoadBalancerNode
 from repro.core.policies import ConnectionAcceptancePolicy, make_policy
-from repro.errors import WorkloadError
+from repro.errors import ExperimentError, WorkloadError
 from repro.experiments.config import PolicySpec, TestbedConfig
 from repro.metrics.collector import ResponseTimeCollector, ServerLoadSampler
 from repro.net.addressing import IPv6Address, default_allocators
@@ -131,6 +131,46 @@ class Testbed:
         default_factory=list, repr=False
     )
     _next_server_index: int = field(default=0, repr=False)
+    #: Set by :meth:`close`.
+    closed: bool = field(default=False, init=False, repr=False)
+
+    # ------------------------------------------------------------------
+    # lifetime
+    # ------------------------------------------------------------------
+    def __enter__(self) -> "Testbed":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Release the testbed once its run is done.
+
+        The fabric and its nodes, the LB tier and its instances, each
+        server and its application, and the telemetry probe and this
+        testbed point at each other.  Left alone, those cycles keep a
+        finished testbed (with its LB flow tables and request catalog)
+        resident until the next full garbage collection; closing cuts
+        them, so the testbed is freed as soon as nothing else holds it.
+        Counters and the collector stay readable; running or changing a
+        closed testbed raises :class:`ExperimentError`.  Closing twice is
+        a no-op.
+        """
+        self.closed = True
+        self.fabric.close()
+        for server in self.servers:
+            server.app.transport = None
+        if self.lb_tier is not None:
+            self.lb_tier.close()
+        if self.telemetry is not None:
+            self.telemetry.close()
+
+    def _check_open(self) -> None:
+        if self.closed:
+            raise ExperimentError(
+                f"testbed {self.collector.name!r} is closed: its run is over, "
+                "build a new testbed to run again"
+            )
 
     # ------------------------------------------------------------------
     # instrumentation
@@ -142,6 +182,7 @@ class Testbed:
         stopped first, so it cannot keep rescheduling forever and hold
         the event heap open.
         """
+        self._check_open()
         self.stop_load_sampler()
         sampler = ServerLoadSampler(interval=interval)
 
@@ -177,6 +218,7 @@ class Testbed:
         autoscaler stop here, so the monitor loop cannot keep the event
         heap alive forever after the workload ends.
         """
+        self._check_open()
         self._horizon_hooks.append(hook)
 
     # ------------------------------------------------------------------
@@ -191,6 +233,7 @@ class Testbed:
         the fabric, and added to every load balancer's backend pool — so
         the very next candidate selection can offer it connections.
         """
+        self._check_open()
         if self.server_allocator is None or self.steering_address is None:
             raise WorkloadError(
                 "this testbed was not built by build_testbed; it cannot "
@@ -238,6 +281,7 @@ class Testbed:
         a server the lifecycle already took out) must find out loudly
         rather than corrupt the drain state.
         """
+        self._check_open()
         if server.draining:
             raise WorkloadError(
                 f"server {server.name!r} is already draining; it has been "
@@ -276,6 +320,7 @@ class Testbed:
         the completion-rate metrics.  On fault-free paths the sweep is a
         no-op (nothing is pending once the heap drains).
         """
+        self._check_open()
         for request in trace:
             if request.request_id in self.catalog:
                 # Re-running the same trace (or a pre-filled catalog) is

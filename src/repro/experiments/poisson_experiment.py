@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ExperimentError
 from repro.experiments import registry
 from repro.experiments.calibration import saturation_rate_for
@@ -56,7 +58,7 @@ class PoissonRunResult:
         """Response-time summary statistics."""
         return self.collector.summary()
 
-    def response_times(self) -> List[float]:
+    def response_times(self) -> np.ndarray:
         """Raw response times (Figures 3 and 5 plot their CDF)."""
         return self.collector.response_times()
 
@@ -150,14 +152,14 @@ class PoissonScenario(ScenarioSpec):
         self, config: PoissonSweepConfig, cell: ScenarioCell, trace: Trace
     ) -> PoissonRunResult:
         policy = cell.param("policy")
-        testbed = build_testbed(
+        with build_testbed(
             config.testbed,
             policy,
             run_name=f"{policy.name}-rho{cell.param('load_factor'):g}",
-        )
-        if cell.param("sample_load"):
-            testbed.attach_load_sampler(interval=config.load_sample_interval)
-        duration = testbed.run_trace(trace)
+        ) as testbed:
+            if cell.param("sample_load"):
+                testbed.attach_load_sampler(interval=config.load_sample_interval)
+            duration = testbed.run_trace(trace)
         return PoissonRunResult(
             policy=cell.param("policy"),
             load_factor=cell.param("load_factor"),

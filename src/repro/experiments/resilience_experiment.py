@@ -37,7 +37,7 @@ from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import ChurnEvent, ResilienceConfig, TestbedConfig
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import ScenarioCell, ScenarioResult, ScenarioSpec
-from repro.metrics.collector import ResponseTimeCollector
+from repro.metrics.collector import STATUS_SUCCEEDED, ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
 from repro.workload.poisson import poisson_trace
@@ -173,45 +173,46 @@ class ResilienceScenario(ScenarioSpec):
     ) -> ResilienceRunResult:
         """Run the churn schedule under one candidate-selection scheme."""
         scheme = cell.param("scheme")
-        testbed = build_testbed(
+        with build_testbed(
             config.testbed, config.policy_for(scheme), run_name=f"resilience-{scheme}"
+        ) as testbed:
+            tier = testbed.lb_tier
+            observations: List[ChurnObservation] = []
+            added = [0]
+
+            def apply_churn(event: ChurnEvent) -> None:
+                observation = ChurnObservation(
+                    event=event,
+                    at_time=testbed.simulator.now,
+                    instance="",
+                    in_flight_ids=set(testbed.client.outstanding_request_ids()),
+                )
+                if event.action == "kill":
+                    victim = _resolve_victim(tier, event)
+                    observation.instance = victim.name
+                    observation.flow_entries_lost = len(victim.flow_table)
+                    tier.kill_instance(victim.name)
+                else:
+                    added[0] += 1
+                    # A fresh address well clear of the construction-time range.
+                    instance = tier.add_instance(
+                        tier.steering_address + 1_000 + added[0]
+                    )
+                    observation.instance = instance.name
+                observations.append(observation)
+
+            for event in config.churn:
+                testbed.simulator.schedule_at(
+                    trace.duration * event.at_fraction,
+                    lambda event=event: apply_churn(event),
+                    label=f"churn-{event.action}",
+                )
+            duration = testbed.run_trace(trace)
+
+        table = testbed.collector.export_payload()
+        completed_ids = set(
+            table.request_ids[table.status == STATUS_SUCCEEDED].tolist()
         )
-        tier = testbed.lb_tier
-
-        observations: List[ChurnObservation] = []
-        added = [0]
-
-        def apply_churn(event: ChurnEvent) -> None:
-            observation = ChurnObservation(
-                event=event,
-                at_time=testbed.simulator.now,
-                instance="",
-                in_flight_ids=set(testbed.client.outstanding_request_ids()),
-            )
-            if event.action == "kill":
-                victim = _resolve_victim(tier, event)
-                observation.instance = victim.name
-                observation.flow_entries_lost = len(victim.flow_table)
-                tier.kill_instance(victim.name)
-            else:
-                added[0] += 1
-                # A fresh address well clear of the construction-time range.
-                instance = tier.add_instance(tier.steering_address + 1_000 + added[0])
-                observation.instance = instance.name
-            observations.append(observation)
-
-        for event in config.churn:
-            testbed.simulator.schedule_at(
-                trace.duration * event.at_fraction,
-                lambda event=event: apply_churn(event),
-                label=f"churn-{event.action}",
-            )
-
-        duration = testbed.run_trace(trace)
-
-        completed_ids = {
-            outcome.request_id for outcome in testbed.collector.outcomes()
-        }
         exposed: Set[int] = set()
         for observation in observations:
             exposed |= observation.in_flight_ids

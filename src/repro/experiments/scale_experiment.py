@@ -44,7 +44,7 @@ from repro.experiments.calibration import saturation_rate_for
 from repro.experiments.config import ScaleConfig, TestbedConfig
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import ScenarioCell, ScenarioSpec, TraceProvider
-from repro.metrics.collector import ResponseTimeCollector
+from repro.metrics.collector import STATUS_SUCCEEDED, ResponseTimeCollector
 from repro.net.ecmp import HopScorer, five_tuple_key
 from repro.net.packet import FlowKey
 from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT
@@ -186,7 +186,7 @@ class PodResult:
 
 
 class _ColumnCollector(ResponseTimeCollector):
-    """Collector that also appends every outcome to the pod's columns.
+    """Collector that also stamps every row with the simulator clock.
 
     Outcomes are recorded at their completion (or failure) event, so the
     clock column is non-decreasing: row order is emission order.
@@ -196,16 +196,10 @@ class _ColumnCollector(ResponseTimeCollector):
         super().__init__(name)
         self.simulator = None
         self.times = array("d")
-        self.request_ids = array("q")
-        self.response_times = array("d")
 
     def record(self, outcome) -> None:
         super().record(outcome)
         self.times.append(self.simulator.now)
-        self.request_ids.append(outcome.request_id)
-        self.response_times.append(
-            outcome.response_time if outcome.succeeded else nan
-        )
 
 
 def simulate_pod(task: PartitionTask, tick: Tick) -> PodResult:
@@ -217,28 +211,27 @@ def simulate_pod(task: PartitionTask, tick: Tick) -> PodResult:
     config, pod_index = task.payload
     trace, horizon = make_pod_trace(config, pod_index)
     collector = _ColumnCollector(name=f"pod-{pod_index}")
-    testbed = build_testbed(
+    with build_testbed(
         config.testbed.with_seed(_pod_seed(config, pod_index)),
         config.policy,
         collector=collector,
         run_name=f"pod-{pod_index}",
-    )
-    collector.simulator = testbed.simulator
+    ) as testbed:
+        collector.simulator = testbed.simulator
+        for request in trace:
+            testbed.catalog.add(request)
+        testbed.client.schedule_trace(trace)
 
-    for request in trace:
-        testbed.catalog.add(request)
-    testbed.client.schedule_trace(trace)
-
-    start = time.perf_counter()
-    run_to_horizon(testbed.simulator, horizon, tick)
-    # The telemetry probe's periodic sampler would keep the heap alive
-    # forever — stop it (taking a final sample, at the horizon) before
-    # the drain below.
-    if testbed.telemetry is not None:
-        testbed.telemetry.stop()
-    # Stragglers past the horizon (idle-flow expiries, late timeouts).
-    testbed.simulator.run()
-    wall_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        run_to_horizon(testbed.simulator, horizon, tick)
+        # The telemetry probe's periodic sampler would keep the heap alive
+        # forever — stop it (taking a final sample, at the horizon) before
+        # the drain below.
+        if testbed.telemetry is not None:
+            testbed.telemetry.stop()
+        # Stragglers past the horizon (idle-flow expiries, late timeouts).
+        testbed.simulator.run()
+        wall_seconds = time.perf_counter() - start
 
     totals = collector.totals
     summary = {
@@ -257,10 +250,13 @@ def simulate_pod(task: PartitionTask, tick: Tick) -> PodResult:
         # merges pods in index order and publishes one deployment-wide
         # payload.
         summary["telemetry"] = testbed.telemetry.export_payload()
+    table = collector.export_payload()
     return PodResult(
         times=np.array(collector.times, dtype=np.float64),
-        request_ids=np.array(collector.request_ids, dtype=np.int64),
-        response_times=np.array(collector.response_times, dtype=np.float64),
+        request_ids=table.request_ids,
+        response_times=np.where(
+            table.status == STATUS_SUCCEEDED, table.completed_at - table.sent_at, nan
+        ),
         summary=summary,
     )
 

@@ -13,10 +13,11 @@ A family subclasses :class:`ScenarioSpec` and provides:
   picklable :class:`ScenarioCell` (e.g. one per (policy, load factor));
 * ``make_trace(config, cell)`` — the deterministic workload trace of a
   cell (cells may share a trace, see :meth:`ScenarioSpec.trace_key`);
-* ``run_once(config, cell, trace)`` — build a fresh testbed, replay the
-  trace on it and return the family's run result.  The result is what
-  crosses the process boundary, so it must pickle — and pickle
-  compactly, which it does by holding its outcomes in a
+* ``run_once(config, cell, trace)`` — build a fresh testbed (``with
+  build_testbed(...) as testbed:``, so it is freed when the run is
+  done), replay the trace on it and return the family's run result.
+  The result is what crosses the process boundary, so it must pickle —
+  and pickle compactly, which it does by holding its outcomes in a
   :class:`~repro.metrics.collector.ResponseTimeCollector`;
 * ``render(result)`` — the family's headline figure;
 
@@ -48,7 +49,7 @@ every built-in family is) bit-for-bit the same trace.  An explicit
 verbatim instead.  A parallel run's results come home pickled (a
 collector pickles as arrays and scalars, so the floats cross verbatim);
 a serial run's are not pickled at all.  Both carry the same outcome
-fields, ``url`` excepted.
+fields.
 
 A cell that raises in a worker, or a worker that dies, ends the run in
 one :class:`~repro.errors.SimulationError` naming the cell(s) and no

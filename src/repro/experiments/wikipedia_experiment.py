@@ -76,7 +76,7 @@ class WikipediaRunResult:
         """Wiki-page response times binned by arrival time."""
         return self.collector.binned(bin_width=self.bin_width, kind=KIND_WIKI)
 
-    def wiki_response_times(self) -> List[float]:
+    def wiki_response_times(self) -> np.ndarray:
         """All wiki-page response times (Figure 8's CDF input)."""
         return self.collector.response_times(kind=KIND_WIKI)
 
@@ -137,8 +137,10 @@ class WikipediaScenario(ScenarioSpec):
         self, config: WikipediaReplayConfig, cell: ScenarioCell, trace: Trace
     ) -> WikipediaRunResult:
         policy = cell.param("policy")
-        testbed = build_testbed(config.testbed, policy, run_name=f"wikipedia-{policy.name}")
-        testbed.run_trace(trace)
+        with build_testbed(
+            config.testbed, policy, run_name=f"wikipedia-{policy.name}"
+        ) as testbed:
+            testbed.run_trace(trace)
         return WikipediaRunResult(
             policy=policy,
             collector=testbed.collector,

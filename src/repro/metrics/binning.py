@@ -9,8 +9,9 @@ samples into fixed-width bins and computes those per-bin series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
 
 from repro.errors import ReproError
 from repro.metrics.stats import deciles, median_or_nan
@@ -22,7 +23,7 @@ class TimeBin:
 
     start: float
     end: float
-    values: List[float]
+    values: Sequence[float]
 
     @property
     def center(self) -> float:
@@ -46,13 +47,16 @@ class TimeBin:
 
     def deciles(self) -> List[float]:
         """Deciles 1–9 of the bin's samples (NaNs when empty)."""
-        if not self.values:
+        if not len(self.values):
             return [float("nan")] * 9
         return deciles(self.values)
 
 
 class TimeBinner:
     """Fixed-width time binning of ``(timestamp, value)`` samples.
+
+    Samples are kept as arrays and grouped by bin when the bins are
+    materialised; a bin's values keep the order they were added in.
 
     Parameters
     ----------
@@ -78,16 +82,39 @@ class TimeBinner:
         self.bin_width = bin_width
         self.start = start
         self.through = through
-        self._bins: Dict[int, List[float]] = {}
+        self._chunks: List[Tuple[np.ndarray, np.ndarray]] = []
+        #: ``(bin index, value)`` arrays sorted by bin, rebuilt after an add.
+        self._grouped: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def add(self, timestamp: float, value: float) -> None:
         """Add one sample."""
-        if timestamp < self.start:
+        self.extend([timestamp], [value])
+
+    def extend(self, timestamps: Sequence[float], values: Sequence[float]) -> None:
+        """Add samples: ``values[i]`` arrived at ``timestamps[i]``."""
+        timestamps = np.asarray(timestamps, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        if timestamps.shape != values.shape:
             raise ReproError(
-                f"sample at {timestamp!r} precedes the binning origin {self.start!r}"
+                f"{timestamps.size} timestamps for {values.size} values"
             )
-        index = int((timestamp - self.start) // self.bin_width)
-        self._bins.setdefault(index, []).append(value)
+        early = timestamps < self.start
+        if early.any():
+            raise ReproError(
+                f"sample at {float(timestamps[early][0])!r} precedes the binning "
+                f"origin {self.start!r}"
+            )
+        self._chunks.append((timestamps, values))
+        self._grouped = None
+
+    def _by_bin(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._grouped is None:
+            timestamps = np.concatenate([chunk[0] for chunk in self._chunks] or [[]])
+            values = np.concatenate([chunk[1] for chunk in self._chunks] or [[]])
+            indices = ((timestamps - self.start) // self.bin_width).astype(np.int64)
+            order = np.argsort(indices, kind="stable")
+            self._grouped = (indices[order], values[order])
+        return self._grouped
 
     def bins(self, through: Optional[float] = None) -> List[TimeBin]:
         """Materialise the bins, including empty ones, in time order.
@@ -98,13 +125,15 @@ class TimeBinner:
         """
         if through is None:
             through = self.through
-        if not self._bins and through is None:
+        indices, values = self._by_bin()
+        if not indices.size and through is None:
             return []
-        last_index = max(self._bins) if self._bins else 0
+        last_index = int(indices[-1]) if indices.size else 0
         if through is not None:
             last_index = max(
                 last_index, int((through - self.start) // self.bin_width)
             )
+        edges = np.searchsorted(indices, np.arange(last_index + 2)).tolist()
         result = []
         for index in range(0, last_index + 1):
             bin_start = self.start + index * self.bin_width
@@ -112,7 +141,7 @@ class TimeBinner:
                 TimeBin(
                     start=bin_start,
                     end=bin_start + self.bin_width,
-                    values=self._bins.get(index, []),
+                    values=values[edges[index] : edges[index + 1]],
                 )
             )
         return result
@@ -135,4 +164,5 @@ class TimeBinner:
         return [(bin_.center, bin_.deciles()) for bin_ in self.bins(through)]
 
     def __len__(self) -> int:
-        return len(self._bins)
+        """Number of non-empty bins."""
+        return int(np.unique(self._by_bin()[0]).size)

@@ -6,17 +6,27 @@ collector for exactly the series the paper's figures plot: response-time
 arrays (optionally filtered by request kind), success/failure counts,
 per-bin series for the Wikipedia replay, and summary statistics.
 
-A collector is also its own wire format: it pickles as a
-:class:`CollectorPayload` (parallel arrays and scalars instead of one
-object per query), so a run result that holds one crosses a
-``multiprocessing`` pipe compactly with no help from its owner.  The
-round trip keeps every :class:`~repro.workload.client.RequestOutcome`
-field except ``url``.
+A collector is one table in record order, built from :mod:`array`
+columns: request id, kind code and status; ``sent_at``,
+``established_at`` and ``completed_at`` (NaN for none); the failure
+reason code; and sparse retry and give-up rows.  That is 37 B per query
+where a :class:`~repro.workload.client.RequestOutcome` plus its boxed
+floats was about 190 B.  Series are computed on numpy views of the
+columns, and outcome objects are built only when :meth:`outcomes` or
+:meth:`failures` asks for them.  The table keeps no request URL (nothing
+reads one): every outcome it returns has ``url=""``.
+
+The table is also the collector's wire format: a collector pickles as a
+:class:`CollectorPayload`, one numpy array per column, so a run result
+that holds one crosses a ``multiprocessing`` pipe compactly with no help
+from its owner, and comes back with every field it left with.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from math import nan
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,6 +35,13 @@ from repro.errors import ReproError
 from repro.metrics.binning import TimeBinner
 from repro.metrics.stats import SummaryStatistics, summarize
 from repro.workload.client import RequestOutcome
+
+#: Codes of the status column.  A query that neither failed nor received
+#: a response (recorded while still open) is ``STATUS_UNANSWERED``; only
+#: ``STATUS_SUCCEEDED`` rows have a response time.
+STATUS_SUCCEEDED = 0
+STATUS_FAILED = 1
+STATUS_UNANSWERED = 2
 
 
 @dataclass
@@ -42,68 +59,52 @@ class CollectorTotals:
 
 @dataclass
 class CollectorPayload:
-    """Compact, picklable export of a :class:`ResponseTimeCollector`.
+    """A :class:`ResponseTimeCollector`'s table as numpy arrays.
 
-    Outcomes are stored as parallel :mod:`numpy` arrays (one row per
-    query, successes and failures separately) plus small string tables
-    for the request kinds and failure reasons, so a 20k-query run
-    crosses a ``multiprocessing`` pipe as a handful of contiguous
-    buffers instead of tens of thousands of Python objects.  Request
-    URLs are not round-tripped (nothing downstream of the collector
-    reads them); a rebuilt collector reports every URL as ``""``.
-    Every other outcome field is.
+    One element per recorded query, in record order, plus the string
+    tables the kind and reason codes index into.  It is what a collector
+    pickles as, and what callers read when they need whole columns.
     """
 
     name: str
     kinds: Tuple[str, ...]
     failure_reasons: Tuple[str, ...]
-    #: Successful queries: ids, kind codes and the three timestamps.
-    ok_request_ids: np.ndarray
-    ok_kind_codes: np.ndarray
-    ok_sent_at: np.ndarray
-    ok_established_at: np.ndarray
-    ok_completed_at: np.ndarray
-    #: Failed queries: ids, kind codes, timestamps and reason codes
-    #: (an index into :attr:`failure_reasons`; -1 means no reason).
-    fail_request_ids: np.ndarray
-    fail_kind_codes: np.ndarray
-    fail_sent_at: np.ndarray
-    fail_established_at: np.ndarray
-    fail_reason_codes: np.ndarray
-    #: Sparse retry accounting, empty unless the client's retries are
-    #: armed: the rows with ``retries > 0`` and their counts, and the
-    #: rows that ``gave_up``.  Rows number the successes, then the failures.
+    request_ids: np.ndarray
+    #: Index into :attr:`kinds`.
+    kind_codes: np.ndarray
+    #: One of the ``STATUS_*`` codes.
+    status: np.ndarray
+    sent_at: np.ndarray
+    #: NaN where the handshake never completed.
+    established_at: np.ndarray
+    #: NaN where no response arrived.
+    completed_at: np.ndarray
+    #: Index into :attr:`failure_reasons`; -1 means no reason.
+    reason_codes: np.ndarray
+    #: Sparse retry accounting: the rows with ``retries > 0`` and their
+    #: counts, and the rows that ``gave_up``.
     retried_rows: np.ndarray
     retry_counts: np.ndarray
     gave_up_rows: np.ndarray
 
 
-def _encode_outcomes(
-    outcomes: Sequence[RequestOutcome],
-    kind_codes: Dict[str, int],
-    kinds: List[str],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(ids, kind codes, sent_at, established_at)`` arrays for one side."""
-    ids = np.empty(len(outcomes), dtype=np.int64)
-    codes = np.empty(len(outcomes), dtype=np.int32)
-    sent = np.empty(len(outcomes), dtype=np.float64)
-    established = np.empty(len(outcomes), dtype=np.float64)
-    for row, outcome in enumerate(outcomes):
-        ids[row] = outcome.request_id
-        code = kind_codes.get(outcome.kind)
-        if code is None:
-            code = kind_codes[outcome.kind] = len(kinds)
-            kinds.append(outcome.kind)
-        codes[row] = code
-        sent[row] = outcome.sent_at
-        established[row] = (
-            np.nan if outcome.established_at is None else outcome.established_at
-        )
-    return ids, codes, sent, established
+def _code(value: str, codes: Dict[str, int], names: List[str]) -> int:
+    """``value``'s index in ``names``, appended on first sight."""
+    code = codes.get(value)
+    if code is None:
+        code = codes[value] = len(names)
+        names.append(value)
+    return code
 
 
-def _float_or_none(value: float) -> Optional[float]:
-    return None if np.isnan(value) else float(value)
+def _view(column: array) -> np.ndarray:
+    """A numpy view of ``column``; it must not outlive the caller's frame
+    (an exported buffer blocks the column from growing)."""
+    return np.frombuffer(column, column.typecode)
+
+
+def _load(column: array, values: np.ndarray) -> None:
+    column.frombytes(np.ascontiguousarray(values, column.typecode).tobytes())
 
 
 class ResponseTimeCollector:
@@ -111,19 +112,53 @@ class ResponseTimeCollector:
 
     def __init__(self, name: str = "run") -> None:
         self.name = name
-        self._outcomes: List[RequestOutcome] = []
-        self._failed: List[RequestOutcome] = []
+        self._kinds: List[str] = []
+        self._kind_codes: Dict[str, int] = {}
+        self._reasons: List[str] = []
+        self._reason_codes: Dict[str, int] = {}
+        self._request_id = array("q")
+        self._kind = array("h")
+        self._status = array("B")
+        self._sent_at = array("d")
+        self._established_at = array("d")
+        self._completed_at = array("d")
+        self._reason = array("h")
+        self._retried_rows = array("q")
+        self._retry_counts = array("q")
+        self._gave_up_rows = array("q")
 
     # ------------------------------------------------------------------
     # recording (OutcomeSink protocol)
     # ------------------------------------------------------------------
     def record(self, outcome: RequestOutcome) -> None:
-        """Store one finished query (called by the traffic generator)."""
-        # RequestOutcome.succeeded, inlined: one record per query.
-        if outcome.completed_at is not None and not outcome.failed:
-            self._outcomes.append(outcome)
+        """Append one finished query's row (called by the traffic generator)."""
+        kind = self._kind_codes.get(outcome.kind)
+        if kind is None:
+            kind = _code(outcome.kind, self._kind_codes, self._kinds)
+        if outcome.retries or outcome.gave_up:
+            row = len(self._request_id)
+            if outcome.retries:
+                self._retried_rows.append(row)
+                self._retry_counts.append(outcome.retries)
+            if outcome.gave_up:
+                self._gave_up_rows.append(row)
+        self._request_id.append(outcome.request_id)
+        self._kind.append(kind)
+        self._sent_at.append(outcome.sent_at)
+        established = outcome.established_at
+        self._established_at.append(nan if established is None else established)
+        completed = outcome.completed_at
+        if outcome.failed:
+            self._status.append(STATUS_FAILED)
         else:
-            self._failed.append(outcome)
+            self._status.append(
+                STATUS_UNANSWERED if completed is None else STATUS_SUCCEEDED
+            )
+        self._completed_at.append(nan if completed is None else completed)
+        reason = outcome.failure_reason
+        self._reason.append(
+            -1 if reason is None else _code(reason, self._reason_codes, self._reasons)
+        )
 
     # ------------------------------------------------------------------
     # retrieval
@@ -131,39 +166,64 @@ class ResponseTimeCollector:
     @property
     def totals(self) -> CollectorTotals:
         """Success/failure counts."""
-        return CollectorTotals(completed=len(self._outcomes), failed=len(self._failed))
+        completed = int(np.count_nonzero(_view(self._status) == STATUS_SUCCEEDED))
+        return CollectorTotals(completed=completed, failed=len(self) - completed)
+
+    def _rows(self, succeeded: bool, kind: Optional[str]) -> np.ndarray:
+        """Boolean row mask: (un)successful queries, optionally of one kind."""
+        status = _view(self._status)
+        mask = status == STATUS_SUCCEEDED if succeeded else status != STATUS_SUCCEEDED
+        if kind is not None:
+            mask &= _view(self._kind) == self._kind_codes.get(kind, -1)
+        return mask
+
+    def _materialise(self, mask: np.ndarray) -> List[RequestOutcome]:
+        rows = np.flatnonzero(mask)
+        retries = dict(zip(self._retried_rows, self._retry_counts))
+        gave_up = set(self._gave_up_rows)
+        kinds, reasons = self._kinds, self._reasons
+        return [
+            RequestOutcome(
+                request_id,
+                kinds[kind],
+                "",
+                sent_at,
+                None if established != established else established,
+                None if completed != completed else completed,
+                status == STATUS_FAILED,
+                None if reason < 0 else reasons[reason],
+                retries.get(row, 0),
+                row in gave_up,
+            )
+            for row, request_id, kind, status, sent_at, established, completed, reason in zip(
+                rows.tolist(),
+                _view(self._request_id)[rows].tolist(),
+                _view(self._kind)[rows].tolist(),
+                _view(self._status)[rows].tolist(),
+                _view(self._sent_at)[rows].tolist(),
+                _view(self._established_at)[rows].tolist(),
+                _view(self._completed_at)[rows].tolist(),
+                _view(self._reason)[rows].tolist(),
+            )
+        ]
 
     def outcomes(self, kind: Optional[str] = None) -> List[RequestOutcome]:
         """Successful outcomes, optionally filtered by request kind."""
-        if kind is None:
-            return list(self._outcomes)
-        return [outcome for outcome in self._outcomes if outcome.kind == kind]
+        return self._materialise(self._rows(True, kind))
 
     def failures(self, kind: Optional[str] = None) -> List[RequestOutcome]:
         """Failed outcomes, optionally filtered by request kind."""
-        if kind is None:
-            return list(self._failed)
-        return [outcome for outcome in self._failed if outcome.kind == kind]
+        return self._materialise(self._rows(False, kind))
 
-    def response_times(self, kind: Optional[str] = None) -> List[float]:
-        """Response times (seconds) of successful queries.
-
-        Iterates the stored outcomes directly instead of materialising
-        the intermediate :meth:`outcomes` copy — the summary/CDF paths
-        call this once per figure series over runs with tens of
-        thousands of outcomes.
-        """
-        return [
-            outcome.response_time
-            for outcome in self._outcomes
-            if outcome.response_time is not None
-            and (kind is None or outcome.kind == kind)
-        ]
+    def response_times(self, kind: Optional[str] = None) -> np.ndarray:
+        """Response times (seconds) of successful queries, in record order."""
+        mask = self._rows(True, kind)
+        return _view(self._completed_at)[mask] - _view(self._sent_at)[mask]
 
     def summary(self, kind: Optional[str] = None) -> SummaryStatistics:
         """Summary statistics of the response times."""
         times = self.response_times(kind)
-        if not times:
+        if not times.size:
             raise ReproError(
                 f"collector {self.name!r} has no successful outcomes"
                 + (f" of kind {kind!r}" if kind else "")
@@ -182,12 +242,10 @@ class ResponseTimeCollector:
         empty bins up to that timestamp are materialised even when the
         caller never passes a horizon to :meth:`TimeBinner.bins` itself.
         """
+        mask = self._rows(True, kind)
+        sent_at = _view(self._sent_at)[mask]
         binner = TimeBinner(bin_width=bin_width, through=through)
-        for outcome in self._outcomes:
-            if outcome.response_time is not None and (
-                kind is None or outcome.kind == kind
-            ):
-                binner.add(outcome.sent_at, outcome.response_time)
+        binner.extend(sent_at, _view(self._completed_at)[mask] - sent_at)
         return binner
 
     def mean_response_time(self, kind: Optional[str] = None) -> float:
@@ -195,7 +253,7 @@ class ResponseTimeCollector:
         return self.summary(kind).mean
 
     # ------------------------------------------------------------------
-    # compact export / rebuild (the wire format of every run result)
+    # the table as arrays (the wire format of every run result)
     # ------------------------------------------------------------------
     def __reduce__(self):
         """Pickle as a :class:`CollectorPayload`, rebuilt by :meth:`from_payload`.
@@ -206,101 +264,51 @@ class ResponseTimeCollector:
         return (ResponseTimeCollector.from_payload, (self.export_payload(),))
 
     def export_payload(self) -> CollectorPayload:
-        """Export the recorded outcomes as a :class:`CollectorPayload`."""
-        kinds: List[str] = []
-        kind_codes: Dict[str, int] = {}
-        ok_ids, ok_codes, ok_sent, ok_established = _encode_outcomes(
-            self._outcomes, kind_codes, kinds
-        )
-        ok_completed = np.array(
-            [outcome.completed_at for outcome in self._outcomes], dtype=np.float64
-        )
-        fail_ids, fail_codes, fail_sent, fail_established = _encode_outcomes(
-            self._failed, kind_codes, kinds
-        )
-        reasons: List[str] = []
-        reason_codes: Dict[str, int] = {}
-        fail_reasons = np.empty(len(self._failed), dtype=np.int32)
-        for row, outcome in enumerate(self._failed):
-            if outcome.failure_reason is None:
-                fail_reasons[row] = -1
-                continue
-            code = reason_codes.get(outcome.failure_reason)
-            if code is None:
-                code = reason_codes[outcome.failure_reason] = len(reasons)
-                reasons.append(outcome.failure_reason)
-            fail_reasons[row] = code
-        rows = self._outcomes + self._failed
-        retried = [row for row, outcome in enumerate(rows) if outcome.retries]
-        gave_up = [row for row, outcome in enumerate(rows) if outcome.gave_up]
+        """A copy of the table as a :class:`CollectorPayload`."""
         return CollectorPayload(
             name=self.name,
-            kinds=tuple(kinds),
-            failure_reasons=tuple(reasons),
-            ok_request_ids=ok_ids,
-            ok_kind_codes=ok_codes,
-            ok_sent_at=ok_sent,
-            ok_established_at=ok_established,
-            ok_completed_at=ok_completed,
-            fail_request_ids=fail_ids,
-            fail_kind_codes=fail_codes,
-            fail_sent_at=fail_sent,
-            fail_established_at=fail_established,
-            fail_reason_codes=fail_reasons,
-            retried_rows=np.array(retried, dtype=np.int64),
-            retry_counts=np.array(
-                [rows[row].retries for row in retried], dtype=np.int32
-            ),
-            gave_up_rows=np.array(gave_up, dtype=np.int64),
+            kinds=tuple(self._kinds),
+            failure_reasons=tuple(self._reasons),
+            request_ids=_view(self._request_id).copy(),
+            kind_codes=_view(self._kind).copy(),
+            status=_view(self._status).copy(),
+            sent_at=_view(self._sent_at).copy(),
+            established_at=_view(self._established_at).copy(),
+            completed_at=_view(self._completed_at).copy(),
+            reason_codes=_view(self._reason).copy(),
+            retried_rows=_view(self._retried_rows).copy(),
+            retry_counts=_view(self._retry_counts).copy(),
+            gave_up_rows=_view(self._gave_up_rows).copy(),
         )
 
     @classmethod
     def from_payload(cls, payload: CollectorPayload) -> "ResponseTimeCollector":
         """Rebuild a collector from :meth:`export_payload`'s output.
 
-        The rebuilt collector is interchangeable with the original:
-        only request URLs are lost in the round trip.
+        The rebuilt collector is interchangeable with the original.
         """
         collector = cls(name=payload.name)
-        for row in range(len(payload.ok_request_ids)):
-            collector._outcomes.append(
-                RequestOutcome(
-                    request_id=int(payload.ok_request_ids[row]),
-                    kind=payload.kinds[int(payload.ok_kind_codes[row])],
-                    url="",
-                    sent_at=float(payload.ok_sent_at[row]),
-                    established_at=_float_or_none(payload.ok_established_at[row]),
-                    completed_at=float(payload.ok_completed_at[row]),
-                )
-            )
-        for row in range(len(payload.fail_request_ids)):
-            reason_code = int(payload.fail_reason_codes[row])
-            collector._failed.append(
-                RequestOutcome(
-                    request_id=int(payload.fail_request_ids[row]),
-                    kind=payload.kinds[int(payload.fail_kind_codes[row])],
-                    url="",
-                    sent_at=float(payload.fail_sent_at[row]),
-                    established_at=_float_or_none(payload.fail_established_at[row]),
-                    failed=True,
-                    failure_reason=(
-                        None
-                        if reason_code < 0
-                        else payload.failure_reasons[reason_code]
-                    ),
-                )
-            )
-        rows = collector._outcomes + collector._failed
-        for row, count in zip(
-            payload.retried_rows.tolist(), payload.retry_counts.tolist()
+        for kind in payload.kinds:
+            _code(kind, collector._kind_codes, collector._kinds)
+        for reason in payload.failure_reasons:
+            _code(reason, collector._reason_codes, collector._reasons)
+        for column, values in (
+            (collector._request_id, payload.request_ids),
+            (collector._kind, payload.kind_codes),
+            (collector._status, payload.status),
+            (collector._sent_at, payload.sent_at),
+            (collector._established_at, payload.established_at),
+            (collector._completed_at, payload.completed_at),
+            (collector._reason, payload.reason_codes),
+            (collector._retried_rows, payload.retried_rows),
+            (collector._retry_counts, payload.retry_counts),
+            (collector._gave_up_rows, payload.gave_up_rows),
         ):
-            rows[row].retries = count
-        for row in payload.gave_up_rows.tolist():
-            rows[row].gave_up = True
+            _load(column, values)
         return collector
 
     def __len__(self) -> int:
-        return len(self._outcomes) + len(self._failed)
+        return len(self._request_id)
 
     def __repr__(self) -> str:
         totals = self.totals

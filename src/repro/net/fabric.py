@@ -185,6 +185,23 @@ class LANFabric:
         self._detached.add(node.name)
         self._send_routes.clear()
 
+    def close(self) -> None:
+        """Unregister every node at once: the end of the fabric's run.
+
+        Each attached node holds the fabric (its ``send``), and the
+        fabric holds each node (registration, address bindings, memoized
+        routes).  Closing cuts both sides, so a finished testbed is freed
+        by reference counting instead of waiting for a garbage-collection
+        pass.  The nodes are unattached afterwards (``send`` raises), and
+        :attr:`stats` stays readable.
+        """
+        for node in self._nodes.values():
+            node.forget_fabric()
+        self._nodes.clear()
+        self._address_map.clear()
+        self._send_routes.clear()
+        self._taps.clear()
+
     def add_tap(self, tap: PacketTap) -> None:
         """Register an observer called for every delivered packet."""
         self._taps.append(tap)

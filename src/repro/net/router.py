@@ -106,6 +106,11 @@ class NetworkNode:
             fabric.bind_address(address, self)
         self.send = partial(fabric.send_from, self)
 
+    def forget_fabric(self) -> None:
+        """Drop the links :meth:`attach` made: the fabric is being closed."""
+        self._fabric = None
+        vars(self).pop("send", None)
+
     @property
     def fabric(self):
         """The fabric the node is attached to (``None`` if detached)."""

@@ -46,6 +46,8 @@ class TelemetryProbe:
         capacity: Optional[int] = None,
     ) -> None:
         self.testbed = testbed
+        #: The run label the payload publishes under (the collector's name).
+        self.run_name = getattr(testbed.collector, "name", "run") or "run"
         self.interval = interval
         self.bus = TelemetryBus(**({"capacity": capacity} if capacity else {}))
         self.recorder = FlightRecorder()
@@ -73,6 +75,16 @@ class TelemetryProbe:
         if self._task.active:
             self.sample()
             self._task.stop()
+
+    def close(self) -> None:
+        """Stop sampling and let go of the testbed (the run is over).
+
+        The testbed holds its probe, so the probe must not hold the
+        testbed back once the run is done; the bus, the recorder and
+        :meth:`export_payload` stay usable.
+        """
+        self.stop()
+        self.testbed = None
 
     @property
     def active(self) -> bool:
@@ -185,7 +197,7 @@ class TelemetryProbe:
         return self.bus.export_payload(
             anomalies=tuple(self.anomalies.events),
             meta={
-                "run": testbed_name(self.testbed),
+                "run": self.run_name,
                 "interval": self.interval,
                 "samples": self.samples_taken,
                 "flight_dumps": [dump.to_json_dict() for dump in self.recorder.dumps],
@@ -196,18 +208,13 @@ class TelemetryProbe:
     def publish(self) -> None:
         """Stop sampling and deposit the payload for the scenario driver."""
         self.stop()
-        runtime.publish(testbed_name(self.testbed), self.export_payload())
+        runtime.publish(self.run_name, self.export_payload())
 
     def __repr__(self) -> str:
         return (
             f"TelemetryProbe(interval={self.interval:g}, "
             f"series={len(self.bus)}, samples={self.samples_taken})"
         )
-
-
-def testbed_name(testbed: Any) -> str:
-    """The run label telemetry publishes under (the collector's name)."""
-    return getattr(testbed.collector, "name", "run") or "run"
 
 
 def attach_telemetry(

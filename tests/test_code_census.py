@@ -119,3 +119,29 @@ def test_run_scenario_is_the_only_entry_point_and_specs_build_the_testbeds():
             )
             if not is_spec and node.name != "simulate_pod":
                 assert not _calls(node, "build_testbed"), f"{where} is a second run path"
+
+
+# ----------------------------------------------------------------------
+# a finished run frees its testbed
+# ----------------------------------------------------------------------
+def test_every_built_testbed_is_released_by_a_with_block():
+    """``with build_testbed(...) as testbed:`` is the only way ``src/`` builds one.
+
+    The block closes the testbed when the run is done, which cuts the
+    cycles that would keep it (and its LB flow tables) resident until a
+    garbage-collection pass.
+    """
+    callers = []
+    for path, text in _sources().items():
+        tree = ast.parse(text)
+        released = {
+            id(item.context_expr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.With)
+            for item in node.items
+        }
+        for call in _calls(tree, "build_testbed"):
+            where = f"{path.relative_to(SRC)}:{call.lineno}"
+            callers.append(where)
+            assert id(call) in released, f"{where} builds a testbed outside a with block"
+    assert len(callers) >= 11  # every family, the scale pod and calibration

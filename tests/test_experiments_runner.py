@@ -10,6 +10,7 @@ trip) must produce bit-for-bit identical series.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import pickle
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
-from repro.experiments.chaos_experiment import CHAOS_SCENARIO
+from repro.experiments.chaos_experiment import CHAOS_SCENARIO, outcome_fingerprint
 from repro.experiments.config import (
     ChurnEvent,
     PoissonSweepConfig,
@@ -30,7 +31,11 @@ from repro.experiments.config import (
 )
 from repro.experiments.scenario import resolve_jobs, run_scenario
 from repro.experiments.wikipedia_experiment import make_wikipedia_trace
-from repro.metrics.collector import ResponseTimeCollector, ServerLoadSampler
+from repro.metrics.collector import (
+    CollectorTotals,
+    ResponseTimeCollector,
+    ServerLoadSampler,
+)
 from repro.metrics.stats import empirical_cdf
 from repro.workload.client import RequestOutcome
 from repro.workload.trace import Trace
@@ -112,8 +117,11 @@ class TestCollectorPayload:
         assert rebuilt.name == collector.name
         assert rebuilt.totals.completed == 2
         assert rebuilt.totals.failed == 1
-        assert rebuilt.response_times() == collector.response_times()
-        assert rebuilt.response_times(kind="wiki") == collector.response_times(kind="wiki")
+        assert rebuilt.response_times().tolist() == collector.response_times().tolist()
+        assert (
+            rebuilt.response_times(kind="wiki").tolist()
+            == collector.response_times(kind="wiki").tolist()
+        )
         assert [o.request_id for o in rebuilt.outcomes()] == [1, 2]
         assert rebuilt.outcomes()[0].established_at == 0.6
         assert rebuilt.outcomes()[1].established_at is None
@@ -174,14 +182,15 @@ class TestCollectorPayload:
         )
     )
     @settings(max_examples=60, deadline=None)
-    def test_property_pickle_keeps_every_field_but_url(self, rows):
+    def test_property_pickle_keeps_every_field(self, rows):
         collector = ResponseTimeCollector(name="property")
+        recorded = []
         for request_id, row in enumerate(rows):
             succeeded, sent_at, handshake, kind, reason, retries, gave_up = row
             outcome = RequestOutcome(
                 request_id=request_id,
                 kind=kind,
-                url=f"/{kind}/{request_id}",
+                url="",  # the table keeps no URL, in process or on the wire
                 sent_at=sent_at,
                 established_at=None if handshake is None else sent_at + handshake,
                 retries=retries,
@@ -193,16 +202,29 @@ class TestCollectorPayload:
                 outcome.failure_reason = reason
                 outcome.gave_up = gave_up
             collector.record(outcome)
+            recorded.append(outcome)
 
         rebuilt = pickle.loads(pickle.dumps(collector))
 
         assert rebuilt.name == collector.name
-        assert rebuilt.outcomes() == [
-            dataclasses.replace(outcome, url="") for outcome in collector.outcomes()
+        assert collector.outcomes() == [o for o in recorded if o.succeeded]
+        assert collector.failures() == [o for o in recorded if not o.succeeded]
+        assert rebuilt.outcomes() == collector.outcomes()
+        assert rebuilt.failures() == collector.failures()
+
+    def test_odd_outcomes_keep_every_field(self):
+        # Neither failed nor answered, and failed with a response time:
+        # the status column and the timestamps keep them apart.
+        odd = [
+            RequestOutcome(1, "wiki", "", 0.5, failure_reason="late"),
+            RequestOutcome(2, "wiki", "", 0.5, 0.6, 0.9, failed=True, retries=2),
         ]
-        assert rebuilt.failures() == [
-            dataclasses.replace(outcome, url="") for outcome in collector.failures()
-        ]
+        collector = ResponseTimeCollector()
+        for outcome in odd:
+            collector.record(outcome)
+        assert collector.failures() == odd
+        assert pickle.loads(pickle.dumps(collector)).failures() == odd
+        assert collector.totals == CollectorTotals(completed=0, failed=2)
 
 
 class TestLoadSamplerPayload:
@@ -231,7 +253,7 @@ def _sweep_fingerprint(result):
     for policy_name, by_load in result.runs.items():
         for load_factor, run in by_load.items():
             fingerprint[(policy_name, load_factor)] = (
-                run.response_times(),
+                run.response_times().tolist(),
                 run.arrival_rate,
                 run.requests_served,
                 run.connections_reset,
@@ -296,7 +318,10 @@ class TestWikipediaReplayDeterminism:
         for name in serial.keys():
             serial_run = serial.run(name)
             parallel_run = parallel.run(name)
-            assert parallel_run.wiki_response_times() == serial_run.wiki_response_times()
+            assert (
+                parallel_run.wiki_response_times().tolist()
+                == serial_run.wiki_response_times().tolist()
+            )
             assert parallel_run.median_series() == serial_run.median_series()
             assert parallel_run.rate_series() == serial_run.rate_series()
             assert parallel_run.requests_served == serial_run.requests_served
@@ -308,8 +333,8 @@ class TestWikipediaReplayDeterminism:
         parallel = run_scenario("wikipedia", config, jobs=2, trace=trace)
         for name in serial.keys():
             assert (
-                parallel.run(name).wiki_response_times()
-                == serial.run(name).wiki_response_times()
+                parallel.run(name).wiki_response_times().tolist()
+                == serial.run(name).wiki_response_times().tolist()
             )
 
 
@@ -327,8 +352,64 @@ class TestChaosDeterminism:
             assert run.queries_retried > 0
             assert sum(outcome.retries for outcome in outcomes) == run.queries_retried
             assert sum(outcome.gave_up for outcome in outcomes) == run.queries_gave_up
-            by_jobs[jobs] = [dataclasses.replace(outcome, url="") for outcome in outcomes]
+            by_jobs[jobs] = outcomes
         assert by_jobs[1] == by_jobs[2]
+
+
+def _fingerprint_of_objects(collector):
+    """The chaos fingerprint as it was computed from outcome objects."""
+    rows = sorted(
+        (
+            float(outcome.request_id),
+            outcome.sent_at,
+            outcome.response_time if outcome.response_time is not None else -1.0,
+            float(outcome.retries),
+            float(outcome.gave_up),
+            float(outcome.failed),
+        )
+        for outcome in collector.outcomes() + collector.failures()
+    )
+    return hashlib.sha256(np.asarray(rows, dtype=np.float64).tobytes()).hexdigest()
+
+
+class TestChaosFingerprint:
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["ok", "failed", "unanswered"]),
+                st.floats(min_value=0.0, max_value=1e4),
+                st.integers(min_value=0, max_value=3),  # retries
+                st.booleans(),  # gave_up
+            ),
+            max_size=30,
+        ),
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_columns_give_the_object_digest(self, rows, order):
+        ids = list(range(len(rows)))
+        order.shuffle(ids)  # record order is completion order, not id order
+        collector = ResponseTimeCollector()
+        for request_id, (status, sent_at, retries, gave_up) in zip(ids, rows):
+            collector.record(
+                RequestOutcome(
+                    request_id,
+                    "wiki",
+                    "",
+                    sent_at,
+                    completed_at=sent_at + 0.25 if status == "ok" else None,
+                    failed=status == "failed",
+                    retries=retries,
+                    gave_up=gave_up,
+                )
+            )
+        expected = _fingerprint_of_objects(collector)
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("outcomes", "failures"):
+                patch.setattr(
+                    ResponseTimeCollector, name, lambda *a: pytest.fail("objects built")
+                )
+            assert outcome_fingerprint(collector) == expected
 
 
 class TestResilienceDeterminism:
@@ -356,8 +437,8 @@ class TestResilienceDeterminism:
             assert parallel_run.recovery_hunts == serial_run.recovery_hunts
             assert parallel_run.steering_misses == serial_run.steering_misses
             assert (
-                parallel_run.collector.response_times()
-                == serial_run.collector.response_times()
+                parallel_run.collector.response_times().tolist()
+                == serial_run.collector.response_times().tolist()
             )
             assert [
                 (obs.at_time, obs.instance, obs.in_flight_ids)

@@ -403,8 +403,8 @@ class TestFlashCrowdScenario:
         assert serial.keys() == parallel.keys()
         for key in serial.keys():
             assert (
-                serial.run(key).collector.response_times()
-                == parallel.run(key).collector.response_times()
+                serial.run(key).collector.response_times().tolist()
+                == parallel.run(key).collector.response_times().tolist()
             )
             # Empty bins yield nan medians; compare nan-aware but exact.
             assert np.array_equal(
@@ -482,8 +482,8 @@ class TestHeterogeneousFleetScenario:
         assert serial.keys() == parallel.keys()
         for key in serial.keys():
             assert (
-                serial.run(key).response_times()
-                == parallel.run(key).response_times()
+                serial.run(key).response_times().tolist()
+                == parallel.run(key).response_times().tolist()
             )
             assert (
                 serial.run(key).acceptance_counts

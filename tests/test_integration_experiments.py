@@ -189,7 +189,7 @@ class TestWikipediaReplay:
         result, _ = replay_result
         for name in ("RR", "SR4"):
             static_times = result.run(name).collector.response_times(kind=KIND_STATIC)
-            assert static_times, "static requests must be present"
+            assert static_times.size, "static requests must be present"
             assert sorted(static_times)[len(static_times) // 2] < 0.2
 
     def test_figure_series_have_consistent_shapes(self, replay_result):

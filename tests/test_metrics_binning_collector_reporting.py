@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.metrics.binning import TimeBinner
@@ -84,6 +86,32 @@ class TestTimeBinner:
     def test_invalid_bin_width_rejected(self):
         with pytest.raises(ReproError):
             TimeBinner(bin_width=0.0)
+
+    @given(
+        samples=st.lists(
+            st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 10.0)), max_size=60
+        ),
+        width=st.floats(0.5, 700.0),
+        start=st.floats(0.0, 50.0),
+        split=st.integers(0, 60),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bins_match_a_per_sample_loop(self, samples, width, start, split):
+        samples = [(start + t, v) for t, v in samples]
+        reference = {}
+        for timestamp, value in samples:
+            reference.setdefault(int((timestamp - start) // width), []).append(value)
+        binner = TimeBinner(bin_width=width, start=start)
+        head, tail = samples[:split], samples[split:]
+        binner.extend([t for t, _ in head], [v for _, v in head])
+        for timestamp, value in tail:
+            binner.add(timestamp, value)
+        bins = binner.bins()
+        assert len(bins) == (max(reference) + 1 if reference else 0)
+        for index, bin_ in enumerate(bins):
+            assert bin_.start == start + index * width
+            assert list(bin_.values) == reference.get(index, [])
+        assert len(binner) == len(reference)
 
 
 class TestResponseTimeCollector:
