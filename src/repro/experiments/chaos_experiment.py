@@ -39,7 +39,7 @@ from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import ChaosConfig, TestbedConfig
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import ScenarioCell, ScenarioResult, ScenarioSpec
-from repro.metrics.collector import STATUS_FAILED, ResponseTimeCollector
+from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
 from repro.net.faults import FaultConfig, install_fault_channel
@@ -103,21 +103,15 @@ def outcome_fingerprint(collector: ResponseTimeCollector) -> str:
     collector's columns; a stable sort by request id orders the rows
     (ids are unique within a cell).
     """
-    table = collector.export_payload()
-    retries = np.zeros(len(table.request_ids))
-    retries[table.retried_rows] = table.retry_counts
-    gave_up = np.zeros(len(table.request_ids))
-    gave_up[table.gave_up_rows] = 1.0
+    table = collector.columns()
     matrix = np.column_stack(
         (
             table.request_ids.astype(np.float64),
             table.sent_at,
-            np.where(
-                np.isnan(table.completed_at), -1.0, table.completed_at - table.sent_at
-            ),
-            retries,
-            gave_up,
-            (table.status == STATUS_FAILED).astype(np.float64),
+            np.where(np.isnan(table.response_times), -1.0, table.response_times),
+            table.retries.astype(np.float64),
+            table.gave_up.astype(np.float64),
+            table.failed.astype(np.float64),
         )
     )
     order = np.argsort(table.request_ids, kind="stable")

@@ -40,7 +40,7 @@ from repro.experiments.scenario import (
     TraceProvider,
 )
 from repro.metrics.binning import TimeBinner
-from repro.metrics.collector import STATUS_SUCCEEDED, ResponseTimeCollector
+from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
 from repro.workload.flash_crowd import RatePhase, SteppedPoissonWorkload
@@ -116,13 +116,9 @@ class FlashCrowdRunResult:
     def phase_response_times(self, phase: str) -> np.ndarray:
         """Response times of the queries *sent* during one phase."""
         start, end = self.phase_window(phase)
-        table = self.collector.export_payload()
-        rows = (
-            (table.status == STATUS_SUCCEEDED)
-            & (start <= table.sent_at)
-            & (table.sent_at < end)
-        )
-        return table.completed_at[rows] - table.sent_at[rows]
+        table = self.collector.columns()
+        rows = table.succeeded & (start <= table.sent_at) & (table.sent_at < end)
+        return table.response_times[rows]
 
     def phase_summary(self, phase: str) -> Optional[SummaryStatistics]:
         """Response-time summary of one phase's queries.

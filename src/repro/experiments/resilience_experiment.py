@@ -37,7 +37,7 @@ from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import ChurnEvent, ResilienceConfig, TestbedConfig
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import ScenarioCell, ScenarioResult, ScenarioSpec
-from repro.metrics.collector import STATUS_SUCCEEDED, ResponseTimeCollector
+from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics
 from repro.workload.poisson import poisson_trace
@@ -209,10 +209,8 @@ class ResilienceScenario(ScenarioSpec):
                 )
             duration = testbed.run_trace(trace)
 
-        table = testbed.collector.export_payload()
-        completed_ids = set(
-            table.request_ids[table.status == STATUS_SUCCEEDED].tolist()
-        )
+        table = testbed.collector.columns()
+        completed_ids = set(table.request_ids[table.succeeded].tolist())
         exposed: Set[int] = set()
         for observation in observations:
             exposed |= observation.in_flight_ids

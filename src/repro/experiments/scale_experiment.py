@@ -44,7 +44,7 @@ from repro.experiments.calibration import saturation_rate_for
 from repro.experiments.config import ScaleConfig, TestbedConfig
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import ScenarioCell, ScenarioSpec, TraceProvider
-from repro.metrics.collector import STATUS_SUCCEEDED, ResponseTimeCollector
+from repro.metrics.collector import ResponseTimeCollector
 from repro.net.ecmp import HopScorer, five_tuple_key
 from repro.net.packet import FlowKey
 from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT
@@ -250,13 +250,11 @@ def simulate_pod(task: PartitionTask, tick: Tick) -> PodResult:
         # merges pods in index order and publishes one deployment-wide
         # payload.
         summary["telemetry"] = testbed.telemetry.export_payload()
-    table = collector.export_payload()
+    table = collector.columns()
     return PodResult(
         times=np.array(collector.times, dtype=np.float64),
         request_ids=table.request_ids,
-        response_times=np.where(
-            table.status == STATUS_SUCCEEDED, table.completed_at - table.sent_at, nan
-        ),
+        response_times=np.where(table.succeeded, table.response_times, nan),
         summary=summary,
     )
 

@@ -55,8 +55,8 @@ class TimeBin:
 class TimeBinner:
     """Fixed-width time binning of ``(timestamp, value)`` samples.
 
-    Samples are kept as arrays and grouped by bin when the bins are
-    materialised; a bin's values keep the order they were added in.
+    Samples are kept as arrays grouped by bin; a bin's values keep the
+    order they were added in.
 
     Parameters
     ----------
@@ -82,16 +82,20 @@ class TimeBinner:
         self.bin_width = bin_width
         self.start = start
         self.through = through
-        self._chunks: List[Tuple[np.ndarray, np.ndarray]] = []
-        #: ``(bin index, value)`` arrays sorted by bin, rebuilt after an add.
-        self._grouped: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: Every sample's bin index and value, sorted by bin.
+        self._indices = np.empty(0, dtype=np.int64)
+        self._values = np.empty(0, dtype=np.float64)
 
     def add(self, timestamp: float, value: float) -> None:
         """Add one sample."""
         self.extend([timestamp], [value])
 
     def extend(self, timestamps: Sequence[float], values: Sequence[float]) -> None:
-        """Add samples: ``values[i]`` arrived at ``timestamps[i]``."""
+        """Add samples: ``values[i]`` arrived at ``timestamps[i]``.
+
+        The samples are grouped by bin here, once per call; the stable
+        sort keeps the values of one bin in the order they were added.
+        """
         timestamps = np.asarray(timestamps, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
         if timestamps.shape != values.shape:
@@ -104,17 +108,11 @@ class TimeBinner:
                 f"sample at {float(timestamps[early][0])!r} precedes the binning "
                 f"origin {self.start!r}"
             )
-        self._chunks.append((timestamps, values))
-        self._grouped = None
-
-    def _by_bin(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._grouped is None:
-            timestamps = np.concatenate([chunk[0] for chunk in self._chunks] or [[]])
-            values = np.concatenate([chunk[1] for chunk in self._chunks] or [[]])
-            indices = ((timestamps - self.start) // self.bin_width).astype(np.int64)
-            order = np.argsort(indices, kind="stable")
-            self._grouped = (indices[order], values[order])
-        return self._grouped
+        added = ((timestamps - self.start) // self.bin_width).astype(np.int64)
+        indices = np.concatenate((self._indices, added))
+        values = np.concatenate((self._values, values))
+        order = np.argsort(indices, kind="stable")
+        self._indices, self._values = indices[order], values[order]
 
     def bins(self, through: Optional[float] = None) -> List[TimeBin]:
         """Materialise the bins, including empty ones, in time order.
@@ -125,7 +123,7 @@ class TimeBinner:
         """
         if through is None:
             through = self.through
-        indices, values = self._by_bin()
+        indices, values = self._indices, self._values
         if not indices.size and through is None:
             return []
         last_index = int(indices[-1]) if indices.size else 0
@@ -165,4 +163,4 @@ class TimeBinner:
 
     def __len__(self) -> int:
         """Number of non-empty bins."""
-        return int(np.unique(self._by_bin()[0]).size)
+        return int(np.unique(self._indices).size)

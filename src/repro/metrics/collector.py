@@ -13,8 +13,11 @@ reason code; and sparse retry and give-up rows.  That is 37 B per query
 where a :class:`~repro.workload.client.RequestOutcome` plus its boxed
 floats was about 190 B.  Series are computed on numpy views of the
 columns, and outcome objects are built only when :meth:`outcomes` or
-:meth:`failures` asks for them.  The table keeps no request URL (nothing
-reads one): every outcome it returns has ``url=""``.
+:meth:`failures` asks for them.  Code that needs whole columns reads
+:meth:`~ResponseTimeCollector.columns`, which decodes the table into
+dense per-query arrays, so the storage format stays in this module.  The
+table keeps no request URL (nothing reads one): every outcome it returns
+has ``url=""``.
 
 The table is also the collector's wire format: a collector pickles as a
 :class:`CollectorPayload`, one numpy array per column, so a run result
@@ -37,11 +40,11 @@ from repro.metrics.stats import SummaryStatistics, summarize
 from repro.workload.client import RequestOutcome
 
 #: Codes of the status column.  A query that neither failed nor received
-#: a response (recorded while still open) is ``STATUS_UNANSWERED``; only
-#: ``STATUS_SUCCEEDED`` rows have a response time.
-STATUS_SUCCEEDED = 0
-STATUS_FAILED = 1
-STATUS_UNANSWERED = 2
+#: a response (recorded while still open) is ``_UNANSWERED``; only
+#: ``_SUCCEEDED`` rows have a response time.
+_SUCCEEDED = 0
+_FAILED = 1
+_UNANSWERED = 2
 
 
 @dataclass
@@ -63,7 +66,8 @@ class CollectorPayload:
 
     One element per recorded query, in record order, plus the string
     tables the kind and reason codes index into.  It is what a collector
-    pickles as, and what callers read when they need whole columns.
+    pickles as; callers that need whole columns read
+    :meth:`ResponseTimeCollector.columns` instead.
     """
 
     name: str
@@ -72,7 +76,7 @@ class CollectorPayload:
     request_ids: np.ndarray
     #: Index into :attr:`kinds`.
     kind_codes: np.ndarray
-    #: One of the ``STATUS_*`` codes.
+    #: One of the status codes (succeeded, failed, unanswered).
     status: np.ndarray
     sent_at: np.ndarray
     #: NaN where the handshake never completed.
@@ -86,6 +90,21 @@ class CollectorPayload:
     retried_rows: np.ndarray
     retry_counts: np.ndarray
     gave_up_rows: np.ndarray
+
+
+@dataclass
+class OutcomeColumns:
+    """Every recorded query as dense numpy arrays, in record order."""
+
+    request_ids: np.ndarray
+    sent_at: np.ndarray
+    #: ``completed_at - sent_at``; NaN where no response arrived.
+    response_times: np.ndarray
+    #: A response arrived and the query did not fail.
+    succeeded: np.ndarray
+    failed: np.ndarray
+    retries: np.ndarray
+    gave_up: np.ndarray
 
 
 def _code(value: str, codes: Dict[str, int], names: List[str]) -> int:
@@ -149,11 +168,9 @@ class ResponseTimeCollector:
         self._established_at.append(nan if established is None else established)
         completed = outcome.completed_at
         if outcome.failed:
-            self._status.append(STATUS_FAILED)
+            self._status.append(_FAILED)
         else:
-            self._status.append(
-                STATUS_UNANSWERED if completed is None else STATUS_SUCCEEDED
-            )
+            self._status.append(_UNANSWERED if completed is None else _SUCCEEDED)
         self._completed_at.append(nan if completed is None else completed)
         reason = outcome.failure_reason
         self._reason.append(
@@ -166,13 +183,13 @@ class ResponseTimeCollector:
     @property
     def totals(self) -> CollectorTotals:
         """Success/failure counts."""
-        completed = int(np.count_nonzero(_view(self._status) == STATUS_SUCCEEDED))
+        completed = int(np.count_nonzero(_view(self._status) == _SUCCEEDED))
         return CollectorTotals(completed=completed, failed=len(self) - completed)
 
     def _rows(self, succeeded: bool, kind: Optional[str]) -> np.ndarray:
         """Boolean row mask: (un)successful queries, optionally of one kind."""
         status = _view(self._status)
-        mask = status == STATUS_SUCCEEDED if succeeded else status != STATUS_SUCCEEDED
+        mask = status == _SUCCEEDED if succeeded else status != _SUCCEEDED
         if kind is not None:
             mask &= _view(self._kind) == self._kind_codes.get(kind, -1)
         return mask
@@ -190,7 +207,7 @@ class ResponseTimeCollector:
                 sent_at,
                 None if established != established else established,
                 None if completed != completed else completed,
-                status == STATUS_FAILED,
+                status == _FAILED,
                 None if reason < 0 else reasons[reason],
                 retries.get(row, 0),
                 row in gave_up,
@@ -219,6 +236,25 @@ class ResponseTimeCollector:
         """Response times (seconds) of successful queries, in record order."""
         mask = self._rows(True, kind)
         return _view(self._completed_at)[mask] - _view(self._sent_at)[mask]
+
+    def columns(self) -> OutcomeColumns:
+        """Every recorded query as dense arrays (copies), in record order."""
+        count = len(self)
+        status = _view(self._status)
+        sent_at = _view(self._sent_at).copy()
+        retries = np.zeros(count, dtype=np.int64)
+        retries[_view(self._retried_rows)] = _view(self._retry_counts)
+        gave_up = np.zeros(count, dtype=bool)
+        gave_up[_view(self._gave_up_rows)] = True
+        return OutcomeColumns(
+            request_ids=_view(self._request_id).copy(),
+            sent_at=sent_at,
+            response_times=_view(self._completed_at) - sent_at,
+            succeeded=status == _SUCCEEDED,
+            failed=status == _FAILED,
+            retries=retries,
+            gave_up=gave_up,
+        )
 
     def summary(self, kind: Optional[str] = None) -> SummaryStatistics:
         """Summary statistics of the response times."""

@@ -52,8 +52,8 @@ _arrival_time = attrgetter("arrival_time")
 class RequestOutcome:
     """Client-side record of one query's fate.
 
-    Slotted: one is allocated per query of a replay and held until the
-    collector is exported.
+    Slotted: one is allocated per query of a replay.  The collector
+    copies its fields into its table, so it dies with its pending query.
     """
 
     request_id: int

@@ -160,6 +160,24 @@ class TestResponseTimeCollector:
         assert len(collector.failures()) == 1
         assert collector.failures(kind="wiki")[0].request_id == 1
 
+    def test_columns_are_dense_and_in_record_order(self):
+        collector = ResponseTimeCollector()
+        collector.record(_outcome(7, 1.0, 0.25))
+        collector.record(_outcome(3, 2.0, 0.5, failed=True))
+        retried = _outcome(5, 3.0, 0.5)
+        retried.retries, retried.gave_up, retried.completed_at = 2, True, None
+        collector.record(retried)
+        columns = collector.columns()
+        assert columns.request_ids.tolist() == [7, 3, 5]
+        assert columns.sent_at.tolist() == [1.0, 2.0, 3.0]
+        assert columns.response_times[0] == pytest.approx(0.25)
+        assert math.isnan(columns.response_times[1])
+        assert math.isnan(columns.response_times[2])
+        assert columns.succeeded.tolist() == [True, False, False]
+        assert columns.failed.tolist() == [False, True, False]
+        assert columns.retries.tolist() == [0, 0, 2]
+        assert columns.gave_up.tolist() == [False, False, True]
+
     def test_binned_through_materialises_trailing_empty_bins(self):
         """Regression: ``binned(through=...)`` used to drop its argument,
         so direct callers silently lost the trailing empty bins the

@@ -41,7 +41,7 @@ def gc_disabled():
         gc.enable()
 
 
-def test_a_finished_poisson_cell_retains_at_most_64_bytes_per_query(gc_disabled):
+def test_a_finished_poisson_cell_retains_at_most_128_bytes_per_query(gc_disabled):
     spec = registry.get("poisson")
     config = replace(spec.smoke_config(), num_queries=2_000, policies=(sr_policy(4),))
     (cell,) = spec.cells(config)
@@ -55,9 +55,14 @@ def test_a_finished_poisson_cell_retains_at_most_64_bytes_per_query(gc_disabled)
     finally:
         tracemalloc.stop()
     assert len(run.collector) == 2_000
-    # The outcome table is 37 B per query; a testbed left to the cycle
-    # collector kept about 540 B per query.
-    assert retained <= 64 * 2_000
+    # What must stay is the outcome table: 37 B per query of columns, about
+    # 40 B once `array` growth over-allocates.  On top of that come the
+    # result object and a few numpy and interpreter allocations whose size
+    # moves between numpy and CPython versions (about 59 B per query in
+    # all when this bound was set).  The bound leaves that part a wide
+    # margin and still fails a testbed left to the cycle collector, which
+    # kept about 540 B per query.
+    assert retained <= 128 * 2_000
 
 
 @pytest.mark.parametrize("telemetry", [None, "1"], ids=["plain", "telemetry"])
