@@ -53,18 +53,24 @@ def _config() -> ScaleConfig:
     )
 
 
-#: Coordinator heap the partitioned run may cost: the merged columns and
-#: their sort temporaries are ~100 B per outcome (a tuple-and-dataclass
-#: per outcome was ~490 B), plus the multiprocessing imports.
-COORDINATOR_BYTES_PER_OUTCOME = 160
-COORDINATOR_FIXED_BYTES = 4 * 1024 * 1024
+#: Coordinator growth over the partitioned run.  Measured on CPython
+#: 3.11 / numpy 2.4, 2 workers: 5.5, 6.6 and 8.0 MB at 5 000, 20 000 and
+#: 40 000 queries — 75 B per outcome (the received pod columns, the
+#: stable sort and the four merged columns) on top of 5.2 MB of
+#: multiprocessing and family imports.  The budget adds 28 % to the
+#: per-outcome part and 0.05 MB to the fixed one: at 20 000 queries it
+#: is 7.1 MB, which a second merged copy (32 B per outcome) or one
+#: object per outcome exceeds.
+COORDINATOR_BYTES_PER_OUTCOME = 96
+COORDINATOR_FIXED_BYTES = 5_500_000
 
-#: Pod-worker peak over the fork point, per outcome of the run.  At
-#: 20 000 queries on 2 workers the growth measured 5.0–5.3 MB; with
-#: outcome objects, and testbeds left to the cycle collector, it was
-#: 8.8–9.7 MB.
-WORKER_BYTES_PER_OUTCOME = 250
-WORKER_FIXED_BYTES = 2 * 1024 * 1024
+#: Pod-worker peak over the fork point, per outcome of the run.  Measured
+#: alongside the coordinator: 1.0, 3.4 and 7.8 MB at 5 000, 20 000 and
+#: 40 000 queries, about 200 B per outcome (a live pod's testbed, trace
+#: columns and outcome table).  The budget adds 12 % and 1 MiB: at 20 000
+#: queries it is 5.3 MB, which one 100 B object per outcome exceeds.
+WORKER_BYTES_PER_OUTCOME = 224
+WORKER_FIXED_BYTES = 1024 * 1024
 
 
 def _maxrss_bytes(who: int) -> int:

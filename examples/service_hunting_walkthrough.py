@@ -60,9 +60,7 @@ def main() -> None:
 
     testbed.fabric.add_tap(tap)
 
-    query = Request(
-        request_id=1, arrival_time=0.0, service_demand=0.05, kind="php", url="/compute.php"
-    )
+    query = Request(request_id=1, arrival_time=0.0, service_demand=0.05, kind="php")
     print("Packet exchange for one query:")
     testbed.run_trace(Trace([query]))
 

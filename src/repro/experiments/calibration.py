@@ -27,7 +27,6 @@ from repro.errors import ExperimentError
 from repro.experiments.config import PolicySpec, TestbedConfig, rr_policy
 from repro.experiments.platform import build_testbed
 from repro.workload.poisson import PoissonWorkload
-from repro.workload.requests import RequestCatalog
 from repro.workload.service_models import ExponentialServiceTime
 
 import numpy as np
@@ -98,7 +97,7 @@ def _probe_drops(
         service_model=ExponentialServiceTime(service_mean),
     )
     trace = workload.generate(np.random.default_rng([seed, int(rate * 1000)]))
-    with build_testbed(config, policy, catalog=RequestCatalog()) as testbed:
+    with build_testbed(config, policy) as testbed:
         testbed.run_trace(trace)
     drops = testbed.collector.totals.failed
     return CalibrationProbe(rate=rate, queries=num_queries, drops=drops)

@@ -67,8 +67,8 @@ def fault_config_for(
 ) -> FaultConfig:
     """The fault recipe one cell installs on the fabric."""
     if mode == "baseline":
-        # Installed but fully disabled: pins that an idle pipeline is
-        # bit-identical to no pipeline.
+        # Installed with no stage enabled: pins that an idle pipeline
+        # is bit-identical to no pipeline.
         return FaultConfig()
     if mode == "loss":
         return FaultConfig(

@@ -9,8 +9,11 @@ Hunting virtual router in front of its Apache instance.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+
+import numpy as np
 
 from repro.core.candidate_selection import CandidateSelector, make_selector
 from repro.core.loadbalancer import LoadBalancerNode
@@ -26,11 +29,14 @@ from repro.server.virtual_router import ServerNode
 from repro.sim.engine import PeriodicTask, Simulator
 from repro.telemetry.runtime import telemetry_enabled
 from repro.workload.client import TrafficGeneratorNode
-from repro.workload.requests import RequestCatalog
 from repro.workload.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.lb_tier import LoadBalancerTier
+
+#: Largest request id a testbed replays: :attr:`Testbed.demands` holds
+#: eight bytes per id up to the largest one seen.
+MAX_REQUEST_ID = (1 << 24) - 1
 
 #: Builds one acceptance-policy instance per server.
 PolicyFactory = Callable[[], ConnectionAcceptancePolicy]
@@ -41,7 +47,7 @@ def _build_server(
     fabric: LANFabric,
     config: TestbedConfig,
     policy_spec: PolicySpec,
-    catalog: RequestCatalog,
+    demands: array,
     index: int,
     address: IPv6Address,
     speed: float,
@@ -68,7 +74,7 @@ def _build_server(
         cpu=cpu,
         num_workers=config.workers_per_server,
         backlog_capacity=config.backlog_capacity,
-        demand_lookup=catalog.demand_of,
+        demand_lookup=demands.__getitem__,
         abort_on_overflow=config.abort_on_overflow,
         request_timeout=config.request_timeout or None,
         shed_watermark=config.backlog_shed_watermark or None,
@@ -102,8 +108,10 @@ class Testbed:
     servers: List[ServerNode]
     client: TrafficGeneratorNode
     vip: IPv6Address
-    catalog: RequestCatalog
     collector: ResponseTimeCollector
+    #: CPU demand of every replayed request, indexed by request id (NaN
+    #: where no replayed trace has that id); the servers read it.
+    demands: array = field(repr=False)
     #: Present when the testbed fronts the servers with an ECMP
     #: load-balancer tier instead of a single instance.
     lb_tier: Optional[LoadBalancerTier] = None
@@ -149,7 +157,7 @@ class Testbed:
         The fabric and its nodes, the LB tier and its instances, each
         server and its application, and the telemetry probe and this
         testbed point at each other.  Left alone, those cycles keep a
-        finished testbed (with its LB flow tables and request catalog)
+        finished testbed (with its LB flow tables and demand table)
         resident until the next full garbage collection; closing cuts
         them, so the testbed is freed as soon as nothing else holds it.
         Counters and the collector stay readable; running or changing a
@@ -254,7 +262,7 @@ class Testbed:
             fabric=self.fabric,
             config=self.config,
             policy_spec=self.policy_spec,
-            catalog=self.catalog,
+            demands=self.demands,
             index=index,
             address=self.server_allocator.allocate(),
             speed=speed,
@@ -305,14 +313,49 @@ class Testbed:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    def schedule_trace(self, trace: Trace) -> None:
+        """Enter ``trace``'s demands in :attr:`demands` and schedule its arrivals.
+
+        Replaying the same trace again is fine; a request id that an
+        earlier trace gave a *different* demand means two traces with
+        overlapping id spaces on one testbed — the servers would look up
+        the wrong CPU demands, so it is rejected before anything is
+        scheduled.  (Generated traces number their requests 1..N, so ids
+        are only unique within a trace.)
+        """
+        self._check_open()
+        if len(trace):
+            ids, demands = trace.request_ids, trace.service_demands
+            if int(ids.max()) > MAX_REQUEST_ID:
+                raise WorkloadError(
+                    f"request id {int(ids.max())} is above {MAX_REQUEST_ID}: a "
+                    "testbed keeps demands in a table indexed by request id"
+                )
+            missing = int(ids.max()) + 1 - len(self.demands)
+            if missing > 0:
+                self.demands.frombytes(np.full(missing, np.nan).tobytes())
+            table = np.frombuffer(self.demands, dtype=np.float64)
+            known = table[ids]
+            clash = np.flatnonzero(~np.isnan(known) & (known != demands))
+            if not clash.size:
+                table[ids] = demands
+            del table  # a live buffer export would block the next resize
+            if clash.size:
+                raise WorkloadError(
+                    f"request id {int(ids[clash[0]])} is already registered "
+                    "with a different demand; replay each trace on its own "
+                    "testbed (or replay only the same trace twice)"
+                )
+        self.client.schedule_trace(trace)
+
     def run_trace(self, trace: Trace, settle_margin: float = 5.0) -> float:
         """Replay ``trace`` to completion and return the final simulated time.
 
-        All of the trace's requests are registered in the shared catalog,
-        scheduled at their arrival times, and the simulation runs until
-        every event has been processed.  When a load sampler is active it
-        is stopped once the arrival phase (plus ``settle_margin`` seconds)
-        is over, so the event heap can drain.
+        The trace is scheduled (:meth:`schedule_trace`) and the
+        simulation runs until every event has been processed.  When a
+        load sampler is active it is stopped once the arrival phase
+        (plus ``settle_margin`` seconds) is over, so the event heap can
+        drain.
 
         Once the heap is empty the client sweeps every still-pending
         query into a failed outcome (``queries_swept``): a query whose
@@ -320,26 +363,7 @@ class Testbed:
         the completion-rate metrics.  On fault-free paths the sweep is a
         no-op (nothing is pending once the heap drains).
         """
-        self._check_open()
-        for request in trace:
-            if request.request_id in self.catalog:
-                # Re-running the same trace (or a pre-filled catalog) is
-                # fine; a *different* request under a known id means two
-                # traces with overlapping id spaces were replayed on one
-                # testbed — the servers would silently look up the first
-                # trace's CPU demands, so reject it loudly.  (Generated
-                # traces number their requests 1..N, so ids are only
-                # unique within a trace.)
-                if self.catalog.get(request.request_id) != request:
-                    raise WorkloadError(
-                        f"request id {request.request_id} is already "
-                        "registered with different contents; replay each "
-                        "trace on its own testbed (or share one catalog "
-                        "only across runs of the same trace)"
-                    )
-                continue
-            self.catalog.add(request)
-        self.client.schedule_trace(trace)
+        self.schedule_trace(trace)
         if (
             self._sampler_task is not None
             or self._horizon_hooks
@@ -393,7 +417,6 @@ class Testbed:
 def build_testbed(
     config: TestbedConfig,
     policy_spec: PolicySpec,
-    catalog: Optional[RequestCatalog] = None,
     collector: Optional[ResponseTimeCollector] = None,
     run_name: Optional[str] = None,
     client_factory: Optional[Callable[..., TrafficGeneratorNode]] = None,
@@ -406,9 +429,6 @@ def build_testbed(
         The static testbed description (server fleet, CPU model, ...).
     policy_spec:
         Which candidate-selection / acceptance-policy combination to run.
-    catalog:
-        Request catalog shared with the workload; created empty when not
-        given (``run_trace`` fills it from the trace).
     collector:
         Response-time sink; created fresh when not given.
     run_name:
@@ -424,7 +444,7 @@ def build_testbed(
     simulator = Simulator(seed=config.seed)
     fabric = LANFabric(simulator, latency=config.fabric_latency)
     allocators = default_allocators()
-    catalog = catalog if catalog is not None else RequestCatalog()
+    demands = array("d")
     collector = collector if collector is not None else ResponseTimeCollector(
         name=run_name or policy_spec.name
     )
@@ -485,7 +505,7 @@ def build_testbed(
             fabric=fabric,
             config=config,
             policy_spec=policy_spec,
-            catalog=catalog,
+            demands=demands,
             index=index,
             address=address,
             speed=config.speed_of(index),
@@ -521,8 +541,8 @@ def build_testbed(
         servers=servers,
         client=client,
         vip=vip,
-        catalog=catalog,
         collector=collector,
+        demands=demands,
         lb_tier=lb_tier,
         server_allocator=allocators["server"],
         steering_address=lb_address,

@@ -54,7 +54,7 @@ from repro.sim.partition import (
     run_partitioned,
     run_to_horizon,
 )
-from repro.workload.requests import Request
+from repro.workload.requests import KIND_PHP
 from repro.workload.trace import Trace
 
 #: Synthetic endpoint addresses of the modeled upstream flow keys.  They
@@ -66,6 +66,9 @@ _FRONTEND_VIP = "2001:db8:100::80"
 #: Extra simulated seconds each pod runs past the last arrival before
 #: the final drain (mirrors ``Testbed.run_trace``'s settle margin).
 SETTLE_MARGIN = 5.0
+
+#: Rows per block :meth:`ScaleRunResult.fingerprint` hashes at a time.
+_FINGERPRINT_ROWS = 4096
 
 
 @lru_cache(maxsize=8)
@@ -147,17 +150,16 @@ def make_pod_trace(config: ScaleConfig, pod_index: int) -> Tuple[Trace, float]:
             f"pod index {pod_index!r} out of range for {config.pods} pods"
         )
     arrivals, demands, pods = make_scale_stream(config)
-    requests = [
-        Request(
-            request_id=int(index) + 1,
-            arrival_time=float(arrivals[index]),
-            service_demand=float(demands[index]),
-            url="/scale",
-        )
-        for index in np.flatnonzero(pods == pod_index)
-    ]
-    horizon = float(arrivals[-1]) + SETTLE_MARGIN
-    return Trace(requests, name=f"scale-pod-{pod_index}"), horizon
+    rows = np.flatnonzero(pods == pod_index)
+    trace = Trace.from_columns(
+        rows + 1,
+        arrivals[rows],
+        demands[rows],
+        np.zeros(rows.size, dtype=np.uint8),
+        (KIND_PHP,),
+        name=f"scale-pod-{pod_index}",
+    )
+    return trace, float(arrivals[-1]) + SETTLE_MARGIN
 
 
 def _pod_seed(config: ScaleConfig, pod_index: int) -> int:
@@ -218,9 +220,7 @@ def simulate_pod(task: PartitionTask, tick: Tick) -> PodResult:
         run_name=f"pod-{pod_index}",
     ) as testbed:
         collector.simulator = testbed.simulator
-        for request in trace:
-            testbed.catalog.add(request)
-        testbed.client.schedule_trace(trace)
+        testbed.schedule_trace(trace)
 
         start = time.perf_counter()
         run_to_horizon(testbed.simulator, horizon, tick)
@@ -266,20 +266,21 @@ def merge_pods(
 
     ``pods[i]`` is pod ``i``'s result.  Returns ``(times, request ids,
     response times, pod indices)`` ordered by ``(time, pod, emission
-    order within the pod)``: ``lexsort`` is stable and each pod's rows
-    are concatenated in emission order, so position breaks the ties the
-    two keys leave.  A pure function of what the pods emitted — never
-    of which process ran them or when their results arrived.
+    order within the pod)``: the pods' rows are concatenated in pod
+    order, each pod's in emission order, so a stable sort on time alone
+    breaks ties by pod and then by position.  Each column is gathered
+    through that one order once.  A pure function of what the pods
+    emitted — never of which process ran them or when their results
+    arrived.
     """
-    sizes = [pod.times.size for pod in pods]
     times = np.concatenate([pod.times for pod in pods])
-    pod_indices = np.repeat(np.arange(len(pods), dtype=np.int64), sizes)
-    order = np.lexsort((pod_indices, times))
+    order = np.argsort(times, kind="stable")
+    ends = np.cumsum([pod.times.size for pod in pods])
     return (
         times[order],
         np.concatenate([pod.request_ids for pod in pods])[order],
         np.concatenate([pod.response_times for pod in pods])[order],
-        pod_indices[order],
+        np.searchsorted(ends, order, side="right"),
     )
 
 
@@ -335,35 +336,35 @@ class ScaleRunResult:
             return 0.0
         return self.events_executed / self.wall_seconds
 
-    def ok_response_times(self) -> np.ndarray:
-        """Response times of successful queries, in merge order."""
-        return self.response_times[~np.isnan(self.response_times)]
-
-    def mean_response_time(self) -> float:
-        ok = self.ok_response_times()
-        return float(np.mean(ok)) if ok.size else float("nan")
-
-    def p99_response_time(self) -> float:
-        ok = self.ok_response_times()
-        return float(np.percentile(ok, 99)) if ok.size else float("nan")
+    def mean_and_p99(self) -> Tuple[float, float]:
+        """Mean and 99th percentile of the successful response times."""
+        ok = self.response_times[~np.isnan(self.response_times)]
+        if not ok.size:
+            return nan, nan
+        return float(np.mean(ok)), float(np.percentile(ok, 99))
 
     def fingerprint(self) -> str:
         """SHA-256 over the merged outcome stream, bit-exact.
 
         Covers (time, request id, response time, pod) per outcome in the
-        deterministic merge order; NaN response times are canonicalised
-        to ``-1`` so the digest is well-defined.  Identical for any
-        ``partitions`` value — the property the scale golden test and
-        the ``scale-smoke`` CI job pin.
+        deterministic merge order, as rows of four ``float64``; NaN
+        response times are canonicalised to ``-1`` so the digest is
+        well-defined.  The rows are hashed in fixed blocks, so no
+        whole-run matrix is built.  Identical for any ``partitions``
+        value — the property the scale golden test and the
+        ``scale-smoke`` CI job pin.
         """
-        series = np.empty((self.times.size, 4), dtype=np.float64)
-        series[:, 0] = self.times
-        series[:, 1] = self.request_ids
-        series[:, 2] = np.where(
-            np.isnan(self.response_times), -1.0, self.response_times
-        )
-        series[:, 3] = self.pod_indices
-        return hashlib.sha256(series.tobytes()).hexdigest()
+        digest = hashlib.sha256()
+        for start in range(0, self.times.size, _FINGERPRINT_ROWS):
+            rows = slice(start, start + _FINGERPRINT_ROWS)
+            responses = self.response_times[rows]
+            block = np.empty((responses.size, 4), dtype=np.float64)
+            block[:, 0] = self.times[rows]
+            block[:, 1] = self.request_ids[rows]
+            block[:, 2] = np.where(np.isnan(responses), -1.0, responses)
+            block[:, 3] = self.pod_indices[rows]
+            digest.update(block)
+        return digest.hexdigest()
 
 
 def run_scale(config: ScaleConfig, partitions: int = 1) -> ScaleRunResult:
@@ -466,6 +467,7 @@ class ScaleScenario(ScenarioSpec):
 
     def render(self, result: ScaleResult) -> str:
         run = result.run
+        mean, p99 = run.mean_and_p99()
         lines = [
             "scale: partitioned replay "
             f"({result.config.num_queries} queries, {result.config.pods} pods, "
@@ -488,8 +490,8 @@ class ScaleScenario(ScenarioSpec):
                 f"cores of useful work : {run.busy_seconds / run.wall_seconds:.2f}"
                 if run.wall_seconds > 0
                 else "cores of useful work : n/a",
-                f"mean response        : {run.mean_response_time():.4f} s",
-                f"p99 response         : {run.p99_response_time():.4f} s",
+                f"mean response        : {mean:.4f} s",
+                f"p99 response         : {p99:.4f} s",
                 f"fingerprint          : {run.fingerprint()}",
             ]
         )

@@ -28,12 +28,13 @@ Each randomized injector draws from its **own** named
 the draws of any other component — the same isolation contract the
 candidate selector and the workload generators already rely on.
 
-A *disabled* injector (zero rate / zero mean / empty schedule) returns
-immediately without drawing a single random value, and the pipeline
-forwards ``send`` with the delay object untouched.  An all-disabled
-pipeline is therefore **bit-identical** to the bare inner channel: same
-event times, same FIFO sequence numbers, same labels, same RNG states —
-pinned by the hypothesis property test in
+A *disabled* injector (zero rate / zero mean / empty schedule) could
+neither drop nor delay a packet, so :func:`build_injectors` leaves it
+out: a pipeline runs no per-packet code, and draws no random value, for
+an impairment its config turns off.  An all-disabled pipeline holds no injector and forwards
+``send`` with the delay object untouched — **bit-identical** to the bare
+inner channel: same event times, same FIFO sequence numbers, same
+labels, same RNG states — pinned by the hypothesis property test in
 ``tests/test_faults_property.py`` and by the ``chaos`` family's
 ``baseline`` golden fingerprint.
 
@@ -70,14 +71,20 @@ class FaultInjector:
     :meth:`assess` is called once per offered packet, in pipeline order,
     at the packet's *send* time.  It returns ``None`` to drop the packet
     (after counting the drop under its reason counter on ``stats``) or a
-    non-negative extra delay in seconds.  A disabled injector must
-    return ``0.0`` without touching its RNG — that is what keeps an
-    all-disabled pipeline bit-identical to the bare channel.
+    non-negative extra delay in seconds.  An injector whose
+    :attr:`enabled` is false could do neither, so :func:`build_injectors`
+    leaves it out of the pipeline — that is what keeps an all-disabled
+    pipeline bit-identical to the bare channel.
     """
 
     #: Name of the injector's :class:`RandomStreams` substream (``None``
     #: for purely scheduled injectors).
     STREAM: Optional[str] = None
+
+    @property
+    def enabled(self) -> bool:
+        """Whether :meth:`assess` can drop or delay a packet."""
+        raise NotImplementedError
 
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
         raise NotImplementedError
@@ -94,9 +101,11 @@ class IIDLossInjector(FaultInjector):
         self.rate = rate
         self._rng = rng
 
+    @property
+    def enabled(self) -> bool:
+        return self.rate > 0.0
+
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
-        if self.rate <= 0.0:
-            return 0.0
         if self._rng.random() < self.rate:
             stats.packets_dropped_loss += 1
             return None
@@ -114,9 +123,11 @@ class CorruptionInjector(FaultInjector):
         self.rate = rate
         self._rng = rng
 
+    @property
+    def enabled(self) -> bool:
+        return self.rate > 0.0
+
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
-        if self.rate <= 0.0:
-            return 0.0
         if self._rng.random() < self.rate:
             stats.packets_dropped_corrupted += 1
             return None
@@ -156,9 +167,11 @@ class GilbertElliottLossInjector(FaultInjector):
         self.bad = False
         self._rng = rng
 
+    @property
+    def enabled(self) -> bool:
+        return self.enter > 0.0 or self.loss_good > 0.0
+
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
-        if self.enter <= 0.0 and self.loss_good <= 0.0:
-            return 0.0
         rng = self._rng
         if self.bad:
             if rng.random() < self.exit:
@@ -191,9 +204,11 @@ class JitterInjector(FaultInjector):
         self.cap = cap
         self._rng = rng
 
+    @property
+    def enabled(self) -> bool:
+        return self.mean > 0.0
+
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
-        if self.mean <= 0.0:
-            return 0.0
         extra = self._rng.exponential(self.mean)
         if self.cap > 0.0 and extra > self.cap:
             extra = self.cap
@@ -227,9 +242,11 @@ class ReorderInjector(FaultInjector):
         self.window = window
         self._rng = rng
 
+    @property
+    def enabled(self) -> bool:
+        return self.rate > 0.0
+
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
-        if self.rate <= 0.0:
-            return 0.0
         if self._rng.random() < self.rate:
             stats.packets_reordered += 1
             return self._rng.random() * self.window
@@ -266,6 +283,10 @@ class LinkFlapInjector(FaultInjector):
             previous_end = end
         self.windows = ordered
         self._cursor = 0
+
+    @property
+    def enabled(self) -> bool:
+        return bool(self.windows)
 
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
         windows = self.windows
@@ -326,15 +347,15 @@ class FaultConfig:
 def build_injectors(
     simulator: Optional[Simulator], config: FaultConfig
 ) -> Tuple[FaultInjector, ...]:
-    """The full pipeline described by ``config``, in canonical order.
+    """The enabled stages of the pipeline described by ``config``.
 
-    Order: structural outage first (flaps), then the loss processes,
-    then the delay shaping — so a packet that survives every loss stage
-    accumulates the delay stages' extra latency.  Every injector is
-    constructed even when disabled (a disabled injector draws nothing),
-    which is exactly the configuration the bit-identity property test
-    exercises.  ``simulator=None`` builds RNG-less throwaway injectors,
-    used only to validate a :class:`FaultConfig`.
+    Canonical order: structural outage first (flaps), then the loss
+    processes, then the delay shaping — so a packet that survives every
+    loss stage accumulates the delay stages' extra latency.  Every stage
+    is constructed, so every field is validated, but a disabled one
+    (which would draw nothing and add ``0.0``) is left out.
+    ``simulator=None`` builds RNG-less throwaway injectors, used only to
+    validate a :class:`FaultConfig`.
     """
 
     def stream(name: Optional[str]) -> Any:
@@ -342,7 +363,7 @@ def build_injectors(
             return None
         return simulator.streams.stream(name)
 
-    return (
+    injectors = (
         LinkFlapInjector(config.flap_windows),
         IIDLossInjector(stream(IIDLossInjector.STREAM), config.loss_rate),
         GilbertElliottLossInjector(
@@ -364,6 +385,7 @@ def build_injectors(
             config.reorder_window,
         ),
     )
+    return tuple(injector for injector in injectors if injector.enabled)
 
 
 class FaultInjectionChannel(SinkDelivery):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import nan
 from typing import Callable, Dict, Optional, Protocol
 
 from repro.errors import ServerError
@@ -36,7 +37,8 @@ from repro.server.scoreboard import Scoreboard
 from repro.server.worker_pool import WorkerPool
 from repro.sim.engine import Simulator
 
-#: Looks up the CPU demand (seconds) of a request by its request id.
+#: Looks up the CPU demand (seconds) of a request by its request id; an
+#: unknown id raises :class:`LookupError` or returns NaN.
 DemandLookup = Callable[[int], float]
 
 _connection_ids = itertools.count(1)
@@ -313,10 +315,13 @@ class HTTPServerInstance:
                 f"server {self.name!r} received a request without a demand source "
                 f"(request_id={request_id!r})"
             )
-        demand = self.demand_lookup(request_id)
-        if demand <= 0:
+        try:
+            demand = self.demand_lookup(request_id)
+        except LookupError:
+            demand = nan
+        if not demand > 0:  # NaN: no replayed trace has this id
             raise ServerError(
-                f"request {request_id!r} has non-positive CPU demand {demand!r}"
+                f"request {request_id!r} has no positive CPU demand ({demand!r})"
             )
         return demand
 

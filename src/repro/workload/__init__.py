@@ -2,7 +2,7 @@
 
 Provides the paper's two workloads — the Poisson stream of CPU-bound PHP
 queries (§V) and the 24-hour Wikipedia replay (§VI, synthesised per the
-substitution recorded in DESIGN.md) — plus the request/trace data model
+substitution recorded in DESIGN.md) — plus the columnar trace data model
 and the open-loop client node that replays traces against the load
 balancer.
 """
@@ -33,10 +33,6 @@ __getattr__, __dir__, __all__ = exports(
             "KIND_STATIC",
             "KIND_WIKI",
             "Request",
-            "RequestCatalog",
-            "next_request_id",
-            "sort_by_arrival",
-            "total_offered_demand",
         ),
         "service_models": (
             "BoundedParetoServiceTime",

@@ -21,7 +21,6 @@ reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Dict, List, Optional, Protocol
 
 from repro.errors import WorkloadError
@@ -39,13 +38,10 @@ from repro.net.packet import (
 from repro.net.router import NetworkNode
 from repro.net.tcp import EphemeralPortAllocator, HTTP_PORT
 from repro.sim.engine import EventHandle, Simulator
-from repro.workload.requests import Request
-from repro.workload.trace import Trace
+from repro.workload.trace import NO_USER, Trace
 
 #: Size in bytes of the HTTP request payload (a GET with headers).
 REQUEST_PAYLOAD_SIZE = 400
-
-_arrival_time = attrgetter("arrival_time")
 
 
 @dataclass(slots=True)
@@ -94,9 +90,11 @@ class OutcomeSink(Protocol):
 class _PendingQuery:
     """In-flight client state for one query."""
 
-    request: Request
     outcome: RequestOutcome
     src_port: int
+    #: The trace row's user, or :data:`~repro.workload.trace.NO_USER`;
+    #: a retry allocates its fresh source port by it.
+    user_id: int
     #: Connection attempt number (0 = the original, bumped per retry).
     #: Stale timers and packets from earlier attempts check it and bail.
     attempt: int = 0
@@ -232,17 +230,38 @@ class TrafficGeneratorNode(NetworkNode):
     # trace replay
     # ------------------------------------------------------------------
     def schedule_trace(self, trace: Trace) -> None:
-        """Schedule every request of ``trace`` at its arrival time.
+        """Schedule every row of ``trace`` at its arrival time.
 
-        The trace is one series: only its next arrival is on the heap,
-        read from the trace as it comes due.  Arrival events share one
-        constant label; the event's argument identifies the request.
+        The trace is one series over its row indices: only its next
+        arrival is on the heap, and each arrival reads its row's id,
+        kind and user straight from the trace's columns.  Arrival events
+        share one constant label; the event's argument is the row.
         """
-        now = self.simulator.clock._now
-        self.simulator.schedule_series(trace, _arrival_time, self.start_query, "arrival", now)
+        # Memoryviews index to plain ints and floats, without building
+        # a numpy scalar per read.
+        request_ids = memoryview(trace.request_ids)
+        kind_codes = memoryview(trace.kind_codes)
+        kinds = trace.kinds
+        users = None if trace.user_ids is None else memoryview(trace.user_ids)
+        start_query = self.start_query
 
-    def _allocate_port(self, request: Request) -> int:
-        """Source port for a new query.
+        def start_row(row: int) -> None:
+            start_query(
+                request_ids[row],
+                kinds[kind_codes[row]],
+                NO_USER if users is None else users[row],
+            )
+
+        self.simulator.schedule_series(
+            range(len(trace)),
+            memoryview(trace.arrival_times).__getitem__,
+            start_row,
+            "arrival",
+            self.simulator.clock._now,
+        )
+
+    def _allocate_port(self, user_id: int) -> int:
+        """Source port for a new query of ``user_id`` (or :data:`NO_USER`).
 
         The base client round-robins over the ephemeral range; the
         keep-alive session client in :mod:`repro.workload.hostile`
@@ -250,20 +269,16 @@ class TrafficGeneratorNode(NetworkNode):
         """
         return self._ports.allocate()
 
-    def start_query(self, request: Request) -> None:
-        """Open a new connection for ``request`` right now."""
-        if request.request_id in self._pending:
-            raise WorkloadError(
-                f"request {request.request_id} is already in flight"
-            )
-        src_port = self._allocate_port(request)
+    def start_query(self, request_id: int, kind: str, user_id: int = NO_USER) -> None:
+        """Open a new connection for request ``request_id`` right now."""
+        if request_id in self._pending:
+            raise WorkloadError(f"request {request_id} is already in flight")
+        src_port = self._allocate_port(user_id)
         # Per-query records and packets are built positionally: a class
         # call with keyword arguments allocates a dict per call.
-        outcome = RequestOutcome(
-            request.request_id, request.kind, request.url, self.simulator.clock._now
-        )
-        pending = _PendingQuery(request, outcome, src_port)
-        self._pending[request.request_id] = pending
+        outcome = RequestOutcome(request_id, kind, "", self.simulator.clock._now)
+        pending = _PendingQuery(outcome, src_port, user_id)
+        self._pending[request_id] = pending
         self.queries_started += 1
         self._send_syn(pending)
         if self.syn_retransmit_timeout > 0.0 or self.retry_timeout > 0.0:
@@ -274,7 +289,7 @@ class TrafficGeneratorNode(NetworkNode):
         syn = Packet(
             self._addresses[0],
             self.vip,
-            TCPSegment(pending.src_port, HTTP_PORT, TCPFlag.SYN, 0, pending.request.request_id),
+            TCPSegment(pending.src_port, HTTP_PORT, TCPFlag.SYN, 0, pending.outcome.request_id),
             None, DEFAULT_HOP_LIMIT, None,  # no SRH, default hop limit, fresh id
             self.simulator.clock._now,
         )
@@ -285,7 +300,7 @@ class TrafficGeneratorNode(NetworkNode):
     # ------------------------------------------------------------------
     def _arm_timers(self, pending: _PendingQuery) -> None:
         """Schedule SYN-RTO and per-attempt deadline timers (if enabled)."""
-        request_id = pending.request.request_id
+        request_id = pending.outcome.request_id
         attempt = pending.attempt
         if self.syn_retransmit_timeout > 0.0:
             pending.rto = self.syn_retransmit_timeout
@@ -348,7 +363,7 @@ class TrafficGeneratorNode(NetworkNode):
         pending.outcome.retries += 1
         pending.outcome.established_at = None
         pending.syn_retransmits = 0
-        pending.src_port = self._allocate_port(pending.request)
+        pending.src_port = self._allocate_port(pending.user_id)
         self.queries_retried += 1
         if self.flight_recorder is not None:
             self.flight_recorder.record(
@@ -416,7 +431,7 @@ class TrafficGeneratorNode(NetworkNode):
 
     def _schedule_spread_upload(self, pending: _PendingQuery) -> None:
         """Pace the request upload over :attr:`request_spread` seconds."""
-        request_id = pending.request.request_id
+        request_id = pending.outcome.request_id
         attempt = pending.attempt
         interval = self.request_spread / self.request_chunks
         for chunk in range(1, self.request_chunks):
@@ -454,7 +469,7 @@ class TrafficGeneratorNode(NetworkNode):
         self._send_request_data(pending)
 
     def _send_request_data(self, pending: _PendingQuery) -> None:
-        request_id = pending.request.request_id
+        request_id = pending.outcome.request_id
         data = Packet(
             self._addresses[0],
             self.vip,
@@ -471,7 +486,7 @@ class TrafficGeneratorNode(NetworkNode):
             self._cancel_timers(pending)
         pending.outcome.failed = failed
         pending.outcome.failure_reason = reason
-        del self._pending[pending.request.request_id]
+        del self._pending[pending.outcome.request_id]
         if failed:
             self.queries_failed += 1
             if pending.outcome.gave_up:
@@ -481,7 +496,7 @@ class TrafficGeneratorNode(NetworkNode):
                     self.simulator.clock._now,
                     "client",
                     "gave-up" if pending.outcome.gave_up else "failed",
-                    pending.request.request_id,
+                    pending.outcome.request_id,
                 )
         else:
             self.queries_completed += 1

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.workload.requests import KIND_PHP, Request
+from repro.workload.requests import KIND_PHP
 from repro.workload.service_models import ExponentialServiceTime, ServiceTimeModel
 from repro.workload.trace import Trace
 
@@ -98,18 +98,16 @@ class SteppedPoissonWorkload:
                     break
                 arrival_times.append(time)
             phase_start = phase_end
-        requests = [
-            Request(
-                request_id=index + 1,
-                arrival_time=arrival_time,
-                service_demand=self.service_model.sample(rng),
-                kind=KIND_PHP,
-                url="/compute.php",
-            )
-            for index, arrival_time in enumerate(arrival_times)
-        ]
+        demands = [self.service_model.sample(rng) for _ in arrival_times]
         rates = "/".join(f"{phase.rate:g}" for phase in self.phases)
-        return Trace(requests, name=f"stepped-poisson-{rates}qps")
+        return Trace.from_columns(
+            np.arange(1, len(arrival_times) + 1),
+            arrival_times,
+            demands,
+            np.zeros(len(arrival_times), dtype=np.uint8),
+            (KIND_PHP,),
+            name=f"stepped-poisson-{rates}qps",
+        )
 
     def __repr__(self) -> str:
         steps = ", ".join(

@@ -53,13 +53,13 @@ from repro.net.router import NetworkNode
 from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT
 from repro.sim.engine import Simulator
 from repro.workload.client import TrafficGeneratorNode
-from repro.workload.requests import KIND_HEAVY, KIND_SESSION, Request
+from repro.workload.requests import KIND_HEAVY, KIND_SESSION
 from repro.workload.service_models import (
     BoundedParetoServiceTime,
     LognormalServiceTime,
     ServiceTimeModel,
 )
-from repro.workload.trace import Trace
+from repro.workload.trace import NO_USER, Trace
 
 
 # ----------------------------------------------------------------------
@@ -203,35 +203,31 @@ class HeavyTailWorkload:
         # popularity mass is preserved without materialising the users.
         users = (rng.zipf(self.user_zipf, size=n) - 1) % self.num_users
         lengths = rng.geometric(1.0 / self.mean_session_length, size=n)
-        requests: List[Request] = []
+        demands = np.empty(n, dtype=np.float64)
         for index in range(n):
-            user = int(users[index])
+            # Response sizes are drawn and dropped: servers send a fixed
+            # payload, but the draws keep the RNG stream (hence every
+            # demand) the one the scenario goldens pin.
             if is_heavy[index]:
                 demand = self.heavy_model.sample(rng)
-                size = self._sample_size(rng)
-                kind, url = KIND_HEAVY, "/heavy.php"
+                self._sample_size(rng)
             else:
                 # One aggregated request per keep-alive session: the
-                # worker is held for the summed demand, and the summed
-                # response models the per-request payloads.
+                # worker is held for the summed demand.
                 demand = 0.0
-                size = 0
                 for _ in range(int(lengths[index])):
                     demand += self.request_model.sample(rng)
-                    size += self._sample_size(rng)
-                kind, url = KIND_SESSION, "/session.php"
-            requests.append(
-                Request(
-                    request_id=index + 1,
-                    arrival_time=float(arrivals[index]),
-                    service_demand=float(demand),
-                    kind=kind,
-                    url=url,
-                    response_size=size,
-                    user_id=user,
-                )
-            )
-        return Trace(requests, name="heavy-tail")
+                    self._sample_size(rng)
+            demands[index] = demand
+        return Trace.from_columns(
+            np.arange(1, n + 1),
+            arrivals,
+            demands,
+            np.where(is_heavy, 0, 1).astype(np.uint8),
+            (KIND_HEAVY, KIND_SESSION),
+            user_ids=users,
+            name="heavy-tail",
+        )
 
     def __repr__(self) -> str:
         return (
@@ -260,27 +256,21 @@ def user_concentration(trace: Trace) -> UserConcentration:
     Pure function of the trace (no RNG), so the scenario aggregator can
     recompute it identically in every worker.
     """
-    user_ids = np.asarray(
-        [
-            request.user_id
-            for request in trace
-            if request.user_id is not None
-        ],
-        dtype=np.int64,
-    )
-    if user_ids.size == 0:
+    user_ids = trace.user_ids
+    if user_ids is not None:
+        user_ids = user_ids[user_ids != NO_USER]
+    if user_ids is None or user_ids.size == 0:
         raise WorkloadError(
             f"trace {trace.name!r} carries no user ids; "
             "user_concentration needs a heavy-tail trace"
         )
-    num_sessions = sum(1 for request in trace if request.kind == KIND_SESSION)
-    num_heavy = sum(1 for request in trace if request.kind == KIND_HEAVY)
+    kinds = trace.summary().kinds
     _, counts = np.unique(user_ids, return_counts=True)
     max_requests = int(counts.max())
     return UserConcentration(
         num_requests=len(trace),
-        num_sessions=num_sessions,
-        num_heavy=num_heavy,
+        num_sessions=kinds.get(KIND_SESSION, 0),
+        num_heavy=kinds.get(KIND_HEAVY, 0),
         distinct_users=int(counts.size),
         top_user_share=max_requests / user_ids.size,
         max_user_requests=max_requests,
@@ -320,10 +310,10 @@ class SessionAffinityClient(TrafficGeneratorNode):
         self.affinity_hits = 0
         self.affinity_fallbacks = 0
 
-    def _allocate_port(self, request: Request) -> int:
+    def _allocate_port(self, user_id: int) -> int:
         port: Optional[int] = None
-        if request.user_id is not None:
-            candidate = stable_user_port(request.user_id)
+        if user_id != NO_USER:
+            candidate = stable_user_port(user_id)
             if candidate in self._active_ports:
                 self.affinity_fallbacks += 1
             else:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.workload.requests import KIND_PHP, Request
+from repro.workload.requests import KIND_PHP
 from repro.workload.service_models import ExponentialServiceTime, ServiceTimeModel
 from repro.workload.trace import Trace
 
@@ -89,17 +89,15 @@ class PoissonWorkload:
         """
         inter_arrivals = rng.exponential(1.0 / self.rate, size=self.num_queries)
         arrival_times = self.start_time + np.cumsum(inter_arrivals)
-        requests = [
-            Request(
-                request_id=index + 1,
-                arrival_time=float(arrival_times[index]),
-                service_demand=self.service_model.sample(rng),
-                kind=KIND_PHP,
-                url="/compute.php",
-            )
-            for index in range(self.num_queries)
-        ]
-        return Trace(requests, name=f"poisson-{self.rate:g}qps")
+        demands = [self.service_model.sample(rng) for _ in range(self.num_queries)]
+        return Trace.from_columns(
+            np.arange(1, self.num_queries + 1),
+            arrival_times,
+            demands,
+            np.zeros(self.num_queries, dtype=np.uint8),
+            (KIND_PHP,),
+            name=f"poisson-{self.rate:g}qps",
+        )
 
     def __repr__(self) -> str:
         return (

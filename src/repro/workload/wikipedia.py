@@ -22,18 +22,13 @@ structure intact.
 from __future__ import annotations
 
 import math
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.workload.requests import (
-    KIND_STATIC,
-    KIND_WIKI,
-    Request,
-)
+from repro.workload.requests import KIND_STATIC, KIND_WIKI
 from repro.workload.service_models import (
     ServiceTimeModel,
     StaticPageServiceTime,
@@ -180,43 +175,30 @@ class SyntheticWikipediaWorkload:
         ``jobs`` fan-out relies on this to regenerate identical
         traces inside worker processes.
         """
-        request_ids = itertools.count(1)
-        requests: List[Request] = []
-
         wiki_arrivals = self._thinned_arrivals(
             rng, self.wiki_rate_at, self.peak_wiki_rate()
         )
-        for index, arrival in enumerate(wiki_arrivals):
-            requests.append(
-                Request(
-                    request_id=next(request_ids),
-                    arrival_time=arrival,
-                    service_demand=self.wiki_service_model.sample(rng),
-                    kind=KIND_WIKI,
-                    url=f"/wiki/index.php?title=Article_{index % 100_000}",
-                    response_size=60_000,
-                )
-            )
-
+        demands = [self.wiki_service_model.sample(rng) for _ in wiki_arrivals]
+        static_arrivals: List[float] = []
         if self.static_per_wiki > 0:
             static_arrivals = self._thinned_arrivals(
                 rng,
                 self.static_rate_at,
                 self.peak_wiki_rate() * self.static_per_wiki,
             )
-            for index, arrival in enumerate(static_arrivals):
-                requests.append(
-                    Request(
-                        request_id=next(request_ids),
-                        arrival_time=arrival,
-                        service_demand=self.static_service_model.sample(rng),
-                        kind=KIND_STATIC,
-                        url=f"/static/asset_{index % 1_000}.css",
-                        response_size=4_000,
-                    )
-                )
+            demands.extend(self.static_service_model.sample(rng) for _ in static_arrivals)
 
-        return Trace(requests, name=f"wikipedia-{self.replay_fraction:g}x")
+        count = len(wiki_arrivals) + len(static_arrivals)
+        kind_codes = np.zeros(count, dtype=np.uint8)
+        kind_codes[len(wiki_arrivals):] = 1
+        return Trace.from_columns(
+            np.arange(1, count + 1),
+            wiki_arrivals + static_arrivals,
+            demands,
+            kind_codes,
+            (KIND_WIKI, KIND_STATIC),
+            name=f"wikipedia-{self.replay_fraction:g}x",
+        )
 
     def __repr__(self) -> str:
         return (

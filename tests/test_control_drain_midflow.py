@@ -33,7 +33,6 @@ from repro.server.scoreboard import Scoreboard
 from repro.server.virtual_router import ServerNode
 from repro.workload.client import TrafficGeneratorNode
 from repro.workload.poisson import PoissonWorkload
-from repro.workload.requests import RequestCatalog
 from repro.workload.service_models import DeterministicServiceTime
 
 
@@ -46,7 +45,7 @@ VIP = _addr("fd00:300::1")
 CLIENT = _addr("fd00:200::1")
 
 
-def _make_servers(simulator, fabric, catalog, addresses, steering):
+def _make_servers(simulator, fabric, demands, addresses, steering):
     servers = []
     for index, address in enumerate(addresses):
         cpu = ProcessorSharingCPU(simulator, num_cores=2)
@@ -56,7 +55,7 @@ def _make_servers(simulator, fabric, catalog, addresses, steering):
             cpu=cpu,
             num_workers=16,
             backlog_capacity=64,
-            demand_lookup=catalog.demand_of,
+            demand_lookup=demands.__getitem__,
         )
         server = ServerNode(
             simulator,
@@ -72,7 +71,7 @@ def _make_servers(simulator, fabric, catalog, addresses, steering):
     return servers
 
 
-def _run_drain_scenario(simulator, front, servers, client, catalog, drain_at):
+def _run_drain_scenario(simulator, front, servers, client, demands, drain_at):
     """Replay a spread-upload workload, draining a loaded server mid-run.
 
     ``front`` is the load-balancing layer under test; it must expose
@@ -82,8 +81,7 @@ def _run_drain_scenario(simulator, front, servers, client, catalog, drain_at):
         rate=40.0, num_queries=40, service_model=DeterministicServiceTime(0.05)
     )
     trace = workload.generate(simulator.streams.stream("workload"))
-    for request in trace:
-        catalog.add(request)
+    demands.update(zip(trace.request_ids.tolist(), trace.service_demands.tolist()))
     client.schedule_trace(trace)
 
     drained = []
@@ -119,7 +117,7 @@ class TestDrainAtTheTierLayer:
 
     def test_in_flight_flows_complete_without_resets(self, simulator):
         fabric = LANFabric(simulator, latency=1e-5)
-        catalog = RequestCatalog()
+        demands = {}  # request id -> CPU demand
         collector = ResponseTimeCollector(name="drain-tier")
         server_addresses = [_addr(f"fd00:100::{i + 1:x}") for i in range(4)]
         tier = LoadBalancerTier(
@@ -133,7 +131,7 @@ class TestDrainAtTheTierLayer:
         tier.register_vip(VIP, server_addresses)
         tier.attach(fabric)
         servers = _make_servers(
-            simulator, fabric, catalog, server_addresses, STEERING
+            simulator, fabric, demands, server_addresses, STEERING
         )
         client = TrafficGeneratorNode(
             simulator, "client", CLIENT, VIP, collector,
@@ -142,7 +140,7 @@ class TestDrainAtTheTierLayer:
         client.attach(fabric)
 
         drained = _run_drain_scenario(
-            simulator, tier, servers, client, catalog, drain_at=0.6
+            simulator, tier, servers, client, demands, drain_at=0.6
         )
         _assert_graceful(collector, servers, drained)
         # The tier-wide pools no longer name the drained server.

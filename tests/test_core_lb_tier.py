@@ -23,7 +23,6 @@ from repro.server.http_server import HTTPServerInstance
 from repro.server.virtual_router import ServerNode
 from repro.workload.client import TrafficGeneratorNode
 from repro.workload.poisson import PoissonWorkload
-from repro.workload.requests import RequestCatalog
 from repro.workload.service_models import DeterministicServiceTime
 
 
@@ -46,7 +45,7 @@ def _build_tier_testbed(
 ):
     """A full testbed fronted by a tier behind the per-packet ECMP edge."""
     fabric = LANFabric(simulator, latency=1e-5)
-    catalog = RequestCatalog()
+    demands = {}  # request id -> CPU demand
     collector = ResponseTimeCollector(name="tier")
     if selector_factory is None:
         selector_factory = lambda: ConsistentHashCandidateSelector(
@@ -74,7 +73,7 @@ def _build_tier_testbed(
             cpu=cpu,
             num_workers=16,
             backlog_capacity=64,
-            demand_lookup=catalog.demand_of,
+            demand_lookup=demands.__getitem__,
         )
         server = ServerNode(
             simulator,
@@ -98,24 +97,23 @@ def _build_tier_testbed(
         request_chunks=request_chunks,
     )
     client.attach(fabric)
-    return fabric, tier, servers, client, catalog, collector
+    return fabric, tier, servers, client, demands, collector
 
 
-def _run_workload(simulator, client, catalog, num_queries, rate=60.0, service=0.02):
+def _run_workload(simulator, client, demands, num_queries, rate=60.0, service=0.02):
     workload = PoissonWorkload(
         rate=rate, num_queries=num_queries, service_model=DeterministicServiceTime(service)
     )
     trace = workload.generate(simulator.streams.stream("workload"))
-    for request in trace:
-        catalog.add(request)
+    demands.update(zip(trace.request_ids.tolist(), trace.service_demands.tolist()))
     client.schedule_trace(trace)
     return trace
 
 
 class TestCrossInstanceLearning:
     def test_all_queries_complete_behind_the_per_packet_edge(self, simulator):
-        fabric, tier, servers, client, catalog, collector = _build_tier_testbed(simulator)
-        _run_workload(simulator, client, catalog, 300)
+        fabric, tier, servers, client, demands, collector = _build_tier_testbed(simulator)
+        _run_workload(simulator, client, demands, 300)
         simulator.run()
         assert collector.totals.completed == 300
         assert collector.totals.failed == 0
@@ -124,8 +122,8 @@ class TestCrossInstanceLearning:
         assert tier.steering_misses() == 0
 
     def test_syn_acks_reach_a_different_instance_and_are_relayed(self, simulator):
-        fabric, tier, servers, client, catalog, collector = _build_tier_testbed(simulator)
-        _run_workload(simulator, client, catalog, 300)
+        fabric, tier, servers, client, demands, collector = _build_tier_testbed(simulator)
+        _run_workload(simulator, client, demands, 300)
         simulator.run()
         # Per-packet hashing sends ~ (N-1)/N of SYN-ACKs to a non-owner,
         # which must relay them; with 3 instances that is about 2/3.
@@ -136,8 +134,8 @@ class TestCrossInstanceLearning:
             assert instance.stats.acceptances_learned <= instance.stats.syn_received
 
     def test_owner_learns_the_binding_not_the_relay(self, simulator):
-        fabric, tier, servers, client, catalog, collector = _build_tier_testbed(simulator)
-        _run_workload(simulator, client, catalog, 200)
+        fabric, tier, servers, client, demands, collector = _build_tier_testbed(simulator)
+        _run_workload(simulator, client, demands, 200)
         simulator.run()
         learned = sum(i.stats.acceptances_learned for i in tier.instances)
         handled = sum(i.tier_stats.signals_handled_locally for i in tier.instances)
@@ -171,7 +169,7 @@ class TestChurn:
             tier.kill_instance("lb-99")
 
     def test_dead_instance_eats_packets(self, simulator):
-        fabric, tier, servers, client, catalog, collector = _build_tier_testbed(
+        fabric, tier, servers, client, demands, collector = _build_tier_testbed(
             simulator, num_instances=2
         )
         victim = tier.instances[0]
@@ -182,10 +180,10 @@ class TestChurn:
         assert victim.tier_stats.dropped_while_dead == 1
 
     def test_mid_run_addition_joins_the_rotation(self, simulator):
-        fabric, tier, servers, client, catalog, collector = _build_tier_testbed(
+        fabric, tier, servers, client, demands, collector = _build_tier_testbed(
             simulator, num_instances=2
         )
-        _run_workload(simulator, client, catalog, 200, rate=40.0)
+        _run_workload(simulator, client, demands, 200, rate=40.0)
         simulator.schedule_at(
             2.0, lambda: tier.add_instance(_addr("fd00:400::77")), label="add"
         )
@@ -201,13 +199,13 @@ class TestChurn:
 
 class TestStatelessRecovery:
     def test_consistent_hash_survives_an_instance_kill(self, simulator):
-        fabric, tier, servers, client, catalog, collector = _build_tier_testbed(
+        fabric, tier, servers, client, demands, collector = _build_tier_testbed(
             simulator,
             num_instances=4,
             request_spread=1.0,
             request_chunks=4,
         )
-        _run_workload(simulator, client, catalog, 400, rate=30.0, service=0.02)
+        _run_workload(simulator, client, demands, 400, rate=30.0, service=0.02)
         def kill():
             victim = max(tier.alive_instances(), key=lambda lb: len(lb.flow_table))
             tier.kill_instance(victim.name)
@@ -221,7 +219,7 @@ class TestStatelessRecovery:
         assert client.in_flight == 0
 
     def test_random_selection_resets_the_victims_flows(self, simulator):
-        fabric, tier, servers, client, catalog, collector = _build_tier_testbed(
+        fabric, tier, servers, client, demands, collector = _build_tier_testbed(
             simulator,
             num_instances=4,
             selector_factory=lambda: RandomCandidateSelector(
@@ -230,7 +228,7 @@ class TestStatelessRecovery:
             request_spread=1.0,
             request_chunks=4,
         )
-        _run_workload(simulator, client, catalog, 400, rate=30.0, service=0.02)
+        _run_workload(simulator, client, demands, 400, rate=30.0, service=0.02)
         def kill():
             victim = max(tier.alive_instances(), key=lambda lb: len(lb.flow_table))
             tier.kill_instance(victim.name)

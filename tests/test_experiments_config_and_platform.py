@@ -1,10 +1,12 @@
 """Unit tests for experiment configuration, calibration and the testbed builder."""
 
 import dataclasses
+import multiprocessing
 
 import pytest
 
-from repro.errors import ExperimentError, WorkloadError
+from repro.errors import ExperimentError, SimulationError, WorkloadError
+from repro.experiments import registry
 from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import (
     HIGH_LOAD_FACTOR,
@@ -20,8 +22,11 @@ from repro.experiments.config import (
     srdyn_policy,
 )
 from repro.experiments.platform import build_testbed
+from repro.experiments.scenario import run_scenario
 from repro.net.addressing import VIP_PREFIX
 from repro.workload.poisson import poisson_trace
+from repro.workload.requests import Request
+from repro.workload.trace import Trace
 
 
 def _poisson_trace(load_factor, num_queries, saturation_rate, service_mean, workload_seed):
@@ -228,6 +233,44 @@ class TestBuildTestbed:
         testbed.run_trace(_poisson_trace(workload_seed=3, **trace_kwargs))
         with pytest.raises(WorkloadError):
             testbed.run_trace(_poisson_trace(workload_seed=4, **trace_kwargs))
+
+    def test_run_trace_refuses_ids_past_the_demand_table(self, small_testbed_config):
+        """Demands are a table indexed by request id, so an id in the
+        billions is refused instead of allocating gigabytes."""
+        trace = Trace([Request(request_id=2**40, arrival_time=0.0, service_demand=0.1)])
+        with build_testbed(small_testbed_config, sr_policy(4)) as testbed:
+            with pytest.raises(WorkloadError, match="indexed by request id"):
+                testbed.run_trace(trace)
+            assert len(testbed.demands) == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_overlapping_ids_are_rejected_at_any_jobs(self, jobs, monkeypatch):
+        """A cell that replays a second trace whose ids repeat the first's
+        with other demands fails with the same error, in process or from
+        a worker process (which names the cell and the cause)."""
+        spec = registry.get("poisson")
+
+        def run_once(self, config, cell, trace):
+            doubled = Trace.from_columns(
+                trace.request_ids,
+                trace.arrival_times,
+                2.0 * trace.service_demands,
+                trace.kind_codes,
+                trace.kinds,
+            )
+            with build_testbed(config.testbed, rr_policy()) as testbed:
+                testbed.run_trace(trace)
+                testbed.run_trace(trace)  # the same trace again is fine
+                testbed.run_trace(doubled)
+
+        monkeypatch.setattr(type(spec), "run_once", run_once)
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(multiprocessing, "get_context", lambda: fork)
+        config = dataclasses.replace(spec.smoke_config(), num_queries=20)
+        expected = WorkloadError if jobs == 1 else SimulationError
+        with pytest.raises(expected, match="request id 1 is already registered"):
+            run_scenario(spec, config, jobs=jobs)
+        assert not multiprocessing.active_children()
 
     def test_deterministic_given_seed(self, small_testbed_config):
         trace_kwargs = dict(

@@ -22,10 +22,15 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.chaos_experiment import fault_config_for
+from repro.experiments.config import ChaosConfig
 from repro.net.channel import InProcessChannel
 from repro.net.faults import (
+    CorruptionInjector,
     FaultConfig,
     FaultInjectionChannel,
+    GilbertElliottLossInjector,
+    IIDLossInjector,
     build_injectors,
     install_fault_channel,
 )
@@ -181,3 +186,18 @@ def test_install_fault_channel_wraps_and_returns():
     assert sink.received == []
     assert pipeline.stats.packets_dropped == 1
     assert pipeline.stats.packets_dropped_loss == 1
+
+
+def test_a_pipeline_holds_only_the_injectors_its_config_enables():
+    """A disabled stage could neither drop nor delay, so it is left out:
+    the chaos ``baseline`` cell runs no fault code per hop, and the
+    ``loss`` cell runs exactly its three loss processes."""
+    config = ChaosConfig()
+    simulator = Simulator(seed=5)
+    assert build_injectors(simulator, fault_config_for(config, "baseline", 10.0)) == ()
+    loss = build_injectors(simulator, fault_config_for(config, "loss", 10.0))
+    assert [type(injector) for injector in loss] == [
+        IIDLossInjector,
+        GilbertElliottLossInjector,
+        CorruptionInjector,
+    ]

@@ -42,7 +42,7 @@ def traced_testbed(small_testbed_config):
 
 def _single_request_trace():
     return Trace(
-        [Request(request_id=900_001, arrival_time=0.0, service_demand=0.05, kind="php")]
+        [Request(request_id=1, arrival_time=0.0, service_demand=0.05, kind="php")]
     )
 
 

@@ -21,9 +21,10 @@ from repro.core.flow_table import FlowEntry
 from repro.core.loadbalancer import LoadBalancerNode
 from repro.errors import ExperimentError
 from repro.experiments import registry
-from repro.experiments.config import sr_policy
+from repro.experiments.config import WikipediaReplayConfig, sr_policy
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import run_scenario
+from repro.experiments.wikipedia_experiment import make_wikipedia_trace
 from repro.workload.poisson import poisson_trace
 
 
@@ -63,6 +64,26 @@ def test_a_finished_poisson_cell_retains_at_most_128_bytes_per_query(gc_disabled
     # margin and still fails a testbed left to the cycle collector, which
     # kept about 540 B per query.
     assert retained <= 128 * 2_000
+
+
+def test_a_generated_wikipedia_day_retains_at_most_64_bytes_per_query():
+    # The trace `wikipedia --duration 85` replays (5,485 queries).
+    config = replace(WikipediaReplayConfig(), static_per_wiki=0.5).compressed(85.0)
+    make_wikipedia_trace(config)  # imports and numpy.random's first use
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = make_wikipedia_trace(config)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 5_485
+    # A trace is its columns: 8 B of id, arrival and demand each and a
+    # 1 B kind code, 25 B per query, plus a few hundred bytes of objects.
+    # One Python object per query (a row object, or a per-request entry
+    # in a dict index) would cost more than the margin left: the rows
+    # and catalogue this replaced kept 289 B + 54 B per query.
+    assert retained <= 64 * len(trace)
 
 
 @pytest.mark.parametrize("telemetry", [None, "1"], ids=["plain", "telemetry"])

@@ -1,5 +1,7 @@
 """Unit tests for the Apache-like HTTP application instance."""
 
+from array import array
+
 import pytest
 
 from repro.errors import ServerError
@@ -155,6 +157,20 @@ class TestServiceLifecycle:
         server.handle_connection_request(key, request_id=1)
         with pytest.raises(ServerError):
             server.handle_request_data(key, request_id=1)
+
+    @pytest.mark.parametrize("request_id", [0, 5], ids=["nan-entry", "past-the-end"])
+    def test_an_id_no_trace_has_is_rejected(self, simulator, request_id):
+        # The testbed's demand table: NaN marks an id no replayed trace has.
+        demands = array("d", [float("nan"), 0.1])
+        cpu = ProcessorSharingCPU(simulator, num_cores=1)
+        server = HTTPServerInstance(
+            simulator, "unknown-id", cpu, num_workers=1, demand_lookup=demands.__getitem__
+        )
+        server.bind_transport(FakeTransport())
+        key = _flow_key(1000)
+        server.handle_connection_request(key, request_id=request_id)
+        with pytest.raises(ServerError, match="no positive CPU demand"):
+            server.handle_request_data(key, request_id=request_id)
 
     def test_connection_for_flow(self, simulator):
         server, transport = _make_server(simulator)

@@ -58,7 +58,7 @@ def _burst_trace(count=40):
     return Trace(
         [
             Request(
-                request_id=910_000 + index,
+                request_id=1 + index,
                 arrival_time=index * 0.01,
                 service_demand=0.05,
                 kind="php",

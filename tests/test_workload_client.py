@@ -87,7 +87,7 @@ def _trace(count, spacing=0.01):
     return Trace(
         [
             Request(request_id=1_000 + index, arrival_time=index * spacing,
-                    service_demand=0.05, kind="php", url=f"/item/{index}")
+                    service_demand=0.05, kind="php")
             for index in range(count)
         ]
     )
@@ -152,15 +152,13 @@ class TestTrafficGenerator:
 
     def test_duplicate_in_flight_request_rejected(self, simulator):
         client, service, collector = _build(simulator)
-        request = Request(request_id=42, arrival_time=0.0, service_demand=0.05)
-        client.start_query(request)
+        client.start_query(42, "php")
         with pytest.raises(Exception):
-            client.start_query(request)
+            client.start_query(42, "php")
 
     def test_outstanding_request_ids(self, simulator):
         client, service, collector = _build(simulator)
-        request = Request(request_id=43, arrival_time=0.0, service_demand=0.05)
-        client.start_query(request)
+        client.start_query(43, "php")
         assert client.outstanding_request_ids() == [43]
         simulator.run()
         assert client.outstanding_request_ids() == []
@@ -183,7 +181,6 @@ class TestSpreadUpload:
         from repro.net.fabric import LANFabric
         from repro.net.packet import TCPFlag
         from repro.workload.client import TrafficGeneratorNode
-        from repro.workload.requests import Request
         from repro.net.addressing import IPv6Address
 
         from repro.net.router import NetworkNode
@@ -232,7 +229,7 @@ class TestSpreadUpload:
         client.attach(fabric)
         sent = sink.seen
 
-        client.start_query(Request(request_id=1, arrival_time=0.0, service_demand=0.1))
+        client.start_query(1, "php")
         simulator.run()
         data = [(when, p) for when, p in sent if p.tcp.has(TCPFlag.PSH)]
         assert len(data) == 1

@@ -1,17 +1,10 @@
-"""Unit tests for the request model, catalog and service-time models."""
+"""Unit tests for the request row type and the service-time models."""
 
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workload.requests import (
-    KIND_PHP,
-    Request,
-    RequestCatalog,
-    next_request_id,
-    sort_by_arrival,
-    total_offered_demand,
-)
+from repro.workload.requests import KIND_PHP, Request
 from repro.workload.service_models import (
     BoundedParetoServiceTime,
     DeterministicServiceTime,
@@ -20,75 +13,22 @@ from repro.workload.service_models import (
     StaticPageServiceTime,
     WikiPageServiceTime,
 )
+from repro.workload.trace import Trace
 
 
 class TestRequest:
     def test_valid_request(self):
         request = Request(request_id=1, arrival_time=0.5, service_demand=0.1)
         assert request.kind == KIND_PHP
-        assert request.response_size > 0
+        assert request.user_id is None
 
     def test_negative_arrival_rejected(self):
         with pytest.raises(WorkloadError):
-            Request(request_id=1, arrival_time=-1.0, service_demand=0.1)
+            Trace([Request(request_id=1, arrival_time=-1.0, service_demand=0.1)])
 
     def test_non_positive_demand_rejected(self):
         with pytest.raises(WorkloadError):
-            Request(request_id=1, arrival_time=0.0, service_demand=0.0)
-
-    def test_negative_response_size_rejected(self):
-        with pytest.raises(WorkloadError):
-            Request(request_id=1, arrival_time=0.0, service_demand=0.1, response_size=-1)
-
-    def test_next_request_id_is_monotonic(self):
-        first = next_request_id()
-        second = next_request_id()
-        assert second > first
-
-
-class TestRequestCatalog:
-    def test_add_and_lookup(self):
-        catalog = RequestCatalog()
-        request = Request(request_id=101, arrival_time=0.0, service_demand=0.2)
-        catalog.add(request)
-        assert catalog.get(101) is request
-        assert catalog.demand_of(101) == pytest.approx(0.2)
-        assert 101 in catalog
-        assert len(catalog) == 1
-
-    def test_duplicate_id_rejected(self):
-        catalog = RequestCatalog()
-        catalog.add(Request(request_id=5, arrival_time=0.0, service_demand=0.2))
-        with pytest.raises(WorkloadError):
-            catalog.add(Request(request_id=5, arrival_time=1.0, service_demand=0.3))
-
-    def test_unknown_id_rejected(self):
-        with pytest.raises(WorkloadError):
-            RequestCatalog().get(404)
-
-    def test_init_from_iterable_and_iteration(self):
-        requests = [
-            Request(request_id=index, arrival_time=float(index), service_demand=0.1)
-            for index in range(1, 4)
-        ]
-        catalog = RequestCatalog(requests)
-        assert sorted(request.request_id for request in catalog) == [1, 2, 3]
-
-
-class TestHelpers:
-    def test_sort_by_arrival(self):
-        requests = [
-            Request(request_id=1, arrival_time=2.0, service_demand=0.1),
-            Request(request_id=2, arrival_time=1.0, service_demand=0.1),
-        ]
-        assert [request.request_id for request in sort_by_arrival(requests)] == [2, 1]
-
-    def test_total_offered_demand(self):
-        requests = [
-            Request(request_id=1, arrival_time=0.0, service_demand=0.25),
-            Request(request_id=2, arrival_time=0.0, service_demand=0.75),
-        ]
-        assert total_offered_demand(requests) == pytest.approx(1.0)
+            Trace([Request(request_id=1, arrival_time=0.0, service_demand=0.0)])
 
 
 class TestServiceModels:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.workload.poisson import PoissonWorkload
@@ -48,25 +50,56 @@ class TestTrace:
         assert summary.num_requests == 0
         assert summary.duration == 0.0
 
-    def test_save_and_load_roundtrip(self, tmp_path):
-        trace = Trace([_request(1, 0.5), _request(2, 1.5, 0.3, KIND_WIKI)])
-        path = tmp_path / "trace.jsonl"
-        trace.save(path)
-        loaded = Trace.load(path)
-        assert len(loaded) == 2
-        assert loaded[1].kind == KIND_WIKI
-        assert loaded[1].service_demand == pytest.approx(0.3)
+    def test_rows_are_checked_when_the_trace_is_built(self):
+        with pytest.raises(WorkloadError, match="negative arrival time"):
+            Trace([_request(1, -1.0)])
+        with pytest.raises(WorkloadError, match="non-positive service demand"):
+            Trace([_request(1, 0.0, 0.0)])
+        with pytest.raises(WorkloadError, match="non-positive service demand"):
+            Trace([_request(1, 0.0, float("nan"))])
+        with pytest.raises(WorkloadError, match="duplicate request id 3"):
+            Trace([_request(3, 0.0), _request(4, 1.0), _request(3, 2.0)])
+        with pytest.raises(WorkloadError, match="is negative"):
+            Trace([_request(-1, 0.0)])
 
-    def test_load_rejects_corrupt_file(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("this is not json\n")
-        with pytest.raises(WorkloadError):
-            Trace.load(path)
+    def test_columns_are_read_only(self):
+        trace = Trace([_request(1, 0.5)])
+        with pytest.raises(ValueError):
+            trace.service_demands[0] = 1.0
 
-    def test_catalog_roundtrip(self):
-        trace = Trace([_request(7, 0.0, 0.2)])
-        catalog = trace.catalog()
-        assert catalog.demand_of(7) == pytest.approx(0.2)
+    def test_user_ids_column_exists_only_when_a_row_has_a_user(self):
+        assert Trace([_request(1, 0.5)]).user_ids is None
+        mixed = Trace([Request(1, 0.1, 0.05, user_id=123), Request(2, 0.2, 0.07)])
+        assert [request.user_id for request in mixed] == [123, None]
+
+
+row_lists = st.lists(
+    st.tuples(
+        # Coarse arrival times, so ties are common.
+        st.integers(min_value=0, max_value=5).map(float),
+        st.floats(min_value=1e-6, max_value=10.0, allow_nan=False),
+        st.sampled_from([KIND_PHP, KIND_WIKI, KIND_STATIC]),
+        st.none() | st.integers(min_value=0, max_value=2**40),
+    ),
+    max_size=30,
+)
+
+
+@given(rows=row_lists, ids=st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_property_rows_round_trip_through_the_columns(rows, ids):
+    """Rows -> ``Trace`` -> rows is equal field for field, in a stable
+    arrival order: rows arriving together keep the order they were given."""
+    request_ids = ids.sample(range(1, 10 * len(rows) + 2), len(rows))
+    given_rows = [
+        Request(request_id, arrival, demand, kind, user)
+        for request_id, (arrival, demand, kind, user) in zip(request_ids, rows)
+    ]
+    trace = Trace(given_rows)
+    expected = sorted(given_rows, key=lambda request: request.arrival_time)
+    assert list(trace) == expected
+    assert [trace[index] for index in range(len(trace))] == expected
+    assert len(trace) == len(given_rows)
 
 
 class TestPoissonWorkload:
