@@ -105,8 +105,8 @@ bench-smoke-parallel:
 # (SHA-256 fingerprint), which holds on any core count — this is the
 # determinism gate of the partitioned engine, not a perf measurement —
 # and that the coordinator's ru_maxrss grew by no more than
-# 160 B per outcome + 4 MB over the partitioned run (pods ship columns),
-# and the pod workers' by no more than 250 B per outcome + 2 MB over the
+# 96 B per outcome + 5.5 MB over the partitioned run (pods ship columns),
+# and the pod workers' by no more than 224 B per outcome + 1 MiB over the
 # fork point (outcomes are table rows, finished pods free their testbed).
 scale-smoke:
 	REPRO_BENCH_SCALE_QUERIES=20000 REPRO_BENCH_SCALE_PARTITIONS=2 \

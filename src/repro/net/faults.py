@@ -31,10 +31,11 @@ candidate selector and the workload generators already rely on.
 A *disabled* injector (zero rate / zero mean / empty schedule) could
 neither drop nor delay a packet, so :func:`build_injectors` leaves it
 out: a pipeline runs no per-packet code, and draws no random value, for
-an impairment its config turns off.  An all-disabled pipeline holds no injector and forwards
-``send`` with the delay object untouched — **bit-identical** to the bare
-inner channel: same event times, same FIFO sequence numbers, same
-labels, same RNG states — pinned by the hypothesis property test in
+an impairment its config turns off.  An all-disabled pipeline holds no
+injector and forwards ``send`` with the delay object untouched —
+**bit-identical** to the bare inner channel: same event times, same
+FIFO sequence numbers, same labels, same RNG states — pinned by the
+hypothesis property test in
 ``tests/test_faults_property.py`` and by the ``chaos`` family's
 ``baseline`` golden fingerprint.
 
@@ -73,8 +74,9 @@ class FaultInjector:
     (after counting the drop under its reason counter on ``stats``) or a
     non-negative extra delay in seconds.  An injector whose
     :attr:`enabled` is false could do neither, so :func:`build_injectors`
-    leaves it out of the pipeline — that is what keeps an all-disabled
-    pipeline bit-identical to the bare channel.
+    leaves it out of the pipeline and :meth:`assess` only ever runs on an
+    enabled one — that is what keeps an all-disabled pipeline
+    bit-identical to the bare channel.
     """
 
     #: Name of the injector's :class:`RandomStreams` substream (``None``

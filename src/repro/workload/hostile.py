@@ -94,7 +94,8 @@ class HeavyTailWorkload:
         Zipf exponent of the user popularity distribution (> 1).
     size_median / size_sigma / size_cap:
         Lognormal response-size model per in-session request (bytes);
-        sizes are capped at ``size_cap`` to keep the tail bounded.
+        sizes are capped at ``size_cap`` to keep the tail bounded.  The
+        sizes are drawn, in order with the demands, but not kept.
     start_time:
         Offset added to every arrival time.
     """
