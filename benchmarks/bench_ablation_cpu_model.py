@@ -43,7 +43,7 @@ def bench_ablation_cpu_model(benchmark):
     runs = run_once(benchmark, run_all)
 
     rows = [
-        [cpu_model, policy, run.mean_response_time, run.summary.p90]
+        [cpu_model, policy, run.mean_response_time, run.collector.summary().p90]
         for (cpu_model, policy), run in runs.items()
     ]
     table = format_table(

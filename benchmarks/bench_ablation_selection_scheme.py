@@ -40,7 +40,7 @@ def bench_ablation_selection_scheme(benchmark):
     runs = run_once(benchmark, run_all)
 
     rows = [
-        [name, run.mean_response_time, run.summary.p90]
+        [name, run.mean_response_time, run.collector.summary().p90]
         for name, run in runs.items()
     ]
     table = format_table(

@@ -37,12 +37,13 @@ def bench_autoscale_diurnal(benchmark):
 
     # Reproduction checks (shape, not absolute values): every mode keeps
     # serving, and the elastic fleets spend less than the static one.
-    static = result.run("static")
+    bills = {
+        mode: result.run(mode).capacity.capacity_seconds(through=config.duration)
+        for mode in result.keys()
+    }
     for mode in result.keys():
-        run = result.run(mode)
-        assert run.requests_served > 0
-        assert run.capacity_seconds > 0
+        assert result.run(mode).counters["server.requests_served"] > 0
+        assert bills[mode] > 0
     for mode in ("reactive", "predictive"):
-        run = result.run(mode)
-        assert run.capacity_seconds < static.capacity_seconds
-        assert run.capacity.scale_ups() > 0
+        assert bills[mode] < bills["static"]
+        assert result.run(mode).capacity.scale_ups() > 0

@@ -28,7 +28,7 @@ import dataclasses
 import os
 
 from benchmarks.conftest import run_once, write_output
-from repro.experiments.chaos_experiment import CHAOS_SCENARIO
+from repro.experiments.chaos_experiment import CHAOS_SCENARIO, outcome_fingerprint
 from repro.experiments.config import ChaosConfig
 from repro.experiments.scenario import run_scenario
 
@@ -76,22 +76,23 @@ def bench_chaos_seeded_determinism(benchmark):
             one_job = serial[seed].run(mode)
             many_jobs = parallel[seed].run(mode)
             # jobs=1 vs jobs=N: bit-identical outcomes per mode.
-            assert many_jobs.fingerprint == one_job.fingerprint, (seed, mode)
+            assert outcome_fingerprint(many_jobs.collector) == outcome_fingerprint(
+                one_job.collector
+            ), (seed, mode)
             # Every network drop is attributed to exactly one reason.
-            assert many_jobs.fault_packets_dropped == (
-                many_jobs.fault_dropped_loss
-                + many_jobs.fault_dropped_burst
-                + many_jobs.fault_dropped_corrupted
-                + many_jobs.fault_dropped_link_down
+            counters = many_jobs.counters
+            assert counters["fault.packets_dropped"] == sum(
+                value
+                for name, value in counters.items()
+                if name.startswith("fault.packets_dropped_")
             ), (seed, mode)
         # The acceptance property: retransmission recovers the loss cell.
         loss = parallel[seed].run("loss")
-        assert loss.fault_packets_dropped > 0, seed
-        assert loss.completion_rate >= 0.99, seed
+        assert loss.counters["fault.packets_dropped"] > 0, seed
+        assert loss.completion_rate(configs[seed].num_queries) >= 0.99, seed
 
     # The seeds genuinely steer the workload and the injectors.
     for mode in configs[first].modes:
-        assert (
-            parallel[SEEDS[0]].run(mode).fingerprint
-            != parallel[SEEDS[1]].run(mode).fingerprint
-        ), mode
+        assert outcome_fingerprint(
+            parallel[SEEDS[0]].run(mode).collector
+        ) != outcome_fingerprint(parallel[SEEDS[1]].run(mode).collector), mode

@@ -20,6 +20,7 @@ import os
 from benchmarks.conftest import run_once, scale_jobs, write_output
 from repro.experiments import registry
 from repro.experiments.config import FlashCrowdConfig
+from repro.experiments.flash_crowd_experiment import phase_summary
 from repro.experiments.scenario import run_scenario
 
 
@@ -39,13 +40,12 @@ def bench_flash_crowd_overload(benchmark):
     # Reproduction checks (shape, not absolute values): the spike is a
     # real overload for every policy, and two choices beat one while the
     # crowd lasts.
-    rr_spike = result.run("RR").phase_summary("spike")
-    sr4_spike = result.run("SR4").phase_summary("spike")
-    assert rr_spike is not None and sr4_spike is not None
+    rr_spike = phase_summary(result.run("RR"), config, "spike")
+    sr4_spike = phase_summary(result.run("SR4"), config, "spike")
     for name in result.keys():
         run = result.run(name)
-        baseline = run.phase_summary("baseline")
-        spike = run.phase_summary("spike")
-        assert baseline is not None and spike is not None
+        baseline = phase_summary(run, config, "baseline")
+        spike = phase_summary(run, config, "spike")
+        assert baseline.count > 0 and spike.count > 0
         assert spike.mean > baseline.mean
     assert sr4_spike.mean < rr_spike.mean * 1.05

@@ -53,14 +53,14 @@ def main() -> None:
     rows = []
     for spec in policies:
         result = sweep.run(spec.name, load_factor)
-        summary = result.summary
+        summary = result.collector.summary()
         rows.append(
             [
                 spec.name,
                 summary.mean,
                 summary.median,
                 summary.p90,
-                result.connections_reset,
+                result.counters["server.connections_reset"],
             ]
         )
 

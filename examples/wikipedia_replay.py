@@ -68,9 +68,10 @@ def main() -> None:
     for name in result.keys():
         run = result.run(name)
         q1, median, q3 = run.wiki_quartiles()
+        resets = run.counters["server.connections_reset"]
         print(
             f"{name}: whole-day wiki page load time — median {median:.3f} s, "
-            f"third quartile {q3:.3f} s (resets: {run.connections_reset})"
+            f"third quartile {q3:.3f} s (resets: {resets})"
         )
     rr_q3 = result.run("RR").wiki_quartiles()[2]
     sr4_q3 = result.run("SR4").wiki_quartiles()[2]

@@ -171,6 +171,18 @@ class FlowTable:
         """All current entries (copy of references)."""
         return tuple(self._entries.values())
 
+    def snapshot(self) -> Dict[str, int]:
+        """The table's counters plus its live entry count, by name."""
+        stats = self.stats
+        return {
+            "entries_created": stats.entries_created,
+            "entries_expired": stats.entries_expired,
+            "entries_evicted": stats.entries_evicted,
+            "entries_live": len(self._entries),
+            "lookup_hits": stats.lookup_hits,
+            "lookup_misses": stats.lookup_misses,
+        }
+
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -31,7 +31,7 @@ work anyway:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.candidate_selection import CandidateSelector
@@ -364,19 +364,14 @@ class LoadBalancerTier:
         """Steering misses across all instances (including dead ones)."""
         return sum(instance.stats.steering_misses for instance in self.instances)
 
-    def recovery_hunts(self) -> int:
-        """Recovery hunts launched across all instances."""
-        return sum(instance.tier_stats.recovery_hunts for instance in self.instances)
-
-    def signals_relayed(self) -> int:
-        """Cross-instance SYN-ACK relays across all instances."""
-        return sum(
-            instance.tier_stats.signals_relayed_out for instance in self.instances
-        )
-
-    def acceptances_learned(self) -> int:
-        """Flow bindings learned across all instances."""
-        return sum(instance.stats.acceptances_learned for instance in self.instances)
+    def snapshot(self) -> Dict[str, int]:
+        """The tier's churn counters plus every instance's (dead ones
+        included) recovery and relay counters, summed, by name."""
+        totals = asdict(self.stats)
+        for instance in self.instances:
+            for name, value in asdict(instance.tier_stats).items():
+                totals[name] = totals.get(name, 0) + value
+        return totals
 
     def acceptances_per_server(self) -> Dict[IPv6Address, int]:
         """Aggregated per-server acceptance counts across the tier."""

@@ -46,6 +46,7 @@ __getattr__, __dir__, __all__ = exports(
             "srdyn_policy",
         ),
         "scenario": (
+            "RunResult",
             "ScenarioCell",
             "ScenarioResult",
             "ScenarioSpec",
@@ -62,7 +63,6 @@ __getattr__, __dir__, __all__ = exports(
         ),
         "wikipedia_experiment": ("WikipediaRunResult", "make_wikipedia_trace"),
         "flash_crowd_experiment": (
-            "FlashCrowdRunResult",
             "make_flash_crowd_trace",
             "render_flash_crowd",
         ),

@@ -40,10 +40,13 @@ from repro.experiments import registry
 from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import AdversarialConfig, TestbedConfig
 from repro.experiments.platform import Testbed, build_testbed
-from repro.experiments.scenario import ScenarioCell, ScenarioResult, ScenarioSpec
-from repro.metrics.collector import ResponseTimeCollector
+from repro.experiments.scenario import (
+    RunResult,
+    ScenarioCell,
+    ScenarioResult,
+    ScenarioSpec,
+)
 from repro.metrics.reporting import format_table
-from repro.metrics.stats import SummaryStatistics
 from repro.net.addressing import CLIENT_PREFIX
 from repro.workload.hostile import (
     SynFloodAttacker,
@@ -66,41 +69,17 @@ def adversarial_rate(config: AdversarialConfig) -> float:
 
 
 @dataclass
-class AdversarialRunResult:
-    """Outcome of one (attack mode, legitimate trace) run."""
+class AdversarialRunResult(RunResult):
+    """One (attack mode, legitimate trace) run, with its attack-side data."""
 
-    mode: str
-    config: AdversarialConfig
-    collector: ResponseTimeCollector
-    requests_served: int
-    connections_reset: int
-    connections_timed_out: int
-    queries_hung: int
-    steering_misses: int
-    recovery_hunts: int
-    peak_concurrent_connections: int
     attack_syns_sent: int
     #: Fraction of attack flows the live edge router maps onto the
     #: targeted instance (``None`` outside ``hash-collision`` mode).
     attack_bucket_share: Optional[float]
-    flow_entries_created: int
-    flow_entries_expired: int
-    flow_entries_live: int
     #: Seconds from degradation start to the watchdog's quarantine
     #: decision (``None`` when nothing was quarantined).
     quarantine_delay: Optional[float]
     quarantined: Tuple[str, ...]
-    simulated_duration: float
-
-    @property
-    def completion_rate(self) -> float:
-        """Fraction of legitimate queries that completed."""
-        return self.collector.totals.completed / self.config.num_queries
-
-    @property
-    def summary(self) -> SummaryStatistics:
-        """Response-time summary of the legitimate queries that completed."""
-        return self.collector.summary()
 
 
 def spoofed_sources(config: AdversarialConfig):
@@ -310,37 +289,13 @@ class AdversarialScenario(ScenarioSpec):
             quarantine_delay = watchdog.events[0].time - start
             quarantined = watchdog.quarantined
 
-        instances = tier.instances
-        return AdversarialRunResult(
-            mode=mode,
-            config=config,
-            collector=testbed.collector,
-            requests_served=testbed.total_requests_served(),
-            connections_reset=testbed.total_resets(),
-            connections_timed_out=sum(
-                server.app.stats.connections_timed_out for server in testbed.servers
-            ),
-            queries_hung=testbed.client.queries_swept,
-            steering_misses=testbed.total_steering_misses(),
-            recovery_hunts=tier.recovery_hunts(),
-            peak_concurrent_connections=max(
-                server.app.stats.peak_concurrent_connections
-                for server in testbed.servers
-            ),
+        return AdversarialRunResult.of(
+            testbed,
+            duration,
             attack_syns_sent=attacker.syns_sent if attacker is not None else 0,
             attack_bucket_share=attack_bucket_share,
-            flow_entries_created=sum(
-                instance.flow_table.stats.entries_created for instance in instances
-            ),
-            flow_entries_expired=sum(
-                instance.flow_table.stats.entries_expired for instance in instances
-            ),
-            flow_entries_live=sum(
-                len(instance.flow_table) for instance in instances
-            ),
             quarantine_delay=quarantine_delay,
             quarantined=quarantined,
-            simulated_duration=duration,
         )
 
     def render(self, result: ScenarioResult) -> str:
@@ -367,19 +322,20 @@ def render_adversarial_table(comparison: ScenarioResult) -> str:
             if run.quarantine_delay is not None
             else "-"
         )
+        summary = run.collector.summary()
         rows.append(
             [
                 mode,
-                f"{100 * run.completion_rate:.1f}%",
+                f"{100 * run.completion_rate(config.num_queries):.1f}%",
                 # Swept (hung) queries are recorded as failed outcomes by
                 # the end-of-run sweep, so the total already covers them.
                 run.collector.totals.failed,
-                run.summary.mean,
-                run.summary.p99,
+                summary.mean,
+                summary.p99,
                 run.attack_syns_sent,
                 bucket,
-                run.connections_timed_out,
-                run.flow_entries_created,
+                run.counters["server.connections_timed_out"],
+                run.counters["flow.entries_created"],
                 quarantine,
             ]
         )

@@ -26,7 +26,7 @@ provisioning modes, and every mode replays the same trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -39,15 +39,14 @@ from repro.experiments.calibration import saturation_rate_for
 from repro.experiments.config import AutoscaleConfig, TestbedConfig
 from repro.experiments.platform import Testbed, build_testbed
 from repro.experiments.scenario import (
+    RunResult,
     ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
     TraceProvider,
 )
 from repro.metrics.capacity import CapacityTracker
-from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
-from repro.metrics.stats import SummaryStatistics
 from repro.workload.diurnal import DiurnalWorkload
 from repro.workload.service_models import ExponentialServiceTime
 from repro.workload.trace import Trace
@@ -78,53 +77,13 @@ def make_diurnal_trace(config: AutoscaleConfig) -> Trace:
 
 
 @dataclass
-class AutoscaleRunResult:
-    """Outcome of replaying the diurnal trace under one provisioning mode."""
+class AutoscaleRunResult(RunResult):
+    """One provisioning mode's run, with its capacity bill."""
 
-    mode: str
-    config: AutoscaleConfig
-    collector: ResponseTimeCollector
     capacity: CapacityTracker
     #: ``(time, raw busy fraction, smoothed busy fraction, serving servers)``
     #: rows from the fleet monitor (empty for the static mode).
     monitor_series: List[Tuple[float, float, float, int]]
-    requests_served: int
-    connections_reset: int
-    simulated_duration: float
-
-    @property
-    def capacity_seconds(self) -> float:
-        """Provisioned capacity integrated over the arrival phase."""
-        return self.capacity.capacity_seconds(through=self.config.duration)
-
-    @property
-    def mean_servers(self) -> float:
-        """Time-averaged provisioned server count over the day."""
-        return self.capacity.mean_capacity(
-            through=self.config.duration
-        ) / self.config.testbed.cores_per_server
-
-    @property
-    def summary(self) -> SummaryStatistics:
-        """Response-time summary of the completed queries."""
-        return self.collector.summary()
-
-    @property
-    def p99(self) -> float:
-        """The SLO-facing percentile."""
-        return self.summary.p99
-
-    @property
-    def meets_slo(self) -> bool:
-        """Whether the run's p99 stayed inside the configured target."""
-        return self.p99 <= self.config.slo_p99
-
-    def mean_drain_duration(self) -> Optional[float]:
-        """Mean graceful-drain duration, or ``None`` without any drain."""
-        drains = self.capacity.drain_durations
-        if not drains:
-            return None
-        return sum(drains) / len(drains)
 
 
 def attach_control_plane(testbed: Testbed, config: AutoscaleConfig, mode: str):
@@ -251,15 +210,8 @@ class AutoscaleScenario(ScenarioSpec):
                 for sample in autoscaler.monitor.samples()
             ]
         )
-        return AutoscaleRunResult(
-            mode=mode,
-            config=config,
-            collector=testbed.collector,
-            capacity=capacity,
-            monitor_series=monitor_series,
-            requests_served=testbed.total_requests_served(),
-            connections_reset=testbed.total_resets(),
-            simulated_duration=duration,
+        return AutoscaleRunResult.of(
+            testbed, duration, capacity=capacity, monitor_series=monitor_series
         )
 
     def meta(
@@ -297,20 +249,25 @@ def render_autoscale(result: ScenarioResult) -> str:
     rows: List[List[object]] = []
     for mode in result.keys():
         run: AutoscaleRunResult = result.run(mode)
-        summary = run.summary
-        drain = run.mean_drain_duration()
+        capacity = run.capacity
+        summary = run.collector.summary()
+        drains = capacity.drain_durations
+        mean_servers = (
+            capacity.mean_capacity(through=config.duration)
+            / config.testbed.cores_per_server
+        )
         rows.append(
             [
                 mode,
-                f"{run.capacity_seconds:.0f}",
-                f"{run.mean_servers:.2f}",
-                run.capacity.scale_ups(),
-                run.capacity.scale_downs(),
-                "-" if drain is None else f"{drain:.2f}",
+                f"{capacity.capacity_seconds(through=config.duration):.0f}",
+                f"{mean_servers:.2f}",
+                capacity.scale_ups(),
+                capacity.scale_downs(),
+                f"{sum(drains) / len(drains):.2f}" if drains else "-",
                 summary.mean,
                 summary.p99,
-                "yes" if run.meets_slo else "NO",
-                run.connections_reset,
+                "yes" if summary.p99 <= config.slo_p99 else "NO",
+                run.counters["server.connections_reset"],
             ]
         )
     summary_table = format_table(

@@ -21,15 +21,15 @@ cell:
 
 The testbed arms client retransmission/retries and server load-shedding
 (see :class:`~repro.experiments.config.ChaosConfig`), so the cells
-measure *recovery*, not just damage.  Per-cell fingerprints are SHA-256
-over the sorted per-query outcome matrix, computed where the cell ran.
+measure *recovery*, not just damage.  A cell's fingerprint
+(:func:`outcome_fingerprint` of its collector) is SHA-256 over the
+sorted per-query outcome matrix.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -38,10 +38,14 @@ from repro.experiments import registry
 from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import ChaosConfig, TestbedConfig
 from repro.experiments.platform import build_testbed
-from repro.experiments.scenario import ScenarioCell, ScenarioResult, ScenarioSpec
+from repro.experiments.scenario import (
+    RunResult,
+    ScenarioCell,
+    ScenarioResult,
+    ScenarioSpec,
+)
 from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
-from repro.metrics.stats import SummaryStatistics
 from repro.net.faults import FaultConfig, install_fault_channel
 from repro.workload.poisson import poisson_trace
 from repro.workload.trace import Trace
@@ -50,15 +54,21 @@ from repro.workload.trace import Trace
 def _flap_windows(
     config: ChaosConfig, trace_duration: float
 ) -> Tuple[Tuple[float, float], ...]:
-    """``flap_count`` down-windows spread evenly over the trace."""
+    """``flap_count`` down-windows spread evenly over the trace.
+
+    On a trace too short for ``flap_down``-long windows at that spacing,
+    windows that overlap merge into their union: the link is down from
+    the first one's start to the last one's end.
+    """
     count = config.flap_count
-    if count <= 0:
-        return ()
     half = config.flap_down / 2.0
-    windows = []
+    windows: List[Tuple[float, float]] = []
     for index in range(count):
         center = trace_duration * (index + 1) / (count + 1)
-        windows.append((max(0.0, center - half), center + half))
+        start, end = max(0.0, center - half), center + half
+        if windows and start < windows[-1][1]:
+            start = windows.pop()[0]
+        windows.append((start, end))
     return tuple(windows)
 
 
@@ -118,48 +128,6 @@ def outcome_fingerprint(collector: ResponseTimeCollector) -> str:
     return hashlib.sha256(matrix[order].tobytes()).hexdigest()
 
 
-@dataclass
-class ChaosRunResult:
-    """Outcome of one (impairment mode, legitimate trace) run."""
-
-    mode: str
-    config: ChaosConfig
-    collector: ResponseTimeCollector
-    requests_served: int
-    connections_reset: int
-    connections_shed: int
-    connections_timed_out: int
-    queries_retried: int
-    queries_gave_up: int
-    queries_swept: int
-    syn_retransmits: int
-    #: Fault-pipeline counters (the pipeline's LinkStats, by reason).
-    fault_packets_seen: int
-    fault_packets_dropped: int
-    fault_dropped_loss: int
-    fault_dropped_burst: int
-    fault_dropped_corrupted: int
-    fault_dropped_link_down: int
-    fault_delayed_jitter: int
-    fault_reordered: int
-    simulated_duration: float
-    #: SHA-256 of the per-query outcome matrix (:func:`outcome_fingerprint`).
-    fingerprint: str
-    #: Full pipeline ``LinkStats.snapshot()`` — every reason counter by
-    #: name, so new drop reasons surface without a new named field.
-    fault_stats: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def completion_rate(self) -> float:
-        """Fraction of queries that completed."""
-        return self.collector.totals.completed / self.config.num_queries
-
-    @property
-    def summary(self) -> SummaryStatistics:
-        """Response-time summary of the queries that completed."""
-        return self.collector.summary()
-
-
 class ChaosScenario(ScenarioSpec):
     """The fault-injection comparison as a declarative scenario."""
 
@@ -204,7 +172,7 @@ class ChaosScenario(ScenarioSpec):
 
     def run_once(
         self, config: ChaosConfig, cell: ScenarioCell, trace: Trace
-    ) -> ChaosRunResult:
+    ) -> RunResult:
         """Replay the legitimate workload under one impairment mode."""
         mode = cell.param("mode")
         with build_testbed(
@@ -219,37 +187,7 @@ class ChaosScenario(ScenarioSpec):
             if testbed.telemetry is not None:
                 testbed.telemetry.watch_faults(pipeline)
             duration = testbed.run_trace(trace)
-
-        client = testbed.client
-        stats = pipeline.stats
-        return ChaosRunResult(
-            mode=mode,
-            config=config,
-            collector=testbed.collector,
-            requests_served=testbed.total_requests_served(),
-            connections_reset=testbed.total_resets(),
-            connections_shed=sum(
-                server.app.stats.connections_shed for server in testbed.servers
-            ),
-            connections_timed_out=sum(
-                server.app.stats.connections_timed_out for server in testbed.servers
-            ),
-            queries_retried=client.queries_retried,
-            queries_gave_up=client.queries_gave_up,
-            queries_swept=client.queries_swept,
-            syn_retransmits=client.syn_retransmits,
-            fault_packets_seen=stats.packets_sent,
-            fault_packets_dropped=stats.packets_dropped,
-            fault_dropped_loss=stats.packets_dropped_loss,
-            fault_dropped_burst=stats.packets_dropped_burst,
-            fault_dropped_corrupted=stats.packets_dropped_corrupted,
-            fault_dropped_link_down=stats.packets_dropped_link_down,
-            fault_delayed_jitter=stats.packets_delayed_jitter,
-            fault_reordered=stats.packets_reordered,
-            simulated_duration=duration,
-            fingerprint=outcome_fingerprint(testbed.collector),
-            fault_stats=stats.snapshot(),
-        )
+        return RunResult.of(testbed, duration)
 
     def render(self, result: ScenarioResult) -> str:
         return render_chaos_table(result)
@@ -265,18 +203,20 @@ def render_chaos_table(comparison: ScenarioResult) -> str:
     rows: List[List[object]] = []
     for mode in comparison.keys():
         run = comparison.run(mode)
+        counters = run.counters
         rows.append(
             [
                 mode,
-                f"{100 * run.completion_rate:.1f}%",
+                f"{100 * run.completion_rate(config.num_queries):.1f}%",
                 run.collector.totals.failed,
-                run.queries_retried,
-                run.queries_gave_up,
-                run.syn_retransmits,
-                run.summary.p99,
-                run.fault_packets_dropped,
-                run.fault_delayed_jitter + run.fault_reordered,
-                run.connections_shed,
+                counters["client.queries_retried"],
+                counters["client.queries_gave_up"],
+                counters["client.syn_retransmits"],
+                run.collector.summary().p99,
+                counters["fault.packets_dropped"],
+                counters["fault.packets_delayed_jitter"]
+                + counters["fault.packets_reordered"],
+                counters["server.connections_shed"],
             ]
         )
     return format_table(

@@ -24,25 +24,24 @@ by policy name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.errors import ExperimentError
 from repro.experiments import registry
 from repro.experiments.calibration import saturation_rate_for
-from repro.experiments.config import FlashCrowdConfig, PolicySpec, TestbedConfig
+from repro.experiments.config import FlashCrowdConfig, TestbedConfig
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import (
+    RunResult,
     ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
     TraceProvider,
 )
-from repro.metrics.binning import TimeBinner
-from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
-from repro.metrics.stats import SummaryStatistics
+from repro.metrics.stats import SummaryStatistics, summarize_or_nan
 from repro.workload.flash_crowd import RatePhase, SteppedPoissonWorkload
 from repro.workload.service_models import ExponentialServiceTime
 from repro.workload.trace import Trace
@@ -68,70 +67,32 @@ def make_flash_crowd_trace(config: FlashCrowdConfig) -> Trace:
     return workload.generate(rng)
 
 
-@dataclass
-class FlashCrowdRunResult:
-    """Outcome of replaying the flash-crowd trace under one policy."""
+def phase_window(config: FlashCrowdConfig, phase: str) -> Tuple[float, float]:
+    """``(start, end)`` of one phase, in trace time."""
+    spike_start, spike_end = config.spike_window
+    if phase == "baseline":
+        return (0.0, spike_start)
+    if phase == "spike":
+        return (spike_start, spike_end)
+    if phase == "recovery":
+        return (spike_end, float("inf"))
+    raise ExperimentError(
+        f"unknown phase {phase!r}: expected one of {', '.join(PHASES)}"
+    )
 
-    policy: PolicySpec
-    collector: ResponseTimeCollector
-    bin_width: float
-    total_duration: float
-    spike_window: Tuple[float, float]
-    requests_served: int
-    connections_reset: int
-    simulated_duration: float
 
-    def binned(self) -> TimeBinner:
-        """Response times binned by arrival time across the whole run."""
-        return self.collector.binned(bin_width=self.bin_width)
+def phase_summary(
+    run: RunResult, config: FlashCrowdConfig, phase: str
+) -> SummaryStatistics:
+    """Response-time summary of the queries *sent* during one phase.
 
-    def median_series(self) -> List[Tuple[float, float]]:
-        """Per-bin median response time (the figure's middle panel)."""
-        return self.binned().median_series(through=self.total_duration)
-
-    def p90_series(self) -> List[Tuple[float, float]]:
-        """Per-bin 90th-percentile response time (9th decile per bin)."""
-        return [
-            (center, deciles[-1])
-            for center, deciles in self.binned().decile_series(
-                through=self.total_duration
-            )
-        ]
-
-    def phase_window(self, phase: str) -> Tuple[float, float]:
-        """``(start, end)`` of one phase, in trace time."""
-        spike_start, spike_end = self.spike_window
-        if phase == "baseline":
-            return (0.0, spike_start)
-        if phase == "spike":
-            return (spike_start, spike_end)
-        if phase == "recovery":
-            return (spike_end, float("inf"))
-        from repro.errors import ExperimentError
-
-        raise ExperimentError(
-            f"unknown phase {phase!r}: expected one of {', '.join(PHASES)}"
-        )
-
-    def phase_response_times(self, phase: str) -> np.ndarray:
-        """Response times of the queries *sent* during one phase."""
-        start, end = self.phase_window(phase)
-        table = self.collector.columns()
-        rows = table.succeeded & (start <= table.sent_at) & (table.sent_at < end)
-        return table.response_times[rows]
-
-    def phase_summary(self, phase: str) -> Optional[SummaryStatistics]:
-        """Response-time summary of one phase's queries.
-
-        ``None`` when no query sent during the phase completed (a heavy
-        enough spike can reset every one of them).
-        """
-        from repro.metrics.stats import summarize
-
-        times = self.phase_response_times(phase)
-        if not times.size:
-            return None
-        return summarize(times)
+    NaN statistics when none of them completed (a heavy enough spike can
+    reset every one of them).
+    """
+    start, end = phase_window(config, phase)
+    table = run.collector.columns()
+    rows = table.succeeded & (start <= table.sent_at) & (table.sent_at < end)
+    return summarize_or_nan(table.response_times[rows])
 
 
 class FlashCrowdScenario(ScenarioSpec):
@@ -162,22 +123,13 @@ class FlashCrowdScenario(ScenarioSpec):
 
     def run_once(
         self, config: FlashCrowdConfig, cell: ScenarioCell, trace: Trace
-    ) -> FlashCrowdRunResult:
+    ) -> RunResult:
         policy = cell.param("policy")
         with build_testbed(
             config.testbed, policy, run_name=f"flash-crowd-{policy.name}"
         ) as testbed:
             duration = testbed.run_trace(trace)
-        return FlashCrowdRunResult(
-            policy=policy,
-            collector=testbed.collector,
-            bin_width=config.bin_width,
-            total_duration=config.total_duration,
-            spike_window=config.spike_window,
-            requests_served=testbed.total_requests_served(),
-            connections_reset=testbed.total_resets(),
-            simulated_duration=duration,
-        )
+        return RunResult.of(testbed, duration)
 
     def meta(
         self, config: FlashCrowdConfig, trace_for: TraceProvider
@@ -203,15 +155,12 @@ def render_flash_crowd(result: ScenarioResult) -> str:
     config: FlashCrowdConfig = result.config
     summary_rows: List[List[object]] = []
     for name in result.keys():
-        run: FlashCrowdRunResult = result.run(name)
+        run = result.run(name)
         row: List[object] = [name]
         for phase in PHASES:
-            summary = run.phase_summary(phase)
-            if summary is None:
-                row.extend([float("nan"), float("nan")])
-            else:
-                row.extend([summary.mean, summary.p90])
-        row.append(run.connections_reset)
+            summary = phase_summary(run, config, phase)
+            row.extend([summary.mean, summary.p90])
+        row.append(run.counters["server.connections_reset"])
         summary_rows.append(row)
     headers = ["policy"]
     for phase in PHASES:
@@ -228,12 +177,16 @@ def render_flash_crowd(result: ScenarioResult) -> str:
         ),
     )
 
-    series: Dict[str, List[Tuple[float, float]]] = {
-        name: result.run(name).median_series() for name in result.keys()
-    }
-    p90s: Dict[str, List[Tuple[float, float]]] = {
-        name: result.run(name).p90_series() for name in result.keys()
-    }
+    # Per-bin median and 90th percentile (9th decile) by arrival time.
+    series: Dict[str, List[Tuple[float, float]]] = {}
+    p90s: Dict[str, List[Tuple[float, float]]] = {}
+    for name in result.keys():
+        binned = result.run(name).collector.binned(bin_width=config.bin_width)
+        series[name] = binned.median_series(through=config.total_duration)
+        p90s[name] = [
+            (center, deciles[-1])
+            for center, deciles in binned.decile_series(through=config.total_duration)
+        ]
     reference = next(iter(series.values()))
     bin_headers = ["time (s)"]
     for name in series:

@@ -23,7 +23,6 @@ was.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
@@ -33,14 +32,13 @@ from repro.experiments import registry
 from repro.experiments.config import HeavyTailConfig, PolicySpec, TestbedConfig
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import (
+    RunResult,
     ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
     TraceProvider,
 )
-from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
-from repro.metrics.stats import SummaryStatistics
 from repro.workload.hostile import (
     HeavyTailWorkload,
     SessionAffinityClient,
@@ -91,30 +89,6 @@ def make_heavy_tail_trace(config: HeavyTailConfig) -> Trace:
     return workload.generate(rng)
 
 
-@dataclass
-class HeavyTailRunResult:
-    """Outcome of one (policy, heavy-tail trace) run."""
-
-    policy: str
-    config: HeavyTailConfig
-    collector: ResponseTimeCollector
-    requests_served: int
-    connections_reset: int
-    queries_hung: int
-    affinity_hits: int
-    affinity_fallbacks: int
-    simulated_duration: float
-
-    @property
-    def summary(self) -> SummaryStatistics:
-        """Response-time summary over every completed query."""
-        return self.collector.summary()
-
-    def kind_summary(self, kind: str) -> SummaryStatistics:
-        """Response-time summary of one request kind."""
-        return self.collector.summary(kind)
-
-
 def _policy_named(config: HeavyTailConfig, name: str) -> PolicySpec:
     for policy in config.policies:
         if policy.name == name:
@@ -152,7 +126,7 @@ class HeavyTailScenario(ScenarioSpec):
 
     def run_once(
         self, config: HeavyTailConfig, cell: ScenarioCell, trace: Trace
-    ) -> HeavyTailRunResult:
+    ) -> RunResult:
         """Replay the heavy-tail trace under one policy."""
         policy = _policy_named(config, cell.param("policy"))
         with build_testbed(
@@ -162,18 +136,7 @@ class HeavyTailScenario(ScenarioSpec):
             client_factory=SessionAffinityClient,
         ) as testbed:
             duration = testbed.run_trace(trace)
-        client = testbed.client
-        return HeavyTailRunResult(
-            policy=policy.name,
-            config=config,
-            collector=testbed.collector,
-            requests_served=testbed.total_requests_served(),
-            connections_reset=testbed.total_resets(),
-            queries_hung=client.queries_swept,
-            affinity_hits=client.affinity_hits,
-            affinity_fallbacks=client.affinity_fallbacks,
-            simulated_duration=duration,
-        )
+        return RunResult.of(testbed, duration)
 
     def meta(
         self, config: HeavyTailConfig, trace_for: TraceProvider
@@ -196,6 +159,7 @@ def render_heavy_tail_table(comparison: ScenarioResult) -> str:
     for policy in comparison.keys():
         run = comparison.run(policy)
         totals = run.collector.totals
+        summary = run.collector.summary()
         rows.append(
             [
                 policy,
@@ -203,12 +167,12 @@ def render_heavy_tail_table(comparison: ScenarioResult) -> str:
                 # The end-of-run sweep records hung queries as failed
                 # outcomes, so the total already covers them.
                 totals.failed,
-                run.summary.mean,
-                run.summary.p99,
-                run.kind_summary(KIND_SESSION).p99,
-                run.kind_summary(KIND_HEAVY).p99,
-                run.affinity_hits,
-                run.affinity_fallbacks,
+                summary.mean,
+                summary.p99,
+                run.collector.summary(KIND_SESSION).p99,
+                run.collector.summary(KIND_HEAVY).p99,
+                run.counters["client.affinity_hits"],
+                run.counters["client.affinity_fallbacks"],
             ]
         )
     return format_table(

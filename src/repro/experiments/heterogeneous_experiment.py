@@ -18,7 +18,7 @@ over per-capacity acceptance rates.
 
 The family is registered as the ``heterogeneous-fleet`` scenario; cells
 are (policy, load factor) pairs and the per-cell run result is the
-Poisson family's (the measured quantities coincide).
+Poisson family's (both keep per-server acceptance counts).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from repro.workload.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.poisson_experiment import PoissonRunResult
+
 
 
 def tier_acceptance_shares(
@@ -136,28 +137,17 @@ class HeterogeneousFleetScenario(ScenarioSpec):
     def run_once(
         self, config: HeterogeneousFleetConfig, cell: ScenarioCell, trace: Trace
     ) -> PoissonRunResult:
-        # The measured quantities coincide with the Poisson family's, so
-        # the run result is shared rather than re-invented.
         from repro.experiments.poisson_experiment import PoissonRunResult
 
         policy = cell.param("policy")
-        load_factor = cell.param("load_factor")
         with build_testbed(
             config.fleet,
             policy,
-            run_name=f"heterogeneous-{policy.name}-rho{load_factor:g}",
+            run_name=f"heterogeneous-{policy.name}-rho{cell.param('load_factor'):g}",
         ) as testbed:
             duration = testbed.run_trace(trace)
-        return PoissonRunResult(
-            policy=policy,
-            load_factor=load_factor,
-            arrival_rate=load_factor * cell.param("saturation_rate"),
-            collector=testbed.collector,
-            load_sampler=None,
-            requests_served=testbed.total_requests_served(),
-            connections_reset=testbed.total_resets(),
-            acceptance_counts=testbed.acceptance_counts(),
-            simulated_duration=duration,
+        return PoissonRunResult.of(
+            testbed, duration, acceptance_counts=testbed.acceptance_counts()
         )
 
     def meta(
@@ -185,7 +175,7 @@ def render_heterogeneous_fleet(result: ScenarioResult) -> str:
     for key in result.keys():
         policy_name, load_factor = key
         run = result.run(key)
-        summary = run.summary
+        summary = run.collector.summary()
         fast_share, slow_share = tier_acceptance_shares(
             config, run.acceptance_counts
         )
@@ -198,7 +188,7 @@ def render_heterogeneous_fleet(result: ScenarioResult) -> str:
                 f"{fast_share:.2f}",
                 f"{slow_share:.2f}",
                 f"{capacity_fairness_index(config, run.acceptance_counts):.3f}",
-                run.connections_reset,
+                run.counters["server.connections_reset"],
             ]
         )
     return format_table(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -386,15 +386,39 @@ class Testbed:
         return duration
 
     # ------------------------------------------------------------------
-    # convenience accessors used by experiments and tests
+    # what a run reads off its testbed
     # ------------------------------------------------------------------
-    def total_requests_served(self) -> int:
-        """Requests served across the fleet."""
-        return sum(server.app.stats.requests_served for server in self.servers)
+    def counters(self) -> Dict[str, float]:
+        """Every counter of the testbed, as one flat ``<tier>.<counter>`` dict.
 
-    def total_resets(self) -> int:
-        """Connections reset by backlog overflow across the fleet."""
-        return sum(server.app.stats.connections_reset for server in self.servers)
+        Each tier's ``snapshot()`` is summed over its servers or LB
+        instances (``edge.*`` and the tier's own ``lb.*`` counters only
+        exist in tier deployments, ``fault.*`` only with a fault
+        pipeline).  A counter the telemetry probe also streams has the
+        probe's series name.  Each call builds a new dict, and a closed
+        testbed still answers with its final values.  The names and
+        their sources are tabled in ``docs/architecture.md``.
+        """
+        counters: Dict[str, float] = {}
+
+        def add(tier: str, snapshot: Mapping[str, float]) -> None:
+            for name, value in snapshot.items():
+                key = f"{tier}.{name}"
+                counters[key] = counters.get(key, 0) + value
+
+        for balancer in self.load_balancers():
+            add("lb", balancer.stats.snapshot())
+            add("flow", balancer.flow_table.snapshot())
+        if self.lb_tier is not None:
+            add("lb", self.lb_tier.snapshot())
+            add("edge", self.lb_tier.router.stats.snapshot())
+        for server in self.servers:
+            add("server", server.app.stats.snapshot())
+        add("fabric", self.fabric.stats.snapshot())
+        if self.fault_pipeline is not None:
+            add("fault", self.fault_pipeline.stats.snapshot())
+        add("client", self.client.snapshot())
+        return counters
 
     def acceptance_counts(self) -> Dict[str, int]:
         """Per-server accepted-connection counts (by server name)."""
@@ -408,10 +432,6 @@ class Testbed:
         if self.lb_tier is not None:
             return list(self.lb_tier.instances)
         return [self.load_balancer]
-
-    def total_steering_misses(self) -> int:
-        """Steering misses across all load-balancer instances."""
-        return sum(lb.stats.steering_misses for lb in self.load_balancers())
 
 
 def build_testbed(

@@ -24,39 +24,33 @@ import numpy as np
 from repro.errors import ExperimentError
 from repro.experiments import registry
 from repro.experiments.calibration import saturation_rate_for
-from repro.experiments.config import PoissonSweepConfig, PolicySpec, TestbedConfig
+from repro.experiments.config import PoissonSweepConfig, TestbedConfig
 from repro.experiments.platform import build_testbed
-from repro.experiments.scenario import ScenarioCell, ScenarioSpec, TraceProvider
-from repro.metrics.collector import ResponseTimeCollector, ServerLoadSampler
+from repro.experiments.scenario import (
+    RunResult,
+    ScenarioCell,
+    ScenarioSpec,
+    TraceProvider,
+)
+from repro.metrics.collector import ServerLoadSampler
 from repro.metrics.reporting import format_table
-from repro.metrics.stats import SummaryStatistics
 from repro.workload.poisson import poisson_trace
 from repro.workload.trace import Trace
 
 
 @dataclass
-class PoissonRunResult:
-    """Outcome of one (policy, load factor) run."""
+class PoissonRunResult(RunResult):
+    """One (policy, load factor) run, with its per-server data."""
 
-    policy: PolicySpec
-    load_factor: float
-    arrival_rate: float
-    collector: ResponseTimeCollector
-    load_sampler: Optional[ServerLoadSampler]
-    requests_served: int
-    connections_reset: int
+    #: Accepted connections per server name (Service Hunting counters).
     acceptance_counts: Dict[str, int]
-    simulated_duration: float
+    #: Busy-thread samples (Figure 4), when the sweep sampled load.
+    load_sampler: Optional[ServerLoadSampler] = None
 
     @property
     def mean_response_time(self) -> float:
         """Mean page load time (Figure 2's metric)."""
         return self.collector.mean_response_time()
-
-    @property
-    def summary(self) -> SummaryStatistics:
-        """Response-time summary statistics."""
-        return self.collector.summary()
 
     def response_times(self) -> np.ndarray:
         """Raw response times (Figures 3 and 5 plot their CDF)."""
@@ -160,16 +154,11 @@ class PoissonScenario(ScenarioSpec):
             if cell.param("sample_load"):
                 testbed.attach_load_sampler(interval=config.load_sample_interval)
             duration = testbed.run_trace(trace)
-        return PoissonRunResult(
-            policy=cell.param("policy"),
-            load_factor=cell.param("load_factor"),
-            arrival_rate=cell.param("load_factor") * cell.param("saturation_rate"),
-            collector=testbed.collector,
-            load_sampler=testbed.load_sampler,
-            requests_served=testbed.total_requests_served(),
-            connections_reset=testbed.total_resets(),
+        return PoissonRunResult.of(
+            testbed,
+            duration,
             acceptance_counts=testbed.acceptance_counts(),
-            simulated_duration=duration,
+            load_sampler=testbed.load_sampler,
         )
 
     def aggregate(
@@ -182,8 +171,9 @@ class PoissonScenario(ScenarioSpec):
         result = PoissonSweepResult(
             config=config, saturation_rate=cells[0].param("saturation_rate")
         )
-        for run in runs:
-            result.runs.setdefault(run.policy.name, {})[run.load_factor] = run
+        for cell, run in zip(cells, runs):
+            policy_name, load_factor = cell.key
+            result.runs.setdefault(policy_name, {})[load_factor] = run
         return result
 
     def render(self, result: PoissonSweepResult) -> str:
@@ -198,7 +188,7 @@ class PoissonScenario(ScenarioSpec):
         for load_factor in config.load_factors:
             for policy in config.policies:
                 run = result.run(policy.name, load_factor)
-                summary = run.summary
+                summary = run.collector.summary()
                 rows.append(
                     [
                         load_factor,
@@ -206,7 +196,7 @@ class PoissonScenario(ScenarioSpec):
                         summary.mean,
                         summary.median,
                         summary.p90,
-                        run.connections_reset,
+                        run.counters["server.connections_reset"],
                     ]
                 )
         return format_table(

@@ -36,10 +36,13 @@ from repro.experiments import registry
 from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import ChurnEvent, ResilienceConfig, TestbedConfig
 from repro.experiments.platform import build_testbed
-from repro.experiments.scenario import ScenarioCell, ScenarioResult, ScenarioSpec
-from repro.metrics.collector import ResponseTimeCollector
+from repro.experiments.scenario import (
+    RunResult,
+    ScenarioCell,
+    ScenarioResult,
+    ScenarioSpec,
+)
 from repro.metrics.reporting import format_table
-from repro.metrics.stats import SummaryStatistics
 from repro.workload.poisson import poisson_trace
 from repro.workload.trace import Trace
 
@@ -73,23 +76,14 @@ class ChurnObservation:
 
 
 @dataclass
-class ResilienceRunResult:
-    """Outcome of one (selection scheme, churn schedule) run."""
+class ResilienceRunResult(RunResult):
+    """One (selection scheme, churn schedule) run, with what churn broke."""
 
-    scheme: str
-    config: ResilienceConfig
-    collector: ResponseTimeCollector
     observations: List[ChurnObservation]
     #: Queries that were in flight at some churn event and never
     #: completed (reset or hung) — the paper's "broken flows".
     broken_flows: int
     in_flight_at_churn: int
-    queries_hung: int
-    recovery_hunts: int
-    steering_misses: int
-    signals_relayed: int
-    acceptances_learned: int
-    simulated_duration: float
 
     @property
     def broken_fraction(self) -> float:
@@ -97,11 +91,6 @@ class ResilienceRunResult:
         if self.in_flight_at_churn == 0:
             return 0.0
         return self.broken_flows / self.in_flight_at_churn
-
-    @property
-    def summary(self) -> SummaryStatistics:
-        """Response-time summary of the queries that did complete."""
-        return self.collector.summary()
 
 
 def _resolve_victim(tier, event: ChurnEvent):
@@ -216,19 +205,12 @@ class ResilienceScenario(ScenarioSpec):
             exposed |= observation.in_flight_ids
         broken = sum(1 for request_id in exposed if request_id not in completed_ids)
 
-        return ResilienceRunResult(
-            scheme=scheme,
-            config=config,
-            collector=testbed.collector,
+        return ResilienceRunResult.of(
+            testbed,
+            duration,
             observations=observations,
             broken_flows=broken,
             in_flight_at_churn=len(exposed),
-            queries_hung=testbed.client.queries_swept,
-            recovery_hunts=tier.recovery_hunts(),
-            steering_misses=testbed.total_steering_misses(),
-            signals_relayed=tier.signals_relayed(),
-            acceptances_learned=tier.acceptances_learned(),
-            simulated_duration=duration,
         )
 
     def render(self, result: ScenarioResult) -> str:
@@ -262,19 +244,19 @@ def render_resilience_table(comparison: ScenarioResult) -> str:
     rows: List[List[object]] = []
     for scheme in comparison.keys():
         run = comparison.run(scheme)
-        totals = run.collector.totals
+        summary = run.collector.summary()
         rows.append(
             [
                 scheme,
                 run.in_flight_at_churn,
                 run.broken_flows,
                 f"{100 * run.broken_fraction:.1f}%",
-                run.recovery_hunts,
+                run.counters["lb.recovery_hunts"],
                 # The end-of-run sweep records hung queries as failed
                 # outcomes, so the total already covers them.
-                totals.failed,
-                run.summary.mean,
-                run.summary.p90,
+                run.collector.totals.failed,
+                summary.mean,
+                summary.p90,
             ]
         )
     kills = sum(1 for event in config.churn if event.action == "kill")

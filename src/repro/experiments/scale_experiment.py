@@ -239,8 +239,6 @@ def simulate_pod(task: PartitionTask, tick: Tick) -> PodResult:
         "queries": len(trace),
         "completed": totals.completed,
         "failed": totals.failed,
-        "requests_served": testbed.total_requests_served(),
-        "connections_reset": testbed.total_resets(),
         "events_executed": testbed.simulator.events_executed,
         "simulated_seconds": testbed.simulator.now,
         "wall_seconds": wall_seconds,
@@ -288,7 +286,6 @@ def merge_pods(
 class ScaleRunResult:
     """The merged, deployment-wide outcome of one partitioned run."""
 
-    config: ScaleConfig
     partitions: int
     #: Completion/failure times of the merged outcome stream, in the
     #: deterministic merge order.
@@ -407,7 +404,6 @@ def run_scale(config: ScaleConfig, partitions: int = 1) -> ScaleRunResult:
         )
 
     return ScaleRunResult(
-        config=config,
         partitions=partitions,
         times=times,
         request_ids=request_ids,

@@ -15,10 +15,12 @@ A family subclasses :class:`ScenarioSpec` and provides:
   cell (cells may share a trace, see :meth:`ScenarioSpec.trace_key`);
 * ``run_once(config, cell, trace)`` — build a fresh testbed (``with
   build_testbed(...) as testbed:``, so it is freed when the run is
-  done), replay the trace on it and return the family's run result.
-  The result is what crosses the process boundary, so it must pickle —
-  and pickle compactly, which it does by holding its outcomes in a
-  :class:`~repro.metrics.collector.ResponseTimeCollector`;
+  done), replay the trace on it and return a :class:`RunResult` (or a
+  family subclass carrying data that is not a counter).  The result is
+  what crosses the process boundary, so it must pickle — and pickle
+  compactly, which it does by holding its outcomes in a
+  :class:`~repro.metrics.collector.ResponseTimeCollector` and its
+  testbed's counters in one flat dict;
 * ``render(result)`` — the family's headline figure;
 
 and may override ``meta(config, trace_for)`` (scenario-wide values for
@@ -77,10 +79,12 @@ from typing import (
 
 from repro.errors import ExperimentError
 from repro.experiments import registry
+from repro.metrics.collector import ResponseTimeCollector
 from repro.telemetry import runtime as telemetry_runtime
 from repro.workload.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.platform import Testbed
     from repro.sim.partition import PartitionTask, Tick
 
 
@@ -106,6 +110,32 @@ class ScenarioCell:
             raise ExperimentError(
                 f"scenario cell {self.key!r} has no parameter {name!r}"
             ) from exc
+
+
+@dataclass
+class RunResult:
+    """One cell's run: its outcomes, its testbed's counters, how long it ran.
+
+    ``counters`` is :meth:`~repro.experiments.platform.Testbed.counters`
+    read once the run is over (``server.requests_served``,
+    ``client.queries_gave_up``, ...), and ``duration`` the simulated
+    time the run ended at.  A family whose run also yields data that is
+    not a counter subclasses this with only that data; the cell key and
+    the family config live in the :class:`ScenarioResult`.
+    """
+
+    collector: ResponseTimeCollector
+    counters: Dict[str, float]
+    duration: float
+
+    @classmethod
+    def of(cls, testbed: Testbed, duration: float, **data: Any) -> "RunResult":
+        """The result of a finished ``testbed``'s run."""
+        return cls(testbed.collector, testbed.counters(), duration, **data)
+
+    def completion_rate(self, queries: int) -> float:
+        """Fraction of ``queries`` that completed."""
+        return self.collector.totals.completed / queries
 
 
 #: ``aggregate`` receives this callable to obtain the parent-side trace

@@ -28,16 +28,16 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.experiments import registry
-from repro.experiments.config import PolicySpec, TestbedConfig, WikipediaReplayConfig
+from repro.experiments.config import TestbedConfig, WikipediaReplayConfig
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import (
+    RunResult,
     ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
     TraceProvider,
 )
 from repro.metrics.binning import TimeBinner
-from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.stats import quartiles
 from repro.workload.requests import KIND_WIKI
 from repro.workload.trace import Trace
@@ -62,15 +62,11 @@ def make_wikipedia_trace(config: WikipediaReplayConfig) -> Trace:
 
 
 @dataclass
-class WikipediaRunResult:
-    """Outcome of replaying the trace under one policy."""
+class WikipediaRunResult(RunResult):
+    """One policy's replay, with the binning its figures read."""
 
-    policy: PolicySpec
-    collector: ResponseTimeCollector
     bin_width: float
     trace_duration: float
-    requests_served: int
-    connections_reset: int
 
     def wiki_binned(self) -> TimeBinner:
         """Wiki-page response times binned by arrival time."""
@@ -140,14 +136,12 @@ class WikipediaScenario(ScenarioSpec):
         with build_testbed(
             config.testbed, policy, run_name=f"wikipedia-{policy.name}"
         ) as testbed:
-            testbed.run_trace(trace)
-        return WikipediaRunResult(
-            policy=policy,
-            collector=testbed.collector,
+            duration = testbed.run_trace(trace)
+        return WikipediaRunResult.of(
+            testbed,
+            duration,
             bin_width=config.bin_width,
             trace_duration=trace.duration,
-            requests_served=testbed.total_requests_served(),
-            connections_reset=testbed.total_resets(),
         )
 
     def meta(

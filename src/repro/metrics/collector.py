@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.metrics.binning import TimeBinner
-from repro.metrics.stats import SummaryStatistics, summarize
+from repro.metrics.stats import SummaryStatistics, summarize_or_nan
 from repro.workload.client import RequestOutcome
 
 #: Codes of the status column.  A query that neither failed nor received
@@ -257,14 +257,12 @@ class ResponseTimeCollector:
         )
 
     def summary(self, kind: Optional[str] = None) -> SummaryStatistics:
-        """Summary statistics of the response times."""
-        times = self.response_times(kind)
-        if not times.size:
-            raise ReproError(
-                f"collector {self.name!r} has no successful outcomes"
-                + (f" of kind {kind!r}" if kind else "")
-            )
-        return summarize(times)
+        """Summary statistics of the response times.
+
+        NaN statistics when no query (of that kind) completed, so a
+        results table still prints its other columns.
+        """
+        return summarize_or_nan(self.response_times(kind))
 
     def binned(
         self,

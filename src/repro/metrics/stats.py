@@ -50,6 +50,18 @@ def summarize(values: Sequence[float]) -> SummaryStatistics:
     )
 
 
+def summarize_or_nan(values: Sequence[float]) -> SummaryStatistics:
+    """:func:`summarize`, or a count-0 summary of NaNs for an empty sample.
+
+    What every results table prints for a cell (or request kind) in which
+    no query completed: ``nan`` in the response-time columns.
+    """
+    if len(values) == 0:
+        nan = float("nan")
+        return SummaryStatistics(0, nan, nan, nan, nan, nan, nan, nan, nan)
+    return summarize(values)
+
+
 def empirical_cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     """Empirical CDF of ``values``.
 

@@ -530,6 +530,18 @@ class TrafficGeneratorNode(NetworkNode):
         """Request ids still in flight (diagnostics for hung runs)."""
         return list(self._pending)
 
+    def snapshot(self) -> Dict[str, int]:
+        """Every query counter, by name."""
+        return {
+            "queries_started": self.queries_started,
+            "queries_completed": self.queries_completed,
+            "queries_failed": self.queries_failed,
+            "syn_retransmits": self.syn_retransmits,
+            "queries_retried": self.queries_retried,
+            "queries_gave_up": self.queries_gave_up,
+            "queries_swept": self.queries_swept,
+        }
+
     def __repr__(self) -> str:
         return (
             f"TrafficGeneratorNode(name={self.name!r}, started={self.queries_started}, "

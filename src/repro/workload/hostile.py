@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -335,6 +335,14 @@ class SessionAffinityClient(TrafficGeneratorNode):
     def _finish(self, pending, failed, reason=None) -> None:
         self._active_ports.discard(pending.src_port)
         super()._finish(pending, failed, reason)
+
+    def snapshot(self) -> Dict[str, int]:
+        """The client's query counters plus the affinity counters."""
+        return {
+            **super().snapshot(),
+            "affinity_hits": self.affinity_hits,
+            "affinity_fallbacks": self.affinity_fallbacks,
+        }
 
 
 # ----------------------------------------------------------------------

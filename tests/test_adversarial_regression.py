@@ -159,7 +159,7 @@ def test_gray_failure_quarantine_drains_mid_flow_without_resets():
         backends = instance.backends_for(testbed.vip)
         assert victim.primary_address not in backends
         assert len(backends) == config.testbed.num_servers
-    assert testbed.total_resets() == 0
+    assert testbed.counters()["server.connections_reset"] == 0
     assert sum(server.stray_data_resets for server in testbed.servers) == 0
 
     # Legitimate traffic survived lossless.

@@ -499,3 +499,38 @@ class TestScenarioCommands:
         captured = capsys.readouterr()
         assert exit_code == 2
         assert "error:" in captured.err
+
+
+class TestDegenerateRuns:
+    """Argvs whose cells complete nothing (or flap windows overlap) still
+    print their table and exit 0."""
+
+    def test_a_kind_with_no_completed_query_prints_nan(self, capsys):
+        assert main(["heavy-tail", "--arrivals", "1"]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split() for line in out.splitlines() if line.startswith("SR4")]
+        # completed, failed, mean, p99, p99 sess, p99 heavy (no heavy query).
+        assert rows[0][1:3] == ["1", "0"] and rows[0][6] == "nan"
+
+    def test_a_cell_with_no_completed_query_prints_nan(self, capsys):
+        argv = ["chaos", "--queries", "300", "--mode", "loss", "--loss-rate", "1"]
+        assert main(argv) == 0
+        (row,) = [line.split() for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("loss")]
+        # done, failed, ..., p99 is nan; the counter columns still print.
+        assert row[1:3] == ["0.0%", "300"] and row[6] == "nan"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_overlapping_flap_windows_merge(self, jobs, capsys):
+        argv = ["chaos", "--queries", "40", "--mode", "flap", "--jobs", jobs]
+        assert main(argv) == 0
+        assert "flap" in capsys.readouterr().out
+
+    def test_flap_windows_merge_into_their_union(self):
+        from repro.experiments.chaos_experiment import fault_config_for
+        from repro.experiments.config import ChaosConfig
+
+        windows = fault_config_for(ChaosConfig(), "flap", 0.557).flap_windows
+        assert len(windows) == 1
+        assert windows[0][0] == pytest.approx(0.557 / 3 - 0.125)
+        assert windows[0][1] == pytest.approx(2 * 0.557 / 3 + 0.125)

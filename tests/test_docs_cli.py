@@ -166,3 +166,23 @@ def test_registered_families_table_matches_the_registry():
     assert documented == {
         name: type(registry.get(name)).__module__ for name in registry.names()
     }
+
+
+def test_counter_table_names_every_testbed_counter():
+    """One row per ``Testbed.counters()`` key of a tier testbed with a
+    fault pipeline: the table and the dict name the same counters."""
+    from repro.experiments.config import TestbedConfig, sr_policy
+    from repro.experiments.platform import build_testbed
+    from repro.net.faults import FaultConfig, install_fault_channel
+
+    text = ARCHITECTURE_PATH.read_text(encoding="utf-8")
+    table = text.split("**Testbed counters.**", 1)[1].split("\n\n", 2)[1]
+    documented = [
+        line.strip("|").split("|")[0].strip(" `") for line in table.splitlines()[2:]
+    ]
+    config = TestbedConfig(num_servers=2, workers_per_server=4, num_load_balancers=2)
+    with build_testbed(config, sr_policy(4)) as testbed:
+        testbed.fault_pipeline = install_fault_channel(
+            testbed.simulator, testbed.fabric, FaultConfig()
+        )
+    assert sorted(documented) == sorted(testbed.counters())

@@ -176,8 +176,9 @@ class TestBuildTestbed:
         )
         testbed.run_trace(trace)
         assert testbed.collector.totals.completed == 100
-        assert testbed.total_requests_served() == 100
-        assert testbed.total_resets() == 0
+        counters = testbed.counters()
+        assert counters["server.requests_served"] == 100
+        assert counters["server.connections_reset"] == 0
 
     def test_load_sampler_records_samples(self, small_testbed_config):
         testbed = build_testbed(small_testbed_config, sr_policy(4))
@@ -286,3 +287,41 @@ class TestBuildTestbed:
             testbed.run_trace(_poisson_trace(**trace_kwargs))
             results.append(tuple(sorted(testbed.collector.response_times())))
         assert results[0] == results[1]
+
+
+class TestTestbedCounters:
+    """``Testbed.counters()``: one flat ``<tier>.<counter>`` view of a run."""
+
+    @pytest.fixture
+    def finished(self, small_testbed_config):
+        testbed = build_testbed(small_testbed_config, sr_policy(4))
+        testbed.run_trace(
+            _poisson_trace(
+                load_factor=0.5,
+                num_queries=60,
+                saturation_rate=analytic_saturation_rate(small_testbed_config, 0.05),
+                service_mean=0.05,
+                workload_seed=3,
+            )
+        )
+        return testbed
+
+    def test_names_are_tier_dot_counter_and_values_are_numbers(self, finished):
+        counters = finished.counters()
+        tiers = {name.split(".", 1)[0] for name in counters}
+        assert tiers == {"lb", "flow", "server", "fabric", "client"}
+        assert all(isinstance(value, (int, float)) for value in counters.values())
+        assert counters["client.queries_completed"] == 60
+
+    def test_one_lb_testbed_has_no_edge_or_tier_counters(self, finished):
+        counters = finished.counters()
+        assert not [name for name in counters if name.startswith("edge.")]
+        assert "lb.recovery_hunts" not in counters
+
+    def test_no_fault_pipeline_means_no_fault_counters(self, finished):
+        assert not [name for name in finished.counters() if name.startswith("fault.")]
+
+    def test_values_are_equal_before_and_after_close(self, finished):
+        before = finished.counters()
+        finished.close()
+        assert finished.counters() == before

@@ -254,11 +254,9 @@ def _sweep_fingerprint(result):
         for load_factor, run in by_load.items():
             fingerprint[(policy_name, load_factor)] = (
                 run.response_times().tolist(),
-                run.arrival_rate,
-                run.requests_served,
-                run.connections_reset,
+                run.counters,
                 run.acceptance_counts,
-                run.simulated_duration,
+                run.duration,
             )
     return fingerprint
 
@@ -324,7 +322,7 @@ class TestWikipediaReplayDeterminism:
             )
             assert parallel_run.median_series() == serial_run.median_series()
             assert parallel_run.rate_series() == serial_run.rate_series()
-            assert parallel_run.requests_served == serial_run.requests_served
+            assert parallel_run.counters == serial_run.counters
 
     def test_explicit_trace_is_shipped_to_workers(self):
         config = WikipediaReplayConfig(testbed=SMALL_TESTBED).compressed(duration=60.0)
@@ -349,9 +347,13 @@ class TestChaosDeterminism:
         for jobs in (1, 2):
             run = run_scenario("chaos", config, jobs=jobs).run("loss")
             outcomes = run.collector.outcomes() + run.collector.failures()
-            assert run.queries_retried > 0
-            assert sum(outcome.retries for outcome in outcomes) == run.queries_retried
-            assert sum(outcome.gave_up for outcome in outcomes) == run.queries_gave_up
+            retried = run.counters["client.queries_retried"]
+            assert retried > 0
+            assert sum(outcome.retries for outcome in outcomes) == retried
+            assert (
+                sum(outcome.gave_up for outcome in outcomes)
+                == run.counters["client.queries_gave_up"]
+            )
             by_jobs[jobs] = outcomes
         assert by_jobs[1] == by_jobs[2]
 
@@ -434,8 +436,7 @@ class TestResilienceDeterminism:
             parallel_run = parallel.run(scheme)
             assert parallel_run.broken_flows == serial_run.broken_flows
             assert parallel_run.in_flight_at_churn == serial_run.in_flight_at_churn
-            assert parallel_run.recovery_hunts == serial_run.recovery_hunts
-            assert parallel_run.steering_misses == serial_run.steering_misses
+            assert parallel_run.counters == serial_run.counters
             assert (
                 parallel_run.collector.response_times().tolist()
                 == serial_run.collector.response_times().tolist()

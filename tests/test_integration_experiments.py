@@ -74,8 +74,8 @@ class TestHeavyLoadComparison:
         assert dyn_mean < 1.5 * sr4_mean
 
     def test_response_time_tail_is_shorter_with_sr4(self, heavy_load_runs):
-        rr_p90 = heavy_load_runs["RR"].summary.p90
-        sr4_p90 = heavy_load_runs["SR4"].summary.p90
+        rr_p90 = heavy_load_runs["RR"].collector.summary().p90
+        sr4_p90 = heavy_load_runs["SR4"].collector.summary().p90
         assert sr4_p90 < rr_p90
 
     def test_sr4_spreads_load_more_fairly(self, heavy_load_runs):
@@ -91,7 +91,7 @@ class TestHeavyLoadComparison:
 
     def test_every_query_is_accounted_for_at_the_servers(self, heavy_load_runs):
         for run in heavy_load_runs.values():
-            assert run.requests_served == NUM_QUERIES
+            assert run.counters["server.requests_served"] == NUM_QUERIES
             assert sum(run.acceptance_counts.values()) == NUM_QUERIES
 
 
@@ -112,11 +112,11 @@ class TestOverload:
         # Every query terminated (served or reset): nothing hangs.
         assert totals.total == 4_000
         assert totals.failed > 0
-        assert run.connections_reset == totals.failed
+        assert run.counters["server.connections_reset"] == totals.failed
 
     def test_no_resets_below_saturation(self):
         run = _poisson_runs((sr_policy(4),), 0.7, NUM_QUERIES)["SR4"]
-        assert run.connections_reset == 0
+        assert run.counters["server.connections_reset"] == 0
 
 
 class TestPoissonSweep:

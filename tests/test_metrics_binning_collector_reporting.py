@@ -141,9 +141,10 @@ class TestResponseTimeCollector:
         assert len(collector.outcomes(kind="static")) == 1
         assert collector.summary(kind="static").mean == pytest.approx(0.001)
 
-    def test_summary_of_empty_collector_rejected(self):
-        with pytest.raises(ReproError):
-            ResponseTimeCollector().summary()
+    def test_summary_of_empty_collector_is_nan(self):
+        summary = ResponseTimeCollector().summary()
+        assert summary.count == 0
+        assert math.isnan(summary.mean) and math.isnan(summary.p99)
 
     def test_binned_uses_arrival_time(self):
         collector = ResponseTimeCollector()

@@ -115,7 +115,7 @@ def test_a_closed_testbed_keeps_its_counters(closed_testbed):
     testbed, trace = closed_testbed
     assert testbed.closed
     assert testbed.collector.totals.total == len(trace)
-    assert testbed.total_requests_served() == len(trace)
+    assert testbed.counters()["server.requests_served"] == len(trace)
     assert testbed.fabric.stats.packets_delivered > 0
     assert testbed.fabric.nodes() == {}
     testbed.close()  # idempotent

@@ -49,6 +49,60 @@ def golden():
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
+#: Golden counter name -> the ``Testbed.counters()`` key it pins.
+GOLDEN_COUNTERS = {
+    "requests_served": "server.requests_served",
+    "connections_reset": "server.connections_reset",
+    "connections_shed": "server.connections_shed",
+    "connections_timed_out": "server.connections_timed_out",
+    "queries_hung": "client.queries_swept",
+    "queries_swept": "client.queries_swept",
+    "queries_retried": "client.queries_retried",
+    "queries_gave_up": "client.queries_gave_up",
+    "syn_retransmits": "client.syn_retransmits",
+    "affinity_hits": "client.affinity_hits",
+    "affinity_fallbacks": "client.affinity_fallbacks",
+    "steering_misses": "lb.steering_misses",
+    "recovery_hunts": "lb.recovery_hunts",
+    "flow_entries_created": "flow.entries_created",
+    "flow_entries_expired": "flow.entries_expired",
+    "flow_entries_live": "flow.entries_live",
+    "fault_packets_seen": "fault.packets_sent",
+    "fault_packets_dropped": "fault.packets_dropped",
+    "fault_dropped_loss": "fault.packets_dropped_loss",
+    "fault_dropped_burst": "fault.packets_dropped_burst",
+    "fault_dropped_corrupted": "fault.packets_dropped_corrupted",
+    "fault_dropped_link_down": "fault.packets_dropped_link_down",
+    "fault_delayed_jitter": "fault.packets_delayed_jitter",
+    "fault_reordered": "fault.packets_reordered",
+}
+
+
+def _assert_golden_counters(run, expected) -> None:
+    """Every golden counter of a cell equals its ``counters()`` entry."""
+    pinned = {name: expected[name] for name in GOLDEN_COUNTERS if name in expected}
+    assert {name: run.counters[GOLDEN_COUNTERS[name]] for name in pinned} == pinned
+
+
+def _assert_accounting_identities(run, queries: int) -> None:
+    """Identities between a finished cell's outcomes and its counters."""
+    counters = run.counters
+    totals = run.collector.totals
+    # Each query of the trace ends in exactly one outcome.
+    assert totals.completed + totals.failed == queries
+    if not any(name.startswith("fault.") for name in counters):
+        # Without a fault plane nothing is lost, so nothing is served
+        # twice: every served request is one completed query.
+        assert counters["server.requests_served"] == totals.completed
+    else:
+        # Every fault drop is filed under exactly one reason.
+        assert counters["fault.packets_dropped"] == sum(
+            value
+            for name, value in counters.items()
+            if name.startswith("fault.packets_dropped_")
+        )
+
+
 def _series_hash(values) -> str:
     """SHA-256 of the float64 byte representation — bitwise, not approx."""
     return hashlib.sha256(
@@ -82,6 +136,13 @@ class TestPoissonGolden:
         cdf = np.asarray(empirical_cdf(run.response_times())).ravel()
         assert _series_hash(cdf) == expected["cdf"][repr(rho)]
 
+    @pytest.mark.parametrize("policy", ["RR", "SR4"])
+    @pytest.mark.parametrize("rho", [0.4, 0.75])
+    def test_accounting_identities(self, sweep, policy, rho):
+        _assert_accounting_identities(
+            sweep.run(policy, rho), sweep.config.num_queries
+        )
+
 
 class TestWikipediaGolden:
     @pytest.fixture(scope="class", params=JOBS)
@@ -109,8 +170,12 @@ class TestWikipediaGolden:
             _series_hash([v for pair in run.rate_series() for v in pair])
             == expected["rate_series"]
         )
-        assert run.requests_served == expected["requests_served"]
-        assert run.connections_reset == expected["connections_reset"]
+        _assert_golden_counters(run, expected)
+
+    @pytest.mark.parametrize("policy", ["RR", "SR4"])
+    def test_accounting_identities(self, replay, policy):
+        queries = int(replay.meta["trace_summary"]["requests"])
+        _assert_accounting_identities(replay.run(policy), queries)
 
 
 class TestAutoscaleGolden:
@@ -127,7 +192,8 @@ class TestAutoscaleGolden:
         expected = golden["autoscale"][mode]
         run = result.run(mode)
         assert _series_hash(run.collector.response_times()) == expected["response_times"]
-        assert repr(run.capacity_seconds) == expected["capacity_seconds"]
+        capacity_seconds = run.capacity.capacity_seconds(through=result.config.duration)
+        assert repr(capacity_seconds) == expected["capacity_seconds"]
         capacity_steps = [
             [repr(time), repr(value)] for time, value in run.capacity.series()
         ]
@@ -140,8 +206,14 @@ class TestAutoscaleGolden:
         assert [repr(d) for d in run.capacity.drain_durations] == expected[
             "drain_durations"
         ]
-        assert run.requests_served == expected["requests_served"]
-        assert run.connections_reset == expected["connections_reset"]
+        _assert_golden_counters(run, expected)
+
+    @pytest.mark.parametrize("mode", ["static", "reactive", "predictive"])
+    def test_accounting_identities(self, result, mode):
+        from repro.experiments.autoscale_experiment import make_diurnal_trace
+
+        queries = len(make_diurnal_trace(result.config))
+        _assert_accounting_identities(result.run(mode), queries)
 
 
 class TestHeavyTailGolden:
@@ -170,18 +242,20 @@ class TestHeavyTailGolden:
         expected = golden["heavy-tail"][policy]
         run = comparison.run(policy)
         assert _series_hash(run.collector.response_times()) == expected["response_times"]
-        assert repr(run.summary.mean) == expected["mean"]
-        assert repr(run.summary.p99) == expected["p99"]
-        assert repr(run.kind_summary(KIND_SESSION).p99) == expected["p99_session"]
-        assert repr(run.kind_summary(KIND_HEAVY).p99) == expected["p99_heavy"]
+        assert repr(run.collector.summary().mean) == expected["mean"]
+        assert repr(run.collector.summary().p99) == expected["p99"]
+        assert repr(run.collector.summary(KIND_SESSION).p99) == expected["p99_session"]
+        assert repr(run.collector.summary(KIND_HEAVY).p99) == expected["p99_heavy"]
         totals = run.collector.totals
         assert totals.completed == expected["completed"]
         assert totals.failed == expected["failed"]
-        assert run.queries_hung == expected["queries_hung"]
-        assert run.requests_served == expected["requests_served"]
-        assert run.connections_reset == expected["connections_reset"]
-        assert run.affinity_hits == expected["affinity_hits"]
-        assert run.affinity_fallbacks == expected["affinity_fallbacks"]
+        _assert_golden_counters(run, expected)
+
+    @pytest.mark.parametrize("policy", ["RR", "SR4", "SRdyn"])
+    def test_accounting_identities(self, comparison, policy):
+        _assert_accounting_identities(
+            comparison.run(policy), comparison.config.num_arrivals
+        )
 
 
 class TestAdversarialGolden:
@@ -200,15 +274,11 @@ class TestAdversarialGolden:
         expected = golden["adversarial"][mode]
         run = comparison.run(mode)
         assert _series_hash(run.collector.response_times()) == expected["response_times"]
-        assert repr(run.summary.mean) == expected["mean"]
-        assert repr(run.summary.p99) == expected["p99"]
-        assert repr(run.completion_rate) == expected["completion_rate"]
-        assert run.requests_served == expected["requests_served"]
-        assert run.connections_reset == expected["connections_reset"]
-        assert run.connections_timed_out == expected["connections_timed_out"]
-        assert run.queries_hung == expected["queries_hung"]
-        assert run.steering_misses == expected["steering_misses"]
-        assert run.recovery_hunts == expected["recovery_hunts"]
+        queries = comparison.config.num_queries
+        assert repr(run.collector.summary().mean) == expected["mean"]
+        assert repr(run.collector.summary().p99) == expected["p99"]
+        assert repr(run.completion_rate(queries)) == expected["completion_rate"]
+        _assert_golden_counters(run, expected)
         assert run.attack_syns_sent == expected["attack_syns_sent"]
         got_bucket = (
             None
@@ -216,14 +286,19 @@ class TestAdversarialGolden:
             else repr(run.attack_bucket_share)
         )
         assert got_bucket == expected["attack_bucket_share"]
-        assert run.flow_entries_created == expected["flow_entries_created"]
-        assert run.flow_entries_expired == expected["flow_entries_expired"]
-        assert run.flow_entries_live == expected["flow_entries_live"]
         got_delay = (
             None if run.quarantine_delay is None else repr(run.quarantine_delay)
         )
         assert got_delay == expected["quarantine_delay"]
         assert list(run.quarantined) == expected["quarantined"]
+
+    @pytest.mark.parametrize(
+        "mode", ["baseline", "syn-flood", "hash-collision", "gray-failure"]
+    )
+    def test_accounting_identities(self, comparison, mode):
+        _assert_accounting_identities(
+            comparison.run(mode), comparison.config.num_queries
+        )
 
     def test_collision_concentrates_on_one_bucket(self, comparison):
         # Acceptance criterion: the offline 5-tuple search must land at
@@ -238,10 +313,11 @@ class TestAdversarialGolden:
         # service: under either flood at least 40% of legitimate
         # queries still complete, and the gray-failure mode (with the
         # watchdog quarantining the slow server) stays lossless.
-        assert comparison.run("baseline").completion_rate == 1.0
-        assert comparison.run("syn-flood").completion_rate >= 0.4
-        assert comparison.run("hash-collision").completion_rate >= 0.4
-        assert comparison.run("gray-failure").completion_rate == 1.0
+        queries = comparison.config.num_queries
+        assert comparison.run("baseline").completion_rate(queries) == 1.0
+        assert comparison.run("syn-flood").completion_rate(queries) >= 0.4
+        assert comparison.run("hash-collision").completion_rate(queries) >= 0.4
+        assert comparison.run("gray-failure").completion_rate(queries) == 1.0
 
 
 class TestChaosGolden:
@@ -253,28 +329,24 @@ class TestChaosGolden:
 
     @pytest.mark.parametrize("mode", ["baseline", "loss", "flap", "jitter"])
     def test_run_results_bitwise(self, golden, comparison, mode):
+        from repro.experiments.chaos_experiment import outcome_fingerprint
+
         expected = golden["chaos"][mode]
         run = comparison.run(mode)
-        assert run.fingerprint == expected["fingerprint"]
+        assert outcome_fingerprint(run.collector) == expected["fingerprint"]
         assert run.collector.totals.completed == expected["completed"]
         assert run.collector.totals.failed == expected["failed"]
-        assert run.requests_served == expected["requests_served"]
-        assert run.connections_reset == expected["connections_reset"]
-        assert run.connections_shed == expected["connections_shed"]
-        assert run.queries_retried == expected["queries_retried"]
-        assert run.queries_gave_up == expected["queries_gave_up"]
-        assert run.queries_swept == expected["queries_swept"]
-        assert run.syn_retransmits == expected["syn_retransmits"]
-        assert run.fault_packets_seen == expected["fault_packets_seen"]
-        assert run.fault_packets_dropped == expected["fault_packets_dropped"]
-        assert run.fault_dropped_loss == expected["fault_dropped_loss"]
-        assert run.fault_dropped_burst == expected["fault_dropped_burst"]
-        assert run.fault_dropped_corrupted == expected["fault_dropped_corrupted"]
-        assert run.fault_dropped_link_down == expected["fault_dropped_link_down"]
-        assert run.fault_delayed_jitter == expected["fault_delayed_jitter"]
-        assert run.fault_reordered == expected["fault_reordered"]
-        assert repr(run.summary.mean) == expected["mean"]
-        assert repr(run.summary.p99) == expected["p99"]
+        _assert_golden_counters(run, expected)
+        assert repr(run.collector.summary().mean) == expected["mean"]
+        assert repr(run.collector.summary().p99) == expected["p99"]
+
+    @pytest.mark.parametrize("mode", ["baseline", "loss", "flap", "jitter"])
+    def test_accounting_identities(self, comparison, mode):
+        # Also reconciles the fault plane's drop counters on every cell:
+        # each drop is counted once in the total and once by reason.
+        _assert_accounting_identities(
+            comparison.run(mode), comparison.config.num_queries
+        )
 
     def test_baseline_is_bit_identical_to_no_fault_plane(self, comparison):
         # The ``baseline`` cell installs the pipeline with every injector
@@ -291,7 +363,7 @@ class TestChaosGolden:
         testbed = build_testbed(config.testbed, config.policy, run_name="chaos-baseline")
         testbed.run_trace(CHAOS_SCENARIO.make_trace(config, cell))
         bare = outcome_fingerprint(testbed.collector)
-        assert comparison.run("baseline").fingerprint == bare
+        assert outcome_fingerprint(comparison.run("baseline").collector) == bare
 
     def test_loss_cell_recovers_queries(self, comparison):
         # Acceptance criterion: under the 1% loss cell the client's
@@ -299,24 +371,8 @@ class TestChaosGolden:
         # queries, and every query that did not complete must be
         # accounted for by the give-up counter (no silent leaks).
         run = comparison.run("loss")
-        assert run.completion_rate >= 0.99
-        assert run.queries_gave_up == run.collector.totals.failed
-        assert (
-            run.collector.totals.completed + run.collector.totals.failed
-            == run.config.num_queries
-        )
-
-    def test_fault_drop_counters_reconcile(self, comparison):
-        # Every drop is counted once in the unified total and once in
-        # exactly one reason counter, for every cell.
-        for mode in comparison.keys():
-            run = comparison.run(mode)
-            assert run.fault_packets_dropped == (
-                run.fault_dropped_loss
-                + run.fault_dropped_burst
-                + run.fault_dropped_corrupted
-                + run.fault_dropped_link_down
-            )
+        assert run.completion_rate(comparison.config.num_queries) >= 0.99
+        assert run.counters["client.queries_gave_up"] == run.collector.totals.failed
 
 
 class TestResilienceGolden:
@@ -343,11 +399,16 @@ class TestResilienceGolden:
         run = comparison.run(scheme)
         assert run.broken_flows == expected["broken_flows"]
         assert run.in_flight_at_churn == expected["in_flight_at_churn"]
-        assert run.recovery_hunts == expected["recovery_hunts"]
-        assert run.steering_misses == expected["steering_misses"]
+        _assert_golden_counters(run, expected)
         assert _series_hash(run.collector.response_times()) == expected["response_times"]
         observations = [
             [repr(obs.at_time), obs.instance, sorted(obs.in_flight_ids)]
             for obs in run.observations
         ]
         assert observations == expected["observations"]
+
+    @pytest.mark.parametrize("scheme", ["random", "consistent-hash"])
+    def test_accounting_identities(self, comparison, scheme):
+        _assert_accounting_identities(
+            comparison.run(scheme), comparison.config.num_queries
+        )

@@ -186,10 +186,9 @@ class TestDeterminism:
             reports[jobs] = runtime.last_report()
             runtime.drain()
         for mode in config.modes:
-            assert (
-                comparisons[1].run(mode).fingerprint
-                == comparisons[2].run(mode).fingerprint
-            )
+            assert outcome_fingerprint(
+                comparisons[1].run(mode).collector
+            ) == outcome_fingerprint(comparisons[2].run(mode).collector)
             serial, pooled = reports[1].payload(mode), reports[2].payload(mode)
             assert serial.names == pooled.names
             assert serial.kinds == pooled.kinds
@@ -285,23 +284,21 @@ class TestUniformSnapshotAPI:
                 assert isinstance(name, str), tier
                 assert isinstance(value, (int, float)), f"{tier}.{name}"
 
-    def test_chaos_fault_accounting_identity(self):
-        config = dataclasses.replace(
-            CHAOS_SCENARIO.smoke_config(), num_queries=300, modes=("loss",)
+    def test_counters_use_the_probe_series_names(self, telemetry_on):
+        config = TestbedConfig(
+            num_servers=4,
+            workers_per_server=8,
+            cores_per_server=2,
+            backlog_capacity=16,
+            num_load_balancers=2,
         )
-        result = run_scenario("chaos", config).run("loss")
-        stats = result.fault_stats
-        assert stats["packets_sent"] > 0
-        assert stats["packets_dropped"] > 0
-        # Per-reason totals partition the drop count exactly.
-        assert stats["packets_dropped"] == (
-            stats["packets_dropped_queue_full"]
-            + stats["packets_dropped_sink_detached"]
-            + stats["packets_dropped_loss"]
-            + stats["packets_dropped_burst"]
-            + stats["packets_dropped_corrupted"]
-            + stats["packets_dropped_link_down"]
-        )
-        # The named payload fields and the snapshot stay in lockstep.
-        assert result.fault_packets_dropped == stats["packets_dropped"]
-        assert result.fault_dropped_loss == stats["packets_dropped_loss"]
+        testbed = build_testbed(config, sr_policy(4))
+        testbed.run_trace(_burst_trace())
+        payload = testbed.telemetry.export_payload()
+        streamed = {
+            name
+            for name, kind in zip(payload.names, payload.kinds)
+            if kind == "counter"
+        }
+        assert {"edge.forward_packets", "lb.steering_misses"} <= streamed
+        assert streamed <= set(testbed.counters())
