@@ -19,6 +19,9 @@
 #                              dashboard re-render from the saved report, then the
 #                              scenario goldens re-run under REPRO_TELEMETRY=1
 #   make docs-check          - doc-vs-code consistency tests (CLI + performance docs)
+#   make census              - the code-only census of src/: definitions nothing
+#                              in src/ reaches (with where each is still reached)
+#                              and defaulted parameters nothing passes
 #   make bench               - the full benchmark suite at default (reduced) scale
 #   make bench-quick         - the repository benchmark (BENCHMARK.json) at smoke size:
 #                              all five workloads, output checks, ~15 s; writes
@@ -32,7 +35,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 
 BENCH_OPTS := -o python_files='bench_*.py' -o python_functions='bench_*'
 
-.PHONY: test lint coverage bench bench-quick bench-smoke bench-smoke-parallel scale-smoke chaos-smoke telemetry-smoke docs-check
+.PHONY: test lint coverage bench bench-quick bench-smoke bench-smoke-parallel scale-smoke chaos-smoke telemetry-smoke docs-check census
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -67,6 +70,11 @@ lint:
 
 docs-check:
 	$(PYTHON) -m pytest -q tests/test_docs_cli.py tests/test_docs_performance.py
+
+# The report behind tests/test_code_census.py, printed by the same
+# functions the tier-1 test calls.
+census:
+	$(PYTHON) tests/test_code_census.py
 
 # One representative benchmark per scenario family (figures, ablations,
 # resilience) at a deliberately small scale: a smoke signal, not a

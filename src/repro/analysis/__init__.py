@@ -12,10 +12,7 @@ __getattr__, __dir__, __all__ = exports(
     __name__,
     {
         "power_of_choices": (
-            "ChoicesComparison",
-            "compare_choices",
             "improvement_over_random",
-            "marginal_benefit",
             "mean_queue_length",
             "mean_time_in_system",
             "tail_probabilities",

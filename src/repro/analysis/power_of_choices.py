@@ -20,7 +20,6 @@ prediction, and by tests as an independent cross-check of the simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.errors import ReproError
@@ -83,38 +82,3 @@ def improvement_over_random(load: float, choices: int = 2) -> float:
     load.  It grows without bound as λ → 1.
     """
     return mean_time_in_system(load, 1) / mean_time_in_system(load, choices)
-
-
-@dataclass
-class ChoicesComparison:
-    """Side-by-side analytic comparison for a set of ``d`` values."""
-
-    load: float
-    choices: List[int]
-    mean_times: List[float]
-
-
-def compare_choices(load: float, choices: List[int]) -> ChoicesComparison:
-    """Analytic mean sojourn times for several values of ``d``."""
-    if not choices:
-        raise ReproError("choices list must not be empty")
-    return ChoicesComparison(
-        load=load,
-        choices=list(choices),
-        mean_times=[mean_time_in_system(load, d) for d in choices],
-    )
-
-
-def marginal_benefit(load: float, max_choices: int = 6) -> List[float]:
-    """Relative improvement of d over d−1 choices, for d = 2..max_choices.
-
-    Demonstrates the paper's citation of "decreased marginal benefit from
-    more than two servers": the first step (1→2) dominates all others.
-    """
-    if max_choices < 2:
-        raise ReproError(f"max_choices must be >= 2, got {max_choices!r}")
-    times = [mean_time_in_system(load, d) for d in range(1, max_choices + 1)]
-    return [
-        (times[d - 2] - times[d - 1]) / times[d - 2]
-        for d in range(2, max_choices + 1)
-    ]

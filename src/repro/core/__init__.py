@@ -14,7 +14,7 @@ from repro._lazy import exports
 __getattr__, __dir__, __all__ = exports(
     __name__,
     {
-        "agent": ("ApplicationAgent", "StaticLoadView", "make_agent"),
+        "agent": ("ApplicationAgent", "StaticLoadView"),
         "candidate_selection": (
             "CandidateSelector",
             "ConsistentHashCandidateSelector",
@@ -35,19 +35,16 @@ __getattr__, __dir__, __all__ = exports(
         "policies": (
             "AlwaysAcceptPolicy",
             "ConnectionAcceptancePolicy",
-            "CPULoadPolicy",
             "DynamicThresholdPolicy",
             "NeverAcceptPolicy",
             "StaticThresholdPolicy",
             "make_policy",
             "register_policy",
-            "registered_policies",
         ),
         "service_hunting": (
             "HuntingDecision",
             "ServiceHuntingProcessor",
             "ServiceHuntingStats",
-            "build_steering_reply_path",
         ),
     },
 )

@@ -95,8 +95,3 @@ class StaticLoadView:
     def num_slots(self) -> int:
         """Configured pool size."""
         return self._slots
-
-
-def make_agent(scoreboard: ScoreboardView, cpu_cores: int = 2) -> ApplicationAgent:
-    """Convenience factory mirroring the other subsystem factories."""
-    return ApplicationAgent(scoreboard, cpu_cores)

@@ -195,11 +195,6 @@ class LoadBalancerNode(NetworkNode):
             raise LoadBalancerError(f"VIP {vip} is not registered")
         return list(pool)
 
-    @property
-    def vips(self) -> List[IPv6Address]:
-        """All registered VIPs."""
-        return list(self._backends)
-
     def attach(self, fabric) -> None:
         """Attach to the fabric and claim the registered VIPs (if advertising)."""
         super().attach(fabric)

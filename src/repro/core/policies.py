@@ -247,31 +247,6 @@ class DynamicThresholdPolicy(ConnectionAcceptancePolicy):
         )
 
 
-class CPULoadPolicy(ConnectionAcceptancePolicy):
-    """Coarse-grained policy using the agent's CPU-load estimate.
-
-    The paper notes the agent "may make this decision based on
-    coarse-grained information (e.g. CPU load, memory footprint)".  This
-    policy accepts while the estimated runnable-workers-per-core stays
-    below a limit; it is used in the ablation benchmarks to contrast
-    coarse- and fine-grained signals.
-    """
-
-    def __init__(self, max_load_per_core: float = 2.0) -> None:
-        if max_load_per_core <= 0:
-            raise PolicyError(
-                f"max load per core must be positive, got {max_load_per_core!r}"
-            )
-        self.max_load_per_core = max_load_per_core
-        self.name = f"CPU<{max_load_per_core:g}"
-
-    def should_accept(self, agent: ApplicationAgent) -> bool:
-        return agent.estimated_cpu_load() < self.max_load_per_core
-
-    def describe(self) -> str:
-        return f"accept while runnable workers per core < {self.max_load_per_core:g}"
-
-
 # ----------------------------------------------------------------------
 # policy registry
 # ----------------------------------------------------------------------
@@ -311,8 +286,3 @@ def make_policy(name: str) -> ConnectionAcceptancePolicy:
         if suffix.isdigit():
             return StaticThresholdPolicy(int(suffix))
     raise PolicyError(f"unknown connection-acceptance policy {name!r}")
-
-
-def registered_policies() -> Dict[str, PolicyFactory]:
-    """Currently registered custom policies (copy)."""
-    return dict(_REGISTRY)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from repro.core.agent import ApplicationAgent
 from repro.core.policies import ConnectionAcceptancePolicy
-from repro.errors import SegmentRoutingError
 from repro.net.packet import Packet
 
 
@@ -132,24 +131,3 @@ class ServiceHuntingProcessor:
             f"ServiceHuntingProcessor(policy={self.policy.name!r}, "
             f"accepted={self.stats.accepted_total}, refused={self.stats.refused})"
         )
-
-
-def build_steering_reply_path(
-    server_address, load_balancer_address, client_address
-):
-    """Segment list (traversal order) for the connection-acceptance packet.
-
-    The accepting server signals its identity to the load balancer "by
-    inserting an SR header containing its own IP address, and the IP
-    address of the load-balancer, in the connection acceptance packet"
-    (paper §II-A).  The resulting traversal is
-    ``server -> load balancer -> client``; the first segment records who
-    accepted, the second routes the packet through the load balancer so
-    it can install the steering entry, and the client is the final
-    destination.
-    """
-    if load_balancer_address == client_address:
-        raise SegmentRoutingError(
-            "load balancer and client addresses must differ in the reply path"
-        )
-    return [server_address, load_balancer_address, client_address]

@@ -24,7 +24,7 @@ from typing import List, Optional
 
 from repro.analysis.queueing import saturation_rate as _analytic_rate
 from repro.errors import ExperimentError
-from repro.experiments.config import PolicySpec, TestbedConfig, rr_policy
+from repro.experiments.config import TestbedConfig, rr_policy
 from repro.experiments.platform import build_testbed
 from repro.workload.poisson import PoissonWorkload
 from repro.workload.service_models import ExponentialServiceTime
@@ -82,22 +82,21 @@ class CalibrationResult:
         return self.saturation_rate / self.analytic_rate
 
 
+#: Seed of every probe's trace (mixed with the probe's rate).
+_PROBE_SEED = 7
+
+
 def _probe_drops(
-    config: TestbedConfig,
-    policy: PolicySpec,
-    rate: float,
-    num_queries: int,
-    service_mean: float,
-    seed: int,
+    config: TestbedConfig, rate: float, num_queries: int, service_mean: float
 ) -> CalibrationProbe:
-    """Run one short experiment and count reset connections."""
+    """Run one short RR experiment and count reset connections."""
     workload = PoissonWorkload(
         rate=rate,
         num_queries=num_queries,
         service_model=ExponentialServiceTime(service_mean),
     )
-    trace = workload.generate(np.random.default_rng([seed, int(rate * 1000)]))
-    with build_testbed(config, policy) as testbed:
+    trace = workload.generate(np.random.default_rng([_PROBE_SEED, int(rate * 1000)]))
+    with build_testbed(config, rr_policy()) as testbed:
         testbed.run_trace(trace)
     drops = testbed.collector.totals.failed
     return CalibrationProbe(rate=rate, queries=num_queries, drops=drops)
@@ -108,8 +107,6 @@ def find_empirical_saturation_rate(
     service_mean: float = 0.1,
     num_queries: int = 4_000,
     num_iterations: int = 6,
-    policy: Optional[PolicySpec] = None,
-    seed: int = 7,
 ) -> CalibrationResult:
     """Binary-search the smallest rate at which connections are dropped.
 
@@ -124,19 +121,18 @@ def find_empirical_saturation_rate(
             f"num_iterations must be non-negative, got {num_iterations!r}"
         )
     config = config or TestbedConfig()
-    policy = policy or rr_policy()
     analytic = analytic_saturation_rate(config, service_mean)
     low, high = 0.7 * analytic, 1.6 * analytic
     probes: List[CalibrationProbe] = []
 
-    high_probe = _probe_drops(config, policy, high, num_queries, service_mean, seed)
+    high_probe = _probe_drops(config, high, num_queries, service_mean)
     probes.append(high_probe)
     if not high_probe.dropped:
         return CalibrationResult(
             saturation_rate=high, analytic_rate=analytic, probes=probes
         )
 
-    low_probe = _probe_drops(config, policy, low, num_queries, service_mean, seed)
+    low_probe = _probe_drops(config, low, num_queries, service_mean)
     probes.append(low_probe)
     if low_probe.dropped:
         # Even the conservative bracket drops: report it rather than
@@ -147,7 +143,7 @@ def find_empirical_saturation_rate(
 
     for _ in range(num_iterations):
         mid = (low + high) / 2.0
-        probe = _probe_drops(config, policy, mid, num_queries, service_mean, seed)
+        probe = _probe_drops(config, mid, num_queries, service_mean)
         probes.append(probe)
         if probe.dropped:
             high = mid

@@ -236,21 +236,15 @@ def rr_policy() -> PolicySpec:
     return PolicySpec(name="RR", acceptance_policy="always", num_candidates=1)
 
 
-def sr_policy(threshold: int, num_candidates: int = 2) -> PolicySpec:
+def sr_policy(threshold: int) -> PolicySpec:
     """A static ``SRc`` configuration with the given threshold."""
     NON_NEGATIVE("threshold", threshold)
-    return PolicySpec(
-        name=f"SR{threshold}",
-        acceptance_policy=f"SR{threshold}",
-        num_candidates=num_candidates,
-    )
+    return PolicySpec(name=f"SR{threshold}", acceptance_policy=f"SR{threshold}")
 
 
-def srdyn_policy(num_candidates: int = 2) -> PolicySpec:
+def srdyn_policy() -> PolicySpec:
     """The dynamic ``SRdyn`` configuration."""
-    return PolicySpec(
-        name="SRdyn", acceptance_policy="SRdyn", num_candidates=num_candidates
-    )
+    return PolicySpec(name="SRdyn", acceptance_policy="SRdyn")
 
 
 def paper_policy_suite() -> List[PolicySpec]:
@@ -338,15 +332,15 @@ class WikipediaReplayConfig:
     def __post_init__(self) -> None:
         check_bounds(self)
 
-    def compressed(self, duration: float, bin_width: Optional[float] = None) -> "WikipediaReplayConfig":
+    def compressed(self, duration: float) -> "WikipediaReplayConfig":
         """Time-lapse copy: same diurnal shape, shorter wall-clock duration.
 
-        The bin width is scaled proportionally by default so the figures
-        keep the same number of bins as the paper's 144 ten-minute bins.
+        The bin width is scaled proportionally so the figures keep the
+        same number of bins as the paper's 144 ten-minute bins.
         """
-        if bin_width is None:
-            bin_width = self.bin_width * duration / self.duration
-        return replace(self, duration=duration, bin_width=bin_width)
+        return replace(
+            self, duration=duration, bin_width=self.bin_width * duration / self.duration
+        )
 
 
 @dataclass(frozen=True)
@@ -990,13 +984,9 @@ class ScaleConfig:
         """Stable front-end next-hop names, one per pod."""
         return tuple(f"pod-{index}" for index in range(self.pods))
 
-    def scaled(self, num_queries: int, pods: Optional[int] = None) -> "ScaleConfig":
+    def scaled(self, num_queries: int) -> "ScaleConfig":
         """A cheaper copy of the configuration (for tests and CI)."""
-        return replace(
-            self,
-            num_queries=num_queries,
-            pods=pods if pods is not None else self.pods,
-        )
+        return replace(self, num_queries=num_queries)
 
 
 @dataclass(frozen=True)

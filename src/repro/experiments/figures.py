@@ -21,7 +21,7 @@ The mapping to the paper (also recorded in DESIGN.md §4):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ExperimentError
 from repro.experiments.poisson_experiment import PoissonRunResult, PoissonSweepResult
@@ -68,18 +68,14 @@ CDF_THRESHOLDS: Tuple[float, ...] = (
 )
 
 
-def render_figure_cdf(
-    runs: Dict[str, PoissonRunResult],
-    title: str,
-    thresholds: Sequence[float] = CDF_THRESHOLDS,
-) -> str:
+def render_figure_cdf(runs: Dict[str, PoissonRunResult], title: str) -> str:
     """A CDF comparison rendered as a table of P(T <= t) rows."""
     headers = ["t (s)"] + list(runs)
     rows: List[List[object]] = []
     per_policy = {
         name: run.response_times() for name, run in runs.items()
     }
-    for threshold in thresholds:
+    for threshold in CDF_THRESHOLDS:
         row: List[object] = [threshold]
         for name in runs:
             row.append(cdf_at(per_policy[name], [threshold])[0])
@@ -99,9 +95,11 @@ class LoadFairnessSeries:
     fairness: List[Tuple[float, float]]
 
 
-def figure4_series(
-    runs: Dict[str, PoissonRunResult], smoothing_time_constant: float = 1.0
-) -> Dict[str, LoadFairnessSeries]:
+#: EWMA time constant, in seconds, of Figure 4's smoothing.
+FIGURE4_TIME_CONSTANT = 1.0
+
+
+def figure4_series(runs: Dict[str, PoissonRunResult]) -> Dict[str, LoadFairnessSeries]:
     """EWMA-smoothed mean-load and fairness series for each policy."""
     series: Dict[str, LoadFairnessSeries] = {}
     for name, run in runs.items():
@@ -113,12 +111,8 @@ def figure4_series(
         sampler = run.load_sampler
         series[name] = LoadFairnessSeries(
             policy=name,
-            mean_load=smooth_timeseries(
-                sampler.mean_load_series(), smoothing_time_constant
-            ),
-            fairness=smooth_timeseries(
-                sampler.fairness_series(), smoothing_time_constant
-            ),
+            mean_load=smooth_timeseries(sampler.mean_load_series(), FIGURE4_TIME_CONSTANT),
+            fairness=smooth_timeseries(sampler.fairness_series(), FIGURE4_TIME_CONSTANT),
         )
     return series
 
@@ -219,17 +213,14 @@ def render_figure7(replay: ScenarioResult, policy_name: str) -> str:
     )
 
 
-def render_figure8(
-    replay: ScenarioResult,
-    thresholds: Sequence[float] = CDF_THRESHOLDS,
-) -> str:
+def render_figure8(replay: ScenarioResult) -> str:
     """Figure 8 as a table of P(T <= t), plus the median/quartile comparison."""
     headers = ["t (s)"] + list(replay.keys())
     per_policy = {
         name: replay.run(name).wiki_response_times() for name in replay.keys()
     }
     rows: List[List[object]] = []
-    for threshold in thresholds:
+    for threshold in CDF_THRESHOLDS:
         row: List[object] = [threshold]
         for name in replay.keys():
             row.append(cdf_at(per_policy[name], [threshold])[0])

@@ -38,6 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: eight bytes per id up to the largest one seen.
 MAX_REQUEST_ID = (1 << 24) - 1
 
+#: Extra simulated seconds a replay runs past its last arrival before
+#: the load sampler and telemetry stop and the event heap drains.
+SETTLE_MARGIN = 5.0
+
 #: Builds one acceptance-policy instance per server.
 PolicyFactory = Callable[[], ConnectionAcceptancePolicy]
 
@@ -348,13 +352,13 @@ class Testbed:
                 )
         self.client.schedule_trace(trace)
 
-    def run_trace(self, trace: Trace, settle_margin: float = 5.0) -> float:
+    def run_trace(self, trace: Trace) -> float:
         """Replay ``trace`` to completion and return the final simulated time.
 
         The trace is scheduled (:meth:`schedule_trace`) and the
         simulation runs until every event has been processed.  When a
         load sampler is active it is stopped once the arrival phase
-        (plus ``settle_margin`` seconds) is over, so the event heap can
+        (plus :data:`SETTLE_MARGIN` seconds) is over, so the event heap can
         drain.
 
         Once the heap is empty the client sweeps every still-pending
@@ -369,7 +373,7 @@ class Testbed:
             or self._horizon_hooks
             or self.telemetry is not None
         ):
-            horizon = self.simulator.now + trace.duration + settle_margin
+            horizon = self.simulator.now + trace.duration + SETTLE_MARGIN
             self.simulator.run(until=horizon)
             self.stop_load_sampler()
             if self.telemetry is not None:

@@ -42,7 +42,7 @@ from repro.errors import ExperimentError
 from repro.experiments import registry
 from repro.experiments.calibration import saturation_rate_for
 from repro.experiments.config import ScaleConfig, TestbedConfig
-from repro.experiments.platform import build_testbed
+from repro.experiments.platform import SETTLE_MARGIN, build_testbed
 from repro.experiments.scenario import ScenarioCell, ScenarioSpec, TraceProvider
 from repro.metrics.collector import ResponseTimeCollector
 from repro.net.ecmp import HopScorer, five_tuple_key
@@ -62,10 +62,6 @@ from repro.workload.trace import Trace
 #: strings are sufficient and cheap.
 _FRONTEND_CLIENT = "2001:db8:feed::1"
 _FRONTEND_VIP = "2001:db8:100::80"
-
-#: Extra simulated seconds each pod runs past the last arrival before
-#: the final drain (mirrors ``Testbed.run_trace``'s settle margin).
-SETTLE_MARGIN = 5.0
 
 #: Rows per block :meth:`ScaleRunResult.fingerprint` hashes at a time.
 _FINGERPRINT_ROWS = 4096

@@ -22,15 +22,12 @@ __getattr__, __dir__, __all__ = exports(
             "smooth_series",
             "smooth_timeseries",
         ),
-        "fairness": ("jain_fairness_index", "min_max_ratio"),
-        "reporting": ("format_comparison", "format_series", "format_table"),
+        "fairness": ("jain_fairness_index",),
+        "reporting": ("format_comparison", "format_table"),
         "stats": (
             "SummaryStatistics",
             "cdf_at",
             "deciles",
-            "empirical_cdf",
-            "improvement_factor",
-            "mean_or_nan",
             "median_or_nan",
             "percentile",
             "quartiles",

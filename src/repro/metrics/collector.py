@@ -228,10 +228,6 @@ class ResponseTimeCollector:
         """Successful outcomes, optionally filtered by request kind."""
         return self._materialise(self._rows(True, kind))
 
-    def failures(self, kind: Optional[str] = None) -> List[RequestOutcome]:
-        """Failed outcomes, optionally filtered by request kind."""
-        return self._materialise(self._rows(False, kind))
-
     def response_times(self, kind: Optional[str] = None) -> np.ndarray:
         """Response times (seconds) of successful queries, in record order."""
         mask = self._rows(True, kind)
@@ -282,9 +278,9 @@ class ResponseTimeCollector:
         binner.extend(sent_at, _view(self._completed_at)[mask] - sent_at)
         return binner
 
-    def mean_response_time(self, kind: Optional[str] = None) -> float:
+    def mean_response_time(self) -> float:
         """Mean response time of successful queries (Figure 2's y-axis)."""
-        return self.summary(kind).mean
+        return self.summary().mean
 
     # ------------------------------------------------------------------
     # the table as arrays (the wire format of every run result)

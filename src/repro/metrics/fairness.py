@@ -44,20 +44,3 @@ def jain_fairness_index(values: Sequence[float]) -> float:
     total = float(np.sum(array))
     squared_sum = float(np.sum(array ** 2))
     return total ** 2 / (len(array) * squared_sum)
-
-
-def min_max_ratio(values: Sequence[float]) -> float:
-    """Ratio of the least to the most loaded server (1.0 = perfectly even).
-
-    A secondary imbalance indicator used in tests and ablations; unlike
-    Jain's index it is extremely sensitive to a single idle server.
-    """
-    if len(values) == 0:
-        raise ReproError("cannot compute the min/max ratio of an empty sample")
-    array = np.asarray(values, dtype=float)
-    if np.any(array < 0):
-        raise ReproError("min/max ratio requires non-negative values")
-    maximum = float(np.max(array))
-    if maximum == 0.0:
-        return 1.0
-    return float(np.min(array)) / maximum

@@ -16,20 +16,19 @@ from repro.errors import ReproError
 def format_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],
-    float_format: str = "{:.3f}",
     title: Optional[str] = None,
 ) -> str:
     """Render a simple aligned text table.
 
-    Floats are formatted with ``float_format``; other values use
-    ``str``.  Column widths adapt to the longest cell.
+    Floats are printed with three decimals; other values use ``str``.
+    Column widths adapt to the longest cell.
     """
     if not headers:
         raise ReproError("a table needs at least one column")
 
     def render(cell: object) -> str:
         if isinstance(cell, float):
-            return float_format.format(cell)
+            return f"{cell:.3f}"
         return str(cell)
 
     rendered_rows = [[render(cell) for cell in row] for row in rows]
@@ -57,31 +56,11 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(
-    x_label: str,
-    series: Dict[str, Sequence[float]],
-    x_values: Sequence[float],
-    float_format: str = "{:.3f}",
-    title: Optional[str] = None,
-) -> str:
-    """Render several named series sharing an x axis as a table."""
-    headers = [x_label] + list(series)
-    rows = []
-    for index, x in enumerate(x_values):
-        row: List[object] = [x]
-        for name in series:
-            values = series[name]
-            row.append(values[index] if index < len(values) else float("nan"))
-        rows.append(row)
-    return format_table(headers, rows, float_format=float_format, title=title)
-
-
 def format_comparison(
     metric_name: str,
     baseline_name: str,
     baseline_value: float,
     other: Dict[str, float],
-    float_format: str = "{:.3f}",
 ) -> str:
     """Render a baseline-vs-alternatives comparison with improvement factors."""
     headers = ["policy", metric_name, f"vs {baseline_name}"]
@@ -92,4 +71,4 @@ def format_comparison(
             rows.append([name, value, f"{factor:.2f}x"])
         else:
             rows.append([name, value, "n/a"])
-    return format_table(headers, rows, float_format=float_format)
+    return format_table(headers, rows)

@@ -62,20 +62,6 @@ def summarize_or_nan(values: Sequence[float]) -> SummaryStatistics:
     return summarize(values)
 
 
-def empirical_cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF of ``values``.
-
-    Returns ``(x, p)`` where ``p[i]`` is the fraction of samples less
-    than or equal to ``x[i]``; ``x`` is sorted ascending.  This is the
-    representation used for Figures 3, 5 and 8.
-    """
-    if len(values) == 0:
-        raise ReproError("cannot compute the CDF of an empty sample")
-    x = np.sort(np.asarray(values, dtype=float))
-    p = np.arange(1, x.size + 1) / x.size
-    return x, p
-
-
 def cdf_at(values: Sequence[float], thresholds: Sequence[float]) -> List[float]:
     """Fraction of samples at or below each threshold."""
     if len(values) == 0:
@@ -110,26 +96,8 @@ def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
     )
 
 
-def mean_or_nan(values: Sequence[float]) -> float:
-    """Mean of ``values``, or NaN for an empty sample (binned series)."""
-    if len(values) == 0:
-        return float("nan")
-    return float(np.mean(np.asarray(values, dtype=float)))
-
-
 def median_or_nan(values: Sequence[float]) -> float:
     """Median of ``values``, or NaN for an empty sample (binned series)."""
     if len(values) == 0:
         return float("nan")
     return float(np.median(np.asarray(values, dtype=float)))
-
-
-def improvement_factor(baseline: float, improved: float) -> float:
-    """How many times smaller ``improved`` is than ``baseline``.
-
-    The paper reports results like "up to 2.3× better than RR"; this is
-    the corresponding ratio (baseline / improved).
-    """
-    if improved <= 0:
-        raise ReproError(f"improved value must be positive, got {improved!r}")
-    return baseline / improved

@@ -3,9 +3,9 @@
 This package models the data-center network the paper's testbed runs on:
 IPv6 addressing (VIPs, server addresses, SIDs), the Segment Routing
 extension header with ``SegmentsLeft`` semantics, a simplified TCP
-handshake with listen-backlog overflow, point-to-point links and the
-shared LAN fabric connecting the load balancer to the application
-servers.
+handshake with listen-backlog overflow, the shared LAN fabric connecting
+the load balancer to the application servers, and the fault plane that
+impairs its hops.
 """
 
 from repro._lazy import exports
@@ -23,10 +23,9 @@ __getattr__, __dir__, __all__ = exports(
             "VIP_PREFIX",
             "default_allocators",
             "describe",
-            "is_virtual_ip",
         ),
         "fabric": ("FabricStats", "LANFabric"),
-        "link": ("Link", "LinkStats"),
+        "faults": ("LinkStats",),
         "packet": (
             "DEFAULT_HOP_LIMIT",
             "FlowKey",
@@ -35,17 +34,10 @@ __getattr__, __dir__, __all__ = exports(
             "TCPSegment",
             "make_reset",
             "make_syn",
-            "reply_ports",
         ),
-        "router": ("LocalSIDTable", "NetworkNode"),
+        "router": ("NetworkNode",),
         "srh": ("SegmentRoutingHeader",),
         "ecmp": ("EcmpEdgeRouter", "EcmpEdgeStats", "five_tuple_key"),
-        "tcp": (
-            "ConnectionState",
-            "EphemeralPortAllocator",
-            "HTTP_PORT",
-            "TCPConnection",
-            "classify_segment",
-        ),
+        "tcp": ("EphemeralPortAllocator", "HTTP_PORT", "classify_segment"),
     },
 )

@@ -233,11 +233,6 @@ def default_allocators() -> dict:
     }
 
 
-def is_virtual_ip(address: IPv6Address) -> bool:
-    """Whether ``address`` lies in the VIP prefix of the default plan."""
-    return VIP_PREFIX.contains(address)
-
-
 def describe(address: Optional[IPv6Address]) -> str:
     """Short human-readable role tag for an address (used in logs/tests)."""
     if address is None:

@@ -1,7 +1,7 @@
 """Delivery channels: the one seam every packet hop goes through.
 
 Historically each forwarding component (:class:`~repro.net.fabric.LANFabric`,
-:class:`~repro.net.link.Link`, the ECMP spreaders) scheduled delivery by
+the ECMP spreaders) scheduled delivery by
 closing over the destination object and calling ``destination.receive``
 directly.  That works only while sender and receiver share one
 :class:`~repro.sim.engine.Simulator` in one process.
@@ -10,8 +10,8 @@ This module makes the hop explicit.  A *delivery channel* has one
 primitive, :meth:`DeliveryChannel.send`: **call** ``arrive(packet)``
 **after** ``delay``.  ``arrive`` is the receiving end of the hop — a
 callable the forwarding component builds once per destination (the
-fabric's per-address arrival with the detached-sink check folded in, a
-link direction's arrival, an ECMP next hop's ``receive``) — so a
+fabric's per-address arrival with the detached-sink check folded in, an
+ECMP next hop's ``receive``) — so a
 delivery is one engine event carrying the packet as its argument: no
 closure is allocated per packet, and the event fires straight into the
 arrival.

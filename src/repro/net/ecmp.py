@@ -44,10 +44,10 @@ from repro.sim.engine import Simulator
 HASH_SCHEMES = ("rendezvous", "modulo")
 
 
-def five_tuple_key(flow_key: FlowKey, protocol: str = "tcp") -> str:
-    """Canonical 5-tuple string an ECMP router hashes a packet on."""
+def five_tuple_key(flow_key: FlowKey) -> str:
+    """Canonical 5-tuple string an ECMP router hashes a TCP packet on."""
     return (
-        f"{protocol}|{flow_key.src_address}|{flow_key.src_port}|"
+        f"tcp|{flow_key.src_address}|{flow_key.src_port}|"
         f"{flow_key.dst_address}|{flow_key.dst_port}"
     )
 
@@ -112,7 +112,6 @@ def select_next_hop_name(
     hop_names: Sequence[str],
     flow_key: FlowKey,
     hash_scheme: str = "rendezvous",
-    protocol: str = "tcp",
 ) -> str:
     """Pure form of the router's hashing decision, over hop *names*.
 
@@ -124,7 +123,7 @@ def select_next_hop_name(
     runs rather than a reimplementation that could silently drift.
     """
     scorer = _scorer_for(tuple(hop_names), hash_scheme)
-    return scorer.names[scorer.index_for(five_tuple_key(flow_key, protocol))]
+    return scorer.names[scorer.index_for(five_tuple_key(flow_key))]
 
 
 @dataclass
@@ -232,11 +231,6 @@ class EcmpEdgeRouter(NetworkNode):
         self._hop_cache.clear()
         self.stats.membership_changes += 1
 
-    @property
-    def next_hops(self) -> Tuple[NetworkNode, ...]:
-        """The current ECMP group members (name-sorted copy)."""
-        return tuple(self._next_hops)
-
     def invalidate_next_hop_cache(self) -> int:
         """Drop every memoized flow-to-hop decision; returns the count.
 
@@ -258,11 +252,6 @@ class EcmpEdgeRouter(NetworkNode):
             self._vips.append(vip)
             if self.fabric is not None:
                 self.fabric.bind_address(vip, self)
-
-    @property
-    def vips(self) -> Tuple[IPv6Address, ...]:
-        """VIPs advertised by this router."""
-        return tuple(self._vips)
 
     def attach(self, fabric) -> None:
         """Attach to the fabric, claiming the registered VIPs."""

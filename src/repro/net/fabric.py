@@ -213,10 +213,6 @@ class LANFabric:
         except KeyError as exc:
             raise RoutingError(f"unknown node {name!r}") from exc
 
-    def nodes(self) -> Dict[str, "NetworkNode"]:
-        """All registered nodes, keyed by name (copy)."""
-        return dict(self._nodes)
-
     # ------------------------------------------------------------------
     # forwarding
     # ------------------------------------------------------------------
@@ -242,8 +238,8 @@ class LANFabric:
         # resolve() an uncached send would, and the memo is cleared on
         # every topology mutation, so hits and misses are
         # indistinguishable.  The
-        # hop-limit exception machinery and the Packet.size_bytes() /
-        # SRH size arithmetic are inlined for the same
+        # hop-limit exception machinery and the wire-size arithmetic
+        # (IPv6 + TCP + SRH headers) are inlined for the same
         # once-per-packet-hop reason.
         dst = packet._dst
         route = self._send_routes.get(dst)

@@ -1,8 +1,8 @@
 """Fault-injection plane: composable impairments on the delivery seam.
 
 Every packet hop of the testbed goes through one
-:class:`~repro.net.channel.DeliveryChannel` (the fabric's, the link's,
-or the ECMP edge's).  :class:`FaultInjectionChannel` wraps any of them
+:class:`~repro.net.channel.DeliveryChannel` (the fabric's or the ECMP
+edge's).  :class:`FaultInjectionChannel` wraps any of them
 with a pipeline of *injectors* — deterministic, seed-derived models of
 the ways real networks misbehave:
 
@@ -41,11 +41,11 @@ hypothesis property test in
 
 Accounting
 ----------
-The pipeline owns a :class:`~repro.net.link.LinkStats` instance:
+The pipeline owns a :class:`LinkStats` instance:
 ``packets_sent`` counts every packet offered to the pipeline,
 ``packets_dropped`` is the unified drop total, and each injector counts
 its drops (or delays) under its own reason counter — the same
-one-drop/one-reason scheme as the fabric and the link (see
+one-drop/one-reason scheme as the fabric (see
 docs/architecture.md).  ``packets_sent - packets_dropped`` always equals
 the number of packets handed to the inner channel.
 """
@@ -53,12 +53,72 @@ the number of packets handed to the inner channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
 from repro.net.channel import Arrival, DeliveryChannel, SinkDelivery
-from repro.net.link import LinkStats
 from repro.sim.engine import Simulator
+
+
+@dataclass
+class LinkStats:
+    """A fault pipeline's counters.
+
+    ``packets_sent`` counts every packet offered to the pipeline and
+    ``packets_dropped`` is the unified drop total; every drop is also
+    counted in exactly one of the reason counters (the same accounting
+    scheme as :class:`~repro.net.fabric.FabricStats`, documented in
+    docs/architecture.md):
+
+    * ``packets_dropped_loss`` — independent (i.i.d.) packet loss;
+    * ``packets_dropped_burst`` — Gilbert–Elliott bursty loss;
+    * ``packets_dropped_corrupted`` — corruption-as-drop (the frame
+      fails its checksum at the receiver);
+    * ``packets_dropped_link_down`` — offered during a scheduled flap
+      window.
+
+    ``packets_delayed_jitter`` and ``packets_reordered`` count delay
+    shaping, not drops — they do not contribute to ``packets_dropped``.
+
+    ``bytes_sent``, ``packets_dropped_queue_full`` and
+    ``packets_dropped_sink_detached`` have no writer and read 0 on every
+    run.  They stay so the counter set and the telemetry series keep
+    their names until the counter set is settled.
+    """
+
+    packets_sent: int = 0
+    packets_dropped: int = 0
+    bytes_sent: int = 0
+    packets_dropped_queue_full: int = 0
+    packets_dropped_sink_detached: int = 0
+    packets_dropped_loss: int = 0
+    packets_dropped_burst: int = 0
+    packets_dropped_corrupted: int = 0
+    packets_dropped_link_down: int = 0
+    packets_delayed_jitter: int = 0
+    packets_reordered: int = 0
+
+    def snapshot(self) -> Dict[str, int]:
+        """Flat numeric counters (the uniform telemetry-sampler API).
+
+        One entry per counter, drop reasons included — this is how the
+        telemetry probe streams fault-plane accounting as time series
+        and how the chaos scenario exposes per-reason totals in its
+        payload without naming each field.
+        """
+        return {
+            "packets_sent": self.packets_sent,
+            "packets_dropped": self.packets_dropped,
+            "bytes_sent": self.bytes_sent,
+            "packets_dropped_queue_full": self.packets_dropped_queue_full,
+            "packets_dropped_sink_detached": self.packets_dropped_sink_detached,
+            "packets_dropped_loss": self.packets_dropped_loss,
+            "packets_dropped_burst": self.packets_dropped_burst,
+            "packets_dropped_corrupted": self.packets_dropped_corrupted,
+            "packets_dropped_link_down": self.packets_dropped_link_down,
+            "packets_delayed_jitter": self.packets_delayed_jitter,
+            "packets_reordered": self.packets_reordered,
+        }
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -441,7 +501,7 @@ def install_fault_channel(
     """Wrap ``fabric``'s delivery channel with a pipeline from ``config``.
 
     Works on anything exposing a ``channel`` attribute (the LAN fabric,
-    a point-to-point link, the ECMP edge router).  Returns the installed
+    the ECMP edge router).  Returns the installed
     channel so callers can read its drop/delay counters after the run.
     """
     channel = FaultInjectionChannel(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 from repro.errors import NetworkError
 from repro.net.addressing import IPv6Address
@@ -128,14 +128,6 @@ class TCPSegment:
         self.bits = flags._value_
         self.payload_size = payload_size
         self.request_id = request_id
-
-    def has(self, flag: TCPFlag) -> bool:
-        """Whether the given flag is set."""
-        return bool(self.bits & flag._value_)
-
-    def size_bytes(self) -> int:
-        """Wire size of the segment."""
-        return TCP_HEADER_SIZE + self.payload_size
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is TCPSegment:
@@ -278,13 +270,6 @@ class Packet:
     # ------------------------------------------------------------------
     # forwarding helpers
     # ------------------------------------------------------------------
-    def size_bytes(self) -> int:
-        """Total wire size (IPv6 + optional SRH + TCP segment)."""
-        size = IPV6_HEADER_SIZE + self.tcp.size_bytes()
-        if self.srh is not None:
-            size += self.srh.size_bytes()
-        return size
-
     def copy(self) -> "Packet":
         """Deep-enough copy for retransmission (new packet id).
 
@@ -482,8 +467,3 @@ def make_reset(
         None, DEFAULT_HOP_LIMIT, None,  # no SRH, default hop limit, fresh id
         created_at,
     )
-
-
-def reply_ports(packet: Packet) -> Tuple[int, int]:
-    """Source/destination ports for a reply to ``packet``."""
-    return packet.tcp.dst_port, packet.tcp.src_port

@@ -1,19 +1,15 @@
-"""Network-node abstractions.
+"""The network node: base class of every addressable entity.
 
-Two pieces live here:
-
-* :class:`LocalSIDTable` — the SRv6 "My Local SID table" binding local
-  segment identifiers to behaviours;
-* :class:`NetworkNode` — the base class of every addressable entity in
-  the simulated data center (clients, the load balancer, server virtual
-  routers).  A node owns a set of addresses, is attached to a fabric,
-  and handles packets delivered to it in :meth:`NetworkNode.receive`.
+Clients, the load balancer and the server virtual routers are
+:class:`NetworkNode` subclasses.  A node owns a set of addresses, is
+attached to a fabric, and handles packets delivered to it in
+:meth:`NetworkNode.receive`.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.errors import RoutingError
 from repro.net.addressing import IPv6Address
@@ -22,39 +18,6 @@ from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.fabric import LANFabric
-
-#: A local SID behaviour: called with the packet; returns ``True`` if the
-#: packet was consumed locally, ``False`` if normal forwarding should
-#: continue.
-LocalSIDBehavior = Callable[[Packet], bool]
-
-
-class LocalSIDTable:
-    """Table of locally instantiated segment identifiers.
-
-    In SRv6 terms this is the "My Local SID table": when a packet's
-    destination matches one of these addresses, the associated behaviour
-    runs (e.g. the Service Hunting accept-or-forward function of the
-    server virtual router).
-    """
-
-    def __init__(self) -> None:
-        self._behaviors: Dict[IPv6Address, LocalSIDBehavior] = {}
-
-    def register(self, sid: IPv6Address, behavior: LocalSIDBehavior) -> None:
-        """Bind ``behavior`` to ``sid``; re-registration overwrites."""
-        self._behaviors[sid] = behavior
-
-    def lookup(self, address: IPv6Address) -> Optional[LocalSIDBehavior]:
-        """The behaviour bound to ``address``, or ``None``."""
-        return self._behaviors.get(address)
-
-    def __contains__(self, address: IPv6Address) -> bool:
-        return address in self._behaviors
-
-    def __len__(self) -> int:
-        return len(self._behaviors)
-
 
 class NetworkNode:
     """Base class for every addressable node in the simulated network.
@@ -94,10 +57,6 @@ class NetworkNode:
             if self._fabric is not None:
                 self._fabric.bind_address(address, self)
 
-    def owns(self, address: IPv6Address) -> bool:
-        """Whether the node owns ``address``."""
-        return address in self._addresses
-
     def attach(self, fabric: "LANFabric") -> None:
         """Attach the node to a fabric, binding all its addresses and ``send``."""
         self._fabric = fabric
@@ -124,7 +83,7 @@ class NetworkNode:
         raise RoutingError(f"node {self.name!r} is not attached to a fabric")
 
     def receive(self, packet: Packet) -> None:
-        """Entry point for a packet arriving over a link or an ECMP hop.
+        """Entry point for a packet arriving over the fabric or an ECMP hop.
 
         The fabric's per-destination arrival (``LANFabric.send``) inlines
         these two lines to save a frame per hop; keep them in step.

@@ -105,11 +105,6 @@ class SegmentRoutingHeader:
         """The segment currently being processed (the IPv6 destination)."""
         return self.segments[self.segments_left]
 
-    @property
-    def exhausted(self) -> bool:
-        """True once the final segment is active (``SegmentsLeft == 0``)."""
-        return self.segments_left == 0
-
     def traversal_order(self) -> Tuple[IPv6Address, ...]:
         """The full segment list, in the order segments are visited."""
         return tuple(reversed(self.segments))
@@ -136,13 +131,6 @@ class SegmentRoutingHeader:
             )
         self.segments_left = value
         return self.segments[value]
-
-    # ------------------------------------------------------------------
-    # sizing
-    # ------------------------------------------------------------------
-    def size_bytes(self) -> int:
-        """Wire size of the header, used for overhead accounting."""
-        return SRH_FIXED_SIZE + SRH_SEGMENT_SIZE * len(self.segments)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is SegmentRoutingHeader:

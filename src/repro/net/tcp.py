@@ -1,4 +1,4 @@
-"""Simplified TCP connection model.
+"""Simplified TCP for the client and server endpoints.
 
 The reproduction does not need byte-accurate TCP (no sequence numbers,
 congestion control or retransmission timers), but it does need the parts
@@ -9,23 +9,18 @@ of TCP that shape the paper's measurements:
 * the listen backlog with ``tcp_abort_on_overflow`` semantics (a RST is
   sent instead of silently dropping the SYN), because that is how the
   paper defines the saturation rate λ₀ and keeps SYN-retransmit delays
-  out of the response-time measurements;
-* a notion of connection state so clients and servers can detect
-  protocol violations in tests.
+  out of the response-time measurements.
 
-This module provides the connection state machine shared by the client
-and server endpoints; the endpoints themselves live in
-:mod:`repro.workload.client` and :mod:`repro.server.http_server`.
+This module holds the pieces the endpoints share: the HTTP port, the
+client's ephemeral-port allocator and a readable name for a segment's
+flags.  The endpoints themselves live in :mod:`repro.workload.client`
+and :mod:`repro.server.http_server`.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.errors import TCPError
-from repro.net.packet import FlowKey, TCPFlag
+from repro.net.packet import TCPFlag
 
 #: Well-known HTTP port used by the simulated application instances.
 HTTP_PORT = 80
@@ -33,80 +28,6 @@ HTTP_PORT = 80
 EPHEMERAL_PORT_BASE = 10_000
 #: Number of ephemeral ports before wrapping (per client address).
 EPHEMERAL_PORT_RANGE = 50_000
-
-
-class ConnectionState(enum.Enum):
-    """States of the simplified TCP state machine."""
-
-    CLOSED = "closed"
-    SYN_SENT = "syn_sent"
-    SYN_RECEIVED = "syn_received"
-    ESTABLISHED = "established"
-    FIN_WAIT = "fin_wait"
-    RESET = "reset"
-
-
-#: Transitions allowed by :meth:`TCPConnection.transition`.
-_ALLOWED_TRANSITIONS = {
-    ConnectionState.CLOSED: {
-        ConnectionState.SYN_SENT,
-        ConnectionState.SYN_RECEIVED,
-    },
-    ConnectionState.SYN_SENT: {
-        ConnectionState.ESTABLISHED,
-        ConnectionState.RESET,
-        ConnectionState.CLOSED,
-    },
-    ConnectionState.SYN_RECEIVED: {
-        ConnectionState.ESTABLISHED,
-        ConnectionState.RESET,
-        ConnectionState.CLOSED,
-    },
-    ConnectionState.ESTABLISHED: {
-        ConnectionState.FIN_WAIT,
-        ConnectionState.RESET,
-        ConnectionState.CLOSED,
-    },
-    ConnectionState.FIN_WAIT: {
-        ConnectionState.CLOSED,
-        ConnectionState.RESET,
-    },
-    ConnectionState.RESET: set(),
-}
-
-
-@dataclass
-class TCPConnection:
-    """One endpoint's view of a TCP connection.
-
-    The connection is identified by its forward-direction
-    :class:`~repro.net.packet.FlowKey` and tracks the timestamps that the
-    metrics pipeline cares about (when the connection was initiated, when
-    it became established, and when it was closed or reset).
-    """
-
-    flow_key: FlowKey
-    request_id: Optional[int] = None
-    state: ConnectionState = ConnectionState.CLOSED
-    opened_at: Optional[float] = None
-    established_at: Optional[float] = None
-    closed_at: Optional[float] = None
-
-    def transition(self, new_state: ConnectionState, at: Optional[float] = None) -> None:
-        """Move to ``new_state``, enforcing the simplified state machine."""
-        allowed = _ALLOWED_TRANSITIONS[self.state]
-        if new_state not in allowed:
-            raise TCPError(
-                f"illegal TCP transition {self.state.value} -> {new_state.value} "
-                f"for flow {self.flow_key}"
-            )
-        self.state = new_state
-        if new_state is ConnectionState.SYN_SENT and at is not None:
-            self.opened_at = at
-        if new_state is ConnectionState.ESTABLISHED and at is not None:
-            self.established_at = at
-        if new_state in (ConnectionState.CLOSED, ConnectionState.RESET) and at is not None:
-            self.closed_at = at
 
 
 class EphemeralPortAllocator:

@@ -21,7 +21,7 @@ __getattr__, __dir__, __all__ = exports(
             "ServerConnection",
             "ServerTransport",
         ),
-        "scoreboard": ("Scoreboard", "WorkerState"),
+        "scoreboard": ("Scoreboard",),
         "virtual_router": ("ServerNode",),
         "worker_pool": ("WorkerPool",),
     },

@@ -15,8 +15,8 @@ Two CPU models are provided:
 * :class:`FIFOCPU` — an ablation model where each core runs one job to
   completion (run-to-completion scheduling).
 
-Both expose the same interface: ``add_job(job_id, demand, on_complete)``
-plus cancellation, and both keep a busy-core-time integral so
+Both expose the same interface, ``add_job(job_id, demand, on_complete)``
+and ``set_speed``, and both keep a busy-core-time integral so
 experiments can report CPU utilization.
 """
 
@@ -88,9 +88,9 @@ class CPUModel:
             self.busy_core_seconds += elapsed * min(self.num_cores, active_jobs)
         self._last_accounting = now
 
-    def utilization(self, since: float = 0.0) -> float:
-        """Mean fraction of core capacity used since ``since``."""
-        horizon = self.simulator.now - since
+    def utilization(self) -> float:
+        """Mean fraction of core capacity used since time 0."""
+        horizon = self.simulator.now
         if horizon <= 0:
             return 0.0
         return self.busy_core_seconds / (horizon * self.num_cores)
@@ -105,10 +105,6 @@ class CPUModel:
         self, job_id: int, demand: float, on_complete: JobCompletionCallback
     ) -> None:
         """Submit a job requiring ``demand`` seconds of CPU time."""
-        raise NotImplementedError
-
-    def cancel_job(self, job_id: int) -> bool:
-        """Remove a job before completion; returns whether it existed."""
         raise NotImplementedError
 
     def set_speed(self, speed: float) -> None:
@@ -222,14 +218,6 @@ class ProcessorSharingCPU(CPUModel):
         self._jobs[job_id] = _Job(demand, demand, on_complete, self.simulator.clock._now)
         self._reschedule_completion()
 
-    def cancel_job(self, job_id: int) -> bool:
-        if job_id not in self._jobs:
-            return False
-        self._advance_progress()
-        del self._jobs[job_id]
-        self._reschedule_completion()
-        return True
-
     def set_speed(self, speed: float) -> None:
         if speed <= 0:
             raise ServerError(f"CPU speed must be positive, got {speed!r}")
@@ -328,21 +316,6 @@ class FIFOCPU(CPUModel):
                 lambda jid=job_id: self._complete(jid),
                 label=self._completion_label,
             )
-
-    def cancel_job(self, job_id: int) -> bool:
-        self._account_busy_time(len(self._running))
-        if job_id in self._running:
-            self._running.pop(job_id)
-            handle = self._running_events.pop(job_id, None)
-            if handle is not None:
-                handle.cancel()
-            self._dequeue_next()
-            return True
-        if job_id in self._queued_jobs:
-            self._queued_jobs.pop(job_id)
-            self._queue.remove(job_id)
-            return True
-        return False
 
 
 def make_cpu(

@@ -267,7 +267,7 @@ class HTTPServerInstance:
         """Have idle workers accept connections from the backlog (FIFO)."""
         workers = self.workers
         backlog = self.backlog
-        # Read directly: ``depth`` and ``has_idle_worker`` cost a call each.
+        # Read directly: ``depth`` and a free-worker check cost a call each.
         waiting = backlog._queue
         idle = workers._free_slots
         while waiting and idle:

@@ -15,14 +15,11 @@ Mirroring the real thing, the slot column is a flat ``array('B')`` of
 0/1 flags rather than a list of enum members: every request start and
 completion toggles a slot, and an unboxed byte store beats a list slot
 holding an enum reference both in time and in memory (one byte per
-worker instead of one pointer).  The :class:`WorkerState` enum remains
-the public vocabulary — :meth:`state_of` and friends translate at the
-API boundary.
+worker instead of one pointer).
 """
 
 from __future__ import annotations
 
-import enum
 from array import array
 from typing import Dict
 
@@ -30,14 +27,7 @@ from repro.errors import ServerError
 from repro.sim.clock import SimulationClock
 
 
-class WorkerState(enum.Enum):
-    """Per-slot worker state (a reduced version of Apache's states)."""
-
-    IDLE = "idle"
-    BUSY = "busy"
-
-
-#: Slot-column encoding of the two states.
+#: Slot-column encoding of a worker's two states.
 _IDLE = 0
 _BUSY = 1
 
@@ -126,14 +116,6 @@ class Scoreboard:
         """Highest number of simultaneously busy workers observed."""
         return self._peak_busy
 
-    def state_of(self, slot: int) -> WorkerState:
-        """State of an individual slot (as the public enum)."""
-        if not 0 <= slot < len(self._slots):
-            raise ServerError(
-                f"scoreboard slot {slot!r} out of range (0..{len(self._slots) - 1})"
-            )
-        return WorkerState.BUSY if self._slots[slot] else WorkerState.IDLE
-
     def snapshot(self) -> Dict[str, int]:
         """Flat numeric counters (the uniform telemetry-sampler API).
 
@@ -148,10 +130,10 @@ class Scoreboard:
             "peak_busy": self.peak_busy,
         }
 
-    def mean_busy(self, since: float = 0.0) -> float:
-        """Time-averaged number of busy workers since ``since``."""
+    def mean_busy(self) -> float:
+        """Time-averaged number of busy workers since time 0."""
         self._accumulate()
-        horizon = self._clock.now - since
+        horizon = self._clock.now
         if horizon <= 0:
             return 0.0
         return self._busy_time_integral / horizon

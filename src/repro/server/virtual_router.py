@@ -220,8 +220,9 @@ class ServerNode(NetworkNode):
             raise SegmentRoutingError(
                 "load balancer and client addresses must differ in the reply path"
             )
-        # build_steering_reply_path in RFC order; the server's own segment
-        # is already "traversed", so the load balancer is the active one.
+        # Traversal server -> load balancer -> client, stored in RFC
+        # (reverse) order; the server's own segment is already
+        # "traversed", so the load balancer is the active one.
         srh = SegmentRoutingHeader([client, load_balancer, self._addresses[0]], 1)
         # Built positionally: a class call with keywords allocates a dict.
         packet = Packet(

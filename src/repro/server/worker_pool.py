@@ -51,11 +51,6 @@ class WorkerPool:
         """Number of workers available to accept a connection."""
         return self.num_workers - self.busy_workers
 
-    @property
-    def has_idle_worker(self) -> bool:
-        """Whether at least one worker is available."""
-        return bool(self._free_slots)
-
     def acquire(self) -> Optional[int]:
         """Reserve a worker; returns its slot index, or ``None`` if all busy."""
         if not self._free_slots:

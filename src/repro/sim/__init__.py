@@ -12,7 +12,7 @@ __getattr__, __dir__, __all__ = exports(
     __name__,
     {
         "clock": ("SimulationClock",),
-        "engine": ("EventHandle", "PeriodicTask", "Simulator", "exponential_delay"),
+        "engine": ("EventHandle", "PeriodicTask", "Simulator"),
         "random_streams": ("RandomStreams",),
     },
 )

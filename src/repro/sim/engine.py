@@ -106,11 +106,6 @@ class EventHandle:
         """Human-readable label given at scheduling time."""
         return self._entry[4]
 
-    @property
-    def cancelled(self) -> bool:
-        """Whether the event has been cancelled."""
-        return self._entry[3] is _CANCELLED
-
     def cancel(self) -> None:
         """Prevent the event from firing.
 
@@ -525,14 +520,3 @@ class PeriodicTask:
             self._handle = self.simulator.schedule_in(
                 self.interval, self._tick, self.label
             )
-
-
-def exponential_delay(rng: Any, mean: float) -> float:
-    """Draw an exponentially distributed delay with the given mean.
-
-    Thin wrapper used throughout the workload generators so the
-    distribution used for "exponential" is defined in exactly one place.
-    """
-    if mean <= 0:
-        raise SimulationError(f"exponential mean must be positive, got {mean!r}")
-    return float(rng.exponential(mean))

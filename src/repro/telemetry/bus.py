@@ -135,7 +135,7 @@ class TelemetryBus:
     """Registry of named streaming series, one ring buffer each.
 
     Series are created lazily on first :meth:`record` (or explicitly via
-    :meth:`counter`/:meth:`gauge`), in a stable insertion order that the
+    :meth:`gauge`), in a stable insertion order that the
     payload export preserves.  Recording is read-only with respect to
     the simulation: no RNG, no scheduled events, no node state.
     """
@@ -158,10 +158,6 @@ class TelemetryBus:
                 f"series {name!r} is a {series.kind}, not a {kind}"
             )
         return series
-
-    def counter(self, name: str, tier: str = "") -> TelemetrySeries:
-        """Get or create a cumulative counter series."""
-        return self._declare(name, "counter", tier)
 
     def gauge(self, name: str, tier: str = "") -> TelemetrySeries:
         """Get or create an instantaneous gauge series."""

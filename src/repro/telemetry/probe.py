@@ -217,22 +217,18 @@ class TelemetryProbe:
         )
 
 
-def attach_telemetry(
-    testbed: Any,
-    interval: Optional[float] = None,
-    capacity: Optional[int] = None,
-) -> TelemetryProbe:
+def attach_telemetry(testbed: Any) -> TelemetryProbe:
     """Create, start and register a probe on ``testbed``.
 
     Also points the traffic generator's ``flight_recorder`` at the
     probe's recorder so client retransmission/give-up events feed the
-    black box.  Interval/capacity default to the runtime's environment
+    black box.  Interval and capacity come from the runtime's environment
     knobs so ``jobs`` and partition workers sample identically.
     """
     probe = TelemetryProbe(
         testbed,
-        interval=interval if interval is not None else runtime.sampling_interval(),
-        capacity=capacity if capacity is not None else runtime.ring_capacity(),
+        interval=runtime.sampling_interval(),
+        capacity=runtime.ring_capacity(),
     )
     testbed.telemetry = probe
     testbed.client.flight_recorder = probe.recorder

@@ -24,8 +24,15 @@ from repro.telemetry.bus import TelemetryPayload
 _BLOCKS = "▁▂▃▄▅▆▇█"
 
 
-def sparkline(values: Sequence[float], width: int = 32) -> str:
-    """A block-character sparkline of ``values``, at most ``width`` wide."""
+#: Widest sparkline, in characters; longer series are bucket-averaged.
+SPARKLINE_WIDTH = 32
+#: Size, in pixels, of a dashboard chart.
+_CHART_WIDTH, _CHART_HEIGHT = 360, 64
+
+
+def sparkline(values: Sequence[float]) -> str:
+    """A block-character sparkline of ``values``, at most :data:`SPARKLINE_WIDTH` wide."""
+    width = SPARKLINE_WIDTH
     data = np.asarray(list(values), dtype=np.float64)
     data = data[np.isfinite(data)]
     if data.size == 0:
@@ -79,9 +86,9 @@ def render_summary(payload: TelemetryPayload, title: str = "") -> str:
     return "\n".join(lines)
 
 
-def _svg_chart(times: np.ndarray, values: np.ndarray, width: int = 360,
-               height: int = 64) -> str:
+def _svg_chart(times: np.ndarray, values: np.ndarray) -> str:
     """One inline SVG polyline chart for a series."""
+    width, height = _CHART_WIDTH, _CHART_HEIGHT
     if values.size == 0:
         return f'<svg width="{width}" height="{height}"></svg>'
     t_low, t_high = float(times.min()), float(times.max())

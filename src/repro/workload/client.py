@@ -503,7 +503,7 @@ class TrafficGeneratorNode(NetworkNode):
         if self.collector is not None:
             self.collector.record(pending.outcome)
 
-    def sweep_unfinished(self, reason: str = "unfinished at end of run") -> int:
+    def sweep_unfinished(self) -> int:
         """Record every still-pending query as a failed outcome.
 
         Called at the end of a run so that queries whose SYN (or final
@@ -514,7 +514,7 @@ class TrafficGeneratorNode(NetworkNode):
         swept = list(self._pending.values())
         for pending in swept:
             pending.outcome.gave_up = True
-            self._finish(pending, failed=True, reason=reason)
+            self._finish(pending, failed=True, reason="unfinished at end of run")
         self.queries_swept += len(swept)
         return len(swept)
 

@@ -132,10 +132,6 @@ class DiurnalWorkload:
             phases.append(RatePhase(duration=step, rate=max(rate, self.min_rate)))
         return phases
 
-    def expected_queries(self) -> float:
-        """Expected arrivals over the schedule (noiseless approximation)."""
-        return self.mean_rate * self.duration
-
     def generate(self, rng: np.random.Generator) -> Trace:
         """Generate the trace: noise draws first, then per-phase arrivals.
 

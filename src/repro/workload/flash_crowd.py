@@ -75,10 +75,6 @@ class SteppedPoissonWorkload:
         """Length of the whole schedule, in seconds."""
         return sum(phase.duration for phase in self.phases)
 
-    def expected_queries(self) -> float:
-        """Expected number of arrivals over the schedule."""
-        return sum(phase.duration * phase.rate for phase in self.phases)
-
     def generate(self, rng: np.random.Generator) -> Trace:
         """Generate the trace of arrivals and CPU demands.
 

@@ -352,14 +352,12 @@ def spoofed_source_flows(
     vip: IPv6Address,
     source_addresses: Sequence[IPv6Address],
     num_flows: int,
-    first_port: int = EPHEMERAL_PORT_BASE,
-    dst_port: int = HTTP_PORT,
 ) -> Tuple[FlowKey, ...]:
-    """Deterministic spoofed flow keys cycling over a source pool.
+    """Deterministic spoofed flow keys to the VIP's HTTP port.
 
     Consecutive flows rotate through the spoofed sources (source churn),
-    bumping the port every full rotation, so no 5-tuple repeats until
-    the pool is exhausted.
+    bumping the source port (from the ephemeral base) every full
+    rotation, so no 5-tuple repeats until the pool is exhausted.
     """
     if not source_addresses:
         raise WorkloadError("spoofed_source_flows needs at least one source")
@@ -368,8 +366,8 @@ def spoofed_source_flows(
     flows = []
     for index in range(num_flows):
         src = source_addresses[index % len(source_addresses)]
-        port = first_port + (index // len(source_addresses)) % EPHEMERAL_PORT_RANGE
-        flows.append(FlowKey(src, port, vip, dst_port))
+        port = EPHEMERAL_PORT_BASE + (index // len(source_addresses)) % EPHEMERAL_PORT_RANGE
+        flows.append(FlowKey(src, port, vip, HTTP_PORT))
     return tuple(flows)
 
 

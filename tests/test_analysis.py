@@ -3,9 +3,7 @@
 import pytest
 
 from repro.analysis.power_of_choices import (
-    compare_choices,
     improvement_over_random,
-    marginal_benefit,
     mean_queue_length,
     mean_time_in_system,
     tail_probabilities,
@@ -49,19 +47,11 @@ class TestSupermarketModel:
     def test_mean_queue_length_positive(self):
         assert mean_queue_length(0.7, 2) > 0
 
-    def test_marginal_benefit_is_dominated_by_first_step(self):
-        benefits = marginal_benefit(0.9, max_choices=5)
-        assert benefits[0] > benefits[1] > benefits[2]
-
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ReproError):
             tail_probabilities(1.2, 2)
         with pytest.raises(ReproError):
             tail_probabilities(0.5, 0)
-        with pytest.raises(ReproError):
-            marginal_benefit(0.5, max_choices=1)
-        with pytest.raises(ReproError):
-            compare_choices(0.5, [])
 
 
 class TestMMc:

@@ -1,84 +1,365 @@
-"""What ``src/`` keeps: a name that something in ``src/`` reaches, and one
-way to run a family.
+"""What ``src/`` keeps: a name that code in ``src/`` reaches, a parameter
+that some caller passes, and one way to run a family.
 
-The census counts, for every top-level function and class and every
-method of a top-level class, the whole-word occurrences of its name in
-the text of ``src/``.  A name seen once — at its own definition — is run
-by nothing in the package: it is deleted, moved into the test that uses
-it, or listed in :data:`ALLOWED` with the reason it stays.
+**Names.**  For every top-level function and class and every method of a
+top-level class, the census looks for a *code* reference in ``src/``
+outside the definition itself: an AST ``Name`` or ``Attribute`` load, or
+a ``from ... import`` of it, matched by bare name.  Docstrings, comments
+and the packages' lazy export tables are strings, so they do not count.
+Neither does a reference made only from inside a definition the census
+has already found dead: it runs to a fixed point, so a helper that only
+a dead class calls is reported with the class.  A reported name is
+deleted together with the tests that test only it, or listed in
+:data:`ALLOWED` under one of the :data:`REASONS`.
+
+**Knobs.**  A defaulted parameter of a function or method in ``src/``
+that no call in ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``
+passes — by keyword, by position, or through ``*``/``**`` — is a knob
+nobody turns: it becomes a constant or is inlined.  Calls are matched by
+the callee's bare name (a call of the class or a subclass, ``cls(...)``
+in the class body and any ``__init__(...)`` call match a class's
+``__init__``), so a knob reported here is confirmed by a grep before it
+goes.
+
+``python tests/test_code_census.py`` (``make census``) prints both
+reports, with where each unreferenced name is still reached outside
+``src/``.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import pathlib
-import re
-from collections import Counter
+from collections import defaultdict
 
 import repro
 from repro.experiments.scenario import ScenarioSpec
 
 SRC = pathlib.Path(repro.__file__).parent
+ROOT = SRC.parents[1]
+PERF = ROOT / "benchmarks" / "perf"
 
-#: Definitions nothing in ``src/`` names, and why each stays.
+#: The only reasons a definition nothing in ``src/`` reaches may stay.
+EXAMPLES = "the examples' public API"
+SMOKE = "the smoke_config protocol"
+CLOSED_FORM = "a closed form the claims ledger will give a caller"
+REACHED_BY_PERF = "reached by benchmarks/perf; it goes with the benchmark's next edition"
+HOT_PATH = "reads a counter the replay hot path keeps; the two leave together"
+GOLDENS = "the chaos goldens' fingerprint"
+REASONS = (EXAMPLES, SMOKE, CLOSED_FORM, REACHED_BY_PERF, HOT_PATH, GOLDENS)
+
+#: Definitions nothing in ``src/`` reaches, and why each stays: one of
+#: :data:`REASONS`, then where.  An override of a listed method shares
+#: its entry (every family's ``smoke_config``).
 ALLOWED = {
-    "BatchFrame": "benchmarks/perf times its pickling (net.frame_roundtrip_ns_per_item)",
-    "Simulator.batch_stats": "benchmarks/perf/tracing.py reads it (sim.batch_mean_size)",
-    "Scoreboard.mark_idle": "benchmarks/perf/micro.py times it (server.scoreboard_toggle_ns)",
+    "register_policy": (EXAMPLES, "examples/custom_policy.py"),
+    "ApplicationAgent.estimated_cpu_load": (EXAMPLES, "examples/custom_policy.py"),
+    "format_comparison": (EXAMPLES, "examples/poisson_sweep.py"),
+    "classify_segment": (EXAMPLES, "examples/service_hunting_walkthrough.py"),
+    "LANFabric.add_tap": (EXAMPLES, "examples/service_hunting_walkthrough.py"),
+    "RequestOutcome.response_time": (EXAMPLES, "examples/service_hunting_walkthrough.py"),
+    "ScenarioSpec.smoke_config": (SMOKE, "every test that runs a family small"),
+    "mmc_metrics": (CLOSED_FORM, "FIFOCPU with c cores against M/M/c"),
+    "mmck_blocking_probability": (CLOSED_FORM, "finite backlog against M/M/c/K"),
+    "improvement_over_random": (CLOSED_FORM, "d-of-n SRc against the supermarket model"),
+    "StaticLoadView": (REACHED_BY_PERF, "micro.py"),
+    "BatchFrame": (REACHED_BY_PERF, "micro.py, workloads.py"),
+    "SinkDelivery.deliver": (REACHED_BY_PERF, "micro.py"),
+    "DeliveryChannel.deliver": (REACHED_BY_PERF, "micro.py"),
+    "make_syn": (REACHED_BY_PERF, "micro.py"),
+    "LANFabric.resolve": (REACHED_BY_PERF, "run.py"),
+    "Scoreboard.mark_busy": (REACHED_BY_PERF, "micro.py"),
+    "Scoreboard.mark_idle": (REACHED_BY_PERF, "micro.py"),
+    "Simulator.batch_stats": (REACHED_BY_PERF, "tracing.py"),
+    "Scoreboard.mean_busy": (HOT_PATH, "the busy-time integral, kept on every toggle"),
+    "StaticThresholdPolicy.acceptance_ratio": (HOT_PATH, "the accept counters, kept per offer"),
     "LANFabric.detach_node": (
-        "the only writer of packets_dropped_sink_detached, a fabric drop reason "
-        "and telemetry series"
+        HOT_PATH,
+        "the only writer of fabric.packets_dropped_sink_detached, whose check "
+        "every hop runs; the drop reason is settled with the counter set",
     ),
-    "LANFabric.add_tap": (
-        "the packet hook examples/service_hunting_walkthrough.py prints the hunt with"
-    ),
-    "Scoreboard.mean_busy": (
-        "reads the busy-time integral the replay hot path keeps on every toggle; "
-        "the two leave together, in a hot-path change"
-    ),
-    "StaticThresholdPolicy.acceptance_ratio": (
-        "reads the accept counters the replay hot path keeps per offer; "
-        "the two leave together, in a hot-path change"
-    ),
+    "outcome_fingerprint": (GOLDENS, "tests/test_scenario_golden.py, benchmarks/bench_chaos.py"),
 }
+
+#: Defaulted parameters nothing passes, and why each stays.
+ALLOWED_KNOBS = {
+    "make_syn(created_at=)": (REACHED_BY_PERF, "micro.py"),
+    "PacketPool.acquire_segment(payload_size=)": (REACHED_BY_PERF, "micro.py, via make_syn"),
+}
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _sources():
     return {path: path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))}
 
 
-def _definitions(tree):
-    """``(qualified name, bare name)`` of the census's definitions."""
-    for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+@functools.lru_cache(maxsize=None)
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _python_files(*roots):
+    return [path for root in roots for path in sorted(root.rglob("*.py"))]
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _referenced_name(node):
+    """The bare names ``node`` loads or imports."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return (node.id,)
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return (node.attr,)
+    if isinstance(node, ast.ImportFrom):
+        return tuple(alias.name for alias in node.names)
+    return ()
+
+
+def _walk(tree):
+    """``(definitions, references)`` of one module.
+
+    ``definitions`` maps the qualified name of every top-level function or
+    class and every method of a top-level class to its node;
+    ``references`` pairs each bare name the code loads with the chain of
+    definitions whose own code holds the reference (empty at module level).
+    """
+    definitions, references = {}, []
+
+    def visit(node, chain, holds_definitions):
+        for child in ast.iter_child_nodes(node):
+            if holds_definitions and isinstance(child, _DEFINITIONS):
+                qualified = ".".join((*chain, child.name))
+                definitions[qualified] = child
+                is_class = isinstance(child, ast.ClassDef) and not chain
+                visit(child, (*chain, child.name), is_class)
+                continue
+            owners = tuple(".".join(chain[: depth + 1]) for depth in range(len(chain)))
+            references.extend((name, owners) for name in _referenced_name(child))
+            visit(child, chain, False)
+
+    visit(tree, (), True)
+    return definitions, references
+
+
+@functools.lru_cache(maxsize=None)
+def _src_census():
+    """Every census definition of ``src/`` and the references that can keep it."""
+    definitions, references, bases = {}, defaultdict(list), {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = str(path.relative_to(SRC))
+        found, refs = _walk(_tree(path))
+        for qualified, node in found.items():
+            definitions[(module, qualified)] = node
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for name, owners in refs:
+            references[name].append(frozenset((module, owner) for owner in owners))
+    return definitions, references, bases
+
+
+def _overridden(qualified, bases, listed):
+    """Whether ``qualified`` is, or overrides, a method in ``listed``."""
+    if qualified in listed:
+        return True
+    if "." not in qualified:
+        return False
+    owner, method = qualified.split(".", 1)
+    return any(_overridden(f"{base}.{method}", bases, listed) for base in bases.get(owner, ()))
+
+
+def unreferenced(allowed=ALLOWED):
+    """``{(module, qualified): node}`` of the definitions no live code reaches."""
+    definitions, references, bases = _src_census()
+    kept = {key for key in definitions if _overridden(key[1], bases, allowed)}
+    dead = set()
+    while True:
+        found = {
+            key
+            for key, node in definitions.items()
+            if key not in dead
+            and key not in kept
+            and not _is_dunder(node.name)
+            and not any(
+                key not in owners and not owners & dead for owners in references[node.name]
+            )
+        }
+        if not found:
+            return {key: definitions[key] for key in dead}
+        dead |= found
+
+
+def _unreferenced_names(allowed=ALLOWED):
+    return {qualified for _, qualified in unreferenced(allowed)}
+
+
+def _lines(node):
+    first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+    return node.end_lineno - first + 1
+
+
+# ----------------------------------------------------------------------
+# knobs
+# ----------------------------------------------------------------------
+def _call_signature(call, args):
+    return (
+        sum(not isinstance(arg, ast.Starred) for arg in args),
+        any(isinstance(arg, ast.Starred) for arg in args)
+        or any(keyword.arg is None for keyword in call.keywords),
+        frozenset(keyword.arg for keyword in call.keywords if keyword.arg),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _call_sites():
+    """Bare callee name → ``(positional count, splat, keywords)`` of every call."""
+    roots = [ROOT / folder for folder in ("src", "tests", "benchmarks", "examples")]
+    sites = defaultdict(list)
+    for path in _python_files(*roots):
+        tree = _tree(path)
+        own_class = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for call in ast.walk(node):
+                    own_class[id(call)] = node.name
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func, args = call.func, call.args
+            if isinstance(func, ast.Name) and func.id == "partial" and args:
+                func, args = args[0], args[1:]
+            if isinstance(func, ast.Name):
+                name = own_class.get(id(call), "cls") if func.id == "cls" else func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            sites[name].append(_call_signature(call, args))
+    return sites
+
+
+def _defaulted(function, bound):
+    """``(name, position or None)`` of each defaulted parameter."""
+    spec = function.args
+    positional = [*spec.posonlyargs, *spec.args][1 if bound else 0 :]
+    for index, arg in enumerate(positional[len(positional) - len(spec.defaults) :]):
+        yield arg.arg, len(positional) - len(spec.defaults) + index
+    for arg, default in zip(spec.kwonlyargs, spec.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def unpassed(allowed=ALLOWED_KNOBS):
+    """``{"qualified(param=)": (module, line)}`` of the knobs nothing turns."""
+    definitions, _, bases = _src_census()
+    subclasses = defaultdict(set)
+    for name, parents in bases.items():
+        for parent in parents:
+            subclasses[parent].add(name)
+    sites = _call_sites()
+    found = {}
+    for (module, qualified), node in definitions.items():
+        if not isinstance(node, _FUNCTIONS) or (_is_dunder(node.name) and node.name != "__init__"):
             continue
-        yield node.name, node.name
-        if isinstance(node, ast.ClassDef):
-            for child in node.body:
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    yield f"{node.name}.{child.name}", child.name
+        owner = qualified.split(".")[0] if "." in qualified else None
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        callees = {node.name}
+        if node.name == "__init__":
+            family, todo = set(), [owner]
+            while todo:
+                cls = todo.pop()
+                if cls not in family:
+                    family.add(cls)
+                    todo.extend(subclasses[cls])
+            callees |= family
+        calls = [site for callee in callees for site in sites[callee]]
+        for param, position in _defaulted(node, bound=owner is not None and not static):
+            key = f"{qualified}({param}=)"
+            if key in allowed:
+                continue
+            if not any(
+                splat or param in keywords or (position is not None and count > position)
+                for count, splat, keywords in calls
+            ):
+                found[key] = (module, node.lineno)
+    return found
 
 
-def _unreferenced():
-    sources = _sources()
-    words = Counter()
-    for text in sources.values():
-        words.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
-    return {
-        qualified
-        for text in sources.values()
-        for qualified, name in _definitions(ast.parse(text))
-        if not (name.startswith("__") and name.endswith("__")) and words[name] == 1
-    }
-
-
+# ----------------------------------------------------------------------
+# the census
+# ----------------------------------------------------------------------
 def test_src_keeps_no_name_that_nothing_runs():
-    assert _unreferenced() - set(ALLOWED) == set()
+    assert sorted(_unreferenced_names()) == []
 
 
-def test_every_allow_listed_name_is_still_unreferenced():
-    # A name that gained a caller leaves the list.
-    assert set(ALLOWED) <= _unreferenced()
+def test_src_keeps_no_knob_that_nothing_turns():
+    assert sorted(unpassed()) == []
+
+
+def test_every_allow_listed_name_needs_its_entry():
+    # A name that gained a caller (or whose only caller is itself listed)
+    # leaves the list.
+    for name in ALLOWED:
+        assert name in _unreferenced_names({n: r for n, r in ALLOWED.items() if n != name}), name
+    assert set(ALLOWED_KNOBS) <= set(unpassed(allowed={}))
+
+
+def test_every_allow_list_entry_gives_a_listed_reason():
+    for name, (reason, _where) in {**ALLOWED, **ALLOWED_KNOBS}.items():
+        assert reason in REASONS, name
+
+
+def test_the_census_counts_code_not_text():
+    # A docstring mention, a comment or an export-table row keeps nothing.
+    tree = ast.parse(
+        '"""dead() is documented here."""\n'
+        "TABLE = ('dead',)  # dead\n"
+        "def dead():\n    return dead()\n"
+        "def live():\n    return 1\n"
+        "VALUE = live()\n"
+    )
+    definitions, references = _walk(tree)
+    assert set(definitions) == {"dead", "live"}
+    assert ("live", ()) in references
+    assert [owners for name, owners in references if name == "dead"] == [("dead",)]
+
+
+# ----------------------------------------------------------------------
+# the frozen benchmark's imports
+# ----------------------------------------------------------------------
+def _perf_imports():
+    for path in _python_files(PERF):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+
+
+def test_every_repro_import_of_the_frozen_benchmark_resolves():
+    import importlib
+
+    imports = list(_perf_imports())
+    assert imports
+    for where, module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"{where}: {module}.{name}"
+
+
+def test_every_name_allowed_for_the_benchmark_is_one_it_references():
+    referenced = {
+        name
+        for path in _python_files(PERF)
+        for node in ast.walk(_tree(path))
+        for name in _referenced_name(node)
+    }
+    for entry, (reason, _where) in {**ALLOWED, **ALLOWED_KNOBS}.items():
+        if reason == REACHED_BY_PERF:
+            # The name itself, or (for a method) its class.
+            names = entry.split("(")[0].split(".")
+            assert {names[0], names[-1]} & referenced, entry
 
 
 # ----------------------------------------------------------------------
@@ -145,3 +426,68 @@ def test_every_built_testbed_is_released_by_a_with_block():
             callers.append(where)
             assert id(call) in released, f"{where} builds a testbed outside a with block"
     assert len(callers) >= 11  # every family, the scale pod and calibration
+
+
+# ----------------------------------------------------------------------
+# the report (``make census``)
+# ----------------------------------------------------------------------
+_OUTSIDE = (
+    ("tests", (ROOT / "tests",)),
+    ("benchmarks/perf", (PERF,)),
+    ("benchmarks", (ROOT / "benchmarks",)),
+    ("examples", (ROOT / "examples",)),
+)
+
+
+def _reached_outside():
+    """Bare name → the places outside ``src/`` whose code references it."""
+    reached = defaultdict(list)
+    for label, roots in _OUTSIDE:
+        for path in _python_files(*roots):
+            if label == "benchmarks" and PERF in path.parents:
+                continue
+            for node in ast.walk(_tree(path)):
+                for name in _referenced_name(node):
+                    if label not in reached[name]:
+                        reached[name].append(label)
+    return reached
+
+
+def report():
+    """The census as text: unreferenced names (listed or not) and unturned knobs."""
+    reached = _reached_outside()
+    found = unreferenced(allowed={})
+    # A class's methods go with it; report the class only.
+    shown = {
+        key: node
+        for key, node in found.items()
+        if "." not in key[1] or (key[0], key[1].split(".")[0]) not in found
+    }
+    rows = {"not allow-listed": [], "allow-listed": []}
+    kept = _unreferenced_names()
+    for (module, qualified), node in sorted(shown.items()):
+        entry = ALLOWED.get(qualified)
+        if entry is None and qualified not in kept:
+            # Alive through an allow-listed caller: not the census's to report.
+            continue
+        group = "allow-listed" if qualified not in kept else "not allow-listed"
+        where = ", ".join(reached.get(node.name, [])) or "nowhere"
+        line = f"  {module}:{node.lineno} {qualified} ({_lines(node)} lines); reached from {where}"
+        if entry is not None:
+            line += f"\n      {entry[0]}: {entry[1]}"
+        rows[group].append(line)
+    lines = []
+    for group, group_rows in rows.items():
+        lines.append(f"Definitions nothing in src/ reaches, {group} ({len(group_rows)}):")
+        lines.extend(group_rows or ["  (none)"])
+    knobs = unpassed(allowed={})
+    lines.append(f"Defaulted parameters nothing passes ({len(knobs)}):")
+    for key, (module, line) in sorted(knobs.items(), key=lambda item: item[1]):
+        entry = ALLOWED_KNOBS.get(key)
+        suffix = f" [{entry[0]}: {entry[1]}]" if entry else ""
+        lines.append(f"  {module}:{line} {key}{suffix}")
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    print(report())

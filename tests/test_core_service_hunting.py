@@ -1,7 +1,5 @@
 """Unit tests for the Service Hunting decision engine (Algorithms 1 and 2)."""
 
-import pytest
-
 from repro.core.agent import ApplicationAgent, StaticLoadView
 from repro.core.policies import (
     AlwaysAcceptPolicy,
@@ -9,12 +7,7 @@ from repro.core.policies import (
     NeverAcceptPolicy,
     StaticThresholdPolicy,
 )
-from repro.core.service_hunting import (
-    HuntingDecision,
-    ServiceHuntingProcessor,
-    build_steering_reply_path,
-)
-from repro.errors import SegmentRoutingError
+from repro.core.service_hunting import HuntingDecision, ServiceHuntingProcessor
 from repro.net.addressing import IPv6Address
 from repro.net.packet import make_syn
 from repro.net.srh import SegmentRoutingHeader
@@ -26,7 +19,6 @@ def _addr(text):
 
 CLIENT = _addr("fd00:200::1")
 VIP = _addr("fd00:300::1")
-LB = _addr("fd00:400::1")
 SERVER1 = _addr("fd00:100::1")
 SERVER2 = _addr("fd00:100::2")
 SERVER3 = _addr("fd00:100::3")
@@ -100,7 +92,7 @@ class TestOptionalDecision:
         processor = _processor(AlwaysAcceptPolicy())
         packet = _hunting_packet([SERVER1])
         processor.process(packet)
-        assert packet.srh.exhausted
+        assert packet.srh.segments_left == 0
         assert processor.process(packet) is HuntingDecision.NOT_APPLICABLE
 
 
@@ -130,13 +122,3 @@ class TestDynamicPolicyEndToEnd:
             processor.process(_hunting_packet([SERVER1, SERVER2]))
         # Every optional offer was refused, so SRdyn must have raised c.
         assert policy.threshold > 1
-
-
-class TestSteeringReplyPath:
-    def test_path_order(self):
-        path = build_steering_reply_path(SERVER2, LB, CLIENT)
-        assert path == [SERVER2, LB, CLIENT]
-
-    def test_lb_equal_client_rejected(self):
-        with pytest.raises(SegmentRoutingError):
-            build_steering_reply_path(SERVER2, CLIENT, CLIENT)

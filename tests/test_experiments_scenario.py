@@ -365,11 +365,10 @@ class TestSteppedPoissonWorkload:
         trace = workload.generate(np.random.default_rng(11))
         assert all(0.0 < r.arrival_time < 4.0 for r in trace)
 
-    def test_expected_queries(self):
+    def test_total_duration(self):
         workload = SteppedPoissonWorkload(
             phases=(RatePhase(10.0, 50.0), RatePhase(2.0, 100.0))
         )
-        assert workload.expected_queries() == pytest.approx(700.0)
         assert workload.total_duration == pytest.approx(12.0)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import ReproError
 from repro.metrics.binning import TimeBinner
 from repro.metrics.collector import ResponseTimeCollector, ServerLoadSampler
-from repro.metrics.reporting import format_comparison, format_series, format_table
+from repro.metrics.reporting import format_comparison, format_table
 from repro.workload.client import RequestOutcome
 
 
@@ -155,12 +155,6 @@ class TestResponseTimeCollector:
         assert bins[0].count == 1
         assert bins[1].count == 1
 
-    def test_failures_listing(self):
-        collector = ResponseTimeCollector()
-        collector.record(_outcome(1, 0.0, 0.2, failed=True))
-        assert len(collector.failures()) == 1
-        assert collector.failures(kind="wiki")[0].request_id == 1
-
     def test_columns_are_dense_and_in_record_order(self):
         collector = ResponseTimeCollector()
         collector.record(_outcome(7, 1.0, 0.25))
@@ -235,13 +229,6 @@ class TestReporting:
     def test_format_table_rejects_empty_headers(self):
         with pytest.raises(ReproError):
             format_table([], [])
-
-    def test_format_series(self):
-        text = format_series(
-            "rho", {"RR": [1.0, 2.0], "SR4": [0.5, 1.0]}, x_values=[0.5, 0.9]
-        )
-        assert "rho" in text
-        assert "RR" in text and "SR4" in text
 
     def test_format_comparison_shows_improvement_factor(self):
         text = format_comparison("mean (s)", "RR", 1.0, {"SR4": 0.5})

@@ -7,13 +7,10 @@ import pytest
 
 from repro.errors import ReproError
 from repro.metrics.ewma import EWMAFilter, alpha_from_interval, smooth_series, smooth_timeseries
-from repro.metrics.fairness import jain_fairness_index, min_max_ratio
+from repro.metrics.fairness import jain_fairness_index
 from repro.metrics.stats import (
     cdf_at,
     deciles,
-    empirical_cdf,
-    improvement_factor,
-    mean_or_nan,
     median_or_nan,
     percentile,
     quartiles,
@@ -35,12 +32,6 @@ class TestSummaryStatistics:
             summarize([])
 
 class TestCDF:
-    def test_empirical_cdf_is_monotone_and_ends_at_one(self):
-        x, p = empirical_cdf([3.0, 1.0, 2.0])
-        assert list(x) == [1.0, 2.0, 3.0]
-        assert p[-1] == pytest.approx(1.0)
-        assert all(p[i] <= p[i + 1] for i in range(len(p) - 1))
-
     def test_cdf_at_thresholds(self):
         values = [0.1, 0.2, 0.3, 0.4]
         assert cdf_at(values, [0.25]) == [pytest.approx(0.5)]
@@ -48,8 +39,6 @@ class TestCDF:
         assert cdf_at(values, [0.05]) == [pytest.approx(0.0)]
 
     def test_empty_rejected(self):
-        with pytest.raises(ReproError):
-            empirical_cdf([])
         with pytest.raises(ReproError):
             cdf_at([], [0.5])
 
@@ -75,15 +64,8 @@ class TestPercentiles:
         assert q1 < median < q3
 
     def test_nan_helpers(self):
-        assert math.isnan(mean_or_nan([]))
         assert math.isnan(median_or_nan([]))
-        assert mean_or_nan([2.0, 4.0]) == pytest.approx(3.0)
         assert median_or_nan([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-
-    def test_improvement_factor(self):
-        assert improvement_factor(1.0, 0.5) == pytest.approx(2.0)
-        with pytest.raises(ReproError):
-            improvement_factor(1.0, 0.0)
 
 
 class TestFairness:
@@ -113,12 +95,6 @@ class TestFairness:
             jain_fairness_index([1, -1])
         with pytest.raises(ReproError):
             jain_fairness_index([])
-
-    def test_min_max_ratio(self):
-        assert min_max_ratio([2, 4]) == pytest.approx(0.5)
-        assert min_max_ratio([0, 0]) == pytest.approx(1.0)
-        with pytest.raises(ReproError):
-            min_max_ratio([-1, 1])
 
 
 class TestEWMA:

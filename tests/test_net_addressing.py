@@ -12,7 +12,6 @@ from repro.net.addressing import (
     VIP_PREFIX,
     default_allocators,
     describe,
-    is_virtual_ip,
 )
 
 
@@ -132,10 +131,6 @@ class TestAllocator:
 
 
 class TestRoleHelpers:
-    def test_is_virtual_ip(self):
-        assert is_virtual_ip(IPv6Address.parse("fd00:300::1"))
-        assert not is_virtual_ip(IPv6Address.parse("fd00:100::1"))
-
     def test_describe_labels_roles(self):
         assert describe(IPv6Address.parse("fd00:100::1")).startswith("server:")
         assert describe(IPv6Address.parse("fd00:300::1")).startswith("vip:")

@@ -1,13 +1,12 @@
-"""Unit tests for the LAN fabric, links and the local SID table."""
+"""Unit tests for the LAN fabric."""
 
 import pytest
 
 from repro.errors import NetworkError, RoutingError
 from repro.net.addressing import IPv6Address
 from repro.net.fabric import LANFabric
-from repro.net.link import Link
 from repro.net.packet import make_syn
-from repro.net.router import LocalSIDTable, NetworkNode
+from repro.net.router import NetworkNode
 
 
 class RecordingNode(NetworkNode):
@@ -36,14 +35,6 @@ def fabric_setup(simulator):
     b.attach(fabric)
     return fabric, a, b
 
-
-class TestLocalSIDTable:
-    def test_register_and_lookup(self):
-        table = LocalSIDTable()
-        table.register(_addr("fd00:100::1"), lambda packet: True)
-        assert _addr("fd00:100::1") in table
-        assert table.lookup(_addr("fd00:100::1")) is not None
-        assert table.lookup(_addr("fd00:100::2")) is None
 
 class TestLANFabric:
     def test_delivery_by_exact_address(self, simulator, fabric_setup):
@@ -120,46 +111,6 @@ class TestLANFabric:
             node.send(make_syn(node.primary_address, _addr("fd00:100::2"), 1000, 80))
 
 
-class TestLink:
-    def test_infinite_bandwidth_delivers_after_latency(self, simulator):
-        a = RecordingNode(simulator, "a")
-        b = RecordingNode(simulator, "b")
-        link = Link(simulator, a, b, latency=0.002)
-        packet = make_syn(_addr("fd00::1"), _addr("fd00::2"), 1000, 80)
-        assert link.transmit(a, packet) is True
-        simulator.run()
-        assert len(b.received) == 1
-        assert simulator.now == pytest.approx(0.002)
-
-    def test_serialization_delay_with_finite_bandwidth(self, simulator):
-        a = RecordingNode(simulator, "a")
-        b = RecordingNode(simulator, "b")
-        # 1 Mbit/s: a 60-byte packet takes 480 microseconds to serialize.
-        link = Link(simulator, a, b, latency=0.0, bandwidth_bps=1e6)
-        link.transmit(a, make_syn(_addr("fd00::1"), _addr("fd00::2"), 1000, 80))
-        simulator.run()
-        assert simulator.now == pytest.approx(60 * 8 / 1e6)
-
-    def test_queue_overflow_drops(self, simulator):
-        a = RecordingNode(simulator, "a")
-        b = RecordingNode(simulator, "b")
-        link = Link(simulator, a, b, latency=0.0, bandwidth_bps=1e3, queue_capacity=2)
-        results = [
-            link.transmit(a, make_syn(_addr("fd00::1"), _addr("fd00::2"), 1000, 80))
-            for _ in range(4)
-        ]
-        assert results == [True, True, False, False]
-        assert link.stats[1].packets_dropped == 2
-
-    def test_foreign_sender_rejected(self, simulator):
-        a = RecordingNode(simulator, "a")
-        b = RecordingNode(simulator, "b")
-        c = RecordingNode(simulator, "c")
-        link = Link(simulator, a, b)
-        with pytest.raises(NetworkError):
-            link.transmit(c, make_syn(_addr("fd00::1"), _addr("fd00::2"), 1000, 80))
-
-
 class TestDetachAccounting:
     """The unified drop counters of the ISSUE's accounting satellite."""
 
@@ -214,47 +165,3 @@ class TestDetachAccounting:
         stranger = RecordingNode(simulator, "stranger")
         with pytest.raises(NetworkError):
             fabric.detach_node(stranger)
-
-    def test_link_send_after_detach_counts_sink_detached(self, simulator):
-        a = RecordingNode(simulator, "a")
-        b = RecordingNode(simulator, "b")
-        link = Link(simulator, a, b, latency=0.001)
-        link.detach(b)
-        assert link.transmit(a, make_syn(_addr("fd00::1"), _addr("fd00::2"), 1000, 80)) is False
-        stats = link.stats[1]
-        assert stats.packets_dropped == 1
-        assert stats.packets_dropped_sink_detached == 1
-        assert stats.packets_dropped_queue_full == 0
-
-    def test_link_detach_midflight_drops_on_arrival(self, simulator):
-        a = RecordingNode(simulator, "a")
-        b = RecordingNode(simulator, "b")
-        link = Link(simulator, a, b, latency=0.001)
-        assert link.transmit(a, make_syn(_addr("fd00::1"), _addr("fd00::2"), 1000, 80)) is True
-        link.detach(b)
-        simulator.run()
-        assert b.received == []
-        assert link.stats[1].packets_dropped_sink_detached == 1
-
-    def test_link_queue_full_and_detached_counted_separately(self, simulator):
-        a = RecordingNode(simulator, "a")
-        b = RecordingNode(simulator, "b")
-        link = Link(simulator, a, b, latency=0.0, bandwidth_bps=1e3, queue_capacity=1)
-        syn = lambda: make_syn(_addr("fd00::1"), _addr("fd00::2"), 1000, 80)
-        link.transmit(a, syn())
-        link.transmit(a, syn())  # tail-drop
-        link.detach(b)
-        link.transmit(a, syn())  # detached at send time
-        simulator.run()
-        stats = link.stats[1]
-        assert stats.packets_dropped_queue_full == 1
-        # One send-time drop plus the in-flight packet dropped on arrival.
-        assert stats.packets_dropped_sink_detached == 2
-        assert stats.packets_dropped == 3
-
-    def test_link_detach_foreign_node_rejected(self, simulator):
-        a = RecordingNode(simulator, "a")
-        b = RecordingNode(simulator, "b")
-        link = Link(simulator, a, b)
-        with pytest.raises(NetworkError):
-            link.detach(RecordingNode(simulator, "c"))

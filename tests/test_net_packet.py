@@ -4,16 +4,7 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net.addressing import IPv6Address
-from repro.net.packet import (
-    IPV6_HEADER_SIZE,
-    TCP_HEADER_SIZE,
-    FlowKey,
-    Packet,
-    TCPFlag,
-    TCPSegment,
-    make_syn,
-    reply_ports,
-)
+from repro.net.packet import FlowKey, Packet, TCPFlag, TCPSegment, make_syn
 from repro.net.srh import SegmentRoutingHeader
 
 
@@ -22,12 +13,6 @@ def _addr(text: str) -> IPv6Address:
 
 
 class TestTCPSegment:
-    def test_flag_queries(self):
-        segment = TCPSegment(src_port=1000, dst_port=80, flags=TCPFlag.SYN | TCPFlag.ACK)
-        assert segment.has(TCPFlag.SYN)
-        assert segment.has(TCPFlag.ACK)
-        assert not segment.has(TCPFlag.RST)
-
     def test_invalid_ports_rejected(self):
         with pytest.raises(NetworkError):
             TCPSegment(src_port=0, dst_port=80)
@@ -37,10 +22,6 @@ class TestTCPSegment:
     def test_negative_payload_rejected(self):
         with pytest.raises(NetworkError):
             TCPSegment(src_port=1000, dst_port=80, payload_size=-1)
-
-    def test_size_includes_payload(self):
-        segment = TCPSegment(src_port=1000, dst_port=80, payload_size=100)
-        assert segment.size_bytes() == TCP_HEADER_SIZE + 100
 
 
 class TestFlowKey:
@@ -65,7 +46,7 @@ class TestFlowKey:
 class TestPacket:
     def test_make_syn(self):
         packet = make_syn(_addr("fd00:200::1"), _addr("fd00:300::1"), 1234, 80, request_id=7)
-        assert packet.tcp.has(TCPFlag.SYN)
+        assert packet.tcp.flags == TCPFlag.SYN
         assert packet.tcp.request_id == 7
         assert packet.dst == _addr("fd00:300::1")
 
@@ -135,17 +116,6 @@ class TestPacket:
         assert packet.srh is None
         assert packet.dst == _addr("fd00:100::1")
 
-    def test_size_includes_srh(self):
-        packet = make_syn(_addr("fd00:200::1"), _addr("fd00:300::1"), 1234, 80)
-        base = packet.size_bytes()
-        packet.attach_srh(
-            SegmentRoutingHeader.from_traversal(
-                [_addr("fd00:100::1"), _addr("fd00:300::1")]
-            )
-        )
-        assert packet.size_bytes() > base
-        assert base == IPV6_HEADER_SIZE + TCP_HEADER_SIZE
-
     def test_copy_gets_new_id_and_independent_srh(self):
         packet = make_syn(_addr("fd00:200::1"), _addr("fd00:300::1"), 1234, 80)
         packet.attach_srh(
@@ -162,10 +132,6 @@ class TestPacket:
         first = make_syn(_addr("fd00:200::1"), _addr("fd00:300::1"), 1234, 80)
         second = make_syn(_addr("fd00:200::1"), _addr("fd00:300::1"), 1234, 80)
         assert first.packet_id != second.packet_id
-
-    def test_reply_ports(self):
-        packet = make_syn(_addr("fd00:200::1"), _addr("fd00:300::1"), 1234, 80)
-        assert reply_ports(packet) == (80, 1234)
 
     def test_describe_mentions_flags_and_endpoints(self):
         packet = make_syn(_addr("fd00:200::1"), _addr("fd00:300::1"), 1234, 80)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SegmentRoutingError
 from repro.net.addressing import IPv6Address
-from repro.net.srh import SRH_FIXED_SIZE, SRH_SEGMENT_SIZE, SegmentRoutingHeader
+from repro.net.srh import SegmentRoutingHeader
 
 
 def _addr(suffix: int) -> IPv6Address:
@@ -37,7 +37,7 @@ class TestConstruction:
 
     def test_single_segment_is_immediately_exhausted(self):
         srh = SegmentRoutingHeader.from_traversal([_addr(1)])
-        assert srh.exhausted
+        assert srh.segments_left == 0
         assert srh.active_segment == _addr(1)
 
 
@@ -46,7 +46,7 @@ class TestAdvance:
         srh = SegmentRoutingHeader.from_traversal([_addr(1), _addr(2), _addr(3)])
         assert srh.advance() == _addr(2)
         assert srh.advance() == _addr(3)
-        assert srh.exhausted
+        assert srh.segments_left == 0
 
     def test_advance_exhausted_raises(self):
         srh = SegmentRoutingHeader.from_traversal([_addr(1)])
@@ -58,7 +58,7 @@ class TestSetSegmentsLeft:
         srh = SegmentRoutingHeader.from_traversal([_addr(1), _addr(2), _addr(9)])
         new_active = srh.set_segments_left(0)
         assert new_active == _addr(9)
-        assert srh.exhausted
+        assert srh.segments_left == 0
 
     def test_segments_left_cannot_increase(self):
         srh = SegmentRoutingHeader.from_traversal([_addr(1), _addr(2), _addr(3)])
@@ -79,10 +79,6 @@ class TestMisc:
         srh.advance()
         assert clone.segments_left == 2
         assert srh.segments_left == 1
-
-    def test_size_accounts_for_each_segment(self):
-        srh = SegmentRoutingHeader.from_traversal([_addr(1), _addr(2), _addr(3)])
-        assert srh.size_bytes() == SRH_FIXED_SIZE + 3 * SRH_SEGMENT_SIZE
 
     def test_str_shows_traversal_order(self):
         srh = SegmentRoutingHeader.from_traversal([_addr(1), _addr(2)])

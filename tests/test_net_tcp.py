@@ -3,58 +3,9 @@
 import pytest
 
 from repro.errors import TCPError
-from repro.net.addressing import IPv6Address
-from repro.net.packet import FlowKey, TCPFlag
-from repro.net.tcp import (
-    ConnectionState,
-    EphemeralPortAllocator,
-    TCPConnection,
-    classify_segment,
-)
+from repro.net.packet import TCPFlag
+from repro.net.tcp import EphemeralPortAllocator, classify_segment
 
-
-def _flow_key() -> FlowKey:
-    return FlowKey(
-        IPv6Address.parse("fd00:200::1"), 20_000, IPv6Address.parse("fd00:300::1"), 80
-    )
-
-
-class TestTCPConnection:
-    def test_client_handshake_transitions(self):
-        connection = TCPConnection(flow_key=_flow_key())
-        connection.transition(ConnectionState.SYN_SENT, at=1.0)
-        connection.transition(ConnectionState.ESTABLISHED, at=2.0)
-        connection.transition(ConnectionState.CLOSED, at=3.0)
-        assert connection.opened_at == 1.0
-        assert connection.established_at == 2.0
-        assert connection.closed_at == 3.0
-
-    def test_server_handshake_transitions(self):
-        connection = TCPConnection(flow_key=_flow_key())
-        connection.transition(ConnectionState.SYN_RECEIVED)
-        connection.transition(ConnectionState.ESTABLISHED)
-        connection.transition(ConnectionState.FIN_WAIT)
-        connection.transition(ConnectionState.CLOSED)
-        assert connection.state is ConnectionState.CLOSED
-
-    def test_reset_path(self):
-        connection = TCPConnection(flow_key=_flow_key())
-        connection.transition(ConnectionState.SYN_SENT)
-        connection.transition(ConnectionState.RESET, at=5.0)
-        assert connection.state is ConnectionState.RESET
-        assert connection.closed_at == 5.0
-
-    def test_illegal_transition_raises(self):
-        connection = TCPConnection(flow_key=_flow_key())
-        with pytest.raises(TCPError):
-            connection.transition(ConnectionState.ESTABLISHED)
-
-    def test_reset_is_terminal(self):
-        connection = TCPConnection(flow_key=_flow_key())
-        connection.transition(ConnectionState.SYN_SENT)
-        connection.transition(ConnectionState.RESET)
-        with pytest.raises(TCPError):
-            connection.transition(ConnectionState.CLOSED)
 
 class TestEphemeralPortAllocator:
     def test_sequential_ports(self):

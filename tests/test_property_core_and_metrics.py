@@ -9,7 +9,7 @@ from repro.core.consistent_hash import MaglevTable
 from repro.core.policies import DynamicThresholdPolicy, StaticThresholdPolicy
 from repro.core.service_hunting import HuntingDecision, ServiceHuntingProcessor
 from repro.metrics.fairness import jain_fairness_index
-from repro.metrics.stats import deciles, empirical_cdf, summarize
+from repro.metrics.stats import deciles, summarize
 from repro.net.addressing import IPv6Address
 from repro.net.packet import make_syn
 from repro.net.srh import SegmentRoutingHeader
@@ -157,15 +157,6 @@ def test_summary_statistics_are_internally_consistent(values):
     assert summary.minimum - tolerance <= summary.mean <= summary.maximum + tolerance
     assert summary.p75 <= summary.p90 <= summary.p99 <= summary.maximum + tolerance
     assert summary.count == len(values)
-
-
-@given(values=positive_samples)
-def test_empirical_cdf_is_a_distribution_function(values):
-    x, p = empirical_cdf(values)
-    assert list(x) == sorted(values)
-    assert p[-1] == pytest.approx(1.0)
-    assert all(0 < prob <= 1.0 for prob in p)
-    assert all(p[i] <= p[i + 1] for i in range(len(p) - 1))
 
 
 @given(values=positive_samples)

@@ -165,7 +165,7 @@ def test_srh_traversal_roundtrip(path):
 def test_srh_advancing_visits_segments_in_order(path):
     srh = SegmentRoutingHeader.from_traversal(path)
     visited = [srh.active_segment]
-    while not srh.exhausted:
+    while srh.segments_left:
         visited.append(srh.advance())
     assert visited == path
 
@@ -175,7 +175,7 @@ def test_srh_advancing_visits_segments_in_order(path):
 def test_srh_segments_left_is_monotonically_non_increasing(path, data):
     srh = SegmentRoutingHeader.from_traversal(path)
     previous = srh.segments_left
-    while not srh.exhausted:
+    while srh.segments_left:
         jump = data.draw(st.integers(min_value=0, max_value=srh.segments_left))
         srh.set_segments_left(jump)
         assert srh.segments_left <= previous
@@ -222,7 +222,7 @@ def test_flow_key_cache_matches_fresh_computation_under_any_mutation(
         if op == "attach":
             packet.attach_srh(SegmentRoutingHeader.from_traversal(path))
         elif op == "advance":
-            if packet.srh is None or packet.srh.exhausted:
+            if packet.srh is None or packet.srh.segments_left == 0:
                 continue
             packet.advance_srh()
         elif op == "detach":
@@ -260,7 +260,7 @@ def test_flow_key_cache_copy_independence(ops, path):
     clone = packet.copy()
     expected = _fresh_flow_key(clone)
     for op in ops:
-        if op == "advance" and packet.srh is not None and not packet.srh.exhausted:
+        if op == "advance" and packet.srh is not None and packet.srh.segments_left:
             packet.advance_srh()
         elif op == "detach" and packet.srh is not None:
             packet.detach_srh()

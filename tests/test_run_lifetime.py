@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.flow_table import FlowEntry
 from repro.core.loadbalancer import LoadBalancerNode
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, RoutingError
 from repro.experiments import registry
 from repro.experiments.config import WikipediaReplayConfig, sr_policy
 from repro.experiments.platform import build_testbed
@@ -117,7 +117,9 @@ def test_a_closed_testbed_keeps_its_counters(closed_testbed):
     assert testbed.collector.totals.total == len(trace)
     assert testbed.counters()["server.requests_served"] == len(trace)
     assert testbed.fabric.stats.packets_delivered > 0
-    assert testbed.fabric.nodes() == {}
+    assert testbed.client.fabric is None  # the fabric let go of its nodes
+    with pytest.raises(RoutingError):
+        testbed.fabric.node(testbed.client.name)
     testbed.close()  # idempotent
 
 

@@ -32,7 +32,6 @@ from repro.experiments.config import (
     sr_policy,
 )
 from repro.experiments.scenario import run_scenario
-from repro.metrics.stats import empirical_cdf
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "scenario_golden.json"
 
@@ -42,6 +41,12 @@ SMALL_TESTBED = TestbedConfig(
 )
 
 JOBS = (1, 2)
+
+
+def _empirical_cdf(values):
+    """``(x, p)``: the sorted sample and the fraction at or below each value."""
+    x = np.sort(np.asarray(values, dtype=float))
+    return x, np.arange(1, x.size + 1) / x.size
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +93,29 @@ def _assert_accounting_identities(run, queries: int) -> None:
     """Identities between a finished cell's outcomes and its counters."""
     counters = run.counters
     totals = run.collector.totals
-    # Each query of the trace ends in exactly one outcome.
+    # Each query of the trace ends in exactly one outcome, and the client
+    # counts the same outcomes the collector holds.
     assert totals.completed + totals.failed == queries
+    assert counters["client.queries_started"] == queries
+    assert counters["client.queries_completed"] == totals.completed
+    assert counters["client.queries_failed"] == totals.failed
+    # Every flow entry the LBs made is still live or left one way.
+    assert counters["flow.entries_created"] == (
+        counters["flow.entries_expired"]
+        + counters["flow.entries_evicted"]
+        + counters["flow.entries_live"]
+    )
+    # Every accepted connection ends exactly one way, or is still open
+    # when the run ends.  Only a churn leaves one open: the client gives
+    # up on a flow whose LB died with its steering state, and with no
+    # request timeout the server holds that connection to the end.
+    assert counters["server.connections_received"] == (
+        counters["server.requests_served"]
+        + counters["server.connections_reset"]
+        + counters["server.connections_shed"]
+        + counters["server.connections_timed_out"]
+        + getattr(run, "broken_flows", 0)
+    )
     if not any(name.startswith("fault.") for name in counters):
         # Without a fault plane nothing is lost, so nothing is served
         # twice: every served request is one completed query.
@@ -101,6 +127,9 @@ def _assert_accounting_identities(run, queries: int) -> None:
             for name, value in counters.items()
             if name.startswith("fault.packets_dropped_")
         )
+        # The pipeline wraps the fabric's channel: it is offered every
+        # packet the fabric counts as delivered (before it may drop it).
+        assert counters["fault.packets_sent"] == counters["fabric.packets_delivered"]
 
 
 def _series_hash(values) -> str:
@@ -133,7 +162,7 @@ class TestPoissonGolden:
         expected = golden["poisson"][policy]
         run = sweep.run(policy, rho)
         assert _series_hash(run.response_times()) == expected["response_times"][repr(rho)]
-        cdf = np.asarray(empirical_cdf(run.response_times())).ravel()
+        cdf = np.asarray(_empirical_cdf(run.response_times())).ravel()
         assert _series_hash(cdf) == expected["cdf"][repr(rho)]
 
     @pytest.mark.parametrize("policy", ["RR", "SR4"])

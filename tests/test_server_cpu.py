@@ -57,25 +57,6 @@ class TestProcessorSharingCPU:
         simulator.run()
         assert cpu.active_jobs == 0
 
-    def test_cancel_job(self, simulator):
-        cpu = ProcessorSharingCPU(simulator, num_cores=1)
-        completions = []
-        cpu.add_job(1, 1.0, lambda j: completions.append(j))
-        assert cpu.cancel_job(1) is True
-        assert cpu.cancel_job(1) is False
-        simulator.run()
-        assert completions == []
-
-    def test_cancel_speeds_up_remaining_jobs(self, simulator):
-        cpu = ProcessorSharingCPU(simulator, num_cores=1)
-        completions = {}
-        cpu.add_job(1, 1.0, lambda j: completions.setdefault(j, simulator.now))
-        cpu.add_job(2, 1.0, lambda j: completions.setdefault(j, simulator.now))
-        simulator.schedule_at(0.5, lambda: cpu.cancel_job(2))
-        simulator.run()
-        # Job 1 gets half the core until t=0.5 (0.25 done), then full speed.
-        assert completions[1] == pytest.approx(1.25)
-
     def test_duplicate_job_id_rejected(self, simulator):
         cpu = ProcessorSharingCPU(simulator, num_cores=1)
         cpu.add_job(1, 1.0, lambda j: None)
@@ -129,23 +110,6 @@ class TestFIFOCPU:
         for job_id in range(3):
             cpu.add_job(job_id, 1.0, lambda j: None)
         assert cpu.active_jobs == 3
-
-    def test_cancel_running_job_promotes_queued(self, simulator):
-        cpu = FIFOCPU(simulator, num_cores=1)
-        completions = {}
-        cpu.add_job(1, 1.0, lambda j: completions.setdefault(j, simulator.now))
-        cpu.add_job(2, 0.5, lambda j: completions.setdefault(j, simulator.now))
-        assert cpu.cancel_job(1) is True
-        simulator.run()
-        assert 1 not in completions
-        assert completions[2] == pytest.approx(0.5)
-
-    def test_cancel_queued_job(self, simulator):
-        cpu = FIFOCPU(simulator, num_cores=1)
-        cpu.add_job(1, 1.0, lambda j: None)
-        cpu.add_job(2, 1.0, lambda j: None)
-        assert cpu.cancel_job(2) is True
-        assert cpu.active_jobs == 1
 
     def test_duplicate_job_rejected(self, simulator):
         cpu = FIFOCPU(simulator, num_cores=1)

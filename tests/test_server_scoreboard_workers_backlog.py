@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import BacklogOverflowError, ServerError, WorkerPoolError
 from repro.server.backlog import ListenBacklog
-from repro.server.scoreboard import Scoreboard, WorkerState
+from repro.server.scoreboard import Scoreboard
 from repro.server.worker_pool import WorkerPool
 from repro.sim.clock import SimulationClock
 
@@ -19,13 +19,11 @@ class TestScoreboard:
         board = Scoreboard(clock, 4)
         assert board.busy_count == 0
         assert board.idle_count == 4
-        assert all(board.state_of(slot) is WorkerState.IDLE for slot in range(4))
 
     def test_mark_busy_and_idle(self, clock):
         board = Scoreboard(clock, 4)
         board.mark_busy(2)
         assert board.busy_count == 1
-        assert board.state_of(2) is WorkerState.BUSY
         board.mark_idle(2)
         assert board.busy_count == 0
 
@@ -47,8 +45,6 @@ class TestScoreboard:
         board = Scoreboard(clock, 4)
         with pytest.raises(ServerError):
             board.mark_busy(4)
-        with pytest.raises(ServerError):
-            board.state_of(-1)
 
     def test_zero_slots_rejected(self, clock):
         with pytest.raises(ServerError):
@@ -77,7 +73,7 @@ class TestWorkerPool:
         assert sorted(slots) == [0, 1, 2]
         assert pool.acquire() is None
         assert pool.busy_workers == 3
-        assert not pool.has_idle_worker
+        assert pool.idle_workers == 0
 
     def test_release_returns_worker(self, clock):
         pool = WorkerPool(Scoreboard(clock, 2))

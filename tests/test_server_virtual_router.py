@@ -83,7 +83,7 @@ class TestServiceHuntingDataPath:
         # The SYN-ACK goes through the load balancer with the steering SRH.
         assert len(lb_stub.received) == 1
         syn_ack = lb_stub.received[0]
-        assert syn_ack.tcp.has(TCPFlag.SYN) and syn_ack.tcp.has(TCPFlag.ACK)
+        assert TCPFlag.SYN in syn_ack.tcp.flags and TCPFlag.ACK in syn_ack.tcp.flags
         assert syn_ack.src == VIP
         assert list(syn_ack.srh.traversal_order()) == [SERVER1, LB_ADDRESS, CLIENT]
         assert syn_ack.srh.active_segment == LB_ADDRESS
@@ -136,7 +136,7 @@ class TestServiceHuntingDataPath:
         for port in (20_000, 20_001, 20_002):
             node.receive(_hunting_syn(SERVER1, SERVER2, port=port, request_id=port))
         simulator.run(until=0.1)
-        resets = [packet for packet in client_stub.received if packet.tcp.has(TCPFlag.RST)]
+        resets = [packet for packet in client_stub.received if TCPFlag.RST in packet.tcp.flags]
         assert len(resets) == 1
         assert resets[0].dst == CLIENT
 

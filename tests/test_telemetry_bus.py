@@ -96,7 +96,7 @@ class TestTelemetryBus:
 
     def test_kind_conflict_is_loud(self):
         bus = TelemetryBus(capacity=16)
-        bus.counter("x")
+        bus.record("x", 0.0, 1.0, kind="counter")
         with pytest.raises(TelemetryError):
             bus.gauge("x")
 

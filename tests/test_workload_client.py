@@ -13,6 +13,11 @@ from repro.workload.requests import Request
 from repro.workload.trace import Trace
 
 
+def _failures(collector: ResponseTimeCollector):
+    """The collector's failed outcomes as records (``outcomes()`` lists the rest)."""
+    return collector._materialise(collector._rows(False, None))
+
+
 def _addr(text):
     return IPv6Address.parse(text)
 
@@ -38,7 +43,7 @@ class EchoService(NetworkNode):
 
     def handle_packet(self, packet):
         tcp = packet.tcp
-        if tcp.has(TCPFlag.SYN):
+        if TCPFlag.SYN in tcp.flags:
             self.syns.append(packet)
             flags = (
                 TCPFlag.RST
@@ -129,7 +134,7 @@ class TestTrafficGenerator:
         assert client.queries_failed == 1
         assert client.queries_completed == 1
         assert collector.totals.failed == 1
-        failure = collector.failures()[0]
+        failure = _failures(collector)[0]
         assert failure.failure_reason == "connection reset"
 
     def test_each_query_gets_a_distinct_source_port(self, simulator):
@@ -196,7 +201,7 @@ class TestSpreadUpload:
 
             def handle_packet(self, packet):
                 self.seen.append((self.simulator.now, packet))
-                if packet.tcp.has(TCPFlag.SYN):
+                if TCPFlag.SYN in packet.tcp.flags:
                     self.simulator.schedule_at(
                         0.5,
                         lambda: self.send(
@@ -231,7 +236,7 @@ class TestSpreadUpload:
 
         client.start_query(1, "php")
         simulator.run()
-        data = [(when, p) for when, p in sent if p.tcp.has(TCPFlag.PSH)]
+        data = [(when, p) for when, p in sent if TCPFlag.PSH in p.tcp.flags]
         assert len(data) == 1
         # Established at ~0.5 + spread 2.0 (plus one fabric hop).
         assert data[0][0] == pytest.approx(2.5, abs=1e-3)
@@ -253,7 +258,7 @@ class SelectiveService(NetworkNode):
 
     def handle_packet(self, packet):
         tcp = packet.tcp
-        if tcp.has(TCPFlag.SYN):
+        if TCPFlag.SYN in tcp.flags:
             self.syns.append(packet)
             if not self.answer(packet):
                 return
@@ -341,7 +346,7 @@ class TestSynRetransmission:
         assert client.queries_failed == 1
         assert client.queries_gave_up == 1
         assert client.in_flight == 0
-        failure = collector.failures()[0]
+        failure = _failures(collector)[0]
         assert failure.gave_up
         assert failure.failure_reason == "syn retransmissions exhausted"
 
@@ -389,7 +394,7 @@ class TestClientRetries:
         assert client.queries_failed == 1
         assert client.queries_retried == 1
         assert client.queries_gave_up == 1
-        failure = collector.failures()[0]
+        failure = _failures(collector)[0]
         assert failure.gave_up
         assert failure.retries == 1
         assert failure.failure_reason == "client timeout"
@@ -447,7 +452,7 @@ class TestSweepUnfinished:
         assert client.queries_swept == 2
         assert client.queries_gave_up == 2
         assert collector.totals.failed == 2
-        for failure in collector.failures():
+        for failure in _failures(collector):
             assert failure.gave_up
             assert failure.failure_reason == "unfinished at end of run"
 
