@@ -328,7 +328,6 @@ class TestCancellation:
         handle.cancel()
         assert fired[0] == "timer"
         assert not _cancelled(handle)
-        assert "cancelled" not in repr(handle)
         assert simulator._cancelled_on_heap == 0
 
     def test_cancel_by_an_earlier_member_of_the_same_batch_still_skips(
@@ -356,7 +355,6 @@ class TestCancellation:
         gc.collect()
         assert fired == ["canceller"]
         assert _cancelled(handles["victim"])
-        assert "cancelled" in repr(handles["victim"])
         assert released() is None  # the handle no longer pins the callback
         assert not _cancelled(handles["canceller"])
 
