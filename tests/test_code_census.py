@@ -31,6 +31,7 @@ from __future__ import annotations
 import ast
 import functools
 import pathlib
+import textwrap
 from collections import defaultdict
 
 import repro
@@ -146,13 +147,11 @@ def _walk(tree):
     return definitions, references
 
 
-@functools.lru_cache(maxsize=None)
-def _src_census():
-    """Every census definition of ``src/`` and the references that can keep it."""
+def _census(trees):
+    """Every census definition of ``trees`` (module → AST) and the references that can keep it."""
     definitions, references, bases = {}, defaultdict(list), {}
-    for path in sorted(SRC.rglob("*.py")):
-        module = str(path.relative_to(SRC))
-        found, refs = _walk(_tree(path))
+    for module, tree in trees.items():
+        found, refs = _walk(tree)
         for qualified, node in found.items():
             definitions[(module, qualified)] = node
             if isinstance(node, ast.ClassDef):
@@ -160,6 +159,11 @@ def _src_census():
         for name, owners in refs:
             references[name].append(frozenset((module, owner) for owner in owners))
     return definitions, references, bases
+
+
+@functools.lru_cache(maxsize=None)
+def _src_census():
+    return _census({str(path.relative_to(SRC)): _tree(path) for path in sorted(SRC.rglob("*.py"))})
 
 
 def _overridden(qualified, bases, listed):
@@ -214,13 +218,10 @@ def _call_signature(call, args):
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _call_sites():
-    """Bare callee name → ``(positional count, splat, keywords)`` of every call."""
-    roots = [ROOT / folder for folder in ("src", "tests", "benchmarks", "examples")]
+def _sites(trees):
+    """Bare callee name → ``(positional count, splat, keywords)`` of every call in ``trees``."""
     sites = defaultdict(list)
-    for path in _python_files(*roots):
-        tree = _tree(path)
+    for tree in trees:
         own_class = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
@@ -240,6 +241,12 @@ def _call_sites():
                 continue
             sites[name].append(_call_signature(call, args))
     return sites
+
+
+@functools.lru_cache(maxsize=None)
+def _call_sites():
+    roots = [ROOT / folder for folder in ("src", "tests", "benchmarks", "examples")]
+    return _sites([_tree(path) for path in _python_files(*roots)])
 
 
 def _defaulted(function, bound):
@@ -326,6 +333,192 @@ def test_the_census_counts_code_not_text():
     assert set(definitions) == {"dead", "live"}
     assert ("live", ()) in references
     assert [owners for name, owners in references if name == "dead"] == [("dead",)]
+
+
+# ----------------------------------------------------------------------
+# the census's own rules, on small made-up modules
+# ----------------------------------------------------------------------
+def _census_of(monkeypatch, **modules):
+    """Point both censuses at ``modules`` (name → source) instead of the repository."""
+    trees = {f"{name}.py": ast.parse(textwrap.dedent(text)) for name, text in modules.items()}
+    monkeypatch.setitem(globals(), "_src_census", lambda: _census(trees))
+    monkeypatch.setitem(globals(), "_call_sites", lambda: _sites(trees.values()))
+
+
+def test_a_helper_only_dead_code_calls_is_found_with_it(monkeypatch):
+    _census_of(
+        monkeypatch,
+        a="""
+        def leaf():
+            return 1
+        def middle():
+            return leaf()
+        def dead():
+            return middle()
+        def live():
+            return 2
+        VALUE = live()
+        """,
+    )
+    assert _unreferenced_names(allowed={}) == {"leaf", "middle", "dead"}
+
+
+def test_an_attribute_load_keeps_a_method_and_a_store_does_not(monkeypatch):
+    _census_of(
+        monkeypatch,
+        a="""
+        class Box:
+            def read(self):
+                return self._helper()
+            def _helper(self):
+                return 1
+            def written(self):
+                return 2
+        box = Box()
+        box.written = None
+        VALUE = box.read()
+        """,
+    )
+    assert _unreferenced_names(allowed={}) == {"Box.written"}
+
+
+def test_an_import_from_another_module_keeps_a_name(monkeypatch):
+    _census_of(
+        monkeypatch,
+        a="def shared():\n    return 1\ndef lonely():\n    return 2\n",
+        b="from a import shared\n",
+    )
+    assert _unreferenced_names(allowed={}) == {"lonely"}
+
+
+def test_an_allow_listed_name_keeps_what_it_calls(monkeypatch):
+    _census_of(
+        monkeypatch,
+        a="""
+        def helper():
+            return 1
+        def api():
+            return helper()
+        """,
+    )
+    assert _unreferenced_names(allowed={}) == {"api", "helper"}
+    assert _unreferenced_names(allowed={"api": (EXAMPLES, "x")}) == set()
+
+
+def test_an_override_of_an_allow_listed_method_shares_its_entry(monkeypatch):
+    _census_of(
+        monkeypatch,
+        a="""
+        class Spec:
+            def hook(self):
+                return 0
+        class Family(Spec):
+            def hook(self):
+                return 1
+        class Other:
+            def hook(self):
+                return 2
+        VALUE = (Spec, Family, Other)
+        """,
+    )
+    assert _unreferenced_names(allowed={"Spec.hook": (SMOKE, "x")}) == {"Other.hook"}
+
+
+def test_dunders_and_nested_functions_are_not_census_definitions(monkeypatch):
+    _census_of(
+        monkeypatch,
+        a="""
+        class Point:
+            def __repr__(self):
+                return "Point"
+        def outer():
+            def inner():
+                return 1
+            return inner
+        VALUE = (Point, outer)
+        """,
+    )
+    definitions, _, _ = _src_census()
+    assert {qualified for _, qualified in definitions} == {"Point", "Point.__repr__", "outer"}
+    assert _unreferenced_names(allowed={}) == set()
+
+
+def test_a_knob_is_turned_by_keyword_or_by_position(monkeypatch):
+    _census_of(
+        monkeypatch,
+        a="""
+        def f(a, b=1, c=2, d=3):
+            return a + b + c + d
+        f(0, 1)
+        f(0, c=5)
+        """,
+    )
+    assert set(unpassed(allowed={})) == {"f(d=)"}
+
+
+def test_a_splat_call_turns_every_knob(monkeypatch):
+    _census_of(
+        monkeypatch,
+        a="def f(a=1, *, b=2):\n    return a + b\nf(*ARGS)\n",
+        b="def g(a=1, *, b=2):\n    return a + b\ng(**KWARGS)\n",
+    )
+    assert unpassed(allowed={}) == {}
+
+
+def test_a_method_position_does_not_count_self(monkeypatch):
+    _census_of(
+        monkeypatch,
+        a="""
+        class Tool:
+            def bound(self, x=1, y=2):
+                return x + y
+            @staticmethod
+            def free(x=1, y=2):
+                return x + y
+        Tool().bound(5)
+        Tool.free(5)
+        """,
+    )
+    assert set(unpassed(allowed={})) == {"Tool.bound(y=)", "Tool.free(y=)"}
+
+
+def test_a_subclass_call_or_cls_call_turns_the_base_init(monkeypatch):
+    _census_of(
+        monkeypatch,
+        a="""
+        class Base:
+            def __init__(self, size=1, name="", tag=None):
+                self.size, self.name, self.tag = size, name, tag
+        class Leaf(Base):
+            @classmethod
+            def named(cls):
+                return cls(name="leaf")
+        Leaf(size=2)
+        """,
+    )
+    assert set(unpassed(allowed={})) == {"Base.__init__(tag=)"}
+
+
+def test_a_partial_passes_its_bound_arguments(monkeypatch):
+    _census_of(
+        monkeypatch,
+        a="def f(a=1, b=2):\n    return a + b\nPROBE = partial(f, 3)\n",
+    )
+    assert set(unpassed(allowed={})) == {"f(b=)"}
+
+
+def test_only_defaulted_keyword_only_parameters_are_knobs(monkeypatch):
+    _census_of(
+        monkeypatch,
+        a="def f(a, *, b, c=1):\n    return a + b + c\nf(0, b=1)\n",
+    )
+    assert set(unpassed(allowed={})) == {"f(c=)"}
+
+
+def test_an_allow_listed_knob_is_not_reported(monkeypatch):
+    _census_of(monkeypatch, a="def f(a=1):\n    return a\nf()\n")
+    assert set(unpassed(allowed={})) == {"f(a=)"}
+    assert unpassed(allowed={"f(a=)": (REACHED_BY_PERF, "x")}) == {}
 
 
 # ----------------------------------------------------------------------
