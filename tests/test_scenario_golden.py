@@ -441,3 +441,79 @@ class TestResilienceGolden:
         _assert_accounting_identities(
             comparison.run(scheme), comparison.config.num_queries
         )
+
+
+def _assert_cell_bitwise(run, expected) -> None:
+    """Outcomes, summary and counters of a smoke-config cell."""
+    assert _series_hash(run.collector.response_times()) == expected["response_times"]
+    assert repr(run.collector.summary().mean) == expected["mean"]
+    assert repr(run.collector.summary().p99) == expected["p99"]
+    assert run.collector.totals.completed == expected["completed"]
+    assert run.collector.totals.failed == expected["failed"]
+    _assert_golden_counters(run, expected)
+
+
+class TestFlashCrowdGolden:
+    @pytest.fixture(scope="class", params=JOBS)
+    def comparison(self, request):
+        from repro.experiments.flash_crowd_experiment import FLASH_CROWD_SCENARIO
+
+        return run_scenario(
+            "flash-crowd", FLASH_CROWD_SCENARIO.smoke_config(), jobs=request.param
+        )
+
+    def test_saturation_rate_bitwise(self, golden, comparison):
+        expected = golden["flash-crowd"]["saturation_rate"]
+        assert repr(comparison.meta["saturation_rate"]) == expected
+
+    @pytest.mark.parametrize("policy", ["RR", "SR4"])
+    def test_run_results_bitwise(self, golden, comparison, policy):
+        from repro.experiments.flash_crowd_experiment import PHASES, phase_summary
+
+        expected = golden["flash-crowd"][policy]
+        config = comparison.config
+        run = comparison.run(policy)
+        _assert_cell_bitwise(run, expected)
+        means = {phase: repr(phase_summary(run, config, phase).mean) for phase in PHASES}
+        assert means == expected["phase_means"]
+        binned = run.collector.binned(bin_width=config.bin_width)
+        medians = binned.median_series(through=config.total_duration)
+        assert _series_hash([v for pair in medians for v in pair]) == expected["median_series"]
+
+    @pytest.mark.parametrize("policy", ["RR", "SR4"])
+    def test_accounting_identities(self, comparison, policy):
+        from repro.experiments.flash_crowd_experiment import make_flash_crowd_trace
+
+        queries = len(make_flash_crowd_trace(comparison.config))
+        _assert_accounting_identities(comparison.run(policy), queries)
+
+
+class TestHeterogeneousFleetGolden:
+    @pytest.fixture(scope="class", params=JOBS)
+    def comparison(self, request):
+        from repro.experiments.heterogeneous_experiment import HETEROGENEOUS_SCENARIO
+
+        return run_scenario(
+            "heterogeneous-fleet",
+            HETEROGENEOUS_SCENARIO.smoke_config(),
+            jobs=request.param,
+        )
+
+    def test_saturation_rate_bitwise(self, golden, comparison):
+        expected = golden["heterogeneous-fleet"]["saturation_rate"]
+        assert repr(comparison.meta["saturation_rate"]) == expected
+
+    @pytest.mark.parametrize("policy", ["RR", "SR4"])
+    def test_run_results_bitwise(self, golden, comparison, policy):
+        (rho,) = comparison.config.load_factors
+        expected = golden["heterogeneous-fleet"][f"{policy}@{rho!r}"]
+        run = comparison.run((policy, rho))
+        _assert_cell_bitwise(run, expected)
+        assert run.acceptance_counts == expected["acceptance_counts"]
+
+    @pytest.mark.parametrize("policy", ["RR", "SR4"])
+    def test_accounting_identities(self, comparison, policy):
+        (rho,) = comparison.config.load_factors
+        _assert_accounting_identities(
+            comparison.run((policy, rho)), comparison.config.num_queries
+        )
