@@ -36,8 +36,8 @@ def bench_ablation_cpu_model(benchmark):
                 policies=(rr_policy(), sr_policy(4)),
             )
             sweep = run_scenario("poisson", config, jobs=scale_jobs())
-            for name in sweep.policies():
-                results[(cpu_model, name)] = sweep.run(name, HIGH_LOAD_FACTOR)
+            for name, rho in sweep.keys():
+                results[(cpu_model, name)] = sweep.run((name, rho))
         return results
 
     runs = run_once(benchmark, run_all)

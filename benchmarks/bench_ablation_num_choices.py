@@ -34,7 +34,7 @@ def bench_ablation_number_of_choices(benchmark):
 
     def run_all():
         sweep = run_scenario("poisson", config, jobs=scale_jobs())
-        return {d: sweep.run(_spec(d).name, HIGH_LOAD_FACTOR) for d in choices}
+        return {d: sweep.run((_spec(d).name, HIGH_LOAD_FACTOR)) for d in choices}
 
     runs = run_once(benchmark, run_all)
 

@@ -15,6 +15,7 @@ worker processes.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 from benchmarks.conftest import run_once, scale_jobs, write_output
 from repro.experiments import registry
@@ -27,7 +28,7 @@ def _queries() -> int:
 
 
 def bench_adversarial_modes(benchmark):
-    config = AdversarialConfig().scaled(_queries())
+    config = replace(AdversarialConfig(), num_queries=_queries())
 
     result = run_once(
         benchmark, lambda: run_scenario("adversarial", config, jobs=scale_jobs())

@@ -40,7 +40,7 @@ def bench_analysis_supermarket_vs_simulation(benchmark):
     def run_all():
         sweep = run_scenario("poisson", config, jobs=scale_jobs())
         return {
-            load: tuple(sweep.run(name, load).mean_response_time for name in ("RR", "SR4"))
+            load: tuple(sweep.run((name, load)).mean_response_time for name in ("RR", "SR4"))
             for load in loads
         }
 

@@ -52,9 +52,9 @@ def bench_figure2_mean_response_time(benchmark):
     comparison = format_comparison(
         f"mean response time (s) at rho={heavy}",
         "RR",
-        sweep_result.run("RR", heavy).mean_response_time,
+        sweep_result.run(("RR", heavy)).mean_response_time,
         {
-            name: sweep_result.run(name, heavy).mean_response_time
+            name: sweep_result.run((name, heavy)).mean_response_time
             for name in ("SR4", "SR8", "SR16", "SRdyn")
         },
     )
@@ -62,8 +62,8 @@ def bench_figure2_mean_response_time(benchmark):
 
     # Reproduction checks (shape, not absolute values): every SR policy
     # beats RR at the heaviest load, and SR4 wins by a clear margin.
-    rr_heavy = sweep_result.run("RR", heavy).mean_response_time
-    sr4_heavy = sweep_result.run("SR4", heavy).mean_response_time
+    rr_heavy = sweep_result.run(("RR", heavy)).mean_response_time
+    sr4_heavy = sweep_result.run(("SR4", heavy)).mean_response_time
     assert sr4_heavy < rr_heavy
-    assert sweep_result.run("SR8", heavy).mean_response_time < rr_heavy
+    assert sweep_result.run(("SR8", heavy)).mean_response_time < rr_heavy
     assert rr_heavy / sr4_heavy > 1.3

@@ -24,7 +24,7 @@ def bench_figure3_cdf_heavy_load(benchmark):
 
     def run_all():
         sweep = run_scenario("poisson", config, jobs=scale_jobs())
-        return {name: sweep.run(name, HIGH_LOAD_FACTOR) for name in sweep.policies()}
+        return {name: sweep.run((name, rho)) for name, rho in sweep.keys()}
 
     runs = run_once(benchmark, run_all)
 

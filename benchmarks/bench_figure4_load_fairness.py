@@ -27,12 +27,11 @@ def bench_figure4_load_and_fairness(benchmark):
         load_factors=(HIGH_LOAD_FACTOR,),
         num_queries=scale_queries(),
         policies=(rr_policy(), sr_policy(4)),
-        load_sample_interval=0.5,
     )
 
     def run_both():
         sweep = run_scenario("poisson", config, jobs=scale_jobs(), sample_load=True)
-        return {name: sweep.run(name, HIGH_LOAD_FACTOR) for name in sweep.policies()}
+        return {name: sweep.run((name, rho)) for name, rho in sweep.keys()}
 
     runs = run_once(benchmark, run_both)
 

@@ -16,6 +16,7 @@ processes.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 from benchmarks.conftest import run_once, scale_jobs, write_output
 from repro.experiments import registry
@@ -28,7 +29,7 @@ def _arrivals() -> int:
 
 
 def bench_heavy_tail_sessions(benchmark):
-    config = HeavyTailConfig().scaled(_arrivals())
+    config = replace(HeavyTailConfig(), num_arrivals=_arrivals())
 
     result = run_once(
         benchmark, lambda: run_scenario("heavy-tail", config, jobs=scale_jobs())

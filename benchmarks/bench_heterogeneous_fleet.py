@@ -15,6 +15,8 @@ Scale knobs: ``REPRO_BENCH_QUERIES`` (queries per run) and
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from benchmarks.conftest import run_once, scale_jobs, scale_queries, write_output
 from repro.experiments import registry
 from repro.experiments.config import HeterogeneousFleetConfig
@@ -23,7 +25,7 @@ from repro.experiments.scenario import run_scenario
 
 
 def bench_heterogeneous_fleet_fairness(benchmark):
-    config = HeterogeneousFleetConfig().scaled(scale_queries())
+    config = replace(HeterogeneousFleetConfig(), num_queries=scale_queries())
 
     result = run_once(
         benchmark, lambda: run_scenario("heterogeneous-fleet", config, jobs=scale_jobs())

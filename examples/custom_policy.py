@@ -93,7 +93,7 @@ def main() -> None:
 
     rows = []
     for spec in specs:
-        summary = sweep.run(spec.name, load_factor).collector.summary()
+        summary = sweep.run((spec.name, load_factor)).collector.summary()
         rows.append([spec.name, summary.mean, summary.median, summary.p90])
 
     print(

@@ -59,9 +59,9 @@ def main() -> None:
     print(render_figure2(sweep))
 
     heavy = max(load_factors)
-    rr_mean = sweep.run("RR", heavy).mean_response_time
+    rr_mean = sweep.run(("RR", heavy)).mean_response_time
     others = {
-        name: sweep.run(name, heavy).mean_response_time
+        name: sweep.run((name, heavy)).mean_response_time
         for name in ("SR4", "SR8", "SR16", "SRdyn")
     }
     print()

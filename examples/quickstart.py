@@ -52,7 +52,7 @@ def main() -> None:
 
     rows = []
     for spec in policies:
-        result = sweep.run(spec.name, load_factor)
+        result = sweep.run((spec.name, load_factor))
         summary = result.collector.summary()
         rows.append(
             [

@@ -14,7 +14,7 @@ Quick start
 >>> from repro.experiments import PoissonSweepConfig, run_scenario, sr_policy
 >>> config = PoissonSweepConfig(
 ...     load_factors=(0.7,), num_queries=500, policies=(sr_policy(4),))
->>> run = run_scenario("poisson", config).run("SR4", 0.7)
+>>> run = run_scenario("poisson", config).run(("SR4", 0.7))
 >>> run.mean_response_time > 0
 True
 

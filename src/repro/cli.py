@@ -300,7 +300,7 @@ def _command_figure(args: argparse.Namespace) -> int:
         sweep = run_scenario(
             "poisson", config, jobs=args.jobs, sample_load=number == 4
         )
-        runs = {spec.name: sweep.run(spec.name, load_factor) for spec in specs}
+        runs = {spec.name: sweep.run((spec.name, load_factor)) for spec in specs}
         if number == 4:
             print(figures.render_figure4(runs))
         else:

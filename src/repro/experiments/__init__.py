@@ -14,7 +14,7 @@ Every experiment family is a declarative
 one — and the single home of ``jobs=`` dispatch (cells go to the worker
 processes of :mod:`repro.sim.partition`).  A one-cell Poisson run is
 ``run_scenario("poisson", PoissonSweepConfig(load_factors=(rho,),
-policies=(policy,), ...)).run(policy.name, rho)``.
+policies=(policy,), ...)).run((policy.name, rho))``.
 """
 
 from repro._lazy import exports
@@ -55,7 +55,7 @@ __getattr__, __dir__, __all__ = exports(
             "run_scenario",
         ),
         "platform": ("Testbed", "build_testbed"),
-        "poisson_experiment": ("PoissonRunResult", "PoissonSweepResult"),
+        "poisson_experiment": ("PoissonRunResult",),
         "resilience_experiment": (
             "ResilienceRunResult",
             "render_resilience_table",

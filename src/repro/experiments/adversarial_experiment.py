@@ -37,7 +37,10 @@ import numpy as np
 from repro.control.gray_failure import GrayFailureInjector, GrayFailureWatchdog
 from repro.control.lifecycle import ServerLifecycle
 from repro.experiments import registry
-from repro.experiments.calibration import analytic_saturation_rate
+from repro.experiments.calibration import (
+    analytic_saturation_rate,
+    legitimate_poisson_trace,
+)
 from repro.experiments.config import AdversarialConfig, TestbedConfig
 from repro.experiments.platform import Testbed, build_testbed
 from repro.experiments.scenario import (
@@ -53,13 +56,34 @@ from repro.workload.hostile import (
     find_colliding_flow_keys,
     spoofed_source_flows,
 )
-from repro.workload.poisson import poisson_trace
 from repro.workload.trace import Trace
 
 #: Attacker node address and the base offset of the spoofed source pool,
 #: far above anything the client allocator hands out.
 _ATTACKER_OFFSET = 9_999
 _SPOOFED_BASE_OFFSET = 10_000
+
+#: The attack window, as fractions of the legitimate trace's duration.
+ATTACK_WINDOW = (0.25, 0.65)
+
+#: Gray failure: the victim's square-wave speed jitter (amplitude, and
+#: period in seconds).
+JITTER_AMPLITUDE, JITTER_INTERVAL = 0.3, 0.5
+
+#: Watchdog: a server is slow past this multiple of the fleet median,
+#: and never below this busy-thread floor, which keeps a lightly loaded
+#: fleet (median ~1) from tripping the detector on ordinary Poisson
+#: bursts.
+WATCHDOG_SLOW_FACTOR, WATCHDOG_MIN_BUSY = 2.0, 5
+
+#: Flow-table housekeeping period on every LB instance, seconds.
+HOUSEKEEPING_INTERVAL = 1.0
+
+
+def _attack_window(trace: Trace) -> Tuple[float, float]:
+    """``(start, length)`` of the attack, in trace time."""
+    start, end = ATTACK_WINDOW
+    return trace.duration * start, trace.duration * (end - start)
 
 
 def adversarial_rate(config: AdversarialConfig) -> float:
@@ -99,10 +123,7 @@ def _attach_flood(
     """Build, attach and schedule the flood for ``syn-flood``/``hash-collision``."""
     tier = testbed.lb_tier
     assert tier is not None
-    start = trace.duration * config.attack_start_fraction
-    window = trace.duration * (
-        config.attack_end_fraction - config.attack_start_fraction
-    )
+    start, window = _attack_window(trace)
     rate = config.flood_rate_factor * adversarial_rate(config)
     num_syns = max(1, int(round(rate * window)))
     sources = spoofed_sources(config)
@@ -138,31 +159,26 @@ def _attach_gray_failure(
 ) -> GrayFailureWatchdog:
     """Degrade the first server mid-run and arm the quarantine watchdog."""
     victim = testbed.servers[0]
-    start = trace.duration * config.attack_start_fraction
-    window = trace.duration * (
-        config.attack_end_fraction - config.attack_start_fraction
-    )
+    start, window = _attack_window(trace)
     injector = GrayFailureInjector(
         testbed.simulator,
         victim,
         degraded_factor=config.degraded_speed,
         start_at=start,
         duration=window,
-        jitter_amplitude=config.jitter_amplitude,
-        jitter_interval=config.jitter_interval,
+        jitter_amplitude=JITTER_AMPLITUDE,
+        jitter_interval=JITTER_INTERVAL,
     )
     injector.start()
 
-    on_quarantine = None
-    if config.quarantine:
-        lifecycle = ServerLifecycle(testbed)
+    # Quarantine drains the victim and provisions a replacement.
+    lifecycle = ServerLifecycle(testbed)
 
-        def drain_and_replace(server) -> None:
-            lifecycle.drain(lifecycle.record_for(server.name))
-            lifecycle.provision(speed=1.0)
+    def drain_and_replace(server) -> None:
+        lifecycle.drain(lifecycle.record_for(server.name))
+        lifecycle.provision(speed=1.0)
 
-        on_quarantine = drain_and_replace
-
+    on_quarantine = drain_and_replace
     # Under telemetry, the watchdog samples busy counts through the bus
     # (the same integers at the same tick instant — decisions stay
     # bit-identical to the direct scoreboard reads, pinned by goldens),
@@ -171,14 +187,12 @@ def _attach_gray_failure(
     if testbed.telemetry is not None:
         probe = testbed.telemetry
         sample_busy = probe.watchdog_feed()
-        inner_quarantine = on_quarantine
 
         def quarantine_and_dump(server) -> None:
             probe.recorder.trip(
                 f"quarantine:{server.name}", testbed.simulator.now
             )
-            if inner_quarantine is not None:
-                inner_quarantine(server)
+            drain_and_replace(server)
 
         on_quarantine = quarantine_and_dump
 
@@ -187,8 +201,8 @@ def _attach_gray_failure(
         servers=lambda: testbed.servers,
         on_quarantine=on_quarantine,
         interval=config.watchdog_interval,
-        slow_factor=config.watchdog_slow_factor,
-        min_busy=config.watchdog_min_busy,
+        slow_factor=WATCHDOG_SLOW_FACTOR,
+        min_busy=WATCHDOG_MIN_BUSY,
         consecutive=config.watchdog_consecutive,
         sample_busy=sample_busy,
     )
@@ -201,6 +215,7 @@ class AdversarialScenario(ScenarioSpec):
     """The adversarial-traffic comparison as a declarative scenario."""
 
     name = "adversarial"
+    grid = "modes"
 
     def smoke_config(self) -> AdversarialConfig:
         return AdversarialConfig(
@@ -222,28 +237,16 @@ class AdversarialScenario(ScenarioSpec):
             watchdog_consecutive=2,
         )
 
-    def cells(self, config: AdversarialConfig) -> List[ScenarioCell]:
-        return [
-            ScenarioCell(key=mode, params={"mode": mode})
-            for mode in config.modes
-        ]
-
     # trace_key: the default (one shared trace for every mode).
 
     def make_trace(self, config: AdversarialConfig, cell: ScenarioCell) -> Trace:
-        return poisson_trace(
-            config.load_factor,
-            analytic_saturation_rate(config.testbed, config.service_mean),
-            config.num_queries,
-            config.service_mean,
-            [config.workload_seed, config.num_queries],
-        )
+        return legitimate_poisson_trace(config)
 
     def run_once(
         self, config: AdversarialConfig, cell: ScenarioCell, trace: Trace
     ) -> AdversarialRunResult:
         """Replay the legitimate workload under one attack mode."""
-        mode = cell.param("mode")
+        mode = cell.key
         with build_testbed(
             config.testbed, config.policy, run_name=f"adversarial-{mode}"
         ) as testbed:
@@ -253,7 +256,7 @@ class AdversarialScenario(ScenarioSpec):
             # flow-table entries are reclaimed in-run instead of
             # accumulating to the end.
             for instance in tier.instances:
-                instance.start_housekeeping(config.housekeeping_interval)
+                instance.start_housekeeping(HOUSEKEEPING_INTERVAL)
 
             def stop_housekeeping() -> None:
                 for instance in tier.instances:
@@ -285,7 +288,7 @@ class AdversarialScenario(ScenarioSpec):
         quarantine_delay: Optional[float] = None
         quarantined: Tuple[str, ...] = ()
         if watchdog is not None and watchdog.events:
-            start = trace.duration * config.attack_start_fraction
+            start, _ = _attack_window(trace)
             quarantine_delay = watchdog.events[0].time - start
             quarantined = watchdog.quarantined
 
@@ -357,7 +360,7 @@ def render_adversarial_table(comparison: ScenarioResult) -> str:
             f"Adversarial traffic: {config.testbed.num_load_balancers} LBs, "
             f"{config.testbed.num_servers} servers, rho={config.load_factor:g}, "
             f"attack window "
-            f"[{config.attack_start_fraction:g}, {config.attack_end_fraction:g}] "
+            f"[{ATTACK_WINDOW[0]:g}, {ATTACK_WINDOW[1]:g}] "
             f"of the trace"
         ),
     )

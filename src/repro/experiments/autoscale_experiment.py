@@ -35,7 +35,7 @@ from repro.control.lifecycle import ServerLifecycle
 from repro.control.monitor import FleetMonitor
 from repro.control.policy import make_scaling_policy
 from repro.experiments import registry
-from repro.experiments.calibration import saturation_rate_for
+from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import AutoscaleConfig, TestbedConfig
 from repro.experiments.platform import Testbed, build_testbed
 from repro.experiments.scenario import (
@@ -52,12 +52,13 @@ from repro.workload.service_models import ExponentialServiceTime
 from repro.workload.trace import Trace
 
 
+#: Mean CPU demand per query, seconds.
+SERVICE_MEAN = 0.1
+
 def make_diurnal_workload(config: AutoscaleConfig) -> DiurnalWorkload:
     """The diurnal rate schedule described by ``config``."""
     # Load factors are fractions of the peak-sized (static) fleet.
-    saturation = saturation_rate_for(
-        config.saturation_rate, config.max_testbed, config.service_mean
-    )
+    saturation = analytic_saturation_rate(config.max_testbed, SERVICE_MEAN)
     return DiurnalWorkload(
         mean_rate=config.mean_load * saturation,
         amplitude=config.load_amplitude * saturation,
@@ -65,7 +66,7 @@ def make_diurnal_workload(config: AutoscaleConfig) -> DiurnalWorkload:
         duration=config.duration,
         num_steps=config.num_steps,
         noise=config.rate_noise,
-        service_model=ExponentialServiceTime(config.service_mean),
+        service_model=ExponentialServiceTime(SERVICE_MEAN),
     )
 
 
@@ -97,7 +98,6 @@ def attach_control_plane(testbed: Testbed, config: AutoscaleConfig, mode: str):
         testbed,
         provisioning_delay=config.provisioning_delay,
         warmup_duration=config.warmup_duration,
-        warmup_speed=config.warmup_speed,
         drain_check_interval=config.drain_check_interval,
     )
     # Under telemetry, the autoscaler observes the fleet through a
@@ -133,6 +133,7 @@ class AutoscaleScenario(ScenarioSpec):
     """The elastic-vs-static comparison as a declarative scenario."""
 
     name = "autoscale"
+    grid = "modes"
 
     def smoke_config(self) -> AutoscaleConfig:
         return AutoscaleConfig(
@@ -167,12 +168,6 @@ class AutoscaleScenario(ScenarioSpec):
             return config.scaled(flags.time_factor)
         return config
 
-    def cells(self, config: AutoscaleConfig) -> List[ScenarioCell]:
-        return [
-            ScenarioCell(key=mode, params={"mode": mode})
-            for mode in config.modes
-        ]
-
     # trace_key: the default (one shared trace for every mode).
 
     def make_trace(self, config: AutoscaleConfig, cell: ScenarioCell) -> Trace:
@@ -181,7 +176,7 @@ class AutoscaleScenario(ScenarioSpec):
     def run_once(
         self, config: AutoscaleConfig, cell: ScenarioCell, trace: Trace
     ) -> AutoscaleRunResult:
-        mode = cell.param("mode")
+        mode = cell.key
         with build_testbed(
             config.testbed_for(mode), config.policy, run_name=f"autoscale-{mode}"
         ) as testbed:
@@ -218,9 +213,7 @@ class AutoscaleScenario(ScenarioSpec):
         self, config: AutoscaleConfig, trace_for: TraceProvider
     ) -> Dict[str, object]:
         return {
-            "saturation_rate": saturation_rate_for(
-                config.saturation_rate, config.max_testbed, config.service_mean
-            ),
+            "saturation_rate": analytic_saturation_rate(config.max_testbed, SERVICE_MEAN),
             "slo_p99": config.slo_p99,
             "duration": config.duration,
         }

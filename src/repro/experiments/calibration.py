@@ -20,14 +20,15 @@ Two estimators are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.analysis.queueing import saturation_rate as _analytic_rate
 from repro.errors import ExperimentError
 from repro.experiments.config import TestbedConfig, rr_policy
 from repro.experiments.platform import build_testbed
-from repro.workload.poisson import PoissonWorkload
+from repro.workload.poisson import PoissonWorkload, poisson_trace
 from repro.workload.service_models import ExponentialServiceTime
+from repro.workload.trace import Trace
 
 import numpy as np
 
@@ -45,13 +46,21 @@ def analytic_saturation_rate(
     return _analytic_rate(config.total_capacity, service_mean)
 
 
-def saturation_rate_for(
-    configured: Optional[float], config: TestbedConfig, service_mean: float
-) -> float:
-    """The ``configured`` λ₀ when set, else the analytic one of ``config``."""
-    if configured is not None:
-        return configured
-    return analytic_saturation_rate(config, service_mean)
+def legitimate_poisson_trace(config: Any) -> Trace:
+    """The legitimate workload the chaos and adversarial families replay.
+
+    ``config.num_queries`` Poisson queries of mean demand
+    ``config.service_mean`` at ``config.load_factor`` of the testbed's
+    analytic λ₀, seeded from the workload seed and the query count; every
+    cell of the family replays this one trace.
+    """
+    return poisson_trace(
+        config.load_factor,
+        analytic_saturation_rate(config.testbed, config.service_mean),
+        config.num_queries,
+        config.service_mean,
+        [config.workload_seed, config.num_queries],
+    )
 
 
 @dataclass

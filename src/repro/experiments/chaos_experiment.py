@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.errors import ExperimentError
 from repro.experiments import registry
-from repro.experiments.calibration import analytic_saturation_rate
+from repro.experiments.calibration import legitimate_poisson_trace
 from repro.experiments.config import ChaosConfig, TestbedConfig
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import (
@@ -47,8 +47,19 @@ from repro.experiments.scenario import (
 from repro.metrics.collector import ResponseTimeCollector
 from repro.metrics.reporting import format_table
 from repro.net.faults import FaultConfig, install_fault_channel
-from repro.workload.poisson import poisson_trace
 from repro.workload.trace import Trace
+
+#: ``loss`` cell, beside ``--loss-rate``: corruption-as-drop rate, and the
+#: Gilbert–Elliott burst process (enter and exit per packet, loss
+#: probability while in the bad state).
+CORRUPTION_RATE = 0.001
+BURST_ENTER, BURST_EXIT, BURST_LOSS = 0.0005, 0.2, 0.9
+
+#: ``jitter`` cell, beside ``--jitter-mean``: the cap on the exponential
+#: extra latency (seconds), and bounded reordering (rate, hold-back
+#: window in seconds).
+JITTER_CAP = 0.02
+REORDER_RATE, REORDER_WINDOW = 0.02, 0.001
 
 
 def _flap_windows(
@@ -83,10 +94,10 @@ def fault_config_for(
     if mode == "loss":
         return FaultConfig(
             loss_rate=config.loss_rate,
-            corruption_rate=config.corruption_rate,
-            burst_enter=config.burst_enter,
-            burst_exit=config.burst_exit,
-            burst_loss=config.burst_loss,
+            corruption_rate=CORRUPTION_RATE,
+            burst_enter=BURST_ENTER,
+            burst_exit=BURST_EXIT,
+            burst_loss=BURST_LOSS,
         )
     if mode == "flap":
         return FaultConfig(
@@ -95,9 +106,9 @@ def fault_config_for(
     if mode == "jitter":
         return FaultConfig(
             jitter_mean=config.jitter_mean,
-            jitter_cap=config.jitter_cap,
-            reorder_rate=config.reorder_rate,
-            reorder_window=config.reorder_window,
+            jitter_cap=JITTER_CAP,
+            reorder_rate=REORDER_RATE,
+            reorder_window=REORDER_WINDOW,
         )
     raise ExperimentError(f"unknown chaos mode {mode!r}")
 
@@ -132,6 +143,7 @@ class ChaosScenario(ScenarioSpec):
     """The fault-injection comparison as a declarative scenario."""
 
     name = "chaos"
+    grid = "modes"
 
     def smoke_config(self) -> ChaosConfig:
         return ChaosConfig(
@@ -153,28 +165,16 @@ class ChaosScenario(ScenarioSpec):
             num_queries=600,
         )
 
-    def cells(self, config: ChaosConfig) -> List[ScenarioCell]:
-        return [
-            ScenarioCell(key=mode, params={"mode": mode})
-            for mode in config.modes
-        ]
-
     # trace_key: the default (one shared trace for every mode).
 
     def make_trace(self, config: ChaosConfig, cell: ScenarioCell) -> Trace:
-        return poisson_trace(
-            config.load_factor,
-            analytic_saturation_rate(config.testbed, config.service_mean),
-            config.num_queries,
-            config.service_mean,
-            [config.workload_seed, config.num_queries],
-        )
+        return legitimate_poisson_trace(config)
 
     def run_once(
         self, config: ChaosConfig, cell: ScenarioCell, trace: Trace
     ) -> RunResult:
         """Replay the legitimate workload under one impairment mode."""
-        mode = cell.param("mode")
+        mode = cell.key
         with build_testbed(
             config.testbed, config.policy, run_name=f"chaos-{mode}"
         ) as testbed:

@@ -2,10 +2,13 @@
 
 The configuration mirrors the paper's experimental platform (§IV): one
 load balancer, twelve application servers with 2 cores and 32 Apache
-workers each, a TCP backlog of 128 with abort-on-overflow, and the two
-workloads of §V and §VI.  Every parameter is a field so that ablation
-benchmarks and downstream users can deviate from the paper's setup
-explicitly and visibly.
+workers each, a TCP backlog of 128, and the two workloads of §V and
+§VI.  A field exists because something sets it: a flag, or a test,
+benchmark or example that deviates from the default.  A value nothing
+sets is a constant of the module that reads it (the paper's
+abort-on-overflow backlog, the fabric latency, a family's fault or
+workload mix), so ``tests/test_code_census.py`` reports a field that
+no flag exposes and no constructor or ``replace`` call sets.
 
 A field declared through :func:`~repro.experiments.params.param` is the
 parameter table of its family: the ``--flag``, help text, default and
@@ -16,7 +19,7 @@ legal values written here are what the sub-command, the
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import ClassVar, List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 from repro.core.candidate_selection import check_selector_name
 from repro.core.policies import make_policy
@@ -78,9 +81,7 @@ class TestbedConfig:
     workers_per_server: int = param(32, "--workers", "workers per server (paper: 32)", POSITIVE)
     cores_per_server: int = param(2, "--cores", "cores per server (paper: 2)", POSITIVE)
     backlog_capacity: int = param(128, bound=POSITIVE)
-    abort_on_overflow: bool = True
     cpu_model: str = "processor-sharing"
-    fabric_latency: float = 50e-6
     flow_idle_timeout: float = param(
         60.0,
         "--flow-idle-timeout",
@@ -277,6 +278,25 @@ _POLICY_FLAG = dict(
 )
 
 
+class _OnePolicy:
+    """A family whose every cell runs the fleet under one Service Hunting policy.
+
+    ``acceptance_policy`` is a field where a flag sets it (``scale``),
+    and the paper's best static threshold elsewhere.
+    """
+
+    acceptance_policy = "SR8"
+
+    @property
+    def policy(self) -> PolicySpec:
+        """The Service Hunting policy every cell runs under."""
+        return PolicySpec(
+            name=self.acceptance_policy,
+            acceptance_policy=self.acceptance_policy,
+            num_candidates=self.num_candidates,
+        )
+
+
 @dataclass(frozen=True)
 class PoissonSweepConfig:
     """Configuration of the Poisson-workload experiments (Figures 2–5)."""
@@ -292,20 +312,10 @@ class PoissonSweepConfig:
     policies: Tuple[PolicySpec, ...] = param(
         tuple(paper_policy_suite()), cli_default=_SHELL_POLICIES, **_POLICY_FLAG
     )
-    saturation_rate: Optional[float] = None
-    load_sample_interval: float = 0.5
     workload_seed: int = 12_345
 
     def __post_init__(self) -> None:
         check_bounds(self)
-
-    def scaled(self, num_queries: int, load_factors: Optional[Sequence[float]] = None) -> "PoissonSweepConfig":
-        """A cheaper copy of the configuration (for benchmarks and CI)."""
-        return replace(
-            self,
-            num_queries=num_queries,
-            load_factors=tuple(load_factors) if load_factors is not None else self.load_factors,
-        )
 
 
 @dataclass(frozen=True)
@@ -324,9 +334,6 @@ class WikipediaReplayConfig:
     )
     bin_width: float = param(600.0, bound=POSITIVE)
     policies: Tuple[PolicySpec, ...] = param((rr_policy(), sr_policy(4)))
-    mean_wiki_rate: float = 85.0
-    wiki_rate_amplitude: float = 30.0
-    trough_hour: float = 8.0
     workload_seed: int = 54_321
 
     def __post_init__(self) -> None:
@@ -437,10 +444,6 @@ class ResilienceConfig:
                     f"absorb {len(self.churn)} events ending below 1 alive"
                 )
 
-    def scaled(self, num_queries: int) -> "ResilienceConfig":
-        """A cheaper copy of the configuration (for tests and CI)."""
-        return replace(self, num_queries=num_queries)
-
     def policy_for(self, scheme: str) -> PolicySpec:
         """The :class:`PolicySpec` running the tier under ``scheme``."""
         return PolicySpec(
@@ -476,10 +479,8 @@ class FlashCrowdConfig:
     recovery_duration: float = param(
         45.0, "--recovery-duration", "recovery phase, seconds", POSITIVE
     )
-    service_mean: float = param(0.1, bound=POSITIVE)
     policies: Tuple[PolicySpec, ...] = param(_SHELL_POLICIES, **_POLICY_FLAG)
     bin_width: float = param(5.0, "--bin-width", "figure time-bin width, seconds", POSITIVE)
-    saturation_rate: Optional[float] = None
     workload_seed: int = 77_777
 
     def __post_init__(self) -> None:
@@ -516,7 +517,7 @@ class FlashCrowdConfig:
 
 
 @dataclass(frozen=True)
-class AutoscaleConfig:
+class AutoscaleConfig(_OnePolicy):
     """Configuration of the autoscale scenario family.
 
     A diurnal (sinusoid-plus-noise) workload is replayed under several
@@ -541,9 +542,7 @@ class AutoscaleConfig:
     max_servers: int = param(
         12, "--max-servers", "elastic fleet ceiling (and the static fleet's size)"
     )
-    acceptance_policy: str = param("SR8", bound=_policy_name)
     num_candidates: int = 2
-    selector: str = param("random", bound=_selector_name)
 
     # --- diurnal workload -------------------------------------------------
     mean_load: float = param(
@@ -560,8 +559,6 @@ class AutoscaleConfig:
     num_steps: int = param(96, bound=POSITIVE)
     #: Relative std-dev of the per-step multiplicative rate noise.
     rate_noise: float = param(0.05, bound=NON_NEGATIVE)
-    service_mean: float = param(0.1, bound=POSITIVE)
-    saturation_rate: Optional[float] = None
     workload_seed: int = 424_242
 
     # --- control plane ----------------------------------------------------
@@ -580,7 +577,6 @@ class AutoscaleConfig:
     scale_down_cooldown: float = param(15.0, bound=NON_NEGATIVE)
     provisioning_delay: float = param(8.0, bound=NON_NEGATIVE)
     warmup_duration: float = param(8.0, bound=NON_NEGATIVE)
-    warmup_speed: float = param(0.5, bound=_FRACTION)
     drain_check_interval: float = param(0.5, bound=POSITIVE)
     #: Forecast horizon of the predictive policy (≈ provisioning delay
     #: plus warm-up, so capacity lands when the forecast said so).
@@ -656,16 +652,6 @@ class AutoscaleConfig:
         """The peak-sized testbed load factors are normalised against."""
         return self.testbed_for("static")
 
-    @property
-    def policy(self) -> PolicySpec:
-        """The Service Hunting policy every mode runs the fleet under."""
-        return PolicySpec(
-            name=self.acceptance_policy,
-            acceptance_policy=self.acceptance_policy,
-            num_candidates=self.num_candidates,
-            selector=self.selector,
-        )
-
     def scaled(self, time_factor: float) -> "AutoscaleConfig":
         """A copy with the whole day (and control-plane clocks) compressed."""
         POSITIVE("time_factor", time_factor)
@@ -709,10 +695,7 @@ class HeterogeneousFleetConfig:
     testbed: TestbedConfig = param(default_factory=TestbedConfig, expose=SERVER_SHAPE)
     load_factors: Tuple[float, ...] = param((0.85,), "--rho", "load factor", POSITIVE)
     num_queries: int = param(6_000, "--queries", "queries per run", POSITIVE, cli_default=4_000)
-    service_mean: float = param(0.1, bound=POSITIVE)
     policies: Tuple[PolicySpec, ...] = param(_SHELL_POLICIES, **_POLICY_FLAG)
-    saturation_rate: Optional[float] = None
-    load_sample_interval: float = 0.5
     workload_seed: int = 24_242
 
     def __post_init__(self) -> None:
@@ -744,10 +727,6 @@ class HeterogeneousFleetConfig:
         """Node names of the fast tier (the builder numbers servers 0..N-1)."""
         return tuple(f"server-{index}" for index in range(self.num_fast))
 
-    def scaled(self, num_queries: int) -> "HeterogeneousFleetConfig":
-        """A cheaper copy of the configuration (for tests and CI)."""
-        return replace(self, num_queries=num_queries)
-
 
 @dataclass(frozen=True)
 class HeavyTailConfig:
@@ -771,11 +750,6 @@ class HeavyTailConfig:
         "probability an arrival is a one-shot bounded-Pareto request",
         UNIT_INTERVAL,
     )
-    pareto_alpha: float = param(1.5, bound=POSITIVE)
-    pareto_lower: float = param(0.02, bound=POSITIVE)
-    pareto_upper: float = 2.5
-    request_median: float = param(0.04, bound=POSITIVE)
-    request_sigma: float = param(0.6, bound=NON_NEGATIVE)
     mean_session_length: float = param(
         4.0,
         flag="--session-length",
@@ -789,27 +763,15 @@ class HeavyTailConfig:
         help="Zipf exponent of user popularity (> 1)",
         bound=Bound("> 1", lambda value: value > 1),
     )
-    size_median: int = 16_000
-    size_sigma: float = 1.0
-    size_cap: int = 262_144
     policies: Tuple[PolicySpec, ...] = param(_SHELL_POLICIES, **_POLICY_FLAG)
     workload_seed: int = 86_420
 
     def __post_init__(self) -> None:
         check_bounds(self)
-        if self.pareto_upper <= self.pareto_lower:
-            raise ExperimentError(
-                "Pareto upper bound must exceed the lower bound, got "
-                f"[{self.pareto_lower!r}, {self.pareto_upper!r}]"
-            )
-
-    def scaled(self, num_arrivals: int) -> "HeavyTailConfig":
-        """A cheaper copy of the configuration (for tests and CI)."""
-        return replace(self, num_arrivals=num_arrivals)
 
 
 @dataclass(frozen=True)
-class AdversarialConfig:
+class AdversarialConfig(_OnePolicy):
     """Configuration of the adversarial-traffic scenario family.
 
     One legitimate Poisson workload is replayed against a load-balancer
@@ -836,7 +798,6 @@ class AdversarialConfig:
     load_factor: float = param(0.55, "--rho", "legitimate load factor", POSITIVE)
     num_queries: int = param(4_000, "--queries", "legitimate queries", POSITIVE)
     service_mean: float = param(0.05, "--service-mean", "mean service demand, seconds", POSITIVE)
-    acceptance_policy: str = param("SR8", bound=_policy_name)
     num_candidates: int = 2
     modes: Tuple[str, ...] = param(
         ("baseline", "syn-flood", "hash-collision", "gray-failure"),
@@ -844,9 +805,6 @@ class AdversarialConfig:
         "attack mode to run",
         choices=("baseline", "syn-flood", "hash-collision", "gray-failure"),
     )
-    #: Attack window, as fractions of the legitimate trace's duration.
-    attack_start_fraction: float = 0.25
-    attack_end_fraction: float = 0.65
     flood_rate_factor: float = param(
         3.0, "--flood-rate-factor", "flood intensity as a multiple of the legitimate rate", POSITIVE
     )
@@ -859,27 +817,15 @@ class AdversarialConfig:
     collision_target: int = param(
         0, "--collision-target", "index of the LB instance the collision flood concentrates on"
     )
-    #: Gray failure: victim CPU speed multiplier and square-wave jitter.
     degraded_speed: float = param(
         0.2,
         "--degraded-speed",
         "gray-failure victim CPU speed multiplier (0, 1)",
         _OPEN_UNIT_INTERVAL,
     )
-    jitter_amplitude: float = 0.3
-    jitter_interval: float = 0.5
-    #: Watchdog (quarantine signal) parameters.
+    #: Watchdog (quarantine signal) period and strikes to quarantine.
     watchdog_interval: float = 0.5
-    watchdog_slow_factor: float = 2.0
-    #: Busy-thread floor below which a server can never be quarantined;
-    #: keeps a lightly loaded fleet (median ~1) from tripping the
-    #: detector on ordinary Poisson bursts.
-    watchdog_min_busy: int = 5
     watchdog_consecutive: int = 3
-    #: Whether quarantine drains the victim and provisions a replacement.
-    quarantine: bool = True
-    #: Flow-table housekeeping period on every LB instance.
-    housekeeping_interval: float = param(1.0, bound=POSITIVE)
     workload_seed: int = 13_579
 
     def __post_init__(self) -> None:
@@ -896,12 +842,6 @@ class AdversarialConfig:
                 "forever), got "
                 f"{self.testbed.request_timeout!r}"
             )
-        if not 0 < self.attack_start_fraction < self.attack_end_fraction <= 1:
-            raise ExperimentError(
-                "attack window must satisfy 0 < start < end <= 1, got "
-                f"[{self.attack_start_fraction!r}, "
-                f"{self.attack_end_fraction!r}]"
-            )
         if not 0 <= self.collision_target < self.testbed.num_load_balancers:
             raise ExperimentError(
                 f"collision_target {self.collision_target!r} is out of "
@@ -909,22 +849,10 @@ class AdversarialConfig:
                 "instances"
             )
 
-    @property
-    def policy(self) -> PolicySpec:
-        """The Service Hunting policy every mode runs under."""
-        return PolicySpec(
-            name=self.acceptance_policy,
-            acceptance_policy=self.acceptance_policy,
-            num_candidates=self.num_candidates,
-        )
-
-    def scaled(self, num_queries: int) -> "AdversarialConfig":
-        """A cheaper copy of the configuration (for tests and CI)."""
-        return replace(self, num_queries=num_queries)
 
 
 @dataclass(frozen=True)
-class ScaleConfig:
+class ScaleConfig(_OnePolicy):
     """Configuration of the partitioned million-client ``scale`` scenario.
 
     The scenario models one datacenter front end spreading an aggregate
@@ -959,8 +887,6 @@ class ScaleConfig:
         "flow-to-pod mapping of the modeled front-end ECMP stage",
         choices=_ECMP_HASHES,
     )
-    #: Per-pod saturation rate override; analytic when ``None``.
-    saturation_rate: Optional[float] = param(None, bound=POSITIVE)
     workload_seed: int = 86_420
 
     def __post_init__(self) -> None:
@@ -971,26 +897,13 @@ class ScaleConfig:
                 f"pod count ({self.pods!r})"
             )
 
-    @property
-    def policy(self) -> PolicySpec:
-        """The Service Hunting policy every pod runs under."""
-        return PolicySpec(
-            name=self.acceptance_policy,
-            acceptance_policy=self.acceptance_policy,
-            num_candidates=self.num_candidates,
-        )
-
     def pod_names(self) -> Tuple[str, ...]:
         """Stable front-end next-hop names, one per pod."""
         return tuple(f"pod-{index}" for index in range(self.pods))
 
-    def scaled(self, num_queries: int) -> "ScaleConfig":
-        """A cheaper copy of the configuration (for tests and CI)."""
-        return replace(self, num_queries=num_queries)
-
 
 @dataclass(frozen=True)
-class ChaosConfig:
+class ChaosConfig(_OnePolicy):
     """Configuration of the fault-injection ``chaos`` scenario family.
 
     One legitimate Poisson workload is replayed against a 2-LB ECMP tier
@@ -1039,7 +952,6 @@ class ChaosConfig:
     load_factor: float = param(0.6, "--rho", "legitimate load factor", POSITIVE)
     num_queries: int = param(4_000, "--queries", "legitimate queries", POSITIVE)
     service_mean: float = param(0.05, "--service-mean", "mean service demand, seconds", POSITIVE)
-    acceptance_policy: str = param("SR8", bound=_policy_name)
     num_candidates: int = 2
     modes: Tuple[str, ...] = param(
         ("baseline", "loss", "flap", "jitter"),
@@ -1047,16 +959,9 @@ class ChaosConfig:
         "impairment cell to run",
         choices=("baseline", "loss", "flap", "jitter"),
     )
-    #: ``loss`` cell: i.i.d. loss and corruption rates, plus the
-    #: Gilbert–Elliott burst process (enter/exit per packet, loss
-    #: probability while in the bad state).
     loss_rate: float = param(
         0.01, "--loss-rate", "i.i.d. packet loss probability of the loss cell", UNIT_INTERVAL
     )
-    corruption_rate: float = param(0.001, bound=UNIT_INTERVAL)
-    burst_enter: float = param(0.0005, bound=UNIT_INTERVAL)
-    burst_exit: float = param(0.2, bound=UNIT_INTERVAL)
-    burst_loss: float = param(0.9, bound=UNIT_INTERVAL)
     #: The windows are spread evenly over the trace.
     flap_count: int = param(
         2, "--flap-count", "scheduled link-down windows of the flap cell", NON_NEGATIVE
@@ -1064,17 +969,12 @@ class ChaosConfig:
     flap_down: float = param(
         0.25, "--flap-down", "length of each link-down window in seconds", POSITIVE
     )
-    #: ``jitter`` cell: exponential extra latency (mean/cap seconds) and
-    #: bounded reordering (rate, hold-back window seconds).
     jitter_mean: float = param(
         0.002,
         "--jitter-mean",
         "mean exponential extra latency (s) of the jitter cell",
         NON_NEGATIVE,
     )
-    jitter_cap: float = param(0.02, bound=NON_NEGATIVE)
-    reorder_rate: float = param(0.02, bound=UNIT_INTERVAL)
-    reorder_window: float = param(0.001, bound=NON_NEGATIVE)
     workload_seed: int = 97_531
 
     def __post_init__(self) -> None:
@@ -1085,15 +985,3 @@ class ChaosConfig:
                 f"balancers, got {self.testbed.num_load_balancers!r}"
             )
 
-    @property
-    def policy(self) -> PolicySpec:
-        """The Service Hunting policy every cell runs under."""
-        return PolicySpec(
-            name=self.acceptance_policy,
-            acceptance_policy=self.acceptance_policy,
-            num_candidates=self.num_candidates,
-        )
-
-    def scaled(self, num_queries: int) -> "ChaosConfig":
-        """A cheaper copy of the configuration (for tests and CI)."""
-        return replace(self, num_queries=num_queries)

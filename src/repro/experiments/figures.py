@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import ExperimentError
-from repro.experiments.poisson_experiment import PoissonRunResult, PoissonSweepResult
+from repro.experiments.poisson_experiment import PoissonRunResult
 from repro.experiments.scenario import ScenarioResult
 from repro.metrics.ewma import smooth_timeseries
 from repro.metrics.reporting import format_table
@@ -34,15 +34,21 @@ from repro.metrics.stats import cdf_at
 # ----------------------------------------------------------------------
 # Figure 2 — mean response time vs load factor
 # ----------------------------------------------------------------------
-def figure2_series(sweep: PoissonSweepResult) -> Dict[str, List[Tuple[float, float]]]:
-    """Per-policy ``(rho, mean response time)`` series."""
-    return {
-        policy_name: sweep.mean_response_series(policy_name)
-        for policy_name in sweep.policies()
-    }
+def figure2_series(sweep: ScenarioResult) -> Dict[str, List[Tuple[float, float]]]:
+    """Per-policy ``(rho, mean response time)`` series, by ascending ρ.
+
+    ``sweep`` is a Poisson sweep, keyed ``(policy, load factor)``; the
+    policies keep their configuration order.
+    """
+    series: Dict[str, List[Tuple[float, float]]] = {}
+    for key in sorted(sweep.keys(), key=lambda key: key[1]):
+        policy_name, load_factor = key
+        point = (load_factor, sweep.run(key).mean_response_time)
+        series.setdefault(policy_name, []).append(point)
+    return series
 
 
-def render_figure2(sweep: PoissonSweepResult) -> str:
+def render_figure2(sweep: ScenarioResult) -> str:
     """Figure 2 as a text table (one row per load factor)."""
     series = figure2_series(sweep)
     load_factors = sorted({rho for points in series.values() for rho, _ in points})

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.errors import ExperimentError
 from repro.experiments import registry
-from repro.experiments.calibration import saturation_rate_for
+from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import FlashCrowdConfig, TestbedConfig
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import (
@@ -39,6 +39,7 @@ from repro.experiments.scenario import (
     ScenarioResult,
     ScenarioSpec,
     TraceProvider,
+    policy_named,
 )
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics, summarize_or_nan
@@ -49,19 +50,20 @@ from repro.workload.trace import Trace
 #: Phase labels, in schedule order.
 PHASES: Tuple[str, ...] = ("baseline", "spike", "recovery")
 
+#: Mean CPU demand per query, seconds.
+SERVICE_MEAN = 0.1
+
 
 def make_flash_crowd_trace(config: FlashCrowdConfig) -> Trace:
     """The stepped trace shared by every policy of a comparison."""
-    saturation = saturation_rate_for(
-        config.saturation_rate, config.testbed, config.service_mean
-    )
+    saturation = analytic_saturation_rate(config.testbed, SERVICE_MEAN)
     workload = SteppedPoissonWorkload(
         phases=(
             RatePhase(config.baseline_duration, config.baseline_load * saturation),
             RatePhase(config.spike_duration, config.spike_load * saturation),
             RatePhase(config.recovery_duration, config.baseline_load * saturation),
         ),
-        service_model=ExponentialServiceTime(config.service_mean),
+        service_model=ExponentialServiceTime(SERVICE_MEAN),
     )
     rng = np.random.default_rng([config.workload_seed, len(workload.phases)])
     return workload.generate(rng)
@@ -110,12 +112,6 @@ class FlashCrowdScenario(ScenarioSpec):
             policies=(rr_policy(), sr_policy(4)),
         ).scaled(0.25)
 
-    def cells(self, config: FlashCrowdConfig) -> List[ScenarioCell]:
-        return [
-            ScenarioCell(key=policy.name, params={"policy": policy})
-            for policy in config.policies
-        ]
-
     # trace_key: the default (one shared trace for every policy).
 
     def make_trace(self, config: FlashCrowdConfig, cell: ScenarioCell) -> Trace:
@@ -124,7 +120,7 @@ class FlashCrowdScenario(ScenarioSpec):
     def run_once(
         self, config: FlashCrowdConfig, cell: ScenarioCell, trace: Trace
     ) -> RunResult:
-        policy = cell.param("policy")
+        policy = policy_named(config, cell.key)
         with build_testbed(
             config.testbed, policy, run_name=f"flash-crowd-{policy.name}"
         ) as testbed:
@@ -135,9 +131,7 @@ class FlashCrowdScenario(ScenarioSpec):
         self, config: FlashCrowdConfig, trace_for: TraceProvider
     ) -> Dict[str, object]:
         return {
-            "saturation_rate": saturation_rate_for(
-                config.saturation_rate, config.testbed, config.service_mean
-            ),
+            "saturation_rate": analytic_saturation_rate(config.testbed, SERVICE_MEAN),
             "spike_window": config.spike_window,
             "total_duration": config.total_duration,
         }

@@ -27,9 +27,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.errors import ExperimentError
 from repro.experiments import registry
-from repro.experiments.config import HeavyTailConfig, PolicySpec, TestbedConfig
+from repro.experiments.config import HeavyTailConfig, TestbedConfig
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import (
     RunResult,
@@ -37,6 +36,7 @@ from repro.experiments.scenario import (
     ScenarioResult,
     ScenarioSpec,
     TraceProvider,
+    policy_named,
 )
 from repro.metrics.reporting import format_table
 from repro.workload.hostile import (
@@ -45,11 +45,13 @@ from repro.workload.hostile import (
     user_concentration,
 )
 from repro.workload.requests import KIND_HEAVY, KIND_SESSION
-from repro.workload.service_models import (
-    BoundedParetoServiceTime,
-    LognormalServiceTime,
-)
+from repro.workload.service_models import BoundedParetoServiceTime
 from repro.workload.trace import Trace
+
+#: One-shot heavy requests: bounded Pareto (shape, and bounds in seconds).
+#: Session requests and response sizes keep the workload's own defaults
+#: (lognormal demands of median 40 ms, sizes of median 16 kB).
+PARETO_ALPHA, PARETO_LOWER, PARETO_UPPER = 1.5, 0.02, 2.5
 
 
 def make_heavy_tail_workload(config: HeavyTailConfig) -> HeavyTailWorkload:
@@ -66,19 +68,11 @@ def make_heavy_tail_workload(config: HeavyTailConfig) -> HeavyTailWorkload:
         num_arrivals=config.num_arrivals,
         heavy_fraction=config.heavy_fraction,
         heavy_model=BoundedParetoServiceTime(
-            alpha=config.pareto_alpha,
-            lower_seconds=config.pareto_lower,
-            upper_seconds=config.pareto_upper,
-        ),
-        request_model=LognormalServiceTime(
-            median_seconds=config.request_median, sigma=config.request_sigma
+            alpha=PARETO_ALPHA, lower_seconds=PARETO_LOWER, upper_seconds=PARETO_UPPER
         ),
         mean_session_length=config.mean_session_length,
         num_users=config.num_users,
         user_zipf=config.user_zipf,
-        size_median=config.size_median,
-        size_sigma=config.size_sigma,
-        size_cap=config.size_cap,
     )
 
 
@@ -87,13 +81,6 @@ def make_heavy_tail_trace(config: HeavyTailConfig) -> Trace:
     workload = make_heavy_tail_workload(config)
     rng = np.random.default_rng([config.workload_seed, config.num_arrivals])
     return workload.generate(rng)
-
-
-def _policy_named(config: HeavyTailConfig, name: str) -> PolicySpec:
-    for policy in config.policies:
-        if policy.name == name:
-            return policy
-    raise ExperimentError(f"no policy named {name!r} in the configuration")
 
 
 class HeavyTailScenario(ScenarioSpec):
@@ -113,12 +100,6 @@ class HeavyTailScenario(ScenarioSpec):
             num_users=5_000,
         )
 
-    def cells(self, config: HeavyTailConfig) -> List[ScenarioCell]:
-        return [
-            ScenarioCell(key=policy.name, params={"policy": policy.name})
-            for policy in config.policies
-        ]
-
     # trace_key: the default (one shared trace for every policy).
 
     def make_trace(self, config: HeavyTailConfig, cell: ScenarioCell) -> Trace:
@@ -128,7 +109,7 @@ class HeavyTailScenario(ScenarioSpec):
         self, config: HeavyTailConfig, cell: ScenarioCell, trace: Trace
     ) -> RunResult:
         """Replay the heavy-tail trace under one policy."""
-        policy = _policy_named(config, cell.param("policy"))
+        policy = policy_named(config, cell.key)
         with build_testbed(
             config.testbed,
             policy,

@@ -16,33 +16,27 @@ the capacity each tier brings (a share ratio of 1.0 means
 capacity-proportional, i.e. perfectly fair), plus Jain's fairness index
 over per-capacity acceptance rates.
 
-The family is registered as the ``heterogeneous-fleet`` scenario; cells
-are (policy, load factor) pairs and the per-cell run result is the
-Poisson family's (both keep per-server acceptance counts).
+The family is registered as the ``heterogeneous-fleet`` scenario.  It is
+the Poisson pipeline, :class:`~repro.experiments.poisson_experiment.PoissonGrid`,
+run on the mixed-speed fleet: cells are (policy, load factor) pairs, the
+run result is the Poisson family's (it keeps per-server acceptance
+counts), and ``meta["saturation_rate"]`` is the fleet's speed-weighted
+λ₀.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.experiments import registry
-from repro.experiments.calibration import saturation_rate_for
 from repro.experiments.config import HeterogeneousFleetConfig, TestbedConfig
-from repro.experiments.platform import build_testbed
-from repro.experiments.scenario import (
-    ScenarioCell,
-    ScenarioResult,
-    ScenarioSpec,
-    TraceProvider,
-)
+from repro.experiments.poisson_experiment import PoissonGrid
+from repro.experiments.scenario import ScenarioResult
 from repro.metrics.fairness import jain_fairness_index
 from repro.metrics.reporting import format_table
-from repro.workload.poisson import poisson_trace
-from repro.workload.trace import Trace
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.poisson_experiment import PoissonRunResult
-
+#: Mean CPU demand per query, seconds, at nominal server speed.
+SERVICE_MEAN = 0.1
 
 
 def tier_acceptance_shares(
@@ -82,10 +76,11 @@ def capacity_fairness_index(
     return jain_fairness_index(loads)
 
 
-class HeterogeneousFleetScenario(ScenarioSpec):
-    """The mixed-speed-fleet comparison as a declarative scenario."""
+class HeterogeneousFleetScenario(PoissonGrid):
+    """The mixed-speed-fleet comparison: the Poisson grid on :attr:`~HeterogeneousFleetConfig.fleet`."""
 
     name = "heterogeneous-fleet"
+    run_prefix = "heterogeneous-"
 
     def smoke_config(self) -> HeterogeneousFleetConfig:
         from repro.experiments.config import rr_policy, sr_policy
@@ -99,66 +94,12 @@ class HeterogeneousFleetScenario(ScenarioSpec):
             policies=(rr_policy(), sr_policy(4)),
         )
 
-    def cells(self, config: HeterogeneousFleetConfig) -> List[ScenarioCell]:
+    def fleet(self, config: HeterogeneousFleetConfig) -> TestbedConfig:
         # Load factors are normalised against the speed-weighted fleet.
-        saturation = saturation_rate_for(
-            config.saturation_rate, config.fleet, config.service_mean
-        )
-        return [
-            ScenarioCell(
-                key=(policy.name, load_factor),
-                params={
-                    "policy": policy,
-                    "load_factor": load_factor,
-                    "saturation_rate": saturation,
-                },
-            )
-            for load_factor in config.load_factors
-            for policy in config.policies
-        ]
+        return config.fleet
 
-    def trace_key(
-        self, config: HeterogeneousFleetConfig, cell: ScenarioCell
-    ) -> float:
-        return cell.param("load_factor")
-
-    def make_trace(
-        self, config: HeterogeneousFleetConfig, cell: ScenarioCell
-    ) -> Trace:
-        load_factor = cell.param("load_factor")
-        return poisson_trace(
-            load_factor,
-            cell.param("saturation_rate"),
-            config.num_queries,
-            config.service_mean,
-            [config.workload_seed, int(round(load_factor * 1_000_000))],
-        )
-
-    def run_once(
-        self, config: HeterogeneousFleetConfig, cell: ScenarioCell, trace: Trace
-    ) -> PoissonRunResult:
-        from repro.experiments.poisson_experiment import PoissonRunResult
-
-        policy = cell.param("policy")
-        with build_testbed(
-            config.fleet,
-            policy,
-            run_name=f"heterogeneous-{policy.name}-rho{cell.param('load_factor'):g}",
-        ) as testbed:
-            duration = testbed.run_trace(trace)
-        return PoissonRunResult.of(
-            testbed, duration, acceptance_counts=testbed.acceptance_counts()
-        )
-
-    def meta(
-        self, config: HeterogeneousFleetConfig, trace_for: TraceProvider
-    ) -> Dict[str, object]:
-        return {
-            "saturation_rate": saturation_rate_for(
-                config.saturation_rate, config.fleet, config.service_mean
-            ),
-            "fast_servers": list(config.fast_server_names()),
-        }
+    def service_mean(self, config: HeterogeneousFleetConfig) -> float:
+        return SERVICE_MEAN
 
     def render(self, result: ScenarioResult) -> str:
         return render_heterogeneous_fleet(result)

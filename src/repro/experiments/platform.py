@@ -79,7 +79,6 @@ def _build_server(
         num_workers=config.workers_per_server,
         backlog_capacity=config.backlog_capacity,
         demand_lookup=demands.__getitem__,
-        abort_on_overflow=config.abort_on_overflow,
         request_timeout=config.request_timeout or None,
         shed_watermark=config.backlog_shed_watermark or None,
     )
@@ -466,7 +465,7 @@ def build_testbed(
         get per-user flow affinity.
     """
     simulator = Simulator(seed=config.seed)
-    fabric = LANFabric(simulator, latency=config.fabric_latency)
+    fabric = LANFabric(simulator)
     allocators = default_allocators()
     demands = array("d")
     collector = collector if collector is not None else ResponseTimeCollector(

@@ -11,31 +11,39 @@ balancing, not in workload randomness.
 The sweep is the ``poisson`` :class:`~repro.experiments.scenario.ScenarioSpec`
 (one cell per (policy, load factor)), run through
 :func:`~repro.experiments.scenario.run_scenario`; one run is a one-cell
-sweep.
+sweep.  Its result is a :class:`~repro.experiments.scenario.ScenarioResult`
+keyed ``(policy name, load factor)``, with the saturation rate λ₀ the
+load factors normalise against in ``meta["saturation_rate"]``.
+:class:`PoissonGrid` is the pipeline itself; the heterogeneous-fleet
+family runs it on its mixed-speed fleet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.errors import ExperimentError
 from repro.experiments import registry
-from repro.experiments.calibration import saturation_rate_for
+from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import PoissonSweepConfig, TestbedConfig
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import (
     RunResult,
     ScenarioCell,
+    ScenarioResult,
     ScenarioSpec,
     TraceProvider,
+    policy_named,
 )
 from repro.metrics.collector import ServerLoadSampler
 from repro.metrics.reporting import format_table
 from repro.workload.poisson import poisson_trace
 from repro.workload.trace import Trace
+
+#: Seconds between the busy-thread samples Figure 4 plots.
+LOAD_SAMPLE_INTERVAL = 0.5
 
 
 @dataclass
@@ -57,39 +65,75 @@ class PoissonRunResult(RunResult):
         return self.collector.response_times()
 
 
-@dataclass
-class PoissonSweepResult:
-    """All runs of a load-factor sweep, indexed by policy then load factor."""
+class PoissonGrid(ScenarioSpec):
+    """A load-factor × policy grid of Poisson runs on one fleet.
 
-    config: PoissonSweepConfig
-    saturation_rate: float
-    runs: Dict[str, Dict[float, PoissonRunResult]] = field(default_factory=dict)
+    Not registered: the ``poisson`` and ``heterogeneous-fleet`` families
+    subclass it and say which fleet a cell builds, what the queries
+    demand and how a run is named.  Every policy replays the same trace
+    at a given load factor.
+    """
 
-    def mean_response_series(self, policy_name: str) -> List[Tuple[float, float]]:
-        """``(load factor, mean response time)`` series for one policy."""
-        if policy_name not in self.runs:
-            raise ExperimentError(f"no runs recorded for policy {policy_name!r}")
-        by_load = self.runs[policy_name]
+    #: Prefix of every run name.
+    run_prefix = ""
+
+    def fleet(self, config: Any) -> TestbedConfig:
+        """The testbed every cell builds."""
+        return config.testbed
+
+    def service_mean(self, config: Any) -> float:
+        """Mean CPU demand per query, seconds."""
+        return config.service_mean
+
+    def cells(self, config: Any, sample_load: bool = False) -> List[ScenarioCell]:
         return [
-            (load_factor, by_load[load_factor].mean_response_time)
-            for load_factor in sorted(by_load)
+            ScenarioCell((policy.name, load_factor), {"sample_load": sample_load})
+            for load_factor in config.load_factors
+            for policy in config.policies
         ]
 
-    def policies(self) -> List[str]:
-        """Names of the policies in the sweep, in configuration order."""
-        return [policy.name for policy in self.config.policies]
+    def trace_key(self, config: Any, cell: ScenarioCell) -> float:
+        return cell.key[1]
 
-    def run(self, policy_name: str, load_factor: float) -> PoissonRunResult:
-        """A specific run, by policy name and load factor."""
-        try:
-            return self.runs[policy_name][load_factor]
-        except KeyError as exc:
-            raise ExperimentError(
-                f"no run for policy {policy_name!r} at load factor {load_factor!r}"
-            ) from exc
+    def make_trace(self, config: Any, cell: ScenarioCell) -> Trace:
+        # Seeded from the workload seed and the load factor only, so the
+        # trace is identical across policies and across testbed seeds.
+        load_factor = cell.key[1]
+        service_mean = self.service_mean(config)
+        return poisson_trace(
+            load_factor,
+            analytic_saturation_rate(self.fleet(config), service_mean),
+            config.num_queries,
+            service_mean,
+            [config.workload_seed, int(round(load_factor * 1_000_000))],
+        )
+
+    def run_once(self, config: Any, cell: ScenarioCell, trace: Trace) -> PoissonRunResult:
+        name, load_factor = cell.key
+        with build_testbed(
+            self.fleet(config),
+            policy_named(config, name),
+            run_name=f"{self.run_prefix}{name}-rho{load_factor:g}",
+        ) as testbed:
+            if cell.param("sample_load"):
+                testbed.attach_load_sampler(interval=LOAD_SAMPLE_INTERVAL)
+            duration = testbed.run_trace(trace)
+        return PoissonRunResult.of(
+            testbed,
+            duration,
+            acceptance_counts=testbed.acceptance_counts(),
+            load_sampler=testbed.load_sampler,
+        )
+
+    def meta(self, config: Any, trace_for: TraceProvider) -> Dict[str, Any]:
+        return {
+            "saturation_rate": analytic_saturation_rate(
+                self.fleet(config), self.service_mean(config)
+            )
+        }
 
 
-class PoissonScenario(ScenarioSpec):
+class PoissonScenario(PoissonGrid):
     """The load-factor sweep as a declarative scenario (Figure 2)."""
 
     name = "poisson"
@@ -106,99 +150,28 @@ class PoissonScenario(ScenarioSpec):
             policies=(rr_policy(), sr_policy(4)),
         )
 
-    def cells(
-        self, config: PoissonSweepConfig, sample_load: bool = False
-    ) -> List[ScenarioCell]:
-        saturation = saturation_rate_for(
-            config.saturation_rate, config.testbed, config.service_mean
-        )
-        return [
-            ScenarioCell(
-                key=(policy.name, load_factor),
-                params={
-                    "policy": policy,
-                    "load_factor": load_factor,
-                    "saturation_rate": saturation,
-                    "sample_load": sample_load,
-                },
-            )
-            for load_factor in config.load_factors
-            for policy in config.policies
-        ]
-
-    def trace_key(self, config: PoissonSweepConfig, cell: ScenarioCell) -> float:
-        # Every policy replays the same trace at a given load factor.
-        return cell.param("load_factor")
-
-    def make_trace(self, config: PoissonSweepConfig, cell: ScenarioCell) -> Trace:
-        # Seeded from the workload seed and the load factor only, so the
-        # trace is identical across policies and across testbed seeds.
-        load_factor = cell.param("load_factor")
-        return poisson_trace(
-            load_factor,
-            cell.param("saturation_rate"),
-            config.num_queries,
-            config.service_mean,
-            [config.workload_seed, int(round(load_factor * 1_000_000))],
-        )
-
-    def run_once(
-        self, config: PoissonSweepConfig, cell: ScenarioCell, trace: Trace
-    ) -> PoissonRunResult:
-        policy = cell.param("policy")
-        with build_testbed(
-            config.testbed,
-            policy,
-            run_name=f"{policy.name}-rho{cell.param('load_factor'):g}",
-        ) as testbed:
-            if cell.param("sample_load"):
-                testbed.attach_load_sampler(interval=config.load_sample_interval)
-            duration = testbed.run_trace(trace)
-        return PoissonRunResult.of(
-            testbed,
-            duration,
-            acceptance_counts=testbed.acceptance_counts(),
-            load_sampler=testbed.load_sampler,
-        )
-
-    def aggregate(
-        self,
-        config: PoissonSweepConfig,
-        cells: Sequence[ScenarioCell],
-        runs: Sequence[PoissonRunResult],
-        trace_for: TraceProvider,
-    ) -> PoissonSweepResult:
-        result = PoissonSweepResult(
-            config=config, saturation_rate=cells[0].param("saturation_rate")
-        )
-        for cell, run in zip(cells, runs):
-            policy_name, load_factor = cell.key
-            result.runs.setdefault(policy_name, {})[load_factor] = run
-        return result
-
-    def render(self, result: PoissonSweepResult) -> str:
+    def render(self, result: ScenarioResult) -> str:
         from repro.experiments import figures
 
         return figures.render_figure2(result)
 
-    def report(self, result: PoissonSweepResult) -> str:
+    def report(self, result: ScenarioResult) -> str:
         """One row per run: a shell-size sweep is a few cells, not a curve."""
         config = result.config
         rows: List[List[object]] = []
-        for load_factor in config.load_factors:
-            for policy in config.policies:
-                run = result.run(policy.name, load_factor)
-                summary = run.collector.summary()
-                rows.append(
-                    [
-                        load_factor,
-                        policy.name,
-                        summary.mean,
-                        summary.median,
-                        summary.p90,
-                        run.counters["server.connections_reset"],
-                    ]
-                )
+        for policy, load_factor in result.keys():
+            run = result.run((policy, load_factor))
+            summary = run.collector.summary()
+            rows.append(
+                [
+                    load_factor,
+                    policy,
+                    summary.mean,
+                    summary.median,
+                    summary.p90,
+                    run.counters["server.connections_reset"],
+                ]
+            )
         return format_table(
             ["rho", "policy", "mean (s)", "median (s)", "p90 (s)", "resets"],
             rows,

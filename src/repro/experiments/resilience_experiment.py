@@ -110,6 +110,7 @@ class ResilienceScenario(ScenarioSpec):
     """The LB-churn comparison as a declarative scenario."""
 
     name = "resilience"
+    grid = "selection_schemes"
 
     def smoke_config(self) -> ResilienceConfig:
         return ResilienceConfig(
@@ -140,12 +141,6 @@ class ResilienceScenario(ScenarioSpec):
         churn.sort(key=lambda event: event.at_fraction)
         return replace(config, testbed=testbed, churn=tuple(churn))
 
-    def cells(self, config: ResilienceConfig) -> List[ScenarioCell]:
-        return [
-            ScenarioCell(key=scheme, params={"scheme": scheme})
-            for scheme in config.selection_schemes
-        ]
-
     # trace_key: the default (one shared trace for every scheme).
 
     def make_trace(self, config: ResilienceConfig, cell: ScenarioCell) -> Trace:
@@ -161,7 +156,7 @@ class ResilienceScenario(ScenarioSpec):
         self, config: ResilienceConfig, cell: ScenarioCell, trace: Trace
     ) -> ResilienceRunResult:
         """Run the churn schedule under one candidate-selection scheme."""
-        scheme = cell.param("scheme")
+        scheme = cell.key
         with build_testbed(
             config.testbed, config.policy_for(scheme), run_name=f"resilience-{scheme}"
         ) as testbed:

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.errors import ExperimentError
 from repro.experiments import registry
-from repro.experiments.calibration import saturation_rate_for
+from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import ScaleConfig, TestbedConfig
 from repro.experiments.platform import SETTLE_MARGIN, build_testbed
 from repro.experiments.scenario import ScenarioCell, ScenarioSpec, TraceProvider
@@ -119,9 +119,7 @@ def make_scale_stream(
     worker running several pods generates the stream once; the arrays
     are read-only because every caller gets the same ones.
     """
-    pod_rate = saturation_rate_for(
-        config.saturation_rate, config.testbed, config.service_mean
-    )
+    pod_rate = analytic_saturation_rate(config.testbed, config.service_mean)
     rate = config.load_factor * config.pods * pod_rate
     rng = np.random.default_rng([config.workload_seed, config.num_queries])
     arrivals = np.cumsum(rng.exponential(1.0 / rate, size=config.num_queries))

@@ -7,10 +7,12 @@ into figures*.  This module captures that pipeline once, so a scenario
 family is a small declarative spec instead of ~300 lines of bespoke
 sweep plumbing.
 
-A family subclasses :class:`ScenarioSpec` and provides:
+A family subclasses :class:`ScenarioSpec` and declares its grid: the
+config tuple its cells enumerate (:attr:`ScenarioSpec.grid` —
+``policies``, ``modes`` or ``selection_schemes``), from which the
+default ``cells(config)`` makes one key-only, picklable
+:class:`ScenarioCell` per entry.  It provides:
 
-* ``cells(config, **options)`` — the grid of independent runs, each a
-  picklable :class:`ScenarioCell` (e.g. one per (policy, load factor));
 * ``make_trace(config, cell)`` — the deterministic workload trace of a
   cell (cells may share a trace, see :meth:`ScenarioSpec.trace_key`);
 * ``run_once(config, cell, trace)`` — build a fresh testbed (``with
@@ -24,8 +26,10 @@ A family subclasses :class:`ScenarioSpec` and provides:
 * ``render(result)`` — the family's headline figure;
 
 and may override ``meta(config, trace_for)`` (scenario-wide values for
-the result) or ``aggregate(config, cells, runs, trace_for)``, whose
-default keys each run by its cell into a :class:`ScenarioResult`.  The
+the result), ``cells`` (a grid that is not one tuple: the Poisson
+load-factor × policy grid, scale's one partitioned run) or
+``aggregate(config, cells, runs, trace_for)``, whose default keys each
+run by its cell into a :class:`ScenarioResult`.  The
 family's sub-command is generated from its config's fields (see
 :mod:`repro.experiments.params`); ``config_from_flags`` and ``report``
 are the two places a family may bend it.
@@ -79,6 +83,7 @@ from typing import (
 
 from repro.errors import ExperimentError
 from repro.experiments import registry
+from repro.experiments.config import PolicySpec
 from repro.metrics.collector import ResponseTimeCollector
 from repro.telemetry import runtime as telemetry_runtime
 from repro.workload.trace import Trace
@@ -138,6 +143,14 @@ class RunResult:
         return self.collector.totals.completed / queries
 
 
+def policy_named(config: Any, name: str) -> PolicySpec:
+    """The entry of ``config.policies`` called ``name`` (a policy cell's key)."""
+    for policy in config.policies:
+        if policy.name == name:
+            return policy
+    raise ExperimentError(f"no policy named {name!r} in the configuration")
+
+
 #: ``aggregate`` receives this callable to obtain the parent-side trace
 #: of a cell on demand (cached per trace key, generated lazily so a
 #: parallel run does not regenerate traces it never reads).
@@ -150,9 +163,8 @@ class ScenarioResult:
 
     What :meth:`ScenarioSpec.aggregate` builds by default; scenario-wide
     data (the Wikipedia replay's trace summary, the heavy-tail user
-    profile, a saturation rate) goes in :attr:`meta`.  Only the Poisson
-    sweep, indexed by policy then load factor, and the one-run ``scale``
-    family aggregate into classes of their own.
+    profile, a saturation rate) goes in :attr:`meta`.  Only the one-run
+    ``scale`` family aggregates into a class of its own.
     """
 
     scenario: str
@@ -188,6 +200,10 @@ class ScenarioSpec(ABC):
     #: Registry key; stable, CLI-facing (e.g. ``"flash-crowd"``).
     name: str = ""
 
+    #: The config tuple whose entries are the family's cells:
+    #: ``policies`` (keyed by name), ``modes`` or ``selection_schemes``.
+    grid: str = "policies"
+
     @property
     def title(self) -> str:
         """One-line human description shown by ``srlb-repro scenarios``."""
@@ -207,14 +223,19 @@ class ScenarioSpec(ABC):
     # ------------------------------------------------------------------
     # the pipeline
     # ------------------------------------------------------------------
-    @abstractmethod
-    def cells(self, config: Any, **options: Any) -> List[ScenarioCell]:
+    def cells(self, config: Any) -> List[ScenarioCell]:
         """The grid of independent runs described by ``config``.
 
-        ``options`` are family-specific run-time switches (e.g. the
-        Poisson sweep's ``sample_load``); they must round-trip into the
-        cells' ``params`` because workers only see the cells.
+        One key-only cell per entry of the config tuple :attr:`grid`
+        names, in config order; a policy's key is its name.  A family
+        that takes run-time switches (the Poisson sweep's
+        ``sample_load``) overrides this and puts them in the cells'
+        ``params``, because workers only see the cells.
         """
+        return [
+            ScenarioCell(getattr(entry, "name", entry))
+            for entry in getattr(config, self.grid)
+        ]
 
     @abstractmethod
     def make_trace(self, config: Any, cell: ScenarioCell) -> Trace:
@@ -364,7 +385,7 @@ def run_scenario(
         per-cell traces.
     options:
         Family-specific switches forwarded to
-        :meth:`ScenarioSpec.cells`.
+        :meth:`ScenarioSpec.cells` (``sample_load``, ``partitions``).
     """
     spec = scenario if isinstance(scenario, ScenarioSpec) else registry.get(scenario)
     if config is None:

@@ -23,6 +23,7 @@ with the trace summary in ``meta["trace_summary"]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import nan
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -36,23 +37,18 @@ from repro.experiments.scenario import (
     ScenarioResult,
     ScenarioSpec,
     TraceProvider,
+    policy_named,
 )
 from repro.metrics.binning import TimeBinner
 from repro.metrics.stats import quartiles
 from repro.workload.requests import KIND_WIKI
 from repro.workload.trace import Trace
-from repro.workload.wikipedia import DiurnalRateCurve, SyntheticWikipediaWorkload
+from repro.workload.wikipedia import SyntheticWikipediaWorkload
 
 
 def make_wikipedia_trace(config: WikipediaReplayConfig) -> Trace:
     """Generate the synthetic replay trace described by ``config``."""
-    curve = DiurnalRateCurve(
-        mean_rate=config.mean_wiki_rate,
-        amplitude=config.wiki_rate_amplitude,
-        trough_hour=config.trough_hour,
-    )
     workload = SyntheticWikipediaWorkload(
-        curve=curve,
         replay_fraction=config.replay_fraction,
         static_per_wiki=config.static_per_wiki,
         duration=config.duration,
@@ -89,8 +85,15 @@ class WikipediaRunResult(RunResult):
         return self.wiki_binned().decile_series(through=self.trace_duration)
 
     def wiki_quartiles(self) -> Tuple[float, float, float]:
-        """Whole-day quartiles of the wiki-page load time (Figure 8 text)."""
-        return quartiles(self.wiki_response_times())
+        """Whole-day quartiles of the wiki-page load time (Figure 8 text).
+
+        NaNs when no wiki query completed (a replay too short to hold
+        one), as every results table prints an empty sample.
+        """
+        times = self.wiki_response_times()
+        if times.size == 0:
+            return (nan, nan, nan)
+        return quartiles(times)
 
 
 class WikipediaScenario(ScenarioSpec):
@@ -116,12 +119,6 @@ class WikipediaScenario(ScenarioSpec):
         day = self.default_config().duration
         return replace(config, duration=day).compressed(config.duration)
 
-    def cells(self, config: WikipediaReplayConfig) -> List[ScenarioCell]:
-        return [
-            ScenarioCell(key=policy.name, params={"policy": policy})
-            for policy in config.policies
-        ]
-
     # trace_key: the default (one shared trace for every policy).
 
     def make_trace(
@@ -132,7 +129,7 @@ class WikipediaScenario(ScenarioSpec):
     def run_once(
         self, config: WikipediaReplayConfig, cell: ScenarioCell, trace: Trace
     ) -> WikipediaRunResult:
-        policy = cell.param("policy")
+        policy = policy_named(config, cell.key)
         with build_testbed(
             config.testbed, policy, run_name=f"wikipedia-{policy.name}"
         ) as testbed:

@@ -153,7 +153,6 @@ class HTTPServerInstance:
         backlog_capacity: int = 128,
         demand_lookup: Optional[DemandLookup] = None,
         response_payload_size: int = 8_000,
-        abort_on_overflow: bool = True,
         request_timeout: Optional[float] = None,
         shed_watermark: Optional[int] = None,
     ) -> None:
@@ -175,7 +174,7 @@ class HTTPServerInstance:
         self.cpu = cpu
         self.scoreboard = Scoreboard(simulator.clock, num_workers)
         self.workers = WorkerPool(self.scoreboard)
-        self.backlog = ListenBacklog(backlog_capacity, abort_on_overflow)
+        self.backlog = ListenBacklog(backlog_capacity)
         self.demand_lookup = demand_lookup
         self.response_payload_size = response_payload_size
         self.request_timeout = request_timeout

@@ -82,11 +82,11 @@ class DiurnalRateCurve:
 class SyntheticWikipediaWorkload:
     """Generator of the synthetic 24-hour Wikipedia replay trace.
 
+    Wiki-page requests follow :class:`DiurnalRateCurve` (pages/s *at
+    full trace scale*).
+
     Parameters
     ----------
-    curve:
-        Diurnal rate curve for wiki-page requests, in pages/s *at full
-        trace scale*.
     replay_fraction:
         Fraction of the trace replayed; the paper replays 50 % of the
         24-hour trace ("the testbed could sustain 50 % of the peak
@@ -106,7 +106,6 @@ class SyntheticWikipediaWorkload:
 
     def __init__(
         self,
-        curve: Optional[DiurnalRateCurve] = None,
         replay_fraction: float = 1.0,
         static_per_wiki: float = 1.0,
         duration: float = SECONDS_PER_DAY,
@@ -123,7 +122,7 @@ class SyntheticWikipediaWorkload:
             )
         if duration <= 0:
             raise WorkloadError(f"duration must be positive, got {duration!r}")
-        self.curve = curve or DiurnalRateCurve()
+        self.curve = DiurnalRateCurve()
         self.replay_fraction = replay_fraction
         self.static_per_wiki = static_per_wiki
         self.duration = duration

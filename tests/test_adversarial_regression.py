@@ -15,6 +15,8 @@ import pytest
 from repro.errors import WorkloadError
 from repro.experiments.adversarial_experiment import (
     ADVERSARIAL_SCENARIO,
+    ATTACK_WINDOW,
+    HOUSEKEEPING_INTERVAL,
     _attach_flood,
     _attach_gray_failure,
 )
@@ -59,7 +61,7 @@ def _run_mode(config, mode):
     testbed = _testbed(config, mode)
     tier = testbed.lb_tier
     for instance in tier.instances:
-        instance.start_housekeeping(config.housekeeping_interval)
+        instance.start_housekeeping(HOUSEKEEPING_INTERVAL)
 
     def stop_housekeeping():
         for instance in tier.instances:
@@ -134,7 +136,7 @@ def test_gray_failure_quarantine_drains_mid_flow_without_resets():
     victim = testbed.servers[0]
     tier = testbed.lb_tier
     for instance in tier.instances:
-        instance.start_housekeeping(config.housekeeping_interval)
+        instance.start_housekeeping(HOUSEKEEPING_INTERVAL)
     testbed.at_horizon(
         lambda: [i.stop_housekeeping() for i in tier.instances]
     )
@@ -146,7 +148,7 @@ def test_gray_failure_quarantine_drains_mid_flow_without_resets():
     assert len(watchdog.events) == 1
     event = watchdog.events[0]
     assert event.server == "server-0"
-    assert event.time >= trace.duration * config.attack_start_fraction
+    assert event.time >= trace.duration * ATTACK_WINDOW[0]
 
     # ...which went through a *graceful* drain: it is quiescent, its
     # replacement is active, and no connection anywhere was reset.

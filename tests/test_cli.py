@@ -520,6 +520,16 @@ class TestDegenerateRuns:
         # done, failed, ..., p99 is nan; the counter columns still print.
         assert row[1:3] == ["0.0%", "300"] and row[6] == "nan"
 
+    def test_a_replay_with_no_completed_wiki_query_prints_nan(self, capsys):
+        # So short a day holds no wiki query at all: the quartile lines
+        # print nan instead of failing after the run.
+        assert main(["wikipedia", "--duration", "0.01"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [
+            "RR: whole-day median=nan s, third quartile=nan s",
+            "SR4: whole-day median=nan s, third quartile=nan s",
+        ]
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_overlapping_flap_windows_merge(self, jobs, capsys):
         argv = ["chaos", "--queries", "40", "--mode", "flap", "--jobs", jobs]

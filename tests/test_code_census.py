@@ -21,7 +21,15 @@ in the class body and any ``__init__(...)`` call match a class's
 ``__init__``), so a knob reported here is confirmed by a grep before it
 goes.
 
-``python tests/test_code_census.py`` (``make census``) prints both
+**Config fields.**  A field of a dataclass in
+``repro/experiments/config.py`` is alive only if a flag exposes it — its
+``param(...)`` declares a flag, or a nested config's ``expose=`` names
+it — or a call in ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``
+sets it: a keyword (or a position) in a call of its class, or a keyword
+of a ``replace`` call (matched by bare name, whatever the object).  A
+value nothing sets is a constant of the module that reads it.
+
+``python tests/test_code_census.py`` (``make census``) prints the three
 reports, with where each unreferenced name is still reached outside
 ``src/``.
 """
@@ -40,6 +48,7 @@ from repro.experiments.scenario import ScenarioSpec
 SRC = pathlib.Path(repro.__file__).parent
 ROOT = SRC.parents[1]
 PERF = ROOT / "benchmarks" / "perf"
+CONFIG = SRC / "experiments" / "config.py"
 
 #: The only reasons a definition nothing in ``src/`` reaches may stay.
 EXAMPLES = "the examples' public API"
@@ -218,6 +227,15 @@ def _call_signature(call, args):
     )
 
 
+def _callee(func):
+    """The bare name a call's ``func`` is matched by (``None`` when it has none)."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
 def _sites(trees):
     """Bare callee name → ``(positional count, splat, keywords)`` of every call in ``trees``."""
     sites = defaultdict(list)
@@ -233,20 +251,22 @@ def _sites(trees):
             func, args = call.func, call.args
             if isinstance(func, ast.Name) and func.id == "partial" and args:
                 func, args = args[0], args[1:]
-            if isinstance(func, ast.Name):
-                name = own_class.get(id(call), "cls") if func.id == "cls" else func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            else:
-                continue
-            sites[name].append(_call_signature(call, args))
+            name = _callee(func)
+            if name == "cls" and isinstance(func, ast.Name):
+                name = own_class.get(id(call), "cls")
+            if name is not None:
+                sites[name].append(_call_signature(call, args))
     return sites
+
+
+def _caller_trees():
+    roots = [ROOT / folder for folder in ("src", "tests", "benchmarks", "examples")]
+    return [_tree(path) for path in _python_files(*roots)]
 
 
 @functools.lru_cache(maxsize=None)
 def _call_sites():
-    roots = [ROOT / folder for folder in ("src", "tests", "benchmarks", "examples")]
-    return _sites([_tree(path) for path in _python_files(*roots)])
+    return _sites(_caller_trees())
 
 
 def _defaulted(function, bound):
@@ -297,6 +317,97 @@ def unpassed(allowed=ALLOWED_KNOBS):
 
 
 # ----------------------------------------------------------------------
+# config fields
+# ----------------------------------------------------------------------
+def _strings(node, constants):
+    """The string constants of an expression, through module-level names."""
+    if isinstance(node, ast.Constant):
+        return [node.value] if isinstance(node.value, str) else []
+    if isinstance(node, ast.Name):
+        return _strings(constants[node.id], constants) if node.id in constants else []
+    return [text for child in ast.iter_child_nodes(node) for text in _strings(child, constants)]
+
+
+def _declares_flag(call, constants):
+    """Whether a ``param(...)`` call gives its field a flag.
+
+    ``param(default, "--flag", ...)``, ``param(..., flag=...)``, or a
+    ``**NAME`` splat of a module-level ``dict(flag=...)``.
+    """
+    if len(call.args) > 1:
+        return True
+    for keyword in call.keywords:
+        splat = constants.get(getattr(keyword.value, "id", None)) if keyword.arg is None else None
+        if keyword.arg == "flag" or (
+            isinstance(splat, ast.Call) and any(k.arg == "flag" for k in splat.keywords)
+        ):
+            return True
+    return False
+
+
+def _field_census(config, callers):
+    """``(fields, alive)`` of the dataclasses of the ``config`` module.
+
+    ``fields`` maps ``(class, field)`` to its line; ``alive`` holds the
+    pairs a flag exposes or a call among ``callers`` sets.
+    """
+    constants = {
+        target.id: node.value
+        for node in config.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    fields, order, alive = {}, {}, set()
+    for node in config.body:
+        decorators = [getattr(d, "func", d) for d in getattr(node, "decorator_list", ())]
+        if not any(getattr(d, "id", None) == "dataclass" for d in decorators):
+            continue
+        order[node.name] = []
+        for item in node.body:
+            if not isinstance(item, ast.AnnAssign) or "ClassVar" in ast.unparse(item.annotation):
+                continue
+            fields[(node.name, item.target.id)] = item.lineno
+            order[node.name].append(item.target.id)
+            value = item.value
+            if not (isinstance(value, ast.Call) and _callee(value.func) == "param"):
+                continue
+            if _declares_flag(value, constants):
+                alive.add((node.name, item.target.id))
+            for keyword in value.keywords:
+                if keyword.arg == "expose":
+                    # The exposed flags set the nested config, and through it the field.
+                    nested = ast.unparse(item.annotation)
+                    alive.add((node.name, item.target.id))
+                    alive.update((nested, name) for name in _strings(keyword.value, constants))
+    for tree in callers:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = _callee(call.func)
+            keywords = [keyword.arg for keyword in call.keywords if keyword.arg]
+            if callee in order:
+                positions = 0
+                while positions < len(call.args) and not isinstance(call.args[positions], ast.Starred):
+                    positions += 1
+                alive.update((callee, name) for name in order[callee][:positions] + keywords)
+            elif callee == "replace":
+                alive.update((cls, name) for cls in order for name in keywords)
+    return fields, alive
+
+
+@functools.lru_cache(maxsize=None)
+def _config_census():
+    return _field_census(_tree(CONFIG), _caller_trees())
+
+
+def unset_fields():
+    """``{"Class.field": line}`` of the config fields no flag exposes and no call sets."""
+    fields, alive = _config_census()
+    return {f"{cls}.{name}": line for (cls, name), line in fields.items() if (cls, name) not in alive}
+
+
+# ----------------------------------------------------------------------
 # the census
 # ----------------------------------------------------------------------
 def test_src_keeps_no_name_that_nothing_runs():
@@ -305,6 +416,12 @@ def test_src_keeps_no_name_that_nothing_runs():
 
 def test_src_keeps_no_knob_that_nothing_turns():
     assert sorted(unpassed()) == []
+
+
+def test_a_config_holds_only_fields_something_sets():
+    fields, _ = _config_census()
+    assert len(fields) > 100  # the census reads the real config module
+    assert sorted(unset_fields()) == []
 
 
 def test_every_allow_listed_name_needs_its_entry():
@@ -521,6 +638,66 @@ def test_an_allow_listed_knob_is_not_reported(monkeypatch):
     assert unpassed(allowed={"f(a=)": (REACHED_BY_PERF, "x")}) == {}
 
 
+def _fields_of(monkeypatch, config, **callers):
+    """Point the config-field census at ``config`` and ``callers`` (name → source)."""
+    trees = [ast.parse(textwrap.dedent(text)) for text in callers.values()]
+    census = _field_census(ast.parse(textwrap.dedent(config)), trees)
+    monkeypatch.setitem(globals(), "_config_census", lambda: census)
+    return set(unset_fields())
+
+
+def test_a_flag_keeps_a_field_and_a_bound_alone_does_not(monkeypatch):
+    config = """
+    FLAG = dict(flag="--name", help="a name")
+    @dataclass(frozen=True)
+    class Config:
+        size: int = param(1, "--size", "how many", POSITIVE)
+        rate: float = param(0.5, flag="--rate")
+        name: str = param("x", **FLAG)
+        floor: float = param(0.1, bound=POSITIVE)
+        plain: int = 3
+        table: ClassVar[tuple] = ()
+    """
+    assert _fields_of(monkeypatch, config) == {"Config.floor", "Config.plain"}
+
+
+def test_expose_keeps_the_nested_fields_it_names(monkeypatch):
+    config = """
+    SHAPE = ("cores",)
+    @dataclass
+    class Inner:
+        cores: int = 2
+        workers: int = 8
+        seed: int = 0
+    @dataclass
+    class Outer:
+        inner: Inner = param(default_factory=Inner, expose=SHAPE + ("seed",))
+    """
+    assert _fields_of(monkeypatch, config) == {"Inner.workers"}
+
+
+def test_a_constructor_or_replace_call_sets_a_field(monkeypatch):
+    config = """
+    @dataclass
+    class Config:
+        first: int = 1
+        second: int = 2
+        third: int = 3
+        fourth: int = 4
+        fifth: int = 5
+    class NotAConfig:
+        ignored: int = 0
+    """
+    caller = """
+    Config(10)
+    Config(*ARGS, second=20)
+    replace(CONFIG, third=30)
+    other.replace("a", "b")
+    Config(**{"fourth": 40})
+    """
+    assert _fields_of(monkeypatch, config, b=caller) == {"Config.fourth", "Config.fifth"}
+
+
 # ----------------------------------------------------------------------
 # the frozen benchmark's imports
 # ----------------------------------------------------------------------
@@ -559,12 +736,7 @@ def test_every_name_allowed_for_the_benchmark_is_one_it_references():
 # one way to run a family
 # ----------------------------------------------------------------------
 def test_a_spec_has_only_the_hooks_run_scenario_calls():
-    assert ScenarioSpec.__abstractmethods__ == {
-        "smoke_config",
-        "cells",
-        "make_trace",
-        "run_once",
-    }
+    assert ScenarioSpec.__abstractmethods__ == {"smoke_config", "make_trace", "run_once"}
 
 
 def _calls(node, name):
@@ -618,7 +790,9 @@ def test_every_built_testbed_is_released_by_a_with_block():
             where = f"{path.relative_to(SRC)}:{call.lineno}"
             callers.append(where)
             assert id(call) in released, f"{where} builds a testbed outside a with block"
-    assert len(callers) >= 11  # every family, the scale pod and calibration
+    # Every family (heterogeneous-fleet runs the Poisson pipeline), the
+    # scale pod and calibration.
+    assert len(callers) >= 10
 
 
 # ----------------------------------------------------------------------
@@ -647,7 +821,7 @@ def _reached_outside():
 
 
 def report():
-    """The census as text: unreferenced names (listed or not) and unturned knobs."""
+    """The census as text: unreferenced names (listed or not), unturned knobs, unset fields."""
     reached = _reached_outside()
     found = unreferenced(allowed={})
     # A class's methods go with it; report the class only.
@@ -679,6 +853,11 @@ def report():
         entry = ALLOWED_KNOBS.get(key)
         suffix = f" [{entry[0]}: {entry[1]}]" if entry else ""
         lines.append(f"  {module}:{line} {key}{suffix}")
+    fields, _ = _config_census()
+    unset = unset_fields()
+    lines.append(f"Config fields no flag exposes and no call sets ({len(unset)} of {len(fields)}):")
+    for key, line in sorted(unset.items(), key=lambda item: item[1]):
+        lines.append(f"  experiments/config.py:{line} {key}")
     return "\n".join(lines)
 
 

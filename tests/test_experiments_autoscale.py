@@ -41,7 +41,6 @@ class TestConfigValidation:
             dict(load_amplitude=0.6),  # exceeds mean_load
             dict(mean_load=0.8, load_amplitude=0.3),  # peak over capacity
             dict(scale_up_fraction=0.04, scale_down_fraction=0.12),
-            dict(warmup_speed=0.0),
             dict(modes=()),
             dict(modes=("static", "clairvoyant")),
         ],

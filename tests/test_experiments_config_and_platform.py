@@ -102,11 +102,6 @@ class TestSweepConfigs:
         assert config.service_mean == pytest.approx(0.1)
         assert len(config.policies) == 5
 
-    def test_poisson_scaled_copy(self):
-        config = PoissonSweepConfig().scaled(num_queries=500, load_factors=[0.5])
-        assert config.num_queries == 500
-        assert config.load_factors == (0.5,)
-
     def test_poisson_invalid(self):
         with pytest.raises(ExperimentError):
             PoissonSweepConfig(load_factors=())

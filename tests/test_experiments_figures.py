@@ -76,10 +76,7 @@ def test_figure2_table_from_smoke_sweep(smoke_results):
 
 def test_figure_cdf_table_from_smoke_sweep(smoke_results):
     sweep = smoke_results["poisson"]
-    config = sweep.config
-    runs = {
-        name: sweep.run(name, config.load_factors[0]) for name in sweep.policies()
-    }
+    runs = {name: sweep.run((name, rho)) for name, rho in sweep.keys()}
     table = figures.render_figure_cdf(runs, title="smoke CDF")
     assert "smoke CDF" in table
 

@@ -29,6 +29,7 @@ from repro.experiments.config import (
     rr_policy,
     sr_policy,
 )
+from repro.experiments.figures import figure2_series
 from repro.experiments.scenario import resolve_jobs, run_scenario
 from repro.experiments.wikipedia_experiment import make_wikipedia_trace
 from repro.metrics.collector import (
@@ -253,16 +254,15 @@ class TestLoadSamplerPayload:
 # ----------------------------------------------------------------------
 def _sweep_fingerprint(result):
     """Every figure-facing series of a sweep, as comparable objects."""
-    fingerprint = {}
-    for policy_name, by_load in result.runs.items():
-        for load_factor, run in by_load.items():
-            fingerprint[(policy_name, load_factor)] = (
-                run.response_times().tolist(),
-                run.counters,
-                run.acceptance_counts,
-                run.duration,
-            )
-    return fingerprint
+    return {
+        key: (
+            run.response_times().tolist(),
+            run.counters,
+            run.acceptance_counts,
+            run.duration,
+        )
+        for key, run in result.runs.items()
+    }
 
 
 class TestPoissonSweepDeterminism:
@@ -271,18 +271,15 @@ class TestPoissonSweepDeterminism:
         serial = run_scenario("poisson", config, jobs=1)
         parallel = run_scenario("poisson", config, jobs=2)
         assert _sweep_fingerprint(serial) == _sweep_fingerprint(parallel)
-        for policy in ("RR", "SR4"):
-            assert serial.mean_response_series(policy) == parallel.mean_response_series(
-                policy
-            )
+        assert figure2_series(serial) == figure2_series(parallel)
 
     def test_load_sampler_survives_the_pool(self):
         config = _small_sweep_config(load_factors=(0.6,))
         serial = run_scenario("poisson", config, jobs=1, sample_load=True)
         parallel = run_scenario("poisson", config, jobs=2, sample_load=True)
         for policy in ("RR", "SR4"):
-            serial_sampler = serial.run(policy, 0.6).load_sampler
-            parallel_sampler = parallel.run(policy, 0.6).load_sampler
+            serial_sampler = serial.run((policy, 0.6)).load_sampler
+            parallel_sampler = parallel.run((policy, 0.6)).load_sampler
             assert parallel_sampler is not None
             assert parallel_sampler.times == serial_sampler.times
             assert parallel_sampler.samples == serial_sampler.samples
@@ -302,13 +299,11 @@ class TestPoissonSweepDeterminism:
         )
         serial = run_scenario("poisson", config, jobs=1)
         parallel = run_scenario("poisson", config, jobs=2)
+        assert figure2_series(serial) == figure2_series(parallel)
         for policy in ("RR", "SR4"):
-            assert serial.mean_response_series(policy) == parallel.mean_response_series(
-                policy
-            )
             # Equal sorted samples: equal empirical CDFs.
-            serial_times = np.sort(serial.run(policy, load_factor).response_times())
-            parallel_times = np.sort(parallel.run(policy, load_factor).response_times())
+            serial_times = np.sort(serial.run((policy, load_factor)).response_times())
+            parallel_times = np.sort(parallel.run((policy, load_factor)).response_times())
             assert np.array_equal(serial_times, parallel_times)
 
 

@@ -62,7 +62,6 @@ class TestScaleConfig:
             {"load_factor": 0.0},
             {"service_mean": -1.0},
             {"ecmp_hash": "crc32"},
-            {"saturation_rate": 0.0},
             {"load_factor": -0.5},
             {"service_mean": 0.0},
         ],

@@ -42,7 +42,7 @@ def _poisson_runs(policies, load_factor, num_queries, sample_load=False):
         load_factors=(load_factor,), num_queries=num_queries, policies=tuple(policies)
     )
     sweep = run_scenario("poisson", config, sample_load=sample_load)
-    return {policy.name: sweep.run(policy.name, load_factor) for policy in policies}
+    return {policy.name: sweep.run((policy.name, load_factor)) for policy in policies}
 
 
 @pytest.fixture(scope="module")

@@ -153,14 +153,16 @@ class TestPoissonGolden:
     @pytest.mark.parametrize("policy", ["RR", "SR4"])
     def test_mean_response_series_bitwise(self, golden, sweep, policy):
         expected = golden["poisson"][policy]["mean_series"]
-        got = [[rho, repr(mean)] for rho, mean in sweep.mean_response_series(policy)]
+        from repro.experiments.figures import figure2_series
+
+        got = [[rho, repr(mean)] for rho, mean in figure2_series(sweep)[policy]]
         assert got == expected
 
     @pytest.mark.parametrize("policy", ["RR", "SR4"])
     @pytest.mark.parametrize("rho", [0.4, 0.75])
     def test_response_times_and_cdf_bitwise(self, golden, sweep, policy, rho):
         expected = golden["poisson"][policy]
-        run = sweep.run(policy, rho)
+        run = sweep.run((policy, rho))
         assert _series_hash(run.response_times()) == expected["response_times"][repr(rho)]
         cdf = np.asarray(_empirical_cdf(run.response_times())).ravel()
         assert _series_hash(cdf) == expected["cdf"][repr(rho)]
@@ -169,7 +171,7 @@ class TestPoissonGolden:
     @pytest.mark.parametrize("rho", [0.4, 0.75])
     def test_accounting_identities(self, sweep, policy, rho):
         _assert_accounting_identities(
-            sweep.run(policy, rho), sweep.config.num_queries
+            sweep.run((policy, rho)), sweep.config.num_queries
         )
 
 

@@ -27,6 +27,7 @@ from repro.cli import main
 from repro.errors import TelemetryError
 from repro.experiments.adversarial_experiment import (
     ADVERSARIAL_SCENARIO,
+    HOUSEKEEPING_INTERVAL,
     _attach_gray_failure,
 )
 from repro.experiments.chaos_experiment import CHAOS_SCENARIO, outcome_fingerprint
@@ -206,7 +207,7 @@ def _run_gray_failure(config):
     testbed = build_testbed(config.testbed, config.policy, run_name="adversarial-gray-failure")
     tier = testbed.lb_tier
     for instance in tier.instances:
-        instance.start_housekeeping(config.housekeeping_interval)
+        instance.start_housekeeping(HOUSEKEEPING_INTERVAL)
     testbed.at_horizon(lambda: [i.stop_housekeeping() for i in tier.instances])
     watchdog = _attach_gray_failure(testbed, config, trace)
     testbed.run_trace(trace)
