@@ -66,15 +66,13 @@ _SPOOFED_BASE_OFFSET = 10_000
 #: The attack window, as fractions of the legitimate trace's duration.
 ATTACK_WINDOW = (0.25, 0.65)
 
-#: Gray failure: the victim's square-wave speed jitter (amplitude, and
-#: period in seconds).
-JITTER_AMPLITUDE, JITTER_INTERVAL = 0.3, 0.5
+#: Gray failure: amplitude of the victim's square-wave speed jitter.
+JITTER_AMPLITUDE = 0.3
 
-#: Watchdog: a server is slow past this multiple of the fleet median,
-#: and never below this busy-thread floor, which keeps a lightly loaded
-#: fleet (median ~1) from tripping the detector on ordinary Poisson
-#: bursts.
-WATCHDOG_SLOW_FACTOR, WATCHDOG_MIN_BUSY = 2.0, 5
+#: Busy-thread floor below which the watchdog never quarantines a
+#: server; keeps a lightly loaded fleet (median ~1) from tripping the
+#: detector on ordinary Poisson bursts.
+WATCHDOG_MIN_BUSY = 5
 
 #: Flow-table housekeeping period on every LB instance, seconds.
 HOUSEKEEPING_INTERVAL = 1.0
@@ -167,7 +165,6 @@ def _attach_gray_failure(
         start_at=start,
         duration=window,
         jitter_amplitude=JITTER_AMPLITUDE,
-        jitter_interval=JITTER_INTERVAL,
     )
     injector.start()
 
@@ -201,7 +198,6 @@ def _attach_gray_failure(
         servers=lambda: testbed.servers,
         on_quarantine=on_quarantine,
         interval=config.watchdog_interval,
-        slow_factor=WATCHDOG_SLOW_FACTOR,
         min_busy=WATCHDOG_MIN_BUSY,
         consecutive=config.watchdog_consecutive,
         sample_busy=sample_busy,

@@ -51,9 +51,9 @@ from repro.workload.diurnal import DiurnalWorkload
 from repro.workload.service_models import ExponentialServiceTime
 from repro.workload.trace import Trace
 
-
 #: Mean CPU demand per query, seconds.
 SERVICE_MEAN = 0.1
+
 
 def make_diurnal_workload(config: AutoscaleConfig) -> DiurnalWorkload:
     """The diurnal rate schedule described by ``config``."""

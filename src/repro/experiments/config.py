@@ -850,7 +850,6 @@ class AdversarialConfig(_OnePolicy):
             )
 
 
-
 @dataclass(frozen=True)
 class ScaleConfig(_OnePolicy):
     """Configuration of the partitioned million-client ``scale`` scenario.

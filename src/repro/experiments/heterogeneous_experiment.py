@@ -77,7 +77,7 @@ def capacity_fairness_index(
 
 
 class HeterogeneousFleetScenario(PoissonGrid):
-    """The mixed-speed-fleet comparison: the Poisson grid on :attr:`~HeterogeneousFleetConfig.fleet`."""
+    """The mixed-speed-fleet comparison: the Poisson grid on the config's ``fleet``."""
 
     name = "heterogeneous-fleet"
     run_prefix = "heterogeneous-"
