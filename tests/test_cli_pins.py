@@ -15,6 +15,7 @@ for a re-pin that a change to results makes deliberate.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -72,9 +73,10 @@ STATIC = {
 
 
 def _sub_commands():
-    parser = build_parser()
     (subparsers,) = [
-        action for action in parser._actions if action.__class__.__name__ == "_SubParsersAction"
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
     ]
     return list(subparsers.choices)
 
