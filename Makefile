@@ -7,7 +7,7 @@
 #   make bench-smoke-parallel - a tiny Figure-2 sweep, autoscale and adversarial run
 #                              over two worker processes (jobs=2), so CI ships
 #                              every shape of run result across a process boundary
-#   make scale-smoke         - the scale scenario at partitions=1 and 2; asserts the
+#   make scale-smoke         - the scale scenario's pods on 1 and 2 processes; asserts the
 #                              merged results are bit-identical (fingerprint check)
 #                              and the coordinator's and workers' memory growth
 #                              stays per-column
@@ -108,12 +108,12 @@ bench-smoke-parallel:
 		benchmarks/bench_autoscale.py \
 		benchmarks/bench_adversarial.py
 
-# One reduced scale run executed over 2 partition processes and again
-# serially; the benchmark asserts the merged results are bit-identical
-# (SHA-256 fingerprint), which holds on any core count — this is the
-# determinism gate of the partitioned engine, not a perf measurement —
+# One reduced scale run, its pod cells executed over 2 worker processes
+# and again serially; the benchmark asserts the merged results are
+# bit-identical (SHA-256 fingerprint), which holds on any core count —
+# this is the determinism gate of the pod cells, not a perf measurement —
 # and that the coordinator's ru_maxrss grew by no more than
-# 96 B per outcome + 5.5 MB over the partitioned run (pods ship columns),
+# 96 B per outcome + 5.5 MB over the multi-process run (pods ship columns),
 # and the pod workers' by no more than 224 B per outcome + 1 MiB over the
 # fork point (outcomes are table rows, finished pods free their testbed).
 scale-smoke:

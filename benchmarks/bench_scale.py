@@ -1,18 +1,18 @@
-"""Scale scenario — one partitioned run, bit-identical on any process count.
+"""Scale scenario — one run over pods, bit-identical on any process count.
 
 The ``scale`` family replays one aggregate query stream over ECMP-hashed
-pods, each pod its own simulator partition (:mod:`repro.sim.partition`).
-This benchmark runs the family at a reduced scale and pins the property
-the whole design rests on: the merged result — down to its SHA-256
-fingerprint — is identical whether the partitions execute in one process
-or several.  The same check is the CI ``scale-smoke`` job
-(``make scale-smoke``, at 20 000 queries).
+pods, each pod a scenario cell with its own simulator.  This benchmark
+runs the family at a reduced scale and pins the property the whole
+design rests on: the merged result — down to its SHA-256 fingerprint —
+is identical whether the pod cells execute in one process or several.
+The same check is the CI ``scale-smoke`` job (``make scale-smoke``, at
+20 000 queries).
 
 It also keeps both sides lean.  Pods send columns home, so the process
 that only merges them may grow by bytes per outcome, not by objects.
 The pod workers keep each outcome as one row of the collector's table
 and free each pod's testbed when its run ends, so a worker's peak is one
-live pod plus its columns.  The partitioned run goes first and
+live pod plus its columns.  The multi-process run goes first and
 ``ru_maxrss`` of this process is read before and after it — the serial
 run that follows simulates in-process and would drown the reading.  The
 workers are forked from this process, so their growth is read against
@@ -20,7 +20,7 @@ the same starting point.
 
 Scale knobs: ``REPRO_BENCH_SCALE_QUERIES`` sets the aggregate query count
 (default 2000; the north-star runs use 1e6+ via ``make perf``);
-``REPRO_BENCH_SCALE_PARTITIONS`` the process count of the partitioned
+``REPRO_BENCH_SCALE_PARTITIONS`` the process count of the multi-process
 side (default 2).
 """
 
@@ -53,7 +53,7 @@ def _config() -> ScaleConfig:
     )
 
 
-#: Coordinator growth over the partitioned run.  Measured on CPython
+#: Coordinator growth over the multi-process run.  Measured on CPython
 #: 3.11 / numpy 2.4, 2 workers: 5.5, 6.6 and 8.0 MB at 5 000, 20 000 and
 #: 40 000 queries — 75 B per outcome (the received pod columns, the
 #: stable sort and the four merged columns) on top of 5.2 MB of
@@ -81,10 +81,9 @@ def bench_scale_partition_equivalence(benchmark):
     config = _config()
 
     coordinator_before = _maxrss_bytes(resource.RUSAGE_SELF)
-    result = run_once(
-        benchmark, lambda: run_scenario("scale", config, partitions=_partitions())
+    partitioned = run_once(
+        benchmark, lambda: run_scenario("scale", config, jobs=_partitions())
     )
-    partitioned = result.run
     coordinator_growth = _maxrss_bytes(resource.RUSAGE_SELF) - coordinator_before
     children = _maxrss_bytes(resource.RUSAGE_CHILDREN)
     worker_growth = children - coordinator_before
@@ -92,12 +91,12 @@ def bench_scale_partition_equivalence(benchmark):
     benchmark.extra_info["children_maxrss_mb"] = children / 2**20
     benchmark.extra_info["worker_growth_mb"] = worker_growth / 2**20
 
-    serial = run_scenario("scale", config, partitions=1).run
+    serial = run_scenario("scale", config, jobs=1)
 
-    write_output("scale_partitioned", registry.get("scale").render(result))
+    write_output("scale_partitioned", registry.get("scale").render(partitioned))
 
-    # The acceptance property: partitioning is a wall-clock knob, never a
-    # results knob.  Bit-identical fingerprints, same pod shares, same
+    # The acceptance property: the process count is a wall-clock knob,
+    # never a results knob.  Bit-identical fingerprints, same pod shares, same
     # aggregate outcome counts.
     assert partitioned.fingerprint() == serial.fingerprint()
     assert partitioned.completed == serial.completed
@@ -113,7 +112,7 @@ def bench_scale_partition_equivalence(benchmark):
     )
     assert coordinator_growth <= budget, (
         f"coordinator grew {coordinator_growth / 2**20:.1f} MB over the "
-        f"partitioned run, budget {budget / 2**20:.1f} MB "
+        f"multi-process run, budget {budget / 2**20:.1f} MB "
         f"(children peaked at {children / 2**20:.1f} MB): per-outcome "
         "objects are back in the merging process"
     )

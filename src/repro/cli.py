@@ -159,8 +159,11 @@ def _process_count(minimum: int, noun: str) -> Callable[[str], int]:
 def _add_run_arguments(parser: argparse.ArgumentParser, partitioned: bool = False) -> None:
     """How a run is executed and observed — never what it computes."""
     if partitioned:
+        # scale's spelling of --jobs, kept while the benchmark uses it.
         parser.add_argument(
             "--partitions",
+            dest="jobs",
+            metavar="PARTITIONS",
             type=_process_count(1, "partition"),
             default=1,
             help="intra-run parallelism: processes executing this one run's "
@@ -261,9 +264,7 @@ def _command_scenario(args: argparse.Namespace) -> int:
     """Any registered family: flags → config → run → report."""
     spec = registry.get(args.command)
     config = config_from_args(spec, args)
-    # Whichever of the two its sub-command has (see _add_run_arguments).
-    fan_out = {name: getattr(args, name) for name in ("jobs", "partitions") if hasattr(args, name)}
-    print(spec.report(run_scenario(spec, config, **fan_out)))
+    print(spec.report(run_scenario(spec, config, jobs=args.jobs)))
     return 0
 
 
@@ -351,9 +352,10 @@ def _command_scenarios(args: argparse.Namespace) -> int:
             {
                 "name": spec.name,
                 "description": spec.title,
-                "cells": [
-                    str(cell.key) for cell in spec.cells(spec.default_config())
-                ],
+                # A partitioned family lists its pods as the one run.
+                "cells": [spec.name]
+                if registry.family(spec.name).partitioned
+                else [str(cell.key) for cell in spec.cells(spec.default_config())],
             }
             for spec in registry.specs()
         ]

@@ -43,6 +43,14 @@ PAPER_LOAD_FACTORS: Tuple[float, ...] = tuple(
 HIGH_LOAD_FACTOR = 0.88
 LIGHT_LOAD_FACTOR = 0.61
 
+#: Largest request id a testbed replays: its demand table holds eight
+#: bytes per id up to the largest one seen.
+MAX_REQUEST_ID = (1 << 24) - 1
+
+#: A ``--queries`` count: a generated trace numbers its queries 1..N, so
+#: N above :data:`MAX_REQUEST_ID` could not be replayed.
+_QUERIES = Bound(f"in [1, {MAX_REQUEST_ID}]", lambda value: 1 <= value <= MAX_REQUEST_ID)
+
 _OPEN_UNIT_INTERVAL = Bound("in (0, 1)", lambda value: 0 < value < 1)
 _FRACTION = Bound("in (0, 1]", lambda value: 0 < value <= 1)
 
@@ -305,7 +313,7 @@ class PoissonSweepConfig:
     load_factors: Tuple[float, ...] = param(
         PAPER_LOAD_FACTORS, "--rho", "load factor", POSITIVE, cli_default=(HIGH_LOAD_FACTOR,)
     )
-    num_queries: int = param(20_000, "--queries", "queries per run", POSITIVE, cli_default=3_000)
+    num_queries: int = param(20_000, "--queries", "queries per run", _QUERIES, cli_default=3_000)
     service_mean: float = param(
         0.1, "--service-mean", "mean CPU demand per query, seconds", POSITIVE
     )
@@ -394,7 +402,7 @@ class ResilienceConfig:
         + ("num_load_balancers", "ecmp_hash", "request_spread", "request_chunks"),
     )
     load_factor: float = param(0.6, "--rho", "load factor", POSITIVE)
-    num_queries: int = param(6_000, "--queries", "queries in the run", POSITIVE, cli_default=4_000)
+    num_queries: int = param(6_000, "--queries", "queries in the run", _QUERIES, cli_default=4_000)
     service_mean: float = param(0.1, bound=POSITIVE)
     acceptance_policy: str = param(
         "SR8", "--policy", "acceptance policy on the servers", _policy_name
@@ -694,7 +702,7 @@ class HeterogeneousFleetConfig:
     #: The per-server shape; :attr:`fleet` sizes it and sets the speeds.
     testbed: TestbedConfig = param(default_factory=TestbedConfig, expose=SERVER_SHAPE)
     load_factors: Tuple[float, ...] = param((0.85,), "--rho", "load factor", POSITIVE)
-    num_queries: int = param(6_000, "--queries", "queries per run", POSITIVE, cli_default=4_000)
+    num_queries: int = param(6_000, "--queries", "queries per run", _QUERIES, cli_default=4_000)
     policies: Tuple[PolicySpec, ...] = param(_SHELL_POLICIES, **_POLICY_FLAG)
     workload_seed: int = 24_242
 
@@ -796,7 +804,7 @@ class AdversarialConfig(_OnePolicy):
         + ("num_load_balancers", "flow_idle_timeout", "request_timeout"),
     )
     load_factor: float = param(0.55, "--rho", "legitimate load factor", POSITIVE)
-    num_queries: int = param(4_000, "--queries", "legitimate queries", POSITIVE)
+    num_queries: int = param(4_000, "--queries", "legitimate queries", _QUERIES)
     service_mean: float = param(0.05, "--service-mean", "mean service demand, seconds", POSITIVE)
     num_candidates: int = 2
     modes: Tuple[str, ...] = param(
@@ -852,14 +860,14 @@ class AdversarialConfig(_OnePolicy):
 
 @dataclass(frozen=True)
 class ScaleConfig(_OnePolicy):
-    """Configuration of the partitioned million-client ``scale`` scenario.
+    """Configuration of the million-client ``scale`` scenario.
 
     The scenario models one datacenter front end spreading an aggregate
     query stream over ``pods`` identical load-balancer/server pods via
     the pure ECMP hash (:func:`repro.net.ecmp.select_next_hop_name`).
     Each pod is an independent :class:`TestbedConfig`-shaped slice with
-    its own simulator, so the run can be executed by
-    :mod:`repro.sim.partition` on one process or many — bit-identically.
+    its own simulator — a scenario cell — so the run can be executed on
+    one process or many, bit-identically.
 
     ``testbed`` describes one pod, not the whole deployment; the
     deployment is ``pods`` copies of it behind the front-end stage.
@@ -872,7 +880,7 @@ class ScaleConfig(_OnePolicy):
     #: The north-star scale runs use 1e6+; each pod receives the share
     #: the front-end hash deals it.
     num_queries: int = param(
-        1_000_000, "--queries", "aggregate queries across the whole deployment"
+        1_000_000, "--queries", "aggregate queries across the whole deployment", _QUERIES
     )
     load_factor: float = param(0.8, "--rho", "load factor per pod", POSITIVE)
     service_mean: float = param(0.02, "--service-mean", "mean service demand, seconds", POSITIVE)
@@ -949,7 +957,7 @@ class ChaosConfig(_OnePolicy):
         ),
     )
     load_factor: float = param(0.6, "--rho", "legitimate load factor", POSITIVE)
-    num_queries: int = param(4_000, "--queries", "legitimate queries", POSITIVE)
+    num_queries: int = param(4_000, "--queries", "legitimate queries", _QUERIES)
     service_mean: float = param(0.05, "--service-mean", "mean service demand, seconds", POSITIVE)
     num_candidates: int = 2
     modes: Tuple[str, ...] = param(

@@ -19,7 +19,7 @@ from repro.core.candidate_selection import CandidateSelector, make_selector
 from repro.core.loadbalancer import LoadBalancerNode
 from repro.core.policies import ConnectionAcceptancePolicy, make_policy
 from repro.errors import ExperimentError, WorkloadError
-from repro.experiments.config import PolicySpec, TestbedConfig
+from repro.experiments.config import MAX_REQUEST_ID, PolicySpec, TestbedConfig
 from repro.metrics.collector import ResponseTimeCollector, ServerLoadSampler
 from repro.net.addressing import IPv6Address, default_allocators
 from repro.net.fabric import LANFabric
@@ -34,13 +34,18 @@ from repro.workload.trace import Trace
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.lb_tier import LoadBalancerTier
 
-#: Largest request id a testbed replays: :attr:`Testbed.demands` holds
-#: eight bytes per id up to the largest one seen.
-MAX_REQUEST_ID = (1 << 24) - 1
-
 #: Extra simulated seconds a replay runs past its last arrival before
 #: the load sampler and telemetry stop and the event heap drains.
 SETTLE_MARGIN = 5.0
+
+#: Slices :meth:`Testbed.run_trace` cuts a trace's arrival phase into,
+#: calling :data:`tick` after each.  Results never depend on it (a sliced
+#: run executes the same events in the same order).
+HEARTBEAT_SLICES = 16
+
+#: The heartbeat of the worker process running the cell
+#: (``scenario._run_scenario_cell`` sets it); a no-op elsewhere.
+tick: Callable[[], None] = lambda: None
 
 #: Builds one acceptance-policy instance per server.
 PolicyFactory = Callable[[], ConnectionAcceptancePolicy]
@@ -351,14 +356,18 @@ class Testbed:
                 )
         self.client.schedule_trace(trace)
 
-    def run_trace(self, trace: Trace) -> float:
+    def run_trace(self, trace: Trace, until: Optional[float] = None) -> float:
         """Replay ``trace`` to completion and return the final simulated time.
 
-        The trace is scheduled (:meth:`schedule_trace`) and the
-        simulation runs until every event has been processed.  When a
-        load sampler is active it is stopped once the arrival phase
-        (plus :data:`SETTLE_MARGIN` seconds) is over, so the event heap can
-        drain.
+        The trace is scheduled (:meth:`schedule_trace`) and its arrival
+        phase runs in :data:`HEARTBEAT_SLICES` slices up to the last
+        arrival, with a heartbeat (:data:`tick`) after each.
+        The run then goes on to the horizon ``until`` — by default the
+        last arrival plus :data:`SETTLE_MARGIN` seconds, and only when a
+        load sampler, a horizon hook or a telemetry probe is active —
+        where the sampler and the probe stop and the hooks run, so the
+        event heap can drain.  Then the simulation runs until every
+        event has been processed.
 
         Once the heap is empty the client sweeps every still-pending
         query into a failed outcome (``queries_swept``): a query whose
@@ -367,13 +376,19 @@ class Testbed:
         no-op (nothing is pending once the heap drains).
         """
         self.schedule_trace(trace)
-        if (
+        simulator = self.simulator
+        start = simulator.now
+        for step in range(1, HEARTBEAT_SLICES + 1):
+            simulator.run(until=start + trace.duration * step / HEARTBEAT_SLICES)
+            tick()
+        if until is None and (
             self._sampler_task is not None
             or self._horizon_hooks
             or self.telemetry is not None
         ):
-            horizon = self.simulator.now + trace.duration + SETTLE_MARGIN
-            self.simulator.run(until=horizon)
+            until = start + trace.duration + SETTLE_MARGIN
+        if until is not None:
+            simulator.run(until=until)
             self.stop_load_sampler()
             if self.telemetry is not None:
                 # Final sample + stop, so the sampling task cannot keep
@@ -382,7 +397,7 @@ class Testbed:
             hooks, self._horizon_hooks = self._horizon_hooks, []
             for hook in hooks:
                 hook()
-        duration = self.simulator.run()
+        duration = simulator.run()
         self.client.sweep_unfinished()
         if self.telemetry is not None:
             self.telemetry.publish()

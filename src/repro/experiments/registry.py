@@ -1,8 +1,8 @@
 """Scenario registry: the single catalogue of experiment families.
 
 The catalogue is a table with one :class:`Family` row per family: its
-name, title and config class, whether one run of it splits over
-partition processes, and the module that defines its
+name, title and config class, whether its sub-command spells ``--jobs``
+as ``--partitions``, and the module that defines its
 :class:`~repro.experiments.scenario.ScenarioSpec`.  The CLI, the figure
 renderers and :func:`~repro.experiments.scenario.run_scenario` all read this table instead of
 hard-coding the families.
@@ -25,7 +25,6 @@ anywhere else calls :func:`register` itself, which adds its row.
 from __future__ import annotations
 
 import importlib
-import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -57,8 +56,8 @@ class Family:
     config: type
     #: The module whose import registers the family's spec.
     module: str
-    #: One run splits over processes (``--partitions``) instead of fanning
-    #: independent cells out (``--jobs``): its ``cells`` take ``partitions``.
+    #: The sub-command spells ``--jobs`` as ``--partitions`` (``scale``,
+    #: whose cells are the pods of one run).
     partitioned: bool = False
     #: The registered spec, once :attr:`module` has been imported.
     spec: Optional["ScenarioSpec"] = None
@@ -151,7 +150,6 @@ def register(spec: "ScenarioSpec") -> "ScenarioSpec":
             spec.title,
             type(spec.default_config()),
             type(spec).__module__,
-            partitioned="partitions" in inspect.signature(spec.cells).parameters,
         )
     elif row.spec is not spec and (
         row.spec is not None or type(spec).__module__ != row.module

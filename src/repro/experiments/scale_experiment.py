@@ -1,10 +1,9 @@
-"""The ``scale`` scenario: one partitioned run replaying millions of clients.
+"""The ``scale`` scenario: one run of millions of clients, one cell per pod.
 
-Every other family runs one testbed in one process, which caps a single
-run at the engine's serial throughput.  This family models the next
-tier up: a datacenter front end spreading one aggregate query stream
-over ``pods`` identical load-balancer/server pods, with each pod an
-independent simulator partition executed by :mod:`repro.sim.partition`.
+A datacenter front end spreads one aggregate query stream over ``pods``
+identical load-balancer/server pods.  No packet crosses a pod, so each
+pod is a scenario cell of its own, run like any family's cells — in
+this process or over ``--jobs`` workers (``--partitions`` here).
 
 **Slicing rule.**  The testbed is cut at the edge-router boundary.  The
 front-end ECMP stage is modeled *offline* by the same pure hash the live
@@ -16,19 +15,20 @@ pods, exactly as a real per-flow ECMP stage would, and the assignment is
 a pure function of the config — independent of how many processes
 execute the run.  Inside a pod the replay uses the pod's own traffic
 generator (with pod-local ephemeral ports), so no packet ever crosses a
-partition: a pod is an independent run, and its whole output goes home
-as one :class:`PodResult` — three outcome columns and a summary.
+pod: a pod's whole output goes home as one :class:`PodResult` — three
+outcome columns and a summary.
 
-**Determinism.**  ``partitions`` (worker processes) never changes
-results: pods, traces, and seeds depend only on the config, and the
-coordinator merges the pods' columns into the one total order
-``(time, pod, emission order)`` (:func:`merge_pods`).  The scale golden
-test pins the fingerprint across ``partitions=1`` and ``partitions=2``.
+**Determinism.**  The process count never changes results: pods,
+traces, and seeds depend only on the config, and the aggregate merges
+the pods' columns into the one total order ``(time, pod, emission
+order)`` (:func:`merge_pods`).  The scale golden test pins the
+fingerprint across one, two and eight processes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 from array import array
 from dataclasses import dataclass
@@ -48,12 +48,7 @@ from repro.metrics.collector import ResponseTimeCollector
 from repro.net.ecmp import HopScorer, five_tuple_key
 from repro.net.packet import FlowKey
 from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT
-from repro.sim.partition import (
-    PartitionTask,
-    Tick,
-    run_partitioned,
-    run_to_horizon,
-)
+from repro.telemetry import runtime as telemetry_runtime
 from repro.workload.requests import KIND_PHP
 from repro.workload.trace import Trace
 
@@ -68,9 +63,15 @@ _FINGERPRINT_ROWS = 4096
 
 
 @lru_cache(maxsize=8)
-def _pod_table_cached(
-    pod_names: Tuple[str, ...], ecmp_hash: str, size: int
-) -> np.ndarray:
+def _pod_table(pod_names: Tuple[str, ...], ecmp_hash: str, size: int) -> np.ndarray:
+    """Pod assignment for the first ``size`` modeled ports.
+
+    Only ``EPHEMERAL_PORT_RANGE`` distinct flow keys exist, so the
+    per-query hash reduces to one table lookup — the difference between
+    hashing 50k keys and hashing every query of a million-query run —
+    and a stream shorter than the port range only hashes the ports it
+    reaches.  Memoized per process (every pod of a run shares it).
+    """
     scorer = HopScorer(pod_names, ecmp_hash)
     # The scorer ranks hops in name order; translate to pod positions.
     pod_of_rank = [pod_names.index(name) for name in scorer.names]
@@ -89,24 +90,6 @@ def _pod_table_cached(
     return table
 
 
-def _pod_by_port_table(config: ScaleConfig) -> np.ndarray:
-    """Pod assignment for every modeled port the stream uses.
-
-    Only ``EPHEMERAL_PORT_RANGE`` distinct flow keys exist, so the
-    per-query hash reduces to one table lookup — the difference between
-    hashing 50k keys and hashing every query of a million-query run —
-    and a stream shorter than the port range only hashes the ports it
-    reaches.  The table depends only on the pod names, the hash scheme
-    and that length, so it is memoized per process (every pod worker of
-    a run shares it).
-    """
-    return _pod_table_cached(
-        config.pod_names(),
-        config.ecmp_hash,
-        min(config.num_queries, EPHEMERAL_PORT_RANGE),
-    )
-
-
 @lru_cache(maxsize=2)
 def make_scale_stream(
     config: ScaleConfig,
@@ -114,8 +97,8 @@ def make_scale_stream(
     """The aggregate query stream: ``(arrival times, demands, pod index)``.
 
     A pure function of the config (the RNG is seeded from the workload
-    seed and the query count only), shared by every partition: each
-    worker keeps only its pod's slice.  Memoized per process, so a
+    seed and the query count only), shared by every pod: each cell
+    keeps only its pod's slice.  Memoized per process, so a
     worker running several pods generates the stream once; the arrays
     are read-only because every caller gets the same ones.
     """
@@ -125,27 +108,25 @@ def make_scale_stream(
     arrivals = np.cumsum(rng.exponential(1.0 / rate, size=config.num_queries))
     demands = rng.exponential(config.service_mean, size=config.num_queries)
     offsets = np.arange(config.num_queries, dtype=np.int64) % EPHEMERAL_PORT_RANGE
-    pods = _pod_by_port_table(config)[offsets]
+    table = _pod_table(
+        config.pod_names(), config.ecmp_hash, min(config.num_queries, EPHEMERAL_PORT_RANGE)
+    )
+    pods = table[offsets]
     for array in (arrivals, demands, pods):
         array.flags.writeable = False
     return arrivals, demands, pods
 
 
-def make_pod_trace(config: ScaleConfig, pod_index: int) -> Tuple[Trace, float]:
-    """One pod's slice of the stream, plus the *global* run horizon.
-
-    Request ids and arrival times are the aggregate stream's, so the
-    merged result reads as one deployment-wide run.  The horizon is the
-    last aggregate arrival (not the pod's), so every pod replays the
-    same span of simulated time.
-    """
+def _pod_slice(config: ScaleConfig, pod_index: int) -> Trace:
+    """One pod's slice of the stream, with the stream's ids and times,
+    so the merged result reads as one deployment-wide run."""
     if not 0 <= pod_index < config.pods:
         raise ExperimentError(
             f"pod index {pod_index!r} out of range for {config.pods} pods"
         )
     arrivals, demands, pods = make_scale_stream(config)
     rows = np.flatnonzero(pods == pod_index)
-    trace = Trace.from_columns(
+    return Trace.from_columns(
         rows + 1,
         arrivals[rows],
         demands[rows],
@@ -153,7 +134,21 @@ def make_pod_trace(config: ScaleConfig, pod_index: int) -> Tuple[Trace, float]:
         (KIND_PHP,),
         name=f"scale-pod-{pod_index}",
     )
-    return trace, float(arrivals[-1]) + SETTLE_MARGIN
+
+
+def _horizon(config: ScaleConfig) -> float:
+    """Where every pod's probe stops: the *global* last arrival plus
+    :data:`SETTLE_MARGIN`, so every pod replays the same span."""
+    return float(make_scale_stream(config)[0][-1]) + SETTLE_MARGIN
+
+
+def make_pod_trace(config: ScaleConfig, pod_index: int) -> Tuple[Trace, float]:
+    """One pod's slice of the stream, plus the global run horizon.
+
+    Only the repository benchmark's tracer calls it; the family slices
+    through :func:`_pod_slice`, so a pod's queries are counted once.
+    """
+    return _pod_slice(config, pod_index), _horizon(config)
 
 
 def _pod_seed(config: ScaleConfig, pod_index: int) -> int:
@@ -198,59 +193,6 @@ class _ColumnCollector(ResponseTimeCollector):
         self.times.append(self.simulator.now)
 
 
-def simulate_pod(task: PartitionTask, tick: Tick) -> PodResult:
-    """Run one pod end to end and return its columns.
-
-    Module-level so :func:`repro.sim.partition.run_partitioned` can ship
-    it to worker processes; the payload is ``(config, pod_index)``.
-    """
-    config, pod_index = task.payload
-    trace, horizon = make_pod_trace(config, pod_index)
-    collector = _ColumnCollector(name=f"pod-{pod_index}")
-    with build_testbed(
-        config.testbed.with_seed(_pod_seed(config, pod_index)),
-        config.policy,
-        collector=collector,
-        run_name=f"pod-{pod_index}",
-    ) as testbed:
-        collector.simulator = testbed.simulator
-        testbed.schedule_trace(trace)
-
-        start = time.perf_counter()
-        run_to_horizon(testbed.simulator, horizon, tick)
-        # The telemetry probe's periodic sampler would keep the heap alive
-        # forever — stop it (taking a final sample, at the horizon) before
-        # the drain below.
-        if testbed.telemetry is not None:
-            testbed.telemetry.stop()
-        # Stragglers past the horizon (idle-flow expiries, late timeouts).
-        testbed.simulator.run()
-        wall_seconds = time.perf_counter() - start
-
-    totals = collector.totals
-    summary = {
-        "pod": pod_index,
-        "queries": len(trace),
-        "completed": totals.completed,
-        "failed": totals.failed,
-        "events_executed": testbed.simulator.events_executed,
-        "simulated_seconds": testbed.simulator.now,
-        "wall_seconds": wall_seconds,
-    }
-    if testbed.telemetry is not None:
-        # The pod's payload rides home in the summary; the coordinator
-        # merges pods in index order and publishes one deployment-wide
-        # payload.
-        summary["telemetry"] = testbed.telemetry.export_payload()
-    table = collector.columns()
-    return PodResult(
-        times=np.array(collector.times, dtype=np.float64),
-        request_ids=table.request_ids,
-        response_times=np.where(table.succeeded, table.response_times, nan),
-        summary=summary,
-    )
-
-
 def merge_pods(
     pods: Sequence[PodResult],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -278,9 +220,9 @@ def merge_pods(
 
 @dataclass
 class ScaleRunResult:
-    """The merged, deployment-wide outcome of one partitioned run."""
+    """The merged, deployment-wide outcome of one ``scale`` run."""
 
-    partitions: int
+    config: ScaleConfig
     #: Completion/failure times of the merged outcome stream, in the
     #: deterministic merge order.
     times: np.ndarray
@@ -288,10 +230,13 @@ class ScaleRunResult:
     #: Response time per outcome; NaN marks a failed query.
     response_times: np.ndarray
     pod_indices: np.ndarray
-    #: Per-pod worker summaries keyed by pod index.
+    #: Per-pod summaries keyed by pod index.
     pod_summaries: Dict[int, Dict[str, Any]]
-    #: Wall-clock seconds of the whole partitioned run (coordinator).
-    wall_seconds: float
+
+    @property
+    def run(self) -> "ScaleRunResult":
+        """Itself: the benchmark's tracer reads the wall-clock here."""
+        return self
 
     @property
     def completed(self) -> int:
@@ -302,37 +247,23 @@ class ScaleRunResult:
         return int(np.count_nonzero(np.isnan(self.response_times)))
 
     @property
-    def events_executed(self) -> int:
-        """Events executed across every partition simulator."""
-        return int(
-            sum(s.get("events_executed", 0) for s in self.pod_summaries.values())
+    def wall_seconds(self) -> float:
+        """Wall-clock seconds from the first pod replay's start to the
+        last one's end."""
+        summaries = self.pod_summaries.values()
+        return max(s["started"] + s["wall_seconds"] for s in summaries) - min(
+            s["started"] for s in summaries
         )
 
     @property
     def busy_seconds(self) -> float:
-        """Summed per-partition replay wall-clock — the useful work.
+        """Summed per-pod replay wall-clock — the useful work.
 
-        With N partitions on ≥N free cores this exceeds
+        With N processes on ≥N free cores this exceeds
         :attr:`wall_seconds` by roughly the parallel speedup (the
         ``busy_seconds / wall_seconds`` ratio is "cores of useful work").
         """
-        return float(
-            sum(s.get("wall_seconds", 0.0) for s in self.pod_summaries.values())
-        )
-
-    @property
-    def events_per_sec(self) -> float:
-        """Aggregate simulator throughput of the run."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.events_executed / self.wall_seconds
-
-    def mean_and_p99(self) -> Tuple[float, float]:
-        """Mean and 99th percentile of the successful response times."""
-        ok = self.response_times[~np.isnan(self.response_times)]
-        if not ok.size:
-            return nan, nan
-        return float(np.mean(ok)), float(np.percentile(ok, 99))
+        return float(sum(s["wall_seconds"] for s in self.pod_summaries.values()))
 
     def fingerprint(self) -> str:
         """SHA-256 over the merged outcome stream, bit-exact.
@@ -341,9 +272,9 @@ class ScaleRunResult:
         deterministic merge order, as rows of four ``float64``; NaN
         response times are canonicalised to ``-1`` so the digest is
         well-defined.  The rows are hashed in fixed blocks, so no
-        whole-run matrix is built.  Identical for any ``partitions``
-        value — the property the scale golden test and the
-        ``scale-smoke`` CI job pin.
+        whole-run matrix is built.  Identical for any process count —
+        the property the scale golden test and the ``scale-smoke`` CI
+        job pin.
         """
         digest = hashlib.sha256()
         for start in range(0, self.times.size, _FINGERPRINT_ROWS):
@@ -358,66 +289,8 @@ class ScaleRunResult:
         return digest.hexdigest()
 
 
-def run_scale(config: ScaleConfig, partitions: int = 1) -> ScaleRunResult:
-    """Execute the partitioned run and merge it into one result.
-
-    ``partitions`` is the number of *worker processes* executing the
-    config's pods; it scales wall-clock on multi-core machines and is
-    guaranteed not to change results.
-    """
-    if partitions < 1:
-        raise ExperimentError(
-            f"partitions must be positive, got {partitions!r}"
-        )
-    tasks = [
-        PartitionTask(index=pod, payload=(config, pod))
-        for pod in range(config.pods)
-    ]
-    start = time.perf_counter()
-    pods = run_partitioned(simulate_pod, tasks, processes=partitions)
-    wall_seconds = time.perf_counter() - start
-
-    times, request_ids, response_times, pod_indices = merge_pods(pods)
-    pod_summaries = {pod: result.summary for pod, result in enumerate(pods)}
-    del pods  # merged: the per-pod columns need not outlive this line
-    # Pods ship their telemetry payloads inside the summaries; pop them
-    # out (the summaries stay plain numbers), merge in pod-index order —
-    # deterministic for any ``partitions`` value — and publish one
-    # deployment-wide payload for the scenario plumbing to collect.
-    pod_payloads = [
-        summary.pop("telemetry")
-        for summary in pod_summaries.values()
-        if "telemetry" in summary
-    ]
-    if pod_payloads:
-        from repro.telemetry import runtime as telemetry_runtime
-        from repro.telemetry.bus import TelemetryPayload
-
-        telemetry_runtime.publish(
-            "scale", TelemetryPayload.merge(pod_payloads)
-        )
-
-    return ScaleRunResult(
-        partitions=partitions,
-        times=times,
-        request_ids=request_ids,
-        response_times=response_times,
-        pod_indices=pod_indices,
-        pod_summaries=pod_summaries,
-        wall_seconds=wall_seconds,
-    )
-
-
-@dataclass
-class ScaleResult:
-    """Aggregate of a ``scale`` scenario run (a single cell today)."""
-
-    config: ScaleConfig
-    run: ScaleRunResult
-
-
 class ScaleScenario(ScenarioSpec):
-    """The partitioned million-client replay as a scenario family."""
+    """The million-client front end as a scenario family: one cell per pod."""
 
     name = "scale"
 
@@ -430,59 +303,102 @@ class ScaleScenario(ScenarioSpec):
             num_queries=2_000,
         )
 
-    def cells(self, config: ScaleConfig, partitions: int = 1) -> List[ScenarioCell]:
-        return [ScenarioCell(key="scale", params={"partitions": partitions})]
+    def cells(self, config: ScaleConfig) -> List[ScenarioCell]:
+        # Keyed by the pod index, which a failed pod's message names.
+        return [ScenarioCell(pod) for pod in range(config.pods)]
+
+    def trace_key(self, config: ScaleConfig, cell: ScenarioCell) -> int:
+        return cell.key
 
     def make_trace(self, config: ScaleConfig, cell: ScenarioCell) -> Trace:
-        # The aggregate stream is sharded *inside* the partition workers
-        # (each regenerates its own slice); the framework-level trace is
-        # intentionally empty.
-        return Trace((), name="scale-frontend")
+        return _pod_slice(config, cell.key)
 
     def run_once(
         self, config: ScaleConfig, cell: ScenarioCell, trace: Trace
-    ) -> ScaleRunResult:
-        # The result is arrays and dicts: it is its own picklable payload.
-        return run_scale(config, partitions=cell.param("partitions"))
+    ) -> PodResult:
+        pod = cell.key
+        collector = _ColumnCollector(name=f"pod-{pod}")
+        with build_testbed(
+            config.testbed.with_seed(_pod_seed(config, pod)),
+            config.policy,
+            collector=collector,
+            run_name=f"pod-{pod}",
+        ) as testbed:
+            collector.simulator = testbed.simulator
+            started = time.time()
+            clock = time.perf_counter()
+            testbed.run_trace(trace, until=_horizon(config))
+            wall_seconds = time.perf_counter() - clock
+
+        totals = collector.totals
+        table = collector.columns()
+        return PodResult(
+            times=np.array(collector.times, dtype=np.float64),
+            request_ids=table.request_ids,
+            response_times=np.where(table.succeeded, table.response_times, nan),
+            summary={
+                "queries": len(trace),
+                "completed": totals.completed,
+                "failed": totals.failed,
+                "events_executed": testbed.simulator.events_executed,
+                "wall_seconds": wall_seconds,
+                # When the replay started (Unix time, comparable across
+                # processes) and which process ran it.
+                "started": started,
+                "pid": os.getpid(),
+            },
+        )
 
     def aggregate(
         self,
         config: ScaleConfig,
         cells: Sequence[ScenarioCell],
-        runs: Sequence[ScaleRunResult],
+        runs: Sequence[PodResult],
         trace_for: TraceProvider,
-    ) -> ScaleResult:
-        (run,) = runs
-        return ScaleResult(config=config, run=run)
+    ) -> ScaleRunResult:
+        report = telemetry_runtime.last_report()
+        if report:
+            # One deployment-wide telemetry entry, merged in pod order.
+            folded = telemetry_runtime.TelemetryReport()
+            folded.add(self.name, report.items())
+            telemetry_runtime.set_last_report(folded)
+        return ScaleRunResult(
+            config,
+            *merge_pods(runs),
+            pod_summaries={cell.key: run.summary for cell, run in zip(cells, runs)},
+        )
 
-    def render(self, result: ScaleResult) -> str:
-        run = result.run
-        mean, p99 = run.mean_and_p99()
+    def render(self, result: ScaleRunResult) -> str:
+        ok = result.response_times[~np.isnan(result.response_times)]
+        mean, p99 = (np.mean(ok), np.percentile(ok, 99)) if ok.size else (nan, nan)
+        summaries = result.pod_summaries.values()
+        events = sum(summary["events_executed"] for summary in summaries)
+        wall = result.wall_seconds
         lines = [
             "scale: partitioned replay "
             f"({result.config.num_queries} queries, {result.config.pods} pods, "
-            f"partitions={run.partitions})",
+            f"partitions={len({summary['pid'] for summary in summaries})})",
             "",
             f"{'pod':>4} {'queries':>9} {'completed':>9} {'failed':>7} "
             f"{'events':>10} {'wall s':>8}",
         ]
-        for pod, summary in run.pod_summaries.items():
+        for pod, summary in result.pod_summaries.items():
             lines.append(
-                f"{pod:>4} {summary.get('queries', 0):>9} "
-                f"{summary.get('completed', 0):>9} {summary.get('failed', 0):>7} "
-                f"{summary.get('events_executed', 0):>10} "
-                f"{summary.get('wall_seconds', 0.0):>8.2f}"
+                f"{pod:>4} {summary['queries']:>9} "
+                f"{summary['completed']:>9} {summary['failed']:>7} "
+                f"{summary['events_executed']:>10} "
+                f"{summary['wall_seconds']:>8.2f}"
             )
         lines.extend(
             [
                 "",
-                f"aggregate events/sec : {run.events_per_sec:,.0f}",
-                f"cores of useful work : {run.busy_seconds / run.wall_seconds:.2f}"
-                if run.wall_seconds > 0
+                f"aggregate events/sec : {events / wall if wall > 0 else 0.0:,.0f}",
+                f"cores of useful work : {result.busy_seconds / wall:.2f}"
+                if wall > 0
                 else "cores of useful work : n/a",
                 f"mean response        : {mean:.4f} s",
                 f"p99 response         : {p99:.4f} s",
-                f"fingerprint          : {run.fingerprint()}",
+                f"fingerprint          : {result.fingerprint()}",
             ]
         )
         return "\n".join(lines)

@@ -27,7 +27,7 @@ default ``cells(config)`` makes one key-only, picklable
 
 and may override ``meta(config, trace_for)`` (scenario-wide values for
 the result), ``cells`` (a grid that is not one tuple: the Poisson
-load-factor × policy grid, scale's one partitioned run) or
+load-factor × policy grid, scale's pods) or
 ``aggregate(config, cells, runs, trace_for)``, whose default keys each
 run by its cell into a :class:`ScenarioResult`.  The
 family's sub-command is generated from its config's fields (see
@@ -57,8 +57,9 @@ collector pickles as arrays and scalars, so the floats cross verbatim);
 a serial run's are not pickled at all.  Both carry the same outcome
 fields.
 
-A cell that raises in a worker, or a worker that dies, ends the run in
-one :class:`~repro.errors.SimulationError` naming the cell(s) and no
+A cell that raises in a worker, a worker that dies and a worker that
+stops ticking each end the run in one
+:class:`~repro.errors.SimulationError` naming the cell(s) and no
 surviving process (see :mod:`repro.sim.partition`).
 """
 
@@ -163,8 +164,9 @@ class ScenarioResult:
 
     What :meth:`ScenarioSpec.aggregate` builds by default; scenario-wide
     data (the Wikipedia replay's trace summary, the heavy-tail user
-    profile, a saturation rate) goes in :attr:`meta`.  Only the one-run
-    ``scale`` family aggregates into a class of its own.
+    profile, a saturation rate) goes in :attr:`meta`.  Only ``scale``,
+    whose cells are the pods of one run, aggregates into a class of its
+    own.
     """
 
     scenario: str
@@ -348,16 +350,25 @@ def _run_scenario_cell(task: PartitionTask, tick: Tick) -> Tuple[Any, List[Any]]
     """Worker: resolve the spec, rebuild the trace, run one cell.
 
     Returns the run and the ``(run_name, TelemetryPayload)`` pairs the
-    cell published (none when telemetry is off).
+    cell published (none when telemetry is off).  Ticks at the start,
+    once the trace is made, and between the slices of the replay.
     """
-    work: ScenarioTask = task.payload
-    spec = registry.get(work.scenario)
-    trace = (
-        work.trace
-        if work.trace is not None
-        else spec.make_trace(work.config, work.cell)
-    )
-    return spec.run_once(work.config, work.cell, trace), telemetry_runtime.drain()
+    from repro.experiments import platform
+
+    previous, platform.tick = platform.tick, tick
+    try:
+        tick()
+        work: ScenarioTask = task.payload
+        spec = registry.get(work.scenario)
+        trace = (
+            work.trace
+            if work.trace is not None
+            else spec.make_trace(work.config, work.cell)
+        )
+        tick()
+        return spec.run_once(work.config, work.cell, trace), telemetry_runtime.drain()
+    finally:
+        platform.tick = previous
 
 
 def run_scenario(
@@ -385,7 +396,7 @@ def run_scenario(
         per-cell traces.
     options:
         Family-specific switches forwarded to
-        :meth:`ScenarioSpec.cells` (``sample_load``, ``partitions``).
+        :meth:`ScenarioSpec.cells` (the Poisson sweep's ``sample_load``).
     """
     spec = scenario if isinstance(scenario, ScenarioSpec) else registry.get(scenario)
     if config is None:
@@ -422,25 +433,33 @@ def run_scenario(
         report = telemetry_runtime.TelemetryReport()
 
     processes = resolve_jobs(jobs)
-    runs = []
-    if processes == 1 or len(cells) == 1:
-        for cell in cells:
-            runs.append(spec.run_once(config, cell, trace_for(cell)))
-            if report is not None:
-                report.add(cell.key, telemetry_runtime.drain())
-    else:
-        # Only a fan-out loads the executor (and with it multiprocessing).
-        from repro.sim.partition import PartitionTask, run_partitioned
+    # The executor loads on a run's first use; multiprocessing only with
+    # a fan-out.
+    from repro.sim.partition import PartitionTask, run_partition_serially, run_partitioned
 
+    if processes == 1 or len(cells) == 1:
+        # Each cell is a task run in this process, on the shared traces;
+        # the benchmark's tracer measures transport by wrapping this call.
+        def run_cell(task: PartitionTask, tick: Tick) -> Tuple[Any, List[Any]]:
+            cell = task.payload
+            run = spec.run_once(config, cell, trace_for(cell))
+            return run, telemetry_runtime.drain()
+
+        outcomes = [
+            run_partition_serially(run_cell, PartitionTask(cell.key, cell))[0]
+            for cell in cells
+        ]
+    else:
         tasks = [
             PartitionTask(cell.key, ScenarioTask(spec.name, config, cell, trace))
             for cell in cells
         ]
         outcomes = run_partitioned(_run_scenario_cell, tasks, processes=processes)
-        for cell, (run, published) in zip(cells, outcomes):
-            runs.append(run)
-            if report is not None:
-                report.add(cell.key, published)
-    if report is not None:
-        telemetry_runtime.set_last_report(report)
+    runs = []
+    for cell, (run, published) in zip(cells, outcomes):
+        runs.append(run)
+        if report is not None:
+            report.add(cell.key, published)
+    # Before the aggregate, which may fold the cells' entries (scale).
+    telemetry_runtime.set_last_report(report)
     return spec.aggregate(config, cells, runs, trace_for)

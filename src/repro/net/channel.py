@@ -22,9 +22,9 @@ arrival.
 * :class:`~repro.net.faults.FaultInjectionChannel` runs the hop through
   a fault pipeline before handing it to an inner channel.
 
-Nothing here crosses a process: the partitions of a ``scale`` run never
-exchange a packet (each pod is an independent run whose result goes home
-as columns, see :mod:`repro.sim.partition`), so every channel lives
+Nothing here crosses a process: the pods of a ``scale`` run never
+exchange a packet (each pod is an independent cell whose result goes
+home as columns), so every channel lives
 inside one simulator.
 
 ``deliver(sink, packet, delay, label, guard=None)`` is the convenience

@@ -1,45 +1,46 @@
 """The process fan-out: independent tasks over supervised worker processes.
 
-The only module of the package that starts a process, with two callers.
-:func:`repro.experiments.scenario.run_scenario` parallelises *across*
-independent runs (``--jobs``): one task per scenario cell, labelled with
-the cell's key.  The ``scale`` family parallelises *within* one run
-(``--partitions``): the testbed is sliced at the front-end ECMP stage
-into pods that never exchange a packet, one task per pod, labelled with
-the pod index.  Either way a task is an independent run: the worker
-builds its world, replays it and returns **one** picklable result.
+The only module of the package that starts a process, with one caller:
+:func:`repro.experiments.scenario.run_scenario`, which runs one task per
+scenario cell (``--jobs``, spelled ``--partitions`` by ``scale``, whose
+cells are its pods), labelled with the cell's key.  A task is an
+independent run: the worker builds its world, replays it and returns
+**one** picklable result.
 
 This module only fans out and supervises: it starts at most one process
 per task, deals each process its tasks round-robin, receives one result
 per task over the process's pipe, and returns the results in task
 order.  What a result holds and how results combine is the caller's
-business (the ``scale`` family ships outcome columns and merges them by
-``(time, pod, emission order)``).  A failed task, a dead process or an
-interrupted coordinator each end in one :class:`SimulationError` (or the
-interrupt itself) and no surviving child — see :func:`run_partitioned`.
+business.  A failed task, a dead process, a hung process or an
+interrupted coordinator each end in one :class:`SimulationError` (or
+the interrupt itself) and no surviving child — see
+:func:`run_partitioned`.
 
 Determinism does not depend on scheduling: every task's result is a pure
-function of the task, and ``processes=1`` runs the *same* worker in this
-process, so multi-process and serial runs are bit-identical by
-construction — pinned by the golden tests of the scenario families.
+function of the task, and :func:`run_partition_serially` runs the *same*
+worker in this process (a serial run of the caller), so multi-process
+and serial runs are bit-identical by construction — pinned by the
+golden tests of the scenario families.
 
-Supervision rides on a heartbeat: the worker is handed a ``tick``
-callable and calls it as it makes progress (:func:`run_to_horizon` ticks
-:data:`HEARTBEAT_SLICES` times per replay).  A process that neither
-ticks nor reports for ``heartbeat_timeout`` wall-clock seconds is
-declared hung.
+Supervision rides on a heartbeat and is always on: the worker is handed
+a ``tick`` callable and calls it as it makes progress (a scenario cell
+ticks when it starts, once its trace is made, and
+:data:`~repro.experiments.platform.HEARTBEAT_SLICES` times while its
+testbed replays).  A process that neither ticks nor reports for
+:data:`HEARTBEAT_TIMEOUT` wall-clock seconds is declared hung.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from multiprocessing.context import BaseContext
 
 #: Heartbeat: called by a worker whenever it has made progress.
 Tick = Callable[[], None]
@@ -50,31 +51,10 @@ Tick = Callable[[], None]
 #: processes.
 PartitionWorker = Callable[["PartitionTask", Tick], Any]
 
-#: Slices :func:`run_to_horizon` cuts a replay into, i.e. heartbeats per
-#: task that uses it.  Results never depend on it (slicing a run
-#: executes the same events in the same order); it only sets how soon a
-#: hung worker is noticed relative to a task's run time.
-HEARTBEAT_SLICES = 16
-
-
-class PartitionSupervisionError(SimulationError):
-    """A worker process stalled past the heartbeat deadline.
-
-    Carries the labels of the tasks that were running in the stalled
-    processes and whatever results the healthy tasks had already
-    delivered, so callers can report partial progress instead of
-    blocking forever on a hung child.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        partitions: Sequence[Any],
-        results: Optional[Dict[Any, Any]] = None,
-    ) -> None:
-        super().__init__(message)
-        self.partitions = tuple(partitions)
-        self.results: Dict[Any, Any] = dict(results or {})
+#: Seconds a worker process may send nothing before it is declared hung:
+#: 10x the longest silent gap measured on the families' default configs,
+#: 58 s (generating the full-day Wikipedia trace; docs/architecture.md).
+HEARTBEAT_TIMEOUT = 600.0
 
 
 @dataclass(frozen=True)
@@ -82,27 +62,13 @@ class PartitionTask:
     """One independent unit of work.
 
     ``index`` labels the task in failure messages: any hashable value
-    unique within the call (the pod index for ``scale``, the cell key
-    for the scenario families).  ``payload`` is an opaque picklable
-    description of the work.
+    unique within the call (a scenario cell's key; for ``scale``, the
+    pod index).  ``payload`` is an opaque picklable description of the
+    work.
     """
 
     index: Any
     payload: Any = None
-
-
-def run_to_horizon(simulator: Simulator, horizon: float, tick: Tick) -> None:
-    """Replay ``simulator`` up to ``horizon``, ticking between slices.
-
-    The last slice ends at exactly ``horizon``, so the clock reads the
-    horizon when this returns — whatever a caller samples next is taken
-    there.
-    """
-    for step in range(1, HEARTBEAT_SLICES):
-        simulator.run(until=horizon * step / HEARTBEAT_SLICES)
-        tick()
-    simulator.run(until=horizon)
-    tick()
 
 
 def _no_tick() -> None:
@@ -161,47 +127,30 @@ def run_partitioned(
     worker: PartitionWorker,
     tasks: Sequence[PartitionTask],
     processes: int = 1,
-    mp_context: Optional[multiprocessing.context.BaseContext] = None,
-    heartbeat_timeout: Optional[float] = None,
+    mp_context: Optional[BaseContext] = None,
 ) -> List[Any]:
-    """Execute every task; returns the results in task order.
+    """Execute every task on worker processes; returns the results in task order.
 
-    ``processes=1`` runs all tasks serially in this process (no pipes,
-    no pickling); ``processes=N`` deals tasks round-robin over N worker
-    processes — at most ``len(tasks)`` of them, so extra processes never
-    spawn idle workers.  Both paths run the same worker code, so the
-    results are identical for any ``processes`` value.
+    Tasks are dealt round-robin over ``processes`` worker processes — at
+    most ``len(tasks)`` of them, so extra processes never spawn idle
+    workers.  The results are identical for any ``processes`` value.
 
     A worker that raises ends the run with one :class:`SimulationError`
-    naming the task and the cause, whatever ``processes`` is; the
-    remaining children are terminated and joined.
-
-    ``heartbeat_timeout`` supervises the multi-process path: a process
-    that sends nothing (neither a tick nor a result) for that many
-    wall-clock seconds is declared hung, every child is terminated, and
-    :class:`PartitionSupervisionError` is raised naming the tasks that
-    were running, with the results collected so far attached — instead
-    of the coordinator blocking in its receive loop forever.  ``None``
-    (the default) disables supervision.
+    naming the task and the cause; the remaining children are terminated
+    and joined.  A process that sends nothing (neither a tick nor a
+    result) for :data:`HEARTBEAT_TIMEOUT` wall-clock seconds is declared
+    hung, every child is terminated, and one :class:`SimulationError`
+    names the tasks that were running — instead of the coordinator
+    blocking in its receive loop forever.
     """
     indices = [task.index for task in tasks]
     if len(set(indices)) != len(indices):
         raise SimulationError(f"task labels must be unique, got {indices!r}")
     if processes < 1:
         raise SimulationError(f"processes must be positive, got {processes!r}")
-    if heartbeat_timeout is not None and heartbeat_timeout <= 0:
-        raise SimulationError(
-            f"heartbeat_timeout must be positive, got {heartbeat_timeout!r}"
-        )
 
-    if processes == 1 or len(tasks) <= 1:
-        shipped: List[Any] = []
-        for task in tasks:
-            try:
-                shipped.extend(run_partition_serially(worker, task))
-            except Exception as exc:
-                raise SimulationError(_failure(task.index, exc)) from exc
-        return shipped
+    # Loaded here, not with the module: a serial run starts no process.
+    import multiprocessing
 
     context = mp_context if mp_context is not None else multiprocessing.get_context()
     num_processes = min(processes, len(tasks))
@@ -226,7 +175,7 @@ def run_partitioned(
             # on a crashed child would never be observable.
             send_end.close()
             pending[receive_end] = deque(task.index for task in plan)
-        _receive(pending, results, heartbeat_timeout)
+        _receive(pending, results)
     except BaseException:
         # A failure must not leave the finally-block joining a hung (or
         # merely still busy) child: the run is lost, stop them all.
@@ -242,25 +191,22 @@ def run_partitioned(
     return [results[index] for index in indices]
 
 
-def _receive(
-    pending: Dict[Any, Deque[Any]],
-    results: Dict[Any, Any],
-    heartbeat_timeout: Optional[float],
-) -> None:
+def _receive(pending: Dict[Any, Deque[Any]], results: Dict[Any, Any]) -> None:
     """Fill ``results`` until every process has reported all its tasks.
 
     A relayed worker failure raises :class:`SimulationError` with the
     task's own message; a process that exits without reporting (killed,
     ``os._exit``) raises one naming the tasks it still owed, in plan
-    order (labels need not be orderable); with ``heartbeat_timeout``
-    set, a process silent for longer raises
-    :class:`PartitionSupervisionError`.
+    order (labels need not be orderable); a process silent for longer
+    than :data:`HEARTBEAT_TIMEOUT` raises one naming the task it was
+    running.
     """
     from multiprocessing.connection import wait
 
+    timeout = HEARTBEAT_TIMEOUT
     last_heard = {connection: time.monotonic() for connection in pending}
     while pending:
-        ready = wait(list(pending), timeout=heartbeat_timeout)
+        ready = wait(list(pending), timeout=timeout)
         now = time.monotonic()
         lost: List[Any] = []
         for connection in ready:
@@ -283,18 +229,14 @@ def _receive(
             raise SimulationError(
                 f"a worker process exited without reporting task(s) {_labels(lost)}"
             )
-        if heartbeat_timeout is None:
-            continue
         stalled = [
             owed[0]
             for connection, owed in pending.items()
-            if now - last_heard[connection] > heartbeat_timeout
+            if now - last_heard[connection] > timeout
         ]
         if stalled:
-            raise PartitionSupervisionError(
+            raise SimulationError(
                 f"task(s) {_labels(stalled)} sent no heartbeat for more than "
-                f"{heartbeat_timeout:g}s (hung worker); "
-                f"{len(results)} task(s) had already completed",
-                partitions=stalled,
-                results=results,
+                f"{timeout:g}s (hung worker); "
+                f"{len(results)} task(s) had already completed"
             )

@@ -15,7 +15,7 @@ touches no simulation state, so runs with telemetry attached stay
 bit-identical to runs without it (the goldens are re-checked with
 telemetry enabled in CI).  The picklable :class:`TelemetryPayload`
 export crosses process boundaries verbatim, and
-:meth:`TelemetryPayload.merge` folds the payloads of partitioned or
+:meth:`TelemetryPayload.merge` folds the payloads of ``scale``'s pods or
 swept runs with a deterministic (time, payload order) rule.
 """
 
@@ -229,7 +229,7 @@ class TelemetryPayload:
 
     The same compact-arrays idiom as
     :class:`~repro.metrics.collector.CollectorPayload`: string tables
-    plus float64 arrays, so the payload crosses the ``jobs``/partition
+    plus float64 arrays, so the payload crosses the ``jobs`` worker
     process boundary verbatim and every derived figure is bit-identical
     to the in-process path.
     """

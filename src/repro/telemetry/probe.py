@@ -223,7 +223,7 @@ def attach_telemetry(testbed: Any) -> TelemetryProbe:
     Also points the traffic generator's ``flight_recorder`` at the
     probe's recorder so client retransmission/give-up events feed the
     black box.  Interval and capacity come from the runtime's environment
-    knobs so ``jobs`` and partition workers sample identically.
+    knobs so every ``jobs`` worker samples identically.
     """
     probe = TelemetryProbe(
         testbed,

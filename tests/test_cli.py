@@ -1,17 +1,28 @@
 """Tests for the ``srlb-repro`` command-line interface."""
 
+import dataclasses
+import multiprocessing
 import os
 import pathlib
 import signal
 import subprocess
 import sys
+import threading
 import time
+from typing import Tuple
 
 import pytest
 
 import repro
 from repro.cli import _policy_spec_from_name, build_parser, main
 from repro.errors import ReproError
+from repro.experiments import registry
+from repro.experiments.config import MAX_REQUEST_ID, TestbedConfig, rr_policy
+from repro.experiments.platform import build_testbed
+from repro.experiments.scenario import ScenarioSpec
+from repro.sim import partition
+from repro.sim.engine import Simulator
+from repro.workload.poisson import poisson_trace
 
 
 class TestPolicyNameParsing:
@@ -235,6 +246,144 @@ class TestJobsValidation:
         assert excinfo.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    def test_partitions_is_scales_spelling_of_jobs(self, capsys):
+        args = build_parser().parse_args(["scale", "--partitions", "3"])
+        assert args.jobs == 3 and not hasattr(args, "partitions")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["scale", "--jobs", "3"])
+        capsys.readouterr()
+
+
+#: Every family with a ``--queries`` flag, and its fan-out flag.
+QUERY_FAMILIES = [
+    ("poisson", "--jobs"),
+    ("resilience", "--jobs"),
+    ("heterogeneous-fleet", "--jobs"),
+    ("adversarial", "--jobs"),
+    ("scale", "--partitions"),
+    ("chaos", "--jobs"),
+]
+
+
+class TestQueryCount:
+    """A query count a testbed cannot replay fails before any process starts.
+
+    A trace numbers its queries 1..N and a testbed replays request ids up
+    to ``MAX_REQUEST_ID``; a larger N used to fail only after the trace
+    was generated (and, for ``scale``, after a pod had replayed its share).
+    """
+
+    @pytest.mark.parametrize("family, fan_out", QUERY_FAMILIES)
+    def test_above_the_largest_request_id_is_one_usage_error(
+        self, family, fan_out, monkeypatch, capsys
+    ):
+        def refuse(process):
+            raise AssertionError(f"{process.name} was started for an invalid config")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        too_many = str(MAX_REQUEST_ID + 1)
+        assert main([family, "--queries", too_many, fan_out, "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: num_queries must be in [1, {MAX_REQUEST_ID}], got {too_many}\n"
+        )
+
+    @pytest.mark.parametrize("family, _fan_out", QUERY_FAMILIES)
+    def test_the_largest_request_id_is_accepted(self, family, _fan_out):
+        from repro.cli import config_from_args
+
+        spec = registry.get(family)
+        args = build_parser().parse_args([family, "--queries", str(MAX_REQUEST_ID)])
+        assert config_from_args(spec, args).num_queries == MAX_REQUEST_ID
+
+
+@dataclasses.dataclass(frozen=True)
+class _DrillConfig:
+    policies: Tuple[str, ...] = ("first", "second")
+    #: ``stuck`` blocks forever; ``slow`` replays a trace, slowly.
+    behaviour: str = "stuck"
+
+
+class _HangDrill(ScenarioSpec):
+    """A family whose cells hang, or replay slowly, in a worker process."""
+
+    name = "hang-drill"
+    title = "cells that hang or crawl"
+
+    def default_config(self):
+        return _DrillConfig()
+
+    def smoke_config(self):
+        return _DrillConfig()
+
+    def make_trace(self, config, cell):
+        return poisson_trace(0.5, 40.0, 20, 0.05, [0, 1])
+
+    def run_once(self, config, cell, trace):
+        if config.behaviour == "stuck":
+            threading.Event().wait()
+        testbed_config = TestbedConfig(num_servers=2, workers_per_server=4)
+        with build_testbed(testbed_config, rr_policy()) as testbed:
+            testbed.run_trace(trace)
+        return testbed.collector.totals.completed
+
+    def render(self, result):
+        return f"completed {sorted(result.runs.values())}"
+
+
+@pytest.fixture
+def hang_drill(monkeypatch):
+    """The drill family, registered for the test only, run on forked workers
+    under a 0.5 s heartbeat deadline; returns a ``behaviour`` setter."""
+    monkeypatch.setattr(registry, "_SCENARIOS", dict(registry._SCENARIOS))
+    registry.register(_HangDrill())
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: fork)
+    monkeypatch.setattr(partition, "HEARTBEAT_TIMEOUT", 0.5)
+
+    def behave(behaviour):
+        monkeypatch.setattr(
+            _HangDrill, "default_config", lambda self: _DrillConfig(behaviour=behaviour)
+        )
+
+    return behave
+
+
+class TestHungWorker:
+    """A cell that stops ticking ends the run; a slow one that ticks does not."""
+
+    def test_a_blocked_cell_ends_in_one_line_and_no_surviving_process(
+        self, hang_drill, capsys
+    ):
+        hang_drill("stuck")
+        started = time.monotonic()
+        assert main(["hang-drill", "--jobs", "2"]) == 2
+        assert time.monotonic() - started < 10
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == (
+            "error: task(s) 'first', 'second' sent no heartbeat for more than "
+            "0.5s (hung worker); 0 task(s) had already completed"
+        )
+        assert multiprocessing.active_children() == []
+
+    def test_a_slow_cell_that_ticks_finishes(self, hang_drill, monkeypatch, capsys):
+        hang_drill("slow")
+        run = Simulator.run
+
+        def crawl(self, *args, **kwargs):
+            time.sleep(0.1)
+            return run(self, *args, **kwargs)
+
+        # 17 simulator runs per replay, 0.1 s each: 1.7 s per cell, far
+        # past the deadline, with a heartbeat between every two of them.
+        monkeypatch.setattr(Simulator, "run", crawl)
+        assert main(["hang-drill", "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == "completed [20, 20]\n"
+        assert multiprocessing.active_children() == []
+
 
 def _process_group(pgid):
     """Pids of the live members of a process group."""
@@ -381,6 +530,9 @@ class TestScenarioCommands:
             expected_cells = [
                 str(cell.key) for cell in spec.cells(spec.default_config())
             ]
+            if registry.family(spec.name).partitioned:
+                # Its cells are the pods of one run, listed as that run.
+                expected_cells = [spec.name]
             assert entry["cells"] == expected_cells
 
     def test_autoscale_small_run(self, capsys):

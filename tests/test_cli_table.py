@@ -109,7 +109,6 @@ class TestNonFiniteValues:
 CROSS_FIELD_FLAGS = {
     ("adversarial", "--collision-target"),  # an index into the tier
     ("autoscale", "--max-servers"),  # >= --min-servers
-    ("scale", "--queries"),  # >= --pods
     ("chaos", "--shed-watermark"),  # in [0, backlog capacity]
     ("resilience", "--kill-at"),  # a churn event's at_fraction
     ("resilience", "--add-at"),

@@ -128,7 +128,6 @@ class TestCatalogue:
         assert type(spec).__module__ == row.module
         assert type(spec.default_config()) is row.config
         assert spec.title == row.title
-        assert row.partitioned == ("partitions" in inspect.signature(spec.cells).parameters)
         # One source per fact: a built-in spec restates neither.
         assert not {"title", "default_config"} & set(vars(type(spec)))
 

@@ -21,7 +21,8 @@ from repro.experiments.config import (
     sr_policy,
     srdyn_policy,
 )
-from repro.experiments.platform import build_testbed
+from repro.experiments import platform
+from repro.experiments.platform import HEARTBEAT_SLICES, build_testbed
 from repro.experiments.scenario import run_scenario
 from repro.net.addressing import VIP_PREFIX
 from repro.workload.poisson import poisson_trace
@@ -282,6 +283,60 @@ class TestBuildTestbed:
             testbed.run_trace(_poisson_trace(**trace_kwargs))
             results.append(tuple(sorted(testbed.collector.response_times())))
         assert results[0] == results[1]
+
+
+class TestRunTraceSlicing:
+    """``run_trace`` replays the arrival phase in heartbeat slices, which
+    change nothing but how often a supervised worker ticks."""
+
+    @staticmethod
+    def _trace(config):
+        return _poisson_trace(
+            load_factor=0.6,
+            num_queries=200,
+            saturation_rate=analytic_saturation_rate(config, 0.05),
+            service_mean=0.05,
+            workload_seed=5,
+        )
+
+    @staticmethod
+    def _outcome(testbed, duration):
+        table = testbed.collector.columns()
+        return (
+            duration,
+            testbed.simulator.events_executed,
+            table.request_ids.tolist(),
+            table.response_times.tolist(),
+            testbed.counters(),
+        )
+
+    @pytest.mark.parametrize("until", [None, 60.0], ids=["drain", "horizon"])
+    def test_a_sliced_replay_equals_an_unsliced_one(self, small_testbed_config, until):
+        trace = self._trace(small_testbed_config)
+        with build_testbed(small_testbed_config, sr_policy(4)) as testbed:
+            sliced = self._outcome(testbed, testbed.run_trace(trace, until=until))
+        with build_testbed(small_testbed_config, sr_policy(4)) as testbed:
+            testbed.schedule_trace(trace)
+            if until is not None:
+                testbed.simulator.run(until=until)
+            duration = testbed.simulator.run()
+            testbed.client.sweep_unfinished()
+            whole = self._outcome(testbed, duration)
+        assert sliced == whole
+        if until is not None:
+            # Past the last event, the run ends at the horizon it was given.
+            assert sliced[0] == until
+
+    def test_ticks_once_per_slice_up_to_the_last_arrival(
+        self, small_testbed_config, monkeypatch
+    ):
+        trace = self._trace(small_testbed_config)
+        ticks = []
+        with build_testbed(small_testbed_config, sr_policy(4)) as testbed:
+            monkeypatch.setattr(platform, "tick", lambda: ticks.append(testbed.simulator.now))
+            testbed.run_trace(trace)
+        assert len(ticks) == HEARTBEAT_SLICES
+        assert ticks == sorted(ticks) and ticks[-1] == trace.duration
 
 
 class TestTestbedCounters:

@@ -1,4 +1,4 @@
-"""Tests for the partitioned ``scale`` scenario family."""
+"""Tests for the ``scale`` scenario family: one cell per pod."""
 
 import multiprocessing
 from multiprocessing.reduction import ForkingPickler
@@ -6,26 +6,28 @@ from multiprocessing.reduction import ForkingPickler
 import numpy as np
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, SimulationError
 from repro.experiments import registry
 from repro.experiments.config import ScaleConfig, TestbedConfig
 from repro.experiments.scale_experiment import (
     SCALE_SCENARIO,
     PodResult,
-    ScaleRunResult,
     _FRONTEND_CLIENT,
     _FRONTEND_VIP,
-    make_pod_trace,
     make_scale_stream,
     merge_pods,
-    run_scale,
-    simulate_pod,
 )
-from repro.experiments.scenario import run_scenario
+from repro.experiments.scenario import ScenarioCell, run_scenario
 from repro.net.ecmp import select_next_hop_name
 from repro.net.packet import FlowKey
 from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT
-from repro.sim.partition import PartitionTask, run_partitioned
+
+#: ``small_config``'s fingerprint, as the partitioned engine computed it
+#: before pods became scenario cells: whatever runs the pods, and on
+#: however many processes, the merged outcome stream must not move.
+SMALL_CONFIG_FINGERPRINT = (
+    "b101fbfb1bec12ad174d5bcc005609c90a5a6af015b72ef5fbe3a1e852ff6c9e"
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +44,7 @@ def small_config():
 
 @pytest.fixture(scope="module")
 def reference_run(small_config):
-    return run_scale(small_config, partitions=1)
+    return run_scenario("scale", small_config, jobs=1)
 
 
 class TestScaleConfig:
@@ -94,23 +96,26 @@ class TestFrontendSharding:
 
     def test_pod_traces_partition_the_aggregate_stream(self, small_config):
         seen = {}
-        horizons = set()
-        for pod in range(small_config.pods):
-            trace, horizon = make_pod_trace(small_config, pod)
-            horizons.add(horizon)
+        for cell in SCALE_SCENARIO.cells(small_config):
+            trace = SCALE_SCENARIO.make_trace(small_config, cell)
             for request in trace:
                 assert request.request_id not in seen
-                seen[request.request_id] = pod
+                seen[request.request_id] = cell.key
         assert len(seen) == small_config.num_queries
-        # Every pod must replay the same span of simulated time.
-        assert len(horizons) == 1
 
     def test_out_of_range_pod_rejected(self, small_config):
         with pytest.raises(ExperimentError):
-            make_pod_trace(small_config, small_config.pods)
+            SCALE_SCENARIO.make_trace(small_config, ScenarioCell(small_config.pods))
 
 
-class TestRunScale:
+class TestScaleRun:
+    def test_cells_are_the_pods_keyed_by_index(self, small_config):
+        cells = SCALE_SCENARIO.cells(small_config)
+        assert [cell.key for cell in cells] == list(range(small_config.pods))
+        assert {SCALE_SCENARIO.trace_key(small_config, cell) for cell in cells} == {
+            0, 1, 2, 3
+        }
+
     def test_every_query_gets_an_outcome(self, small_config, reference_run):
         assert reference_run.completed + reference_run.failed == (
             small_config.num_queries
@@ -120,54 +125,55 @@ class TestRunScale:
     def test_outcomes_arrive_in_merge_order(self, reference_run):
         assert np.all(np.diff(reference_run.times) >= 0)
 
-    def test_partitions_do_not_change_the_fingerprint(
-        self, small_config, reference_run
+    @pytest.mark.parametrize("jobs, processes", [(1, 1), (2, 2), (8, 4)])
+    def test_the_process_count_does_not_change_the_fingerprint(
+        self, small_config, jobs, processes
     ):
-        partitioned = run_scale(small_config, partitions=2)
-        assert partitioned.fingerprint() == reference_run.fingerprint()
-        assert partitioned.pod_summaries.keys() == (
-            reference_run.pod_summaries.keys()
-        )
-
-    def test_more_partitions_than_pods_do_not_change_the_fingerprint(
-        self, small_config, reference_run
-    ):
-        partitioned = run_scale(small_config, partitions=8)
-        assert partitioned.fingerprint() == reference_run.fingerprint()
+        run = run_scenario("scale", small_config, jobs=jobs)
+        assert run.fingerprint() == SMALL_CONFIG_FINGERPRINT
+        assert sorted(run.pod_summaries) == list(range(small_config.pods))
+        # The header's partitions= counts the processes that ran pods.
+        assert len({summary["pid"] for summary in run.pod_summaries.values()}) == processes
+        assert f"partitions={processes})" in SCALE_SCENARIO.render(run)
 
     def test_spawn_start_method_does_not_change_the_outcome_stream(
-        self, small_config, reference_run
+        self, small_config, reference_run, monkeypatch
     ):
-        tasks = [
-            PartitionTask(index=pod, payload=(small_config, pod))
-            for pod in range(small_config.pods)
-        ]
-        pods = run_partitioned(
-            simulate_pod,
-            tasks,
-            processes=2,
-            mp_context=multiprocessing.get_context("spawn"),
-        )
-        merged = merge_pods(pods)
-        reference = (
-            reference_run.times,
-            reference_run.request_ids,
-            reference_run.response_times,
-            reference_run.pod_indices,
-        )
-        for column, expected in zip(merged, reference):
-            np.testing.assert_array_equal(column, expected)
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(multiprocessing, "get_context", lambda: spawn)
+        spawned = run_scenario("scale", small_config, jobs=2)
+        for column in ("times", "request_ids", "response_times", "pod_indices"):
+            np.testing.assert_array_equal(
+                getattr(spawned, column), getattr(reference_run, column)
+            )
+        assert not multiprocessing.active_children()
+
+    def test_a_failed_pod_is_named_by_its_index(self, small_config, monkeypatch):
+        original = type(SCALE_SCENARIO).run_once
+
+        def run_once(self, config, cell, trace):
+            if cell.key == 1:
+                raise ValueError("boom")
+            return original(self, config, cell, trace)
+
+        monkeypatch.setattr(type(SCALE_SCENARIO), "run_once", run_once)
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(multiprocessing, "get_context", lambda: fork)
+        with pytest.raises(SimulationError, match=r"^task 1 failed: ValueError: boom$"):
+            run_scenario("scale", small_config, jobs=2)
+        assert not multiprocessing.active_children()
 
     def test_summaries_cover_every_pod(self, small_config, reference_run):
         assert sorted(reference_run.pod_summaries) == list(
             range(small_config.pods)
         )
-        assert reference_run.events_executed > 0
+        assert all(
+            summary["events_executed"] > 0 for summary in reference_run.pod_summaries.values()
+        )
         assert reference_run.busy_seconds > 0
-
-    def test_nonpositive_partitions_rejected(self, small_config):
-        with pytest.raises(ExperimentError):
-            run_scale(small_config, partitions=0)
+        assert reference_run.wall_seconds >= max(
+            summary["wall_seconds"] for summary in reference_run.pod_summaries.values()
+        )
 
 
 def _pod(times, ids, responses):
@@ -212,7 +218,9 @@ class TestTransportBudget:
     @pytest.fixture(scope="class")
     def pod_result(self):
         config = SCALE_SCENARIO.smoke_config()
-        return simulate_pod(PartitionTask(0, (config, 0)), lambda: None)
+        cell = SCALE_SCENARIO.cells(config)[0]
+        trace = SCALE_SCENARIO.make_trace(config, cell)
+        return SCALE_SCENARIO.run_once(config, cell, trace)
 
     def test_a_pod_pickles_within_32_bytes_per_outcome(self, pod_result):
         blob = ForkingPickler.dumps(pod_result)
@@ -233,12 +241,6 @@ class TestTransportBudget:
             isinstance(value, (int, float)) for value in pod_result.summary.values()
         )
 
-    def test_the_run_result_is_its_own_picklable_payload(self, reference_run):
-        clone = ForkingPickler.loads(ForkingPickler.dumps(reference_run))
-        assert isinstance(clone, ScaleRunResult)
-        assert clone.fingerprint() == reference_run.fingerprint()
-        assert clone.pod_summaries == reference_run.pod_summaries
-
 
 class TestScenarioIntegration:
     def test_registered_in_the_registry(self):
@@ -246,7 +248,7 @@ class TestScenarioIntegration:
         assert "scale" in registry.names()
 
     def test_scenario_front_renders_with_fingerprint(self, small_config):
-        result = run_scenario("scale", small_config, partitions=1)
+        result = run_scenario("scale", small_config)
         text = SCALE_SCENARIO.render(result)
         assert "fingerprint" in text
         assert "aggregate events/sec" in text

@@ -1,6 +1,7 @@
 """Property tests for the columnar pod merge (``scale`` family).
 
-The claim under test: :func:`repro.experiments.scale_experiment.merge_pods`
+The claim under test: the family's ``aggregate``, which merges its pod
+cells' runs with :func:`repro.experiments.scale_experiment.merge_pods`,
 orders the pods' outcome columns exactly as ``sorted()`` orders
 ``(time, pod, seq)`` tuples — ``seq`` being a row's position in its pod's
 emission order — for arbitrary per-pod outputs: equal timestamps across
@@ -14,7 +15,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.scale_experiment import PodResult, merge_pods
+from repro.experiments.config import ScaleConfig
+from repro.experiments.scale_experiment import SCALE_SCENARIO, PodResult
 
 #: A coarse grid, so equal timestamps within and across pods are common.
 _times = st.integers(min_value=0, max_value=12).map(lambda tick: tick * 0.25)
@@ -55,9 +57,17 @@ def _as_results(pods):
 
 
 def _merged_rows(pods):
-    times, ids, responses, pod_indices = merge_pods(_as_results(pods))
+    config = ScaleConfig(pods=len(pods))
+    result = SCALE_SCENARIO.aggregate(
+        config, SCALE_SCENARIO.cells(config), _as_results(pods), trace_for=None
+    )
     return list(
-        zip(times.tolist(), pod_indices.tolist(), ids.tolist(), responses.tolist())
+        zip(
+            result.times.tolist(),
+            result.pod_indices.tolist(),
+            result.request_ids.tolist(),
+            result.response_times.tolist(),
+        )
     )
 
 

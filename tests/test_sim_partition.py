@@ -11,48 +11,13 @@ import pytest
 import repro
 
 from repro.errors import SimulationError
-from repro.sim.engine import Simulator
+from repro.sim import partition
 from repro.sim.partition import (
-    HEARTBEAT_SLICES,
-    PartitionSupervisionError,
     PartitionTask,
     _partition_process_main,
     run_partition_serially,
     run_partitioned,
-    run_to_horizon,
 )
-
-
-class TestRunToHorizon:
-    def test_clock_reads_exactly_the_horizon_afterwards(self):
-        simulator = Simulator()
-        run_to_horizon(simulator, 7.3, lambda: None)
-        assert simulator.now == 7.3
-
-    def test_ticks_once_per_slice(self):
-        ticks = []
-        run_to_horizon(Simulator(), 100.0, lambda: ticks.append(None))
-        assert len(ticks) == HEARTBEAT_SLICES
-
-    def test_slicing_executes_the_same_events_as_one_run(self):
-        def replay(run):
-            simulator = Simulator()
-            fired = []
-            for step in range(50):
-                at = step * 0.37
-                simulator.schedule_at(at, lambda at=at: fired.append((simulator.now, at)))
-            run(simulator)
-            return fired, simulator.events_executed
-
-        sliced = replay(lambda sim: run_to_horizon(sim, 10.0, lambda: None))
-        whole = replay(lambda sim: sim.run(until=10.0))
-        assert sliced == whole
-
-    def test_events_past_the_horizon_stay_pending(self):
-        simulator = Simulator()
-        simulator.schedule_at(12.0, lambda: None)
-        run_to_horizon(simulator, 10.0, lambda: None)
-        assert simulator.pending_events == 1
 
 
 def reporting_worker(task, tick):
@@ -93,6 +58,11 @@ def slow_but_ticking_worker(task, tick):
 TASKS = [PartitionTask(index=i, payload=i * 10.0) for i in range(4)]
 
 
+def _in_process(worker, tasks):
+    """The serial twin of a fan-out: every task run in this process."""
+    return [run_partition_serially(worker, task)[0] for task in tasks]
+
+
 class TestRunPartitioned:
     def test_serial_run_returns_the_result_as_a_one_element_list(self):
         assert run_partition_serially(reporting_worker, TASKS[1]) == [
@@ -104,9 +74,9 @@ class TestRunPartitioned:
         assert [result["pod"] for result in results] == [0, 1, 2, 3]
 
     def test_multiprocess_run_is_identical_to_serial(self):
-        serial = run_partitioned(reporting_worker, TASKS, processes=1)
-        parallel = run_partitioned(reporting_worker, TASKS, processes=2)
-        assert parallel == serial
+        serial = _in_process(reporting_worker, TASKS)
+        for processes in (1, 2):
+            assert run_partitioned(reporting_worker, TASKS, processes=processes) == serial
 
     def test_results_follow_task_order_not_index_order(self):
         shuffled = [TASKS[2], TASKS[0], TASKS[3]]
@@ -137,14 +107,8 @@ class TestRunPartitioned:
 
     def test_more_processes_than_tasks_is_fine(self):
         result = run_partitioned(reporting_worker, TASKS[:2], processes=8)
-        reference = run_partitioned(reporting_worker, TASKS[:2], processes=1)
+        reference = _in_process(reporting_worker, TASKS[:2])
         assert result == reference
-
-    def test_serial_worker_failure_propagates(self):
-        with pytest.raises(SimulationError) as excinfo:
-            run_partitioned(failing_worker, TASKS, processes=1)
-        # The original exception rides along for the traceback.
-        assert isinstance(excinfo.value.__cause__, ValueError)
 
     def test_multiprocess_worker_failure_is_relayed(self):
         with pytest.raises(SimulationError, match="ValueError: pod 0 exploded"):
@@ -157,7 +121,7 @@ class TestRunPartitioned:
             processes=2,
             mp_context=multiprocessing.get_context("spawn"),
         )
-        assert spawned == run_partitioned(reporting_worker, TASKS, processes=1)
+        assert spawned == _in_process(reporting_worker, TASKS)
 
 
 class TestWorkerFailure:
@@ -170,7 +134,7 @@ class TestWorkerFailure:
             # same process never runs; its silence must not mask the cause.
             pytest.param(TASKS, 2, id="4-over-2"),
             pytest.param(TASKS[:2], 2, id="2-over-2"),
-            pytest.param(TASKS, 1, id="in-process"),
+            pytest.param(TASKS, 1, id="one-process"),
         ],
     )
     def test_failure_is_reported_as_itself(self, tasks, processes):
@@ -266,47 +230,26 @@ class TestProcessClamp:
             reporting_worker, TASKS[:2], processes=8, mp_context=spy
         )
         assert spy.process_count == 2
-        assert result == run_partitioned(reporting_worker, TASKS[:2], processes=1)
+        assert result == _in_process(reporting_worker, TASKS[:2])
 
 
 class TestSupervision:
-    def test_hung_partition_raises_supervision_error(self):
-        with pytest.raises(PartitionSupervisionError) as excinfo:
-            run_partitioned(
-                hanging_worker, TASKS[:3], processes=3, heartbeat_timeout=0.5
-            )
-        error = excinfo.value
-        assert error.partitions == (1,)
-        assert "task(s) 1" in str(error)
-        # The healthy partitions' results rode along.
-        assert error.results == {0: {"pod": 0}, 2: {"pod": 2}}
+    """Always on: a process silent past ``HEARTBEAT_TIMEOUT`` is hung."""
+
+    def test_hung_partition_raises_one_error_naming_it(self, monkeypatch):
+        monkeypatch.setattr(partition, "HEARTBEAT_TIMEOUT", 0.5)
+        with pytest.raises(SimulationError) as excinfo:
+            run_partitioned(hanging_worker, TASKS[:3], processes=3)
+        assert str(excinfo.value) == (
+            "task(s) 1 sent no heartbeat for more than 0.5s (hung worker); "
+            "2 task(s) had already completed"
+        )
         assert not multiprocessing.active_children()
 
-    def test_ticks_keep_a_slow_partition_alive(self):
+    def test_ticks_keep_a_slow_partition_alive(self, monkeypatch):
         # 0.6 s of work against a 0.4 s deadline: only the ticks save it,
         # and a partition queued behind another on the same process is
         # not mistaken for a hung one.
-        results = run_partitioned(
-            slow_but_ticking_worker, TASKS, processes=2, heartbeat_timeout=0.4
-        )
+        monkeypatch.setattr(partition, "HEARTBEAT_TIMEOUT", 0.4)
+        results = run_partitioned(slow_but_ticking_worker, TASKS, processes=2)
         assert [result["pod"] for result in results] == [0, 1, 2, 3]
-
-    def test_healthy_run_is_unchanged_under_supervision(self):
-        supervised = run_partitioned(
-            reporting_worker, TASKS, processes=2, heartbeat_timeout=30.0
-        )
-        assert supervised == run_partitioned(reporting_worker, TASKS, processes=1)
-
-    def test_supervision_ignores_the_serial_path(self):
-        # processes=1 never blocks on pipes, so the heartbeat is moot —
-        # but passing one must not break the serial path.
-        results = run_partitioned(
-            reporting_worker, TASKS, processes=1, heartbeat_timeout=0.001
-        )
-        assert len(results) == len(TASKS)
-
-    def test_invalid_heartbeat_rejected(self):
-        with pytest.raises(SimulationError):
-            run_partitioned(
-                reporting_worker, TASKS, processes=2, heartbeat_timeout=0.0
-            )
