@@ -193,11 +193,20 @@ class ProcessorSharingCPU(CPUModel):
     def _fire_completions(self) -> None:
         self._completion = None
         self._advance_progress()
+        now = self.simulator.clock._now
         jobs = self._jobs
+        active = len(jobs)
+        cores = self.num_cores
+        rate = self.speed * (1.0 if cores >= active else cores / active)
+        # A job is done when its remaining demand is negligible, or when
+        # the clock cannot resolve it: ``now + remaining / rate == now``
+        # would re-arm this completion at ``now`` with no progress to
+        # charge, forever (late in a long replay, ``ulp(now)`` exceeds
+        # the epsilon).
         completed_jobs = [
             (job_id, job)
             for job_id, job in jobs.items()
-            if job.remaining <= _REMAINING_EPSILON
+            if job.remaining <= _REMAINING_EPSILON or now + job.remaining / rate <= now
         ]
         for job_id, _ in completed_jobs:
             del jobs[job_id]

@@ -82,6 +82,20 @@ class TestProcessorSharingCPU:
         # One job on a 2-core CPU for the whole run: 50% utilization.
         assert cpu.utilization() == pytest.approx(0.5)
 
+    def test_a_job_the_clock_cannot_resolve_completes_now(self, simulator):
+        # At t = 30000 s one ulp of the clock is 3.6e-12 s: a remaining
+        # demand of 1.5e-12 s is above the completion epsilon but adds
+        # nothing to the clock, so its completion used to re-arm at the
+        # same instant forever.
+        simulator.run(until=30000.0)
+        cpu = ProcessorSharingCPU(simulator, num_cores=2)
+        completions = []
+        cpu.add_job(1, 1.5e-12, lambda job_id: completions.append((job_id, simulator.now)))
+        simulator.run(max_events=100_000)
+        assert completions == [(1, 30000.0)]
+        assert simulator.events_executed == 1
+        assert cpu.active_jobs == 0
+
     def test_invalid_core_count_rejected(self, simulator):
         with pytest.raises(ServerError):
             ProcessorSharingCPU(simulator, num_cores=0)
