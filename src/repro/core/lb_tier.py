@@ -39,7 +39,7 @@ from repro.core.loadbalancer import LoadBalancerNode
 from repro.errors import LoadBalancerError
 from repro.net.addressing import IPv6Address
 from repro.net.ecmp import EcmpEdgeRouter
-from repro.net.packet import FlowKey, Packet
+from repro.net.packet import FlowKey, Packet, new_flow_key
 from repro.net.srh import SegmentRoutingHeader
 from repro.sim.engine import Simulator
 
@@ -105,17 +105,22 @@ class TierLoadBalancer(LoadBalancerNode):
             # The packet reached us through the shared steering address:
             # the ECMP edge hashed the *reverse* tuple, so we may not be
             # the instance that will see the flow's forward packets.
-            forward_key = packet.flow_key().reversed()
-            owner = self.tier.owner_of(forward_key)
+            key = packet._flow_key  # reversed below, written out
+            owner = self.tier.owner_of(
+                new_flow_key(FlowKey, (key[2], key[3], key[0], key[1]))
+            )
             if owner is not None and owner is not self:
                 # Relay one hop to the owner: rewrite the active segment
                 # from the shared steering address to the owner's own
                 # address (preserving the dst == active-segment packet
                 # invariant); the rest of the SR header still carries
                 # everything the owner needs to learn the binding.
+                # The dst assignment is written as data: with the SR header
+                # on, the flow key's destination is its final segment.
                 self.tier_stats.signals_relayed_out += 1
-                srh.segments[srh.segments_left] = owner.primary_address
-                packet.dst = owner.primary_address
+                owner_address = owner.primary_address
+                srh.segments[srh.segments_left] = owner_address
+                packet._dst = owner_address
                 self.send(packet)
                 return
         if srh is not None:

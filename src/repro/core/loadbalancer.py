@@ -28,7 +28,14 @@ from repro.core.candidate_selection import CandidateSelector
 from repro.core.flow_table import FlowTable
 from repro.errors import LoadBalancerError
 from repro.net.addressing import IPv6Address
-from repro.net.packet import SYN_ACK_BITS, SYN_BIT, Packet, make_reset
+from repro.net.packet import (
+    SYN_ACK_BITS,
+    SYN_BIT,
+    FlowKey,
+    Packet,
+    make_reset,
+    new_flow_key,
+)
 from repro.net.router import NetworkNode
 from repro.net.srh import SegmentRoutingHeader
 from repro.sim.engine import PeriodicTask, Simulator
@@ -256,26 +263,31 @@ class LoadBalancerNode(NetworkNode):
         """Offer a new connection to the selected candidate servers."""
         stats = self.stats
         stats.syn_received += 1
-        candidates = self.selector.select(packet.flow_key(), self._backends[vip])
+        candidates = self.selector.select(packet._flow_key, self._backends[vip])
         if not candidates:
             raise LoadBalancerError("candidate selector returned an empty list")
         first = candidates[0]
         offers = stats.first_candidate_offers
         offers[first] = offers.get(first, 0) + 1
-        # RFC order: the VIP is the final segment, the first candidate active.
+        # RFC order: the VIP is the final segment, the first candidate
+        # active.  attach_srh() as data: the final segment is the
+        # packet's destination, so its flow key stands.
         segments = [vip, *reversed(candidates)]
-        packet.attach_srh(SegmentRoutingHeader(segments, len(segments) - 1))
+        packet.srh = SegmentRoutingHeader(segments, len(segments) - 1)
+        packet._dst = first
         stats.syn_dispatched += 1
         self.send(packet)
 
     def _steer_existing_flow(self, packet: Packet, vip: IPv6Address) -> None:
         """Pin a mid-flow packet to the server that accepted the flow."""
-        server = self.flow_table.steer(packet.flow_key(), self.simulator.clock._now)
+        server = self.flow_table.steer(packet._flow_key, self.simulator.clock._now)
         if server is None:
             self.stats.steering_misses += 1
             self._handle_steering_miss(packet, vip)
             return
-        packet.attach_srh(SegmentRoutingHeader([vip, server], 1))
+        # attach_srh() as data, keeping the flow key (the VIP stays final).
+        packet.srh = SegmentRoutingHeader([vip, server], 1)
+        packet._dst = server
         self.stats.steering_packets += 1
         self.send(packet)
 
@@ -293,7 +305,7 @@ class LoadBalancerNode(NetworkNode):
         self.stats.resets_sent += 1
         self.send(
             make_reset(
-                packet.flow_key(),
+                packet._flow_key,
                 request_id=packet.tcp.request_id,
                 created_at=self.simulator.clock._now,
             )
@@ -301,22 +313,7 @@ class LoadBalancerNode(NetworkNode):
 
     # -- server -> client direction (connection acceptance) --------------
     def _handle_steering_signal(self, packet: Packet) -> None:
-        """Learn which server accepted a flow from the SYN-ACK's SR header."""
-        srh = packet.srh
-        if srh is None:
-            # Not a Service Hunting signal; nothing for us to do.
-            self.stats.unknown_vip_drops += 1
-            return
-        self._learn_from_signal(packet)
-        # Hand the packet on to the client, stripping the SR header: the
-        # client sees a plain SYN-ACK from the VIP (paper, figure 1).
-        client = srh.segments[0]  # the final segment
-        packet.detach_srh()
-        packet.dst = client
-        self.send(packet)
-
-    def _learn_from_signal(self, packet: Packet) -> IPv6Address:
-        """Install the flow binding carried in-band by a steering SYN-ACK.
+        """Learn which server accepted a flow from the SYN-ACK's SR header.
 
         The accepting server's address is the first traversed segment of
         the SR header, so *any* instance that sees the packet can learn
@@ -324,21 +321,35 @@ class LoadBalancerNode(NetworkNode):
         cross-instance relay relies on.
         """
         srh = packet.srh
+        stats = self.stats
+        if srh is None:
+            # Not a Service Hunting signal; nothing for us to do.
+            stats.unknown_vip_drops += 1
+            return
+        segments = srh.segments
         # The first traversed segment is the last of the RFC-ordered
         # list; indexing it directly avoids materialising the full
         # traversal tuple on every acceptance.
-        accepting_server = srh.segments[-1]
+        accepting_server = segments[-1]
         # The SYN-ACK travels in the server->client direction; the flow
-        # table is keyed by the client->VIP direction.
-        forward_key = packet.flow_key().reversed()
+        # table is keyed by the client->VIP direction (the key reversed,
+        # written out).
+        key = packet._flow_key
         self.flow_table.learn(
-            forward_key, accepting_server, self.simulator.clock._now
+            new_flow_key(FlowKey, (key[2], key[3], key[0], key[1])),
+            accepting_server,
+            self.simulator.clock._now,
         )
-        stats = self.stats
         stats.acceptances_learned += 1
         per_server = stats.acceptances_per_server
         per_server[accepting_server] = per_server.get(accepting_server, 0) + 1
-        return accepting_server
+        # Hand the packet on to the client, stripping the SR header: the
+        # client sees a plain SYN-ACK from the VIP (paper, figure 1).
+        # detach_srh() and the dst assignment as data: the final segment
+        # was already the flow key's destination.
+        packet.srh = None
+        packet._dst = segments[0]
+        self.send(packet)
 
     # ------------------------------------------------------------------
     # introspection

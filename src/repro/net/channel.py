@@ -8,17 +8,17 @@ directly.  That works only while sender and receiver share one
 
 This module makes the hop explicit.  A *delivery channel* has one
 primitive, :meth:`DeliveryChannel.send`: **call** ``arrive(packet)``
-**after** ``delay``.  ``arrive`` is the receiving end of the hop — a
-callable the forwarding component builds once per destination (the
-fabric's per-address arrival with the detached-sink check folded in, an
-ECMP next hop's ``receive``) — so a
-delivery is one engine event carrying the packet as its argument: no
-closure is allocated per packet, and the event fires straight into the
-arrival.
+**after** ``delay``.  ``arrive`` is the receiving end of the hop — the
+destination node's ``handle_packet`` for the fabric and the ECMP
+spreader — so a delivery is one engine event carrying the packet as its
+argument: no closure is allocated per packet, and the event fires
+straight into the node.
 
 * :class:`InProcessChannel` is the default — one scheduling call per
   packet with the given delay and (interned) label, so event ordering is
-  bit-identical to direct ``receive()`` scheduling.
+  bit-identical to direct ``receive()`` scheduling.  The LAN fabric
+  pushes that same heap entry in line while its channel is its own
+  in-process one (see :class:`~repro.net.fabric.LANFabric`).
 * :class:`~repro.net.faults.FaultInjectionChannel` runs the hop through
   a fault pipeline before handing it to an inner channel.
 

@@ -291,9 +291,10 @@ class EcmpEdgeRouter(NetworkNode):
     # forwarding
     # ------------------------------------------------------------------
     def handle_packet(self, packet: Packet) -> None:
-        if packet.dst in self._vips:
+        dst = packet._dst
+        if dst in self._vips:
             self._spread(packet, is_return=False)
-        elif packet.dst == self.steering_address:
+        elif dst == self.steering_address:
             self._spread(packet, is_return=True)
         else:
             self.stats.packets_dropped += 1
@@ -304,7 +305,7 @@ class EcmpEdgeRouter(NetworkNode):
         # (VIP, client) tuple and may reach a different hop than the
         # (client, VIP) SYN did.  The memo hit is inlined: this runs
         # once per spread packet and almost always hits.
-        key = packet.flow_key()
+        key = packet._flow_key
         hop = self._hop_cache.get(key)
         if hop is None:
             try:
@@ -322,8 +323,9 @@ class EcmpEdgeRouter(NetworkNode):
         label = self._spread_labels.get(name)
         if label is None:
             label = self._spread_labels[name] = f"ecmp->{name}"
-        latency = self.fabric.latency if self.fabric is not None else 0.0
-        self.channel.send(hop.receive, packet, latency, label)
+        fabric = self._fabric
+        latency = fabric.latency if fabric is not None else 0.0
+        self.channel.send(hop.handle_packet, packet, latency, label)
 
     def __repr__(self) -> str:
         return (

@@ -16,18 +16,24 @@ debugging examples) all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from heapq import heappush as _heappush
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
-from repro.errors import NetworkError, RoutingError
+from repro.errors import NetworkError, RoutingError, SchedulingError
 from repro.net.addressing import IPv6Address
-from repro.net.channel import DeliveryChannel, InProcessChannel
+from repro.net.channel import Arrival, DeliveryChannel, InProcessChannel
 from repro.net.packet import IPV6_HEADER_SIZE, TCP_HEADER_SIZE, Packet
 from repro.net.srh import SRH_FIXED_SIZE, SRH_SEGMENT_SIZE
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.router import NetworkNode
+
+_INFINITY = float("inf")
+#: IPv6 + TCP header bytes, on every packet.
+_HEADERS_SIZE = IPV6_HEADER_SIZE + TCP_HEADER_SIZE
 
 #: A packet tap receives (packet, origin_node_name, destination_node_name).
 PacketTap = Callable[[Packet, str, str], None]
@@ -44,9 +50,10 @@ class FabricStats:
       time (unknown, or already detached and therefore unbound);
     * ``hop_limit`` — the hop limit hit zero at send time;
     * ``sink_detached`` — the destination resolved at send time but was
-      detached from the fabric while the packet was in flight.  These
-      packets *are* counted in ``packets_delivered``/``bytes_delivered``
-      (the fabric carried them; the sink was gone on arrival).
+      detached from the fabric while the packet was in flight (and not
+      re-attached by the time it landed).  These packets *are* counted
+      in ``packets_delivered``/``bytes_delivered`` (the fabric carried
+      them; the sink was gone on arrival).
     """
 
     packets_dropped_no_route: int = 0
@@ -98,6 +105,15 @@ class LANFabric:
         :class:`~repro.errors.RoutingError`; when ``False`` it is counted
         and silently dropped (closer to real network behaviour, and the
         default for experiments).
+
+    A hop is one engine event whose callback is the destination's
+    ``handle_packet`` and whose argument is the packet.  On the
+    fabric's own in-process channel, :meth:`send_from` pushes that heap
+    entry itself — the ``[time, sequence, callback, arg, label]`` list
+    and sequence draw ``Simulator._schedule_raw`` would make, behind the
+    same delay check.  Once a fault pipeline replaces :attr:`channel`
+    (:func:`~repro.net.faults.install_fault_channel`), every hop goes
+    through it instead.
     """
 
     def __init__(
@@ -105,36 +121,35 @@ class LANFabric:
         simulator: Simulator,
         latency: float = 50e-6,
         strict: bool = False,
-        channel: Optional[DeliveryChannel] = None,
     ) -> None:
         if latency < 0:
             raise RoutingError(f"fabric latency must be non-negative, got {latency!r}")
         self.simulator = simulator
         self.latency = latency
         self.strict = strict
-        #: The delivery channel every fabric hop goes through.  The
-        #: default in-process channel reproduces direct scheduling
-        #: bit-for-bit; a partitioned engine may substitute its own.
-        self.channel: DeliveryChannel = (
-            channel if channel is not None else InProcessChannel(simulator)
-        )
+        #: The delivery channel every fabric hop goes through.  While it
+        #: is the fabric's own in-process channel, the hop is pushed in
+        #: line (see the class docstring).
+        self.channel: DeliveryChannel = InProcessChannel(simulator)
+        self._in_process = self.channel
+        # What the in-line push touches: the clock and the heap list are
+        # never rebound; the sequence counter is (by schedule_series).
+        self._clock = simulator.clock
+        self._heap = simulator._heap
         self._nodes: Dict[str, "NetworkNode"] = {}
         self._address_map: Dict[IPv6Address, "NetworkNode"] = {}
-        #: Names of nodes detached mid-run; checked at delivery time so
-        #: in-flight packets to a detached sink are counted as
-        #: ``packets_dropped_sink_detached`` instead of being delivered.
+        #: Names of nodes detached mid-run and not re-attached since.
+        #: Only the in-flight deliveries :meth:`detach_node` retargets
+        #: read it, when they land.
         self._detached: set = set()
         self._taps: List[PacketTap] = []
         #: Memoized send routes: destination address -> ``(node name,
-        #: event label, arrival, delivery cell)``.  This folds the
-        #: address resolution, the interned per-destination label and
-        #: arrival callable and the counter into one dict hit per packet.
-        #: Every topology mutation (address bind, node registration or
-        #: detach) clears the memo wholesale, so a cached entry is always
-        #: exactly what resolve() would return.  The arrival closes only over
-        #: per-destination constants (the node, its name, the stats
-        #: object and the detached set — mutated in place, so shared
-        #: arrivals see updates).
+        #: event label, the node's handle_packet, delivery cell)``.  This
+        #: folds the address resolution, the interned per-destination
+        #: label, the callback and the counter into one dict hit per
+        #: packet.  Every topology mutation (address bind, node
+        #: registration or detach) clears the memo wholesale, so a cached
+        #: entry is always exactly what resolve() would return.
         self._send_routes: Dict[IPv6Address, tuple] = {}
         self._external = SimpleNamespace(name="<external>", packets_sent=0)
         self.stats = FabricStats()
@@ -168,10 +183,13 @@ class LANFabric:
         """Remove ``node`` from the fabric entirely.
 
         Its address bindings are withdrawn (later sends drop as
-        ``packets_dropped_no_route``), and packets
-        already in flight toward it are dropped on arrival and counted
-        as ``packets_dropped_sink_detached`` — the unified accounting
-        documented on :class:`FabricStats`.
+        ``packets_dropped_no_route``), and packets already in flight
+        toward it are dropped on arrival and counted as
+        ``packets_dropped_sink_detached`` — the unified accounting
+        documented on :class:`FabricStats` — unless the node re-attaches
+        before they land.  The in-flight deliveries are found once, here,
+        on the event heap (a fault pipeline holds no packet back, it
+        only adds delay), and retargeted; no arrival checks anything.
         """
         registered = self._nodes.get(node.name)
         if registered is not node:
@@ -184,6 +202,19 @@ class LANFabric:
         }
         self._detached.add(node.name)
         self._send_routes.clear()
+        label = f"deliver->{node.name}"
+        handle = node.handle_packet
+        for entry in self.simulator._heap:
+            callback = entry[2]
+            if callback is not None and entry[4] == label and callback == handle:
+                entry[2] = partial(self._land_after_detach, node.name, callback)
+
+    def _land_after_detach(self, name: str, handle: Arrival, packet: Packet) -> None:
+        """An arrival retargeted by :meth:`detach_node`."""
+        if name in self._detached:
+            self.stats.packets_dropped_sink_detached += 1
+        else:  # re-attached while the packet was in flight
+            handle(packet)
 
     def close(self) -> None:
         """Unregister every node at once: the end of the fabric's run.
@@ -232,15 +263,14 @@ class LANFabric:
     def send_from(self, origin: "NetworkNode", packet: Packet) -> bool:
         """:meth:`send` counted in ``origin.packets_sent``: each attached node's ``send``."""
         origin.packets_sent += 1
-        # The resolution, event label and arrival callable for a
-        # destination address are all memoized in one dict hit (see
+        # The resolution, event label and callback for a destination
+        # address are all memoized in one dict hit (see
         # ``_send_routes``); the miss path below performs the same
         # resolve() an uncached send would, and the memo is cleared on
         # every topology mutation, so hits and misses are
-        # indistinguishable.  The
-        # hop-limit exception machinery and the wire-size arithmetic
-        # (IPv6 + TCP + SRH headers) are inlined for the same
-        # once-per-packet-hop reason.
+        # indistinguishable.  The hop-limit check, the wire-size
+        # arithmetic (IPv6 + TCP + SRH headers) and the heap push are
+        # inlined for the same once-per-packet-hop reason.
         dst = packet._dst
         route = self._send_routes.get(dst)
         if route is None:
@@ -255,22 +285,10 @@ class LANFabric:
                     )
                 return False
             name = destination.name
-            detached = self._detached
-            stats = self.stats
-
-            def arrive(packet: Packet) -> None:
-                # What the channel calls when the latency elapses.  The
-                # detach check runs now, not at send time: the sink may
-                # detach while the packet is in flight.
-                if detached and name in detached:
-                    stats.packets_dropped_sink_detached += 1
-                    return
-                # NetworkNode.receive(), inlined.
-                destination.packets_received += 1
-                destination.handle_packet(packet)
-
-            cell = stats.delivery_cells.setdefault(name, [0])
-            route = self._send_routes[dst] = (name, f"deliver->{name}", arrive, cell)
+            cell = self.stats.delivery_cells.setdefault(name, [0])
+            route = self._send_routes[dst] = (
+                name, f"deliver->{name}", destination.handle_packet, cell
+            )  # fmt: skip
 
         hop_limit = packet.hop_limit
         if hop_limit <= 1:
@@ -282,7 +300,7 @@ class LANFabric:
             return False
         packet.hop_limit = hop_limit - 1
 
-        name, label, arrive, cell = route
+        name, label, handle, cell = route
 
         if self._taps:
             for tap in self._taps:
@@ -290,10 +308,24 @@ class LANFabric:
 
         cell[0] += 1
         srh = packet.srh
-        size = IPV6_HEADER_SIZE + TCP_HEADER_SIZE + packet.tcp.payload_size
+        size = _HEADERS_SIZE + packet.tcp.payload_size
         if srh is not None:
             size += SRH_FIXED_SIZE + SRH_SEGMENT_SIZE * len(srh.segments)
         self.stats.bytes_delivered += size
 
-        self.channel.send(arrive, packet, self.latency, label)
+        channel = self.channel
+        if channel is self._in_process:
+            # Simulator._schedule_raw, inlined: same check, same entry.
+            latency = self.latency
+            time = self._clock._now + latency
+            if not (latency >= 0.0 and time < _INFINITY):
+                raise SchedulingError(
+                    f"cannot schedule event {label!r} with delay {latency!r}"
+                )
+            _heappush(
+                self._heap,
+                [time, next(self.simulator._sequence), handle, packet, label],
+            )
+        else:
+            channel.send(handle, packet, self.latency, label)
         return True

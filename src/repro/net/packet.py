@@ -11,12 +11,22 @@ The packet and segment classes are slotted and hand-written: the
 simulator creates a handful of packets per query and reads their flow
 identity at every hop, so the dataclass machinery this replaced
 (generated ``__init__``/``__eq__`` plus per-call flow-key construction)
-was measurable across a full replay.  :meth:`Packet.flow_key` is cached on the packet and invalidated
-by exactly the mutations that can change the flow identity — attaching
-or detaching an SRH, or assigning :attr:`Packet.dst` — while SRH
-*advancement* (``advance_srh``/``set_segments_left``) keeps the cache,
-because it can only move the active segment along a fixed segment list
-whose final segment (the flow's true destination) never changes.
+was measurable across a full replay.
+
+A packet's flow key is data: the constructor builds it, and the
+per-hop handlers read ``packet._flow_key`` (what :meth:`Packet.flow_key`
+returns) without a call.  It is rebuilt by exactly the mutations that
+can change the flow identity — attaching an SRH, or assigning
+:attr:`Packet.dst` — while SRH *advancement*
+(``advance_srh``/``set_segments_left``) keeps it, because it can only
+move the active segment along a fixed segment list whose final segment
+(the flow's true destination) never changes.  The data path also edits
+headers as data — it writes ``srh``, ``_dst`` and ``segments_left``
+directly — and only in ways that keep the key: the load balancer
+attaches headers whose final segment is the packet's current
+destination (the VIP) and strips a header (``srh = None``) while
+pointing the destination at its final segment, and the servers only
+move ``segments_left`` down.
 """
 
 from __future__ import annotations
@@ -63,6 +73,7 @@ ACK_BIT = TCPFlag.ACK.value
 RST_BIT = TCPFlag.RST.value
 PSH_BIT = TCPFlag.PSH.value
 SYN_ACK_BITS = SYN_BIT | ACK_BIT
+SYN = TCPFlag.SYN  # a module global: ``TCPFlag.SYN`` is an enum class lookup
 SYN_ACK = TCPFlag.SYN | TCPFlag.ACK
 PSH_ACK = TCPFlag.PSH | TCPFlag.ACK
 
@@ -84,7 +95,7 @@ class FlowKey(NamedTuple):
 
     def reversed(self) -> "FlowKey":
         """The key of the reverse direction of the flow."""
-        return _new_flow_key(FlowKey, (self[2], self[3], self[0], self[1]))
+        return new_flow_key(FlowKey, (self[2], self[3], self[0], self[1]))
 
     def __reduce__(self):
         return (FlowKey, tuple(self))
@@ -93,8 +104,9 @@ class FlowKey(NamedTuple):
         return f"{self[0]}:{self[1]} -> {self[2]}:{self[3]}"
 
 
-#: ``_new_flow_key(FlowKey, fields)``: a key without ``__new__``'s frame.
-_new_flow_key = tuple.__new__
+#: ``new_flow_key(FlowKey, fields)``: a key without ``__new__``'s frame
+#: (the per-packet sites build and reverse keys with it).
+new_flow_key = tuple.__new__
 
 
 class TCPSegment:
@@ -192,7 +204,9 @@ class Packet:
         self.hop_limit = hop_limit
         self.packet_id = next(_packet_ids) if packet_id is None else packet_id
         self.created_at = created_at
-        self._flow_key: Optional[FlowKey] = None
+        self._flow_key: FlowKey = new_flow_key(FlowKey, (
+            src, tcp.src_port, dst if srh is None else srh.segments[0], tcp.dst_port
+        ))  # fmt: skip
 
     # ------------------------------------------------------------------
     # destination (flow-key cache invalidation point)
@@ -207,24 +221,25 @@ class Packet:
         self._dst = value
         # Without an SRH the destination *is* the flow's destination, so
         # any assignment may change the flow identity.
-        self._flow_key = None
+        self._rekey()
 
     # ------------------------------------------------------------------
     # flow identity
     # ------------------------------------------------------------------
     def flow_key(self) -> FlowKey:
-        """Forward-direction flow key of this packet (cached)."""
-        key = self._flow_key
-        if key is None:
-            tcp = self.tcp
-            srh = self.srh
-            key = self._flow_key = _new_flow_key(FlowKey, (
-                self.src,
-                tcp.src_port,
-                self._dst if srh is None else srh.segments[0],
-                tcp.dst_port,
-            ))  # fmt: skip
-        return key
+        """Forward-direction flow key of this packet (``_flow_key``)."""
+        return self._flow_key
+
+    def _rekey(self) -> None:
+        """Rebuild the flow key after a mutation that can change it."""
+        tcp = self.tcp
+        srh = self.srh
+        self._flow_key = new_flow_key(FlowKey, (
+            self.src,
+            tcp.src_port,
+            self._dst if srh is None else srh.segments[0],
+            tcp.dst_port,
+        ))  # fmt: skip
 
     # ------------------------------------------------------------------
     # segment routing helpers
@@ -233,17 +248,12 @@ class Packet:
         """Attach an SRH and point the destination at its active segment."""
         self.srh = srh
         self._dst = srh.segments[srh.segments_left]
-        self._flow_key = None
-
-    def detach_srh(self) -> None:
-        """Remove the SRH, keeping the current destination address."""
-        self.srh = None
-        self._flow_key = None
+        self._rekey()
 
     def advance_srh(self) -> IPv6Address:
         """Advance the SRH by one segment and update the destination.
 
-        The cached flow key survives: advancing only decrements
+        The flow key survives: advancing only decrements
         ``SegmentsLeft``, and the flow key is built from the *final*
         segment, which never moves.
         """

@@ -32,7 +32,6 @@ class NetworkNode:
         self.name = name
         self._addresses: List[IPv6Address] = []
         self._fabric = None  # type: Optional["LANFabric"]
-        self.packets_received = 0
         self.packets_sent = 0
 
     # ------------------------------------------------------------------
@@ -83,12 +82,8 @@ class NetworkNode:
         raise RoutingError(f"node {self.name!r} is not attached to a fabric")
 
     def receive(self, packet: Packet) -> None:
-        """Entry point for a packet arriving over the fabric or an ECMP hop.
-
-        The fabric's per-destination arrival (``LANFabric.send``) inlines
-        these two lines to save a frame per hop; keep them in step.
-        """
-        self.packets_received += 1
+        """Hand a packet to the node (the fabric and ECMP hops call
+        :meth:`handle_packet` directly)."""
         self.handle_packet(packet)
 
     def handle_packet(self, packet: Packet) -> None:

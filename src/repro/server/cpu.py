@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ServerError
 from repro.sim.engine import NO_ARG, EventHandle, HeapEntry, Simulator
@@ -143,77 +143,82 @@ class ProcessorSharingCPU(CPUModel):
     def active_jobs(self) -> int:
         return len(self._jobs)
 
-    def _advance_progress(self) -> None:
-        """Charge elapsed CPU progress to every active job.
+    def _replan(
+        self,
+        job_id: Optional[int] = None,
+        job: Optional[_Job] = None,
+        speed: Optional[float] = None,
+    ) -> None:
+        """The one place the job set or the rate changes, in one frame.
 
-        Runs twice per request (job arrival and completion), so the
-        busy-time accounting (:meth:`_account_busy_time`'s arithmetic)
-        and the per-job rate ``speed * min(1, cores / active)`` are
-        computed in line.
+        Charges the CPU progress made since the last change to every
+        active job (and the busy-time integral), applies the change —
+        an arriving ``job``, a new ``speed``, or, called with neither,
+        the completion event firing — and re-arms the single completion
+        entry for the earliest finish.  Completed jobs' callbacks run
+        last, once the plan is consistent again.
         """
-        now = self.simulator.clock._now
+        simulator = self.simulator
+        now = simulator.clock._now
         jobs = self._jobs
         active = len(jobs)
         cores = self.num_cores
+        rate = self.speed * (1.0 if cores >= active else cores / active)
+        # Charge elapsed progress: busy-core time, then every job at the
+        # per-job rate ``speed * min(1, cores / active)``.
         elapsed = now - self._last_accounting
         if elapsed > 0:
             self.busy_core_seconds += elapsed * (cores if cores < active else active)
         self._last_accounting = now
         elapsed = now - self._last_progress
-        if elapsed > 0 and active:
-            progress = elapsed * (
-                self.speed * (1.0 if cores >= active else cores / active)
-            )
-            for job in jobs.values():
-                job.remaining -= progress
+        # ``remaining - 0.0`` is ``remaining``, bit for bit: one loop
+        # charges the progress (if any), retires what the completion
+        # entry finished and finds the earliest finish.
+        progress = elapsed * rate if elapsed > 0 and active else 0.0
         self._last_progress = now
+        fired = job is None and speed is None
+        if fired:
+            self._completion = None
+        completed: List[Tuple[int, _Job]] = []
+        min_remaining = _INFINITY
+        for running_id, running in jobs.items():
+            remaining = running.remaining = running.remaining - progress
+            # A job is done when its remaining demand is negligible, or
+            # when the clock cannot resolve it: ``now + remaining / rate
+            # == now`` would re-arm this completion at ``now`` with no
+            # progress to charge, forever (late in a long replay,
+            # ``ulp(now)`` exceeds the epsilon).
+            if fired and (
+                remaining <= _REMAINING_EPSILON or now + remaining / rate <= now
+            ):
+                completed.append((running_id, running))
+            elif remaining < min_remaining:
+                min_remaining = remaining
+        for running_id, _ in completed:
+            del jobs[running_id]
+        if job is not None:
+            jobs[job_id] = job
+            if job.remaining < min_remaining:
+                min_remaining = job.remaining
+        elif speed is not None:
+            self.speed = speed
 
-    def _reschedule_completion(self) -> None:
-        simulator = self.simulator
+        # Re-arm the completion for the earliest finish.
         if self._completion is not None:
             simulator._cancel(self._completion)
             self._completion = None
-        jobs = self._jobs
-        if not jobs:
-            return
-        min_remaining = _INFINITY
-        for job in jobs.values():
-            remaining = job.remaining
-            if remaining < min_remaining:
-                min_remaining = remaining
-        if not min_remaining > 0.0:
-            min_remaining = 0.0
-        active = len(jobs)
-        cores = self.num_cores
-        rate = self.speed * (1.0 if cores >= active else cores / active)
-        self._completion = simulator._schedule_raw(
-            self._fire_completions, NO_ARG, min_remaining / rate, self._completion_label
-        )
+        if jobs:
+            if not min_remaining > 0.0:
+                min_remaining = 0.0
+            active = len(jobs)
+            rate = self.speed * (1.0 if cores >= active else cores / active)
+            self._completion = simulator._schedule_raw(
+                self._replan, NO_ARG, min_remaining / rate, self._completion_label
+            )
 
-    def _fire_completions(self) -> None:
-        self._completion = None
-        self._advance_progress()
-        now = self.simulator.clock._now
-        jobs = self._jobs
-        active = len(jobs)
-        cores = self.num_cores
-        rate = self.speed * (1.0 if cores >= active else cores / active)
-        # A job is done when its remaining demand is negligible, or when
-        # the clock cannot resolve it: ``now + remaining / rate == now``
-        # would re-arm this completion at ``now`` with no progress to
-        # charge, forever (late in a long replay, ``ulp(now)`` exceeds
-        # the epsilon).
-        completed_jobs = [
-            (job_id, job)
-            for job_id, job in jobs.items()
-            if job.remaining <= _REMAINING_EPSILON or now + job.remaining / rate <= now
-        ]
-        for job_id, _ in completed_jobs:
-            del jobs[job_id]
-        self._reschedule_completion()
-        for job_id, job in completed_jobs:
+        for done_id, done in completed:
             self.jobs_completed += 1
-            job.on_complete(job_id)
+            done.on_complete(done_id)
 
     def add_job(
         self, job_id: int, demand: float, on_complete: JobCompletionCallback
@@ -222,10 +227,8 @@ class ProcessorSharingCPU(CPUModel):
             raise ServerError(f"job demand must be positive, got {demand!r}")
         if job_id in self._jobs:
             raise ServerError(f"job {job_id!r} is already running on {self.name!r}")
-        self._advance_progress()
         # Positional: a class call with keywords allocates a dict per job.
-        self._jobs[job_id] = _Job(demand, demand, on_complete, self.simulator.clock._now)
-        self._reschedule_completion()
+        self._replan(job_id, _Job(demand, demand, on_complete, self.simulator.clock._now))
 
     def set_speed(self, speed: float) -> None:
         if speed <= 0:
@@ -234,9 +237,7 @@ class ProcessorSharingCPU(CPUModel):
             return
         # Charge progress at the old rate up to now, then re-plan the
         # earliest completion at the new rate.
-        self._advance_progress()
-        self.speed = speed
-        self._reschedule_completion()
+        self._replan(speed=speed)
 
 
 class FIFOCPU(CPUModel):

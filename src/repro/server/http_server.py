@@ -301,14 +301,7 @@ class HTTPServerInstance:
         if connection.service_started_at is not None:
             return
         connection.service_started_at = self._clock._now
-        connection.demand = self._demand_for(connection.request_id)
-        self.cpu.add_job(
-            connection.connection_id,
-            connection.demand,
-            self._on_service_complete,
-        )
-
-    def _demand_for(self, request_id: Optional[int]) -> float:
+        request_id = connection.request_id
         if self.demand_lookup is None or request_id is None:
             raise ServerError(
                 f"server {self.name!r} received a request without a demand source "
@@ -322,7 +315,8 @@ class HTTPServerInstance:
             raise ServerError(
                 f"request {request_id!r} has no positive CPU demand ({demand!r})"
             )
-        return demand
+        connection.demand = demand
+        self.cpu.add_job(connection.connection_id, demand, self._on_service_complete)
 
     def _on_service_complete(self, connection_id: int) -> None:
         connection = self._connections.pop(connection_id, None)

@@ -48,7 +48,9 @@ class Scoreboard:
             raise ServerError(f"scoreboard needs at least one slot, got {num_slots!r}")
         self._clock = clock
         self._slots = array("B", bytes(num_slots))
-        self._busy_count = 0
+        #: Number of busy worker slots right now: a plain attribute, so
+        #: the acceptance policy's read per offer is not a call.
+        self.busy_count = 0
         self._peak_busy = 0
         self._busy_time_integral = 0.0
         self._last_change = clock.now
@@ -76,21 +78,21 @@ class Scoreboard:
         now = self._clock._now
         elapsed = now - self._last_change
         if elapsed > 0:
-            self._busy_time_integral += elapsed * self._busy_count
+            self._busy_time_integral += elapsed * self.busy_count
         self._last_change = now
         slots[slot] = state
         if state == _BUSY:
-            self._busy_count += 1
-            if self._busy_count > self._peak_busy:
-                self._peak_busy = self._busy_count
+            self.busy_count += 1
+            if self.busy_count > self._peak_busy:
+                self._peak_busy = self.busy_count
         else:
-            self._busy_count -= 1
+            self.busy_count -= 1
 
     def _accumulate(self) -> None:
         now = self._clock._now
         elapsed = now - self._last_change
         if elapsed > 0:
-            self._busy_time_integral += elapsed * self._busy_count
+            self._busy_time_integral += elapsed * self.busy_count
         self._last_change = now
 
     # ------------------------------------------------------------------
@@ -102,14 +104,9 @@ class Scoreboard:
         return len(self._slots)
 
     @property
-    def busy_count(self) -> int:
-        """Number of busy worker slots right now."""
-        return self._busy_count
-
-    @property
     def idle_count(self) -> int:
         """Number of idle worker slots right now."""
-        return len(self._slots) - self._busy_count
+        return len(self._slots) - self.busy_count
 
     @property
     def peak_busy(self) -> int:

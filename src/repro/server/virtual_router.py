@@ -129,70 +129,68 @@ class ServerNode(NetworkNode):
     # packet processing
     # ------------------------------------------------------------------
     def handle_packet(self, packet: Packet) -> None:
+        """Hunt, steer or deliver one packet.
+
+        A packet whose active segment is this server and which has
+        segments left is either a connection request (a plain SYN:
+        Service Hunting proper, accept or forward) or a mid-flow packet
+        (see below); a packet for a bound VIP or this server's address
+        is delivered; anything else is an error.  Delivery translates
+        the packet into application-instance calls, in line.
+
+        Ordinary steering uses a two-segment ``[server, VIP]`` header, so
+        a mid-flow packet is consumed and delivered locally.  A longer
+        remaining list is a *recovery hunt*: a load balancer that lost
+        its steering state re-sent the packet through the flow's
+        (stable) candidate chain, and the connection lives on exactly
+        one of the candidates — deliver if it is here, else pass the
+        packet down the chain.  The final candidate consumes the packet
+        unconditionally, like the forced accept of connection-request
+        hunting.
+        """
         srh = packet.srh
         dst = packet._dst
+        tcp = packet.tcp
+        bits = tcp.bits
         if srh is not None and srh.segments_left and dst in self._addresses:
-            if packet.tcp.bits & SYN_ACK_BITS == SYN_BIT:
+            if bits & SYN_ACK_BITS == SYN_BIT:
                 # Service Hunting proper: the accept-or-forward choice only
                 # applies to the first packet of a flow (a plain SYN).
                 decision = self.hunting.process(packet)
-                if decision is HuntingDecision.ACCEPT:
-                    self._deliver_to_application(packet)
-                elif decision is HuntingDecision.FORWARD:
+                if decision is HuntingDecision.FORWARD:
                     self.send(packet)
-                else:  # pragma: no cover - defensive, hunting never returns it here
+                    return
+                if decision is not HuntingDecision.ACCEPT:  # pragma: no cover - defensive
                     raise ServerError(
                         f"unexpected hunting decision {decision!r} on {self.name!r}"
                     )
+            elif (
+                srh.segments_left <= 1
+                or self.app.connection_for_flow(packet._flow_key) is not None
+            ):
+                # set_segments_left(0) as data (the flow key stays).
+                srh.segments_left = 0
+                packet._dst = srh.segments[0]
             else:
-                self._handle_mid_flow_segment(packet)
-            return
+                packet.advance_srh()
+                self.send(packet)
+                return
+        elif not (dst in self._bound_vips or dst in self._addresses):
+            # Not for us: in a bridged LAN this should not happen.
+            raise ServerError(
+                f"server {self.name!r} received a packet it does not own: "
+                f"{packet.describe()}"
+            )
 
-        if dst in self._bound_vips or dst in self._addresses:
-            self._deliver_to_application(packet)
-            return
-
-        # Not for us: in a bridged LAN this should not happen, count and drop.
-        raise ServerError(
-            f"server {self.name!r} received a packet it does not own: "
-            f"{packet.describe()}"
-        )
-
-    def _handle_mid_flow_segment(self, packet: Packet) -> None:
-        """Process a mid-flow packet whose active segment is this server.
-
-        Ordinary steering uses a two-segment ``[server, VIP]`` header, so
-        the packet is consumed and delivered locally.  A longer remaining
-        list is a *recovery hunt*: a load balancer that lost its steering
-        state re-sent the packet through the flow's (stable) candidate
-        chain, and the connection lives on exactly one of the candidates
-        — deliver if it is here, else pass the packet down the chain.
-        The final candidate consumes the packet unconditionally, like the
-        forced accept of connection-request hunting.
-        """
-        if (
-            packet.srh.segments_left <= 1
-            or self.app.connection_for_flow(packet.flow_key()) is not None
-        ):
-            packet.set_segments_left(0)
-            self._deliver_to_application(packet)
-        else:
-            packet.advance_srh()
-            self.send(packet)
-
-    def _deliver_to_application(self, packet: Packet) -> None:
-        """Translate a delivered packet into application-instance calls."""
-        flow_key = packet.flow_key()
-        tcp = packet.tcp
-        bits = tcp.bits
+        # Delivered to the application.
         if bits & RST_BIT:
             # Client aborted; nothing to do in the simplified model.
             return
         if bits & SYN_ACK_BITS == SYN_BIT:
-            self.app.handle_connection_request(flow_key, tcp.request_id)
+            self.app.handle_connection_request(packet._flow_key, tcp.request_id)
             return
         if tcp.payload_size > 0 or bits & PSH_BIT:
-            if not self.app.handle_request_data(flow_key, tcp.request_id):
+            if not self.app.handle_request_data(packet._flow_key, tcp.request_id):
                 # No such connection here: answer with a RST, as a real
                 # kernel would.  Clients that already saw a RST for this
                 # query ignore the duplicate; clients mid-recovery learn
@@ -200,7 +198,7 @@ class ServerNode(NetworkNode):
                 self.stray_data_resets += 1
                 self.send(
                     make_reset(
-                        flow_key,
+                        packet._flow_key,
                         request_id=tcp.request_id,
                         created_at=self.simulator.clock._now,
                     )

@@ -158,7 +158,10 @@ class Simulator:
 
     @property
     def events_executed(self) -> int:
-        """Number of callbacks executed so far (for diagnostics)."""
+        """Number of callbacks executed so far (for diagnostics).
+
+        :meth:`run` adds its count when it returns (or raises).
+        """
         return self._events_executed
 
     @property
@@ -391,7 +394,6 @@ class Simulator:
                 else:
                     entry[3] = no_arg
                     callback(arg)
-                self._events_executed += 1
                 executed += 1
             # Honour `run(until=T) == T` whenever no live event remains
             # at or before the horizon, regardless of why the loop ended
@@ -403,6 +405,7 @@ class Simulator:
                     clock.advance(until)
         finally:
             self._running = False
+            self._events_executed += executed
         return clock._now
 
     def step(self) -> bool:

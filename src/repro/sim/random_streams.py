@@ -56,10 +56,12 @@ class BoundedDraws:
             highs: Iterable[int] = range(n - 1, max(n - k, 1) - 1, -1)
         else:
             picks, floyd = [], k
-            highs = chain(range(n - k, n), range(k - 1, 0, -1))
+            highs = [*range(n - k, n), *range(k - 1, 0, -1)]
         chosen = set()
         next32 = self._next32
-        for step, high in enumerate(highs):
+        step = -1
+        for high in highs:
+            step += 1
             value = 0
             if high:
                 span = high + 1

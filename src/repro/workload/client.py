@@ -30,6 +30,7 @@ from repro.net.packet import (
     PSH_ACK,
     PSH_BIT,
     RST_BIT,
+    SYN,
     SYN_ACK_BITS,
     Packet,
     TCPFlag,
@@ -289,7 +290,7 @@ class TrafficGeneratorNode(NetworkNode):
         syn = Packet(
             self._addresses[0],
             self.vip,
-            TCPSegment(pending.src_port, HTTP_PORT, TCPFlag.SYN, 0, pending.outcome.request_id),
+            TCPSegment(pending.src_port, HTTP_PORT, SYN, 0, pending.outcome.request_id),
             None, DEFAULT_HOP_LIMIT, None,  # no SRH, default hop limit, fresh id
             self.simulator.clock._now,
         )

@@ -87,8 +87,9 @@ ALLOWED = {
     "StaticThresholdPolicy.acceptance_ratio": (HOT_PATH, "the accept counters, kept per offer"),
     "LANFabric.detach_node": (
         HOT_PATH,
-        "the only writer of fabric.packets_dropped_sink_detached, whose check "
-        "every hop runs; the drop reason is settled with the counter set",
+        "the only writer of fabric.packets_dropped_sink_detached, a reason the "
+        "fabric's counter set reports; it retargets the in-flight deliveries "
+        "once, so no hop checks it, and it is settled with the counter set",
     ),
     "outcome_fingerprint": (GOLDENS, "tests/test_scenario_golden.py, benchmarks/bench_chaos.py"),
 }

@@ -18,27 +18,49 @@ builtin calls.
 
 A second test holds the event heap shallow on the same cell: a trace is
 one pending arrival, not one heap entry per query.
+
+A second budgeted cell covers the tier path the Poisson cell never
+enters: two load balancers behind the ECMP edge, the chaos family's
+``loss`` recipe on the fabric's channel (so every hop goes through the
+fault pipeline), SYN-ACK relays between instances and the client's
+retransmission and retry timers.
 """
 
 import cProfile
 import io
 import pstats
 
+from repro.net import fabric as fabric_module
 from repro.sim import engine
 
-from repro.experiments.calibration import analytic_saturation_rate
-from repro.experiments.config import TestbedConfig, sr_policy
+from repro.experiments.calibration import (
+    analytic_saturation_rate,
+    legitimate_poisson_trace,
+)
+from repro.experiments.chaos_experiment import fault_config_for
+from repro.experiments.config import ChaosConfig, TestbedConfig, sr_policy
 from repro.experiments.platform import build_testbed
+from repro.net.faults import install_fault_channel
 from repro.workload.poisson import poisson_trace
 
 QUERIES = 300
 
-#: Measured on this cell in a fresh process: 32 211 calls, 2 194 sends
-#: — 107.4 per query, 14.7 per fabric hop (before the second hot-path
-#: round: 52 941 calls, 176.5 and 24.1; before the first: 97 860 calls,
-#: 326.2 and 44.6).  Budgets are the measured values plus 10 %.
-CALLS_PER_QUERY_BUDGET = 118.1
-CALLS_PER_SEND_BUDGET = 16.2
+#: Measured on this cell in a fresh process: 20 543 calls, 2 194 sends
+#: — 68.5 per query, 9.4 per fabric hop (before the third hot-path
+#: round: 31 419 calls, 104.7 and 14.3; before the second: 52 941 calls,
+#: 176.5 and 24.1; before the first: 97 860 calls, 326.2 and 44.6).
+#: Budgets are the measured values plus 10 %.
+CALLS_PER_QUERY_BUDGET = 75.3
+CALLS_PER_SEND_BUDGET = 10.3
+
+TIER_QUERIES = 1_000
+
+#: The tier cell (``chaos --lbs 2 --queries 1000``, the ``loss`` cell,
+#: replay only), measured the same way: 158 467 calls, 8 034 fabric sends —
+#: 158.5 per query, 19.7 per fabric hop (208.5 and 25.9 before the
+#: third round).  Budgets are the measured values plus 10 %.
+TIER_CALLS_PER_QUERY_BUDGET = 174.3
+TIER_CALLS_PER_SEND_BUDGET = 21.7
 
 #: Most entries the event heap may hold at once on this cell (18
 #: measured).  Scheduling every arrival of the trace up front would put
@@ -66,14 +88,31 @@ def _small_poisson_cell(monkeypatch):
     return build_testbed(config, sr_policy(4)), trace
 
 
-def _profile_small_poisson_cell(monkeypatch):
-    testbed, trace = _small_poisson_cell(monkeypatch)
+def _profile_replay(testbed, trace, queries):
     profile = cProfile.Profile()
     profile.enable()
     testbed.run_trace(trace)
     profile.disable()
-    assert testbed.client.queries_started == QUERIES
+    assert testbed.client.queries_started == queries
     return pstats.Stats(profile)
+
+
+def _profile_small_poisson_cell(monkeypatch):
+    testbed, trace = _small_poisson_cell(monkeypatch)
+    return _profile_replay(testbed, trace, QUERIES)
+
+
+def _profile_tier_loss_cell(monkeypatch):
+    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+    config = ChaosConfig(num_queries=TIER_QUERIES)
+    trace = legitimate_poisson_trace(config)
+    with build_testbed(config.testbed, config.policy) as testbed:
+        install_fault_channel(
+            testbed.simulator,
+            testbed.fabric,
+            fault_config_for(config, "loss", trace.duration),
+        )
+        return _profile_replay(testbed, trace, TIER_QUERIES)
 
 
 def _top_rows(stats: pstats.Stats, count: int = 10) -> str:
@@ -83,8 +122,7 @@ def _top_rows(stats: pstats.Stats, count: int = 10) -> str:
     return stream.getvalue()
 
 
-def test_replay_stays_inside_its_python_call_budget(monkeypatch):
-    stats = _profile_small_poisson_cell(monkeypatch)
+def _assert_inside_budget(stats, queries, per_query_budget, per_send_budget):
     python_calls = 0
     sends = 0
     for (filename, _line, name), row in stats.stats.items():
@@ -94,15 +132,31 @@ def test_replay_stays_inside_its_python_call_budget(monkeypatch):
         if name == "send_from" and filename.endswith("fabric.py"):
             sends = row[1]
     assert sends > 0
-    per_query = python_calls / QUERIES
+    per_query = python_calls / queries
     per_send = python_calls / sends
-    assert (
-        per_query <= CALLS_PER_QUERY_BUDGET and per_send <= CALLS_PER_SEND_BUDGET
-    ), (
-        f"{python_calls} Python calls for {QUERIES} queries and {sends} fabric "
-        f"sends: {per_query:.1f} per query (budget {CALLS_PER_QUERY_BUDGET}), "
-        f"{per_send:.1f} per send (budget {CALLS_PER_SEND_BUDGET}).\n"
+    assert per_query <= per_query_budget and per_send <= per_send_budget, (
+        f"{python_calls} Python calls for {queries} queries and {sends} fabric "
+        f"sends: {per_query:.1f} per query (budget {per_query_budget}), "
+        f"{per_send:.1f} per send (budget {per_send_budget}).\n"
         + _top_rows(stats)
+    )
+
+
+def test_replay_stays_inside_its_python_call_budget(monkeypatch):
+    _assert_inside_budget(
+        _profile_small_poisson_cell(monkeypatch),
+        QUERIES,
+        CALLS_PER_QUERY_BUDGET,
+        CALLS_PER_SEND_BUDGET,
+    )
+
+
+def test_tier_replay_stays_inside_its_python_call_budget(monkeypatch):
+    _assert_inside_budget(
+        _profile_tier_loss_cell(monkeypatch),
+        TIER_QUERIES,
+        TIER_CALLS_PER_QUERY_BUDGET,
+        TIER_CALLS_PER_SEND_BUDGET,
     )
 
 
@@ -117,6 +171,7 @@ def test_replay_keeps_the_event_heap_shallow(monkeypatch):
         high_water = max(high_water, len(heap))
 
     monkeypatch.setattr(engine, "_heappush", counting_push)
+    monkeypatch.setattr(fabric_module, "_heappush", counting_push)  # the hop
     testbed.run_trace(trace)
     assert testbed.client.queries_completed == QUERIES
     assert 0 < high_water <= HEAP_HIGH_WATER_BUDGET, high_water

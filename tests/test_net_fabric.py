@@ -42,8 +42,8 @@ class TestLANFabric:
         packet = make_syn(a.primary_address, b.primary_address, 1000, 80)
         a.send(packet)
         simulator.run()
-        assert len(b.received) == 1
-        assert b.packets_received == 1
+        assert b.received == [packet]
+        assert fabric.stats.packets_delivered == 1
         assert a.packets_sent == 1
 
     def test_delivery_takes_latency(self, simulator, fabric_setup):
@@ -159,6 +159,31 @@ class TestDetachAccounting:
         simulator.run()
         assert len(b.received) == 1
         assert fabric.stats.packets_dropped_sink_detached == 0
+
+    def test_fabric_reattach_midflight_delivers_the_packet(
+        self, simulator, fabric_setup
+    ):
+        fabric, a, b = fabric_setup
+        packet = make_syn(a.primary_address, b.primary_address, 1000, 80)
+        a.send(packet)
+        fabric.detach_node(b)
+        b.attach(fabric)  # back before the packet lands
+        simulator.run()
+        assert b.received == [packet]
+        assert fabric.stats.packets_dropped_sink_detached == 0
+
+    def test_fabric_detach_through_a_fault_pipeline(self, simulator, fabric_setup):
+        from repro.net.faults import FaultConfig, install_fault_channel
+
+        fabric, a, b = fabric_setup
+        install_fault_channel(simulator, fabric, FaultConfig(jitter_mean=1e-3))
+        a.send(make_syn(a.primary_address, b.primary_address, 1000, 80))
+        a.send(make_syn(a.primary_address, a.primary_address, 1000, 80))
+        fabric.detach_node(b)
+        simulator.run()
+        assert b.received == []
+        assert len(a.received) == 1  # other sinks are untouched
+        assert fabric.stats.packets_dropped_sink_detached == 1
 
     def test_fabric_detach_unknown_node_rejected(self, simulator, fabric_setup):
         fabric, a, b = fabric_setup

@@ -105,17 +105,6 @@ class TestPacket:
                 srh=srh,
             )
 
-    def test_detach_srh_keeps_destination(self):
-        packet = make_syn(_addr("fd00:200::1"), _addr("fd00:300::1"), 1234, 80)
-        packet.attach_srh(
-            SegmentRoutingHeader.from_traversal(
-                [_addr("fd00:100::1"), _addr("fd00:300::1")]
-            )
-        )
-        packet.detach_srh()
-        assert packet.srh is None
-        assert packet.dst == _addr("fd00:100::1")
-
     def test_copy_gets_new_id_and_independent_srh(self):
         packet = make_syn(_addr("fd00:200::1"), _addr("fd00:300::1"), 1234, 80)
         packet.attach_srh(
@@ -187,13 +176,17 @@ class TestFlowKeyCache:
         packet.set_segments_left(0)
         assert packet.flow_key() == _fresh_flow_key(packet) == key
 
-    def test_detach_srh_invalidates(self):
+    def test_stripping_the_srh_at_its_final_segment_keeps_the_key(self):
+        # The load balancer's strip, as the data path writes it: the
+        # header goes and the destination becomes its final segment.
         packet = self._packet()
         packet.attach_srh(self._srh())
+        key = packet.flow_key()
+        final = packet.srh.segments[0]
+        packet.srh = None
+        packet._dst = final
+        assert packet.flow_key() == _fresh_flow_key(packet) == key
         assert packet.flow_key().dst_address == _addr("fd00:300::1")
-        packet.detach_srh()  # dst is now the mid-chain active segment
-        assert packet.flow_key() == _fresh_flow_key(packet)
-        assert packet.flow_key().dst_address == _addr("fd00:100::1")
 
     def test_dst_assignment_invalidates(self):
         packet = self._packet()
@@ -209,7 +202,7 @@ class TestFlowKeyCache:
         clone = packet.copy()
         assert clone.flow_key() == _fresh_flow_key(clone)
         # Mutating the original must not leak into the clone's key.
-        packet.detach_srh()
+        packet.srh = None
         packet.dst = _addr("fd00:200::9")
         assert clone.flow_key() == _fresh_flow_key(clone)
         assert clone.flow_key().dst_address == _addr("fd00:300::1")

@@ -189,6 +189,15 @@ def test_srh_segments_left_is_monotonically_non_increasing(path, data):
 # ----------------------------------------------------------------------
 # packet flow-key cache
 # ----------------------------------------------------------------------
+def _strip_srh(packet: Packet) -> None:
+    """The load balancer's SRH strip, written as data (as the data path
+    does): the header goes and the destination becomes its final
+    segment, which keeps the flow key."""
+    final = packet.srh.segments[0]
+    packet.srh = None
+    packet._dst = final
+
+
 def _fresh_flow_key(packet: Packet) -> FlowKey:
     """The flow key computed from first principles, bypassing the cache."""
     return FlowKey(
@@ -228,7 +237,7 @@ def test_flow_key_cache_matches_fresh_computation_under_any_mutation(
         elif op == "detach":
             if packet.srh is None:
                 continue
-            packet.detach_srh()
+            _strip_srh(packet)
         elif op == "set_left":
             if packet.srh is None:
                 continue
@@ -263,7 +272,7 @@ def test_flow_key_cache_copy_independence(ops, path):
         if op == "advance" and packet.srh is not None and packet.srh.segments_left:
             packet.advance_srh()
         elif op == "detach" and packet.srh is not None:
-            packet.detach_srh()
+            _strip_srh(packet)
         elif op == "attach":
             packet.attach_srh(SegmentRoutingHeader.from_traversal(path))
     assert clone.flow_key() == expected == _fresh_flow_key(clone)
