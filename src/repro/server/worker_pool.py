@@ -25,7 +25,8 @@ class WorkerPool:
     ----------
     scoreboard:
         The scoreboard to mirror slot states into; the number of workers
-        equals the scoreboard's number of slots.
+        equals the scoreboard's number of slots.  Its slot column is the
+        pool's record of which workers are busy.
     """
 
     def __init__(self, scoreboard: Scoreboard) -> None:
@@ -33,7 +34,6 @@ class WorkerPool:
         self._free_slots: List[int] = list(range(scoreboard.num_slots))
         # Keep free slots sorted so acquisition order is deterministic.
         self._free_slots.reverse()
-        self._busy_slots: set = set()
         self.total_acquisitions = 0
 
     @property
@@ -44,7 +44,7 @@ class WorkerPool:
     @property
     def busy_workers(self) -> int:
         """Number of workers currently serving a connection."""
-        return len(self._busy_slots)
+        return self._scoreboard.busy_count
 
     @property
     def idle_workers(self) -> int:
@@ -56,18 +56,17 @@ class WorkerPool:
         if not self._free_slots:
             return None
         slot = self._free_slots.pop()
-        self._busy_slots.add(slot)
         self._scoreboard._set_state(slot, _BUSY)  # mark_busy without its frame
         self.total_acquisitions += 1
         return slot
 
     def release(self, slot: int) -> None:
         """Return a worker to the pool after its connection closed."""
-        if slot not in self._busy_slots:
+        slots = self._scoreboard._slots
+        if not (0 <= slot < len(slots) and slots[slot] == _BUSY):
             raise WorkerPoolError(
                 f"cannot release worker slot {slot!r}: it is not busy"
             )
-        self._busy_slots.remove(slot)
         self._free_slots.append(slot)
         self._scoreboard._set_state(slot, _IDLE)
 
