@@ -92,37 +92,33 @@ class ServiceHuntingProcessor:
         packet's destination is the next candidate.
         """
         srh = packet.srh
-        if srh is None:
-            return HuntingDecision.NOT_APPLICABLE
-        left = srh.segments_left
-        if left == 0:
+        if srh is None or srh.segments_left == 0:
             return HuntingDecision.NOT_APPLICABLE
 
-        stats = self.stats
-        stats.offers_received += 1
+        self.stats.offers_received += 1
 
-        if left == 1:
+        if srh.segments_left == 1:
             # Penultimate segment: the connection must be accepted to
             # guarantee satisfiability (paper §II-A).
             packet.set_segments_left(0)
-            stats.accepted_forced += 1
+            self.stats.accepted_forced += 1
             self.policy.notify_forced_accept(self.agent)
             return HuntingDecision.ACCEPT
 
         # Two or more candidates remain: the decision is optional and
         # strictly local.
         if self.draining:
-            stats.refused_draining += 1
+            self.stats.refused_draining += 1
         elif self.policy.should_accept(self.agent):
             packet.set_segments_left(0)
-            stats.accepted_by_choice += 1
+            self.stats.accepted_by_choice += 1
             return HuntingDecision.ACCEPT
-        # advance_srh() as data (``left`` >= 2, so it cannot fail; the
-        # flow key stays, see repro.net.packet).
-        left -= 1
+        # advance_srh() written as data: two or more segments are left, so
+        # it cannot fail, and the flow key stays (see repro.net.packet).
+        left = srh.segments_left - 1
         srh.segments_left = left
         packet._dst = srh.segments[left]
-        stats.refused += 1
+        self.stats.refused += 1
         return HuntingDecision.FORWARD
 
     def reset(self) -> None:

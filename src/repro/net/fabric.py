@@ -204,7 +204,7 @@ class LANFabric:
         self._send_routes.clear()
         label = f"deliver->{node.name}"
         handle = node.handle_packet
-        for entry in self.simulator._heap:
+        for entry in self._heap:
             callback = entry[2]
             if callback is not None and entry[4] == label and callback == handle:
                 entry[2] = partial(self._land_after_detach, node.name, callback)

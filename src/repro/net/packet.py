@@ -209,7 +209,7 @@ class Packet:
         ))  # fmt: skip
 
     # ------------------------------------------------------------------
-    # destination (flow-key cache invalidation point)
+    # destination (a flow-key rebuild point)
     # ------------------------------------------------------------------
     @property
     def dst(self) -> IPv6Address:
