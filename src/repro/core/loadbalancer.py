@@ -345,8 +345,8 @@ class LoadBalancerNode(NetworkNode):
         per_server[accepting_server] = per_server.get(accepting_server, 0) + 1
         # Hand the packet on to the client, stripping the SR header: the
         # client sees a plain SYN-ACK from the VIP (paper, figure 1).
-        # detach_srh() and the dst assignment as data: the final segment
-        # was already the flow key's destination.
+        # The strip is written as data: the final segment was already the
+        # flow key's destination, so the key stands.
         packet.srh = None
         packet._dst = segments[0]
         self.send(packet)
