@@ -19,8 +19,8 @@ builtin calls.
 A second test holds the event heap shallow on the same cell: a trace is
 one pending arrival, not one heap entry per query.
 
-A second budgeted cell covers the tier path the Poisson cell never
-enters: two load balancers behind the ECMP edge, the chaos family's
+A third test budgets a second cell, on the tier path the Poisson cell
+never enters: two load balancers behind the ECMP edge, the chaos family's
 ``loss`` recipe on the fabric's channel (so every hop goes through the
 fault pipeline), SYN-ACK relays between instances and the client's
 retransmission and retry timers.
