@@ -27,26 +27,11 @@ Two pieces model this:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.errors import ExperimentError
 from repro.server.virtual_router import ServerNode
 from repro.sim.engine import PeriodicTask, Simulator
-
-#: Busy-count source: called once per tick with the eligible servers,
-#: returns each server's busy-thread count by name.  The default reads
-#: the scoreboards directly; the telemetry plane substitutes
-#: :class:`repro.telemetry.sources.WatchdogTelemetryFeed`, which routes
-#: the same integers through bus series (bit-identical decisions).
-BusySource = Callable[[float, Sequence[ServerNode]], Mapping[str, int]]
-
-
-def _direct_busy_sample(
-    now: float, servers: Sequence[ServerNode]
-) -> Mapping[str, int]:
-    """The scoreboard-reading default busy source."""
-    return {server.name: server.app.busy_threads for server in servers}
-
 
 class GrayFailureInjector:
     """Degrade one server's CPU speed without killing it.
@@ -196,14 +181,6 @@ class GrayFailureWatchdog:
     Detection is purely observational — the ``on_quarantine`` callback
     decides what quarantine *means* (the adversarial scenario drains the
     victim through the server lifecycle and provisions a replacement).
-
-    ``sample_busy`` pluggs the busy-count source: by default the
-    watchdog reads each scoreboard directly; under telemetry it is
-    handed a :class:`repro.telemetry.sources.WatchdogTelemetryFeed`
-    that records the counts as bus gauges and returns the values read
-    back from those series.  Both sources observe the same integers at
-    the same simulated instant, so decisions are bit-identical — the
-    adversarial goldens pin this with telemetry on and off.
     """
 
     def __init__(
@@ -216,7 +193,6 @@ class GrayFailureWatchdog:
         min_busy: int = 2,
         consecutive: int = 3,
         max_quarantines: int = 1,
-        sample_busy: Optional[BusySource] = None,
     ) -> None:
         if interval <= 0:
             raise ExperimentError(
@@ -244,9 +220,6 @@ class GrayFailureWatchdog:
         self.min_busy = min_busy
         self.consecutive = consecutive
         self.max_quarantines = max_quarantines
-        self.sample_busy: BusySource = (
-            sample_busy if sample_busy is not None else _direct_busy_sample
-        )
         self.events: List[QuarantineEvent] = []
         self.ticks = 0
         self._strikes: Dict[str, int] = {}
@@ -284,13 +257,12 @@ class GrayFailureWatchdog:
         ]
         if len(servers) < 2:
             return
-        counts = self.sample_busy(self.simulator.now, servers)
-        busy = sorted(counts[server.name] for server in servers)
+        counts = [server.app.busy_threads for server in servers]
+        busy = sorted(counts)
         # Upper median over integers: deterministic, no float .5 cases.
         median = busy[len(busy) // 2]
         threshold = max(self.min_busy, self.slow_factor * median)
-        for server in servers:
-            count = counts[server.name]
+        for server, count in zip(servers, counts):
             if count >= threshold and count > median:
                 strikes = self._strikes.get(server.name, 0) + 1
                 self._strikes[server.name] = strikes
@@ -320,7 +292,7 @@ class GrayFailureWatchdog:
 
     @property
     def quarantined(self) -> Sequence[str]:
-        """Names of quarantined servers (insertion order not guaranteed)."""
+        """Names of quarantined servers, sorted."""
         return tuple(sorted(self._quarantined))
 
     def __repr__(self) -> str:

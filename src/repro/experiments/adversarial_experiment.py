@@ -168,30 +168,17 @@ def _attach_gray_failure(
     )
     injector.start()
 
-    # Quarantine drains the victim and provisions a replacement.
+    # Quarantine drains the victim and provisions a replacement; under
+    # telemetry it first freezes the flight recorder's recent window.
     lifecycle = ServerLifecycle(testbed)
 
-    def drain_and_replace(server) -> None:
-        lifecycle.drain(lifecycle.record_for(server.name))
-        lifecycle.provision(speed=1.0)
-
-    on_quarantine = drain_and_replace
-    # Under telemetry, the watchdog samples busy counts through the bus
-    # (the same integers at the same tick instant — decisions stay
-    # bit-identical to the direct scoreboard reads, pinned by goldens),
-    # and every quarantine freezes the flight recorder's recent window.
-    sample_busy = None
-    if testbed.telemetry is not None:
-        probe = testbed.telemetry
-        sample_busy = probe.watchdog_feed()
-
-        def quarantine_and_dump(server) -> None:
-            probe.recorder.trip(
+    def on_quarantine(server) -> None:
+        if testbed.telemetry is not None:
+            testbed.telemetry.recorder.trip(
                 f"quarantine:{server.name}", testbed.simulator.now
             )
-            drain_and_replace(server)
-
-        on_quarantine = quarantine_and_dump
+        lifecycle.drain(lifecycle.record_for(server.name))
+        lifecycle.provision(speed=1.0)
 
     watchdog = GrayFailureWatchdog(
         testbed.simulator,
@@ -200,7 +187,6 @@ def _attach_gray_failure(
         interval=config.watchdog_interval,
         min_busy=WATCHDOG_MIN_BUSY,
         consecutive=config.watchdog_consecutive,
-        sample_busy=sample_busy,
     )
     watchdog.start()
     testbed.at_horizon(watchdog.stop)

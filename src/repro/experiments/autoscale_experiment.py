@@ -100,13 +100,7 @@ def attach_control_plane(testbed: Testbed, config: AutoscaleConfig, mode: str):
         warmup_duration=config.warmup_duration,
         drain_check_interval=config.drain_check_interval,
     )
-    # Under telemetry, the autoscaler observes the fleet through a
-    # monitor that also streams its samples onto the bus; the returned
-    # samples are identical, so scaling decisions do not move.
-    if testbed.telemetry is not None:
-        monitor = testbed.telemetry.fleet_monitor(config.ewma_time_constant)
-    else:
-        monitor = FleetMonitor(time_constant=config.ewma_time_constant)
+    monitor = FleetMonitor(time_constant=config.ewma_time_constant)
     policy = make_scaling_policy(
         mode,
         low=config.scale_down_fraction,

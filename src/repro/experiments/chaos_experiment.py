@@ -178,14 +178,11 @@ class ChaosScenario(ScenarioSpec):
         with build_testbed(
             config.testbed, config.policy, run_name=f"chaos-{mode}"
         ) as testbed:
-            pipeline = install_fault_channel(
+            testbed.fault_pipeline = install_fault_channel(
                 testbed.simulator,
                 testbed.fabric,
                 fault_config_for(config, mode, trace.duration),
             )
-            testbed.fault_pipeline = pipeline
-            if testbed.telemetry is not None:
-                testbed.telemetry.watch_faults(pipeline)
             duration = testbed.run_trace(trace)
         return RunResult.of(testbed, duration)
 

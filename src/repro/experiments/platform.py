@@ -130,8 +130,8 @@ class Testbed:
     #: telemetry is strictly opt-in.
     telemetry: Optional[object] = field(default=None, repr=False)
     #: The fault-injection pipeline when one is installed on the fabric
-    #: (the chaos family sets this), so the telemetry probe can stream
-    #: its per-reason drop counters.
+    #: (the chaos family sets this), so :meth:`counters` and the
+    #: telemetry probe read its per-reason drop counters.
     fault_pipeline: Optional[object] = field(default=None, repr=False)
     _sampler_task: Optional[PeriodicTask] = field(default=None, repr=False)
     #: Allocator the server addresses were drawn from; the elastic

@@ -11,8 +11,6 @@ See docs/architecture.md ("Telemetry plane") for the cast:
   typed :class:`AnomalyEvent` objects;
 * :mod:`repro.telemetry.probe` — the periodic sampling task wired onto
   a testbed when :func:`repro.telemetry.runtime.telemetry_enabled`;
-* :mod:`repro.telemetry.sources` — telemetry-fed control-plane sources
-  (gray-failure watchdog feed, autoscaler fleet monitor);
 * :mod:`repro.telemetry.render` — terminal sparklines and the
   self-contained HTML dashboard.
 
@@ -30,6 +28,5 @@ __getattr__, __dir__, __all__ = exports(
         "anomaly": ("AnomalyEvent", "AnomalyMonitor", "EWMAResidualDetector"),
         "bus": ("RingBuffer", "TelemetryBus", "TelemetryPayload", "TelemetrySeries"),
         "recorder": ("FlightDump", "FlightEvent", "FlightRecorder"),
-        "sources": ("TelemetryFleetMonitor", "WatchdogTelemetryFeed"),
     },
 )

@@ -134,10 +134,10 @@ class TelemetrySeries:
 class TelemetryBus:
     """Registry of named streaming series, one ring buffer each.
 
-    Series are created lazily on first :meth:`record` (or explicitly via
-    :meth:`gauge`), in a stable insertion order that the
-    payload export preserves.  Recording is read-only with respect to
-    the simulation: no RNG, no scheduled events, no node state.
+    Series are created lazily on first :meth:`record`, in a stable
+    insertion order that the payload export preserves.  Recording is
+    read-only with respect to the simulation: no RNG, no scheduled
+    events, no node state.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -148,7 +148,11 @@ class TelemetryBus:
         self.capacity = capacity
         self._series: Dict[str, TelemetrySeries] = {}
 
-    def _declare(self, name: str, kind: str, tier: str) -> TelemetrySeries:
+    def record(
+        self, name: str, time: float, value: float, kind: str = "gauge",
+        tier: str = "",
+    ) -> None:
+        """Append one sample, creating the series on first use."""
         series = self._series.get(name)
         if series is None:
             series = TelemetrySeries(name, kind, tier, self.capacity)
@@ -157,18 +161,7 @@ class TelemetryBus:
             raise TelemetryError(
                 f"series {name!r} is a {series.kind}, not a {kind}"
             )
-        return series
-
-    def gauge(self, name: str, tier: str = "") -> TelemetrySeries:
-        """Get or create an instantaneous gauge series."""
-        return self._declare(name, "gauge", tier)
-
-    def record(
-        self, name: str, time: float, value: float, kind: str = "gauge",
-        tier: str = "",
-    ) -> None:
-        """Append one sample, creating the series on first use."""
-        self._declare(name, kind, tier).record(time, value)
+        series.record(time, value)
 
     def series(self, name: str) -> TelemetrySeries:
         """The series registered under ``name`` (loud when missing)."""

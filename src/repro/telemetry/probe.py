@@ -30,7 +30,6 @@ from repro.telemetry import runtime
 from repro.telemetry.anomaly import AnomalyMonitor
 from repro.telemetry.bus import TelemetryBus, TelemetryPayload
 from repro.telemetry.recorder import FlightRecorder
-from repro.telemetry.sources import TelemetryFleetMonitor, WatchdogTelemetryFeed
 
 #: Series the anomaly monitor watches by default.
 DEFAULT_WATCHED = ("server.busy_fraction", "server.backlog_depth")
@@ -54,7 +53,6 @@ class TelemetryProbe:
         self.anomalies = AnomalyMonitor()
         for series in DEFAULT_WATCHED:
             self.anomalies.watch(series)
-        self._fault_pipeline: Any = None
         self.samples_taken = 0
         self._task = PeriodicTask(
             simulator=testbed.simulator,
@@ -90,21 +88,6 @@ class TelemetryProbe:
     def active(self) -> bool:
         """Whether the sampling task is ticking."""
         return self._task.active
-
-    def watch_faults(self, pipeline: Any) -> None:
-        """Start sampling a fault pipeline's per-reason counters."""
-        self._fault_pipeline = pipeline
-
-    # ------------------------------------------------------------------
-    # control-plane sources
-    # ------------------------------------------------------------------
-    def watchdog_feed(self) -> WatchdogTelemetryFeed:
-        """A gray-failure-watchdog busy source routed through the bus."""
-        return WatchdogTelemetryFeed(self.bus, recorder=self.recorder)
-
-    def fleet_monitor(self, time_constant: float = 5.0) -> TelemetryFleetMonitor:
-        """A bus-mirroring fleet monitor for the autoscaler."""
-        return TelemetryFleetMonitor(self.bus, time_constant=time_constant)
 
     # ------------------------------------------------------------------
     # the sampling tick
@@ -161,8 +144,8 @@ class TelemetryProbe:
         # Fabric and (when installed) the fault plane: drop reasons.
         for name, value in testbed.fabric.stats.snapshot().items():
             bus.record(f"fabric.{name}", now, value, kind="counter", tier="net")
-        if self._fault_pipeline is not None:
-            for name, value in self._fault_pipeline.stats.snapshot().items():
+        if testbed.fault_pipeline is not None:
+            for name, value in testbed.fault_pipeline.stats.snapshot().items():
                 bus.record(f"fault.{name}", now, value, kind="counter", tier="net")
 
         # Client: retransmission and retry pressure.
@@ -223,8 +206,12 @@ def attach_telemetry(testbed: Any) -> TelemetryProbe:
     Also points the traffic generator's ``flight_recorder`` at the
     probe's recorder so client retransmission/give-up events feed the
     black box.  Interval and capacity come from the runtime's environment
-    knobs so every ``jobs`` worker samples identically.
+    knobs so every ``jobs`` worker samples identically.  Re-attaching
+    replaces the previous probe; it is closed first, so its sampling task
+    cannot keep rescheduling past the horizon and hold the run open.
     """
+    if testbed.telemetry is not None:
+        testbed.telemetry.close()
     probe = TelemetryProbe(
         testbed,
         interval=runtime.sampling_interval(),

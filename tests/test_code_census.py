@@ -770,6 +770,46 @@ def test_run_scenario_is_the_only_entry_point_and_specs_build_the_testbeds():
 
 
 # ----------------------------------------------------------------------
+# telemetry only watches
+# ----------------------------------------------------------------------
+def _imported_packages(tree, package):
+    """Every import in ``tree``, anywhere in it, of ``package`` or below."""
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.append(node.module)
+            modules.extend(f"{node.module}.{alias.name}" for alias in node.names)
+    return [m for m in modules if m == package or m.startswith(package + ".")]
+
+
+def test_the_control_plane_and_the_telemetry_plane_do_not_import_each_other():
+    """The control loops read the testbed one way, telemetry on or off."""
+    for layer, other in (("control", "repro.telemetry"), ("telemetry", "repro.control")):
+        paths = _python_files(SRC / layer)
+        assert paths, layer
+        for path in paths:
+            imports = _imported_packages(_tree(path), other)
+            assert not imports, f"{path.relative_to(SRC)} imports {imports}"
+
+
+def test_an_import_counts_wherever_it_sits_and_however_it_is_spelt():
+    tree = ast.parse(
+        "import repro.telemetry.bus\n"
+        "from repro import telemetry\n"
+        "def late():\n    from repro.telemetry.probe import attach_telemetry\n"
+        "import repro.telemetryish\n"
+    )
+    assert _imported_packages(tree, "repro.telemetry") == [
+        "repro.telemetry.bus",
+        "repro.telemetry",
+        "repro.telemetry.probe",
+        "repro.telemetry.probe.attach_telemetry",
+    ]
+
+
+# ----------------------------------------------------------------------
 # a finished run frees its testbed
 # ----------------------------------------------------------------------
 def test_every_built_testbed_is_released_by_a_with_block():

@@ -98,7 +98,7 @@ class TestTelemetryBus:
         bus = TelemetryBus(capacity=16)
         bus.record("x", 0.0, 1.0, kind="counter")
         with pytest.raises(TelemetryError):
-            bus.gauge("x")
+            bus.record("x", 1.0, 2.0, kind="gauge")
 
     def test_unknown_series_is_loud(self):
         with pytest.raises(TelemetryError):

@@ -3,9 +3,9 @@
 Pins the subsystem's three load-bearing promises on real testbeds:
 
 * **Determinism** — a run with a probe attached is bit-identical to the
-  same run without one (the probe only reads), including when the
-  gray-failure watchdog consumes its busy counts *through* the bus and
-  when per-cell payloads merge across ``jobs`` worker processes;
+  same run without one (the probe only reads), including the decisions
+  of the gray-failure watchdog and the autoscaler, and when per-cell
+  payloads merge across ``jobs`` worker processes;
 * **The black box** — an SLO breach freezes a flight dump that
   round-trips through JSON;
 * **Uniform counters** — every tier exposes the flat
@@ -30,12 +30,13 @@ from repro.experiments.adversarial_experiment import (
     HOUSEKEEPING_INTERVAL,
     _attach_gray_failure,
 )
+from repro.experiments.autoscale_experiment import AUTOSCALE_SCENARIO
 from repro.experiments.chaos_experiment import CHAOS_SCENARIO, outcome_fingerprint
 from repro.experiments.config import TestbedConfig, sr_policy
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import ScenarioCell, run_scenario
 from repro.telemetry import runtime
-from repro.telemetry.probe import DEFAULT_WATCHED
+from repro.telemetry.probe import DEFAULT_WATCHED, attach_telemetry
 from repro.telemetry.recorder import FlightDump
 from repro.workload.requests import Request
 from repro.workload.trace import Trace
@@ -99,6 +100,17 @@ class TestProbeLifecycle:
         assert "fabric.packets_delivered" in names
         times, values = payload.series("server.busy_fraction")
         assert times.size == values.size > 0
+
+    def test_a_second_attach_stops_the_first_probe(self, telemetry_on):
+        testbed = build_testbed(TestbedConfig(num_servers=4), sr_policy(4))
+        first = testbed.telemetry
+        second = attach_telemetry(testbed)
+        assert not first.active
+        assert testbed.telemetry is second and second.active
+        # The replaced probe no longer reschedules, so the run ends.
+        testbed.run_trace(_burst_trace(50))
+        assert not second.active
+        assert len(runtime.drain()) == 1
 
 
 class TestEnvironmentKnobs:
@@ -201,8 +213,10 @@ class TestDeterminism:
             assert serial.anomalies == pooled.anomalies
 
 
-def _run_gray_failure(config):
-    """One gray-failure run, regression-test style (keeps the testbed)."""
+def _gray_failure_cell():
+    """adversarial ``gray-failure`` at its smoke config: the collector and
+    the watchdog's quarantine events."""
+    config = ADVERSARIAL_SCENARIO.smoke_config()
     trace = ADVERSARIAL_SCENARIO.make_trace(config, ScenarioCell("gray-failure"))
     testbed = build_testbed(config.testbed, config.policy, run_name="adversarial-gray-failure")
     tier = testbed.lb_tier
@@ -211,34 +225,50 @@ def _run_gray_failure(config):
     testbed.at_horizon(lambda: [i.stop_housekeeping() for i in tier.instances])
     watchdog = _attach_gray_failure(testbed, config, trace)
     testbed.run_trace(trace)
-    return testbed, watchdog
+    assert watchdog.quarantined == ("server-0",)
+    return testbed.collector, watchdog.events
 
 
-class TestWatchdogOverTelemetry:
-    def test_quarantine_decisions_identical_through_the_bus(self, telemetry_on):
-        """The watchdog fed from telemetry series reproduces the direct
-        scoreboard-fed decisions bit-for-bit."""
-        config = ADVERSARIAL_SCENARIO.smoke_config()
+def _reactive_cell():
+    """autoscale ``reactive`` at its smoke config: the collector, and the
+    monitor's samples with the capacity steps and scaling actions."""
+    config = AUTOSCALE_SCENARIO.smoke_config()
+    cell = ScenarioCell("reactive")
+    run = AUTOSCALE_SCENARIO.run_once(
+        config, cell, AUTOSCALE_SCENARIO.make_trace(config, cell)
+    )
+    assert run.monitor_series and run.capacity.scale_ups() > 0
+    return run.collector, (
+        run.monitor_series,
+        run.capacity.series(),
+        run.capacity.events,
+    )
 
-        runtime.disable()
-        plain_testbed, plain_watchdog = _run_gray_failure(config)
-        runtime.enable()
-        fed_testbed, fed_watchdog = _run_gray_failure(config)
 
-        assert fed_watchdog.quarantined == plain_watchdog.quarantined == ("server-0",)
-        assert [
-            (event.server, event.time) for event in fed_watchdog.events
-        ] == [(event.server, event.time) for event in plain_watchdog.events]
-        assert outcome_fingerprint(fed_testbed.collector) == outcome_fingerprint(
-            plain_testbed.collector
-        )
+@pytest.mark.parametrize(
+    "run_cell,dump_reasons",
+    [(_gray_failure_cell, ["quarantine:server-0"]), (_reactive_cell, [])],
+    ids=["adversarial-gray-failure", "autoscale-reactive"],
+)
+def test_control_decisions_identical_with_telemetry_on_and_off(
+    run_cell, dump_reasons, telemetry_on
+):
+    """The control loops read the same state whether or not a probe is
+    attached, so their decisions and the run's outcomes are equal."""
+    runtime.disable()
+    plain_collector, plain_decisions = run_cell()
+    assert runtime.drain() == []
+    runtime.enable()
+    sampled_collector, sampled_decisions = run_cell()
+    ((_name, payload),) = runtime.drain()
 
-        # The fed run's inputs really went through the bus, and the
-        # quarantine tripped a black-box dump.
-        probe = fed_testbed.telemetry
-        assert "watchdog.busy.server-0" in probe.bus
-        reasons = [dump.reason for dump in probe.recorder.dumps]
-        assert "quarantine:server-0" in reasons
+    assert sampled_decisions == plain_decisions
+    assert outcome_fingerprint(sampled_collector) == outcome_fingerprint(
+        plain_collector
+    )
+    # Only a quarantine trips the black box.
+    reasons = [dump["reason"] for dump in payload.meta["flight_dumps"]]
+    assert reasons == dump_reasons
 
 
 class TestFlightDump:

@@ -1,4 +1,4 @@
-"""Unit tests for the flight recorder: interning, ring, trips, JSON."""
+"""Unit tests for the flight recorder: events, ring, trips, JSON."""
 
 from __future__ import annotations
 
@@ -15,28 +15,23 @@ from repro.telemetry.recorder import (
 )
 
 
-class TestInterning:
-    def test_code_of_is_stable_and_dense(self):
-        recorder = FlightRecorder(slots=8)
-        code_a = recorder.code_of("drop", "loss")
-        code_b = recorder.code_of("drop", "burst")
-        assert recorder.code_of("drop", "loss") == code_a
-        assert sorted({code_a, code_b}) == [0, 1]
-
+class TestRecord:
     def test_record_decodes_back_to_labels(self):
         recorder = FlightRecorder(slots=8)
         recorder.record(1.0, "retransmit", "client-3", 2.0)
         (event,) = recorder.events()
         assert event == FlightEvent(1.0, "retransmit", "client-3", 2.0)
 
-    def test_record_coded_matches_record(self):
+    def test_an_integer_value_is_stored_and_dumped_as_a_float(self):
+        # The client records request ids, which are ints.
         recorder = FlightRecorder(slots=8)
-        code = recorder.code_of("strike", "server-0")
-        recorder.record_coded(0.5, code, 1.0)
-        recorder.record(1.5, "strike", "server-0", 2.0)
-        events = recorder.events()
-        assert [e.label for e in events] == ["server-0", "server-0"]
-        assert [e.value for e in events] == [1.0, 2.0]
+        recorder.record(2, "client", "retry", 17)
+        (event,) = recorder.events()
+        assert type(event.time) is float and type(event.value) is float
+        dump = recorder.trip("manual", now=2.0)
+        (entry,) = json.loads(json.dumps(dump.to_json_dict()))["events"]
+        assert type(entry["time"]) is float and type(entry["value"]) is float
+        assert entry["value"] == 17.0
 
 
 class TestRing:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import TelemetryError
 from repro.telemetry.anomaly import AnomalyEvent
-from repro.telemetry.bus import TelemetryBus
+from repro.telemetry.bus import TelemetryBus, TelemetryPayload
 from repro.telemetry.render import (
     SPARKLINE_WIDTH,
     load_report,
@@ -109,9 +109,12 @@ class TestRenderDashboard:
         assert "server.busy&lt;0&gt;" in page
 
     def test_an_empty_series_draws_an_empty_chart(self):
-        bus = TelemetryBus(capacity=4)
-        bus.gauge("idle")
-        page = render_dashboard({0: bus.export_payload()})
+        empty = np.empty(0)
+        payload = TelemetryPayload(
+            capacity=4, names=("idle",), kinds=("gauge",), tiers=("",),
+            times=(empty,), values=(empty,),
+        )
+        page = render_dashboard({0: payload})
         assert "<polyline" not in page
         assert "<td>0</td><td>-</td>" in page
 
