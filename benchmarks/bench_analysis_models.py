@@ -87,7 +87,7 @@ def bench_micro_maglev_build_and_lookup(benchmark):
 
     def build_and_lookup():
         table = MaglevTable(backends, table_size=65_537)
-        return sum(1 for index in range(10_000) if table.lookup(f"flow-{index}") is not None)
+        return sum(1 for index in range(10_000) if table.lookup_chain(f"flow-{index}", 1))
 
     hits = benchmark(build_and_lookup)
     assert hits == 10_000

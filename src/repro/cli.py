@@ -135,8 +135,8 @@ def _testbed_from_args(args: argparse.Namespace) -> TestbedConfig:
     return _apply_params(testbed, cli_params(testbed, TESTBED_SHAPE), args)
 
 
-def _process_count(minimum: int, noun: str) -> Callable[[str], int]:
-    """An argparse ``type`` for a count of processes of at least ``minimum``.
+def _count(minimum: int, noun: str) -> Callable[[str], int]:
+    """An argparse ``type`` for a count of ``noun`` of at least ``minimum``.
 
     Rejecting a bad count here yields a clear usage error (exit status
     2) instead of an error from deep inside the run.
@@ -147,7 +147,7 @@ def _process_count(minimum: int, noun: str) -> Callable[[str], int]:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"expected an integer number of {noun} processes, got {text!r}"
+                f"expected an integer number of {noun}, got {text!r}"
             ) from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
@@ -164,7 +164,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser, partitioned: bool = Fals
             "--partitions",
             dest="jobs",
             metavar="PARTITIONS",
-            type=_process_count(1, "partition"),
+            type=_count(1, "partition processes"),
             default=1,
             help="intra-run parallelism: processes executing this one run's "
             "pods (default 1 = in-process); never changes results, only "
@@ -173,7 +173,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser, partitioned: bool = Fals
     else:
         parser.add_argument(
             "--jobs",
-            type=_process_count(0, "worker"),
+            type=_count(0, "worker processes"),
             default=1,
             help="inter-run fan-out: worker processes running *independent* "
             "runs (sweep cells) concurrently (default 1 = in-process, "
@@ -261,10 +261,10 @@ def _command_calibrate(args: argparse.Namespace) -> int:
 
 
 def _command_scenario(args: argparse.Namespace) -> int:
-    """Any registered family: flags → config → run → report."""
+    """Any registered family: flags → config → run → render."""
     spec = registry.get(args.command)
     config = config_from_args(spec, args)
-    print(spec.report(run_scenario(spec, config, jobs=args.jobs)))
+    print(spec.render(run_scenario(spec, config, jobs=args.jobs)))
     return 0
 
 
@@ -410,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(figure, testbed_shape)
     figure.add_argument("number", type=int, help="figure number, 2-8")
     figure.add_argument("--queries", type=int, default=2_000)
-    figure.add_argument("--points", type=int, default=4, help="load factors for figure 2")
+    figure.add_argument(
+        "--points", type=_count(1, "load factors"), default=4, help="load factors for figure 2"
+    )
     figure.add_argument(
         "--duration", type=float, default=480.0, help="compressed day for figures 6-8"
     )

@@ -103,21 +103,6 @@ class MaglevTable(Generic[BackendT]):
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    @property
-    def table_size(self) -> int:
-        """Number of slots in the lookup table."""
-        return self._table_size
-
-    @property
-    def backends(self) -> Tuple[BackendT, ...]:
-        """The backends the table was built over."""
-        return tuple(self._backends)
-
-    def lookup(self, key: str) -> BackendT:
-        """The backend owning the slot that ``key`` hashes to."""
-        slot = _hash64(key, "maglev-lookup") % self._table_size
-        return self._backends[self._table[slot]]
-
     def lookup_chain(self, key: str, count: int) -> List[BackendT]:
         """``count`` distinct backends for ``key``, in table order.
 

@@ -18,7 +18,7 @@ a capacity with oldest-idle eviction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import FlowTableError
 from repro.net.addressing import IPv6Address
@@ -166,10 +166,6 @@ class FlowTable:
         entry.packets_steered += 1
         self.stats.lookup_hits += 1
         return entry.server
-
-    def entries(self) -> Tuple[FlowEntry, ...]:
-        """All current entries (copy of references)."""
-        return tuple(self._entries.values())
 
     def snapshot(self) -> Dict[str, int]:
         """The table's counters plus its live entry count, by name."""

@@ -29,7 +29,7 @@ bucket concentration, flow-table growth, timeouts, quarantine delay).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -41,7 +41,7 @@ from repro.experiments.calibration import (
     analytic_saturation_rate,
     legitimate_poisson_trace,
 )
-from repro.experiments.config import AdversarialConfig, TestbedConfig
+from repro.experiments.config import AdversarialConfig
 from repro.experiments.platform import Testbed, build_testbed
 from repro.experiments.scenario import (
     RunResult,
@@ -201,14 +201,12 @@ class AdversarialScenario(ScenarioSpec):
 
     def smoke_config(self) -> AdversarialConfig:
         return AdversarialConfig(
-            testbed=TestbedConfig(
+            testbed=replace(
+                self.default_config().testbed,
                 num_servers=6,
                 workers_per_server=8,
-                cores_per_server=2,
                 backlog_capacity=16,
                 num_load_balancers=3,
-                flow_idle_timeout=5.0,
-                request_timeout=2.0,
             ),
             num_queries=500,
             flood_sources=8,

@@ -26,7 +26,7 @@ provisioning modes, and every mode replays the same trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from repro.experiments.scenario import (
     ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
-    TraceProvider,
 )
 from repro.metrics.capacity import CapacityTracker
 from repro.metrics.reporting import format_table
@@ -202,15 +201,6 @@ class AutoscaleScenario(ScenarioSpec):
         return AutoscaleRunResult.of(
             testbed, duration, capacity=capacity, monitor_series=monitor_series
         )
-
-    def meta(
-        self, config: AutoscaleConfig, trace_for: TraceProvider
-    ) -> Dict[str, object]:
-        return {
-            "saturation_rate": analytic_saturation_rate(config.max_testbed, SERVICE_MEAN),
-            "slo_p99": config.slo_p99,
-            "duration": config.duration,
-        }
 
     def render(self, result: ScenarioResult) -> str:
         return render_autoscale(result)

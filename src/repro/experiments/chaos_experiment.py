@@ -29,6 +29,7 @@ sorted per-query outcome matrix.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from typing import List, Tuple
 
 import numpy as np
@@ -36,7 +37,7 @@ import numpy as np
 from repro.errors import ExperimentError
 from repro.experiments import registry
 from repro.experiments.calibration import legitimate_poisson_trace
-from repro.experiments.config import ChaosConfig, TestbedConfig
+from repro.experiments.config import ChaosConfig
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import (
     RunResult,
@@ -147,19 +148,11 @@ class ChaosScenario(ScenarioSpec):
 
     def smoke_config(self) -> ChaosConfig:
         return ChaosConfig(
-            testbed=TestbedConfig(
+            testbed=replace(
+                self.default_config().testbed,
                 num_servers=4,
                 workers_per_server=8,
-                cores_per_server=2,
                 backlog_capacity=16,
-                num_load_balancers=2,
-                flow_idle_timeout=5.0,
-                request_timeout=2.0,
-                syn_retransmit_timeout=0.2,
-                syn_retransmit_cap=2.0,
-                syn_retransmit_limit=4,
-                retry_timeout=1.5,
-                max_retries=3,
                 backlog_shed_watermark=14,
             ),
             num_queries=600,

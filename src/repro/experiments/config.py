@@ -286,6 +286,10 @@ _POLICY_FLAG = dict(
 )
 
 
+#: Candidates per SYN of the families whose cells run one policy.
+NUM_CANDIDATES = 2
+
+
 class _OnePolicy:
     """A family whose every cell runs the fleet under one Service Hunting policy.
 
@@ -301,7 +305,16 @@ class _OnePolicy:
         return PolicySpec(
             name=self.acceptance_policy,
             acceptance_policy=self.acceptance_policy,
-            num_candidates=self.num_candidates,
+            num_candidates=NUM_CANDIDATES,
+        )
+
+
+def _lb_tier(field: str, testbed: TestbedConfig) -> None:
+    """The bound of the ``testbed`` of a family that runs a load-balancer tier."""
+    if testbed.num_load_balancers < 2:
+        raise ExperimentError(
+            f"{field} needs a tier of at least 2 load balancers, got "
+            f"{testbed.num_load_balancers!r}"
         )
 
 
@@ -324,6 +337,11 @@ class PoissonSweepConfig:
 
     def __post_init__(self) -> None:
         check_bounds(self)
+
+    @property
+    def fleet(self) -> TestbedConfig:
+        """The testbed every cell builds."""
+        return self.testbed
 
 
 @dataclass(frozen=True)
@@ -400,6 +418,7 @@ class ResilienceConfig:
         ),
         expose=TESTBED_SHAPE
         + ("num_load_balancers", "ecmp_hash", "request_spread", "request_chunks"),
+        bound=_lb_tier,
     )
     load_factor: float = param(0.6, "--rho", "load factor", POSITIVE)
     num_queries: int = param(6_000, "--queries", "queries in the run", _QUERIES, cli_default=4_000)
@@ -433,11 +452,6 @@ class ResilienceConfig:
 
     def __post_init__(self) -> None:
         check_bounds(self)
-        if self.testbed.num_load_balancers < 2:
-            raise ExperimentError(
-                "resilience experiments need a tier of at least 2 load "
-                f"balancers, got {self.testbed.num_load_balancers!r}"
-            )
         if "random" in self.selection_schemes and self.num_candidates < 2:
             raise ExperimentError("resilience runs need at least 2 candidates")
         # Reject schedules that would kill the whole tier before the
@@ -550,7 +564,6 @@ class AutoscaleConfig(_OnePolicy):
     max_servers: int = param(
         12, "--max-servers", "elastic fleet ceiling (and the static fleet's size)"
     )
-    num_candidates: int = 2
 
     # --- diurnal workload -------------------------------------------------
     mean_load: float = param(
@@ -621,13 +634,13 @@ class AutoscaleConfig(_OnePolicy):
                 f"max_servers ({self.max_servers!r}) must be >= min_servers "
                 f"({self.min_servers!r})"
             )
-        if self.min_servers < self.num_candidates:
-            # Candidate selection needs num_candidates distinct servers;
+        if self.min_servers < NUM_CANDIDATES:
+            # Candidate selection needs NUM_CANDIDATES distinct servers;
             # an elastic fleet scaled to its floor must still satisfy it,
             # so reject the config instead of crashing mid-run.
             raise ExperimentError(
                 f"min_servers ({self.min_servers!r}) must be >= num_candidates "
-                f"({self.num_candidates!r}): the scaled-down fleet must still "
+                f"({NUM_CANDIDATES!r}): the scaled-down fleet must still "
                 "support candidate selection"
             )
         if self.load_amplitude > self.mean_load:
@@ -705,6 +718,8 @@ class HeterogeneousFleetConfig:
     num_queries: int = param(6_000, "--queries", "queries per run", _QUERIES, cli_default=4_000)
     policies: Tuple[PolicySpec, ...] = param(_SHELL_POLICIES, **_POLICY_FLAG)
     workload_seed: int = 24_242
+    #: Mean CPU demand per query, seconds, at nominal server speed.
+    service_mean: ClassVar[float] = 0.1
 
     def __post_init__(self) -> None:
         check_bounds(self)
@@ -802,11 +817,11 @@ class AdversarialConfig(_OnePolicy):
         ),
         expose=TESTBED_SHAPE
         + ("num_load_balancers", "flow_idle_timeout", "request_timeout"),
+        bound=_lb_tier,
     )
     load_factor: float = param(0.55, "--rho", "legitimate load factor", POSITIVE)
     num_queries: int = param(4_000, "--queries", "legitimate queries", _QUERIES)
     service_mean: float = param(0.05, "--service-mean", "mean service demand, seconds", POSITIVE)
-    num_candidates: int = 2
     modes: Tuple[str, ...] = param(
         ("baseline", "syn-flood", "hash-collision", "gray-failure"),
         "--mode",
@@ -838,11 +853,6 @@ class AdversarialConfig(_OnePolicy):
 
     def __post_init__(self) -> None:
         check_bounds(self)
-        if self.testbed.num_load_balancers < 2:
-            raise ExperimentError(
-                "adversarial experiments need a tier of at least 2 load "
-                f"balancers, got {self.testbed.num_load_balancers!r}"
-            )
         if self.testbed.request_timeout <= 0:
             raise ExperimentError(
                 "adversarial experiments need a positive request_timeout "
@@ -887,7 +897,6 @@ class ScaleConfig(_OnePolicy):
     acceptance_policy: str = param(
         "SR8", "--policy", "acceptance policy on the servers", _policy_name
     )
-    num_candidates: int = 2
     ecmp_hash: str = param(
         "rendezvous",
         "--ecmp-hash",
@@ -955,11 +964,11 @@ class ChaosConfig(_OnePolicy):
             "max_retries",
             "backlog_shed_watermark",
         ),
+        bound=_lb_tier,
     )
     load_factor: float = param(0.6, "--rho", "legitimate load factor", POSITIVE)
     num_queries: int = param(4_000, "--queries", "legitimate queries", _QUERIES)
     service_mean: float = param(0.05, "--service-mean", "mean service demand, seconds", POSITIVE)
-    num_candidates: int = 2
     modes: Tuple[str, ...] = param(
         ("baseline", "loss", "flap", "jitter"),
         "--mode",
@@ -986,9 +995,4 @@ class ChaosConfig(_OnePolicy):
 
     def __post_init__(self) -> None:
         check_bounds(self)
-        if self.testbed.num_load_balancers < 2:
-            raise ExperimentError(
-                "chaos experiments need a tier of at least 2 load "
-                f"balancers, got {self.testbed.num_load_balancers!r}"
-            )
 

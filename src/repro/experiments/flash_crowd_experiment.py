@@ -32,14 +32,12 @@ from repro.errors import ExperimentError
 from repro.experiments import registry
 from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import FlashCrowdConfig, TestbedConfig
-from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import (
     RunResult,
     ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
     TraceProvider,
-    policy_named,
 )
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics, summarize_or_nan
@@ -117,24 +115,10 @@ class FlashCrowdScenario(ScenarioSpec):
     def make_trace(self, config: FlashCrowdConfig, cell: ScenarioCell) -> Trace:
         return make_flash_crowd_trace(config)
 
-    def run_once(
-        self, config: FlashCrowdConfig, cell: ScenarioCell, trace: Trace
-    ) -> RunResult:
-        policy = policy_named(config, cell.key)
-        with build_testbed(
-            config.testbed, policy, run_name=f"flash-crowd-{policy.name}"
-        ) as testbed:
-            duration = testbed.run_trace(trace)
-        return RunResult.of(testbed, duration)
-
     def meta(
         self, config: FlashCrowdConfig, trace_for: TraceProvider
     ) -> Dict[str, object]:
-        return {
-            "saturation_rate": analytic_saturation_rate(config.testbed, SERVICE_MEAN),
-            "spike_window": config.spike_window,
-            "total_duration": config.total_duration,
-        }
+        return {"saturation_rate": analytic_saturation_rate(config.testbed, SERVICE_MEAN)}
 
     def render(self, result: ScenarioResult) -> str:
         return render_flash_crowd(result)

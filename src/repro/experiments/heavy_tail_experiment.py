@@ -8,10 +8,11 @@ bounded-Pareto requests (the classic heavy tail) with keep-alive user
 a geometric-length series of lognormal per-request demands, so a worker
 is pinned for the whole session like an Apache-prefork keep-alive
 connection.  Arrivals are attributed to a Zipf-distributed population
-of ~10⁵–10⁶ users carried as integer ids only, and the client derives a
-stable source port per user (:class:`~repro.workload.hostile.
-SessionAffinityClient`), so a returning user's 5-tuple — hence ECMP
-bucket and flow-table entry — repeats across sessions.
+of ~10⁵–10⁶ users carried as integer ids only.  The trace carries the
+ids, so the client derives a stable source port per user (see
+:class:`~repro.workload.client.TrafficGeneratorNode`) and a returning
+user's 5-tuple — hence ECMP bucket and flow-table entry — repeats
+across sessions.
 
 The same trace is replayed under each Service Hunting policy; the
 scenario reports per-kind response times next to the user-concentration
@@ -29,21 +30,14 @@ import numpy as np
 
 from repro.experiments import registry
 from repro.experiments.config import HeavyTailConfig, TestbedConfig
-from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import (
-    RunResult,
     ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
     TraceProvider,
-    policy_named,
 )
 from repro.metrics.reporting import format_table
-from repro.workload.hostile import (
-    HeavyTailWorkload,
-    SessionAffinityClient,
-    user_concentration,
-)
+from repro.workload.hostile import HeavyTailWorkload, user_concentration
 from repro.workload.requests import KIND_HEAVY, KIND_SESSION
 from repro.workload.service_models import BoundedParetoServiceTime
 from repro.workload.trace import Trace
@@ -104,20 +98,6 @@ class HeavyTailScenario(ScenarioSpec):
 
     def make_trace(self, config: HeavyTailConfig, cell: ScenarioCell) -> Trace:
         return make_heavy_tail_trace(config)
-
-    def run_once(
-        self, config: HeavyTailConfig, cell: ScenarioCell, trace: Trace
-    ) -> RunResult:
-        """Replay the heavy-tail trace under one policy."""
-        policy = policy_named(config, cell.key)
-        with build_testbed(
-            config.testbed,
-            policy,
-            run_name=f"heavy-tail-{policy.name}",
-            client_factory=SessionAffinityClient,
-        ) as testbed:
-            duration = testbed.run_trace(trace)
-        return RunResult.of(testbed, duration)
 
     def meta(
         self, config: HeavyTailConfig, trace_for: TraceProvider

@@ -17,11 +17,12 @@ capacity-proportional, i.e. perfectly fair), plus Jain's fairness index
 over per-capacity acceptance rates.
 
 The family is registered as the ``heterogeneous-fleet`` scenario.  It is
-the Poisson pipeline, :class:`~repro.experiments.poisson_experiment.PoissonGrid`,
-run on the mixed-speed fleet: cells are (policy, load factor) pairs, the
-run result is the Poisson family's (it keeps per-server acceptance
-counts), and ``meta["saturation_rate"]`` is the fleet's speed-weighted
-λ₀.
+the Poisson pipeline,
+:class:`~repro.experiments.poisson_experiment.PoissonScenario`, run on
+the config's mixed-speed ``fleet``: cells are (policy, load factor)
+pairs, the run result is the Poisson family's (it keeps per-server
+acceptance counts), and ``meta["saturation_rate"]`` is the fleet's
+speed-weighted λ₀.
 """
 
 from __future__ import annotations
@@ -30,13 +31,10 @@ from typing import Dict, List, Tuple
 
 from repro.experiments import registry
 from repro.experiments.config import HeterogeneousFleetConfig, TestbedConfig
-from repro.experiments.poisson_experiment import PoissonGrid
+from repro.experiments.poisson_experiment import PoissonScenario
 from repro.experiments.scenario import ScenarioResult
 from repro.metrics.fairness import jain_fairness_index
 from repro.metrics.reporting import format_table
-
-#: Mean CPU demand per query, seconds, at nominal server speed.
-SERVICE_MEAN = 0.1
 
 
 def tier_acceptance_shares(
@@ -76,7 +74,7 @@ def capacity_fairness_index(
     return jain_fairness_index(loads)
 
 
-class HeterogeneousFleetScenario(PoissonGrid):
+class HeterogeneousFleetScenario(PoissonScenario):
     """The mixed-speed-fleet comparison: the Poisson grid on the config's ``fleet``."""
 
     name = "heterogeneous-fleet"
@@ -93,13 +91,6 @@ class HeterogeneousFleetScenario(PoissonGrid):
             num_queries=200,
             policies=(rr_policy(), sr_policy(4)),
         )
-
-    def fleet(self, config: HeterogeneousFleetConfig) -> TestbedConfig:
-        # Load factors are normalised against the speed-weighted fleet.
-        return config.fleet
-
-    def service_mean(self, config: HeterogeneousFleetConfig) -> float:
-        return SERVICE_MEAN
 
     def render(self, result: ScenarioResult) -> str:
         return render_heterogeneous_fleet(result)

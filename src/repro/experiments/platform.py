@@ -457,7 +457,6 @@ def build_testbed(
     policy_spec: PolicySpec,
     collector: Optional[ResponseTimeCollector] = None,
     run_name: Optional[str] = None,
-    client_factory: Optional[Callable[..., TrafficGeneratorNode]] = None,
 ) -> Testbed:
     """Build the full platform for one (testbed, policy) combination.
 
@@ -471,13 +470,6 @@ def build_testbed(
         Response-time sink; created fresh when not given.
     run_name:
         Label attached to the collector, defaulting to the policy name.
-    client_factory:
-        Alternative traffic-generator class (or factory accepting the
-        same keyword arguments as
-        :class:`~repro.workload.client.TrafficGeneratorNode`).  The
-        heavy-tail scenario passes
-        :class:`~repro.workload.hostile.SessionAffinityClient` here to
-        get per-user flow affinity.
     """
     simulator = Simulator(seed=config.seed)
     fabric = LANFabric(simulator)
@@ -553,8 +545,7 @@ def build_testbed(
         for index, address in enumerate(server_addresses)
     ]
 
-    make_client = client_factory if client_factory is not None else TrafficGeneratorNode
-    client = make_client(
+    client = TrafficGeneratorNode(
         simulator=simulator,
         name="client",
         address=client_address,

@@ -13,9 +13,10 @@ The sweep is the ``poisson`` :class:`~repro.experiments.scenario.ScenarioSpec`
 :func:`~repro.experiments.scenario.run_scenario`; one run is a one-cell
 sweep.  Its result is a :class:`~repro.experiments.scenario.ScenarioResult`
 keyed ``(policy name, load factor)``, with the saturation rate λ₀ the
-load factors normalise against in ``meta["saturation_rate"]``.
-:class:`PoissonGrid` is the pipeline itself; the heterogeneous-fleet
-family runs it on its mixed-speed fleet.
+load factors normalise against in ``meta["saturation_rate"]``.  A cell
+builds its config's ``fleet`` and draws queries of its ``service_mean``,
+so the heterogeneous-fleet family runs the same pipeline on its
+mixed-speed fleet.
 """
 
 from __future__ import annotations
@@ -65,25 +66,27 @@ class PoissonRunResult(RunResult):
         return self.collector.response_times()
 
 
-class PoissonGrid(ScenarioSpec):
-    """A load-factor × policy grid of Poisson runs on one fleet.
+class PoissonScenario(ScenarioSpec):
+    """The load-factor × policy grid of Poisson runs (Figure 2).
 
-    Not registered: the ``poisson`` and ``heterogeneous-fleet`` families
-    subclass it and say which fleet a cell builds, what the queries
-    demand and how a run is named.  Every policy replays the same trace
-    at a given load factor.
+    Every policy replays the same trace at a given load factor.
     """
 
+    name = "poisson"
     #: Prefix of every run name.
     run_prefix = ""
 
-    def fleet(self, config: Any) -> TestbedConfig:
-        """The testbed every cell builds."""
-        return config.testbed
+    def smoke_config(self) -> PoissonSweepConfig:
+        from repro.experiments.config import rr_policy, sr_policy
 
-    def service_mean(self, config: Any) -> float:
-        """Mean CPU demand per query, seconds."""
-        return config.service_mean
+        return PoissonSweepConfig(
+            testbed=TestbedConfig(
+                num_servers=4, workers_per_server=8, backlog_capacity=16
+            ),
+            load_factors=(0.5,),
+            num_queries=150,
+            policies=(rr_policy(), sr_policy(4)),
+        )
 
     def cells(self, config: Any, sample_load: bool = False) -> List[ScenarioCell]:
         return [
@@ -99,19 +102,18 @@ class PoissonGrid(ScenarioSpec):
         # Seeded from the workload seed and the load factor only, so the
         # trace is identical across policies and across testbed seeds.
         load_factor = cell.key[1]
-        service_mean = self.service_mean(config)
         return poisson_trace(
             load_factor,
-            analytic_saturation_rate(self.fleet(config), service_mean),
+            analytic_saturation_rate(config.fleet, config.service_mean),
             config.num_queries,
-            service_mean,
+            config.service_mean,
             [config.workload_seed, int(round(load_factor * 1_000_000))],
         )
 
     def run_once(self, config: Any, cell: ScenarioCell, trace: Trace) -> PoissonRunResult:
         name, load_factor = cell.key
         with build_testbed(
-            self.fleet(config),
+            config.fleet,
             policy_named(config, name),
             run_name=f"{self.run_prefix}{name}-rho{load_factor:g}",
         ) as testbed:
@@ -128,35 +130,15 @@ class PoissonGrid(ScenarioSpec):
     def meta(self, config: Any, trace_for: TraceProvider) -> Dict[str, Any]:
         return {
             "saturation_rate": analytic_saturation_rate(
-                self.fleet(config), self.service_mean(config)
+                config.fleet, config.service_mean
             )
         }
 
-
-class PoissonScenario(PoissonGrid):
-    """The load-factor sweep as a declarative scenario (Figure 2)."""
-
-    name = "poisson"
-
-    def smoke_config(self) -> PoissonSweepConfig:
-        from repro.experiments.config import rr_policy, sr_policy
-
-        return PoissonSweepConfig(
-            testbed=TestbedConfig(
-                num_servers=4, workers_per_server=8, backlog_capacity=16
-            ),
-            load_factors=(0.5,),
-            num_queries=150,
-            policies=(rr_policy(), sr_policy(4)),
-        )
-
     def render(self, result: ScenarioResult) -> str:
-        from repro.experiments import figures
+        """One row per run: a shell-size sweep is a few cells, not a curve.
 
-        return figures.render_figure2(result)
-
-    def report(self, result: ScenarioResult) -> str:
-        """One row per run: a shell-size sweep is a few cells, not a curve."""
+        ``figure 2`` draws the curve (:func:`~repro.experiments.figures.render_figure2`).
+        """
         config = result.config
         rows: List[List[object]] = []
         for policy, load_factor in result.keys():

@@ -209,11 +209,8 @@ class ResilienceScenario(ScenarioSpec):
         )
 
     def render(self, result: ScenarioResult) -> str:
-        return render_resilience_table(result)
-
-    def report(self, result: ScenarioResult) -> str:
         """The table, then what each churn event looked like when it fired."""
-        lines = [self.render(result)]
+        lines = [render_resilience_table(result)]
         for scheme in result.keys():
             for observation in result.run(scheme).observations:
                 lines.append(

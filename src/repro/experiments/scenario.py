@@ -15,24 +15,25 @@ default ``cells(config)`` makes one key-only, picklable
 
 * ``make_trace(config, cell)`` — the deterministic workload trace of a
   cell (cells may share a trace, see :meth:`ScenarioSpec.trace_key`);
-* ``run_once(config, cell, trace)`` — build a fresh testbed (``with
-  build_testbed(...) as testbed:``, so it is freed when the run is
-  done), replay the trace on it and return a :class:`RunResult` (or a
-  family subclass carrying data that is not a counter).  The result is
-  what crosses the process boundary, so it must pickle — and pickle
-  compactly, which it does by holding its outcomes in a
-  :class:`~repro.metrics.collector.ResponseTimeCollector` and its
-  testbed's counters in one flat dict;
-* ``render(result)`` — the family's headline figure;
+* ``render(result)`` — everything the family's sub-command prints;
 
-and may override ``meta(config, trace_for)`` (scenario-wide values for
-the result), ``cells`` (a grid that is not one tuple: the Poisson
-load-factor × policy grid, scale's pods) or
-``aggregate(config, cells, runs, trace_for)``, whose default keys each
-run by its cell into a :class:`ScenarioResult`.  The
-family's sub-command is generated from its config's fields (see
-:mod:`repro.experiments.params`); ``config_from_flags`` and ``report``
-are the two places a family may bend it.
+and may override ``run_once(config, cell, trace)``, whose default
+replays the trace on a fresh ``config.testbed`` under the policy the
+cell names.  An override builds its testbed the same way (``with
+build_testbed(...) as testbed:``, so it is freed when the run is done)
+and returns a :class:`RunResult` (or a family subclass carrying data
+that is not a counter).  The result is what crosses the process
+boundary, so it must pickle — and pickle compactly, which it does by
+holding its outcomes in a
+:class:`~repro.metrics.collector.ResponseTimeCollector` and its
+testbed's counters in one flat dict.  A family may also override
+``meta(config, trace_for)`` (scenario-wide values for the result),
+``cells`` (a grid that is not one tuple: the Poisson load-factor ×
+policy grid, scale's pods) or ``aggregate(config, cells, runs,
+trace_for)``, whose default keys each run by its cell into a
+:class:`ScenarioResult`.  The family's sub-command is generated from its
+config's fields (see :mod:`repro.experiments.params`);
+``config_from_flags`` is the one place a family may bend it.
 
 :func:`run_scenario` is the only entry point: it resolves the spec (by
 name through :mod:`repro.experiments.registry`), enumerates the cells,
@@ -85,12 +86,12 @@ from typing import (
 from repro.errors import ExperimentError
 from repro.experiments import registry
 from repro.experiments.config import PolicySpec
+from repro.experiments.platform import Testbed, build_testbed
 from repro.metrics.collector import ResponseTimeCollector
 from repro.telemetry import runtime as telemetry_runtime
 from repro.workload.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.platform import Testbed
     from repro.sim.partition import PartitionTask, Tick
 
 
@@ -257,9 +258,18 @@ class ScenarioSpec(ABC):
         """
         return None
 
-    @abstractmethod
     def run_once(self, config: Any, cell: ScenarioCell, trace: Trace) -> Any:
-        """Replay ``trace`` on a fresh testbed; return the (picklable) run result."""
+        """Replay ``trace`` on a fresh testbed; return the (picklable) run result.
+
+        The default replays it on ``config.testbed`` under the policy
+        the cell's key names, as run ``<family>-<policy>``.
+        """
+        policy = policy_named(config, cell.key)
+        with build_testbed(
+            config.testbed, policy, run_name=f"{self.name}-{policy.name}"
+        ) as testbed:
+            duration = testbed.run_trace(trace)
+        return RunResult.of(testbed, duration)
 
     def meta(self, config: Any, trace_for: TraceProvider) -> Dict[str, Any]:
         """Scenario-wide values the default :meth:`aggregate` records.
@@ -291,7 +301,7 @@ class ScenarioSpec(ABC):
     # presentation
     # ------------------------------------------------------------------
     def render(self, result: Any) -> str:
-        """The family's headline figure, as a text table."""
+        """Everything the family's sub-command prints for a finished run."""
         raise ExperimentError(f"scenario {self.name!r} defines no figure")
 
     # ------------------------------------------------------------------
@@ -305,14 +315,6 @@ class ScenarioSpec(ABC):
         instead of being one (a churn schedule, a time factor).
         """
         return config
-
-    def report(self, result: Any) -> str:
-        """Everything the sub-command prints for a finished run.
-
-        The headline figure by default; override where the shell shows
-        more (or something other) than :meth:`render`.
-        """
-        return self.render(result)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -155,12 +155,9 @@ class WikipediaScenario(ScenarioSpec):
         }
 
     def render(self, result: ScenarioResult) -> str:
+        """Figure 6 between the trace banner and the whole-day quartiles."""
         from repro.experiments import figures
 
-        return figures.render_figure6(result)
-
-    def report(self, result: ScenarioResult) -> str:
-        """Figure 6 between the trace banner and the whole-day quartiles."""
         summary = result.meta["trace_summary"]
         lines = [
             "generated synthetic trace: "
@@ -168,7 +165,7 @@ class WikipediaScenario(ScenarioSpec):
             f"{summary['duration']:.0f} s "
             f"(replay fraction {result.config.replay_fraction:g})",
             "",
-            self.render(result),
+            figures.render_figure6(result),
             "",
         ]
         for name in result.keys():

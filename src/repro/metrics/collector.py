@@ -54,11 +54,6 @@ class CollectorTotals:
     completed: int
     failed: int
 
-    @property
-    def total(self) -> int:
-        """All finished queries, successful or not."""
-        return self.completed + self.failed
-
 
 @dataclass
 class CollectorPayload:

@@ -196,11 +196,6 @@ class AddressAllocator:
         self._prefix = prefix
         self._next_offset = first_offset
 
-    @property
-    def prefix(self) -> IPv6Prefix:
-        """The prefix addresses are drawn from."""
-        return self._prefix
-
     def allocate(self) -> IPv6Address:
         """Return the next free address in the prefix."""
         address = self._prefix.address_at(self._next_offset)

@@ -93,10 +93,6 @@ class FlowKey(NamedTuple):
     dst_address: IPv6Address
     dst_port: int
 
-    def reversed(self) -> "FlowKey":
-        """The key of the reverse direction of the flow."""
-        return new_flow_key(FlowKey, (self[2], self[3], self[0], self[1]))
-
     def __reduce__(self):
         return (FlowKey, tuple(self))
 

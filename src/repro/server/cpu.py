@@ -96,11 +96,6 @@ class CPUModel:
         return self.busy_core_seconds / (horizon * self.num_cores)
 
     # -- interface ------------------------------------------------------
-    @property
-    def active_jobs(self) -> int:
-        """Number of jobs currently holding CPU demand (queued or running)."""
-        raise NotImplementedError
-
     def add_job(
         self, job_id: int, demand: float, on_complete: JobCompletionCallback
     ) -> None:
@@ -138,10 +133,6 @@ class ProcessorSharingCPU(CPUModel):
         self._jobs: Dict[int, _Job] = {}
         self._last_progress = simulator.now
         self._completion: Optional[HeapEntry] = None
-
-    @property
-    def active_jobs(self) -> int:
-        return len(self._jobs)
 
     def _replan(
         self,
@@ -259,10 +250,6 @@ class FIFOCPU(CPUModel):
         self._running_events: Dict[int, EventHandle] = {}
         self._queue: Deque[int] = deque()
         self._queued_jobs: Dict[int, _Job] = {}
-
-    @property
-    def active_jobs(self) -> int:
-        return len(self._running) + len(self._queue)
 
     def add_job(
         self, job_id: int, demand: float, on_complete: JobCompletionCallback

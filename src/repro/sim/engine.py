@@ -40,9 +40,9 @@ Design points
   for the rest of a replay.
 * **One run loop.**  :meth:`Simulator.run` pops and dispatches one
   event at a time; events sharing a timestamp run in ``(time,
-  sequence)`` order because that is what the heap yields.
-  :meth:`Simulator.step` executes the same sequence one call at a time
-  and is the reference the loop is held to by a property test.
+  sequence)`` order because that is what the heap yields.  A property
+  test holds a run cut short by ``max_events`` and :meth:`Simulator.stop`,
+  then resumed, to the sequence one uninterrupted run executes.
 * **No wall-clock coupling.**  The engine never sleeps; a 24-hour
   Wikipedia replay runs as fast as Python can drain the event heap.
 """
@@ -407,40 +407,6 @@ class Simulator:
             self._running = False
             self._events_executed += executed
         return clock._now
-
-    def step(self) -> bool:
-        """Execute exactly one pending event.
-
-        Returns ``True`` if an event was executed, ``False`` if the heap
-        is empty.  Cancelled events are discarded silently, with the
-        same bookkeeping as the main loop, so stepping over them keeps
-        the compaction counter exact.  Like :meth:`run`, a step cannot
-        be taken from inside a running callback.
-        """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant step())")
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            callback = entry[2]
-            if callback is None:
-                self._cancelled_on_heap -= 1
-                continue
-            arg = entry[3]
-            entry[2] = None
-            entry[3] = NO_ARG
-            self.clock._now = entry[0]
-            self._running = True
-            try:
-                if arg is NO_ARG:
-                    callback()
-                else:
-                    callback(arg)
-            finally:
-                self._running = False
-            self._events_executed += 1
-            return True
-        return False
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""

@@ -12,17 +12,15 @@ from repro._lazy import exports
 __getattr__, __dir__, __all__ = exports(
     __name__,
     {
-        "client": ("OutcomeSink", "RequestOutcome", "TrafficGeneratorNode"),
+        "client": ("OutcomeSink", "RequestOutcome", "TrafficGeneratorNode", "stable_user_port"),
         "diurnal": ("DiurnalWorkload",),
         "flash_crowd": ("RatePhase", "SteppedPoissonWorkload"),
         "hostile": (
             "HeavyTailWorkload",
-            "SessionAffinityClient",
             "SynFloodAttacker",
             "UserConcentration",
             "find_colliding_flow_keys",
             "spoofed_source_flows",
-            "stable_user_port",
             "user_concentration",
         ),
         "poisson": ("PoissonWorkload",),

@@ -16,12 +16,18 @@ Response time is measured from connection initiation (SYN sent) to
 response received, i.e. it includes connection setup, queueing in the
 server backlog and service time — the same "page load time" the paper
 reports.
+
+A trace whose rows carry user ids (the heavy-tail sessions) also gets
+keep-alive flow affinity: each user's queries leave from the user's
+stable source port (:func:`stable_user_port`), so a returning user's
+5-tuple — and therefore their ECMP bucket and, via the LB flow table,
+their server — repeats across sessions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol, Set
 
 from repro.errors import WorkloadError
 from repro.net.addressing import IPv6Address
@@ -37,12 +43,27 @@ from repro.net.packet import (
     TCPSegment,
 )
 from repro.net.router import NetworkNode
-from repro.net.tcp import EphemeralPortAllocator, HTTP_PORT
+from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT, EphemeralPortAllocator
 from repro.sim.engine import EventHandle, Simulator
 from repro.workload.trace import NO_USER, Trace
 
 #: Size in bytes of the HTTP request payload (a GET with headers).
 REQUEST_PAYLOAD_SIZE = 400
+
+
+def stable_user_port(user_id: int) -> int:
+    """Deterministic ephemeral source port for a simulated user.
+
+    A returning user reuses the same (address, port) pair, so their
+    5-tuple — and therefore their ECMP bucket and flow-table entry —
+    repeats across sessions, which is what keep-alive affinity means at
+    the network layer.
+    """
+    # Only a trace with users gets here: hashlib stays out of start-up.
+    import hashlib
+
+    digest = hashlib.sha256(f"user-port:{user_id}".encode("utf-8")).digest()
+    return EPHEMERAL_PORT_BASE + int.from_bytes(digest[:8], "big") % EPHEMERAL_PORT_RANGE
 
 
 @dataclass(slots=True)
@@ -212,6 +233,9 @@ class TrafficGeneratorNode(NetworkNode):
         self.retry_timeout = retry_timeout
         self.max_retries = max_retries
         self._ports = EphemeralPortAllocator()
+        #: Source ports of the queries in flight; ``None`` until a trace
+        #: with user ids is scheduled, when per-user ports turn on.
+        self._active_ports: Optional[Set[int]] = None
         self._pending: Dict[int, _PendingQuery] = {}
         self.queries_started = 0
         self.queries_completed = 0
@@ -220,6 +244,10 @@ class TrafficGeneratorNode(NetworkNode):
         self.queries_retried = 0
         self.queries_gave_up = 0
         self.queries_swept = 0
+        #: User queries that got their stable port, and those that found
+        #: it held by a query in flight.
+        self.affinity_hits = 0
+        self.affinity_fallbacks = 0
         #: Optional telemetry flight recorder
         #: (:class:`repro.telemetry.recorder.FlightRecorder`).  Set by
         #: the telemetry probe when attached; the client feeds it
@@ -236,7 +264,8 @@ class TrafficGeneratorNode(NetworkNode):
         The trace is one series over its row indices: only its next
         arrival is on the heap, and each arrival reads its row's id,
         kind and user straight from the trace's columns.  Arrival events
-        share one constant label; the event's argument is the row.
+        share one constant label; the event's argument is the row.  A
+        trace with user ids turns on per-user source ports.
         """
         # Memoryviews index to plain ints and floats, without building
         # a numpy scalar per read.
@@ -244,6 +273,8 @@ class TrafficGeneratorNode(NetworkNode):
         kind_codes = memoryview(trace.kind_codes)
         kinds = trace.kinds
         users = None if trace.user_ids is None else memoryview(trace.user_ids)
+        if users is not None and self._active_ports is None:
+            self._active_ports = set()
         start_query = self.start_query
 
         def start_row(row: int) -> None:
@@ -264,11 +295,28 @@ class TrafficGeneratorNode(NetworkNode):
     def _allocate_port(self, user_id: int) -> int:
         """Source port for a new query of ``user_id`` (or :data:`NO_USER`).
 
-        The base client round-robins over the ephemeral range; the
-        keep-alive session client in :mod:`repro.workload.hostile`
-        overrides this to derive a stable per-user port (flow affinity).
+        Round-robin over the ephemeral range, until a trace with users
+        is scheduled.  From then on a user's query gets the user's
+        stable port unless a query in flight holds it (the same user
+        browsing concurrently, or a rare hash collision between users),
+        and every other port skips the ports in flight: reusing an
+        active 5-tuple would alias two connections on the servers.
         """
-        return self._ports.allocate()
+        active = self._active_ports
+        if active is None:
+            return self._ports.allocate()
+        if user_id != NO_USER:
+            port = stable_user_port(user_id)
+            if port not in active:
+                self.affinity_hits += 1
+                active.add(port)
+                return port
+            self.affinity_fallbacks += 1
+        port = self._ports.allocate()
+        while port in active:
+            port = self._ports.allocate()
+        active.add(port)
+        return port
 
     def start_query(self, request_id: int, kind: str, user_id: int = NO_USER) -> None:
         """Open a new connection for request ``request_id`` right now."""
@@ -359,7 +407,10 @@ class TrafficGeneratorNode(NetworkNode):
         # Retry the whole connection on a fresh source port so the ECMP
         # edge re-hashes the flow (the previous path may be the problem).
         self._cancel_timers(pending)
-        self._retire_port(pending.src_port)
+        if self._active_ports is not None:
+            # Release the abandoned port: the user's stable port (or a
+            # fallback) can be reused later.
+            self._active_ports.discard(pending.src_port)
         pending.attempt += 1
         pending.outcome.retries += 1
         pending.outcome.established_at = None
@@ -380,14 +431,6 @@ class TrafficGeneratorNode(NetworkNode):
         if pending.retry_timer is not None:
             pending.retry_timer.cancel()
             pending.retry_timer = None
-
-    def _retire_port(self, port: int) -> None:
-        """Release a source port abandoned by a retry.
-
-        The base allocator round-robins and never reuses within a run,
-        so there is nothing to do; the session-affinity client overrides
-        this to release the port from its active set.
-        """
 
     # ------------------------------------------------------------------
     # packet handling
@@ -485,6 +528,8 @@ class TrafficGeneratorNode(NetworkNode):
     ) -> None:
         if pending.syn_timer is not None or pending.retry_timer is not None:
             self._cancel_timers(pending)
+        if self._active_ports is not None:
+            self._active_ports.discard(pending.src_port)
         pending.outcome.failed = failed
         pending.outcome.failure_reason = reason
         del self._pending[pending.outcome.request_id]
@@ -541,6 +586,8 @@ class TrafficGeneratorNode(NetworkNode):
             "queries_retried": self.queries_retried,
             "queries_gave_up": self.queries_gave_up,
             "queries_swept": self.queries_swept,
+            "affinity_hits": self.affinity_hits,
+            "affinity_fallbacks": self.affinity_fallbacks,
         }
 
     def __repr__(self) -> str:

@@ -15,8 +15,9 @@ keep-alive connection — without any per-request protocol machinery.
 Every arrival is attributed to one of ~10⁵–10⁶ simulated users via a
 truncated Zipf draw; users exist only as integer ids on the requests
 (numpy arrays end to end, no per-user objects).
-:class:`SessionAffinityClient` adds the flow-affinity half: it derives a
-stable source port from the user id, so a returning user's 5-tuple — and
+The client (:class:`~repro.workload.client.TrafficGeneratorNode`) adds
+the flow-affinity half when it replays such a trace: it derives a stable
+source port from the user id, so a returning user's 5-tuple — and
 therefore their ECMP bucket and (via the LB flow table) their server —
 repeats across sessions.
 
@@ -38,10 +39,9 @@ function of its arguments.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from repro.net.packet import DEFAULT_HOP_LIMIT, FlowKey, Packet, TCPFlag, TCPSeg
 from repro.net.router import NetworkNode
 from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT
 from repro.sim.engine import Simulator
-from repro.workload.client import TrafficGeneratorNode
 from repro.workload.requests import KIND_HEAVY, KIND_SESSION
 from repro.workload.service_models import (
     BoundedParetoServiceTime,
@@ -276,73 +275,6 @@ def user_concentration(trace: Trace) -> UserConcentration:
         top_user_share=max_requests / user_ids.size,
         max_user_requests=max_requests,
     )
-
-
-# ----------------------------------------------------------------------
-# keep-alive flow affinity
-# ----------------------------------------------------------------------
-def stable_user_port(user_id: int) -> int:
-    """Deterministic ephemeral source port for a simulated user.
-
-    A returning user reuses the same (address, port) pair, so their
-    5-tuple — and therefore their ECMP bucket and flow-table entry —
-    repeats across sessions, which is what keep-alive affinity means at
-    the network layer.
-    """
-    digest = hashlib.sha256(f"user-port:{user_id}".encode("utf-8")).digest()
-    return EPHEMERAL_PORT_BASE + int.from_bytes(digest[:8], "big") % (
-        EPHEMERAL_PORT_RANGE
-    )
-
-
-class SessionAffinityClient(TrafficGeneratorNode):
-    """Open-loop client whose source ports follow the user, not a counter.
-
-    Queries carrying a ``user_id`` get the user's stable port unless that
-    port is currently held by an in-flight query (the same user browsing
-    concurrently, or a rare hash collision between users) — then the
-    client falls back to the round-robin allocator, because reusing an
-    *active* 5-tuple would alias two connections on the servers.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._active_ports: Set[int] = set()
-        self.affinity_hits = 0
-        self.affinity_fallbacks = 0
-
-    def _allocate_port(self, user_id: int) -> int:
-        port: Optional[int] = None
-        if user_id != NO_USER:
-            candidate = stable_user_port(user_id)
-            if candidate in self._active_ports:
-                self.affinity_fallbacks += 1
-            else:
-                self.affinity_hits += 1
-                port = candidate
-        if port is None:
-            port = self._ports.allocate()
-            while port in self._active_ports:
-                port = self._ports.allocate()
-        self._active_ports.add(port)
-        return port
-
-    def _retire_port(self, port: int) -> None:
-        # A retry abandons its previous connection's port; release it so
-        # the user's stable port (or a fallback) can be reused later.
-        self._active_ports.discard(port)
-
-    def _finish(self, pending, failed, reason=None) -> None:
-        self._active_ports.discard(pending.src_port)
-        super()._finish(pending, failed, reason)
-
-    def snapshot(self) -> Dict[str, int]:
-        """The client's query counters plus the affinity counters."""
-        return {
-            **super().snapshot(),
-            "affinity_hits": self.affinity_hits,
-            "affinity_fallbacks": self.affinity_fallbacks,
-        }
 
 
 # ----------------------------------------------------------------------

@@ -254,6 +254,38 @@ class TestJobsValidation:
         capsys.readouterr()
 
 
+class TestFigurePoints:
+    @pytest.mark.parametrize("points", ["-1", "0", "two"])
+    def test_a_bad_point_count_is_a_usage_error(self, points, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure", "2", "--points", points, "--queries", "100"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --points: " in captured.err
+        assert "Traceback" not in captured.err
+
+
+class TestTierFamilies:
+    """The families that run a load-balancer tier refuse a tier of one."""
+
+    @pytest.mark.parametrize("family", ["resilience", "adversarial", "chaos"])
+    def test_one_load_balancer_is_refused_before_any_process(
+        self, family, monkeypatch, capsys
+    ):
+        def refuse(process):
+            raise AssertionError(f"{process.name} was started for an invalid config")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        assert main([family, "--lbs", "1", "--servers", "4", "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: testbed needs a tier of at least 2 load balancers, got 1\n"
+        )
+        assert multiprocessing.active_children() == []
+
+
 #: Every family with a ``--queries`` flag, and its fan-out flag.
 QUERY_FAMILIES = [
     ("poisson", "--jobs"),

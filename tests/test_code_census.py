@@ -4,7 +4,9 @@ that some caller passes, and one way to run a family.
 **Names.**  For every top-level function and class and every method of a
 top-level class, the census looks for a *code* reference in ``src/``
 outside the definition itself: an AST ``Name`` or ``Attribute`` load, or
-a ``from ... import`` of it, matched by bare name.  Docstrings, comments
+a ``from ... import`` of it, matched by bare name.  A method is reached
+only by an attribute load ``.name``: a bare ``Name`` of the same word is
+a local or a function, and an import is a module's name.  Docstrings, comments
 and the packages' lazy export tables are strings, so they do not count.
 Neither does a reference made only from inside a definition the census
 has already found dead: it runs to a fixed point, so a helper that only
@@ -69,6 +71,7 @@ ALLOWED = {
     "classify_segment": (EXAMPLES, "examples/service_hunting_walkthrough.py"),
     "LANFabric.add_tap": (EXAMPLES, "examples/service_hunting_walkthrough.py"),
     "RequestOutcome.response_time": (EXAMPLES, "examples/service_hunting_walkthrough.py"),
+    "ResponseTimeCollector.outcomes": (EXAMPLES, "examples/service_hunting_walkthrough.py"),
     "ScenarioSpec.smoke_config": (SMOKE, "every test that runs a family small"),
     "mmc_metrics": (CLOSED_FORM, "FIFOCPU with c cores against M/M/c"),
     "mmck_blocking_probability": (CLOSED_FORM, "finite backlog against M/M/c/K"),
@@ -84,6 +87,7 @@ ALLOWED = {
     "Simulator.batch_stats": (REACHED_BY_PERF, "tracing.py"),
     "make_pod_trace": (REACHED_BY_PERF, "tracing.py"),
     "Scoreboard.mean_busy": (HOT_PATH, "the busy-time integral, kept on every toggle"),
+    "CPUModel.utilization": (HOT_PATH, "the busy-core integral, kept on every job arrival and end"),
     "StaticThresholdPolicy.acceptance_ratio": (HOT_PATH, "the accept counters, kept per offer"),
     "LANFabric.detach_node": (
         HOT_PATH,
@@ -151,7 +155,8 @@ def _walk(tree):
                 visit(child, (*chain, child.name), is_class)
                 continue
             owners = tuple(".".join(chain[: depth + 1]) for depth in range(len(chain)))
-            references.extend((name, owners) for name in _referenced_name(child))
+            attribute = isinstance(child, ast.Attribute)
+            references.extend((name, owners, attribute) for name in _referenced_name(child))
             visit(child, chain, False)
 
     visit(tree, (), True)
@@ -167,8 +172,8 @@ def _census(trees):
             definitions[(module, qualified)] = node
             if isinstance(node, ast.ClassDef):
                 bases[node.name] = [b.id for b in node.bases if isinstance(b, ast.Name)]
-        for name, owners in refs:
-            references[name].append(frozenset((module, owner) for owner in owners))
+        for name, owners, attribute in refs:
+            references[name].append((frozenset((module, owner) for owner in owners), attribute))
     return definitions, references, bases
 
 
@@ -200,7 +205,11 @@ def unreferenced(allowed=ALLOWED):
             and key not in kept
             and not _is_dunder(node.name)
             and not any(
-                key not in owners and not owners & dead for owners in references[node.name]
+                key not in owners and not owners & dead
+                for owners, attribute in references[node.name]
+                # Only ``.name`` reaches a method: a bare name is a local
+                # or a function, an import is a module's name.
+                if attribute or "." not in key[1]
             )
         }
         if not found:
@@ -450,8 +459,8 @@ def test_the_census_counts_code_not_text():
     )
     definitions, references = _walk(tree)
     assert set(definitions) == {"dead", "live"}
-    assert ("live", ()) in references
-    assert [owners for name, owners in references if name == "dead"] == [("dead",)]
+    assert ("live", (), False) in references
+    assert [owners for name, owners, _ in references if name == "dead"] == [("dead",)]
 
 
 # ----------------------------------------------------------------------
@@ -508,6 +517,33 @@ def test_an_import_from_another_module_keeps_a_name(monkeypatch):
         b="from a import shared\n",
     )
     assert _unreferenced_names(allowed={}) == {"lonely"}
+
+
+def test_only_an_attribute_load_keeps_a_method(monkeypatch):
+    # A local named like a method, a function of that name and an
+    # import of it are not calls of the method; ``.name`` is.
+    _census_of(
+        monkeypatch,
+        a="""
+        class Box:
+            def size(self):
+                return 1
+            def step(self):
+                return 2
+            def lookup(self):
+                return 3
+            def total(self):
+                return 4
+        def step():
+            return 5
+        def use(box):
+            size = 0
+            return size + step() + box.total()
+        VALUE = (Box, use)
+        """,
+        b="from a import lookup\n",
+    )
+    assert _unreferenced_names(allowed={}) == {"Box.size", "Box.step", "Box.lookup"}
 
 
 def test_an_allow_listed_name_keeps_what_it_calls(monkeypatch):
@@ -738,7 +774,7 @@ def test_every_name_allowed_for_the_benchmark_is_one_it_references():
 # one way to run a family
 # ----------------------------------------------------------------------
 def test_a_spec_has_only_the_hooks_run_scenario_calls():
-    assert ScenarioSpec.__abstractmethods__ == {"smoke_config", "make_trace", "run_once"}
+    assert ScenarioSpec.__abstractmethods__ == {"smoke_config", "make_trace"}
 
 
 def _calls(node, name):
@@ -832,9 +868,20 @@ def test_every_built_testbed_is_released_by_a_with_block():
             where = f"{path.relative_to(SRC)}:{call.lineno}"
             callers.append(where)
             assert id(call) in released, f"{where} builds a testbed outside a with block"
-    # Every family (heterogeneous-fleet runs the Poisson pipeline) and
-    # calibration.
-    assert len(callers) >= 10
+    # The default run (flash-crowd and heavy-tail use it), each family
+    # whose run is its own (heterogeneous-fleet runs the Poisson one) and
+    # calibration: one call each.
+    assert sorted(where.split(":")[0] for where in callers) == [
+        "experiments/adversarial_experiment.py",
+        "experiments/autoscale_experiment.py",
+        "experiments/calibration.py",
+        "experiments/chaos_experiment.py",
+        "experiments/poisson_experiment.py",
+        "experiments/resilience_experiment.py",
+        "experiments/scale_experiment.py",
+        "experiments/scenario.py",
+        "experiments/wikipedia_experiment.py",
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ def _flow(port):
 
 def _entry(table, flow):
     """The table's entry for ``flow``, read without refreshing it."""
-    return next(entry for entry in table.entries() if entry.flow_key == flow)
+    return table._entries[flow]
 
 
 def _server(index):
@@ -101,9 +101,9 @@ class TestCapacity:
 
 
 class TestDistribution:
-    def test_entries_snapshot(self):
+    def test_learn_returns_the_entry_it_files(self):
         table = FlowTable()
-        table.learn(_flow(1), _server(1), now=0.0)
-        entries = table.entries()
-        assert len(entries) == 1
-        assert entries[0].server == _server(1)
+        entry = table.learn(_flow(1), _server(1), now=0.0)
+        assert entry.server == _server(1)
+        assert _entry(table, _flow(1)) is entry
+        assert len(table) == 1

@@ -139,9 +139,9 @@ class TestSelectorFactory:
 
 
 class TestMaglevTable:
-    def test_lookup_is_deterministic(self):
+    def test_lookup_chain_is_deterministic(self):
         table = MaglevTable(_servers(8), table_size=1021)
-        assert table.lookup("flow-1") == table.lookup("flow-1")
+        assert table.lookup_chain("flow-1", 3) == table.lookup_chain("flow-1", 3)
 
     def test_lookup_chain_distinct(self):
         table = MaglevTable(_servers(8), table_size=1021)

@@ -103,6 +103,17 @@ class TestSweepConfigs:
         assert config.service_mean == pytest.approx(0.1)
         assert len(config.policies) == 5
 
+    def test_poisson_fleet_is_its_testbed(self):
+        config = PoissonSweepConfig()
+        assert config.fleet is config.testbed
+
+    def test_heterogeneous_service_mean_is_a_class_constant_not_a_field(self):
+        from repro.experiments.config import HeterogeneousFleetConfig
+
+        assert HeterogeneousFleetConfig().service_mean == 0.1
+        names = {field.name for field in dataclasses.fields(HeterogeneousFleetConfig)}
+        assert "service_mean" not in names
+
     def test_poisson_invalid(self):
         with pytest.raises(ExperimentError):
             PoissonSweepConfig(load_factors=())

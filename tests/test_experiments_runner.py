@@ -138,7 +138,7 @@ class TestCollectorPayload:
             ResponseTimeCollector(name="empty").export_payload()
         )
         assert len(rebuilt) == 0
-        assert rebuilt.totals.total == 0
+        assert (rebuilt.totals.completed, rebuilt.totals.failed) == (0, 0)
 
     def test_binned_series_survive_the_round_trip(self):
         collector = ResponseTimeCollector()

@@ -38,6 +38,7 @@ from repro.experiments.heterogeneous_experiment import (
     tier_acceptance_shares,
 )
 from repro.experiments.scenario import (
+    RunResult,
     ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
@@ -440,6 +441,51 @@ class TestFlashCrowdScenario:
     def test_unknown_phase_is_loud(self):
         with pytest.raises(ExperimentError, match="unknown phase"):
             phase_window(FLASH_CROWD_SCENARIO.smoke_config(), "rush-hour")
+
+
+# ----------------------------------------------------------------------
+# the default run
+# ----------------------------------------------------------------------
+class _PlainFamily(ScenarioSpec):
+    """Says only its trace: its run is the default one."""
+
+    name = "plain-test-family"
+
+    def smoke_config(self):
+        return FLASH_CROWD_SCENARIO.smoke_config()
+
+    def make_trace(self, config, cell):
+        return make_flash_crowd_trace(config)
+
+
+class TestDefaultRun:
+    def test_it_replays_the_testbed_under_the_cells_policy(self):
+        spec = _PlainFamily()
+        config = spec.smoke_config()
+        cell = spec.cells(config)[1]
+        trace = spec.make_trace(config, cell)
+        run = spec.run_once(config, cell, trace)
+        assert type(run) is RunResult
+        assert run.collector.name == "plain-test-family-SR4"
+        assert len(run.collector) == run.counters["client.queries_started"] == len(trace)
+        # The same run flash-crowd's cell makes: the default is its run too.
+        family = FLASH_CROWD_SCENARIO.run_once(config, cell, trace)
+        assert family.counters == run.counters
+        np.testing.assert_array_equal(
+            family.collector.columns().response_times, run.collector.columns().response_times
+        )
+
+    def test_a_trace_with_users_turns_affinity_on(self):
+        spec = registry.get("heavy-tail")
+        config = spec.smoke_config()
+        (cell, *_) = spec.cells(config)
+        run = spec.run_once(config, cell, spec.make_trace(config, cell))
+        assert run.counters["client.affinity_hits"] > 0
+        plain = _PlainFamily()
+        config = plain.smoke_config()
+        flash = plain.run_once(config, cell, plain.make_trace(config, cell))
+        assert flash.counters["client.affinity_hits"] == 0
+        assert flash.counters["client.affinity_fallbacks"] == 0
 
 
 # ----------------------------------------------------------------------

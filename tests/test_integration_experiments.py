@@ -110,7 +110,7 @@ class TestOverload:
         run = _poisson_runs((rr_policy(),), 1.6, 4_000)["RR"]
         totals = run.collector.totals
         # Every query terminated (served or reset): nothing hangs.
-        assert totals.total == 4_000
+        assert totals.completed + totals.failed == 4_000
         assert totals.failed > 0
         assert run.counters["server.connections_reset"] == totals.failed
 
@@ -183,7 +183,7 @@ class TestWikipediaReplay:
         for name in ("RR", "SR4"):
             run = result.run(name)
             totals = run.collector.totals
-            assert totals.total == len(trace)
+            assert totals.completed + totals.failed == len(trace)
 
     def test_static_pages_are_fast_for_both_policies(self, replay_result):
         result, _ = replay_result

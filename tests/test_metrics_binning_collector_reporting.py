@@ -121,7 +121,7 @@ class TestResponseTimeCollector:
         collector.record(_outcome(2, 1.0, 0.3, failed=True))
         assert collector.totals.completed == 1
         assert collector.totals.failed == 1
-        assert collector.totals.failed / collector.totals.total == pytest.approx(0.5)
+        assert collector.totals.failed / len(collector) == pytest.approx(0.5)
         assert len(collector) == 2
 
     def test_response_times_and_summary(self):

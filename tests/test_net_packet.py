@@ -25,18 +25,6 @@ class TestTCPSegment:
 
 
 class TestFlowKey:
-    def test_reversed_swaps_endpoints(self):
-        key = FlowKey(_addr("fd00:200::1"), 1234, _addr("fd00:300::1"), 80)
-        reverse = key.reversed()
-        assert reverse.src_address == _addr("fd00:300::1")
-        assert reverse.src_port == 80
-        assert reverse.dst_address == _addr("fd00:200::1")
-        assert reverse.dst_port == 1234
-
-    def test_double_reverse_is_identity(self):
-        key = FlowKey(_addr("fd00:200::1"), 1234, _addr("fd00:300::1"), 80)
-        assert key.reversed().reversed() == key
-
     def test_hashable(self):
         key = FlowKey(_addr("fd00:200::1"), 1234, _addr("fd00:300::1"), 80)
         same = FlowKey(_addr("fd00:200::1"), 1234, _addr("fd00:300::1"), 80)

@@ -102,8 +102,8 @@ def test_maglev_lookup_is_deterministic_and_valid(num_backends, keys):
     backends = [IPv6Address.parse(f"fd00:100::{index + 1:x}") for index in range(num_backends)]
     table = MaglevTable(backends, table_size=307)
     for key in keys:
-        first = table.lookup(key)
-        assert first == table.lookup(key)
+        (first,) = table.lookup_chain(key, 1)
+        assert [first] == table.lookup_chain(key, 1)
         assert first in backends
 
 

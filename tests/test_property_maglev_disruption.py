@@ -43,20 +43,20 @@ def _table(backends):
 
 def _slot_owners(table):
     """The backend owning each slot of ``table``, in slot order."""
-    return [table.backends[index] for index in table._table]
+    return [table._backends[index] for index in table._table]
 
 
 def _slot_shares(table):
     """Fraction of the slots each backend owns."""
     owners = _slot_owners(table)
-    return {backend: owners.count(backend) / table.table_size for backend in set(owners)}
+    return {backend: owners.count(backend) / len(owners) for backend in set(owners)}
 
 
 def _disruption(first, second):
     """Fraction of slots mapping to a different backend in ``second``."""
-    assert first.table_size == second.table_size
+    assert len(first._table) == len(second._table)
     pairs = zip(_slot_owners(first), _slot_owners(second))
-    return sum(str(mine) != str(theirs) for mine, theirs in pairs) / first.table_size
+    return sum(str(mine) != str(theirs) for mine, theirs in pairs) / len(first._table)
 
 
 def _owned_share(table, backends):

@@ -109,18 +109,18 @@ def _build_colliding_simulator(schedule):
     max_events=st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
 )
 @settings(max_examples=200, deadline=None)
-def test_run_executes_exactly_the_sequence_step_executes(schedule, max_events):
-    # step() is the reference the run loop is held to: same events, same
-    # order, same clock at each, however often run() is interrupted.
-    stepped, reference = _build_colliding_simulator(schedule)
-    while stepped.step():
-        pass
+def test_an_interrupted_run_executes_the_sequence_of_one_run(schedule, max_events):
+    # However often run() is cut short (max_events, or a callback's
+    # stop()) and resumed: same events, same order, same clock at each.
+    whole, reference = _build_colliding_simulator(schedule)
+    while whole.pending_events:  # only a callback's stop() cuts these runs
+        whole.run()
     resumed, log = _build_colliding_simulator(schedule)
     while resumed.pending_events:
         resumed.run(max_events=max_events)
     assert log == reference
-    assert resumed.events_executed == stepped.events_executed == len(reference)
-    assert resumed.now == stepped.now
+    assert resumed.events_executed == whole.events_executed == len(reference)
+    assert resumed.now == whole.now
 
 
 # ----------------------------------------------------------------------

@@ -176,16 +176,6 @@ def test_flow_key_pickle_round_trips_preserve_type_and_equality(key):
 
 
 @given(key=flow_keys)
-@settings(max_examples=200, deadline=None)
-def test_flow_key_reversal_is_an_involution(key):
-    reverse = key.reversed()
-    assert type(reverse) is FlowKey
-    assert (reverse.src_address, reverse.src_port) == (key.dst_address, key.dst_port)
-    assert (reverse.dst_address, reverse.dst_port) == (key.src_address, key.src_port)
-    assert reverse.reversed() == key
-
-
-@given(key=flow_keys)
 @settings(max_examples=100, deadline=None)
 def test_flow_key_text_forms(key):
     assert str(key) == (

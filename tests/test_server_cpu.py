@@ -49,14 +49,6 @@ class TestProcessorSharingCPU:
         assert completions[2] == pytest.approx(1.0)
         assert completions[1] == pytest.approx(1.25)
 
-    def test_active_jobs_counter(self, simulator):
-        cpu = ProcessorSharingCPU(simulator, num_cores=2)
-        cpu.add_job(1, 1.0, lambda j: None)
-        cpu.add_job(2, 1.0, lambda j: None)
-        assert cpu.active_jobs == 2
-        simulator.run()
-        assert cpu.active_jobs == 0
-
     def test_duplicate_job_id_rejected(self, simulator):
         cpu = ProcessorSharingCPU(simulator, num_cores=1)
         cpu.add_job(1, 1.0, lambda j: None)
@@ -94,7 +86,6 @@ class TestProcessorSharingCPU:
         simulator.run(max_events=100_000)
         assert completions == [(1, 30000.0)]
         assert simulator.events_executed == 1
-        assert cpu.active_jobs == 0
 
     def test_invalid_core_count_rejected(self, simulator):
         with pytest.raises(ServerError):
@@ -118,12 +109,6 @@ class TestFIFOCPU:
         simulator.run()
         assert completions[1] == pytest.approx(0.3)
         assert completions[2] == pytest.approx(0.3)
-
-    def test_active_jobs_counts_queue(self, simulator):
-        cpu = FIFOCPU(simulator, num_cores=1)
-        for job_id in range(3):
-            cpu.add_job(job_id, 1.0, lambda j: None)
-        assert cpu.active_jobs == 3
 
     def test_duplicate_job_rejected(self, simulator):
         cpu = FIFOCPU(simulator, num_cores=1)

@@ -175,15 +175,6 @@ class TestRunControl:
         simulator.run()
         assert fired == [1]
 
-    def test_step_executes_exactly_one_event(self, simulator):
-        fired = []
-        simulator.schedule_at(1.0, lambda: fired.append("a"))
-        simulator.schedule_at(2.0, lambda: fired.append("b"))
-        assert simulator.step() is True
-        assert fired == ["a"]
-        assert simulator.step() is True
-        assert simulator.step() is False
-
     def test_reentrant_run_raises(self, simulator):
         def reenter():
             simulator.run()
@@ -191,26 +182,6 @@ class TestRunControl:
         simulator.schedule_at(1.0, reenter)
         with pytest.raises(SimulationError):
             simulator.run()
-
-    def test_reentrant_step_raises(self, simulator):
-        # Regression: a callback calling step() used to run a later event
-        # inside itself and resume with the clock already moved past it.
-        order = []
-
-        def reenter():
-            order.append(("a", simulator.now))
-            with pytest.raises(SimulationError, match="re-entrant step"):
-                simulator.step()
-            order.append(("a-after", simulator.now))
-
-        simulator.schedule_at(1.0, reenter)
-        simulator.schedule_at(5.0, lambda: order.append(("b", simulator.now)))
-        simulator.run()
-        assert order == [("a", 1.0), ("a-after", 1.0), ("b", 5.0)]
-        # step() inside a stepped callback is refused the same way.
-        simulator.schedule_at(6.0, simulator.step)
-        with pytest.raises(SimulationError, match="re-entrant step"):
-            simulator.step()
 
     def test_nan_horizon_is_rejected(self, simulator):
         # Every `time > nan` is false: the run used to ignore its horizon
@@ -310,7 +281,7 @@ class TestCancellation:
         handle.cancel()
         assert _cancelled(handle)
 
-    @pytest.mark.parametrize("how", ["run", "step", "batch"])
+    @pytest.mark.parametrize("how", ["run", "batch"])
     def test_cancel_after_the_callback_ran_is_a_noop(self, simulator, how):
         # Regression: a late cancel() used to flip `cancelled` on an
         # event that had already fired (the client cancels its fired
@@ -321,10 +292,7 @@ class TestCancellation:
         handle = simulator.schedule_at(1.0, lambda: fired.append("timer"))
         if how == "batch":
             simulator.schedule_at(1.0, lambda: fired.append("sibling"))
-        if how == "step":
-            assert simulator.step() is True
-        else:
-            simulator.run()
+        simulator.run()
         handle.cancel()
         assert fired[0] == "timer"
         assert not _cancelled(handle)
@@ -473,46 +441,50 @@ class TestHeapCompaction:
             handle.cancel()
         assert simulator._cancelled_on_heap == 5
 
-    def test_step_discards_cancelled_through_discard_bookkeeping(self, simulator):
-        """Regression: stepping over cancelled entries must keep the
-        cancelled-on-heap counter exact, so a later ``cancel()`` +
-        ``_maybe_compact_heap()`` pairing neither compacts too early nor
-        leaves the counter stale (or negative)."""
+    def test_a_bounded_run_discards_cancelled_through_discard_bookkeeping(
+        self, simulator
+    ):
+        """Regression: running over cancelled entries one event at a time
+        must keep the cancelled-on-heap counter exact, so a later
+        ``cancel()`` + ``_maybe_compact_heap()`` pairing neither compacts
+        too early nor leaves the counter stale (or negative)."""
         fired = []
         cancelled = [simulator.schedule_at(1.0, lambda: None) for _ in range(3)]
         live = simulator.schedule_at(2.0, lambda: fired.append("live"))
         for handle in cancelled:
             handle.cancel()
         assert simulator._cancelled_on_heap == 3
-        # The single step skips all three cancelled entries, executes the
-        # live one, and the counter reflects every discard.
-        assert simulator.step() is True
+        # The one-event run skips all three cancelled entries, executes
+        # the live one, and the counter reflects every discard.
+        simulator.run(max_events=1)
+        assert simulator.events_executed == 1
         assert fired == ["live"]
         assert simulator._cancelled_on_heap == 0
         assert simulator.pending_events == 0
         assert not _cancelled(live)
-        # A fresh cancel/step cycle keeps the counter consistent: it can
+        # A fresh cancel/run cycle keeps the counter consistent: it can
         # never go negative, which would disable compaction forever.
         again = simulator.schedule_at(3.0, lambda: None)
         again.cancel()
         assert simulator._cancelled_on_heap == 1
-        assert simulator.step() is False  # only the cancelled event is left
+        simulator.run(max_events=1)  # only the cancelled event is left
+        assert simulator.events_executed == 1
         assert simulator._cancelled_on_heap == 0
         simulator._maybe_compact_heap()
         assert simulator._cancelled_on_heap == 0
         assert simulator.pending_events == 0
 
-    def test_step_then_mass_cancel_still_triggers_compaction(self, simulator):
-        """cancel()/step()/_maybe_compact_heap() interplay at scale."""
+    def test_bounded_run_then_mass_cancel_still_triggers_compaction(self, simulator):
+        """cancel()/run(max_events=1)/_maybe_compact_heap() interplay at scale."""
         fired = []
         handles = [
             simulator.schedule_at(float(index + 1), fired.append, arg=index)
             for index in range(200)
         ]
-        # Step over a cancelled head entry first.
+        # Run one event past a cancelled head entry first.
         handles[0].cancel()
         handles_alive = handles[1:]
-        assert simulator.step() is True  # discards #0, executes #1
+        simulator.run(max_events=1)  # discards #0, executes #1
         assert fired == [1]
         # Cancel enough of the rest to cross the compaction threshold.
         for handle in handles_alive[1:180]:
@@ -572,10 +544,10 @@ class TestEventArgument:
         simulator.schedule_at(1.0, got.append, "one", "singleton")
         simulator.schedule_at(2.0, got.append, "two", "batch-a")
         simulator.schedule_in(2.0, got.append, arg="batch-b")
-        simulator.schedule_at(3.0, got.append, arg="stepped")
+        simulator.schedule_at(3.0, got.append, arg="resumed")
         simulator.run(until=2.5)
-        assert simulator.step() is True
-        assert got == ["singleton", "batch-a", "batch-b", "stepped"]
+        simulator.run()
+        assert got == ["singleton", "batch-a", "batch-b", "resumed"]
 
     def test_none_is_an_ordinary_argument(self, simulator):
         got = []
@@ -628,11 +600,6 @@ class TestCallbackRelease:
         handle.cancel()
         assert self._released(callback)
         assert simulator.pending_events == 1  # still on the heap, dead
-
-    def test_stepped_event_releases_callback(self, simulator):
-        handle, callback = self._scheduled(simulator)
-        assert simulator.step() is True
-        assert self._released(callback)
 
     def test_drained_event_releases_callback(self, simulator):
         handle, callback = self._scheduled(simulator)
@@ -710,16 +677,16 @@ class TestBatchedDispatch:
         simulator.run()
         assert fired == ["first", "after-stop"]
 
-    def test_step_is_unchanged_by_batching(self, simulator):
+    def test_a_bounded_run_stops_inside_a_timestamp(self, simulator):
         fired = []
         for index in range(3):
             simulator.schedule_at(1.0, lambda i=index: fired.append(i))
-        assert simulator.step() is True
+        simulator.run(max_events=1)
         assert fired == [0]
         assert simulator.pending_events == 2
-        assert simulator.step() is True
-        assert simulator.step() is True
-        assert simulator.step() is False
+        simulator.run(max_events=1)
+        simulator.run(max_events=1)
+        assert simulator.pending_events == 0
         assert fired == [0, 1, 2]
 
     def test_exception_mid_batch_keeps_unexecuted_events(self, simulator):

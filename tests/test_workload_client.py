@@ -7,9 +7,13 @@ from repro.net.addressing import IPv6Address
 from repro.net.fabric import LANFabric
 from repro.net.packet import Packet, TCPFlag, TCPSegment
 from repro.net.router import NetworkNode
-from repro.net.tcp import HTTP_PORT
-from repro.workload.client import REQUEST_PAYLOAD_SIZE, TrafficGeneratorNode
-from repro.workload.requests import Request
+from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT
+from repro.workload.client import (
+    REQUEST_PAYLOAD_SIZE,
+    TrafficGeneratorNode,
+    stable_user_port,
+)
+from repro.workload.requests import KIND_SESSION, Request
 from repro.workload.trace import Trace
 
 
@@ -463,3 +467,93 @@ class TestSweepUnfinished:
         assert client.sweep_unfinished() == 0
         assert client.queries_swept == 0
         assert collector.totals.failed == 0
+
+
+class TestStableUserPort:
+    def test_ports_are_deterministic_and_in_range(self):
+        for user in (0, 1, 17, 10**6):
+            port = stable_user_port(user)
+            assert port == stable_user_port(user)
+            assert EPHEMERAL_PORT_BASE <= port < (
+                EPHEMERAL_PORT_BASE + EPHEMERAL_PORT_RANGE
+            )
+
+    def test_distinct_users_mostly_get_distinct_ports(self):
+        ports = {stable_user_port(user) for user in range(1_000)}
+        # Birthday collisions are possible but must stay rare.
+        assert len(ports) > 950
+
+
+def _user_trace(*rows):
+    """A trace of ``(arrival time, user or None)`` rows, ids from 1."""
+    return Trace(
+        [
+            Request(index, arrival, 0.05, kind=KIND_SESSION, user_id=user)
+            for index, (arrival, user) in enumerate(rows, start=1)
+        ]
+    )
+
+
+def _syn_ports(service):
+    return [packet.tcp.src_port for packet in service.syns]
+
+
+class TestUserAffinity:
+    """Per-user source ports, turned on by a trace that carries user ids."""
+
+    def test_a_trace_without_users_leaves_affinity_off(self, simulator):
+        client, service, collector = _build(simulator)
+        client.schedule_trace(_trace(3))
+        simulator.run()
+        assert client._active_ports is None
+        # The round-robin ports, from the base of the ephemeral range.
+        assert _syn_ports(service) == [10_000, 10_001, 10_002]
+        counters = client.snapshot()
+        assert counters["affinity_hits"] == counters["affinity_fallbacks"] == 0
+
+    def test_a_users_query_leaves_from_the_users_stable_port(self, simulator):
+        client, service, collector = _build(simulator)
+        client.schedule_trace(_user_trace((0.0, 42)))
+        simulator.run()
+        assert _syn_ports(service) == [stable_user_port(42)]
+        assert client.snapshot()["affinity_hits"] == 1
+        assert client.snapshot()["affinity_fallbacks"] == 0
+        assert client.queries_completed == 1
+
+    def test_a_port_in_flight_falls_back_and_is_reused_once_free(self, simulator):
+        # The second query of user 42 starts while the first holds the
+        # user's port; the third starts after both have finished.
+        client, service, collector = _build(simulator)
+        client.schedule_trace(_user_trace((0.0, 42), (0.001, 42), (1.0, 42)))
+        simulator.run()
+        port = stable_user_port(42)
+        assert _syn_ports(service) == [port, 10_000, port]
+        assert (client.affinity_hits, client.affinity_fallbacks) == (2, 1)
+        assert client._active_ports == set()
+
+    def test_queries_without_a_user_skip_the_ports_in_flight(self, simulator):
+        # User 22146's port is the first round-robin port; the query
+        # without a user, started while it is held, takes the next one.
+        assert stable_user_port(22_146) == EPHEMERAL_PORT_BASE
+        client, service, collector = _build(simulator)
+        client.schedule_trace(_user_trace((0.0, 22_146), (0.001, None)))
+        simulator.run()
+        assert _syn_ports(service) == [EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_BASE + 1]
+        assert (client.affinity_hits, client.affinity_fallbacks) == (1, 0)
+
+    def test_a_retried_user_query_releases_its_stable_port(self, simulator):
+        # The first SYN is lost; the retry gives the port back before it
+        # allocates again, so the user's port is free for the new attempt.
+        client, service, collector = _build_lossy(
+            simulator,
+            answer=lambda packet: len(service.syns) > 1,
+            retry_timeout=0.5,
+            max_retries=1,
+        )
+        client.schedule_trace(_user_trace((0.0, 9)))
+        simulator.run()
+        port = stable_user_port(9)
+        assert _syn_ports(service) == [port, port]
+        assert client.queries_retried == 1 and client.queries_completed == 1
+        assert (client.affinity_hits, client.affinity_fallbacks) == (2, 0)
+        assert client._active_ports == set()

@@ -4,19 +4,15 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.metrics.collector import ResponseTimeCollector
 from repro.net.addressing import CLIENT_PREFIX, VIP_PREFIX
-from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE
 from repro.workload.hostile import (
     HeavyTailWorkload,
-    SessionAffinityClient,
     find_colliding_flow_keys,
     spoofed_source_flows,
-    stable_user_port,
     user_concentration,
 )
 from repro.workload.requests import KIND_HEAVY, KIND_SESSION, Request
-from repro.workload.trace import NO_USER, Trace
+from repro.workload.trace import Trace
 
 VIP = VIP_PREFIX.address_at(1)
 
@@ -102,59 +98,6 @@ class TestUserConcentration:
         trace = Trace([Request(1, 0.1, 0.05)], name="plain")
         with pytest.raises(WorkloadError, match="no user ids"):
             user_concentration(trace)
-
-
-class TestStableUserPort:
-    def test_ports_are_deterministic_and_in_range(self):
-        for user in (0, 1, 17, 10**6):
-            port = stable_user_port(user)
-            assert port == stable_user_port(user)
-            assert EPHEMERAL_PORT_BASE <= port < (
-                EPHEMERAL_PORT_BASE + EPHEMERAL_PORT_RANGE
-            )
-
-    def test_distinct_users_mostly_get_distinct_ports(self):
-        ports = {stable_user_port(user) for user in range(1_000)}
-        # Birthday collisions are possible but must stay rare.
-        assert len(ports) > 950
-
-
-class TestSessionAffinityClient:
-    def _client(self, simulator):
-        return SessionAffinityClient(
-            simulator,
-            "client",
-            CLIENT_PREFIX.address_at(1),
-            VIP,
-            ResponseTimeCollector(name="t"),
-        )
-
-    def test_user_queries_get_their_stable_port(self, simulator):
-        client = self._client(simulator)
-        port = client._allocate_port(42)
-        assert port == stable_user_port(42)
-        assert client.affinity_hits == 1
-        assert client.affinity_fallbacks == 0
-
-    def test_active_port_falls_back_to_the_allocator(self, simulator):
-        client = self._client(simulator)
-        first = client._allocate_port(42)
-        second = client._allocate_port(42)
-        assert second != first
-        assert client.affinity_fallbacks == 1
-        # Once the first query finishes, the stable port is reusable.
-        client._active_ports.discard(first)
-        third = client._allocate_port(42)
-        assert third == first
-
-    def test_anonymous_queries_use_the_round_robin_allocator(self, simulator):
-        client = self._client(simulator)
-        port = client._allocate_port(NO_USER)
-        assert client.affinity_hits == 0
-        assert client.affinity_fallbacks == 0
-        assert EPHEMERAL_PORT_BASE <= port < (
-            EPHEMERAL_PORT_BASE + EPHEMERAL_PORT_RANGE
-        )
 
 
 class TestFloodGenerators:
