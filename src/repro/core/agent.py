@@ -46,14 +46,12 @@ class ApplicationAgent:
     def __init__(self, scoreboard: ScoreboardView, cpu_cores: int = 2) -> None:
         self._scoreboard = scoreboard
         self._cpu_cores = max(1, cpu_cores)
-        self.reads = 0
 
     # ------------------------------------------------------------------
     # fine-grained metrics (the paper's example: worker-thread states)
     # ------------------------------------------------------------------
     def busy_threads(self) -> int:
         """Number of worker threads currently serving a request."""
-        self.reads += 1
         return self._scoreboard.busy_count
 
     def total_threads(self) -> int:
@@ -69,7 +67,6 @@ class ApplicationAgent:
         A value above 1.0 means the cores are oversubscribed and requests
         are being slowed down by processor sharing.
         """
-        self.reads += 1
         return self._scoreboard.busy_count / self._cpu_cores
 
     def __repr__(self) -> str:

@@ -33,7 +33,6 @@ class FlowEntry:
     server: IPv6Address
     created_at: float
     last_seen: float
-    packets_steered: int = 0
 
 
 @dataclass
@@ -43,8 +42,6 @@ class FlowTableStats:
     entries_created: int = 0
     entries_expired: int = 0
     entries_evicted: int = 0
-    lookup_hits: int = 0
-    lookup_misses: int = 0
 
 
 class FlowTable:
@@ -160,11 +157,8 @@ class FlowTable:
         """The server this flow is pinned to, refreshing its idle timer."""
         entry = self._entries.get(flow_key)
         if entry is None:
-            self.stats.lookup_misses += 1
             return None
         entry.last_seen = now
-        entry.packets_steered += 1
-        self.stats.lookup_hits += 1
         return entry.server
 
     def snapshot(self) -> Dict[str, int]:
@@ -175,8 +169,6 @@ class FlowTable:
             "entries_expired": stats.entries_expired,
             "entries_evicted": stats.entries_evicted,
             "entries_live": len(self._entries),
-            "lookup_hits": stats.lookup_hits,
-            "lookup_misses": stats.lookup_misses,
         }
 
     def __len__(self) -> int:
@@ -188,6 +180,5 @@ class FlowTable:
     def __repr__(self) -> str:
         return (
             f"FlowTable(entries={len(self._entries)}, "
-            f"created={self.stats.entries_created}, "
-            f"hits={self.stats.lookup_hits}, misses={self.stats.lookup_misses})"
+            f"created={self.stats.entries_created})"
         )

@@ -378,14 +378,6 @@ class LoadBalancerTier:
                 totals[name] = totals.get(name, 0) + value
         return totals
 
-    def acceptances_per_server(self) -> Dict[IPv6Address, int]:
-        """Aggregated per-server acceptance counts across the tier."""
-        totals: Dict[IPv6Address, int] = {}
-        for instance in self.instances:
-            for server, count in instance.stats.acceptances_per_server.items():
-                totals[server] = totals.get(server, 0) + count
-        return totals
-
     def __repr__(self) -> str:
         return (
             f"LoadBalancerTier(instances={len(self.instances)}, "

@@ -21,7 +21,7 @@ on the servers, which is the point of the design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.candidate_selection import CandidateSelector
@@ -50,10 +50,7 @@ class LoadBalancerStats:
     that incremented it.
     """
 
-    #: New-flow SYNs received from clients (before candidate selection).
-    syn_received: int = 0
-    #: New-flow SYNs dispatched with an SR candidate list.  Equals
-    #: ``syn_received`` unless candidate selection raised.
+    #: New-flow SYNs dispatched with an SR candidate list.
     syn_dispatched: int = 0
     #: Mid-flow packets steered to their recorded server (flow-table hits).
     steering_packets: int = 0
@@ -67,28 +64,16 @@ class LoadBalancerStats:
     #: Packets addressed to an unregistered VIP, or steering-address
     #: packets carrying no SR header; both are dropped.
     unknown_vip_drops: int = 0
-    #: How many times each server appeared as the first candidate.
-    first_candidate_offers: Dict[IPv6Address, int] = field(default_factory=dict)
-    #: How many flows each server ended up accepting.
-    acceptances_per_server: Dict[IPv6Address, int] = field(default_factory=dict)
 
     def snapshot(self) -> Dict[str, int]:
-        """Flat numeric counters (the uniform telemetry-sampler API).
-
-        Per-server breakdown dicts are flattened to fleet totals so the
-        result is a plain ``name -> number`` mapping like every other
-        ``snapshot()`` in the tree.
-        """
+        """Flat numeric counters (the uniform telemetry-sampler API)."""
         return {
-            "syn_received": self.syn_received,
             "syn_dispatched": self.syn_dispatched,
             "steering_packets": self.steering_packets,
             "steering_misses": self.steering_misses,
             "acceptances_learned": self.acceptances_learned,
             "resets_sent": self.resets_sent,
             "unknown_vip_drops": self.unknown_vip_drops,
-            "first_candidate_offers": sum(self.first_candidate_offers.values()),
-            "acceptances_total": sum(self.acceptances_per_server.values()),
         }
 
 
@@ -261,21 +246,16 @@ class LoadBalancerNode(NetworkNode):
 
     def _dispatch_new_flow(self, packet: Packet, vip: IPv6Address) -> None:
         """Offer a new connection to the selected candidate servers."""
-        stats = self.stats
-        stats.syn_received += 1
         candidates = self.selector.select(packet._flow_key, self._backends[vip])
         if not candidates:
             raise LoadBalancerError("candidate selector returned an empty list")
-        first = candidates[0]
-        offers = stats.first_candidate_offers
-        offers[first] = offers.get(first, 0) + 1
         # RFC order: the VIP is the final segment, the first candidate
         # active.  attach_srh() as data: the final segment is the
         # packet's destination, so its flow key stands.
         segments = [vip, *reversed(candidates)]
         packet.srh = SegmentRoutingHeader(segments, len(segments) - 1)
-        packet._dst = first
-        stats.syn_dispatched += 1
+        packet._dst = candidates[0]
+        self.stats.syn_dispatched += 1
         self.send(packet)
 
     def _steer_existing_flow(self, packet: Packet, vip: IPv6Address) -> None:
@@ -341,8 +321,6 @@ class LoadBalancerNode(NetworkNode):
             self.simulator.clock._now,
         )
         stats.acceptances_learned += 1
-        per_server = stats.acceptances_per_server
-        per_server[accepting_server] = per_server.get(accepting_server, 0) + 1
         # Hand the packet on to the client, stripping the SR header: the
         # client sees a plain SYN-ACK from the VIP (paper, figure 1).
         # The strip is written as data: the final segment was already the

@@ -110,26 +110,9 @@ class StaticThresholdPolicy(ConnectionAcceptancePolicy):
             raise PolicyError(f"SRc threshold must be >= 0, got {threshold!r}")
         self.threshold = threshold
         self.name = f"SR{threshold}"
-        self.decisions = 0
-        self.accepts = 0
 
     def should_accept(self, agent: ApplicationAgent) -> bool:
-        busy = agent.busy_threads()
-        self.decisions += 1
-        accept = busy < self.threshold
-        if accept:
-            self.accepts += 1
-        return accept
-
-    def acceptance_ratio(self) -> float:
-        """Fraction of optional offers accepted so far."""
-        if self.decisions == 0:
-            return 0.0
-        return self.accepts / self.decisions
-
-    def reset(self) -> None:
-        self.decisions = 0
-        self.accepts = 0
+        return agent.busy_threads() < self.threshold
 
     def describe(self) -> str:
         return f"static threshold c={self.threshold}"

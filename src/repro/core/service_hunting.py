@@ -44,7 +44,6 @@ class HuntingDecision(enum.Enum):
 class ServiceHuntingStats:
     """Counters kept by one Service Hunting processor (one server)."""
 
-    offers_received: int = 0
     accepted_by_choice: int = 0
     accepted_forced: int = 0
     refused: int = 0
@@ -52,6 +51,11 @@ class ServiceHuntingStats:
     #: control plane's graceful scale-down), not because the acceptance
     #: policy said no.
     refused_draining: int = 0
+
+    @property
+    def offers_received(self) -> int:
+        """Offers decided here: every one is accepted or refused."""
+        return self.accepted_by_choice + self.accepted_forced + self.refused
 
     @property
     def accepted_total(self) -> int:
@@ -94,8 +98,6 @@ class ServiceHuntingProcessor:
         srh = packet.srh
         if srh is None or srh.segments_left == 0:
             return HuntingDecision.NOT_APPLICABLE
-
-        self.stats.offers_received += 1
 
         if srh.segments_left == 1:
             # Penultimate segment: the connection must be accepted to

@@ -412,8 +412,8 @@ class Testbed:
         Each tier's ``snapshot()`` is summed over its servers or LB
         instances (``edge.*`` and the tier's own ``lb.*`` counters only
         exist in tier deployments, ``fault.*`` only with a fault
-        pipeline).  A counter the telemetry probe also streams has the
-        probe's series name.  Each call builds a new dict, and a closed
+        pipeline).  The telemetry probe streams every entry under its
+        name here.  Each call builds a new dict, and a closed
         testbed still answers with its final values.  The names and
         their sources are tabled in ``docs/architecture.md``.
         """

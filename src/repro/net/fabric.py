@@ -8,22 +8,21 @@ included, bound by the load balancer) are directly reachable, and packet
 delivery costs a small fixed latency.
 
 The fabric is the single place packets transit through, which makes it
-a convenient observation point: per-destination counters, drops for
+a convenient observation point: delivery and byte totals, drops for
 unroutable packets and optional packet taps (used by tests and by the
 debugging examples) all live here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from heapq import heappush as _heappush
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import NetworkError, RoutingError, SchedulingError
 from repro.net.addressing import IPv6Address
-from repro.net.channel import Arrival, DeliveryChannel, InProcessChannel
+from repro.net.channel import DeliveryChannel, InProcessChannel
 from repro.net.packet import IPV6_HEADER_SIZE, TCP_HEADER_SIZE, Packet
 from repro.net.srh import SRH_FIXED_SIZE, SRH_SEGMENT_SIZE
 from repro.sim.engine import Simulator
@@ -47,36 +46,19 @@ class FabricStats:
     ``packets_dropped_*`` counters (see docs/architecture.md):
 
     * ``no_route`` — the destination address resolved to nothing at send
-      time (unknown, or already detached and therefore unbound);
-    * ``hop_limit`` — the hop limit hit zero at send time;
-    * ``sink_detached`` — the destination resolved at send time but was
-      detached from the fabric while the packet was in flight (and not
-      re-attached by the time it landed).  These packets *are* counted
-      in ``packets_delivered``/``bytes_delivered`` (the fabric carried
-      them; the sink was gone on arrival).
+      time;
+    * ``hop_limit`` — the hop limit hit zero at send time.
     """
 
+    packets_delivered: int = 0
     packets_dropped_no_route: int = 0
     packets_dropped_hop_limit: int = 0
-    packets_dropped_sink_detached: int = 0
     bytes_delivered: int = 0
-    #: A ``[count]`` cell per destination node name, held by the fabric's
-    #: send route: the per-hop update is a list-item increment.
-    delivery_cells: Dict[str, List[int]] = field(default_factory=dict)
-
-    @property
-    def packets_delivered(self) -> int:
-        """Packets delivered, to any node."""
-        return sum(cell[0] for cell in self.delivery_cells.values())
 
     @property
     def packets_dropped(self) -> int:
         """Unified drop total across every drop reason."""
-        return (
-            self.packets_dropped_no_route
-            + self.packets_dropped_hop_limit
-            + self.packets_dropped_sink_detached
-        )
+        return self.packets_dropped_no_route + self.packets_dropped_hop_limit
 
     def snapshot(self) -> Dict[str, int]:
         """Flat numeric counters (the uniform telemetry-sampler API)."""
@@ -86,7 +68,6 @@ class FabricStats:
             "packets_dropped": self.packets_dropped,
             "packets_dropped_no_route": self.packets_dropped_no_route,
             "packets_dropped_hop_limit": self.packets_dropped_hop_limit,
-            "packets_dropped_sink_detached": self.packets_dropped_sink_detached,
         }
 
 
@@ -138,20 +119,16 @@ class LANFabric:
         self._heap = simulator._heap
         self._nodes: Dict[str, "NetworkNode"] = {}
         self._address_map: Dict[IPv6Address, "NetworkNode"] = {}
-        #: Names of nodes detached mid-run and not re-attached since.
-        #: Only the in-flight deliveries :meth:`detach_node` retargets
-        #: read it, when they land.
-        self._detached: set = set()
         self._taps: List[PacketTap] = []
         #: Memoized send routes: destination address -> ``(node name,
-        #: event label, the node's handle_packet, delivery cell)``.  This
-        #: folds the address resolution, the interned per-destination
-        #: label, the callback and the counter into one dict hit per
-        #: packet.  Every topology mutation (address bind, node
-        #: registration or detach) clears the memo wholesale, so a cached
-        #: entry is always exactly what resolve() would return.
+        #: event label, the node's handle_packet)``.  This folds the
+        #: address resolution, the interned per-destination label and
+        #: the callback into one dict hit per packet.  Every topology
+        #: mutation (address bind or node registration) clears the memo
+        #: wholesale, so a cached entry is always exactly what resolve()
+        #: would return.
         self._send_routes: Dict[IPv6Address, tuple] = {}
-        self._external = SimpleNamespace(name="<external>", packets_sent=0)
+        self._external = SimpleNamespace(name="<external>")
         self.stats = FabricStats()
 
     # ------------------------------------------------------------------
@@ -163,10 +140,6 @@ class LANFabric:
         if existing is not None and existing is not node:
             raise RoutingError(f"a different node named {node.name!r} already exists")
         self._nodes[node.name] = node
-        # A node (re-)attaching under a previously detached name is live
-        # again; in-flight packets scheduled before the re-attach are
-        # delivered to it, matching a real switch re-learning the port.
-        self._detached.discard(node.name)
         self._send_routes.clear()
 
     def bind_address(self, address: IPv6Address, node: "NetworkNode") -> None:
@@ -178,43 +151,6 @@ class LANFabric:
             )
         self._address_map[address] = node
         self._send_routes.clear()
-
-    def detach_node(self, node: "NetworkNode") -> None:
-        """Remove ``node`` from the fabric entirely.
-
-        Its address bindings are withdrawn (later sends drop as
-        ``packets_dropped_no_route``), and packets already in flight
-        toward it are dropped on arrival and counted as
-        ``packets_dropped_sink_detached`` — the unified accounting
-        documented on :class:`FabricStats` — unless the node re-attaches
-        before they land.  The in-flight deliveries are found once, here,
-        on the event heap (a fault pipeline holds no packet back, it
-        only adds delay), and retargeted; no arrival checks anything.
-        """
-        registered = self._nodes.get(node.name)
-        if registered is not node:
-            raise RoutingError(f"node {node.name!r} is not attached to this fabric")
-        del self._nodes[node.name]
-        self._address_map = {
-            address: owner
-            for address, owner in self._address_map.items()
-            if owner is not node
-        }
-        self._detached.add(node.name)
-        self._send_routes.clear()
-        label = f"deliver->{node.name}"
-        handle = node.handle_packet
-        for entry in self._heap:
-            callback = entry[2]
-            if callback is not None and entry[4] == label and callback == handle:
-                entry[2] = partial(self._land_after_detach, node.name, callback)
-
-    def _land_after_detach(self, name: str, handle: Arrival, packet: Packet) -> None:
-        """An arrival retargeted by :meth:`detach_node`."""
-        if name in self._detached:
-            self.stats.packets_dropped_sink_detached += 1
-        else:  # re-attached while the packet was in flight
-            handle(packet)
 
     def close(self) -> None:
         """Unregister every node at once: the end of the fabric's run.
@@ -261,8 +197,7 @@ class LANFabric:
         return self.send_from(self._external if origin is None else origin, packet)
 
     def send_from(self, origin: "NetworkNode", packet: Packet) -> bool:
-        """:meth:`send` counted in ``origin.packets_sent``: each attached node's ``send``."""
-        origin.packets_sent += 1
+        """:meth:`send` from ``origin``: each attached node's ``send``."""
         # The resolution, event label and callback for a destination
         # address are all memoized in one dict hit (see
         # ``_send_routes``); the miss path below performs the same
@@ -285,9 +220,8 @@ class LANFabric:
                     )
                 return False
             name = destination.name
-            cell = self.stats.delivery_cells.setdefault(name, [0])
             route = self._send_routes[dst] = (
-                name, f"deliver->{name}", destination.handle_packet, cell
+                name, f"deliver->{name}", destination.handle_packet
             )  # fmt: skip
 
         hop_limit = packet.hop_limit
@@ -300,18 +234,19 @@ class LANFabric:
             return False
         packet.hop_limit = hop_limit - 1
 
-        name, label, handle, cell = route
+        name, label, handle = route
 
         if self._taps:
             for tap in self._taps:
                 tap(packet, origin.name, name)
 
-        cell[0] += 1
+        stats = self.stats
+        stats.packets_delivered += 1
         srh = packet.srh
         size = _HEADERS_SIZE + packet.tcp.payload_size
         if srh is not None:
             size += SRH_FIXED_SIZE + SRH_SEGMENT_SIZE * len(srh.segments)
-        self.stats.bytes_delivered += size
+        stats.bytes_delivered += size
 
         channel = self.channel
         if channel is self._in_process:

@@ -42,9 +42,9 @@ hypothesis property test in
 Accounting
 ----------
 The pipeline owns a :class:`LinkStats` instance:
-``packets_sent`` counts every packet offered to the pipeline,
-``packets_dropped`` is the unified drop total, and each injector counts
-its drops (or delays) under its own reason counter — the same
+``packets_sent`` counts every packet offered to the pipeline, each
+injector counts its drops (or delays) under its own reason counter, and
+``packets_dropped`` is the sum of the drop reasons — the same
 one-drop/one-reason scheme as the fabric (see
 docs/architecture.md).  ``packets_sent - packets_dropped`` always equals
 the number of packets handed to the inner channel.
@@ -64,10 +64,10 @@ from repro.sim.engine import Simulator
 class LinkStats:
     """A fault pipeline's counters.
 
-    ``packets_sent`` counts every packet offered to the pipeline and
-    ``packets_dropped`` is the unified drop total; every drop is also
-    counted in exactly one of the reason counters (the same accounting
-    scheme as :class:`~repro.net.fabric.FabricStats`, documented in
+    ``packets_sent`` counts every packet offered to the pipeline; every
+    drop is counted in exactly one of the reason counters, and
+    ``packets_dropped`` is their sum (the same accounting scheme as
+    :class:`~repro.net.fabric.FabricStats`, documented in
     docs/architecture.md):
 
     * ``packets_dropped_loss`` — independent (i.i.d.) packet loss;
@@ -79,24 +79,25 @@ class LinkStats:
 
     ``packets_delayed_jitter`` and ``packets_reordered`` count delay
     shaping, not drops — they do not contribute to ``packets_dropped``.
-
-    ``bytes_sent``, ``packets_dropped_queue_full`` and
-    ``packets_dropped_sink_detached`` have no writer and read 0 on every
-    run.  They stay so the counter set and the telemetry series keep
-    their names until the counter set is settled.
     """
 
     packets_sent: int = 0
-    packets_dropped: int = 0
-    bytes_sent: int = 0
-    packets_dropped_queue_full: int = 0
-    packets_dropped_sink_detached: int = 0
     packets_dropped_loss: int = 0
     packets_dropped_burst: int = 0
     packets_dropped_corrupted: int = 0
     packets_dropped_link_down: int = 0
     packets_delayed_jitter: int = 0
     packets_reordered: int = 0
+
+    @property
+    def packets_dropped(self) -> int:
+        """Unified drop total across every drop reason."""
+        return (
+            self.packets_dropped_loss
+            + self.packets_dropped_burst
+            + self.packets_dropped_corrupted
+            + self.packets_dropped_link_down
+        )
 
     def snapshot(self) -> Dict[str, int]:
         """Flat numeric counters (the uniform telemetry-sampler API).
@@ -109,9 +110,6 @@ class LinkStats:
         return {
             "packets_sent": self.packets_sent,
             "packets_dropped": self.packets_dropped,
-            "bytes_sent": self.bytes_sent,
-            "packets_dropped_queue_full": self.packets_dropped_queue_full,
-            "packets_dropped_sink_detached": self.packets_dropped_sink_detached,
             "packets_dropped_loss": self.packets_dropped_loss,
             "packets_dropped_burst": self.packets_dropped_burst,
             "packets_dropped_corrupted": self.packets_dropped_corrupted,
@@ -455,8 +453,8 @@ class FaultInjectionChannel(SinkDelivery):
 
     Wraps any inner channel (plain, or another fault channel).
     Offered packets traverse the pipeline at send time: the first
-    injector returning ``None`` drops the packet (counted once in
-    ``stats.packets_dropped`` plus the injector's reason counter);
+    injector returning ``None`` drops the packet (counted once, under
+    the injector's reason counter);
     otherwise the injectors' extra delays are summed onto the hop delay
     and the packet is forwarded to the inner channel unchanged.
     """
@@ -487,7 +485,6 @@ class FaultInjectionChannel(SinkDelivery):
         for injector in self.injectors:
             verdict = injector.assess(now, stats)
             if verdict is None:
-                stats.packets_dropped += 1
                 return
             extra += verdict
         if extra > 0.0:

@@ -32,7 +32,6 @@ class NetworkNode:
         self.name = name
         self._addresses: List[IPv6Address] = []
         self._fabric = None  # type: Optional["LANFabric"]
-        self.packets_sent = 0
 
     # ------------------------------------------------------------------
     # address / fabric management

@@ -35,7 +35,6 @@ class ListenBacklog:
         self.abort_on_overflow = abort_on_overflow
         self._queue: Deque[int] = deque()
         self._members: set = set()
-        self.total_admitted = 0
         self.total_rejected = 0
 
     # ------------------------------------------------------------------
@@ -68,7 +67,6 @@ class ListenBacklog:
             )
         self._queue.append(connection_id)
         self._members.add(connection_id)
-        self.total_admitted += 1
         return True
 
     # ------------------------------------------------------------------

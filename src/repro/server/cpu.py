@@ -16,8 +16,8 @@ Two CPU models are provided:
   completion (run-to-completion scheduling).
 
 Both expose the same interface, ``add_job(job_id, demand, on_complete)``
-and ``set_speed``, and both keep a busy-core-time integral so
-experiments can report CPU utilization.
+and ``set_speed``.  Neither keeps utilization history: the load a figure
+plots is sampled off the scoreboard by ``ServerLoadSampler``.
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ _INFINITY = float("inf")
 class _Job:
     """Internal per-job state."""
 
-    demand: float
     remaining: float
     on_complete: JobCompletionCallback
-    submitted_at: float
 
 
 class CPUModel:
@@ -76,24 +74,6 @@ class CPUModel:
         #: (completions are rescheduled on every job arrival, so the
         #: label is formatted once, not once per reschedule).
         self._completion_label = f"{name}-completion"
-        self.jobs_completed = 0
-        self.busy_core_seconds = 0.0
-        self._last_accounting = simulator.now
-
-    # -- utilization accounting ----------------------------------------
-    def _account_busy_time(self, active_jobs: int) -> None:
-        now = self.simulator.now
-        elapsed = now - self._last_accounting
-        if elapsed > 0:
-            self.busy_core_seconds += elapsed * min(self.num_cores, active_jobs)
-        self._last_accounting = now
-
-    def utilization(self) -> float:
-        """Mean fraction of core capacity used since time 0."""
-        horizon = self.simulator.now
-        if horizon <= 0:
-            return 0.0
-        return self.busy_core_seconds / (horizon * self.num_cores)
 
     # -- interface ------------------------------------------------------
     def add_job(
@@ -143,7 +123,7 @@ class ProcessorSharingCPU(CPUModel):
         """The one place the job set or the rate changes, in one frame.
 
         Charges the CPU progress made since the last change to every
-        active job (and the busy-time integral), applies the change —
+        active job, applies the change —
         an arriving ``job``, a new ``speed``, or, called with neither,
         the completion event firing — and re-arms the single completion
         entry for the earliest finish.  Completed jobs' callbacks run
@@ -155,12 +135,8 @@ class ProcessorSharingCPU(CPUModel):
         active = len(jobs)
         cores = self.num_cores
         rate = self.speed * (1.0 if cores >= active else cores / active)
-        # Charge elapsed progress: busy-core time, then every job at the
-        # per-job rate ``speed * min(1, cores / active)``.
-        elapsed = now - self._last_accounting
-        if elapsed > 0:
-            self.busy_core_seconds += elapsed * (cores if cores < active else active)
-        self._last_accounting = now
+        # Charge elapsed progress to every job at the per-job rate
+        # ``speed * min(1, cores / active)``.
         elapsed = now - self._last_progress
         # ``remaining - 0.0`` is ``remaining``, bit for bit: one loop
         # charges the progress (if any), retires what the completion
@@ -208,7 +184,6 @@ class ProcessorSharingCPU(CPUModel):
             )
 
         for done_id, done in completed:
-            self.jobs_completed += 1
             done.on_complete(done_id)
 
     def add_job(
@@ -219,7 +194,7 @@ class ProcessorSharingCPU(CPUModel):
         if job_id in self._jobs:
             raise ServerError(f"job {job_id!r} is already running on {self.name!r}")
         # Positional: a class call with keywords allocates a dict per job.
-        self._replan(job_id, _Job(demand, demand, on_complete, self.simulator.clock._now))
+        self._replan(job_id, _Job(demand, on_complete))
 
     def set_speed(self, speed: float) -> None:
         if speed <= 0:
@@ -258,13 +233,7 @@ class FIFOCPU(CPUModel):
             raise ServerError(f"job demand must be positive, got {demand!r}")
         if job_id in self._running or job_id in self._queued_jobs:
             raise ServerError(f"job {job_id!r} is already running on {self.name!r}")
-        self._account_busy_time(len(self._running))
-        job = _Job(
-            demand=demand,
-            remaining=demand,
-            on_complete=on_complete,
-            submitted_at=self.simulator.clock._now,
-        )
+        job = _Job(demand, on_complete)
         if len(self._running) < self.num_cores:
             self._start(job_id, job)
         else:
@@ -281,10 +250,8 @@ class FIFOCPU(CPUModel):
         self._running_events[job_id] = handle
 
     def _complete(self, job_id: int) -> None:
-        self._account_busy_time(len(self._running))
         job = self._running.pop(job_id)
         self._running_events.pop(job_id, None)
-        self.jobs_completed += 1
         self._dequeue_next()
         job.on_complete(job_id)
 

@@ -67,10 +67,8 @@ class ServerConnection:
     request_id: Optional[int]
     arrived_at: float
     worker_slot: Optional[int] = None
-    accepted_at: Optional[float] = None
     request_received: bool = False
     service_started_at: Optional[float] = None
-    completed_at: Optional[float] = None
     demand: Optional[float] = None
 
 
@@ -91,7 +89,6 @@ class ServerAppStats:
     requests_served: int = 0
     total_service_demand: float = 0.0
     total_sojourn_time: float = 0.0
-    peak_concurrent_connections: int = 0
 
     def snapshot(self) -> Dict[str, float]:
         """Flat numeric counters (the uniform telemetry-sampler API)."""
@@ -103,7 +100,6 @@ class ServerAppStats:
             "requests_served": self.requests_served,
             "total_service_demand": self.total_service_demand,
             "total_sojourn_time": self.total_sojourn_time,
-            "peak_concurrent_connections": self.peak_concurrent_connections,
         }
 
 
@@ -231,11 +227,8 @@ class HTTPServerInstance:
             transport.send_reset(connection)
             return connection
 
-        connections = self._connections
-        connections[connection_id] = connection
+        self._connections[connection_id] = connection
         self._by_flow[flow_key] = connection_id
-        if len(connections) > stats.peak_concurrent_connections:
-            stats.peak_concurrent_connections = len(connections)
         transport.send_syn_ack(connection)
         self._accept_ready_connections()
         return connection
@@ -273,7 +266,6 @@ class HTTPServerInstance:
             connection_id = backlog.pop_next()
             connection = self._connections[connection_id]
             connection.worker_slot = workers.acquire()
-            connection.accepted_at = self._clock._now
             if connection.request_received:
                 self._start_service(connection)
             elif self.request_timeout is not None:
@@ -325,11 +317,10 @@ class HTTPServerInstance:
                 f"CPU completed unknown connection {connection_id!r} on {self.name!r}"
             )
         self._by_flow.pop(connection.flow_key, None)
-        now = connection.completed_at = self._clock._now
         stats = self.stats
         stats.requests_served += 1
         stats.total_service_demand += connection.demand or 0.0
-        stats.total_sojourn_time += now - connection.arrived_at
+        stats.total_sojourn_time += self._clock._now - connection.arrived_at
         transport = self.transport or self._require_transport()
         transport.send_response(connection, self.response_payload_size)
         if connection.worker_slot is not None:

@@ -7,9 +7,9 @@ directly — "done through shared memory, this incurs no system calls or
 synchronization" — to learn how many worker threads are busy.
 
 In the simulation the scoreboard is a plain in-process object updated by
-the worker pool and read by the application agent.  It also keeps simple
-aggregate statistics (peak busy workers, busy-worker time integral) that
-the metrics pipeline uses for Figure 4.
+the worker pool and read by the application agent (and by the telemetry
+probe's busy-fraction gauge).  It keeps no history: Figure 4's load
+curves come from ``ServerLoadSampler``, which samples the busy count.
 
 Mirroring the real thing, the slot column is a flat ``array('B')`` of
 0/1 flags rather than a list of enum members: every request start and
@@ -21,7 +21,6 @@ worker instead of one pointer).
 from __future__ import annotations
 
 from array import array
-from typing import Dict
 
 from repro.errors import ServerError
 from repro.sim.clock import SimulationClock
@@ -38,7 +37,8 @@ class Scoreboard:
     Parameters
     ----------
     clock:
-        Simulation clock, used to maintain the busy-time integral.
+        Simulation clock (kept for the constructor's signature; the
+        scoreboard holds no time-based state).
     num_slots:
         Number of worker slots (the server's ``MaxRequestWorkers``).
     """
@@ -46,14 +46,10 @@ class Scoreboard:
     def __init__(self, clock: SimulationClock, num_slots: int) -> None:
         if num_slots <= 0:
             raise ServerError(f"scoreboard needs at least one slot, got {num_slots!r}")
-        self._clock = clock
         self._slots = array("B", bytes(num_slots))
         #: Number of busy worker slots right now: a plain attribute, so
         #: the acceptance policy's read per offer is not a call.
         self.busy_count = 0
-        self._peak_busy = 0
-        self._busy_time_integral = 0.0
-        self._last_change = clock.now
 
     # ------------------------------------------------------------------
     # slot updates (called by the worker pool)
@@ -74,26 +70,11 @@ class Scoreboard:
             )
         if slots[slot] == state:
             return
-        # _accumulate(), inlined: this runs twice per request.
-        now = self._clock._now
-        elapsed = now - self._last_change
-        if elapsed > 0:
-            self._busy_time_integral += elapsed * self.busy_count
-        self._last_change = now
         slots[slot] = state
         if state == _BUSY:
             self.busy_count += 1
-            if self.busy_count > self._peak_busy:
-                self._peak_busy = self.busy_count
         else:
             self.busy_count -= 1
-
-    def _accumulate(self) -> None:
-        now = self._clock._now
-        elapsed = now - self._last_change
-        if elapsed > 0:
-            self._busy_time_integral += elapsed * self.busy_count
-        self._last_change = now
 
     # ------------------------------------------------------------------
     # reads (what the application agent exposes to the virtual router)
@@ -103,40 +84,5 @@ class Scoreboard:
         """Total number of worker slots."""
         return len(self._slots)
 
-    @property
-    def idle_count(self) -> int:
-        """Number of idle worker slots right now."""
-        return len(self._slots) - self.busy_count
-
-    @property
-    def peak_busy(self) -> int:
-        """Highest number of simultaneously busy workers observed."""
-        return self._peak_busy
-
-    def snapshot(self) -> Dict[str, int]:
-        """Flat numeric counters (the uniform telemetry-sampler API).
-
-        The same ``name -> number`` shape as ``LinkStats.snapshot`` and
-        ``LoadBalancerStats.snapshot``; the telemetry probe reads the
-        fleet's busy fraction from these entries every sampling tick.
-        """
-        return {
-            "slots": self.num_slots,
-            "busy": self.busy_count,
-            "idle": self.idle_count,
-            "peak_busy": self.peak_busy,
-        }
-
-    def mean_busy(self) -> float:
-        """Time-averaged number of busy workers since time 0."""
-        self._accumulate()
-        horizon = self._clock.now
-        if horizon <= 0:
-            return 0.0
-        return self._busy_time_integral / horizon
-
     def __repr__(self) -> str:
-        return (
-            f"Scoreboard(slots={self.num_slots}, busy={self.busy_count}, "
-            f"peak={self.peak_busy})"
-        )
+        return f"Scoreboard(slots={self.num_slots}, busy={self.busy_count})"

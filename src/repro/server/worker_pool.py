@@ -34,7 +34,6 @@ class WorkerPool:
         self._free_slots: List[int] = list(range(scoreboard.num_slots))
         # Keep free slots sorted so acquisition order is deterministic.
         self._free_slots.reverse()
-        self.total_acquisitions = 0
 
     @property
     def num_workers(self) -> int:
@@ -57,7 +56,6 @@ class WorkerPool:
             return None
         slot = self._free_slots.pop()
         self._scoreboard._set_state(slot, _BUSY)  # mark_busy without its frame
-        self.total_acquisitions += 1
         return slot
 
     def release(self, slot: int) -> None:

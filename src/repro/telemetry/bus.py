@@ -3,7 +3,7 @@
 Every other metric in the reproduction is scraped after the fact — the
 collector, the load sampler and the per-node stats records are all read
 once the event heap has drained.  The bus is the in-sim counterpart: a
-registry of named per-tier series (counters and gauges) that a periodic
+registry of named series (counters and gauges) that a periodic
 sampling task appends to while the simulation runs, each backed by a
 bounded numeric ring buffer so a million-event run costs no more
 memory than its capacity (and a smoke test only what it sampled).
@@ -98,18 +98,20 @@ class RingBuffer:
 
 
 class TelemetrySeries:
-    """One named stream on the bus: a kind, a tier label, and a ring."""
+    """One named stream on the bus: a kind and a ring.
 
-    __slots__ = ("name", "kind", "tier", "ring")
+    The name is ``<tier>.<counter>``: a series' tier is its prefix.
+    """
 
-    def __init__(self, name: str, kind: str, tier: str, capacity: int) -> None:
+    __slots__ = ("name", "kind", "ring")
+
+    def __init__(self, name: str, kind: str, capacity: int) -> None:
         if kind not in SERIES_KINDS:
             raise TelemetryError(
                 f"series kind must be one of {SERIES_KINDS}, got {kind!r}"
             )
         self.name = name
         self.kind = kind
-        self.tier = tier
         self.ring = RingBuffer(capacity)
 
     def record(self, time: float, value: float) -> None:
@@ -127,7 +129,7 @@ class TelemetrySeries:
     def __repr__(self) -> str:
         return (
             f"TelemetrySeries(name={self.name!r}, kind={self.kind!r}, "
-            f"tier={self.tier!r}, samples={len(self.ring)})"
+            f"samples={len(self.ring)})"
         )
 
 
@@ -149,13 +151,12 @@ class TelemetryBus:
         self._series: Dict[str, TelemetrySeries] = {}
 
     def record(
-        self, name: str, time: float, value: float, kind: str = "gauge",
-        tier: str = "",
+        self, name: str, time: float, value: float, kind: str = "gauge"
     ) -> None:
         """Append one sample, creating the series on first use."""
         series = self._series.get(name)
         if series is None:
-            series = TelemetrySeries(name, kind, tier, self.capacity)
+            series = TelemetrySeries(name, kind, self.capacity)
             self._series[name] = series
         elif series.kind != kind:
             raise TelemetryError(
@@ -191,21 +192,18 @@ class TelemetryBus:
         """Snapshot every series into a picklable payload."""
         names: List[str] = []
         kinds: List[str] = []
-        tiers: List[str] = []
         times: List[np.ndarray] = []
         values: List[np.ndarray] = []
         for series in self._series.values():
             series_times, series_values = series.ring.export()
             names.append(series.name)
             kinds.append(series.kind)
-            tiers.append(series.tier)
             times.append(series_times)
             values.append(series_values)
         return TelemetryPayload(
             capacity=self.capacity,
             names=tuple(names),
             kinds=tuple(kinds),
-            tiers=tuple(tiers),
             times=tuple(times),
             values=tuple(values),
             anomalies=tuple(anomalies),
@@ -230,7 +228,6 @@ class TelemetryPayload:
     capacity: int
     names: Tuple[str, ...]
     kinds: Tuple[str, ...]
-    tiers: Tuple[str, ...]
     times: Tuple[np.ndarray, ...]
     values: Tuple[np.ndarray, ...]
     anomalies: Tuple[AnomalyEvent, ...] = ()
@@ -267,7 +264,6 @@ class TelemetryPayload:
         capacity = max(payload.capacity for payload in payloads)
         names: List[str] = []
         kinds: Dict[str, str] = {}
-        tiers: Dict[str, str] = {}
         chunks: Dict[str, List[Tuple[np.ndarray, np.ndarray]]] = {}
         for payload in payloads:
             for index, name in enumerate(payload.names):
@@ -275,7 +271,6 @@ class TelemetryPayload:
                 if name not in chunks:
                     names.append(name)
                     kinds[name] = kind
-                    tiers[name] = payload.tiers[index]
                     chunks[name] = []
                 elif kinds[name] != kind:
                     raise TelemetryError(
@@ -304,7 +299,6 @@ class TelemetryPayload:
             capacity=capacity,
             names=tuple(names),
             kinds=tuple(kinds[name] for name in names),
-            tiers=tuple(tiers[name] for name in names),
             times=tuple(merged_times),
             values=tuple(merged_values),
             anomalies=anomalies,
@@ -322,7 +316,6 @@ class TelemetryPayload:
                 {
                     "name": self.names[index],
                     "kind": self.kinds[index],
-                    "tier": self.tiers[index],
                     "times": [float(t) for t in self.times[index]],
                     "values": [float(v) for v in self.values[index]],
                 }
@@ -345,7 +338,11 @@ class TelemetryPayload:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "TelemetryPayload":
-        """Rebuild a payload from :meth:`to_json_dict` output."""
+        """Rebuild a payload from :meth:`to_json_dict` output.
+
+        A ``tier`` key on a series (written by earlier versions, before
+        a series' tier became its name's prefix) is ignored.
+        """
         try:
             series = data["series"]
             capacity = int(data["capacity"])
@@ -357,7 +354,6 @@ class TelemetryPayload:
             capacity=capacity,
             names=tuple(entry["name"] for entry in series),
             kinds=tuple(entry["kind"] for entry in series),
-            tiers=tuple(entry.get("tier", "") for entry in series),
             times=tuple(
                 np.asarray(entry["times"], dtype=np.float64) for entry in series
             ),

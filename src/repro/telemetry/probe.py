@@ -6,14 +6,16 @@
 owns the run's :class:`~repro.telemetry.bus.TelemetryBus`, its
 :class:`~repro.telemetry.recorder.FlightRecorder`, and an
 :class:`~repro.telemetry.anomaly.AnomalyMonitor`, and drives one
-periodic sim task that snapshots every tier through the uniform
-``snapshot()`` counter API:
+periodic sim task that records, each tick:
 
-* edge router — ECMP forward/return totals and the next-hop spread;
-* LB tier — SYN dispatch, Service Hunting acceptances, steering misses;
-* server tier — fleet busy fraction, backlog depth, served/reset/shed;
-* fabric and fault plane — per-reason drop/delay counters;
-* client — SYN retransmissions, retries, give-ups.
+* every entry of :meth:`~repro.experiments.platform.Testbed.counters`,
+  under its own ``<tier>.<counter>`` name (so the streamed series and
+  the run's final counters share one vocabulary, and a series' tier is
+  its name's prefix);
+* three gauges the counters do not hold: the fleet's busy fraction
+  (``server.busy_fraction``), its summed backlog depth
+  (``server.backlog_depth``) and, in tier deployments, the ECMP edge's
+  largest next-hop share (``edge.spread``).
 
 The sampling callback only *reads* simulation state and draws no
 randomness, so an attached probe never changes run outcomes — the
@@ -23,7 +25,7 @@ exactly this.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.sim.engine import PeriodicTask
 from repro.telemetry import runtime
@@ -33,6 +35,10 @@ from repro.telemetry.recorder import FlightRecorder
 
 #: Series the anomaly monitor watches by default.
 DEFAULT_WATCHED = ("server.busy_fraction", "server.backlog_depth")
+
+#: The :meth:`Testbed.counters` entries that are levels, not running
+#: totals: streamed as gauges.
+LEVELS = frozenset({"flow.entries_live"})
 
 
 class TelemetryProbe:
@@ -93,75 +99,32 @@ class TelemetryProbe:
     # the sampling tick
     # ------------------------------------------------------------------
     def sample(self) -> None:
-        """Snapshot every tier onto the bus (read-only, no RNG)."""
+        """Record the testbed's counters and gauges (read-only, no RNG)."""
         testbed = self.testbed
         now = testbed.simulator.now
         bus = self.bus
         self.samples_taken += 1
 
-        # Edge router (tier deployments only): ECMP totals and spread.
-        tier = testbed.lb_tier
-        if tier is not None:
-            edge = tier.router.stats.snapshot()
-            for name, value in edge.items():
-                bus.record(f"edge.{name}", now, value, kind="counter", tier="edge")
-            shares = tier.router.stats.per_next_hop
-            total = sum(shares.values())
-            spread = max(shares.values()) / total if total else 0.0
-            bus.record("edge.spread", now, spread, tier="edge")
-
-        # LB tier: summed instance counters through the uniform API.
-        lb_totals: Dict[str, float] = {}
-        for instance in testbed.load_balancers():
-            for name, value in instance.stats.snapshot().items():
-                lb_totals[name] = lb_totals.get(name, 0) + value
-        for name, value in lb_totals.items():
-            bus.record(f"lb.{name}", now, value, kind="counter", tier="lb")
-
-        # Server tier: busy fraction and backlog as gauges, the HTTP
-        # counters as cumulative totals.
-        busy = 0
-        slots = 0
-        backlog = 0
-        http_totals: Dict[str, float] = {}
-        for server in testbed.servers:
-            board = server.app.scoreboard.snapshot()
-            busy += board["busy"]
-            slots += board["slots"]
-            backlog += server.app.backlog.depth
-            for name, value in server.app.stats.snapshot().items():
-                http_totals[name] = http_totals.get(name, 0) + value
-        bus.record(
-            "server.busy_fraction", now, busy / slots if slots else 0.0,
-            tier="server",
-        )
-        bus.record("server.backlog_depth", now, float(backlog), tier="server")
-        for name, value in http_totals.items():
+        for name, value in testbed.counters().items():
             bus.record(
-                f"server.{name}", now, value, kind="counter", tier="server"
+                name, now, value, kind="gauge" if name in LEVELS else "counter"
             )
 
-        # Fabric and (when installed) the fault plane: drop reasons.
-        for name, value in testbed.fabric.stats.snapshot().items():
-            bus.record(f"fabric.{name}", now, value, kind="counter", tier="net")
-        if testbed.fault_pipeline is not None:
-            for name, value in testbed.fault_pipeline.stats.snapshot().items():
-                bus.record(f"fault.{name}", now, value, kind="counter", tier="net")
-
-        # Client: retransmission and retry pressure.
-        client = testbed.client
-        bus.record(
-            "client.syn_retransmits", now, client.syn_retransmits,
-            kind="counter", tier="client",
-        )
-        bus.record(
-            "client.queries_retried", now, client.queries_retried,
-            kind="counter", tier="client",
-        )
-        bus.record(
-            "client.queries_gave_up", now, client.queries_gave_up,
-            kind="counter", tier="client",
-        )
+        busy = slots = backlog = 0
+        for server in testbed.servers:
+            app = server.app
+            busy += app.scoreboard.busy_count
+            slots += app.scoreboard.num_slots
+            backlog += app.backlog.depth
+        bus.record("server.busy_fraction", now, busy / slots if slots else 0.0)
+        bus.record("server.backlog_depth", now, float(backlog))
+        tier = testbed.lb_tier
+        if tier is not None:
+            shares = tier.router.stats.per_next_hop
+            total = sum(shares.values())
+            bus.record(
+                "edge.spread", now, max(shares.values()) / total if total else 0.0
+            )
 
         # Anomaly detection over the watched gauges.
         for series in self.anomalies.watched():

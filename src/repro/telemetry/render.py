@@ -149,7 +149,7 @@ def render_dashboard(
             parts.append(
                 f"<tr><td>{html.escape(name)}</td>"
                 f"<td>{payload.kinds[index]}</td>"
-                f"<td>{html.escape(payload.tiers[index])}</td>"
+                f"<td>{html.escape(name.partition('.')[0])}</td>"
                 f"<td>{values.size}</td><td>{last}</td>"
                 f"<td>{_svg_chart(payload.times[index], values)}</td></tr>"
             )

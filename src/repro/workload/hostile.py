@@ -329,7 +329,6 @@ class SynFloodAttacker(NetworkNode):
         self.add_address(address)
         self.flows: Tuple[FlowKey, ...] = tuple(flows)
         self.syns_sent = 0
-        self.replies_received = 0
 
     def schedule_flood(
         self,
@@ -371,8 +370,8 @@ class SynFloodAttacker(NetworkNode):
 
     def handle_packet(self, packet: Packet) -> None:
         # Only possible when a flow spoofs the attacker's own address;
-        # counted for diagnostics, otherwise ignored.
-        self.replies_received += 1
+        # ignored.
+        pass
 
     def __repr__(self) -> str:
         return (

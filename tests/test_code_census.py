@@ -31,7 +31,13 @@ sets it: a keyword (or a position) in a call of its class, or a keyword
 of a ``replace`` call (matched by bare name, whatever the object).  A
 value nothing sets is a constant of the module that reads it.
 
-``python tests/test_code_census.py`` (``make census``) prints the three
+**Counters.**  An attribute that ``src/`` increments (``x.attr += ...``)
+must be read: loaded somewhere in ``src/`` (matched by bare name), or be
+a field of a dataclass that ``src/`` passes to ``asdict``.  A count
+nothing reads costs a write per event and says nothing; it is deleted,
+or listed in :data:`ALLOWED_COUNTERS` under one of the :data:`REASONS`.
+
+``python tests/test_code_census.py`` (``make census``) prints the four
 reports, with where each unreferenced name is still reached outside
 ``src/``.
 """
@@ -57,9 +63,9 @@ EXAMPLES = "the examples' public API"
 SMOKE = "the smoke_config protocol"
 CLOSED_FORM = "a closed form the claims ledger will give a caller"
 REACHED_BY_PERF = "reached by benchmarks/perf; it goes with the benchmark's next edition"
-HOT_PATH = "reads a counter the replay hot path keeps; the two leave together"
 GOLDENS = "the chaos goldens' fingerprint"
-REASONS = (EXAMPLES, SMOKE, CLOSED_FORM, REACHED_BY_PERF, HOT_PATH, GOLDENS)
+WITNESS = "a test's witness that a path ran (or did not)"
+REASONS = (EXAMPLES, SMOKE, CLOSED_FORM, REACHED_BY_PERF, GOLDENS, WITNESS)
 
 #: Definitions nothing in ``src/`` reaches, and why each stays: one of
 #: :data:`REASONS`, then where.  An override of a listed method shares
@@ -72,6 +78,7 @@ ALLOWED = {
     "LANFabric.add_tap": (EXAMPLES, "examples/service_hunting_walkthrough.py"),
     "RequestOutcome.response_time": (EXAMPLES, "examples/service_hunting_walkthrough.py"),
     "ResponseTimeCollector.outcomes": (EXAMPLES, "examples/service_hunting_walkthrough.py"),
+    "ServiceHuntingStats.offers_received": (EXAMPLES, "examples/service_hunting_walkthrough.py"),
     "ScenarioSpec.smoke_config": (SMOKE, "every test that runs a family small"),
     "mmc_metrics": (CLOSED_FORM, "FIFOCPU with c cores against M/M/c"),
     "mmck_blocking_probability": (CLOSED_FORM, "finite backlog against M/M/c/K"),
@@ -86,15 +93,6 @@ ALLOWED = {
     "Scoreboard.mark_idle": (REACHED_BY_PERF, "micro.py"),
     "Simulator.batch_stats": (REACHED_BY_PERF, "tracing.py"),
     "make_pod_trace": (REACHED_BY_PERF, "tracing.py"),
-    "Scoreboard.mean_busy": (HOT_PATH, "the busy-time integral, kept on every toggle"),
-    "CPUModel.utilization": (HOT_PATH, "the busy-core integral, kept on every job arrival and end"),
-    "StaticThresholdPolicy.acceptance_ratio": (HOT_PATH, "the accept counters, kept per offer"),
-    "LANFabric.detach_node": (
-        HOT_PATH,
-        "the only writer of fabric.packets_dropped_sink_detached, a reason the "
-        "fabric's counter set reports; it retargets the in-flight deliveries "
-        "once, so no hop checks it, and it is settled with the counter set",
-    ),
     "outcome_fingerprint": (GOLDENS, "tests/test_scenario_golden.py, benchmarks/bench_chaos.py"),
 }
 
@@ -102,6 +100,18 @@ ALLOWED = {
 ALLOWED_KNOBS = {
     "make_syn(created_at=)": (REACHED_BY_PERF, "micro.py"),
     "PacketPool.acquire_segment(payload_size=)": (REACHED_BY_PERF, "micro.py, via make_syn"),
+}
+
+#: Counters ``src/`` increments and nothing in ``src/`` reads, and why
+#: each stays.
+ALLOWED_COUNTERS = {
+    "ServiceHuntingStats.refused_draining": (WITNESS, "tests/test_control_drain_midflow.py"),
+    "ServerNode.stray_data_resets": (
+        WITNESS, "tests/test_control_drain_midflow.py, tests/test_adversarial_regression.py"
+    ),
+    "Autoscaler.suppressed_actions": (WITNESS, "tests/test_control_plane.py"),
+    "PacketPool.released": (REACHED_BY_PERF, "micro.py"),
+    "PacketPool.reused": (REACHED_BY_PERF, "micro.py"),
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -419,10 +429,105 @@ def unset_fields():
 
 
 # ----------------------------------------------------------------------
+# counters
+# ----------------------------------------------------------------------
+def _declared(tree):
+    """``{attr: {class}}``: dataclass fields and ``self.attr = ...`` of each class."""
+    declared = defaultdict(set)
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                declared[item.target.id].add(node.name)
+        for item in ast.walk(node):
+            targets = item.targets if isinstance(item, ast.Assign) else []
+            for target in targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                ):
+                    declared[target.attr].add(node.name)
+    return declared
+
+
+def _dataclass_fields(tree):
+    """``{class: [field]}`` of the dataclasses ``tree`` defines."""
+    return {
+        node.name: [
+            item.target.id
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        ]
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+    }
+
+
+def _counter_census(trees):
+    """``(increments, read)`` of ``trees`` (module → AST).
+
+    ``increments`` maps ``Class.attr`` (the class declaring the attribute,
+    or the bare attribute when no class does) to ``(module, line)`` of its
+    first ``+=``; ``read`` is every bare attribute name ``src/`` loads,
+    plus the fields of each dataclass passed to ``asdict``: an
+    ``asdict(x.attr)`` call whose module assigns ``x.attr = Class(...)``.
+    """
+    declared, fields = defaultdict(set), {}
+    for tree in trees.values():
+        for attr, owners in _declared(tree).items():
+            declared[attr] |= owners
+        fields.update(_dataclass_fields(tree))
+    increments, read = {}, set()
+    for module, tree in trees.items():
+        built = defaultdict(set)
+        dumped = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+                target = node.target
+                if isinstance(target, ast.Attribute):
+                    for owner in declared.get(target.attr) or {None}:
+                        key = target.attr if owner is None else f"{owner}.{target.attr}"
+                        increments.setdefault(key, (module, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                callee = _callee(node.value.func)
+                for target in node.targets:
+                    if isinstance(target, ast.Attribute) and callee:
+                        built[target.attr].add(callee)
+            elif isinstance(node, ast.Call) and _callee(node.func) == "asdict" and node.args:
+                dumped.update(
+                    arg.attr for arg in node.args[:1] if isinstance(arg, ast.Attribute)
+                )
+        for attr in dumped:
+            for cls in built[attr]:
+                read.update(fields.get(cls, ()))
+    return increments, read
+
+
+def unread_counters(allowed=ALLOWED_COUNTERS):
+    """``{"Class.attr": (module, line)}`` of the counters nothing in ``src/`` reads."""
+    trees = {str(path.relative_to(SRC)): _tree(path) for path in sorted(SRC.rglob("*.py"))}
+    increments, read = _counter_census(trees)
+    return {
+        key: where
+        for key, where in increments.items()
+        if key.split(".")[-1] not in read and key not in allowed
+    }
+
+
+# ----------------------------------------------------------------------
 # the census
 # ----------------------------------------------------------------------
 def test_src_keeps_no_name_that_nothing_runs():
     assert sorted(_unreferenced_names()) == []
+
+
+def test_src_keeps_no_counter_that_nothing_reads():
+    assert sorted(unread_counters()) == []
 
 
 def test_src_keeps_no_knob_that_nothing_turns():
@@ -441,10 +546,11 @@ def test_every_allow_listed_name_needs_its_entry():
     for name in ALLOWED:
         assert name in _unreferenced_names({n: r for n, r in ALLOWED.items() if n != name}), name
     assert set(ALLOWED_KNOBS) <= set(unpassed(allowed={}))
+    assert set(ALLOWED_COUNTERS) <= set(unread_counters(allowed={}))
 
 
 def test_every_allow_list_entry_gives_a_listed_reason():
-    for name, (reason, _where) in {**ALLOWED, **ALLOWED_KNOBS}.items():
+    for name, (reason, _where) in {**ALLOWED, **ALLOWED_KNOBS, **ALLOWED_COUNTERS}.items():
         assert reason in REASONS, name
 
 
@@ -736,6 +842,53 @@ def test_a_constructor_or_replace_call_sets_a_field(monkeypatch):
     assert _fields_of(monkeypatch, config, b=caller) == {"Config.fourth", "Config.fifth"}
 
 
+def _counters_of(**modules):
+    """The counter census of ``modules`` (name → source): ``(increments, read)``."""
+    trees = {f"{name}.py": ast.parse(textwrap.dedent(text)) for name, text in modules.items()}
+    increments, read = _counter_census(trees)
+    return {key for key in increments if key.split(".")[-1] not in read}
+
+
+def test_a_counter_is_kept_by_a_load_and_not_by_its_own_increment():
+    unread = _counters_of(
+        a="""
+        class Stats:
+            def __init__(self):
+                self.seen = 0
+                self.shown = 0
+            def bump(self):
+                self.seen += 1
+                self.shown += 1
+            def report(self):
+                return self.shown
+        """,
+    )
+    assert unread == {"Stats.seen"}
+
+
+def test_a_field_of_a_dataclass_passed_to_asdict_is_read():
+    unread = _counters_of(
+        a="""
+        @dataclass
+        class Totals:
+            added: int = 0
+        @dataclass
+        class Other:
+            lost: int = 0
+        class Tier:
+            def __init__(self):
+                self.stats = Totals()
+                self.spare = Other()
+            def add(self):
+                self.stats.added += 1
+                self.spare.lost += 1
+            def snapshot(self):
+                return asdict(self.stats)
+        """,
+    )
+    assert unread == {"Other.lost"}
+
+
 # ----------------------------------------------------------------------
 # the frozen benchmark's imports
 # ----------------------------------------------------------------------
@@ -763,7 +916,7 @@ def test_every_name_allowed_for_the_benchmark_is_one_it_references():
         for node in ast.walk(_tree(path))
         for name in _referenced_name(node)
     }
-    for entry, (reason, _where) in {**ALLOWED, **ALLOWED_KNOBS}.items():
+    for entry, (reason, _where) in {**ALLOWED, **ALLOWED_KNOBS, **ALLOWED_COUNTERS}.items():
         if reason == REACHED_BY_PERF:
             # The name itself, or (for a method) its class.
             names = entry.split("(")[0].split(".")
@@ -910,7 +1063,8 @@ def _reached_outside():
 
 
 def report():
-    """The census as text: unreferenced names (listed or not), unturned knobs, unset fields."""
+    """The census as text: unreferenced names (listed or not), unturned knobs,
+    unread counters, unset fields."""
     reached = _reached_outside()
     found = unreferenced(allowed={})
     # A class's methods go with it; report the class only.
@@ -940,6 +1094,12 @@ def report():
     lines.append(f"Defaulted parameters nothing passes ({len(knobs)}):")
     for key, (module, line) in sorted(knobs.items(), key=lambda item: item[1]):
         entry = ALLOWED_KNOBS.get(key)
+        suffix = f" [{entry[0]}: {entry[1]}]" if entry else ""
+        lines.append(f"  {module}:{line} {key}{suffix}")
+    counters = unread_counters(allowed={})
+    lines.append(f"Counters nothing in src/ reads ({len(counters)}):")
+    for key, (module, line) in sorted(counters.items(), key=lambda item: item[1]):
+        entry = ALLOWED_COUNTERS.get(key)
         suffix = f" [{entry[0]}: {entry[1]}]" if entry else ""
         lines.append(f"  {module}:{line} {key}{suffix}")
     fields, _ = _config_census()

@@ -37,11 +37,9 @@ class TestApplicationAgent:
         agent = ApplicationAgent(StaticLoadView(busy=6, slots=32), cpu_cores=2)
         assert agent.estimated_cpu_load() == pytest.approx(3.0)
 
-    def test_reads_counter(self):
-        agent = ApplicationAgent(StaticLoadView(busy=1, slots=4))
-        agent.busy_threads()
-        _idle_threads(agent)
-        assert agent.reads == 2
+    def test_cpu_cores_below_one_count_as_one(self):
+        agent = ApplicationAgent(StaticLoadView(busy=3, slots=4), cpu_cores=0)
+        assert agent.estimated_cpu_load() == pytest.approx(3.0)
 
     def test_agent_tracks_live_scoreboard(self):
         view = _SettableLoadView(busy=0, slots=4)
@@ -72,16 +70,17 @@ class TestStaticThresholdPolicy:
         agent = ApplicationAgent(StaticLoadView(busy=32, slots=32))
         assert policy.should_accept(agent) is True
 
-    def test_acceptance_ratio_and_reset(self):
+    def test_decisions_keep_no_state(self):
+        """SRc is one comparison: an answer depends on the load alone,
+        whatever was decided before or whether the policy was reset."""
         policy = StaticThresholdPolicy(4)
         busy_agent = ApplicationAgent(StaticLoadView(busy=10, slots=32))
         idle_agent = ApplicationAgent(StaticLoadView(busy=0, slots=32))
-        policy.should_accept(busy_agent)
-        policy.should_accept(idle_agent)
-        assert policy.acceptance_ratio() == pytest.approx(0.5)
+        answers = [policy.should_accept(busy_agent), policy.should_accept(idle_agent)]
         policy.reset()
-        assert policy.decisions == 0
-        assert policy.acceptance_ratio() == 0.0
+        assert answers == [False, True]
+        assert [policy.should_accept(busy_agent), policy.should_accept(idle_agent)] == answers
+        assert policy.describe() == "static threshold c=4"
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(PolicyError):

@@ -28,12 +28,12 @@ class TestLearningAndSteering:
         table = FlowTable()
         table.learn(_flow(1), _server(1), now=0.0)
         assert table.steer(_flow(1), now=1.0) == _server(1)
-        assert table.stats.lookup_hits == 1
+        assert _entry(table, _flow(1)).last_seen == 1.0
 
     def test_steer_unknown_flow_returns_none(self):
         table = FlowTable()
         assert table.steer(_flow(1), now=0.0) is None
-        assert table.stats.lookup_misses == 1
+        assert len(table) == 0
 
     def test_relearning_updates_server(self):
         table = FlowTable()
@@ -49,12 +49,17 @@ class TestLearningAndSteering:
         assert table.remove(_flow(1)) is False
         assert table.steer(_flow(1), now=1.0) is None
 
-    def test_packets_steered_counter(self):
-        table = FlowTable()
+    def test_snapshot_names_every_counter_and_the_live_count(self):
+        table = FlowTable(capacity=1)
         table.learn(_flow(1), _server(1), now=0.0)
-        for step in range(3):
-            table.steer(_flow(1), now=float(step))
-        assert _entry(table, _flow(1)).packets_steered == 3
+        table.learn(_flow(2), _server(2), now=1.0)
+        table.steer(_flow(2), now=2.0)
+        assert table.snapshot() == {
+            "entries_created": 2,
+            "entries_expired": 0,
+            "entries_evicted": 1,
+            "entries_live": 1,
+        }
 
     def test_contains_and_len(self):
         table = FlowTable()

@@ -131,7 +131,7 @@ class TestCrossInstanceLearning:
         # The relay resolves to the owner: the instance that dispatched
         # the SYN is the instance that learned the binding.
         for instance in tier.instances:
-            assert instance.stats.acceptances_learned <= instance.stats.syn_received
+            assert instance.stats.acceptances_learned <= instance.stats.syn_dispatched
 
     def test_owner_learns_the_binding_not_the_relay(self, simulator):
         fabric, tier, servers, client, demands, collector = _build_tier_testbed(simulator)
@@ -194,7 +194,7 @@ class TestChurn:
         newcomer = tier.instance("lb-2")
         # The newcomer took over a share of the flows arriving after it
         # joined (rendezvous hashing moves ~1/3 of the space to it).
-        assert newcomer.stats.syn_received > 0
+        assert newcomer.stats.syn_dispatched > 0
 
 
 class TestStatelessRecovery:

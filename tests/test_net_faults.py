@@ -49,14 +49,12 @@ class TestLinkStats:
     def test_snapshot_names_every_field_in_order(self):
         # The fault.* counters and the telemetry series are read through
         # the snapshot, so no field may go missing from it.
+        # packets_dropped is derived (the sum of the reasons) and follows
+        # packets_sent.
         names = [field.name for field in dataclasses.fields(LinkStats)]
-        assert list(LinkStats().snapshot()) == names
+        assert list(LinkStats().snapshot()) == [names[0], "packets_dropped", *names[1:]]
         assert names == [
             "packets_sent",
-            "packets_dropped",
-            "bytes_sent",
-            "packets_dropped_queue_full",
-            "packets_dropped_sink_detached",
             "packets_dropped_loss",
             "packets_dropped_burst",
             "packets_dropped_corrupted",
@@ -65,7 +63,7 @@ class TestLinkStats:
             "packets_reordered",
         ]
 
-    def test_the_counters_no_injector_writes_stay_zero(self):
+    def test_packets_dropped_is_the_sum_of_the_drop_reasons(self):
         simulator = Simulator(seed=1)
         config = FaultConfig(
             loss_rate=0.3, burst_enter=0.2, corruption_rate=0.1,
@@ -84,9 +82,11 @@ class TestLinkStats:
         snapshot = pipeline.stats.snapshot()
         assert snapshot["packets_sent"] == 200
         assert snapshot["packets_dropped"] > 0
-        assert snapshot["bytes_sent"] == 0
-        assert snapshot["packets_dropped_queue_full"] == 0
-        assert snapshot["packets_dropped_sink_detached"] == 0
+        assert snapshot["packets_dropped"] == sum(
+            value for name, value in snapshot.items()
+            if name.startswith("packets_dropped_")
+        )
+        assert len(sink.received) == 200 - snapshot["packets_dropped"]
 
 
 class TestInjectors:

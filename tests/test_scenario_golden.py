@@ -120,6 +120,15 @@ def _assert_accounting_identities(run, queries: int) -> None:
         # Without a fault plane nothing is lost, so nothing is served
         # twice: every served request is one completed query.
         assert counters["server.requests_served"] == totals.completed
+        # Every dispatched SYN lands on exactly one server: the last
+        # candidate must accept (the paper's satisfiability, section II-A).
+        assert counters["lb.syn_dispatched"] == counters["server.connections_received"]
+        # Every admitted connection's SYN-ACK teaches an LB its binding.
+        assert counters["lb.acceptances_learned"] == (
+            counters["server.connections_received"]
+            - counters["server.connections_reset"]
+            - counters["server.connections_shed"]
+        )
     else:
         # Every fault drop is filed under exactly one reason.
         assert counters["fault.packets_dropped"] == sum(

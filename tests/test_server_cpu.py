@@ -60,19 +60,23 @@ class TestProcessorSharingCPU:
         with pytest.raises(ServerError):
             cpu.add_job(1, 0.0, lambda j: None)
 
-    def test_jobs_completed_counter(self, simulator):
+    def test_each_job_completes_exactly_once(self, simulator):
         cpu = ProcessorSharingCPU(simulator, num_cores=2)
+        completed = []
         for job_id in range(5):
-            cpu.add_job(job_id, 0.1, lambda j: None)
+            cpu.add_job(job_id, 0.1, completed.append)
         simulator.run()
-        assert cpu.jobs_completed == 5
+        assert sorted(completed) == [0, 1, 2, 3, 4]
 
-    def test_utilization_tracks_busy_cores(self, simulator):
+    def test_set_speed_mid_run_replans_the_completion(self, simulator):
+        # Half of a 1.0 s job runs at speed 1; the other half at speed 2
+        # takes 0.25 s, so the job finishes at 0.75 s.
         cpu = ProcessorSharingCPU(simulator, num_cores=2)
-        cpu.add_job(1, 1.0, lambda j: None)
+        completions = []
+        cpu.add_job(1, 1.0, lambda job_id: completions.append(simulator.now))
+        simulator.schedule_at(0.5, lambda: cpu.set_speed(2.0), label="speed-up")
         simulator.run()
-        # One job on a 2-core CPU for the whole run: 50% utilization.
-        assert cpu.utilization() == pytest.approx(0.5)
+        assert completions == [pytest.approx(0.75)]
 
     def test_a_job_the_clock_cannot_resolve_completes_now(self, simulator):
         # At t = 30000 s one ulp of the clock is 3.6e-12 s: a remaining

@@ -18,7 +18,7 @@ class TestScoreboard:
     def test_starts_all_idle(self, clock):
         board = Scoreboard(clock, 4)
         assert board.busy_count == 0
-        assert board.idle_count == 4
+        assert board.num_slots == 4
 
     def test_mark_busy_and_idle(self, clock):
         board = Scoreboard(clock, 4)
@@ -33,12 +33,11 @@ class TestScoreboard:
         board.mark_busy(1)
         assert board.busy_count == 1
 
-    def test_peak_busy(self, clock):
+    def test_busy_count_follows_the_marks(self, clock):
         board = Scoreboard(clock, 4)
         for slot in range(3):
             board.mark_busy(slot)
         board.mark_idle(0)
-        assert board.peak_busy == 3
         assert board.busy_count == 2
 
     def test_out_of_range_slot_rejected(self, clock):
@@ -50,20 +49,15 @@ class TestScoreboard:
         with pytest.raises(ServerError):
             Scoreboard(clock, 0)
 
-    def test_mean_busy_integrates_over_time(self, clock):
+    def test_marking_an_idle_slot_idle_is_a_no_op(self, clock):
         board = Scoreboard(clock, 4)
-        board.mark_busy(0)
-        clock.advance(2.0)
-        board.mark_busy(1)
-        clock.advance(4.0)
-        # 1 busy for 2 s, then 2 busy for 2 s -> mean = (2 + 4) / 4 = 1.5
-        assert board.mean_busy() == pytest.approx(1.5)
+        board.mark_idle(0)
+        assert board.busy_count == 0
 
-    def test_snapshot(self, clock):
+    def test_out_of_range_idle_mark_rejected(self, clock):
         board = Scoreboard(clock, 4)
-        board.mark_busy(0)
-        snapshot = board.snapshot()
-        assert snapshot == {"slots": 4, "busy": 1, "idle": 3, "peak_busy": 1}
+        with pytest.raises(ServerError):
+            board.mark_idle(-1)
 
 
 class TestWorkerPool:
@@ -95,12 +89,11 @@ class TestWorkerPool:
         pool.release(slot)
         assert board.busy_count == 0
 
-    def test_acquisition_counter(self, clock):
-        pool = WorkerPool(Scoreboard(clock, 2))
-        slot = pool.acquire()
-        pool.release(slot)
-        pool.acquire()
-        assert pool.total_acquisitions == 2
+    def test_a_released_slot_is_acquired_next(self, clock):
+        pool = WorkerPool(Scoreboard(clock, 3))
+        assert [pool.acquire(), pool.acquire()] == [0, 1]
+        pool.release(0)
+        assert pool.acquire() == 0
 
 class TestListenBacklog:
     def test_admission_until_full(self):

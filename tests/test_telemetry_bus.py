@@ -88,11 +88,10 @@ class TestTelemetryBus:
     def test_series_created_lazily_in_insertion_order(self):
         bus = TelemetryBus(capacity=16)
         bus.record("b.second", 0.0, 1.0)
-        bus.record("a.first", 0.0, 2.0, kind="counter", tier="edge")
+        bus.record("a.first", 0.0, 2.0, kind="counter")
         assert bus.names() == ["b.second", "a.first"]
         assert "a.first" in bus and "missing" not in bus
         assert bus.series("a.first").kind == "counter"
-        assert bus.series("a.first").tier == "edge"
 
     def test_kind_conflict_is_loud(self):
         bus = TelemetryBus(capacity=16)
@@ -106,7 +105,7 @@ class TestTelemetryBus:
 
     def test_invalid_series_kind_is_loud(self):
         with pytest.raises(TelemetryError):
-            TelemetrySeries("x", "histogram", "", 8)
+            TelemetrySeries("x", "histogram", 8)
 
     def test_default_capacity(self):
         assert TelemetryBus().capacity == DEFAULT_CAPACITY
@@ -127,7 +126,6 @@ def _payload(name="s", times=(0.0, 1.0), values=(1.0, 2.0), kind="gauge",
         capacity=capacity,
         names=(name,),
         kinds=(kind,),
-        tiers=("",),
         times=(np.asarray(times, dtype=np.float64),),
         values=(np.asarray(values, dtype=np.float64),),
         anomalies=tuple(anomalies),

@@ -31,10 +31,15 @@ from repro.experiments.adversarial_experiment import (
     _attach_gray_failure,
 )
 from repro.experiments.autoscale_experiment import AUTOSCALE_SCENARIO
-from repro.experiments.chaos_experiment import CHAOS_SCENARIO, outcome_fingerprint
+from repro.experiments.chaos_experiment import (
+    CHAOS_SCENARIO,
+    fault_config_for,
+    outcome_fingerprint,
+)
 from repro.experiments.config import TestbedConfig, sr_policy
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import ScenarioCell, run_scenario
+from repro.net.faults import install_fault_channel
 from repro.telemetry import runtime
 from repro.telemetry.probe import DEFAULT_WATCHED, attach_telemetry
 from repro.telemetry.recorder import FlightDump
@@ -308,7 +313,6 @@ class TestUniformSnapshotAPI:
             snapshots[f"lb.{instance.name}"] = instance.stats.snapshot()
         for server in testbed.servers:
             snapshots[f"http.{server.name}"] = server.app.stats.snapshot()
-            snapshots[f"board.{server.name}"] = server.app.scoreboard.snapshot()
         for tier, snapshot in snapshots.items():
             assert snapshot, tier
             for name, value in snapshot.items():
@@ -333,3 +337,26 @@ class TestUniformSnapshotAPI:
         }
         assert {"edge.forward_packets", "lb.steering_misses"} <= streamed
         assert streamed <= set(testbed.counters())
+
+    def test_the_series_cover_every_counter_and_the_three_gauges(self, telemetry_on):
+        """On a 2-LB tier under chaos loss every ``counters()`` entry is
+        streamed under its own name, next to the three gauges."""
+        config = CHAOS_SCENARIO.smoke_config()
+        assert config.testbed.num_load_balancers == 2
+        trace = _burst_trace()
+        with build_testbed(config.testbed, sr_policy(4)) as testbed:
+            testbed.fault_pipeline = install_fault_channel(
+                testbed.simulator,
+                testbed.fabric,
+                fault_config_for(config, "loss", trace.duration),
+            )
+            testbed.run_trace(trace)
+            payload = testbed.telemetry.export_payload()
+            counters = testbed.counters()
+        assert any(name.startswith("fault.") for name in counters)
+        assert any(name.startswith("edge.") for name in counters)
+        gauges = {"server.busy_fraction", "server.backlog_depth", "edge.spread"}
+        assert set(payload.names) == set(counters) | gauges
+        for name, values in zip(payload.names, payload.values):
+            if name in counters:
+                assert values[-1] == counters[name], name

@@ -28,8 +28,8 @@ _BLOCKS = "▁▂▃▄▅▆▇█"
 def _payload(anomalies=(), meta=None):
     bus = TelemetryBus(capacity=64)
     for step in range(10):
-        bus.record("lb.offered", float(step), float(step), tier="lb")
-        bus.record("server.busy<0>", float(step), 3.0, tier="server")
+        bus.record("lb.offered", float(step), float(step))
+        bus.record("server.busy<0>", float(step), 3.0)
     return bus.export_payload(anomalies=anomalies, meta=meta)
 
 
@@ -101,6 +101,11 @@ class TestRenderDashboard:
         assert page.count("<polyline ") == 4
         assert "<script" not in page
 
+    def test_the_tier_column_is_the_name_prefix(self):
+        page = render_dashboard({0: _payload()})
+        assert "<tr><td>lb.offered</td><td>gauge</td><td>lb</td>" in page
+        assert "<tr><td>server.busy&lt;0&gt;</td><td>gauge</td><td>server</td>" in page
+
     def test_names_and_meta_are_escaped(self):
         page = render_dashboard({"<a>": _payload(meta={"policy": "SR<4>"})}, title="A & B")
         assert "<title>A &amp; B</title>" in page
@@ -111,7 +116,7 @@ class TestRenderDashboard:
     def test_an_empty_series_draws_an_empty_chart(self):
         empty = np.empty(0)
         payload = TelemetryPayload(
-            capacity=4, names=("idle",), kinds=("gauge",), tiers=("",),
+            capacity=4, names=("idle",), kinds=("gauge",),
             times=(empty,), values=(empty,),
         )
         page = render_dashboard({0: payload})
@@ -135,6 +140,16 @@ class TestReportFormat:
             assert after.tolist() == before.tolist()
         assert loaded.anomalies == payload.anomalies
         assert loaded.meta == {"policy": "SR4"}
+
+    def test_a_report_saved_with_tier_keys_still_loads(self, tmp_path):
+        data = report_to_json_dict([(0, _payload())])
+        for series in data["cells"][0]["payload"]["series"]:
+            series["tier"] = "legacy"
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        [(key, loaded)] = load_report(path)
+        assert loaded.names == ("lb.offered", "server.busy<0>")
+        assert "tier" not in json.dumps(loaded.to_json_dict())
 
     def test_the_json_names_its_format(self):
         data = report_to_json_dict([(0, _payload())])
