@@ -78,13 +78,16 @@ census:
 
 # One representative benchmark per scenario family (figures, ablations,
 # resilience) at a deliberately small scale: a smoke signal, not a
-# measurement.
+# measurement.  Ablations A1 and A4 ride along as the callers of the
+# mean-field model outside the tests.
 bench-smoke:
 	REPRO_BENCH_QUERIES=800 REPRO_BENCH_TIME_FACTOR=0.2 \
 	REPRO_BENCH_ARRIVALS=800 REPRO_BENCH_ADV_QUERIES=1000 \
 		$(PYTHON) -m pytest -q $(BENCH_OPTS) \
 		benchmarks/bench_figure2_mean_response.py \
 		benchmarks/bench_ablation_selection_scheme.py \
+		benchmarks/bench_ablation_num_choices.py \
+		benchmarks/bench_analysis_models.py::bench_analysis_mean_field_vs_simulation \
 		benchmarks/bench_resilience_lb_churn.py \
 		benchmarks/bench_flash_crowd.py \
 		benchmarks/bench_heterogeneous_fleet.py \

@@ -2,10 +2,10 @@
 
 Two parts:
 
-* a comparison of the supermarket (power-of-d-choices) model's predicted
-  improvement against the simulated SRLB improvement across loads, which
-  validates that the simulator's load-balancing physics behaves like the
-  theory the paper builds on;
+* a comparison of the mean-field model of RR and SR4
+  (:func:`repro.analysis.queueing.sr_mean_field`) against the simulated
+  mean response times across loads (the tier-1 oracle,
+  ``tests/test_analysis_oracle.py``, pins the agreement at ρ ≤ 0.7);
 * genuine micro-benchmarks (with statistical repetition) of the hot
   inner components: the event engine, the Maglev table and the Service
   Hunting decision path.  These are the pieces whose cost dominates a
@@ -14,8 +14,13 @@ Two parts:
 
 from __future__ import annotations
 
-from benchmarks.conftest import scale_jobs, scale_queries, run_once, write_output
-from repro.analysis.power_of_choices import improvement_over_random
+from benchmarks.conftest import (
+    mean_field_response,
+    run_once,
+    scale_jobs,
+    scale_queries,
+    write_output,
+)
 from repro.core.agent import ApplicationAgent, StaticLoadView
 from repro.core.consistent_hash import MaglevTable
 from repro.core.policies import StaticThresholdPolicy
@@ -29,7 +34,7 @@ from repro.net.srh import SegmentRoutingHeader
 from repro.sim.engine import Simulator
 
 
-def bench_analysis_supermarket_vs_simulation(benchmark):
+def bench_analysis_mean_field_vs_simulation(benchmark):
     loads = (0.5, 0.7, 0.88)
     config = PoissonSweepConfig(
         load_factors=loads,
@@ -48,17 +53,27 @@ def bench_analysis_supermarket_vs_simulation(benchmark):
 
     rows = []
     for load, (rr_mean, sr_mean) in results.items():
-        simulated = rr_mean / sr_mean
-        analytic = improvement_over_random(load, 2)
-        rows.append([load, rr_mean, sr_mean, simulated, analytic])
+        rr_model = mean_field_response(config, load, 0, 1)
+        sr_model = mean_field_response(config, load, 4, 2)
+        rows.append(
+            [load, rr_mean, rr_model, sr_mean, sr_model, rr_mean / sr_mean, rr_model / sr_model]
+        )
     table = format_table(
-        ["rho", "RR mean (s)", "SR4 mean (s)", "simulated speed-up", "analytic speed-up"],
+        [
+            "rho",
+            "RR mean (s)",
+            "RR mean-field (s)",
+            "SR4 mean (s)",
+            "SR4 mean-field (s)",
+            "simulated speed-up",
+            "mean-field speed-up",
+        ],
         rows,
-        title="Ablation A4: simulated SRLB improvement vs supermarket-model prediction",
+        title="Ablation A4: simulated RR and SR4 vs the mean-field model",
     )
-    write_output("analysis_supermarket_vs_simulation", table)
+    write_output("analysis_mean_field_vs_simulation", table)
 
-    # Shape check: like the analytic model, the simulated improvement
+    # Shape check: like the mean-field model, the simulated improvement
     # grows with the load factor.
     speedups = [rr / sr for rr, sr in (results[load] for load in loads)]
     assert speedups[-1] > speedups[0]

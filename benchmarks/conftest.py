@@ -80,3 +80,20 @@ def run_once(benchmark, function):
     while still producing a benchmark table.
     """
     return benchmark.pedantic(function, rounds=1, iterations=1)
+
+
+def mean_field_response(config, load: float, threshold: int, choices: int) -> float:
+    """:func:`sr_mean_field` on a Poisson sweep's fleet at nominal load ``load``."""
+    # Imported here: benchmarks/perf's tests can load this conftest without src/ on the path.
+    from repro.analysis.queueing import sr_mean_field
+    from repro.experiments.calibration import analytic_saturation_rate
+
+    fleet = config.testbed
+    return sr_mean_field(
+        load * analytic_saturation_rate(fleet, config.service_mean) / fleet.num_servers,
+        1.0 / config.service_mean,
+        fleet.cores_per_server,
+        fleet.workers_per_server + fleet.backlog_capacity,
+        threshold,
+        choices,
+    )

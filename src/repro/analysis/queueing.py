@@ -1,22 +1,22 @@
-"""Analytic queueing models (M/M/c and M/M/c/K).
+"""Closed forms: the saturation rate and one birth–death chain per server.
 
-These closed-form models serve two purposes in the reproduction:
-
-* **calibration** — the saturation rate λ₀ of the testbed can be
-  estimated analytically (total core capacity over mean service demand,
-  corrected for the finite backlog) before the empirical search refines
-  it, which keeps the calibration procedure cheap;
-* **validation** — tests compare simulated single-server response times
-  against the M/M/c predictions to make sure the server substrate's
-  queueing behaviour is sound.
+* **calibration** — the saturation rate λ₀ of the testbed is estimated
+  analytically (total core capacity over mean service demand) before
+  the empirical search refines it;
+* **the mean-field model** — :func:`sr_mean_field` gives the mean
+  response time of a fleet of c-core servers under SRc with d
+  candidates, or under RR (one uniform draw, d = 1: M/M/c/K);
+  ``tests/test_analysis_oracle.py`` compares the simulator against it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.errors import ReproError
+
+#: Bisection steps of the fixed point; 2⁻⁶⁰ is below a double's spacing at 1.
+_BISECTIONS = 60
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -29,101 +29,67 @@ def _require_positive(name: str, value: float) -> None:
         raise ReproError(f"{name} must be positive, got {value!r}")
 
 
-def _validate_inputs(arrival_rate: float, service_rate: float, servers: int) -> None:
+def _stationary(births: list[float], deaths: list[float]) -> list[float]:
+    """Stationary law of the birth–death chain on ``0..len(births)``.
+
+    ``births[k]`` leaves state k upwards, ``deaths[k]`` leaves state
+    k + 1 downwards; the weights are rescaled as they grow, so a long
+    chain in overload cannot overflow.
+    """
+    weights = [1.0]
+    for birth, death in zip(births, deaths):
+        weights.append(weights[-1] * birth / death)
+        if weights[-1] > 1e100:
+            weights = [weight * 1e-100 for weight in weights]
+    total = sum(weights)
+    return [weight / total for weight in weights]
+
+
+def sr_mean_field(
+    arrival_rate: float,
+    service_rate: float,
+    cores: int,
+    capacity: int,
+    threshold: int,
+    choices: int,
+) -> float:
+    """Mean response time of SRc with ``choices`` candidates as the fleet grows.
+
+    Each server holds k ∈ [0, ``capacity``] queries (workers plus
+    backlog) and serves them at μ·min(k, cores).  A query visits
+    ``choices`` uniform candidates: each accepts below ``threshold``
+    busy (k, while the threshold is at most the workers), the last is
+    forced.  With S = P(k ≥ c) the fraction that refuses, a server at k
+    sees births λ·(1{k < c}·Σ_{i<d−1} Sⁱ + S^(d−1)); S is the fixed
+    point of the chain's own tail, found by bisection.  A full server
+    drops the query; Little's law over the accepted rate gives the
+    response time.  ``arrival_rate`` is λ per server.
+    """
     _require_positive("arrival rate", arrival_rate)
     _require_positive("service rate", service_rate)
-    _require_positive("server count", servers)
+    _require_positive("cores", cores)
+    _require_positive("capacity", capacity)
+    _require_positive("choices", choices)
+    if threshold < 0:
+        raise ReproError(f"threshold must be >= 0, got {threshold!r}")
+    deaths = [service_rate * min(k, cores) for k in range(1, capacity + 1)]
 
+    def births(refused: float) -> list[float]:
+        forced = arrival_rate * refused ** (choices - 1)
+        optional = arrival_rate * sum(refused**i for i in range(choices - 1))
+        return [forced + optional * (k < threshold) for k in range(capacity)]
 
-def erlang_c(arrival_rate: float, service_rate: float, servers: int) -> float:
-    """Erlang C formula: probability that an arrival has to wait.
-
-    Requires a stable system (offered load strictly less than the number
-    of servers).
-    """
-    _validate_inputs(arrival_rate, service_rate, servers)
-    offered = arrival_rate / service_rate
-    if offered >= servers:
-        raise ReproError(
-            f"system is unstable: offered load {offered:.3f} >= servers {servers}"
-        )
-    # P0: normalisation constant of the M/M/c state distribution.
-    summation = sum(offered ** k / math.factorial(k) for k in range(servers))
-    last_term = offered ** servers / (
-        math.factorial(servers) * (1 - offered / servers)
-    )
-    p_wait = last_term / (summation + last_term)
-    return p_wait
-
-
-@dataclass
-class MMcMetrics:
-    """Steady-state metrics of an M/M/c queue."""
-
-    arrival_rate: float
-    service_rate: float
-    servers: int
-    utilization: float
-    probability_of_wait: float
-    mean_wait: float
-    mean_response_time: float
-    mean_queue_length: float
-    mean_jobs_in_system: float
-
-
-def mmc_metrics(arrival_rate: float, service_rate: float, servers: int) -> MMcMetrics:
-    """All the standard steady-state metrics of an M/M/c queue."""
-    _validate_inputs(arrival_rate, service_rate, servers)
-    offered = arrival_rate / service_rate
-    utilization = offered / servers
-    if utilization >= 1:
-        raise ReproError(
-            f"system is unstable: utilization {utilization:.3f} >= 1"
-        )
-    p_wait = erlang_c(arrival_rate, service_rate, servers)
-    mean_wait = p_wait / (servers * service_rate - arrival_rate)
-    mean_response = mean_wait + 1.0 / service_rate
-    return MMcMetrics(
-        arrival_rate=arrival_rate,
-        service_rate=service_rate,
-        servers=servers,
-        utilization=utilization,
-        probability_of_wait=p_wait,
-        mean_wait=mean_wait,
-        mean_response_time=mean_response,
-        mean_queue_length=arrival_rate * mean_wait,
-        mean_jobs_in_system=arrival_rate * mean_response,
-    )
-
-
-def mmck_blocking_probability(
-    arrival_rate: float, service_rate: float, servers: int, capacity: int
-) -> float:
-    """Blocking probability of an M/M/c/K queue (K = total places).
-
-    Used to estimate the connection-drop probability of one application
-    server: ``servers`` worker slots in service and ``capacity`` total
-    places (workers plus listen backlog).
-    """
-    _validate_inputs(arrival_rate, service_rate, servers)
-    if capacity < servers:
-        raise ReproError(
-            f"capacity {capacity} must be at least the number of servers {servers}"
-        )
-    offered = arrival_rate / service_rate
-    # Unnormalised state probabilities p_n for n = 0..K.
-    probabilities = []
-    for n in range(capacity + 1):
-        if n <= servers:
-            value = offered ** n / math.factorial(n)
+    low, high = 0.0, 1.0
+    for _ in range(_BISECTIONS):
+        refused = (low + high) / 2
+        if sum(_stationary(births(refused), deaths)[threshold:]) > refused:
+            low = refused
         else:
-            value = (
-                offered ** n
-                / (math.factorial(servers) * servers ** (n - servers))
-            )
-        probabilities.append(value)
-    normalisation = sum(probabilities)
-    return probabilities[capacity] / normalisation
+            high = refused
+    rates = births((low + high) / 2)
+    probabilities = _stationary(rates, deaths)
+    accepted = sum(p * rate for p, rate in zip(probabilities, rates))
+    return sum(k * p for k, p in enumerate(probabilities)) / accepted
 
 
 def saturation_rate(

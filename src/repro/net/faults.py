@@ -472,11 +472,6 @@ class FaultInjectionChannel(SinkDelivery):
         self.injectors = tuple(injectors)
         self.stats = LinkStats()
 
-    @property
-    def packets_delivered(self) -> int:
-        """Packets handed to the inner channel (sent minus dropped)."""
-        return self.stats.packets_sent - self.stats.packets_dropped
-
     def send(self, arrive: Arrival, packet: Any, delay: float, label: str) -> None:
         stats = self.stats
         stats.packets_sent += 1

@@ -6,7 +6,9 @@ top-level class, the census looks for a *code* reference in ``src/``
 outside the definition itself: an AST ``Name`` or ``Attribute`` load, or
 a ``from ... import`` of it, matched by bare name.  A method is reached
 only by an attribute load ``.name``: a bare ``Name`` of the same word is
-a local or a function, and an import is a module's name.  Docstrings, comments
+a local or a function, and an import is a module's name.  Reads are
+matched by bare attribute name, so a load of ``.name`` on any object
+keeps every class's method of that name.  Docstrings, comments
 and the packages' lazy export tables are strings, so they do not count.
 Neither does a reference made only from inside a definition the census
 has already found dead: it runs to a fixed point, so a helper that only
@@ -61,7 +63,7 @@ CONFIG = SRC / "experiments" / "config.py"
 #: The only reasons a definition nothing in ``src/`` reaches may stay.
 EXAMPLES = "the examples' public API"
 SMOKE = "the smoke_config protocol"
-CLOSED_FORM = "a closed form the claims ledger will give a caller"
+CLOSED_FORM = "a closed form a tier-1 oracle compares the simulator against"
 REACHED_BY_PERF = "reached by benchmarks/perf; it goes with the benchmark's next edition"
 GOLDENS = "the chaos goldens' fingerprint"
 WITNESS = "a test's witness that a path ran (or did not)"
@@ -80,9 +82,7 @@ ALLOWED = {
     "ResponseTimeCollector.outcomes": (EXAMPLES, "examples/service_hunting_walkthrough.py"),
     "ServiceHuntingStats.offers_received": (EXAMPLES, "examples/service_hunting_walkthrough.py"),
     "ScenarioSpec.smoke_config": (SMOKE, "every test that runs a family small"),
-    "mmc_metrics": (CLOSED_FORM, "FIFOCPU with c cores against M/M/c"),
-    "mmck_blocking_probability": (CLOSED_FORM, "finite backlog against M/M/c/K"),
-    "improvement_over_random": (CLOSED_FORM, "d-of-n SRc against the supermarket model"),
+    "sr_mean_field": (CLOSED_FORM, "tests/test_analysis_oracle.py"),
     "StaticLoadView": (REACHED_BY_PERF, "micro.py"),
     "BatchFrame": (REACHED_BY_PERF, "micro.py, workloads.py"),
     "SinkDelivery.deliver": (REACHED_BY_PERF, "micro.py"),
@@ -552,6 +552,22 @@ def test_every_allow_listed_name_needs_its_entry():
 def test_every_allow_list_entry_gives_a_listed_reason():
     for name, (reason, _where) in {**ALLOWED, **ALLOWED_KNOBS, **ALLOWED_COUNTERS}.items():
         assert reason in REASONS, name
+
+
+def test_every_closed_form_row_names_the_oracle_that_imports_it():
+    for name, (reason, where) in ALLOWED.items():
+        if reason != CLOSED_FORM:
+            continue
+        oracles = [part for part in where.split(", ") if part.startswith("tests/")]
+        assert oracles, name
+        for oracle in oracles:
+            imported = {
+                alias.name
+                for node in ast.walk(_tree(ROOT / oracle))
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+            }
+            assert name in imported, (name, oracle)
 
 
 def test_the_census_counts_code_not_text():

@@ -164,8 +164,7 @@ def test_counters_always_reconcile(config, plan):
         + stats.packets_dropped_corrupted
         + stats.packets_dropped_link_down
     )
-    assert pipeline.packets_delivered == stats.packets_sent - stats.packets_dropped
-    assert len(sink.received) == pipeline.packets_delivered
+    assert len(sink.received) == stats.packets_sent - stats.packets_dropped
 
 
 def test_install_fault_channel_wraps_and_returns():

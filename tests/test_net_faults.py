@@ -179,7 +179,7 @@ class TestPipeline:
         pipeline.deliver(sink, "pkt", 0.001, "x")
         simulator.run()
         assert sink.received == [("pkt", pytest.approx(0.001 + 0.002 + 0.005))]
-        assert pipeline.packets_delivered == 1
+        assert pipeline.stats.packets_sent - pipeline.stats.packets_dropped == 1
 
     def test_the_default_config_is_disabled(self):
         assert not FaultConfig().enabled
