@@ -17,7 +17,7 @@
 #   make telemetry-smoke     - a reduced chaos run with the streaming telemetry
 #                              probe attached (writes telemetry-artifacts/), a
 #                              dashboard re-render from the saved report, then the
-#                              scenario goldens re-run under REPRO_TELEMETRY=1
+#                              scenario goldens re-run with telemetry on (--telemetry)
 #   make docs-check          - doc-vs-code consistency tests (CLI + performance docs)
 #   make census              - the code-only census of src/: definitions nothing
 #                              in src/ reaches (with where each is still reached)
@@ -138,8 +138,9 @@ chaos-smoke:
 # streaming probe attached and the dashboard artifacts written (console
 # sparklines plus telemetry.json and dashboard.html under
 # telemetry-artifacts/), a dashboard re-render from the saved report,
-# then the scenario goldens re-run with REPRO_TELEMETRY=1 — the
-# bit-identity gate that an attached probe never moves a result.
+# then the scenario goldens re-run with every testbed's telemetry on
+# (the --telemetry option of tests/conftest.py) — the bit-identity gate
+# that an attached probe never moves a result.
 telemetry-smoke:
 	$(PYTHON) -m repro.cli chaos --servers 4 --queries 600 \
 		--mode baseline --mode loss --jobs 2 \
@@ -147,7 +148,7 @@ telemetry-smoke:
 	$(PYTHON) -m repro.cli dashboard telemetry-artifacts/telemetry.json \
 		--out telemetry-artifacts/dashboard-rerendered.html \
 		--title "chaos telemetry smoke"
-	REPRO_TELEMETRY=1 $(PYTHON) -m pytest -q tests/test_scenario_golden.py
+	$(PYTHON) -m pytest -q tests/test_scenario_golden.py --telemetry
 
 bench:
 	$(PYTHON) -m pytest -q $(BENCH_OPTS) benchmarks

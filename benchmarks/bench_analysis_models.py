@@ -4,7 +4,7 @@ Two parts:
 
 * a comparison of the mean-field model of RR and SR4
   (:func:`repro.analysis.queueing.sr_mean_field`) against the simulated
-  mean response times across loads (the tier-1 oracle,
+  mean response times past the warm-up across loads (the tier-1 oracle,
   ``tests/test_analysis_oracle.py``, pins the agreement at ρ ≤ 0.7);
 * genuine micro-benchmarks (with statistical repetition) of the hot
   inner components: the event engine, the Maglev table and the Service
@@ -19,6 +19,7 @@ from benchmarks.conftest import (
     run_once,
     scale_jobs,
     scale_queries,
+    steady_mean_response,
     write_output,
 )
 from repro.core.agent import ApplicationAgent, StaticLoadView
@@ -45,7 +46,7 @@ def bench_analysis_mean_field_vs_simulation(benchmark):
     def run_all():
         sweep = run_scenario("poisson", config, jobs=scale_jobs())
         return {
-            load: tuple(sweep.run((name, load)).mean_response_time for name in ("RR", "SR4"))
+            load: tuple(steady_mean_response(sweep.run((name, load))) for name in ("RR", "SR4"))
             for load in loads
         }
 

@@ -16,6 +16,7 @@ from repro.experiments import figures
 from repro.experiments.config import (
     HIGH_LOAD_FACTOR,
     PoissonSweepConfig,
+    TestbedConfig,
     rr_policy,
     sr_policy,
 )
@@ -24,13 +25,14 @@ from repro.experiments.scenario import run_scenario
 
 def bench_figure4_load_and_fairness(benchmark):
     config = PoissonSweepConfig(
+        testbed=TestbedConfig(sample_load=True),
         load_factors=(HIGH_LOAD_FACTOR,),
         num_queries=scale_queries(),
         policies=(rr_policy(), sr_policy(4)),
     )
 
     def run_both():
-        sweep = run_scenario("poisson", config, jobs=scale_jobs(), sample_load=True)
+        sweep = run_scenario("poisson", config, jobs=scale_jobs())
         return {name: sweep.run((name, rho)) for name, rho in sweep.keys()}
 
     runs = run_once(benchmark, run_both)

@@ -82,6 +82,19 @@ def run_once(benchmark, function):
     return benchmark.pedantic(function, rounds=1, iterations=1)
 
 
+#: Share of a run's response times, the first in record order, dropped as
+#: the fleet's filling transient before its mean is set against the
+#: mean-field model's steady state (``tests/test_analysis_oracle.py``
+#: drops its leading 500 of 4,000 the same way).
+WARM_UP_SHARE = 0.2
+
+
+def steady_mean_response(run) -> float:
+    """Mean response time of ``run`` past its warm-up (:data:`WARM_UP_SHARE`)."""
+    times = run.response_times()
+    return float(times[int(times.size * WARM_UP_SHARE) :].mean())
+
+
 def mean_field_response(config, load: float, threshold: int, choices: int) -> float:
     """:func:`sr_mean_field` on a Poisson sweep's fleet at nominal load ``load``."""
     # Imported here: benchmarks/perf's tests can load this conftest without src/ on the path.

@@ -131,7 +131,7 @@ def config_from_args(spec: ScenarioSpec, args: argparse.Namespace) -> Any:
 
 
 def _testbed_from_args(args: argparse.Namespace) -> TestbedConfig:
-    testbed = TestbedConfig()
+    testbed = TestbedConfig(telemetry=_telemetry_requested(args))
     return _apply_params(testbed, cli_params(testbed, TESTBED_SHAPE), args)
 
 
@@ -200,27 +200,33 @@ def _telemetry_requested(args: argparse.Namespace) -> bool:
     )
 
 
-def _emit_telemetry(args: argparse.Namespace) -> None:
-    """Print the sparkline summary and save the report, post-run."""
-    from repro.telemetry import render as telemetry_render
-    from repro.telemetry import runtime as telemetry_runtime
+def _emit_telemetry(args: argparse.Namespace, result: Any) -> None:
+    """Print the sparkline summary and save the report of a finished run.
 
-    report = telemetry_runtime.last_report()
+    ``result`` is what :func:`run_scenario` returned; its
+    ``telemetry_items()`` are the ``(cell key, payload)`` pairs of the
+    runs' probes.  A no-op without ``--telemetry``/``--telemetry-out``.
+    """
+    if not _telemetry_requested(args):
+        return
+    from repro.telemetry import render as telemetry_render
+
+    report = result.telemetry_items()
     if not report:
         print("\ntelemetry: no payloads were published by this run")
         return
-    for key, payload in report.items():
+    for key, payload in report:
         print()
         print(telemetry_render.render_summary(payload, title=f"telemetry [{key}]"))
     out_dir = getattr(args, "telemetry_out", None)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         report_path = telemetry_render.save_report(
-            os.path.join(out_dir, "telemetry.json"), report.items()
+            os.path.join(out_dir, "telemetry.json"), report
         )
         html_path = os.path.join(out_dir, "dashboard.html")
         page = telemetry_render.render_dashboard(
-            {str(key): payload for key, payload in report.items()},
+            {str(key): payload for key, payload in report},
             title=f"srlb-repro {args.command}",
         )
         with open(html_path, "w", encoding="utf-8") as handle:
@@ -264,7 +270,13 @@ def _command_scenario(args: argparse.Namespace) -> int:
     """Any registered family: flags → config → run → render."""
     spec = registry.get(args.command)
     config = config_from_args(spec, args)
-    print(spec.render(run_scenario(spec, config, jobs=args.jobs)))
+    if _telemetry_requested(args):
+        config = dataclasses.replace(
+            config, testbed=dataclasses.replace(config.testbed, telemetry=True)
+        )
+    result = run_scenario(spec, config, jobs=args.jobs)
+    print(spec.render(result))
+    _emit_telemetry(args, result)
     return 0
 
 
@@ -283,9 +295,9 @@ def _command_figure(args: argparse.Namespace) -> int:
             num_queries=args.queries,
             policies=tuple(paper_policy_suite()),
         )
-        print(figures.render_figure2(run_scenario("poisson", config, jobs=args.jobs)))
-        return 0
-    if number in (3, 4, 5):
+        result = run_scenario("poisson", config, jobs=args.jobs)
+        print(figures.render_figure2(result))
+    elif number in (3, 4, 5):
         load_factor = LIGHT_LOAD_FACTOR if number == 5 else HIGH_LOAD_FACTOR
         specs = (
             (rr_policy(), sr_policy(4))
@@ -293,15 +305,13 @@ def _command_figure(args: argparse.Namespace) -> int:
             else tuple(paper_policy_suite())
         )
         config = PoissonSweepConfig(
-            testbed=testbed,
+            testbed=dataclasses.replace(testbed, sample_load=number == 4),
             load_factors=(load_factor,),
             num_queries=args.queries,
             policies=tuple(specs),
         )
-        sweep = run_scenario(
-            "poisson", config, jobs=args.jobs, sample_load=number == 4
-        )
-        runs = {spec.name: sweep.run((spec.name, load_factor)) for spec in specs}
+        result = run_scenario("poisson", config, jobs=args.jobs)
+        runs = {spec.name: result.run((spec.name, load_factor)) for spec in specs}
         if number == 4:
             print(figures.render_figure4(runs))
         else:
@@ -310,8 +320,7 @@ def _command_figure(args: argparse.Namespace) -> int:
                     runs, title=f"Figure {number}: CDF of page load time, rho={load_factor}"
                 )
             )
-        return 0
-    if number in (6, 7, 8):
+    elif number in (6, 7, 8):
         config = dataclasses.replace(
             WikipediaReplayConfig(), testbed=testbed, static_per_wiki=0.5
         ).compressed(duration=args.duration)
@@ -324,8 +333,10 @@ def _command_figure(args: argparse.Namespace) -> int:
                 print()
         else:
             print(figures.render_figure8(result))
-        return 0
-    raise ReproError(f"unknown figure number {number!r}: the paper has figures 2-8")
+    else:
+        raise ReproError(f"unknown figure number {number!r}: the paper has figures 2-8")
+    _emit_telemetry(args, result)
+    return 0
 
 
 def _command_dashboard(args: argparse.Namespace) -> int:
@@ -455,18 +466,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of the ``srlb-repro`` console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    telemetry_on = _telemetry_requested(args)
-    was_enabled = False
-    if telemetry_on:
-        from repro.telemetry import runtime as telemetry_runtime
-
-        was_enabled = telemetry_runtime.telemetry_enabled()
-        telemetry_runtime.enable()
     try:
-        status = args.handler(args)
-        if telemetry_on and status == 0:
-            _emit_telemetry(args)
-        return status
+        return args.handler(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -474,11 +475,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # The fan-out has already terminated and joined its children.
         print("interrupted", file=sys.stderr)
         return 130
-    finally:
-        if telemetry_on and not was_enabled:
-            from repro.telemetry import runtime as telemetry_runtime
-
-            telemetry_runtime.disable()
 
 
 if __name__ == "__main__":

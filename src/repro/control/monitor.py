@@ -14,7 +14,7 @@ from typing import List, Sequence
 
 from repro.errors import ReproError
 from repro.metrics.ewma import EWMAFilter
-from repro.server.virtual_router import ServerNode
+from repro.server.virtual_router import ServerNode, fleet_load
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,7 @@ class FleetMonitor:
 
     def observe(self, time: float, servers: Sequence[ServerNode]) -> FleetSample:
         """Sample the serving ``servers`` at ``time`` and return the result."""
-        busy = sum(server.busy_threads for server in servers)
-        workers = sum(server.app.scoreboard.num_slots for server in servers)
-        backlog = sum(server.app.backlog.depth for server in servers)
+        busy, workers, backlog = fleet_load(servers)
         fraction = busy / workers if workers else 0.0
         smoothed = self._filter.update(time, fraction)
         sample = FleetSample(

@@ -163,6 +163,13 @@ class TestbedConfig:
         0, "--shed-watermark", "backlog depth above which servers fast-RST new SYNs (0 disables)"
     )
     seed: int = param(0, "--seed", "testbed RNG seed", NON_NEGATIVE)
+    #: Observers of the run, which never change its results.  ``telemetry``
+    #: attaches the streaming probe (:mod:`repro.telemetry.probe`), whose
+    #: payload comes home as the run result's ``telemetry``;
+    #: ``sample_load`` attaches the busy-worker sampler Figure 4 plots.
+    #: Both stop at the run's horizon.
+    telemetry: bool = False
+    sample_load: bool = False
 
     def __post_init__(self) -> None:
         check_bounds(self)

@@ -112,7 +112,7 @@ def figure4_series(runs: Dict[str, PoissonRunResult]) -> Dict[str, LoadFairnessS
         if run.load_sampler is None:
             raise ExperimentError(
                 f"run {name!r} was executed without load sampling; "
-                "run the sweep with sample_load=True"
+                "run the sweep on a testbed with sample_load=True"
             )
         sampler = run.load_sampler
         series[name] = LoadFairnessSeries(

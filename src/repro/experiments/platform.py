@@ -27,16 +27,20 @@ from repro.server.cpu import make_cpu
 from repro.server.http_server import HTTPServerInstance
 from repro.server.virtual_router import ServerNode
 from repro.sim.engine import PeriodicTask, Simulator
-from repro.telemetry.runtime import telemetry_enabled
 from repro.workload.client import TrafficGeneratorNode
 from repro.workload.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.lb_tier import LoadBalancerTier
+    from repro.telemetry.bus import TelemetryPayload
 
 #: Extra simulated seconds a replay runs past its last arrival before
-#: the load sampler and telemetry stop and the event heap drains.
+#: the horizon hooks stop its observers and control loops and the event
+#: heap drains.
 SETTLE_MARGIN = 5.0
+
+#: Seconds between the busy-thread samples Figure 4 plots.
+LOAD_SAMPLE_INTERVAL = 0.5
 
 #: Slices :meth:`Testbed.run_trace` cuts a trace's arrival phase into,
 #: calling :data:`tick` after each.  Results never depend on it (a sliced
@@ -125,9 +129,8 @@ class Testbed:
     lb_tier: Optional[LoadBalancerTier] = None
     load_sampler: Optional[ServerLoadSampler] = None
     #: Streaming telemetry probe, attached by :func:`build_testbed` when
-    #: :func:`repro.telemetry.runtime.telemetry_enabled` is true (see
-    #: :mod:`repro.telemetry.probe`).  ``None`` on ordinary runs —
-    #: telemetry is strictly opt-in.
+    #: the config sets ``telemetry`` (see :mod:`repro.telemetry.probe`).
+    #: ``None`` on ordinary runs — telemetry is strictly opt-in.
     telemetry: Optional[object] = field(default=None, repr=False)
     #: The fault-injection pipeline when one is installed on the fabric
     #: (the chaos family sets this), so :meth:`counters` and the
@@ -191,9 +194,12 @@ class Testbed:
     # ------------------------------------------------------------------
     # instrumentation
     # ------------------------------------------------------------------
-    def attach_load_sampler(self, interval: float = 0.5) -> ServerLoadSampler:
+    def attach_load_sampler(
+        self, interval: float = LOAD_SAMPLE_INTERVAL
+    ) -> ServerLoadSampler:
         """Start periodically sampling per-server busy-thread counts.
 
+        The sampler stops at the horizon (:meth:`at_horizon`).
         Re-attaching replaces the previous sampler; its periodic task is
         stopped first, so it cannot keep rescheduling forever and hold
         the event heap open.
@@ -217,6 +223,7 @@ class Testbed:
         task.start(first_delay=0.0)
         self.load_sampler = sampler
         self._sampler_task = task
+        self.at_horizon(self.stop_load_sampler)
         return sampler
 
     def stop_load_sampler(self) -> None:
@@ -228,11 +235,12 @@ class Testbed:
     def at_horizon(self, hook: Callable[[], None]) -> None:
         """Run ``hook`` once the trace's arrival phase is over.
 
-        :meth:`run_trace` invokes every registered hook right after the
-        simulation reaches the arrival horizon, exactly where the load
-        sampler is stopped.  The elastic control plane registers its
-        autoscaler stop here, so the monitor loop cannot keep the event
-        heap alive forever after the workload ends.
+        :meth:`run_trace` invokes every registered hook, in registration
+        order, right after the simulation reaches the horizon.  Every
+        periodic task of a run stops here — the telemetry probe and the
+        load sampler (registered as they attach), the autoscaler and the
+        watchdog — so none can keep the event heap alive forever after
+        the workload ends.
         """
         self._check_open()
         self._horizon_hooks.append(hook)
@@ -364,10 +372,9 @@ class Testbed:
         arrival, with a heartbeat (:data:`tick`) after each.
         The run then goes on to the horizon ``until`` — by default the
         last arrival plus :data:`SETTLE_MARGIN` seconds, and only when a
-        load sampler, a horizon hook or a telemetry probe is active —
-        where the sampler and the probe stop and the hooks run, so the
-        event heap can drain.  Then the simulation runs until every
-        event has been processed.
+        horizon hook is registered (:meth:`at_horizon`) — where the hooks
+        run, so the event heap can drain.  Then the simulation runs until
+        every event has been processed.
 
         Once the heap is empty the client sweeps every still-pending
         query into a failed outcome (``queries_swept``): a query whose
@@ -381,26 +388,15 @@ class Testbed:
         for step in range(1, HEARTBEAT_SLICES + 1):
             simulator.run(until=start + trace.duration * step / HEARTBEAT_SLICES)
             tick()
-        if until is None and (
-            self._sampler_task is not None
-            or self._horizon_hooks
-            or self.telemetry is not None
-        ):
+        if until is None and self._horizon_hooks:
             until = start + trace.duration + SETTLE_MARGIN
         if until is not None:
             simulator.run(until=until)
-            self.stop_load_sampler()
-            if self.telemetry is not None:
-                # Final sample + stop, so the sampling task cannot keep
-                # the event heap alive past the horizon.
-                self.telemetry.stop()
             hooks, self._horizon_hooks = self._horizon_hooks, []
             for hook in hooks:
                 hook()
         duration = simulator.run()
         self.client.sweep_unfinished()
-        if self.telemetry is not None:
-            self.telemetry.publish()
         return duration
 
     # ------------------------------------------------------------------
@@ -437,6 +433,10 @@ class Testbed:
             add("fault", self.fault_pipeline.stats.snapshot())
         add("client", self.client.snapshot())
         return counters
+
+    def telemetry_payload(self) -> Optional[TelemetryPayload]:
+        """The probe's payload, or ``None`` when no probe is attached."""
+        return None if self.telemetry is None else self.telemetry.export_payload()
 
     def acceptance_counts(self) -> Dict[str, int]:
         """Per-server accepted-connection counts (by server name)."""
@@ -577,13 +577,14 @@ def build_testbed(
         steering_address=lb_address,
         _next_server_index=config.num_servers,
     )
-    # Streaming telemetry is strictly opt-in: with the flag off, the
-    # testbed is byte-for-byte what it was before the telemetry plane
-    # existed.  With it on, the probe only *reads* simulation state and
-    # draws no randomness, so run outcomes are still bit-identical (the
-    # goldens are re-checked under REPRO_TELEMETRY=1 in CI).
-    if telemetry_enabled():
+    # The observers attach last, the probe first.  Each only *reads*
+    # simulation state and draws no randomness, so run outcomes are
+    # bit-identical with them on (the goldens are re-checked with
+    # telemetry on in CI); with telemetry off nothing of it is imported.
+    if config.telemetry:
         from repro.telemetry.probe import attach_telemetry
 
         attach_telemetry(testbed)
+    if config.sample_load:
+        testbed.attach_load_sampler()
     return testbed

@@ -2,8 +2,8 @@
 
 The experiment replays a Poisson stream of CPU-bound queries against the
 testbed under each load-balancing configuration and collects client-side
-response times plus (optionally) the per-server load samples used by
-Figure 4.  The *same* workload trace — same arrival times, same
+response times plus (when the testbed's ``sample_load`` is set) the
+per-server load samples used by Figure 4.  The *same* workload trace — same arrival times, same
 per-request CPU demands — is replayed under every policy of a
 comparison, so differences between policies are differences in load
 balancing, not in workload randomness.
@@ -43,9 +43,6 @@ from repro.metrics.reporting import format_table
 from repro.workload.poisson import poisson_trace
 from repro.workload.trace import Trace
 
-#: Seconds between the busy-thread samples Figure 4 plots.
-LOAD_SAMPLE_INTERVAL = 0.5
-
 
 @dataclass
 class PoissonRunResult(RunResult):
@@ -53,7 +50,7 @@ class PoissonRunResult(RunResult):
 
     #: Accepted connections per server name (Service Hunting counters).
     acceptance_counts: Dict[str, int]
-    #: Busy-thread samples (Figure 4), when the sweep sampled load.
+    #: Busy-thread samples (Figure 4), when the testbed sampled load.
     load_sampler: Optional[ServerLoadSampler] = None
 
     @property
@@ -88,9 +85,9 @@ class PoissonScenario(ScenarioSpec):
             policies=(rr_policy(), sr_policy(4)),
         )
 
-    def cells(self, config: Any, sample_load: bool = False) -> List[ScenarioCell]:
+    def cells(self, config: Any) -> List[ScenarioCell]:
         return [
-            ScenarioCell((policy.name, load_factor), {"sample_load": sample_load})
+            ScenarioCell((policy.name, load_factor))
             for load_factor in config.load_factors
             for policy in config.policies
         ]
@@ -117,8 +114,6 @@ class PoissonScenario(ScenarioSpec):
             policy_named(config, name),
             run_name=f"{self.run_prefix}{name}-rho{load_factor:g}",
         ) as testbed:
-            if cell.param("sample_load"):
-                testbed.attach_load_sampler(interval=LOAD_SAMPLE_INTERVAL)
             duration = testbed.run_trace(trace)
         return PoissonRunResult.of(
             testbed,

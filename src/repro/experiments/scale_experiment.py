@@ -31,10 +31,10 @@ import hashlib
 import os
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import nan
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,9 +48,11 @@ from repro.metrics.collector import ResponseTimeCollector
 from repro.net.ecmp import HopScorer, five_tuple_key
 from repro.net.packet import FlowKey
 from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT
-from repro.telemetry import runtime as telemetry_runtime
 from repro.workload.requests import KIND_PHP
 from repro.workload.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry.bus import TelemetryPayload
 
 #: Synthetic endpoint addresses of the modeled upstream flow keys.  They
 #: only feed the pure 5-tuple hash (never a live fabric), so plain
@@ -165,7 +167,8 @@ class PodResult:
 
     One row per finished query, in the pod's emission order.  Columns,
     not objects: a pod's result pickles as three contiguous buffers
-    (24 B per outcome) whatever the run length.
+    (24 B per outcome) whatever the run length, plus the probe's payload
+    when the testbed's ``telemetry`` is set.
     """
 
     #: Simulator clock at which each outcome was recorded (``float64``).
@@ -174,6 +177,7 @@ class PodResult:
     #: Response time per outcome (``float64``); NaN marks a failed query.
     response_times: np.ndarray
     summary: Dict[str, Any]
+    telemetry: Optional[TelemetryPayload] = field(default=None, kw_only=True)
 
 
 class _ColumnCollector(ResponseTimeCollector):
@@ -232,6 +236,12 @@ class ScaleRunResult:
     pod_indices: np.ndarray
     #: Per-pod summaries keyed by pod index.
     pod_summaries: Dict[int, Dict[str, Any]]
+    #: The pods' telemetry payloads merged in pod order (``None`` when off).
+    telemetry: Optional[TelemetryPayload] = None
+
+    def telemetry_items(self) -> List[Tuple[str, TelemetryPayload]]:
+        """One deployment-wide ``("scale", payload)`` entry, or none."""
+        return [] if self.telemetry is None else [("scale", self.telemetry)]
 
     @property
     def run(self) -> "ScaleRunResult":
@@ -347,6 +357,7 @@ class ScaleScenario(ScenarioSpec):
                 "started": started,
                 "pid": os.getpid(),
             },
+            telemetry=testbed.telemetry_payload(),
         )
 
     def aggregate(
@@ -356,16 +367,17 @@ class ScaleScenario(ScenarioSpec):
         runs: Sequence[PodResult],
         trace_for: TraceProvider,
     ) -> ScaleRunResult:
-        report = telemetry_runtime.last_report()
-        if report:
-            # One deployment-wide telemetry entry, merged in pod order.
-            folded = telemetry_runtime.TelemetryReport()
-            folded.add(self.name, report.items())
-            telemetry_runtime.set_last_report(folded)
+        payloads = [run.telemetry for run in runs if run.telemetry is not None]
+        telemetry = None
+        if payloads:
+            from repro.telemetry.bus import TelemetryPayload
+
+            telemetry = TelemetryPayload.merge(payloads)
         return ScaleRunResult(
             config,
             *merge_pods(runs),
             pod_summaries={cell.key: run.summary for cell, run in zip(cells, runs)},
+            telemetry=telemetry,
         )
 
     def render(self, result: ScaleRunResult) -> str:

@@ -76,7 +76,6 @@ from typing import (
     Dict,
     Hashable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -88,11 +87,11 @@ from repro.experiments import registry
 from repro.experiments.config import PolicySpec
 from repro.experiments.platform import Testbed, build_testbed
 from repro.metrics.collector import ResponseTimeCollector
-from repro.telemetry import runtime as telemetry_runtime
 from repro.workload.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.partition import PartitionTask, Tick
+    from repro.telemetry.bus import TelemetryPayload
 
 
 @dataclass(frozen=True)
@@ -101,22 +100,12 @@ class ScenarioCell:
 
     ``key`` identifies the cell inside its family's result (e.g.
     ``("SR4", 0.75)`` for a Poisson sweep cell, ``"consistent-hash"``
-    for a resilience cell); ``params`` carries whatever the spec's
-    ``make_trace``/``run_once`` need to execute the cell.  Both must be
-    picklable — cells cross the process boundary when ``jobs > 1``.
+    for a resilience cell); with the family config it is everything the
+    spec's ``make_trace``/``run_once`` need to execute the cell.  It must
+    be picklable — cells cross the process boundary when ``jobs > 1``.
     """
 
     key: Any
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-    def param(self, name: str) -> Any:
-        """A required parameter of the cell (loud when missing)."""
-        try:
-            return self.params[name]
-        except KeyError as exc:
-            raise ExperimentError(
-                f"scenario cell {self.key!r} has no parameter {name!r}"
-            ) from exc
 
 
 @dataclass
@@ -125,20 +114,29 @@ class RunResult:
 
     ``counters`` is :meth:`~repro.experiments.platform.Testbed.counters`
     read once the run is over (``server.requests_served``,
-    ``client.queries_gave_up``, ...), and ``duration`` the simulated
-    time the run ended at.  A family whose run also yields data that is
-    not a counter subclasses this with only that data; the cell key and
-    the family config live in the :class:`ScenarioResult`.
+    ``client.queries_gave_up``, ...), ``duration`` the simulated time
+    the run ended at, and ``telemetry`` the probe's payload when the
+    testbed's config switched it on (``None`` otherwise).  A family
+    whose run also yields data that is not a counter subclasses this
+    with only that data; the cell key and the family config live in the
+    :class:`ScenarioResult`.
     """
 
     collector: ResponseTimeCollector
     counters: Dict[str, float]
     duration: float
+    telemetry: Optional[TelemetryPayload] = field(default=None, kw_only=True)
 
     @classmethod
     def of(cls, testbed: Testbed, duration: float, **data: Any) -> "RunResult":
         """The result of a finished ``testbed``'s run."""
-        return cls(testbed.collector, testbed.counters(), duration, **data)
+        return cls(
+            testbed.collector,
+            testbed.counters(),
+            duration,
+            telemetry=testbed.telemetry_payload(),
+            **data,
+        )
 
     def completion_rate(self, queries: int) -> float:
         """Fraction of ``queries`` that completed."""
@@ -188,6 +186,14 @@ class ScenarioResult:
         """Cell keys, in execution order."""
         return list(self.runs)
 
+    def telemetry_items(self) -> List[Tuple[Any, TelemetryPayload]]:
+        """``(cell key, payload)`` of every run with telemetry, in cell order."""
+        return [
+            (key, run.telemetry)
+            for key, run in self.runs.items()
+            if run.telemetry is not None
+        ]
+
 
 class ScenarioSpec(ABC):
     """Declarative description of one experiment family.
@@ -230,10 +236,7 @@ class ScenarioSpec(ABC):
         """The grid of independent runs described by ``config``.
 
         One key-only cell per entry of the config tuple :attr:`grid`
-        names, in config order; a policy's key is its name.  A family
-        that takes run-time switches (the Poisson sweep's
-        ``sample_load``) overrides this and puts them in the cells'
-        ``params``, because workers only see the cells.
+        names, in config order; a policy's key is its name.
         """
         return [
             ScenarioCell(getattr(entry, "name", entry))
@@ -348,12 +351,11 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _run_scenario_cell(task: PartitionTask, tick: Tick) -> Tuple[Any, List[Any]]:
+def _run_scenario_cell(task: PartitionTask, tick: Tick) -> Any:
     """Worker: resolve the spec, rebuild the trace, run one cell.
 
-    Returns the run and the ``(run_name, TelemetryPayload)`` pairs the
-    cell published (none when telemetry is off).  Ticks at the start,
-    once the trace is made, and between the slices of the replay.
+    Ticks at the start, once the trace is made, and between the slices
+    of the replay.
     """
     from repro.experiments import platform
 
@@ -368,7 +370,7 @@ def _run_scenario_cell(task: PartitionTask, tick: Tick) -> Tuple[Any, List[Any]]
             else spec.make_trace(work.config, work.cell)
         )
         tick()
-        return spec.run_once(work.config, work.cell, trace), telemetry_runtime.drain()
+        return spec.run_once(work.config, work.cell, trace)
     finally:
         platform.tick = previous
 
@@ -378,7 +380,6 @@ def run_scenario(
     config: Any = None,
     jobs: Optional[int] = 1,
     trace: Optional[Trace] = None,
-    **options: Any,
 ) -> Any:
     """Run a scenario end to end and return its aggregated result.
 
@@ -396,14 +397,15 @@ def run_scenario(
         Optional explicit workload trace replayed by *every* cell
         (shipped to workers verbatim); ``None`` lets the spec generate
         per-cell traces.
-    options:
-        Family-specific switches forwarded to
-        :meth:`ScenarioSpec.cells` (the Poisson sweep's ``sample_load``).
+
+    What observes the runs (the telemetry probe, Figure 4's load
+    sampler) is switched on in the config's testbed and comes home in
+    the runs' results.
     """
     spec = scenario if isinstance(scenario, ScenarioSpec) else registry.get(scenario)
     if config is None:
         config = spec.default_config()
-    cells = list(spec.cells(config, **options))
+    cells = list(spec.cells(config))
     if not cells:
         raise ExperimentError(f"scenario {spec.name!r} produced no cells to run")
     # Results are keyed by cell: a repeated key would run the cell twice
@@ -426,14 +428,6 @@ def run_scenario(
             )
         return trace_cache[key]
 
-    report = None
-    if telemetry_runtime.telemetry_enabled():
-        # A bad REPRO_TELEMETRY_* value is a usage error of the whole
-        # run: raise it here, not from inside every worker process.
-        telemetry_runtime.sampling_interval()
-        telemetry_runtime.ring_capacity()
-        report = telemetry_runtime.TelemetryReport()
-
     processes = resolve_jobs(jobs)
     # The executor loads on a run's first use; multiprocessing only with
     # a fan-out.
@@ -442,12 +436,11 @@ def run_scenario(
     if processes == 1 or len(cells) == 1:
         # Each cell is a task run in this process, on the shared traces;
         # the benchmark's tracer measures transport by wrapping this call.
-        def run_cell(task: PartitionTask, tick: Tick) -> Tuple[Any, List[Any]]:
+        def run_cell(task: PartitionTask, tick: Tick) -> Any:
             cell = task.payload
-            run = spec.run_once(config, cell, trace_for(cell))
-            return run, telemetry_runtime.drain()
+            return spec.run_once(config, cell, trace_for(cell))
 
-        outcomes = [
+        runs = [
             run_partition_serially(run_cell, PartitionTask(cell.key, cell))[0]
             for cell in cells
         ]
@@ -456,12 +449,5 @@ def run_scenario(
             PartitionTask(cell.key, ScenarioTask(spec.name, config, cell, trace))
             for cell in cells
         ]
-        outcomes = run_partitioned(_run_scenario_cell, tasks, processes=processes)
-    runs = []
-    for cell, (run, published) in zip(cells, outcomes):
-        runs.append(run)
-        if report is not None:
-            report.add(cell.key, published)
-    # Before the aggregate, which may fold the cells' entries (scale).
-    telemetry_runtime.set_last_report(report)
+        runs = run_partitioned(_run_scenario_cell, tasks, processes=processes)
     return spec.aggregate(config, cells, runs, trace_for)

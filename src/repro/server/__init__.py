@@ -22,7 +22,7 @@ __getattr__, __dir__, __all__ = exports(
             "ServerTransport",
         ),
         "scoreboard": ("Scoreboard",),
-        "virtual_router": ("ServerNode",),
+        "virtual_router": ("ServerNode", "fleet_load"),
         "worker_pool": ("WorkerPool",),
     },
 )

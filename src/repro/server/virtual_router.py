@@ -19,7 +19,7 @@ Apache server agent.  :class:`ServerNode` plays that role here:
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Iterable, Set, Tuple
 
 from repro.core.agent import ApplicationAgent
 from repro.core.policies import ConnectionAcceptancePolicy
@@ -269,3 +269,19 @@ class ServerNode(NetworkNode):
             f"ServerNode(name={self.name!r}, policy={self.policy.name!r}, "
             f"busy={self.busy_threads})"
         )
+
+
+def fleet_load(servers: Iterable[ServerNode]) -> Tuple[int, int, int]:
+    """``(busy workers, worker slots, backlog depth)`` summed over ``servers``.
+
+    The scoreboard and listen-backlog reads of the paper's agent (§III),
+    fleet-wide: what the telemetry probe streams over every server and
+    the elastic control plane's monitor reads over the serving ones.
+    """
+    busy = slots = backlog = 0
+    for server in servers:
+        app = server.app
+        busy += app.scoreboard.busy_count
+        slots += app.scoreboard.num_slots
+        backlog += app.backlog.depth
+    return busy, slots, backlog

@@ -10,14 +10,17 @@ See docs/architecture.md ("Telemetry plane") for the cast:
 * :mod:`repro.telemetry.anomaly` — EWMA-residual detectors emitting
   typed :class:`AnomalyEvent` objects;
 * :mod:`repro.telemetry.probe` — the periodic sampling task wired onto
-  a testbed when :func:`repro.telemetry.runtime.telemetry_enabled`;
+  a testbed whose :class:`~repro.experiments.config.TestbedConfig` sets
+  ``telemetry``, stopped at the run's horizon; its payload comes home in
+  the run's result (``RunResult.telemetry``);
 * :mod:`repro.telemetry.render` — terminal sparklines and the
   self-contained HTML dashboard.
 
-Telemetry is strictly opt-in and purely observational: with it off,
-runs are bit-identical to a build without the subsystem; with it on,
-sampling draws no randomness and the goldens still hold (re-checked in
-CI with ``REPRO_TELEMETRY=1``).
+Telemetry is strictly opt-in and purely observational: with it off, a
+run imports nothing from this package; with it on, sampling draws no
+randomness and the goldens still hold (re-checked in CI by
+``make telemetry-smoke``, which runs them with every testbed's
+``telemetry`` set).
 """
 
 from repro._lazy import exports

@@ -1,9 +1,10 @@
 """The telemetry probe: periodic in-sim sampling of a whole testbed.
 
 ``attach_telemetry`` hangs one :class:`TelemetryProbe` off a testbed
-(:func:`repro.experiments.platform.build_testbed` does this whenever
-:func:`repro.telemetry.runtime.telemetry_enabled` is true).  The probe
-owns the run's :class:`~repro.telemetry.bus.TelemetryBus`, its
+(:func:`repro.experiments.platform.build_testbed` does this when the
+testbed's config sets ``telemetry``).  The probe stops at the run's
+horizon, and the run's result carries its :meth:`~TelemetryProbe.export_payload`.
+It owns the run's :class:`~repro.telemetry.bus.TelemetryBus`, its
 :class:`~repro.telemetry.recorder.FlightRecorder`, and an
 :class:`~repro.telemetry.anomaly.AnomalyMonitor`, and drives one
 periodic sim task that records, each tick:
@@ -25,13 +26,16 @@ exactly this.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
+from repro.server.virtual_router import fleet_load
 from repro.sim.engine import PeriodicTask
-from repro.telemetry import runtime
 from repro.telemetry.anomaly import AnomalyMonitor
 from repro.telemetry.bus import TelemetryBus, TelemetryPayload
 from repro.telemetry.recorder import FlightRecorder
+
+#: Simulated seconds between two samples.
+SAMPLE_INTERVAL = 0.25
 
 #: Series the anomaly monitor watches by default.
 DEFAULT_WATCHED = ("server.busy_fraction", "server.backlog_depth")
@@ -44,17 +48,12 @@ LEVELS = frozenset({"flow.entries_live"})
 class TelemetryProbe:
     """One testbed's streaming telemetry: bus + recorder + detectors."""
 
-    def __init__(
-        self,
-        testbed: Any,
-        interval: float = runtime.DEFAULT_INTERVAL,
-        capacity: Optional[int] = None,
-    ) -> None:
+    def __init__(self, testbed: Any) -> None:
         self.testbed = testbed
-        #: The run label the payload publishes under (the collector's name).
+        #: The run label of the payload's meta (the collector's name).
         self.run_name = getattr(testbed.collector, "name", "run") or "run"
-        self.interval = interval
-        self.bus = TelemetryBus(**({"capacity": capacity} if capacity else {}))
+        self.interval = SAMPLE_INTERVAL
+        self.bus = TelemetryBus()
         self.recorder = FlightRecorder()
         self.anomalies = AnomalyMonitor()
         for series in DEFAULT_WATCHED:
@@ -62,7 +61,7 @@ class TelemetryProbe:
         self.samples_taken = 0
         self._task = PeriodicTask(
             simulator=testbed.simulator,
-            interval=interval,
+            interval=SAMPLE_INTERVAL,
             callback=self.sample,
             label="telemetry-sampler",
         )
@@ -110,12 +109,7 @@ class TelemetryProbe:
                 name, now, value, kind="gauge" if name in LEVELS else "counter"
             )
 
-        busy = slots = backlog = 0
-        for server in testbed.servers:
-            app = server.app
-            busy += app.scoreboard.busy_count
-            slots += app.scoreboard.num_slots
-            backlog += app.backlog.depth
+        busy, slots, backlog = fleet_load(testbed.servers)
         bus.record("server.busy_fraction", now, busy / slots if slots else 0.0)
         bus.record("server.backlog_depth", now, float(backlog))
         tier = testbed.lb_tier
@@ -151,11 +145,6 @@ class TelemetryProbe:
             },
         )
 
-    def publish(self) -> None:
-        """Stop sampling and deposit the payload for the scenario driver."""
-        self.stop()
-        runtime.publish(self.run_name, self.export_payload())
-
     def __repr__(self) -> str:
         return (
             f"TelemetryProbe(interval={self.interval:g}, "
@@ -168,19 +157,16 @@ def attach_telemetry(testbed: Any) -> TelemetryProbe:
 
     Also points the traffic generator's ``flight_recorder`` at the
     probe's recorder so client retransmission/give-up events feed the
-    black box.  Interval and capacity come from the runtime's environment
-    knobs so every ``jobs`` worker samples identically.  Re-attaching
-    replaces the previous probe; it is closed first, so its sampling task
-    cannot keep rescheduling past the horizon and hold the run open.
+    black box, and registers the probe's stop (a final sample) at the
+    testbed's horizon.  Re-attaching replaces the previous probe; it is
+    closed first, so its sampling task cannot keep rescheduling past the
+    horizon and hold the run open.
     """
     if testbed.telemetry is not None:
         testbed.telemetry.close()
-    probe = TelemetryProbe(
-        testbed,
-        interval=runtime.sampling_interval(),
-        capacity=runtime.ring_capacity(),
-    )
+    probe = TelemetryProbe(testbed)
     testbed.telemetry = probe
     testbed.client.flight_recorder = probe.recorder
+    testbed.at_horizon(probe.stop)
     probe.start()
     return probe

@@ -2,12 +2,32 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.experiments.config import TestbedConfig
 from repro.net.addressing import IPv6Address
 from repro.sim.engine import Simulator
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--telemetry",
+        action="store_true",
+        help="attach the telemetry probe to every testbed the `observe` fixture "
+        "configures (make telemetry-smoke runs the scenario goldens this way)",
+    )
+
+
+@pytest.fixture(scope="session")
+def observe(request):
+    """``config -> config``: under ``pytest --telemetry`` the family config's
+    testbed gets ``telemetry=True``; otherwise the config is unchanged."""
+    if not request.config.getoption("--telemetry"):
+        return lambda config: config
+    return lambda config: replace(config, testbed=replace(config.testbed, telemetry=True))
 
 
 @pytest.fixture

@@ -45,7 +45,6 @@ SET_UP_WINDOW = {
     "repro.server.http_server", "repro.server.scoreboard",
     "repro.server.virtual_router", "repro.server.worker_pool",
     "repro.sim", "repro.sim.clock", "repro.sim.engine", "repro.sim.random_streams",
-    "repro.telemetry", "repro.telemetry.runtime",
     "repro.workload", "repro.workload.client", "repro.workload.requests",
     "repro.workload.trace",
 }  # fmt: skip
@@ -53,7 +52,8 @@ SET_UP_WINDOW = {
 #: Loaded on first use, never at set-up (named so a failure reads as a rule).
 LOADED_ON_USE = (
     "repro.analysis", "repro.control", "repro.experiments.calibration",
-    "repro.experiments.figures", "repro.telemetry.probe", "repro.telemetry.bus",
+    "repro.experiments.figures", "repro.telemetry", "repro.telemetry.probe",
+    "repro.telemetry.bus",
     "repro.core.lb_tier", "repro.net.ecmp", "repro.core.consistent_hash",
     "repro.net.faults", "repro.sim.partition", "multiprocessing",
 )  # fmt: skip

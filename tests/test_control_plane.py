@@ -46,10 +46,10 @@ def _sample(time=0.0, smoothed=0.5, servers=4, workers=32):
 
 
 def _stub_server(busy=4, workers=8, backlog=0):
+    # What repro.server.fleet_load reads: the scoreboard and the backlog.
     return SimpleNamespace(
-        busy_threads=busy,
         app=SimpleNamespace(
-            scoreboard=SimpleNamespace(num_slots=workers),
+            scoreboard=SimpleNamespace(busy_count=busy, num_slots=workers),
             backlog=SimpleNamespace(depth=backlog),
         ),
     )

@@ -274,9 +274,12 @@ class TestPoissonSweepDeterminism:
         assert figure2_series(serial) == figure2_series(parallel)
 
     def test_load_sampler_survives_the_pool(self):
-        config = _small_sweep_config(load_factors=(0.6,))
-        serial = run_scenario("poisson", config, jobs=1, sample_load=True)
-        parallel = run_scenario("poisson", config, jobs=2, sample_load=True)
+        config = _small_sweep_config(
+            testbed=dataclasses.replace(SMALL_TESTBED, sample_load=True),
+            load_factors=(0.6,),
+        )
+        serial = run_scenario("poisson", config, jobs=1)
+        parallel = run_scenario("poisson", config, jobs=2)
         for policy in ("RR", "SR4"):
             serial_sampler = serial.run((policy, 0.6)).load_sampler
             parallel_sampler = parallel.run((policy, 0.6)).load_sampler

@@ -39,7 +39,6 @@ from repro.experiments.heterogeneous_experiment import (
 )
 from repro.experiments.scenario import (
     RunResult,
-    ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
     ScenarioTask,
@@ -110,14 +109,6 @@ class TestRegistry:
 # framework plumbing
 # ----------------------------------------------------------------------
 class TestScenarioCell:
-    def test_param_lookup(self):
-        cell = ScenarioCell(key="x", params={"policy": "RR"})
-        assert cell.param("policy") == "RR"
-
-    def test_missing_param_is_loud(self):
-        with pytest.raises(ExperimentError, match="no parameter"):
-            ScenarioCell(key="x").param("absent")
-
     def test_cells_and_tasks_are_picklable(self):
         spec = registry.get("poisson")
         config = spec.smoke_config()

@@ -68,9 +68,8 @@ TIER_CALLS_PER_SEND_BUDGET = 21.7
 HEAP_HIGH_WATER_BUDGET = 64
 
 
-def _small_poisson_cell(monkeypatch):
-    # The shipped default path: no probe.
-    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+def _small_poisson_cell():
+    # The shipped default path: no probe (``telemetry`` is off).
     config = TestbedConfig(
         num_servers=4,
         workers_per_server=8,
@@ -97,13 +96,12 @@ def _profile_replay(testbed, trace, queries):
     return pstats.Stats(profile)
 
 
-def _profile_small_poisson_cell(monkeypatch):
-    testbed, trace = _small_poisson_cell(monkeypatch)
+def _profile_small_poisson_cell():
+    testbed, trace = _small_poisson_cell()
     return _profile_replay(testbed, trace, QUERIES)
 
 
-def _profile_tier_loss_cell(monkeypatch):
-    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+def _profile_tier_loss_cell():
     config = ChaosConfig(num_queries=TIER_QUERIES)
     trace = legitimate_poisson_trace(config)
     with build_testbed(config.testbed, config.policy) as testbed:
@@ -142,18 +140,18 @@ def _assert_inside_budget(stats, queries, per_query_budget, per_send_budget):
     )
 
 
-def test_replay_stays_inside_its_python_call_budget(monkeypatch):
+def test_replay_stays_inside_its_python_call_budget():
     _assert_inside_budget(
-        _profile_small_poisson_cell(monkeypatch),
+        _profile_small_poisson_cell(),
         QUERIES,
         CALLS_PER_QUERY_BUDGET,
         CALLS_PER_SEND_BUDGET,
     )
 
 
-def test_tier_replay_stays_inside_its_python_call_budget(monkeypatch):
+def test_tier_replay_stays_inside_its_python_call_budget():
     _assert_inside_budget(
-        _profile_tier_loss_cell(monkeypatch),
+        _profile_tier_loss_cell(),
         TIER_QUERIES,
         TIER_CALLS_PER_QUERY_BUDGET,
         TIER_CALLS_PER_SEND_BUDGET,
@@ -161,7 +159,7 @@ def test_tier_replay_stays_inside_its_python_call_budget(monkeypatch):
 
 
 def test_replay_keeps_the_event_heap_shallow(monkeypatch):
-    testbed, trace = _small_poisson_cell(monkeypatch)
+    testbed, trace = _small_poisson_cell()
     high_water = 0
     push = engine._heappush
 

@@ -39,9 +39,12 @@ NUM_QUERIES = 2_500
 def _poisson_runs(policies, load_factor, num_queries, sample_load=False):
     """One run per policy at ``load_factor`` on the paper's testbed, by name."""
     config = PoissonSweepConfig(
-        load_factors=(load_factor,), num_queries=num_queries, policies=tuple(policies)
+        testbed=TestbedConfig(sample_load=sample_load),
+        load_factors=(load_factor,),
+        num_queries=num_queries,
+        policies=tuple(policies),
     )
-    sweep = run_scenario("poisson", config, sample_load=sample_load)
+    sweep = run_scenario("poisson", config)
     return {policy.name: sweep.run((policy.name, load_factor)) for policy in policies}
 
 

@@ -86,16 +86,14 @@ def test_a_generated_wikipedia_day_retains_at_most_64_bytes_per_query():
     assert retained <= 64 * len(trace)
 
 
-@pytest.mark.parametrize("telemetry", [None, "1"], ids=["plain", "telemetry"])
+@pytest.mark.parametrize("telemetry", [False, True], ids=["plain", "telemetry"])
 @pytest.mark.parametrize("name", registry.names())
-def test_no_load_balancer_outlives_its_run(name, telemetry, monkeypatch, gc_disabled):
-    if telemetry is None:
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_TELEMETRY", telemetry)
+def test_no_load_balancer_outlives_its_run(name, telemetry, gc_disabled):
     spec = registry.get(name)
+    config = spec.smoke_config()
+    config = replace(config, testbed=replace(config.testbed, telemetry=telemetry))
     before = _live(LoadBalancerNode), _live(FlowEntry)
-    result = run_scenario(name, spec.smoke_config())
+    result = run_scenario(name, config)
     assert result is not None
     assert (_live(LoadBalancerNode), _live(FlowEntry)) == before
 

@@ -43,6 +43,18 @@ SMALL_TESTBED = TestbedConfig(
 JOBS = (1, 2)
 
 
+def _run(request, observe, scenario, config):
+    """``scenario`` at the fixture's ``jobs``; under ``pytest --telemetry``
+    (``make telemetry-smoke``) every testbed attaches the probe, and
+    every run must then carry its payload home."""
+    config = observe(config)
+    result = run_scenario(scenario, config, jobs=request.param)
+    observed = config.testbed.telemetry
+    for key in result.keys():
+        assert (result.run(key).telemetry is not None) == observed, key
+    return result
+
+
 def _empirical_cdf(values):
     """``(x, p)``: the sorted sample and the fraction at or below each value."""
     x = np.sort(np.asarray(values, dtype=float))
@@ -99,6 +111,14 @@ def _assert_accounting_identities(run, queries: int) -> None:
     assert counters["client.queries_started"] == queries
     assert counters["client.queries_completed"] == totals.completed
     assert counters["client.queries_failed"] == totals.failed
+    # A query the client gave up on is a failed one, and a query the
+    # final sweep closed was given up on; the collector's per-outcome
+    # columns hold the same give-ups and retries the client counted.
+    columns = run.collector.columns()
+    assert counters["client.queries_gave_up"] <= counters["client.queries_failed"]
+    assert counters["client.queries_swept"] <= counters["client.queries_gave_up"]
+    assert counters["client.queries_gave_up"] == int(columns.gave_up.sum())
+    assert counters["client.queries_retried"] == int(columns.retries.sum())
     # Every flow entry the LBs made is still live or left one way.
     assert counters["flow.entries_created"] == (
         counters["flow.entries_expired"]
@@ -150,14 +170,14 @@ def _series_hash(values) -> str:
 
 class TestPoissonGolden:
     @pytest.fixture(scope="class", params=JOBS)
-    def sweep(self, request):
+    def sweep(self, request, observe):
         config = PoissonSweepConfig(
             testbed=SMALL_TESTBED,
             load_factors=(0.4, 0.75),
             num_queries=250,
             policies=(rr_policy(), sr_policy(4)),
         )
-        return run_scenario("poisson", config, jobs=request.param)
+        return _run(request, observe, "poisson", config)
 
     @pytest.mark.parametrize("policy", ["RR", "SR4"])
     def test_mean_response_series_bitwise(self, golden, sweep, policy):
@@ -186,11 +206,11 @@ class TestPoissonGolden:
 
 class TestWikipediaGolden:
     @pytest.fixture(scope="class", params=JOBS)
-    def replay(self, request):
+    def replay(self, request, observe):
         config = WikipediaReplayConfig(testbed=SMALL_TESTBED).compressed(
             duration=60.0
         )
-        return run_scenario("wikipedia", config, jobs=request.param)
+        return _run(request, observe, "wikipedia", config)
 
     def test_trace_summary_bitwise(self, golden, replay):
         expected = golden["wikipedia"]["trace_summary"]
@@ -220,12 +240,10 @@ class TestWikipediaGolden:
 
 class TestAutoscaleGolden:
     @pytest.fixture(scope="class", params=JOBS)
-    def result(self, request):
+    def result(self, request, observe):
         from repro.experiments.autoscale_experiment import AUTOSCALE_SCENARIO
 
-        return run_scenario(
-            "autoscale", AUTOSCALE_SCENARIO.smoke_config(), jobs=request.param
-        )
+        return _run(request, observe, "autoscale", AUTOSCALE_SCENARIO.smoke_config())
 
     @pytest.mark.parametrize("mode", ["static", "reactive", "predictive"])
     def test_run_results_bitwise(self, golden, result, mode):
@@ -258,12 +276,10 @@ class TestAutoscaleGolden:
 
 class TestHeavyTailGolden:
     @pytest.fixture(scope="class", params=JOBS)
-    def comparison(self, request):
+    def comparison(self, request, observe):
         from repro.experiments.heavy_tail_experiment import HEAVY_TAIL_SCENARIO
 
-        return run_scenario(
-            "heavy-tail", HEAVY_TAIL_SCENARIO.smoke_config(), jobs=request.param
-        )
+        return _run(request, observe, "heavy-tail", HEAVY_TAIL_SCENARIO.smoke_config())
 
     def test_user_concentration_bitwise(self, golden, comparison):
         expected = golden["heavy-tail"]["users"]
@@ -300,12 +316,10 @@ class TestHeavyTailGolden:
 
 class TestAdversarialGolden:
     @pytest.fixture(scope="class", params=JOBS)
-    def comparison(self, request):
+    def comparison(self, request, observe):
         from repro.experiments.adversarial_experiment import ADVERSARIAL_SCENARIO
 
-        return run_scenario(
-            "adversarial", ADVERSARIAL_SCENARIO.smoke_config(), jobs=request.param
-        )
+        return _run(request, observe, "adversarial", ADVERSARIAL_SCENARIO.smoke_config())
 
     @pytest.mark.parametrize(
         "mode", ["baseline", "syn-flood", "hash-collision", "gray-failure"]
@@ -362,10 +376,10 @@ class TestAdversarialGolden:
 
 class TestChaosGolden:
     @pytest.fixture(scope="class", params=JOBS)
-    def comparison(self, request):
+    def comparison(self, request, observe):
         from repro.experiments.chaos_experiment import CHAOS_SCENARIO
 
-        return run_scenario("chaos", CHAOS_SCENARIO.smoke_config(), jobs=request.param)
+        return _run(request, observe, "chaos", CHAOS_SCENARIO.smoke_config())
 
     @pytest.mark.parametrize("mode", ["baseline", "loss", "flap", "jitter"])
     def test_run_results_bitwise(self, golden, comparison, mode):
@@ -417,7 +431,7 @@ class TestChaosGolden:
 
 class TestResilienceGolden:
     @pytest.fixture(scope="class", params=JOBS)
-    def comparison(self, request):
+    def comparison(self, request, observe):
         config = ResilienceConfig(
             testbed=TestbedConfig(
                 num_servers=6,
@@ -431,7 +445,7 @@ class TestResilienceGolden:
             service_mean=0.05,
             churn=(ChurnEvent(at_fraction=0.5),),
         )
-        return run_scenario("resilience", config, jobs=request.param)
+        return _run(request, observe, "resilience", config)
 
     @pytest.mark.parametrize("scheme", ["random", "consistent-hash"])
     def test_churn_results_bitwise(self, golden, comparison, scheme):
@@ -466,12 +480,10 @@ def _assert_cell_bitwise(run, expected) -> None:
 
 class TestFlashCrowdGolden:
     @pytest.fixture(scope="class", params=JOBS)
-    def comparison(self, request):
+    def comparison(self, request, observe):
         from repro.experiments.flash_crowd_experiment import FLASH_CROWD_SCENARIO
 
-        return run_scenario(
-            "flash-crowd", FLASH_CROWD_SCENARIO.smoke_config(), jobs=request.param
-        )
+        return _run(request, observe, "flash-crowd", FLASH_CROWD_SCENARIO.smoke_config())
 
     def test_saturation_rate_bitwise(self, golden, comparison):
         expected = golden["flash-crowd"]["saturation_rate"]
@@ -501,13 +513,11 @@ class TestFlashCrowdGolden:
 
 class TestHeterogeneousFleetGolden:
     @pytest.fixture(scope="class", params=JOBS)
-    def comparison(self, request):
+    def comparison(self, request, observe):
         from repro.experiments.heterogeneous_experiment import HETEROGENEOUS_SCENARIO
 
-        return run_scenario(
-            "heterogeneous-fleet",
-            HETEROGENEOUS_SCENARIO.smoke_config(),
-            jobs=request.param,
+        return _run(
+            request, observe, "heterogeneous-fleet", HETEROGENEOUS_SCENARIO.smoke_config()
         )
 
     def test_saturation_rate_bitwise(self, golden, comparison):

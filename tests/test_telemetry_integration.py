@@ -4,8 +4,8 @@ Pins the subsystem's three load-bearing promises on real testbeds:
 
 * **Determinism** — a run with a probe attached is bit-identical to the
   same run without one (the probe only reads), including the decisions
-  of the gray-failure watchdog and the autoscaler, and when per-cell
-  payloads merge across ``jobs`` worker processes;
+  of the gray-failure watchdog and the autoscaler, and the payloads the
+  run results carry home are equal across ``jobs`` worker processes;
 * **The black box** — an SLO breach freezes a flight dump that
   round-trips through JSON;
 * **Uniform counters** — every tier exposes the flat
@@ -18,13 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
 
 import numpy as np
 import pytest
 
-from repro.cli import main
-from repro.errors import TelemetryError
 from repro.experiments.adversarial_experiment import (
     ADVERSARIAL_SCENARIO,
     HOUSEKEEPING_INTERVAL,
@@ -37,27 +34,21 @@ from repro.experiments.chaos_experiment import (
     outcome_fingerprint,
 )
 from repro.experiments.config import TestbedConfig, sr_policy
-from repro.experiments.platform import build_testbed
-from repro.experiments.scenario import ScenarioCell, run_scenario
+from repro.experiments.platform import SETTLE_MARGIN, build_testbed
+from repro.experiments.scenario import RunResult, ScenarioCell, run_scenario
 from repro.net.faults import install_fault_channel
-from repro.telemetry import runtime
-from repro.telemetry.probe import DEFAULT_WATCHED, attach_telemetry
+from repro.telemetry.probe import DEFAULT_WATCHED, SAMPLE_INTERVAL, attach_telemetry
 from repro.telemetry.recorder import FlightDump
 from repro.workload.requests import Request
 from repro.workload.trace import Trace
 
 
-@pytest.fixture
-def telemetry_on():
-    """Enable telemetry for one test, restoring a clean runtime after."""
-    already = runtime.telemetry_enabled()
-    runtime.enable()
-    runtime.drain()
-    yield
-    if not already:
-        runtime.disable()
-    runtime.drain()
-    runtime.set_last_report(None)
+def _observed(config):
+    """``config`` (a testbed config, or a family config's testbed) with
+    the probe switched on."""
+    if isinstance(config, TestbedConfig):
+        return dataclasses.replace(config, telemetry=True)
+    return dataclasses.replace(config, testbed=_observed(config.testbed))
 
 
 def _burst_trace(count=40):
@@ -76,28 +67,28 @@ def _burst_trace(count=40):
 
 
 class TestProbeLifecycle:
-    def test_probe_attaches_only_when_enabled(self, small_testbed_config):
+    def test_probe_attaches_only_when_the_config_asks(
+        self, small_testbed_config, monkeypatch
+    ):
+        # The variable that once switched the probe on is not read.
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
         plain = build_testbed(small_testbed_config, sr_policy(4))
         assert plain.telemetry is None
+        assert plain.telemetry_payload() is None
 
-    def test_build_testbed_attaches_and_starts_probe(
-        self, small_testbed_config, telemetry_on
-    ):
-        testbed = build_testbed(small_testbed_config, sr_policy(4))
+    def test_build_testbed_attaches_and_starts_probe(self, small_testbed_config):
+        testbed = build_testbed(_observed(small_testbed_config), sr_policy(4))
         assert testbed.telemetry is not None
         assert testbed.telemetry.active
+        assert testbed.telemetry.interval == SAMPLE_INTERVAL
         # The traffic generator's cold-path events feed the black box.
         assert testbed.client.flight_recorder is testbed.telemetry.recorder
 
-    def test_run_trace_publishes_one_payload(
-        self, small_testbed_config, telemetry_on
-    ):
-        testbed = build_testbed(small_testbed_config, sr_policy(4))
-        testbed.run_trace(_burst_trace())
-        assert not testbed.telemetry.active  # stopped at the horizon
-        published = runtime.drain()
-        assert len(published) == 1
-        _name, payload = published[0]
+    def test_the_run_result_carries_the_payload(self, small_testbed_config):
+        with build_testbed(_observed(small_testbed_config), sr_policy(4)) as testbed:
+            duration = testbed.run_trace(_burst_trace())
+            assert not testbed.telemetry.active  # stopped at the horizon
+        payload = RunResult.of(testbed, duration).telemetry
         assert payload.meta["samples"] == testbed.telemetry.samples_taken > 0
         names = set(payload.names)
         assert set(DEFAULT_WATCHED) <= names
@@ -106,8 +97,8 @@ class TestProbeLifecycle:
         times, values = payload.series("server.busy_fraction")
         assert times.size == values.size > 0
 
-    def test_a_second_attach_stops_the_first_probe(self, telemetry_on):
-        testbed = build_testbed(TestbedConfig(num_servers=4), sr_policy(4))
+    def test_a_second_attach_stops_the_first_probe(self):
+        testbed = build_testbed(_observed(TestbedConfig(num_servers=4)), sr_policy(4))
         first = testbed.telemetry
         second = attach_telemetry(testbed)
         assert not first.active
@@ -115,74 +106,52 @@ class TestProbeLifecycle:
         # The replaced probe no longer reschedules, so the run ends.
         testbed.run_trace(_burst_trace(50))
         assert not second.active
-        assert len(runtime.drain()) == 1
+        assert first.samples_taken == 1
+        assert testbed.telemetry_payload().meta["samples"] == second.samples_taken
 
-
-class TestEnvironmentKnobs:
-    """``REPRO_TELEMETRY_INTERVAL`` / ``_CAPACITY``: unset and empty mean
-    the default, a usable value is used, anything else fails loudly."""
-
-    @pytest.mark.parametrize("raw", [None, ""])
-    def test_unset_or_empty_means_the_default(self, monkeypatch, raw):
-        for name in (runtime.ENV_INTERVAL, runtime.ENV_CAPACITY):
-            if raw is None:
-                monkeypatch.delenv(name, raising=False)
-            else:
-                monkeypatch.setenv(name, raw)
-        assert runtime.sampling_interval() == runtime.DEFAULT_INTERVAL
-        assert runtime.ring_capacity() is None
-
-    def test_usable_values_are_used(self, monkeypatch):
-        monkeypatch.setenv(runtime.ENV_INTERVAL, "0.5")
-        monkeypatch.setenv(runtime.ENV_CAPACITY, "128")
-        assert runtime.sampling_interval() == 0.5
-        assert runtime.ring_capacity() == 128
-
-    @pytest.mark.parametrize("raw", ["abc", "-1", "0", "nan", "inf", " "])
-    def test_bad_interval_names_the_variable_and_the_value(self, monkeypatch, raw):
-        monkeypatch.setenv(runtime.ENV_INTERVAL, raw)
-        with pytest.raises(TelemetryError, match=f"^REPRO_TELEMETRY_INTERVAL={raw}:"):
-            runtime.sampling_interval()
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5", " "])
-    def test_bad_capacity_names_the_variable_and_the_value(self, monkeypatch, raw):
-        monkeypatch.setenv(runtime.ENV_CAPACITY, raw)
-        with pytest.raises(TelemetryError, match=f"^REPRO_TELEMETRY_CAPACITY={raw}:"):
-            runtime.ring_capacity()
-
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize(
-        "name,raw",
-        [(runtime.ENV_INTERVAL, "inf"), (runtime.ENV_CAPACITY, "abc")],
-    )
-    def test_cli_prints_one_error_line_and_exits_2(
-        self, monkeypatch, capsys, telemetry_on, jobs, name, raw
+    def test_the_probe_stops_at_the_horizon_with_a_final_sample(
+        self, small_testbed_config
     ):
-        monkeypatch.setenv(name, raw)
-        fan_outs = []
-        monkeypatch.setattr(multiprocessing, "get_context", fan_outs.append)
-        argv = ["poisson", "--servers", "4", "--workers", "8", "--queries", "50"]
-        status = main(argv + ["--rho", "0.5", "--jobs", jobs])
-        captured = capsys.readouterr()
-        assert status == 2
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: {name}={raw}:")
-        # A usage error of the whole run: no worker process was started for it.
-        assert fan_outs == []
+        trace = _burst_trace()
+        testbed = build_testbed(_observed(small_testbed_config), sr_policy(4))
+        end = testbed.run_trace(trace)
+        probe = testbed.telemetry
+        times, _values = probe.export_payload().series("server.busy_fraction")
+        # One sample per interval up to the horizon, plus the final one
+        # the stop takes there; nothing samples while the heap drains.
+        horizon = trace.duration + SETTLE_MARGIN
+        assert times[-1] == horizon <= end
+        assert probe.samples_taken == len(times) == int(horizon / SAMPLE_INTERVAL) + 2
+
+
+class TestRunResultsCarryThePayload:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_cell_brings_its_payload_home(self, jobs):
+        config = _observed(
+            dataclasses.replace(CHAOS_SCENARIO.smoke_config(), num_queries=100)
+        )
+        result = run_scenario("chaos", config, jobs=jobs)
+        items = result.telemetry_items()
+        assert [key for key, _payload in items] == list(config.modes)
+        for key, payload in items:
+            assert payload is result.run(key).telemetry
+            assert payload.meta["run"] == f"chaos-{key}"
+            assert payload.meta["samples"] > 0
+
+    def test_a_run_without_telemetry_carries_none(self):
+        config = dataclasses.replace(CHAOS_SCENARIO.smoke_config(), num_queries=100)
+        result = run_scenario("chaos", config)
+        assert result.telemetry_items() == []
+        assert all(result.run(key).telemetry is None for key in config.modes)
 
 
 class TestDeterminism:
-    def test_run_outcome_bit_identical_with_probe_attached(
-        self, small_testbed_config, telemetry_on
-    ):
-        runtime.disable()
+    def test_run_outcome_bit_identical_with_probe_attached(self, small_testbed_config):
         plain = build_testbed(small_testbed_config, sr_policy(4))
         assert plain.telemetry is None  # the control run samples nothing
         plain.run_trace(_burst_trace())
 
-        runtime.enable()
-        sampled = build_testbed(small_testbed_config, sr_policy(4))
+        sampled = build_testbed(_observed(small_testbed_config), sr_policy(4))
         assert sampled.telemetry is not None
         sampled.run_trace(_burst_trace())
 
@@ -191,23 +160,21 @@ class TestDeterminism:
         )
         assert sampled.collector.totals.completed == plain.collector.totals.completed
 
-    def test_chaos_report_merges_identically_across_jobs(self, telemetry_on):
-        config = dataclasses.replace(
-            CHAOS_SCENARIO.smoke_config(),
-            num_queries=200,
-            modes=("baseline", "loss"),
+    def test_chaos_payloads_are_identical_across_jobs(self):
+        config = _observed(
+            dataclasses.replace(
+                CHAOS_SCENARIO.smoke_config(),
+                num_queries=200,
+                modes=("baseline", "loss"),
+            )
         )
-        reports = {}
-        comparisons = {}
-        for jobs in (1, 2):
-            comparisons[jobs] = run_scenario("chaos", config, jobs=jobs)
-            reports[jobs] = runtime.last_report()
-            runtime.drain()
+        comparisons = {jobs: run_scenario("chaos", config, jobs=jobs) for jobs in (1, 2)}
         for mode in config.modes:
             assert outcome_fingerprint(
                 comparisons[1].run(mode).collector
             ) == outcome_fingerprint(comparisons[2].run(mode).collector)
-            serial, pooled = reports[1].payload(mode), reports[2].payload(mode)
+            serial = comparisons[1].run(mode).telemetry
+            pooled = comparisons[2].run(mode).telemetry
             assert serial.names == pooled.names
             assert serial.kinds == pooled.kinds
             for index in range(len(serial.names)):
@@ -218,10 +185,12 @@ class TestDeterminism:
             assert serial.anomalies == pooled.anomalies
 
 
-def _gray_failure_cell():
-    """adversarial ``gray-failure`` at its smoke config: the collector and
-    the watchdog's quarantine events."""
+def _gray_failure_cell(telemetry):
+    """adversarial ``gray-failure`` at its smoke config: the collector, the
+    watchdog's quarantine events and the probe's payload."""
     config = ADVERSARIAL_SCENARIO.smoke_config()
+    if telemetry:
+        config = _observed(config)
     trace = ADVERSARIAL_SCENARIO.make_trace(config, ScenarioCell("gray-failure"))
     testbed = build_testbed(config.testbed, config.policy, run_name="adversarial-gray-failure")
     tier = testbed.lb_tier
@@ -231,23 +200,23 @@ def _gray_failure_cell():
     watchdog = _attach_gray_failure(testbed, config, trace)
     testbed.run_trace(trace)
     assert watchdog.quarantined == ("server-0",)
-    return testbed.collector, watchdog.events
+    return testbed.collector, watchdog.events, testbed.telemetry_payload()
 
 
-def _reactive_cell():
-    """autoscale ``reactive`` at its smoke config: the collector, and the
-    monitor's samples with the capacity steps and scaling actions."""
+def _reactive_cell(telemetry):
+    """autoscale ``reactive`` at its smoke config: the collector, the
+    monitor's samples with the capacity steps and scaling actions, and
+    the probe's payload."""
     config = AUTOSCALE_SCENARIO.smoke_config()
+    if telemetry:
+        config = _observed(config)
     cell = ScenarioCell("reactive")
     run = AUTOSCALE_SCENARIO.run_once(
         config, cell, AUTOSCALE_SCENARIO.make_trace(config, cell)
     )
     assert run.monitor_series and run.capacity.scale_ups() > 0
-    return run.collector, (
-        run.monitor_series,
-        run.capacity.series(),
-        run.capacity.events,
-    )
+    decisions = (run.monitor_series, run.capacity.series(), run.capacity.events)
+    return run.collector, decisions, run.telemetry
 
 
 @pytest.mark.parametrize(
@@ -255,17 +224,12 @@ def _reactive_cell():
     [(_gray_failure_cell, ["quarantine:server-0"]), (_reactive_cell, [])],
     ids=["adversarial-gray-failure", "autoscale-reactive"],
 )
-def test_control_decisions_identical_with_telemetry_on_and_off(
-    run_cell, dump_reasons, telemetry_on
-):
+def test_control_decisions_identical_with_telemetry_on_and_off(run_cell, dump_reasons):
     """The control loops read the same state whether or not a probe is
     attached, so their decisions and the run's outcomes are equal."""
-    runtime.disable()
-    plain_collector, plain_decisions = run_cell()
-    assert runtime.drain() == []
-    runtime.enable()
-    sampled_collector, sampled_decisions = run_cell()
-    ((_name, payload),) = runtime.drain()
+    plain_collector, plain_decisions, no_payload = run_cell(telemetry=False)
+    assert no_payload is None
+    sampled_collector, sampled_decisions, payload = run_cell(telemetry=True)
 
     assert sampled_decisions == plain_decisions
     assert outcome_fingerprint(sampled_collector) == outcome_fingerprint(
@@ -277,10 +241,8 @@ def test_control_decisions_identical_with_telemetry_on_and_off(
 
 
 class TestFlightDump:
-    def test_a_tripped_dump_rides_in_the_published_payload(
-        self, small_testbed_config, telemetry_on
-    ):
-        testbed = build_testbed(small_testbed_config, sr_policy(4))
+    def test_a_tripped_dump_rides_in_the_payload(self, small_testbed_config):
+        testbed = build_testbed(_observed(small_testbed_config), sr_policy(4))
         probe = testbed.telemetry
         probe.recorder.record(0.0, "marker", "before-trip", 1.0)
         testbed.run_trace(_burst_trace())
@@ -294,13 +256,14 @@ class TestFlightDump:
 
 
 class TestUniformSnapshotAPI:
-    def test_every_tier_exposes_flat_numeric_counters(self, telemetry_on):
+    def test_every_tier_exposes_flat_numeric_counters(self):
         config = TestbedConfig(
             num_servers=4,
             workers_per_server=8,
             cores_per_server=2,
             backlog_capacity=16,
             num_load_balancers=2,
+            telemetry=True,
         )
         testbed = build_testbed(config, sr_policy(4))
         testbed.run_trace(_burst_trace())
@@ -319,13 +282,14 @@ class TestUniformSnapshotAPI:
                 assert isinstance(name, str), tier
                 assert isinstance(value, (int, float)), f"{tier}.{name}"
 
-    def test_counters_use_the_probe_series_names(self, telemetry_on):
+    def test_counters_use_the_probe_series_names(self):
         config = TestbedConfig(
             num_servers=4,
             workers_per_server=8,
             cores_per_server=2,
             backlog_capacity=16,
             num_load_balancers=2,
+            telemetry=True,
         )
         testbed = build_testbed(config, sr_policy(4))
         testbed.run_trace(_burst_trace())
@@ -338,10 +302,10 @@ class TestUniformSnapshotAPI:
         assert {"edge.forward_packets", "lb.steering_misses"} <= streamed
         assert streamed <= set(testbed.counters())
 
-    def test_the_series_cover_every_counter_and_the_three_gauges(self, telemetry_on):
+    def test_the_series_cover_every_counter_and_the_three_gauges(self):
         """On a 2-LB tier under chaos loss every ``counters()`` entry is
         streamed under its own name, next to the three gauges."""
-        config = CHAOS_SCENARIO.smoke_config()
+        config = _observed(CHAOS_SCENARIO.smoke_config())
         assert config.testbed.num_load_balancers == 2
         trace = _burst_trace()
         with build_testbed(config.testbed, sr_policy(4)) as testbed:
