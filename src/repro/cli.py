@@ -212,9 +212,6 @@ def _emit_telemetry(args: argparse.Namespace, result: Any) -> None:
     from repro.telemetry import render as telemetry_render
 
     report = result.telemetry_items()
-    if not report:
-        print("\ntelemetry: no payloads were published by this run")
-        return
     for key, payload in report:
         print()
         print(telemetry_render.render_summary(payload, title=f"telemetry [{key}]"))
