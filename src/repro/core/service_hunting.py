@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.core.agent import ApplicationAgent
 from repro.core.policies import ConnectionAcceptancePolicy
@@ -51,6 +52,15 @@ class ServiceHuntingStats:
     #: control plane's graceful scale-down), not because the acceptance
     #: policy said no.
     refused_draining: int = 0
+
+    def snapshot(self) -> Dict[str, int]:
+        """Flat numeric counters (the uniform telemetry-sampler API)."""
+        return {
+            "accepted_by_choice": self.accepted_by_choice,
+            "accepted_forced": self.accepted_forced,
+            "refused": self.refused,
+            "refused_draining": self.refused_draining,
+        }
 
     @property
     def offers_received(self) -> int:

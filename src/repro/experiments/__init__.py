@@ -62,10 +62,7 @@ __getattr__, __dir__, __all__ = exports(
             "resilience_saturation_rate",
         ),
         "wikipedia_experiment": ("WikipediaRunResult", "make_wikipedia_trace"),
-        "flash_crowd_experiment": (
-            "make_flash_crowd_trace",
-            "render_flash_crowd",
-        ),
+        "flash_crowd_experiment": ("render_flash_crowd",),
         "heterogeneous_experiment": (
             "render_heterogeneous_fleet",
             "tier_acceptance_shares",

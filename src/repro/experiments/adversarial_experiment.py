@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.control.gray_failure import GrayFailureInjector, GrayFailureWatchdog
 from repro.control.lifecycle import ServerLifecycle
 from repro.experiments import registry
@@ -48,6 +46,7 @@ from repro.experiments.scenario import (
     ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
+    trace_rng,
 )
 from repro.metrics.reporting import format_table
 from repro.net.addressing import CLIENT_PREFIX
@@ -147,7 +146,7 @@ def _attach_flood(
         flows=flows,
     )
     attacker.attach(testbed.fabric)
-    rng = np.random.default_rng([config.workload_seed, seed_salt])
+    rng = trace_rng(config, seed_salt)
     attacker.schedule_flood(rng, start_at=start, rate=rate, num_syns=num_syns)
     return attacker
 

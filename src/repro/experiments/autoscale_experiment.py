@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from repro.control.autoscaler import Autoscaler
 from repro.control.lifecycle import ServerLifecycle
 from repro.control.monitor import FleetMonitor
@@ -43,6 +41,7 @@ from repro.experiments.scenario import (
     ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
+    trace_rng,
 )
 from repro.metrics.capacity import CapacityTracker
 from repro.metrics.reporting import format_table
@@ -67,13 +66,6 @@ def make_diurnal_workload(config: AutoscaleConfig) -> DiurnalWorkload:
         noise=config.rate_noise,
         service_model=ExponentialServiceTime(SERVICE_MEAN),
     )
-
-
-def make_diurnal_trace(config: AutoscaleConfig) -> Trace:
-    """The diurnal trace shared by every provisioning mode."""
-    workload = make_diurnal_workload(config)
-    rng = np.random.default_rng([config.workload_seed, config.num_steps])
-    return workload.generate(rng)
 
 
 @dataclass
@@ -164,7 +156,7 @@ class AutoscaleScenario(ScenarioSpec):
     # trace_key: the default (one shared trace for every mode).
 
     def make_trace(self, config: AutoscaleConfig, cell: ScenarioCell) -> Trace:
-        return make_diurnal_trace(config)
+        return make_diurnal_workload(config).generate(trace_rng(config, config.num_steps))
 
     def run_once(
         self, config: AutoscaleConfig, cell: ScenarioCell, trace: Trace

@@ -26,6 +26,7 @@ from repro.analysis.queueing import saturation_rate as _analytic_rate
 from repro.errors import ExperimentError
 from repro.experiments.config import TestbedConfig, rr_policy
 from repro.experiments.platform import build_testbed
+from repro.experiments.scenario import trace_rng
 from repro.workload.poisson import PoissonWorkload, poisson_trace
 from repro.workload.service_models import ExponentialServiceTime
 from repro.workload.trace import Trace
@@ -51,15 +52,15 @@ def legitimate_poisson_trace(config: Any) -> Trace:
 
     ``config.num_queries`` Poisson queries of mean demand
     ``config.service_mean`` at ``config.load_factor`` of the testbed's
-    analytic λ₀, seeded from the workload seed and the query count; every
-    cell of the family replays this one trace.
+    analytic λ₀, salted with the query count; every cell of the family
+    replays this one trace.
     """
     return poisson_trace(
         config.load_factor,
         analytic_saturation_rate(config.testbed, config.service_mean),
         config.num_queries,
         config.service_mean,
-        [config.workload_seed, config.num_queries],
+        trace_rng(config, config.num_queries),
     )
 
 

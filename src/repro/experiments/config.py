@@ -29,8 +29,8 @@ from repro.experiments.params import (
     POSITIVE,
     UNIT_INTERVAL,
     Bound,
+    CheckedConfig,
     Param,
-    check_bounds,
     param,
 )
 
@@ -53,6 +53,8 @@ _QUERIES = Bound(f"in [1, {MAX_REQUEST_ID}]", lambda value: 1 <= value <= MAX_RE
 
 _OPEN_UNIT_INTERVAL = Bound("in (0, 1)", lambda value: 0 < value < 1)
 _FRACTION = Bound("in (0, 1]", lambda value: 0 < value <= 1)
+#: A ``workload_seed``: numpy's seed sequence takes no other value.
+_SEED = Bound("a non-negative integer", lambda value: isinstance(value, int) and value >= 0)
 
 _ECMP_HASHES = ("rendezvous", "modulo")
 
@@ -79,7 +81,7 @@ TESTBED_SHAPE = ("num_servers",) + SERVER_SHAPE
 
 
 @dataclass(frozen=True)
-class TestbedConfig:
+class TestbedConfig(CheckedConfig):
     """Static description of the simulated testbed."""
 
     # Not a test class, despite the name (keeps pytest collection quiet).
@@ -171,8 +173,7 @@ class TestbedConfig:
     telemetry: bool = False
     sample_load: bool = False
 
-    def __post_init__(self) -> None:
-        check_bounds(self)
+    def check_rules(self) -> None:
         if not 0 <= self.backlog_shed_watermark <= self.backlog_capacity:
             raise ExperimentError(
                 "backlog_shed_watermark must be in [0, backlog_capacity], got "
@@ -224,7 +225,7 @@ class TestbedConfig:
 
 
 @dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(CheckedConfig):
     """A named load-balancing configuration (selection + acceptance).
 
     The paper's configurations:
@@ -241,10 +242,9 @@ class PolicySpec:
     num_candidates: int = param(2, bound=POSITIVE)
     selector: str = param("random", bound=_selector_name)
 
-    def __post_init__(self) -> None:
+    def check_rules(self) -> None:
         if not self.name:
             raise ExperimentError("policy spec needs a name")
-        check_bounds(self)
 
 
 def rr_policy() -> PolicySpec:
@@ -326,7 +326,7 @@ def _lb_tier(field: str, testbed: TestbedConfig) -> None:
 
 
 @dataclass(frozen=True)
-class PoissonSweepConfig:
+class PoissonSweepConfig(CheckedConfig):
     """Configuration of the Poisson-workload experiments (Figures 2–5)."""
 
     testbed: TestbedConfig = param(default_factory=TestbedConfig, expose=TESTBED_SHAPE)
@@ -340,10 +340,7 @@ class PoissonSweepConfig:
     policies: Tuple[PolicySpec, ...] = param(
         tuple(paper_policy_suite()), cli_default=_SHELL_POLICIES, **_POLICY_FLAG
     )
-    workload_seed: int = 12_345
-
-    def __post_init__(self) -> None:
-        check_bounds(self)
+    workload_seed: int = param(12_345, bound=_SEED)
 
     @property
     def fleet(self) -> TestbedConfig:
@@ -352,7 +349,7 @@ class PoissonSweepConfig:
 
 
 @dataclass(frozen=True)
-class WikipediaReplayConfig:
+class WikipediaReplayConfig(CheckedConfig):
     """Configuration of the Wikipedia-replay experiments (Figures 6–8)."""
 
     testbed: TestbedConfig = param(default_factory=TestbedConfig, expose=TESTBED_SHAPE)
@@ -367,10 +364,7 @@ class WikipediaReplayConfig:
     )
     bin_width: float = param(600.0, bound=POSITIVE)
     policies: Tuple[PolicySpec, ...] = param((rr_policy(), sr_policy(4)))
-    workload_seed: int = 54_321
-
-    def __post_init__(self) -> None:
-        check_bounds(self)
+    workload_seed: int = param(54_321, bound=_SEED)
 
     def compressed(self, duration: float) -> "WikipediaReplayConfig":
         """Time-lapse copy: same diurnal shape, shorter wall-clock duration.
@@ -384,7 +378,7 @@ class WikipediaReplayConfig:
 
 
 @dataclass(frozen=True)
-class ChurnEvent:
+class ChurnEvent(CheckedConfig):
     """One membership change of the load-balancer tier during a run.
 
     ``at_fraction`` places the event relative to the workload's arrival
@@ -399,12 +393,9 @@ class ChurnEvent:
     action: str = param("kill", choices=("kill", "add"))
     instance: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        check_bounds(self)
-
 
 @dataclass(frozen=True)
-class ResilienceConfig:
+class ResilienceConfig(CheckedConfig):
     """Configuration of the LB-churn resilience experiments.
 
     The experiment replays the same Poisson workload against a
@@ -438,7 +429,7 @@ class ResilienceConfig:
         ("random", "consistent-hash"), "--scheme", "selection scheme", _selector_name
     )
     churn: Tuple[ChurnEvent, ...] = (ChurnEvent(at_fraction=0.5),)
-    workload_seed: int = 2_024
+    workload_seed: int = param(2_024, bound=_SEED)
 
     #: Flags that are not fields: ``ResilienceScenario.config_from_flags``
     #: folds them into ``churn``.
@@ -457,8 +448,7 @@ class ResilienceConfig:
         ),
     )
 
-    def __post_init__(self) -> None:
-        check_bounds(self)
+    def check_rules(self) -> None:
         if "random" in self.selection_schemes and self.num_candidates < 2:
             raise ExperimentError("resilience runs need at least 2 candidates")
         # Reject schedules that would kill the whole tier before the
@@ -484,7 +474,7 @@ class ResilienceConfig:
 
 
 @dataclass(frozen=True)
-class FlashCrowdConfig:
+class FlashCrowdConfig(CheckedConfig):
     """Configuration of the flash-crowd scenario family.
 
     The workload is a step schedule of Poisson arrival rates over the
@@ -510,10 +500,9 @@ class FlashCrowdConfig:
     )
     policies: Tuple[PolicySpec, ...] = param(_SHELL_POLICIES, **_POLICY_FLAG)
     bin_width: float = param(5.0, "--bin-width", "figure time-bin width, seconds", POSITIVE)
-    workload_seed: int = 77_777
+    workload_seed: int = param(77_777, bound=_SEED)
 
-    def __post_init__(self) -> None:
-        check_bounds(self)
+    def check_rules(self) -> None:
         if self.spike_load <= self.baseline_load:
             raise ExperimentError(
                 "the spike must exceed the baseline load, got "
@@ -546,7 +535,7 @@ class FlashCrowdConfig:
 
 
 @dataclass(frozen=True)
-class AutoscaleConfig(_OnePolicy):
+class AutoscaleConfig(_OnePolicy, CheckedConfig):
     """Configuration of the autoscale scenario family.
 
     A diurnal (sinusoid-plus-noise) workload is replayed under several
@@ -587,7 +576,7 @@ class AutoscaleConfig(_OnePolicy):
     num_steps: int = param(96, bound=POSITIVE)
     #: Relative std-dev of the per-step multiplicative rate noise.
     rate_noise: float = param(0.05, bound=NON_NEGATIVE)
-    workload_seed: int = 424_242
+    workload_seed: int = param(424_242, bound=_SEED)
 
     # --- control plane ----------------------------------------------------
     monitor_interval: float = param(1.0, bound=POSITIVE)
@@ -634,8 +623,7 @@ class AutoscaleConfig(_OnePolicy):
         ),
     )
 
-    def __post_init__(self) -> None:
-        check_bounds(self)
+    def check_rules(self) -> None:
         if self.max_servers < self.min_servers:
             raise ExperimentError(
                 f"max_servers ({self.max_servers!r}) must be >= min_servers "
@@ -700,7 +688,7 @@ class AutoscaleConfig(_OnePolicy):
 
 
 @dataclass(frozen=True)
-class HeterogeneousFleetConfig:
+class HeterogeneousFleetConfig(CheckedConfig):
     """Configuration of the heterogeneous-fleet scenario family.
 
     The fleet is split into a *fast* tier and a *slow* tier of servers
@@ -724,12 +712,11 @@ class HeterogeneousFleetConfig:
     load_factors: Tuple[float, ...] = param((0.85,), "--rho", "load factor", POSITIVE)
     num_queries: int = param(6_000, "--queries", "queries per run", _QUERIES, cli_default=4_000)
     policies: Tuple[PolicySpec, ...] = param(_SHELL_POLICIES, **_POLICY_FLAG)
-    workload_seed: int = 24_242
+    workload_seed: int = param(24_242, bound=_SEED)
     #: Mean CPU demand per query, seconds, at nominal server speed.
     service_mean: ClassVar[float] = 0.1
 
-    def __post_init__(self) -> None:
-        check_bounds(self)
+    def check_rules(self) -> None:
         if self.fast_speed <= self.slow_speed:
             raise ExperimentError(
                 "the fast tier must be faster than the slow tier, got "
@@ -759,7 +746,7 @@ class HeterogeneousFleetConfig:
 
 
 @dataclass(frozen=True)
-class HeavyTailConfig:
+class HeavyTailConfig(CheckedConfig):
     """Configuration of the heavy-tailed session scenario family.
 
     A Poisson arrival stream mixes one-shot bounded-Pareto requests with
@@ -794,14 +781,11 @@ class HeavyTailConfig:
         bound=Bound("> 1", lambda value: value > 1),
     )
     policies: Tuple[PolicySpec, ...] = param(_SHELL_POLICIES, **_POLICY_FLAG)
-    workload_seed: int = 86_420
-
-    def __post_init__(self) -> None:
-        check_bounds(self)
+    workload_seed: int = param(86_420, bound=_SEED)
 
 
 @dataclass(frozen=True)
-class AdversarialConfig(_OnePolicy):
+class AdversarialConfig(_OnePolicy, CheckedConfig):
     """Configuration of the adversarial-traffic scenario family.
 
     One legitimate Poisson workload is replayed against a load-balancer
@@ -856,10 +840,9 @@ class AdversarialConfig(_OnePolicy):
     #: Watchdog (quarantine signal) period and strikes to quarantine.
     watchdog_interval: float = 0.5
     watchdog_consecutive: int = 3
-    workload_seed: int = 13_579
+    workload_seed: int = param(13_579, bound=_SEED)
 
-    def __post_init__(self) -> None:
-        check_bounds(self)
+    def check_rules(self) -> None:
         if self.testbed.request_timeout <= 0:
             raise ExperimentError(
                 "adversarial experiments need a positive request_timeout "
@@ -876,7 +859,7 @@ class AdversarialConfig(_OnePolicy):
 
 
 @dataclass(frozen=True)
-class ScaleConfig(_OnePolicy):
+class ScaleConfig(_OnePolicy, CheckedConfig):
     """Configuration of the million-client ``scale`` scenario.
 
     The scenario models one datacenter front end spreading an aggregate
@@ -910,10 +893,9 @@ class ScaleConfig(_OnePolicy):
         "flow-to-pod mapping of the modeled front-end ECMP stage",
         choices=_ECMP_HASHES,
     )
-    workload_seed: int = 86_420
+    workload_seed: int = param(86_420, bound=_SEED)
 
-    def __post_init__(self) -> None:
-        check_bounds(self)
+    def check_rules(self) -> None:
         if self.num_queries < self.pods:
             raise ExperimentError(
                 f"num_queries ({self.num_queries!r}) must be at least the "
@@ -926,7 +908,7 @@ class ScaleConfig(_OnePolicy):
 
 
 @dataclass(frozen=True)
-class ChaosConfig(_OnePolicy):
+class ChaosConfig(_OnePolicy, CheckedConfig):
     """Configuration of the fault-injection ``chaos`` scenario family.
 
     One legitimate Poisson workload is replayed against a 2-LB ECMP tier
@@ -998,8 +980,5 @@ class ChaosConfig(_OnePolicy):
         "mean exponential extra latency (s) of the jitter cell",
         NON_NEGATIVE,
     )
-    workload_seed: int = 97_531
-
-    def __post_init__(self) -> None:
-        check_bounds(self)
+    workload_seed: int = param(97_531, bound=_SEED)
 

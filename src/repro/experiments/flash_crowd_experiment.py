@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from repro.errors import ExperimentError
 from repro.experiments import registry
 from repro.experiments.calibration import analytic_saturation_rate
@@ -38,6 +36,7 @@ from repro.experiments.scenario import (
     ScenarioResult,
     ScenarioSpec,
     TraceProvider,
+    trace_rng,
 )
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import SummaryStatistics, summarize_or_nan
@@ -50,21 +49,6 @@ PHASES: Tuple[str, ...] = ("baseline", "spike", "recovery")
 
 #: Mean CPU demand per query, seconds.
 SERVICE_MEAN = 0.1
-
-
-def make_flash_crowd_trace(config: FlashCrowdConfig) -> Trace:
-    """The stepped trace shared by every policy of a comparison."""
-    saturation = analytic_saturation_rate(config.testbed, SERVICE_MEAN)
-    workload = SteppedPoissonWorkload(
-        phases=(
-            RatePhase(config.baseline_duration, config.baseline_load * saturation),
-            RatePhase(config.spike_duration, config.spike_load * saturation),
-            RatePhase(config.recovery_duration, config.baseline_load * saturation),
-        ),
-        service_model=ExponentialServiceTime(SERVICE_MEAN),
-    )
-    rng = np.random.default_rng([config.workload_seed, len(workload.phases)])
-    return workload.generate(rng)
 
 
 def phase_window(config: FlashCrowdConfig, phase: str) -> Tuple[float, float]:
@@ -113,7 +97,16 @@ class FlashCrowdScenario(ScenarioSpec):
     # trace_key: the default (one shared trace for every policy).
 
     def make_trace(self, config: FlashCrowdConfig, cell: ScenarioCell) -> Trace:
-        return make_flash_crowd_trace(config)
+        saturation = analytic_saturation_rate(config.testbed, SERVICE_MEAN)
+        workload = SteppedPoissonWorkload(
+            phases=(
+                RatePhase(config.baseline_duration, config.baseline_load * saturation),
+                RatePhase(config.spike_duration, config.spike_load * saturation),
+                RatePhase(config.recovery_duration, config.baseline_load * saturation),
+            ),
+            service_model=ExponentialServiceTime(SERVICE_MEAN),
+        )
+        return workload.generate(trace_rng(config, len(workload.phases)))
 
     def meta(
         self, config: FlashCrowdConfig, trace_for: TraceProvider

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import numpy as np
-
 from repro.experiments import registry
 from repro.experiments.config import HeavyTailConfig, TestbedConfig
 from repro.experiments.scenario import (
@@ -35,6 +33,7 @@ from repro.experiments.scenario import (
     ScenarioResult,
     ScenarioSpec,
     TraceProvider,
+    trace_rng,
 )
 from repro.metrics.reporting import format_table
 from repro.workload.hostile import HeavyTailWorkload, user_concentration
@@ -70,13 +69,6 @@ def make_heavy_tail_workload(config: HeavyTailConfig) -> HeavyTailWorkload:
     )
 
 
-def make_heavy_tail_trace(config: HeavyTailConfig) -> Trace:
-    """The trace shared by every policy of a comparison."""
-    workload = make_heavy_tail_workload(config)
-    rng = np.random.default_rng([config.workload_seed, config.num_arrivals])
-    return workload.generate(rng)
-
-
 class HeavyTailScenario(ScenarioSpec):
     """The heavy-tailed session workload as a declarative scenario."""
 
@@ -97,7 +89,8 @@ class HeavyTailScenario(ScenarioSpec):
     # trace_key: the default (one shared trace for every policy).
 
     def make_trace(self, config: HeavyTailConfig, cell: ScenarioCell) -> Trace:
-        return make_heavy_tail_trace(config)
+        rng = trace_rng(config, config.num_arrivals)
+        return make_heavy_tail_workload(config).generate(rng)
 
     def meta(
         self, config: HeavyTailConfig, trace_for: TraceProvider

@@ -7,8 +7,9 @@ command line or in code — says so once, through :func:`param`: its
 a CLI-size default.  The declaration rides in plain
 ``dataclasses.field(metadata=...)``; everything else is derived from it:
 
-* :func:`check_bounds` — the range checks of a config's
-  ``__post_init__`` (cross-field rules stay hand-written there);
+* :func:`check_bounds` — the range checks every :class:`CheckedConfig`
+  runs when it is made (cross-field rules stay hand-written, in its
+  :meth:`~CheckedConfig.check_rules`);
 * :func:`cli_params` — the flags of a config, which :mod:`repro.cli`
   turns into a sub-command and back into a config, and which
   ``tests/test_docs_cli.py`` holds ``docs/cli.md`` against.
@@ -129,6 +130,21 @@ def check_bounds(config: Any) -> None:
                     f"{field.name} must be one of "
                     f"{', '.join(declaration.choices)}, got {item!r}"
                 )
+
+
+class CheckedConfig:
+    """A config held to its declared bounds when it is made.
+
+    A dataclass subclass gets this ``__post_init__``: the field bounds
+    (:func:`check_bounds`), then the class's own :meth:`check_rules`.
+    """
+
+    def __post_init__(self) -> None:
+        check_bounds(self)
+        self.check_rules()
+
+    def check_rules(self) -> None:
+        """Rules that relate fields (none unless the class writes some)."""
 
 
 def cli_params(

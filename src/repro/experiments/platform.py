@@ -428,6 +428,7 @@ class Testbed:
             add("edge", self.lb_tier.router.stats.snapshot())
         for server in self.servers:
             add("server", server.app.stats.snapshot())
+            add("hunt", server.hunting.stats.snapshot())
         add("fabric", self.fabric.stats.snapshot())
         if self.fault_pipeline is not None:
             add("fault", self.fault_pipeline.stats.snapshot())

@@ -37,6 +37,7 @@ from repro.experiments.scenario import (
     ScenarioSpec,
     TraceProvider,
     policy_named,
+    trace_rng,
 )
 from repro.metrics.collector import ServerLoadSampler
 from repro.metrics.reporting import format_table
@@ -96,15 +97,15 @@ class PoissonScenario(ScenarioSpec):
         return cell.key[1]
 
     def make_trace(self, config: Any, cell: ScenarioCell) -> Trace:
-        # Seeded from the workload seed and the load factor only, so the
-        # trace is identical across policies and across testbed seeds.
+        # Salted with the load factor only, so the trace is identical
+        # across policies.
         load_factor = cell.key[1]
         return poisson_trace(
             load_factor,
             analytic_saturation_rate(config.fleet, config.service_mean),
             config.num_queries,
             config.service_mean,
-            [config.workload_seed, int(round(load_factor * 1_000_000))],
+            trace_rng(config, round(load_factor * 1_000_000)),
         )
 
     def run_once(self, config: Any, cell: ScenarioCell, trace: Trace) -> PoissonRunResult:

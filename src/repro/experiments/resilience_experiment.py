@@ -41,6 +41,7 @@ from repro.experiments.scenario import (
     ScenarioCell,
     ScenarioResult,
     ScenarioSpec,
+    trace_rng,
 )
 from repro.metrics.reporting import format_table
 from repro.workload.poisson import poisson_trace
@@ -149,7 +150,7 @@ class ResilienceScenario(ScenarioSpec):
             resilience_saturation_rate(config.testbed, config.service_mean),
             config.num_queries,
             config.service_mean,
-            [config.workload_seed, config.num_queries],
+            trace_rng(config, config.num_queries),
         )
 
     def run_once(

@@ -43,7 +43,7 @@ from repro.experiments import registry
 from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import ScaleConfig, TestbedConfig
 from repro.experiments.platform import SETTLE_MARGIN, build_testbed
-from repro.experiments.scenario import ScenarioCell, ScenarioSpec, TraceProvider
+from repro.experiments.scenario import ScenarioCell, ScenarioSpec, TraceProvider, trace_rng
 from repro.metrics.collector import ResponseTimeCollector
 from repro.net.ecmp import HopScorer, five_tuple_key
 from repro.net.packet import FlowKey
@@ -98,15 +98,15 @@ def make_scale_stream(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The aggregate query stream: ``(arrival times, demands, pod index)``.
 
-    A pure function of the config (the RNG is seeded from the workload
-    seed and the query count only), shared by every pod: each cell
+    A pure function of the config (the RNG is salted with the query
+    count only), shared by every pod: each cell
     keeps only its pod's slice.  Memoized per process, so a
     worker running several pods generates the stream once; the arrays
     are read-only because every caller gets the same ones.
     """
     pod_rate = analytic_saturation_rate(config.testbed, config.service_mean)
     rate = config.load_factor * config.pods * pod_rate
-    rng = np.random.default_rng([config.workload_seed, config.num_queries])
+    rng = trace_rng(config, config.num_queries)
     arrivals = np.cumsum(rng.exponential(1.0 / rate, size=config.num_queries))
     demands = rng.exponential(config.service_mean, size=config.num_queries)
     offsets = np.arange(config.num_queries, dtype=np.int64) % EPHEMERAL_PORT_RANGE

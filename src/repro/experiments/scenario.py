@@ -14,7 +14,8 @@ default ``cells(config)`` makes one key-only, picklable
 :class:`ScenarioCell` per entry.  It provides:
 
 * ``make_trace(config, cell)`` — the deterministic workload trace of a
-  cell (cells may share a trace, see :meth:`ScenarioSpec.trace_key`);
+  cell (cells may share a trace, see :meth:`ScenarioSpec.trace_key`),
+  drawn from :func:`trace_rng`;
 * ``render(result)`` — everything the family's sub-command prints;
 
 and may override ``run_once(config, cell, trace)``, whose default
@@ -81,6 +82,8 @@ from typing import (
     Tuple,
     Union,
 )
+
+import numpy as np
 
 from repro.errors import ExperimentError
 from repro.experiments import registry
@@ -149,6 +152,16 @@ def policy_named(config: Any, name: str) -> PolicySpec:
         if policy.name == name:
             return policy
     raise ExperimentError(f"no policy named {name!r} in the configuration")
+
+
+def trace_rng(config: Any, *salt: int) -> np.random.Generator:
+    """The generator a family draws its trace from.
+
+    Seeded from ``config.workload_seed`` and the family's ``salt`` words
+    alone, so every cell and every testbed seed (``--seed``) replays the
+    same trace; the one place a trace's seed is composed.
+    """
+    return np.random.default_rng([config.workload_seed, *salt])
 
 
 #: ``aggregate`` receives this callable to obtain the parent-side trace

@@ -38,6 +38,7 @@ from repro.experiments.scenario import (
     ScenarioSpec,
     TraceProvider,
     policy_named,
+    trace_rng,
 )
 from repro.metrics.binning import TimeBinner
 from repro.metrics.stats import quartiles
@@ -53,8 +54,7 @@ def make_wikipedia_trace(config: WikipediaReplayConfig) -> Trace:
         static_per_wiki=config.static_per_wiki,
         duration=config.duration,
     )
-    rng = np.random.default_rng(config.workload_seed)
-    return workload.generate(rng)
+    return workload.generate(trace_rng(config))
 
 
 @dataclass

@@ -16,7 +16,7 @@ Poisson-driven scenario family draws its trace from.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -111,13 +111,13 @@ def poisson_trace(
     saturation_rate: float,
     num_queries: int,
     service_mean: float,
-    seed: Sequence[int],
+    rng: np.random.Generator,
 ) -> Trace:
     """The §V trace: arrivals at ρ·λ₀, exponential demands of ``service_mean``.
 
-    The generator is seeded from the ``seed`` words alone, so a family
-    that keys them on the workload (not the testbed or the policy)
-    replays one trace under every cell of a comparison.
+    Drawn from ``rng`` alone, so a family that seeds it from the
+    workload (not the testbed or the policy) replays one trace under
+    every cell of a comparison.
     """
     workload = PoissonWorkload.from_load_factor(
         rho=load_factor,
@@ -125,4 +125,4 @@ def poisson_trace(
         num_queries=num_queries,
         service_model=ExponentialServiceTime(service_mean),
     )
-    return workload.generate(np.random.default_rng(list(seed)))
+    return workload.generate(rng)

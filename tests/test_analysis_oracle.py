@@ -18,13 +18,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.queueing import sr_mean_field
-from repro.experiments.calibration import analytic_saturation_rate
-from repro.experiments.config import TestbedConfig, rr_policy, sr_policy
+from repro.experiments import registry
+from repro.experiments.config import PoissonSweepConfig, TestbedConfig, rr_policy, sr_policy
 from repro.experiments.platform import build_testbed
-from repro.workload.poisson import poisson_trace
 
 SERVICE_MEAN = 0.1
-#: Independent traces per cell, seeded ``12345 + r``.
+#: Independent traces per cell: the ``poisson`` family's, seeded ``12345 + r``.
 REPLICATIONS = 4
 QUERIES = 4_000
 #: Response times dropped from each run while the fleet fills.
@@ -35,13 +34,15 @@ FLEET = TestbedConfig()
 
 @functools.lru_cache(maxsize=None)
 def _trace(rho, replication):
-    return poisson_trace(
-        rho,
-        analytic_saturation_rate(FLEET, SERVICE_MEAN),
-        QUERIES,
-        SERVICE_MEAN,
-        [12_345 + replication, int(round(rho * 1_000_000))],
+    spec = registry.get("poisson")
+    config = PoissonSweepConfig(
+        testbed=FLEET,
+        load_factors=(rho,),
+        num_queries=QUERIES,
+        service_mean=SERVICE_MEAN,
+        workload_seed=12_345 + replication,
     )
+    return spec.make_trace(config, spec.cells(config)[0])
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ import threading
 import time
 from typing import Tuple
 
+import numpy as np
 import pytest
 
 import repro
@@ -350,7 +351,7 @@ class _HangDrill(ScenarioSpec):
         return _DrillConfig()
 
     def make_trace(self, config, cell):
-        return poisson_trace(0.5, 40.0, 20, 0.05, [0, 1])
+        return poisson_trace(0.5, 40.0, 20, 0.05, np.random.default_rng([0, 1]))
 
     def run_once(self, config, cell, trace):
         if config.behaviour == "stuck":

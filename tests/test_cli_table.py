@@ -20,7 +20,7 @@ from repro.cli import build_parser, config_from_args, main
 from repro.errors import ReproError
 from repro.experiments import registry
 from repro.experiments.config import PolicySpec, TestbedConfig
-from repro.experiments.params import POSITIVE, check_bounds, cli_params, param
+from repro.experiments.params import POSITIVE, CheckedConfig, cli_params, param
 from repro.experiments.scenario import ScenarioCell, ScenarioSpec
 from repro.workload.trace import Trace
 
@@ -294,13 +294,10 @@ class TestRoundTrip:
 # a new family is a config, not a CLI block
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
-class _EchoConfig:
+class _EchoConfig(CheckedConfig):
     testbed: TestbedConfig = param(default_factory=TestbedConfig, expose=("num_servers",))
     volume: float = param(1.5, "--volume", "how loud", POSITIVE)
     words: tuple = param(("hello",), "--word", "what to say", choices=("hello", "bye"))
-
-    def __post_init__(self):
-        check_bounds(self)
 
 
 class _EchoScenario(ScenarioSpec):

@@ -105,7 +105,6 @@ ALLOWED_KNOBS = {
 #: Counters ``src/`` increments and nothing in ``src/`` reads, and why
 #: each stays.
 ALLOWED_COUNTERS = {
-    "ServiceHuntingStats.refused_draining": (WITNESS, "tests/test_control_drain_midflow.py"),
     "ServerNode.stray_data_resets": (
         WITNESS, "tests/test_control_drain_midflow.py, tests/test_adversarial_regression.py"
     ),

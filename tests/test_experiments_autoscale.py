@@ -13,7 +13,6 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments.autoscale_experiment import (
     AUTOSCALE_SCENARIO,
-    make_diurnal_trace,
     make_diurnal_workload,
 )
 from repro.experiments.config import AutoscaleConfig
@@ -79,8 +78,9 @@ class TestConfigValidation:
 class TestDiurnalTrace:
     def test_trace_is_deterministic(self):
         config = AUTOSCALE_SCENARIO.smoke_config()
-        first = make_diurnal_trace(config)
-        second = make_diurnal_trace(config)
+        static, reactive, _ = AUTOSCALE_SCENARIO.cells(config)
+        first = AUTOSCALE_SCENARIO.make_trace(config, static)
+        second = AUTOSCALE_SCENARIO.make_trace(config, reactive)
         assert len(first) == len(second)
         assert [r.arrival_time for r in first] == [r.arrival_time for r in second]
 

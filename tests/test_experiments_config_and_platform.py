@@ -25,20 +25,21 @@ from repro.experiments import platform
 from repro.experiments.platform import HEARTBEAT_SLICES, build_testbed
 from repro.experiments.scenario import run_scenario
 from repro.net.addressing import VIP_PREFIX
-from repro.workload.poisson import poisson_trace
 from repro.workload.requests import Request
 from repro.workload.trace import Trace
 
 
-def _poisson_trace(load_factor, num_queries, saturation_rate, service_mean, workload_seed):
-    """The ``poisson`` family's trace recipe for one load factor."""
-    return poisson_trace(
-        load_factor,
-        saturation_rate,
-        num_queries,
-        service_mean,
-        [workload_seed, int(round(load_factor * 1_000_000))],
+def _poisson_trace(testbed, load_factor, num_queries, service_mean, workload_seed):
+    """The ``poisson`` family's trace of one load factor on ``testbed``."""
+    spec = registry.get("poisson")
+    config = PoissonSweepConfig(
+        testbed=testbed,
+        load_factors=(load_factor,),
+        num_queries=num_queries,
+        service_mean=service_mean,
+        workload_seed=workload_seed,
     )
+    return spec.make_trace(config, spec.cells(config)[0])
 
 
 class TestTestbedConfig:
@@ -177,7 +178,7 @@ class TestBuildTestbed:
         trace = _poisson_trace(
             load_factor=0.3,
             num_queries=100,
-            saturation_rate=analytic_saturation_rate(small_testbed_config, 0.05),
+            testbed=small_testbed_config,
             service_mean=0.05,
             workload_seed=3,
         )
@@ -193,7 +194,7 @@ class TestBuildTestbed:
         trace = _poisson_trace(
             load_factor=0.3,
             num_queries=50,
-            saturation_rate=analytic_saturation_rate(small_testbed_config, 0.05),
+            testbed=small_testbed_config,
             service_mean=0.05,
             workload_seed=3,
         )
@@ -213,7 +214,7 @@ class TestBuildTestbed:
         trace = _poisson_trace(
             load_factor=0.3,
             num_queries=20,
-            saturation_rate=analytic_saturation_rate(small_testbed_config, 0.05),
+            testbed=small_testbed_config,
             service_mean=0.05,
             workload_seed=3,
         )
@@ -230,11 +231,10 @@ class TestBuildTestbed:
         """Generated traces number their requests 1..N, so replaying a
         *different* trace on the same testbed would make servers look up
         the first trace's CPU demands; the catalog guard rejects it."""
-        saturation = analytic_saturation_rate(small_testbed_config, 0.05)
         trace_kwargs = dict(
+            testbed=small_testbed_config,
             load_factor=0.3,
             num_queries=10,
-            saturation_rate=saturation,
             service_mean=0.05,
         )
         testbed = build_testbed(small_testbed_config, sr_policy(4))
@@ -284,7 +284,7 @@ class TestBuildTestbed:
         trace_kwargs = dict(
             load_factor=0.5,
             num_queries=200,
-            saturation_rate=analytic_saturation_rate(small_testbed_config, 0.05),
+            testbed=small_testbed_config,
             service_mean=0.05,
             workload_seed=11,
         )
@@ -305,7 +305,7 @@ class TestRunTraceSlicing:
         return _poisson_trace(
             load_factor=0.6,
             num_queries=200,
-            saturation_rate=analytic_saturation_rate(config, 0.05),
+            testbed=config,
             service_mean=0.05,
             workload_seed=5,
         )
@@ -360,7 +360,7 @@ class TestTestbedCounters:
             _poisson_trace(
                 load_factor=0.5,
                 num_queries=60,
-                saturation_rate=analytic_saturation_rate(small_testbed_config, 0.05),
+                testbed=small_testbed_config,
                 service_mean=0.05,
                 workload_seed=3,
             )
@@ -370,7 +370,7 @@ class TestTestbedCounters:
     def test_names_are_tier_dot_counter_and_values_are_numbers(self, finished):
         counters = finished.counters()
         tiers = {name.split(".", 1)[0] for name in counters}
-        assert tiers == {"lb", "flow", "server", "fabric", "client"}
+        assert tiers == {"lb", "flow", "server", "hunt", "fabric", "client"}
         assert all(isinstance(value, (int, float)) for value in counters.values())
         assert counters["client.queries_completed"] == 60
 

@@ -28,7 +28,6 @@ from repro.experiments.config import (
 )
 from repro.experiments.flash_crowd_experiment import (
     FLASH_CROWD_SCENARIO,
-    make_flash_crowd_trace,
     phase_summary,
     phase_window,
 )
@@ -389,7 +388,7 @@ class TestFlashCrowdScenario:
 
     def test_trace_matches_schedule(self):
         config = FLASH_CROWD_SCENARIO.smoke_config()
-        trace = make_flash_crowd_trace(config)
+        trace = FLASH_CROWD_SCENARIO.make_trace(config, FLASH_CROWD_SCENARIO.cells(config)[0])
         assert trace.duration <= config.total_duration
         spike_start, spike_end = config.spike_window
         spike = sum(
@@ -446,7 +445,7 @@ class _PlainFamily(ScenarioSpec):
         return FLASH_CROWD_SCENARIO.smoke_config()
 
     def make_trace(self, config, cell):
-        return make_flash_crowd_trace(config)
+        return FLASH_CROWD_SCENARIO.make_trace(config, cell)
 
 
 class TestDefaultRun:

@@ -33,15 +33,12 @@ import pstats
 from repro.net import fabric as fabric_module
 from repro.sim import engine
 
-from repro.experiments.calibration import (
-    analytic_saturation_rate,
-    legitimate_poisson_trace,
-)
+from repro.experiments import registry
+from repro.experiments.calibration import legitimate_poisson_trace
 from repro.experiments.chaos_experiment import fault_config_for
-from repro.experiments.config import ChaosConfig, TestbedConfig, sr_policy
+from repro.experiments.config import ChaosConfig, PoissonSweepConfig, TestbedConfig, sr_policy
 from repro.experiments.platform import build_testbed
 from repro.net.faults import install_fault_channel
-from repro.workload.poisson import poisson_trace
 
 QUERIES = 300
 
@@ -70,21 +67,21 @@ HEAP_HIGH_WATER_BUDGET = 64
 
 def _small_poisson_cell():
     # The shipped default path: no probe (``telemetry`` is off).
-    config = TestbedConfig(
-        num_servers=4,
-        workers_per_server=8,
-        cores_per_server=2,
-        backlog_capacity=16,
-        seed=7,
+    spec = registry.get("poisson")
+    config = PoissonSweepConfig(
+        testbed=TestbedConfig(
+            num_servers=4,
+            workers_per_server=8,
+            cores_per_server=2,
+            backlog_capacity=16,
+            seed=7,
+        ),
+        load_factors=(0.88,),
+        num_queries=QUERIES,
+        policies=(sr_policy(4),),
     )
-    trace = poisson_trace(
-        0.88,
-        analytic_saturation_rate(config, 0.1),
-        QUERIES,
-        0.1,
-        [12_345, 880_000],
-    )
-    return build_testbed(config, sr_policy(4)), trace
+    (cell,) = spec.cells(config)
+    return build_testbed(config.testbed, sr_policy(4)), spec.make_trace(config, cell)
 
 
 def _profile_replay(testbed, trace, queries):

@@ -15,6 +15,7 @@ import gc
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.flow_table import FlowEntry
@@ -103,7 +104,7 @@ def test_no_load_balancer_outlives_its_run(name, telemetry, gc_disabled):
 # ----------------------------------------------------------------------
 @pytest.fixture
 def closed_testbed(small_testbed_config):
-    trace = poisson_trace(0.5, 40.0, 50, 0.05, [0, 1])
+    trace = poisson_trace(0.5, 40.0, 50, 0.05, np.random.default_rng([0, 1]))
     with build_testbed(small_testbed_config, sr_policy(4)) as testbed:
         testbed.run_trace(trace)
     return testbed, trace

@@ -31,7 +31,7 @@ from repro.experiments.config import (
     rr_policy,
     sr_policy,
 )
-from repro.experiments.scenario import run_scenario
+from repro.experiments.scenario import ScenarioCell, run_scenario
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "scenario_golden.json"
 
@@ -101,8 +101,12 @@ def _assert_golden_counters(run, expected) -> None:
     assert {name: run.counters[GOLDEN_COUNTERS[name]] for name in pinned} == pinned
 
 
-def _assert_accounting_identities(run, queries: int) -> None:
-    """Identities between a finished cell's outcomes and its counters."""
+def _assert_accounting_identities(run, queries: int, policy: str = "SR8") -> None:
+    """Identities between a finished cell's outcomes and its counters.
+
+    ``policy`` names the cell's policy: RR hands each SYN one candidate,
+    every other policy two.
+    """
     counters = run.counters
     totals = run.collector.totals
     # Each query of the trace ends in exactly one outcome, and the client
@@ -149,6 +153,15 @@ def _assert_accounting_identities(run, queries: int) -> None:
             - counters["server.connections_reset"]
             - counters["server.connections_shed"]
         )
+        # Every SYN a server receives is one it accepted by choice or
+        # was forced to accept; a refusal sends the SYN on to the second
+        # and last candidate, which is forced.  RR's one candidate is
+        # always forced, so nothing is refused.
+        assert counters["hunt.accepted_by_choice"] + counters["hunt.accepted_forced"] == (
+            counters["server.connections_received"]
+        )
+        refused = 0 if policy == "RR" else counters["hunt.accepted_forced"]
+        assert counters["hunt.refused"] == refused
     else:
         # Every fault drop is filed under exactly one reason.
         assert counters["fault.packets_dropped"] == sum(
@@ -200,7 +213,7 @@ class TestPoissonGolden:
     @pytest.mark.parametrize("rho", [0.4, 0.75])
     def test_accounting_identities(self, sweep, policy, rho):
         _assert_accounting_identities(
-            sweep.run((policy, rho)), sweep.config.num_queries
+            sweep.run((policy, rho)), sweep.config.num_queries, policy
         )
 
 
@@ -235,7 +248,7 @@ class TestWikipediaGolden:
     @pytest.mark.parametrize("policy", ["RR", "SR4"])
     def test_accounting_identities(self, replay, policy):
         queries = int(replay.meta["trace_summary"]["requests"])
-        _assert_accounting_identities(replay.run(policy), queries)
+        _assert_accounting_identities(replay.run(policy), queries, policy)
 
 
 class TestAutoscaleGolden:
@@ -268,9 +281,9 @@ class TestAutoscaleGolden:
 
     @pytest.mark.parametrize("mode", ["static", "reactive", "predictive"])
     def test_accounting_identities(self, result, mode):
-        from repro.experiments.autoscale_experiment import make_diurnal_trace
+        from repro.experiments.autoscale_experiment import AUTOSCALE_SCENARIO
 
-        queries = len(make_diurnal_trace(result.config))
+        queries = len(AUTOSCALE_SCENARIO.make_trace(result.config, ScenarioCell(mode)))
         _assert_accounting_identities(result.run(mode), queries)
 
 
@@ -310,7 +323,7 @@ class TestHeavyTailGolden:
     @pytest.mark.parametrize("policy", ["RR", "SR4", "SRdyn"])
     def test_accounting_identities(self, comparison, policy):
         _assert_accounting_identities(
-            comparison.run(policy), comparison.config.num_arrivals
+            comparison.run(policy), comparison.config.num_arrivals, policy
         )
 
 
@@ -505,10 +518,10 @@ class TestFlashCrowdGolden:
 
     @pytest.mark.parametrize("policy", ["RR", "SR4"])
     def test_accounting_identities(self, comparison, policy):
-        from repro.experiments.flash_crowd_experiment import make_flash_crowd_trace
+        from repro.experiments.flash_crowd_experiment import FLASH_CROWD_SCENARIO
 
-        queries = len(make_flash_crowd_trace(comparison.config))
-        _assert_accounting_identities(comparison.run(policy), queries)
+        queries = len(FLASH_CROWD_SCENARIO.make_trace(comparison.config, ScenarioCell(policy)))
+        _assert_accounting_identities(comparison.run(policy), queries, policy)
 
 
 class TestHeterogeneousFleetGolden:
@@ -536,5 +549,5 @@ class TestHeterogeneousFleetGolden:
     def test_accounting_identities(self, comparison, policy):
         (rho,) = comparison.config.load_factors
         _assert_accounting_identities(
-            comparison.run((policy, rho)), comparison.config.num_queries
+            comparison.run((policy, rho)), comparison.config.num_queries, policy
         )
