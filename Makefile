@@ -22,6 +22,9 @@
 #   make census              - the code-only census of src/: definitions nothing
 #                              in src/ reaches (with where each is still reached)
 #                              and defaulted parameters nothing passes
+#   make census-exec         - the execution census: every function of src/ that
+#                              no product path runs (CLI pins, documented paths,
+#                              smoke configs, examples) is allow-listed or fails
 #   make bench               - the full benchmark suite at default (reduced) scale
 #   make bench-quick         - the repository benchmark (BENCHMARK.json) at smoke size:
 #                              all five workloads, output checks, ~15 s; writes
@@ -35,7 +38,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 
 BENCH_OPTS := -o python_files='bench_*.py' -o python_functions='bench_*'
 
-.PHONY: test lint coverage bench bench-quick bench-smoke bench-smoke-parallel scale-smoke chaos-smoke telemetry-smoke docs-check census
+.PHONY: test lint coverage bench bench-quick bench-smoke bench-smoke-parallel scale-smoke chaos-smoke telemetry-smoke docs-check census census-exec
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -75,6 +78,13 @@ docs-check:
 # functions the tier-1 test calls.
 census:
 	$(PYTHON) tests/test_code_census.py
+
+# The execution census: traces (call events only) every product path in
+# one process and fails on a function none of them runs that ALLOWED
+# does not list, on an ALLOWED row neither census needs, and on an entry
+# point that fails.  About half a minute, so a CI step rather than tier-1.
+census-exec:
+	$(PYTHON) tests/test_code_census.py --exec
 
 # One representative benchmark per scenario family (figures, ablations,
 # resilience) at a deliberately small scale: a smoke signal, not a

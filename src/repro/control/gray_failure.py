@@ -244,10 +244,6 @@ class GrayFailureWatchdog:
             self._task.stop()
             self._task = None
 
-    @property
-    def active(self) -> bool:
-        return self._task is not None and self._task.active
-
     def _tick(self) -> None:
         self.ticks += 1
         servers = [

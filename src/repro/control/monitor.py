@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.errors import ReproError
 from repro.metrics.ewma import EWMAFilter
 from repro.server.virtual_router import ServerNode, fleet_load
 
@@ -72,13 +71,6 @@ class FleetMonitor:
         )
         self._samples.append(sample)
         return sample
-
-    @property
-    def latest(self) -> FleetSample:
-        """The most recent sample (loud before the first observation)."""
-        if not self._samples:
-            raise ReproError("the fleet monitor has no samples yet")
-        return self._samples[-1]
 
     def samples(self) -> List[FleetSample]:
         """Every sample taken so far (copy)."""

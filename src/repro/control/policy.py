@@ -44,9 +44,6 @@ class ScalingPolicy(abc.ABC):
         predictive policy tracks the signal's slope).
         """
 
-    def reset(self) -> None:
-        """Forget internal state (between experiment runs)."""
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -135,10 +132,6 @@ class PredictiveEwmaPolicy(ScalingPolicy):
         if forecast < self.low and sample.smoothed_busy_fraction < self.high:
             return -1
         return 0
-
-    def reset(self) -> None:
-        self._slope.reset()
-        self._previous = None
 
 
 def make_scaling_policy(

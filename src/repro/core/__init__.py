@@ -36,7 +36,6 @@ __getattr__, __dir__, __all__ = exports(
             "AlwaysAcceptPolicy",
             "ConnectionAcceptancePolicy",
             "DynamicThresholdPolicy",
-            "NeverAcceptPolicy",
             "StaticThresholdPolicy",
             "make_policy",
             "register_policy",

@@ -215,7 +215,7 @@ class ConsistentHashCandidateSelector(CandidateSelector):
 
 
 #: The configuration strings :func:`make_selector` recognises.
-SELECTOR_NAMES = ("random", "single-random", "rr", "round-robin", "consistent-hash")
+SELECTOR_NAMES = ("random", "single-random", "round-robin", "consistent-hash")
 
 
 def check_selector_name(name: str) -> None:
@@ -237,7 +237,7 @@ def make_selector(
     check_selector_name(name)
     if name == "random":
         return RandomCandidateSelector(rng, num_candidates)
-    if name in ("single-random", "rr"):
+    if name == "single-random":
         return SingleRandomSelector(rng)
     if name == "round-robin":
         return RoundRobinCandidateSelector(num_candidates)

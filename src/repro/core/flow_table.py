@@ -111,10 +111,6 @@ class FlowTable:
             entry.last_seen = now
         return entry
 
-    def remove(self, flow_key: FlowKey) -> bool:
-        """Forget a flow; returns whether an entry existed."""
-        return self._entries.pop(flow_key, None) is not None
-
     def _evict_lru(self) -> None:
         lru_key = min(self._entries, key=lambda key: self._entries[key].last_seen)
         del self._entries[lru_key]

@@ -365,10 +365,6 @@ class LoadBalancerTier:
     # ------------------------------------------------------------------
     # tier-wide introspection
     # ------------------------------------------------------------------
-    def steering_misses(self) -> int:
-        """Steering misses across all instances (including dead ones)."""
-        return sum(instance.stats.steering_misses for instance in self.instances)
-
     def snapshot(self) -> Dict[str, int]:
         """The tier's churn counters plus every instance's (dead ones
         included) recovery and relay counters, summed, by name."""

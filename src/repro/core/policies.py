@@ -24,7 +24,6 @@ harness and the command-line examples.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.core.agent import ApplicationAgent
@@ -60,13 +59,6 @@ class ConnectionAcceptancePolicy(abc.ABC):
         count forced accepts in its window, so it keeps the default.
         """
 
-    def reset(self) -> None:
-        """Reset internal state (between experiment runs)."""
-
-    def describe(self) -> str:
-        """One-line description used in experiment manifests."""
-        return self.name
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -82,19 +74,6 @@ class AlwaysAcceptPolicy(ConnectionAcceptancePolicy):
 
     def should_accept(self, agent: ApplicationAgent) -> bool:
         return True
-
-
-class NeverAcceptPolicy(ConnectionAcceptancePolicy):
-    """Refuse every optional offer (equivalent to ``SRc`` with c = 0).
-
-    Every connection lands on the last candidate, which again degenerates
-    to plain random load balancing (on the second choice).
-    """
-
-    name = "never-accept"
-
-    def should_accept(self, agent: ApplicationAgent) -> bool:
-        return False
 
 
 class StaticThresholdPolicy(ConnectionAcceptancePolicy):
@@ -113,20 +92,6 @@ class StaticThresholdPolicy(ConnectionAcceptancePolicy):
 
     def should_accept(self, agent: ApplicationAgent) -> bool:
         return agent.busy_threads() < self.threshold
-
-    def describe(self) -> str:
-        return f"static threshold c={self.threshold}"
-
-
-@dataclass
-class DynamicPolicyState:
-    """Observable state of a :class:`DynamicThresholdPolicy` (for tests/plots)."""
-
-    threshold: int
-    window_attempts: int
-    window_accepted: int
-    adjustments_up: int
-    adjustments_down: int
 
 
 class DynamicThresholdPolicy(ConnectionAcceptancePolicy):
@@ -165,7 +130,6 @@ class DynamicThresholdPolicy(ConnectionAcceptancePolicy):
                 f"initial threshold must be >= 0, got {initial_threshold!r}"
             )
         self.name = "SRdyn"
-        self.initial_threshold = initial_threshold
         self.window_size = window_size
         self.low_watermark = low_watermark
         self.high_watermark = high_watermark
@@ -173,8 +137,6 @@ class DynamicThresholdPolicy(ConnectionAcceptancePolicy):
         self.threshold = initial_threshold
         self._attempts = 0
         self._accepted = 0
-        self.adjustments_up = 0
-        self.adjustments_down = 0
         self.threshold_history = [initial_threshold]
 
     def should_accept(self, agent: ApplicationAgent) -> bool:
@@ -197,37 +159,11 @@ class DynamicThresholdPolicy(ConnectionAcceptancePolicy):
         )
         if ratio < self.low_watermark and self.threshold < upper_bound:
             self.threshold += 1
-            self.adjustments_up += 1
         elif ratio > self.high_watermark and self.threshold > 0:
             self.threshold -= 1
-            self.adjustments_down += 1
         self.threshold_history.append(self.threshold)
         self._attempts = 0
         self._accepted = 0
-
-    def state(self) -> DynamicPolicyState:
-        """Snapshot of the adaptive state."""
-        return DynamicPolicyState(
-            threshold=self.threshold,
-            window_attempts=self._attempts,
-            window_accepted=self._accepted,
-            adjustments_up=self.adjustments_up,
-            adjustments_down=self.adjustments_down,
-        )
-
-    def reset(self) -> None:
-        self.threshold = self.initial_threshold
-        self._attempts = 0
-        self._accepted = 0
-        self.adjustments_up = 0
-        self.adjustments_down = 0
-        self.threshold_history = [self.initial_threshold]
-
-    def describe(self) -> str:
-        return (
-            f"dynamic threshold (window={self.window_size}, "
-            f"watermarks=[{self.low_watermark}, {self.high_watermark}])"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -253,15 +189,13 @@ def register_policy(name: str, factory: PolicyFactory) -> None:
 def make_policy(name: str) -> ConnectionAcceptancePolicy:
     """Instantiate a registered policy by name.
 
-    Built-in names: ``always``, ``never``, ``SR<k>`` for any integer k
+    Built-in names: ``always``, ``SR<k>`` for any integer k
     (e.g. ``SR4``), and ``SRdyn``.
     """
     if name in _REGISTRY:
         return _REGISTRY[name]()
     if name == "always":
         return AlwaysAcceptPolicy()
-    if name == "never":
-        return NeverAcceptPolicy()
     if name == "SRdyn":
         return DynamicThresholdPolicy()
     if name.startswith("SR"):

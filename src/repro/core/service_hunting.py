@@ -133,11 +133,6 @@ class ServiceHuntingProcessor:
         self.stats.refused += 1
         return HuntingDecision.FORWARD
 
-    def reset(self) -> None:
-        """Clear counters and policy state (between experiment runs)."""
-        self.stats = ServiceHuntingStats()
-        self.policy.reset()
-
     def __repr__(self) -> str:
         return (
             f"ServiceHuntingProcessor(policy={self.policy.name!r}, "

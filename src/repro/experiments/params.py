@@ -118,7 +118,7 @@ def check_bounds(config: Any) -> None:
     """
     for field, declaration in _declared(config):
         value = getattr(config, field.name)
-        if value == ():
+        if isinstance(value, tuple) and not value:
             raise ExperimentError(f"{field.name} needs at least one value")
         for item in value if isinstance(value, tuple) else (value,):
             if item is None:

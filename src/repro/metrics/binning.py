@@ -86,10 +86,6 @@ class TimeBinner:
         self._indices = np.empty(0, dtype=np.int64)
         self._values = np.empty(0, dtype=np.float64)
 
-    def add(self, timestamp: float, value: float) -> None:
-        """Add one sample."""
-        self.extend([timestamp], [value])
-
     def extend(self, timestamps: Sequence[float], values: Sequence[float]) -> None:
         """Add samples: ``values[i]`` arrived at ``timestamps[i]``.
 

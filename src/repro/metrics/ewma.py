@@ -81,11 +81,6 @@ class EWMAFilter:
         self._last_time = time
         return self._value
 
-    def reset(self) -> None:
-        """Forget all state."""
-        self._value = None
-        self._last_time = None
-
 
 def smooth_series(
     times: Sequence[float],

@@ -173,13 +173,6 @@ class LANFabric:
         """Register an observer called for every delivered packet."""
         self._taps.append(tap)
 
-    def node(self, name: str) -> "NetworkNode":
-        """Look up a registered node by name."""
-        try:
-            return self._nodes[name]
-        except KeyError as exc:
-            raise RoutingError(f"unknown node {name!r}") from exc
-
     # ------------------------------------------------------------------
     # forwarding
     # ------------------------------------------------------------------

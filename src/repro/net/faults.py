@@ -391,18 +391,6 @@ class FaultConfig:
         # validation; an invalid field raises here, not mid-run.
         build_injectors(None, self)
 
-    @property
-    def enabled(self) -> bool:
-        """Whether any impairment is actually active."""
-        return bool(
-            self.loss_rate
-            or self.burst_enter
-            or self.jitter_mean
-            or self.reorder_rate
-            or self.corruption_rate
-            or self.flap_windows
-        )
-
 
 def build_injectors(
     simulator: Optional[Simulator], config: FaultConfig

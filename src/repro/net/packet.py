@@ -273,28 +273,6 @@ class Packet:
         self._dst = srh.segments[value]
         return self._dst
 
-    # ------------------------------------------------------------------
-    # forwarding helpers
-    # ------------------------------------------------------------------
-    def copy(self) -> "Packet":
-        """Deep-enough copy for retransmission (new packet id).
-
-        An internal fast path: the source packet already satisfies the
-        constructor invariants, so they are not re-validated.  The TCP
-        segment is shared (it is never mutated in place); the SRH is
-        copied because advancement mutates it.
-        """
-        clone = Packet.__new__(Packet)
-        clone.src = self.src
-        clone._dst = self._dst
-        clone.tcp = self.tcp
-        clone.srh = self.srh.copy() if self.srh is not None else None
-        clone.hop_limit = self.hop_limit
-        clone.packet_id = next(_packet_ids)
-        clone.created_at = self.created_at
-        clone._flow_key = self._flow_key
-        return clone
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is Packet:
             return (

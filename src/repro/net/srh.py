@@ -86,17 +86,6 @@ class SegmentRoutingHeader:
         srh.segments_left = len(segments) - 1
         return srh
 
-    def copy(self) -> "SegmentRoutingHeader":
-        """Independent copy (packets are duplicated when retransmitted).
-
-        Internal fast path: the source header is already valid, so the
-        constructor checks are skipped.
-        """
-        clone = SegmentRoutingHeader.__new__(SegmentRoutingHeader)
-        clone.segments = list(self.segments)
-        clone.segments_left = self.segments_left
-        return clone
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------

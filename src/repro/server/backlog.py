@@ -80,14 +80,6 @@ class ListenBacklog:
         self._members.discard(connection_id)
         return connection_id
 
-    def remove(self, connection_id: int) -> bool:
-        """Remove a specific connection (e.g. reset by the client)."""
-        if connection_id not in self._members:
-            return False
-        self._members.discard(connection_id)
-        self._queue.remove(connection_id)
-        return True
-
     def __contains__(self, connection_id: int) -> bool:
         return connection_id in self._members
 

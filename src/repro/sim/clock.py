@@ -46,11 +46,5 @@ class SimulationClock:
             )
         self._now = float(new_time)
 
-    def reset(self, start: float = 0.0) -> None:
-        """Reset the clock, used when an engine is reused between runs."""
-        if start < 0:
-            raise SimulationError(f"clock cannot reset to negative time {start!r}")
-        self._now = float(start)
-
     def __repr__(self) -> str:
         return f"SimulationClock(now={self._now!r})"

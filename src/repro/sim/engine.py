@@ -75,7 +75,7 @@ COMPILED_LOOP = False
 EventCallback = Callable[..., None]
 
 #: A heap entry: ``[time, sequence, callback, arg, label]``.  ``callback``
-#: is ``None`` once the entry was cancelled, executed or drained.
+#: is ``None`` once the entry was cancelled or executed.
 HeapEntry = List[Any]
 
 #: Heaps smaller than this are never compacted — a linear sweep of a
@@ -122,7 +122,7 @@ class EventHandle:
         elif entry[3] is _CANCELLED:
             state = "cancelled"
         else:
-            state = "done"  # ran, or was drained
+            state = "done"
         return f"EventHandle(time={self.time!r}, label={self.label!r}, {state})"
 
 
@@ -297,7 +297,7 @@ class Simulator:
     # heap hygiene
     # ------------------------------------------------------------------
     def _cancel(self, entry: HeapEntry) -> None:
-        """Cancel a pending entry; a no-op once it ran, was drained or cancelled."""
+        """Cancel a pending entry; a no-op once it ran or was cancelled."""
         if entry[2] is None:
             return
         entry[2] = None
@@ -421,18 +421,6 @@ class Simulator:
         if not heap:
             return None
         return heap[0][0]
-
-    def drain(self) -> int:
-        """Discard all pending entries; returns how many live ones were discarded."""
-        count = 0
-        for entry in self._heap:
-            if entry[2] is not None:
-                entry[2] = None
-                entry[3] = NO_ARG
-                count += 1
-        self._heap.clear()
-        self._cancelled_on_heap = 0
-        return count
 
     def __repr__(self) -> str:
         return (

@@ -91,11 +91,6 @@ class RandomStreams:
         self._streams: Dict[str, np.random.Generator] = {}
         self._draws: Dict[str, BoundedDraws] = {}
 
-    @property
-    def seed(self) -> Optional[int]:
-        """Root seed this factory was created with."""
-        return self._seed
-
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use.
 
@@ -128,10 +123,6 @@ class RandomStreams:
             source = BoundedDraws(self.stream(name).bit_generator)
             self._draws[name] = source
         return source
-
-    def names(self) -> Iterable[str]:
-        """Names of the streams created so far (mainly for debugging)."""
-        return tuple(self._streams)
 
     def __repr__(self) -> str:
         return f"RandomStreams(seed={self._seed!r}, streams={sorted(self._streams)!r})"

@@ -174,10 +174,6 @@ class TelemetryBus:
                 f"{sorted(self._series)})"
             ) from exc
 
-    def names(self) -> List[str]:
-        """Registered series names, in insertion order."""
-        return list(self._series)
-
     def __contains__(self, name: str) -> bool:
         return name in self._series
 
@@ -232,17 +228,6 @@ class TelemetryPayload:
     values: Tuple[np.ndarray, ...]
     anomalies: Tuple[AnomalyEvent, ...] = ()
     meta: Dict[str, Any] = field(default_factory=dict)
-
-    def series(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
-        """``(times, values)`` of one series (loud when missing)."""
-        try:
-            index = self.names.index(name)
-        except ValueError as exc:
-            raise TelemetryError(
-                f"payload has no series named {name!r} (have "
-                f"{sorted(self.names)})"
-            ) from exc
-        return self.times[index], self.values[index]
 
     @classmethod
     def merge(cls, payloads: Sequence["TelemetryPayload"]) -> "TelemetryPayload":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Mapping, Tuple
+from typing import Any, Deque, Dict, List, Tuple
 
 from repro.errors import TelemetryError
 
@@ -58,28 +58,6 @@ class FlightDump:
                 for event in self.events
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "FlightDump":
-        """Rebuild a dump from :meth:`to_json_dict` output."""
-        try:
-            events = tuple(
-                FlightEvent(
-                    time=float(entry["time"]),
-                    kind=entry["kind"],
-                    label=entry["label"],
-                    value=float(entry["value"]),
-                )
-                for entry in data["events"]
-            )
-            return cls(
-                reason=data["reason"],
-                tripped_at=float(data["tripped_at"]),
-                window=float(data["window"]),
-                events=events,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TelemetryError(f"malformed flight dump JSON: {exc}") from exc
 
 
 class FlightRecorder:

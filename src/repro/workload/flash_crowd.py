@@ -70,11 +70,6 @@ class SteppedPoissonWorkload:
         self.service_model = service_model or ExponentialServiceTime(0.1)
         self.start_time = start_time
 
-    @property
-    def total_duration(self) -> float:
-        """Length of the whole schedule, in seconds."""
-        return sum(phase.duration for phase in self.phases)
-
     def generate(self, rng: np.random.Generator) -> Trace:
         """Generate the trace of arrivals and CPU demands.
 
@@ -105,8 +100,3 @@ class SteppedPoissonWorkload:
             name=f"stepped-poisson-{rates}qps",
         )
 
-    def __repr__(self) -> str:
-        steps = ", ".join(
-            f"{phase.rate:g}qps x {phase.duration:g}s" for phase in self.phases
-        )
-        return f"SteppedPoissonWorkload([{steps}], service={self.service_model.describe()})"

@@ -99,12 +99,6 @@ class PoissonWorkload:
             name=f"poisson-{self.rate:g}qps",
         )
 
-    def __repr__(self) -> str:
-        return (
-            f"PoissonWorkload(rate={self.rate:g}, queries={self.num_queries}, "
-            f"service={self.service_model.describe()})"
-        )
-
 
 def poisson_trace(
     load_factor: float,

@@ -35,10 +35,6 @@ class ServiceTimeModel(abc.ABC):
     def mean(self) -> float:
         """Expected CPU demand, used by load calibration."""
 
-    def describe(self) -> str:
-        """One-line description used in experiment manifests."""
-        return type(self).__name__
-
 
 class ExponentialServiceTime(ServiceTimeModel):
     """Exponential demand — the paper's Poisson-workload PHP script."""
@@ -54,9 +50,6 @@ class ExponentialServiceTime(ServiceTimeModel):
     def mean(self) -> float:
         return self._mean
 
-    def describe(self) -> str:
-        return f"exponential(mean={self._mean * 1000:.0f} ms)"
-
 
 class DeterministicServiceTime(ServiceTimeModel):
     """Constant demand — used by tests and as a variance ablation."""
@@ -71,9 +64,6 @@ class DeterministicServiceTime(ServiceTimeModel):
 
     def mean(self) -> float:
         return self._value
-
-    def describe(self) -> str:
-        return f"deterministic({self._value * 1000:.1f} ms)"
 
 
 class LognormalServiceTime(ServiceTimeModel):
@@ -92,9 +82,6 @@ class LognormalServiceTime(ServiceTimeModel):
 
     def mean(self) -> float:
         return math.exp(self._mu + self._sigma ** 2 / 2)
-
-    def describe(self) -> str:
-        return f"lognormal(median={math.exp(self._mu) * 1000:.0f} ms, sigma={self._sigma})"
 
 
 class BoundedParetoServiceTime(ServiceTimeModel):
@@ -132,12 +119,6 @@ class BoundedParetoServiceTime(ServiceTimeModel):
         numerator = alpha * low ** alpha * (high ** (1 - alpha) - low ** (1 - alpha))
         denominator = (1 - (low / high) ** alpha) * (1 - alpha)
         return numerator / denominator
-
-    def describe(self) -> str:
-        return (
-            f"bounded-pareto(alpha={self._alpha}, "
-            f"range=[{self._lower * 1000:.0f}, {self._upper * 1000:.0f}] ms)"
-        )
 
 
 class WikiPageServiceTime(ServiceTimeModel):
@@ -180,12 +161,6 @@ class WikiPageServiceTime(ServiceTimeModel):
             + self._miss_probability * self._miss.mean()
         )
 
-    def describe(self) -> str:
-        return (
-            f"wiki-page(hit={self._hit.describe()}, miss={self._miss.describe()}, "
-            f"p_miss={self._miss_probability})"
-        )
-
 
 class StaticPageServiceTime(DeterministicServiceTime):
     """Static-page cost: about a millisecond, as measured in the paper."""
@@ -193,5 +168,3 @@ class StaticPageServiceTime(DeterministicServiceTime):
     def __init__(self, value_seconds: float = 0.001) -> None:
         super().__init__(value_seconds)
 
-    def describe(self) -> str:
-        return f"static-page({self.mean() * 1000:.1f} ms)"

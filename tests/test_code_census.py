@@ -39,17 +39,33 @@ a field of a dataclass that ``src/`` passes to ``asdict``.  A count
 nothing reads costs a write per event and says nothing; it is deleted,
 or listed in :data:`ALLOWED_COUNTERS` under one of the :data:`REASONS`.
 
+**Execution.**  Naming a function is not running it.  ``python
+tests/test_code_census.py --exec`` (``make census-exec``, a CI step: it
+takes about half a minute, too long for tier-1) traces the product
+paths (:func:`product_paths`) with call events only and reports every
+function or method of ``src/`` none of them ran.  Dunders, interface
+stubs and implementations of an ``@abstractmethod`` are exempt; the rest
+is listed in :data:`ALLOWED` under one of the :data:`REASONS` or deleted
+with the tests that test only it.  The tests below check the tracer's
+rules on a made-up module.
+
 ``python tests/test_code_census.py`` (``make census``) prints the four
-reports, with where each unreferenced name is still reached outside
-``src/``.
+name-census reports, with where each unreferenced name is still reached
+outside ``src/``.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import functools
+import io
 import pathlib
+import runpy
+import sys
+import tempfile
 import textwrap
+import traceback
 from collections import defaultdict
 
 import repro
@@ -67,11 +83,15 @@ CLOSED_FORM = "a closed form a tier-1 oracle compares the simulator against"
 REACHED_BY_PERF = "reached by benchmarks/perf; it goes with the benchmark's next edition"
 GOLDENS = "the chaos goldens' fingerprint"
 WITNESS = "a test's witness that a path ran (or did not)"
-REASONS = (EXAMPLES, SMOKE, CLOSED_FORM, REACHED_BY_PERF, GOLDENS, WITNESS)
+WORKER = "runs only when cells go to worker processes; the named tier-1 test runs it there"
+MODEL = "a model a config selects and no flag reaches; the named test and benchmark select it"
+GUARD = "safety code, or a guard's message, that a product path reaches only when something goes wrong"
+REASONS = (EXAMPLES, SMOKE, CLOSED_FORM, REACHED_BY_PERF, GOLDENS, WITNESS, WORKER, MODEL, GUARD)
 
-#: Definitions nothing in ``src/`` reaches, and why each stays: one of
-#: :data:`REASONS`, then where.  An override of a listed method shares
-#: its entry (every family's ``smoke_config``).
+#: Definitions nothing in ``src/`` reaches, or no product path runs, and
+#: why each stays: one of :data:`REASONS`, then where.  An override of a
+#: listed method shares its entry (every family's ``smoke_config``), and
+#: a listed class covers its methods in the execution census.
 ALLOWED = {
     "register_policy": (EXAMPLES, "examples/custom_policy.py"),
     "ApplicationAgent.estimated_cpu_load": (EXAMPLES, "examples/custom_policy.py"),
@@ -94,6 +114,41 @@ ALLOWED = {
     "Simulator.batch_stats": (REACHED_BY_PERF, "tracing.py"),
     "make_pod_trace": (REACHED_BY_PERF, "tracing.py"),
     "outcome_fingerprint": (GOLDENS, "tests/test_scenario_golden.py, benchmarks/bench_chaos.py"),
+    # What only the execution census needs: named in src/, run by no product path.
+    "_run_scenario_cell": (WORKER, "tests/test_scenario_golden.py"),
+    "ResponseTimeCollector.export_payload": (WORKER, "tests/test_scenario_golden.py"),
+    "_load": (WORKER, "tests/test_scenario_golden.py"),
+    "run_partitioned": (WORKER, "tests/test_sim_partition.py"),
+    "_partition_process_main": (WORKER, "tests/test_sim_partition.py"),
+    "_receive": (WORKER, "tests/test_sim_partition.py"),
+    "_failure": (WORKER, "tests/test_sim_partition.py"),
+    "FIFOCPU": (MODEL, "tests/test_analysis_oracle.py (its FIFO cell), benchmarks/bench_ablation_cpu_model.py"),
+    "EventHandle.time": (MODEL, "FIFOCPU.set_speed re-plans its running jobs from it"),
+    "FlowTable._evict_lru": (GUARD, "a full flow table evicts its least recently seen flow"),
+    "Simulator._check_time": (GUARD, "a non-finite or past event time"),
+    "NetworkNode.send": (GUARD, "a node sends before it is attached to a fabric"),
+    "SegmentRoutingHeader.set_segments_left": (GUARD, "Packet.set_segments_left's invalid transition"),
+    "Packet.describe": (GUARD, "the no-route and stray-packet messages"),
+    "ScenarioSpec.render": (GUARD, "a family that defines no figure"),
+    "CapacityTracker.current_capacity": (GUARD, "mean_capacity over a zero-length window"),
+    "Packet.dst": (WITNESS, "tests/test_net_packet.py; the getter names a packet in the no-route message"),
+    "Simulator.stop": (WITNESS, "tests/test_sim_engine.py"),
+    "SimulationClock.now": (WITNESS, "tests/test_sim_clock.py"),
+    "Autoscaler.active": (WITNESS, "tests/test_control_plane.py"),
+    "TelemetryProbe.active": (WITNESS, "tests/test_telemetry_integration.py, tests/test_run_observers.py"),
+    "FlightRecorder.events": (WITNESS, "tests/test_telemetry_recorder.py"),
+    "ServerLoadSampler.samples": (WITNESS, "tests/test_experiments_runner.py"),
+    "ServerLoadSampler.times": (WITNESS, "tests/test_experiments_runner.py"),
+    "RequestOutcome.succeeded": (WITNESS, "tests/test_workload_client.py"),
+    "IPv6Address.value": (WITNESS, "tests/test_net_addressing.py"),
+    "EventHandle.label": (WITNESS, "tests/test_sim_engine.py reads a handle's state from its repr, which prints it"),
+    "ScaleRunResult.completed": (WITNESS, "tests/test_experiments_scale.py, benchmarks/bench_scale.py"),
+    "ScaleRunResult.failed": (WITNESS, "tests/test_experiments_scale.py, benchmarks/bench_scale.py"),
+    "LANFabric.send": (WITNESS, "tests/test_net_fabric.py, tests/test_net_ecmp.py"),
+    "NetworkNode.receive": (WITNESS, "tests/test_core_loadbalancer.py"),
+    "ScaleRunResult.run": (REACHED_BY_PERF, "tracing.py"),
+    "PacketPool.acquire": (REACHED_BY_PERF, "micro.py, via make_syn"),
+    "PacketPool.release": (REACHED_BY_PERF, "micro.py"),
 }
 
 #: Defaulted parameters nothing passes, and why each stays.
@@ -541,9 +596,16 @@ def test_a_config_holds_only_fields_something_sets():
 
 def test_every_allow_listed_name_needs_its_entry():
     # A name that gained a caller (or whose only caller is itself listed)
-    # leaves the list.
+    # leaves the list, unless the execution census needs the row: then it
+    # names a definition of src/, and ``make census-exec`` checks that
+    # some product path still leaves it unrun.
+    definitions, _, _ = _src_census()
+    qualified = {name for _, name in definitions}
     for name in ALLOWED:
-        assert name in _unreferenced_names({n: r for n, r in ALLOWED.items() if n != name}), name
+        assert name in qualified, name
+        if name in _unreferenced_names({n: r for n, r in ALLOWED.items() if n != name}):
+            continue
+        assert ALLOWED[name][0] in (WORKER, MODEL, GUARD, WITNESS, REACHED_BY_PERF), name
     assert set(ALLOWED_KNOBS) <= set(unpassed(allowed={}))
     assert set(ALLOWED_COUNTERS) <= set(unread_counters(allowed={}))
 
@@ -1053,6 +1115,359 @@ def test_every_built_testbed_is_released_by_a_with_block():
 
 
 # ----------------------------------------------------------------------
+# the execution census (``make census-exec``)
+# ----------------------------------------------------------------------
+#: Sub-command paths ``docs/cli.md`` documents that the CLI pins do not
+#: run; ``{dir}`` is a scratch directory.  Only a documented path goes
+#: here, never one added to keep code alive.
+EXTRA = (
+    ("chaos", "--servers", "3", "--workers", "4", "--queries", "80",
+     "--mode", "baseline", "--mode", "loss", "--telemetry-out", "{dir}"),
+    ("dashboard", "{dir}/telemetry.json", "--out", "{dir}/dashboard.html"),
+    ("calibrate", "--servers", "2", "--workers", "4", "--empirical",
+     "--queries", "200", "--iterations", "2"),
+    ("resilience", "--servers", "3", "--workers", "4", "--queries", "100",
+     "--scheme", "round-robin"),
+    ("scale", "--servers", "2", "--workers", "4", "--queries", "200", "--pods", "2",
+     "--telemetry"),
+    ("autoscale", "--workers", "4", "--cores", "1", "--min-servers", "2",
+     "--max-servers", "3", "--period", "20", "--duration", "40", "--slo-p99", "3",
+     "--time-factor", "0.5"),
+)
+
+
+def _is_stub(node):
+    """An interface stub: ``@abstractmethod``, or a body of only a
+    docstring, ``pass``, ``...`` or ``raise NotImplementedError``."""
+    if _is_abstract(node):
+        return True
+    for statement in node.body:
+        if isinstance(statement, ast.Pass):
+            continue
+        if isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Constant):
+            continue
+        if isinstance(statement, ast.Raise) and statement.exc is not None:
+            exc = statement.exc.func if isinstance(statement.exc, ast.Call) else statement.exc
+            if _callee(exc) == "NotImplementedError":
+                continue
+        return False
+    return True
+
+
+def _is_abstract(node):
+    return any(_callee(d) == "abstractmethod" for d in node.decorator_list)
+
+
+def executed(entries, root=SRC):
+    """``(ran, failed)`` of running ``entries`` (``(label, thunk)`` pairs).
+
+    ``ran`` holds ``(module, qualified)`` of every function under
+    ``root`` that was called; ``failed`` the labels whose thunk raised,
+    or exited with a status other than ``0``/``None``, with the cause.
+    The tracer sees call events only: it returns ``None``, so no line
+    event fires.
+    """
+    codes = set()
+
+    def trace(frame, event, arg):
+        codes.add(frame.f_code)
+
+    failed = []
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for label, run in entries:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                status = None
+                try:
+                    run()
+                except SystemExit as exit_:
+                    status = exit_.code
+                except Exception:  # noqa: BLE001 - reported with its traceback, not raised
+                    status = traceback.format_exc()
+            if status not in (None, 0):
+                failed.append(f"{label}: {status}")
+    finally:
+        sys.settrace(previous)
+    root = pathlib.Path(root).resolve()
+    ran = set()
+    for code in codes:
+        path = pathlib.Path(code.co_filename).resolve()
+        if root in path.parents:
+            ran.add((str(path.relative_to(root)), code.co_qualname))
+    return ran, failed
+
+
+def _covered(qualified, bases, allowed):
+    """Whether an ``allowed`` row covers ``qualified``: its own row, the
+    row of a method it overrides, or its class's row."""
+    return _overridden(qualified, bases, allowed) or qualified.split(".")[0] in allowed
+
+
+def unexecuted(ran, allowed=ALLOWED):
+    """``{(module, qualified): node}`` of the functions and methods no
+    entry point ran.
+
+    Dunders and interface stubs are exempt, and so is a method that
+    implements an ``@abstractmethod`` (its class cannot be made without
+    it).  A dunder and an ``allowed`` row keep what only they call, as an
+    allowed name does in the name census: a function every code
+    reference to which sits inside a kept one is kept too (a fixed point).
+    """
+    definitions, references, bases = _src_census()
+    abstract = {
+        qualified
+        for (_, qualified), node in definitions.items()
+        if isinstance(node, _FUNCTIONS) and _is_abstract(node)
+    }
+    unrun = {
+        key: node
+        for key, node in definitions.items()
+        if isinstance(node, _FUNCTIONS)
+        and key not in ran
+        and not _is_dunder(node.name)
+        and not _is_stub(node)
+        and not ("." in key[1] and _overridden(key[1], bases, abstract))
+    }
+    kept = {key for key in unrun if _covered(key[1], bases, allowed)}
+    kept |= {key for key, node in definitions.items() if _is_dunder(node.name)}
+    while True:
+        found = set()
+        for key, node in unrun.items():
+            if key in kept:
+                continue
+            callers = [
+                owners
+                for owners, attribute in references[node.name]
+                if (attribute or "." not in key[1]) and key not in owners
+            ]
+            if callers and all(owners & kept for owners in callers):
+                found.add(key)
+        if not found:
+            return {key: node for key, node in unrun.items() if key not in kept}
+        kept |= found
+
+
+def stale_rows(ran, allowed=ALLOWED):
+    """The ``allowed`` rows neither census needs: the name census reaches
+    the name, and the row covers nothing the entry points left unrun."""
+    _, _, bases = _src_census()
+    unrun = unexecuted(ran, allowed={})
+    return sorted(
+        name
+        for name in allowed
+        if name not in _unreferenced_names({n: r for n, r in allowed.items() if n != name})
+        and not any(_covered(qualified, bases, {name: None}) for _, qualified in unrun)
+    )
+
+
+def _run_cli(argv):
+    from repro.cli import main
+
+    sys.exit(main(list(argv)))
+
+
+def _run_example(path, flags):
+    argv = sys.argv
+    sys.argv = [str(path), *flags]
+    try:
+        runpy.run_path(str(path), run_name="__main__")
+    finally:
+        sys.argv = argv
+
+
+def _run_family(name, telemetry):
+    from dataclasses import replace
+
+    from repro.experiments import registry
+    from repro.experiments.scenario import run_scenario
+
+    config = registry.get(name).smoke_config()
+    if telemetry:
+        config = replace(config, testbed=replace(config.testbed, telemetry=True))
+    run_scenario(name, config, jobs=1)
+
+
+def _fresh_import():
+    """Forget every loaded ``repro`` module, so the product paths import
+    (and run the module-level code of) what they use under the tracer."""
+    for name in [name for name in sys.modules if name.split(".")[0] == "repro"]:
+        del sys.modules[name]
+
+
+def product_paths(scratch):
+    """``(label, thunk)`` of every product path, lazily (imports run under
+    the tracer): the CLI pins' argvs at one process, every ``--help``,
+    :data:`EXTRA`, each family's ``smoke_config()`` with the testbed's
+    telemetry off and on, and the examples at their smallest flags."""
+    _fresh_import()
+    import test_cli_pins as pins
+    import test_examples
+
+    from repro.experiments import registry
+
+    for name, argv in pins.RUNS.items():
+        yield name, functools.partial(_run_cli, [*argv, "--jobs", "1"])
+    yield "scale", functools.partial(_run_cli, [*pins.SCALE, "--partitions", "1"])
+    for name, argv in {**pins.STATIC, **pins._help_argvs()}.items():
+        yield name, functools.partial(_run_cli, argv)
+    for argv in EXTRA:
+        argv = [word.format(dir=scratch) for word in argv]
+        yield " ".join(argv), functools.partial(_run_cli, argv)
+    for name in registry.names():
+        yield f"{name} smoke", functools.partial(_run_family, name, False)
+        yield f"{name} smoke, telemetry", functools.partial(_run_family, name, True)
+    for script, flags, _ in test_examples.EXAMPLES:
+        yield script, functools.partial(_run_example, ROOT / "examples" / script, flags)
+
+
+def exec_report(ran, failed):
+    """The execution census as text, and whether it is green."""
+    unrun = unexecuted(ran, allowed={})
+    kept = unexecuted(ran)
+    lines = []
+    for group, rows in (
+        ("not allow-listed", [key for key in sorted(unrun) if key in kept]),
+        ("allow-listed", [key for key in sorted(unrun) if key not in kept]),
+    ):
+        lines.append(f"Functions no product path runs, {group} ({len(rows)}):")
+        for module, qualified in rows:
+            node = unrun[(module, qualified)]
+            lines.append(f"  {module}:{node.lineno} {qualified} ({_lines(node)} lines)")
+        if not rows:
+            lines.append("  (none)")
+    stale = stale_rows(ran)
+    lines.append(f"ALLOWED rows neither census needs ({len(stale)}):")
+    lines.extend(f"  {name}" for name in stale or ["(none)"])
+    lines.append(f"Entry points that failed ({len(failed)}):")
+    lines.extend(f"  {label}" for label in failed or ["(none)"])
+    return "\n".join(lines), not (kept or stale or failed)
+
+
+# ----------------------------------------------------------------------
+# the execution census's own rules, on a small made-up module
+# ----------------------------------------------------------------------
+_TOY = """
+import abc
+
+
+class Shape(abc.ABC):
+    @abc.abstractmethod
+    def area(self):
+        \"\"\"The area.\"\"\"
+
+    def outline(self):
+        raise NotImplementedError
+
+    def __repr__(self):
+        return f"Shape({self._label()})"
+
+    def _label(self):
+        return "shape"
+
+
+class Square(Shape):
+    def __init__(self, side):
+        self.side = side
+
+    def area(self):
+        return self.side ** 2
+
+    def hook(self):
+        return 0
+
+
+class Tile(Square):
+    def hook(self):
+        return 1
+
+
+def live():
+    return Square(2).area()
+
+
+def tested():
+    return helper()
+
+
+def helper():
+    return 1
+
+
+ENTRY = (live, tested, Tile)
+"""
+
+
+def _run_toy(tmp_path, monkeypatch, entries):
+    """``ran`` of tracing ``entries`` (names of the toy module's functions)
+    over a module written from :data:`_TOY`; both censuses read the toy."""
+    import importlib.util
+
+    path = tmp_path / "toy.py"
+    path.write_text(textwrap.dedent(_TOY), encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("toy", path)
+    toy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(toy)
+    ran, failed = executed([(name, getattr(toy, name)) for name in entries], root=tmp_path)
+    assert failed == []
+    _census_of(monkeypatch, toy=_TOY)
+    toy.tested()  # a test's call, after the tracer: it runs nothing for the census
+    return ran
+
+
+def test_a_function_only_a_test_calls_is_reported(tmp_path, monkeypatch):
+    ran = _run_toy(tmp_path, monkeypatch, ["live"])
+    assert ("toy.py", "live") in ran and ("toy.py", "Square.area") in ran
+    assert {name for _, name in unexecuted(ran, allowed={})} == {
+        "tested", "helper", "Square.hook", "Tile.hook"
+    }
+
+
+def test_dunders_interface_stubs_and_what_only_a_dunder_calls_are_exempt(tmp_path, monkeypatch):
+    # ``Shape.area`` is abstract, ``Shape.outline`` raises NotImplementedError,
+    # ``Shape.__repr__`` is a dunder and ``Shape._label`` only it calls.
+    ran = _run_toy(tmp_path, monkeypatch, ["live"])
+    assert not {name for _, name in unexecuted(ran, allowed={})} & {
+        "Shape.area", "Shape.outline", "Shape.__repr__", "Shape._label"
+    }
+
+
+def test_an_allowed_row_silences_its_function_what_only_it_calls_and_overrides(
+    tmp_path, monkeypatch
+):
+    ran = _run_toy(tmp_path, monkeypatch, ["live"])
+    rows = {"tested": (WITNESS, "x"), "Square.hook": (WITNESS, "x")}
+    assert unexecuted(ran, allowed=rows) == {}
+    assert {name for _, name in unexecuted(ran, allowed={"Tile": (MODEL, "x")})} == {
+        "tested", "helper", "Square.hook"
+    }
+
+
+def test_an_allowed_row_whose_function_now_runs_is_stale(tmp_path, monkeypatch):
+    ran = _run_toy(tmp_path, monkeypatch, ["live", "tested"])
+    rows = {"tested": (WITNESS, "x"), "Square.hook": (WITNESS, "x")}
+    assert stale_rows(ran, allowed=rows) == ["tested"]
+
+
+def test_an_entry_that_fails_is_reported(tmp_path):
+    def broken():
+        raise ValueError("no")
+
+    def exit_2():
+        sys.exit(2)
+
+    _, failed = executed([("ok", lambda: 7), ("exit", exit_2), ("broken", broken)], root=tmp_path)
+    assert [label.split(":")[0] for label in failed] == ["exit", "broken"]
+
+
+def test_every_worker_row_names_a_test_file_that_exists():
+    rows = {name: where for name, (reason, where) in ALLOWED.items() if reason == WORKER}
+    assert rows
+    for name, where in rows.items():
+        assert where.startswith("tests/") and (ROOT / where).is_file(), name
+
+
+# ----------------------------------------------------------------------
 # the report (``make census``)
 # ----------------------------------------------------------------------
 _OUTSIDE = (
@@ -1125,5 +1540,16 @@ def report():
     return "\n".join(lines)
 
 
+def _main(argv):
+    if argv != ["--exec"]:
+        print(report())
+        return 0
+    with tempfile.TemporaryDirectory() as scratch:
+        ran, failed = executed(product_paths(scratch))
+    text, green = exec_report(ran, failed)
+    print(text)
+    return 0 if green else 1
+
+
 if __name__ == "__main__":
-    print(report())
+    sys.exit(_main(sys.argv[1:]))

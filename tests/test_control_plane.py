@@ -88,14 +88,12 @@ class TestFleetMonitor:
         assert sample.busy_fraction == 0.0
         assert sample.total_workers == 0
 
-    def test_series_and_latest(self):
+    def test_series(self):
         monitor = FleetMonitor()
-        with pytest.raises(ReproError):
-            monitor.latest
         monitor.observe(0.0, [_stub_server()])
         monitor.observe(1.0, [_stub_server()])
         assert len(monitor) == 2
-        assert monitor.latest.time == 1.0
+        assert monitor.samples()[-1].time == 1.0
         assert [time for time, _ in _busy_fraction_series(monitor)] == [0.0, 1.0]
 
 
@@ -135,13 +133,6 @@ class TestPredictivePolicy:
             for t in range(0, 8)
         ]
         assert -1 in steps
-
-    def test_reset_forgets_the_slope(self):
-        policy = PredictiveEwmaPolicy()
-        policy.desired_step(_sample(time=0.0, smoothed=0.4))
-        policy.desired_step(_sample(time=1.0, smoothed=0.5))
-        policy.reset()
-        assert policy.forecast(_sample(time=2.0, smoothed=0.5)) == pytest.approx(0.5)
 
 
 class TestPolicyFactory:

@@ -42,13 +42,6 @@ class TestLearningAndSteering:
         assert table.steer(_flow(1), now=2.0) == _server(2)
         assert table.stats.entries_created == 1
 
-    def test_remove(self):
-        table = FlowTable()
-        table.learn(_flow(1), _server(1), now=0.0)
-        assert table.remove(_flow(1)) is True
-        assert table.remove(_flow(1)) is False
-        assert table.steer(_flow(1), now=1.0) is None
-
     def test_snapshot_names_every_counter_and_the_live_count(self):
         table = FlowTable(capacity=1)
         table.learn(_flow(1), _server(1), now=0.0)

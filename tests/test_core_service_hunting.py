@@ -4,7 +4,6 @@ from repro.core.agent import ApplicationAgent, StaticLoadView
 from repro.core.policies import (
     AlwaysAcceptPolicy,
     DynamicThresholdPolicy,
-    NeverAcceptPolicy,
     StaticThresholdPolicy,
 )
 from repro.core.service_hunting import HuntingDecision, ServiceHuntingProcessor
@@ -56,7 +55,7 @@ class TestOptionalDecision:
         assert processor.stats.refused == 1
 
     def test_forced_accept_at_last_candidate(self):
-        processor = _processor(NeverAcceptPolicy(), busy=32)
+        processor = _processor(StaticThresholdPolicy(0), busy=32)
         packet = _hunting_packet([SERVER1, SERVER2])
         processor.process(packet)          # refused at the first candidate
         decision = processor.process(packet)  # second candidate must accept
@@ -65,11 +64,11 @@ class TestOptionalDecision:
         assert processor.stats.accepted_forced == 1
 
     def test_policy_not_consulted_on_forced_accept(self):
-        class ExplodingPolicy(NeverAcceptPolicy):
+        class ExplodingPolicy(StaticThresholdPolicy):
             def should_accept(self, agent):
                 raise AssertionError("must not be consulted at SegmentsLeft == 1")
 
-        processor = _processor(ExplodingPolicy())
+        processor = _processor(ExplodingPolicy(0))
         packet = _hunting_packet([SERVER2])  # single candidate: SegmentsLeft == 1
         assert processor.process(packet) is HuntingDecision.ACCEPT
 
@@ -97,15 +96,6 @@ class TestOptionalDecision:
 
 
 class TestStatsAndReset:
-    def test_reset_clears_stats_and_policy(self):
-        policy = DynamicThresholdPolicy(initial_threshold=1, window_size=5)
-        processor = _processor(policy, busy=32)
-        for _ in range(12):
-            processor.process(_hunting_packet([SERVER1, SERVER2]))
-        processor.reset()
-        assert processor.stats.offers_received == 0
-        assert policy.threshold == 1
-
     def test_offers_received_counts_everything(self):
         processor = _processor(StaticThresholdPolicy(4), busy=0)
         processor.process(_hunting_packet([SERVER1, SERVER2]))

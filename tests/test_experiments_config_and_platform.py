@@ -3,6 +3,7 @@
 import dataclasses
 import multiprocessing
 
+import numpy as np
 import pytest
 
 from repro.errors import ExperimentError, SimulationError, WorkloadError
@@ -10,6 +11,7 @@ from repro.experiments import registry
 from repro.experiments.calibration import analytic_saturation_rate
 from repro.experiments.config import (
     HIGH_LOAD_FACTOR,
+    ChaosConfig,
     LIGHT_LOAD_FACTOR,
     PAPER_LOAD_FACTORS,
     PoissonSweepConfig,
@@ -122,6 +124,10 @@ class TestSweepConfigs:
             PoissonSweepConfig(num_queries=0)
         with pytest.raises(ExperimentError):
             PoissonSweepConfig(load_factors=(0.0,))
+        # A numpy scalar is checked against the bound like any number.
+        assert PoissonSweepConfig(num_queries=np.int64(100)).num_queries == 100
+        with pytest.raises(ExperimentError, match="workload_seed"):
+            ChaosConfig(workload_seed=np.int64(3))
 
     def test_wikipedia_defaults(self):
         config = WikipediaReplayConfig()

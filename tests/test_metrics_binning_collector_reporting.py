@@ -29,9 +29,9 @@ def _outcome(request_id, sent_at, response_time, kind="wiki", failed=False):
 class TestTimeBinner:
     def test_samples_land_in_the_right_bins(self):
         binner = TimeBinner(bin_width=10.0)
-        binner.add(5.0, 1.0)
-        binner.add(15.0, 2.0)
-        binner.add(16.0, 3.0)
+        binner.extend([5.0], [1.0])
+        binner.extend([15.0], [2.0])
+        binner.extend([16.0], [3.0])
         bins = binner.bins()
         assert bins[0].count == 1
         assert bins[1].count == 2
@@ -39,7 +39,7 @@ class TestTimeBinner:
 
     def test_empty_bins_are_materialised(self):
         binner = TimeBinner(bin_width=10.0)
-        binner.add(35.0, 1.0)
+        binner.extend([35.0], [1.0])
         bins = binner.bins()
         assert len(bins) == 4
         assert bins[0].count == 0
@@ -47,12 +47,12 @@ class TestTimeBinner:
 
     def test_through_extends_the_range(self):
         binner = TimeBinner(bin_width=10.0)
-        binner.add(5.0, 1.0)
+        binner.extend([5.0], [1.0])
         assert len(binner.bins(through=45.0)) == 5
 
     def test_constructor_through_binds_a_default_horizon(self):
         binner = TimeBinner(bin_width=10.0, through=45.0)
-        binner.add(5.0, 1.0)
+        binner.extend([5.0], [1.0])
         assert len(binner.bins()) == 5
         assert len(binner.median_series()) == 5
         # An explicit call-site horizon still overrides the bound one.
@@ -65,7 +65,7 @@ class TestTimeBinner:
     def test_rate_series(self):
         binner = TimeBinner(bin_width=10.0)
         for timestamp in (1.0, 2.0, 3.0, 4.0, 5.0):
-            binner.add(timestamp, 0.1)
+            binner.extend([timestamp], [0.1])
         (center, rate), = binner.rate_series()
         assert center == pytest.approx(5.0)
         assert rate == pytest.approx(0.5)
@@ -73,7 +73,7 @@ class TestTimeBinner:
     def test_decile_series_shape(self):
         binner = TimeBinner(bin_width=10.0)
         for index in range(100):
-            binner.add(5.0, index / 100.0)
+            binner.extend([5.0], [index / 100.0])
         (center, decile_values), = binner.decile_series()
         assert len(decile_values) == 9
         assert decile_values == sorted(decile_values)
@@ -81,7 +81,7 @@ class TestTimeBinner:
     def test_sample_before_origin_rejected(self):
         binner = TimeBinner(bin_width=10.0, start=100.0)
         with pytest.raises(ReproError):
-            binner.add(50.0, 1.0)
+            binner.extend([50.0], [1.0])
 
     def test_invalid_bin_width_rejected(self):
         with pytest.raises(ReproError):
@@ -105,7 +105,7 @@ class TestTimeBinner:
         head, tail = samples[:split], samples[split:]
         binner.extend([t for t, _ in head], [v for _, v in head])
         for timestamp, value in tail:
-            binner.add(timestamp, value)
+            binner.extend([timestamp], [value])
         bins = binner.bins()
         assert len(bins) == (max(reference) + 1 if reference else 0)
         for index, bin_ in enumerate(bins):

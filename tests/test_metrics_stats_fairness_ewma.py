@@ -175,12 +175,6 @@ class TestEWMA:
             ewma.update(float("nan"), 1.0)
         ewma.update(0.0, 1.0)  # the filter stays usable
 
-    def test_reset(self):
-        ewma = EWMAFilter()
-        ewma.update(0.0, 5.0)
-        ewma.reset()
-        assert ewma.value is None
-
     def test_smooth_series_length_preserved(self):
         times = [0.0, 0.5, 1.0, 1.5]
         values = [0.0, 10.0, 0.0, 10.0]

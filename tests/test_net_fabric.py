@@ -99,12 +99,6 @@ class TestLANFabric:
         simulator.run()
         assert fabric.stats.packets_delivered == 4
 
-    def test_node_lookup_by_name(self, fabric_setup):
-        fabric, a, b = fabric_setup
-        assert fabric.node("a") is a
-        with pytest.raises(RoutingError):
-            fabric.node("missing")
-
     def test_send_unattached_node_raises(self, simulator):
         node = RecordingNode(simulator, "lonely")
         node.add_address(_addr("fd00:100::1"))

@@ -182,8 +182,8 @@ class TestPipeline:
         assert pipeline.stats.packets_sent - pipeline.stats.packets_dropped == 1
 
     def test_the_default_config_is_disabled(self):
-        assert not FaultConfig().enabled
-        assert FaultConfig(flap_windows=((1.0, 2.0),)).enabled
+        assert build_injectors(None, FaultConfig()) == ()
+        assert build_injectors(None, FaultConfig(flap_windows=((1.0, 2.0),)))
 
     def test_an_invalid_config_fails_at_construction(self):
         with pytest.raises(NetworkError):

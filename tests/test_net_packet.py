@@ -93,18 +93,6 @@ class TestPacket:
                 srh=srh,
             )
 
-    def test_copy_gets_new_id_and_independent_srh(self):
-        packet = make_syn(_addr("fd00:200::1"), _addr("fd00:300::1"), 1234, 80)
-        packet.attach_srh(
-            SegmentRoutingHeader.from_traversal(
-                [_addr("fd00:100::1"), _addr("fd00:100::2"), _addr("fd00:300::1")]
-            )
-        )
-        clone = packet.copy()
-        assert clone.packet_id != packet.packet_id
-        packet.advance_srh()
-        assert clone.srh.segments_left == 2
-
     def test_unique_packet_ids(self):
         first = make_syn(_addr("fd00:200::1"), _addr("fd00:300::1"), 1234, 80)
         second = make_syn(_addr("fd00:200::1"), _addr("fd00:300::1"), 1234, 80)
@@ -183,22 +171,3 @@ class TestFlowKeyCache:
         assert packet.flow_key() == _fresh_flow_key(packet)
         assert packet.flow_key().dst_address == _addr("fd00:200::9")
 
-    def test_copy_is_cache_independent(self):
-        packet = self._packet()
-        packet.attach_srh(self._srh())
-        packet.flow_key()  # warm the cache before copying
-        clone = packet.copy()
-        assert clone.flow_key() == _fresh_flow_key(clone)
-        # Mutating the original must not leak into the clone's key.
-        packet.srh = None
-        packet.dst = _addr("fd00:200::9")
-        assert clone.flow_key() == _fresh_flow_key(clone)
-        assert clone.flow_key().dst_address == _addr("fd00:300::1")
-        assert packet.flow_key().dst_address == _addr("fd00:200::9")
-
-    def test_copy_without_warm_cache_computes_its_own_key(self):
-        packet = self._packet()
-        clone = packet.copy()
-        packet.dst = _addr("fd00:200::9")
-        assert clone.flow_key() == _fresh_flow_key(clone)
-        assert clone.flow_key().dst_address == _addr("fd00:300::1")

@@ -73,12 +73,6 @@ class TestSetSegmentsLeft:
 
 
 class TestMisc:
-    def test_copy_is_independent(self):
-        srh = SegmentRoutingHeader.from_traversal([_addr(1), _addr(2), _addr(3)])
-        clone = srh.copy()
-        srh.advance()
-        assert clone.segments_left == 2
-        assert srh.segments_left == 1
 
     def test_str_shows_traversal_order(self):
         srh = SegmentRoutingHeader.from_traversal([_addr(1), _addr(2)])

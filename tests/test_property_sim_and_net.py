@@ -255,24 +255,3 @@ def test_flow_key_cache_matches_fresh_computation_under_any_mutation(
             assert packet.dst == packet.srh.active_segment
 
 
-@given(ops=_FLOW_KEY_OPS, path=segment_lists)
-@settings(max_examples=100, deadline=None)
-def test_flow_key_cache_copy_independence(ops, path):
-    """Mutating a packet never changes the key of a prior copy()."""
-    packet = Packet(
-        src=IPv6Address(1),
-        dst=IPv6Address(2),
-        tcp=TCPSegment(src_port=1000, dst_port=80),
-    )
-    packet.attach_srh(SegmentRoutingHeader.from_traversal(path))
-    packet.flow_key()  # warm the cache so the copy inherits it
-    clone = packet.copy()
-    expected = _fresh_flow_key(clone)
-    for op in ops:
-        if op == "advance" and packet.srh is not None and packet.srh.segments_left:
-            packet.advance_srh()
-        elif op == "detach" and packet.srh is not None:
-            _strip_srh(packet)
-        elif op == "attach":
-            packet.attach_srh(SegmentRoutingHeader.from_traversal(path))
-    assert clone.flow_key() == expected == _fresh_flow_key(clone)

@@ -122,14 +122,6 @@ class TestListenBacklog:
         backlog = ListenBacklog(capacity=2)
         assert backlog.pop_next() is None
 
-    def test_remove_specific_connection(self):
-        backlog = ListenBacklog(capacity=4)
-        backlog.try_admit(1)
-        backlog.try_admit(2)
-        assert backlog.remove(1) is True
-        assert backlog.remove(1) is False
-        assert backlog.pop_next() == 2
-
     def test_duplicate_admission_rejected(self):
         backlog = ListenBacklog(capacity=4)
         backlog.try_admit(1)

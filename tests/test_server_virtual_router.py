@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.policies import NeverAcceptPolicy, StaticThresholdPolicy
+from repro.core.policies import StaticThresholdPolicy
 from repro.errors import ServerError
 from repro.net.addressing import IPv6Address
 from repro.net.fabric import LANFabric
@@ -91,7 +91,7 @@ class TestServiceHuntingDataPath:
 
     def test_refusing_server_forwards_to_second_candidate(self, simulator, router_setup):
         fabric, lb_stub, client_stub = router_setup
-        refusing = _make_server_node(simulator, fabric, SERVER1, NeverAcceptPolicy())
+        refusing = _make_server_node(simulator, fabric, SERVER1, StaticThresholdPolicy(0))
         accepting = _make_server_node(simulator, fabric, SERVER2, StaticThresholdPolicy(4))
         refusing.receive(_hunting_syn(SERVER1, SERVER2))
         simulator.run()

@@ -32,20 +32,5 @@ class TestSimulationClock:
         with pytest.raises(SimulationError):
             clock.advance(9.999)
 
-    def test_reset_returns_to_zero(self):
-        clock = SimulationClock(10.0)
-        clock.reset()
-        assert clock.now == 0.0
-
-    def test_reset_to_specific_time(self):
-        clock = SimulationClock(10.0)
-        clock.reset(4.0)
-        assert clock.now == 4.0
-
-    def test_reset_rejects_negative(self):
-        clock = SimulationClock()
-        with pytest.raises(SimulationError):
-            clock.reset(-0.5)
-
     def test_repr_mentions_time(self):
         assert "3.5" in repr(SimulationClock(3.5))

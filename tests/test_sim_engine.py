@@ -335,12 +335,6 @@ class TestCancellation:
     def test_peek_next_time_empty_heap(self, simulator):
         assert simulator.peek_next_time() is None
 
-    def test_drain_discards_pending_events(self, simulator):
-        simulator.schedule_at(1.0, lambda: None)
-        simulator.schedule_at(2.0, lambda: None)
-        assert simulator.drain() == 2
-        assert simulator.peek_next_time() is None
-
 
 class TestPeriodicTask:
     def test_periodic_task_ticks_at_interval(self, simulator):
@@ -564,10 +558,9 @@ class TestEventArgument:
         ]
         del payload
         handles[1].cancel()
-        simulator.run(until=1.5)
-        simulator.drain()
+        simulator.run()
         gc.collect()
-        # Ran, cancelled and drained: none of the kept handles pins it.
+        # Ran or cancelled: none of the kept handles pins it.
         assert released() is None
         assert [repr(handle).split()[-1] for handle in handles] == [
             "done)", "cancelled)", "done)"
@@ -600,12 +593,6 @@ class TestCallbackRelease:
         handle.cancel()
         assert self._released(callback)
         assert simulator.pending_events == 1  # still on the heap, dead
-
-    def test_drained_event_releases_callback(self, simulator):
-        handle, callback = self._scheduled(simulator)
-        assert simulator.drain() == 1
-        assert self._released(callback)
-        assert "done" in repr(handle)
 
 
 class TestBatchedDispatch:

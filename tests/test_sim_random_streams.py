@@ -45,15 +45,6 @@ class TestRandomStreams:
         with pytest.raises(SimulationError):
             RandomStreams(seed=-1)
 
-    def test_names_lists_created_streams(self):
-        streams = RandomStreams(seed=0)
-        streams.stream("a")
-        streams.stream("b")
-        assert set(streams.names()) == {"a", "b"}
-
-    def test_seed_property(self):
-        assert RandomStreams(seed=9).seed == 9
-
 
 class TestStreamOwnership:
     """A stream is handed out as a generator or as a block source, never both."""

@@ -89,7 +89,7 @@ class TestTelemetryBus:
         bus = TelemetryBus(capacity=16)
         bus.record("b.second", 0.0, 1.0)
         bus.record("a.first", 0.0, 2.0, kind="counter")
-        assert bus.names() == ["b.second", "a.first"]
+        assert list(bus.export_payload().names) == ["b.second", "a.first"]
         assert "a.first" in bus and "missing" not in bus
         assert bus.series("a.first").kind == "counter"
 
@@ -115,9 +115,15 @@ class TestTelemetryBus:
         bus.record("s", 1.0, 2.0)
         payload = bus.export_payload(meta={"run": "t"})
         clone = pickle.loads(pickle.dumps(payload))
-        times, values = clone.series("s")
+        times, values = _series(clone, "s")
         assert times.tolist() == [1.0] and values.tolist() == [2.0]
         assert clone.meta["run"] == "t"
+
+
+def _series(payload, name):
+    """``(times, values)`` of one series of a payload."""
+    index = payload.names.index(name)
+    return payload.times[index], payload.values[index]
 
 
 def _payload(name="s", times=(0.0, 1.0), values=(1.0, 2.0), kind="gauge",
@@ -146,7 +152,7 @@ class TestPayloadMerge:
             [_payload(times=(0.0, 2.0), values=(1.0, 3.0)),
              _payload(times=(1.0, 3.0), values=(2.0, 4.0))]
         )
-        times, values = merged.series("s")
+        times, values = _series(merged, "s")
         assert times.tolist() == [0.0, 1.0, 2.0, 3.0]
         assert values.tolist() == [1.0, 2.0, 3.0, 4.0]
 
@@ -155,7 +161,7 @@ class TestPayloadMerge:
             [_payload(times=(1.0,), values=(10.0,)),
              _payload(times=(1.0,), values=(20.0,))]
         )
-        _, values = merged.series("s")
+        _, values = _series(merged, "s")
         assert values.tolist() == [10.0, 20.0]
 
     def test_merge_unites_names_in_first_seen_order(self):
@@ -169,7 +175,7 @@ class TestPayloadMerge:
             [_payload(times=(0.0, 1.0, 2.0), values=(0.0, 1.0, 2.0), capacity=4),
              _payload(times=(3.0, 4.0, 5.0), values=(3.0, 4.0, 5.0), capacity=4)]
         )
-        times, _ = merged.series("s")
+        times, _ = _series(merged, "s")
         assert times.tolist() == [2.0, 3.0, 4.0, 5.0]
 
     def test_merge_kind_mismatch_is_loud(self):

@@ -9,7 +9,6 @@ import pytest
 from repro.errors import TelemetryError
 from repro.telemetry.recorder import (
     DEFAULT_WINDOW,
-    FlightDump,
     FlightEvent,
     FlightRecorder,
 )
@@ -78,17 +77,3 @@ class TestTrip:
             FlightRecorder(slots=8).trip("x", now=1.0, window=0.0)
 
 
-class TestDumpJson:
-    def test_round_trip_through_json_text(self):
-        recorder = FlightRecorder(slots=16)
-        recorder.record(1.0, "drop", "loss", 1.0)
-        recorder.record(2.0, "retransmit", "client-0", 3.0)
-        dump = recorder.trip("slo:busy", now=2.5, window=5.0)
-        clone = FlightDump.from_json_dict(
-            json.loads(json.dumps(dump.to_json_dict()))
-        )
-        assert clone == dump
-
-    def test_malformed_json_is_loud(self):
-        with pytest.raises(TelemetryError):
-            FlightDump.from_json_dict({"reason": "x"})

@@ -88,13 +88,3 @@ class TestServiceModels:
         model = StaticPageServiceTime()
         assert model.sample(rng) == pytest.approx(0.001)
 
-    def test_describe_strings(self):
-        for model in (
-            ExponentialServiceTime(0.1),
-            DeterministicServiceTime(0.1),
-            LognormalServiceTime(0.1),
-            BoundedParetoServiceTime(),
-            WikiPageServiceTime(),
-            StaticPageServiceTime(),
-        ):
-            assert isinstance(model.describe(), str) and model.describe()
