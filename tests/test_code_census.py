@@ -68,6 +68,8 @@ import textwrap
 import traceback
 from collections import defaultdict
 
+import pytest
+
 import repro
 from repro.experiments.scenario import ScenarioSpec
 
@@ -1430,6 +1432,27 @@ def test_dunders_interface_stubs_and_what_only_a_dunder_calls_are_exempt(tmp_pat
     assert not {name for _, name in unexecuted(ran, allowed={})} & {
         "Shape.area", "Shape.outline", "Shape.__repr__", "Shape._label"
     }
+
+
+@pytest.mark.parametrize(
+    "source, stub",
+    [
+        ('def f():\n    """Only a docstring."""', True),
+        ("def f():\n    pass", True),
+        ("def f():\n    ...", True),
+        ("def f():\n    raise NotImplementedError", True),
+        ('def f():\n    """Doc."""\n    raise NotImplementedError("subclass")', True),
+        ("@abc.abstractmethod\ndef f():\n    return 1", True),
+        ("@abstractmethod\ndef f():\n    return 1", True),
+        ("def f():\n    return 0", False),
+        ('def f():\n    """Doc."""\n    return 0', False),
+        ("def f():\n    raise ValueError", False),
+        ("def f():\n    raise", False),
+    ],
+)
+def test_an_interface_stub_is_abstract_or_has_a_body_of_only_placeholders(source, stub):
+    (node,) = ast.parse(source).body
+    assert _is_stub(node) is stub
 
 
 def test_an_allowed_row_silences_its_function_what_only_it_calls_and_overrides(

@@ -6,8 +6,10 @@ import pytest
 from repro.core.candidate_selection import (
     ConsistentHashCandidateSelector,
     RandomCandidateSelector,
+    SELECTOR_NAMES,
     RoundRobinCandidateSelector,
     SingleRandomSelector,
+    check_selector_name,
     make_selector,
 )
 from repro.core.consistent_hash import MaglevTable, flow_hash_key
@@ -136,6 +138,20 @@ class TestSelectorFactory:
     def test_unknown_selector_rejected(self, selection_rng):
         with pytest.raises(SelectionError):
             make_selector("astrology", selection_rng)
+
+    @pytest.mark.parametrize("name", SELECTOR_NAMES)
+    def test_every_listed_name_is_accepted_and_builds_a_selector(self, name, selection_rng):
+        check_selector_name(name)
+        candidates = make_selector(name, selection_rng).select(_flow(1), _servers(4))
+        assert candidates and set(candidates) <= set(_servers(4))
+
+    def test_each_selector_has_one_name(self, selection_rng):
+        # ``"rr"`` was an alias of ``"single-random"``; one name per scheme.
+        assert "rr" not in SELECTOR_NAMES
+        with pytest.raises(SelectionError):
+            make_selector("rr", selection_rng)
+        built = {type(make_selector(name, selection_rng)) for name in SELECTOR_NAMES}
+        assert len(built) == len(SELECTOR_NAMES)
 
 
 class TestMaglevTable:

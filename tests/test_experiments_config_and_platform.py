@@ -129,6 +129,25 @@ class TestSweepConfigs:
         with pytest.raises(ExperimentError, match="workload_seed"):
             ChaosConfig(workload_seed=np.int64(3))
 
+    @pytest.mark.parametrize(
+        "overrides, bad_field",
+        [
+            ({"num_queries": np.int64(100)}, None),
+            ({"num_queries": np.int32(100)}, None),
+            ({"num_queries": np.int64(0)}, "num_queries"),
+            ({"load_factors": (np.float64(0.5),)}, None),
+            ({"load_factors": (np.float64(0.5), np.float64(-1.0))}, "load_factors"),
+        ],
+    )
+    def test_a_numpy_scalar_meets_the_bound_as_its_number(self, overrides, bad_field):
+        if bad_field is None:
+            config = PoissonSweepConfig(**overrides)
+            for name, value in overrides.items():
+                assert getattr(config, name) == value
+        else:
+            with pytest.raises(ExperimentError, match=bad_field):
+                PoissonSweepConfig(**overrides)
+
     def test_wikipedia_defaults(self):
         config = WikipediaReplayConfig()
         assert config.duration == pytest.approx(86_400.0)

@@ -77,3 +77,16 @@ class TestTrip:
             FlightRecorder(slots=8).trip("x", now=1.0, window=0.0)
 
 
+
+
+class TestDumpJson:
+    def test_round_trip_through_json_text(self):
+        # A dump reaches ``telemetry.json`` as its dict in the payload's meta.
+        recorder = FlightRecorder(slots=16)
+        recorder.record(1.0, "drop", "loss", 1.0)
+        recorder.record(2.0, "retransmit", "client-0", 3.0)
+        dump = recorder.trip("slo:busy", now=2.5, window=5.0)
+        data = dump.to_json_dict()
+        assert json.loads(json.dumps(data)) == data
+        assert (data["reason"], data["tripped_at"], data["window"]) == ("slo:busy", 2.5, 5.0)
+        assert [FlightEvent(**entry) for entry in data["events"]] == list(dump.events)
