@@ -137,7 +137,6 @@ class DynamicThresholdPolicy(ConnectionAcceptancePolicy):
         self.threshold = initial_threshold
         self._attempts = 0
         self._accepted = 0
-        self.threshold_history = [initial_threshold]
 
     def should_accept(self, agent: ApplicationAgent) -> bool:
         self._attempts += 1
@@ -161,7 +160,6 @@ class DynamicThresholdPolicy(ConnectionAcceptancePolicy):
             self.threshold += 1
         elif ratio > self.high_watermark and self.threshold > 0:
             self.threshold -= 1
-        self.threshold_history.append(self.threshold)
         self._attempts = 0
         self._accepted = 0
 

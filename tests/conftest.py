@@ -30,6 +30,18 @@ def observe(request):
     return lambda config: replace(config, testbed=replace(config.testbed, telemetry=True))
 
 
+@pytest.fixture(scope="session")
+def series_of():
+    """``(payload, name) -> (times, values)``: one series of a telemetry
+    payload, found by name in its parallel lists."""
+
+    def series(payload, name):
+        index = payload.names.index(name)
+        return payload.times[index], payload.values[index]
+
+    return series
+
+
 @pytest.fixture
 def simulator() -> Simulator:
     """A fresh simulator with a fixed seed."""

@@ -126,14 +126,6 @@ class TestDynamicThresholdPolicy:
             policy.should_accept(low if index % 2 == 0 else high)
         assert policy.threshold == 4
 
-    def test_history_records_each_window(self):
-        policy = DynamicThresholdPolicy(initial_threshold=2, window_size=5)
-        busy_agent = ApplicationAgent(StaticLoadView(busy=32, slots=32))
-        for _ in range(12):
-            policy.should_accept(busy_agent)
-        assert policy.threshold_history[-1] == policy.threshold
-        assert len(policy.threshold_history) >= 2
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(PolicyError):
             DynamicThresholdPolicy(window_size=0)

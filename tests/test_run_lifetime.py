@@ -26,6 +26,7 @@ from repro.experiments.config import WikipediaReplayConfig, sr_policy
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import run_scenario
 from repro.experiments.wikipedia_experiment import make_wikipedia_trace
+from repro.net.router import NetworkNode
 from repro.workload.poisson import poisson_trace
 
 
@@ -116,7 +117,14 @@ def test_a_closed_testbed_keeps_its_counters(closed_testbed):
     assert len(testbed.collector) == len(trace)
     assert testbed.counters()["server.requests_served"] == len(trace)
     assert testbed.fabric.stats.packets_delivered > 0
-    assert testbed.client.fabric is None  # the fabric let go of its nodes
+    assert testbed.client.fabric is None  # the nodes let go of the fabric
+    # ... and the fabric of its nodes: a different node may take the
+    # client's name and addresses, which attach refuses while the old
+    # client is still registered or bound.
+    stand_in = NetworkNode(testbed.simulator, testbed.client.name)
+    for address in testbed.client.addresses:
+        stand_in.add_address(address)
+    stand_in.attach(testbed.fabric)
     testbed.close()  # idempotent
 
 

@@ -110,20 +110,14 @@ class TestTelemetryBus:
     def test_default_capacity(self):
         assert TelemetryBus().capacity == DEFAULT_CAPACITY
 
-    def test_export_payload_is_picklable(self):
+    def test_export_payload_is_picklable(self, series_of):
         bus = TelemetryBus(capacity=8)
         bus.record("s", 1.0, 2.0)
         payload = bus.export_payload(meta={"run": "t"})
         clone = pickle.loads(pickle.dumps(payload))
-        times, values = _series(clone, "s")
+        times, values = series_of(clone, "s")
         assert times.tolist() == [1.0] and values.tolist() == [2.0]
         assert clone.meta["run"] == "t"
-
-
-def _series(payload, name):
-    """``(times, values)`` of one series of a payload."""
-    index = payload.names.index(name)
-    return payload.times[index], payload.values[index]
 
 
 def _payload(name="s", times=(0.0, 1.0), values=(1.0, 2.0), kind="gauge",
@@ -147,21 +141,21 @@ class TestPayloadMerge:
         payload = _payload()
         assert TelemetryPayload.merge([payload]) is payload
 
-    def test_merge_concatenates_and_sorts_by_time(self):
+    def test_merge_concatenates_and_sorts_by_time(self, series_of):
         merged = TelemetryPayload.merge(
             [_payload(times=(0.0, 2.0), values=(1.0, 3.0)),
              _payload(times=(1.0, 3.0), values=(2.0, 4.0))]
         )
-        times, values = _series(merged, "s")
+        times, values = series_of(merged, "s")
         assert times.tolist() == [0.0, 1.0, 2.0, 3.0]
         assert values.tolist() == [1.0, 2.0, 3.0, 4.0]
 
-    def test_merge_tie_keeps_payload_order(self):
+    def test_merge_tie_keeps_payload_order(self, series_of):
         merged = TelemetryPayload.merge(
             [_payload(times=(1.0,), values=(10.0,)),
              _payload(times=(1.0,), values=(20.0,))]
         )
-        _, values = _series(merged, "s")
+        _, values = series_of(merged, "s")
         assert values.tolist() == [10.0, 20.0]
 
     def test_merge_unites_names_in_first_seen_order(self):
@@ -170,12 +164,12 @@ class TestPayloadMerge:
         )
         assert merged.names == ("a", "b")
 
-    def test_merge_truncates_to_newest_capacity(self):
+    def test_merge_truncates_to_newest_capacity(self, series_of):
         merged = TelemetryPayload.merge(
             [_payload(times=(0.0, 1.0, 2.0), values=(0.0, 1.0, 2.0), capacity=4),
              _payload(times=(3.0, 4.0, 5.0), values=(3.0, 4.0, 5.0), capacity=4)]
         )
-        times, _ = _series(merged, "s")
+        times, _ = series_of(merged, "s")
         assert times.tolist() == [2.0, 3.0, 4.0, 5.0]
 
     def test_merge_kind_mismatch_is_loud(self):

@@ -41,12 +41,6 @@ from repro.workload.requests import Request
 from repro.workload.trace import Trace
 
 
-def _series(payload, name):
-    """``(times, values)`` of one series of a payload."""
-    index = payload.names.index(name)
-    return payload.times[index], payload.values[index]
-
-
 def _observed(config):
     """``config`` (a testbed config, or a family config's testbed) with
     the probe switched on."""
@@ -88,7 +82,7 @@ class TestProbeLifecycle:
         # The traffic generator's cold-path events feed the black box.
         assert testbed.client.flight_recorder is testbed.telemetry.recorder
 
-    def test_the_run_result_carries_the_payload(self, small_testbed_config):
+    def test_the_run_result_carries_the_payload(self, small_testbed_config, series_of):
         with build_testbed(_observed(small_testbed_config), sr_policy(4)) as testbed:
             duration = testbed.run_trace(_burst_trace())
             assert not testbed.telemetry.active  # stopped at the horizon
@@ -98,7 +92,7 @@ class TestProbeLifecycle:
         assert set(DEFAULT_WATCHED) <= names
         assert {"lb.syn_dispatched", "client.syn_retransmits"} <= names
         assert "fabric.packets_delivered" in names
-        times, values = _series(payload, "server.busy_fraction")
+        times, values = series_of(payload, "server.busy_fraction")
         assert times.size == values.size > 0
 
     def test_a_second_attach_stops_the_first_probe(self):
@@ -114,13 +108,13 @@ class TestProbeLifecycle:
         assert testbed.telemetry_payload().meta["samples"] == second.samples_taken
 
     def test_the_probe_stops_at_the_horizon_with_a_final_sample(
-        self, small_testbed_config
+        self, small_testbed_config, series_of
     ):
         trace = _burst_trace()
         testbed = build_testbed(_observed(small_testbed_config), sr_policy(4))
         end = testbed.run_trace(trace)
         probe = testbed.telemetry
-        times, _values = _series(probe.export_payload(), "server.busy_fraction")
+        times, _values = series_of(probe.export_payload(), "server.busy_fraction")
         # One sample per interval up to the horizon, plus the final one
         # the stop takes there; nothing samples while the heap drains.
         horizon = trace.duration + SETTLE_MARGIN

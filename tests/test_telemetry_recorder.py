@@ -77,8 +77,6 @@ class TestTrip:
             FlightRecorder(slots=8).trip("x", now=1.0, window=0.0)
 
 
-
-
 class TestDumpJson:
     def test_round_trip_through_json_text(self):
         # A dump reaches ``telemetry.json`` as its dict in the payload's meta.
