@@ -22,15 +22,11 @@ from __future__ import annotations
 
 import random
 
-from repro.core import ApplicationAgent, ConnectionAcceptancePolicy, register_policy
-from repro.experiments import (
-    PoissonSweepConfig,
-    PolicySpec,
-    rr_policy,
-    run_scenario,
-    sr_policy,
-)
-from repro.metrics import format_table
+from repro.core.agent import ApplicationAgent
+from repro.core.policies import ConnectionAcceptancePolicy, register_policy
+from repro.experiments.config import PoissonSweepConfig, PolicySpec, rr_policy, sr_policy
+from repro.experiments.scenario import run_scenario
+from repro.metrics.reporting import format_table
 
 
 class ProbabilisticBackpressurePolicy(ConnectionAcceptancePolicy):

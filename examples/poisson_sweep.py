@@ -19,9 +19,10 @@ import argparse
 
 import numpy as np
 
-from repro.experiments import PoissonSweepConfig, paper_policy_suite, run_scenario
+from repro.experiments.config import PoissonSweepConfig, paper_policy_suite
 from repro.experiments.figures import render_figure2
-from repro.metrics import format_comparison
+from repro.experiments.scenario import run_scenario
+from repro.metrics.reporting import format_comparison
 
 
 def parse_args() -> argparse.Namespace:

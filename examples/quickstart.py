@@ -16,16 +16,16 @@ Run with::
 
 from __future__ import annotations
 
-from repro.experiments import (
+from repro.experiments.calibration import analytic_saturation_rate
+from repro.experiments.config import (
     PoissonSweepConfig,
     TestbedConfig,
-    analytic_saturation_rate,
     rr_policy,
-    run_scenario,
     sr_policy,
     srdyn_policy,
 )
-from repro.metrics import format_table
+from repro.experiments.scenario import run_scenario
+from repro.metrics.reporting import format_table
 
 
 def main() -> None:

@@ -18,9 +18,12 @@ Run with::
 
 from __future__ import annotations
 
-from repro.experiments import TestbedConfig, build_testbed, sr_policy
-from repro.net import classify_segment, describe
-from repro.workload import Request, Trace
+from repro.experiments.config import TestbedConfig, sr_policy
+from repro.experiments.platform import build_testbed
+from repro.net.addressing import describe
+from repro.net.tcp import classify_segment
+from repro.workload.requests import Request
+from repro.workload.trace import Trace
 
 
 def main() -> None:

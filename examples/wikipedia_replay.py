@@ -22,8 +22,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 
-from repro.experiments import WikipediaReplayConfig, run_scenario
+from repro.experiments.config import WikipediaReplayConfig
 from repro.experiments.figures import render_figure6
+from repro.experiments.scenario import run_scenario
 from repro.experiments.wikipedia_experiment import make_wikipedia_trace
 
 

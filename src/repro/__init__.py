@@ -11,7 +11,8 @@ regenerates every figure of the evaluation.
 
 Quick start
 -----------
->>> from repro.experiments import PoissonSweepConfig, run_scenario, sr_policy
+>>> from repro.experiments.config import PoissonSweepConfig, sr_policy
+>>> from repro.experiments.scenario import run_scenario
 >>> config = PoissonSweepConfig(
 ...     load_factors=(0.7,), num_queries=500, policies=(sr_policy(4),))
 >>> run = run_scenario("poisson", config).run(("SR4", 0.7))
@@ -21,14 +22,3 @@ True
 See ``examples/`` for complete, commented scenarios and ``benchmarks/``
 for the per-figure reproduction harnesses.
 """
-
-from repro._lazy import exports
-
-__getattr__, __dir__, __all__ = exports(
-    __name__,
-    {
-        "_version": ("__version__",),
-        "errors": ("ReproError",),
-    },
-    ("analysis", "core", "experiments", "metrics", "net", "server", "sim", "workload"),
-)

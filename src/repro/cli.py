@@ -45,9 +45,6 @@ from repro.experiments.config import (
     rr_policy,
     sr_policy,
 )
-from repro.experiments.config import (  # noqa: F401 - tests/test_cli.py imports it from here
-    policy_spec_from_name as _policy_spec_from_name,
-)
 from repro.experiments.params import Param, cli_params
 from repro.experiments.scenario import ScenarioSpec, run_scenario
 from repro.metrics.reporting import format_table

@@ -25,25 +25,3 @@ The ``autoscale`` scenario family
 (:mod:`repro.experiments.autoscale_experiment`) runs this control plane
 against a diurnal workload and compares it to static over-provisioning.
 """
-
-from repro._lazy import exports
-
-__getattr__, __dir__, __all__ = exports(
-    __name__,
-    {
-        "autoscaler": ("Autoscaler",),
-        "gray_failure": (
-            "GrayFailureInjector",
-            "GrayFailureWatchdog",
-            "QuarantineEvent",
-        ),
-        "lifecycle": ("ManagedServer", "ServerLifecycle", "ServerState"),
-        "monitor": ("FleetMonitor", "FleetSample"),
-        "policy": (
-            "PredictiveEwmaPolicy",
-            "ReactiveThresholdPolicy",
-            "ScalingPolicy",
-            "make_scaling_policy",
-        ),
-    },
-)

@@ -7,31 +7,3 @@ filter used to smooth Figure 4, 10-minute time binning for the Wikipedia
 replay, capacity-seconds accounting for the elastic control plane, and
 plain-text table rendering for the benchmark output.
 """
-
-from repro._lazy import exports
-
-__getattr__, __dir__, __all__ = exports(
-    __name__,
-    {
-        "binning": ("TimeBin", "TimeBinner"),
-        "capacity": ("CapacityTracker", "ScalingEvent"),
-        "collector": ("CollectorTotals", "ResponseTimeCollector", "ServerLoadSampler"),
-        "ewma": (
-            "EWMAFilter",
-            "alpha_from_interval",
-            "smooth_series",
-            "smooth_timeseries",
-        ),
-        "fairness": ("jain_fairness_index",),
-        "reporting": ("format_comparison", "format_table"),
-        "stats": (
-            "SummaryStatistics",
-            "cdf_at",
-            "deciles",
-            "median_or_nan",
-            "percentile",
-            "quartiles",
-            "summarize",
-        ),
-    },
-)

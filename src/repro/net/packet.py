@@ -15,9 +15,8 @@ was measurable across a full replay.
 
 A packet's flow key is data: the constructor builds it, and the
 per-hop handlers read ``packet._flow_key`` (what :meth:`Packet.flow_key`
-returns) without a call.  It is rebuilt by exactly the mutations that
-can change the flow identity — attaching an SRH, or assigning
-:attr:`Packet.dst` — while SRH *advancement*
+returns) without a call.  It is rebuilt by the one mutation that can
+change the flow identity, attaching an SRH, while SRH *advancement*
 (``advance_srh``/``set_segments_left``) keeps it, because it can only
 move the active segment along a fixed segment list whose final segment
 (the flow's true destination) never changes.  The data path also edits
@@ -204,20 +203,10 @@ class Packet:
             src, tcp.src_port, dst if srh is None else srh.segments[0], tcp.dst_port
         ))  # fmt: skip
 
-    # ------------------------------------------------------------------
-    # destination (a flow-key rebuild point)
-    # ------------------------------------------------------------------
     @property
     def dst(self) -> IPv6Address:
         """Current IPv6 destination address."""
         return self._dst
-
-    @dst.setter
-    def dst(self, value: IPv6Address) -> None:
-        self._dst = value
-        # Without an SRH the destination *is* the flow's destination, so
-        # any assignment may change the flow identity.
-        self._rekey()
 
     # ------------------------------------------------------------------
     # flow identity
@@ -226,25 +215,21 @@ class Packet:
         """Forward-direction flow key of this packet (``_flow_key``)."""
         return self._flow_key
 
-    def _rekey(self) -> None:
-        """Rebuild the flow key after a mutation that can change it."""
-        tcp = self.tcp
-        srh = self.srh
-        self._flow_key = new_flow_key(FlowKey, (
-            self.src,
-            tcp.src_port,
-            self._dst if srh is None else srh.segments[0],
-            tcp.dst_port,
-        ))  # fmt: skip
-
     # ------------------------------------------------------------------
     # segment routing helpers
     # ------------------------------------------------------------------
     def attach_srh(self, srh: SegmentRoutingHeader) -> None:
-        """Attach an SRH and point the destination at its active segment."""
+        """Attach an SRH and point the destination at its active segment.
+
+        The flow's destination becomes the header's final segment, so the
+        flow key is rebuilt.
+        """
         self.srh = srh
         self._dst = srh.segments[srh.segments_left]
-        self._rekey()
+        tcp = self.tcp
+        self._flow_key = new_flow_key(FlowKey, (
+            self.src, tcp.src_port, srh.segments[0], tcp.dst_port
+        ))  # fmt: skip
 
     def advance_srh(self) -> IPv6Address:
         """Advance the SRH by one segment and update the destination.

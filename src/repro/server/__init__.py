@@ -7,22 +7,3 @@ scoreboard exposing worker states through shared memory, and a virtual
 router hosting the Service Hunting SR behaviour in front of the
 application instance.
 """
-
-from repro._lazy import exports
-
-__getattr__, __dir__, __all__ = exports(
-    __name__,
-    {
-        "backlog": ("ListenBacklog",),
-        "cpu": ("CPUModel", "FIFOCPU", "ProcessorSharingCPU", "make_cpu"),
-        "http_server": (
-            "HTTPServerInstance",
-            "ServerAppStats",
-            "ServerConnection",
-            "ServerTransport",
-        ),
-        "scoreboard": ("Scoreboard",),
-        "virtual_router": ("ServerNode", "fleet_load"),
-        "worker_pool": ("WorkerPool",),
-    },
-)

@@ -290,8 +290,8 @@ def make_cpu(
     speed: float = 1.0,
 ) -> CPUModel:
     """Factory for CPU models, keyed by a configuration string."""
-    if model in ("processor-sharing", "ps"):
+    if model == "processor-sharing":
         return ProcessorSharingCPU(simulator, num_cores, name, speed)
-    if model in ("fifo", "run-to-completion"):
+    if model == "fifo":
         return FIFOCPU(simulator, num_cores, name, speed)
     raise ServerError(f"unknown CPU model {model!r}")

@@ -22,14 +22,3 @@ randomness and the goldens still hold (re-checked in CI by
 ``make telemetry-smoke``, which runs them with every testbed's
 ``telemetry`` set).
 """
-
-from repro._lazy import exports
-
-__getattr__, __dir__, __all__ = exports(
-    __name__,
-    {
-        "anomaly": ("AnomalyEvent", "AnomalyMonitor", "EWMAResidualDetector"),
-        "bus": ("RingBuffer", "TelemetryBus", "TelemetryPayload", "TelemetrySeries"),
-        "recorder": ("FlightDump", "FlightEvent", "FlightRecorder"),
-    },
-)

@@ -15,10 +15,15 @@ import numpy as np
 import pytest
 
 import repro
-from repro.cli import _policy_spec_from_name, build_parser, main
+from repro.cli import build_parser, main
 from repro.errors import ReproError
 from repro.experiments import registry
-from repro.experiments.config import MAX_REQUEST_ID, TestbedConfig, rr_policy
+from repro.experiments.config import (
+    MAX_REQUEST_ID,
+    TestbedConfig,
+    policy_spec_from_name,
+    rr_policy,
+)
 from repro.experiments.platform import build_testbed
 from repro.experiments.scenario import ScenarioSpec
 from repro.sim import partition
@@ -28,20 +33,20 @@ from repro.workload.poisson import poisson_trace
 
 class TestPolicyNameParsing:
     def test_rr(self):
-        spec = _policy_spec_from_name("RR")
+        spec = policy_spec_from_name("RR")
         assert spec.num_candidates == 1
 
     def test_srdyn(self):
-        assert _policy_spec_from_name("SRdyn").acceptance_policy == "SRdyn"
+        assert policy_spec_from_name("SRdyn").acceptance_policy == "SRdyn"
 
     def test_static_threshold(self):
-        spec = _policy_spec_from_name("SR8")
+        spec = policy_spec_from_name("SR8")
         assert spec.acceptance_policy == "SR8"
         assert spec.num_candidates == 2
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ReproError):
-            _policy_spec_from_name("bogus")
+            policy_spec_from_name("bogus")
 
 
 class TestParser:

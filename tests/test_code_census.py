@@ -8,8 +8,8 @@ a ``from ... import`` of it, matched by bare name.  A method is reached
 only by an attribute load ``.name``: a bare ``Name`` of the same word is
 a local or a function, and an import is a module's name.  Reads are
 matched by bare attribute name, so a load of ``.name`` on any object
-keeps every class's method of that name.  Docstrings, comments
-and the packages' lazy export tables are strings, so they do not count.
+keeps every class's method of that name.  Docstrings, comments and
+other strings do not count.
 Neither does a reference made only from inside a definition the census
 has already found dead: it runs to a fixed point, so a helper that only
 a dead class calls is reported with the class.  A reported name is
@@ -43,11 +43,20 @@ or listed in :data:`ALLOWED_COUNTERS` under one of the :data:`REASONS`.
 tests/test_code_census.py --exec`` (``make census-exec``, a CI step: it
 takes about half a minute, too long for tier-1) traces the product
 paths (:func:`product_paths`) with call events only and reports every
-function or method of ``src/`` none of them ran.  Dunders, interface
-stubs and implementations of an ``@abstractmethod`` are exempt; the rest
-is listed in :data:`ALLOWED` under one of the :data:`REASONS` or deleted
-with the tests that test only it.  The tests below check the tracer's
-rules on a made-up module.
+function or method of ``src/`` none of them ran.  A code object that
+ran is matched to its ``def`` by file and first line, so a property's
+setter (``Class.name.setter``) is told from its getter.  Dunders,
+interface stubs and implementations of an ``@abstractmethod`` are
+exempt; the rest is listed in :data:`ALLOWED` under one of the
+:data:`REASONS` or deleted with the tests that test only it.  What only
+a kept function calls is kept with it, and callers are matched by bare
+name as in the name census, so a helper that only a ``__repr__`` reads
+still needs its own row when another class reads an attribute of the
+same name.  The tests below check the tracer's rules on made-up modules.
+
+**One name per object.**  A package ``__init__`` is its docstring alone,
+and every ``from repro… import`` names the module that defines the
+object, never one that only imported it.
 
 ``python tests/test_code_census.py`` (``make census``) prints the four
 name-census reports, with where each unreferenced name is still reached
@@ -59,6 +68,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import functools
+import importlib.util
 import io
 import pathlib
 import runpy
@@ -202,28 +212,42 @@ def _referenced_name(node):
     return ()
 
 
+def _accessor(node):
+    """``("setter",)`` or ``("deleter",)`` for a property's ``@name.setter``
+    or ``@name.deleter``, else ``()``."""
+    return tuple(
+        d.attr
+        for d in node.decorator_list
+        if isinstance(d, ast.Attribute)
+        and d.attr in ("setter", "deleter")
+        and getattr(d.value, "id", None) == node.name
+    )
+
+
 def _walk(tree):
     """``(definitions, references)`` of one module.
 
     ``definitions`` maps the qualified name of every top-level function or
-    class and every method of a top-level class to its node;
-    ``references`` pairs each bare name the code loads with the chain of
-    definitions whose own code holds the reference (empty at module level).
+    class and every method of a top-level class to its node (a property's
+    setter or deleter is ``Class.name.setter`` or ``Class.name.deleter``,
+    so it does not hide its getter);
+    ``references`` pairs each bare name the code loads with the qualified
+    names of the definitions whose own code holds the reference (empty at
+    module level).
     """
     definitions, references = {}, []
 
-    def visit(node, chain, holds_definitions):
+    def visit(node, owners, holds_definitions):
         for child in ast.iter_child_nodes(node):
             if holds_definitions and isinstance(child, _DEFINITIONS):
-                qualified = ".".join((*chain, child.name))
+                qualified = ".".join((*owners[-1:], child.name, *_accessor(child)))
                 definitions[qualified] = child
-                is_class = isinstance(child, ast.ClassDef) and not chain
-                visit(child, (*chain, child.name), is_class)
+                is_class = isinstance(child, ast.ClassDef) and not owners
+                visit(child, (*owners, qualified), is_class)
                 continue
-            owners = tuple(".".join(chain[: depth + 1]) for depth in range(len(chain)))
             attribute = isinstance(child, ast.Attribute)
             references.extend((name, owners, attribute) for name in _referenced_name(child))
-            visit(child, chain, False)
+            visit(child, owners, False)
 
     visit(tree, (), True)
     return definitions, references
@@ -287,9 +311,13 @@ def _unreferenced_names(allowed=ALLOWED):
     return {qualified for _, qualified in unreferenced(allowed)}
 
 
+def _first_line(node):
+    """The line a definition's code object starts at: its first decorator's, or its own."""
+    return min([node.lineno, *(d.lineno for d in node.decorator_list)])
+
+
 def _lines(node):
-    first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
-    return node.end_lineno - first + 1
+    return node.end_lineno - _first_line(node) + 1
 
 
 # ----------------------------------------------------------------------
@@ -634,7 +662,7 @@ def test_every_closed_form_row_names_the_oracle_that_imports_it():
 
 
 def test_the_census_counts_code_not_text():
-    # A docstring mention, a comment or an export-table row keeps nothing.
+    # A docstring mention, a comment or a string in a table keeps nothing.
     tree = ast.parse(
         '"""dead() is documented here."""\n'
         "TABLE = ('dead',)  # dead\n"
@@ -971,21 +999,44 @@ def test_a_field_of_a_dataclass_passed_to_asdict_is_read():
 # ----------------------------------------------------------------------
 # the frozen benchmark's imports
 # ----------------------------------------------------------------------
-def _perf_imports():
-    for path in _python_files(PERF):
+def _repro_imports(*roots):
+    """``(file, module, name)`` of every ``from repro… import name`` under ``roots``."""
+    for path in _python_files(*roots):
         for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
                 for alias in node.names:
-                    yield path.name, node.module, alias.name
+                    yield str(path.relative_to(ROOT)), node.module, alias.name
+
+
+def _imports(module, name):
+    """Whether ``from module import name`` runs: ``name`` is an attribute of
+    ``module`` or a submodule of it, as the statement itself decides."""
+    try:
+        exec(f"from {module} import {name}", {})
+    except ImportError:
+        return False
+    return True
 
 
 def test_every_repro_import_of_the_frozen_benchmark_resolves():
-    import importlib
-
-    imports = list(_perf_imports())
+    imports = list(_repro_imports(PERF))
     assert imports
     for where, module, name in imports:
-        assert hasattr(importlib.import_module(module), name), f"{where}: {module}.{name}"
+        assert _imports(module, name), f"{where}: from {module} import {name}"
+
+
+def test_an_import_resolves_to_an_attribute_or_a_submodule(tmp_path, monkeypatch):
+    package = tmp_path / "made_up_package"
+    package.mkdir()
+    (package / "__init__.py").write_text('"""A package that binds nothing."""\n')
+    (package / "sub.py").write_text("VALUE = 1\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delitem(sys.modules, "made_up_package", raising=False)
+    monkeypatch.delitem(sys.modules, "made_up_package.sub", raising=False)
+    assert _imports("made_up_package", "sub")  # not yet an attribute: imported by the statement
+    assert _imports("made_up_package.sub", "VALUE")
+    assert not _imports("made_up_package", "nope")
+    assert not _imports("made_up_package.sub", "nope")
 
 
 def test_every_name_allowed_for_the_benchmark_is_one_it_references():
@@ -1000,6 +1051,70 @@ def test_every_name_allowed_for_the_benchmark_is_one_it_references():
             # The name itself, or (for a method) its class.
             names = entry.split("(")[0].split(".")
             assert {names[0], names[-1]} & referenced, entry
+
+
+# ----------------------------------------------------------------------
+# one name per object
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("__init__.py")), ids=lambda path: str(path.relative_to(SRC))
+)
+def test_a_package_init_is_its_docstring_and_nothing_else(path):
+    # A package binds no name of its submodules: an object is imported
+    # from the module that defines it, under one name.
+    body = _tree(path).body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr), path
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+
+
+def _imported_names(module):
+    """The names ``module``'s own top-level code binds by an import."""
+    names, todo = set(), list(_tree(pathlib.Path(importlib.util.find_spec(module).origin)).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif not isinstance(node, _DEFINITIONS):
+            todo.extend(
+                child
+                for child in ast.iter_child_nodes(node)
+                if isinstance(child, (ast.stmt, ast.excepthandler))
+            )
+    return names
+
+
+def _second_names(imports):
+    """The ``imports`` (``(file, module, name)``) that do not run, or that
+    reach an object through a module that only imported it."""
+    return [
+        f"{where}: from {module} import {name}"
+        for where, module, name in imports
+        if not _imports(module, name) or name in _imported_names(module)
+    ]
+
+
+@pytest.mark.parametrize("folder", ["src", "tests", "benchmarks", "examples"])
+def test_every_repro_import_names_the_module_that_defines_the_object(folder):
+    imports = list(_repro_imports(ROOT / folder))
+    assert imports
+    assert _second_names(imports) == []
+
+
+def test_an_import_through_a_module_that_imported_the_name_is_a_second_name(
+    tmp_path, monkeypatch
+):
+    (tmp_path / "made_up_home.py").write_text("def thing():\n    return 1\n")
+    (tmp_path / "made_up_relay.py").write_text(
+        "try:\n    from made_up_home import thing\nexcept ImportError:\n    pass\n"
+        "def own():\n    from made_up_home import thing\n    return thing\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    for name in ("made_up_home", "made_up_relay"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    assert _second_names(
+        [("x", "made_up_home", "thing"), ("x", "made_up_relay", "own"),
+         ("x", "made_up_relay", "thing"), ("x", "made_up_home", "nope")]
+    ) == ["x: from made_up_relay import thing", "x: from made_up_home import nope"]
 
 
 # ----------------------------------------------------------------------
@@ -1163,11 +1278,12 @@ def _is_abstract(node):
 def executed(entries, root=SRC):
     """``(ran, failed)`` of running ``entries`` (``(label, thunk)`` pairs).
 
-    ``ran`` holds ``(module, qualified)`` of every function under
-    ``root`` that was called; ``failed`` the labels whose thunk raised,
-    or exited with a status other than ``0``/``None``, with the cause.
-    The tracer sees call events only: it returns ``None``, so no line
-    event fires.
+    ``ran`` holds ``(module, first line, name)`` of every code object
+    under ``root`` that was called, which :func:`ran_definitions` matches
+    to its ``def`` (a qualified name would not do: a property's getter and
+    setter share one); ``failed`` the labels whose thunk raised, or exited
+    with a status other than ``0``/``None``, with the cause.  The tracer
+    sees call events only: it returns ``None``, so no line event fires.
     """
     codes = set()
 
@@ -1196,8 +1312,16 @@ def executed(entries, root=SRC):
     for code in codes:
         path = pathlib.Path(code.co_filename).resolve()
         if root in path.parents:
-            ran.add((str(path.relative_to(root)), code.co_qualname))
+            ran.add((str(path.relative_to(root)), code.co_firstlineno, code.co_name))
     return ran, failed
+
+
+def ran_definitions(ran):
+    """``(module, qualified)`` of the census definitions whose code is in ``ran``."""
+    definitions, _, _ = _src_census()
+    return {
+        key for key, node in definitions.items() if (key[0], _first_line(node), node.name) in ran
+    }
 
 
 def _covered(qualified, bases, allowed):
@@ -1217,6 +1341,7 @@ def unexecuted(ran, allowed=ALLOWED):
     reference to which sits inside a kept one is kept too (a fixed point).
     """
     definitions, references, bases = _src_census()
+    done = ran_definitions(ran)
     abstract = {
         qualified
         for (_, qualified), node in definitions.items()
@@ -1226,7 +1351,7 @@ def unexecuted(ran, allowed=ALLOWED):
         key: node
         for key, node in definitions.items()
         if isinstance(node, _FUNCTIONS)
-        and key not in ran
+        and key not in done
         and not _is_dunder(node.name)
         and not _is_stub(node)
         and not ("." in key[1] and _overridden(key[1], bases, abstract))
@@ -1400,26 +1525,25 @@ ENTRY = (live, tested, Tile)
 """
 
 
-def _run_toy(tmp_path, monkeypatch, entries):
+def _run_toy(tmp_path, monkeypatch, entries, source=_TOY):
     """``ran`` of tracing ``entries`` (names of the toy module's functions)
-    over a module written from :data:`_TOY`; both censuses read the toy."""
-    import importlib.util
-
+    over a module written from ``source``; both censuses read the toy."""
     path = tmp_path / "toy.py"
-    path.write_text(textwrap.dedent(_TOY), encoding="utf-8")
+    path.write_text(textwrap.dedent(source), encoding="utf-8")
     spec = importlib.util.spec_from_file_location("toy", path)
     toy = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(toy)
     ran, failed = executed([(name, getattr(toy, name)) for name in entries], root=tmp_path)
     assert failed == []
-    _census_of(monkeypatch, toy=_TOY)
-    toy.tested()  # a test's call, after the tracer: it runs nothing for the census
+    _census_of(monkeypatch, toy=source)
+    if hasattr(toy, "tested"):
+        toy.tested()  # a test's call, after the tracer: it runs nothing for the census
     return ran
 
 
 def test_a_function_only_a_test_calls_is_reported(tmp_path, monkeypatch):
     ran = _run_toy(tmp_path, monkeypatch, ["live"])
-    assert ("toy.py", "live") in ran and ("toy.py", "Square.area") in ran
+    assert {("toy.py", "live"), ("toy.py", "Square.area")} <= ran_definitions(ran)
     assert {name for _, name in unexecuted(ran, allowed={})} == {
         "tested", "helper", "Square.hook", "Tile.hook"
     }
@@ -1470,6 +1594,51 @@ def test_an_allowed_row_whose_function_now_runs_is_stale(tmp_path, monkeypatch):
     ran = _run_toy(tmp_path, monkeypatch, ["live", "tested"])
     rows = {"tested": (WITNESS, "x"), "Square.hook": (WITNESS, "x")}
     assert stale_rows(ran, allowed=rows) == ["tested"]
+
+
+_DECORATED = """
+import functools
+
+
+class Box:
+    def __init__(self):
+        self._size = 1
+
+    @property
+    def size(self):
+        return self._size
+
+    @size.setter
+    def size(self, value):
+        self._size = value
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def made(size):
+        return size
+
+
+def live():
+    return Box().size + Box.made(2)
+"""
+
+
+def test_a_property_setter_is_told_from_its_getter(tmp_path, monkeypatch):
+    # Getter and setter share one qualified name in the code objects; the
+    # census tells them apart by their first lines.
+    ran = _run_toy(tmp_path, monkeypatch, ["live"], source=_DECORATED)
+    assert ("toy.py", "Box.size") in ran_definitions(ran)
+    assert {name for _, name in unexecuted(ran, allowed={})} == {"Box.size.setter"}
+    # The getter's row does not cover the setter.
+    rows = {"Box.size": (WITNESS, "x")}
+    assert {name for _, name in unexecuted(ran, allowed=rows)} == {"Box.size.setter"}
+
+
+def test_a_decorated_function_is_matched_by_its_first_decorator_line(tmp_path, monkeypatch):
+    # A decorated function's code starts at its first decorator, not at ``def``.
+    ran = _run_toy(tmp_path, monkeypatch, ["live"], source=_DECORATED)
+    assert ("toy.py", "Box.made") in ran_definitions(ran)
+    assert "Box.made" not in {name for _, name in unexecuted(ran, allowed={})}
 
 
 def test_an_entry_that_fails_is_reported(tmp_path):

@@ -1,5 +1,5 @@
-"""What loads when: the CLI's set-up window, the family catalogue, and the
-lazily loaded package exports.
+"""What loads when: the CLI's set-up window, a package import, and the
+family catalogue.
 
 ``import repro.cli`` loads the CLI and the run stack every scenario run
 executes, and nothing else; a family module, and every subsystem only
@@ -10,8 +10,6 @@ module count or an ``-X importtime`` budget would only drift).
 
 from __future__ import annotations
 
-import importlib
-import inspect
 import json
 import os
 import pathlib
@@ -30,7 +28,7 @@ SRC = str(pathlib.Path(repro.__file__).parents[1])
 #: the CLI, the catalogue and config, and the run stack (``scenario``,
 #: ``platform`` and what they import).
 SET_UP_WINDOW = {
-    "repro", "repro._lazy", "repro._version", "repro.cli", "repro.errors",
+    "repro", "repro._version", "repro.cli", "repro.errors",
     "repro.core", "repro.core.agent", "repro.core.candidate_selection",
     "repro.core.flow_table", "repro.core.loadbalancer", "repro.core.policies",
     "repro.core.service_hunting",
@@ -58,12 +56,6 @@ LOADED_ON_USE = (
     "repro.net.faults", "repro.sim.partition", "multiprocessing",
 )  # fmt: skip
 
-PACKAGES = (
-    "repro", "repro.analysis", "repro.control", "repro.core", "repro.experiments",
-    "repro.metrics", "repro.net", "repro.server", "repro.sim", "repro.telemetry",
-    "repro.workload",
-)  # fmt: skip
-
 
 def _loaded_after(code: str) -> list:
     """``sys.modules`` (repro, numpy, multiprocessing) after ``code`` runs fresh."""
@@ -82,6 +74,11 @@ def _loaded_after(code: str) -> list:
 
 
 SET_UP = "import repro.cli\nfrom repro.experiments import registry\nregistry.names()"
+
+PACKAGES = sorted(
+    ".".join(path.parent.relative_to(SRC).parts)
+    for path in pathlib.Path(SRC, "repro").rglob("__init__.py")
+)
 
 
 class TestSetUpWindow:
@@ -117,6 +114,17 @@ class TestSetUpWindow:
         assert "multiprocessing" not in loaded and "repro.core.lb_tier" not in loaded
 
 
+@pytest.mark.parametrize("package", PACKAGES)
+def test_importing_a_package_loads_none_of_its_submodules(package):
+    # A package is its docstring: ``import repro.core`` costs one module,
+    # and each submodule loads when something imports it by name.
+    loaded = _loaded_after(f"import {package}")
+    assert [name for name in loaded if name.startswith("repro")] == sorted(
+        {"repro", package}
+    )
+    assert "numpy" not in loaded
+
+
 class TestCatalogue:
     """Each row holds what is known of a family before its module loads;
     the module's registered spec must agree with it."""
@@ -134,53 +142,3 @@ class TestCatalogue:
     def test_get_of_an_unknown_name_lists_the_catalogue(self):
         with pytest.raises(ExperimentError, match=r"unknown scenario 'nope': registered .*poisson"):
             registry.get("nope")
-
-
-class TestLazyExports:
-    """PEP 562 package exports: one table per package, loaded on first use."""
-
-    @pytest.mark.parametrize("package", PACKAGES)
-    def test_every_exported_name_is_the_defining_modules_object(self, package):
-        module = importlib.import_module(package)
-        assert module.__all__ and len(set(module.__all__)) == len(module.__all__)
-        for name in module.__all__:
-            value = getattr(module, name)
-            if inspect.ismodule(value):
-                assert value is sys.modules[f"{package}.{name}"]
-                continue
-            owners = [
-                sub
-                for sub_name, sub in list(sys.modules.items())
-                if sub_name.startswith(f"{package}.") and vars(sub).get(name) is value
-            ]
-            assert owners, f"{package}.{name} is defined by none of its submodules"
-            if inspect.isclass(value) or inspect.isfunction(value):
-                assert getattr(sys.modules[value.__module__], name) is value
-
-    @pytest.mark.parametrize("package", PACKAGES)
-    def test_dir_lists_every_export(self, package):
-        module = importlib.import_module(package)
-        assert set(module.__all__) <= set(dir(module))
-
-    def test_star_import(self):
-        namespace: dict = {}
-        exec("from repro.experiments import *", namespace)
-        import repro.experiments
-
-        assert set(repro.experiments.__all__) <= set(namespace)
-        assert namespace["run_scenario"] is repro.experiments.scenario.run_scenario
-
-    def test_submodule_attributes_resolve_before_their_first_import(self):
-        loaded = _loaded_after(
-            "import repro.core, repro.telemetry\n"
-            "assert 'repro.core.lb_tier' not in sys.modules\n"
-            "assert repro.core.lb_tier is sys.modules['repro.core.lb_tier']\n"
-            "assert repro.telemetry.probe.attach_telemetry\n"
-        )
-        assert "repro.core.lb_tier" in loaded and "repro.telemetry.probe" in loaded
-
-    @pytest.mark.parametrize("package", PACKAGES)
-    def test_an_unknown_name_is_an_attribute_error_naming_the_package(self, package):
-        module = importlib.import_module(package)
-        with pytest.raises(AttributeError, match=rf"module '{package}' has no attribute 'nope'"):
-            module.nope  # noqa: B018

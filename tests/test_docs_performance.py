@@ -1,14 +1,16 @@
 """Doc-vs-tree consistency for the performance pages and the env surface.
 
 Same spirit as ``test_docs_cli.py``: the docs name make targets,
-``REPRO_*`` environment variables, benchmark workloads and metrics, and
-ledger and benchmark files.  These tests read the Makefile, ``src/``,
-``BENCHMARK.json`` and the tree, and fail when a name in the docs no
-longer exists — or when code under ``src/`` reads the environment.
+``REPRO_*`` environment variables, ``repro.…`` objects, benchmark
+workloads and metrics, and ledger and benchmark files.  These tests read
+the Makefile, ``src/``, ``BENCHMARK.json`` and the tree, and fail when a
+name in the docs no longer exists — or when code under ``src/`` reads
+the environment.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import re
 from pathlib import Path
@@ -17,9 +19,9 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DOC_PAGES = ["README.md", *sorted(f"docs/{p.name}" for p in (REPO_ROOT / "docs").glob("*.md"))]
-#: Pages whose ``REPRO_*`` names must be live (performance.md also
-#: names deleted flags, as history).
-ENV_PAGES = ("README.md", "docs/cli.md", "docs/architecture.md")
+#: Pages whose ``REPRO_*`` and ``repro.…`` names must be live
+#: (performance.md also names deleted flags and code, as history).
+LIVE_PAGES = ("README.md", "docs/cli.md", "docs/architecture.md")
 
 _ENV_NAME = re.compile(r"\bREPRO_[A-Z][A-Z_]*[A-Z]\b")
 
@@ -57,9 +59,35 @@ def test_documented_environment_variables_are_read_by_the_code():
         for name in _env_names_read_under("benchmarks", "*.py")
         if name.startswith("REPRO_BENCH_")
     }
-    for page in ENV_PAGES:
+    for page in LIVE_PAGES:
         for name in sorted(set(_ENV_NAME.findall(_read(page)))):
             assert name in live, f"{page} names {name}, which no code reads"
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` is a module, or an attribute chain of the longest
+    module prefix that imports."""
+    parts = dotted.split(".")
+    for end in range(len(parts), 0, -1):
+        try:
+            value = importlib.import_module(".".join(parts[:end]))
+        except ImportError:
+            continue
+        for part in parts[end:]:
+            if not hasattr(value, part):
+                return False
+            value = getattr(value, part)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("page", LIVE_PAGES)
+def test_every_repro_name_a_page_quotes_is_where_it_says(page):
+    # One name per object: a quoted ``repro.…`` path is the defining
+    # module's (a package binds no name of its submodules).
+    names = set(re.findall(r"`(repro(?:\.\w+)+)", _read(page)))
+    assert names
+    assert sorted(name for name in names if not _resolves(name)) == []
 
 
 def test_src_reads_no_environment_variable():

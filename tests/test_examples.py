@@ -1,8 +1,10 @@
 """The examples run: each script of ``examples/`` end to end, at its
-smallest flags, in a fresh interpreter (as a reader would run it)."""
+smallest flags, in a fresh interpreter (as a reader would run it), and
+the quick start of the ``repro`` package docstring."""
 
 from __future__ import annotations
 
+import doctest
 import os
 import pathlib
 import subprocess
@@ -45,3 +47,9 @@ def test_example_runs_and_prints_its_table(script, flags, table):
     )
     assert done.returncode == 0, done.stderr[-2000:]
     assert table in done.stdout
+
+
+def test_the_package_quick_start_runs():
+    # The library's documented first call: ``repro``'s docstring, 500 queries.
+    results = doctest.testmod(repro)
+    assert results.attempted > 0 and results.failed == 0

@@ -164,10 +164,3 @@ class TestFlowKeyCache:
         assert packet.flow_key() == _fresh_flow_key(packet) == key
         assert packet.flow_key().dst_address == _addr("fd00:300::1")
 
-    def test_dst_assignment_invalidates(self):
-        packet = self._packet()
-        assert packet.flow_key().dst_address == _addr("fd00:300::1")
-        packet.dst = _addr("fd00:200::9")
-        assert packet.flow_key() == _fresh_flow_key(packet)
-        assert packet.flow_key().dst_address == _addr("fd00:200::9")
-

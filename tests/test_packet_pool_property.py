@@ -4,7 +4,7 @@ The :class:`~repro.net.packet.PacketPool` claims that re-running the
 constructor on a carcass resets *every* observable field, no matter what
 the packet went through during its previous life.  This test drives a
 pooled packet through arbitrary mutation sequences (attach/strip SRH,
-destination reassignment, flow-key cache reads, SRH advancement), kills
+flow-key cache reads, SRH advancement), kills
 and recycles it, and then checks the reincarnation field-for-field
 against a never-pooled packet built from the same arguments.
 """
@@ -30,7 +30,6 @@ flags = st.sampled_from(
 operations = st.one_of(
     st.tuples(st.just("attach_srh"), st.lists(addresses, min_size=2, max_size=4)),
     st.tuples(st.just("strip_srh"), st.none()),
-    st.tuples(st.just("set_dst"), addresses),
     st.tuples(st.just("read_flow_key"), st.none()),
     st.tuples(st.just("advance_srh"), st.none()),
 )
@@ -58,8 +57,6 @@ def _apply(packet, ops):
             final = packet.srh.segments[0]
             packet.srh = None
             packet._dst = final
-        elif name == "set_dst":
-            packet.dst = arg
         elif name == "read_flow_key":
             packet.flow_key()
         elif name == "advance_srh" and packet.srh is not None:

@@ -210,7 +210,7 @@ def _fresh_flow_key(packet: Packet) -> FlowKey:
 
 #: Op codes for the random SRH-mutation walk below.
 _FLOW_KEY_OPS = st.lists(
-    st.sampled_from(["attach", "advance", "detach", "set_left", "assign_dst"]),
+    st.sampled_from(["attach", "advance", "detach", "set_left"]),
     min_size=0,
     max_size=30,
 )
@@ -238,17 +238,13 @@ def test_flow_key_cache_matches_fresh_computation_under_any_mutation(
             if packet.srh is None:
                 continue
             _strip_srh(packet)
-        elif op == "set_left":
+        else:  # set_left
             if packet.srh is None:
                 continue
             jump = data.draw(
                 st.integers(min_value=0, max_value=packet.srh.segments_left)
             )
             packet.set_segments_left(jump)
-        else:  # assign_dst (only meaningful without an SRH)
-            if packet.srh is not None:
-                continue
-            packet.dst = data.draw(address_values.map(IPv6Address))
         assert packet.flow_key() == _fresh_flow_key(packet)
         # The SRH invariant must also survive every mutation.
         if packet.srh is not None:

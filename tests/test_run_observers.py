@@ -29,7 +29,7 @@ from repro.experiments.config import (
 from repro.experiments.platform import LOAD_SAMPLE_INTERVAL, SETTLE_MARGIN, build_testbed
 from repro.experiments.scale_experiment import SCALE_SCENARIO
 from repro.experiments.scenario import ScenarioResult, run_scenario
-from repro.server import fleet_load
+from repro.server.virtual_router import fleet_load
 from repro.workload.requests import Request
 from repro.workload.trace import Trace
 

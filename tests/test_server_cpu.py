@@ -122,14 +122,14 @@ class TestFIFOCPU:
 
 
 class TestFactory:
-    def test_processor_sharing_aliases(self, simulator):
+    def test_processor_sharing(self, simulator):
         assert isinstance(make_cpu(simulator, 2, "processor-sharing"), ProcessorSharingCPU)
-        assert isinstance(make_cpu(simulator, 2, "ps"), ProcessorSharingCPU)
 
-    def test_fifo_aliases(self, simulator):
+    def test_fifo(self, simulator):
         assert isinstance(make_cpu(simulator, 2, "fifo"), FIFOCPU)
-        assert isinstance(make_cpu(simulator, 2, "run-to-completion"), FIFOCPU)
 
-    def test_unknown_model_rejected(self, simulator):
-        with pytest.raises(ServerError):
-            make_cpu(simulator, 2, "quantum")
+    # One name per model: the old aliases are unknown names too.
+    @pytest.mark.parametrize("model", ["quantum", "ps", "run-to-completion"])
+    def test_unknown_model_rejected(self, simulator, model):
+        with pytest.raises(ServerError, match=f"unknown CPU model '{model}'"):
+            make_cpu(simulator, 2, model)
