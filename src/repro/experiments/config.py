@@ -33,6 +33,7 @@ from repro.experiments.params import (
     Param,
     param,
 )
+from repro.server.cpu import CPU_MODELS
 
 #: The 24 load factors swept by the paper's Figure 2 (evenly spaced in (0, 1)).
 PAPER_LOAD_FACTORS: Tuple[float, ...] = tuple(
@@ -91,7 +92,7 @@ class TestbedConfig(CheckedConfig):
     workers_per_server: int = param(32, "--workers", "workers per server (paper: 32)", POSITIVE)
     cores_per_server: int = param(2, "--cores", "cores per server (paper: 2)", POSITIVE)
     backlog_capacity: int = param(128, bound=POSITIVE)
-    cpu_model: str = "processor-sharing"
+    cpu_model: str = param("processor-sharing", choices=CPU_MODELS)
     flow_idle_timeout: float = param(
         60.0,
         "--flow-idle-timeout",

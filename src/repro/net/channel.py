@@ -1,4 +1,4 @@
-"""Delivery channels: the one seam every packet hop goes through.
+"""Delivery channels: the seam that decides how a packet hop is scheduled.
 
 Historically each forwarding component (:class:`~repro.net.fabric.LANFabric`,
 the ECMP spreaders) scheduled delivery by
@@ -16,11 +16,15 @@ straight into the node.
 
 * :class:`InProcessChannel` is the default — one scheduling call per
   packet with the given delay and (interned) label, so event ordering is
-  bit-identical to direct ``receive()`` scheduling.  The LAN fabric
-  pushes that same heap entry in line while its channel is its own
-  in-process one (see :class:`~repro.net.fabric.LANFabric`).
+  bit-identical to direct ``receive()`` scheduling.  The LAN fabric and
+  the ECMP edge push that same heap entry in line while their channel
+  is their own in-process one, so such a hop never calls ``send`` (see
+  :class:`~repro.net.fabric.LANFabric`).
 * :class:`~repro.net.faults.FaultInjectionChannel` runs the hop through
-  a fault pipeline before handing it to an inner channel.
+  a fault pipeline before handing it to an inner channel.  When it wraps
+  the fabric's own in-process channel (every fault pipeline a run
+  installs), the fabric runs its injectors and pushes the entry in line
+  too; its ``send`` serves any other inner channel.
 
 Nothing here crosses a process: the pods of a ``scale`` run never
 exchange a packet (each pod is an independent cell whose result goes

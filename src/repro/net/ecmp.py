@@ -31,9 +31,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
+from heapq import heappush as _heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import RoutingError
+from repro.errors import RoutingError, SchedulingError
 from repro.net.addressing import IPv6Address
 from repro.net.channel import DeliveryChannel, InProcessChannel
 from repro.net.packet import FlowKey, Packet
@@ -42,6 +43,8 @@ from repro.sim.engine import Simulator
 
 #: Recognised flow-to-next-hop mapping schemes.
 HASH_SCHEMES = ("rendezvous", "modulo")
+
+_INFINITY = float("inf")
 
 
 def five_tuple_key(flow_key: FlowKey) -> str:
@@ -199,9 +202,12 @@ class EcmpEdgeRouter(NetworkNode):
         #: Interned per-hop event labels (one f-string per hop, not per
         #: packet).
         self._spread_labels: Dict[str, str] = {}
-        #: The delivery channel the spread hop goes through (defaults to
-        #: in-process scheduling, bit-identical to direct ``receive``).
+        #: The delivery channel of the spread hop.  While it is the
+        #: router's own in-process channel, :meth:`_spread` pushes the
+        #: hop's heap entry itself, as the fabric does (the entry and
+        #: sequence draw ``Simulator._schedule_raw`` would make).
         self.channel: DeliveryChannel = InProcessChannel(simulator)
+        self._in_process = self.channel
         self.stats = EcmpEdgeStats()
 
     # ------------------------------------------------------------------
@@ -325,7 +331,21 @@ class EcmpEdgeRouter(NetworkNode):
             label = self._spread_labels[name] = f"ecmp->{name}"
         fabric = self._fabric
         latency = fabric.latency if fabric is not None else 0.0
-        self.channel.send(hop.handle_packet, packet, latency, label)
+        channel = self.channel
+        if channel is self._in_process:
+            # Simulator._schedule_raw, inlined: same check, same entry.
+            simulator = self.simulator
+            time = simulator.clock._now + latency
+            if not (latency >= 0.0 and time < _INFINITY):
+                raise SchedulingError(
+                    f"cannot schedule event {label!r} with delay {latency!r}"
+                )
+            _heappush(
+                simulator._heap,
+                [time, next(simulator._sequence), hop.handle_packet, packet, label],
+            )
+        else:
+            channel.send(hop.handle_packet, packet, latency, label)
 
     def __repr__(self) -> str:
         return (

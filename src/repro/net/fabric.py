@@ -92,9 +92,14 @@ class LANFabric:
     fabric's own in-process channel, :meth:`send_from` pushes that heap
     entry itself — the ``[time, sequence, callback, arg, label]`` list
     and sequence draw ``Simulator._schedule_raw`` would make, behind the
-    same delay check.  Once a fault pipeline replaces :attr:`channel`
-    (:func:`~repro.net.faults.install_fault_channel`), every hop goes
-    through it instead.
+    same delay check.  When a fault pipeline
+    (:func:`~repro.net.faults.install_fault_channel`) wraps that
+    in-process channel, :meth:`send_from` runs the pipeline's injectors
+    in line as :meth:`FaultInjectionChannel.send
+    <repro.net.faults.FaultInjectionChannel.send>` does — same counters,
+    same draws in the same order, same ``delay + extra`` — and pushes the
+    entry itself too.  Any other channel gets the hop through its
+    ``send``.
     """
 
     def __init__(
@@ -108,9 +113,9 @@ class LANFabric:
         self.simulator = simulator
         self.latency = latency
         self.strict = strict
-        #: The delivery channel every fabric hop goes through.  While it
-        #: is the fabric's own in-process channel, the hop is pushed in
-        #: line (see the class docstring).
+        #: The delivery channel of the fabric's hops.  While it is the
+        #: fabric's own in-process channel, or a fault pipeline wrapping
+        #: it, the hop is pushed in line (see the class docstring).
         self.channel: DeliveryChannel = InProcessChannel(simulator)
         self._in_process = self.channel
         # What the in-line push touches: the clock and the heap list are
@@ -249,6 +254,30 @@ class LANFabric:
             if not (latency >= 0.0 and time < _INFINITY):
                 raise SchedulingError(
                     f"cannot schedule event {label!r} with delay {latency!r}"
+                )
+            _heappush(
+                self._heap,
+                [time, next(self.simulator._sequence), handle, packet, label],
+            )
+        elif getattr(channel, "inner", None) is self._in_process:
+            # A fault pipeline on the in-process channel:
+            # FaultInjectionChannel.send, then the push above, in line.
+            link = channel.stats
+            link.packets_sent += 1
+            now = self._clock._now
+            extra = 0.0
+            for injector in channel.injectors:
+                verdict = injector.assess(now, link)
+                if verdict is None:
+                    return True
+                extra += verdict
+            delay = self.latency
+            if extra > 0.0:
+                delay = delay + extra
+            time = now + delay
+            if not (delay >= 0.0 and time < _INFINITY):
+                raise SchedulingError(
+                    f"cannot schedule event {label!r} with delay {delay!r}"
                 )
             _heappush(
                 self._heap,

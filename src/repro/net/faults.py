@@ -1,10 +1,12 @@
 """Fault-injection plane: composable impairments on the delivery seam.
 
-Every packet hop of the testbed goes through one
+Every packet hop of the testbed is scheduled by one
 :class:`~repro.net.channel.DeliveryChannel` (the fabric's or the ECMP
 edge's).  :class:`FaultInjectionChannel` wraps any of them
 with a pipeline of *injectors* — deterministic, seed-derived models of
-the ways real networks misbehave:
+the ways real networks misbehave (on the fabric's own in-process
+channel, :meth:`LANFabric.send_from <repro.net.fabric.LANFabric.send_from>`
+runs the pipeline's steps in line, in the same order):
 
 * :class:`IIDLossInjector` — independent per-packet loss;
 * :class:`GilbertElliottLossInjector` — bursty loss from the classic
@@ -445,6 +447,9 @@ class FaultInjectionChannel(SinkDelivery):
     the injector's reason counter);
     otherwise the injectors' extra delays are summed onto the hop delay
     and the packet is forwarded to the inner channel unchanged.
+    :meth:`LANFabric.send_from <repro.net.fabric.LANFabric.send_from>`
+    copies :meth:`send` in line for a pipeline whose ``inner`` is the
+    fabric's own in-process channel; a change here is a change there.
     """
 
     __slots__ = ("simulator", "inner", "injectors", "stats")

@@ -282,6 +282,12 @@ class FIFOCPU(CPUModel):
             )
 
 
+_CPU_CLASSES = {"processor-sharing": ProcessorSharingCPU, "fifo": FIFOCPU}
+
+#: The names :func:`make_cpu` builds, and ``TestbedConfig.cpu_model``'s choices.
+CPU_MODELS = tuple(_CPU_CLASSES)
+
+
 def make_cpu(
     simulator: Simulator,
     num_cores: int,
@@ -290,8 +296,7 @@ def make_cpu(
     speed: float = 1.0,
 ) -> CPUModel:
     """Factory for CPU models, keyed by a configuration string."""
-    if model == "processor-sharing":
-        return ProcessorSharingCPU(simulator, num_cores, name, speed)
-    if model == "fifo":
-        return FIFOCPU(simulator, num_cores, name, speed)
-    raise ServerError(f"unknown CPU model {model!r}")
+    cpu_class = _CPU_CLASSES.get(model)
+    if cpu_class is None:
+        raise ServerError(f"unknown CPU model {model!r}")
+    return cpu_class(simulator, num_cores, name, speed)

@@ -35,7 +35,7 @@ from repro.server.backlog import ListenBacklog
 from repro.server.cpu import CPUModel
 from repro.server.scoreboard import Scoreboard
 from repro.server.worker_pool import WorkerPool
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, TimerLane
 
 #: Looks up the CPU demand (seconds) of a request by its request id; an
 #: unknown id raises :class:`LookupError` or returns NaN.
@@ -179,8 +179,10 @@ class HTTPServerInstance:
         self.stats = ServerAppStats()
         self._connections: Dict[int, ServerConnection] = {}
         self._by_flow: Dict[FlowKey, int] = {}
-        #: Shared label for request-timeout events (formatted once).
-        self._timeout_label = f"{name}-req-timeout"
+        #: The request timeouts' timer lane, made on first use (and
+        #: again if :attr:`request_timeout` changes); a timer's argument
+        #: is the connection id.
+        self._timeout_lane: Optional[TimerLane] = None
 
     # ------------------------------------------------------------------
     # wiring
@@ -269,12 +271,15 @@ class HTTPServerInstance:
             if connection.request_received:
                 self._start_service(connection)
             elif self.request_timeout is not None:
-                self.simulator.schedule_in(
-                    self.request_timeout,
-                    self._check_request_timeout,
-                    self._timeout_label,
-                    connection_id,
-                )
+                lane = self._timeout_lane
+                if lane is None or lane.delay != self.request_timeout:
+                    lane = self._timeout_lane = TimerLane(
+                        self.simulator,
+                        self.request_timeout,
+                        self._check_request_timeout,
+                        f"{self.name}-req-timeout",
+                    )
+                lane.arm(connection_id)
 
     def _check_request_timeout(self, connection_id: int) -> None:
         """Reset a worker-held connection whose request never arrived."""

@@ -33,6 +33,17 @@ Design points
   scheduled at once.  It sorts after item *i*, so it is never the heap
   minimum while item *i* is pending: the pop order, ties included, is
   per-item scheduling's, on a heap as deep as what is in flight.
+* **One pending entry per timer lane.**  A :class:`TimerLane` holds
+  the timers that share one constant delay (a client's SYN
+  retransmission timeout, its per-attempt deadline, a server's request
+  timeout).  Every entry is ``now + delay`` with the sequence number
+  drawn at arming, so a lane's entries are already in ``(time,
+  sequence)`` order — a FIFO list, as in the per-interval lists of
+  Varghese and Lauck's timing wheels.  Only the lane's earliest live
+  entry sits on the heap; the next one is pushed when it fires or is
+  cancelled, and sorts after it, so the pop order is ``schedule_in``'s
+  per timer on a heap as deep as what is in flight.  Cancelling a
+  queued timer marks its entry dead in O(1) and never touches the heap.
 * **Callbacks are released eagerly.**  An event that leaves the heap
   (executed or discarded) drops its callback and argument references,
   so an :class:`EventHandle` kept around by a component cannot pin the
@@ -52,6 +63,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 from math import isfinite, isnan
 from types import SimpleNamespace
@@ -427,6 +439,83 @@ class Simulator:
             f"Simulator(now={self.now!r}, pending={self.pending_events}, "
             f"executed={self._events_executed})"
         )
+
+
+class TimerLane:
+    """Timers of one constant ``delay`` that fire ``callback(arg)``.
+
+    :meth:`arm` schedules ``callback(arg)`` at ``now + delay`` and
+    returns the timer's heap entry, which :meth:`cancel` takes back; the
+    lane draws the sequence number at arming, exactly as
+    :meth:`Simulator.schedule_in` would, and keeps one entry on the heap
+    (see the module docstring).  A bad ``delay`` raises at construction
+    what ``schedule_in`` raises for it.
+    """
+
+    __slots__ = ("_simulator", "delay", "_callback", "label", "_queue")
+
+    def __init__(
+        self,
+        simulator: Simulator,
+        delay: float,
+        callback: EventCallback,
+        label: str = "",
+    ) -> None:
+        if delay < 0:
+            raise SchedulingError(
+                f"cannot schedule event {label!r} with negative delay {delay!r}"
+            )
+        simulator._check_time(simulator.clock._now + delay, label)
+        self._simulator = simulator
+        self.delay = delay
+        self._callback = callback
+        self.label = label
+        #: Armed entries in firing order; the first one is on the heap
+        #: and live, the others may be dead (cancelled).
+        self._queue: deque = deque()
+
+    def arm(self, arg: Any) -> HeapEntry:
+        """Fire ``callback(arg)`` after the lane's delay; returns the entry."""
+        simulator = self._simulator
+        time = simulator.clock._now + self.delay
+        if not time < _INFINITY:  # a finite delay past the clock's range
+            simulator._check_time(time, self.label)
+        entry = [time, next(simulator._sequence), self._fire, arg, self.label]
+        queue = self._queue
+        if not queue:
+            _heappush(simulator._heap, entry)
+        queue.append(entry)
+        return entry
+
+    def cancel(self, entry: HeapEntry) -> None:
+        """Cancel an entry :meth:`arm` returned; a no-op once it ran or was cancelled."""
+        if entry[2] is None:
+            return
+        queue = self._queue
+        if queue[0] is entry:
+            # On the heap: cancelled there, and its successor takes its place.
+            self._simulator._cancel(entry)
+            self._push_next()
+        else:
+            entry[2] = None
+            entry[3] = _CANCELLED
+
+    def _push_next(self) -> None:
+        """Drop the head entry and put the next live one on the heap."""
+        queue = self._queue
+        queue.popleft()
+        while queue:
+            entry = queue[0]
+            if entry[2] is not None:
+                _heappush(self._simulator._heap, entry)
+                return
+            queue.popleft()
+
+    def _fire(self, arg: Any) -> None:
+        # The successor goes on the heap before the callback runs, so a
+        # callback that raises or stops the run leaves the lane whole.
+        self._push_next()
+        self._callback(arg)
 
 
 @dataclass

@@ -44,7 +44,7 @@ from repro.net.packet import (
 )
 from repro.net.router import NetworkNode
 from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT, EphemeralPortAllocator
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import HeapEntry, Simulator, TimerLane
 from repro.workload.trace import NO_USER, Trace
 
 #: Size in bytes of the HTTP request payload (a GET with headers).
@@ -122,10 +122,12 @@ class _PendingQuery:
     attempt: int = 0
     #: SYN retransmissions performed within the current attempt.
     syn_retransmits: int = 0
-    #: Current SYN retransmission timeout (doubles per retransmit).
+    #: Current SYN retransmission timeout (doubles per retransmit); the
+    #: key of the lane :attr:`syn_timer` was armed on.
     rto: float = 0.0
-    syn_timer: Optional[EventHandle] = None
-    retry_timer: Optional[EventHandle] = None
+    #: Heap entries of the armed timers (:meth:`TimerLane.arm`).
+    syn_timer: Optional[HeapEntry] = None
+    retry_timer: Optional[HeapEntry] = None
 
 
 class TrafficGeneratorNode(NetworkNode):
@@ -237,6 +239,16 @@ class TrafficGeneratorNode(NetworkNode):
         #: with user ids is scheduled, when per-user ports turn on.
         self._active_ports: Optional[Set[int]] = None
         self._pending: Dict[int, _PendingQuery] = {}
+        #: One timer lane per distinct SYN timeout (the initial one, each
+        #: doubling, the cap), made on first use, and one for the
+        #: per-attempt deadline.  A timer's argument is ``(request_id,
+        #: attempt)``.
+        self._syn_lanes: Dict[float, TimerLane] = {}
+        self._retry_lane = (
+            TimerLane(simulator, retry_timeout, self._attempt_deadline, "client-timeout")
+            if retry_timeout > 0.0
+            else None
+        )
         self.queries_started = 0
         self.queries_completed = 0
         self.queries_failed = 0
@@ -349,23 +361,24 @@ class TrafficGeneratorNode(NetworkNode):
     # ------------------------------------------------------------------
     def _arm_timers(self, pending: _PendingQuery) -> None:
         """Schedule SYN-RTO and per-attempt deadline timers (if enabled)."""
-        request_id = pending.outcome.request_id
-        attempt = pending.attempt
+        timer = (pending.outcome.request_id, pending.attempt)
         if self.syn_retransmit_timeout > 0.0:
             pending.rto = self.syn_retransmit_timeout
-            pending.syn_timer = self.simulator.schedule_in(
-                pending.rto,
-                lambda: self._retransmit_syn(request_id, attempt),
-                label="syn-rto",
-            )
-        if self.retry_timeout > 0.0:
-            pending.retry_timer = self.simulator.schedule_in(
-                self.retry_timeout,
-                lambda: self._attempt_deadline(request_id, attempt),
-                label="client-timeout",
-            )
+            self._arm_syn_timer(pending, timer)
+        if self._retry_lane is not None:
+            pending.retry_timer = self._retry_lane.arm(timer)
 
-    def _retransmit_syn(self, request_id: int, attempt: int) -> None:
+    def _arm_syn_timer(self, pending: _PendingQuery, timer: tuple) -> None:
+        """Arm ``pending``'s SYN timer on the lane of its current RTO."""
+        lane = self._syn_lanes.get(pending.rto)
+        if lane is None:
+            lane = self._syn_lanes[pending.rto] = TimerLane(
+                self.simulator, pending.rto, self._retransmit_syn, "syn-rto"
+            )
+        pending.syn_timer = lane.arm(timer)
+
+    def _retransmit_syn(self, timer: tuple) -> None:
+        request_id, attempt = timer
         pending = self._pending.get(request_id)
         if (
             pending is None
@@ -390,13 +403,10 @@ class TrafficGeneratorNode(NetworkNode):
             )
         self._send_syn(pending)
         pending.rto = min(pending.rto * 2.0, self.syn_retransmit_cap)
-        pending.syn_timer = self.simulator.schedule_in(
-            pending.rto,
-            lambda: self._retransmit_syn(request_id, attempt),
-            label="syn-rto",
-        )
+        self._arm_syn_timer(pending, timer)
 
-    def _attempt_deadline(self, request_id: int, attempt: int) -> None:
+    def _attempt_deadline(self, timer: tuple) -> None:
+        request_id, attempt = timer
         pending = self._pending.get(request_id)
         if pending is None or pending.attempt != attempt:
             return
@@ -426,10 +436,10 @@ class TrafficGeneratorNode(NetworkNode):
 
     def _cancel_timers(self, pending: _PendingQuery) -> None:
         if pending.syn_timer is not None:
-            pending.syn_timer.cancel()
+            self._syn_lanes[pending.rto].cancel(pending.syn_timer)
             pending.syn_timer = None
         if pending.retry_timer is not None:
-            pending.retry_timer.cancel()
+            self._retry_lane.cancel(pending.retry_timer)
             pending.retry_timer = None
 
     # ------------------------------------------------------------------
@@ -456,7 +466,7 @@ class TrafficGeneratorNode(NetworkNode):
 
         if bits & SYN_ACK_BITS == SYN_ACK_BITS:
             if pending.syn_timer is not None:
-                pending.syn_timer.cancel()
+                self._syn_lanes[pending.rto].cancel(pending.syn_timer)
                 pending.syn_timer = None
             pending.outcome.established_at = self.simulator.clock._now
             if self.request_spread > 0:

@@ -125,6 +125,7 @@ ALLOWED = {
     "Scoreboard.mark_idle": (REACHED_BY_PERF, "micro.py"),
     "Simulator.batch_stats": (REACHED_BY_PERF, "tracing.py"),
     "make_pod_trace": (REACHED_BY_PERF, "tracing.py"),
+    "FaultInjectionChannel.send": (REACHED_BY_PERF, "micro.py; a product run's pipeline wraps an in-process channel, whose hop the fabric runs in line"),
     "outcome_fingerprint": (GOLDENS, "tests/test_scenario_golden.py, benchmarks/bench_chaos.py"),
     # What only the execution census needs: named in src/, run by no product path.
     "_run_scenario_cell": (WORKER, "tests/test_scenario_golden.py"),
@@ -137,7 +138,6 @@ ALLOWED = {
     "FIFOCPU": (MODEL, "tests/test_analysis_oracle.py (its FIFO cell), benchmarks/bench_ablation_cpu_model.py"),
     "EventHandle.time": (MODEL, "FIFOCPU.set_speed re-plans its running jobs from it"),
     "FlowTable._evict_lru": (GUARD, "a full flow table evicts its least recently seen flow"),
-    "Simulator._check_time": (GUARD, "a non-finite or past event time"),
     "NetworkNode.send": (GUARD, "a node sends before it is attached to a fabric"),
     "SegmentRoutingHeader.set_segments_left": (GUARD, "Packet.set_segments_left's invalid transition"),
     "Packet.describe": (GUARD, "the no-route and stray-packet messages"),

@@ -27,6 +27,7 @@ from repro.experiments import platform
 from repro.experiments.platform import HEARTBEAT_SLICES, build_testbed
 from repro.experiments.scenario import run_scenario
 from repro.net.addressing import VIP_PREFIX
+from repro.server.cpu import FIFOCPU, ProcessorSharingCPU
 from repro.workload.requests import Request
 from repro.workload.trace import Trace
 
@@ -64,6 +65,22 @@ class TestTestbedConfig:
             TestbedConfig(workers_per_server=0)
         with pytest.raises(ExperimentError):
             TestbedConfig(backlog_capacity=0)
+
+    @pytest.mark.parametrize("model", ["ps", "run-to-completion", "quantum"])
+    def test_an_unknown_cpu_model_fails_when_the_config_is_made(self, model):
+        with pytest.raises(
+            ExperimentError,
+            match=f"cpu_model must be one of processor-sharing, fifo, got '{model}'",
+        ):
+            TestbedConfig(cpu_model=model)
+
+    @pytest.mark.parametrize(
+        "model, cpu_class", [("processor-sharing", ProcessorSharingCPU), ("fifo", FIFOCPU)]
+    )
+    def test_every_cpu_model_the_config_accepts_is_built(self, model, cpu_class):
+        config = TestbedConfig(num_servers=1, workers_per_server=2, cpu_model=model)
+        with build_testbed(config, sr_policy(4)) as testbed:
+            assert type(testbed.servers[0].app.cpu) is cpu_class
 
 
 class TestPolicySpecs:

@@ -19,17 +19,21 @@ builtin calls.
 A second test holds the event heap shallow on the same cell: a trace is
 one pending arrival, not one heap entry per query.
 
-A third test budgets a second cell, on the tier path the Poisson cell
+Two more tests hold a second cell, on the tier path the Poisson cell
 never enters: two load balancers behind the ECMP edge, the chaos family's
-``loss`` recipe on the fabric's channel (so every hop goes through the
-fault pipeline), SYN-ACK relays between instances and the client's
-retransmission and retry timers.
+``loss`` recipe on the fabric's channel (so every fabric hop runs the
+fault pipeline's injectors, in line in ``LANFabric.send_from``), SYN-ACK
+relays between instances, the client's retransmission and retry timers
+and the servers' request timeouts.  One budgets its calls; the other its
+heap, which the timers would fill with one entry each (most of them
+cancelled) were they not one entry per timer lane.
 """
 
 import cProfile
 import io
 import pstats
 
+from repro.net import ecmp as ecmp_module
 from repro.net import fabric as fabric_module
 from repro.sim import engine
 
@@ -53,16 +57,21 @@ CALLS_PER_SEND_BUDGET = 10.3
 TIER_QUERIES = 1_000
 
 #: The tier cell (``chaos --lbs 2 --queries 1000``, the ``loss`` cell,
-#: replay only), measured the same way: 158 467 calls, 8 034 fabric sends —
-#: 158.5 per query, 19.7 per fabric hop (208.5 and 25.9 before the
-#: third round).  Budgets are the measured values plus 10 %.
-TIER_CALLS_PER_QUERY_BUDGET = 174.3
-TIER_CALLS_PER_SEND_BUDGET = 21.7
+#: replay only), measured the same way: 134 525 calls, 8 034 fabric sends —
+#: 134.5 per query, 16.7 per fabric hop (158.4 and 19.7 before the tier
+#: path's first round, 208.5 and 25.9 before the third hot-path round).
+#: Budgets are the measured values plus 10 %.
+TIER_CALLS_PER_QUERY_BUDGET = 148.0
+TIER_CALLS_PER_SEND_BUDGET = 18.4
 
 #: Most entries the event heap may hold at once on this cell (18
 #: measured).  Scheduling every arrival of the trace up front would put
 #: 300 there.
 HEAP_HIGH_WATER_BUDGET = 64
+
+#: The same on the tier cell: 65 measured; 1 164 when every client and
+#: server timer was its own heap entry.
+TIER_HEAP_HIGH_WATER_BUDGET = 128
 
 
 def _small_poisson_cell():
@@ -98,15 +107,21 @@ def _profile_small_poisson_cell():
     return _profile_replay(testbed, trace, QUERIES)
 
 
-def _profile_tier_loss_cell():
+def _tier_loss_cell():
     config = ChaosConfig(num_queries=TIER_QUERIES)
     trace = legitimate_poisson_trace(config)
-    with build_testbed(config.testbed, config.policy) as testbed:
-        install_fault_channel(
-            testbed.simulator,
-            testbed.fabric,
-            fault_config_for(config, "loss", trace.duration),
-        )
+    testbed = build_testbed(config.testbed, config.policy)
+    install_fault_channel(
+        testbed.simulator,
+        testbed.fabric,
+        fault_config_for(config, "loss", trace.duration),
+    )
+    return testbed, trace
+
+
+def _profile_tier_loss_cell():
+    testbed, trace = _tier_loss_cell()
+    with testbed:
         return _profile_replay(testbed, trace, TIER_QUERIES)
 
 
@@ -155,8 +170,8 @@ def test_tier_replay_stays_inside_its_python_call_budget():
     )
 
 
-def test_replay_keeps_the_event_heap_shallow(monkeypatch):
-    testbed, trace = _small_poisson_cell()
+def _replay_heap_high_water(monkeypatch, testbed, trace):
+    """Most entries on the event heap at once, over every push of the replay."""
     high_water = 0
     push = engine._heappush
 
@@ -165,8 +180,25 @@ def test_replay_keeps_the_event_heap_shallow(monkeypatch):
         push(heap, entry)
         high_water = max(high_water, len(heap))
 
+    # The engine's own pushes (timer lanes included), the fabric hop's
+    # (clean or faulted) and the ECMP spread's.
     monkeypatch.setattr(engine, "_heappush", counting_push)
-    monkeypatch.setattr(fabric_module, "_heappush", counting_push)  # the hop
+    monkeypatch.setattr(fabric_module, "_heappush", counting_push)
+    monkeypatch.setattr(ecmp_module, "_heappush", counting_push)
     testbed.run_trace(trace)
+    return high_water
+
+
+def test_replay_keeps_the_event_heap_shallow(monkeypatch):
+    testbed, trace = _small_poisson_cell()
+    high_water = _replay_heap_high_water(monkeypatch, testbed, trace)
     assert testbed.client.queries_completed == QUERIES
     assert 0 < high_water <= HEAP_HIGH_WATER_BUDGET, high_water
+
+
+def test_tier_replay_keeps_the_event_heap_shallow(monkeypatch):
+    testbed, trace = _tier_loss_cell()
+    with testbed:
+        high_water = _replay_heap_high_water(monkeypatch, testbed, trace)
+        assert testbed.client.queries_started == TIER_QUERIES
+    assert 0 < high_water <= TIER_HEAP_HIGH_WATER_BUDGET, high_water

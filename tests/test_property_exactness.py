@@ -13,7 +13,14 @@ Two replacements on the replay hot path must be invisible in results:
   pop the same ``(callback, argument, time)`` sequence as scheduling
   every item with ``schedule_at``, under ties, cancellations, ``stop()``,
   horizons and ``max_events``.
+* :class:`~repro.sim.engine.TimerLane` — timers of one delay keep one
+  pending entry on the heap; a program of arms, cancels, plain
+  ``schedule_in`` events and cut-short runs must execute what the same
+  program written with ``schedule_in`` and ``EventHandle.cancel``
+  executes.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -21,10 +28,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.candidate_selection import RandomCandidateSelector, SingleRandomSelector
-from repro.errors import SimulationError
+from repro.errors import SchedulingError, SimulationError
 from repro.net.addressing import IPv6Address
 from repro.net.packet import FlowKey
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, TimerLane
 from repro.sim.random_streams import BoundedDraws, RandomStreams
 
 FLOW = FlowKey(IPv6Address(1), 1024, IPv6Address(2), 80)
@@ -224,3 +231,144 @@ def test_a_series_occupies_one_heap_entry(gaps, background):
     assert simulator.pending_events == background + 1
     simulator.run()
     assert simulator.events_executed == background + len(times)
+
+
+# ----------------------------------------------------------------------
+# timer lanes
+# ----------------------------------------------------------------------
+#: The lanes' delays: equal arming times make ties the rule.
+LANE_DELAYS = (0.0, 0.5, 1.0)
+#: Timers armed per program at most (a reaction may arm another).
+MAX_TIMERS = 60
+
+lane_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("arm"), st.integers(0, len(LANE_DELAYS) - 1)),
+        st.tuples(st.just("plain"), st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])),
+        st.tuples(st.just("cancel"), st.integers(0, MAX_TIMERS)),
+        st.tuples(
+            st.just("run"),
+            st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 1.75, 3.0])),
+            st.one_of(st.none(), st.integers(0, 4)),
+        ),
+    ),
+    max_size=40,
+)
+#: What a firing timer does, by its argument: the same in both programs.
+lane_reactions = st.lists(
+    st.sampled_from(("noop", "arm", "plain", "cancel", "stop")), min_size=1, max_size=8
+)
+
+
+def _lane_program(steps, reactions, with_lanes):
+    """Run one program; lane timers go on lanes or through ``schedule_in``.
+
+    Returns what it executed (``(now, sequence, label, arg)`` per event),
+    ``now`` at each return of ``run``, and the simulator.
+    """
+    simulator = Simulator(seed=0)
+    executed, returns = [], []
+    timers = []  # (lane index or None, the lane's entry or an EventHandle)
+    sequence_of, label_of = {}, {}
+
+    def fire(arg):
+        executed.append((simulator.now, sequence_of[arg], label_of[arg], arg))
+        reaction = reactions[arg % len(reactions)]
+        if reaction == "arm":
+            arm(arg % len(LANE_DELAYS))
+        elif reaction == "plain":
+            plain(0.5 * (arg % 3))
+        elif reaction == "cancel":
+            cancel(3 * arg + 1)
+        elif reaction == "stop":
+            simulator.stop()
+
+    lanes = [
+        TimerLane(simulator, delay, fire, f"lane-{index}")
+        for index, delay in enumerate(LANE_DELAYS)
+    ]
+
+    def arm(index):
+        arg = len(sequence_of)
+        if arg >= MAX_TIMERS:
+            return
+        label_of[arg] = f"lane-{index}"
+        if with_lanes:
+            entry = lanes[index].arm(arg)
+            sequence_of[arg] = entry[1]
+            timers.append((index, entry))
+        else:
+            handle = simulator.schedule_in(LANE_DELAYS[index], fire, f"lane-{index}", arg)
+            sequence_of[arg] = handle._entry[1]
+            timers.append((None, handle))
+
+    def plain(delay):
+        arg = len(sequence_of)
+        if arg >= MAX_TIMERS:
+            return
+        label_of[arg] = "plain"
+        handle = simulator.schedule_in(delay, fire, "plain", arg)
+        sequence_of[arg] = handle._entry[1]
+        timers.append((None, handle))
+
+    def cancel(which):
+        if timers:
+            index, timer = timers[which % len(timers)]
+            if index is None:
+                timer.cancel()
+            else:
+                lanes[index].cancel(timer)
+
+    def check_heap():
+        dead = sum(1 for entry in simulator._heap if entry[2] is None)
+        assert simulator._cancelled_on_heap == dead
+
+    def run(until=None, max_events=None):
+        returns.append(simulator.run(until=until, max_events=max_events))
+        check_heap()
+
+    for step in steps:
+        if step[0] == "arm":
+            arm(step[1])
+        elif step[0] == "plain":
+            plain(step[1])
+        elif step[0] == "cancel":
+            cancel(step[1])
+        else:
+            run(step[1], step[2])
+        check_heap()
+    while simulator.peek_next_time() is not None:
+        run(max_events=3)
+    return executed, returns, simulator
+
+
+@given(steps=lane_steps, reactions=lane_reactions)
+@settings(max_examples=300, deadline=None)
+def test_lanes_execute_what_schedule_in_and_cancel_execute(steps, reactions):
+    expected, expected_returns, reference = _lane_program(steps, reactions, False)
+    actual, returns, simulator = _lane_program(steps, reactions, True)
+    assert actual == expected
+    assert returns == expected_returns
+    assert simulator.events_executed == reference.events_executed
+    assert simulator.pending_events == 0
+
+
+@given(
+    delay=st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([-1.0, -0.0, math.nan, math.inf, -math.inf, 1e308]),
+    ),
+    now=st.sampled_from([0.0, 2.5, 1e308]),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_lane_refuses_the_delays_schedule_in_refuses(delay, now):
+    simulator = Simulator(seed=0, start_time=now)
+    try:
+        simulator.schedule_in(delay, print, "timer")
+    except SchedulingError as error:
+        with pytest.raises(SchedulingError) as refused:
+            TimerLane(simulator, delay, print, "timer")
+        assert str(refused.value) == str(error)
+    else:
+        lane = TimerLane(simulator, delay, print, "timer")
+        assert lane.arm(None)[0] == now + delay
