@@ -11,10 +11,13 @@ frame, a property or a per-packet closure back onto the per-hop path
 trips it, and the failure lists the ten largest ``tottime`` rows to show
 where the calls went.
 
-Only calls of Python functions are counted (``cProfile`` rows with a
-source file), not C builtins: those are what cost an interpreter frame,
-and their count does not depend on how a CPython version attributes
-builtin calls.
+Only calls of Python functions are counted (``cProfile`` entries whose
+code is a code object), not C builtins: those are what cost an
+interpreter frame, and their count does not depend on how a CPython
+version attributes builtin calls.  The count is read from
+``Profile.getstats()``, one entry per code object: ``pstats`` keys its
+rows by (file, line, name), and every dataclass-generated ``__init__``
+is ``<string>:2:__init__``, so it keeps one class's count of them all.
 
 A second test holds the event heap shallow on the same cell: a trace is
 one pending arrival, not one heap entry per query.
@@ -27,11 +30,15 @@ relays between instances, the client's retransmission and retry timers
 and the servers' request timeouts.  One budgets its calls; the other its
 heap, which the timers would fill with one entry each (most of them
 cancelled) were they not one entry per timer lane.
+
+``python tests/test_hot_path_budget.py`` prints both cells' calls per
+query by package and by function: a hot-path change's before/after row.
 """
 
 import cProfile
-import io
-import pstats
+import os
+import types
+from collections import Counter
 
 from repro.net import ecmp as ecmp_module
 from repro.net import fabric as fabric_module
@@ -99,7 +106,37 @@ def _profile_replay(testbed, trace, queries):
     testbed.run_trace(trace)
     profile.disable()
     assert testbed.client.queries_started == queries
-    return pstats.Stats(profile)
+    return _python_rows(profile)
+
+
+def _python_rows(profile):
+    """``(package, function, calls, own seconds)``, one row per Python code object."""
+    rows = []
+    for entry in profile.getstats():
+        code = entry.code
+        if isinstance(code, types.CodeType):  # a str names a C builtin
+            rows.append(
+                (_package(code.co_filename), _function(code), entry.callcount, entry.inlinetime)
+            )
+    return rows
+
+
+def _package(filename):
+    """The ``repro`` package a source file belongs to, else ``other``."""
+    parts = filename.replace(os.sep, "/").split("/")
+    if "repro" not in parts[:-1]:
+        return "other"
+    below = parts[len(parts) - 1 - parts[::-1].index("repro") + 1 :]
+    return below[0] if len(below) > 1 else "repro"
+
+
+def _function(code):
+    """``module:qualname``; a generated function (a dataclass's ``__init__``) by its arguments."""
+    if code.co_filename.startswith("<"):
+        arguments = ", ".join(code.co_varnames[: code.co_argcount])
+        return f"{code.co_filename} {code.co_name}({arguments})"
+    module = os.path.splitext(os.path.basename(code.co_filename))[0]
+    return f"{module}:{code.co_qualname}"
 
 
 def _profile_small_poisson_cell():
@@ -125,30 +162,29 @@ def _profile_tier_loss_cell():
         return _profile_replay(testbed, trace, TIER_QUERIES)
 
 
-def _top_rows(stats: pstats.Stats, count: int = 10) -> str:
-    stream = io.StringIO()
-    stats.stream = stream
-    stats.sort_stats("tottime").print_stats(count)
-    return stream.getvalue()
+def _fabric_sends(rows):
+    return sum(calls for _, function, calls, _ in rows if function == "fabric:LANFabric.send_from")
 
 
-def _assert_inside_budget(stats, queries, per_query_budget, per_send_budget):
-    python_calls = 0
-    sends = 0
-    for (filename, _line, name), row in stats.stats.items():
-        if filename == "~":
-            continue  # C builtins: no interpreter frame
-        python_calls += row[1]
-        if name == "send_from" and filename.endswith("fabric.py"):
-            sends = row[1]
+def _by_function(rows, queries, count, key=lambda row: row[2]):
+    lines = [
+        f"{calls / queries:9.2f}  {own * 1e6 / queries:7.2f} us  {package:11} {function}"
+        for package, function, calls, own in sorted(rows, key=key, reverse=True)[:count]
+    ]
+    return "\n".join(["calls/query  own/query  package     function", *lines])
+
+
+def _assert_inside_budget(rows, queries, per_query_budget, per_send_budget):
+    python_calls = sum(row[2] for row in rows)
+    sends = _fabric_sends(rows)
     assert sends > 0
     per_query = python_calls / queries
     per_send = python_calls / sends
     assert per_query <= per_query_budget and per_send <= per_send_budget, (
         f"{python_calls} Python calls for {queries} queries and {sends} fabric "
         f"sends: {per_query:.1f} per query (budget {per_query_budget}), "
-        f"{per_send:.1f} per send (budget {per_send_budget}).\n"
-        + _top_rows(stats)
+        f"{per_send:.1f} per send (budget {per_send_budget}).  Costliest own time:\n"
+        + _by_function(rows, queries, 10, key=lambda row: row[3])
     )
 
 
@@ -202,3 +238,21 @@ def test_tier_replay_keeps_the_event_heap_shallow(monkeypatch):
         high_water = _replay_heap_high_water(monkeypatch, testbed, trace)
         assert testbed.client.queries_started == TIER_QUERIES
     assert 0 < high_water <= TIER_HEAP_HIGH_WATER_BUDGET, high_water
+
+
+def _report(title, rows, queries):
+    python_calls = sum(row[2] for row in rows)
+    sends = _fabric_sends(rows)
+    packages = Counter()
+    for package, _, calls, _ in rows:
+        packages[package] += calls
+    print(f"{title}: {python_calls} Python calls, {sends} fabric sends — "
+          f"{python_calls / queries:.1f} per query, {python_calls / sends:.1f} per fabric hop")
+    print("  ".join(f"{package} {calls / queries:.2f}" for package, calls in packages.most_common()))
+    print(_by_function(rows, queries, 30))
+    print()
+
+
+if __name__ == "__main__":
+    _report("poisson cell", _profile_small_poisson_cell(), QUERIES)
+    _report("tier loss cell", _profile_tier_loss_cell(), TIER_QUERIES)
