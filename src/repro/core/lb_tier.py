@@ -104,11 +104,15 @@ class TierLoadBalancer(LoadBalancerNode):
         ):
             # The packet reached us through the shared steering address:
             # the ECMP edge hashed the *reverse* tuple, so we may not be
-            # the instance that will see the flow's forward packets.
+            # the instance that will see the flow's forward packets: the
+            # hop the router sends the forward 5-tuple to (its memo, else
+            # next_hop_for; none while the group is empty).
             key = packet._flow_key  # reversed below, written out
-            owner = self.tier.owner_of(
-                new_flow_key(FlowKey, (key[2], key[3], key[0], key[1]))
-            )
+            forward = new_flow_key(FlowKey, (key[2], key[3], key[0], key[1]))
+            router = self.tier.router
+            owner = router._hop_cache.get(forward)
+            if owner is None and router._next_hops:
+                owner = router.next_hop_for(forward)
             if owner is not None and owner is not self:
                 # Relay one hop to the owner: rewrite the active segment
                 # from the shared steering address to the owner's own
@@ -353,14 +357,6 @@ class LoadBalancerTier:
     def alive_instances(self) -> List[TierLoadBalancer]:
         """Instances currently in rotation."""
         return [instance for instance in self.instances if instance.alive]
-
-    def owner_of(self, forward_key: FlowKey) -> Optional[TierLoadBalancer]:
-        """The instance the flow's forward direction currently hashes to."""
-        owner = self.router.owner_of_forward_flow(forward_key)
-        if owner is None:
-            return None
-        assert isinstance(owner, TierLoadBalancer)
-        return owner
 
     # ------------------------------------------------------------------
     # tier-wide introspection

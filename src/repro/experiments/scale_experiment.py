@@ -46,7 +46,7 @@ from repro.experiments.platform import SETTLE_MARGIN, build_testbed
 from repro.experiments.scenario import ScenarioCell, ScenarioSpec, TraceProvider, trace_rng
 from repro.metrics.collector import ResponseTimeCollector
 from repro.net.ecmp import HopScorer, five_tuple_key
-from repro.net.packet import FlowKey
+from repro.net.packet import FlowKey, new_flow_key
 from repro.net.tcp import EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_RANGE, HTTP_PORT
 from repro.workload.requests import KIND_PHP
 from repro.workload.trace import Trace
@@ -77,17 +77,17 @@ def _pod_table(pod_names: Tuple[str, ...], ecmp_hash: str, size: int) -> np.ndar
     scorer = HopScorer(pod_names, ecmp_hash)
     # The scorer ranks hops in name order; translate to pod positions.
     pod_of_rank = [pod_names.index(name) for name in scorer.names]
-    table = np.empty(size, dtype=np.int64)
-    for offset in range(size):
-        key = five_tuple_key(
-            FlowKey(
-                _FRONTEND_CLIENT,
-                EPHEMERAL_PORT_BASE + offset,
-                _FRONTEND_VIP,
-                HTTP_PORT,
-            )
-        )
-        table[offset] = pod_of_rank[scorer.index_for(key)]
+    index_for = scorer.index_for
+    table = np.fromiter(
+        (
+            pod_of_rank[index_for(five_tuple_key(new_flow_key(
+                FlowKey, (_FRONTEND_CLIENT, port, _FRONTEND_VIP, HTTP_PORT)
+            )))]
+            for port in range(EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_BASE + size)
+        ),
+        dtype=np.int64,
+        count=size,
+    )  # fmt: skip
     table.flags.writeable = False
     return table
 

@@ -28,14 +28,14 @@ membership churn makes:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
+from hashlib import sha256 as _sha256
 from heapq import heappush as _heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RoutingError, SchedulingError
-from repro.net.addressing import IPv6Address
+from repro.net.addressing import _TEXT_FORMS, IPv6Address
 from repro.net.channel import DeliveryChannel, InProcessChannel
 from repro.net.packet import FlowKey, Packet
 from repro.net.router import NetworkNode
@@ -47,12 +47,19 @@ HASH_SCHEMES = ("rendezvous", "modulo")
 _INFINITY = float("inf")
 
 
-def five_tuple_key(flow_key: FlowKey) -> str:
-    """Canonical 5-tuple string an ECMP router hashes a TCP packet on."""
+def five_tuple_key(flow_key: FlowKey) -> bytes:
+    """Canonical 5-tuple an ECMP router hashes a TCP packet on, as UTF-8 bytes.
+
+    ``tcp|src|sport|dst|dport``.  An address's text is read from
+    :class:`IPv6Address`'s text memo; one not formatted yet (or a plain
+    string) goes through ``str``, which fills the memo.
+    """
+    src, src_port, dst, dst_port = flow_key
+    texts = _TEXT_FORMS
     return (
-        f"tcp|{flow_key.src_address}|{flow_key.src_port}|"
-        f"{flow_key.dst_address}|{flow_key.dst_port}"
-    )
+        f"tcp|{texts.get(src) or str(src)}|{src_port}|"
+        f"{texts.get(dst) or str(dst)}|{dst_port}"
+    ).encode()
 
 
 class HopScorer:
@@ -62,12 +69,13 @@ class HopScorer:
     router, :func:`select_next_hop_name` and the ``scale`` family's
     offline pod table.  A hop's score for a key is the first 64 bits of
     ``sha256(f"{salt}:{key}")`` (stable and process-independent, like
-    the Maglev table's hash); the salted prefix is hashed once per hop
-    here, so scoring a key costs one ``copy().update(key)`` per hop
-    instead of formatting and hashing the whole string again.
+    the Maglev table's hash), read big-endian.  The salted prefixes are
+    encoded once per group, so scoring a key costs one ``sha256(prefix
+    + key)`` per hop, and the eight digest bytes are compared as bytes:
+    big-endian, their order is the integers' order.
     """
 
-    __slots__ = ("names", "_modulo", "_seeds")
+    __slots__ = ("names", "_modulo", "_prefixes")
 
     def __init__(self, hop_names: Sequence[str], hash_scheme: str) -> None:
         if hash_scheme not in HASH_SCHEMES:
@@ -83,26 +91,26 @@ class HopScorer:
             if self._modulo
             else [f"ecmp-hrw:{name}" for name in self.names]
         )
-        self._seeds = [hashlib.sha256(f"{salt}:".encode("utf-8")) for salt in salts]
+        self._prefixes = tuple(f"{salt}:".encode("utf-8") for salt in salts)
 
-    def index_for(self, key: str) -> int:
-        """Position in :attr:`names` of the hop ``key`` hashes to."""
-        if not self.names:
+    def index_for(self, key: bytes) -> int:
+        """Position in :attr:`names` of the hop the :func:`five_tuple_key` ``key`` hashes to."""
+        names = self.names
+        if not names:
             raise RoutingError("the ECMP group has no next hops")
-        data = key.encode("utf-8")
-        best = 0
-        best_score = -1
-        for index, seed in enumerate(self._seeds):
-            digest = seed.copy()
-            digest.update(data)
-            score = int.from_bytes(digest.digest()[:8], "big")
-            # Rendezvous (HRW): every hop scores the key; the highest
-            # wins, the first in name order on a tie.
+        if self._modulo:
+            # One score, not salted by hop, reduced over the group size.
+            score = _sha256(self._prefixes[0] + key).digest()[:8]
+            return int.from_bytes(score, "big") % len(names)
+        # Rendezvous (HRW): every hop scores the key; the highest wins,
+        # the first in name order on a tie (any score beats b"").
+        best = index = 0
+        best_score = b""
+        for prefix in self._prefixes:
+            score = _sha256(prefix + key).digest()[:8]
             if score > best_score:
                 best, best_score = index, score
-        if self._modulo:
-            # One unsalted-by-hop score, reduced over the group size.
-            return best_score % len(self.names)
+            index += 1
         return best
 
 
@@ -203,8 +211,8 @@ class EcmpEdgeRouter(NetworkNode):
         #: packet).
         self._spread_labels: Dict[str, str] = {}
         #: The delivery channel of the spread hop.  While it is the
-        #: router's own in-process channel, :meth:`_spread` pushes the
-        #: hop's heap entry itself, as the fabric does (the entry and
+        #: router's own in-process channel, :meth:`handle_packet` pushes
+        #: the hop's heap entry itself, as the fabric does (the entry and
         #: sequence draw ``Simulator._schedule_raw`` would make).
         self.channel: DeliveryChannel = InProcessChannel(simulator)
         self._in_process = self.channel
@@ -282,49 +290,38 @@ class EcmpEdgeRouter(NetworkNode):
         self._hop_cache[flow_key] = hop
         return hop
 
-    def owner_of_forward_flow(self, forward_key: FlowKey) -> Optional[NetworkNode]:
-        """The hop that client-to-VIP packets of ``forward_key`` reach.
-
-        The load-balancer tier uses this to relay steering signals to the
-        instance that will see the flow's forward direction; ``None``
-        when the group is empty.
-        """
-        if not self._next_hops:
-            return None
-        return self.next_hop_for(forward_key)
-
     # ------------------------------------------------------------------
     # forwarding
     # ------------------------------------------------------------------
     def handle_packet(self, packet: Packet) -> None:
-        dst = packet._dst
-        if dst in self._vips:
-            self._spread(packet, is_return=False)
-        elif dst == self.steering_address:
-            self._spread(packet, is_return=True)
-        else:
-            self.stats.packets_dropped += 1
-
-    def _spread(self, packet: Packet, is_return: bool) -> None:
         # Per-packet hashing: the packet's own 5-tuple, whichever
         # direction it travels.  A SYN-ACK therefore hashes on the
         # (VIP, client) tuple and may reach a different hop than the
-        # (client, VIP) SYN did.  The memo hit is inlined: this runs
-        # once per spread packet and almost always hits.
+        # (client, VIP) SYN did.  The memo hit and the miss
+        # (next_hop_for) are inlined: this runs once per spread packet.
+        stats = self.stats
+        dst = packet._dst
+        if dst in self._vips:
+            is_return = False
+        elif dst == self.steering_address:
+            is_return = True
+        else:
+            stats.packets_dropped += 1
+            return
         key = packet._flow_key
         hop = self._hop_cache.get(key)
         if hop is None:
-            try:
-                hop = self.next_hop_for(key)
-            except RoutingError:
-                self.stats.packets_dropped += 1
+            hops = self._next_hops
+            if not hops:
+                stats.packets_dropped += 1
                 return
+            hop = self._hop_cache[key] = hops[self._scorer.index_for(five_tuple_key(key))]
         if is_return:
-            self.stats.return_packets += 1
+            stats.return_packets += 1
         else:
-            self.stats.forward_packets += 1
+            stats.forward_packets += 1
         name = hop.name
-        per_hop = self.stats.per_next_hop
+        per_hop = stats.per_next_hop
         per_hop[name] = per_hop.get(name, 0) + 1
         label = self._spread_labels.get(name)
         if label is None:

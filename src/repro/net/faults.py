@@ -28,7 +28,13 @@ Each randomized injector draws from its **own** named
 :class:`~repro.sim.random_streams.RandomStreams` substream (the
 ``STREAM`` class attribute), so enabling one impairment never perturbs
 the draws of any other component — the same isolation contract the
-candidate selector and the workload generators already rely on.
+candidate selector and the workload generators already rely on.  It
+draws through the stream's draw-ahead source, a zero-argument callable
+(:meth:`~repro.sim.random_streams.RandomStreams.uniforms`, or
+:meth:`~repro.sim.random_streams.RandomStreams.exponentials` for
+jitter), which yields ``Generator.random()`` /
+``Generator.standard_exponential()`` draw for draw from blocks; only an
+enabled stage of a live pipeline claims its stream.
 
 A *disabled* injector (zero rate / zero mean / empty schedule) could
 neither drop nor delay a packet, so :func:`build_injectors` leaves it
@@ -55,11 +61,15 @@ the number of packets handed to the inner channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
 from repro.net.channel import Arrival, DeliveryChannel, SinkDelivery
 from repro.sim.engine import Simulator
+
+#: A stage's draw source: the next uniform on [0, 1) (or, for jitter,
+#: standard exponential) of its stream, one per call.
+Draw = Callable[[], float]
 
 
 @dataclass
@@ -156,19 +166,19 @@ class IIDLossInjector(FaultInjector):
     """Drop each packet independently with probability ``rate``."""
 
     STREAM = "fault-iid-loss"
-    __slots__ = ("rate", "_rng")
+    __slots__ = ("rate", "_draw")
 
-    def __init__(self, rng: Any, rate: float) -> None:
+    def __init__(self, draw: Optional[Draw], rate: float) -> None:
         _check_probability("loss rate", rate)
         self.rate = rate
-        self._rng = rng
+        self._draw = draw
 
     @property
     def enabled(self) -> bool:
         return self.rate > 0.0
 
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
-        if self._rng.random() < self.rate:
+        if self._draw() < self.rate:
             stats.packets_dropped_loss += 1
             return None
         return 0.0
@@ -178,19 +188,19 @@ class CorruptionInjector(FaultInjector):
     """Corrupt (and therefore drop) each packet with probability ``rate``."""
 
     STREAM = "fault-corruption"
-    __slots__ = ("rate", "_rng")
+    __slots__ = ("rate", "_draw")
 
-    def __init__(self, rng: Any, rate: float) -> None:
+    def __init__(self, draw: Optional[Draw], rate: float) -> None:
         _check_probability("corruption rate", rate)
         self.rate = rate
-        self._rng = rng
+        self._draw = draw
 
     @property
     def enabled(self) -> bool:
         return self.rate > 0.0
 
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
-        if self._rng.random() < self.rate:
+        if self._draw() < self.rate:
             stats.packets_dropped_corrupted += 1
             return None
         return 0.0
@@ -208,11 +218,11 @@ class GilbertElliottLossInjector(FaultInjector):
     """
 
     STREAM = "fault-burst-loss"
-    __slots__ = ("enter", "exit", "loss_good", "loss_bad", "bad", "_rng")
+    __slots__ = ("enter", "exit", "loss_good", "loss_bad", "bad", "_draw")
 
     def __init__(
         self,
-        rng: Any,
+        draw: Optional[Draw],
         enter: float,
         exit: float,
         loss_good: float = 0.0,
@@ -227,21 +237,21 @@ class GilbertElliottLossInjector(FaultInjector):
         self.loss_good = loss_good
         self.loss_bad = loss_bad
         self.bad = False
-        self._rng = rng
+        self._draw = draw
 
     @property
     def enabled(self) -> bool:
         return self.enter > 0.0 or self.loss_good > 0.0
 
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
-        rng = self._rng
+        draw = self._draw
         if self.bad:
-            if rng.random() < self.exit:
+            if draw() < self.exit:
                 self.bad = False
-        elif rng.random() < self.enter:
+        elif draw() < self.enter:
             self.bad = True
         loss = self.loss_bad if self.bad else self.loss_good
-        if loss > 0.0 and rng.random() < loss:
+        if loss > 0.0 and draw() < loss:
             stats.packets_dropped_burst += 1
             return None
         return 0.0
@@ -251,27 +261,28 @@ class JitterInjector(FaultInjector):
     """Add exponentially distributed extra latency (mean ``mean``).
 
     ``cap`` truncates the draw (0 = uncapped), bounding how far one
-    packet can fall behind its peers.
+    packet can fall behind its peers.  ``draw`` yields standard
+    exponentials: ``mean * draw()`` is ``Generator.exponential(mean)``.
     """
 
     STREAM = "fault-jitter"
-    __slots__ = ("mean", "cap", "_rng")
+    __slots__ = ("mean", "cap", "_draw")
 
-    def __init__(self, rng: Any, mean: float, cap: float = 0.0) -> None:
+    def __init__(self, draw: Optional[Draw], mean: float, cap: float = 0.0) -> None:
         if mean < 0.0:
             raise NetworkError(f"jitter mean must be non-negative, got {mean!r}")
         if cap < 0.0:
             raise NetworkError(f"jitter cap must be non-negative, got {cap!r}")
         self.mean = mean
         self.cap = cap
-        self._rng = rng
+        self._draw = draw
 
     @property
     def enabled(self) -> bool:
         return self.mean > 0.0
 
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
-        extra = self._rng.exponential(self.mean)
+        extra = self.mean * self._draw()
         if self.cap > 0.0 and extra > self.cap:
             extra = self.cap
         stats.packets_delayed_jitter += 1
@@ -288,9 +299,9 @@ class ReorderInjector(FaultInjector):
     """
 
     STREAM = "fault-reorder"
-    __slots__ = ("rate", "window", "_rng")
+    __slots__ = ("rate", "window", "_draw")
 
-    def __init__(self, rng: Any, rate: float, window: float) -> None:
+    def __init__(self, draw: Optional[Draw], rate: float, window: float) -> None:
         _check_probability("reorder rate", rate)
         if window < 0.0:
             raise NetworkError(
@@ -302,16 +313,17 @@ class ReorderInjector(FaultInjector):
             )
         self.rate = rate
         self.window = window
-        self._rng = rng
+        self._draw = draw
 
     @property
     def enabled(self) -> bool:
         return self.rate > 0.0
 
     def assess(self, now: float, stats: LinkStats) -> Optional[float]:
-        if self._rng.random() < self.rate:
+        draw = self._draw
+        if draw() < self.rate:
             stats.packets_reordered += 1
-            return self._rng.random() * self.window
+            return draw() * self.window
         return 0.0
 
 
@@ -403,39 +415,37 @@ def build_injectors(
     processes, then the delay shaping — so a packet that survives every
     loss stage accumulates the delay stages' extra latency.  Every stage
     is constructed, so every field is validated, but a disabled one
-    (which would draw nothing and add ``0.0``) is left out.
+    (which would draw nothing and add ``0.0``) is left out, and only an
+    enabled one claims its stream's draw source.
     ``simulator=None`` builds RNG-less throwaway injectors, used only to
     validate a :class:`FaultConfig`.
     """
-
-    def stream(name: Optional[str]) -> Any:
-        if simulator is None or name is None:
-            return None
-        return simulator.streams.stream(name)
-
-    injectors = (
+    stages = (
         LinkFlapInjector(config.flap_windows),
-        IIDLossInjector(stream(IIDLossInjector.STREAM), config.loss_rate),
+        IIDLossInjector(None, config.loss_rate),
         GilbertElliottLossInjector(
-            stream(GilbertElliottLossInjector.STREAM),
+            None,
             enter=config.burst_enter,
             exit=config.burst_exit,
             loss_good=0.0,
             loss_bad=config.burst_loss,
         ),
-        CorruptionInjector(
-            stream(CorruptionInjector.STREAM), config.corruption_rate
-        ),
-        JitterInjector(
-            stream(JitterInjector.STREAM), config.jitter_mean, config.jitter_cap
-        ),
-        ReorderInjector(
-            stream(ReorderInjector.STREAM),
-            config.reorder_rate,
-            config.reorder_window,
-        ),
+        CorruptionInjector(None, config.corruption_rate),
+        JitterInjector(None, config.jitter_mean, config.jitter_cap),
+        ReorderInjector(None, config.reorder_rate, config.reorder_window),
     )
-    return tuple(injector for injector in injectors if injector.enabled)
+    injectors = tuple(injector for injector in stages if injector.enabled)
+    if simulator is not None:
+        streams = simulator.streams
+        for injector in injectors:
+            if injector.STREAM is not None:
+                source = (
+                    streams.exponentials
+                    if isinstance(injector, JitterInjector)
+                    else streams.uniforms
+                )
+                injector._draw = source(injector.STREAM)
+    return injectors
 
 
 class FaultInjectionChannel(SinkDelivery):

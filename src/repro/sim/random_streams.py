@@ -10,19 +10,25 @@ root seed with :class:`numpy.random.SeedSequence`, so
   (no shared-stream coupling), which keeps policy comparisons fair: the
   arrival process seen by RR and by SR4 in a comparison run is the same.
 
-A stream is handed out either as a generator (:meth:`RandomStreams.stream`)
-or as a :class:`BoundedDraws` source that draws ahead of use
-(:meth:`RandomStreams.draws`), never both: the two would desynchronise.
+A stream is handed out in one form only, since two would desynchronise:
+as a generator (:meth:`RandomStreams.stream`), or as one of the sources
+that draw it ahead of use in blocks — a :class:`BoundedDraws`
+(:meth:`RandomStreams.draws`), or a zero-argument callable of uniform or
+standard exponential floats (:meth:`RandomStreams.uniforms`,
+:meth:`RandomStreams.exponentials`).
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
+
+#: Values a draw-ahead source takes from its generator at a time.
+_BLOCK = 256
 
 
 class BoundedDraws:
@@ -40,7 +46,7 @@ class BoundedDraws:
             raise SimulationError(f"{state['bit_generator']} has no half-word 32-bit draws")
         # A half word the generator already buffered is its next draw.
         pending = [state["uinteger"]] if state["has_uint32"] else []
-        block = lambda: bit_generator.random_raw(256).astype("<u8").view("<u4").tolist()
+        block = lambda: bit_generator.random_raw(_BLOCK).astype("<u8").view("<u4").tolist()
         self._next32 = chain(pending, chain.from_iterable(iter(block, None))).__next__
 
     def choice(self, n: int, k: int) -> List[int]:
@@ -89,17 +95,21 @@ class RandomStreams:
         self._seed = seed
         self._root = np.random.SeedSequence(seed)
         self._streams: Dict[str, np.random.Generator] = {}
-        self._draws: Dict[str, BoundedDraws] = {}
+        #: Each draw-ahead source handed out, with its kind, by stream name.
+        self._sources: Dict[str, Tuple[str, Any]] = {}
 
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use.
 
         The child seed is derived from the root seed and a stable hash of
         the name, so the set of *other* streams requested does not affect
-        the values a given stream produces.  Raises after :meth:`draws`.
+        the values a given stream produces.  Raises once a draw-ahead
+        source owns the stream.
         """
-        if name in self._draws:
-            raise SimulationError(f"stream {name!r} is owned by its block draw source")
+        if name in self._sources:
+            raise SimulationError(
+                f"stream {name!r} is owned by its {self._sources[name][0]} block draw source"
+            )
         if not name:
             raise SimulationError("stream name must be a non-empty string")
         if name not in self._streams:
@@ -114,18 +124,52 @@ class RandomStreams:
         """The one :class:`BoundedDraws` source of stream ``name``, shared by all callers.
 
         Consumers of one stream (a load-balancer tier's instances) draw one
-        sequence, as from one shared generator.  Raises after :meth:`stream`.
+        sequence, as from one shared generator.
         """
-        source = self._draws.get(name)
-        if source is None:
+        return self._claim(name, "draws", lambda rng: BoundedDraws(rng.bit_generator))
+
+    def uniforms(self, name: str) -> Callable[[], float]:
+        """Stream ``name``'s ``Generator.random()``, draw for draw, from blocks.
+
+        One zero-argument callable per stream, shared by all callers, as
+        :meth:`draws` is; it draws its first block on its first call.
+        """
+        return self._claim(name, "uniforms", lambda rng: _block_source(rng.random))
+
+    def exponentials(self, name: str) -> Callable[[], float]:
+        """Stream ``name``'s ``Generator.standard_exponential()``, draw for draw, from blocks.
+
+        ``scale * draw()`` is ``Generator.exponential(scale)``: numpy
+        computes it the same way.
+        """
+        return self._claim(
+            name, "exponentials", lambda rng: _block_source(rng.standard_exponential)
+        )
+
+    def _claim(self, name: str, kind: str, make: Callable[[np.random.Generator], Any]) -> Any:
+        """Stream ``name``'s one draw-ahead source of ``kind``, made on first use.
+
+        Raises after :meth:`stream`, or once a source of another kind owns
+        the stream.
+        """
+        owned = self._sources.get(name)
+        if owned is None:
             if name in self._streams:
                 raise SimulationError(f"stream {name!r} was handed out as a generator")
-            source = BoundedDraws(self.stream(name).bit_generator)
-            self._draws[name] = source
-        return source
+            owned = self._sources[name] = (kind, make(self.stream(name)))
+        elif owned[0] != kind:
+            raise SimulationError(
+                f"stream {name!r} is owned by its {owned[0]} block draw source"
+            )
+        return owned[1]
 
     def __repr__(self) -> str:
         return f"RandomStreams(seed={self._seed!r}, streams={sorted(self._streams)!r})"
+
+
+def _block_source(fill: Callable[[int], np.ndarray]) -> Callable[[], float]:
+    """The values of ``fill(_BLOCK)``, ``fill(_BLOCK)``, ... one Python float a call."""
+    return chain.from_iterable(iter(lambda: fill(_BLOCK).tolist(), None)).__next__
 
 
 def _stable_name_key(name: str) -> int:

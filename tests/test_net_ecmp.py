@@ -115,7 +115,6 @@ class TestMembershipDisruption:
         router = EcmpEdgeRouter(simulator, "edge", STEERING)
         with pytest.raises(RoutingError):
             router.next_hop_for(_flow(1))
-        assert router.owner_of_forward_flow(_flow(1)) is None
 
     def test_unknown_scheme_rejected(self, simulator):
         with pytest.raises(RoutingError):
@@ -160,5 +159,5 @@ class TestForwarding:
 
     def test_five_tuple_key_includes_protocol_and_both_endpoints(self):
         key = five_tuple_key(_flow(1234))
-        assert key.startswith("tcp|")
-        assert str(CLIENT) in key and str(VIP) in key and "1234" in key
+        assert isinstance(key, bytes)
+        assert key == f"tcp|{CLIENT}|1234|{VIP}|80".encode()

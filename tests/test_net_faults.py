@@ -23,17 +23,10 @@ from repro.net.faults import (
 from repro.sim.engine import Simulator
 
 
-class _Draws:
-    """A stand-in RNG that hands out fixed draws, in order."""
-
-    def __init__(self, *values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
-
-    def exponential(self, mean):
-        return self.values.pop(0) * mean
+def _draws(*values):
+    """A stand-in draw source: hands out fixed draws, in order (standard
+    exponentials for a jitter stage, uniforms for the others)."""
+    return iter(values).__next__
 
 
 class _Sink:
@@ -92,20 +85,20 @@ class TestLinkStats:
 class TestInjectors:
     def test_iid_loss_drops_below_the_rate(self):
         stats = LinkStats()
-        injector = IIDLossInjector(_Draws(0.1, 0.9), rate=0.5)
+        injector = IIDLossInjector(_draws(0.1, 0.9), rate=0.5)
         assert injector.assess(0.0, stats) is None
         assert injector.assess(0.0, stats) == 0.0
         assert stats.packets_dropped_loss == 1
 
     def test_corruption_counts_as_its_own_drop_reason(self):
         stats = LinkStats()
-        injector = CorruptionInjector(_Draws(0.0), rate=0.5)
+        injector = CorruptionInjector(_draws(0.0), rate=0.5)
         assert injector.assess(0.0, stats) is None
         assert (stats.packets_dropped_corrupted, stats.packets_dropped_loss) == (1, 0)
 
     def test_burst_loss_drops_only_in_the_bad_state(self):
         stats = LinkStats()
-        injector = GilbertElliottLossInjector(_Draws(0.9, 0.1, 0.5, 0.9, 0.1), enter=0.2, exit=0.3)
+        injector = GilbertElliottLossInjector(_draws(0.9, 0.1, 0.5, 0.9, 0.1), enter=0.2, exit=0.3)
         # good stays good (0.9 >= enter): nothing lost, no loss draw
         assert injector.assess(0.0, stats) == 0.0
         # good -> bad (0.1 < enter), then lost (0.5 < loss_bad = 1)
@@ -118,7 +111,7 @@ class TestInjectors:
 
     def test_jitter_delays_and_is_capped(self):
         stats = LinkStats()
-        injector = JitterInjector(_Draws(0.5, 10.0), mean=0.002, cap=0.01)
+        injector = JitterInjector(_draws(0.5, 10.0), mean=0.002, cap=0.01)
         assert injector.assess(0.0, stats) == pytest.approx(0.001)
         assert injector.assess(0.0, stats) == 0.01
         assert stats.packets_delayed_jitter == 2
@@ -126,7 +119,7 @@ class TestInjectors:
 
     def test_reorder_holds_back_within_the_window(self):
         stats = LinkStats()
-        injector = ReorderInjector(_Draws(0.1, 0.5, 0.9), rate=0.2, window=0.04)
+        injector = ReorderInjector(_draws(0.1, 0.5, 0.9), rate=0.2, window=0.04)
         assert injector.assess(0.0, stats) == pytest.approx(0.02)
         assert injector.assess(0.0, stats) == 0.0
         assert stats.packets_reordered == 1
@@ -159,8 +152,8 @@ class TestInjectors:
 class TestPipeline:
     def test_the_first_dropping_stage_ends_the_packet(self):
         simulator = Simulator(seed=2)
-        loss = IIDLossInjector(_Draws(0.0), rate=1.0)
-        corruption = CorruptionInjector(_Draws(), rate=1.0)
+        loss = IIDLossInjector(_draws(0.0), rate=1.0)
+        corruption = CorruptionInjector(_draws(), rate=1.0)
         pipeline = FaultInjectionChannel(simulator, InProcessChannel(simulator), [loss, corruption])
         sink = _Sink(simulator)
         pipeline.deliver(sink, "pkt", 0.001, "x")
@@ -172,8 +165,8 @@ class TestPipeline:
 
     def test_delays_of_every_stage_add_to_the_hop(self):
         simulator = Simulator(seed=2)
-        jitter = JitterInjector(_Draws(1.0), mean=0.002)
-        reorder = ReorderInjector(_Draws(0.0, 0.5), rate=1.0, window=0.01)
+        jitter = JitterInjector(_draws(1.0), mean=0.002)
+        reorder = ReorderInjector(_draws(0.0, 0.5), rate=1.0, window=0.01)
         pipeline = FaultInjectionChannel(simulator, InProcessChannel(simulator), [jitter, reorder])
         sink = _Sink(simulator)
         pipeline.deliver(sink, "pkt", 0.001, "x")

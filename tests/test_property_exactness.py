@@ -18,19 +18,35 @@ Two replacements on the replay hot path must be invisible in results:
   ``schedule_in`` events and cut-short runs must execute what the same
   program written with ``schedule_in`` and ``EventHandle.cancel``
   executes.
+* :meth:`~repro.sim.random_streams.RandomStreams.uniforms` and
+  :meth:`~repro.sim.random_streams.RandomStreams.exponentials` — the
+  fault plane's injectors draw from blocks; every draw must equal the
+  scalar ``Generator.random()`` / ``Generator.exponential(mean)`` draw
+  across the block edges, and a stream is handed out in one form only.
+* :class:`~repro.net.ecmp.HopScorer` — the ECMP hash scores key bytes and
+  compares digests as bytes; every hop choice (the live router, the pure
+  selector, the ``scale`` pod table) must equal the text-key integer
+  formula written out below, ties included.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.candidate_selection import RandomCandidateSelector, SingleRandomSelector
 from repro.errors import SchedulingError, SimulationError
-from repro.net.addressing import IPv6Address
+from repro.experiments.scale_experiment import _FRONTEND_CLIENT, _FRONTEND_VIP, _pod_table
+from repro.net import ecmp as ecmp_module
+from repro.net.addressing import _TEXT_FORMS, IPv6Address, _format_ipv6
+from repro.net.ecmp import HASH_SCHEMES, EcmpEdgeRouter, select_next_hop_name
+from repro.net.faults import FaultConfig, build_injectors
 from repro.net.packet import FlowKey
+from repro.net.router import NetworkNode
+from repro.net.tcp import EPHEMERAL_PORT_BASE, HTTP_PORT
 from repro.sim.engine import Simulator, TimerLane
 from repro.sim.random_streams import BoundedDraws, RandomStreams
 
@@ -372,3 +388,135 @@ def test_a_lane_refuses_the_delays_schedule_in_refuses(delay, now):
     else:
         lane = TimerLane(simulator, delay, print, "timer")
         assert lane.arm(None)[0] == now + delay
+
+
+# ----------------------------------------------------------------------
+# the fault plane's block draw sources
+# ----------------------------------------------------------------------
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=0, max_value=800),
+    mean=st.floats(min_value=1e-9, max_value=1e3, allow_nan=False),
+)
+@example(seed=0, count=255, mean=0.002)
+@example(seed=1, count=256, mean=0.002)
+@example(seed=2, count=257, mean=1.0)
+@example(seed=3, count=513, mean=3e-4)
+@settings(max_examples=60, deadline=None)
+def test_block_sources_draw_what_the_scalar_generator_draws(seed, count, mean):
+    uniforms = RandomStreams(seed).uniforms("fault")
+    exponentials = RandomStreams(seed).exponentials("fault")
+    uniform_reference = RandomStreams(seed).stream("fault")
+    exponential_reference = RandomStreams(seed).stream("fault")
+    for _ in range(count):
+        assert uniforms() == uniform_reference.random()
+        assert mean * exponentials() == exponential_reference.exponential(mean)
+
+
+SOURCE_FORMS = ("stream", "draws", "uniforms", "exponentials")
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(first, second) for first in SOURCE_FORMS for second in SOURCE_FORMS if first != second],
+)
+def test_a_stream_is_handed_out_in_one_form_only(first, second):
+    streams = RandomStreams(seed=1)
+    handed = getattr(streams, first)("fault")
+    with pytest.raises(SimulationError):
+        getattr(streams, second)("fault")
+    # The first form is still the stream's, and still the same object.
+    assert getattr(streams, first)("fault") is handed
+    getattr(streams, second)("other")
+
+
+def test_only_an_enabled_injector_claims_its_stream():
+    simulator = Simulator(seed=0)
+    build_injectors(simulator, FaultConfig(loss_rate=0.1))
+    with pytest.raises(SimulationError):
+        simulator.streams.stream("fault-iid-loss")
+    simulator.streams.stream("fault-jitter")  # disabled: left free
+
+
+# ----------------------------------------------------------------------
+# the ECMP hash over key bytes
+# ----------------------------------------------------------------------
+def _coarse(digest):
+    """Eight score bytes with four values (top bit of the first, low bit of
+    the last byte), so hops tie often and the order of both ends counts."""
+    return bytes([digest[0] & 0x80, 0, 0, 0, 0, 0, 0, digest[7] & 1]) + digest[8:]
+
+
+class _CoarseSha256:
+    def __init__(self, data):
+        self._digest = _coarse(hashlib.sha256(data).digest())
+
+    def digest(self):
+        return self._digest
+
+
+def _reference_index(hop_names, flow_key, scheme, ties):
+    """The text-key formula: ``sha256(f"{salt}:{key}")``'s first 8 bytes as
+    a big-endian integer, the first highest in name order (rendezvous) or
+    one score modulo the group size; addresses formatted without the memo."""
+    names = sorted(hop_names)
+    src, src_port, dst, dst_port = flow_key
+    text = lambda address: address if isinstance(address, str) else _format_ipv6(int(address))
+    key = f"tcp|{text(src)}|{src_port}|{text(dst)}|{dst_port}"
+
+    def score(salt):
+        digest = hashlib.sha256(f"{salt}:{key}".encode("utf-8")).digest()
+        return int.from_bytes((_coarse(digest) if ties else digest)[:8], "big")
+
+    if scheme == "modulo":
+        return score("ecmp-modulo") % len(names)
+    scores = [score(f"ecmp-hrw:{name}") for name in names]
+    return scores.index(max(scores))
+
+
+addresses = st.integers(min_value=0, max_value=2**128 - 1).map(IPv6Address)
+ports = st.integers(min_value=0, max_value=65535)
+
+
+@given(
+    hop_names=st.lists(
+        st.text(alphabet="abcxyz-019", min_size=1, max_size=6),
+        min_size=1,
+        max_size=6,
+        unique=True,
+    ),
+    flows=st.lists(st.tuples(addresses, ports, addresses, ports), min_size=1, max_size=8),
+    cached=st.booleans(),
+    scheme=st.sampled_from(HASH_SCHEMES),
+    ties=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_bytes_scorer_picks_the_hop_the_text_key_formula_picks(
+    hop_names, flows, cached, scheme, ties
+):
+    names = sorted(hop_names)
+    simulator = Simulator(seed=0)
+    router = EcmpEdgeRouter(simulator, "edge", IPv6Address(1), hash_scheme=scheme)
+    for name in hop_names:
+        router.add_next_hop(NetworkNode(simulator, name))
+    with pytest.MonkeyPatch.context() as patch:
+        if ties:
+            patch.setattr(ecmp_module, "_sha256", _CoarseSha256)
+        for src, src_port, dst, dst_port in flows:
+            flow = FlowKey(src, src_port, dst, dst_port)
+            for address in (src, dst):
+                if cached:
+                    str(address)
+                else:
+                    _TEXT_FORMS.pop(address, None)
+            expected = names[_reference_index(hop_names, flow, scheme, ties)]
+            assert select_next_hop_name(hop_names, flow, scheme) == expected
+            router.invalidate_next_hop_cache()
+            assert router.next_hop_for(flow).name == expected
+            assert _TEXT_FORMS[src] == _format_ipv6(int(src))
+        size = 24
+        table = _pod_table.__wrapped__(tuple(hop_names), scheme, size)
+        for offset in range(size):
+            frontend = (_FRONTEND_CLIENT, EPHEMERAL_PORT_BASE + offset, _FRONTEND_VIP, HTTP_PORT)
+            chosen = names[_reference_index(hop_names, frontend, scheme, ties)]
+            assert table[offset] == hop_names.index(chosen)
