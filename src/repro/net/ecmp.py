@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from hashlib import sha256 as _sha256
 from heapq import heappush as _heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import RoutingError, SchedulingError
 from repro.net.addressing import _TEXT_FORMS, IPv6Address
@@ -68,11 +68,11 @@ class HopScorer:
     The single implementation of both hash schemes, shared by the live
     router, :func:`select_next_hop_name` and the ``scale`` family's
     offline pod table.  A hop's score for a key is the first 64 bits of
-    ``sha256(f"{salt}:{key}")`` (stable and process-independent, like
-    the Maglev table's hash), read big-endian.  The salted prefixes are
-    encoded once per group, so scoring a key costs one ``sha256(prefix
-    + key)`` per hop, and the eight digest bytes are compared as bytes:
-    big-endian, their order is the integers' order.
+    ``sha256(f"{salt}:{key}")`` as a big-endian integer (stable and
+    process-independent, like the Maglev table's hash).  The salted
+    prefixes are encoded once per group, so scoring a key costs one
+    ``sha256(prefix + key)`` per hop; the eight digest bytes are
+    compared as bytes, which orders them as those integers.
     """
 
     __slots__ = ("names", "_modulo", "_prefixes")
@@ -104,13 +104,12 @@ class HopScorer:
             return int.from_bytes(score, "big") % len(names)
         # Rendezvous (HRW): every hop scores the key; the highest wins,
         # the first in name order on a tie (any score beats b"").
-        best = index = 0
+        best = 0
         best_score = b""
-        for prefix in self._prefixes:
+        for index, prefix in enumerate(self._prefixes):
             score = _sha256(prefix + key).digest()[:8]
             if score > best_score:
                 best, best_score = index, score
-            index += 1
         return best
 
 

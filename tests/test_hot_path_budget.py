@@ -126,11 +126,11 @@ def _python_rows(profile):
 
 def _package(filename):
     """The ``repro`` package a source file belongs to, else ``other``."""
-    parts = filename.replace(os.sep, "/").split("/")
-    if "repro" not in parts[:-1]:
+    _, found, below = filename.replace(os.sep, "/").rpartition("/repro/")
+    if not found:
         return "other"
-    below = parts[len(parts) - 1 - parts[::-1].index("repro") + 1 :]
-    return below[0] if len(below) > 1 else "repro"
+    package, _, module = below.partition("/")
+    return package if module else "repro"
 
 
 def _function(code):
